@@ -18,10 +18,11 @@
 //
 // -json FILE writes machine-readable per-experiment results and
 // wall-clock timings ("-" for stdout), the format the BENCH_*.json perf
-// trajectory consumes. -reps N times each experiment N times; with
-// -parallel > 1 the recorded wall times are per-lane medians and the
-// speedup is the median of per-rep paired baseline/parallel ratios, which
-// removes scheduler and GC noise from the recorded speedups.
+// trajectory consumes, plus the boot/restore counts of each prototype
+// family (proto_boots/proto_restores). -reps N times each experiment N
+// times; with -parallel > 1 the recorded wall times are per-lane medians
+// and the speedup is the median of per-rep paired baseline/parallel
+// ratios, which removes scheduler and GC noise from the recorded speedups.
 // -cpuprofile/-memprofile write pprof profiles of the whole run
 // for `go tool pprof` (the profiling workflow in EXPERIMENTS.md).
 //
@@ -88,6 +89,11 @@ type benchReport struct {
 	// actions per (cause, scheme), priced by the shared cost model the
 	// policy optimizer uses.
 	Causes []metrics.BreakdownRow `json:"causes,omitempty"`
+	// Prototypes answers "did this run re-boot prototypes?": per shared
+	// prototype family, how many full boots and how many restores served
+	// the run's cells. Boots stay at or below the worker count per
+	// prototype when instances are retained as designed.
+	Prototypes []seed.ProtoFamilyStats `json:"prototypes"`
 }
 
 func main() {
@@ -326,6 +332,7 @@ func main() {
 		}
 	}
 	report.Causes = causes.Rows
+	report.Prototypes = seed.PrototypeStats()
 	if *jsonOut != "" {
 		if err := writeJSON(*jsonOut, report); err != nil {
 			fmt.Fprintf(os.Stderr, "json: %v\n", err)

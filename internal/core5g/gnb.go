@@ -34,6 +34,13 @@ type GNB struct {
 	backhaul time.Duration
 
 	ues map[string]*ueRadio
+
+	// User-plane frames (see radio.FramePool for the ownership rule): an
+	// uplink frame rides the backhaul hop as the argument of the stored
+	// toUPF callback and is released here once the UPF has seen it;
+	// SendData takes a frame per downlink packet.
+	frames radio.FramePool
+	toUPF  func(any) // arg: *radio.Packet
 }
 
 type ueRadio struct {
@@ -45,7 +52,13 @@ type ueRadio struct {
 // NewGNB creates a gNB with the given one-way backhaul latency to the
 // core. Wire the AMF and UPF with SetCore before delivering traffic.
 func NewGNB(k *sched.Kernel, backhaul time.Duration) *GNB {
-	return &GNB{k: k, backhaul: backhaul, ues: make(map[string]*ueRadio)}
+	g := &GNB{k: k, backhaul: backhaul, ues: make(map[string]*ueRadio)}
+	g.toUPF = func(v any) {
+		f := v.(*radio.Packet)
+		g.upf.HandleUplink(*f)
+		g.frames.Put(f)
+	}
+	return g
 }
 
 // SetCore wires the core-network functions.
@@ -81,13 +94,22 @@ func (g *GNB) HandleUplink(frame any) {
 		}
 		ue.connected = true // NAS implies signalling connection
 		g.k.After(g.backhaul, func() { g.amf.HandleUplinkNAS(f.UE, f.Bytes) })
+	case *radio.Packet:
+		g.uplinkData(f)
 	case radio.Packet:
-		ue, okU := g.ues[f.UE]
-		if !okU || !ue.connected || !ue.bearers[f.SessionID] {
-			return // no bearer: user-plane data is dropped
-		}
-		g.k.After(g.backhaul, func() { g.upf.HandleUplink(f) })
+		g.uplinkData(g.frames.Get(f))
 	}
+}
+
+// uplinkData forwards a user-plane frame this gNB now owns to the UPF
+// over the backhaul, or drops it when the UE has no bearer for it.
+func (g *GNB) uplinkData(f *radio.Packet) {
+	ue, okU := g.ues[f.UE]
+	if !okU || !ue.connected || !ue.bearers[f.SessionID] {
+		g.frames.Put(f)
+		return
+	}
+	g.k.AfterArg(g.backhaul, g.toUPF, f)
 }
 
 // SendNAS delivers a downlink NAS message to a UE.
@@ -106,7 +128,12 @@ func (g *GNB) SendData(pkt radio.Packet) bool {
 	if !okU || !ue.bearers[pkt.SessionID] {
 		return false
 	}
-	return ue.tx(pkt)
+	f := g.frames.Get(pkt)
+	if !ue.tx(f) {
+		g.frames.Put(f) // refused by the link: never in flight
+		return false
+	}
+	return true
 }
 
 // AddBearer installs a radio bearer for a UE session.

@@ -210,3 +210,40 @@ func imsiN(i int) string {
 	}
 	return string(b)
 }
+
+// HasBlock and the per-packet blocked check read the network-wide and the
+// per-UE lists in place; they must agree with the copying Blocks accessor.
+func TestUPFHasBlockCoversGlobalAndPerUE(t *testing.T) {
+	u := NewUPF(sched.New(1), nil, time.Millisecond)
+	if u.HasBlock("ue1", nas.ProtoTCP) || u.blocked("ue1", nas.ProtoTCP, 443) {
+		t.Fatal("block reported on an empty policy")
+	}
+	u.AddBlock("", PolicyBlock{Proto: nas.ProtoUDP, PortLow: 53, PortHigh: 53})
+	u.AddBlock("ue1", PolicyBlock{Proto: nas.ProtoTCP})
+	for _, c := range []struct {
+		imsi  string
+		proto uint8
+		port  uint16
+		has   bool
+		block bool
+	}{
+		{"ue1", nas.ProtoTCP, 443, true, true},
+		{"ue2", nas.ProtoTCP, 443, false, false},
+		{"ue2", nas.ProtoUDP, 53, true, true},    // network-wide
+		{"ue2", nas.ProtoUDP, 9000, true, false}, // on the protocol, outside the port range
+	} {
+		if got := u.HasBlock(c.imsi, c.proto); got != c.has {
+			t.Errorf("HasBlock(%s, %d) = %v, want %v", c.imsi, c.proto, got, c.has)
+		}
+		if got := u.blocked(c.imsi, c.proto, c.port); got != c.block {
+			t.Errorf("blocked(%s, %d, %d) = %v, want %v", c.imsi, c.proto, c.port, got, c.block)
+		}
+	}
+	if n := len(u.Blocks("ue1")); n != 2 {
+		t.Fatalf("Blocks(ue1) returned %d entries, want 2", n)
+	}
+	u.ClearBlocks("ue1")
+	if u.HasBlock("ue1", nas.ProtoTCP) {
+		t.Fatal("per-UE block survives ClearBlocks")
+	}
+}

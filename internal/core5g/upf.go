@@ -73,17 +73,29 @@ type UPF struct {
 	// dataplane package installs the emulated internet here.
 	remote func(radio.Packet)
 
+	// LDNS answers wait out dnsLatency in a pooled frame carried by the
+	// stored answerDNS callback.
+	frames    radio.FramePool
+	answerDNS func(any) // arg: *radio.Packet
+
 	stats UPFStats
 }
 
 // NewUPF creates the user-plane function.
 func NewUPF(k *sched.Kernel, gnb RadioAccess, dnsLatency time.Duration) *UPF {
-	return &UPF{
+	u := &UPF{
 		k: k, gnb: gnb,
 		byAddr:     make(map[nas.Addr]*upfSession),
 		blocks:     make(map[string][]PolicyBlock),
 		dnsLatency: dnsLatency,
 	}
+	u.answerDNS = func(v any) {
+		f := v.(*radio.Packet)
+		u.stats.DNSAnswered++
+		u.Inject(*f)
+		u.frames.Put(f)
+	}
+	return u
 }
 
 // SetRemote installs the emulated-internet handler for packets that leave
@@ -159,9 +171,32 @@ func (u *UPF) SetLDNSDown(v bool) { u.ldnsDown = v }
 // LDNSDown reports whether the carrier resolver is down.
 func (u *UPF) LDNSDown() bool { return u.ldnsDown }
 
+// blocked reports whether a network-wide or per-UE policy block matches
+// the flow. It runs twice per request round trip, so it reads the block
+// lists in place.
 func (u *UPF) blocked(imsi string, proto uint8, port uint16) bool {
-	for _, b := range u.Blocks(imsi) {
+	return anyMatches(u.blocks[""], proto, port) || anyMatches(u.blocks[imsi], proto, port)
+}
+
+func anyMatches(blocks []PolicyBlock, proto uint8, port uint16) bool {
+	for _, b := range blocks {
 		if b.matches(proto, port) {
+			return true
+		}
+	}
+	return false
+}
+
+// HasBlock reports whether any active policy block for a UE (including
+// network-wide ones) is on the given protocol. Unlike Blocks it copies
+// nothing, so a predicate polled per kernel step can afford it.
+func (u *UPF) HasBlock(imsi string, proto uint8) bool {
+	return anyOnProto(u.blocks[""], proto) || anyOnProto(u.blocks[imsi], proto)
+}
+
+func anyOnProto(blocks []PolicyBlock, proto uint8) bool {
+	for _, b := range blocks {
+		if b.Proto == proto {
 			return true
 		}
 	}
@@ -191,15 +226,12 @@ func (u *UPF) HandleUplink(pkt radio.Packet) {
 		if u.ldnsDown {
 			return // outage: query vanishes
 		}
-		u.k.After(u.dnsLatency, func() {
-			u.stats.DNSAnswered++
-			u.Inject(radio.Packet{
-				UE: pkt.UE, SessionID: pkt.SessionID, Proto: nas.ProtoUDP,
-				Src: pkt.Dst, Dst: pkt.Src,
-				SrcPort: 53, DstPort: pkt.SrcPort,
-				Flow: pkt.Flow, Length: 128, Meta: "dns-answer:" + pkt.Meta,
-			})
-		})
+		u.k.AfterArg(u.dnsLatency, u.answerDNS, u.frames.Get(radio.Packet{
+			UE: pkt.UE, SessionID: pkt.SessionID, Proto: nas.ProtoUDP,
+			Src: pkt.Dst, Dst: pkt.Src,
+			SrcPort: 53, DstPort: pkt.SrcPort,
+			Flow: pkt.Flow, Length: 128, Meta: "dns-answer:" + pkt.Meta,
+		}))
 		return
 	}
 	if u.remote != nil {

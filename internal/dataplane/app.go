@@ -125,22 +125,66 @@ type App struct {
 	consecDNSFails  int
 	reqSeq          int
 	idBuf           []byte // scratch for flowID formatting
-	pending         map[string]sched.Timer
+	pending         map[string]*request
 	ticker          *sched.Ticker
 	lastSuccessAt   time.Duration
 	lastDNSOK       time.Duration
 
+	// Outstanding-request records are recycled through reqFree, and each
+	// response deadline is armed with the stored onTimeout callback
+	// carrying the record, so a request costs its flow-ID string and
+	// nothing else.
+	reqFree   []*request
+	onTimeout func(any) // arg: *request
+
 	stats AppStats
+}
+
+// request is one outstanding app request or DNS query.
+type request struct {
+	flow  string
+	dns   bool
+	timer sched.Timer
 }
 
 // NewApp creates an application bound to the device's send path.
 func NewApp(k *sched.Kernel, spec AppSpec, send func(radio.Packet) bool, dnsServer func() nas.Addr) *App {
-	return &App{
+	a := &App{
 		k: k, spec: spec, send: send, dnsServer: dnsServer,
 		reportThreshold: 2,
-		pending:         make(map[string]sched.Timer),
+		pending:         make(map[string]*request),
 		lastSuccessAt:   -1,
 	}
+	a.onTimeout = func(v any) {
+		r := v.(*request)
+		dns := r.dns
+		a.settle(r)
+		a.requestFailed(dns)
+	}
+	return a
+}
+
+// await records a sent request and arms its response deadline.
+func (a *App) await(flow string, dns bool) {
+	var r *request
+	if n := len(a.reqFree); n > 0 {
+		r = a.reqFree[n-1]
+		a.reqFree = a.reqFree[:n-1]
+	} else {
+		r = new(request)
+	}
+	r.flow, r.dns = flow, dns
+	r.timer = a.k.AfterArg(a.spec.Timeout, a.onTimeout, r)
+	a.pending[flow] = r
+}
+
+// settle retires an outstanding request: deadline cancelled, record back
+// on the free list.
+func (a *App) settle(r *request) {
+	r.timer.Stop()
+	delete(a.pending, r.flow)
+	*r = request{}
+	a.reqFree = append(a.reqFree, r)
 }
 
 // AttachMonitor feeds the app's outcomes into the Android monitor.
@@ -175,9 +219,8 @@ func (a *App) Stop() {
 	}
 	a.ticker.Stop()
 	a.ticker = nil
-	for id, t := range a.pending {
-		t.Stop()
-		delete(a.pending, id)
+	for _, r := range a.pending {
+		a.settle(r)
 	}
 }
 
@@ -225,10 +268,10 @@ func (a *App) sendRequest() {
 	}
 	if !sent {
 		// No session: counts as an immediate transport failure.
-		a.requestFailed(id, false)
+		a.requestFailed(false)
 		return
 	}
-	a.pending[id] = a.k.After(a.spec.Timeout, func() { a.requestFailed(id, false) })
+	a.await(id, false)
 }
 
 func (a *App) sendDNSQuery() {
@@ -239,21 +282,20 @@ func (a *App) sendDNSQuery() {
 		Flow: id, Length: 64, Meta: "app.example.com",
 	}
 	if !a.send(pkt) {
-		a.requestFailed(id, true)
+		a.requestFailed(true)
 		return
 	}
-	a.pending[id] = a.k.After(a.spec.Timeout, func() { a.requestFailed(id, true) })
+	a.await(id, true)
 }
 
 // HandleDownlink consumes a downlink packet belonging to this app's flows.
 // It reports whether the packet was recognized.
 func (a *App) HandleDownlink(pkt radio.Packet) bool {
-	t, okP := a.pending[pkt.Flow]
+	r, okP := a.pending[pkt.Flow]
 	if !okP {
 		return false
 	}
-	t.Stop()
-	delete(a.pending, pkt.Flow)
+	a.settle(r)
 	isDNS := len(pkt.Meta) >= 10 && pkt.Meta[:10] == "dns-answer"
 	a.stats.Successes++
 	if isDNS {
@@ -283,8 +325,7 @@ func (a *App) HandleDownlink(pkt radio.Packet) bool {
 	return true
 }
 
-func (a *App) requestFailed(id string, wasDNS bool) {
-	delete(a.pending, id)
+func (a *App) requestFailed(wasDNS bool) {
 	a.stats.Failures++
 	if wasDNS {
 		a.consecDNSFails++

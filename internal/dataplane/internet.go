@@ -42,12 +42,11 @@ type Internet struct {
 
 	served int
 
-	// injectFn and replyFree implement a closure-free reply path: each
-	// response packet rides a pooled *radio.Packet through the kernel's
-	// AtArg and returns to the pool once injected. Single-threaded per
-	// kernel, so the pool needs no locks.
-	injectFn  func(any)
-	replyFree []*radio.Packet
+	// injectFn and replies implement a closure-free reply path: each
+	// response waits out the server latency in a pooled frame carried by
+	// the kernel's AfterArg and returns to the pool once injected.
+	injectFn func(any) // arg: *radio.Packet
+	replies  radio.FramePool
 }
 
 // NewInternet creates the emulated internet and installs it as the UPF's
@@ -58,8 +57,7 @@ func NewInternet(k *sched.Kernel, upf *core5g.UPF) *Internet {
 		p := v.(*radio.Packet)
 		in.served++
 		in.upf.Inject(*p)
-		*p = radio.Packet{}
-		in.replyFree = append(in.replyFree, p)
+		in.replies.Put(p)
 	}
 	upf.SetRemote(in.handleUplink)
 	return in
@@ -70,19 +68,11 @@ func (in *Internet) Served() int { return in.served }
 
 // respond schedules the reply to pkt after the server latency.
 func (in *Internet) respond(pkt *radio.Packet, length int, meta string) {
-	var p *radio.Packet
-	if n := len(in.replyFree); n > 0 {
-		p = in.replyFree[n-1]
-		in.replyFree = in.replyFree[:n-1]
-	} else {
-		p = new(radio.Packet)
-	}
-	*p = radio.Packet{
+	in.k.AfterArg(in.ServerLatency, in.injectFn, in.replies.Get(radio.Packet{
 		Proto: pkt.Proto, Src: pkt.Dst, Dst: pkt.Src,
 		SrcPort: pkt.DstPort, DstPort: pkt.SrcPort,
 		Flow: pkt.Flow, Length: length, Meta: meta,
-	}
-	in.k.AfterArg(in.ServerLatency, in.injectFn, p)
+	}))
 }
 
 func (in *Internet) handleUplink(pkt radio.Packet) {

@@ -15,12 +15,12 @@ func (m *Modem) CheckInvariants() error {
 	if m.state > StateRegistered {
 		return fmt.Errorf("modem: illegal 5GMM state %d", uint8(m.state))
 	}
-	for id, s := range m.sessions {
+	for i, s := range m.sessions {
 		if s == nil {
-			return fmt.Errorf("modem: nil session under ID %d", id)
+			return fmt.Errorf("modem: nil session at index %d", i)
 		}
-		if s.ID != id {
-			return fmt.Errorf("modem: session map key %d holds session ID %d", id, s.ID)
+		if i > 0 && m.sessions[i-1].ID >= s.ID {
+			return fmt.Errorf("modem: session list out of ID order at index %d (ID %d after %d)", i, s.ID, m.sessions[i-1].ID)
 		}
 	}
 	if m.state == StateOff || m.state == StateBooting {

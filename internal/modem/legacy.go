@@ -61,14 +61,14 @@ func (m *Modem) legacyRegistrationFailure(code uint8) {
 }
 
 func (m *Modem) onT3580Expiry(s *Session) {
-	if m.sessions[s.ID] != s || s.Active {
+	if cur, _ := m.Session(s.ID); cur != s || s.Active {
 		return
 	}
 	m.legacySessionFailure(s, 0)
 }
 
 func (m *Modem) handleSessionReject(rej *nas.PDUSessionEstablishmentReject) {
-	s, okS := m.sessions[rej.PDUSessionID]
+	s, okS := m.Session(rej.PDUSessionID)
 	if !okS {
 		return
 	}
@@ -87,7 +87,7 @@ func (m *Modem) legacySessionFailure(s *Session, code uint8) {
 	s.attempts++
 	if s.attempts > m.cfg.MaxSessAttempts {
 		s.attempts = 0
-		delete(m.sessions, s.ID)
+		m.removeSession(s.ID)
 		// Escalate: reattach, which re-runs registration and then
 		// re-establishes the default session from the cached profile.
 		m.Reattach()

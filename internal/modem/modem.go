@@ -8,8 +8,9 @@
 package modem
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/seed5g/seed/internal/crypto5g"
@@ -143,7 +144,10 @@ type Modem struct {
 	// SIM covers the serving network (accelerates search, SEED A2).
 	plmnListFresh bool
 
-	sessions    map[uint8]*Session
+	// sessions is kept in ascending ID order: the per-packet lookups
+	// (lowest-ID active session) and every iteration are deterministic
+	// and allocation-free. A modem holds a handful at most.
+	sessions    []*Session
 	nextSession uint8
 	nextPTI     uint8
 
@@ -163,6 +167,9 @@ type Modem struct {
 	resuming     bool
 	idleTimer    sched.Timer
 	pendingPkts  []radio.Packet
+	// frames recycles user-plane frames: SendPacket takes one per uplink
+	// packet, HandleDownlink returns the one each downlink packet came in.
+	frames radio.FramePool
 
 	// Reusable callback slots for the hottest timer arm/stop cycles
 	// (registration retries, inactivity, session guards): built once in
@@ -212,7 +219,6 @@ func New(k *sched.Kernel, cfg Config, card *sim.Card, tx func(any) bool) *Modem 
 	m := &Modem{
 		k: k, cfg: cfg, card: card, tx: tx,
 		state:       StateOff,
-		sessions:    make(map[uint8]*Session),
 		nextSession: 1,
 		nextPTI:     1,
 		autoSession: true,
@@ -266,55 +272,62 @@ func (m *Modem) SetAutoSession(v bool) { m.autoSession = v }
 // identity failures (off by default to reproduce the measured behaviour).
 func (m *Modem) SetSpecIdentityFallback(v bool) { m.specIdentityFallback = v }
 
-// Sessions returns the session list in ascending ID order (stable
-// ordering keeps the whole simulation deterministic across process runs).
+// Sessions returns a copy of the session list in ascending ID order
+// (stable ordering keeps the whole simulation deterministic across
+// process runs).
 func (m *Modem) Sessions() []*Session {
-	out := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// sessionIDs returns the session IDs in ascending order.
-func (m *Modem) sessionIDs() []uint8 {
-	ids := make([]uint8, 0, len(m.sessions))
-	for id := range m.sessions {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return append([]*Session(nil), m.sessions...)
 }
 
 // Session returns the session with the given ID.
 func (m *Modem) Session(id uint8) (*Session, bool) {
-	s, okS := m.sessions[id]
-	return s, okS
+	for _, s := range m.sessions {
+		if s.ID == id {
+			return s, true
+		}
+	}
+	return nil, false
+}
+
+// addSession inserts s at its place in the ID order, replacing a session
+// already holding the ID.
+func (m *Modem) addSession(s *Session) {
+	i, found := slices.BinarySearchFunc(m.sessions, s.ID, func(e *Session, id uint8) int {
+		return cmp.Compare(e.ID, id)
+	})
+	if found {
+		m.sessions[i] = s
+		return
+	}
+	m.sessions = slices.Insert(m.sessions, i, s)
+}
+
+// removeSession deletes the session with the given ID, if present.
+func (m *Modem) removeSession(id uint8) {
+	m.sessions = slices.DeleteFunc(m.sessions, func(s *Session) bool { return s.ID == id })
 }
 
 // FirstActiveSession returns the lowest-ID active session, if any.
 func (m *Modem) FirstActiveSession() (*Session, bool) {
-	var best *Session
 	for _, s := range m.sessions {
-		if s.Active && (best == nil || s.ID < best.ID) {
-			best = s
+		if s.Active {
+			return s, true
 		}
 	}
-	return best, best != nil
+	return nil, false
 }
 
 // FirstActiveSessionFunc returns the lowest-ID active session for which
-// keep returns true. Callers on per-packet paths should store keep once:
-// unlike Sessions, this iterates the live set without allocating.
+// keep returns true. It sits on the per-packet path (and under every
+// connectivity predicate a RunUntil polls per event): callers store keep
+// once, and the scan stops at the first match.
 func (m *Modem) FirstActiveSessionFunc(keep func(*Session) bool) (*Session, bool) {
-	var best *Session
 	for _, s := range m.sessions {
-		if s.Active && (best == nil || s.ID < best.ID) && keep(s) {
-			best = s
+		if s.Active && keep(s) {
+			return s, true
 		}
 	}
-	return best, best != nil
+	return nil, false
 }
 
 // OverrideSessionDNN sets the modem's cached session DNN without touching
@@ -351,8 +364,8 @@ func (m *Modem) PowerOn() {
 // PowerOff drops all state and turns the modem off.
 func (m *Modem) PowerOff() {
 	m.cancelRegTimer()
-	for _, id := range m.sessionIDs() {
-		m.dropSession(id)
+	for _, s := range m.Sessions() {
+		m.dropSession(s.ID)
 	}
 	m.guti = "" // volatile context cleared by power cycle
 	m.sec = nil
@@ -551,15 +564,22 @@ func (m *Modem) HandleDownlink(frame any) {
 			m.hook.OnNAS(false, msg)
 		}
 		m.handleNAS(msg)
+	case *radio.Packet:
+		m.downlinkData(*f)
+		m.frames.Put(f)
 	case radio.Packet:
-		m.stats.PacketsDown++
-		m.markActivity()
-		if m.hook.OnDownlinkData != nil {
-			m.hook.OnDownlinkData(f)
-		}
+		m.downlinkData(f)
 	case radio.RRCRelease:
 		// Network released the radio connection.
 		m.rrcConnected = false
+	}
+}
+
+func (m *Modem) downlinkData(pkt radio.Packet) {
+	m.stats.PacketsDown++
+	m.markActivity()
+	if m.hook.OnDownlinkData != nil {
+		m.hook.OnDownlinkData(pkt)
 	}
 }
 
@@ -581,7 +601,7 @@ func (m *Modem) handleNAS(msg nas.Message) {
 		m.pendingPkts = nil
 		for _, pkt := range pkts {
 			m.stats.PacketsUp++
-			m.tx(pkt)
+			m.txPacket(pkt)
 		}
 		m.markActivity()
 	case *nas.ServiceReject:
@@ -660,7 +680,7 @@ func (m *Modem) EstablishSession(dnn string, typ nas.PDUSessionType) uint8 {
 	m.nextSession++
 	m.nextPTI++
 	s := &Session{ID: id, DNN: dnn, Type: typ, pti: m.nextPTI}
-	m.sessions[id] = s
+	m.addSession(s)
 	m.sendSessionRequest(s)
 	return id
 }
@@ -681,7 +701,7 @@ func (m *Modem) sendSessionRequest(s *Session) {
 }
 
 func (m *Modem) handleSessionAccept(acc *nas.PDUSessionEstablishmentAccept) {
-	s, okS := m.sessions[acc.PDUSessionID]
+	s, okS := m.Session(acc.PDUSessionID)
 	if !okS {
 		return
 	}
@@ -701,7 +721,7 @@ func (m *Modem) handleSessionAccept(acc *nas.PDUSessionEstablishmentAccept) {
 }
 
 func (m *Modem) handleSessionModification(cmd *nas.PDUSessionModificationCommand) {
-	s, okS := m.sessions[cmd.PDUSessionID]
+	s, okS := m.Session(cmd.PDUSessionID)
 	if !okS || !s.Active {
 		return
 	}
@@ -723,7 +743,7 @@ func (m *Modem) handleSessionReleaseCommand(cmd *nas.PDUSessionReleaseCommand) {
 	m.sendNAS(&nas.PDUSessionReleaseComplete{
 		SMHeader: nas.SMHeader{PDUSessionID: cmd.PDUSessionID, PTI: cmd.PTI},
 	})
-	_, hadSession := m.sessions[cmd.PDUSessionID]
+	_, hadSession := m.Session(cmd.PDUSessionID)
 	m.dropSession(cmd.PDUSessionID)
 	// A network-initiated release of the default data session makes the
 	// OS re-request default connectivity shortly after, like Android's
@@ -750,7 +770,7 @@ func (m *Modem) hasDefaultSession() bool {
 
 // ReleaseSession initiates UE-side session teardown.
 func (m *Modem) ReleaseSession(id uint8) {
-	s, okS := m.sessions[id]
+	s, okS := m.Session(id)
 	if !okS {
 		return
 	}
@@ -762,21 +782,21 @@ func (m *Modem) ReleaseSession(id uint8) {
 }
 
 func (m *Modem) dropSession(id uint8) {
-	s, okS := m.sessions[id]
+	s, okS := m.Session(id)
 	if !okS {
 		return
 	}
 	s.timer.Stop()
 	wasActive := s.Active
-	delete(m.sessions, id)
+	m.removeSession(id)
 	if wasActive && m.hook.OnSessionDown != nil {
 		m.hook.OnSessionDown(id)
 	}
 }
 
 func (m *Modem) localDeregister() {
-	for _, id := range m.sessionIDs() {
-		m.dropSession(id)
+	for _, s := range m.Sessions() {
+		m.dropSession(s.ID)
 	}
 	m.cancelRegTimer()
 	// Deregistration aborts a pending service-request resume along with
@@ -814,8 +834,8 @@ func (m *Modem) SimulateMobility() {
 	if m.state != StateRegistered && m.state != StateRegistering {
 		return
 	}
-	for _, id := range m.sessionIDs() {
-		m.dropSession(id)
+	for _, s := range m.Sessions() {
+		m.dropSession(s.ID)
 	}
 	m.cancelRegTimer()
 	m.setState(StateDeregistered)
@@ -827,7 +847,7 @@ func (m *Modem) SimulateMobility() {
 // reports false when the session is not active. In idle mode the packet
 // is queued behind a Service Request and flushed on resume.
 func (m *Modem) SendPacket(pkt radio.Packet) bool {
-	s, okS := m.sessions[pkt.SessionID]
+	s, okS := m.Session(pkt.SessionID)
 	if !okS || !s.Active {
 		return false
 	}
@@ -840,14 +860,25 @@ func (m *Modem) SendPacket(pkt radio.Packet) bool {
 	}
 	m.markActivity()
 	m.stats.PacketsUp++
-	return m.tx(pkt)
+	return m.txPacket(pkt)
+}
+
+// txPacket puts pkt on the radio uplink in a pooled frame. A frame the
+// link refused was never in flight and goes straight back to the pool.
+func (m *Modem) txPacket(pkt radio.Packet) bool {
+	f := m.frames.Get(pkt)
+	if !m.tx(f) {
+		m.frames.Put(f)
+		return false
+	}
+	return true
 }
 
 // RequestModification sends a PDU Session Modification Request for an
 // active session; the network answers with its authoritative
 // configuration (SEED's B3 "data-plane modification" trigger).
 func (m *Modem) RequestModification(id uint8) bool {
-	s, okS := m.sessions[id]
+	s, okS := m.Session(id)
 	if !okS || !s.Active {
 		return false
 	}

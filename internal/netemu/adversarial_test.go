@@ -142,3 +142,29 @@ func TestDuplexAdversarialSettersApplyBothDirections(t *testing.T) {
 		}
 	}
 }
+
+type ownedMsg struct{ n int }
+
+func (m *ownedMsg) CloneMsg() any { c := *m; return &c }
+
+// TestLinkDupClonesOwnedMessages: a message whose receiver takes ownership
+// (a pooled radio frame) must arrive as two distinct objects, so the first
+// receiver recycling its copy cannot corrupt the duplicate.
+func TestLinkDupClonesOwnedMessages(t *testing.T) {
+	k := sched.New(9)
+	var got []*ownedMsg
+	l := NewLink(k, "t", time.Millisecond, func(m any) {
+		f := m.(*ownedMsg)
+		got = append(got, f)
+		if f.n != 7 {
+			t.Errorf("delivery %d carries %d, want 7", len(got), f.n)
+		}
+		f.n = 0 // the receiver owns the frame: recycling clears it
+	})
+	l.Dup = 1.0
+	l.Send(&ownedMsg{n: 7})
+	k.Run()
+	if len(got) != 2 || got[0] == got[1] {
+		t.Fatalf("want two deliveries of distinct objects, got %v", got)
+	}
+}

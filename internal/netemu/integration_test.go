@@ -23,12 +23,14 @@ func TestDetectorClassifiesOutageUnderAdversarialLink(t *testing.T) {
 
 	cd.Radio.SetReorder(0.3, 0)
 	cd.Radio.SetDup(0.2)
-	// Corrupt a tenth of the data-plane packets. The corrupter works on the
-	// value copy the type assertion yields, never the sender's message;
-	// control frames (NAS/RRC) pass through so attach still completes and
-	// corruption stresses exactly the path the detector watches.
+	// Corrupt a tenth of the data-plane packets. User-plane frames cross
+	// the link as pooled *radio.Packet; the corrupter tampers with a copy,
+	// never the sender's frame. Control frames (NAS/RRC) pass through so
+	// attach still completes and corruption stresses exactly the path the
+	// detector watches.
 	cd.Radio.SetCorrupt(0.1, func(msg any) any {
-		if pkt, ok := msg.(radio.Packet); ok {
+		if f, ok := msg.(*radio.Packet); ok {
+			pkt := *f
 			pkt.DstPort ^= 0x0400
 			return pkt
 		}

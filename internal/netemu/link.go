@@ -20,6 +20,14 @@ import (
 // Handler consumes messages delivered by a Link.
 type Handler func(msg any)
 
+// Cloner is implemented by pointer-shaped messages whose receiver takes
+// ownership on delivery (pooled radio frames). A duplicating link
+// delivers such a message's clone the second time, so the two receivers
+// never share one object.
+type Cloner interface {
+	CloneMsg() any
+}
+
 // Link is a unidirectional message channel with latency, jitter and loss.
 type Link struct {
 	k       *sched.Kernel
@@ -130,6 +138,9 @@ func (l *Link) Send(msg any) bool {
 		extra := time.Duration(0)
 		if l.Latency > 0 {
 			extra = time.Duration(l.k.Rand().Int63n(int64(l.Latency) + 1))
+		}
+		if c, ok := msg.(Cloner); ok {
+			msg = c.CloneMsg()
 		}
 		l.k.AtArg(arrival+extra, l.deliver, msg)
 		l.duplicated++

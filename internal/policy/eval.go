@@ -71,11 +71,10 @@ func EligibleCells(cells []workload.Cell, max int) []workload.Cell {
 	return out
 }
 
-// evalShard is Evaluate's commutative per-worker accumulator.
-type evalShard struct {
-	score  Score
-	sums   metrics.Cost
-	counts map[string]int
+// cellEval is one cell's contribution to a Score.
+type cellEval struct {
+	outcome workload.Outcome
+	counts  map[string]int
 }
 
 // Evaluate scores pol over the given (already filtered) cells, fanning
@@ -83,60 +82,55 @@ type evalShard struct {
 // counts from a per-cell Recorder; at TraceOff no tracer is attached and
 // the run is byte-identical to an untraced one. Results are bit-identical
 // at any worker count: each cell builds its own Instrument and recorder,
-// and shards merge commutatively.
+// and the per-cell results are folded in cell order — the cost sums are
+// floating-point, so folding per-worker shards in completion order would
+// round differently from run to run.
 func Evaluate(p *runner.Pool, sp *workload.Spec, cells []workload.Cell, pol Policy, level core.TraceLevel) (Score, map[string]int) {
-	shard := runner.Collect(p, len(cells),
-		func() *evalShard { return &evalShard{counts: make(map[string]int)} },
-		func(i int, acc *evalShard) {
-			c := cells[i]
-			var rec *Recorder
-			inst := &seed.Instrument{Applet: pol.Apply, LearnerLR: pol.LR}
-			if level != core.TraceOff {
-				rec = NewRecorder(level)
-				inst.Tracer = rec
-			}
-			o := seed.RunWorkloadCell(sp, c, cellMode(c), inst)
-			cost := costOf(o)
-			acc.score.Cells++
-			if o.Recovered {
-				acc.score.Recovered++
-			}
-			acc.sums.DisruptS += cost.DisruptS
-			acc.sums.ActionS += cost.ActionS
-			acc.sums.ImpactS += cost.ImpactS
-			for _, n := range o.Actions {
-				acc.score.TotalActions += n
-			}
-			acc.score.TotalReboots += o.Reboots
-			if o.UserNotified {
-				acc.score.TotalNotices++
-			}
-			acc.score.TotalDecisions += o.Decisions
-			if rec != nil {
-				MergeCounts(acc.counts, rec.Counts())
-			}
-		},
-		func(dst, src *evalShard) {
-			dst.score.Cells += src.score.Cells
-			dst.score.Recovered += src.score.Recovered
-			dst.score.TotalActions += src.score.TotalActions
-			dst.score.TotalReboots += src.score.TotalReboots
-			dst.score.TotalNotices += src.score.TotalNotices
-			dst.score.TotalDecisions += src.score.TotalDecisions
-			dst.sums.DisruptS += src.sums.DisruptS
-			dst.sums.ActionS += src.sums.ActionS
-			dst.sums.ImpactS += src.sums.ImpactS
-			MergeCounts(dst.counts, src.counts)
-		})
-	s := shard.score
+	results := runner.Map(p, len(cells), func(i int) cellEval {
+		c := cells[i]
+		var rec *Recorder
+		inst := &seed.Instrument{Applet: pol.Apply, LearnerLR: pol.LR}
+		if level != core.TraceOff {
+			rec = NewRecorder(level)
+			inst.Tracer = rec
+		}
+		r := cellEval{outcome: seed.RunWorkloadCell(sp, c, cellMode(c), inst)}
+		if rec != nil {
+			r.counts = rec.Counts()
+		}
+		return r
+	})
+	var s Score
+	var sums metrics.Cost
+	counts := make(map[string]int)
+	for _, r := range results {
+		o := r.outcome
+		cost := costOf(o)
+		s.Cells++
+		if o.Recovered {
+			s.Recovered++
+		}
+		sums.DisruptS += cost.DisruptS
+		sums.ActionS += cost.ActionS
+		sums.ImpactS += cost.ImpactS
+		for _, n := range o.Actions {
+			s.TotalActions += n
+		}
+		s.TotalReboots += o.Reboots
+		if o.UserNotified {
+			s.TotalNotices++
+		}
+		s.TotalDecisions += o.Decisions
+		MergeCounts(counts, r.counts)
+	}
 	if s.Cells > 0 {
 		n := float64(s.Cells)
-		s.MeanDisruptS = shard.sums.DisruptS / n
-		s.MeanActionS = shard.sums.ActionS / n
-		s.MeanImpactS = shard.sums.ImpactS / n
+		s.MeanDisruptS = sums.DisruptS / n
+		s.MeanActionS = sums.ActionS / n
+		s.MeanImpactS = sums.ImpactS / n
 	}
 	s.Composite = s.MeanDisruptS + s.MeanActionS + s.MeanImpactS
-	return s, shard.counts
+	return s, counts
 }
 
 // cellMode maps a cell's population mode string to the testbed Mode.

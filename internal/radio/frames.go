@@ -43,3 +43,59 @@ type Packet struct {
 	// Meta carries emulator-specific data (e.g. DNS query names).
 	Meta string
 }
+
+// User-plane frames cross the emulated links as *Packet taken from a
+// FramePool, so a packet costs no allocation per hop. A frame has exactly
+// one owner at a time: the sender takes it from its own pool and gives it
+// up when the link accepts it; while in flight it belongs to the kernel
+// event carrying it (which makes it a snapshot root, so a restored
+// prototype replays the frame's content, not just its pointer); on
+// delivery the receiving handler owns it and either forwards the same
+// frame on its next hop or, once done with it, puts it in its own pool.
+// Frames therefore migrate between pools with the traffic. Dropping a
+// frame instead of releasing it is always safe (the collector takes it);
+// releasing one twice never is.
+
+// framePoolCap bounds a pool: one-directional traffic (requests into a
+// blocked downlink) hands a receiver frames it never sends back, and the
+// surplus is left to the collector rather than retained.
+const framePoolCap = 16
+
+// FramePool is a free list of user-plane frames. It belongs to one actor
+// on one single-threaded kernel, so it needs no locks, and it lives in
+// that actor's fields, so prototype snapshots rewind it with the actor.
+type FramePool struct {
+	free []*Packet
+}
+
+// Get returns a frame holding pkt.
+func (p *FramePool) Get(pkt Packet) *Packet {
+	var f *Packet
+	if n := len(p.free); n > 0 {
+		f = p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+	} else {
+		f = new(Packet)
+	}
+	*f = pkt
+	return f
+}
+
+// Put releases a frame the caller owns. The content is cleared so a
+// pooled frame pins no flow strings.
+func (p *FramePool) Put(f *Packet) {
+	if len(p.free) >= framePoolCap {
+		return
+	}
+	*f = Packet{}
+	p.free = append(p.free, f)
+}
+
+// CloneMsg implements netemu's duplicate-delivery hook: a link that
+// delivers a frame twice must hand the second receiver a frame of its
+// own, because the first receiver recycles the one it was given.
+func (p *Packet) CloneMsg() any {
+	c := *p
+	return &c
+}

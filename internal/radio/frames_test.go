@@ -92,3 +92,38 @@ func TestRRCFramesAreDistinctTypes(t *testing.T) {
 		t.Fatal("RRCRelease asserted as RRCConnect")
 	}
 }
+
+func TestFramePoolRecyclesAndClears(t *testing.T) {
+	var p FramePool
+	f := p.Get(Packet{UE: "imsi-1", Flow: "web-req-1", Length: 600})
+	if f.Flow != "web-req-1" || f.Length != 600 {
+		t.Fatalf("Get did not fill the frame: %+v", *f)
+	}
+	p.Put(f)
+	if *f != (Packet{}) {
+		t.Fatalf("released frame still holds %+v", *f)
+	}
+	if g := p.Get(Packet{Flow: "web-req-2"}); g != f || g.Flow != "web-req-2" || g.UE != "" {
+		t.Fatalf("pool did not reuse the released frame cleanly: %p vs %p, %+v", g, f, *g)
+	}
+}
+
+// A receiver that only ever gets frames (requests into a blocked downlink)
+// must not retain them without bound.
+func TestFramePoolIsBounded(t *testing.T) {
+	var p FramePool
+	for i := 0; i < 10*framePoolCap; i++ {
+		p.Put(new(Packet))
+	}
+	if len(p.free) != framePoolCap {
+		t.Fatalf("pool holds %d frames, cap %d", len(p.free), framePoolCap)
+	}
+}
+
+func TestPacketCloneIsDistinct(t *testing.T) {
+	f := &Packet{Flow: "x", Length: 1}
+	c := f.CloneMsg().(*Packet)
+	if c == f || *c != *f {
+		t.Fatalf("clone %p %+v of %p %+v", c, *c, f, *f)
+	}
+}

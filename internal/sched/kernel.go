@@ -21,7 +21,6 @@
 package sched
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -139,7 +138,7 @@ func (k *Kernel) schedule(at time.Duration, fn func(), argFn func(any), arg any)
 	ev.fn = fn
 	ev.argFn = argFn
 	ev.arg = arg
-	heap.Push(&k.queue, ev)
+	k.queue.push(ev)
 	return Timer{ev: ev, gen: ev.gen}
 }
 
@@ -178,8 +177,8 @@ func (k *Kernel) AfterArg(d time.Duration, fn func(arg any), arg any) Timer {
 // Step executes the next pending event, advancing the clock to its
 // deadline. It reports whether an event was executed.
 func (k *Kernel) Step() bool {
-	for k.queue.Len() > 0 {
-		ev := heap.Pop(&k.queue).(*event)
+	for len(k.queue) > 0 {
+		ev := k.queue.pop()
 		if ev.cancelled {
 			k.cancelled--
 			k.recycle(ev)
@@ -214,10 +213,9 @@ func (k *Kernel) RunUntil(t time.Duration) {
 		// Cancelled timers may sit at the top of the heap with early
 		// deadlines; drop them so the peeked deadline is a real one
 		// (otherwise Step would skip past them and run an event beyond t).
-		for k.queue.Len() > 0 && k.queue[0].cancelled {
-			ev := heap.Pop(&k.queue).(*event)
+		for len(k.queue) > 0 && k.queue[0].cancelled {
 			k.cancelled--
-			k.recycle(ev)
+			k.recycle(k.queue.pop())
 		}
 		ev := k.queue.peek()
 		if ev == nil || ev.at > t {
@@ -259,7 +257,7 @@ func (k *Kernel) compact() {
 	}
 	k.queue = kept
 	k.cancelled = 0
-	heap.Init(&k.queue)
+	k.queue.init()
 }
 
 // event is a pooled scheduling record. Exactly one of fn or argFn is set
@@ -275,30 +273,4 @@ type event struct {
 	gen       uint32
 	cancelled bool
 	fired     bool
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
-}
-func (h eventHeap) peek() *event {
-	if len(h) == 0 {
-		return nil
-	}
-	return h[0]
 }

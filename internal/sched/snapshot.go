@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // This file implements the kernel's side of the snapshot/clone protocol
 // (see internal/snap): the kernel owns intrusive structures a generic
@@ -93,7 +90,7 @@ func (k *Kernel) Restore(s *KernelSnapshot) {
 		ev.next = nil
 		k.queue = append(k.queue, ev)
 	}
-	heap.Init(&k.queue)
+	k.queue.init()
 
 	// Rebuild the free list front-to-back (push in reverse) so alloc hands
 	// out the same events in the same order as the original timeline.

@@ -11,7 +11,7 @@ import (
 // This file implements clone-from-prototype testbed boot. A full boot —
 // registration, NAS handshakes, SIM crypto, app warm-up — dominates
 // per-cell cost in every experiment sweep, yet every cell boots to the
-// same steady state. A Proto boots that state once per pooled instance,
+// same steady state. A Proto boots that state once per retained instance,
 // snapshots it (internal/snap + the kernel's hand-written snapshot), and
 // hands each cell a restored copy in microseconds.
 //
@@ -58,13 +58,29 @@ func (tb *Testbed) Reseed(seedVal int64) { tb.kern.Reseed(seedVal) }
 
 // Proto is a booted-testbed prototype: boot describes how to take a brand
 // new testbed to the steady state cells start from, and returns whatever
-// handles (device, apps, taps) cells need. Instances are pooled; each
-// worker of a parallel sweep reuses its own booted instance via
+// handles (device, apps, taps) cells need. Booted instances wait on a
+// mutex-guarded free list; each worker of a parallel sweep reuses one via
 // restore-on-acquire, so a dirty or even panicked cell self-cleans on the
-// next Get.
+// next Get. The garbage collector never drains the list (the runtime's
+// own pool type is emptied every second GC cycle, which re-booted
+// prototypes all through a sweep): a prototype boots once per concurrent
+// cell per process, and the list holds at most the peak number of cells
+// that ran on this prototype at the same time.
 type Proto[T any] struct {
 	boot func(tb *Testbed) T
-	pool sync.Pool
+
+	mu    sync.Mutex
+	free  []*protoInst[T]
+	stats ProtoStats
+}
+
+// ProtoStats counts how often a prototype paid the full boot and how
+// often it served a cell by restoring a booted instance. Boots staying at
+// the worker count over a whole sweep is the property the clone path
+// depends on.
+type ProtoStats struct {
+	Boots    int `json:"proto_boots"`
+	Restores int `json:"proto_restores"`
 }
 
 type protoInst[T any] struct {
@@ -77,24 +93,52 @@ type protoInst[T any] struct {
 // follow the actor snapshot contract (DESIGN.md): state in reachable
 // fields, closures capturing only pointers and immutables.
 func NewProto[T any](boot func(tb *Testbed) T) *Proto[T] {
-	p := &Proto[T]{boot: boot}
-	p.pool.New = func() any {
-		inst := &protoInst[T]{tb: New(protoBootSeed)}
-		inst.h = p.boot(inst.tb)
-		inst.snap = inst.tb.Snapshot(&inst.h)
+	return &Proto[T]{boot: boot}
+}
+
+// acquire pops a booted instance off the free list, booting a new one
+// (outside the lock, so concurrent first cells boot in parallel) when the
+// list is empty.
+func (p *Proto[T]) acquire() *protoInst[T] {
+	p.mu.Lock()
+	p.stats.Restores++
+	if n := len(p.free); n > 0 {
+		inst := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		p.mu.Unlock()
 		return inst
 	}
-	return p
+	p.stats.Boots++
+	p.mu.Unlock()
+
+	inst := &protoInst[T]{tb: New(protoBootSeed)}
+	inst.h = p.boot(inst.tb)
+	inst.snap = inst.tb.Snapshot(&inst.h)
+	return inst
+}
+
+func (p *Proto[T]) release(inst *protoInst[T]) {
+	p.mu.Lock()
+	p.free = append(p.free, inst)
+	p.mu.Unlock()
+}
+
+// Stats returns the prototype's boot and restore counts so far.
+func (p *Proto[T]) Stats() ProtoStats {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.stats
 }
 
 // Get acquires a booted instance, rewinds it to the boot snapshot,
 // reseeds it for this cell, and returns the testbed, the boot handles,
 // and a release func that must be called when the cell is done.
 func (p *Proto[T]) Get(cellSeed int64) (tb *Testbed, h T, put func()) {
-	inst := p.pool.Get().(*protoInst[T])
+	inst := p.acquire()
 	inst.snap.Restore()
 	inst.tb.Reseed(cellSeed)
-	return inst.tb, inst.h, func() { p.pool.Put(inst) }
+	return inst.tb, inst.h, func() { p.release(inst) }
 }
 
 // Fresh runs the full boot from scratch under the same seed protocol as
@@ -144,6 +188,19 @@ func (pm *ProtoMap[K, T]) Proto(k K) *Proto[T] {
 	return p
 }
 
+// Stats sums the boot and restore counts of every prototype in the family.
+func (pm *ProtoMap[K, T]) Stats() ProtoStats {
+	pm.mu.Lock()
+	defer pm.mu.Unlock()
+	var sum ProtoStats
+	for _, p := range pm.m {
+		st := p.Stats()
+		sum.Boots += st.Boots
+		sum.Restores += st.Restores
+	}
+	return sum
+}
+
 // ---------------------------------------------------------------------------
 // Shared prototype families used by the experiment runners
 // ---------------------------------------------------------------------------
@@ -186,3 +243,22 @@ var deliveryProtos = NewProtoMap(func(mode Mode) func(*Testbed) deliveryHandles 
 		return h
 	}
 })
+
+// ProtoFamilyStats is one prototype family's counts as seedbench -json
+// reports them.
+type ProtoFamilyStats struct {
+	Family string `json:"family"`
+	ProtoStats
+}
+
+// PrototypeStats returns the boot and restore counts of the prototype
+// families the experiment runners and replays share, summed per family.
+// Boots above the worker count mean a sweep re-booted prototypes.
+func PrototypeStats() []ProtoFamilyStats {
+	return []ProtoFamilyStats{
+		{"bare", bareProtos.Stats()},
+		{"delivery", deliveryProtos.Stats()},
+		{"figure3", figure3Proto.Stats()},
+		{"table5", table5Protos.Stats()},
+	}
+}

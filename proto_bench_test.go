@@ -217,3 +217,44 @@ func BenchmarkEachDevice(b *testing.B) {
 	}
 	_ = n
 }
+
+// packetPathAllocBudget is the allocation count of one app request →
+// response round trip (app, modem, radio link, gNB, backhaul, UPF,
+// internet and back) in steady state: the flow-ID string that keys the
+// app's pending map, and nothing per hop.
+const packetPathAllocBudget = 2
+
+// TestPacketPathAllocs extends the allocation guards to the user plane:
+// on a connected SEED-R delivery prototype with its three apps warm, a
+// simulated second of traffic may allocate at most packetPathAllocBudget
+// objects per request.
+func TestPacketPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the binding run is the uninstrumented bench-smoke job")
+	}
+	tb, h, put := deliveryProtos.Proto(ModeSEEDR).Get(1)
+	defer put()
+	if !h.d.Connected() {
+		t.Fatal("cloned cell not connected")
+	}
+	requests := func() (n int) {
+		for _, a := range h.apps {
+			sent, _, _, _ := a.Requests()
+			n += sent
+		}
+		return n
+	}
+	tb.Advance(10 * time.Second) // frame pools and request records fill
+	const runs = 20
+	before := requests()
+	perSecond := testing.AllocsPerRun(runs, func() { tb.Advance(time.Second) })
+	perSecondRequests := float64(requests()-before) / (runs + 1) // AllocsPerRun adds a warm-up run
+	if perSecondRequests < 10 {
+		t.Fatalf("only %.1f requests per simulated second: the apps are not generating traffic", perSecondRequests)
+	}
+	if perRequest := perSecond / perSecondRequests; perRequest > packetPathAllocBudget {
+		t.Errorf("request round trip allocates %.2f objects, budget %d", perRequest, packetPathAllocBudget)
+	} else {
+		t.Logf("request round trip: %.2f allocs over %.1f requests/s (budget %d)", perRequest, perSecondRequests, packetPathAllocBudget)
+	}
+}

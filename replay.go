@@ -312,14 +312,7 @@ func ReplayDelivery(dc DeliveryCase, mode Mode, seedVal int64) DeliveryReplayRes
 	// paper's recovery criterion ("recover the data connection"), decoupled
 	// from app request cadence.
 	var fixed func() bool
-	hasBlock := func(proto uint8) bool {
-		for _, b := range tb.net.UPF.Blocks(d.IMSI()) {
-			if b.Proto == proto {
-				return true
-			}
-		}
-		return false
-	}
+	hasBlock := func(proto uint8) bool { return tb.net.UPF.HasBlock(d.IMSI(), proto) }
 	switch dc.Kind {
 	case DeliveryTCPBlock:
 		tb.BlockTCP(d)
