@@ -40,7 +40,7 @@ func BenchmarkFigure2_LegacyDisruptionCDF(b *testing.B) {
 	ds := benchDataset(b)
 	var last seed.Figure2Result
 	for i := 0; i < b.N; i++ {
-		last = seed.ExperimentFigure2(ds, 40, int64(i+1))
+		last = seed.ExperimentFigure2(testPool, ds, 40, int64(i+1))
 	}
 	b.ReportMetric(fractionAt(last.Control, 2)*100, "ctl-F(2s)-%")
 	b.ReportMetric(fractionAt(last.Control, 10)*100, "ctl-F(10s)-%")
@@ -62,7 +62,7 @@ func fractionAt(pts []seed.CDFPoint, x float64) float64 {
 func BenchmarkFigure3_AndroidDetection(b *testing.B) {
 	var last seed.Figure3Result
 	for i := 0; i < b.N; i++ {
-		last = seed.ExperimentFigure3(4, int64(i+1))
+		last = seed.ExperimentFigure3(testPool, 4, int64(i+1))
 	}
 	b.ReportMetric(last.TCP.Mean.Seconds(), "tcp-mean-s")
 	b.ReportMetric(last.DNS.Median.Seconds(), "dns-median-s")
@@ -75,7 +75,7 @@ func BenchmarkTable4_Disruption(b *testing.B) {
 	ds := benchDataset(b)
 	var last seed.Table4Result
 	for i := 0; i < b.N; i++ {
-		last = seed.ExperimentTable4(ds, 25, int64(i+1))
+		last = seed.ExperimentTable4(testPool, ds, 25, int64(i+1))
 	}
 	for _, r := range last.Rows {
 		key := strings.ReplaceAll(r.Class, " ", "") + "-" + r.Mode.String() + "-median-s"
@@ -88,7 +88,7 @@ func BenchmarkTable4_Disruption(b *testing.B) {
 func BenchmarkTable5_AppDisruption(b *testing.B) {
 	var last seed.Table5Result
 	for i := 0; i < b.N; i++ {
-		last = seed.ExperimentTable5(1, int64(i+1))
+		last = seed.ExperimentTable5(testPool, 1, int64(i+1))
 	}
 	for _, r := range last.Rows {
 		if r.App == seed.AppEdgeAR {
@@ -102,7 +102,7 @@ func BenchmarkTable5_AppDisruption(b *testing.B) {
 func BenchmarkFigure11a_CoreCPU(b *testing.B) {
 	var last seed.Figure11aResult
 	for i := 0; i < b.N; i++ {
-		last = seed.ExperimentFigure11a(int64(i + 1))
+		last = seed.ExperimentFigure11a(testPool, int64(i+1))
 	}
 	p := last.Points[len(last.Points)-1]
 	b.ReportMetric(p.WithSEEDPct-p.BaselinePct, "seed-overhead-pct@100fps")
@@ -138,7 +138,7 @@ func BenchmarkFigure12_CollabLatency(b *testing.B) {
 func BenchmarkFigure13_ResetTime(b *testing.B) {
 	var last seed.Figure13Result
 	for i := 0; i < b.N; i++ {
-		last = seed.ExperimentFigure13(int64(i + 1))
+		last = seed.ExperimentFigure13(testPool, int64(i+1))
 	}
 	for _, r := range last.Rows {
 		b.ReportMetric(r.Legacy.Seconds(), r.Level+"-legacy-s")
@@ -152,7 +152,7 @@ func BenchmarkCoverage(b *testing.B) {
 	ds := benchDataset(b)
 	var last seed.CoverageResult
 	for i := 0; i < b.N; i++ {
-		last = seed.ExperimentCoverage(ds, 60, int64(i+1))
+		last = seed.ExperimentCoverage(testPool, ds, 60, int64(i+1))
 	}
 	b.ReportMetric(last.ControlHandled*100, "ctl-handled-%")
 	b.ReportMetric(last.DataHandled*100, "data-handled-%")

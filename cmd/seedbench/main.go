@@ -6,7 +6,7 @@
 //	seedbench [-exp all|table1|table2|table3|table4|table5|figure2|figure3|
 //	           figure11a|figure11b|figure12|figure13|causes|coverage|learning|mobility]
 //	          [-samples N] [-seed S] [-parallel P] [-reps N] [-json FILE]
-//	          [-cpuprofile FILE] [-memprofile FILE] [-freshboot]
+//	          [-cpuprofile FILE] [-memprofile FILE]
 //
 // Everything runs on the virtual clock: regenerating the full evaluation
 // takes seconds of wall time. Independent scenario cells fan across
@@ -14,7 +14,9 @@
 // bit-for-bit identical at any parallelism. With -parallel > 1 each
 // experiment also runs once sequentially so the per-experiment speedup
 // against the recorded sequential baseline can be reported — and the two
-// outputs are compared byte-for-byte as a live determinism check.
+// outputs are compared byte-for-byte as a live determinism check: a
+// mismatch is reported on stderr and, once the run and its report are
+// complete, the exit status is 1.
 //
 // -json FILE writes machine-readable per-experiment results and
 // wall-clock timings ("-" for stdout), the format the BENCH_*.json perf
@@ -25,11 +27,6 @@
 // ratios, which removes scheduler and GC noise from the recorded speedups.
 // -cpuprofile/-memprofile write pprof profiles of the whole run
 // for `go tool pprof` (the profiling workflow in EXPERIMENTS.md).
-//
-// Cells normally start from a cloned booted-prototype snapshot (see
-// DESIGN.md); -freshboot disables the clone path and boots every cell
-// from scratch under the identical seed protocol — same bytes out,
-// fresh-boot cost — which is the A/B baseline BENCH_snapshot.json uses.
 package main
 
 import (
@@ -46,6 +43,7 @@ import (
 
 	seed "github.com/seed5g/seed"
 	"github.com/seed5g/seed/internal/metrics"
+	"github.com/seed5g/seed/internal/runner"
 )
 
 // expTiming is one experiment's machine-readable record.
@@ -75,11 +73,8 @@ type benchReport struct {
 	// GOMAXPROCS and NumCPU qualify every recorded speedup: a scaling
 	// number means nothing without knowing how many cores backed it, and
 	// -parallel beyond NumCPU measures goroutine scheduling, not cores.
-	GOMAXPROCS int `json:"gomaxprocs"`
-	NumCPU     int `json:"num_cpu"`
-	// CloneFromPrototype records which cell-setup arm produced these
-	// timings: cloned-from-prototype (default) or -freshboot full boots.
-	CloneFromPrototype    bool        `json:"clone_from_prototype"`
+	GOMAXPROCS            int         `json:"gomaxprocs"`
+	NumCPU                int         `json:"num_cpu"`
 	Experiments           []expTiming `json:"experiments"`
 	TotalWallMS           float64     `json:"total_wall_ms"`
 	TotalSequentialWallMS float64     `json:"total_sequential_wall_ms,omitempty"`
@@ -96,7 +91,11 @@ type benchReport struct {
 	Prototypes []seed.ProtoFamilyStats `json:"prototypes"`
 }
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main behind an exit status, so the deferred profile writers run
+// before the process exits.
+func run() int {
 	exp := flag.String("exp", "all", "experiment to run (all, table1..5, figure2/3/11a/11b/12/13, causes, coverage, learning, mobility)")
 	samples := flag.Int("samples", 100, "replayed failure cases per class for the dataset-driven experiments")
 	seedVal := flag.Int64("seed", 1, "simulation seed")
@@ -106,7 +105,6 @@ func main() {
 	cdfOut := flag.String("cdf", "", "also write the Figure 2 CDFs as CSV to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken at exit to this file")
-	freshBoot := flag.Bool("freshboot", false, "boot every cell from scratch instead of cloning the booted prototype (the A/B baseline for BENCH_snapshot.json)")
 	flag.Parse()
 	if *reps < 1 {
 		*reps = 1
@@ -116,12 +114,12 @@ func main() {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -140,9 +138,10 @@ func main() {
 		}()
 	}
 
-	seed.SetCloneFromPrototype(!*freshBoot)
-	seed.SetParallelism(*parallel)
-	workers := seed.Parallelism()
+	// The two lanes' pools: every experiment takes the pool it fans its
+	// cells across, so timing a lane is calling e.run with that lane's pool.
+	seq, par := runner.New(1), runner.New(*parallel)
+	workers := par.Workers()
 	if workers > runtime.NumCPU() {
 		fmt.Fprintf(os.Stderr, "WARNING: -parallel %d exceeds the %d available CPUs; "+
 			"speedups will measure goroutine scheduling, not cores\n", workers, runtime.NumCPU())
@@ -154,29 +153,33 @@ func main() {
 	var causes seed.CausesResult
 	experiments := []struct {
 		name string
-		run  func() string
+		run  func(p *runner.Pool) string
 	}{
-		{"table1", func() string { return ds.RenderTable1() }},
-		{"table2", table2},
-		{"table3", table3},
-		{"figure2", func() string {
-			fig2 = seed.ExperimentFigure2(ds, *samples, *seedVal)
+		{"table1", func(*runner.Pool) string { return ds.RenderTable1() }},
+		{"table2", func(*runner.Pool) string { return table2() }},
+		{"table3", func(*runner.Pool) string { return table3() }},
+		{"figure2", func(p *runner.Pool) string {
+			fig2 = seed.ExperimentFigure2(p, ds, *samples, *seedVal)
 			return fig2.Render()
 		}},
-		{"figure3", func() string { return seed.ExperimentFigure3(max(8, *samples/10), *seedVal).Render() }},
-		{"table4", func() string { return seed.ExperimentTable4(ds, *samples, *seedVal).Render() }},
-		{"table5", func() string { return seed.ExperimentTable5(3, *seedVal).Render() }},
-		{"figure11a", func() string { return seed.ExperimentFigure11a(*seedVal).Render() }},
-		{"figure11b", func() string { return seed.ExperimentFigure11b(*seedVal).Render() }},
-		{"figure12", func() string { return seed.ExperimentFigure12(50, *seedVal).Render() }},
-		{"figure13", func() string { return seed.ExperimentFigure13(*seedVal).Render() }},
-		{"causes", func() string {
-			causes = seed.ExperimentCauses(ds, *samples, *seedVal)
+		{"figure3", func(p *runner.Pool) string {
+			return seed.ExperimentFigure3(p, max(8, *samples/10), *seedVal).Render()
+		}},
+		{"table4", func(p *runner.Pool) string { return seed.ExperimentTable4(p, ds, *samples, *seedVal).Render() }},
+		{"table5", func(p *runner.Pool) string { return seed.ExperimentTable5(p, 3, *seedVal).Render() }},
+		{"figure11a", func(p *runner.Pool) string { return seed.ExperimentFigure11a(p, *seedVal).Render() }},
+		{"figure11b", func(*runner.Pool) string { return seed.ExperimentFigure11b(*seedVal).Render() }},
+		{"figure12", func(*runner.Pool) string { return seed.ExperimentFigure12(50, *seedVal).Render() }},
+		{"figure13", func(p *runner.Pool) string { return seed.ExperimentFigure13(p, *seedVal).Render() }},
+		{"causes", func(p *runner.Pool) string {
+			causes = seed.ExperimentCauses(p, ds, *samples, *seedVal)
 			return causes.Render()
 		}},
-		{"coverage", func() string { return seed.ExperimentCoverage(ds, *samples, *seedVal).Render() }},
-		{"learning", func() string { return seed.ExperimentLearning(6, 4, 50, *seedVal).Render() }},
-		{"mobility", func() string { return seed.ExperimentMobility(max(8, *samples/10), *seedVal).Render() }},
+		{"coverage", func(p *runner.Pool) string { return seed.ExperimentCoverage(p, ds, *samples, *seedVal).Render() }},
+		{"learning", func(*runner.Pool) string { return seed.ExperimentLearning(6, 4, 50, *seedVal).Render() }},
+		{"mobility", func(p *runner.Pool) string {
+			return seed.ExperimentMobility(p, max(8, *samples/10), *seedVal).Render()
+		}},
 	}
 
 	if *exp != "all" {
@@ -192,16 +195,16 @@ func main() {
 				names = append(names, e.name)
 			}
 			fmt.Fprintf(os.Stderr, "unknown experiment %q (known: all %s)\n", *exp, strings.Join(names, " "))
-			os.Exit(2)
+			return 2
 		}
 	}
 
 	report := benchReport{
 		Seed: *seedVal, Samples: *samples,
 		Parallel: workers, GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:             runtime.NumCPU(),
-		CloneFromPrototype: !*freshBoot,
+		NumCPU: runtime.NumCPU(),
 	}
+	deterministic := true
 	for _, e := range experiments {
 		if *exp != "all" && *exp != e.name {
 			continue
@@ -224,11 +227,10 @@ func main() {
 			// time (clock granularity and scheduler jitter dominate), so
 			// each timed sample loops the experiment often enough to last
 			// ~5 ms, the way testing.B calibrates b.N.
-			seed.SetParallelism(1)
 			inner := 1
 			{
 				start := time.Now()
-				baseline = e.run()
+				baseline = e.run(seq)
 				if est := msSince(start); est < 5 {
 					inner = int(5/est) + 1
 					if inner > 10000 {
@@ -240,27 +242,19 @@ func main() {
 			parMS := make([]float64, *reps)
 			for r := 0; r < *reps; r++ {
 				for lane := 0; lane < 2; lane++ {
-					sequential := (lane == 0) == (r%2 == 0)
 					// Each timed lane starts from a freshly collected heap,
 					// so GC cycles triggered by the previous lane's garbage
 					// can't land in (and bill to) this lane's measurement.
-					if sequential {
-						seed.SetParallelism(1)
-						runtime.GC()
-						start := time.Now()
-						for n := 0; n < inner; n++ {
-							baseline = e.run()
-						}
-						seqMS[r] = msSince(start) / float64(inner)
-					} else {
-						seed.SetParallelism(workers)
-						runtime.GC()
-						start := time.Now()
-						for n := 0; n < inner; n++ {
-							out = e.run()
-						}
-						parMS[r] = msSince(start) / float64(inner)
+					p, dst, ms := par, &out, parMS
+					if (lane == 0) == (r%2 == 0) {
+						p, dst, ms = seq, &baseline, seqMS
 					}
+					runtime.GC()
+					start := time.Now()
+					for n := 0; n < inner; n++ {
+						*dst = e.run(p)
+					}
+					ms[r] = msSince(start) / float64(inner)
 				}
 			}
 			var seqFirst, parFirst []float64
@@ -286,7 +280,7 @@ func main() {
 				t.Speedup = math.Sqrt(median(seqFirst) * median(parFirst))
 			}
 		} else {
-			out, t.WallMS = bestOf(*reps, e.run)
+			out, t.WallMS = bestOf(*reps, func() string { return e.run(par) })
 		}
 
 		fmt.Print(out)
@@ -295,6 +289,7 @@ func main() {
 			fmt.Printf("  [%s regenerated in %.0fms; sequential %.0fms; speedup %.2fx @%d workers]\n",
 				e.name, t.WallMS, t.SequentialWallMS, t.Speedup, workers)
 			if !t.Deterministic {
+				deterministic = false
 				fmt.Fprintf(os.Stderr, "WARNING: %s parallel output differs from the sequential baseline\n", e.name)
 			}
 		} else {
@@ -336,9 +331,13 @@ func main() {
 	if *jsonOut != "" {
 		if err := writeJSON(*jsonOut, report); err != nil {
 			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 	}
+	if !deterministic {
+		return 1
+	}
+	return 0
 }
 
 func msSince(start time.Time) float64 {

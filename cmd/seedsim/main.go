@@ -59,9 +59,7 @@ func main() {
 	traceNAS := flag.Bool("trace", false, "print every NAS message the device sends/receives (single-trial mode)")
 	flag.Parse()
 
-	mode, ok := map[string]seed.Mode{
-		"legacy": seed.ModeLegacy, "seed-u": seed.ModeSEEDU, "seed-r": seed.ModeSEEDR,
-	}[*modeFlag]
+	mode, ok := seed.ParseMode(*modeFlag)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *modeFlag)
 		os.Exit(2)

@@ -40,6 +40,7 @@ import (
 	"time"
 
 	seed "github.com/seed5g/seed"
+	"github.com/seed5g/seed/internal/runner"
 	"github.com/seed5g/seed/internal/workload"
 )
 
@@ -104,13 +105,11 @@ func main() {
 		return
 	}
 
-	seed.SetParallelism(*parallel)
-	workers := seed.Parallelism()
-
+	p := runner.New(*parallel)
 	if *calibrate {
-		os.Exit(runCalibrate(sp, *seedVal, workers, *calSamples, *topK, *runN, *selfCheck, *maxMAPE, *maxErr, *benchOut))
+		os.Exit(runCalibrate(p, sp, *seedVal, *calSamples, *topK, *runN, *selfCheck, *maxMAPE, *maxErr, *benchOut))
 	}
-	os.Exit(runGenerate(sp, *seedVal, workers, *runN, *selfCheck, *out))
+	os.Exit(runGenerate(p, sp, *seedVal, *runN, *selfCheck, *out))
 }
 
 // loadSpec reads and validates a spec file, or returns the built-in
@@ -136,12 +135,12 @@ func loadSpec(path string) (*workload.Spec, error) {
 // buildCorpus compiles the spec and measures a stride sample of runN
 // cells (plus, when runN > 0, every mobility cell — they are the
 // scenarios only end-to-end replay can characterize).
-func buildCorpus(sp *workload.Spec, seedVal int64, runN int) (*workload.Corpus, error) {
+func buildCorpus(p *runner.Pool, sp *workload.Spec, seedVal int64, runN int) (*workload.Corpus, error) {
 	cells, err := workload.Compile(sp, seedVal)
 	if err != nil {
 		return nil, err
 	}
-	runs := measureSample(sp, cells, sampleIndexes(cells, runN))
+	runs := measureSample(p, sp, cells, sampleIndexes(cells, runN))
 	return &workload.Corpus{
 		Spec: sp, Seed: seedVal, Cells: cells,
 		Runs: runs, Stats: workload.StatsOf(cells, runs),
@@ -181,25 +180,20 @@ func sampleIndexes(cells []workload.Cell, n int) []int {
 
 // measureSample replays the selected cells under their populations'
 // native modes and tags each outcome with its cell index.
-func measureSample(sp *workload.Spec, cells []workload.Cell, idx []int) []workload.Run {
+func measureSample(p *runner.Pool, sp *workload.Spec, cells []workload.Cell, idx []int) []workload.Run {
 	if len(idx) == 0 {
 		return nil
 	}
-	subset := make([]workload.Cell, len(idx))
-	for i, j := range idx {
-		subset[i] = cells[j]
-	}
-	outcomes := seed.RunWorkload(sp, subset)
-	runs := make([]workload.Run, len(idx))
-	for i, j := range idx {
-		runs[i] = workload.Run{Index: j, Outcome: outcomes[i]}
-	}
-	return runs
+	return runner.Map(p, len(idx), func(i int) workload.Run {
+		c := cells[idx[i]]
+		mode, _ := seed.ParseMode(c.Mode)
+		return workload.Run{Index: idx[i], Outcome: seed.RunWorkloadCell(sp, c, mode, nil)}
+	})
 }
 
 // runGenerate is the default mode: compile, optionally replay, emit.
-func runGenerate(sp *workload.Spec, seedVal int64, workers, runN int, selfCheck bool, out string) int {
-	corpus, err := buildCorpus(sp, seedVal, runN)
+func runGenerate(p *runner.Pool, sp *workload.Spec, seedVal int64, runN int, selfCheck bool, out string) int {
+	corpus, err := buildCorpus(p, sp, seedVal, runN)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "seedwl: %v\n", err)
 		return 2
@@ -209,10 +203,10 @@ func runGenerate(sp *workload.Spec, seedVal int64, workers, runN int, selfCheck 
 	ok := true
 	if selfCheck {
 		if !recheckCorpus(sp, seedVal, runN, blob) {
-			fmt.Fprintf(os.Stderr, "seedwl: DETERMINISM FAILURE: one-worker corpus differs from %d-worker corpus\n", workers)
+			fmt.Fprintf(os.Stderr, "seedwl: DETERMINISM FAILURE: one-worker corpus differs from %d-worker corpus\n", p.Workers())
 			ok = false
 		} else {
-			fmt.Printf("selfcheck: corpus bit-identical at 1 and %d workers\n", workers)
+			fmt.Printf("selfcheck: corpus bit-identical at 1 and %d workers\n", p.Workers())
 		}
 	}
 
@@ -238,10 +232,7 @@ func runGenerate(sp *workload.Spec, seedVal int64, workers, runN int, selfCheck 
 
 // recheckCorpus rebuilds the corpus with one worker and compares bytes.
 func recheckCorpus(sp *workload.Spec, seedVal int64, runN int, want []byte) bool {
-	prev := seed.Parallelism()
-	seed.SetParallelism(1)
-	defer seed.SetParallelism(prev)
-	corpus, err := buildCorpus(sp, seedVal, runN)
+	corpus, err := buildCorpus(runner.New(1), sp, seedVal, runN)
 	if err != nil {
 		return false
 	}
@@ -250,20 +241,26 @@ func recheckCorpus(sp *workload.Spec, seedVal int64, runN int, want []byte) bool
 
 // runCalibrate runs the grid search, measures the winner (native modes,
 // mobility included), self-checks determinism, and writes the report.
-func runCalibrate(sp *workload.Spec, seedVal int64, workers, calSamples, topK, runN int, selfCheck bool, maxMAPE, maxErr float64, benchOut string) int {
+func runCalibrate(p *runner.Pool, sp *workload.Spec, seedVal int64, calSamples, topK, runN int, selfCheck bool, maxMAPE, maxErr float64, benchOut string) int {
 	start := time.Now()
 	if runN == 0 {
 		runN = 240 // default native-mode sample of the winner corpus
 	}
 	res, err := workload.Calibrate(workload.CalibrateConfig{
 		Base: sp, Seed: seedVal, TopK: topK, Samples: calSamples,
-	}, seed.CalibrationReplay)
+	}, func(sp *workload.Spec, cells []workload.Cell) []workload.Outcome {
+		// Legacy handling regardless of population mode: the Figure 2 CDF
+		// the calibration targets describe is the legacy baseline.
+		return runner.Map(p, len(cells), func(i int) workload.Outcome {
+			return seed.RunWorkloadCell(sp, cells[i], seed.ModeLegacy, nil)
+		})
+	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "seedwl: calibrate: %v\n", err)
 		return 2
 	}
 
-	runs := measureSample(res.BestSpec, res.BestCells, sampleIndexes(res.BestCells, runN))
+	runs := measureSample(p, res.BestSpec, res.BestCells, sampleIndexes(res.BestCells, runN))
 	winnerBlob := workload.MarshalCorpus(&workload.Corpus{
 		Spec: res.BestSpec, Seed: seedVal, Cells: res.BestCells,
 		Runs: runs, Stats: workload.StatsOf(res.BestCells, runs),
@@ -273,14 +270,14 @@ func runCalibrate(sp *workload.Spec, seedVal int64, workers, calSamples, topK, r
 	if selfCheck {
 		deterministic = recheckCorpus(res.BestSpec, seedVal, runN, winnerBlob)
 		if deterministic {
-			fmt.Printf("selfcheck: winner corpus bit-identical at 1 and %d workers\n", workers)
+			fmt.Printf("selfcheck: winner corpus bit-identical at 1 and %d workers\n", p.Workers())
 		} else {
 			fmt.Fprintf(os.Stderr, "seedwl: DETERMINISM FAILURE: one-worker winner corpus differs\n")
 		}
 	}
 
 	bench := workloadBench{
-		Seed: seedVal, SpecName: sp.Name, Parallel: workers,
+		Seed: seedVal, SpecName: sp.Name, Parallel: p.Workers(),
 		GridPoints: len(res.Evaluated), Finalists: topKCount(res.Evaluated),
 		Replayed: res.Replayed,
 		Winner:   res.Best, Scores: res.Best.Scores, WinnerSpec: res.BestSpec,

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	seed "github.com/seed5g/seed"
+	"github.com/seed5g/seed/internal/runner"
 )
 
 func main() {
@@ -17,7 +18,7 @@ func main() {
 	fmt.Println()
 
 	fmt.Println("Replaying failure cases with legacy handling (Figure 2)...")
-	fig2 := seed.ExperimentFigure2(ds, 80, 1)
+	fig2 := seed.ExperimentFigure2(runner.New(0), ds, 80, 1)
 	fmt.Print(fig2.Render())
 	fmt.Println()
 

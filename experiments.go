@@ -79,11 +79,11 @@ func disruptionRow(class string, mode Mode, series *metrics.Series, unrecov int)
 // of Table 4. samplesPerClass bounds replay count per (class, mode).
 //
 // Every (case, mode) pair is one independent scenario cell; the flat cell
-// list fans across the worker pool and shard-local series merge
+// list fans across p and shard-local series merge
 // order-independently, so the table is identical at any parallelism. The
 // three schemes replay a given case on the same derived seed (a paired
 // comparison).
-func ExperimentTable4(ds *Dataset, samplesPerClass int, seedVal int64) Table4Result {
+func ExperimentTable4(p *runner.Pool, ds *Dataset, samplesPerClass int, seedVal int64) Table4Result {
 	type cell struct {
 		group string
 		key   uint64
@@ -135,7 +135,7 @@ func ExperimentTable4(ds *Dataset, samplesPerClass int, seedVal int64) Table4Res
 			})
 		}
 	}
-	acc := collectCells(len(cells), func(i int, a *shardAcc) {
+	acc := collectCells(p, len(cells), func(i int, a *shardAcc) {
 		c := cells[i]
 		if ok, d := c.run(sched.DeriveSeed(seedVal, c.key)); ok {
 			a.add(c.group, d)
@@ -188,7 +188,7 @@ type Figure2Result struct {
 // ExperimentFigure2 replays sampled management failures with legacy
 // handling only and returns the disruption CDFs of Figure 2. Each replay
 // is one scenario cell on the worker pool.
-func ExperimentFigure2(ds *Dataset, samplesPerPlane int, seedVal int64) Figure2Result {
+func ExperimentFigure2(p *runner.Pool, ds *Dataset, samplesPerPlane int, seedVal int64) Figure2Result {
 	type cell struct {
 		plane string
 		key   uint64
@@ -207,7 +207,7 @@ func ExperimentFigure2(ds *Dataset, samplesPerPlane int, seedVal int64) Figure2R
 			cells = append(cells, cell{plane: plane, key: cellKey(uint64(family), i), fc: fc})
 		}
 	}
-	acc := collectCells(len(cells), func(i int, a *shardAcc) {
+	acc := collectCells(p, len(cells), func(i int, a *shardAcc) {
 		c := cells[i]
 		a.count(c.plane + "/total")
 		r := ReplayManagement(c.fc, ModeLegacy, sched.DeriveSeed(seedVal, c.key))
@@ -296,7 +296,7 @@ type Figure3Result struct {
 // for TCP, UDP and DNS blocking at the core (§3.3's experiment). UDP
 // blocking here covers all UDP including DNS — the only way Android ever
 // notices it.
-func ExperimentFigure3(samples int, seedVal int64) Figure3Result {
+func ExperimentFigure3(p *runner.Pool, samples int, seedVal int64) Figure3Result {
 	kinds := []struct {
 		kind        DeliveryFailureKind
 		blockDNSToo bool
@@ -307,7 +307,7 @@ func ExperimentFigure3(samples int, seedVal int64) Figure3Result {
 	}
 	// 3*samples independent cells; trial i shares its derived seed across
 	// the three blocking kinds (paired comparison).
-	acc := collectCells(len(kinds)*samples, func(ci int, a *shardAcc) {
+	acc := collectCells(p, len(kinds)*samples, func(ci int, a *shardAcc) {
 		k := kinds[ci/samples]
 		i := ci % samples
 		ok, lat := figure3Trial(k.kind, k.blockDNSToo, i, sched.DeriveSeed(seedVal, cellKey(0, i)))
@@ -405,7 +405,7 @@ type Table5Result struct {
 // ExperimentTable5 measures user-perceived app disruption for the five
 // §7.1.2 applications under a representative failure per class, with the
 // recommended Android timers.
-func ExperimentTable5(trials int, seedVal int64) Table5Result {
+func ExperimentTable5(p *runner.Pool, trials int, seedVal int64) Table5Result {
 	classes := []string{"C-plane", "D-plane", "D-Delivery"}
 	type cell struct {
 		app   AppKind
@@ -428,7 +428,7 @@ func ExperimentTable5(trials int, seedVal int64) Table5Result {
 	group := func(app AppKind, class string, mode Mode) string {
 		return app.String() + "|" + class + "|" + mode.String()
 	}
-	acc := collectCells(len(cells), func(i int, a *shardAcc) {
+	acc := collectCells(p, len(cells), func(i int, a *shardAcc) {
 		c := cells[i]
 		o := runAppDisruptionTrial(c.app, c.class, c.mode, sched.DeriveSeed(seedVal, cellKey(0, c.trial)))
 		if o >= 0 {
@@ -574,10 +574,10 @@ type Figure11aResult struct {
 // failures at increasing rates, measures SEED's extra signaling from a
 // real simulation, and reports CPU utilization from the calibrated load
 // model (the physical-CPU substitution documented in DESIGN.md).
-func ExperimentFigure11a(seedVal int64) Figure11aResult {
+func ExperimentFigure11a(p *runner.Pool, seedVal int64) Figure11aResult {
 	model := metrics.DefaultCPUModel()
 	const ues = 200
-	extra := measureSignalingOverhead(seedVal)
+	extra := measureSignalingOverhead(p, seedVal)
 	res := Figure11aResult{UEs: ues}
 	for _, rate := range []float64{0, 20, 40, 60, 80, 100} {
 		res.Points = append(res.Points, CPUPoint{
@@ -594,7 +594,7 @@ func ExperimentFigure11a(seedVal int64) Figure11aResult {
 // a legacy device and returns the extra core messages per failure. The
 // two arms are independent cells on the worker pool sharing one derived
 // seed (a paired comparison).
-func measureSignalingOverhead(seedVal int64) float64 {
+func measureSignalingOverhead(p *runner.Pool, seedVal int64) float64 {
 	run := func(mode Mode, cellSeed int64) int {
 		tb, d, put := bareProtos.Proto(mode).Cell(cellSeed)
 		defer put()
@@ -607,7 +607,7 @@ func measureSignalingOverhead(seedVal int64) float64 {
 		}
 		return (tb.CoreSignalingLoad() - base) / failures
 	}
-	arms := mapCells(2, func(i int) int {
+	arms := runner.Map(p, 2, func(i int) int {
 		mode := ModeSEEDU
 		if i == 1 {
 			mode = ModeLegacy
@@ -655,7 +655,7 @@ type Figure11bResult struct {
 // second for 30 minutes — on a real device simulation, then converts the
 // measured operation counts to battery drain with the calibrated model.
 // A single shared kernel carries the whole stress run, so this experiment
-// is one cell: inherently sequential at any pool parallelism.
+// is one cell and takes no pool.
 func ExperimentFigure11b(seedVal int64) Figure11bResult {
 	tb := New(seedVal)
 	d := tb.NewDevice(ModeSEEDU)
@@ -727,7 +727,7 @@ type Figure12Result struct {
 // ExperimentFigure12 measures the real-time collaboration channel's
 // preparation and transmission latency over n exchanges per direction.
 // The exchanges share one device and kernel (uplink state feeds the next
-// exchange), so this experiment is one sequential cell.
+// exchange), so this experiment is one sequential cell and takes no pool.
 func ExperimentFigure12(n int, seedVal int64) Figure12Result {
 	tb := New(seedVal)
 	d := tb.NewDevice(ModeSEEDR)
@@ -803,7 +803,7 @@ type Figure13Result struct {
 // the legacy ladder (recommended intervals) and SEED's direct actions.
 // The nine (tier, scheme) measurements are independent cells; the three
 // arms of one tier share a derived seed (paired comparison).
-func ExperimentFigure13(seedVal int64) Figure13Result {
+func ExperimentFigure13(p *runner.Pool, seedVal int64) Figure13Result {
 	tiers := []struct {
 		level      string
 		rung       int
@@ -813,7 +813,7 @@ func ExperimentFigure13(seedVal int64) Figure13Result {
 		{"C-Plane", 2, "A2", "B2"},
 		{"D-Plane", 1, "A3", "B3"},
 	}
-	durs := mapCells(len(tiers)*3, func(i int) time.Duration {
+	durs := runner.Map(p, len(tiers)*3, func(i int) time.Duration {
 		tier := tiers[i/3]
 		cellSeed := sched.DeriveSeed(seedVal, cellKey(0, i/3))
 		switch i % 3 {
@@ -919,7 +919,7 @@ func seedResetTime(seedVal int64, mode Mode, action string) time.Duration {
 		// the registration intact, so the measurement isolates the pure
 		// data-plane reset (otherwise the last-bearer release forces a
 		// reattach and measures the hardware tier instead).
-		r := tb.replayStaleDNN(mode, true, 0)
+		r := tb.replayStaleDNN(tb.NewDevice(mode), true, 0)
 		if !r.Recovered {
 			return -1
 		}
@@ -959,7 +959,7 @@ type CoverageResult struct {
 // ExperimentCoverage replays sampled failures under SEED-U and reports the
 // handled fractions. A case counts as handled when SEED recovered it (or,
 // for user-action cases, never — matching the paper's accounting).
-func ExperimentCoverage(ds *Dataset, samplesPerPlane int, seedVal int64) CoverageResult {
+func ExperimentCoverage(p *runner.Pool, ds *Dataset, samplesPerPlane int, seedVal int64) CoverageResult {
 	type cell struct {
 		plane string
 		key   uint64
@@ -975,7 +975,7 @@ func ExperimentCoverage(ds *Dataset, samplesPerPlane int, seedVal int64) Coverag
 			cells = append(cells, cell{plane: plane, key: cellKey(uint64(family), i), fc: fc})
 		}
 	}
-	acc := collectCells(len(cells), func(i int, a *shardAcc) {
+	acc := collectCells(p, len(cells), func(i int, a *shardAcc) {
 		c := cells[i]
 		a.count(c.plane + "/total")
 		r := ReplayManagement(c.fc, ModeSEEDU, sched.DeriveSeed(seedVal, c.key))
@@ -1010,7 +1010,8 @@ type LearningResult struct {
 // data-plane — 50 times each; the crowd-sourced records must classify
 // every cause to the matching plane's reset actions. All devices share
 // one testbed and the learner's crowd state accumulates across trials, so
-// this experiment is one sequential cell by construction.
+// this experiment is one sequential cell by construction and takes no
+// pool.
 func ExperimentLearning(devices, causesPerPlane, trialsPerCause int, seedVal int64) LearningResult {
 	tb := New(seedVal)
 	tb.plugin.Learner.LR = 0.5
@@ -1164,8 +1165,8 @@ var mobilityScenarios = []string{workload.ScenHandoverDesync, workload.ScenTAURa
 // seed across the three modes (a paired comparison), and the per-cell
 // handover/context-loss counters merge through the shard accumulator, so
 // the result is identical at any parallelism.
-func ExperimentMobility(trials int, seedVal int64) MobilityResult {
-	graph := workload.DefaultSpec().Cells
+func ExperimentMobility(p *runner.Pool, trials int, seedVal int64) MobilityResult {
+	sp := workload.DefaultSpec()
 	mob := &workload.MobilitySpec{Model: "random-waypoint", HopsMin: 2, HopsMax: 5, DwellMeanSec: 20}
 	type cell struct {
 		scen   string
@@ -1181,16 +1182,16 @@ func ExperimentMobility(trials int, seedVal int64) MobilityResult {
 			}
 		}
 	}
-	acc := collectCells(len(cells), func(i int, a *shardAcc) {
+	acc := collectCells(p, len(cells), func(i int, a *shardAcc) {
 		c := cells[i]
 		// The walk derives from (scenario, trial) only, so every mode
 		// replays the same trajectory.
 		walkRNG := rand.New(rand.NewSource(sched.DeriveSeedN(seedVal, 0x3B, c.family, uint64(c.trial))))
-		hops, lossy := workload.SampleWalk(walkRNG, graph.N, mob, c.scen)
-		res, hos, lost := ReplayMobility(MobilityCase{
-			Cells: graph.N, DefaultLoss: graph.DefaultContextLoss, Edges: graph.Edges,
-			Hops: hops, LossyHop: lossy,
-		}, c.mode, sched.DeriveSeed(seedVal, cellKey(c.family, c.trial)))
+		hops, lossy := workload.SampleWalk(walkRNG, sp.Cells.N, mob, c.scen)
+		res := RunWorkloadCell(sp, workload.Cell{
+			Scenario: c.scen, Hops: hops, LossyHop: lossy,
+			Seed: sched.DeriveSeed(seedVal, cellKey(c.family, c.trial)),
+		}, c.mode, nil)
 		group := c.scen + "/" + c.mode.String()
 		a.count(group + "/trials")
 		if res.Recovered {
@@ -1198,8 +1199,8 @@ func ExperimentMobility(trials int, seedVal int64) MobilityResult {
 		} else {
 			a.count(group + "/unrecov")
 		}
-		a.countN(group+"/handovers", hos)
-		a.countN(group+"/ctxloss", lost)
+		a.countN(group+"/handovers", res.Handovers)
+		a.countN(group+"/ctxloss", res.ContextLoss)
 	})
 	var res MobilityResult
 	for _, scen := range mobilityScenarios {
@@ -1262,7 +1263,7 @@ func causeBreakdownKey(fc FailureCase, mode Mode) string {
 // commutatively, so the rows are identical at any parallelism. The three
 // schemes replay a given case on the same derived seed (a paired
 // comparison, as in Table 4).
-func ExperimentCauses(ds *Dataset, samplesPerPlane int, seedVal int64) CausesResult {
+func ExperimentCauses(p *runner.Pool, ds *Dataset, samplesPerPlane int, seedVal int64) CausesResult {
 	type cell struct {
 		key  uint64
 		fc   FailureCase
@@ -1276,7 +1277,7 @@ func ExperimentCauses(ds *Dataset, samplesPerPlane int, seedVal int64) CausesRes
 			}
 		}
 	}
-	acc := runner.Collect(pool(), len(cells), metrics.NewBreakdown,
+	acc := runner.Collect(p, len(cells), metrics.NewBreakdown,
 		func(i int, b *metrics.Breakdown) {
 			c := cells[i]
 			r := ReplayManagement(c.fc, c.mode, sched.DeriveSeed(seedVal, c.key))

@@ -11,11 +11,16 @@ import (
 	"time"
 
 	seed "github.com/seed5g/seed"
+	"github.com/seed5g/seed/internal/runner"
 )
+
+// testPool is the GOMAXPROCS-wide pool the shape tests and benchmarks fan
+// their cells across.
+var testPool = runner.New(0)
 
 func TestExperimentFigure2Shape(t *testing.T) {
 	ds := seed.GenerateDataset(1)
-	f := seed.ExperimentFigure2(ds, 60, 100)
+	f := seed.ExperimentFigure2(testPool, ds, 60, 100)
 
 	// §3.2: ~19 % of control-plane failures recover within 2 s.
 	if got := fractionAt(f.Control, 2); got < 0.10 || got > 0.30 {
@@ -37,7 +42,7 @@ func TestExperimentFigure2Shape(t *testing.T) {
 
 func TestExperimentTable4Shape(t *testing.T) {
 	ds := seed.GenerateDataset(1)
-	res := seed.ExperimentTable4(ds, 30, 200)
+	res := seed.ExperimentTable4(testPool, ds, 30, 200)
 
 	get := func(class string, mode seed.Mode) seed.DisruptionRow {
 		for _, r := range res.Rows {
@@ -77,7 +82,7 @@ func TestExperimentTable4Shape(t *testing.T) {
 }
 
 func TestExperimentFigure3Shape(t *testing.T) {
-	f := seed.ExperimentFigure3(5, 600)
+	f := seed.ExperimentFigure3(testPool, 5, 600)
 	if f.TCP.N == 0 || f.DNS.N == 0 || f.UDP.N == 0 {
 		t.Fatalf("undetected: tcp=%d dns=%d udp=%d", f.TCP.Undetected, f.DNS.Undetected, f.UDP.Undetected)
 	}
@@ -94,7 +99,7 @@ func TestExperimentFigure3Shape(t *testing.T) {
 }
 
 func TestExperimentTable5Shape(t *testing.T) {
-	res := seed.ExperimentTable5(1, 700)
+	res := seed.ExperimentTable5(testPool, 1, 700)
 	get := func(app seed.AppKind, class string, mode seed.Mode) seed.AppDisruptionRow {
 		for _, r := range res.Rows {
 			if r.App == app && r.Class == class && r.Mode == mode {
@@ -125,7 +130,7 @@ func TestExperimentTable5Shape(t *testing.T) {
 }
 
 func TestExperimentFigure11Shape(t *testing.T) {
-	a := seed.ExperimentFigure11a(1)
+	a := seed.ExperimentFigure11a(testPool, 1)
 	if len(a.Points) == 0 {
 		t.Fatal("no CPU points")
 	}
@@ -173,7 +178,7 @@ func TestExperimentFigure12Shape(t *testing.T) {
 }
 
 func TestExperimentFigure13Shape(t *testing.T) {
-	f := seed.ExperimentFigure13(300)
+	f := seed.ExperimentFigure13(testPool, 300)
 	if len(f.Rows) != 3 {
 		t.Fatalf("rows = %d", len(f.Rows))
 	}
@@ -200,7 +205,7 @@ func TestExperimentFigure13Shape(t *testing.T) {
 
 func TestExperimentCoverageShape(t *testing.T) {
 	ds := seed.GenerateDataset(1)
-	c := seed.ExperimentCoverage(ds, 90, 500)
+	c := seed.ExperimentCoverage(testPool, ds, 90, 500)
 	if c.ControlHandled < 0.84 || c.ControlHandled > 0.94 {
 		t.Fatalf("control handled = %.3f, want ≈0.894", c.ControlHandled)
 	}
@@ -228,12 +233,12 @@ func TestRendersContainHeadlines(t *testing.T) {
 		out  string
 		want []string
 	}{
-		{seed.ExperimentFigure2(ds, 20, 1).Render(), []string{"Figure 2", "control-plane", "data-plane"}},
-		{seed.ExperimentTable4(ds, 10, 1).Render(), []string{"Table 4", "Control Plane", "SEED-R"}},
-		{seed.ExperimentFigure11a(1).Render(), []string{"Figure 11a", "100 failures/s"}},
+		{seed.ExperimentFigure2(testPool, ds, 20, 1).Render(), []string{"Figure 2", "control-plane", "data-plane"}},
+		{seed.ExperimentTable4(testPool, ds, 10, 1).Render(), []string{"Table 4", "Control Plane", "SEED-R"}},
+		{seed.ExperimentFigure11a(testPool, 1).Render(), []string{"Figure 11a", "100 failures/s"}},
 		{seed.ExperimentFigure12(3, 1).Render(), []string{"Figure 12", "downlink", "uplink"}},
-		{seed.ExperimentFigure13(1).Render(), []string{"Figure 13", "Hardware", "D-Plane"}},
-		{seed.ExperimentCoverage(ds, 20, 1).Render(), []string{"Coverage", "control-plane"}},
+		{seed.ExperimentFigure13(testPool, 1).Render(), []string{"Figure 13", "Hardware", "D-Plane"}},
+		{seed.ExperimentCoverage(testPool, ds, 20, 1).Render(), []string{"Coverage", "control-plane"}},
 	}
 	for i, c := range checks {
 		for _, w := range c.want {

@@ -94,7 +94,8 @@ func Evaluate(p *runner.Pool, sp *workload.Spec, cells []workload.Cell, pol Poli
 			rec = NewRecorder(level)
 			inst.Tracer = rec
 		}
-		r := cellEval{outcome: seed.RunWorkloadCell(sp, c, cellMode(c), inst)}
+		mode, _ := seed.ParseMode(c.Mode)
+		r := cellEval{outcome: seed.RunWorkloadCell(sp, c, mode, inst)}
 		if rec != nil {
 			r.counts = rec.Counts()
 		}
@@ -133,24 +134,13 @@ func Evaluate(p *runner.Pool, sp *workload.Spec, cells []workload.Cell, pol Poli
 	return s, counts
 }
 
-// cellMode maps a cell's population mode string to the testbed Mode.
-func cellMode(c workload.Cell) seed.Mode {
-	switch c.Mode {
-	case "seed-r":
-		return seed.ModeSEEDR
-	case "seed-u":
-		return seed.ModeSEEDU
-	default:
-		return seed.ModeLegacy
-	}
-}
-
 // TraceCell runs one cell under pol with a full-trace recorder attached
 // and returns the outcome plus the retained events. The override, when
 // non-nil, is the counterfactual hook.
 func TraceCell(sp *workload.Spec, c workload.Cell, pol Policy, override core.ActionOverride) (workload.Outcome, []core.DecisionEvent) {
 	rec := NewRecorder(core.TraceFull)
 	inst := &seed.Instrument{Tracer: rec, Override: override, Applet: pol.Apply, LearnerLR: pol.LR}
-	o := seed.RunWorkloadCell(sp, c, cellMode(c), inst)
+	mode, _ := seed.ParseMode(c.Mode)
+	o := seed.RunWorkloadCell(sp, c, mode, inst)
 	return o, rec.Events()
 }

@@ -99,7 +99,8 @@ func TestGoldenTraceParallelDeterminism(t *testing.T) {
 func TestTracedOutcomeMatchesUntraced(t *testing.T) {
 	sp := traceSpec()
 	for _, c := range classCells(t, 11) {
-		plain := seed.RunWorkloadCell(sp, c, cellMode(c), nil)
+		mode, _ := seed.ParseMode(c.Mode)
+		plain := seed.RunWorkloadCell(sp, c, mode, nil)
 		traced, evs := TraceCell(sp, c, Paper(), nil)
 		if !reflect.DeepEqual(plain, traced) {
 			t.Fatalf("cell %d (%s): traced outcome %+v != untraced %+v", c.Index, c.Scenario, traced, plain)

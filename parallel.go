@@ -1,61 +1,21 @@
 package seed
 
 import (
-	"sync/atomic"
 	"time"
 
 	"github.com/seed5g/seed/internal/metrics"
 	"github.com/seed5g/seed/internal/runner"
-	"github.com/seed5g/seed/internal/sched"
 )
 
 // The experiment suite fans independent scenario cells — each a fresh
-// Testbed on its own single-threaded kernel — across a process-wide
-// worker pool. Cell seeds derive from sched.DeriveSeed(rootSeed, cellKey)
-// where the key identifies the underlying case or trial (arms that
-// compare schemes on the same case share the key, preserving the paired
-// comparisons the shape assertions rely on). Shard-local statistics merge
+// Testbed on its own single-threaded kernel — across the worker pool its
+// caller passes in. Cell seeds derive from
+// sched.DeriveSeed(rootSeed, cellKey) where the key identifies the
+// underlying case or trial (arms that compare schemes on the same case
+// share the key, preserving the paired comparisons the shape assertions
+// rely on). Shard-local statistics merge
 // through the commutative metrics.Series.Merge, so every experiment's
 // result is bit-for-bit identical at any parallelism, including 1.
-
-// execPool holds the pool experiments submit cells to.
-var execPool atomic.Pointer[runner.Pool]
-
-func init() { execPool.Store(runner.New(0)) }
-
-// SetParallelism sets how many worker goroutines the experiment runners,
-// batch replays, and cmd binaries fan scenario cells across. n <= 0
-// restores the default (GOMAXPROCS). Results are identical for every
-// setting; parallelism only changes wall-clock time.
-func SetParallelism(n int) { execPool.Store(runner.New(n)) }
-
-// Parallelism returns the current experiment worker count.
-func Parallelism() int { return execPool.Load().Workers() }
-
-func pool() *runner.Pool { return execPool.Load() }
-
-// ReplayManagementBatch replays every case under mode, fanning the
-// independent replays across the experiment worker pool. Case i runs on
-// seed sched.DeriveSeed(rootSeed, i); results come back in case order.
-func ReplayManagementBatch(cases []FailureCase, mode Mode, rootSeed int64) []ReplayResult {
-	return runner.Map(pool(), len(cases), func(i int) ReplayResult {
-		return ReplayManagement(cases[i], mode, sched.DeriveSeed(rootSeed, uint64(i)))
-	})
-}
-
-// ReplayDeliveryBatch replays every delivery case under mode across the
-// worker pool, case i on seed sched.DeriveSeed(rootSeed, i).
-func ReplayDeliveryBatch(cases []DeliveryCase, mode Mode, rootSeed int64) []DeliveryReplayResult {
-	return runner.Map(pool(), len(cases), func(i int) DeliveryReplayResult {
-		return ReplayDelivery(cases[i], mode, sched.DeriveSeed(rootSeed, uint64(i)))
-	})
-}
-
-// mapCells fans n independent cells across the pool, returning the
-// results in cell order.
-func mapCells[T any](n int, fn func(i int) T) []T {
-	return runner.Map(pool(), n, fn)
-}
 
 // cellKey namespaces per-case seed derivation so distinct cell families
 // of one experiment never collide while arms that replay the same case
@@ -114,6 +74,6 @@ func (a *shardAcc) get(group string) *metrics.Series {
 }
 
 // collectCells fans n cells across the pool into a merged shardAcc.
-func collectCells(n int, cell func(i int, acc *shardAcc)) *shardAcc {
-	return runner.Collect(pool(), n, newShardAcc, cell, (*shardAcc).merge)
+func collectCells(p *runner.Pool, n int, cell func(i int, acc *shardAcc)) *shardAcc {
+	return runner.Collect(p, n, newShardAcc, cell, (*shardAcc).merge)
 }

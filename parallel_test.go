@@ -11,30 +11,29 @@ import (
 	"testing"
 
 	seed "github.com/seed5g/seed"
+	"github.com/seed5g/seed/internal/runner"
 )
 
 func TestExperimentsParallelDeterminism(t *testing.T) {
 	ds := seed.GenerateDataset(1)
 	experiments := []struct {
 		name string
-		run  func() any
+		run  func(p *runner.Pool) any
 	}{
-		{"table4", func() any { return seed.ExperimentTable4(ds, 8, 7) }},
-		{"figure2", func() any { return seed.ExperimentFigure2(ds, 10, 7) }},
-		{"figure3", func() any { return seed.ExperimentFigure3(3, 7) }},
-		{"table5", func() any { return seed.ExperimentTable5(1, 7) }},
-		{"figure11a", func() any { return seed.ExperimentFigure11a(7) }},
-		{"figure13", func() any { return seed.ExperimentFigure13(7) }},
-		{"coverage", func() any { return seed.ExperimentCoverage(ds, 15, 7) }},
+		{"table4", func(p *runner.Pool) any { return seed.ExperimentTable4(p, ds, 8, 7) }},
+		{"figure2", func(p *runner.Pool) any { return seed.ExperimentFigure2(p, ds, 10, 7) }},
+		{"figure3", func(p *runner.Pool) any { return seed.ExperimentFigure3(p, 3, 7) }},
+		{"table5", func(p *runner.Pool) any { return seed.ExperimentTable5(p, 1, 7) }},
+		{"figure11a", func(p *runner.Pool) any { return seed.ExperimentFigure11a(p, 7) }},
+		{"figure13", func(p *runner.Pool) any { return seed.ExperimentFigure13(p, 7) }},
+		{"coverage", func(p *runner.Pool) any { return seed.ExperimentCoverage(p, ds, 15, 7) }},
 	}
 	levels := []int{1, 4, runtime.GOMAXPROCS(0)}
-	defer seed.SetParallelism(0)
 	for _, e := range experiments {
 		t.Run(e.name, func(t *testing.T) {
 			var ref any
 			for li, lvl := range levels {
-				seed.SetParallelism(lvl)
-				got := e.run()
+				got := e.run(runner.New(lvl))
 				if li == 0 {
 					ref = got
 					continue
@@ -45,39 +44,5 @@ func TestExperimentsParallelDeterminism(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestReplayBatchesMatchSequential(t *testing.T) {
-	ds := seed.GenerateDataset(1)
-	mgmt := ds.Failures()[:6]
-	delivery := ds.Delivery()[:4]
-	defer seed.SetParallelism(0)
-
-	seed.SetParallelism(1)
-	wantMgmt := seed.ReplayManagementBatch(mgmt, seed.ModeSEEDU, 11)
-	wantDel := seed.ReplayDeliveryBatch(delivery, seed.ModeSEEDR, 11)
-
-	seed.SetParallelism(4)
-	gotMgmt := seed.ReplayManagementBatch(mgmt, seed.ModeSEEDU, 11)
-	gotDel := seed.ReplayDeliveryBatch(delivery, seed.ModeSEEDR, 11)
-
-	if !reflect.DeepEqual(wantMgmt, gotMgmt) {
-		t.Errorf("management batch differs:\n%+v\nvs\n%+v", gotMgmt, wantMgmt)
-	}
-	if !reflect.DeepEqual(wantDel, gotDel) {
-		t.Errorf("delivery batch differs:\n%+v\nvs\n%+v", gotDel, wantDel)
-	}
-}
-
-func TestSetParallelism(t *testing.T) {
-	defer seed.SetParallelism(0)
-	seed.SetParallelism(3)
-	if got := seed.Parallelism(); got != 3 {
-		t.Fatalf("Parallelism() = %d, want 3", got)
-	}
-	seed.SetParallelism(0)
-	if got := seed.Parallelism(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Parallelism() = %d, want GOMAXPROCS default %d", got, runtime.GOMAXPROCS(0))
 	}
 }

@@ -2,7 +2,6 @@ package seed
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/seed5g/seed/internal/snap"
@@ -15,31 +14,16 @@ import (
 // snapshots it (internal/snap + the kernel's hand-written snapshot), and
 // hands each cell a restored copy in microseconds.
 //
-// Determinism contract: every boot — prototype or fresh — runs under the
-// fixed protoBootSeed, and the cell's own seed enters only via Reseed at
-// the exact same post-boot instant on both paths. A cloned cell and a
-// fresh-booted cell are therefore bit-identical by construction; the
-// equivalence tests in snapshot_equiv_test.go hold this to byte equality.
+// Determinism contract: every boot — a prototype's, or Proto.Fresh, the
+// test oracle — runs under the fixed protoBootSeed, and the cell's own seed
+// enters only via Reseed at the exact same post-boot instant on both. A
+// cloned cell and a fresh-booted cell are therefore bit-identical by
+// construction; the equivalence tests in snapshot_equiv_test.go hold this
+// to byte equality.
 
 // protoBootSeed seeds the boot phase of every prototype and every
 // equivalent fresh boot. Cells are differentiated afterwards by Reseed.
 const protoBootSeed int64 = 0x5EEDB007
-
-// cloneBoot selects whether Proto.Cell serves clones (default) or fresh
-// boots through the identical seed protocol. The switch exists for A/B
-// measurement (seedbench -freshboot) and the equivalence tests.
-var cloneBoot atomic.Bool
-
-func init() { cloneBoot.Store(true) }
-
-// SetCloneFromPrototype toggles clone-from-prototype cell setup globally.
-// Disabled, every Proto.Cell performs a full fresh boot under the same
-// seed protocol — byte-identical results, fresh-boot cost — which is how
-// the end-to-end speedup in BENCH_snapshot.json is measured.
-func SetCloneFromPrototype(on bool) { cloneBoot.Store(on) }
-
-// CloneFromPrototype reports whether clone-from-prototype is enabled.
-func CloneFromPrototype() bool { return cloneBoot.Load() }
 
 // Snapshot records the complete testbed state — kernel schedule, RNG,
 // network, devices, apps, plugin/learner — plus any extra roots (e.g. a
@@ -61,7 +45,7 @@ func (tb *Testbed) Reseed(seedVal int64) { tb.kern.Reseed(seedVal) }
 // handles (device, apps, taps) cells need. Booted instances wait on a
 // mutex-guarded free list; each worker of a parallel sweep reuses one via
 // restore-on-acquire, so a dirty or even panicked cell self-cleans on the
-// next Get. The garbage collector never drains the list (the runtime's
+// next Cell. The garbage collector never drains the list (the runtime's
 // own pool type is emptied every second GC cycle, which re-booted
 // prototypes all through a sweep): a prototype boots once per concurrent
 // cell per process, and the list holds at most the peak number of cells
@@ -131,10 +115,10 @@ func (p *Proto[T]) Stats() ProtoStats {
 	return p.stats
 }
 
-// Get acquires a booted instance, rewinds it to the boot snapshot,
+// Cell acquires a booted instance, rewinds it to the boot snapshot,
 // reseeds it for this cell, and returns the testbed, the boot handles,
 // and a release func that must be called when the cell is done.
-func (p *Proto[T]) Get(cellSeed int64) (tb *Testbed, h T, put func()) {
+func (p *Proto[T]) Cell(cellSeed int64) (tb *Testbed, h T, put func()) {
 	inst := p.acquire()
 	inst.snap.Restore()
 	inst.tb.Reseed(cellSeed)
@@ -142,23 +126,15 @@ func (p *Proto[T]) Get(cellSeed int64) (tb *Testbed, h T, put func()) {
 }
 
 // Fresh runs the full boot from scratch under the same seed protocol as
-// Get (fixed boot seed, then Reseed). It exists for the equivalence tests
-// and the fresh-boot arm of the benchmarks.
+// Cell (fixed boot seed, then Reseed). It is the oracle the clone-equals-
+// fresh tests and the benchmark's fresh-boot probe compare Cell against,
+// and how a cell that cannot share a retained instance (an instrumented
+// desync) still boots exactly as the prototype did.
 func (p *Proto[T]) Fresh(cellSeed int64) (*Testbed, T) {
 	tb := New(protoBootSeed)
 	h := p.boot(tb)
 	tb.Reseed(cellSeed)
 	return tb, h
-}
-
-// Cell is what experiment code calls: Get when clone-from-prototype is
-// enabled, Fresh otherwise. The release func is a no-op on the fresh path.
-func (p *Proto[T]) Cell(cellSeed int64) (*Testbed, T, func()) {
-	if !cloneBoot.Load() {
-		tb, h := p.Fresh(cellSeed)
-		return tb, h, func() {}
-	}
-	return p.Get(cellSeed)
 }
 
 // ProtoMap lazily creates one Proto per key, for prototype families
@@ -209,13 +185,18 @@ func (pm *ProtoMap[K, T]) Stats() ProtoStats {
 // state — the common prefix of the desync replays, the signaling-overhead
 // measurement, and the reset-time cells.
 var bareProtos = NewProtoMap(func(mode Mode) func(*Testbed) *Device {
+	return bootBare(mode, nil)
+})
+
+// bootBare is bareProtos' boot function, optionally instrumented.
+func bootBare(mode Mode, inst *Instrument) func(*Testbed) *Device {
 	return func(tb *Testbed) *Device {
-		d := tb.NewDevice(mode)
+		d := inst.newDevice(tb, mode)
 		d.Start()
 		tb.RunUntil(d.Connected, connectDeadline)
 		return d
 	}
-})
+}
 
 // deliveryHandles are the boot products of a delivery-replay cell.
 type deliveryHandles struct {

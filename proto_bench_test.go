@@ -39,12 +39,12 @@ func BenchmarkFreshBootCell(b *testing.B) {
 func BenchmarkClonedCell(b *testing.B) {
 	p := bareProtos.Proto(ModeSEEDR)
 	// Boot the pooled prototype outside the timed region.
-	_, _, put := p.Get(1)
+	_, _, put := p.Cell(1)
 	put()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, d, put := p.Get(int64(i + 1))
+		_, d, put := p.Cell(int64(i + 1))
 		if !d.Connected() {
 			b.Fatal("cloned cell not connected")
 		}
@@ -66,10 +66,10 @@ func TestClonedCellAllocs(t *testing.T) {
 	}{
 		{"bare", func() float64 {
 			p := bareProtos.Proto(ModeSEEDR)
-			_, _, put := p.Get(1)
+			_, _, put := p.Cell(1)
 			put()
 			return testing.AllocsPerRun(50, func() {
-				_, d, put := p.Get(7)
+				_, d, put := p.Cell(7)
 				if !d.Connected() {
 					t.Fatal("cloned cell not connected")
 				}
@@ -78,10 +78,10 @@ func TestClonedCellAllocs(t *testing.T) {
 		}},
 		{"delivery", func() float64 {
 			p := deliveryProtos.Proto(ModeSEEDR)
-			_, _, put := p.Get(1)
+			_, _, put := p.Cell(1)
 			put()
 			return testing.AllocsPerRun(20, func() {
-				_, h, put := p.Get(7)
+				_, h, put := p.Cell(7)
 				if !h.d.Connected() {
 					t.Fatal("cloned cell not connected")
 				}
@@ -109,11 +109,11 @@ func TestClonedCellWithinTenPercentOfFreshBoot(t *testing.T) {
 		t.Skip("race instrumentation allocates; the binding run is the uninstrumented bench-smoke job")
 	}
 	p := deliveryProtos.Proto(ModeSEEDR)
-	_, _, put := p.Get(1)
+	_, _, put := p.Cell(1)
 	put()
 
 	cloneAllocs := testing.AllocsPerRun(20, func() {
-		_, h, put := p.Get(7)
+		_, h, put := p.Cell(7)
 		if !h.d.Connected() {
 			t.Fatal("cloned cell not connected")
 		}
@@ -132,7 +132,7 @@ func TestClonedCellWithinTenPercentOfFreshBoot(t *testing.T) {
 	const reps = 10
 	start := time.Now()
 	for i := 0; i < reps; i++ {
-		_, _, put := p.Get(int64(i))
+		_, _, put := p.Cell(int64(i))
 		put()
 	}
 	cloneNS := time.Since(start) / reps
@@ -166,12 +166,12 @@ func BenchmarkFreshDeliveryBoot(b *testing.B) {
 
 func BenchmarkClonedDeliveryCell(b *testing.B) {
 	p := deliveryProtos.Proto(ModeSEEDR)
-	_, _, put := p.Get(1)
+	_, _, put := p.Cell(1)
 	put()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, h, put := p.Get(int64(i + 1))
+		_, h, put := p.Cell(int64(i + 1))
 		if !h.d.Connected() {
 			b.Fatal("cloned cell not connected")
 		}
@@ -232,7 +232,7 @@ func TestPacketPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the binding run is the uninstrumented bench-smoke job")
 	}
-	tb, h, put := deliveryProtos.Proto(ModeSEEDR).Get(1)
+	tb, h, put := deliveryProtos.Proto(ModeSEEDR).Cell(1)
 	defer put()
 	if !h.d.Connected() {
 		t.Fatal("cloned cell not connected")

@@ -14,13 +14,13 @@ import (
 
 func TestProtoSurvivesGC(t *testing.T) {
 	p := deliveryProtos.Proto(ModeSEEDU)
-	_, _, put := p.Get(1)
+	_, _, put := p.Cell(1)
 	put()
 	before := p.Stats()
 	for i := 0; i < 3; i++ {
 		runtime.GC() // a sync.Pool is empty after two cycles
 	}
-	_, h, put := p.Get(2)
+	_, h, put := p.Cell(2)
 	defer put()
 	if !h.d.Connected() {
 		t.Fatal("restored cell not connected")

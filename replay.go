@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"github.com/seed5g/seed/internal/core5g"
+	"github.com/seed5g/seed/internal/workload"
 )
 
 // ReplayResult is the outcome of reproducing one failure case on the
@@ -30,6 +31,10 @@ type ReplayResult struct {
 	// Decisions is the applet's execution-decision count: the
 	// counterfactual pin space for this cell.
 	Decisions int
+	// Handovers and ContextLoss are the cell testbed's handover counters
+	// (cells with a mobility walk only).
+	Handovers   int
+	ContextLoss int
 }
 
 // captureDevice fills the result's device-side counters.
@@ -48,104 +53,126 @@ const connectDeadline = time.Minute
 
 // ReplayManagement reproduces one management-failure case from the
 // dataset with a device of the given mode, and measures the resulting
-// service disruption the way §7.1.1 does. Cases whose failure manifests
-// after a clean boot run on a cloned prototype testbed; cases that inject
-// before the device ever starts boot fresh (their measured window IS the
-// boot).
+// service disruption the way §7.1.1 does: the dataset-row vocabulary of
+// runCell, with no RF profile, walk or instrument.
 func ReplayManagement(fc FailureCase, mode Mode, seedVal int64) ReplayResult {
-	return ReplayManagementRF(fc, mode, seedVal, 0)
+	return runCell(cellRun{fc: fc}, mode, seedVal)
 }
 
-// ReplayManagementRF is ReplayManagement under a radio-degradation
-// profile: the device's radio link carries uniform jitter for the whole
-// replay (the workload generator's RF profiles). rfJitter == 0 is exactly
-// ReplayManagement.
-func ReplayManagementRF(fc FailureCase, mode Mode, seedVal int64, rfJitter time.Duration) ReplayResult {
-	return ReplayManagementInst(fc, mode, seedVal, RFProfile{Jitter: rfJitter}, nil)
+// cellRun is the whole description of one management or mobility cell.
+type cellRun struct {
+	// fc is the failure (ignored when graph is set: a walk's failure is its
+	// forced-loss handover).
+	fc FailureCase
+	// jitter, loss and partitions are the RF profile: uniform per-frame
+	// jitter for the whole cell plus scheduled impairment windows.
+	jitter     time.Duration
+	loss       []workload.LossWindow
+	partitions []workload.PartitionWindow
+	// graph, hops and lossyHop are the optional mobility walk: the device
+	// walks hops over graph and the handover at lossyHop forcibly loses the
+	// context transfer, with the following hop racing the recovery.
+	graph    *workload.CellGraph
+	hops     []workload.Hop
+	lossyHop int
+	// inst optionally attaches decision tracing, counterfactual overrides
+	// and policy knobs (nil is the plain TraceOff path).
+	inst *Instrument
 }
 
-// RFProfile bundles a cell's radio-degradation profile: uniform per-frame
-// jitter plus scheduled loss/partition windows (offsets relative to the
-// cell's start).
-type RFProfile struct {
-	Jitter  time.Duration
-	Windows []RFWindow
-}
-
-// ReplayManagementInst is ReplayManagementRF under a full RF profile and
-// an optional Instrument: decision tracing, counterfactual overrides, and
-// policy knobs. inst == nil with an empty profile is exactly
-// ReplayManagement (the TraceOff path, untouched). Instrumented cells
-// cannot share the pooled prototypes (their applet config and hooks are
-// per-cell), so scenarios that normally clone fresh-boot under the
-// identical seed protocol instead — fixed boot seed, Reseed at the same
-// post-boot instant — which keeps a pure-observer instrumented run
-// byte-comparable to the cloned uninstrumented one.
-func ReplayManagementInst(fc FailureCase, mode Mode, seedVal int64, rf RFProfile, inst *Instrument) ReplayResult {
-	if fc.Scenario == ScenarioDesync {
-		if inst == nil {
-			tb, d, put := bareProtos.Proto(mode).Cell(seedVal)
-			defer put()
-			if rf.Jitter > 0 {
-				// The prototype restore rewinds the link on the next
-				// acquire, so the profile applies to this cell only.
-				d.inner.Radio.SetJitter(rf.Jitter)
+// runCell is the one implementation of "run a cell": it obtains the cell's
+// testbed and device, applies the RF profile, and measures. A desync's
+// failure manifests after a clean boot, so its cell starts from the shared
+// connected steady state — a restored prototype, or, because an
+// instrumented applet cannot share the pooled prototypes (its config and
+// hooks are per-cell), the same boot function run fresh under the same
+// seed protocol, which keeps a pure-observer instrumented run
+// byte-comparable to the cloned one. Every other cell injects before the
+// device ever starts and boots on its own seed: its measured window IS
+// the boot.
+func runCell(c cellRun, mode Mode, seedVal int64) ReplayResult {
+	steady := c.graph == nil && c.fc.Scenario == ScenarioDesync
+	var tb *Testbed
+	var d *Device
+	switch {
+	case steady && c.inst == nil:
+		var put func()
+		tb, d, put = bareProtos.Proto(mode).Cell(seedVal)
+		defer put()
+	case steady:
+		tb, d = NewProto(bootBare(mode, c.inst)).Fresh(seedVal)
+	default:
+		tb = New(seedVal)
+		if c.graph != nil {
+			tb.EnableCells(c.graph.N, c.graph.DefaultContextLoss)
+			for _, e := range c.graph.Edges {
+				tb.SetEdgeContextLoss(e.From, e.To, e.ContextLoss)
 			}
-			// Window events scheduled post-acquire are likewise rewound
-			// with the kernel snapshot on the next acquire.
-			tb.armRFWindows(d.inner, rf.Windows)
-			return replayDesyncOn(tb, d)
 		}
-		tb := New(protoBootSeed)
-		tb.SetInstrument(inst)
-		d := tb.NewDevice(mode)
-		d.Start()
-		tb.RunUntil(d.Connected, connectDeadline)
-		tb.Reseed(seedVal)
-		if rf.Jitter > 0 {
-			d.inner.Radio.SetJitter(rf.Jitter)
-		}
-		tb.armRFWindows(d.inner, rf.Windows)
+		d = c.inst.newDevice(tb, mode)
+	}
+
+	// The RF profile starts here: at device creation, or at the post-boot
+	// instant of a steady-state cell (the next restore rewinds the link and
+	// the window timers with everything else).
+	radio := d.inner.Radio
+	if c.jitter > 0 {
+		radio.SetJitter(c.jitter)
+	}
+	for _, w := range c.loss {
+		tb.armRFWindow(w.AtSec, w.DurSec, func() { radio.SetLoss(w.Loss) }, func() { radio.SetLoss(0) })
+	}
+	for _, w := range c.partitions {
+		tb.armRFWindow(w.AtSec, w.DurSec, func() { radio.SetDown(true) }, func() { radio.SetDown(false) })
+	}
+
+	switch {
+	case c.graph != nil:
+		return tb.replayWalk(d, c.hops, c.lossyHop)
+	case steady:
 		return replayDesyncOn(tb, d)
 	}
-	tb := New(seedVal)
-	tb.rfJitter = rf.Jitter
-	tb.rfWindows = rf.Windows
-	tb.SetInstrument(inst)
-	switch fc.Scenario {
+	switch c.fc.Scenario {
 	case ScenarioTransient, ScenarioSilent:
-		return tb.replayInjected(fc, mode)
+		return tb.replayInjected(d, c.fc)
 	case ScenarioStaleConfigDevice:
-		if fc.ControlPlane {
-			return tb.replayStaleCPlaneDevice(fc, mode)
+		if c.fc.ControlPlane {
+			return tb.replayStaleCPlaneDevice(d, c.fc)
 		}
-		return tb.replayStaleDNN(mode, true, 0)
+		return tb.replayStaleDNN(d, true, 0)
 	case ScenarioStaleConfigEverywhere:
-		if fc.ControlPlane {
-			return tb.replayStaleSlice(fc, mode)
+		if c.fc.ControlPlane {
+			return tb.replayStaleSlice(d, c.fc)
 		}
-		return tb.replayStaleDNN(mode, false, fc.Heal)
+		return tb.replayStaleDNN(d, false, c.fc.Heal)
 	case ScenarioUserAction:
-		return tb.replayUserAction(fc, mode)
+		return tb.replayUserAction(d, c.fc)
 	default:
 		return ReplayResult{}
 	}
 }
 
-// measureFromBoot starts the device, detects failure onset (first reject
-// seen, or the first failed attach attempt for silent cases), and measures
-// until connectivity. prep runs before Start.
-func (tb *Testbed) measureFromBoot(mode Mode, prep func(d *Device), opts ...DeviceOption) ReplayResult {
-	d := tb.NewDevice(mode, opts...)
+// armRFWindow schedules one radio-impairment window relative to the
+// current virtual time. Windows close back to a healthy link; overlapping
+// windows are not merged — the last transition wins, matching the
+// declarative spec's validated non-overlapping windows.
+func (tb *Testbed) armRFWindow(atSec, durSec float64, open, shut func()) {
+	at := time.Duration(atSec * float64(time.Second))
+	tb.kern.After(at, open)
+	tb.kern.After(at+time.Duration(durSec*float64(time.Second)), shut)
+}
+
+// measureFromBoot starts the (not yet started) device, detects failure
+// onset (first reject seen, or the first failed attach attempt for silent
+// cases), and measures until connectivity. prep runs before Start.
+func (tb *Testbed) measureFromBoot(d *Device, prep func()) ReplayResult {
 	onset := time.Duration(-1)
 	d.OnReject(func(bool, uint8) {
 		if onset < 0 {
 			onset = tb.Now()
 		}
 	})
-	if prep != nil {
-		prep(d)
-	}
+	prep()
 	d.Start()
 	connected := tb.RunUntil(d.Connected, replayWindow)
 	if onset < 0 {
@@ -169,8 +196,8 @@ func (tb *Testbed) measureFromBoot(mode Mode, prep func(d *Device), opts ...Devi
 
 // replayInjected handles transient and silent cases via reject rules that
 // heal after the record's heal time.
-func (tb *Testbed) replayInjected(fc FailureCase, mode Mode) ReplayResult {
-	return tb.measureFromBoot(mode, func(d *Device) {
+func (tb *Testbed) replayInjected(d *Device, fc FailureCase) ReplayResult {
+	return tb.measureFromBoot(d, func() {
 		o := InjectOpts{Count: -1, HealAfter: fc.Heal, Silent: fc.Scenario == ScenarioSilent}
 		if fc.ControlPlane {
 			tb.InjectControlFailure(d, fc.CauseCode, o)
@@ -201,12 +228,47 @@ func replayDesyncOn(tb *Testbed, d *Device) ReplayResult {
 	return res
 }
 
+// replayWalk connects the device on a multi-cell testbed, walks it through
+// the handovers, and measures the disruption from the forced context-loss
+// handover until data connectivity returns. Hops before the lossy one may
+// also lose context per the graph's (per-edge) probabilities — that is the
+// point of the knob. The hop after the lossy one races the recovery:
+// either the re-registration itself (handover-desync) or SEED's in-flight
+// diagnosis (tau-race), depending on its dwell.
+func (tb *Testbed) replayWalk(d *Device, hops []workload.Hop, lossyHop int) ReplayResult {
+	var res ReplayResult
+	d.Start()
+	if !tb.RunUntil(d.Connected, connectDeadline) {
+		res.Handovers, res.ContextLoss = tb.Handovers()
+		return res
+	}
+	onset := time.Duration(-1)
+	for i, hop := range hops {
+		tb.Advance(hop.Dwell)
+		tb.Handover(d, hop.To, i == lossyHop)
+		if i == lossyHop {
+			onset = tb.Now()
+		}
+	}
+	res.Recovered = tb.RunUntil(d.Connected, replayWindow)
+	res.Handovers, res.ContextLoss = tb.Handovers()
+	res.UserNotified = d.UserNoticeCount() > 0
+	res.captureDevice(d)
+	if res.Recovered && onset >= 0 {
+		res.Disruption = tb.Now() - onset
+		if res.Disruption < 0 {
+			res.Disruption = 0
+		}
+	}
+	return res
+}
+
 // replayStaleDNN reproduces the outdated-APN failure: the subscription
 // uses "internet2", the modem cache still says "internet". With simHasNew
 // the SIM was OTA-updated (a reload fixes it); otherwise the stale value
 // is everywhere and the operator's OTA repair lands only at otaHeal.
-func (tb *Testbed) replayStaleDNN(mode Mode, simHasNew bool, otaHeal time.Duration) ReplayResult {
-	return tb.measureFromBoot(mode, func(d *Device) {
+func (tb *Testbed) replayStaleDNN(d *Device, simHasNew bool, otaHeal time.Duration) ReplayResult {
+	return tb.measureFromBoot(d, func() {
 		tb.MigrateSubscription(d, "internet2", false)
 		if simHasNew {
 			// SIM already has the new DNN; the modem cache keeps the old
@@ -228,8 +290,8 @@ func (tb *Testbed) replayStaleDNN(mode Mode, simHasNew bool, otaHeal time.Durati
 // replayStaleCPlaneDevice reproduces device-stale control-plane
 // configuration (outdated PLMN/roaming state): the network rejects with
 // the record's cause until the device refreshes its profile.
-func (tb *Testbed) replayStaleCPlaneDevice(fc FailureCase, mode Mode) ReplayResult {
-	return tb.measureFromBoot(mode, func(d *Device) {
+func (tb *Testbed) replayStaleCPlaneDevice(d *Device, fc FailureCase) ReplayResult {
+	return tb.measureFromBoot(d, func() {
 		tb.InjectControlFailure(d, fc.CauseCode, InjectOpts{Count: -1})
 		// The first profile load happens at boot (before the failure); a
 		// *re*load afterwards models the refreshed configuration.
@@ -247,8 +309,8 @@ func (tb *Testbed) replayStaleCPlaneDevice(fc FailureCase, mode Mode) ReplayResu
 // case mechanistically via network slicing: the subscription only allows
 // SST 2, the device (SIM and modem) still requests SST 1. SEED delivers
 // the suggested S-NSSAI; legacy waits for the operator OTA at heal.
-func (tb *Testbed) replayStaleSlice(fc FailureCase, mode Mode) ReplayResult {
-	return tb.measureFromBoot(mode, func(d *Device) {
+func (tb *Testbed) replayStaleSlice(d *Device, fc FailureCase) ReplayResult {
+	return tb.measureFromBoot(d, func() {
 		tb.RestrictSlice(d, 2)
 		if fc.Heal > 0 {
 			tb.After(fc.Heal, func() { tb.OTAFixSlice(d, 2) })
@@ -259,8 +321,7 @@ func (tb *Testbed) replayStaleSlice(fc FailureCase, mode Mode) ReplayResult {
 // replayUserAction reproduces unrecoverable cases: unauthorized subscriber
 // (control plane) or expired plan (data plane). Recovery never happens;
 // the interesting outcome is whether SEED notified the user.
-func (tb *Testbed) replayUserAction(fc FailureCase, mode Mode) ReplayResult {
-	d := tb.NewDevice(mode)
+func (tb *Testbed) replayUserAction(d *Device, fc FailureCase) ReplayResult {
 	if fc.ControlPlane {
 		if sub, ok := tb.net.UDM.Subscriber(d.IMSI()); ok {
 			sub.Authorized = false
@@ -302,6 +363,12 @@ type DeliveryReplayResult struct {
 func ReplayDelivery(dc DeliveryCase, mode Mode, seedVal int64) DeliveryReplayResult {
 	tb, h, put := deliveryProtos.Proto(mode).Cell(seedVal)
 	defer put()
+	return replayDeliveryOn(tb, h, dc)
+}
+
+// replayDeliveryOn injects the delivery failure into a warmed steady state
+// (from a cloned or fresh boot) and measures detection and recovery.
+func replayDeliveryOn(tb *Testbed, h deliveryHandles, dc DeliveryCase) DeliveryReplayResult {
 	d := h.d
 	if !d.Connected() {
 		return DeliveryReplayResult{}
@@ -341,7 +408,7 @@ func ReplayDelivery(dc DeliveryCase, mode Mode, seedVal int64) DeliveryReplayRes
 		if d.inner.Mon.Stalled() {
 			return true
 		}
-		if mode != ModeLegacy {
+		if d.mode != ModeLegacy {
 			for _, a := range apps {
 				if _, _, _, reported := a.Requests(); reported > 0 {
 					return true

@@ -65,6 +65,21 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode maps the spec/CLI spelling of a mode ("legacy", "seed-u",
+// "seed-r") to the Mode; ok is false for anything else.
+func ParseMode(s string) (mode Mode, ok bool) {
+	switch s {
+	case "legacy":
+		return ModeLegacy, true
+	case "seed-u":
+		return ModeSEEDU, true
+	case "seed-r":
+		return ModeSEEDR, true
+	default:
+		return 0, false
+	}
+}
+
 func (m Mode) deviceMode() core.DeviceMode {
 	switch m {
 	case ModeSEEDU:
@@ -126,22 +141,13 @@ type Testbed struct {
 	seq        int
 
 	cells *core5g.Cells
-	// rfJitter, when set, is applied to every new device's radio link (the
-	// workload generator's RF-degradation profiles).
-	rfJitter time.Duration
-	// rfWindows schedules radio loss/partition windows on every new
-	// device's link (the workload generator's scheduled RF profiles).
-	rfWindows []RFWindow
-	// instrument, when set, attaches decision tracing, counterfactual
-	// overrides, and policy knobs to every new SEED device.
-	instrument *Instrument
 }
 
 // Instrument bundles the decision-trace subsystem's hooks: a tracer
 // receiving structured Algorithm 1 decision events, a counterfactual
 // action override, and the policy knobs (applet timers/trial order,
-// learner rate) a replay applies to every SEED device it creates. A nil
-// *Instrument is the zero-overhead TraceOff configuration.
+// learner rate) RunWorkloadCell applies to the cell's testbed and device. A
+// nil *Instrument is the zero-overhead TraceOff configuration.
 type Instrument struct {
 	// Tracer receives every decision event (core.TraceLevel filtering is
 	// the tracer's concern). Must be a pure observer: no RNG, no state.
@@ -157,19 +163,32 @@ type Instrument struct {
 	LearnerLR float64
 }
 
-// SetInstrument attaches inst to the testbed: the infrastructure plugin
-// is instrumented immediately, devices as they are created. Call before
-// NewDevice. Passing nil detaches the plugin tracer.
-func (tb *Testbed) SetInstrument(inst *Instrument) {
-	tb.instrument = inst
+// newDevice builds a cell's device on tb with inst attached: the plugin is
+// instrumented, the applet config mutated before the device is built, and
+// the applet's tracer and override set before anything runs. A nil inst is
+// plain tb.NewDevice.
+func (inst *Instrument) newDevice(tb *Testbed, mode Mode) *Device {
 	if inst == nil {
-		tb.plugin.SetDecisionTracer(nil)
-		return
+		return tb.NewDevice(mode)
 	}
 	tb.plugin.SetDecisionTracer(inst.Tracer)
 	if inst.LearnerLR > 0 {
 		tb.plugin.Learner.LR = inst.LearnerLR
 	}
+	var opts []DeviceOption
+	if inst.Applet != nil && mode != ModeLegacy {
+		opts = append(opts, func(c *core.DeviceConfig) { inst.Applet(&c.Applet) })
+	}
+	d := tb.NewDevice(mode, opts...)
+	if applet := d.inner.Applet; applet != nil {
+		if inst.Tracer != nil {
+			applet.SetDecisionTracer(inst.Tracer, d.IMSI())
+		}
+		if inst.Override != nil {
+			applet.SetActionOverride(inst.Override)
+		}
+	}
+	return d
 }
 
 // New creates a testbed whose randomness derives from seed.
@@ -311,54 +330,6 @@ func (tb *Testbed) Handovers() (int, int) {
 	return tb.cells.Stats()
 }
 
-// RFWindow is one scheduled radio-impairment window: from At for Dur the
-// device's radio link either drops frames with probability Loss or is
-// fully partitioned (the workload generator's scheduled RF profiles).
-type RFWindow struct {
-	At  time.Duration
-	Dur time.Duration
-	// Loss is the per-frame drop probability while the window is open
-	// (ignored when Partition is set).
-	Loss float64
-	// Partition takes the link fully down for the window.
-	Partition bool
-}
-
-// SetRFWindows schedules radio loss/partition windows for every device
-// created afterwards. Offsets are relative to device creation.
-func (tb *Testbed) SetRFWindows(ws []RFWindow) { tb.rfWindows = ws }
-
-// scheduleRFWindows arms a new device's radio-impairment windows.
-func (tb *Testbed) scheduleRFWindows(inner *core.Device) {
-	tb.armRFWindows(inner, tb.rfWindows)
-}
-
-// armRFWindows schedules ws on the device's radio relative to the current
-// virtual time (device creation for fresh cells, the post-boot instant for
-// cloned ones). Windows close back to a healthy link (loss 0 / up);
-// overlapping windows are not merged — the last transition wins, matching
-// the declarative spec's validated non-overlapping windows.
-func (tb *Testbed) armRFWindows(inner *core.Device, ws []RFWindow) {
-	for _, w := range ws {
-		w := w
-		radio := inner.Radio
-		tb.kern.After(w.At, func() {
-			if w.Partition {
-				radio.SetDown(true)
-			} else {
-				radio.SetLoss(w.Loss)
-			}
-		})
-		tb.kern.After(w.At+w.Dur, func() {
-			if w.Partition {
-				radio.SetDown(false)
-			} else {
-				radio.SetLoss(0)
-			}
-		})
-	}
-}
-
 // DeviceOption customizes a device at creation.
 type DeviceOption func(*core.DeviceConfig)
 
@@ -427,9 +398,6 @@ func (tb *Testbed) NewDevice(mode Mode, opts ...DeviceOption) *Device {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if tb.instrument != nil && tb.instrument.Applet != nil && mode != ModeLegacy {
-		tb.instrument.Applet(&cfg.Applet)
-	}
 	inner, err := core.NewDevice(tb.kern, cfg, tb.net)
 	if err != nil {
 		panic(fmt.Sprintf("seed: building device %s: %v", imsi, err))
@@ -449,18 +417,6 @@ func (tb *Testbed) NewDevice(mode Mode, opts ...DeviceOption) *Device {
 		inner.Radio.SetHandlers(func(frame any) {
 			tb.cells.ServingGNB(imsi).HandleUplink(frame)
 		}, inner.Mdm.HandleDownlink)
-	}
-	if tb.rfJitter > 0 {
-		inner.Radio.SetJitter(tb.rfJitter)
-	}
-	tb.scheduleRFWindows(inner)
-	if tb.instrument != nil && inner.Applet != nil {
-		if tb.instrument.Tracer != nil {
-			inner.Applet.SetDecisionTracer(tb.instrument.Tracer, imsi)
-		}
-		if tb.instrument.Override != nil {
-			inner.Applet.SetActionOverride(tb.instrument.Override)
-		}
 	}
 	d := &Device{tb: tb, inner: inner, mode: mode}
 	// Hooks dispatch through slices so injections and user code can both

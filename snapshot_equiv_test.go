@@ -1,8 +1,12 @@
 package seed
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
+
+	"github.com/seed5g/seed/internal/workload"
 )
 
 // runScenario drives a cell from the post-boot point to a comparable
@@ -77,7 +81,7 @@ func TestClonedCellMatchesFresh(t *testing.T) {
 				freshTB, freshD := equivProto.Fresh(cellSeed)
 				want := driveScenario(freshTB, freshD, which)
 
-				cloneTB, cloneD, put := equivProto.Get(cellSeed)
+				cloneTB, cloneD, put := equivProto.Cell(cellSeed)
 				got := driveScenario(cloneTB, cloneD, which)
 				put()
 
@@ -94,16 +98,103 @@ func TestClonedCellMatchesFresh(t *testing.T) {
 // instance is dirty from the first run.
 func TestCloneIdempotent(t *testing.T) {
 	for which := 0; which < 3; which++ {
-		tb1, d1, put1 := equivProto.Get(7)
+		tb1, d1, put1 := equivProto.Cell(7)
 		first := driveScenario(tb1, d1, which)
 		put1()
 
-		tb2, d2, put2 := equivProto.Get(7)
+		tb2, d2, put2 := equivProto.Cell(7)
 		second := driveScenario(tb2, d2, which)
 		put2()
 
 		if first != second {
 			t.Errorf("scenario %d: second clone %+v != first %+v", which, second, first)
+		}
+	}
+}
+
+// TestSharedProtosCloneMatchesFresh holds the prototype families the
+// experiments actually run on to clone-equals-fresh: the replay bodies of
+// ReplayManagement's desync cells (bareProtos) and of ReplayDelivery
+// (deliveryProtos, all four failure kinds) give deeply equal results on a
+// restored prototype (Proto.Cell) and on the fresh-boot oracle
+// (Proto.Fresh), for every mode and several cell seeds.
+func TestSharedProtosCloneMatchesFresh(t *testing.T) {
+	seeds := []int64{1, 42, 987654321}
+	for _, mode := range Modes {
+		t.Run("desync/"+mode.String(), func(t *testing.T) {
+			p := bareProtos.Proto(mode)
+			for _, cellSeed := range seeds {
+				freshTB, freshD := p.Fresh(cellSeed)
+				want := replayDesyncOn(freshTB, freshD)
+
+				tb, d, put := p.Cell(cellSeed)
+				got := replayDesyncOn(tb, d)
+				put()
+
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("seed %d: cloned %+v != fresh %+v", cellSeed, got, want)
+				}
+			}
+		})
+		for _, kind := range []DeliveryFailureKind{DeliveryTCPBlock, DeliveryUDPBlock, DeliveryDNSOutage, DeliveryStalledGateway} {
+			t.Run(kind.String()+"/"+mode.String(), func(t *testing.T) {
+				p := deliveryProtos.Proto(mode)
+				dc := DeliveryCase{Kind: kind}
+				for _, cellSeed := range seeds {
+					freshTB, freshH := p.Fresh(cellSeed)
+					want := replayDeliveryOn(freshTB, freshH, dc)
+
+					tb, h, put := p.Cell(cellSeed)
+					got := replayDeliveryOn(tb, h, dc)
+					put()
+
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("seed %d: cloned %+v != fresh %+v", cellSeed, got, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestOnePathTwoVocabularies pins that the dataset-row and compiled-cell
+// entry points are adapters onto one implementation: for one case of each
+// scenario class and every mode, ReplayManagement equals RunWorkloadCell
+// on the cell carrying the same failure and seed with no RF profile.
+func TestOnePathTwoVocabularies(t *testing.T) {
+	cases := []struct {
+		fc   FailureCase
+		scen string
+	}{
+		{FailureCase{ControlPlane: true, CauseCode: 9, Scenario: ScenarioDesync}, workload.ScenDesync},
+		{FailureCase{ControlPlane: true, CauseCode: 22, Scenario: ScenarioTransient, Heal: 4 * time.Second}, workload.ScenTransient},
+		{FailureCase{CauseCode: 26, Scenario: ScenarioSilent, Heal: 6 * time.Second}, workload.ScenSilent},
+		{FailureCase{CauseCode: 27, Scenario: ScenarioStaleConfigDevice}, workload.ScenStaleDevice},
+		{FailureCase{ControlPlane: true, CauseCode: 62, Scenario: ScenarioStaleConfigEverywhere, Heal: 3 * time.Minute}, workload.ScenStaleEverywhere},
+		{FailureCase{CauseCode: 29, Scenario: ScenarioUserAction}, workload.ScenUserAction},
+	}
+	sp := workload.DefaultSpec()
+	for i, c := range cases {
+		for _, mode := range Modes {
+			t.Run(fmt.Sprintf("%s/%s", c.scen, mode), func(t *testing.T) {
+				cellSeed := int64(100 + i)
+				plane := "data"
+				if c.fc.ControlPlane {
+					plane = "control"
+				}
+				r := ReplayManagement(c.fc, mode, cellSeed)
+				got := RunWorkloadCell(sp, workload.Cell{
+					Plane: plane, Code: c.fc.CauseCode, Scenario: c.scen, Heal: c.fc.Heal,
+					LossyHop: -1, Seed: cellSeed,
+				}, mode, nil)
+				want := workload.Outcome{
+					Recovered: r.Recovered, Disruption: r.Disruption, UserNotified: r.UserNotified,
+					Actions: r.Actions, Reboots: r.Reboots, Decisions: r.Decisions,
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("RunWorkloadCell %+v != ReplayManagement %+v", got, want)
+				}
+			})
 		}
 	}
 }

@@ -1,30 +1,13 @@
 package seed
 
-import (
-	"time"
-
-	"github.com/seed5g/seed/internal/runner"
-	"github.com/seed5g/seed/internal/workload"
-)
+import "github.com/seed5g/seed/internal/workload"
 
 // This file executes compiled workload cells (internal/workload) on real
 // testbeds. The split keeps internal/workload pure — spec parsing,
 // compilation, and calibration math with no testbed dependency — while
 // the root package supplies the one thing it cannot: end-to-end replay.
 // Every cell runs on its own testbed from its own compiled seed, so a
-// corpus's outcomes are bit-identical at any parallelism.
-
-// workloadMode maps a spec mode string to a Mode.
-func workloadMode(s string) Mode {
-	switch s {
-	case "seed-u":
-		return ModeSEEDU
-	case "seed-r":
-		return ModeSEEDR
-	default:
-		return ModeLegacy
-	}
-}
+// corpus's outcomes are bit-identical however its cells fan across workers.
 
 // workloadScenario maps spec scenario strings to the dataset's scenario
 // classes (mobility scenarios are handled separately).
@@ -45,156 +28,29 @@ func workloadScenario(s string) FailureScenario {
 	}
 }
 
-// RunWorkload executes every compiled cell under its population's own
-// failure-handling mode, fanning across the experiment worker pool.
-// Outcome i belongs to cell i regardless of parallelism.
-func RunWorkload(sp *workload.Spec, cells []workload.Cell) []workload.Outcome {
-	return runner.Map(pool(), len(cells), func(i int) workload.Outcome {
-		return runWorkloadCell(sp, cells[i], workloadMode(cells[i].Mode))
-	})
-}
-
-// CalibrationReplay executes cells with legacy handling regardless of
-// population mode — the Figure 2 CDF the calibration targets describe is
-// the legacy baseline. It satisfies workload.ReplayFn.
-func CalibrationReplay(sp *workload.Spec, cells []workload.Cell) []workload.Outcome {
-	return runner.Map(pool(), len(cells), func(i int) workload.Outcome {
-		return runWorkloadCell(sp, cells[i], ModeLegacy)
-	})
-}
-
-func runWorkloadCell(sp *workload.Spec, c workload.Cell, mode Mode) workload.Outcome {
-	return RunWorkloadCell(sp, c, mode, nil)
-}
-
 // RunWorkloadCell executes one compiled cell under mode with an optional
-// instrument (nil is the plain TraceOff path). The policy subsystem's
-// counterfactual replayer and search loop enter here so a policy's score
-// and the workload bench measure cells through one code path.
+// instrument (nil is the plain TraceOff path): the compiled-cell vocabulary
+// of runCell. seedwl, the policy subsystem's counterfactual replayer and
+// search loop, and the benchmark all enter here, so a corpus, a policy's
+// score and the workload bench measure cells through one code path.
 func RunWorkloadCell(sp *workload.Spec, c workload.Cell, mode Mode, inst *Instrument) workload.Outcome {
+	run := cellRun{
+		fc: FailureCase{
+			ControlPlane: c.Plane == "control",
+			CauseCode:    c.Code,
+			Scenario:     workloadScenario(c.Scenario),
+			Heal:         c.Heal,
+		},
+		jitter: c.RFJitter, loss: c.LossWindows, partitions: c.PartitionWindows,
+		inst: inst,
+	}
 	if workload.MobilityScenario(c.Scenario) {
-		res, hos, lost := ReplayMobilityInst(MobilityCase{
-			Cells:       sp.Cells.N,
-			DefaultLoss: sp.Cells.DefaultContextLoss,
-			Edges:       sp.Cells.Edges,
-			Hops:        c.Hops,
-			LossyHop:    c.LossyHop,
-			RFJitter:    c.RFJitter,
-			RFWindows:   cellRFWindows(c),
-		}, mode, c.Seed, inst)
-		return outcomeOf(res, hos, lost)
+		run.graph, run.hops, run.lossyHop = &sp.Cells, c.Hops, c.LossyHop
 	}
-	fc := FailureCase{
-		ControlPlane: c.Plane == "control",
-		CauseCode:    c.Code,
-		Scenario:     workloadScenario(c.Scenario),
-		Heal:         c.Heal,
-	}
-	r := ReplayManagementInst(fc, mode, c.Seed, RFProfile{Jitter: c.RFJitter, Windows: cellRFWindows(c)}, inst)
-	return outcomeOf(r, 0, 0)
-}
-
-// cellRFWindows converts a compiled cell's scheduled RF windows into the
-// testbed vocabulary (loss windows first, then partitions; the arming
-// order is irrelevant because windows of one kind never overlap).
-func cellRFWindows(c workload.Cell) []RFWindow {
-	if len(c.LossWindows) == 0 && len(c.PartitionWindows) == 0 {
-		return nil
-	}
-	out := make([]RFWindow, 0, len(c.LossWindows)+len(c.PartitionWindows))
-	for _, w := range c.LossWindows {
-		out = append(out, RFWindow{
-			At:   time.Duration(w.AtSec * float64(time.Second)),
-			Dur:  time.Duration(w.DurSec * float64(time.Second)),
-			Loss: w.Loss,
-		})
-	}
-	for _, w := range c.PartitionWindows {
-		out = append(out, RFWindow{
-			At:        time.Duration(w.AtSec * float64(time.Second)),
-			Dur:       time.Duration(w.DurSec * float64(time.Second)),
-			Partition: true,
-		})
-	}
-	return out
-}
-
-// outcomeOf folds a replay result into the workload outcome vocabulary.
-func outcomeOf(r ReplayResult, hos, lost int) workload.Outcome {
+	r := runCell(run, mode, c.Seed)
 	return workload.Outcome{
 		Recovered: r.Recovered, Disruption: r.Disruption,
-		UserNotified: r.UserNotified, Handovers: hos, ContextLoss: lost,
+		UserNotified: r.UserNotified, Handovers: r.Handovers, ContextLoss: r.ContextLoss,
 		Actions: r.Actions, Reboots: r.Reboots, Decisions: r.Decisions,
 	}
-}
-
-// MobilityCase describes one mobility-induced failure scenario: a device
-// walking a multi-cell graph whose hop at LossyHop forcibly loses the
-// context transfer, with the following hop racing the recovery — either
-// the re-registration itself (handover-desync) or SEED's in-flight
-// diagnosis (tau-race), depending on the racing hop's dwell.
-type MobilityCase struct {
-	// Cells / DefaultLoss / Edges describe the graph (workload.CellGraph
-	// vocabulary).
-	Cells       int
-	DefaultLoss float64
-	Edges       []workload.Edge
-	// Hops is the walk; LossyHop indexes the forced-loss handover.
-	Hops     []workload.Hop
-	LossyHop int
-	// RFJitter optionally degrades the radio for the whole case.
-	RFJitter time.Duration
-	// RFWindows optionally schedules loss/partition windows (offsets
-	// relative to device creation).
-	RFWindows []RFWindow
-}
-
-// ReplayMobility boots a multi-cell testbed, connects one device, walks
-// it through the case's handovers, and measures the disruption from the
-// forced context-loss handover until data connectivity returns. Hops
-// before the lossy one may also lose context per the graph's (per-edge)
-// probabilities — that is the point of the knob. It returns the replay
-// result plus the testbed's handover and context-loss counters so callers
-// can merge them into corpus stats.
-func ReplayMobility(mc MobilityCase, mode Mode, seedVal int64) (ReplayResult, int, int) {
-	return ReplayMobilityInst(mc, mode, seedVal, nil)
-}
-
-// ReplayMobilityInst is ReplayMobility with an optional Instrument (nil
-// is exactly ReplayMobility — mobility cells always boot fresh, so the
-// instrumented and plain paths share every byte of setup).
-func ReplayMobilityInst(mc MobilityCase, mode Mode, seedVal int64, inst *Instrument) (ReplayResult, int, int) {
-	tb := New(seedVal)
-	tb.EnableCells(mc.Cells, mc.DefaultLoss)
-	for _, e := range mc.Edges {
-		tb.SetEdgeContextLoss(e.From, e.To, e.ContextLoss)
-	}
-	tb.rfJitter = mc.RFJitter
-	tb.rfWindows = mc.RFWindows
-	tb.SetInstrument(inst)
-	d := tb.NewDevice(mode)
-	d.Start()
-	if !tb.RunUntil(d.Connected, connectDeadline) {
-		hos, lost := tb.Handovers()
-		return ReplayResult{}, hos, lost
-	}
-	onset := time.Duration(-1)
-	for i, hop := range mc.Hops {
-		tb.Advance(hop.Dwell)
-		tb.Handover(d, hop.To, i == mc.LossyHop)
-		if i == mc.LossyHop {
-			onset = tb.Now()
-		}
-	}
-	recovered := tb.RunUntil(d.Connected, replayWindow)
-	hos, lost := tb.Handovers()
-	res := ReplayResult{Recovered: recovered, UserNotified: d.UserNoticeCount() > 0}
-	res.captureDevice(d)
-	if recovered && onset >= 0 {
-		res.Disruption = tb.Now() - onset
-		if res.Disruption < 0 {
-			res.Disruption = 0
-		}
-	}
-	return res, hos, lost
 }

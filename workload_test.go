@@ -12,6 +12,7 @@ import (
 	"time"
 
 	seed "github.com/seed5g/seed"
+	"github.com/seed5g/seed/internal/runner"
 	"github.com/seed5g/seed/internal/workload"
 )
 
@@ -49,16 +50,17 @@ func testSpec() *workload.Spec {
 // corpus — spec, cells, measured outcomes, stats — marshals to the same
 // bytes at 1, 2, and 8 workers.
 func TestWorkloadCorpusParallelDeterminism(t *testing.T) {
-	defer seed.SetParallelism(0)
 	sp := testSpec()
 	var golden []byte
 	for _, lvl := range []int{1, 2, 8} {
-		seed.SetParallelism(lvl)
 		cells, err := workload.Compile(sp, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
-		outcomes := seed.RunWorkload(sp, cells)
+		outcomes := runner.Map(runner.New(lvl), len(cells), func(i int) workload.Outcome {
+			mode, _ := seed.ParseMode(cells[i].Mode)
+			return seed.RunWorkloadCell(sp, cells[i], mode, nil)
+		})
 		runs := make([]workload.Run, len(outcomes))
 		for i, o := range outcomes {
 			runs[i] = workload.Run{Index: i, Outcome: o}
@@ -86,29 +88,31 @@ func TestWorkloadCorpusParallelDeterminism(t *testing.T) {
 // closes before the failure must leave the outcome untouched, and both
 // arms must be deterministic across repeated runs.
 func TestRFWindowsShapeReplay(t *testing.T) {
-	fc := seed.FailureCase{ControlPlane: true, CauseCode: 9, Scenario: seed.ScenarioTransient, Heal: 2 * time.Second}
-	run := func(ws []seed.RFWindow) seed.ReplayResult {
-		return seed.ReplayManagementInst(fc, seed.ModeSEEDU, 21, seed.RFProfile{Windows: ws}, nil)
+	cell := workload.Cell{Plane: "control", Code: 9, Scenario: workload.ScenTransient, Heal: 2 * time.Second, Seed: 21}
+	run := func(loss []workload.LossWindow, partitions []workload.PartitionWindow) workload.Outcome {
+		c := cell
+		c.LossWindows, c.PartitionWindows = loss, partitions
+		return seed.RunWorkloadCell(testSpec(), c, seed.ModeSEEDU, nil)
 	}
-	plain := run(nil)
+	plain := run(nil, nil)
 	if !plain.Recovered {
 		t.Fatalf("baseline did not recover: %+v", plain)
 	}
 	// Replays inject the failure ~5s after boot; a partition from 3s to
 	// 33s swallows the failure onset and the recovery traffic.
-	blocking := []seed.RFWindow{{At: 3 * time.Second, Dur: 30 * time.Second, Partition: true}}
-	blocked := run(blocking)
+	blocking := []workload.PartitionWindow{{AtSec: 3, DurSec: 30}}
+	blocked := run(nil, blocking)
 	if blocked.Recovered && blocked.Disruption <= plain.Disruption {
 		t.Fatalf("partition window did not slow recovery: %v vs %v", blocked.Disruption, plain.Disruption)
 	}
 	// A window that opens and closes before the failure must be invisible
 	// in the outcome.
-	early := run([]seed.RFWindow{{At: time.Second, Dur: time.Second, Loss: 0.9}})
+	early := run([]workload.LossWindow{{AtSec: 1, DurSec: 1, Loss: 0.9}}, nil)
 	if early.Recovered != plain.Recovered || early.Disruption != plain.Disruption {
 		t.Fatalf("pre-failure window changed the outcome: %+v vs %+v", early, plain)
 	}
 	for i := 0; i < 2; i++ {
-		if again := run(blocking); again.Recovered != blocked.Recovered || again.Disruption != blocked.Disruption {
+		if again := run(nil, blocking); again.Recovered != blocked.Recovered || again.Disruption != blocked.Disruption {
 			t.Fatalf("windowed replay not deterministic: %+v vs %+v", again, blocked)
 		}
 	}
@@ -118,22 +122,24 @@ func TestRFWindowsShapeReplay(t *testing.T) {
 // every stack: legacy recovery rides the T3502 backoff (minutes), SEED
 // diagnoses the lost context and recovers in seconds.
 func TestMobilityContrast(t *testing.T) {
-	mc := seed.MobilityCase{
-		Cells: 3, DefaultLoss: 0,
+	sp := &workload.Spec{Cells: workload.CellGraph{N: 3, DefaultContextLoss: 0}}
+	cell := workload.Cell{
+		Scenario: workload.ScenHandoverDesync,
 		Hops: []workload.Hop{
 			{To: 1, Dwell: 5 * time.Second},
 			{To: 2, Dwell: 300 * time.Millisecond},
 		},
 		LossyHop: 0,
+		Seed:     21,
 	}
-	res := map[seed.Mode]seed.ReplayResult{}
+	res := map[seed.Mode]workload.Outcome{}
 	for _, mode := range []seed.Mode{seed.ModeLegacy, seed.ModeSEEDU, seed.ModeSEEDR} {
-		r, hos, _ := seed.ReplayMobility(mc, mode, 21)
+		r := seed.RunWorkloadCell(sp, cell, mode, nil)
 		if !r.Recovered {
 			t.Fatalf("mode %v did not recover", mode)
 		}
-		if hos < 2 {
-			t.Fatalf("mode %v counted %d handovers, want ≥ 2", mode, hos)
+		if r.Handovers < 2 {
+			t.Fatalf("mode %v counted %d handovers, want ≥ 2", mode, r.Handovers)
 		}
 		res[mode] = r
 	}
@@ -175,8 +181,8 @@ func TestEdgeContextLoss(t *testing.T) {
 // TestExperimentMobilityDeterminism covers the seedbench registration:
 // same seed ⇒ same rendered table, and both scenario classes appear.
 func TestExperimentMobilityDeterminism(t *testing.T) {
-	a := seed.ExperimentMobility(4, 2).Render()
-	b := seed.ExperimentMobility(4, 2).Render()
+	a := seed.ExperimentMobility(testPool, 4, 2).Render()
+	b := seed.ExperimentMobility(testPool, 4, 2).Render()
 	if a != b {
 		t.Fatal("ExperimentMobility not deterministic")
 	}
