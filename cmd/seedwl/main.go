@@ -222,6 +222,13 @@ func runGenerate(p *runner.Pool, sp *workload.Spec, seedVal int64, runN int, sel
 	if st.Measured > 0 {
 		fmt.Printf("; measured %d (recovered %d, handovers %d, context loss %d)",
 			st.Measured, st.Recovered, st.Handovers, st.ContextLoss)
+		// Builds above the worker count mean cells constructed testbeds
+		// instead of restoring one (a -selfcheck pass counts here too).
+		for _, f := range seed.PrototypeStats() {
+			if f.Family == "cold" {
+				fmt.Printf("; cold prototypes built %d, restored %d", f.Boots, f.Restores)
+			}
+		}
 	}
 	fmt.Println()
 	if !ok {

@@ -166,6 +166,12 @@ func (a *SEEDApplet) SetDecisionTracer(t DecisionTracer, id string) {
 // SetActionOverride installs the counterfactual override hook.
 func (a *SEEDApplet) SetActionOverride(o ActionOverride) { a.override = o }
 
+// UpdateConfig applies mutate to the applet's configuration in place. The
+// applet reads its config only when it decides, never at construction, so
+// a policy applied to an already built (or restored) device is the policy
+// the device would have been built with.
+func (a *SEEDApplet) UpdateConfig(mutate func(*AppletConfig)) { mutate(&a.cfg) }
+
 // Decisions returns how many execution decisions (execute calls, rate-
 // limited or not) the applet has made — the counterfactual pin space.
 func (a *SEEDApplet) Decisions() int { return int(a.decisionSeq) }

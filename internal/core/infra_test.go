@@ -51,7 +51,7 @@ func newInfraHarness(t *testing.T) *infraHarness {
 
 	// The "UE": consume DFlag auth requests, decrypt, ACK.
 	net.GNB.AttachUE("ue", func(frame any) bool {
-		dl, okD := frame.(radio.DownlinkNAS)
+		dl, okD := frame.(*radio.NAS)
 		if !okD {
 			return true
 		}

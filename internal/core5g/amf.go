@@ -7,6 +7,7 @@ import (
 	"github.com/seed5g/seed/internal/cause"
 	"github.com/seed5g/seed/internal/crypto5g"
 	"github.com/seed5g/seed/internal/nas"
+	"github.com/seed5g/seed/internal/radio"
 	"github.com/seed5g/seed/internal/sched"
 )
 
@@ -55,9 +56,17 @@ type AMF struct {
 	gutiIndex map[string]string
 	gutiSeq   int
 
-	// encScratch backs the plain NAS encoding of protected downlinks; the
-	// security layer copies it, so the buffer is reused across sends.
+	// Signalling fast path (radio.NAS has the ownership rule): a downlink
+	// is encoded into a frame from frames, which is also where uplink
+	// frames end once decoded; codec is the one encoder/decoder state, and
+	// encScratch backs the plain encoding of protected downlinks (the
+	// security layer copies it into the frame). A decoded uplink waits out
+	// the processing latency in a pooled hop record armed with dispatchFn.
+	frames     radio.NASPool
+	codec      nas.Codec
 	encScratch []byte
+	hops       hopPool
+	dispatchFn func(any) // arg: *nasHop
 
 	// OnReject, when set (by the SEED plugin), observes every composed
 	// control-plane reject before it is sent.
@@ -74,11 +83,16 @@ type AMF struct {
 
 // NewAMF creates the AMF. Wire SMF with SetSMF before use.
 func NewAMF(k *sched.Kernel, gnb RadioAccess, udm *UDM, inj *Injector, proc time.Duration) *AMF {
-	return &AMF{
+	a := &AMF{
 		k: k, gnb: gnb, udm: udm, inj: inj, proc: proc,
 		ctxs:      make(map[string]*UEContext),
 		gutiIndex: make(map[string]string),
 	}
+	a.dispatchFn = func(v any) {
+		imsi, msg := a.hops.release(v.(*nasHop))
+		a.dispatch(imsi, msg)
+	}
+	return a
 }
 
 // SetSMF wires the session management function.
@@ -161,16 +175,16 @@ func (a *AMF) ctx(imsi string) *UEContext {
 
 func (a *AMF) send(imsi string, msg nas.Message) {
 	a.stats.MessagesOut++
-	var data []byte
+	f := a.frames.Get(imsi)
 	if c, okC := a.ctxs[imsi]; okC && c.sec != nil {
-		// Protect copies the plain encoding into the sealed envelope, so
-		// one scratch buffer backs every protected downlink.
-		a.encScratch = nas.AppendMarshal(a.encScratch[:0], msg)
-		data = c.sec.Protect(crypto5g.Downlink, a.encScratch)
+		a.encScratch = a.codec.AppendMarshal(a.encScratch[:0], msg)
+		f.Bytes = c.sec.AppendProtect(f.Bytes, crypto5g.Downlink, a.encScratch)
 	} else {
-		data = nas.Marshal(msg)
+		f.Bytes = a.codec.AppendMarshal(f.Bytes, msg)
 	}
-	a.gnb.SendNAS(imsi, data)
+	if !a.gnb.SendNAS(f) {
+		a.frames.Put(f) // refused (unknown UE, link down): never in flight
+	}
 }
 
 // unwrapNAS verifies/strips an uplink security envelope: the UE's active
@@ -193,18 +207,26 @@ func (a *AMF) unwrapNAS(imsi string, data []byte) ([]byte, bool) {
 // uses it for diagnosis deliveries).
 func (a *AMF) SendRaw(imsi string, msg nas.Message) { a.send(imsi, msg) }
 
-// HandleUplinkNAS processes an uplink NAS message from the gNB.
+// HandleUplinkNAS processes an uplink NAS message. data is only read: the
+// decoded message shares nothing with it.
 func (a *AMF) HandleUplinkNAS(imsi string, data []byte) {
 	a.stats.MessagesIn++
 	plain, okSec := a.unwrapNAS(imsi, data)
 	if !okSec {
 		return
 	}
-	msg, err := nas.Unmarshal(plain)
+	msg, err := a.codec.Unmarshal(plain)
 	if err != nil {
 		return
 	}
-	a.k.After(a.proc, func() { a.dispatch(imsi, msg) })
+	a.k.AfterArg(a.proc, a.dispatchFn, a.hops.take(imsi, msg))
+}
+
+// handleUplinkFrame is HandleUplinkNAS for a frame off the backhaul, which
+// the AMF now owns and keeps for its next downlink.
+func (a *AMF) handleUplinkFrame(f *radio.NAS) {
+	a.HandleUplinkNAS(f.UE, f.Bytes)
+	a.frames.Put(f)
 }
 
 func (a *AMF) dispatch(imsi string, msg nas.Message) {

@@ -55,8 +55,8 @@ func NewCells(k *sched.Kernel, net *Network, n int) *Cells {
 }
 
 // SendNAS implements RadioAccess: route to the UE's serving cell.
-func (c *Cells) SendNAS(imsi string, msg []byte) bool {
-	return c.ServingGNB(imsi).SendNAS(imsi, msg)
+func (c *Cells) SendNAS(f *radio.NAS) bool {
+	return c.ServingGNB(f.UE).SendNAS(f)
 }
 
 // SendData implements RadioAccess.

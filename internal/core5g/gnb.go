@@ -11,8 +11,9 @@ import (
 // UEs. A single GNB implements it directly; the Cells manager implements
 // it by routing to each UE's serving cell.
 type RadioAccess interface {
-	// SendNAS delivers a downlink NAS message to a UE.
-	SendNAS(imsi string, msg []byte) bool
+	// SendNAS delivers a downlink NAS frame to its UE. The frame is the
+	// link's once accepted; on false it is still the caller's.
+	SendNAS(f *radio.NAS) bool
 	// SendData delivers a downlink user-plane packet.
 	SendData(pkt radio.Packet) bool
 	// AddBearer installs a radio bearer for a UE session.
@@ -41,6 +42,9 @@ type GNB struct {
 	// SendData takes a frame per downlink packet.
 	frames radio.FramePool
 	toUPF  func(any) // arg: *radio.Packet
+	// A signalling frame rides the backhaul the same way, as the argument
+	// of toAMF; the AMF releases it.
+	toAMF func(any) // arg: *radio.NAS
 }
 
 type ueRadio struct {
@@ -58,6 +62,7 @@ func NewGNB(k *sched.Kernel, backhaul time.Duration) *GNB {
 		g.upf.HandleUplink(*f)
 		g.frames.Put(f)
 	}
+	g.toAMF = func(v any) { g.amf.handleUplinkFrame(v.(*radio.NAS)) }
 	return g
 }
 
@@ -87,18 +92,27 @@ func (g *GNB) HandleUplink(frame any) {
 		if ue, okU := g.ues[f.UE]; okU {
 			ue.connected = false
 		}
+	case *radio.NAS:
+		g.uplinkNAS(f)
 	case radio.UplinkNAS:
-		ue, okU := g.ues[f.UE]
-		if !okU {
-			return
-		}
-		ue.connected = true // NAS implies signalling connection
-		g.k.After(g.backhaul, func() { g.amf.HandleUplinkNAS(f.UE, f.Bytes) })
+		// The sender keeps its bytes; the frame gets a copy.
+		g.uplinkNAS(&radio.NAS{UE: f.UE, Bytes: append([]byte(nil), f.Bytes...)})
 	case *radio.Packet:
 		g.uplinkData(f)
 	case radio.Packet:
 		g.uplinkData(g.frames.Get(f))
 	}
+}
+
+// uplinkNAS relays a signalling frame this gNB now owns to the AMF over the
+// backhaul. A frame from an unknown UE is dropped (left to the collector).
+func (g *GNB) uplinkNAS(f *radio.NAS) {
+	ue, okU := g.ues[f.UE]
+	if !okU {
+		return
+	}
+	ue.connected = true // NAS implies signalling connection
+	g.k.AfterArg(g.backhaul, g.toAMF, f)
 }
 
 // uplinkData forwards a user-plane frame this gNB now owns to the UPF
@@ -112,13 +126,10 @@ func (g *GNB) uplinkData(f *radio.Packet) {
 	g.k.AfterArg(g.backhaul, g.toUPF, f)
 }
 
-// SendNAS delivers a downlink NAS message to a UE.
-func (g *GNB) SendNAS(imsi string, msg []byte) bool {
-	ue, okU := g.ues[imsi]
-	if !okU {
-		return false
-	}
-	return ue.tx(radio.DownlinkNAS{UE: imsi, Bytes: msg})
+// SendNAS delivers a downlink NAS frame to its UE.
+func (g *GNB) SendNAS(f *radio.NAS) bool {
+	ue, okU := g.ues[f.UE]
+	return okU && ue.tx(f)
 }
 
 // SendData delivers a downlink user-plane packet to a UE. Packets for

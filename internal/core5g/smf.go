@@ -7,6 +7,7 @@ import (
 
 	"github.com/seed5g/seed/internal/cause"
 	"github.com/seed5g/seed/internal/nas"
+	"github.com/seed5g/seed/internal/radio"
 	"github.com/seed5g/seed/internal/sched"
 )
 
@@ -54,6 +55,11 @@ type SMF struct {
 	// ride the same security context as 5GMM ones).
 	sender func(imsi string, msg nas.Message)
 
+	// A forwarded message waits out the processing latency in a pooled hop
+	// record armed with dispatchFn.
+	hops       hopPool
+	dispatchFn func(any) // arg: *nasHop
+
 	// OnReject observes every composed data-plane reject (SEED plugin hook).
 	OnReject func(imsi string, code cause.Code)
 	// OnDiagReport consumes a SEED uplink report fragment carried in a
@@ -70,10 +76,15 @@ type SMF struct {
 
 // NewSMF creates the SMF.
 func NewSMF(k *sched.Kernel, gnb RadioAccess, udm *UDM, upf *UPF, inj *Injector, proc time.Duration) *SMF {
-	return &SMF{
+	s := &SMF{
 		k: k, gnb: gnb, udm: udm, upf: upf, inj: inj, proc: proc,
 		sessions: make(map[string]map[uint8]*SessionCtx),
 	}
+	s.dispatchFn = func(v any) {
+		imsi, msg := s.hops.release(v.(*nasHop))
+		s.dispatch(imsi, msg)
+	}
+	return s
 }
 
 // Stats returns a copy of the counters.
@@ -96,13 +107,13 @@ func (s *SMF) send(imsi string, msg nas.Message) {
 		s.sender(imsi, msg)
 		return
 	}
-	s.gnb.SendNAS(imsi, nas.Marshal(msg))
+	s.gnb.SendNAS(&radio.NAS{UE: imsi, Bytes: nas.Marshal(msg)})
 }
 
 // HandleUplink processes a 5GSM message forwarded by the AMF.
 func (s *SMF) HandleUplink(imsi string, msg nas.Message) {
 	s.stats.MessagesIn++
-	s.k.After(s.proc, func() { s.dispatch(imsi, msg) })
+	s.k.AfterArg(s.proc, s.dispatchFn, s.hops.take(imsi, msg))
 }
 
 func (s *SMF) dispatch(imsi string, msg nas.Message) {

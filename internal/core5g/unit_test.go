@@ -133,7 +133,7 @@ func TestGNBBearerLifecycle(t *testing.T) {
 	n.GNB.HandleUplink(radio.UplinkNAS{UE: "ghost", Bytes: []byte{1}})
 	n.GNB.RemoveBearer("ghost", 1)
 	n.GNB.DetachUE("ue1")
-	if n.GNB.SendNAS("ue1", []byte{1}) {
+	if n.GNB.SendNAS(&radio.NAS{UE: "ue1", Bytes: []byte{1}}) {
 		t.Fatal("NAS delivered to detached UE")
 	}
 }

@@ -30,10 +30,11 @@ type authNet struct {
 	authRounds int
 	smcSeen    int
 	rejectAll  bool
+	smcWire    []byte // the last Security Mode Command as sent (protected)
 }
 
 func (f *authNet) tx(frame any) bool {
-	up, okU := frame.(radio.UplinkNAS)
+	up, okU := frame.(*radio.NAS)
 	if !okU {
 		return true
 	}
@@ -64,6 +65,9 @@ func (f *authNet) down(msg nas.Message) {
 	data := nas.Marshal(msg)
 	if f.sec != nil {
 		data = f.sec.Protect(crypto5g.Downlink, data)
+	}
+	if _, okS := msg.(*nas.SecurityModeCommand); okS {
+		f.smcWire = data
 	}
 	f.k.After(time.Millisecond, func() {
 		f.m.HandleDownlink(radio.DownlinkNAS{Bytes: data})
@@ -216,6 +220,65 @@ func TestProtectedRejectStillReadAfterRekey(t *testing.T) {
 	k.RunFor(time.Minute) // T3511 retry, fresh AKA, re-protected
 	if m.State() != StateRegistered {
 		t.Fatalf("state = %v after heal", m.State())
+	}
+}
+
+// A downlink the active context rejects may be tried against a fresh
+// context only while a re-key is pending. Once the AKA's key is adopted, a
+// fresh context from that same key starts over at COUNT 0 — it would verify
+// a replay of the Security Mode Command (COUNT 1), and adopting it would
+// reset both NAS COUNTs, so the modem's next uplink would fail integrity at
+// the network ("uplink failed integrity ... (count 257)" in authNet.tx).
+// The replay now gets no better treatment than any downlink the modem
+// cannot verify: it is read under the initial-message allowance and
+// answered under the intact context.
+func TestReplayedSecurityModeCommandKeepsContext(t *testing.T) {
+	k, m, f, _ := newAuthHarness(t)
+	m.PowerOn()
+	k.RunFor(10 * time.Second)
+	if m.State() != StateRegistered || f.smcWire == nil {
+		t.Fatalf("setup failed: state %v, SMC captured %v", m.State(), f.smcWire != nil)
+	}
+	if m.rekeyPending {
+		t.Fatal("re-key still pending after the fresh context was adopted")
+	}
+	sec := m.sec
+	protected, verified := sec.Stats()
+	_, netVerified := f.sec.Stats()
+
+	m.HandleDownlink(radio.DownlinkNAS{Bytes: f.smcWire})
+	k.RunFor(time.Second)
+
+	if m.sec != sec {
+		t.Fatal("replayed Security Mode Command replaced the security context")
+	}
+	// The replay itself verified under nothing; the context moved on only
+	// by what the modem sent (Security Mode Complete, Registration
+	// Complete) and by the network's answer to it (Registration Accept).
+	if p, v := sec.Stats(); p != protected+2 || v != verified+1 {
+		t.Fatalf("context after the replay: protected %d -> %d (want +2), verified %d -> %d (want +1)", protected, p, verified, v)
+	}
+	// Every uplink since still verifies at the network (authNet.tx fails
+	// the test on an integrity error), and so does the next procedure.
+	if id := m.EstablishSession("ims", nas.SessionIPv4); id == 0 {
+		t.Fatal("EstablishSession refused")
+	}
+	k.RunFor(time.Second)
+	if _, v := f.sec.Stats(); v != netVerified+3 {
+		t.Fatalf("network verified %d uplinks since the replay, want 3", v-netVerified)
+	}
+	if s, okS := m.Session(2); !okS || !s.Active {
+		t.Fatal("session after the replay not established: its accept was not read")
+	}
+
+	// Nothing stays pending across a failed AKA or a power cycle.
+	m.runAuth(&nas.AuthenticationRequest{}) // MAC failure: no key
+	if m.rekeyPending {
+		t.Fatal("failed AKA left a re-key pending")
+	}
+	m.PowerOff()
+	if m.sec != nil || m.rekeyPending {
+		t.Fatal("PowerOff kept security state")
 	}
 }
 

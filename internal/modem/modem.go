@@ -155,11 +155,14 @@ type Modem struct {
 	regTimer    sched.Timer // T3510/T3511/T3502 (one at a time)
 
 	// NAS security: sec is the active context; lastIK holds the key from
-	// the most recent AKA run so a fresh context can be adopted at the
-	// Security Mode boundary.
-	sec    *nas.SecurityContext
-	lastIK [16]byte
-	hasIK  bool
+	// the most recent AKA run, and rekeyPending marks that no context has
+	// been keyed with it yet: only then may a downlink the active context
+	// rejects be tried against a fresh one (the Security Mode boundary).
+	// Once adopted, a second fresh context from the same key would start
+	// over at COUNT 0 and verify a replay of that AKA's own downlinks.
+	sec          *nas.SecurityContext
+	lastIK       [16]byte
+	rekeyPending bool
 
 	// RRC connection state: idle mode suspends the user plane after
 	// inactivity; a Service Request resumes it on the next packet.
@@ -169,7 +172,11 @@ type Modem struct {
 	pendingPkts  []radio.Packet
 	// frames recycles user-plane frames: SendPacket takes one per uplink
 	// packet, HandleDownlink returns the one each downlink packet came in.
-	frames radio.FramePool
+	// nasFrames does the same for signalling, and codec is the encoder and
+	// decoder state every NAS message of this modem goes through.
+	frames    radio.FramePool
+	nasFrames radio.NASPool
+	codec     nas.Codec
 
 	// Reusable callback slots for the hottest timer arm/stop cycles
 	// (registration retries, inactivity, session guards): built once in
@@ -185,7 +192,7 @@ type Modem struct {
 	authArg   func(any) // arg: *nas.AuthenticationRequest
 
 	// encScratch backs the plain NAS encoding of protected uplinks; the
-	// security layer copies it into the sealed envelope, so the buffer is
+	// security layer copies it into the frame's envelope, so the buffer is
 	// safe to reuse on the next send.
 	encScratch []byte
 
@@ -369,7 +376,7 @@ func (m *Modem) PowerOff() {
 	}
 	m.guti = "" // volatile context cleared by power cycle
 	m.sec = nil
-	m.hasIK = false
+	m.rekeyPending = false
 	m.rrcConnected = false
 	m.resuming = false
 	m.pendingPkts = nil
@@ -507,23 +514,22 @@ func (m *Modem) sendNAS(msg nas.Message) {
 	if m.hook.OnNAS != nil {
 		m.hook.OnNAS(true, msg)
 	}
-	var data []byte
+	f := m.nasFrames.Get(m.imsi)
 	if m.sec != nil {
-		// Protect copies the plain encoding into the sealed envelope, so
-		// the scratch buffer can back every protected uplink.
-		m.encScratch = nas.AppendMarshal(m.encScratch[:0], msg)
-		data = m.sec.Protect(crypto5g.Uplink, m.encScratch)
+		m.encScratch = m.codec.AppendMarshal(m.encScratch[:0], msg)
+		f.Bytes = m.sec.AppendProtect(f.Bytes, crypto5g.Uplink, m.encScratch)
 	} else {
-		// Unprotected frames travel (and may sit queued in the link) as-is:
-		// they need their own allocation.
-		data = nas.Marshal(msg)
+		f.Bytes = m.codec.AppendMarshal(f.Bytes, msg)
 	}
-	m.tx(radio.UplinkNAS{UE: m.imsi, Bytes: data})
+	if !m.tx(f) {
+		m.nasFrames.Put(f) // refused by the link: never in flight
+	}
 }
 
 // unwrapNAS strips/verifies a downlink security envelope: the active
-// context first, then a fresh context keyed by the latest AKA (the
-// Security Mode re-keying boundary), else the initial-message allowance.
+// context first, then — only while the latest AKA's key has not been
+// adopted yet — a fresh context keyed by it (the Security Mode re-keying
+// boundary), else the initial-message allowance.
 func (m *Modem) unwrapNAS(data []byte) ([]byte, bool) {
 	if !nas.IsProtected(data) {
 		return data, true
@@ -533,10 +539,11 @@ func (m *Modem) unwrapNAS(data []byte) ([]byte, bool) {
 			return plain, true
 		}
 	}
-	if m.hasIK {
+	if m.rekeyPending {
 		fresh := nas.NewSecurityContext(m.lastIK)
 		if plain, err := fresh.Unprotect(crypto5g.Downlink, data); err == nil {
 			m.sec = fresh
+			m.rekeyPending = false
 			return plain, true
 		}
 	}
@@ -550,20 +557,14 @@ func (m *Modem) HandleDownlink(frame any) {
 		return
 	}
 	switch f := frame.(type) {
+	case *radio.NAS:
+		// The decoded message shares nothing with the frame, which goes
+		// back to the pool first so the answer can ride it.
+		msg := m.decodeDownlink(f.Bytes)
+		m.nasFrames.Put(f)
+		m.deliverNAS(msg)
 	case radio.DownlinkNAS:
-		m.stats.NASReceived++
-		data, okSec := m.unwrapNAS(f.Bytes)
-		if !okSec {
-			return // failed integrity check: dropped
-		}
-		msg, err := nas.Unmarshal(data)
-		if err != nil {
-			return // undecodable frames are dropped, as a real modem would
-		}
-		if m.hook.OnNAS != nil {
-			m.hook.OnNAS(false, msg)
-		}
-		m.handleNAS(msg)
+		m.deliverNAS(m.decodeDownlink(f.Bytes))
 	case *radio.Packet:
 		m.downlinkData(*f)
 		m.frames.Put(f)
@@ -573,6 +574,32 @@ func (m *Modem) HandleDownlink(frame any) {
 		// Network released the radio connection.
 		m.rrcConnected = false
 	}
+}
+
+// decodeDownlink verifies and decodes one downlink NAS PDU; nil means it
+// was dropped (failed integrity check, or undecodable, as a real modem
+// would).
+func (m *Modem) decodeDownlink(data []byte) nas.Message {
+	m.stats.NASReceived++
+	data, okSec := m.unwrapNAS(data)
+	if !okSec {
+		return nil
+	}
+	msg, err := m.codec.Unmarshal(data)
+	if err != nil {
+		return nil
+	}
+	return msg
+}
+
+func (m *Modem) deliverNAS(msg nas.Message) {
+	if msg == nil {
+		return
+	}
+	if m.hook.OnNAS != nil {
+		m.hook.OnNAS(false, msg)
+	}
+	m.handleNAS(msg)
 }
 
 func (m *Modem) downlinkData(pkt radio.Packet) {
@@ -645,7 +672,7 @@ func (m *Modem) runAuth(req *nas.AuthenticationRequest) {
 	switch res.Kind {
 	case sim.AuthOK:
 		m.lastIK = res.IK
-		m.hasIK = true
+		m.rekeyPending = true
 		m.sendNAS(&nas.AuthenticationResponse{RES: res.RES[:]})
 	case sim.AuthSyncFailure:
 		m.sendNAS(&nas.AuthenticationFailure{

@@ -35,7 +35,7 @@ type fakeNet struct {
 
 func (f *fakeNet) tx(frame any) bool {
 	switch fr := frame.(type) {
-	case radio.UplinkNAS:
+	case *radio.NAS:
 		msg, err := nas.Unmarshal(fr.Bytes)
 		if err != nil {
 			f.t.Fatalf("network got undecodable NAS: %v", err)

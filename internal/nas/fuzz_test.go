@@ -14,6 +14,12 @@ import (
 // required — unknown optional tags are skipped and zero-valued optionals
 // are omitted on re-encode, so the first marshal canonicalizes.)
 //
+// It also pins the rule pooled NAS frames rest on: a decoded message shares
+// no memory with its input (decoders copy what they keep), so overwriting
+// the input after Unmarshal must not change what the message re-marshals
+// to; and a reused Codec decodes and encodes exactly as the package-level
+// functions do.
+//
 // Additional seed inputs recorded from live testbed NAS flows live in
 // testdata/fuzz/FuzzUnmarshal, emitted by `seedfuzz -emit-corpus`.
 func FuzzUnmarshal(f *testing.F) {
@@ -74,12 +80,27 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte{EPD5GSM, 0x01, 0x01, byte(MTPDUSessionEstablishmentAccept), 0x01})
 	f.Add([]byte{EPD5GMM})
 
+	var codec Codec
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := Unmarshal(data)
+		in := append([]byte(nil), data...) // the fuzzer's bytes are read-only
+		msg, err := Unmarshal(in)
+		cmsg, cerr := codec.Unmarshal(in)
+		if (err == nil) != (cerr == nil) {
+			t.Fatalf("Codec.Unmarshal err %v, Unmarshal err %v\n input % x", cerr, err, data)
+		}
 		if err != nil {
 			return
 		}
 		c1 := Marshal(msg)
+		for i := range in {
+			in[i] ^= 0xFF
+		}
+		if again := Marshal(msg); !bytes.Equal(again, c1) {
+			t.Fatalf("decoded message aliases its input:\n input % x\n before % x\n after  % x", data, c1, again)
+		}
+		if cc := codec.AppendMarshal(nil, cmsg); !bytes.Equal(cc, c1) {
+			t.Fatalf("Codec round trip differs:\n input % x\n codec % x\n plain % x", data, cc, c1)
+		}
 		msg2, err := Unmarshal(c1)
 		if err != nil {
 			t.Fatalf("canonical form rejected: %v\n input % x\n canon % x", err, data, c1)

@@ -42,7 +42,7 @@ type MobileIdentity struct {
 
 func (m MobileIdentity) encode(w *writer) {
 	w.byte(byte(m.Type))
-	w.lv([]byte(m.Value))
+	w.lvString(m.Value)
 }
 
 func decodeMobileIdentity(r *reader) MobileIdentity {

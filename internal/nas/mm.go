@@ -82,16 +82,16 @@ func (m *RegistrationRequest) encodeBody(w *writer) {
 	w.byte(m.RegistrationType)
 	m.Identity.encode(w)
 	if len(m.RequestedNSSAI) > 0 {
-		sub := &writer{}
+		mark := w.tlvOpen(tagRequestedNSSAI)
 		for _, s := range m.RequestedNSSAI {
-			s.encode(sub)
+			s.encode(w)
 		}
-		w.tlv(tagRequestedNSSAI, sub.bytes())
+		w.tlvClose(mark)
 	}
 	if m.LastTAI != nil {
-		sub := &writer{}
-		m.LastTAI.encode(sub)
-		w.tlv(tagLastVisitedTAI, sub.bytes())
+		mark := w.tlvOpen(tagLastVisitedTAI)
+		m.LastTAI.encode(w)
+		w.tlvClose(mark)
 	}
 	if len(m.Capability) > 0 {
 		w.tlv(tagMMCapability, m.Capability)
@@ -133,23 +133,23 @@ func (m *RegistrationAccept) MessageType() MsgType { return MTRegistrationAccept
 func (m *RegistrationAccept) encodeBody(w *writer) {
 	m.GUTI.encode(w)
 	if len(m.TAIList) > 0 {
-		sub := &writer{}
+		mark := w.tlvOpen(tagTAIList)
 		for _, t := range m.TAIList {
-			t.encode(sub)
+			t.encode(w)
 		}
-		w.tlv(tagTAIList, sub.bytes())
+		w.tlvClose(mark)
 	}
 	if len(m.AllowedNSSAI) > 0 {
-		sub := &writer{}
+		mark := w.tlvOpen(tagAllowedNSSAI)
 		for _, s := range m.AllowedNSSAI {
-			s.encode(sub)
+			s.encode(w)
 		}
-		w.tlv(tagAllowedNSSAI, sub.bytes())
+		w.tlvClose(mark)
 	}
 	if m.T3512Seconds != 0 {
-		sub := &writer{}
-		sub.uint32(m.T3512Seconds)
-		w.tlv(tagT3512, sub.bytes())
+		mark := w.tlvOpen(tagT3512)
+		w.uint32(m.T3512Seconds)
+		w.tlvClose(mark)
 	}
 }
 
@@ -192,9 +192,9 @@ func (m *RegistrationReject) MessageType() MsgType { return MTRegistrationReject
 func (m *RegistrationReject) encodeBody(w *writer) {
 	w.byte(byte(m.Cause))
 	if m.T3502Seconds != 0 {
-		sub := &writer{}
-		sub.uint32(m.T3502Seconds)
-		w.tlv(tagT3502, sub.bytes())
+		mark := w.tlvOpen(tagT3502)
+		w.uint32(m.T3502Seconds)
+		w.tlvClose(mark)
 	}
 }
 
@@ -255,9 +255,9 @@ func (m *ServiceReject) MessageType() MsgType { return MTServiceReject }
 func (m *ServiceReject) encodeBody(w *writer) {
 	w.byte(byte(m.Cause))
 	if m.T3346Seconds != 0 {
-		sub := &writer{}
-		sub.uint32(m.T3346Seconds)
-		w.tlv(tagT3346, sub.bytes())
+		mark := w.tlvOpen(tagT3346)
+		w.uint32(m.T3346Seconds)
+		w.tlvClose(mark)
 	}
 }
 
@@ -283,23 +283,23 @@ func (m *ConfigurationUpdateCommand) MessageType() MsgType { return MTConfigurat
 
 func (m *ConfigurationUpdateCommand) encodeBody(w *writer) {
 	if len(m.TAIList) > 0 {
-		sub := &writer{}
+		mark := w.tlvOpen(tagTAIList)
 		for _, t := range m.TAIList {
-			t.encode(sub)
+			t.encode(w)
 		}
-		w.tlv(tagTAIList, sub.bytes())
+		w.tlvClose(mark)
 	}
 	if len(m.AllowedNSSAI) > 0 {
-		sub := &writer{}
+		mark := w.tlvOpen(tagAllowedNSSAI)
 		for _, s := range m.AllowedNSSAI {
-			s.encode(sub)
+			s.encode(w)
 		}
-		w.tlv(tagAllowedNSSAI, sub.bytes())
+		w.tlvClose(mark)
 	}
 	if m.GUTI != nil {
-		sub := &writer{}
-		m.GUTI.encode(sub)
-		w.tlv(tagGUTI, sub.bytes())
+		mark := w.tlvOpen(tagGUTI)
+		m.GUTI.encode(w)
+		w.tlvClose(mark)
 	}
 }
 

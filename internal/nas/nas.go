@@ -147,10 +147,14 @@ func Marshal(msg Message) []byte {
 }
 
 // AppendMarshal serializes msg to its wire representation appended to dst,
-// returning the extended slice. Hot paths reuse a scratch buffer as dst to
-// keep per-PDU encoding allocation-free.
+// returning the extended slice.
 func AppendMarshal(dst []byte, msg Message) []byte {
 	w := writer{buf: dst}
+	marshal(&w, msg)
+	return w.bytes()
+}
+
+func marshal(w *writer, msg Message) {
 	w.byte(msg.EPD())
 	if sm, ok := msg.(SessionMessage); ok {
 		id, pti := sm.sessionHeader()
@@ -160,52 +164,78 @@ func AppendMarshal(dst []byte, msg Message) []byte {
 		w.byte(0) // security header type: plain
 	}
 	w.byte(byte(msg.MessageType()))
-	msg.encodeBody(&w)
-	return w.bytes()
+	msg.encodeBody(w)
 }
 
-// Unmarshal decodes wire bytes into the corresponding message struct.
+// Unmarshal decodes wire bytes into the corresponding message struct. The
+// message shares no memory with data: every decoder copies what it keeps,
+// so the caller may reuse data's buffer as soon as Unmarshal returns.
 func Unmarshal(data []byte) (Message, error) {
+	return unmarshal(new(reader), data)
+}
+
+// Codec is one endpoint's encoder and decoder state. The package-level
+// AppendMarshal and Unmarshal each cost a heap object per call, because
+// the writer and reader they hand to the message's encodeBody/decodeBody
+// escape through the interface call; an endpoint that signals all the time
+// (modem, AMF) keeps a Codec and pays for them once. The zero value is
+// ready; a Codec is not safe for concurrent use.
+type Codec struct {
+	w      writer
+	r, sub reader
+}
+
+// AppendMarshal is the package-level AppendMarshal on c's writer.
+func (c *Codec) AppendMarshal(dst []byte, msg Message) []byte {
+	c.w.buf = dst
+	marshal(&c.w, msg)
+	dst, c.w.buf = c.w.buf, nil
+	return dst
+}
+
+// Unmarshal is the package-level Unmarshal on c's readers.
+func (c *Codec) Unmarshal(data []byte) (Message, error) {
+	c.r.sub = &c.sub
+	msg, err := unmarshal(&c.r, data)
+	c.r.buf, c.sub.buf = nil, nil
+	return msg, err
+}
+
+func unmarshal(r *reader, data []byte) (Message, error) {
 	if len(data) < 3 {
 		return nil, fmt.Errorf("%w: %d bytes", ErrTruncated, len(data))
 	}
 	epd := data[0]
+	var msg Message
+	var mt MsgType
 	switch epd {
 	case EPD5GMM:
-		mt := MsgType(data[2])
-		msg := newMMMessage(mt)
-		if msg == nil {
+		mt = MsgType(data[2])
+		if msg = newMMMessage(mt); msg == nil {
 			return nil, fmt.Errorf("%w: 5GMM %#x", ErrUnknownMessage, byte(mt))
 		}
-		r := &reader{buf: data[3:]}
-		msg.decodeBody(r)
-		if r.err == nil && r.remaining() != 0 {
-			r.err = fmt.Errorf("%w: %d trailing bytes after body", ErrMalformedIE, r.remaining())
-		}
-		if r.err != nil {
-			return nil, fmt.Errorf("nas: decoding %s: %w", Name(epd, mt), r.err)
-		}
-		return msg, nil
+		*r = reader{buf: data[3:], sub: r.sub}
 	case EPD5GSM:
 		if len(data) < 4 {
 			return nil, fmt.Errorf("%w: 5GSM header needs 4 bytes, got %d", ErrTruncated, len(data))
 		}
-		mt := MsgType(data[3])
-		msg := newSMMessage(mt)
-		if msg == nil {
+		mt = MsgType(data[3])
+		sm := newSMMessage(mt)
+		if sm == nil {
 			return nil, fmt.Errorf("%w: 5GSM %#x", ErrUnknownMessage, byte(mt))
 		}
-		msg.setSessionHeader(data[1], data[2])
-		r := &reader{buf: data[4:]}
-		msg.decodeBody(r)
-		if r.err == nil && r.remaining() != 0 {
-			r.err = fmt.Errorf("%w: %d trailing bytes after body", ErrMalformedIE, r.remaining())
-		}
-		if r.err != nil {
-			return nil, fmt.Errorf("nas: decoding %s: %w", Name(epd, mt), r.err)
-		}
-		return msg, nil
+		sm.setSessionHeader(data[1], data[2])
+		msg = sm
+		*r = reader{buf: data[4:], sub: r.sub}
 	default:
 		return nil, fmt.Errorf("%w: EPD %#x", ErrUnknownMessage, epd)
 	}
+	msg.decodeBody(r)
+	if r.err == nil && r.remaining() != 0 {
+		r.err = fmt.Errorf("%w: %d trailing bytes after body", ErrMalformedIE, r.remaining())
+	}
+	if r.err != nil {
+		return nil, fmt.Errorf("nas: decoding %s: %w", Name(epd, mt), r.err)
+	}
+	return msg, nil
 }

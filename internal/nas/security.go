@@ -50,20 +50,25 @@ func (c *SecurityContext) Stats() (out, in int) { return c.protectedOut, c.verif
 // envelope for the given direction. It copies plain into the returned
 // envelope (one allocation), so callers may reuse plain's backing buffer.
 func (c *SecurityContext) Protect(dir crypto5g.Direction, plain []byte) []byte {
+	return c.AppendProtect(make([]byte, 0, secEnvelopeLen+len(plain)), dir, plain)
+}
+
+// AppendProtect is Protect appending the envelope to dst (a pooled frame's
+// buffer) instead of allocating it. plain must not alias dst's spare
+// capacity.
+func (c *SecurityContext) AppendProtect(dst []byte, dir crypto5g.Direction, plain []byte) []byte {
 	count := &c.ulCount
 	if dir == crypto5g.Downlink {
 		count = &c.dlCount
 	}
 	*count++
-	out := make([]byte, secEnvelopeLen+len(plain))
-	out[0], out[1] = EPD5GMM, SecHdrIntegrity
-	body := out[6:]
-	body[0] = byte(*count) // SEQ
-	copy(body[1:], plain)
-	mac := c.eia2.MAC(*count, 1, dir, body)
-	copy(out[2:6], mac[:])
+	start := len(dst)
+	dst = append(dst, EPD5GMM, SecHdrIntegrity, 0, 0, 0, 0, byte(*count)) // MAC-I filled below; SEQ
+	dst = append(dst, plain...)
+	mac := c.eia2.MAC(*count, 1, dir, dst[start+6:])
+	copy(dst[start+2:start+6], mac[:])
 	c.protectedOut++
-	return out
+	return dst
 }
 
 // IsProtected reports whether data carries a security envelope.

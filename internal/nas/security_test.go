@@ -161,3 +161,25 @@ func TestPropertySecurityRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// AppendProtect writes the same envelope Protect returns, after whatever
+// dst already holds and into dst's own buffer when it is large enough (a
+// pooled frame's), so a protected message costs no allocation per send.
+func TestAppendProtectMatchesProtect(t *testing.T) {
+	a, b := secPair()
+	msg := Marshal(&RegistrationReject{Cause: cause.MMPLMNNotAllowed})
+	buf := make([]byte, 0, 128)
+	for i := 0; i < 3; i++ {
+		want := a.Protect(crypto5g.Downlink, msg)
+		got := b.AppendProtect(append(buf[:0], 0xAA, 0xBB), crypto5g.Downlink, msg)
+		if !bytes.Equal(got[:2], []byte{0xAA, 0xBB}) || !bytes.Equal(got[2:], want) {
+			t.Fatalf("round %d: AppendProtect % x, Protect % x", i, got, want)
+		}
+		if &got[0] != &buf[:1][0] {
+			t.Fatal("AppendProtect left a buffer with room for the envelope")
+		}
+	}
+	if n := testing.AllocsPerRun(50, func() { buf = b.AppendProtect(buf[:0], crypto5g.Downlink, msg) }); n != 0 {
+		t.Errorf("AppendProtect into a sized buffer allocates %.0f objects", n)
+	}
+}

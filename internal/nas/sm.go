@@ -74,11 +74,11 @@ func (m *PDUSessionEstablishmentRequest) MessageType() MsgType {
 
 func (m *PDUSessionEstablishmentRequest) encodeBody(w *writer) {
 	w.byte(byte(m.SessionType))
-	w.lv([]byte(m.DNN))
+	w.lvString(m.DNN)
 	if m.SNSSAI != nil {
-		sub := &writer{}
-		m.SNSSAI.encode(sub)
-		w.tlv(tagSNSSAI, sub.bytes())
+		mark := w.tlvOpen(tagSNSSAI)
+		m.SNSSAI.encode(w)
+		w.tlvClose(mark)
 	}
 }
 
@@ -114,19 +114,19 @@ func (m *PDUSessionEstablishmentAccept) encodeBody(w *writer) {
 	w.byte(byte(m.SessionType))
 	w.raw(m.Address[:])
 	if len(m.DNSServers) > 0 {
-		sub := &writer{}
+		mark := w.tlvOpen(tagDNSServers)
 		for _, d := range m.DNSServers {
-			sub.raw(d[:])
+			w.raw(d[:])
 		}
-		w.tlv(tagDNSServers, sub.bytes())
+		w.tlvClose(mark)
 	}
-	subQ := &writer{}
-	m.QoS.encode(subQ)
-	w.tlv(tagQoS, subQ.bytes())
+	mark := w.tlvOpen(tagQoS)
+	m.QoS.encode(w)
+	w.tlvClose(mark)
 	if len(m.TFT.Filters) > 0 {
-		sub := &writer{}
-		m.TFT.encode(sub)
-		w.tlv(tagTFT, sub.bytes())
+		mark := w.tlvOpen(tagTFT)
+		m.TFT.encode(w)
+		w.tlvClose(mark)
 	}
 	if m.DNN != "" {
 		w.tlvString(tagSessionDNN, m.DNN)
@@ -171,9 +171,9 @@ func (m *PDUSessionEstablishmentReject) MessageType() MsgType { return MTPDUSess
 func (m *PDUSessionEstablishmentReject) encodeBody(w *writer) {
 	w.byte(byte(m.Cause))
 	if m.BackoffSeconds != 0 {
-		sub := &writer{}
-		sub.uint32(m.BackoffSeconds)
-		w.tlv(tagBackoff, sub.bytes())
+		mark := w.tlvOpen(tagBackoff)
+		w.uint32(m.BackoffSeconds)
+		w.tlvClose(mark)
 	}
 	if m.SuggestedDNN != "" {
 		w.tlvString(tagSuggestedDNN, m.SuggestedDNN)
@@ -205,14 +205,14 @@ func (m *PDUSessionModificationRequest) MessageType() MsgType { return MTPDUSess
 
 func (m *PDUSessionModificationRequest) encodeBody(w *writer) {
 	if m.TFT != nil {
-		sub := &writer{}
-		m.TFT.encode(sub)
-		w.tlv(tagTFT, sub.bytes())
+		mark := w.tlvOpen(tagTFT)
+		m.TFT.encode(w)
+		w.tlvClose(mark)
 	}
 	if m.QoS != nil {
-		sub := &writer{}
-		m.QoS.encode(sub)
-		w.tlv(tagQoS, sub.bytes())
+		mark := w.tlvOpen(tagQoS)
+		m.QoS.encode(w)
+		w.tlvClose(mark)
 	}
 }
 
@@ -248,21 +248,21 @@ func (m *PDUSessionModificationCommand) MessageType() MsgType { return MTPDUSess
 
 func (m *PDUSessionModificationCommand) encodeBody(w *writer) {
 	if m.TFT != nil {
-		sub := &writer{}
-		m.TFT.encode(sub)
-		w.tlv(tagTFT, sub.bytes())
+		mark := w.tlvOpen(tagTFT)
+		m.TFT.encode(w)
+		w.tlvClose(mark)
 	}
 	if m.QoS != nil {
-		sub := &writer{}
-		m.QoS.encode(sub)
-		w.tlv(tagQoS, sub.bytes())
+		mark := w.tlvOpen(tagQoS)
+		m.QoS.encode(w)
+		w.tlvClose(mark)
 	}
 	if len(m.DNSServers) > 0 {
-		sub := &writer{}
+		mark := w.tlvOpen(tagDNSServers)
 		for _, d := range m.DNSServers {
-			sub.raw(d[:])
+			w.raw(d[:])
 		}
-		w.tlv(tagDNSServers, sub.bytes())
+		w.tlvClose(mark)
 	}
 }
 

@@ -32,8 +32,37 @@ func (w *writer) tlv(tag byte, v []byte) {
 	w.lv(v)
 }
 
+// lvString writes a length-prefixed string without converting it to bytes
+// first.
+func (w *writer) lvString(s string) {
+	if len(s) > 255 {
+		panic(fmt.Sprintf("nas: LV value too long: %d", len(s)))
+	}
+	w.byte(byte(len(s)))
+	w.buf = append(w.buf, s...)
+}
+
 // tlvString writes a TLV whose value is a string.
-func (w *writer) tlvString(tag byte, s string) { w.tlv(tag, []byte(s)) }
+func (w *writer) tlvString(tag byte, s string) {
+	w.byte(tag)
+	w.lvString(s)
+}
+
+// tlvOpen starts a TLV whose value the caller encodes straight into w; the
+// returned mark goes to tlvClose, which fills in the length. Writing the
+// value in place costs neither a sub-writer nor a copy.
+func (w *writer) tlvOpen(tag byte) (mark int) {
+	w.buf = append(w.buf, tag, 0)
+	return len(w.buf)
+}
+
+func (w *writer) tlvClose(mark int) {
+	n := len(w.buf) - mark
+	if n > 255 {
+		panic(fmt.Sprintf("nas: LV value too long: %d", n))
+	}
+	w.buf[mark-1] = byte(n)
+}
 
 // reader consumes wire bytes with sticky error semantics: after the first
 // failure every subsequent read is a no-op returning zero values, and the
@@ -42,6 +71,10 @@ type reader struct {
 	buf []byte
 	off int
 	err error
+	// sub, when set (a Codec's reader), is the reader ie runs its callback
+	// on, so decoding an optional IE allocates none. One is enough: IE
+	// callbacks read values and never open an IE of their own.
+	sub *reader
 }
 
 func (r *reader) fail(format string, args ...any) {
@@ -123,7 +156,11 @@ func (r *reader) ie(tag byte, val []byte, fn func(rr *reader)) {
 	if r.err != nil {
 		return
 	}
-	rr := &reader{buf: val}
+	rr := r.sub
+	if rr == nil {
+		rr = new(reader)
+	}
+	*rr = reader{buf: val}
 	fn(rr)
 	switch {
 	case rr.err != nil:

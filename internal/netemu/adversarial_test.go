@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/seed5g/seed/internal/radio"
 	"github.com/seed5g/seed/internal/sched"
 )
 
@@ -166,5 +167,97 @@ func TestLinkDupClonesOwnedMessages(t *testing.T) {
 	k.Run()
 	if len(got) != 2 || got[0] == got[1] {
 		t.Fatalf("want two deliveries of distinct objects, got %v", got)
+	}
+}
+
+// TestLinkCarriesPooledNASFrames sends pooled signalling frames through a
+// link that duplicates, reorders and corrupts, with one pool circulating
+// between sender and receiver the way frames circulate between a modem and
+// the AMF. No frame may reach a receiver while it sits in the pool (that
+// would be a frame released twice, or a duplicate sharing its original),
+// every delivery must still carry the content it was sent with, and the
+// corrupter must be handed the pooled pointer type.
+func TestLinkCarriesPooledNASFrames(t *testing.T) {
+	k := sched.New(11)
+	var pool radio.NASPool
+	inPool := map[*radio.NAS]bool{}
+	put := func(f *radio.NAS) {
+		if inPool[f] {
+			t.Fatalf("frame %p released twice", f)
+		}
+		inPool[f] = true
+		pool.Put(f)
+	}
+	get := func() *radio.NAS {
+		f := pool.Get("ue")
+		delete(inPool, f)
+		return f
+	}
+
+	const sends = 300
+	deliveries := map[byte]int{}
+	var l *Link
+	l = NewLink(k, "t", 5*time.Millisecond, func(m any) {
+		f, ok := m.(*radio.NAS)
+		if !ok {
+			t.Fatalf("receiver got %T, want *radio.NAS", m)
+		}
+		if inPool[f] {
+			t.Fatalf("frame %p delivered while it sits in the pool", f)
+		}
+		if len(f.Bytes) != 8 {
+			t.Fatalf("frame carries %d bytes, want 8", len(f.Bytes))
+		}
+		seq := f.Bytes[0]
+		for _, b := range f.Bytes[1:7] {
+			if b != seq {
+				t.Fatalf("frame content overwritten in flight: % x", f.Bytes)
+			}
+		}
+		if last := f.Bytes[7]; last != seq && last != ^seq {
+			t.Fatalf("frame tail % x is neither sent nor corrupted form", f.Bytes)
+		}
+		deliveries[seq]++
+		put(f)
+	})
+	l.Reorder, l.ReorderSpan = 0.3, 40*time.Millisecond
+	l.Dup = 0.3
+	l.Corrupt = 0.2
+	l.Corrupter = func(m any) any {
+		f, ok := m.(*radio.NAS)
+		if !ok {
+			t.Fatalf("corrupter got %T, want *radio.NAS", m)
+		}
+		c := f.CloneMsg().(*radio.NAS) // never the sender's frame in place
+		c.Bytes[7] = ^c.Bytes[7]
+		return c
+	}
+	for i := 0; i < sends; i++ {
+		f := get()
+		for j := 0; j < 8; j++ {
+			f.Bytes = append(f.Bytes, byte(i))
+		}
+		if !l.Send(f) {
+			put(f)
+		}
+		k.RunFor(time.Millisecond) // deliveries interleave with sends
+	}
+	k.Run()
+
+	re, co, du := l.AdvStats()
+	if re == 0 || co == 0 || du == 0 {
+		t.Fatalf("adversarial knobs never fired: reordered=%d corrupted=%d duplicated=%d", re, co, du)
+	}
+	total := 0
+	for seq, n := range deliveries {
+		// byte(i) wraps at 256, so a value is sent at most twice and
+		// delivered at most four times.
+		if n > 4 {
+			t.Fatalf("content %#x delivered %d times", seq, n)
+		}
+		total += n
+	}
+	if total != sends+du {
+		t.Fatalf("%d deliveries, want %d sends + %d duplicates", total, sends, du)
 	}
 }

@@ -4,13 +4,16 @@
 // every signaling exchange; user-plane traffic travels as Packet frames.
 package radio
 
-// UplinkNAS carries an encoded NAS message from a UE to the network.
+// UplinkNAS carries an encoded NAS message from a UE to the network. It is
+// the by-value form tests and injectors hand to a handler; the modem and
+// the core exchange the pooled *NAS.
 type UplinkNAS struct {
 	UE    string // IMSI-keyed UE identifier for demux at the gNB
 	Bytes []byte
 }
 
-// DownlinkNAS carries an encoded NAS message from the network to a UE.
+// DownlinkNAS carries an encoded NAS message from the network to a UE (the
+// by-value form, like UplinkNAS).
 type DownlinkNAS struct {
 	UE    string
 	Bytes []byte
@@ -98,4 +101,59 @@ func (p *FramePool) Put(f *Packet) {
 func (p *Packet) CloneMsg() any {
 	c := *p
 	return &c
+}
+
+// NAS is a signalling frame in its pooled form, under the ownership rule
+// above: the sender takes it from its NASPool and encodes into Bytes, the
+// receiver decodes and releases it into its own pool. One type serves both
+// directions (the link a frame is on tells them apart) so that frames
+// circulate with the dialogue: the modem's uplink frame ends in the AMF's
+// pool and comes back carrying the answer. Bytes is the frame's own buffer
+// and is reused with it, which is safe because the NAS decoders copy
+// everything they keep: a decoded message never aliases the frame it
+// arrived in.
+type NAS struct {
+	UE    string
+	Bytes []byte
+}
+
+// nasFrameCap is a new frame's buffer: the largest message on the testbed
+// (a protected DIAG report, a 100-byte DNN plus headers) fits, so a frame
+// does not grow.
+const nasFrameCap = 128
+
+// NASPool is the free list of signalling frames; like FramePool it belongs
+// to one actor and rewinds with it.
+type NASPool struct {
+	free []*NAS
+}
+
+// Get returns an empty frame for ue; its Bytes has length 0 and whatever
+// capacity the frame's earlier uses grew.
+func (p *NASPool) Get(ue string) *NAS {
+	var f *NAS
+	if n := len(p.free); n > 0 {
+		f = p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+	} else {
+		f = &NAS{Bytes: make([]byte, 0, nasFrameCap)}
+	}
+	f.UE = ue
+	return f
+}
+
+// Put releases a frame the caller owns, keeping its buffer.
+func (p *NASPool) Put(f *NAS) {
+	if len(p.free) >= framePoolCap {
+		return
+	}
+	f.UE, f.Bytes = "", f.Bytes[:0]
+	p.free = append(p.free, f)
+}
+
+// CloneMsg implements netemu's duplicate-delivery hook with a deep copy:
+// each receiver recycles the buffer of the frame it was given.
+func (f *NAS) CloneMsg() any {
+	return &NAS{UE: f.UE, Bytes: append([]byte(nil), f.Bytes...)}
 }

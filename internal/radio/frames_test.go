@@ -127,3 +127,38 @@ func TestPacketCloneIsDistinct(t *testing.T) {
 		t.Fatalf("clone %p %+v of %p %+v", c, *c, f, *f)
 	}
 }
+
+// A signalling frame keeps its buffer across uses (that is the saving) and
+// comes back empty; its clone shares no bytes with it, because each
+// receiver of a duplicated frame recycles the buffer it was given.
+func TestNASPoolKeepsBufferAndCloneIsDeep(t *testing.T) {
+	var p NASPool
+	f := p.Get("imsi-1")
+	if len(f.Bytes) != 0 || cap(f.Bytes) < nasFrameCap {
+		t.Fatalf("new frame: len %d cap %d", len(f.Bytes), cap(f.Bytes))
+	}
+	f.Bytes = append(f.Bytes, 0x7E, 0x00, 0x41)
+	c := f.CloneMsg().(*NAS)
+	if c == f || c.UE != f.UE || string(c.Bytes) != string(f.Bytes) {
+		t.Fatalf("clone %+v of %+v", *c, *f)
+	}
+	c.Bytes[0] = 0xFF
+	if f.Bytes[0] != 0x7E {
+		t.Fatal("clone shares the frame's buffer")
+	}
+	first := &f.Bytes[0]
+	p.Put(f)
+	g := p.Get("imsi-2")
+	if g != f || g.UE != "imsi-2" || len(g.Bytes) != 0 {
+		t.Fatalf("pool did not hand the released frame back empty: %+v", *g)
+	}
+	if g.Bytes = append(g.Bytes, 1); &g.Bytes[0] != first {
+		t.Fatal("released frame lost its buffer")
+	}
+	for i := 0; i < 10*framePoolCap; i++ {
+		p.Put(new(NAS))
+	}
+	if len(p.free) != framePoolCap {
+		t.Fatalf("pool holds %d frames, cap %d", len(p.free), framePoolCap)
+	}
+}

@@ -127,9 +127,8 @@ func (p *Proto[T]) Cell(cellSeed int64) (tb *Testbed, h T, put func()) {
 
 // Fresh runs the full boot from scratch under the same seed protocol as
 // Cell (fixed boot seed, then Reseed). It is the oracle the clone-equals-
-// fresh tests and the benchmark's fresh-boot probe compare Cell against,
-// and how a cell that cannot share a retained instance (an instrumented
-// desync) still boots exactly as the prototype did.
+// fresh tests and the benchmark's fresh-boot probe compare Cell against;
+// no cell runs on it.
 func (p *Proto[T]) Fresh(cellSeed int64) (*Testbed, T) {
 	tb := New(protoBootSeed)
 	h := p.boot(tb)
@@ -185,18 +184,36 @@ func (pm *ProtoMap[K, T]) Stats() ProtoStats {
 // state — the common prefix of the desync replays, the signaling-overhead
 // measurement, and the reset-time cells.
 var bareProtos = NewProtoMap(func(mode Mode) func(*Testbed) *Device {
-	return bootBare(mode, nil)
-})
-
-// bootBare is bareProtos' boot function, optionally instrumented.
-func bootBare(mode Mode, inst *Instrument) func(*Testbed) *Device {
 	return func(tb *Testbed) *Device {
-		d := inst.newDevice(tb, mode)
+		d := tb.NewDevice(mode)
+		(&Instrument{Tracer: bootTracer{d}}).attach(tb, d)
 		d.Start()
 		tb.RunUntil(d.Connected, connectDeadline)
+		(&Instrument{}).attach(tb, d)
 		return d
 	}
+})
+
+// coldKey selects a cold prototype: the device mode and, for mobility
+// walks, the cell-graph size (0 is the single-gNB testbed), because the
+// cell manager must exist before the device is built.
+type coldKey struct {
+	mode  Mode
+	cells int
 }
+
+// coldProtos builds a testbed and its device and does NOT start it: the
+// state every cell whose measured window includes the boot begins from.
+// Construction draws nothing from the kernel's random stream, so the
+// snapshot reseeded with the cell's seed is New(seed) + NewDevice(mode).
+var coldProtos = NewProtoMap(func(k coldKey) func(*Testbed) *Device {
+	return func(tb *Testbed) *Device {
+		if k.cells > 0 {
+			tb.EnableCells(k.cells, 0)
+		}
+		return tb.NewDevice(k.mode)
+	}
+})
 
 // deliveryHandles are the boot products of a delivery-replay cell.
 type deliveryHandles struct {
@@ -238,6 +255,7 @@ type ProtoFamilyStats struct {
 func PrototypeStats() []ProtoFamilyStats {
 	return []ProtoFamilyStats{
 		{"bare", bareProtos.Stats()},
+		{"cold", coldProtos.Stats()},
 		{"delivery", deliveryProtos.Stats()},
 		{"figure3", figure3Proto.Stats()},
 		{"table5", table5Protos.Stats()},

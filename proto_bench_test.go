@@ -19,6 +19,13 @@ import (
 // Raise this only with a profile in hand showing why.
 const clonedCellAllocBudget = 96
 
+// coldCellAllocBudget is the same pin for the cold family, the one every
+// corpus cell but the desyncs pays: measured 19 for a SEED-R device on a
+// single gNB and 25 on a three-cell graph (all of it map reinsertion); the
+// budget is the larger plus 20 %. The construction it replaces allocated
+// 145.
+const coldCellAllocBudget = 30
+
 // BenchmarkFreshBootCell is the baseline arm: a full testbed boot to
 // connected steady state under the prototype seed protocol, the per-cell
 // cost every sweep paid before snapshots.
@@ -94,6 +101,23 @@ func TestClonedCellAllocs(t *testing.T) {
 			t.Errorf("%s cloned cell allocates %.0f objects, budget %d", pc.name, avg, clonedCellAllocBudget)
 		} else {
 			t.Logf("%s cloned cell: %.0f allocs (budget %d)", pc.name, avg, clonedCellAllocBudget)
+		}
+	}
+	for _, key := range []coldKey{{mode: ModeSEEDR}, {ModeSEEDR, 3}} {
+		p := coldProtos.Proto(key)
+		_, _, put := p.Cell(1)
+		put()
+		avg := testing.AllocsPerRun(50, func() {
+			_, d, put := p.Cell(7)
+			if d.Connected() {
+				t.Fatal("cold cell already connected")
+			}
+			put()
+		})
+		if avg > coldCellAllocBudget {
+			t.Errorf("cold cell %+v allocates %.0f objects, budget %d", key, avg, coldCellAllocBudget)
+		} else {
+			t.Logf("cold cell %+v: %.0f allocs (budget %d)", key, avg, coldCellAllocBudget)
 		}
 	}
 }
@@ -256,5 +280,51 @@ func TestPacketPathAllocs(t *testing.T) {
 		t.Errorf("request round trip allocates %.2f objects, budget %d", perRequest, packetPathAllocBudget)
 	} else {
 		t.Logf("request round trip: %.2f allocs over %.1f requests/s (budget %d)", perRequest, perSecondRequests, packetPathAllocBudget)
+	}
+}
+
+// nasPathAllocBudget is the allocation count of one protected signalling
+// round trip on a connected device — a PDU Session Modification Request up
+// (modem, radio link, gNB, backhaul, AMF, SMF), the command down under the
+// AMF's security context, and the modem's Complete up again: three encoded,
+// protected, verified and decoded messages over eight hops. Measured 14
+// (37 before signalling frames were pooled), all of it message content: the
+// three messages as built and as decoded, with their TFT/QoS/DNS parts.
+// Nothing is left per hop. Budget = measured + 1.
+const nasPathAllocBudget = 15
+
+// TestNASPathAllocs is TestPacketPathAllocs for the control plane.
+func TestNASPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the binding run is the uninstrumented bench-smoke job")
+	}
+	tb, d, put := bareProtos.Proto(ModeSEEDR).Cell(1)
+	defer put()
+	mdm := d.inner.Mdm
+	s, okS := mdm.FirstActiveSession()
+	if !okS {
+		t.Fatal("cloned cell has no session")
+	}
+	tb.Advance(5 * time.Second)
+	const runs = 50
+	before, amfBefore := mdm.Stats(), tb.net.AMF.Stats()
+	perTrip := testing.AllocsPerRun(runs, func() {
+		if !mdm.RequestModification(s.ID) {
+			t.Fatal("modification refused")
+		}
+		tb.Advance(100 * time.Millisecond)
+	})
+	after, amfAfter := mdm.Stats(), tb.net.AMF.Stats()
+	trips := runs + 1 // AllocsPerRun adds a warm-up run
+	if sent, rcvd := after.NASSent-before.NASSent, after.NASReceived-before.NASReceived; sent != 2*trips || rcvd != trips {
+		t.Fatalf("%d uplinks and %d downlinks over %d round trips, want 2 and 1 each", sent, rcvd, trips)
+	}
+	if in := amfAfter.MessagesIn - amfBefore.MessagesIn; in != 2*trips {
+		t.Fatalf("AMF saw %d uplinks over %d round trips, want 2 each", in, trips)
+	}
+	if perTrip > nasPathAllocBudget {
+		t.Errorf("signalling round trip allocates %.0f objects, budget %d", perTrip, nasPathAllocBudget)
+	} else {
+		t.Logf("signalling round trip: %.0f allocs (budget %d)", perTrip, nasPathAllocBudget)
 	}
 }

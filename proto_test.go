@@ -1,11 +1,15 @@
 package seed
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
+	"github.com/seed5g/seed/internal/core"
 	"github.com/seed5g/seed/internal/runner"
 	"github.com/seed5g/seed/internal/sched"
+	"github.com/seed5g/seed/internal/workload"
 )
 
 // A booted prototype is the most expensive object a sweep owns (a
@@ -53,5 +57,87 @@ func TestSweepBootsAtMostOnePrototypePerWorker(t *testing.T) {
 		if restores, want := after.Restores-before[i].Restores, (cells-i+len(modes)-1)/len(modes); restores != want {
 			t.Errorf("%v: %d restores over the sweep, want one per cell (%d)", m, restores, want)
 		}
+	}
+}
+
+// The same free-list property for the family the corpus lives on: a sweep
+// of mixed corpus cells (every scenario class, every mode, walks included)
+// builds a cold prototype at most once per worker per key, and restores one
+// for every cell that is not a desync.
+func TestCorpusSweepBuildsAtMostOneColdPrototypePerWorker(t *testing.T) {
+	const workers, cells = 4, 400
+	sp := workload.DefaultSpec()
+	corpus, err := workload.Compile(sp, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(corpus) < cells {
+		t.Fatalf("corpus has %d cells, want at least %d", len(corpus), cells)
+	}
+	stride := len(corpus) / cells
+	keys := map[coldKey]ProtoStats{}
+	wantRestores := 0
+	for i := 0; i < cells; i++ {
+		c := corpus[i*stride]
+		mode, _ := ParseMode(c.Mode)
+		key := coldKey{mode: mode}
+		switch {
+		case workload.MobilityScenario(c.Scenario):
+			key.cells = sp.Cells.N
+		case c.Scenario == workload.ScenDesync:
+			continue
+		}
+		keys[key] = coldProtos.Proto(key).Stats()
+		wantRestores++
+	}
+	if len(keys) < 4 {
+		t.Fatalf("sample touches only %d cold prototypes: not a mixed sweep", len(keys))
+	}
+	runner.Map(runner.New(workers), cells, func(i int) workload.Outcome {
+		c := corpus[i*stride]
+		mode, _ := ParseMode(c.Mode)
+		return RunWorkloadCell(sp, c, mode, nil)
+	})
+	restores := 0
+	for key, before := range keys {
+		after := coldProtos.Proto(key).Stats()
+		if boots := after.Boots - before.Boots; boots > workers {
+			t.Errorf("%+v: %d prototypes built over the sweep, want at most %d (one per worker)", key, boots, workers)
+		}
+		restores += after.Restores - before.Restores
+	}
+	if restores != wantRestores {
+		t.Errorf("%d cold restores over the sweep, want one per non-desync cell (%d)", restores, wantRestores)
+	}
+}
+
+type panicTracer struct{}
+
+func (panicTracer) Decision(core.DecisionEvent) { panic("tracer blew up mid-cell") }
+
+// A cell that panics half-way still hands its instance back (dirty, with
+// the panicking tracer attached and timers queued); the next Cell must
+// restore it cleanly rather than build another.
+func TestPanickedCellLeavesARestorableInstance(t *testing.T) {
+	c := cellRun{fc: FailureCase{ControlPlane: true, CauseCode: 22, Scenario: ScenarioTransient, Heal: 4 * time.Second}}
+	p := coldProtos.Proto(coldKey{mode: ModeSEEDR})
+	want := runCell(c, ModeSEEDR, 5)
+	before := p.Stats()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("instrumented cell did not panic")
+			}
+		}()
+		pc := c
+		pc.inst = &Instrument{Tracer: panicTracer{}}
+		runCell(pc, ModeSEEDR, 5)
+	}()
+	if got := runCell(c, ModeSEEDR, 5); !reflect.DeepEqual(got, want) {
+		t.Errorf("cell after a panicked one: %+v, want %+v", got, want)
+	}
+	after := p.Stats()
+	if after.Boots != before.Boots || after.Restores != before.Restores+2 {
+		t.Errorf("boots %d -> %d, restores %d -> %d: want the panicked cell's instance reused", before.Boots, after.Boots, before.Restores, after.Restores)
 	}
 }

@@ -80,41 +80,41 @@ type cellRun struct {
 	inst *Instrument
 }
 
-// runCell is the one implementation of "run a cell": it obtains the cell's
-// testbed and device, applies the RF profile, and measures. A desync's
-// failure manifests after a clean boot, so its cell starts from the shared
-// connected steady state — a restored prototype, or, because an
-// instrumented applet cannot share the pooled prototypes (its config and
-// hooks are per-cell), the same boot function run fresh under the same
-// seed protocol, which keeps a pure-observer instrumented run
-// byte-comparable to the cloned one. Every other cell injects before the
-// device ever starts and boots on its own seed: its measured window IS
-// the boot.
+// runCell is the one implementation of "run a cell": restore the cell's
+// prototype, measure on it. No cell constructs a testbed. A desync's failure
+// manifests after a clean boot, so its cell starts from the shared connected
+// steady state (bareProtos). Every other cell injects before the device ever
+// starts, so it starts built but unstarted (coldProtos): the start is inside
+// its measured window, the construction, the same for every cell, is shared.
 func runCell(c cellRun, mode Mode, seedVal int64) ReplayResult {
-	steady := c.graph == nil && c.fc.Scenario == ScenarioDesync
-	var tb *Testbed
-	var d *Device
+	var p *Proto[*Device]
 	switch {
-	case steady && c.inst == nil:
-		var put func()
-		tb, d, put = bareProtos.Proto(mode).Cell(seedVal)
-		defer put()
-	case steady:
-		tb, d = NewProto(bootBare(mode, c.inst)).Fresh(seedVal)
+	case c.graph != nil:
+		p = coldProtos.Proto(coldKey{mode, c.graph.N})
+	case c.fc.Scenario == ScenarioDesync:
+		p = bareProtos.Proto(mode)
 	default:
-		tb = New(seedVal)
-		if c.graph != nil {
-			tb.EnableCells(c.graph.N, c.graph.DefaultContextLoss)
-			for _, e := range c.graph.Edges {
-				tb.SetEdgeContextLoss(e.From, e.To, e.ContextLoss)
-			}
-		}
-		d = c.inst.newDevice(tb, mode)
+		p = coldProtos.Proto(coldKey{mode: mode})
 	}
+	tb, d, put := p.Cell(seedVal)
+	defer put()
+	return c.measure(tb, d)
+}
 
-	// The RF profile starts here: at device creation, or at the post-boot
-	// instant of a steady-state cell (the next restore rewinds the link and
-	// the window timers with everything else).
+// measure runs the cell on its restored prototype (or, in the equivalence
+// tests, on a freshly built testbed): instrument, RF profile, scenario body.
+func (c *cellRun) measure(tb *Testbed, d *Device) ReplayResult {
+	if c.graph != nil {
+		// Plain fields of the prototype's cell manager: the next restore clears them.
+		tb.EnableCells(c.graph.N, c.graph.DefaultContextLoss)
+		for _, e := range c.graph.Edges {
+			tb.SetEdgeContextLoss(e.From, e.To, e.ContextLoss)
+		}
+	}
+	c.inst.attach(tb, d)
+
+	// The RF profile starts at the restore instant (the next restore rewinds
+	// the link and the window timers with everything else).
 	radio := d.inner.Radio
 	if c.jitter > 0 {
 		radio.SetJitter(c.jitter)
@@ -126,13 +126,12 @@ func runCell(c cellRun, mode Mode, seedVal int64) ReplayResult {
 		tb.armRFWindow(w.AtSec, w.DurSec, func() { radio.SetDown(true) }, func() { radio.SetDown(false) })
 	}
 
-	switch {
-	case c.graph != nil:
+	if c.graph != nil {
 		return tb.replayWalk(d, c.hops, c.lossyHop)
-	case steady:
-		return replayDesyncOn(tb, d)
 	}
 	switch c.fc.Scenario {
+	case ScenarioDesync:
+		return replayDesyncOn(tb, d)
 	case ScenarioTransient, ScenarioSilent:
 		return tb.replayInjected(d, c.fc)
 	case ScenarioStaleConfigDevice:

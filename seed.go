@@ -155,41 +155,47 @@ type Instrument struct {
 	// Override is the counterfactual hook applied at each execution
 	// decision (see core.ActionOverride).
 	Override core.ActionOverride
-	// Applet mutates each new SEED device's applet config before the
-	// device is built (policy timers and trial order).
+	// Applet mutates the cell's SEED applet config before anything runs
+	// (policy timers and trial order).
 	Applet func(*core.AppletConfig)
 	// LearnerLR overrides the infrastructure learner's rate (0 keeps the
 	// paper's default).
 	LearnerLR float64
 }
 
-// newDevice builds a cell's device on tb with inst attached: the plugin is
-// instrumented, the applet config mutated before the device is built, and
-// the applet's tracer and override set before anything runs. A nil inst is
-// plain tb.NewDevice.
-func (inst *Instrument) newDevice(tb *Testbed, mode Mode) *Device {
+// attach wires inst (nil: nothing) onto a restored cell. Everything it sets
+// is a field the plugin or applet reads only when it decides, so the cell
+// behaves as one built instrumented; the next restore detaches it again.
+func (inst *Instrument) attach(tb *Testbed, d *Device) {
 	if inst == nil {
-		return tb.NewDevice(mode)
+		return
 	}
 	tb.plugin.SetDecisionTracer(inst.Tracer)
 	if inst.LearnerLR > 0 {
 		tb.plugin.Learner.LR = inst.LearnerLR
 	}
-	var opts []DeviceOption
-	if inst.Applet != nil && mode != ModeLegacy {
-		opts = append(opts, func(c *core.DeviceConfig) { inst.Applet(&c.Applet) })
-	}
-	d := tb.NewDevice(mode, opts...)
-	if applet := d.inner.Applet; applet != nil {
-		if inst.Tracer != nil {
-			applet.SetDecisionTracer(inst.Tracer, d.IMSI())
-		}
-		if inst.Override != nil {
-			applet.SetActionOverride(inst.Override)
+	if inst.Tracer != nil {
+		for _, ev := range d.bootTrace {
+			inst.Tracer.Decision(ev)
 		}
 	}
-	return d
+	applet := d.inner.Applet
+	if applet == nil {
+		return
+	}
+	if inst.Applet != nil {
+		applet.UpdateConfig(inst.Applet)
+	}
+	applet.SetDecisionTracer(inst.Tracer, d.IMSI())
+	applet.SetActionOverride(inst.Override)
 }
+
+// bootTracer records a connected prototype's own boot into bootTrace, which
+// attach replays: a tracer attached after the restore reads the cell's
+// history from power-on, as one attached before the boot did.
+type bootTracer struct{ d *Device }
+
+func (b bootTracer) Decision(ev core.DecisionEvent) { b.d.bootTrace = append(b.d.bootTrace, ev) }
 
 // New creates a testbed whose randomness derives from seed.
 func New(seedVal int64) *Testbed {
@@ -455,6 +461,7 @@ type Device struct {
 	connFns   []func(bool)
 	noticeFns []func(string)
 	reloadFns []func()
+	bootTrace []core.DecisionEvent
 }
 
 // IMSI returns the device's subscriber identity.

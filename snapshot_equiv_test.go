@@ -2,10 +2,12 @@ package seed
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
+	"github.com/seed5g/seed/internal/core"
 	"github.com/seed5g/seed/internal/workload"
 )
 
@@ -195,6 +197,157 @@ func TestOnePathTwoVocabularies(t *testing.T) {
 					t.Errorf("RunWorkloadCell %+v != ReplayManagement %+v", got, want)
 				}
 			})
+		}
+	}
+}
+
+// traceLog is a recording tracer: the decision events in emission order.
+// (The seedtrace/1 codec lives in internal/policy, which imports this
+// package; it is a pure function of the events, so equal events are equal
+// trace bytes.)
+type traceLog []core.DecisionEvent
+
+func (l *traceLog) Decision(ev core.DecisionEvent) { *l = append(*l, ev) }
+
+// oracleCell runs a cell the way every cell ran before it started from a
+// prototype: a desync on a full boot under the prototype seed protocol,
+// anything else on a testbed constructed on the cell's own seed, and an
+// instrumented device BUILT instrumented (plugin tracer before the device
+// exists, applet config through the device option, applet hooks before
+// anything runs) instead of instrumented after a restore.
+func oracleCell(c cellRun, mode Mode, seedVal int64) ReplayResult {
+	inst := c.inst
+	c.inst = nil
+	build := func(tb *Testbed) *Device {
+		if inst == nil {
+			return tb.NewDevice(mode)
+		}
+		tb.plugin.SetDecisionTracer(inst.Tracer)
+		if inst.LearnerLR > 0 {
+			tb.plugin.Learner.LR = inst.LearnerLR
+		}
+		d := tb.NewDevice(mode, func(dc *core.DeviceConfig) {
+			if inst.Applet != nil {
+				inst.Applet(&dc.Applet)
+			}
+		})
+		if a := d.inner.Applet; a != nil {
+			a.SetDecisionTracer(inst.Tracer, d.IMSI())
+			a.SetActionOverride(inst.Override)
+		}
+		return d
+	}
+	if c.graph == nil && c.fc.Scenario == ScenarioDesync {
+		tb, d := NewProto(func(tb *Testbed) *Device {
+			d := build(tb)
+			d.Start()
+			tb.RunUntil(d.Connected, connectDeadline)
+			return d
+		}).Fresh(seedVal)
+		return c.measure(tb, d)
+	}
+	tb := New(seedVal)
+	if c.graph != nil {
+		tb.EnableCells(c.graph.N, 0)
+	}
+	return c.measure(tb, build(tb))
+}
+
+// equivCells is one case of each FailureScenario class plus the two
+// mobility classes (a walk whose follow-up hop races the re-registration,
+// and one whose follow-up lands during SEED's diagnosis).
+func equivCells() map[string]cellRun {
+	graph := &workload.CellGraph{N: 3, DefaultContextLoss: 0.2,
+		Edges: []workload.Edge{{From: 1, To: 2, ContextLoss: 0.9}}}
+	return map[string]cellRun{
+		"desync":           {fc: FailureCase{ControlPlane: true, CauseCode: 9, Scenario: ScenarioDesync}},
+		"transient":        {fc: FailureCase{ControlPlane: true, CauseCode: 22, Scenario: ScenarioTransient, Heal: 4 * time.Second}},
+		"silent":           {fc: FailureCase{CauseCode: 26, Scenario: ScenarioSilent, Heal: 6 * time.Second}},
+		"stale-device":     {fc: FailureCase{CauseCode: 27, Scenario: ScenarioStaleConfigDevice}},
+		"stale-device-cp":  {fc: FailureCase{ControlPlane: true, CauseCode: 11, Scenario: ScenarioStaleConfigDevice}},
+		"stale-everywhere": {fc: FailureCase{ControlPlane: true, CauseCode: 62, Scenario: ScenarioStaleConfigEverywhere, Heal: 3 * time.Minute}},
+		"user-action":      {fc: FailureCase{CauseCode: 29, Scenario: ScenarioUserAction}},
+		"handover-desync": {graph: graph, lossyHop: 1, hops: []workload.Hop{
+			{To: 1, Dwell: 4 * time.Second}, {To: 2, Dwell: 5 * time.Second}, {To: 0, Dwell: 300 * time.Millisecond}}},
+		"tau-race": {graph: graph, lossyHop: 0, hops: []workload.Hop{
+			{To: 2, Dwell: 5 * time.Second}, {To: 1, Dwell: 3 * time.Second}}},
+	}
+}
+
+// TestColdCellMatchesFreshBuild is clone-equals-fresh for the family the
+// corpus lives on: every scenario class x mode x seed, with and without an
+// RF profile (jitter, a loss window and a partition window inside the
+// boot), gives a deeply equal result through runCell — a restored,
+// reseeded prototype — and on the oracle. The instrumented round adds a
+// non-paper policy, a learner rate and a recording tracer, and holds the
+// decision traces equal too.
+func TestColdCellMatchesFreshBuild(t *testing.T) {
+	withRF := func(c cellRun) cellRun {
+		c.jitter = 3 * time.Millisecond
+		c.loss = []workload.LossWindow{{AtSec: 0.9, DurSec: 4, Loss: 0.4}}
+		c.partitions = []workload.PartitionWindow{{AtSec: 7, DurSec: 2.5}}
+		return c
+	}
+	nonPaper := func(cfg *core.AppletConfig) {
+		cfg.CPlaneWait = time.Second
+		cfg.TrialWindow = 5 * time.Second
+		cfg.TrialOrder = []core.ActionID{core.ActionA1, core.ActionB1, core.ActionA2, core.ActionB2, core.ActionA3, core.ActionB3}
+	}
+	traced := 0
+	for name, base := range equivCells() {
+		for _, mode := range Modes {
+			t.Run(name+"/"+mode.String(), func(t *testing.T) {
+				for _, cellSeed := range []int64{1, 42, 987654321} {
+					for _, c := range []cellRun{base, withRF(base)} {
+						want := oracleCell(c, mode, cellSeed)
+						if got := runCell(c, mode, cellSeed); !reflect.DeepEqual(got, want) {
+							t.Errorf("seed %d jitter %v: restored %+v != fresh %+v", cellSeed, c.jitter, got, want)
+						}
+					}
+				}
+				var gotTrace, wantTrace traceLog
+				c := withRF(base)
+				c.inst = &Instrument{Tracer: &wantTrace, Applet: nonPaper, LearnerLR: 0.2}
+				want := oracleCell(c, mode, 7)
+				c.inst = &Instrument{Tracer: &gotTrace, Applet: nonPaper, LearnerLR: 0.2}
+				if got := runCell(c, mode, 7); !reflect.DeepEqual(got, want) {
+					t.Errorf("instrumented: restored %+v != fresh %+v", got, want)
+				}
+				if !reflect.DeepEqual(gotTrace, wantTrace) {
+					t.Errorf("instrumented: %d traced events on the restored cell, %d on the fresh one, or they differ", len(gotTrace), len(wantTrace))
+				}
+				traced += len(gotTrace)
+			})
+		}
+	}
+	if traced == 0 {
+		t.Error("no decision event traced in any instrumented cell")
+	}
+}
+
+// TestConstructionDrawsNoRandomness is the guard the cold family rests on:
+// building a testbed and a device consumes nothing from the kernel's random
+// stream, so the first draw after construction is the first draw of a
+// source seeded with the testbed's seed — which is also what Reseed leaves
+// behind on a restored prototype.
+func TestConstructionDrawsNoRandomness(t *testing.T) {
+	const seedVal = 20260930
+	want := rand.New(rand.NewSource(seedVal)).Int63()
+	for _, cells := range []int{0, 3} {
+		for _, mode := range Modes {
+			tb := New(seedVal)
+			if cells > 0 {
+				tb.EnableCells(cells, 0.5)
+			}
+			tb.NewDevice(mode)
+			if got := tb.kern.Rand().Int63(); got != want {
+				t.Errorf("%v, %d cells: first draw after construction %d, want %d", mode, cells, got, want)
+			}
+			ptb, _, put := coldProtos.Proto(coldKey{mode, cells}).Cell(seedVal)
+			if got := ptb.kern.Rand().Int63(); got != want {
+				t.Errorf("%v, %d cells: first draw on a reseeded prototype %d, want %d", mode, cells, got, want)
+			}
+			put()
 		}
 	}
 }
