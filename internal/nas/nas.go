@@ -208,28 +208,28 @@ func unmarshal(r *reader, data []byte) (Message, error) {
 	epd := data[0]
 	var msg Message
 	var mt MsgType
+	var body []byte
 	switch epd {
 	case EPD5GMM:
-		mt = MsgType(data[2])
+		mt, body = MsgType(data[2]), data[3:]
 		if msg = newMMMessage(mt); msg == nil {
 			return nil, fmt.Errorf("%w: 5GMM %#x", ErrUnknownMessage, byte(mt))
 		}
-		*r = reader{buf: data[3:], sub: r.sub}
 	case EPD5GSM:
 		if len(data) < 4 {
 			return nil, fmt.Errorf("%w: 5GSM header needs 4 bytes, got %d", ErrTruncated, len(data))
 		}
-		mt = MsgType(data[3])
+		mt, body = MsgType(data[3]), data[4:]
 		sm := newSMMessage(mt)
 		if sm == nil {
 			return nil, fmt.Errorf("%w: 5GSM %#x", ErrUnknownMessage, byte(mt))
 		}
 		sm.setSessionHeader(data[1], data[2])
 		msg = sm
-		*r = reader{buf: data[4:], sub: r.sub}
 	default:
 		return nil, fmt.Errorf("%w: EPD %#x", ErrUnknownMessage, epd)
 	}
+	*r = reader{buf: body, sub: r.sub}
 	msg.decodeBody(r)
 	if r.err == nil && r.remaining() != 0 {
 		r.err = fmt.Errorf("%w: %d trailing bytes after body", ErrMalformedIE, r.remaining())
