@@ -20,9 +20,13 @@
 // serializations. Any lost upload or model divergence exits non-zero.
 //
 // -workers is the client-shard count: devices are partitioned across
-// worker goroutines, each performing synchronous round trips through the
-// shared connection pool. p50/p95/p99 latencies cover the whole exchange
-// including backoff waits — what a device experiences under backpressure.
+// worker goroutines, each performing synchronous round trips over the
+// -conns shared connections, which carry any number of requests at once:
+// workers beyond -conns have their frames coalesced into shared writes
+// (frames_per_write in -json; responses_per_flush and jobs_per_batch are
+// the server's side of the same effect). p50/p95/p99 latencies cover the
+// whole exchange including backoff waits — what a device experiences
+// under backpressure.
 //
 // -spec FILE paces uploads by a workload spec's compiled arrival process
 // (cmd/seedwl's schema): device i's upload starts at the i-th arrival
@@ -64,6 +68,8 @@ type fleetAPI interface {
 	FetchStats() (fleet.ServerStats, error)
 	Retries() uint64
 	Redials() uint64
+	Frames() uint64
+	Writes() uint64
 	Latency(op string) *metrics.Series
 }
 
@@ -146,6 +152,10 @@ func (a *clusterAdapter) FetchStats() (fleet.ServerStats, error) {
 		sum.JournalSyncs += st.JournalSyncs
 		sum.Compactions += st.Compactions
 		sum.ReplayedRecords += st.ReplayedRecords
+		sum.Jobs += st.Jobs
+		sum.Batches += st.Batches
+		sum.Responses += st.Responses
+		sum.Flushes += st.Flushes
 		if st.Epoch > sum.Epoch {
 			sum.Epoch = st.Epoch
 		}
@@ -153,25 +163,21 @@ func (a *clusterAdapter) FetchStats() (fleet.ServerStats, error) {
 	return sum, nil
 }
 
-func (a *clusterAdapter) eachNodeClient(fn func(id string, cl *fleet.Client)) {
+// sumClients adds up one counter over the per-node clients.
+func (a *clusterAdapter) sumClients(counter func(*fleet.Client) uint64) uint64 {
+	var sum uint64
 	for _, n := range a.cc.Map().Nodes() {
 		if cl := a.cc.NodeLatency(n.ID); cl != nil {
-			fn(n.ID, cl)
+			sum += counter(cl)
 		}
 	}
-}
-
-func (a *clusterAdapter) Retries() uint64 {
-	var sum uint64
-	a.eachNodeClient(func(_ string, cl *fleet.Client) { sum += cl.Retries() })
 	return sum
 }
 
-func (a *clusterAdapter) Redials() uint64 {
-	var sum uint64
-	a.eachNodeClient(func(_ string, cl *fleet.Client) { sum += cl.Redials() })
-	return sum
-}
+func (a *clusterAdapter) Retries() uint64 { return a.sumClients((*fleet.Client).Retries) }
+func (a *clusterAdapter) Redials() uint64 { return a.sumClients((*fleet.Client).Redials) }
+func (a *clusterAdapter) Frames() uint64  { return a.sumClients((*fleet.Client).Frames) }
+func (a *clusterAdapter) Writes() uint64  { return a.sumClients((*fleet.Client).Writes) }
 
 func (a *clusterAdapter) Latency(op string) *metrics.Series {
 	a.latMu.Lock()
@@ -206,6 +212,12 @@ type result struct {
 	QueryP50MS  float64 `json:"query_p50_ms"`
 	QueryP95MS  float64 `json:"query_p95_ms"`
 	QueryP99MS  float64 `json:"query_p99_ms"`
+
+	// Coalescing on the pipelined wire: request frames per client write,
+	// responses per server write, shard jobs per worker batch.
+	FramesPerWrite    float64 `json:"frames_per_write"`
+	ResponsesPerFlush float64 `json:"responses_per_flush"`
+	JobsPerBatch      float64 `json:"jobs_per_batch"`
 
 	Server fleet.ServerStats `json:"server"`
 }
@@ -551,12 +563,16 @@ func main() {
 		QueryP50MS:    ms(api.Latency("query"), 50),
 		QueryP95MS:    ms(api.Latency("query"), 95),
 		QueryP99MS:    ms(api.Latency("query"), 99),
+
+		FramesPerWrite: fleet.Ratio(api.Frames(), api.Writes()),
 	}
 	totalOps := *devices * (2 + *reports) // upload + reports + query
 	res.OpsPerSec = float64(totalOps) / wall.Seconds()
 
 	if st, err := api.FetchStats(); err == nil {
 		res.Server = st
+		res.ResponsesPerFlush = fleet.Ratio(st.Responses, st.Flushes)
+		res.JobsPerBatch = fleet.Ratio(st.Jobs, st.Batches)
 	} else {
 		fmt.Fprintf(os.Stderr, "seedload: stats pull: %v\n", err)
 	}
@@ -585,6 +601,8 @@ func main() {
 
 	logf("seedload: %d uploads in %.1fms — %.0f uploads/s, %.0f ops/s (lost=%d retries=%d redials=%d)",
 		*devices, res.WallMS, res.UploadsPerSec, res.OpsPerSec, res.Lost, res.Retries, res.Redials)
+	logf("seedload: %.2f frames/write, %.2f responses/flush, %.2f jobs/batch",
+		res.FramesPerWrite, res.ResponsesPerFlush, res.JobsPerBatch)
 	logf("seedload: %s", latSummary(api, "upload"))
 	logf("seedload: %s", latSummary(api, "query"))
 	if res.ModelMatch != nil {

@@ -10,12 +10,13 @@ import (
 
 // lossyProxy is a TCP forwarder that degrades the path to one fleet node:
 // every forwarded chunk waits delay+jitter, and each chunk rolls killProb
-// to snap the connection (the client's pool discards it and redials).
-// Corruption, when enabled, is applied ONLY server→client — flipping bits
-// toward the server would turn envelope integrity failures into TErr
-// responses, which clients rightly treat as fatal; mangled acks and
-// responses are the interesting loss mode (the request was folded, the
-// client can't know, and must retry into the dedup path).
+// to snap the connection (the client fails every request in flight on it
+// into its retry loop and redials). Corruption, when enabled, is applied
+// ONLY server→client — flipping bits toward the server would turn
+// envelope integrity failures into TErr responses, which clients rightly
+// treat as fatal; mangled acks and responses are the interesting loss
+// mode (the request was folded, the client can't know, and must retry
+// into the dedup path).
 type lossyProxy struct {
 	ln       net.Listener
 	target   string

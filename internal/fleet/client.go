@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/seed5g/seed/internal/cause"
@@ -19,11 +21,11 @@ import (
 type ClientConfig struct {
 	// Addr is the server address.
 	Addr string
-	// Conns bounds the connection pool. Connections are dialed lazily and
-	// shared by all devices the client drives.
+	// Conns is the number of connections. They are dialed lazily and each
+	// is shared by any number of concurrent callers.
 	Conns int
 	// DialTimeout bounds connection establishment; RequestTimeout bounds
-	// one round trip (write + read) on a connection.
+	// one attempt's wait for its response, and each write.
 	DialTimeout, RequestTimeout time.Duration
 	// MaxRetries is the number of attempts per request beyond the first,
 	// covering both transport errors and TRetryAfter backpressure.
@@ -65,11 +67,15 @@ func (c *ClientConfig) withDefaults() {
 	}
 }
 
-// Client is a pooled fleet-protocol client with retry, backpressure
-// handling, and a latency recorder.
+// Client is a multiplexed fleet-protocol client with retry, backpressure
+// handling, and a latency recorder. Any number of callers share its Conns
+// connections; see muxConn for how their requests travel together.
 type Client struct {
-	cfg  ClientConfig
-	pool chan *poolConn // nil entries are dial permits
+	cfg     ClientConfig
+	slots   []connSlot
+	next    atomic.Uint32 // round-robin cursor over slots
+	closed  atomic.Bool
+	readers sync.WaitGroup // one reader goroutine per live connection
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -77,107 +83,283 @@ type Client struct {
 	latMu sync.Mutex
 	lat   map[string]*metrics.Series
 
-	retries, redials uint64 // latMu-guarded (low-rate counters)
+	retries, redials, writes, frames atomic.Uint64
 }
 
-type poolConn struct {
-	c  net.Conn
-	br *bufio.Reader
-	bw *bufio.Writer
+// connSlot is one of the client's Conns positions: the live connection,
+// replaced by a fresh dial after it breaks.
+type connSlot struct {
+	cur     atomic.Pointer[muxConn]
+	mu      sync.Mutex
+	dialing chan struct{} // non-nil while one caller dials; closed when it is done
 }
+
+// live returns the slot's connection unless it is missing or broken.
+func (sl *connSlot) live() *muxConn {
+	if mc := sl.cur.Load(); mc != nil && !mc.dead.Load() {
+		return mc
+	}
+	return nil
+}
+
+// muxConn is one multiplexed connection. A caller appends its frame to pend
+// and queues a waiter under mu; whoever finds no write in progress writes
+// everything queued so far, and callers arriving during that write ride
+// the next one — a lone caller still gets one immediate write, and there
+// is no timer and nothing to tune. The reader goroutine hands each response
+// to the oldest waiter: requests and responses are matched by order alone,
+// so an error on the stream fails every request in flight on it.
+type muxConn struct {
+	cl   *Client
+	c    net.Conn
+	dead atomic.Bool // err != nil, readable without mu
+
+	mu          sync.Mutex
+	err         error  // set once, when the connection breaks
+	pend, spare []byte // frames awaiting the next write; the buffer of the last one
+	writing     bool
+	head, tail  *waiter // requests in flight, oldest first
+}
+
+// waiter is one in-flight request's place in the response order.
+type waiter struct {
+	next      *waiter
+	expiry    time.Time
+	ch        chan muxResult // capacity 1, one send per use
+	abandoned bool           // the caller left: recycle when the response arrives
+	answered  bool           // off the queue, result in ch
+}
+
+type muxResult struct {
+	f   Frame
+	err error
+}
+
+var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan muxResult, 1)} }}
 
 // ErrServer wraps a TErr response.
 var ErrServer = errors.New("fleet: server error")
 
+// ErrClientClosed is returned by requests made on or cut short by Close.
+var ErrClientClosed = errors.New("fleet: client closed")
+
 // NewClient creates a client; connections are dialed on first use.
 func NewClient(cfg ClientConfig) *Client {
 	cfg.withDefaults()
-	cl := &Client{
-		cfg:  cfg,
-		pool: make(chan *poolConn, cfg.Conns),
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
-		lat:  map[string]*metrics.Series{},
+	return &Client{
+		cfg:   cfg,
+		slots: make([]connSlot, cfg.Conns),
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		lat:   map[string]*metrics.Series{},
 	}
-	for i := 0; i < cfg.Conns; i++ {
-		cl.pool <- nil // dial permit
-	}
-	return cl
 }
 
-// Close tears down all pooled connections.
+// Close tears down every connection, failing the requests in flight on
+// them, and returns once the reader goroutines have exited.
 func (cl *Client) Close() {
-	for i := 0; i < cl.cfg.Conns; i++ {
-		if pc := <-cl.pool; pc != nil {
-			_ = pc.c.Close()
+	cl.closed.Store(true)
+	for i := range cl.slots {
+		sl := &cl.slots[i]
+		sl.mu.Lock()
+		if mc := sl.cur.Load(); mc != nil {
+			mc.mu.Lock()
+			mc.failLocked(ErrClientClosed)
+			mc.mu.Unlock()
 		}
+		sl.mu.Unlock()
+	}
+	cl.readers.Wait()
+}
+
+// conn returns the next slot's live connection, dialing when the slot is
+// empty or its connection broke. One caller dials; the others wait for it
+// or for their own ctx.
+func (cl *Client) conn(ctx context.Context) (*muxConn, error) {
+	sl := &cl.slots[cl.next.Add(1)%uint32(len(cl.slots))]
+	for {
+		if mc := sl.live(); mc != nil {
+			return mc, nil
+		}
+		sl.mu.Lock()
+		if cl.closed.Load() {
+			sl.mu.Unlock()
+			return nil, ErrClientClosed
+		}
+		if mc := sl.live(); mc != nil { // redialed while this caller waited for mu
+			sl.mu.Unlock()
+			return mc, nil
+		}
+		if wait := sl.dialing; wait != nil {
+			sl.mu.Unlock()
+			select {
+			case <-wait:
+				continue
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		done := make(chan struct{})
+		sl.dialing = done
+		sl.mu.Unlock()
+
+		d := net.Dialer{Timeout: cl.cfg.DialTimeout}
+		c, err := d.DialContext(ctx, "tcp", cl.cfg.Addr)
+		sl.mu.Lock()
+		sl.dialing = nil
+		var mc *muxConn
+		switch {
+		case err != nil:
+		case cl.closed.Load():
+			_ = c.Close()
+			err = ErrClientClosed
+		default:
+			mc = cl.newMuxConn(c)
+			sl.cur.Store(mc)
+		}
+		sl.mu.Unlock()
+		close(done)
+		return mc, err
 	}
 }
 
-// checkout takes a pooled connection, dialing if the permit is unused.
-// Cancelling ctx aborts both the wait for a pool slot and the dial.
-func (cl *Client) checkout(ctx context.Context) (*poolConn, error) {
-	var pc *poolConn
-	select {
-	case pc = <-cl.pool:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	if pc != nil {
-		return pc, nil
-	}
-	d := net.Dialer{Timeout: cl.cfg.DialTimeout}
-	c, err := d.DialContext(ctx, "tcp", cl.cfg.Addr)
-	if err != nil {
-		cl.pool <- nil // return the permit
-		return nil, err
-	}
-	return &poolConn{c: c, br: bufio.NewReader(c), bw: bufio.NewWriter(c)}, nil
+// newMuxConn starts multiplexing over c.
+func (cl *Client) newMuxConn(c net.Conn) *muxConn {
+	mc := &muxConn{cl: cl, c: c}
+	cl.readers.Add(1)
+	go mc.readLoop()
+	return mc
 }
 
-func (cl *Client) putBack(pc *poolConn, broken bool) {
-	if broken {
-		_ = pc.c.Close()
-		cl.latMu.Lock()
-		cl.redials++
-		cl.latMu.Unlock()
-		cl.pool <- nil
-		return
-	}
-	cl.pool <- pc
-}
-
-// roundTrip performs one request/response exchange on a pooled connection.
-// A context cancellation mid-exchange expires the conn's deadline, which
-// unblocks the read/write; the conn is then discarded as broken (its
-// stream position is unknowable).
-func (cl *Client) roundTrip(ctx context.Context, req Frame) (Frame, error) {
-	pc, err := cl.checkout(ctx)
-	if err != nil {
+// roundTrip queues req on the connection, writes what is queued unless a
+// write is in progress, and waits for the response the reader hands over.
+func (mc *muxConn) roundTrip(ctx context.Context, req Frame) (Frame, error) {
+	cl := mc.cl
+	w := waiterPool.Get().(*waiter)
+	w.expiry = time.Now().Add(cl.cfg.RequestTimeout)
+	mc.mu.Lock()
+	if mc.err != nil {
+		err := mc.err
+		mc.mu.Unlock()
+		waiterPool.Put(w)
 		return Frame{}, err
 	}
-	deadline := time.Now().Add(cl.cfg.RequestTimeout)
-	_ = pc.c.SetDeadline(deadline)
-	stop := context.AfterFunc(ctx, func() { _ = pc.c.SetDeadline(time.Now()) })
-	defer stop()
-	if err := WriteFrame(pc.bw, req); err != nil {
-		cl.putBack(pc, true)
-		return Frame{}, cl.ctxErr(ctx, err)
+	if mc.head == nil {
+		mc.head = w
+		// The reader is idle, without a deadline: this request is the oldest.
+		_ = mc.c.SetReadDeadline(w.expiry)
+	} else {
+		mc.tail.next = w
 	}
-	resp, err := ReadFrame(pc.br, cl.cfg.MaxFrame)
-	if err != nil {
-		cl.putBack(pc, true)
-		return Frame{}, cl.ctxErr(ctx, err)
+	mc.tail = w
+	mc.pend = AppendFrame(mc.pend, req)
+	cl.frames.Add(1)
+	if !mc.writing {
+		mc.writing = true
+		for len(mc.pend) > 0 && mc.err == nil {
+			// Yield once before taking the buffer: callers that are runnable
+			// right now (a burst of responses just woke them) queue their
+			// frames first and share this write. Alone, it returns at once.
+			mc.mu.Unlock()
+			runtime.Gosched()
+			mc.mu.Lock()
+			buf := mc.pend
+			mc.pend = mc.spare[:0]
+			mc.mu.Unlock()
+			_ = mc.c.SetWriteDeadline(time.Now().Add(cl.cfg.RequestTimeout))
+			_, err := mc.c.Write(buf)
+			cl.writes.Add(1)
+			mc.mu.Lock()
+			mc.spare = buf
+			if err != nil {
+				mc.failLocked(err)
+			}
+		}
+		mc.writing = false
 	}
-	cl.putBack(pc, false)
-	return resp, nil
+	mc.mu.Unlock()
+
+	select {
+	case r := <-w.ch:
+		w.answered = false
+		waiterPool.Put(w)
+		return r.f, r.err
+	case <-ctx.Done():
+	}
+	// Cancelled. The request stays on the wire and keeps its place in the
+	// response order; the reader drops its response and recycles the slot.
+	// (A result that raced the cancellation is left to the collector.)
+	mc.mu.Lock()
+	w.abandoned = !w.answered
+	mc.mu.Unlock()
+	return Frame{}, ctx.Err()
 }
 
-// ctxErr prefers the context's cause over the deadline error it induced.
-func (cl *Client) ctxErr(ctx context.Context, err error) error {
-	if ctx.Err() != nil {
-		return ctx.Err()
+// readLoop hands every response to the oldest request in flight. Its read
+// deadline is that request's expiry, so RequestTimeout needs no timer per
+// request; an expiry breaks the connection, because the responses behind
+// the missing one could no longer be matched.
+func (mc *muxConn) readLoop() {
+	defer mc.cl.readers.Done()
+	br := bufio.NewReader(mc.c)
+	mc.mu.Lock()
+	for mc.err == nil {
+		if !frameBuffered(br) {
+			var deadline time.Time // idle: wait for the next request
+			if mc.head != nil {
+				deadline = mc.head.expiry
+			}
+			_ = mc.c.SetReadDeadline(deadline)
+		}
+		mc.mu.Unlock()
+		f, err := ReadFrame(br, mc.cl.cfg.MaxFrame)
+		mc.mu.Lock()
+		w := mc.head
+		switch {
+		case err != nil:
+			mc.failLocked(err)
+		case w == nil:
+			mc.failLocked(fmt.Errorf("fleet: unsolicited %v response", f.Type))
+		default:
+			if mc.head = w.next; mc.head == nil {
+				mc.tail = nil
+			}
+			w.answer(muxResult{f: f})
+		}
 	}
-	return err
+	mc.mu.Unlock()
+}
+
+// answer hands r to the waiter's caller, or recycles the waiter when the
+// caller has left. Called with the connection's mu held.
+func (w *waiter) answer(r muxResult) {
+	w.next = nil
+	if w.abandoned {
+		w.abandoned = false
+		waiterPool.Put(w)
+		return
+	}
+	w.answered = true
+	w.ch <- r
+}
+
+// failLocked breaks the connection once: every request in flight fails
+// with err (into its caller's retry loop) and the slot redials.
+func (mc *muxConn) failLocked(err error) {
+	if mc.err != nil {
+		return
+	}
+	mc.err = err
+	mc.dead.Store(true)
+	_ = mc.c.Close()
+	if !errors.Is(err, ErrClientClosed) {
+		mc.cl.redials.Add(1)
+	}
+	for w := mc.head; w != nil; {
+		next := w.next
+		w.answer(muxResult{err: err})
+		w = next
+	}
+	mc.head, mc.tail = nil, nil
 }
 
 // Do performs a request with retries: transport errors back off
@@ -191,8 +373,10 @@ func (cl *Client) Do(op string, req Frame) (Frame, error) {
 
 // DoCtx is Do with cancellation: the retry loop is hard-capped at
 // MaxRetries extra attempts, and a cancelled/expired ctx returns promptly
-// — it aborts backoff sleeps, pool waits, dials, and even an exchange
-// blocked mid-read.
+// — it aborts backoff sleeps, dials, waits for another caller's dial, and
+// the wait for a response (the request's slot in the response order is
+// abandoned, the connection stays good). Only a caller that is in the
+// middle of writing the queued frames finishes that write first.
 func (cl *Client) DoCtx(ctx context.Context, op string, req Frame) (Frame, error) {
 	start := time.Now()
 	var lastErr error
@@ -204,18 +388,20 @@ func (cl *Client) DoCtx(ctx context.Context, op string, req Frame) (Frame, error
 			return Frame{}, err
 		}
 		if attempt > 0 {
-			cl.latMu.Lock()
-			cl.retries++
-			cl.latMu.Unlock()
+			cl.retries.Add(1)
 		}
-		resp, err := cl.roundTrip(ctx, req)
+		var resp Frame
+		mc, err := cl.conn(ctx)
+		if err == nil {
+			resp, err = mc.roundTrip(ctx, req)
+		}
 		if err != nil {
-			lastErr = err
-			if ctx.Err() != nil {
-				continue // cancelled: loop exits at the top without sleeping
+			if errors.Is(err, ErrClientClosed) {
+				return Frame{}, err
 			}
-			if err := cl.sleep(ctx, cl.backoff(attempt)); err != nil {
-				continue
+			lastErr = err
+			if ctx.Err() == nil {
+				_ = cl.sleep(ctx, cl.backoff(attempt)) // cut short by ctx: the loop exits at the top
 			}
 			continue
 		}
@@ -332,20 +518,18 @@ func (cl *Client) FetchStats() (ServerStats, error) {
 	return st, nil
 }
 
-// Retries returns how many request attempts were retries; Redials how
-// many pooled connections were discarded after transport errors.
-func (cl *Client) Retries() uint64 {
-	cl.latMu.Lock()
-	defer cl.latMu.Unlock()
-	return cl.retries
-}
+// Retries returns how many request attempts were retries.
+func (cl *Client) Retries() uint64 { return cl.retries.Load() }
 
-// Redials returns the number of discarded-and-redialed pool connections.
-func (cl *Client) Redials() uint64 {
-	cl.latMu.Lock()
-	defer cl.latMu.Unlock()
-	return cl.redials
-}
+// Redials returns how many connections broke and were discarded, each
+// failing the requests in flight on it.
+func (cl *Client) Redials() uint64 { return cl.redials.Load() }
+
+// Frames returns how many request frames were queued for sending, Writes
+// how many connection writes carried them: Frames/Writes is the coalescing
+// the callers' concurrency bought.
+func (cl *Client) Frames() uint64 { return cl.frames.Load() }
+func (cl *Client) Writes() uint64 { return cl.writes.Load() }
 
 // Latency returns the recorded series for an op ("upload", "query", …),
 // or nil when the op never completed. The series is shared — callers

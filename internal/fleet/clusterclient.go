@@ -80,7 +80,7 @@ func (cc *ClusterClient) adopt(m *cluster.Map) {
 	cc.mu.Unlock()
 }
 
-// client returns (creating if needed) the pooled client for a node. A node
+// client returns (creating if needed) the client for a node. A node
 // that moved to a new address gets a fresh client; the stale one is closed.
 func (cc *ClusterClient) client(n cluster.Node) *Client {
 	cc.mu.RLock()

@@ -61,3 +61,13 @@ func ParseMasterKey(s string) ([16]byte, error) {
 func NewSubscriberEnvelope(master [16]byte, imsi string) *crypto5g.Envelope {
 	return core.NewChannelEnvelope(SubscriberKey(master, imsi))
 }
+
+// Ratio returns num/den, or 0 when den is 0: how the coalescing counters
+// (Client.Frames/Writes, ServerStats Jobs/Batches and Responses/Flushes)
+// are reported.
+func Ratio(num, den uint64) float64 {
+	if den == 0 {
+		return 0
+	}
+	return float64(num) / float64(den)
+}

@@ -16,7 +16,7 @@ import (
 )
 
 // startServer runs a quiet server on a free loopback port and returns it
-// with a pooled client. Shutdown order (client first) mirrors real use.
+// with a client. Shutdown order (client first) mirrors real use.
 func startServer(t *testing.T, cfg ServerConfig) (*Server, *Client) {
 	t.Helper()
 	cfg.Addr = "127.0.0.1:0"

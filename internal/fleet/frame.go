@@ -16,12 +16,17 @@ import (
 //
 //	MAGIC(2)=0x5E 0xED | VER(1)=1 | TYPE(1) | LEN(4, big-endian) | PAYLOAD
 //
-// Every request frame receives exactly one response frame on the same
-// connection, so a connection carries any number of round trips in
-// sequence and pools cleanly. LEN covers the payload only and is bounded
-// by the decoder's max-frame limit — an oversized, truncated, or
-// malformed frame is an error, never a panic (the 5Greplay property the
-// fuzz tests enforce).
+// The pipelining contract: a connection may carry any number of
+// outstanding requests; every request frame receives exactly one response
+// frame on the same connection; responses arrive in request order. A
+// response therefore needs no request ID — the n-th response answers the
+// n-th request — and a peer that writes one frame and reads one frame at
+// a time is simply the depth-one case. A response with no request
+// outstanding is a protocol error that ends the connection. LEN covers
+// the payload only and is bounded by the decoder's max-frame limit — an
+// oversized, truncated, or malformed frame is an error, never a panic
+// (the 5Greplay property the fuzz tests enforce), on a multiplexed
+// stream as on a serial one.
 
 // FrameType identifies a fleet frame.
 type FrameType uint8
@@ -205,6 +210,19 @@ func ReadFrame(r io.Reader, maxFrame uint32) (Frame, error) {
 		}
 	}
 	return f, nil
+}
+
+// frameBuffered reports whether br already holds the next frame whole, so
+// that ReadFrame will not touch the connection. The pipelined read loops
+// re-arm their read deadline only when it returns false: a deadline is
+// consulted by reads that reach the socket, and every such read then
+// carries a fresh one.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < headerLen {
+		return false
+	}
+	hdr, _ := br.Peek(headerLen)
+	return uint64(br.Buffered()-headerLen) >= uint64(binary.BigEndian.Uint32(hdr[4:]))
 }
 
 // --- request payload codecs ----------------------------------------------

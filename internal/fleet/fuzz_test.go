@@ -11,6 +11,9 @@ import (
 // FuzzReadFrame feeds arbitrary byte streams to the frame decoder. The
 // decoder faces raw TCP input from untrusted devices, so it must never
 // panic and never allocate past maxFrame; valid frames must round-trip.
+// The same bytes then arrive as the response stream of a multiplexed
+// client connection with requests in flight (checkMuxReader): never a
+// panic, never a response delivered to the wrong waiter.
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendFrame(nil, Frame{Type: TAck}))
@@ -19,9 +22,13 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0x5E, 0xED, 1, byte(TUpload), 0xFF, 0xFF, 0xFF, 0xFF}) // 4GiB length claim
 	f.Add([]byte{0x5E, 0xED, 2, 0, 0, 0, 0, 0})                         // wrong version
 	f.Add([]byte{0xDE, 0xAD, 1, 0, 0, 0, 0, 0})                         // wrong magic
+	// Response streams: more frames than waiters, and a good frame before a bad one.
+	f.Add(bytes.Repeat(AppendFrame(nil, Frame{Type: TAck}), 6))
+	f.Add(append(AppendFrame(nil, Frame{Type: TSuggest, Payload: []byte{7}}), 0x5E, 0xED, 9, 0, 0, 0, 0, 0))
 
 	const maxFrame = 1 << 16
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkMuxReader(t, data, maxFrame)
 		fr, err := ReadFrame(bytes.NewReader(data), maxFrame)
 		if err != nil {
 			return

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"math/rand"
@@ -375,65 +376,46 @@ func TestJournalCleanShutdownReplaysNothing(t *testing.T) {
 	}
 }
 
-// TestJournalGroupCommitBatches drives concurrent uploads through one
-// shard and checks the fsync count stayed below the record count — the
-// group commit actually amortizes. Whether a batch forms races the
-// scheduler: on a loaded single-core machine the shard worker can win
-// every queue-drain race and legitimately sync once per record, so the
-// burst retries on a fresh server until a batch is observed.
+// TestJournalGroupCommitBatches pins the group commit on a controlled
+// fsync: the first upload's fsync is held in the server's sync hook while
+// the other 63 arrive pipelined in one Write, so the second batch provably
+// carries all of them — 64 records, 2 fsyncs, whatever the scheduler does.
 func TestJournalGroupCommitBatches(t *testing.T) {
-	const n, attempts = 64, 5
-	for attempt := 1; ; attempt++ {
-		syncs, records := journalBurst(t, n)
-		if records != n {
-			t.Fatalf("journaled %d records, want %d", records, n)
-		}
-		if syncs < records {
-			t.Logf("group commit: %d records in %d syncs (attempt %d)", records, syncs, attempt)
-			return
-		}
-		if attempt == attempts {
-			t.Fatalf("no batching in %d attempts: %d syncs for %d records", attempts, syncs, records)
-		}
+	const n = 64
+	srv := quietServer(t, ServerConfig{Shards: 1, QueueDepth: 256, JournalDir: t.TempDir()})
+	hook, entered, release := parkFirstSync()
+	srv.syncHook = hook
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// journalBurst uploads n records concurrently through a fresh one-shard
-// journaling server and reports its sync/record counters.
-func journalBurst(t *testing.T, n int) (syncs, records uint64) {
-	t.Helper()
-	dir := t.TempDir()
-	cfg := ServerConfig{Shards: 1, QueueDepth: 256, JournalDir: dir}
-	srv, cl := startJournalServer(t, cfg)
-	cl.Close()
-	// Plenty of conns so many uploads are genuinely in flight at once and
-	// land in shared batches.
-	cl = NewClient(ClientConfig{Addr: srv.Addr().String(), Conns: 32})
 	defer func() { _ = srv.Shutdown() }()
-	defer cl.Close()
-
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			dev := NewSimDevice(DefaultMasterKey, fmt.Sprintf("00110%010d", i))
-			sealed, err := dev.SealRecords(core.MarshalRecords(deviceRecords(i)))
-			if err == nil {
-				err = cl.UploadRecords(dev.IMSI, sealed)
-			}
-			errs <- err
-		}(i)
+	frames := make([]Frame, n)
+	for i := range frames {
+		frames[i] = uploadFrame(t, fmt.Sprintf("00110%010d", i), i)
 	}
+	conn := dialRaw(t, srv)
+	if _, err := conn.Write(encodeFrames(frames[0])); err != nil {
+		t.Fatal(err)
+	}
+	<-entered // batch one is that single record, its fsync held
+	if _, err := conn.Write(encodeFrames(frames[1:]...)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the other 63 uploads to queue", func() bool { return len(srv.shards[0].queue) == n-1 })
+	close(release)
+	br := bufio.NewReader(conn)
 	for i := 0; i < n; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
+		if f, err := ReadFrame(br, DefaultMaxFrame); err != nil || f.Type != TAck {
+			t.Fatalf("ack %d: %v %v", i, f.Type, err)
 		}
 	}
-	st := srv.Stats()
-	return st.JournalSyncs, st.JournalRecords
+	if st := srv.Stats(); st.JournalRecords != n || st.JournalSyncs != 2 || st.Batches != 2 || st.Jobs != n {
+		t.Fatalf("records=%d syncs=%d batches=%d jobs=%d, want %d records in 2 syncs", st.JournalRecords, st.JournalSyncs, st.Batches, st.Jobs, n)
+	}
 }
 
-// TestModelUnmarshalRejectsEmptySnapshotModel guards UnmarshalModel's use
-// in recovery: an empty model is legal (fresh shard).
+// TestRecoverShardFreshDirectory: recovering a directory with no snapshot
+// and no journal yields an empty shard whose first record gets sequence 1.
 func TestRecoverShardFreshDirectory(t *testing.T) {
 	rec, err := recoverShard(t.TempDir(), 0, DefaultMasterKey, DefaultMaxFrame, false, func(string, ...any) {})
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"log"
 	"math/rand"
 	"net"
@@ -36,8 +35,9 @@ type ServerConfig struct {
 	QueueDepth int
 	// MaxFrame bounds accepted frame payloads.
 	MaxFrame uint32
-	// ReadTimeout is the per-frame read deadline; an idle connection is
-	// closed when it expires. WriteTimeout bounds each response write.
+	// ReadTimeout is the read deadline of a connection waiting for its
+	// next frame; an idle connection is closed when it expires.
+	// WriteTimeout bounds each write of finished responses.
 	ReadTimeout, WriteTimeout time.Duration
 	// RetryAfter is the wait hint returned on backpressure.
 	RetryAfter time.Duration
@@ -132,6 +132,13 @@ type ServerStats struct {
 	JournalSyncs    uint64 `json:"journal_syncs"`
 	Compactions     uint64 `json:"compactions"`
 	ReplayedRecords uint64 `json:"replayed_records"`
+	// Coalescing counters: Jobs shard jobs were processed in Batches
+	// worker wake-ups (one fsync per batch on the journaled path), and
+	// Responses response frames left in Flushes connection writes.
+	Jobs      uint64 `json:"jobs"`
+	Batches   uint64 `json:"batches"`
+	Responses uint64 `json:"responses"`
+	Flushes   uint64 `json:"flushes"`
 	// Epoch is the active cluster map epoch (zero outside a cluster).
 	Epoch uint64 `json:"epoch"`
 }
@@ -144,7 +151,11 @@ type Server struct {
 
 	connMu   sync.Mutex
 	conns    map[net.Conn]struct{}
-	draining bool
+	draining atomic.Bool // stored under connMu, read by every connection
+
+	// syncHook, when a test sets it before Start, runs in the shard worker
+	// right before each journal fsync.
+	syncHook func()
 
 	mapMu      sync.RWMutex
 	curMap     *cluster.Map
@@ -158,6 +169,7 @@ type Server struct {
 	backpressured, nErrors, dropped         atomic.Uint64
 	wrongShard, jRecords, jSyncs            atomic.Uint64
 	compactions, replayed                   atomic.Uint64
+	jobs, batches, responses, flushes       atomic.Uint64
 }
 
 type job struct {
@@ -187,7 +199,12 @@ type shard struct {
 	// degraded is set when an fsync failed: the shard stops acknowledging
 	// durable work rather than acking state it cannot promise to keep.
 	degraded bool
+	// Per-batch scratch, reused: the drained jobs, their replies, the
+	// journal records among them and which jobs those belong to.
 	batchBuf []job
+	replies  []Frame
+	recs     []journalRec
+	durable  []int
 }
 
 // NewServer creates an unstarted server.
@@ -316,6 +333,10 @@ func (s *Server) Stats() ServerStats {
 		JournalSyncs:    s.jSyncs.Load(),
 		Compactions:     s.compactions.Load(),
 		ReplayedRecords: s.replayed.Load(),
+		Jobs:            s.jobs.Load(),
+		Batches:         s.batches.Load(),
+		Responses:       s.responses.Load(),
+		Flushes:         s.flushes.Load(),
 		Epoch:           s.Epoch(),
 	}
 }
@@ -331,15 +352,16 @@ func (s *Server) Model() []byte {
 	return MarshalModel(merged)
 }
 
-// Shutdown drains gracefully: stop accepting, let in-flight round trips
-// finish, process every queued job, snapshot the model, and return. After
-// Shutdown the aggregate equals exactly what was acknowledged.
+// Shutdown drains gracefully: stop accepting, answer every request already
+// read off a connection, process every queued job, snapshot the model, and
+// return. After Shutdown the aggregate equals exactly what was
+// acknowledged.
 func (s *Server) Shutdown() error {
 	s.connMu.Lock()
-	s.draining = true
+	s.draining.Store(true)
 	for c := range s.conns {
-		// Expire pending reads; handlers finish their current request and
-		// exit (a round trip in progress still completes and responds).
+		// Expire pending reads: each connection stops reading, writes the
+		// responses it still owes, in order, and closes.
 		_ = c.SetReadDeadline(time.Now())
 	}
 	s.connMu.Unlock()
@@ -356,8 +378,9 @@ func (s *Server) Shutdown() error {
 		err = s.writeSnapshot()
 	}
 	st := s.Stats()
-	s.cfg.Logf("seedfleetd: drain complete (uploads=%d duplicates=%d reports=%d queries=%d backpressured=%d errors=%d dropped=%d)",
-		st.Uploads, st.Duplicates, st.Reports, st.Queries, st.Backpressured, st.Errors, st.Dropped)
+	s.cfg.Logf("seedfleetd: drain complete (uploads=%d duplicates=%d reports=%d queries=%d backpressured=%d errors=%d dropped=%d jobs_per_batch=%.2f responses_per_flush=%.2f)",
+		st.Uploads, st.Duplicates, st.Reports, st.Queries, st.Backpressured, st.Errors, st.Dropped,
+		Ratio(st.Jobs, st.Batches), Ratio(st.Responses, st.Flushes))
 	return err
 }
 
@@ -387,7 +410,7 @@ func (s *Server) drainCompact() error {
 // Tests use it as in-process SIGKILL injection.
 func (s *Server) Kill() {
 	s.connMu.Lock()
-	s.draining = true
+	s.draining.Store(true)
 	for c := range s.conns {
 		_ = c.Close()
 	}
@@ -414,7 +437,7 @@ func (s *Server) acceptLoop() {
 			return // listener closed on Shutdown
 		}
 		s.connMu.Lock()
-		if s.draining {
+		if s.draining.Load() {
 			s.connMu.Unlock()
 			_ = conn.Close()
 			continue
@@ -427,35 +450,100 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// connPipelineDepth bounds the requests one connection may have accepted
+// but not yet answered. Beyond it the reader stops reading and TCP flow
+// control pushes back on the sender. It exceeds maxJournalBatch so that a
+// single pipelining connection can fill a whole group commit.
+const connPipelineDepth = 128
+
+// handleConn serves one connection with two goroutines: this one reads
+// and dispatches requests without waiting for their replies, the other
+// writes the replies in request order.
 func (s *Server) handleConn(conn net.Conn) {
-	defer func() {
-		s.connMu.Lock()
-		delete(s.conns, conn)
-		s.connMu.Unlock()
-		_ = conn.Close()
-		s.connWG.Done()
+	// pending carries, in request order, the channel each accepted
+	// request's reply arrives on.
+	pending := make(chan chan Frame, connPipelineDepth)
+	written := make(chan struct{})
+	go func() {
+		s.writeReplies(conn, pending)
+		close(written)
 	}()
 	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+		if !frameBuffered(br) {
+			// The next read reaches the socket. Shutdown stores draining
+			// before it expires the deadline, so looking after arming
+			// cannot miss it; frames already read are still served.
+			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+			if s.draining.Load() {
+				break
+			}
+		}
 		f, err := ReadFrame(br, s.cfg.MaxFrame)
 		if err != nil {
-			return // clean close, idle timeout, drain, or protocol error
+			break // clean close, idle timeout, drain, or protocol error
 		}
-		resp := s.dispatch(f)
+		pending <- s.dispatch(f)
+	}
+	close(pending)
+	<-written
+	s.connMu.Lock()
+	delete(s.conns, conn)
+	s.connMu.Unlock()
+	_ = conn.Close()
+	s.connWG.Done()
+}
+
+// writeReplies emits each reply in request order, waiting for the shard
+// where it must, and writes the connection once per run of ready replies:
+// it flushes only when the next reply is not ready yet (or the run grew
+// large). A write error closes the connection, which stops the reader and
+// makes the remaining writes fail at once; the loop still consumes every
+// reply, so the reader never blocks on a full pipeline.
+func (s *Server) writeReplies(conn net.Conn, pending <-chan chan Frame) {
+	var out []byte
+	flush := func() {
+		if len(out) == 0 {
+			return
+		}
 		_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		if err := WriteFrame(bw, resp); err != nil {
-			return
+		if _, err := conn.Write(out); err != nil {
+			_ = conn.Close()
 		}
-		s.connMu.Lock()
-		stop := s.draining
-		s.connMu.Unlock()
-		if stop {
-			return
+		s.flushes.Add(1)
+		if out = out[:0]; cap(out) > 4*flushBytes {
+			out = nil // a model pull went through: do not keep its buffer
+		}
+	}
+	for {
+		var reply chan Frame
+		select {
+		case reply = <-pending:
+		default:
+			flush()
+			reply = <-pending
+		}
+		if reply == nil {
+			flush()
+			return // the reader closed the pipeline and everything is out
+		}
+		var f Frame
+		select {
+		case f = <-reply:
+		default:
+			flush()
+			f = <-reply
+		}
+		s.responses.Add(1)
+		if out = AppendFrame(out, f); len(out) >= flushBytes {
+			flush()
 		}
 	}
 }
+
+// flushBytes is the size at which queued responses are written out even
+// though more are ready.
+const flushBytes = 32 << 10
 
 // checkOwner enforces the cluster shard map on a subscriber request. A
 // non-nil return is the redirect (or freeze) response. Frozen means the
@@ -477,29 +565,44 @@ func (s *Server) checkOwner(imsi string) *Frame {
 	return nil
 }
 
-// dispatch routes one request frame and blocks until its response is
-// ready. Sealed-envelope work goes through the device's home shard; admin
-// frames are answered inline.
-func (s *Server) dispatch(f Frame) Frame {
+// dispatch routes one request frame and returns the channel its response
+// arrives on. Sealed-envelope work goes to the device's home shard and is
+// answered later; admin frames and errors are answered inline, the
+// channel pre-filled.
+func (s *Server) dispatch(f Frame) chan Frame {
 	switch f.Type {
 	case TUpload, TReport:
 		imsi, sealed, err := ParseSealedPayload(f.Payload)
 		if err != nil {
-			return s.errFrame(err)
+			return filled(s.errFrame(err))
 		}
 		if deny := s.checkOwner(imsi); deny != nil {
-			return *deny
+			return filled(*deny)
 		}
 		return s.submit(job{typ: f.Type, imsi: imsi, sealed: sealed})
 	case TQuery:
 		imsi, c, err := ParseQueryPayload(f.Payload)
 		if err != nil {
-			return s.errFrame(err)
+			return filled(s.errFrame(err))
 		}
 		if deny := s.checkOwner(imsi); deny != nil {
-			return *deny
+			return filled(*deny)
 		}
 		return s.submit(job{typ: TQuery, imsi: imsi, cause: c})
+	default:
+		return filled(s.admin(f))
+	}
+}
+
+func filled(f Frame) chan Frame {
+	ch := make(chan Frame, 1)
+	ch <- f
+	return ch
+}
+
+// admin answers a non-subscriber frame inline.
+func (s *Server) admin(f Frame) Frame {
+	switch f.Type {
 	case TModelPull:
 		return Frame{Type: TModel, Payload: s.Model()}
 	case TStatsPull:
@@ -603,23 +706,32 @@ func (s *Server) handleCommit(payload []byte) Frame {
 }
 
 func (s *Server) homeShard(imsi string) *shard {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(imsi))
-	return s.shards[h.Sum32()%uint32(len(s.shards))]
+	return s.shards[fnv32a(imsi)%uint32(len(s.shards))]
 }
 
-// submit enqueues a job on the device's home shard, answering TRetryAfter
-// when the shard's bounded queue is full.
-func (s *Server) submit(j job) Frame {
+// fnv32a is hash/fnv's 32-bit FNV-1a over the bytes of s, without the
+// hasher and the byte-slice copy: shard placement, and with it every
+// existing journal directory, depends on these exact values.
+func fnv32a(s string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * 16777619
+	}
+	return h
+}
+
+// submit enqueues a job on the device's home shard and returns the channel
+// its reply arrives on; a full queue answers TRetryAfter there at once.
+func (s *Server) submit(j job) chan Frame {
 	sh := s.homeShard(j.imsi)
 	j.reply = make(chan Frame, 1)
 	select {
 	case sh.queue <- j:
-		return <-j.reply
 	default:
 		s.backpressured.Add(1)
-		return Frame{Type: TRetryAfter, Payload: RetryAfterPayload(uint32(s.cfg.RetryAfter / time.Millisecond))}
+		j.reply <- Frame{Type: TRetryAfter, Payload: RetryAfterPayload(uint32(s.cfg.RetryAfter / time.Millisecond))}
 	}
+	return j.reply
 }
 
 // submitShard blocks a control job onto a specific shard (admin paths
@@ -671,22 +783,27 @@ func (sh *shard) run() {
 
 // process folds one batch and group-commits its journal records.
 func (sh *shard) process(batch []job) {
-	replies := make([]Frame, len(batch))
-	var recs []journalRec
-	durable := make([]int, 0, len(batch)) // batch indices awaiting the fsync
+	sh.srv.batches.Add(1)
+	sh.srv.jobs.Add(uint64(len(batch)))
+	replies, recs := sh.replies[:0], sh.recs[:0]
+	durable := sh.durable[:0] // batch indices awaiting the fsync
 	for i, j := range batch {
 		f, rec := sh.handle(j)
-		replies[i] = f
-		if rec != nil && sh.jr != nil {
+		replies = append(replies, f)
+		if rec.kind != 0 && sh.jr != nil {
 			rec.seq = sh.jr.nextSeq
 			sh.jr.nextSeq++
-			recs = append(recs, *rec)
+			recs = append(recs, rec)
 			durable = append(durable, i)
 		}
 	}
+	sh.replies, sh.recs, sh.durable = replies, recs, durable
 	if len(recs) > 0 {
 		err := sh.jr.append(recs)
 		if err == nil {
+			if sh.srv.syncHook != nil {
+				sh.srv.syncHook()
+			}
 			err = sh.jr.sync()
 		}
 		if err != nil {
@@ -748,11 +865,11 @@ func (sh *shard) env(imsi string) *crypto5g.Envelope {
 }
 
 // handle folds one job and returns its reply plus the journal record that
-// must be durable before the reply may be released (nil when the job
+// must be durable before the reply may be released (kind 0 when the job
 // changed no durable state — duplicates, queries, errors).
-func (sh *shard) handle(j job) (Frame, *journalRec) {
+func (sh *shard) handle(j job) (Frame, journalRec) {
 	if sh.degraded && (j.typ == TUpload || j.typ == TReport || j.typ == TCounterInstall) {
-		return sh.srv.errFrame(errors.New("fleet: shard degraded after journal failure")), nil
+		return sh.srv.errFrame(errors.New("fleet: shard degraded after journal failure")), journalRec{}
 	}
 	switch j.typ {
 	case TUpload:
@@ -760,13 +877,13 @@ func (sh *shard) handle(j job) (Frame, *journalRec) {
 	case TReport:
 		return sh.handleReport(j)
 	case TQuery:
-		return sh.handleQuery(j), nil
+		return sh.handleQuery(j), journalRec{}
 	case TMapPrepare:
-		return sh.handleCollect(j), nil
+		return sh.handleCollect(j), journalRec{}
 	case TCounterInstall:
 		return sh.handleInstall(j)
 	default:
-		return sh.srv.errFrame(fmt.Errorf("fleet: shard got frame %v", j.typ)), nil
+		return sh.srv.errFrame(fmt.Errorf("fleet: shard got frame %v", j.typ)), journalRec{}
 	}
 }
 
@@ -775,18 +892,18 @@ func (sh *shard) handle(j job) (Frame, *journalRec) {
 // envelope counter makes the fold exactly-once: a replayed counter means
 // this blob was already folded, so the duplicate is acknowledged without
 // folding again.
-func (sh *shard) handleUpload(j job) (Frame, *journalRec) {
+func (sh *shard) handleUpload(j job) (Frame, journalRec) {
 	blob, err := sh.env(j.imsi).Open(crypto5g.Uplink, j.sealed)
 	if err != nil {
 		if errors.Is(err, crypto5g.ErrReplay) {
 			sh.srv.duplicates.Add(1)
-			return Frame{Type: TAck}, nil
+			return Frame{Type: TAck}, journalRec{}
 		}
-		return sh.srv.errFrame(fmt.Errorf("fleet: upload from %s: %w", j.imsi, err)), nil
+		return sh.srv.errFrame(fmt.Errorf("fleet: upload from %s: %w", j.imsi, err)), journalRec{}
 	}
 	recs, err := core.UnmarshalRecords(blob)
 	if err != nil {
-		return sh.srv.errFrame(fmt.Errorf("fleet: upload from %s: %w", j.imsi, err)), nil
+		return sh.srv.errFrame(fmt.Errorf("fleet: upload from %s: %w", j.imsi, err)), journalRec{}
 	}
 	rows := 0
 	for _, acts := range recs {
@@ -797,7 +914,7 @@ func (sh *shard) handleUpload(j job) (Frame, *journalRec) {
 	sh.mu.Unlock()
 	sh.srv.uploads.Add(1)
 	sh.srv.recordRows.Add(uint64(rows))
-	return Frame{Type: TAck}, &journalRec{kind: jUpload, imsi: j.imsi, body: j.sealed}
+	return Frame{Type: TAck}, journalRec{kind: jUpload, imsi: j.imsi, body: j.sealed}
 }
 
 // handleReport opens and validates a sealed failure report. The in-process
@@ -806,20 +923,20 @@ func (sh *shard) handleUpload(j job) (Frame, *journalRec) {
 // like uploads). Reports are journaled too: they advance the envelope
 // receive counter, and replay must restore that counter exactly for the
 // dedup of later uploads to hold.
-func (sh *shard) handleReport(j job) (Frame, *journalRec) {
+func (sh *shard) handleReport(j job) (Frame, journalRec) {
 	raw, err := sh.env(j.imsi).Open(crypto5g.Uplink, j.sealed)
 	if err != nil {
 		if errors.Is(err, crypto5g.ErrReplay) {
 			sh.srv.duplicates.Add(1)
-			return Frame{Type: TAck}, nil
+			return Frame{Type: TAck}, journalRec{}
 		}
-		return sh.srv.errFrame(fmt.Errorf("fleet: report from %s: %w", j.imsi, err)), nil
+		return sh.srv.errFrame(fmt.Errorf("fleet: report from %s: %w", j.imsi, err)), journalRec{}
 	}
 	if _, err := report.Unmarshal(raw); err != nil {
-		return sh.srv.errFrame(fmt.Errorf("fleet: report from %s: %w", j.imsi, err)), nil
+		return sh.srv.errFrame(fmt.Errorf("fleet: report from %s: %w", j.imsi, err)), journalRec{}
 	}
 	sh.srv.reports.Add(1)
-	return Frame{Type: TAck}, &journalRec{kind: jReport, imsi: j.imsi, body: j.sealed}
+	return Frame{Type: TAck}, journalRec{kind: jReport, imsi: j.imsi, body: j.sealed}
 }
 
 // handleCollect gathers the counter state of every subscriber this node
@@ -841,14 +958,14 @@ func (sh *shard) handleCollect(j job) Frame {
 // handleInstall raises moved-in subscribers' counters (rebalance phase 2,
 // shard slice). Max semantics keep it idempotent under controller retries
 // and journal replay.
-func (sh *shard) handleInstall(j job) (Frame, *journalRec) {
+func (sh *shard) handleInstall(j job) (Frame, journalRec) {
 	for _, e := range j.table {
 		installCounters(sh.env(e.IMSI), e)
 	}
 	if sh.jr == nil {
-		return Frame{Type: TAck}, nil
+		return Frame{Type: TAck}, journalRec{}
 	}
-	return Frame{Type: TAck}, &journalRec{kind: jInstall, body: AppendCounterTable(nil, j.table)}
+	return Frame{Type: TAck}, journalRec{kind: jInstall, body: AppendCounterTable(nil, j.table)}
 }
 
 // handleQuery answers the model-push leg: merge the cause's evidence
