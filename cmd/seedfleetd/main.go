@@ -9,17 +9,17 @@
 //
 //	seedfleetd [-addr HOST:PORT] [-shards N] [-queue N] [-max-frame BYTES]
 //	           [-read-timeout D] [-write-timeout D] [-retry-after D]
-//	           [-snapshot FILE] [-master HEX32]
+//	           [-master HEX32]
 //	           [-journal DIR] [-compact-bytes N] [-force-empty]
 //	           [-node-id ID -cluster ID=ADDR,ID=ADDR,... [-epoch N]]
 //
-// Durability: -journal DIR enables the crash-tolerant tier — every acked
-// upload is group-commit fsync'd to a per-shard journal before the ack
-// leaves, so even SIGKILL replays to the exact pre-crash model (and the
-// exact envelope counters, so client retries dedup). -snapshot is the
-// legacy drain-only model file and is mutually exclusive with -journal.
-// Damaged durable state refuses startup; -force-empty quarantines it as
-// *.corrupt and starts empty instead.
+// Durability: there are two states. Without -journal the model lives in
+// memory and ends with the process. -journal DIR enables the
+// crash-tolerant tier — every acked upload is group-commit fsync'd to a
+// per-shard journal before the ack leaves, so even SIGKILL replays to the
+// exact pre-crash model (and the exact envelope counters, so client
+// retries dedup). Damaged durable state refuses startup; -force-empty
+// quarantines it as *.corrupt and starts empty instead.
 //
 // Clustering: -cluster lists the members (consistent-hash ring over IMSI)
 // and -node-id names this process. Requests for IMSIs owned elsewhere get
@@ -28,8 +28,8 @@
 // -chaos).
 //
 // SIGINT/SIGTERM drains gracefully: in-flight round trips complete, every
-// queued upload is folded and acknowledged, durable state is compacted
-// (or the -snapshot written), and the process exits 0 after logging
+// queued upload is folded and acknowledged, a journal is compacted (the
+// next start replays nothing), and the process exits 0 after logging
 // "drain complete".
 package main
 
@@ -54,9 +54,8 @@ func main() {
 		readTimeout  = flag.Duration("read-timeout", 30*time.Second, "per-frame read deadline")
 		writeTimeout = flag.Duration("write-timeout", 10*time.Second, "per-response write deadline")
 		retryAfter   = flag.Duration("retry-after", 25*time.Millisecond, "backpressure wait hint")
-		snapshot     = flag.String("snapshot", "", "aggregate-model snapshot file (restored on start, written on drain)")
 		master       = flag.String("master", "", "fleet master key, 32 hex digits (default: built-in dev key)")
-		journalDir   = flag.String("journal", "", "durable journal directory (crash-tolerant tier; excludes -snapshot)")
+		journalDir   = flag.String("journal", "", "durable journal directory (crash-tolerant tier; unset: in-memory only)")
 		compactBytes = flag.Int64("compact-bytes", 4<<20, "per-shard journal size triggering snapshot compaction")
 		forceEmpty   = flag.Bool("force-empty", false, "quarantine damaged durable state and start empty instead of refusing")
 		nodeID       = flag.String("node-id", "", "this node's ID in the cluster map")
@@ -73,7 +72,6 @@ func main() {
 		ReadTimeout:  *readTimeout,
 		WriteTimeout: *writeTimeout,
 		RetryAfter:   *retryAfter,
-		SnapshotPath: *snapshot,
 		JournalDir:   *journalDir,
 		CompactBytes: *compactBytes,
 		ForceEmpty:   *forceEmpty,

@@ -9,18 +9,13 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"github.com/seed5g/seed/internal/core"
 	"github.com/seed5g/seed/internal/fleet"
 	"github.com/seed5g/seed/internal/fleet/cluster"
 )
@@ -55,12 +50,10 @@ type chaosNode struct {
 }
 
 type nodeLatency struct {
-	Node        string  `json:"node"`
-	Uploads     uint64  `json:"uploads"`
-	Replayed    uint64  `json:"replayed_records"`
-	UploadP50MS float64 `json:"upload_p50_ms"`
-	UploadP95MS float64 `json:"upload_p95_ms"`
-	UploadP99MS float64 `json:"upload_p99_ms"`
+	Node     string `json:"node"`
+	Uploads  uint64 `json:"uploads"`
+	Replayed uint64 `json:"replayed_records"`
+	uploadLatency
 }
 
 type chaosResult struct {
@@ -83,9 +76,7 @@ type chaosResult struct {
 	Redials    uint64 `json:"client_redials"`
 	Duplicates uint64 `json:"server_duplicates"`
 
-	UploadP50MS float64 `json:"upload_p50_ms"`
-	UploadP95MS float64 `json:"upload_p95_ms"`
-	UploadP99MS float64 `json:"upload_p99_ms"`
+	uploadLatency
 
 	PerNode []nodeLatency `json:"per_node"`
 }
@@ -217,22 +208,16 @@ func runChaos(o chaosOpts) int {
 	logf("seedload chaos: %d-node cluster up (lossy=%v): %s", o.nodes, o.lossy, spec)
 
 	// --- workload ---------------------------------------------------------
-	loads := make([]deviceLoad, o.devices)
-	baseline := core.NewLearner(0.1, rand.New(rand.NewSource(o.seed)))
-	for i := range loads {
-		loads[i] = genDevice(o.seed, i, o.records, 0, o.causes)
-		baseline.Crowdsource(loads[i].records)
-	}
-	expected := fleet.MarshalModel(baseline.Export())
+	loads, expected, _ := genFleet(o.seed, o.devices, o.records, 0, o.causes, 0)
 
 	// --- campaign script --------------------------------------------------
-	// Uploads are acked-then-counted: `done` only moves when the cluster
+	// Uploads are acked-then-counted: d.acked only moves when the cluster
 	// acknowledged the fold, so the kill at devices/3 strikes mid-load by
 	// construction. The scripted failures:
-	//   done == devices/3   → SIGKILL n1, wait killDown, restart (recovery timed)
-	//   done == 2*devices/3 → epoch 2: drain n2 out; epoch 3: bring n2 back
+	//   acked == devices/3   → SIGKILL n1, wait killDown, restart (recovery timed)
+	//   acked == 2*devices/3 → epoch 2: drain n2 out; epoch 3: bring n2 back
 	victim, drained := nodes[1], nodes[2%len(nodes)]
-	var done atomic.Int64
+	d := driver{cc: cc, masterKey: o.masterKey, workers: o.workers}
 	killAt, rebalanceAt := int64(o.devices/3), int64(2*o.devices/3)
 	var recoveryMS float64
 	scriptErr := make(chan error, 1)
@@ -240,13 +225,13 @@ func runChaos(o chaosOpts) int {
 	go func() {
 		defer close(scriptDone)
 		waitFor := func(mark int64) {
-			for done.Load() < mark {
+			for d.acked.Load() < mark {
 				time.Sleep(2 * time.Millisecond)
 			}
 		}
 
 		waitFor(killAt)
-		logf("seedload chaos: SIGKILL %s at %d acked uploads", victim.id, done.Load())
+		logf("seedload chaos: SIGKILL %s at %d acked uploads", victim.id, d.acked.Load())
 		_ = victim.cmd.Process.Kill()
 		_, _ = victim.cmd.Process.Wait()
 		time.Sleep(o.killDown)
@@ -294,32 +279,7 @@ func runChaos(o chaosOpts) int {
 	}()
 
 	// --- drive ------------------------------------------------------------
-	adapter := newClusterAdapter(cc)
-	var lost atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < o.workers; w++ {
-		lo, hi := o.devices*w/o.workers, o.devices*(w+1)/o.workers
-		wg.Add(1)
-		go func(chunk []deviceLoad) {
-			defer wg.Done()
-			for _, ld := range chunk {
-				dev := fleet.NewSimDevice(o.masterKey, ld.imsi)
-				sealed, err := dev.SealRecords(core.MarshalRecords(ld.records))
-				if err == nil {
-					err = adapter.UploadRecords(ld.imsi, sealed)
-				}
-				if err != nil {
-					lost.Add(1)
-					fmt.Fprintf(os.Stderr, "seedload chaos: %s: %v\n", ld.imsi, err)
-					continue
-				}
-				done.Add(1)
-			}
-		}(loads[lo:hi])
-	}
-	wg.Wait()
-	wall := time.Since(start)
+	wall := d.run(loads)
 	<-scriptDone
 	select {
 	case err := <-scriptErr:
@@ -338,40 +298,33 @@ func runChaos(o chaosOpts) int {
 		Nodes: o.nodes, Devices: o.devices, Workers: o.workers, Seed: o.seed,
 		Lossy:        o.lossy,
 		WallMS:       float64(wall) / float64(time.Millisecond),
-		Lost:         lost.Load(),
+		Lost:         d.lost.Load(),
 		ModelMatch:   match,
 		ModelBytes:   len(got),
 		KilledNode:   victim.id,
 		KillAtUpload: int(killAt),
 		RecoveryMS:   recoveryMS,
-		Retries:      adapter.Retries(),
-		Redials:      adapter.Redials(),
-		UploadP50MS:  ms(adapter.Latency("upload"), 50),
-		UploadP95MS:  ms(adapter.Latency("upload"), 95),
-		UploadP99MS:  ms(adapter.Latency("upload"), 99),
+		Retries:      cc.Retries(),
+		Redials:      cc.Redials(),
+
+		uploadLatency: uploadLatencyOf(cc.Latency("upload")),
 	}
-	stats, errs := cc.FetchStatsAll(ctx)
-	for id, err := range errs {
-		return fail("final stats from %s: %v", id, err)
+	sum, stats, err := fetchStats(cc)
+	if err != nil {
+		return fail("final stats: %v", err)
 	}
+	res.Duplicates, res.FinalEpoch = sum.Duplicates, sum.Epoch
 	for _, n := range nodes {
 		st := stats[n.id]
-		res.Duplicates += st.Duplicates
-		if st.Epoch > res.FinalEpoch {
-			res.FinalEpoch = st.Epoch
-		}
-		nl := nodeLatency{Node: n.id, Uploads: st.Uploads, Replayed: st.ReplayedRecords}
-		if cl := cc.NodeLatency(n.id); cl != nil {
-			nl.UploadP50MS = ms(cl.Latency("upload"), 50)
-			nl.UploadP95MS = ms(cl.Latency("upload"), 95)
-			nl.UploadP99MS = ms(cl.Latency("upload"), 99)
-		}
-		res.PerNode = append(res.PerNode, nl)
+		res.PerNode = append(res.PerNode, nodeLatency{
+			Node: n.id, Uploads: st.Uploads, Replayed: st.ReplayedRecords,
+			uploadLatency: uploadLatencyOf(cc.LatencyOn(n.id, "upload")),
+		})
 	}
 
 	logf("seedload chaos: %d uploads in %.0fms, lost=%d duplicates=%d model_match=%v recovery=%.1fms epoch=%d",
 		o.devices, res.WallMS, res.Lost, res.Duplicates, res.ModelMatch, res.RecoveryMS, res.FinalEpoch)
-	logf("seedload chaos: %s", latSummary(adapter, "upload"))
+	logf("seedload chaos: %s", latSummary(cc.Latency("upload"), "upload"))
 
 	exit := 0
 	if res.Lost > 0 {
@@ -388,20 +341,8 @@ func runChaos(o chaosOpts) int {
 		exit = 1
 	}
 
-	if o.jsonOut != "" {
-		buf, err := json.MarshalIndent(res, "", "  ")
-		if err == nil {
-			buf = append(buf, '\n')
-			if o.jsonOut == "-" {
-				_, err = os.Stdout.Write(buf)
-			} else {
-				err = os.WriteFile(o.jsonOut, buf, 0o644)
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "seedload chaos: writing %s: %v\n", o.jsonOut, err)
-			exit = 1
-		}
+	if !writeJSON(o.jsonOut, res) {
+		exit = 1
 	}
 	return exit
 }

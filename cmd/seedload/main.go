@@ -6,7 +6,8 @@
 //
 // Usage:
 //
-//	seedload [-addr HOST:PORT] [-devices N] [-workers N] [-conns N]
+//	seedload [-addr HOST:PORT | -cluster ID=ADDR,...] [-devices N]
+//	         [-workers N] [-conns N]
 //	         [-records N] [-reports N] [-causes N] [-seed S]
 //	         [-spec FILE] [-timescale F]
 //	         [-master HEX32] [-json FILE] [-verify=false] [-quiet]
@@ -21,7 +22,8 @@
 //
 // -workers is the client-shard count: devices are partitioned across
 // worker goroutines, each performing synchronous round trips over the
-// -conns shared connections, which carry any number of requests at once:
+// -conns shared connections per node, which carry any number of requests
+// at once:
 // workers beyond -conns have their frames coalesced into shared writes
 // (frames_per_write in -json; responses_per_flush and jobs_per_batch are
 // the server's side of the same effect). p50/p95/p99 latencies cover the
@@ -57,134 +59,6 @@ import (
 	"github.com/seed5g/seed/internal/workload"
 )
 
-// fleetAPI is the surface the drive loop needs. The single-node Client
-// satisfies it directly; cluster mode wraps a ClusterClient so the same
-// loop drives a sharded fleet tier unchanged.
-type fleetAPI interface {
-	UploadRecords(imsi string, sealed []byte) error
-	Report(imsi string, sealed []byte) error
-	Query(imsi string, c cause.Cause) ([]byte, error)
-	FetchModel() ([]byte, error)
-	FetchStats() (fleet.ServerStats, error)
-	Retries() uint64
-	Redials() uint64
-	Frames() uint64
-	Writes() uint64
-	Latency(op string) *metrics.Series
-}
-
-// clusterAdapter adapts ClusterClient's context-first surface to fleetAPI
-// and keeps its own cross-node latency series (what a device experiences,
-// redirects and failovers included).
-type clusterAdapter struct {
-	cc    *fleet.ClusterClient
-	latMu sync.Mutex
-	lat   map[string]*metrics.Series
-}
-
-func newClusterAdapter(cc *fleet.ClusterClient) *clusterAdapter {
-	return &clusterAdapter{cc: cc, lat: map[string]*metrics.Series{}}
-}
-
-func (a *clusterAdapter) record(op string, start time.Time) {
-	a.latMu.Lock()
-	s := a.lat[op]
-	if s == nil {
-		s = metrics.NewSeries(op)
-		a.lat[op] = s
-	}
-	s.Add(time.Since(start))
-	a.latMu.Unlock()
-}
-
-func (a *clusterAdapter) UploadRecords(imsi string, sealed []byte) error {
-	start := time.Now()
-	err := a.cc.UploadRecords(context.Background(), imsi, sealed)
-	if err == nil {
-		a.record("upload", start)
-	}
-	return err
-}
-
-func (a *clusterAdapter) Report(imsi string, sealed []byte) error {
-	start := time.Now()
-	err := a.cc.Report(context.Background(), imsi, sealed)
-	if err == nil {
-		a.record("report", start)
-	}
-	return err
-}
-
-func (a *clusterAdapter) Query(imsi string, c cause.Cause) ([]byte, error) {
-	start := time.Now()
-	p, err := a.cc.Query(context.Background(), imsi, c)
-	if err == nil {
-		a.record("query", start)
-	}
-	return p, err
-}
-
-func (a *clusterAdapter) FetchModel() ([]byte, error) {
-	return a.cc.FetchClusterModel(context.Background())
-}
-
-// FetchStats sums the counters across members (per-node detail is the
-// chaos driver's business).
-func (a *clusterAdapter) FetchStats() (fleet.ServerStats, error) {
-	stats, errs := a.cc.FetchStatsAll(context.Background())
-	for id, err := range errs {
-		return fleet.ServerStats{}, fmt.Errorf("node %s: %w", id, err)
-	}
-	var sum fleet.ServerStats
-	for _, st := range stats {
-		sum.Conns += st.Conns
-		sum.Uploads += st.Uploads
-		sum.Duplicates += st.Duplicates
-		sum.RecordRows += st.RecordRows
-		sum.Reports += st.Reports
-		sum.Queries += st.Queries
-		sum.Suggestions += st.Suggestions
-		sum.Backpressured += st.Backpressured
-		sum.Errors += st.Errors
-		sum.Dropped += st.Dropped
-		sum.WrongShard += st.WrongShard
-		sum.JournalRecords += st.JournalRecords
-		sum.JournalSyncs += st.JournalSyncs
-		sum.Compactions += st.Compactions
-		sum.ReplayedRecords += st.ReplayedRecords
-		sum.Jobs += st.Jobs
-		sum.Batches += st.Batches
-		sum.Responses += st.Responses
-		sum.Flushes += st.Flushes
-		if st.Epoch > sum.Epoch {
-			sum.Epoch = st.Epoch
-		}
-	}
-	return sum, nil
-}
-
-// sumClients adds up one counter over the per-node clients.
-func (a *clusterAdapter) sumClients(counter func(*fleet.Client) uint64) uint64 {
-	var sum uint64
-	for _, n := range a.cc.Map().Nodes() {
-		if cl := a.cc.NodeLatency(n.ID); cl != nil {
-			sum += counter(cl)
-		}
-	}
-	return sum
-}
-
-func (a *clusterAdapter) Retries() uint64 { return a.sumClients((*fleet.Client).Retries) }
-func (a *clusterAdapter) Redials() uint64 { return a.sumClients((*fleet.Client).Redials) }
-func (a *clusterAdapter) Frames() uint64  { return a.sumClients((*fleet.Client).Frames) }
-func (a *clusterAdapter) Writes() uint64  { return a.sumClients((*fleet.Client).Writes) }
-
-func (a *clusterAdapter) Latency(op string) *metrics.Series {
-	a.latMu.Lock()
-	defer a.latMu.Unlock()
-	return a.lat[op]
-}
-
 // result is the machine-readable run record (-json).
 type result struct {
 	Devices       int     `json:"devices"`
@@ -206,12 +80,10 @@ type result struct {
 	ModelBytes    int     `json:"model_bytes"`
 	Suggestions   int64   `json:"suggestions_received"`
 
-	UploadP50MS float64 `json:"upload_p50_ms"`
-	UploadP95MS float64 `json:"upload_p95_ms"`
-	UploadP99MS float64 `json:"upload_p99_ms"`
-	QueryP50MS  float64 `json:"query_p50_ms"`
-	QueryP95MS  float64 `json:"query_p95_ms"`
-	QueryP99MS  float64 `json:"query_p99_ms"`
+	uploadLatency
+	QueryP50MS float64 `json:"query_p50_ms"`
+	QueryP95MS float64 `json:"query_p95_ms"`
+	QueryP99MS float64 `json:"query_p99_ms"`
 
 	// Coalescing on the pipelined wire: request frames per client write,
 	// responses per server write, shard jobs per worker batch.
@@ -220,6 +92,17 @@ type result struct {
 	JobsPerBatch      float64 `json:"jobs_per_batch"`
 
 	Server fleet.ServerStats `json:"server"`
+}
+
+// uploadLatency is the upload percentile triple every run record carries.
+type uploadLatency struct {
+	UploadP50MS float64 `json:"upload_p50_ms"`
+	UploadP95MS float64 `json:"upload_p95_ms"`
+	UploadP99MS float64 `json:"upload_p99_ms"`
+}
+
+func uploadLatencyOf(s *metrics.Series) uploadLatency {
+	return uploadLatency{ms(s, 50), ms(s, 95), ms(s, 99)}
 }
 
 // deviceLoad is one device's deterministic workload.
@@ -331,6 +214,23 @@ func testbedDevice(ld *deviceLoad, rootSeed int64, i, causes int) bool {
 	return true
 }
 
+// genFleet generates the fleet's deterministic workload and the canonical
+// model of the in-process sequential baseline fold. The first testbed
+// devices earn their records from real cloned-testbed runs (fromTestbed
+// counts those that produced any); the rest are synthetic.
+func genFleet(rootSeed int64, devices, records, reports, causes, testbed int) (loads []deviceLoad, expected []byte, fromTestbed int) {
+	loads = make([]deviceLoad, devices)
+	baseline := core.NewLearner(0.1, rand.New(rand.NewSource(rootSeed)))
+	for i := range loads {
+		loads[i] = genDevice(rootSeed, i, records, reports, causes)
+		if i < testbed && testbedDevice(&loads[i], rootSeed, i, causes) {
+			fromTestbed++
+		}
+		baseline.Crowdsource(loads[i].records)
+	}
+	return loads, fleet.MarshalModel(baseline.Export()), fromTestbed
+}
+
 func ms(s *metrics.Series, p float64) float64 {
 	if s == nil {
 		return 0
@@ -338,8 +238,7 @@ func ms(s *metrics.Series, p float64) float64 {
 	return float64(s.Percentile(p)) / float64(time.Millisecond)
 }
 
-func latSummary(api fleetAPI, op string) string {
-	s := api.Latency(op)
+func latSummary(s *metrics.Series, op string) string {
 	if s == nil || s.Len() == 0 {
 		return op + ": no samples"
 	}
@@ -347,14 +246,129 @@ func latSummary(api fleetAPI, op string) string {
 		op, s.Len(), ms(s, 50), ms(s, 95), ms(s, 99))
 }
 
+// driver pushes device rounds — upload, reports, then (with query) the
+// model-push query — through a fleet from workers goroutines, each doing
+// synchronous round trips. The load run and the chaos campaign both drive
+// with it.
+type driver struct {
+	cc        *fleet.ClusterClient
+	masterKey [16]byte
+	workers   int
+	// offsets, when set, holds device i's upload back until that long after
+	// the start (-spec pacing).
+	offsets []time.Duration
+	query   bool
+
+	// acked counts acknowledged uploads while the run is in progress (the
+	// chaos script's clock); lost counts uploads and reports that failed
+	// for good.
+	acked, lost, suggestions atomic.Int64
+}
+
+// run drives every load once and returns the wall time it took.
+func (d *driver) run(loads []deviceLoad) time.Duration {
+	// Contiguous chunks normally; with pacing a stride instead, so
+	// simultaneous arrivals (offsets are sorted) spread across workers.
+	shards := make([][]int, d.workers)
+	for i := range loads {
+		w := i * d.workers / len(loads)
+		if d.offsets != nil {
+			w = i % d.workers
+		}
+		shards[w] = append(shards[w], i)
+	}
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	start := time.Now()
+	for _, idx := range shards {
+		wg.Add(1)
+		go func(idx []int) {
+			defer wg.Done()
+			for _, i := range idx {
+				ld := loads[i]
+				if d.offsets != nil {
+					if wait := time.Until(start.Add(d.offsets[i])); wait > 0 {
+						time.Sleep(wait)
+					}
+				}
+				dev := fleet.NewSimDevice(d.masterKey, ld.imsi)
+				sealed, err := dev.SealRecords(core.MarshalRecords(ld.records))
+				if err == nil {
+					err = d.cc.UploadRecords(ctx, ld.imsi, sealed)
+				}
+				if err != nil {
+					d.lost.Add(1)
+					fmt.Fprintf(os.Stderr, "seedload: %s: %v\n", ld.imsi, err)
+					continue
+				}
+				d.acked.Add(1)
+				for _, rep := range ld.reports {
+					sr, err := dev.SealReport(rep.Marshal())
+					if err == nil {
+						err = d.cc.Report(ctx, ld.imsi, sr)
+					}
+					if err != nil {
+						d.lost.Add(1)
+						fmt.Fprintf(os.Stderr, "seedload: %s report: %v\n", ld.imsi, err)
+					}
+				}
+				if !d.query {
+					continue
+				}
+				if payload, err := d.cc.Query(ctx, ld.imsi, ld.query); err == nil {
+					if _, ok, _ := dev.OpenSuggest(payload); ok {
+						d.suggestions.Add(1)
+					}
+				}
+			}
+		}(idx)
+	}
+	wg.Wait()
+	return time.Since(start)
+}
+
+// fetchStats pulls every member's counters and returns them by node ID
+// together with their sum.
+func fetchStats(cc *fleet.ClusterClient) (sum fleet.ServerStats, perNode map[string]fleet.ServerStats, err error) {
+	perNode, errs := cc.FetchStatsAll(context.Background())
+	for id, err := range errs {
+		return sum, nil, fmt.Errorf("node %s: %w", id, err)
+	}
+	for _, st := range perNode {
+		sum.Add(st)
+	}
+	return sum, perNode, nil
+}
+
+// writeJSON writes the run record v to path ("-" for stdout, "" for
+// nowhere) and reports whether that worked.
+func writeJSON(path string, v any) bool {
+	if path == "" {
+		return true
+	}
+	buf, err := json.MarshalIndent(v, "", "  ")
+	if err == nil {
+		buf = append(buf, '\n')
+		if path == "-" {
+			_, err = os.Stdout.Write(buf)
+		} else {
+			err = os.WriteFile(path, buf, 0o644)
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "seedload: writing %s: %v\n", path, err)
+	}
+	return err == nil
+}
+
 func main() {
 	var (
-		addr        = flag.String("addr", "127.0.0.1:7316", "seedfleetd address (single-node mode)")
+		addr        = flag.String("addr", "127.0.0.1:7316", "seedfleetd address (a single node is driven as a cluster of one)")
 		clusterSpec = flag.String("cluster", "", "drive a cluster instead: members as id=host:port,...")
 		epoch       = flag.Uint64("epoch", 1, "bootstrap shard-map epoch (with -cluster)")
 		devices     = flag.Int("devices", 1000, "simulated device count")
 		workers     = flag.Int("workers", 4, "client shards (worker goroutines)")
-		conns       = flag.Int("conns", 0, "connection pool size (default: workers)")
+		conns       = flag.Int("conns", 0, "connections per node (default: workers)")
 		records     = flag.Int("records", 4, "learning-record rows per device")
 		reports     = flag.Int("reports", 1, "failure reports per device")
 		causes      = flag.Int("causes", 12, "distinct customized causes per plane")
@@ -419,20 +433,7 @@ func main() {
 		}
 	}
 
-	// Generate the fleet's deterministic workload and the in-process
-	// sequential baseline model. The first -testbed devices earn their
-	// records from real cloned-testbed runs; the rest are synthetic.
-	loads := make([]deviceLoad, *devices)
-	baseline := core.NewLearner(0.1, rand.New(rand.NewSource(*seedVal)))
-	fromTestbed := 0
-	for i := range loads {
-		loads[i] = genDevice(*seedVal, i, *records, *reports, *causes)
-		if i < *testbed && testbedDevice(&loads[i], *seedVal, i, *causes) {
-			fromTestbed++
-		}
-		baseline.Crowdsource(loads[i].records)
-	}
-	expected := fleet.MarshalModel(baseline.Export())
+	loads, expected, fromTestbed := genFleet(*seedVal, *devices, *records, *reports, *causes, *testbed)
 	logf("seedload: %d devices (%d testbed-derived), %d workers, %d conns, %d record rows/device (model %d bytes)",
 		*devices, fromTestbed, *workers, *conns, *records, len(expected))
 
@@ -466,85 +467,29 @@ func main() {
 		logf("seedload: pacing by spec %q ×%g: uploads span %v", sp.Name, *timescale, offsets[len(offsets)-1])
 	}
 
-	var api fleetAPI
+	// A single seedfleetd is a cluster of one: it holds no shard map, so it
+	// never redirects, and the client has no peer to ask for a newer one.
+	nodes := []cluster.Node{{ID: *addr, Addr: *addr}}
 	if *clusterSpec != "" {
-		nodes, err := cluster.ParseNodeList(*clusterSpec)
-		if err != nil {
+		var err error
+		if nodes, err = cluster.ParseNodeList(*clusterSpec); err != nil {
 			fmt.Fprintln(os.Stderr, "seedload:", err)
 			os.Exit(2)
 		}
-		cc, err := fleet.NewClusterClient(fleet.ClusterClientConfig{
-			Nodes:  nodes,
-			Epoch:  *epoch,
-			Client: fleet.ClientConfig{Conns: *conns, Seed: *seedVal},
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "seedload:", err)
-			os.Exit(2)
-		}
-		defer cc.Close()
-		api = newClusterAdapter(cc)
-	} else {
-		cl := fleet.NewClient(fleet.ClientConfig{Addr: *addr, Conns: *conns, Seed: *seedVal})
-		defer cl.Close()
-		api = cl
 	}
+	cc, err := fleet.NewClusterClient(fleet.ClusterClientConfig{
+		Nodes:  nodes,
+		Epoch:  *epoch,
+		Client: fleet.ClientConfig{Conns: *conns, Seed: *seedVal},
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "seedload:", err)
+		os.Exit(2)
+	}
+	defer cc.Close()
 
-	var lost, suggestions atomic.Int64
-	var wg sync.WaitGroup
-	// Contiguous chunks normally; with -spec pacing a stride instead, so
-	// simultaneous arrivals (offsets are sorted) spread across workers.
-	shards := make([][]int, *workers)
-	for i := 0; i < *devices; i++ {
-		w := i * *workers / *devices
-		if offsets != nil {
-			w = i % *workers
-		}
-		shards[w] = append(shards[w], i)
-	}
-	start := time.Now()
-	for w := 0; w < *workers; w++ {
-		wg.Add(1)
-		go func(idx []int) {
-			defer wg.Done()
-			for _, i := range idx {
-				ld := loads[i]
-				if offsets != nil {
-					if d := time.Until(start.Add(offsets[i])); d > 0 {
-						time.Sleep(d)
-					}
-				}
-				dev := fleet.NewSimDevice(masterKey, ld.imsi)
-				blob := core.MarshalRecords(ld.records)
-				sealed, err := dev.SealRecords(blob)
-				if err == nil {
-					err = api.UploadRecords(ld.imsi, sealed)
-				}
-				if err != nil {
-					lost.Add(1)
-					fmt.Fprintf(os.Stderr, "seedload: %s: %v\n", ld.imsi, err)
-					continue
-				}
-				for _, rep := range ld.reports {
-					sr, err := dev.SealReport(rep.Marshal())
-					if err == nil {
-						err = api.Report(ld.imsi, sr)
-					}
-					if err != nil {
-						lost.Add(1)
-						fmt.Fprintf(os.Stderr, "seedload: %s report: %v\n", ld.imsi, err)
-					}
-				}
-				if payload, err := api.Query(ld.imsi, ld.query); err == nil {
-					if _, ok, _ := dev.OpenSuggest(payload); ok {
-						suggestions.Add(1)
-					}
-				}
-			}
-		}(shards[w])
-	}
-	wg.Wait()
-	wall := time.Since(start)
+	d := driver{cc: cc, masterKey: masterKey, workers: *workers, offsets: offsets, query: true}
+	wall := d.run(loads)
 
 	res := result{
 		Devices: *devices, Workers: *workers, Conns: *conns,
@@ -553,23 +498,21 @@ func main() {
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		WallMS:        float64(wall) / float64(time.Millisecond),
 		UploadsPerSec: float64(*devices) / wall.Seconds(),
-		Lost:          lost.Load(),
-		Retries:       api.Retries(),
-		Redials:       api.Redials(),
-		Suggestions:   suggestions.Load(),
-		UploadP50MS:   ms(api.Latency("upload"), 50),
-		UploadP95MS:   ms(api.Latency("upload"), 95),
-		UploadP99MS:   ms(api.Latency("upload"), 99),
-		QueryP50MS:    ms(api.Latency("query"), 50),
-		QueryP95MS:    ms(api.Latency("query"), 95),
-		QueryP99MS:    ms(api.Latency("query"), 99),
+		Lost:          d.lost.Load(),
+		Retries:       cc.Retries(),
+		Redials:       cc.Redials(),
+		Suggestions:   d.suggestions.Load(),
+		uploadLatency: uploadLatencyOf(cc.Latency("upload")),
+		QueryP50MS:    ms(cc.Latency("query"), 50),
+		QueryP95MS:    ms(cc.Latency("query"), 95),
+		QueryP99MS:    ms(cc.Latency("query"), 99),
 
-		FramesPerWrite: fleet.Ratio(api.Frames(), api.Writes()),
+		FramesPerWrite: fleet.Ratio(cc.Frames(), cc.Writes()),
 	}
 	totalOps := *devices * (2 + *reports) // upload + reports + query
 	res.OpsPerSec = float64(totalOps) / wall.Seconds()
 
-	if st, err := api.FetchStats(); err == nil {
+	if st, _, err := fetchStats(cc); err == nil {
 		res.Server = st
 		res.ResponsesPerFlush = fleet.Ratio(st.Responses, st.Flushes)
 		res.JobsPerBatch = fleet.Ratio(st.Jobs, st.Batches)
@@ -579,7 +522,7 @@ func main() {
 
 	exit := 0
 	if *verify {
-		got, err := api.FetchModel()
+		got, err := cc.FetchClusterModel(context.Background())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "seedload: model pull: %v\n", err)
 			exit = 1
@@ -603,26 +546,14 @@ func main() {
 		*devices, res.WallMS, res.UploadsPerSec, res.OpsPerSec, res.Lost, res.Retries, res.Redials)
 	logf("seedload: %.2f frames/write, %.2f responses/flush, %.2f jobs/batch",
 		res.FramesPerWrite, res.ResponsesPerFlush, res.JobsPerBatch)
-	logf("seedload: %s", latSummary(api, "upload"))
-	logf("seedload: %s", latSummary(api, "query"))
+	logf("seedload: %s", latSummary(cc.Latency("upload"), "upload"))
+	logf("seedload: %s", latSummary(cc.Latency("query"), "query"))
 	if res.ModelMatch != nil {
 		logf("seedload: model match: %v (%d bytes, %d suggestions received)", *res.ModelMatch, res.ModelBytes, res.Suggestions)
 	}
 
-	if *jsonOut != "" {
-		buf, err := json.MarshalIndent(res, "", "  ")
-		if err == nil {
-			buf = append(buf, '\n')
-			if *jsonOut == "-" {
-				_, err = os.Stdout.Write(buf)
-			} else {
-				err = os.WriteFile(*jsonOut, buf, 0o644)
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "seedload: writing %s: %v\n", *jsonOut, err)
-			exit = 1
-		}
+	if !writeJSON(*jsonOut, res) {
+		exit = 1
 	}
 	os.Exit(exit)
 }

@@ -80,8 +80,7 @@ type Client struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	latMu sync.Mutex
-	lat   map[string]*metrics.Series
+	lat opLatencies
 
 	retries, redials, writes, frames atomic.Uint64
 }
@@ -150,7 +149,6 @@ func NewClient(cfg ClientConfig) *Client {
 		cfg:   cfg,
 		slots: make([]connSlot, cfg.Conns),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		lat:   map[string]*metrics.Series{},
 	}
 }
 
@@ -417,7 +415,7 @@ func (cl *Client) DoCtx(ctx context.Context, op string, req Frame) (Frame, error
 		case TErr:
 			return Frame{}, fmt.Errorf("%w: %s", ErrServer, resp.Payload)
 		default:
-			cl.record(op, time.Since(start))
+			cl.lat.record(op, time.Since(start))
 			return resp, nil
 		}
 	}
@@ -459,15 +457,30 @@ func (cl *Client) sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-func (cl *Client) record(op string, d time.Duration) {
-	cl.latMu.Lock()
-	s := cl.lat[op]
+// opLatencies holds one latency series per op name.
+type opLatencies struct {
+	mu sync.Mutex
+	m  map[string]*metrics.Series
+}
+
+func (l *opLatencies) record(op string, d time.Duration) {
+	l.mu.Lock()
+	s := l.m[op]
 	if s == nil {
+		if l.m == nil {
+			l.m = make(map[string]*metrics.Series)
+		}
 		s = metrics.NewSeries(op)
-		cl.lat[op] = s
+		l.m[op] = s
 	}
 	s.Add(d)
-	cl.latMu.Unlock()
+	l.mu.Unlock()
+}
+
+func (l *opLatencies) series(op string) *metrics.Series {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.m[op]
 }
 
 // --- request surface -----------------------------------------------------
@@ -506,14 +519,16 @@ func (cl *Client) FetchModel() ([]byte, error) {
 }
 
 // FetchStats pulls the server counters.
-func (cl *Client) FetchStats() (ServerStats, error) {
+func (cl *Client) FetchStats() (ServerStats, error) { return cl.fetchStats(context.Background()) }
+
+func (cl *Client) fetchStats(ctx context.Context) (ServerStats, error) {
 	var st ServerStats
-	resp, err := cl.Do("stats", Frame{Type: TStatsPull})
+	resp, err := cl.DoCtx(ctx, "stats", Frame{Type: TStatsPull})
 	if err != nil {
 		return st, err
 	}
 	if err := json.Unmarshal(resp.Payload, &st); err != nil {
-		return st, fmt.Errorf("fleet: stats payload: %w", err)
+		return st, fmt.Errorf("fleet: stats payload from %s: %w", cl.cfg.Addr, err)
 	}
 	return st, nil
 }
@@ -534,21 +549,4 @@ func (cl *Client) Writes() uint64 { return cl.writes.Load() }
 // Latency returns the recorded series for an op ("upload", "query", …),
 // or nil when the op never completed. The series is shared — callers
 // must not mutate it concurrently with in-flight requests.
-func (cl *Client) Latency(op string) *metrics.Series {
-	cl.latMu.Lock()
-	defer cl.latMu.Unlock()
-	return cl.lat[op]
-}
-
-// LatencySummary formats p50/p95/p99 for an op in milliseconds.
-func (cl *Client) LatencySummary(op string) string {
-	s := cl.Latency(op)
-	if s == nil || s.Len() == 0 {
-		return op + ": no samples"
-	}
-	return fmt.Sprintf("%s: n=%d p50=%.2fms p95=%.2fms p99=%.2fms",
-		op, s.Len(),
-		float64(s.Percentile(50))/float64(time.Millisecond),
-		float64(s.Percentile(95))/float64(time.Millisecond),
-		float64(s.Percentile(99))/float64(time.Millisecond))
-}
+func (cl *Client) Latency(op string) *metrics.Series { return cl.lat.series(op) }

@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"github.com/seed5g/seed/internal/cause"
 	"github.com/seed5g/seed/internal/core"
 	"github.com/seed5g/seed/internal/fleet/cluster"
+	"github.com/seed5g/seed/internal/report"
 )
 
 // testCluster is an in-process N-node fleet cluster with per-node durable
@@ -156,6 +158,84 @@ func TestClusterRoutingAndMergedModel(t *testing.T) {
 	}
 	if total != devices {
 		t.Fatalf("cluster folded %d uploads for %d devices", total, devices)
+	}
+}
+
+// TestClusterOfOneAgainstMaplessServer drives a plain server — no Map, no
+// NodeID — through a one-node ClusterClient, which is how seedload -addr
+// talks to a single seedfleetd. The server never redirects and the client
+// has no peer to ask for a map, so Errors == 0 also shows that no TMapPull
+// reached the map-less server.
+func TestClusterOfOneAgainstMaplessServer(t *testing.T) {
+	srv, cl := startServer(t, ServerConfig{Shards: 2})
+	addr := srv.Addr().String()
+	cc, err := NewClusterClient(ClusterClientConfig{
+		Nodes:  []cluster.Node{{ID: addr, Addr: addr}},
+		Epoch:  1,
+		Client: ClientConfig{Conns: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	ctx := context.Background()
+
+	const devices = 20
+	for i := 0; i < devices; i++ {
+		dev := NewSimDevice(DefaultMasterKey, fmt.Sprintf("00116%010d", i))
+		sealed, err := dev.SealRecords(core.MarshalRecords(deviceRecords(i)))
+		if err == nil {
+			err = cc.UploadRecords(ctx, dev.IMSI, sealed)
+		}
+		if err != nil {
+			t.Fatalf("device %d upload: %v", i, err)
+		}
+		rep := report.FailureReport{Type: report.FailDNS, Direction: report.DirBoth, Domain: "x.test"}
+		sr, err := dev.SealReport(rep.Marshal())
+		if err == nil {
+			err = cc.Report(ctx, dev.IMSI, sr)
+		}
+		if err != nil {
+			t.Fatalf("device %d report: %v", i, err)
+		}
+		payload, err := cc.Query(ctx, dev.IMSI, cause.MM(cause.Code(150+i%3)))
+		if err != nil {
+			t.Fatalf("device %d query: %v", i, err)
+		}
+		if _, ok, err := dev.OpenSuggest(payload); err != nil || !ok {
+			t.Fatalf("device %d suggestion: ok=%v err=%v", i, ok, err)
+		}
+	}
+
+	got, err := cc.FetchClusterModel(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := cl.FetchModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("one-node cluster model (%d bytes) differs from the plain client's (%d bytes)", len(got), len(want))
+	}
+
+	stats, errs := cc.FetchStatsAll(ctx)
+	st, ok := stats[addr]
+	if len(errs) != 0 || !ok {
+		t.Fatalf("stats: %v, errors %v", stats, errs)
+	}
+	if st.Uploads != devices || st.Reports != devices || st.Queries != devices || st.Errors != 0 || st.WrongShard != 0 {
+		t.Fatalf("stats %+v", st)
+	}
+	// The client-side series and sums cover the one node.
+	if n := cc.Latency("upload").Len(); n != devices {
+		t.Fatalf("routed upload series has %d samples, want %d", n, devices)
+	}
+	if n := cc.LatencyOn(addr, "upload").Len(); n != devices {
+		t.Fatalf("node upload series has %d samples, want %d", n, devices)
+	}
+	if cc.Frames() < 3*devices || cc.Writes() == 0 || cc.Retries() != 0 || cc.Redials() != 0 {
+		t.Fatalf("frames=%d writes=%d retries=%d redials=%d", cc.Frames(), cc.Writes(), cc.Retries(), cc.Redials())
 	}
 }
 

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -11,6 +10,7 @@ import (
 	"github.com/seed5g/seed/internal/cause"
 	"github.com/seed5g/seed/internal/core"
 	"github.com/seed5g/seed/internal/fleet/cluster"
+	"github.com/seed5g/seed/internal/metrics"
 )
 
 // ClusterClientConfig parameterizes the shard-map-aware client.
@@ -35,13 +35,17 @@ type ClusterClientConfig struct {
 // ClusterClient routes per-IMSI requests to their owning node under an
 // epoch-versioned shard map, follows TWrongShard redirects (adopting the
 // newer map they carry), fails over across map epochs, and merges
-// cross-node models. Safe for concurrent use.
+// cross-node models. A single server is the one-node case: it holds no
+// map, so it never redirects, and a lone node has no peer to pull a map
+// from. Safe for concurrent use.
 type ClusterClient struct {
 	cfg ClusterClientConfig
 
 	mu      sync.RWMutex
 	map_    *cluster.Map
 	clients map[string]*clientSlot // node ID → slot
+
+	lat opLatencies // whole routed exchanges
 }
 
 type clientSlot struct {
@@ -118,7 +122,10 @@ func (cc *ClusterClient) Close() {
 // map and follows redirects: a TWrongShard reply carries the answering
 // node's map, which is adopted (if newer) before retrying; a dead node
 // triggers a map refresh from the surviving members and another attempt.
+// The latency of the whole exchange, redirects and failovers included, is
+// recorded under op.
 func (cc *ClusterClient) DoIMSI(ctx context.Context, op, imsi string, req Frame) (Frame, error) {
+	start := time.Now()
 	var lastErr error
 	for attempt := 0; attempt < cc.cfg.MaxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -144,6 +151,7 @@ func (cc *ClusterClient) DoIMSI(ctx context.Context, op, imsi string, req Frame)
 			lastErr = fmt.Errorf("node %s redirected (its epoch %d, ours was %d)", owner.ID, newer.Epoch, m.Epoch)
 			continue
 		}
+		cc.lat.record(op, time.Since(start))
 		return resp, nil
 	}
 	return Frame{}, fmt.Errorf("fleet: %s for %s failed after %d cluster attempts: %w", op, imsi, cc.cfg.MaxAttempts, lastErr)
@@ -218,7 +226,7 @@ func (cc *ClusterClient) FetchStatsAll(ctx context.Context) (map[string]ServerSt
 	out := make(map[string]ServerStats)
 	errs := make(map[string]error)
 	for _, n := range cc.Map().Nodes() {
-		st, err := cc.fetchStats(ctx, n)
+		st, err := cc.client(n).fetchStats(ctx)
 		if err != nil {
 			errs[n.ID] = err
 			continue
@@ -228,28 +236,39 @@ func (cc *ClusterClient) FetchStatsAll(ctx context.Context) (map[string]ServerSt
 	return out, errs
 }
 
-func (cc *ClusterClient) fetchStats(ctx context.Context, n cluster.Node) (ServerStats, error) {
-	var st ServerStats
-	resp, err := cc.client(n).DoCtx(ctx, "stats", Frame{Type: TStatsPull})
-	if err != nil {
-		return st, err
-	}
-	if err := json.Unmarshal(resp.Payload, &st); err != nil {
-		return st, fmt.Errorf("fleet: stats payload from %s: %w", n.ID, err)
-	}
-	return st, nil
-}
+// Latency returns the series of whole routed exchanges for an op ("upload",
+// "report", "query") — what a device experiences across redirects and
+// failovers — or nil when the op never completed. The series is shared,
+// like Client.Latency's.
+func (cc *ClusterClient) Latency(op string) *metrics.Series { return cc.lat.series(op) }
 
-// NodeLatency returns the latency series recorder of the client for a
-// node ID (nil if the node was never contacted).
-func (cc *ClusterClient) NodeLatency(id string) *Client {
+// LatencyOn returns the series one node's client recorded for an op:
+// single exchanges with that node. Nil if the node was never contacted.
+func (cc *ClusterClient) LatencyOn(nodeID, op string) *metrics.Series {
 	cc.mu.RLock()
 	defer cc.mu.RUnlock()
-	if slot := cc.clients[id]; slot != nil {
-		return slot.cl
+	if slot := cc.clients[nodeID]; slot != nil {
+		return slot.cl.Latency(op)
 	}
 	return nil
 }
+
+// sum adds up one counter over the per-node clients.
+func (cc *ClusterClient) sum(counter func(*Client) uint64) (n uint64) {
+	cc.mu.RLock()
+	defer cc.mu.RUnlock()
+	for _, slot := range cc.clients {
+		n += counter(slot.cl)
+	}
+	return n
+}
+
+// Retries, Redials, Frames and Writes are the per-node clients' counters
+// of the same names, summed.
+func (cc *ClusterClient) Retries() uint64 { return cc.sum((*Client).Retries) }
+func (cc *ClusterClient) Redials() uint64 { return cc.sum((*Client).Redials) }
+func (cc *ClusterClient) Frames() uint64  { return cc.sum((*Client).Frames) }
+func (cc *ClusterClient) Writes() uint64  { return cc.sum((*Client).Writes) }
 
 // --- rebalance controller ------------------------------------------------
 

@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"fmt"
-
 	"github.com/seed5g/seed/internal/cause"
 	"github.com/seed5g/seed/internal/core"
 	"github.com/seed5g/seed/internal/crypto5g"
@@ -11,8 +9,7 @@ import (
 // SimDevice is the device end of the fleet channel: the subscriber
 // envelope plus the seal/open steps the SIM-side stack performs around
 // the carrier app's raw record blobs. cmd/seedload drives millions of
-// these; a full in-process device plugs the same client in through
-// CarrierApp.SetRecordSink with Sink.
+// these.
 type SimDevice struct {
 	IMSI string
 	env  *crypto5g.Envelope
@@ -51,22 +48,6 @@ func (d *SimDevice) OpenSuggest(sealed []byte) (core.DiagMessage, bool, error) {
 		return core.DiagMessage{}, false, err
 	}
 	return m, true, nil
-}
-
-// Sink adapts the fleet channel to core.RecordSink: a real device's
-// carrier app configured with SetRecordSink(dev.Sink(client, onErr))
-// uploads its SIM records to the carrier service over the network through
-// exactly the code path the in-process experiments use.
-func (d *SimDevice) Sink(cl *Client, onErr func(error)) core.RecordSink {
-	return func(blob []byte) {
-		sealed, err := d.SealRecords(blob)
-		if err == nil {
-			err = cl.UploadRecords(d.IMSI, sealed)
-		}
-		if err != nil && onErr != nil {
-			onErr(fmt.Errorf("fleet: device %s upload: %w", d.IMSI, err))
-		}
-	}
 }
 
 // QuerySuggestion performs the full model-push round trip: query the

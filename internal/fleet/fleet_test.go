@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -200,59 +199,6 @@ func TestFleetBackpressureNoLoss(t *testing.T) {
 		t.Fatalf("stats %+v", st)
 	}
 	t.Logf("backpressured=%d retries=%d", srv.Stats().Backpressured, cl.Retries())
-}
-
-// TestFleetDrainAndSnapshotRestore shuts a server down mid-life, restarts
-// on the same snapshot, and checks the model survived the restart and new
-// uploads keep folding on top.
-func TestFleetDrainAndSnapshotRestore(t *testing.T) {
-	snap := filepath.Join(t.TempDir(), "fleet.snap")
-
-	cfg := ServerConfig{Addr: "127.0.0.1:0", Shards: 2, SnapshotPath: snap, Logf: func(string, ...any) {}}
-	srv1 := NewServer(cfg)
-	if err := srv1.Start(); err != nil {
-		t.Fatal(err)
-	}
-	cl1 := NewClient(ClientConfig{Addr: srv1.Addr().String(), Conns: 1})
-	dev := NewSimDevice(DefaultMasterKey, "001010000000010")
-	sealed, _ := dev.SealRecords(core.MarshalRecords(deviceRecords(5)))
-	if err := cl1.UploadRecords(dev.IMSI, sealed); err != nil {
-		t.Fatal(err)
-	}
-	model1, err := cl1.FetchModel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl1.Close()
-	if err := srv1.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-
-	srv2 := NewServer(cfg)
-	if err := srv2.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = srv2.Shutdown() }()
-	if !bytes.Equal(srv2.Model(), model1) {
-		t.Fatal("restored model differs from pre-shutdown model")
-	}
-
-	// The restarted server keeps learning. A fresh device uploads; note the
-	// restarted server has no envelope history, so a fresh envelope works.
-	cl2 := NewClient(ClientConfig{Addr: srv2.Addr().String(), Conns: 1})
-	defer cl2.Close()
-	dev2 := NewSimDevice(DefaultMasterKey, "001010000000011")
-	sealed2, _ := dev2.SealRecords(core.MarshalRecords(deviceRecords(6)))
-	if err := cl2.UploadRecords(dev2.IMSI, sealed2); err != nil {
-		t.Fatal(err)
-	}
-	model2, err := cl2.FetchModel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(model2, model1) {
-		t.Fatal("post-restart upload did not change the model")
-	}
 }
 
 // TestFleetRejectsUnknownFrame checks an unexpected frame type gets a TErr

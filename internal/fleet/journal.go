@@ -39,11 +39,15 @@ import (
 //	                         recvUp(4) recvDn(4)) |
 //	                 modelLen(4) | model | crc32(4, over all prior bytes)
 //
-// Compaction writes the snapshot (tmp + rename + sync) and then truncates
-// the journal. Sequence numbers never reset, and replay skips records
-// with seq <= snapshot seq, so a crash BETWEEN the rename and the
-// truncate — snapshot present, journal still full — replays to the
-// identical model instead of double-folding.
+// Compaction writes the snapshot to a tmp file, fsyncs it, renames it
+// over the old snapshot, fsyncs the directory, and only then truncates
+// and fsyncs the journal: the truncate can never reach the disk ahead of
+// the rename that covers the truncated records. A new journal file is
+// made durable the same way, by a directory fsync before the server
+// listens. Sequence numbers never reset, and replay skips records with
+// seq <= snapshot seq, so a crash BETWEEN the rename and the truncate —
+// snapshot present, journal still full — replays to the identical model
+// instead of double-folding.
 //
 // Recovery failure policy: a record torn at the very tail of the journal
 // is the signature of dying mid-append before the fsync returned — it was
@@ -81,6 +85,20 @@ func journalPath(dir string, shard int) string {
 
 func snapshotPath(dir string, shard int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%d.snap", shard))
+}
+
+// syncDir fsyncs a directory, which is what makes a file created in it or
+// renamed within it survive a crash.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // journalRec is one decoded journal record.
@@ -183,7 +201,8 @@ func scanJournal(path string, maxRec uint32) (recs []journalRec, goodLen int64, 
 }
 
 // openJournalAppend opens (creating if needed) a journal for appending at
-// goodLen, truncating any torn tail left by a crash mid-append.
+// goodLen, truncating any torn tail left by a crash mid-append. A created
+// file is durable only after the caller's syncDir.
 func openJournalAppend(path string, goodLen int64, nextSeq uint64) (*journal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -234,7 +253,8 @@ func (j *journal) close() error { return j.f.Close() }
 
 // writeShardSnapshot atomically persists a shard's full durable state:
 // every envelope's counters and the canonical model, covering all journal
-// records with seq <= seq.
+// records with seq <= seq. The rename is on disk when it returns, so the
+// caller may truncate the journal.
 func writeShardSnapshot(dir string, shard int, seq uint64, entries []CounterEntry, model []byte) error {
 	body := []byte(shardSnapMagic)
 	body = binary.BigEndian.AppendUint64(body, seq)
@@ -264,7 +284,10 @@ func writeShardSnapshot(dir string, shard int, seq uint64, entries []CounterEntr
 	if err := f.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return syncDir(dir)
 }
 
 // readShardSnapshot loads a shard snapshot. A missing file returns ok ==

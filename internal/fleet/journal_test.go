@@ -338,8 +338,8 @@ func TestSnapshotCorruptRefusesStart(t *testing.T) {
 }
 
 // TestJournalCleanShutdownReplaysNothing: a drained shutdown leaves a
-// snapshot + empty journal, so the next start replays zero records and
-// does NOT burn the downlink recovery skip.
+// snapshot + empty journal, so the next start replays zero records, does
+// NOT burn the downlink recovery skip, and keeps folding new uploads.
 func TestJournalCleanShutdownReplaysNothing(t *testing.T) {
 	dir := t.TempDir()
 	cfg := ServerConfig{Shards: 2, JournalDir: dir}
@@ -373,6 +373,16 @@ func TestJournalCleanShutdownReplaysNothing(t *testing.T) {
 	send, _ := e.Counters()
 	if send[crypto5g.Downlink] >= downlinkRecoverySkip {
 		t.Fatal("clean shutdown burned the downlink recovery skip")
+	}
+
+	// The restarted server keeps learning on top of the restored model.
+	dev2 := NewSimDevice(DefaultMasterKey, "001090000000002")
+	sealed2, _ := dev2.SealRecords(core.MarshalRecords(deviceRecords(3)))
+	if err := cl2.UploadRecords(dev2.IMSI, sealed2); err != nil {
+		t.Fatal(err)
+	}
+	if model2, err := cl2.FetchModel(); err != nil || bytes.Equal(model2, model1) {
+		t.Fatalf("post-restart upload did not change the model (err=%v)", err)
 	}
 }
 

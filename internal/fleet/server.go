@@ -41,16 +41,12 @@ type ServerConfig struct {
 	ReadTimeout, WriteTimeout time.Duration
 	// RetryAfter is the wait hint returned on backpressure.
 	RetryAfter time.Duration
-	// SnapshotPath, when set, is the legacy drain-time model snapshot:
-	// restored on Start, written on Shutdown. It only survives graceful
-	// shutdowns — a SIGKILL loses everything since the last drain. Mutually
-	// exclusive with JournalDir, which supersedes it.
-	SnapshotPath string
 	// JournalDir, when set, enables the durable tier: each shard keeps an
 	// append-only journal of acked sealed envelopes (group-commit fsync)
 	// plus a compaction snapshot in this directory. A SIGKILL'd server
 	// replays to its exact pre-crash model — including the envelope
-	// counters that dedup client retries — on the next Start.
+	// counters that dedup client retries — on the next Start. Unset, the
+	// server keeps its state in memory only.
 	JournalDir string
 	// CompactBytes is the per-shard journal size that triggers snapshot
 	// compaction (default 4 MiB).
@@ -143,6 +139,31 @@ type ServerStats struct {
 	Epoch uint64 `json:"epoch"`
 }
 
+// Add folds another node's counters into st: every counter sums, Epoch
+// takes the newer.
+func (st *ServerStats) Add(o ServerStats) {
+	st.Conns += o.Conns
+	st.Uploads += o.Uploads
+	st.Duplicates += o.Duplicates
+	st.RecordRows += o.RecordRows
+	st.Reports += o.Reports
+	st.Queries += o.Queries
+	st.Suggestions += o.Suggestions
+	st.Backpressured += o.Backpressured
+	st.Errors += o.Errors
+	st.Dropped += o.Dropped
+	st.WrongShard += o.WrongShard
+	st.JournalRecords += o.JournalRecords
+	st.JournalSyncs += o.JournalSyncs
+	st.Compactions += o.Compactions
+	st.ReplayedRecords += o.ReplayedRecords
+	st.Jobs += o.Jobs
+	st.Batches += o.Batches
+	st.Responses += o.Responses
+	st.Flushes += o.Flushes
+	st.Epoch = max(st.Epoch, o.Epoch)
+}
+
 // Server is the carrier fleet aggregation service.
 type Server struct {
 	cfg    ServerConfig
@@ -223,12 +244,9 @@ func NewServer(cfg ServerConfig) *Server {
 	return s
 }
 
-// Start restores durable state (journal replay or legacy snapshot), binds
-// the listener, and launches the shard workers and accept loop.
+// Start replays the journal when there is one, binds the listener, and
+// launches the shard workers and accept loop.
 func (s *Server) Start() error {
-	if s.cfg.SnapshotPath != "" && s.cfg.JournalDir != "" {
-		return errors.New("fleet: configure either SnapshotPath or JournalDir, not both")
-	}
 	if s.curMap != nil && s.cfg.NodeID == "" {
 		return errors.New("fleet: cluster Map requires NodeID")
 	}
@@ -241,8 +259,6 @@ func (s *Server) Start() error {
 		if err := s.recoverDurable(); err != nil {
 			return err
 		}
-	} else if err := s.restoreSnapshot(); err != nil {
-		return err
 	}
 	ln, err := net.Listen("tcp", s.cfg.Addr)
 	if err != nil {
@@ -287,6 +303,11 @@ func (s *Server) recoverDurable() error {
 			s.cfg.Logf("seedfleetd: shard %d recovered: snapSeq=%d replayed=%d deduped=%d tornTail=%v envs=%d",
 				sh.idx, rec.SnapSeq, rec.Replayed, rec.Skipped, rec.TornTail, len(rec.Envs))
 		}
+	}
+	// The journals opened above may be new files: nothing may be acked
+	// into one before its directory entry is on disk.
+	if err := syncDir(s.cfg.JournalDir); err != nil {
+		return fmt.Errorf("fleet: journal directory sync: %w", err)
 	}
 	if totalReplayed > 0 {
 		s.cfg.Logf("seedfleetd: crash recovery replayed %d journal records in %s", totalReplayed, time.Since(start).Round(time.Millisecond))
@@ -352,67 +373,13 @@ func (s *Server) Model() []byte {
 	return MarshalModel(merged)
 }
 
-// Shutdown drains gracefully: stop accepting, answer every request already
-// read off a connection, process every queued job, snapshot the model, and
-// return. After Shutdown the aggregate equals exactly what was
-// acknowledged.
-func (s *Server) Shutdown() error {
+// stop ends service: no new connections, every open one told to finish by
+// stopConn, every queued job processed by its shard worker.
+func (s *Server) stop(stopConn func(net.Conn)) {
 	s.connMu.Lock()
 	s.draining.Store(true)
 	for c := range s.conns {
-		// Expire pending reads: each connection stops reading, writes the
-		// responses it still owes, in order, and closes.
-		_ = c.SetReadDeadline(time.Now())
-	}
-	s.connMu.Unlock()
-	_ = s.ln.Close()
-	s.connWG.Wait()
-	for _, sh := range s.shards {
-		close(sh.queue)
-	}
-	s.shardWG.Wait()
-	var err error
-	if s.cfg.JournalDir != "" {
-		err = s.drainCompact()
-	} else {
-		err = s.writeSnapshot()
-	}
-	st := s.Stats()
-	s.cfg.Logf("seedfleetd: drain complete (uploads=%d duplicates=%d reports=%d queries=%d backpressured=%d errors=%d dropped=%d jobs_per_batch=%.2f responses_per_flush=%.2f)",
-		st.Uploads, st.Duplicates, st.Reports, st.Queries, st.Backpressured, st.Errors, st.Dropped,
-		Ratio(st.Jobs, st.Batches), Ratio(st.Responses, st.Flushes))
-	return err
-}
-
-// drainCompact writes every shard's final snapshot and truncates its
-// journal: a clean shutdown leaves compact durable state whose next Start
-// replays nothing.
-func (s *Server) drainCompact() error {
-	var firstErr error
-	for _, sh := range s.shards {
-		if sh.jr == nil {
-			continue
-		}
-		if err := sh.compact(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if err := sh.jr.close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// Kill abandons the server without drain-time snapshots: the listener and
-// every connection are closed hard, queued jobs still land in the journal
-// (a real SIGKILL can strike after the fsync but before the ack — that is
-// exactly the window crash recovery must cover), and no compaction runs.
-// Tests use it as in-process SIGKILL injection.
-func (s *Server) Kill() {
-	s.connMu.Lock()
-	s.draining.Store(true)
-	for c := range s.conns {
-		_ = c.Close()
+		stopConn(c)
 	}
 	s.connMu.Unlock()
 	if s.ln != nil {
@@ -423,6 +390,36 @@ func (s *Server) Kill() {
 		close(sh.queue)
 	}
 	s.shardWG.Wait()
+}
+
+// Shutdown drains gracefully: stop accepting, answer every request already
+// read off a connection, process every queued job, compact the journal
+// when there is one (the next Start then replays nothing), and return.
+// After Shutdown the aggregate equals exactly what was acknowledged.
+func (s *Server) Shutdown() error {
+	// Expire pending reads: each connection stops reading, writes the
+	// responses it still owes, in order, and closes.
+	s.stop(func(c net.Conn) { _ = c.SetReadDeadline(time.Now()) })
+	var err error
+	for _, sh := range s.shards {
+		if sh.jr != nil {
+			err = errors.Join(err, sh.compact(), sh.jr.close())
+		}
+	}
+	st := s.Stats()
+	s.cfg.Logf("seedfleetd: drain complete (uploads=%d duplicates=%d reports=%d queries=%d backpressured=%d errors=%d dropped=%d jobs_per_batch=%.2f responses_per_flush=%.2f)",
+		st.Uploads, st.Duplicates, st.Reports, st.Queries, st.Backpressured, st.Errors, st.Dropped,
+		Ratio(st.Jobs, st.Batches), Ratio(st.Responses, st.Flushes))
+	return err
+}
+
+// Kill abandons the server without compaction: the listener and every
+// connection are closed hard, queued jobs still land in the journal (a
+// real SIGKILL can strike after the fsync but before the ack — that is
+// exactly the window crash recovery must cover). Tests use it as
+// in-process SIGKILL injection.
+func (s *Server) Kill() {
+	s.stop(func(c net.Conn) { _ = c.Close() })
 	for _, sh := range s.shards {
 		if sh.jr != nil {
 			_ = sh.jr.close()
@@ -832,7 +829,7 @@ func (sh *shard) process(batch []job) {
 
 // compact writes the shard snapshot (counters + model, covering every
 // journaled record) and truncates the journal. Crash-ordering: the
-// snapshot lands via tmp+rename BEFORE the truncate, and replay skips
+// snapshot's rename is on disk BEFORE the truncate, and replay skips
 // seq <= snapshot seq, so dying between the two double-folds nothing.
 func (sh *shard) compact() error {
 	entries := make([]CounterEntry, 0, len(sh.envs))
@@ -998,59 +995,4 @@ func (sh *shard) handleQuery(j job) Frame {
 	}
 	sh.srv.suggestions.Add(1)
 	return Frame{Type: TSuggest, Payload: sealed}
-}
-
-// --- legacy drain-time snapshot ------------------------------------------
-
-var snapshotMagic = []byte("SEEDFLT1")
-
-// writeSnapshot persists the merged model atomically (tmp + rename).
-func (s *Server) writeSnapshot() error {
-	if s.cfg.SnapshotPath == "" {
-		return nil
-	}
-	body := append(append([]byte(nil), snapshotMagic...), s.Model()...)
-	tmp := s.cfg.SnapshotPath + ".tmp"
-	if err := os.WriteFile(tmp, body, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, s.cfg.SnapshotPath)
-}
-
-// restoreSnapshot loads a previously written model into shard 0. Placement
-// is irrelevant: queries and Model() merge across shards. A damaged
-// snapshot refuses startup (never a silent empty model) unless ForceEmpty
-// quarantines it.
-func (s *Server) restoreSnapshot() error {
-	if s.cfg.SnapshotPath == "" {
-		return nil
-	}
-	body, err := os.ReadFile(s.cfg.SnapshotPath)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	fail := func(ferr error) error {
-		if !s.cfg.ForceEmpty {
-			return fmt.Errorf("%w (use -force-empty to quarantine and start empty)", ferr)
-		}
-		s.cfg.Logf("seedfleetd: %v — starting empty by -force-empty", ferr)
-		quarantine(s.cfg.SnapshotPath, s.cfg.Logf)
-		return nil
-	}
-	if len(body) < len(snapshotMagic) || string(body[:len(snapshotMagic)]) != string(snapshotMagic) {
-		return fail(fmt.Errorf("fleet: %s is not a fleet snapshot", s.cfg.SnapshotPath))
-	}
-	m, err := UnmarshalModel(body[len(snapshotMagic):])
-	if err != nil {
-		return fail(fmt.Errorf("fleet: snapshot %s: %w", s.cfg.SnapshotPath, err))
-	}
-	sh := s.shards[0]
-	sh.mu.Lock()
-	sh.learner.Crowdsource(m)
-	sh.mu.Unlock()
-	s.cfg.Logf("seedfleetd: restored snapshot %s (%d causes)", s.cfg.SnapshotPath, len(m))
-	return nil
 }
