@@ -106,6 +106,10 @@ func run() int {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken at exit to this file")
 	flag.Parse()
+	if *samples < 1 {
+		fmt.Fprintf(os.Stderr, "-samples %d: need at least 1 case per class\n", *samples)
+		return 2
+	}
 	if *reps < 1 {
 		*reps = 1
 	}

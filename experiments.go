@@ -47,21 +47,57 @@ type Table4Result struct {
 	Rows []DisruptionRow
 }
 
-// sampleCases picks up to n management cases of one plane, preserving the
-// dataset's scenario mix (it simply takes the first n in corpus order,
-// which is already randomized).
-func sampleCases(ds *Dataset, control bool, n int) []FailureCase {
-	var out []FailureCase
+// mgmtCell is one replayed cell of the management grid.
+type mgmtCell struct {
+	fc   FailureCase
+	mode Mode
+	key  uint64
+	res  ReplayResult
+}
+
+// plane names the cell's management plane.
+func (c mgmtCell) plane() string {
+	if c.fc.ControlPlane {
+		return "control"
+	}
+	return "data"
+}
+
+// managementGrid replays up to n management cases of each plane (the first in
+// corpus order, which is already randomized, so the sample keeps the
+// dataset's scenario mix) under every listed mode, each (case, mode) pair
+// one scenario cell on p. It returns the cells in (plane, case, mode)
+// order, control plane first. The modes replay case i of a plane on the
+// same derived seed (a paired comparison), and i counts skipped cases too,
+// so Table 4 and Figure 2 replay a case on the seed coverage and causes
+// replay it on.
+func managementGrid(p *runner.Pool, ds *Dataset, n int, seedVal int64, skipUserAction bool, modes ...Mode) []mgmtCell {
+	var planes [2][]FailureCase
 	for _, fc := range ds.Failures() {
-		if fc.ControlPlane != control {
-			continue
+		family := 1
+		if fc.ControlPlane {
+			family = 0
 		}
-		out = append(out, fc)
-		if len(out) == n {
-			break
+		if len(planes[family]) < n {
+			planes[family] = append(planes[family], fc)
 		}
 	}
-	return out
+	var cells []mgmtCell
+	for family, cases := range planes {
+		for i, fc := range cases {
+			if skipUserAction && fc.Scenario == ScenarioUserAction {
+				continue // excluded: no scheme can recover them
+			}
+			for _, mode := range modes {
+				cells = append(cells, mgmtCell{fc: fc, mode: mode, key: cellKey(uint64(family), i)})
+			}
+		}
+	}
+	return runner.Map(p, len(cells), func(i int) mgmtCell {
+		c := cells[i]
+		c.res = ReplayManagement(c.fc, c.mode, sched.DeriveSeed(seedVal, c.key))
+		return c
+	})
 }
 
 func disruptionRow(class string, mode Mode, series *metrics.Series, unrecov int) DisruptionRow {
@@ -76,78 +112,46 @@ func disruptionRow(class string, mode Mode, series *metrics.Series, unrecov int)
 
 // ExperimentTable4 replays sampled management failures and delivery
 // failures under all three schemes and reports the disruption percentiles
-// of Table 4. samplesPerClass bounds replay count per (class, mode).
-//
-// Every (case, mode) pair is one independent scenario cell; the flat cell
-// list fans across p and shard-local series merge
-// order-independently, so the table is identical at any parallelism. The
+// of Table 4. samplesPerClass bounds replay count per (class, mode). The
 // three schemes replay a given case on the same derived seed (a paired
 // comparison).
 func ExperimentTable4(p *runner.Pool, ds *Dataset, samplesPerClass int, seedVal int64) Table4Result {
-	type cell struct {
-		group string
-		key   uint64
-		run   func(cellSeed int64) (recovered bool, d time.Duration)
-	}
-	var cells []cell
-	for family, control := range []bool{true, false} {
-		class := "Data Plane"
-		if control {
-			class = "Control Plane"
-		}
-		cases := sampleCases(ds, control, samplesPerClass)
-		for _, mode := range Modes {
-			group := class + "/" + mode.String()
-			for i, fc := range cases {
-				if fc.Scenario == ScenarioUserAction {
-					continue // excluded: no scheme can recover them
-				}
-				cells = append(cells, cell{
-					group: group,
-					key:   cellKey(uint64(family), i),
-					run: func(cellSeed int64) (bool, time.Duration) {
-						r := ReplayManagement(fc, mode, cellSeed)
-						return r.Recovered, r.Disruption
-					},
-				})
-			}
-		}
+	acc := newTally()
+	for _, c := range managementGrid(p, ds, samplesPerClass, seedVal, true, Modes...) {
+		acc.outcome(c.plane()+"/"+c.mode.String(), c.res.Recovered, c.res.Disruption)
 	}
 	// Data delivery: the reconnection-fixable class for the legacy
 	// baseline (the only one it can recover), all kinds for SEED.
 	delivery := ds.Delivery()
-	if len(delivery) > samplesPerClass {
-		delivery = delivery[:samplesPerClass]
+	delivery = delivery[:min(samplesPerClass, len(delivery))]
+	type cell struct {
+		dc   DeliveryCase
+		mode Mode
+		key  uint64
 	}
+	var cells []cell
 	for _, mode := range Modes {
-		group := "Data Delivery/" + mode.String()
 		for i, dc := range delivery {
 			if mode == ModeLegacy && dc.Kind != DeliveryStalledGateway {
 				continue // legacy cannot fix network-side blocks/DNS
 			}
-			cells = append(cells, cell{
-				group: group,
-				key:   cellKey(2, i),
-				run: func(cellSeed int64) (bool, time.Duration) {
-					r := ReplayDelivery(dc, mode, cellSeed)
-					return r.Recovered, r.HandlingTime
-				},
-			})
+			cells = append(cells, cell{dc: dc, mode: mode, key: cellKey(2, i)})
 		}
 	}
-	acc := collectCells(p, len(cells), func(i int, a *shardAcc) {
+	replays := runner.Map(p, len(cells), func(i int) DeliveryReplayResult {
 		c := cells[i]
-		if ok, d := c.run(sched.DeriveSeed(seedVal, c.key)); ok {
-			a.add(c.group, d)
-		} else {
-			a.count(c.group)
-		}
+		return ReplayDelivery(c.dc, c.mode, sched.DeriveSeed(seedVal, c.key))
 	})
+	for i, r := range replays {
+		acc.outcome("delivery/"+cells[i].mode.String(), r.Recovered, r.HandlingTime)
+	}
 	var res Table4Result
-	for _, class := range []string{"Control Plane", "Data Plane", "Data Delivery"} {
+	for _, class := range []struct{ group, name string }{
+		{"control", "Control Plane"}, {"data", "Data Plane"}, {"delivery", "Data Delivery"},
+	} {
 		for _, mode := range Modes {
-			group := class + "/" + mode.String()
-			res.Rows = append(res.Rows, disruptionRow(class, mode, acc.get(group), acc.counts[group]))
+			group := class.group + "/" + mode.String()
+			res.Rows = append(res.Rows, disruptionRow(class.name, mode, acc.get(group), acc.counts[group+"/unrecov"]))
 		}
 	}
 	return res
@@ -186,37 +190,13 @@ type Figure2Result struct {
 }
 
 // ExperimentFigure2 replays sampled management failures with legacy
-// handling only and returns the disruption CDFs of Figure 2. Each replay
-// is one scenario cell on the worker pool.
+// handling only and returns the disruption CDFs of Figure 2.
 func ExperimentFigure2(p *runner.Pool, ds *Dataset, samplesPerPlane int, seedVal int64) Figure2Result {
-	type cell struct {
-		plane string
-		key   uint64
-		fc    FailureCase
+	acc := newTally()
+	for _, c := range managementGrid(p, ds, samplesPerPlane, seedVal, true, ModeLegacy) {
+		acc.counts[c.plane()+"/total"]++
+		acc.outcome(c.plane(), c.res.Recovered, c.res.Disruption)
 	}
-	var cells []cell
-	for family, control := range []bool{true, false} {
-		plane := "data"
-		if control {
-			plane = "control"
-		}
-		for i, fc := range sampleCases(ds, control, samplesPerPlane) {
-			if fc.Scenario == ScenarioUserAction {
-				continue
-			}
-			cells = append(cells, cell{plane: plane, key: cellKey(uint64(family), i), fc: fc})
-		}
-	}
-	acc := collectCells(p, len(cells), func(i int, a *shardAcc) {
-		c := cells[i]
-		a.count(c.plane + "/total")
-		r := ReplayManagement(c.fc, ModeLegacy, sched.DeriveSeed(seedVal, c.key))
-		if r.Recovered {
-			a.add(c.plane, r.Disruption)
-		} else {
-			a.count(c.plane + "/unrecov")
-		}
-	})
 	var res Figure2Result
 	for _, plane := range []string{"control", "data"} {
 		series := acc.get(plane)
@@ -307,19 +287,18 @@ func ExperimentFigure3(p *runner.Pool, samples int, seedVal int64) Figure3Result
 	}
 	// 3*samples independent cells; trial i shares its derived seed across
 	// the three blocking kinds (paired comparison).
-	acc := collectCells(p, len(kinds)*samples, func(ci int, a *shardAcc) {
+	lats := runner.Map(p, len(kinds)*samples, func(ci int) time.Duration {
 		k := kinds[ci/samples]
 		i := ci % samples
-		ok, lat := figure3Trial(k.kind, k.blockDNSToo, i, sched.DeriveSeed(seedVal, cellKey(0, i)))
-		if ok {
-			a.add(k.kind.String(), lat)
-		} else {
-			a.count(k.kind.String() + "/undetected")
-		}
+		return figure3Trial(k.kind, k.blockDNSToo, i, sched.DeriveSeed(seedVal, cellKey(0, i)))
 	})
+	acc := newTally()
+	for ci, lat := range lats {
+		acc.outcome(kinds[ci/samples].kind.String(), lat >= 0, lat)
+	}
 	stats := func(kind DeliveryFailureKind) LatencyStats {
 		return statsFromSeries(kind.String(), acc.get(kind.String()),
-			acc.counts[kind.String()+"/undetected"])
+			acc.counts[kind.String()+"/unrecov"])
 	}
 	return Figure3Result{
 		TCP: stats(DeliveryTCPBlock),
@@ -344,12 +323,13 @@ var figure3Proto = NewProto(func(tb *Testbed) *Device {
 })
 
 // figure3Trial runs one detection-latency cell from a cloned boot:
-// steady state, block, and wait for the Android monitor to notice.
-func figure3Trial(kind DeliveryFailureKind, blockDNSToo bool, i int, cellSeed int64) (bool, time.Duration) {
+// steady state, block, and wait for the Android monitor to notice. It
+// returns the detection latency (-1 when the monitor never noticed).
+func figure3Trial(kind DeliveryFailureKind, blockDNSToo bool, i int, cellSeed int64) time.Duration {
 	tb, d, put := figure3Proto.Cell(cellSeed)
 	defer put()
 	if !d.Connected() {
-		return false, 0
+		return -1
 	}
 	// Stagger onset within the monitor's polling period so the
 	// latency distribution reflects the phase uniformly.
@@ -367,9 +347,9 @@ func figure3Trial(kind DeliveryFailureKind, blockDNSToo bool, i int, cellSeed in
 		tb.SetDNSOutage(true)
 	}
 	if !tb.RunUntil(d.inner.Mon.Stalled, 25*time.Minute) {
-		return false, 0
+		return -1
 	}
-	return true, tb.Now() - onset
+	return tb.Now() - onset
 }
 
 // Render formats the detection latency summary.
@@ -428,13 +408,17 @@ func ExperimentTable5(p *runner.Pool, trials int, seedVal int64) Table5Result {
 	group := func(app AppKind, class string, mode Mode) string {
 		return app.String() + "|" + class + "|" + mode.String()
 	}
-	acc := collectCells(p, len(cells), func(i int, a *shardAcc) {
+	outages := runner.Map(p, len(cells), func(i int) time.Duration {
 		c := cells[i]
-		o := runAppDisruptionTrial(c.app, c.class, c.mode, sched.DeriveSeed(seedVal, cellKey(0, c.trial)))
-		if o >= 0 {
-			a.add(group(c.app, c.class, c.mode), o)
-		}
+		return runAppDisruptionTrial(c.app, c.class, c.mode, sched.DeriveSeed(seedVal, cellKey(0, c.trial)))
 	})
+	acc := newTally()
+	for i, o := range outages {
+		if o >= 0 {
+			c := cells[i]
+			acc.add(group(c.app, c.class, c.mode), o)
+		}
+	}
 	var res Table5Result
 	for _, app := range AppKinds {
 		for _, class := range classes {
@@ -960,29 +944,13 @@ type CoverageResult struct {
 // handled fractions. A case counts as handled when SEED recovered it (or,
 // for user-action cases, never — matching the paper's accounting).
 func ExperimentCoverage(p *runner.Pool, ds *Dataset, samplesPerPlane int, seedVal int64) CoverageResult {
-	type cell struct {
-		plane string
-		key   uint64
-		fc    FailureCase
-	}
-	var cells []cell
-	for family, control := range []bool{true, false} {
-		plane := "data"
-		if control {
-			plane = "control"
-		}
-		for i, fc := range sampleCases(ds, control, samplesPerPlane) {
-			cells = append(cells, cell{plane: plane, key: cellKey(uint64(family), i), fc: fc})
+	acc := newTally()
+	for _, c := range managementGrid(p, ds, samplesPerPlane, seedVal, false, ModeSEEDU) {
+		acc.counts[c.plane()+"/total"]++
+		if c.res.Recovered && !c.res.UserActionRequired {
+			acc.counts[c.plane()+"/handled"]++
 		}
 	}
-	acc := collectCells(p, len(cells), func(i int, a *shardAcc) {
-		c := cells[i]
-		a.count(c.plane + "/total")
-		r := ReplayManagement(c.fc, ModeSEEDU, sched.DeriveSeed(seedVal, c.key))
-		if r.Recovered && !r.UserActionRequired {
-			a.count(c.plane + "/handled")
-		}
-	})
 	var res CoverageResult
 	res.ControlN = acc.counts["control/total"]
 	res.DataN = acc.counts["data/total"]
@@ -1142,7 +1110,7 @@ type MobilityRow struct {
 	P90      time.Duration
 	Trials   int
 	Unrecov  int
-	// Handovers / ContextLoss are the merged per-cell testbed counters
+	// Handovers / ContextLoss are the summed per-cell testbed counters
 	// (Testbed.Handovers) across the group's trials.
 	Handovers   int
 	ContextLoss int
@@ -1162,9 +1130,7 @@ var mobilityScenarios = []string{workload.ScenHandoverDesync, workload.ScenTAURa
 // context transfer, and a tracking-area update racing SEED's in-flight
 // diagnosis — end-to-end under all three schemes, on the default workload
 // spec's cell graph. Each (scenario, trial) pair shares its walk and cell
-// seed across the three modes (a paired comparison), and the per-cell
-// handover/context-loss counters merge through the shard accumulator, so
-// the result is identical at any parallelism.
+// seed across the three modes (a paired comparison).
 func ExperimentMobility(p *runner.Pool, trials int, seedVal int64) MobilityResult {
 	sp := workload.DefaultSpec()
 	mob := &workload.MobilitySpec{Model: "random-waypoint", HopsMin: 2, HopsMax: 5, DwellMeanSec: 20}
@@ -1182,26 +1148,25 @@ func ExperimentMobility(p *runner.Pool, trials int, seedVal int64) MobilityResul
 			}
 		}
 	}
-	acc := collectCells(p, len(cells), func(i int, a *shardAcc) {
+	results := runner.Map(p, len(cells), func(i int) workload.Outcome {
 		c := cells[i]
 		// The walk derives from (scenario, trial) only, so every mode
 		// replays the same trajectory.
 		walkRNG := rand.New(rand.NewSource(sched.DeriveSeedN(seedVal, 0x3B, c.family, uint64(c.trial))))
 		hops, lossy := workload.SampleWalk(walkRNG, sp.Cells.N, mob, c.scen)
-		res := RunWorkloadCell(sp, workload.Cell{
+		return RunWorkloadCell(sp, workload.Cell{
 			Scenario: c.scen, Hops: hops, LossyHop: lossy,
 			Seed: sched.DeriveSeed(seedVal, cellKey(c.family, c.trial)),
 		}, c.mode, nil)
-		group := c.scen + "/" + c.mode.String()
-		a.count(group + "/trials")
-		if res.Recovered {
-			a.add(group, res.Disruption)
-		} else {
-			a.count(group + "/unrecov")
-		}
-		a.countN(group+"/handovers", res.Handovers)
-		a.countN(group+"/ctxloss", res.ContextLoss)
 	})
+	acc := newTally()
+	for i, res := range results {
+		group := cells[i].scen + "/" + cells[i].mode.String()
+		acc.counts[group+"/trials"]++
+		acc.outcome(group, res.Recovered, res.Disruption)
+		acc.counts[group+"/handovers"] += res.Handovers
+		acc.counts[group+"/ctxloss"] += res.ContextLoss
+	}
 	var res MobilityResult
 	for _, scen := range mobilityScenarios {
 		for _, mode := range Modes {
@@ -1246,48 +1211,21 @@ type CausesResult struct {
 	Rows []metrics.BreakdownRow
 }
 
-// causeBreakdownKey renders one breakdown key: "plane/code mode", so the
-// key-sorted export groups the three schemes under each cause.
-func causeBreakdownKey(fc FailureCase, mode Mode) string {
-	plane := "data"
-	if fc.ControlPlane {
-		plane = "control"
-	}
-	return fmt.Sprintf("%s/%d %s", plane, fc.CauseCode, mode)
-}
-
 // ExperimentCauses replays sampled management failures under all three
 // schemes and breaks the results down per cause code — the drill-down
-// behind Table 4's per-plane aggregates. Each (case, mode) pair is one
-// scenario cell on the worker pool; shard-local Breakdowns merge
-// commutatively, so the rows are identical at any parallelism. The three
-// schemes replay a given case on the same derived seed (a paired
-// comparison, as in Table 4).
+// behind Table 4's per-plane aggregates, over the same paired cells. A
+// row's key is "plane/code mode", so the key-sorted export groups the
+// three schemes under each cause.
 func ExperimentCauses(p *runner.Pool, ds *Dataset, samplesPerPlane int, seedVal int64) CausesResult {
-	type cell struct {
-		key  uint64
-		fc   FailureCase
-		mode Mode
+	b := metrics.NewBreakdown()
+	for _, c := range managementGrid(p, ds, samplesPerPlane, seedVal, false, Modes...) {
+		r := c.res
+		b.Add(fmt.Sprintf("%s/%d %s", c.plane(), c.fc.CauseCode, c.mode), metrics.CostInput{
+			Recovered: r.Recovered, Disruption: r.Disruption,
+			Actions: r.Actions, Reboots: r.Reboots, UserNotified: r.UserNotified,
+		})
 	}
-	var cells []cell
-	for family, control := range []bool{true, false} {
-		for i, fc := range sampleCases(ds, control, samplesPerPlane) {
-			for _, mode := range Modes {
-				cells = append(cells, cell{key: cellKey(uint64(family), i), fc: fc, mode: mode})
-			}
-		}
-	}
-	acc := runner.Collect(p, len(cells), metrics.NewBreakdown,
-		func(i int, b *metrics.Breakdown) {
-			c := cells[i]
-			r := ReplayManagement(c.fc, c.mode, sched.DeriveSeed(seedVal, c.key))
-			b.Add(causeBreakdownKey(c.fc, c.mode), metrics.CostInput{
-				Recovered: r.Recovered, Disruption: r.Disruption,
-				Actions: r.Actions, Reboots: r.Reboots, UserNotified: r.UserNotified,
-			})
-		},
-		func(dst, src *metrics.Breakdown) { dst.Merge(src) })
-	return CausesResult{Rows: acc.Rows()}
+	return CausesResult{Rows: b.Rows()}
 }
 
 // Render formats the breakdown.

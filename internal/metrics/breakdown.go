@@ -3,11 +3,9 @@ package metrics
 import "sort"
 
 // Breakdown accumulates per-key (per-cause, per-mode, per-anything)
-// disruption and action statistics under the shared cost model. Like
-// Series, a Breakdown is a multiset accumulator: Add and Merge are
-// commutative and associative, so shard-local breakdowns built by
-// parallel scenario workers combine into the same aggregate regardless
-// of which shard ran which cell or of merge order. Export via Rows is
+// disruption and action statistics under the shared cost model. It is a
+// plain sequential accumulator: callers Add cell outcomes in cell order,
+// which fixes the order of the float cost sums. Export via Rows is
 // key-sorted, so the rendered output is deterministic too.
 type Breakdown struct {
 	rows map[string]*breakdownAcc
@@ -58,26 +56,6 @@ func (b *Breakdown) Add(key string, in CostInput) {
 	}
 	r.actionS += c.ActionS
 	r.composite += c.CompositeS
-}
-
-// Merge absorbs src's rows. src is left unchanged; merging nil is a no-op.
-func (b *Breakdown) Merge(src *Breakdown) {
-	if src == nil {
-		return
-	}
-	for key, s := range src.rows {
-		r := b.row(key)
-		r.disruption.Merge(s.disruption)
-		r.cells += s.cells
-		r.recovered += s.recovered
-		r.reboots += s.reboots
-		r.notices += s.notices
-		for name, n := range s.actions {
-			r.actions[name] += n
-		}
-		r.actionS += s.actionS
-		r.composite += s.composite
-	}
 }
 
 // ActionCount is one action row of a breakdown, name-sorted on export.

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"reflect"
 	"testing"
 	"time"
 )
@@ -61,29 +60,6 @@ func TestBreakdownRowsAndPricing(t *testing.T) {
 	}
 	if len(u.Actions) != 1 || u.Actions[0] != (ActionCount{Action: "A1/profile-reload", Count: 1}) {
 		t.Fatalf("actions = %+v", u.Actions)
-	}
-}
-
-func TestBreakdownMergeCommutative(t *testing.T) {
-	xs := inputs()
-	build := func(order []int) []BreakdownRow {
-		shards := make([]*Breakdown, len(xs))
-		for i, x := range xs {
-			shards[i] = NewBreakdown()
-			shards[i].Add(x.key, x.in)
-		}
-		dst := NewBreakdown()
-		for _, i := range order {
-			dst.Merge(shards[i])
-		}
-		dst.Merge(nil) // no-op
-		return dst.Rows()
-	}
-	want := build([]int{0, 1, 2, 3})
-	for _, order := range [][]int{{3, 2, 1, 0}, {1, 3, 0, 2}, {2, 0, 3, 1}} {
-		if got := build(order); !reflect.DeepEqual(got, want) {
-			t.Fatalf("merge order %v changed rows:\n%+v\nvs\n%+v", order, got, want)
-		}
 	}
 }
 

@@ -1,5 +1,4 @@
 // Package metrics provides the measurement helpers the evaluation uses:
-// a disruption tracker (time from failure onset to service recovery),
 // percentile/CDF summaries for the tables and figures, and the analytic
 // battery and CPU models that replace the physical power and load
 // measurements of §7.2.1.
@@ -32,20 +31,6 @@ func (s *Series) Add(d time.Duration) {
 
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.samples) }
-
-// Merge absorbs src's samples into s. Series are multisets — every query
-// (percentiles, CDF, mean, max) sorts or sums first — so merging is
-// commutative and associative: shard-local series built by parallel
-// scenario workers combine into the same aggregate regardless of which
-// shard ran which cell or of merge order. src is left unchanged; merging
-// a nil or empty series is a no-op.
-func (s *Series) Merge(src *Series) {
-	if src == nil || len(src.samples) == 0 {
-		return
-	}
-	s.samples = append(s.samples, src.samples...)
-	s.sorted = false
-}
 
 func (s *Series) sort() {
 	if !s.sorted {
@@ -133,63 +118,4 @@ type CDFPoint struct {
 func (s *Series) Summary() string {
 	return fmt.Sprintf("%s: n=%d median=%.1fs p90=%.1fs mean=%.1fs",
 		s.name, s.Len(), s.Median().Seconds(), s.Percentile(90).Seconds(), s.Mean().Seconds())
-}
-
-// Disruption tracks service-outage intervals on the virtual clock: Start
-// marks failure onset, End marks recovery, and each closed interval is
-// added to the series.
-type Disruption struct {
-	Series  *Series
-	now     func() time.Duration
-	started time.Duration
-	open    bool
-}
-
-// NewDisruption creates a tracker reading virtual time from now.
-func NewDisruption(name string, now func() time.Duration) *Disruption {
-	return &Disruption{Series: NewSeries(name), now: now}
-}
-
-// Start marks failure onset. A second Start while open is ignored (the
-// first onset dominates the user-perceived outage).
-func (d *Disruption) Start() {
-	if d.open {
-		return
-	}
-	d.open = true
-	d.started = d.now()
-}
-
-// End marks recovery, recording the closed interval. Without a matching
-// Start it is a no-op.
-func (d *Disruption) End() {
-	if !d.open {
-		return
-	}
-	d.open = false
-	d.Series.Add(d.now() - d.started)
-}
-
-// Open reports whether a disruption is in progress.
-func (d *Disruption) Open() bool { return d.open }
-
-// Abort closes an open interval without recording it.
-func (d *Disruption) Abort() { d.open = false }
-
-// OpenDuration returns the elapsed time of the open interval.
-func (d *Disruption) OpenDuration() time.Duration {
-	if !d.open {
-		return 0
-	}
-	return d.now() - d.started
-}
-
-// Merge absorbs the closed intervals recorded by src. Open intervals do
-// not transfer — each tracker watches its own virtual clock, so an
-// in-progress outage is only meaningful on the kernel that opened it.
-func (d *Disruption) Merge(src *Disruption) {
-	if src == nil {
-		return
-	}
-	d.Series.Merge(src.Series)
 }

@@ -79,44 +79,6 @@ func TestCDF(t *testing.T) {
 	}
 }
 
-func TestDisruptionTracker(t *testing.T) {
-	now := time.Duration(0)
-	d := NewDisruption("x", func() time.Duration { return now })
-	d.Start()
-	if !d.Open() {
-		t.Fatal("not open after Start")
-	}
-	now = 5 * time.Second
-	if d.OpenDuration() != 5*time.Second {
-		t.Fatalf("open duration = %v", d.OpenDuration())
-	}
-	// Nested Start is ignored: first onset dominates.
-	d.Start()
-	now = 8 * time.Second
-	d.End()
-	if d.Open() {
-		t.Fatal("still open after End")
-	}
-	if d.Series.Len() != 1 || d.Series.Max() != 8*time.Second {
-		t.Fatalf("recorded %v", d.Series.Max())
-	}
-	// End without Start is a no-op.
-	d.End()
-	if d.Series.Len() != 1 {
-		t.Fatal("spurious sample")
-	}
-	// Abort discards.
-	d.Start()
-	now = 20 * time.Second
-	d.Abort()
-	if d.Series.Len() != 1 || d.Open() {
-		t.Fatal("abort recorded a sample")
-	}
-	if d.OpenDuration() != 0 {
-		t.Fatal("OpenDuration nonzero while closed")
-	}
-}
-
 func TestBatteryModelReproducesPaperNumbers(t *testing.T) {
 	m := DefaultBatteryModel()
 	elapsed := 30 * time.Minute

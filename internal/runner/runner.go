@@ -1,15 +1,15 @@
 // Package runner is the parallel scenario executor behind the experiment
 // suite. Every experiment in the paper's evaluation replays many
-// independent scenario cells — each a fresh Testbed on its own
-// single-threaded sched.Kernel — so the cells can fan out across worker
-// goroutines while each cell stays perfectly deterministic.
+// independent scenario cells — each a testbed restored from a prototype
+// onto its own single-threaded sched.Kernel — so the cells can fan out
+// across worker goroutines while each cell stays perfectly deterministic.
 //
-// Determinism contract: a cell's behaviour must depend only on its index
-// (seeds come from sched.DeriveSeed(rootSeed, cellKey), never from shared
-// RNG state), results are either written to a per-index slot (Map) or
-// folded into shard-local accumulators combined with a commutative merge
-// (Collect). Under that contract the outcome is bit-for-bit identical for
-// any worker count, including the sequential workers=1 path.
+// There is one primitive, Map: cell i's result lands in slot i of the
+// returned slice, and the caller folds that slice sequentially in index
+// order. A cell's behaviour must depend only on its index (seeds come from
+// sched.DeriveSeed(rootSeed, cellKey), never from shared RNG state); the
+// outcome is then bit-for-bit identical for any worker count, including
+// the sequential workers=1 path.
 //
 // Dispatch policy: workers claim cells in contiguous batches from a shared
 // atomic cursor, so the per-cell handoff cost (atomic RMW + potential
@@ -18,7 +18,7 @@
 // amortize goroutine startup, or a single-P runtime where goroutines only
 // time-slice one core — execute inline on the calling goroutine, making
 // the parallel path never slower than the sequential one. None of this
-// affects results: which worker runs a cell is invisible by contract.
+// affects results: which worker runs a cell is invisible.
 package runner
 
 import (
@@ -127,51 +127,4 @@ func Map[T any](p *Pool, n int, fn func(i int) T) []T {
 	out := make([]T, n)
 	p.run(n, func(i int) { out[i] = fn(i) })
 	return out
-}
-
-// Collect runs cell for every index in [0, n), giving each worker its own
-// accumulator from newAcc, then folds the shard accumulators with merge
-// and returns the combined one. merge(dst, src) must be commutative and
-// associative over the cell contributions (multiset semantics — e.g.
-// appending samples to a series that sorts before quantile queries);
-// under that requirement the result is independent of which worker
-// happened to run which cell.
-func Collect[A any](p *Pool, n int, newAcc func() A, cell func(i int, acc A), merge func(dst, src A)) A {
-	w := p.width(n)
-	if w <= 1 {
-		acc := newAcc()
-		for i := 0; i < n; i++ {
-			cell(i, acc)
-		}
-		return acc
-	}
-	batch := int64(batchSize(n, w))
-	accs := make([]A, w)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		accs[g] = newAcc()
-		go func(acc A) {
-			defer wg.Done()
-			for {
-				end := next.Add(batch)
-				start := end - batch
-				if start >= int64(n) {
-					return
-				}
-				if end > int64(n) {
-					end = int64(n)
-				}
-				for i := start; i < end; i++ {
-					cell(int(i), acc)
-				}
-			}
-		}(accs[g])
-	}
-	wg.Wait()
-	for g := 1; g < w; g++ {
-		merge(accs[0], accs[g])
-	}
-	return accs[0]
 }

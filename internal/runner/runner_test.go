@@ -1,9 +1,7 @@
 package runner
 
 import (
-	"reflect"
 	"runtime"
-	"sort"
 	"sync/atomic"
 	"testing"
 )
@@ -48,32 +46,5 @@ func TestMapRunsEachCellOnce(t *testing.T) {
 	}
 	if len(counts) != 500 {
 		t.Fatalf("got %d results, want 500", len(counts))
-	}
-}
-
-func TestCollectMatchesSequential(t *testing.T) {
-	// The accumulator collects cell indices; with a commutative merge
-	// (multiset union) every worker count must yield the same multiset.
-	newAcc := func() *[]int { return &[]int{} }
-	cell := func(i int, acc *[]int) { *acc = append(*acc, i) }
-	merge := func(dst, src *[]int) { *dst = append(*dst, *src...) }
-
-	want := Collect(New(1), 200, newAcc, cell, merge)
-	sort.Ints(*want)
-	for _, workers := range []int{2, 5, 16} {
-		got := Collect(New(workers), 200, newAcc, cell, merge)
-		sort.Ints(*got)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d: multiset differs", workers)
-		}
-	}
-}
-
-func TestCollectEmpty(t *testing.T) {
-	got := Collect(New(4), 0, func() *int { n := 0; return &n },
-		func(i int, acc *int) { *acc++ },
-		func(dst, src *int) { *dst += *src })
-	if *got != 0 {
-		t.Fatalf("Collect over 0 cells accumulated %d", *got)
 	}
 }

@@ -1,9 +1,11 @@
 package seed_test
 
 // Determinism tests for the parallel scenario runner: every experiment
-// must produce byte-identical results at -parallel=1, -parallel=4 and
-// -parallel=GOMAXPROCS for the same root seed. Sample counts are kept
-// small; identity — not statistical shape — is what's under test.
+// that takes a pool must produce byte-identical results at -parallel=1,
+// -parallel=4 and -parallel=GOMAXPROCS for the same root seed (figure11b,
+// figure12 and learning are one sequential cell each and take none).
+// Sample counts are kept small; identity — not statistical shape — is
+// what's under test.
 
 import (
 	"reflect"
@@ -27,6 +29,8 @@ func TestExperimentsParallelDeterminism(t *testing.T) {
 		{"figure11a", func(p *runner.Pool) any { return seed.ExperimentFigure11a(p, 7) }},
 		{"figure13", func(p *runner.Pool) any { return seed.ExperimentFigure13(p, 7) }},
 		{"coverage", func(p *runner.Pool) any { return seed.ExperimentCoverage(p, ds, 15, 7) }},
+		{"causes", func(p *runner.Pool) any { return seed.ExperimentCauses(p, ds, 30, 7) }},
+		{"mobility", func(p *runner.Pool) any { return seed.ExperimentMobility(p, 8, 7) }},
 	}
 	levels := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, e := range experiments {
