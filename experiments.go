@@ -2,7 +2,6 @@ package seed
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"time"
 
@@ -1152,7 +1151,7 @@ func ExperimentMobility(p *runner.Pool, trials int, seedVal int64) MobilityResul
 		c := cells[i]
 		// The walk derives from (scenario, trial) only, so every mode
 		// replays the same trajectory.
-		walkRNG := rand.New(rand.NewSource(sched.DeriveSeedN(seedVal, 0x3B, c.family, uint64(c.trial))))
+		walkRNG := sched.NewRand(sched.DeriveSeedN(seedVal, 0x3B, c.family, uint64(c.trial)))
 		hops, lossy := workload.SampleWalk(walkRNG, sp.Cells.N, mob, c.scen)
 		return RunWorkloadCell(sp, workload.Cell{
 			Scenario: c.scen, Hops: hops, LossyHop: lossy,

@@ -17,7 +17,6 @@ package adversary
 
 import (
 	"fmt"
-	"math/rand"
 
 	"github.com/seed5g/seed/internal/sched"
 )
@@ -193,7 +192,7 @@ func Generate(root int64, idx, maxMutations int) Case {
 	if maxMutations < 1 {
 		maxMutations = 1
 	}
-	rng := rand.New(rand.NewSource(sched.DeriveSeedN(root, uint64(idx), 1)))
+	rng := sched.NewRand(sched.DeriveSeedN(root, uint64(idx), 1))
 	c := Case{
 		Seed:     sched.DeriveSeedN(root, uint64(idx), 0),
 		Mode:     uint8(1 + rng.Intn(3)),

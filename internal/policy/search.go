@@ -137,7 +137,7 @@ func Search(p *runner.Pool, sp *workload.Spec, cells []workload.Cell, cfg Search
 		next := append([]Candidate(nil), pool...)
 		for parent := 0; parent < len(pool); parent++ {
 			for m := 0; m < cfg.Mutants; m++ {
-				rng := rand.New(rand.NewSource(sched.DeriveSeedN(cfg.Seed, uint64(round+1), uint64(parent), uint64(m))))
+				rng := sched.NewRand(sched.DeriveSeedN(cfg.Seed, uint64(round+1), uint64(parent), uint64(m)))
 				next = append(next, evalOne(mutate(pool[parent].Policy, rng)))
 			}
 		}

@@ -99,3 +99,51 @@ func TestKernelHotPathAllocs(t *testing.T) {
 		t.Errorf("AtArg schedule+fire cycle allocates %v objects/op, want 0", avg)
 	}
 }
+
+// BenchmarkReseed is what every cloned cell pays for its random stream:
+// Reseed plus the first draw. The source fills register words as draws
+// reach them, so this is two words, not math/rand's 607.
+func BenchmarkReseed(b *testing.B) {
+	k := New(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Reseed(int64(i))
+		sinkInt = k.Rand().Intn(1000)
+	}
+}
+
+// BenchmarkNewRand is a derived stream's cost (workload compilation
+// builds three per device): construction plus the first draw.
+func BenchmarkNewRand(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkInt = NewRand(int64(i)).Intn(1000)
+	}
+}
+
+var sinkInt int
+
+// TestReseedAllocs pins the per-cell cost of the random stream: reseeding
+// and drawing allocate nothing, and a kernel is two objects (the Kernel
+// with the source inside it, and its *rand.Rand) where math/rand's
+// separately allocated source made it three.
+func TestReseedAllocs(t *testing.T) {
+	k := New(1)
+	seed := int64(0)
+	if avg := testing.AllocsPerRun(1000, func() {
+		seed++
+		k.Reseed(seed)
+		sinkInt = k.Rand().Intn(1000)
+	}); avg != 0 {
+		t.Errorf("Reseed + Intn allocates %v objects/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		seed++
+		sinkKernel = New(seed)
+	}); avg > 2 {
+		t.Errorf("New allocates %v objects, want at most 2", avg)
+	}
+}
+
+var sinkKernel *Kernel

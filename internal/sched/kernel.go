@@ -18,6 +18,13 @@
 // slot. For callers whose callbacks would otherwise capture a variable,
 // AtArg/AfterArg carry one argument in the pooled event itself so the
 // callback func can be built once and reused across arms.
+//
+// The package is also the one place seeded random streams come from: a
+// kernel's Rand(), and NewRand for derived streams (seeds from DeriveSeed/
+// DeriveSeedN). Both run over the source in rng.go, which yields the
+// stream of rand.NewSource(seed) value for value but seeds in O(1), so
+// Reseed — once per simulated cell — costs a few stores instead of a
+// 607-word register fill, and a kernel snapshot carries the stream with it.
 package sched
 
 import (
@@ -32,7 +39,6 @@ type Kernel struct {
 	now     time.Duration
 	queue   eventHeap
 	seq     uint64
-	rng     *rand.Rand
 	stopped bool
 	// cancelled counts cancelled events still sitting in the heap. When
 	// they outnumber live events the heap is compacted, so long-running
@@ -43,13 +49,24 @@ type Kernel struct {
 	// events awaiting reuse. Its length is bounded by the peak number of
 	// simultaneously pending events.
 	free *event
+	// src is the kernel's random stream, held by value so a snapshot can
+	// copy it and Reseed is a few stores (see rng.go); rng is the one
+	// *rand.Rand over it, built by New and handed out by Rand. src comes
+	// last: it is 5 KB without a pointer, which the collector then never
+	// has to look at.
+	rng *rand.Rand
+	src source
 }
 
-// New returns a Kernel whose random source is seeded with seed.
+// New returns a Kernel whose random source is seeded with seed: Rand()
+// yields the stream of rand.New(rand.NewSource(seed)).
 // Two kernels created with the same seed and fed the same schedule of
 // events produce identical execution traces.
 func New(seed int64) *Kernel {
-	return &Kernel{rng: rand.New(rand.NewSource(seed))}
+	k := new(Kernel)
+	k.src.Seed(seed)
+	k.rng = rand.New(&k.src)
+	return k
 }
 
 // Now returns the current virtual time, measured from kernel start.

@@ -1,6 +1,9 @@
 package sched
 
-import "time"
+import (
+	"math/rand"
+	"time"
+)
 
 // This file implements the kernel's side of the snapshot/clone protocol
 // (see internal/snap): the kernel owns intrusive structures a generic
@@ -15,12 +18,16 @@ import "time"
 // held by actors remain valid after Restore), and the free list in order
 // (so post-restore allocations replay identically). Events cancelled at
 // snapshot time are dropped: their handles are already inert and stay so
-// in every post-restore timeline.
+// in every post-restore timeline. It also captures the random stream: the
+// source by value, and the *rand.Rand over it by value too, because
+// Rand.Read keeps the unread bytes of its last draw there.
 type KernelSnapshot struct {
 	now       time.Duration
 	seq       uint64
 	events    []eventSnap
 	freeOrder []freeSnap
+	rng       rand.Rand
+	src       source
 }
 
 type eventSnap struct {
@@ -38,13 +45,10 @@ type freeSnap struct {
 	gen uint32
 }
 
-// Snapshot records the kernel's current schedule. The kernel's RNG is NOT
-// captured here — math/rand exposes no state extraction — so the generic
-// engine restores it as an ordinary object region (Reseed covers the
-// clone-with-new-seed case). Callers that snapshot a bare kernel without
-// the engine should Reseed after Restore for RNG determinism.
+// Snapshot records the kernel's current schedule and the position of its
+// random stream, so draws after a Restore repeat the draws after Snapshot.
 func (k *Kernel) Snapshot() *KernelSnapshot {
-	s := &KernelSnapshot{now: k.now, seq: k.seq}
+	s := &KernelSnapshot{now: k.now, seq: k.seq, src: k.src, rng: *k.rng}
 	s.events = make([]eventSnap, 0, k.Pending())
 	for _, ev := range k.queue {
 		if ev.cancelled {
@@ -63,12 +67,14 @@ func (k *Kernel) Snapshot() *KernelSnapshot {
 
 // Restore rewinds the kernel to the snapshot: clock, sequence counter,
 // queued events (generations rolled back so actor-held Timer handles for
-// in-flight timers work again), and the free list in its original order.
-// Events created only after the snapshot drop out of the kernel and are
-// left for the garbage collector.
+// in-flight timers work again), the free list in its original order, and
+// the random stream. Events created only after the snapshot drop out of
+// the kernel and are left for the garbage collector.
 func (k *Kernel) Restore(s *KernelSnapshot) {
 	k.now = s.now
 	k.seq = s.seq
+	k.src = s.src
+	*k.rng = s.rng
 	k.stopped = false
 	k.cancelled = 0
 
@@ -109,22 +115,24 @@ func (k *Kernel) Restore(s *KernelSnapshot) {
 	}
 }
 
-// Reseed re-seeds the kernel's RNG in place. Cloned cells call it (at the
+// Reseed re-seeds the kernel's RNG in place: afterwards Rand() yields the
+// stream of a kernel built with New(seed). Cloned cells call it (at the
 // same point where a fresh cell would) so each clone gets its own random
-// stream while everything else replays from the snapshot.
+// stream while everything else replays from the snapshot. It costs a few
+// stores — the source computes register words as draws reach them — and
+// goes through Rand.Seed so bytes buffered by an earlier Rand.Read are
+// dropped as well.
 func (k *Kernel) Reseed(seed int64) { k.rng.Seed(seed) }
 
 // SnapshotState/RestoreState implement snap.Snapshotter.
 func (k *Kernel) SnapshotState() any     { return k.Snapshot() }
 func (k *Kernel) RestoreState(state any) { k.Restore(state.(*KernelSnapshot)) }
 
-// SnapshotRoots implements snap.RootsProvider: it exposes the RNG (whose
-// internal source state the generic engine restores field-by-field) and
-// every queued event's argument payload — in-flight AtArg/AfterArg events
-// carry pooled packets whose CONTENT must be restored even though the
-// kernel itself only replays the pointer.
+// SnapshotRoots implements snap.RootsProvider: it exposes every queued
+// event's argument payload — in-flight AtArg/AfterArg events carry pooled
+// packets whose CONTENT must be restored even though the kernel itself
+// only replays the pointer.
 func (k *Kernel) SnapshotRoots(visit func(root any)) {
-	visit(k.rng)
 	for _, ev := range k.queue {
 		if !ev.cancelled && ev.arg != nil {
 			visit(ev.arg)

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -222,5 +223,36 @@ func TestSnapshotRestoreWithArgEvents(t *testing.T) {
 	})
 	if seen != 1 {
 		t.Fatalf("SnapshotRoots exposed %d payload args, want 1", seen)
+	}
+}
+
+// TestKernelSnapshotRestoresRandomStream: a bare kernel's snapshot owns
+// its random stream — no snap engine, no Reseed — including the bytes
+// Rand.Read leaves buffered in the *rand.Rand between calls.
+func TestKernelSnapshotRestoresRandomStream(t *testing.T) {
+	draw := func(k *Kernel) (out []int64) {
+		r := k.Rand()
+		for i := 0; i < 1000; i++ {
+			var b [5]byte
+			r.Read(b[:])
+			out = append(out, r.Int63(), int64(r.Intn(1000)), int64(b[0])<<8|int64(b[4]))
+		}
+		return out
+	}
+	for _, reseed := range []bool{false, true} {
+		k := New(7)
+		var b [3]byte
+		k.Rand().Read(b[:]) // leaves four bytes of this draw buffered
+		k.Rand().Int63()
+		s := k.Snapshot()
+		want := draw(k)
+		if reseed {
+			k.Reseed(8)
+			k.Rand().Int63()
+		}
+		k.Restore(s)
+		if got := draw(k); !reflect.DeepEqual(got, want) {
+			t.Errorf("reseed between=%v: draws after Restore differ from draws after Snapshot", reseed)
+		}
 	}
 }

@@ -58,15 +58,16 @@ type Snapshotter interface {
 
 // RootsProvider is optionally implemented by a Snapshotter to expose
 // additional object-graph roots for generic traversal (for the simulation
-// kernel: the RNG and every queued event's argument payload, whose
-// pointees must be restored alongside the kernel's own event records).
+// kernel: every queued event's argument payload, whose pointees must be
+// restored alongside the kernel's own event records).
 type RootsProvider interface {
 	SnapshotRoots(visit func(root any))
 }
 
 // Skipper marks pointee types the walker must not record or traverse:
-// types already owned by a Snapshotter (the kernel's pooled events) whose
-// generic restoration would fight the hand-written one.
+// types already owned by a Snapshotter (the kernel's pooled events and its
+// random source) whose generic restoration would fight or repeat the
+// hand-written one.
 type Skipper interface {
 	SnapSkip()
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/seed5g/seed/internal/cause"
+	"github.com/seed5g/seed/internal/sched"
 )
 
 // GenConfig parameterizes dataset synthesis. The defaults reproduce the
@@ -88,7 +89,7 @@ var devices = []string{
 
 // Generate synthesizes a dataset.
 func Generate(cfg GenConfig) *Dataset {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := sched.NewRand(cfg.Seed)
 	ds := &Dataset{Procedures: cfg.Procedures}
 
 	total := 0.0

@@ -121,7 +121,7 @@ func Compile(sp *Spec, rootSeed int64) ([]Cell, error) {
 }
 
 func streamRNG(root int64, stream uint64, pi, d int) *rand.Rand {
-	return rand.New(rand.NewSource(sched.DeriveSeedN(root, stream, uint64(pi), uint64(d))))
+	return sched.NewRand(sched.DeriveSeedN(root, stream, uint64(pi), uint64(d)))
 }
 
 func normalizedMix(mix []CauseMix) (weights []float64, total float64) {
