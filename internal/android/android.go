@@ -271,7 +271,11 @@ func (m *Monitor) evaluate() {
 	for cut < len(m.tcp) && now-m.tcp[cut].at > m.cfg.TCPWindow {
 		cut++
 	}
-	m.tcp = m.tcp[cut:]
+	if cut > 0 {
+		// Copied down in place: re-slicing from cut would walk the window
+		// through its backing array and make every append re-allocate it.
+		m.tcp = append(m.tcp[:0], m.tcp[cut:]...)
+	}
 	fails := 0
 	for _, s := range m.tcp {
 		if !s.ok {

@@ -280,3 +280,37 @@ func TestActionStringAndStats(t *testing.T) {
 		t.Fatalf("stats = %d stalls %d actions", stalls, actions)
 	}
 }
+
+// TestMonitorWindowDoesNotGrow holds the TCP-outcome window to its own
+// storage: an hour of outcomes at the video app's cadence (one a second)
+// leaves the window within a few windows' worth of samples, and further
+// minutes allocate nothing — the window is trimmed in place, not walked
+// through its backing array with a fresh array every other minute.
+func TestMonitorWindowDoesNotGrow(t *testing.T) {
+	k := sched.New(1)
+	cfg := DefaultConfig()
+	m := NewMonitor(k, cfg, Hooks{}) // not started: the rules are evaluated by hand
+	minutes := func(n int) {
+		for i := 0; i < n*60; i++ {
+			k.RunFor(time.Second)
+			m.NoteTCPOutcome(true)
+			if i%60 == 59 {
+				m.evaluate()
+			}
+		}
+	}
+	minutes(60)
+	perWindow := int(cfg.TCPWindow / time.Second)
+	if len(m.tcp) > perWindow+1 {
+		t.Fatalf("window holds %d samples after an evaluation, want at most %d", len(m.tcp), perWindow+1)
+	}
+	if cap(m.tcp) > 4*perWindow {
+		t.Errorf("window capacity %d after an hour, want at most %d", cap(m.tcp), 4*perWindow)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { minutes(10) }); allocs != 0 {
+		t.Errorf("ten steady-state minutes allocate %.0f objects, want 0", allocs)
+	}
+	if m.Stalled() {
+		t.Fatal("healthy outcomes declared a stall")
+	}
+}

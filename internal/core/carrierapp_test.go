@@ -10,6 +10,7 @@ import (
 	"github.com/seed5g/seed/internal/cause"
 	"github.com/seed5g/seed/internal/core5g"
 	"github.com/seed5g/seed/internal/dataplane"
+	"github.com/seed5g/seed/internal/radio"
 )
 
 func TestCarrierResetDataConnectionMakeBeforeBreak(t *testing.T) {
@@ -171,5 +172,39 @@ func TestDeviceProbeFlow(t *testing.T) {
 	stalls, actions := d.Mon.Stats()
 	if stalls == 0 || actions == 0 {
 		t.Fatalf("false-positive path: stalls=%d actions=%d", stalls, actions)
+	}
+}
+
+// TestFlowTagDispatch is the device's end of the dataplane test of the
+// same name: a probe's reply comes back through the mux, past the apps,
+// to the probe that sent it, exactly once; a labelled packet without a
+// tag completes nothing.
+func TestFlowTagDispatch(t *testing.T) {
+	w := newWorld(58)
+	d := w.addDevice(t, "310170000058002", Legacy)
+	d.AddApp(dataplane.Web).Start()
+	attach(t, w, d)
+	var results []bool
+	d.probe(func(ok bool) { results = append(results, ok) })
+	if len(d.pendingProbes) != 1 {
+		t.Fatalf("%d probes pending after one was sent", len(d.pendingProbes))
+	}
+	d.Mux.Dispatch(radio.Packet{Flow: "probe-1", Meta: "probe-ok"})
+	if len(results) != 0 {
+		t.Fatal("a packet with a label and no tag completed the probe")
+	}
+	var tag radio.FlowTag
+	for tag = range d.pendingProbes {
+	}
+	if tag.Owner() != radio.FlowOwnerProbe {
+		t.Fatalf("probe tag %#x has owner %d", uint64(tag), tag.Owner())
+	}
+	w.k.RunFor(time.Second)
+	if len(results) != 1 || !results[0] || len(d.pendingProbes) != 0 {
+		t.Fatalf("probe results %v with %d still pending, want one success", results, len(d.pendingProbes))
+	}
+	d.Mux.Dispatch(radio.Packet{Tag: tag, Meta: "probe-ok"}) // a duplicate of the reply
+	if len(results) != 1 {
+		t.Fatalf("duplicate reply completed the probe again: %v", results)
 	}
 }

@@ -97,7 +97,7 @@ type Device struct {
 	OnNAS func(sent bool, msg nas.Message)
 
 	probeSeq      int
-	pendingProbes map[string]func(bool)
+	pendingProbes map[radio.FlowTag]func(bool)
 	connected     bool
 }
 
@@ -111,10 +111,10 @@ func NewDevice(k *sched.Kernel, cfg DeviceConfig, net *core5g.Network) (*Device,
 		K: k, Cfg: cfg, Card: card,
 		Apps:          make(map[dataplane.AppKind]*dataplane.App),
 		Mux:           &dataplane.Mux{},
-		pendingProbes: make(map[string]func(bool)),
+		pendingProbes: make(map[radio.FlowTag]func(bool)),
 	}
 	d.Radio = netemu.NewDuplex(k, "radio-"+cfg.IMSI, cfg.RadioLatency, nil, nil)
-	d.Mdm = modem.New(k, cfg.Modem, card, d.Radio.A2B.Send)
+	d.Mdm = modem.New(k, cfg.Modem, card, d.Radio.A2B.Send, net.Frames)
 	d.Radio.SetHandlers(net.GNB.HandleUplink, d.Mdm.HandleDownlink)
 	net.GNB.AttachUE(cfg.IMSI, d.Radio.B2A.Send)
 
@@ -266,22 +266,22 @@ func (d *Device) recomputeConnectivity() {
 // the probe server.
 func (d *Device) probe(done func(bool)) {
 	d.probeSeq++
-	flow := fmt.Sprintf("probe-%d", d.probeSeq)
+	tag := radio.NewFlowTag(radio.FlowOwnerProbe, radio.FlowRequest, d.probeSeq)
 	pkt := radio.Packet{
 		Proto: nas.ProtoTCP, Dst: [4]byte(dataplane.ProbeServerAddr),
 		SrcPort: uint16(40000 + d.probeSeq%1000), DstPort: 80,
-		Flow: flow, Length: 128,
+		Tag: tag, Length: 128,
 	}
 	if !d.SendPacket(pkt) {
 		done(false)
 		return
 	}
-	d.pendingProbes[flow] = done
+	d.pendingProbes[tag] = done
 }
 
 func (d *Device) onUnclaimedPacket(pkt radio.Packet) {
-	if done, okP := d.pendingProbes[pkt.Flow]; okP {
-		delete(d.pendingProbes, pkt.Flow)
+	if done, okP := d.pendingProbes[pkt.Tag]; okP {
+		delete(d.pendingProbes, pkt.Tag)
 		done(true)
 	}
 }

@@ -28,7 +28,7 @@ func newWorld(seed int64) *world {
 	return &world{
 		k: k, net: net,
 		plugin: NewInfraPlugin(k, net),
-		inet:   dataplane.NewInternet(k, net.UPF),
+		inet:   dataplane.NewInternet(k, net),
 	}
 }
 

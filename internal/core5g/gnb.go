@@ -1,6 +1,7 @@
 package core5g
 
 import (
+	"math/bits"
 	"time"
 
 	"github.com/seed5g/seed/internal/radio"
@@ -35,12 +36,17 @@ type GNB struct {
 	backhaul time.Duration
 
 	ues map[string]*ueRadio
+	// lastIMSI and lastUE remember the latest hit in ues: user-plane
+	// packets come in runs from one UE, and the lookup is per packet.
+	// AttachUE and DetachUE forget it.
+	lastIMSI string
+	lastUE   *ueRadio
 
 	// User-plane frames (see radio.FramePool for the ownership rule): an
 	// uplink frame rides the backhaul hop as the argument of the stored
 	// toUPF callback and is released here once the UPF has seen it;
 	// SendData takes a frame per downlink packet.
-	frames radio.FramePool
+	frames *radio.FramePool
 	toUPF  func(any) // arg: *radio.Packet
 	// A signalling frame rides the backhaul the same way, as the argument
 	// of toAMF; the AMF releases it.
@@ -50,13 +56,26 @@ type GNB struct {
 type ueRadio struct {
 	tx        func(any) bool
 	connected bool
-	bearers   map[uint8]bool
+	bearers   bearerSet
+}
+
+// bearerSet holds the session IDs a UE has a radio bearer for, one bit
+// each: every user-plane packet asks, in both directions.
+type bearerSet [4]uint64
+
+func (b *bearerSet) add(id uint8)     { b[id>>6] |= 1 << (id & 63) }
+func (b *bearerSet) remove(id uint8)  { b[id>>6] &^= 1 << (id & 63) }
+func (b bearerSet) has(id uint8) bool { return b[id>>6]&(1<<(id&63)) != 0 }
+
+func (b bearerSet) count() int {
+	return bits.OnesCount64(b[0]) + bits.OnesCount64(b[1]) + bits.OnesCount64(b[2]) + bits.OnesCount64(b[3])
 }
 
 // NewGNB creates a gNB with the given one-way backhaul latency to the
-// core. Wire the AMF and UPF with SetCore before delivering traffic.
-func NewGNB(k *sched.Kernel, backhaul time.Duration) *GNB {
-	g := &GNB{k: k, backhaul: backhaul, ues: make(map[string]*ueRadio)}
+// core, on its network's frame pool. Wire the AMF and UPF with SetCore
+// before delivering traffic.
+func NewGNB(k *sched.Kernel, backhaul time.Duration, frames *radio.FramePool) *GNB {
+	g := &GNB{k: k, backhaul: backhaul, ues: make(map[string]*ueRadio), frames: frames}
 	g.toUPF = func(v any) {
 		f := v.(*radio.Packet)
 		g.upf.HandleUplink(*f)
@@ -75,21 +94,37 @@ func (g *GNB) SetCore(amf *AMF, upf *UPF) {
 // AttachUE registers a UE's downlink transmit function (the device side of
 // its radio link).
 func (g *GNB) AttachUE(imsi string, tx func(any) bool) {
-	g.ues[imsi] = &ueRadio{tx: tx, bearers: make(map[uint8]bool)}
+	g.ues[imsi] = &ueRadio{tx: tx}
+	g.lastUE = nil
 }
 
 // DetachUE removes a UE from the cell.
-func (g *GNB) DetachUE(imsi string) { delete(g.ues, imsi) }
+func (g *GNB) DetachUE(imsi string) {
+	delete(g.ues, imsi)
+	g.lastUE = nil
+}
+
+// ue looks a UE's radio state up, through the last-hit cache.
+func (g *GNB) ue(imsi string) (*ueRadio, bool) {
+	if g.lastUE != nil && g.lastIMSI == imsi {
+		return g.lastUE, true
+	}
+	ue, okU := g.ues[imsi]
+	if okU {
+		g.lastIMSI, g.lastUE = imsi, ue
+	}
+	return ue, okU
+}
 
 // HandleUplink processes a frame arriving on the radio interface.
 func (g *GNB) HandleUplink(frame any) {
 	switch f := frame.(type) {
 	case radio.RRCConnect:
-		if ue, okU := g.ues[f.UE]; okU {
+		if ue, okU := g.ue(f.UE); okU {
 			ue.connected = true
 		}
 	case radio.RRCRelease:
-		if ue, okU := g.ues[f.UE]; okU {
+		if ue, okU := g.ue(f.UE); okU {
 			ue.connected = false
 		}
 	case *radio.NAS:
@@ -107,7 +142,7 @@ func (g *GNB) HandleUplink(frame any) {
 // uplinkNAS relays a signalling frame this gNB now owns to the AMF over the
 // backhaul. A frame from an unknown UE is dropped (left to the collector).
 func (g *GNB) uplinkNAS(f *radio.NAS) {
-	ue, okU := g.ues[f.UE]
+	ue, okU := g.ue(f.UE)
 	if !okU {
 		return
 	}
@@ -118,8 +153,8 @@ func (g *GNB) uplinkNAS(f *radio.NAS) {
 // uplinkData forwards a user-plane frame this gNB now owns to the UPF
 // over the backhaul, or drops it when the UE has no bearer for it.
 func (g *GNB) uplinkData(f *radio.Packet) {
-	ue, okU := g.ues[f.UE]
-	if !okU || !ue.connected || !ue.bearers[f.SessionID] {
+	ue, okU := g.ue(f.UE)
+	if !okU || !ue.connected || !ue.bearers.has(f.SessionID) {
 		g.frames.Put(f)
 		return
 	}
@@ -128,15 +163,15 @@ func (g *GNB) uplinkData(f *radio.Packet) {
 
 // SendNAS delivers a downlink NAS frame to its UE.
 func (g *GNB) SendNAS(f *radio.NAS) bool {
-	ue, okU := g.ues[f.UE]
+	ue, okU := g.ue(f.UE)
 	return okU && ue.tx(f)
 }
 
 // SendData delivers a downlink user-plane packet to a UE. Packets for
 // sessions without a bearer are dropped.
 func (g *GNB) SendData(pkt radio.Packet) bool {
-	ue, okU := g.ues[pkt.UE]
-	if !okU || !ue.bearers[pkt.SessionID] {
+	ue, okU := g.ue(pkt.UE)
+	if !okU || !ue.bearers.has(pkt.SessionID) {
 		return false
 	}
 	f := g.frames.Get(pkt)
@@ -149,8 +184,8 @@ func (g *GNB) SendData(pkt radio.Packet) bool {
 
 // AddBearer installs a radio bearer for a UE session.
 func (g *GNB) AddBearer(imsi string, sessionID uint8) {
-	if ue, okU := g.ues[imsi]; okU {
-		ue.bearers[sessionID] = true
+	if ue, okU := g.ue(imsi); okU {
+		ue.bearers.add(sessionID)
 	}
 }
 
@@ -158,27 +193,29 @@ func (g *GNB) AddBearer(imsi string, sessionID uint8) {
 // gNB releases the RRC connection and asks the AMF to drop the UE context
 // — the reattach-forcing behaviour of §4.4.1.
 func (g *GNB) RemoveBearer(imsi string, sessionID uint8) {
-	ue, okU := g.ues[imsi]
+	ue, okU := g.ue(imsi)
 	if !okU {
 		return
 	}
-	delete(ue.bearers, sessionID)
-	if len(ue.bearers) == 0 && ue.connected {
+	ue.bearers.remove(sessionID)
+	if ue.bearers.count() == 0 && ue.connected {
 		ue.connected = false
 		ue.tx(radio.RRCRelease{UE: imsi})
 		g.k.After(g.backhaul, func() { g.amf.DropUEContext(imsi) })
 	}
 }
 
-// Bearers returns the UE's active bearer session IDs.
+// Bearers returns the UE's active bearer session IDs in ascending order.
 func (g *GNB) Bearers(imsi string) []uint8 {
-	ue, okU := g.ues[imsi]
+	ue, okU := g.ue(imsi)
 	if !okU {
 		return nil
 	}
-	out := make([]uint8, 0, len(ue.bearers))
-	for id := range ue.bearers {
-		out = append(out, id)
+	out := make([]uint8, 0, ue.bearers.count())
+	for id := 0; id < 256; id++ {
+		if ue.bearers.has(uint8(id)) {
+			out = append(out, uint8(id))
+		}
 	}
 	return out
 }
@@ -186,21 +223,21 @@ func (g *GNB) Bearers(imsi string) []uint8 {
 // setConnected forces the RRC state (used by handover, which keeps the
 // connection alive across cells).
 func (g *GNB) setConnected(imsi string, v bool) {
-	if ue, okU := g.ues[imsi]; okU {
+	if ue, okU := g.ue(imsi); okU {
 		ue.connected = v
 	}
 }
 
 // BearerCount returns the number of active bearers for a UE.
 func (g *GNB) BearerCount(imsi string) int {
-	if ue, okU := g.ues[imsi]; okU {
-		return len(ue.bearers)
+	if ue, okU := g.ue(imsi); okU {
+		return ue.bearers.count()
 	}
 	return 0
 }
 
 // Connected reports whether the UE has an RRC connection.
 func (g *GNB) Connected(imsi string) bool {
-	ue, okU := g.ues[imsi]
+	ue, okU := g.ue(imsi)
 	return okU && ue.connected
 }

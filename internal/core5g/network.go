@@ -3,6 +3,7 @@ package core5g
 import (
 	"time"
 
+	"github.com/seed5g/seed/internal/radio"
 	"github.com/seed5g/seed/internal/sched"
 )
 
@@ -38,20 +39,25 @@ type Network struct {
 	UPF *UPF
 	UDM *UDM
 	Inj *Injector
+	// Frames is the testbed's one user-plane frame pool (see
+	// radio.FramePool): the gNBs and the UPF are built on it, and so is
+	// whatever attaches to the network — modems, the emulated internet.
+	Frames *radio.FramePool
 }
 
 // NewNetwork assembles and wires a core network on the kernel.
 func NewNetwork(k *sched.Kernel, cfg NetworkConfig) *Network {
 	udm := NewUDM()
 	inj := NewInjector(k.Now)
-	gnb := NewGNB(k, cfg.Backhaul)
-	upf := NewUPF(k, gnb, cfg.DNSLatency)
+	frames := new(radio.FramePool)
+	gnb := NewGNB(k, cfg.Backhaul, frames)
+	upf := NewUPF(k, gnb, cfg.DNSLatency, frames)
 	amf := NewAMF(k, gnb, udm, inj, cfg.AMFProc)
 	smf := NewSMF(k, gnb, udm, upf, inj, cfg.SMFProc)
 	amf.SetSMF(smf)
 	smf.SetSender(amf.SendRaw)
 	gnb.SetCore(amf, upf)
-	return &Network{K: k, GNB: gnb, AMF: amf, SMF: smf, UPF: upf, UDM: udm, Inj: inj}
+	return &Network{K: k, GNB: gnb, AMF: amf, SMF: smf, UPF: upf, UDM: udm, Inj: inj, Frames: frames}
 }
 
 // SetRadioAccess re-wires the core functions' downlink path (used when a

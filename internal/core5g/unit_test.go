@@ -214,7 +214,7 @@ func imsiN(i int) string {
 // HasBlock and the per-packet blocked check read the network-wide and the
 // per-UE lists in place; they must agree with the copying Blocks accessor.
 func TestUPFHasBlockCoversGlobalAndPerUE(t *testing.T) {
-	u := NewUPF(sched.New(1), nil, time.Millisecond)
+	u := NewUPF(sched.New(1), nil, time.Millisecond, new(radio.FramePool))
 	if u.HasBlock("ue1", nas.ProtoTCP) || u.blocked("ue1", nas.ProtoTCP, 443) {
 		t.Fatal("block reported on an empty policy")
 	}

@@ -62,8 +62,11 @@ type UPF struct {
 
 	byAddr map[nas.Addr]*upfSession
 
-	// blocks are per-UE policy blocks ("" key = all UEs).
-	blocks map[string][]PolicyBlock
+	// blocks are the per-UE policy blocks, netBlocks the network-wide
+	// ones: kept apart so that the per-packet check probes the map once,
+	// and not at all while no UE is blocked.
+	blocks    map[string][]PolicyBlock
+	netBlocks []PolicyBlock
 	// ldnsDown models a carrier DNS outage: queries to the LDNS vanish.
 	ldnsDown bool
 	// dnsLatency is the LDNS response time.
@@ -75,16 +78,16 @@ type UPF struct {
 
 	// LDNS answers wait out dnsLatency in a pooled frame carried by the
 	// stored answerDNS callback.
-	frames    radio.FramePool
+	frames    *radio.FramePool
 	answerDNS func(any) // arg: *radio.Packet
 
 	stats UPFStats
 }
 
-// NewUPF creates the user-plane function.
-func NewUPF(k *sched.Kernel, gnb RadioAccess, dnsLatency time.Duration) *UPF {
+// NewUPF creates the user-plane function on its network's frame pool.
+func NewUPF(k *sched.Kernel, gnb RadioAccess, dnsLatency time.Duration, frames *radio.FramePool) *UPF {
 	u := &UPF{
-		k: k, gnb: gnb,
+		k: k, gnb: gnb, frames: frames,
 		byAddr:     make(map[nas.Addr]*upfSession),
 		blocks:     make(map[string][]PolicyBlock),
 		dnsLatency: dnsLatency,
@@ -123,14 +126,27 @@ func (u *UPF) SessionFor(addr nas.Addr) (*SessionCtx, bool) {
 }
 
 // AddBlock installs a policy block for a UE (empty imsi = network-wide).
-func (u *UPF) AddBlock(imsi string, b PolicyBlock) { u.blocks[imsi] = append(u.blocks[imsi], b) }
+func (u *UPF) AddBlock(imsi string, b PolicyBlock) {
+	if imsi == "" {
+		u.netBlocks = append(u.netBlocks, b)
+		return
+	}
+	u.blocks[imsi] = append(u.blocks[imsi], b)
+}
 
-// ClearBlocks removes a UE's policy blocks.
-func (u *UPF) ClearBlocks(imsi string) { delete(u.blocks, imsi) }
+// ClearBlocks removes a UE's policy blocks (empty imsi = the network-wide
+// ones).
+func (u *UPF) ClearBlocks(imsi string) {
+	if imsi == "" {
+		u.netBlocks = nil
+		return
+	}
+	delete(u.blocks, imsi)
+}
 
 // Blocks returns the active policy blocks for a UE (including global).
 func (u *UPF) Blocks(imsi string) []PolicyBlock {
-	out := append([]PolicyBlock(nil), u.blocks[""]...)
+	out := append([]PolicyBlock(nil), u.netBlocks...)
 	return append(out, u.blocks[imsi]...)
 }
 
@@ -175,7 +191,7 @@ func (u *UPF) LDNSDown() bool { return u.ldnsDown }
 // the flow. It runs twice per request round trip, so it reads the block
 // lists in place.
 func (u *UPF) blocked(imsi string, proto uint8, port uint16) bool {
-	return anyMatches(u.blocks[""], proto, port) || anyMatches(u.blocks[imsi], proto, port)
+	return anyMatches(u.netBlocks, proto, port) || anyMatches(u.blocks[imsi], proto, port)
 }
 
 func anyMatches(blocks []PolicyBlock, proto uint8, port uint16) bool {
@@ -191,7 +207,7 @@ func anyMatches(blocks []PolicyBlock, proto uint8, port uint16) bool {
 // network-wide ones) is on the given protocol. Unlike Blocks it copies
 // nothing, so a predicate polled per kernel step can afford it.
 func (u *UPF) HasBlock(imsi string, proto uint8) bool {
-	return anyOnProto(u.blocks[""], proto) || anyOnProto(u.blocks[imsi], proto)
+	return anyOnProto(u.netBlocks, proto) || anyOnProto(u.blocks[imsi], proto)
 }
 
 func anyOnProto(blocks []PolicyBlock, proto uint8) bool {
@@ -230,7 +246,7 @@ func (u *UPF) HandleUplink(pkt radio.Packet) {
 			UE: pkt.UE, SessionID: pkt.SessionID, Proto: nas.ProtoUDP,
 			Src: pkt.Dst, Dst: pkt.Src,
 			SrcPort: 53, DstPort: pkt.SrcPort,
-			Flow: pkt.Flow, Length: 128, Meta: "dns-answer:" + pkt.Meta,
+			Tag: pkt.Tag, Flow: pkt.Flow, Length: 128, Meta: "dns-answer:" + pkt.Meta,
 		}))
 		return
 	}

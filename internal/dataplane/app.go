@@ -2,7 +2,6 @@ package dataplane
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"github.com/seed5g/seed/internal/android"
@@ -124,16 +123,16 @@ type App struct {
 	consecReqFails  int
 	consecDNSFails  int
 	reqSeq          int
-	idBuf           []byte // scratch for flowID formatting
-	pending         map[string]*request
-	ticker          *sched.Ticker
-	lastSuccessAt   time.Duration
-	lastDNSOK       time.Duration
+	// pending holds the outstanding requests in issue order. An app has
+	// one to three at a time, so matching a reply is a short scan.
+	pending       []*request
+	ticker        *sched.Ticker
+	lastSuccessAt time.Duration
+	lastDNSOK     time.Duration
 
 	// Outstanding-request records are recycled through reqFree, and each
 	// response deadline is armed with the stored onTimeout callback
-	// carrying the record, so a request costs its flow-ID string and
-	// nothing else.
+	// carrying the record, so a request allocates nothing.
 	reqFree   []*request
 	onTimeout func(any) // arg: *request
 
@@ -142,7 +141,7 @@ type App struct {
 
 // request is one outstanding app request or DNS query.
 type request struct {
-	flow  string
+	tag   radio.FlowTag
 	dns   bool
 	timer sched.Timer
 }
@@ -152,7 +151,6 @@ func NewApp(k *sched.Kernel, spec AppSpec, send func(radio.Packet) bool, dnsServ
 	a := &App{
 		k: k, spec: spec, send: send, dnsServer: dnsServer,
 		reportThreshold: 2,
-		pending:         make(map[string]*request),
 		lastSuccessAt:   -1,
 	}
 	a.onTimeout = func(v any) {
@@ -164,8 +162,16 @@ func NewApp(k *sched.Kernel, spec AppSpec, send func(radio.Packet) bool, dnsServ
 	return a
 }
 
+// owner is the owner byte of this app's flow tags.
+func (a *App) owner() uint8 { return uint8(a.spec.Kind) + 1 }
+
+// tag returns the flow tag of this cycle's request or DNS query.
+func (a *App) tag(class uint8) radio.FlowTag {
+	return radio.NewFlowTag(a.owner(), class, a.reqSeq)
+}
+
 // await records a sent request and arms its response deadline.
-func (a *App) await(flow string, dns bool) {
+func (a *App) await(tag radio.FlowTag, dns bool) {
 	var r *request
 	if n := len(a.reqFree); n > 0 {
 		r = a.reqFree[n-1]
@@ -173,16 +179,24 @@ func (a *App) await(flow string, dns bool) {
 	} else {
 		r = new(request)
 	}
-	r.flow, r.dns = flow, dns
+	r.tag, r.dns = tag, dns
 	r.timer = a.k.AfterArg(a.spec.Timeout, a.onTimeout, r)
-	a.pending[flow] = r
+	a.pending = append(a.pending, r)
 }
 
 // settle retires an outstanding request: deadline cancelled, record back
 // on the free list.
 func (a *App) settle(r *request) {
 	r.timer.Stop()
-	delete(a.pending, r.flow)
+	for i, p := range a.pending {
+		if p == r {
+			last := len(a.pending) - 1
+			copy(a.pending[i:], a.pending[i+1:])
+			a.pending[last] = nil
+			a.pending = a.pending[:last]
+			break
+		}
+	}
 	*r = request{}
 	a.reqFree = append(a.reqFree, r)
 }
@@ -212,15 +226,16 @@ func (a *App) Start() {
 	a.ticker = a.k.Every(a.spec.Interval, a.cycle)
 }
 
-// Stop halts traffic generation and cancels outstanding requests.
+// Stop halts traffic generation and cancels outstanding requests, oldest
+// first.
 func (a *App) Stop() {
 	if a.ticker == nil {
 		return
 	}
 	a.ticker.Stop()
 	a.ticker = nil
-	for _, r := range a.pending {
-		a.settle(r)
+	for len(a.pending) > 0 {
+		a.settle(a.pending[0])
 	}
 }
 
@@ -241,26 +256,13 @@ func (a *App) cycle() {
 	a.sendRequest()
 }
 
-// flowID builds "<app>-<kind>-<seq>" through a reused scratch buffer: the
-// only allocation left is the string itself (it keys the pending map, so
-// it has to be materialized).
-func (a *App) flowID(kind string) string {
-	b := append(a.idBuf[:0], a.spec.Kind.String()...)
-	b = append(b, '-')
-	b = append(b, kind...)
-	b = append(b, '-')
-	b = strconv.AppendInt(b, int64(a.reqSeq), 10)
-	a.idBuf = b
-	return string(b)
-}
-
 func (a *App) sendRequest() {
 	a.stats.Requests++
-	id := a.flowID("req")
+	id := a.tag(radio.FlowRequest)
 	pkt := radio.Packet{
 		Proto: a.spec.Proto, Dst: [4]byte(a.spec.Server),
 		SrcPort: uint16(20000 + a.reqSeq%20000), DstPort: a.spec.Port,
-		Flow: id, Length: 600,
+		Tag: id, Length: 600,
 	}
 	sent := a.send(pkt)
 	if a.monitor != nil && sent {
@@ -275,11 +277,11 @@ func (a *App) sendRequest() {
 }
 
 func (a *App) sendDNSQuery() {
-	id := a.flowID("dns")
+	id := a.tag(radio.FlowDNS)
 	pkt := radio.Packet{
 		Proto: nas.ProtoUDP, Dst: [4]byte(a.dnsServer()),
 		SrcPort: uint16(30000 + a.reqSeq%20000), DstPort: 53,
-		Flow: id, Length: 64, Meta: "app.example.com",
+		Tag: id, Length: 64, Meta: "app.example.com",
 	}
 	if !a.send(pkt) {
 		a.requestFailed(true)
@@ -288,11 +290,25 @@ func (a *App) sendDNSQuery() {
 	a.await(id, true)
 }
 
+// outstanding returns the pending request pkt answers, or nil: the tag
+// must be of this app's kind and match a request still waiting.
+func (a *App) outstanding(tag radio.FlowTag) *request {
+	if tag.Owner() != a.owner() {
+		return nil
+	}
+	for _, r := range a.pending {
+		if r.tag == tag {
+			return r
+		}
+	}
+	return nil
+}
+
 // HandleDownlink consumes a downlink packet belonging to this app's flows.
 // It reports whether the packet was recognized.
 func (a *App) HandleDownlink(pkt radio.Packet) bool {
-	r, okP := a.pending[pkt.Flow]
-	if !okP {
+	r := a.outstanding(pkt.Tag)
+	if r == nil {
 		return false
 	}
 	a.settle(r)

@@ -45,7 +45,7 @@ func (p *fakePlane) send(pkt radio.Packet) bool {
 	resp := radio.Packet{
 		Proto: pkt.Proto, Src: pkt.Dst, Dst: pkt.Src,
 		SrcPort: pkt.DstPort, DstPort: pkt.SrcPort,
-		Flow: pkt.Flow, Meta: meta, Length: 1000,
+		Tag: pkt.Tag, Flow: pkt.Flow, Meta: meta, Length: 1000,
 	}
 	p.k.After(20*time.Millisecond, func() {
 		for _, a := range p.apps {

@@ -42,24 +42,24 @@ type Internet struct {
 
 	served int
 
-	// injectFn and replies implement a closure-free reply path: each
-	// response waits out the server latency in a pooled frame carried by
-	// the kernel's AfterArg and returns to the pool once injected.
+	// injectFn and frames implement a closure-free reply path: each
+	// response waits out the server latency in a frame of the network's
+	// pool carried by the kernel's AfterArg, and goes back once injected.
 	injectFn func(any) // arg: *radio.Packet
-	replies  radio.FramePool
+	frames   *radio.FramePool
 }
 
-// NewInternet creates the emulated internet and installs it as the UPF's
-// remote handler.
-func NewInternet(k *sched.Kernel, upf *core5g.UPF) *Internet {
-	in := &Internet{k: k, upf: upf, ServerLatency: 20 * time.Millisecond}
+// NewInternet creates the emulated internet behind net and installs it as
+// the UPF's remote handler.
+func NewInternet(k *sched.Kernel, net *core5g.Network) *Internet {
+	in := &Internet{k: k, upf: net.UPF, frames: net.Frames, ServerLatency: 20 * time.Millisecond}
 	in.injectFn = func(v any) {
 		p := v.(*radio.Packet)
 		in.served++
 		in.upf.Inject(*p)
-		in.replies.Put(p)
+		in.frames.Put(p)
 	}
-	upf.SetRemote(in.handleUplink)
+	net.UPF.SetRemote(in.handleUplink)
 	return in
 }
 
@@ -68,10 +68,10 @@ func (in *Internet) Served() int { return in.served }
 
 // respond schedules the reply to pkt after the server latency.
 func (in *Internet) respond(pkt *radio.Packet, length int, meta string) {
-	in.k.AfterArg(in.ServerLatency, in.injectFn, in.replies.Get(radio.Packet{
+	in.k.AfterArg(in.ServerLatency, in.injectFn, in.frames.Get(radio.Packet{
 		Proto: pkt.Proto, Src: pkt.Dst, Dst: pkt.Src,
 		SrcPort: pkt.DstPort, DstPort: pkt.SrcPort,
-		Flow: pkt.Flow, Length: length, Meta: meta,
+		Tag: pkt.Tag, Flow: pkt.Flow, Length: length, Meta: meta,
 	}))
 }
 

@@ -170,11 +170,12 @@ type Modem struct {
 	resuming     bool
 	idleTimer    sched.Timer
 	pendingPkts  []radio.Packet
-	// frames recycles user-plane frames: SendPacket takes one per uplink
-	// packet, HandleDownlink returns the one each downlink packet came in.
-	// nasFrames does the same for signalling, and codec is the encoder and
-	// decoder state every NAS message of this modem goes through.
-	frames    radio.FramePool
+	// frames is the testbed's user-plane frame pool: SendPacket takes one
+	// per uplink packet, HandleDownlink returns the one each downlink
+	// packet came in. nasFrames is this modem's own pool for signalling,
+	// and codec is the encoder and decoder state every NAS message of
+	// this modem goes through.
+	frames    *radio.FramePool
 	nasFrames radio.NASPool
 	codec     nas.Codec
 
@@ -221,10 +222,11 @@ type Stats struct {
 
 // New creates a modem bound to the kernel, SIM card, and radio transmit
 // function. The transmit function reports whether the frame was accepted
-// (false models a partitioned radio link).
-func New(k *sched.Kernel, cfg Config, card *sim.Card, tx func(any) bool) *Modem {
+// (false models a partitioned radio link). frames is the user-plane frame
+// pool of the network the modem attaches to.
+func New(k *sched.Kernel, cfg Config, card *sim.Card, tx func(any) bool, frames *radio.FramePool) *Modem {
 	m := &Modem{
-		k: k, cfg: cfg, card: card, tx: tx,
+		k: k, cfg: cfg, card: card, tx: tx, frames: frames,
 		state:       StateOff,
 		nextSession: 1,
 		nextPTI:     1,
@@ -453,13 +455,14 @@ func (m *Modem) Attach() {
 // idle mode).
 func (m *Modem) RRCConnected() bool { return m.rrcConnected }
 
-// markActivity resets the inactivity clock (user-plane traffic only).
+// markActivity resets the inactivity clock (user-plane traffic only). It
+// runs on every packet, so the pending timer is moved, not replaced.
 func (m *Modem) markActivity() {
-	m.idleTimer.Stop()
 	if m.cfg.InactivityTimeout <= 0 {
+		m.idleTimer.Stop()
 		return
 	}
-	m.idleTimer = m.k.After(m.cfg.InactivityTimeout, m.goIdleFn)
+	m.idleTimer = m.k.Rearm(m.idleTimer, m.cfg.InactivityTimeout, m.goIdleFn)
 }
 
 // goIdle releases the RRC connection after inactivity (TS 38.331 RRC

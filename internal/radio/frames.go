@@ -39,7 +39,11 @@ type Packet struct {
 	Src, Dst [4]byte
 	// SrcPort/DstPort are transport ports.
 	SrcPort, DstPort uint16
-	// Flow tags the application flow for the traffic emulators.
+	// Tag is the flow the traffic emulators match replies by; servers echo
+	// it.
+	Tag FlowTag
+	// Flow is a free-form label for hand-built packets (tests, probes of
+	// the link layer). The emulators carry it and never read it.
 	Flow string
 	// Payload length in bytes (contents are not modelled).
 	Length int
@@ -47,26 +51,51 @@ type Packet struct {
 	Meta string
 }
 
+// FlowTag names the flow a packet belongs to as an integer, so that an
+// emulator matches a reply to its outstanding request without building or
+// hashing a string: the owner in the top byte (an app's kind + 1, or
+// FlowOwnerProbe; 0 means untagged), the class in the next (FlowRequest or
+// FlowDNS), and the owner's sequence number in the low 48 bits.
+type FlowTag uint64
+
+const (
+	// FlowOwnerProbe is the owner byte of the device's connectivity probe.
+	FlowOwnerProbe uint8 = 0xFF
+
+	FlowRequest uint8 = 1 // an app request or a probe
+	FlowDNS     uint8 = 2 // a DNS query
+)
+
+// NewFlowTag packs a tag.
+func NewFlowTag(owner, class uint8, seq int) FlowTag {
+	return FlowTag(owner)<<56 | FlowTag(class)<<48 | FlowTag(seq)&(1<<48-1)
+}
+
+// Owner returns the tag's owner byte.
+func (t FlowTag) Owner() uint8 { return uint8(t >> 56) }
+
 // User-plane frames cross the emulated links as *Packet taken from a
 // FramePool, so a packet costs no allocation per hop. A frame has exactly
-// one owner at a time: the sender takes it from its own pool and gives it
-// up when the link accepts it; while in flight it belongs to the kernel
-// event carrying it (which makes it a snapshot root, so a restored
-// prototype replays the frame's content, not just its pointer); on
-// delivery the receiving handler owns it and either forwards the same
-// frame on its next hop or, once done with it, puts it in its own pool.
-// Frames therefore migrate between pools with the traffic. Dropping a
-// frame instead of releasing it is always safe (the collector takes it);
-// releasing one twice never is.
+// one owner at a time: the sender takes it from the pool and gives it up
+// when the link accepts it; while in flight it belongs to the kernel event
+// carrying it (which makes it a snapshot root, so a restored prototype
+// replays the frame's content, not just its pointer); on delivery the
+// receiving handler owns it and either forwards the same frame on its
+// next hop or, once done with it, puts it back. Dropping a frame instead
+// of releasing it is always safe (the collector takes it); releasing one
+// twice never is.
 
-// framePoolCap bounds a pool: one-directional traffic (requests into a
-// blocked downlink) hands a receiver frames it never sends back, and the
-// surplus is left to the collector rather than retained.
+// framePoolCap bounds a pool: what a burst put in flight beyond it is left
+// to the collector rather than retained.
 const framePoolCap = 16
 
-// FramePool is a free list of user-plane frames. It belongs to one actor
-// on one single-threaded kernel, so it needs no locks, and it lives in
-// that actor's fields, so prototype snapshots rewind it with the actor.
+// FramePool is a free list of user-plane frames. A testbed has one
+// (core5g.Network owns it), which every actor on the user plane — modems,
+// gNBs, UPF, the emulated internet — takes from and returns to: they all
+// run on the testbed's one single-threaded kernel, so the pool needs no
+// locks, and whichever direction the traffic flows, the frame a receiver
+// releases is the one the next sender takes. The snapshot engine reaches
+// it through any of them and rewinds it once.
 type FramePool struct {
 	free []*Packet
 }
@@ -122,8 +151,9 @@ type NAS struct {
 // does not grow.
 const nasFrameCap = 128
 
-// NASPool is the free list of signalling frames; like FramePool it belongs
-// to one actor and rewinds with it.
+// NASPool is the free list of signalling frames. Unlike the FramePool it
+// belongs to one actor, lives in its fields and rewinds with it: frames
+// change pools with the dialogue, which always comes back.
 type NASPool struct {
 	free []*NAS
 }

@@ -108,8 +108,7 @@ func TestFramePoolRecyclesAndClears(t *testing.T) {
 	}
 }
 
-// A receiver that only ever gets frames (requests into a blocked downlink)
-// must not retain them without bound.
+// A pool must not retain without bound what a burst put in flight.
 func TestFramePoolIsBounded(t *testing.T) {
 	var p FramePool
 	for i := 0; i < 10*framePoolCap; i++ {
@@ -160,5 +159,20 @@ func TestNASPoolKeepsBufferAndCloneIsDeep(t *testing.T) {
 	}
 	if len(p.free) != framePoolCap {
 		t.Fatalf("pool holds %d frames, cap %d", len(p.free), framePoolCap)
+	}
+}
+
+// The tag's three fields do not run into each other, and no tagged packet
+// reads as untagged.
+func TestFlowTagLayout(t *testing.T) {
+	tag := NewFlowTag(FlowOwnerProbe, FlowDNS, 1<<48+5) // sequence wider than its field
+	if tag.Owner() != FlowOwnerProbe || uint8(tag>>48) != FlowDNS || uint64(tag)&(1<<48-1) != 5 {
+		t.Fatalf("tag %#x: owner %#x class %d seq %d", uint64(tag), tag.Owner(), uint8(tag>>48), uint64(tag)&(1<<48-1))
+	}
+	if NewFlowTag(2, FlowRequest, 0) == 0 || NewFlowTag(2, FlowRequest, 7) == NewFlowTag(2, FlowDNS, 7) {
+		t.Fatal("tags of different flows collide")
+	}
+	if (FlowTag(0)).Owner() != 0 {
+		t.Fatal("the zero tag has an owner")
 	}
 }

@@ -36,9 +36,9 @@ func BenchmarkEventChurnArg(b *testing.B) {
 
 // BenchmarkArmStop measures the arm/cancel cycle of watchdog timers
 // (T3510 armed on Registration Request, stopped on Accept; T3580 per
-// session request; the app request timeout per packet). Cancelled events
-// are reclaimed through compaction, so steady-state this is allocation-
-// free too.
+// session request; the app request timeout per packet). A stopped event
+// goes straight back to the pool, so steady-state this is allocation-free
+// too.
 func BenchmarkArmStop(b *testing.B) {
 	k := New(1)
 	fn := func() {}

@@ -12,10 +12,10 @@
 // The event kernel is the hottest allocation site of the whole simulator
 // (half of all allocations in the experiment suite before pooling), so it
 // recycles event objects through a free list: firing or cancelling an
-// event returns it to the pool and a later At/After reuses it. Single-
-// threadedness means the pool needs no locks, and a generation counter on
-// each event keeps stale Timer handles from ever touching a recycled
-// slot. For callers whose callbacks would otherwise capture a variable,
+// event takes it out of the indexed heap (see heap.go) and returns it to
+// the pool at once, and a later At/After reuses it. Single-threadedness
+// means the pool needs no locks, and a generation counter on each event
+// keeps stale Timer handles from ever touching a recycled slot. For callers whose callbacks would otherwise capture a variable,
 // AtArg/AfterArg carry one argument in the pooled event itself so the
 // callback func can be built once and reused across arms.
 //
@@ -40,11 +40,6 @@ type Kernel struct {
 	queue   eventHeap
 	seq     uint64
 	stopped bool
-	// cancelled counts cancelled events still sitting in the heap. When
-	// they outnumber live events the heap is compacted, so long-running
-	// simulations that arm-and-stop many timers (watchdogs, tickers) don't
-	// accumulate dead entries indefinitely.
-	cancelled int
 	// free is the event pool: a singly-linked list of fired/cancelled
 	// events awaiting reuse. Its length is bounded by the peak number of
 	// simultaneously pending events.
@@ -89,29 +84,20 @@ type Timer struct {
 }
 
 // live reports whether the handle still refers to its original scheduling
-// and that scheduling is pending.
+// and that scheduling is pending, i.e. queued.
 func (t Timer) live() bool {
-	return t.ev != nil && t.ev.gen == t.gen && !t.ev.cancelled && !t.ev.fired
+	return t.ev != nil && t.ev.gen == t.gen && t.ev.idx >= 0
 }
 
 // Stop cancels the timer. It reports whether the timer was still pending.
-// The event's callback reference is released immediately; the heap entry
-// is reclaimed lazily and compacted once cancelled entries outnumber live
-// ones.
+// The event leaves the heap and returns to the pool at once, so its
+// callback and argument are released and the queue holds live events only.
 func (t Timer) Stop() bool {
 	if !t.live() {
 		return false
 	}
-	ev := t.ev
-	ev.cancelled = true
-	ev.fn = nil
-	ev.argFn = nil
-	ev.arg = nil
-	k := ev.k
-	k.cancelled++
-	if k.cancelled > len(k.queue)-k.cancelled {
-		k.compact()
-	}
+	k := t.ev.k
+	k.recycle(k.queue.remove(int(t.ev.idx)))
 	return true
 }
 
@@ -124,22 +110,21 @@ func (t Timer) Pending() bool { return t.live() }
 func (k *Kernel) alloc() *event {
 	ev := k.free
 	if ev == nil {
-		return &event{k: k}
+		return &event{k: k, idx: -1}
 	}
 	k.free = ev.next
 	ev.next = nil
 	return ev
 }
 
-// recycle returns a fired or cancelled event to the free list, bumping
-// its generation so outstanding Timer handles become inert.
+// recycle returns a fired or cancelled event, already out of the heap, to
+// the free list, bumping its generation so outstanding Timer handles
+// become inert.
 func (k *Kernel) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
 	ev.argFn = nil
 	ev.arg = nil
-	ev.cancelled = false
-	ev.fired = false
 	ev.next = k.free
 	k.free = ev
 }
@@ -191,28 +176,45 @@ func (k *Kernel) AfterArg(d time.Duration, fn func(arg any), arg any) Timer {
 	return k.AtArg(k.now+d, fn, arg)
 }
 
+// Rearm moves a pending timer to fire fn d from now and returns its new
+// handle; every copy of t goes inert, as after Stop. It is t.Stop() followed
+// by After(d, fn) at the cost of one sift: the event takes the deadline and
+// the fresh sequence number the new scheduling would have been given, so
+// the firing order, and with it every trace, is that of the pair. A timer
+// that is not pending is simply scheduled.
+func (k *Kernel) Rearm(t Timer, d time.Duration, fn func()) Timer {
+	if !t.live() || t.ev.k != k {
+		t.Stop()
+		return k.After(d, fn)
+	}
+	if d < 0 {
+		d = 0
+	}
+	ev := t.ev
+	k.seq++
+	ev.at, ev.seq = k.now+d, k.seq
+	ev.fn, ev.argFn, ev.arg = fn, nil, nil
+	ev.gen++
+	k.queue.fix(int(ev.idx))
+	return Timer{ev: ev, gen: ev.gen}
+}
+
 // Step executes the next pending event, advancing the clock to its
 // deadline. It reports whether an event was executed.
 func (k *Kernel) Step() bool {
-	for len(k.queue) > 0 {
-		ev := k.queue.pop()
-		if ev.cancelled {
-			k.cancelled--
-			k.recycle(ev)
-			continue
-		}
-		k.now = ev.at
-		ev.fired = true
-		fn, argFn, arg := ev.fn, ev.argFn, ev.arg
-		k.recycle(ev) // safe: handles are inert once the generation bumps
-		if fn != nil {
-			fn()
-		} else {
-			argFn(arg)
-		}
-		return true
+	if len(k.queue) == 0 {
+		return false
 	}
-	return false
+	ev := k.queue.remove(0)
+	k.now = ev.at
+	fn, argFn, arg := ev.fn, ev.argFn, ev.arg
+	k.recycle(ev) // safe: handles are inert once the generation bumps
+	if fn != nil {
+		fn()
+	} else {
+		argFn(arg)
+	}
+	return true
 }
 
 // Run executes events until the queue is empty or Stop is called.
@@ -226,18 +228,7 @@ func (k *Kernel) Run() {
 // exactly t. Events scheduled beyond t remain queued.
 func (k *Kernel) RunUntil(t time.Duration) {
 	k.stopped = false
-	for !k.stopped {
-		// Cancelled timers may sit at the top of the heap with early
-		// deadlines; drop them so the peeked deadline is a real one
-		// (otherwise Step would skip past them and run an event beyond t).
-		for len(k.queue) > 0 && k.queue[0].cancelled {
-			k.cancelled--
-			k.recycle(k.queue.pop())
-		}
-		ev := k.queue.peek()
-		if ev == nil || ev.at > t {
-			break
-		}
+	for !k.stopped && len(k.queue) > 0 && k.queue[0].at <= t {
 		k.Step()
 	}
 	if t > k.now {
@@ -252,42 +243,19 @@ func (k *Kernel) RunFor(d time.Duration) { k.RunUntil(k.now + d) }
 // stay queued and a subsequent Run resumes them.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// Pending returns the number of queued (non-cancelled) events in O(1).
-func (k *Kernel) Pending() int {
-	return len(k.queue) - k.cancelled
-}
-
-// compact removes every cancelled event from the heap and restores the
-// heap invariant. Stop triggers it automatically once cancelled entries
-// outnumber live ones, keeping the heap within 2x its live size.
-func (k *Kernel) compact() {
-	kept := k.queue[:0]
-	for _, ev := range k.queue {
-		if !ev.cancelled {
-			kept = append(kept, ev)
-		} else {
-			k.recycle(ev)
-		}
-	}
-	for i := len(kept); i < len(k.queue); i++ {
-		k.queue[i] = nil
-	}
-	k.queue = kept
-	k.cancelled = 0
-	k.queue.init()
-}
+// Pending returns the number of queued events in O(1).
+func (k *Kernel) Pending() int { return len(k.queue) }
 
 // event is a pooled scheduling record. Exactly one of fn or argFn is set
 // while the event is queued; k and gen persist across recycles.
 type event struct {
-	at        time.Duration
-	seq       uint64
-	fn        func()
-	argFn     func(any)
-	arg       any
-	k         *Kernel
-	next      *event // free-list link (nil while queued)
-	gen       uint32
-	cancelled bool
-	fired     bool
+	at    time.Duration
+	seq   uint64
+	fn    func()
+	argFn func(any)
+	arg   any
+	k     *Kernel
+	next  *event // free-list link (nil while queued)
+	gen   uint32
+	idx   int32 // slot in the kernel's heap, -1 while not queued
 }

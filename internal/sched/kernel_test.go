@@ -275,3 +275,68 @@ func TestRunUntilSkipsCancelledWithoutOverrunning(t *testing.T) {
 		t.Fatal("event not executed after deadline passed")
 	}
 }
+
+// TestFiredEventReleasesClosure checks the fn reference is dropped once
+// an event fires or is stopped, so captured state becomes collectable
+// even while the event struct lingers in a Timer handle.
+func TestFiredEventReleasesClosure(t *testing.T) {
+	k := New(1)
+	fired := k.After(time.Second, func() {})
+	stopped := k.After(2*time.Second, func() {})
+	k.RunFor(time.Second)
+	if fired.ev.fn != nil {
+		t.Fatal("fired event still references its closure")
+	}
+	stopped.Stop()
+	if stopped.ev.fn != nil {
+		t.Fatal("cancelled event still references its closure")
+	}
+}
+
+// TestPendingConstantTime pins the queue length as the pending count:
+// it must stay correct through stops, double stops and event execution.
+func TestPendingConstantTime(t *testing.T) {
+	k := New(1)
+	var tms []Timer
+	for i := 0; i < 10; i++ {
+		tms = append(tms, k.After(time.Duration(i+1)*time.Second, func() {}))
+	}
+	if k.Pending() != 10 {
+		t.Fatalf("Pending() = %d, want 10", k.Pending())
+	}
+	tms[0].Stop()
+	tms[1].Stop()
+	if k.Pending() != 8 {
+		t.Fatalf("Pending() = %d after 2 stops, want 8", k.Pending())
+	}
+	tms[0].Stop() // double-stop is a no-op
+	if k.Pending() != 8 {
+		t.Fatalf("Pending() = %d after double stop, want 8", k.Pending())
+	}
+	k.RunFor(4 * time.Second)
+	if k.Pending() != 6 {
+		t.Fatalf("Pending() = %d after running 2 live events, want 6", k.Pending())
+	}
+	k.Run()
+	if k.Pending() != 0 {
+		t.Fatalf("Pending() = %d after drain, want 0", k.Pending())
+	}
+}
+
+// TestRunUntilAfterCancelKeepsCounter runs the clock past the deadlines
+// of two stopped timers with one live event beyond the horizon.
+func TestRunUntilAfterCancelKeepsCounter(t *testing.T) {
+	k := New(1)
+	a := k.After(time.Second, func() {})
+	b := k.After(2*time.Second, func() {})
+	k.After(time.Hour, func() {})
+	a.Stop()
+	b.Stop()
+	k.RunUntil(10 * time.Second)
+	if k.Pending() != 1 {
+		t.Fatalf("Pending() = %d, want 1", k.Pending())
+	}
+	if k.Now() != 10*time.Second {
+		t.Fatalf("Now() = %v, want 10s", k.Now())
+	}
+}

@@ -51,7 +51,7 @@ func TestPoolCancelledTimerStaysInert(t *testing.T) {
 	if !t1.Stop() {
 		t.Fatal("Stop on pending timer failed")
 	}
-	// Force the compaction path so the cancelled event is recycled.
+	// The stopped event went back to the pool at once; t2 reuses it.
 	k.Run()
 
 	fired := false

@@ -14,13 +14,11 @@ import (
 // events alone via the snap.Skipper marker on *event.
 
 // KernelSnapshot captures a kernel's schedule: the clock, the sequence
-// counter, every live queued event (with its generation, so Timer handles
-// held by actors remain valid after Restore), and the free list in order
-// (so post-restore allocations replay identically). Events cancelled at
-// snapshot time are dropped: their handles are already inert and stay so
-// in every post-restore timeline. It also captures the random stream: the
-// source by value, and the *rand.Rand over it by value too, because
-// Rand.Read keeps the unread bytes of its last draw there.
+// counter, every queued event (with its generation, so Timer handles held
+// by actors remain valid after Restore), and the free list in order (so
+// post-restore allocations replay identically). It also captures the
+// random stream: the source by value, and the *rand.Rand over it by value
+// too, because Rand.Read keeps the unread bytes of its last draw there.
 type KernelSnapshot struct {
 	now       time.Duration
 	seq       uint64
@@ -49,11 +47,8 @@ type freeSnap struct {
 // random stream, so draws after a Restore repeat the draws after Snapshot.
 func (k *Kernel) Snapshot() *KernelSnapshot {
 	s := &KernelSnapshot{now: k.now, seq: k.seq, src: k.src, rng: *k.rng}
-	s.events = make([]eventSnap, 0, k.Pending())
+	s.events = make([]eventSnap, 0, len(k.queue))
 	for _, ev := range k.queue {
-		if ev.cancelled {
-			continue
-		}
 		s.events = append(s.events, eventSnap{
 			ev: ev, at: ev.at, seq: ev.seq, gen: ev.gen,
 			fn: ev.fn, argFn: ev.argFn, arg: ev.arg,
@@ -76,9 +71,9 @@ func (k *Kernel) Restore(s *KernelSnapshot) {
 	k.src = s.src
 	*k.rng = s.rng
 	k.stopped = false
-	k.cancelled = 0
 
-	for i := range k.queue {
+	for i, ev := range k.queue {
+		ev.idx = -1 // unless the snapshot queues it again below
 		k.queue[i] = nil
 	}
 	k.queue = k.queue[:0]
@@ -91,8 +86,6 @@ func (k *Kernel) Restore(s *KernelSnapshot) {
 		ev.fn = es.fn
 		ev.argFn = es.argFn
 		ev.arg = es.arg
-		ev.cancelled = false
-		ev.fired = false
 		ev.next = nil
 		k.queue = append(k.queue, ev)
 	}
@@ -108,8 +101,6 @@ func (k *Kernel) Restore(s *KernelSnapshot) {
 		ev.fn = nil
 		ev.argFn = nil
 		ev.arg = nil
-		ev.cancelled = false
-		ev.fired = false
 		ev.next = k.free
 		k.free = ev
 	}
@@ -134,7 +125,7 @@ func (k *Kernel) RestoreState(state any) { k.Restore(state.(*KernelSnapshot)) }
 // only replays the pointer.
 func (k *Kernel) SnapshotRoots(visit func(root any)) {
 	for _, ev := range k.queue {
-		if !ev.cancelled && ev.arg != nil {
+		if ev.arg != nil {
 			visit(ev.arg)
 		}
 	}

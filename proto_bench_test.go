@@ -244,9 +244,11 @@ func BenchmarkEachDevice(b *testing.B) {
 
 // packetPathAllocBudget is the allocation count of one app request →
 // response round trip (app, modem, radio link, gNB, backhaul, UPF,
-// internet and back) in steady state: the flow-ID string that keys the
-// app's pending map, and nothing per hop.
-const packetPathAllocBudget = 2
+// internet and back) in steady state: nothing. The flow is an integer tag,
+// the request record and the frames are pooled, the timers are pooled
+// events. (The one string the path still builds, the "dns-answer:" prefix
+// on a DNS reply, comes once per hundred seconds of this traffic.)
+const packetPathAllocBudget = 0
 
 // TestPacketPathAllocs extends the allocation guards to the user plane:
 // on a connected SEED-R delivery prototype with its three apps warm, a
@@ -280,6 +282,51 @@ func TestPacketPathAllocs(t *testing.T) {
 		t.Errorf("request round trip allocates %.2f objects, budget %d", perRequest, packetPathAllocBudget)
 	} else {
 		t.Logf("request round trip: %.2f allocs over %.1f requests/s (budget %d)", perRequest, perSecondRequests, packetPathAllocBudget)
+	}
+}
+
+// TestBlockedPathAllocs is TestPacketPathAllocs for the other regime of
+// the user plane, the one most of a delivery replay is spent in: under a
+// TCP block the traffic is uplink only — requests leave, the UPF drops
+// them, deadlines fire — so frames travel modem → gNB and never come back.
+// With one pool per testbed that costs no allocation either. The device's
+// reactions (Android's ladder, SEED's report path) are detached: they
+// would lift the block within seconds, and allocate doing it.
+func TestBlockedPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the binding run is the uninstrumented bench-smoke job")
+	}
+	tb, h, put := deliveryProtos.Proto(ModeSEEDR).Cell(1)
+	defer put()
+	if !h.d.Connected() {
+		t.Fatal("cloned cell not connected")
+	}
+	h.d.inner.Mon.Stop()
+	for _, a := range h.apps {
+		a.inner.AttachMonitor(nil)
+		a.inner.AttachReporter(nil)
+	}
+	tb.BlockTCP(h.d)
+	stats := func() (requests, dropped int) {
+		for _, a := range h.apps {
+			sent, _, _, _ := a.Requests()
+			requests += sent
+		}
+		return requests, tb.net.UPF.Stats().DroppedPolicy
+	}
+	tb.Advance(10 * time.Second) // the pool and the request records fill
+	const runs = 60
+	reqBefore, dropBefore := stats()
+	perSecond := testing.AllocsPerRun(runs, func() { tb.Advance(time.Second) })
+	reqAfter, dropAfter := stats()
+	if dropAfter-dropBefore < runs {
+		t.Fatalf("UPF dropped %d packets over a simulated minute: the block is not in force", dropAfter-dropBefore)
+	}
+	requests := float64(reqAfter-reqBefore) / (runs + 1) // AllocsPerRun adds a warm-up run
+	if perRequest := perSecond / requests; perRequest > packetPathAllocBudget {
+		t.Errorf("request into a block allocates %.2f objects, budget %d", perRequest, packetPathAllocBudget)
+	} else {
+		t.Logf("request into a block: %.2f allocs over %.1f requests/s (budget %d)", perRequest, requests, packetPathAllocBudget)
 	}
 }
 

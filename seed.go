@@ -205,7 +205,7 @@ func New(seedVal int64) *Testbed {
 		kern:     k,
 		net:      net,
 		plugin:   core.NewInfraPlugin(k, net),
-		internet: dataplane.NewInternet(k, net.UPF),
+		internet: dataplane.NewInternet(k, net),
 	}
 	copy(tb.carrierKey[:], "seed-carrier-key")
 	return tb

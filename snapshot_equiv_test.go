@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"github.com/seed5g/seed/internal/core"
+	"github.com/seed5g/seed/internal/core5g"
+	"github.com/seed5g/seed/internal/radio"
 	"github.com/seed5g/seed/internal/workload"
 )
 
@@ -349,5 +351,89 @@ func TestConstructionDrawsNoRandomness(t *testing.T) {
 			}
 			put()
 		}
+	}
+}
+
+// TestSharedFramePoolSnapshot: a testbed's modems, gNBs, UPF and emulated
+// internet all hold the one user-plane frame pool, so the snapshot engine
+// reaches it along several paths and has to rewind it once, together with
+// the frames that were in flight. A testbed snapshotted with two frames in
+// flight and three in the pool, run on for a minute and restored, must
+// then live the same next minute as an identically built testbed that
+// never was.
+func TestSharedFramePoolSnapshot(t *testing.T) {
+	type state struct {
+		Apps           [3][4]int
+		UPF            core5g.UPFStats
+		Now            time.Duration
+		Pending        int
+		InFlight, Free int
+	}
+	inFlight := func(tb *Testbed) (n int) {
+		tb.kern.SnapshotRoots(func(root any) {
+			if _, isFrame := root.(*radio.Packet); isFrame {
+				n++
+			}
+		})
+		return n
+	}
+	free := func(tb *Testbed) int {
+		return reflect.ValueOf(tb.net.Frames).Elem().FieldByName("free").Len()
+	}
+	build := func() (*Testbed, deliveryHandles) {
+		tb := New(7)
+		d := tb.NewDevice(ModeSEEDR, WithAndroidRecommendedTimers())
+		h := deliveryHandles{d: d}
+		for i, kind := range []AppKind{AppVideo, AppWeb, AppEdgeAR} {
+			h.apps[i] = d.AddApp(kind)
+		}
+		d.Start()
+		if !tb.RunUntil(d.Connected, connectDeadline) {
+			t.Fatal("device did not connect")
+		}
+		for _, a := range h.apps {
+			a.Start()
+		}
+		tb.Advance(30 * time.Second)
+		if !tb.RunUntil(func() bool { return inFlight(tb) == 2 }, time.Minute) {
+			t.Fatal("never two frames in flight at once")
+		}
+		for free(tb) < 3 {
+			tb.net.Frames.Put(new(radio.Packet))
+		}
+		for free(tb) > 3 {
+			tb.net.Frames.Get(radio.Packet{})
+		}
+		return tb, h
+	}
+	minute := func(tb *Testbed, h deliveryHandles) state {
+		tb.Advance(time.Minute)
+		st := state{UPF: tb.net.UPF.Stats(), Now: tb.Now(), Pending: tb.kern.Pending(), InFlight: inFlight(tb), Free: free(tb)}
+		for i, a := range h.apps {
+			sent, ok, failed, reported := a.Requests()
+			st.Apps[i] = [4]int{sent, ok, failed, reported}
+		}
+		return st
+	}
+
+	tb, h := build()
+	s := tb.Snapshot(&h)
+	dirty := minute(tb, h)
+	s.Restore()
+	if got, wantIn, wantFree := tb.Now(), 2, 3; inFlight(tb) != wantIn || free(tb) != wantFree {
+		t.Fatalf("restored at %v with %d frames in flight and %d in the pool, want %d and %d", got, inFlight(tb), free(tb), wantIn, wantFree)
+	}
+	got := minute(tb, h)
+
+	freshTB, freshH := build()
+	want := minute(freshTB, freshH)
+	if got != want {
+		t.Errorf("restored testbed's next minute\n  %+v\nfresh build's\n  %+v", got, want)
+	}
+	if got != dirty {
+		t.Errorf("the minute after the restore\n  %+v\nis not the minute before it\n  %+v", got, dirty)
+	}
+	if okReplies := got.Apps[0][1] + got.Apps[1][1] + got.Apps[2][1]; okReplies < 600 {
+		t.Errorf("only %d replies in the minute: the frames are not circulating", okReplies)
 	}
 }
