@@ -21,7 +21,9 @@
 // -json FILE writes machine-readable per-experiment results and
 // wall-clock timings ("-" for stdout), the format the BENCH_*.json perf
 // trajectory consumes, plus the boot/restore counts of each prototype
-// family (proto_boots/proto_restores). -reps N times each experiment N
+// family (proto_boots/proto_restores). Each experiment's record, and its
+// "[… regenerated in …]" line, also says what the collector did during one
+// run of it, per lane: gc_cycles and alloc_mb. -reps N times each experiment N
 // times; with -parallel > 1 the recorded wall times are per-lane medians
 // and the speedup is the median of per-rep paired baseline/parallel
 // ratios, which removes scheduler and GC noise from the recorded speedups.
@@ -36,6 +38,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	rtmetrics "runtime/metrics"
 	"runtime/pprof"
 	"sort"
 	"strings"
@@ -63,6 +66,38 @@ type expTiming struct {
 	// sequential baseline byte-for-byte (always true when no baseline
 	// was run).
 	Deterministic bool `json:"deterministic"`
+	// GCCycles and AllocMB say what the collector did during one timed run
+	// of the experiment (means over the timed runs, runtime/metrics deltas
+	// around them): the two lanes allocate the same, so a speedup short of
+	// the worker count beside a high cycle count is the collector, not the
+	// runner. The Sequential pair is the baseline lane's, present when
+	// -parallel > 1.
+	GCCycles           float64 `json:"gc_cycles"`
+	AllocMB            float64 `json:"alloc_mb"`
+	SequentialGCCycles float64 `json:"sequential_gc_cycles,omitempty"`
+	SequentialAllocMB  float64 `json:"sequential_alloc_mb,omitempty"`
+}
+
+// gcCounters reads the collector's two running totals: completed cycles
+// and bytes allocated.
+type gcCounters struct{ cycles, bytes float64 }
+
+func readGC() gcCounters {
+	s := [2]rtmetrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}, {Name: "/gc/heap/allocs:bytes"}}
+	rtmetrics.Read(s[:])
+	return gcCounters{float64(s[0].Value.Uint64()), float64(s[1].Value.Uint64())}
+}
+
+// add accumulates the counters' movement since start into g.
+func (g *gcCounters) add(start gcCounters) {
+	now := readGC()
+	g.cycles += now.cycles - start.cycles
+	g.bytes += now.bytes - start.bytes
+}
+
+// perRun returns g's totals as (cycles, MB) per run.
+func (g gcCounters) perRun(runs int) (float64, float64) {
+	return g.cycles / float64(runs), g.bytes / float64(runs) / 1e6
 }
 
 // benchReport is the top-level -json document.
@@ -244,23 +279,27 @@ func run() int {
 			}
 			seqMS := make([]float64, *reps)
 			parMS := make([]float64, *reps)
+			var seqGC, parGC gcCounters
 			for r := 0; r < *reps; r++ {
 				for lane := 0; lane < 2; lane++ {
 					// Each timed lane starts from a freshly collected heap,
 					// so GC cycles triggered by the previous lane's garbage
 					// can't land in (and bill to) this lane's measurement.
-					p, dst, ms := par, &out, parMS
+					p, dst, ms, gc := par, &out, parMS, &parGC
 					if (lane == 0) == (r%2 == 0) {
-						p, dst, ms = seq, &baseline, seqMS
+						p, dst, ms, gc = seq, &baseline, seqMS, &seqGC
 					}
 					runtime.GC()
-					start := time.Now()
+					gc0, start := readGC(), time.Now()
 					for n := 0; n < inner; n++ {
 						*dst = e.run(p)
 					}
 					ms[r] = msSince(start) / float64(inner)
+					gc.add(gc0)
 				}
 			}
+			t.GCCycles, t.AllocMB = parGC.perRun(*reps * inner)
+			t.SequentialGCCycles, t.SequentialAllocMB = seqGC.perRun(*reps * inner)
 			var seqFirst, parFirst []float64
 			wins := 0
 			for r := 0; r < *reps; r++ {
@@ -284,20 +323,24 @@ func run() int {
 				t.Speedup = math.Sqrt(median(seqFirst) * median(parFirst))
 			}
 		} else {
+			var gc gcCounters
+			gc0 := readGC()
 			out, t.WallMS = bestOf(*reps, func() string { return e.run(par) })
+			gc.add(gc0)
+			t.GCCycles, t.AllocMB = gc.perRun(*reps)
 		}
 
 		fmt.Print(out)
 		if workers > 1 {
 			t.Deterministic = out == baseline
-			fmt.Printf("  [%s regenerated in %.0fms; sequential %.0fms; speedup %.2fx @%d workers]\n",
-				e.name, t.WallMS, t.SequentialWallMS, t.Speedup, workers)
+			fmt.Printf("  [%s regenerated in %.0fms; sequential %.0fms; speedup %.2fx @%d workers; gc %.1f cycles %.1f MB; sequential gc %.1f cycles %.1f MB]\n",
+				e.name, t.WallMS, t.SequentialWallMS, t.Speedup, workers, t.GCCycles, t.AllocMB, t.SequentialGCCycles, t.SequentialAllocMB)
 			if !t.Deterministic {
 				deterministic = false
 				fmt.Fprintf(os.Stderr, "WARNING: %s parallel output differs from the sequential baseline\n", e.name)
 			}
 		} else {
-			fmt.Printf("  [%s regenerated in %.0fms]\n", e.name, t.WallMS)
+			fmt.Printf("  [%s regenerated in %.0fms; gc %.1f cycles %.1f MB]\n", e.name, t.WallMS, t.GCCycles, t.AllocMB)
 		}
 		fmt.Println()
 

@@ -226,7 +226,21 @@ func (m *Monitor) NoteDNSOutcome(ok bool) {
 func (m *Monitor) NotePacket(outbound bool) {
 	now := m.k.Now()
 	if outbound {
-		m.outboundSince = append(m.outboundSince, now)
+		// What has left the window can never count again (the clock only
+		// advances), and under a block — nothing inbound for up to half an
+		// hour — it used to pile up, every packet sent, for evaluate to
+		// walk. Once the older half of the list has left the window it is
+		// dropped, in place: at most two windows are held, and a packet
+		// moves, amortised, one entry.
+		out := m.outboundSince
+		if n := len(out); n > 0 && now-out[n/2] > m.cfg.TCPWindow {
+			cut := n/2 + 1
+			for cut < n && now-out[cut] > m.cfg.TCPWindow {
+				cut++
+			}
+			out = append(out[:0], out[cut:]...)
+		}
+		m.outboundSince = append(out, now)
 	} else {
 		m.lastInbound = now
 		m.outboundSince = m.outboundSince[:0]

@@ -314,3 +314,66 @@ func TestMonitorWindowDoesNotGrow(t *testing.T) {
 		t.Fatal("healthy outcomes declared a stall")
 	}
 }
+
+// TestOutboundWindowBounded holds the no-inbound rule's bookkeeping to its
+// window. Under a block nothing comes in for many minutes, and the list of
+// outbound instants used to keep every packet sent (only an inbound packet
+// cleared it) and be walked whole at every evaluation. What has left the
+// window can never count again, so it is dropped as packets arrive, half
+// the list at a time: ten blocked minutes at the video cadence leave at
+// most two windows' worth, every entry the rule would count is still
+// there, a steady minute allocates nothing, and the stall is declared at
+// the instant it always was — the first evaluation that finds the
+// threshold inside the window.
+func TestOutboundWindowBounded(t *testing.T) {
+	const cadence = time.Second // dataplane's video profile: one request a second
+	cfg := DefaultConfig()
+	perWindow := int(cfg.TCPWindow/cadence) + 1 // both ends of the window count
+
+	h := newHarness(cfg)
+	h.healthy = false // blocked: the probes fail too, so the stall stands
+	// Thirty quiet seconds first: the evaluation at one minute then sees 30
+	// packets, under the threshold of 40, and the one at two minutes a full
+	// window.
+	h.k.After(30*time.Second, func() {
+		h.k.Every(cadence, func() { h.m.NotePacket(true) })
+	})
+	h.k.RunFor(10 * time.Minute)
+	if len(h.stalls) != 1 || h.stalls[0] != "tcp" || h.stallAt[0] != 2*cfg.EvalInterval {
+		t.Fatalf("stalls %v at %v, want one tcp stall at %v", h.stalls, h.stallAt, 2*cfg.EvalInterval)
+	}
+	if n := len(h.m.outboundSince); n > 2*perWindow {
+		t.Fatalf("%d outbound instants held after ten blocked minutes, want at most two windows' %d", n, 2*perWindow)
+	}
+	// The count the unbounded list gave: nothing inside the window is missing.
+	now, inWindow := h.k.Now(), 0
+	for _, at := range h.m.outboundSince {
+		if now-at <= cfg.TCPWindow {
+			inWindow++
+		}
+	}
+	if inWindow != perWindow {
+		t.Fatalf("%d held instants are inside the window, want all %d", inWindow, perWindow)
+	}
+
+	// Steady state allocates nothing: the list slides inside its backing
+	// array. (A monitor that is not started, so that the clock is the only
+	// thing the kernel runs.)
+	k := sched.New(1)
+	m := NewMonitor(k, cfg, Hooks{})
+	minute := func() {
+		for i := 0; i < int(time.Minute/cadence); i++ {
+			k.RunFor(cadence)
+			m.NotePacket(true)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		minute()
+	}
+	if n := testing.AllocsPerRun(5, minute); n != 0 {
+		t.Fatalf("a steady minute of outbound packets allocates %.1f objects", n)
+	}
+	if n := len(m.outboundSince); n > 2*perWindow {
+		t.Fatalf("%d outbound instants held, want at most %d", n, 2*perWindow)
+	}
+}

@@ -114,7 +114,7 @@ func NewDevice(k *sched.Kernel, cfg DeviceConfig, net *core5g.Network) (*Device,
 		pendingProbes: make(map[radio.FlowTag]func(bool)),
 	}
 	d.Radio = netemu.NewDuplex(k, "radio-"+cfg.IMSI, cfg.RadioLatency, nil, nil)
-	d.Mdm = modem.New(k, cfg.Modem, card, d.Radio.A2B.Send, net.Frames)
+	d.Mdm = modem.New(k, cfg.Modem, card, d.Radio.A2B.Send, net.Frames, net.NASFrames, net.Messages)
 	d.Radio.SetHandlers(net.GNB.HandleUplink, d.Mdm.HandleDownlink)
 	net.GNB.AttachUE(cfg.IMSI, d.Radio.B2A.Send)
 

@@ -53,6 +53,13 @@ type InfraPlugin struct {
 	envs    map[string]*crypto5g.Envelope
 	reasm   map[string]*DNNReassembler
 	pending map[string][][16]byte // diagnosis fragments awaiting ACK
+	// dnnConfig is the byte form of the default DNN lookupConfig sent last
+	// (a diagnosis carries it as its configuration item); a subscriber's
+	// default rarely changes, and the bytes are only ever read.
+	dnnConfig []byte
+	// fragReq is the Authentication Request each fragment goes out in;
+	// AMF.SendRaw encodes it before returning.
+	fragReq nas.AuthenticationRequest
 
 	// Figure 12 instrumentation (optional).
 	// OnDiagTiming fires when a delivery's final ACK arrives, with the
@@ -125,6 +132,12 @@ func (p *InfraPlugin) SetCongestion(on bool, waitSeconds uint16) {
 func (p *InfraPlugin) AddCustomAction(c cause.Cause, a ActionID) {
 	p.customActions[c] = a
 }
+
+// Provision builds the collaboration channel of a SEED-enabled subscriber
+// ahead of its first use (three key expansions), so that a testbed
+// snapshotted after its devices were built restores it, counters and all,
+// instead of rebuilding it in every run. A no-op for other subscribers.
+func (p *InfraPlugin) Provision(imsi string) { p.envelope(imsi) }
 
 func (p *InfraPlugin) envelope(imsi string) *crypto5g.Envelope {
 	if e, okE := p.envs[imsi]; okE {
@@ -227,7 +240,10 @@ func (p *InfraPlugin) lookupConfig(imsi string, c cause.Cause, kind cause.Config
 	}
 	switch kind {
 	case cause.ConfigDNN:
-		return kind, []byte(sub.DefaultDNN)
+		if string(p.dnnConfig) != sub.DefaultDNN {
+			p.dnnConfig = []byte(sub.DefaultDNN)
+		}
+		return kind, p.dnnConfig
 	case cause.ConfigSNSSAI:
 		if len(sub.AllowedSST) > 0 {
 			return kind, []byte{sub.AllowedSST[0], 0, 0, 0}
@@ -276,9 +292,8 @@ func (p *InfraPlugin) sendNextFragment(imsi string) {
 	frag := frags[0]
 	p.stats.FragmentsSent++
 	p.net.AMF.MarkDiagPending(imsi)
-	p.net.AMF.SendRaw(imsi, &nas.AuthenticationRequest{
-		NgKSI: 7, RAND: nas.DFlagRAND, AUTN: frag,
-	})
+	p.fragReq = nas.AuthenticationRequest{NgKSI: 7, RAND: nas.DFlagRAND, AUTN: frag}
+	p.net.AMF.SendRaw(imsi, &p.fragReq)
 }
 
 // onDiagAck advances fragment delivery when the SIM's AUTS ACK arrives.

@@ -21,10 +21,14 @@ type UEContext struct {
 	authXRES    [8]byte
 	authIK      [16]byte
 	authPending bool
-	postAuth    func()
+	// acceptPending marks a registration waiting for its authentication
+	// and Security Mode rounds: the Security Mode Complete accepts it.
+	acceptPending bool
 
-	// sec is the active NAS security context (nil before Security Mode).
-	sec *nas.SecurityContext
+	// sec is the active NAS security context (nil before Security Mode);
+	// it lives in secStore, which each Security Mode procedure re-keys.
+	sec      *nas.SecurityContext
+	secStore nas.SecurityContext
 
 	// diagPending marks that a SEED diagnosis delivery is outstanding and
 	// the next synch-failure from this UE is its ACK, not a real resync.
@@ -55,18 +59,32 @@ type AMF struct {
 	ctxs      map[string]*UEContext
 	gutiIndex map[string]string
 	gutiSeq   int
+	// lastIMSI and lastCtx remember the latest hit in ctxs, which every
+	// message in and out asks (the gNB's ue() has the same cache and the
+	// same reason); whatever deletes from ctxs forgets it.
+	lastIMSI string
+	lastCtx  *UEContext
+	// spare is the context forget dropped last, which ctx builds the next
+	// one in: a UE that reattaches after every failed session (the legacy
+	// loops) would otherwise cost a context per lap.
+	spare *UEContext
 
-	// Signalling fast path (radio.NAS has the ownership rule): a downlink
-	// is encoded into a frame from frames, which is also where uplink
-	// frames end once decoded; codec is the one encoder/decoder state, and
-	// encScratch backs the plain encoding of protected downlinks (the
-	// security layer copies it into the frame). A decoded uplink waits out
-	// the processing latency in a pooled hop record armed with dispatchFn.
-	frames     radio.NASPool
+	// Signalling fast path (radio.NAS and nas.Pool have the ownership
+	// rules): a downlink is built in out, encoded into a frame from frames
+	// — the network's pool, which is also where uplink frames end once
+	// decoded; codec is the one encoder/decoder state, decoding into
+	// messages from msgs, and encScratch backs the plain encoding of
+	// protected downlinks (the security layer copies it into the frame). A
+	// decoded uplink waits out the processing latency in a pooled hop
+	// record armed with dispatchFn; dispatch releases it, or hands it to
+	// the SMF, which does.
+	frames     *radio.NASPool
+	msgs       *nas.Pool
 	codec      nas.Codec
 	encScratch []byte
 	hops       hopPool
 	dispatchFn func(any) // arg: *nasHop
+	out        amfOutbox
 
 	// OnReject, when set (by the SEED plugin), observes every composed
 	// control-plane reject before it is sent.
@@ -81,12 +99,30 @@ type AMF struct {
 	stats AMFStats
 }
 
-// NewAMF creates the AMF. Wire SMF with SetSMF before use.
-func NewAMF(k *sched.Kernel, gnb RadioAccess, udm *UDM, inj *Injector, proc time.Duration) *AMF {
+// amfOutbox holds one of each message the AMF composes. send encodes
+// before it returns and nothing it calls keeps the message, so each is
+// dead by the time the next of its kind is built: a downlink costs no
+// message object.
+type amfOutbox struct {
+	authReq  nas.AuthenticationRequest
+	authRej  nas.AuthenticationReject
+	smc      nas.SecurityModeCommand
+	regAcc   nas.RegistrationAccept
+	tai      [1]nas.TAI
+	regRej   nas.RegistrationReject
+	svcAcc   nas.ServiceAccept
+	svcRej   nas.ServiceReject
+	deregAcc nas.DeregistrationAccept
+}
+
+// NewAMF creates the AMF on its network's signalling pools. Wire SMF with
+// SetSMF before use.
+func NewAMF(k *sched.Kernel, gnb RadioAccess, udm *UDM, inj *Injector, proc time.Duration, frames *radio.NASPool, msgs *nas.Pool) *AMF {
 	a := &AMF{
 		k: k, gnb: gnb, udm: udm, inj: inj, proc: proc,
 		ctxs:      make(map[string]*UEContext),
 		gutiIndex: make(map[string]string),
+		frames:    frames, msgs: msgs, codec: nas.Codec{Pool: msgs},
 	}
 	a.dispatchFn = func(v any) {
 		imsi, msg := a.hops.release(v.(*nasHop))
@@ -103,14 +139,29 @@ func (a *AMF) Stats() AMFStats { return a.stats }
 
 // Context returns the UE context for an IMSI.
 func (a *AMF) Context(imsi string) (*UEContext, bool) {
+	if a.lastCtx != nil && a.lastIMSI == imsi {
+		return a.lastCtx, true
+	}
 	c, okC := a.ctxs[imsi]
+	if okC {
+		a.lastIMSI, a.lastCtx = imsi, c
+	}
 	return c, okC
+}
+
+// forget deletes a UE's context.
+func (a *AMF) forget(imsi string) {
+	if c, okC := a.Context(imsi); okC {
+		a.spare = c
+	}
+	delete(a.ctxs, imsi)
+	a.lastCtx = nil
 }
 
 // SecurityActive reports whether a NAS security context is established
 // for the UE, and how many messages it protected/verified.
 func (a *AMF) SecurityActive(imsi string) (active bool, protected, verified int) {
-	c, okC := a.ctxs[imsi]
+	c, okC := a.Context(imsi)
 	if !okC || c.sec == nil {
 		return false, 0, 0
 	}
@@ -120,7 +171,7 @@ func (a *AMF) SecurityActive(imsi string) (active bool, protected, verified int)
 
 // Registered reports whether the UE is currently registered.
 func (a *AMF) Registered(imsi string) bool {
-	c, okC := a.ctxs[imsi]
+	c, okC := a.Context(imsi)
 	return okC && c.Registered
 }
 
@@ -128,10 +179,10 @@ func (a *AMF) Registered(imsi string) bool {
 // without telling it — the tracking-area state-sync failure of Table 1
 // ("UE identity cannot be derived by the network").
 func (a *AMF) DesyncIdentity(imsi string) {
-	if c, okC := a.ctxs[imsi]; okC {
+	if c, okC := a.Context(imsi); okC {
 		delete(a.gutiIndex, c.GUTI)
 	}
-	delete(a.ctxs, imsi)
+	a.forget(imsi)
 }
 
 // DropUEContext implicitly deregisters a UE (e.g. after its last radio
@@ -139,7 +190,7 @@ func (a *AMF) DesyncIdentity(imsi string) {
 // cause-9 reject on its next signaling, exactly the desync class §3.1
 // describes.
 func (a *AMF) DropUEContext(imsi string) {
-	c, okC := a.ctxs[imsi]
+	c, okC := a.Context(imsi)
 	if !okC {
 		return
 	}
@@ -150,7 +201,7 @@ func (a *AMF) DropUEContext(imsi string) {
 		return
 	}
 	delete(a.gutiIndex, c.GUTI)
-	delete(a.ctxs, imsi)
+	a.forget(imsi)
 	if a.smf != nil {
 		a.smf.ReleaseAll(imsi, false)
 	}
@@ -165,9 +216,12 @@ func (a *AMF) MarkDiagPending(imsi string) {
 }
 
 func (a *AMF) ctx(imsi string) *UEContext {
-	c, okC := a.ctxs[imsi]
+	c, okC := a.Context(imsi)
 	if !okC {
-		c = &UEContext{IMSI: imsi}
+		if c, a.spare = a.spare, nil; c == nil {
+			c = new(UEContext)
+		}
+		*c = UEContext{IMSI: imsi}
 		a.ctxs[imsi] = c
 	}
 	return c
@@ -176,7 +230,7 @@ func (a *AMF) ctx(imsi string) *UEContext {
 func (a *AMF) send(imsi string, msg nas.Message) {
 	a.stats.MessagesOut++
 	f := a.frames.Get(imsi)
-	if c, okC := a.ctxs[imsi]; okC && c.sec != nil {
+	if c, okC := a.Context(imsi); okC && c.sec != nil {
 		a.encScratch = a.codec.AppendMarshal(a.encScratch[:0], msg)
 		f.Bytes = c.sec.AppendProtect(f.Bytes, crypto5g.Downlink, a.encScratch)
 	} else {
@@ -194,7 +248,7 @@ func (a *AMF) unwrapNAS(imsi string, data []byte) ([]byte, bool) {
 	if !nas.IsProtected(data) {
 		return data, true
 	}
-	if c, okC := a.ctxs[imsi]; okC && c.sec != nil {
+	if c, okC := a.Context(imsi); okC && c.sec != nil {
 		if plain, err := c.sec.Unprotect(crypto5g.Uplink, data); err == nil {
 			return plain, true
 		}
@@ -203,8 +257,9 @@ func (a *AMF) unwrapNAS(imsi string, data []byte) ([]byte, bool) {
 	return plain, err == nil
 }
 
-// SendRaw transmits a pre-encoded downlink NAS message (the SEED plugin
-// uses it for diagnosis deliveries).
+// SendRaw transmits a downlink NAS message composed elsewhere (the SMF's
+// session messages, the SEED plugin's diagnosis deliveries). msg is
+// encoded before SendRaw returns and not kept.
 func (a *AMF) SendRaw(imsi string, msg nas.Message) { a.send(imsi, msg) }
 
 // HandleUplinkNAS processes an uplink NAS message. data is only read: the
@@ -229,6 +284,8 @@ func (a *AMF) handleUplinkFrame(f *radio.NAS) {
 	a.frames.Put(f)
 }
 
+// dispatch handles a decoded uplink, which the AMF owns: it is released
+// when its handler returns, unless it went on to the SMF.
 func (a *AMF) dispatch(imsi string, msg nas.Message) {
 	if msg.EPD() == nas.EPD5GSM {
 		a.dispatchSM(imsi, msg)
@@ -248,15 +305,17 @@ func (a *AMF) dispatch(imsi string, msg nas.Message) {
 	case *nas.ServiceRequest:
 		a.handleServiceRequest(imsi, t)
 	case *nas.DeregistrationRequest:
-		a.send(imsi, &nas.DeregistrationAccept{})
+		a.send(imsi, &a.out.deregAcc)
 		a.DropUEContext(imsi)
 	}
+	a.msgs.Put(msg)
 }
 
 func (a *AMF) dispatchSM(imsi string, msg nas.Message) {
-	c, okC := a.ctxs[imsi]
+	c, okC := a.Context(imsi)
 	if !okC || !c.Registered {
 		// No registration context: the UE must reattach first.
+		a.msgs.Put(msg)
 		a.reject(imsi, cause.MMUEIdentityCannotBeDerived)
 		return
 	}
@@ -268,7 +327,8 @@ func (a *AMF) reject(imsi string, code cause.Code) {
 	if a.OnReject != nil {
 		a.OnReject(imsi, code)
 	}
-	a.send(imsi, &nas.RegistrationReject{Cause: code})
+	a.out.regRej = nas.RegistrationReject{Cause: code}
+	a.send(imsi, &a.out.regRej)
 }
 
 func (a *AMF) handleRegistration(imsi string, req *nas.RegistrationRequest) {
@@ -316,11 +376,12 @@ func (a *AMF) handleRegistration(imsi string, req *nas.RegistrationRequest) {
 	// 5G-AKA challenge.
 	var rnd [16]byte
 	a.k.Rand().Read(rnd[:])
-	a.challenge(imsi, rnd, func() { a.acceptRegistration(imsi) })
+	a.challenge(imsi, rnd, true)
 }
 
-// challenge runs an authentication round and calls then on success.
-func (a *AMF) challenge(imsi string, rnd [16]byte, then func()) {
+// challenge runs an authentication round; with accept, the Security Mode
+// Complete that follows a successful one accepts the registration.
+func (a *AMF) challenge(imsi string, rnd [16]byte, accept bool) {
 	av, err := a.udm.GenerateAuthVector(imsi, rnd)
 	if err != nil {
 		a.reject(imsi, cause.MMIllegalUE)
@@ -331,30 +392,33 @@ func (a *AMF) challenge(imsi string, rnd [16]byte, then func()) {
 	c.authXRES = av.XRES
 	c.authIK = av.IK
 	c.authPending = true
-	c.postAuth = then
+	c.acceptPending = accept
 	a.stats.AuthRounds++
-	a.send(imsi, &nas.AuthenticationRequest{NgKSI: 1, RAND: av.RAND, AUTN: av.AUTN})
+	a.out.authReq = nas.AuthenticationRequest{NgKSI: 1, RAND: av.RAND, AUTN: av.AUTN}
+	a.send(imsi, &a.out.authReq)
 }
 
 func (a *AMF) handleAuthResponse(imsi string, resp *nas.AuthenticationResponse) {
-	c, okC := a.ctxs[imsi]
+	c, okC := a.Context(imsi)
 	if !okC || !c.authPending {
 		return
 	}
 	c.authPending = false
 	if len(resp.RES) != 8 || string(resp.RES) != string(c.authXRES[:]) {
-		a.send(imsi, &nas.AuthenticationReject{})
+		a.send(imsi, &a.out.authRej)
 		a.DropUEContext(imsi)
 		return
 	}
 	// Re-key at the Security Mode boundary: from here on, NAS both ways
 	// is integrity protected under the fresh context.
-	c.sec = nas.NewSecurityContext(c.authIK)
-	a.send(imsi, &nas.SecurityModeCommand{Algorithms: 0x21}) // EEA2|EIA2
+	a.msgs.KeySecurityContext(&c.secStore, c.authIK)
+	c.sec = &c.secStore
+	a.out.smc = nas.SecurityModeCommand{Algorithms: 0x21} // EEA2|EIA2
+	a.send(imsi, &a.out.smc)
 }
 
 func (a *AMF) handleAuthFailure(imsi string, f *nas.AuthenticationFailure) {
-	c, okC := a.ctxs[imsi]
+	c, okC := a.Context(imsi)
 	if !okC {
 		return
 	}
@@ -374,26 +438,25 @@ func (a *AMF) handleAuthFailure(imsi string, f *nas.AuthenticationFailure) {
 	case cause.MMSynchFailure:
 		// Real SQN resync: recover SQN_MS, re-challenge.
 		if err := a.udm.Resynchronize(imsi, c.authRAND, f.AUTS); err != nil {
-			a.send(imsi, &nas.AuthenticationReject{})
+			a.send(imsi, &a.out.authRej)
 			return
 		}
 		var rnd [16]byte
 		a.k.Rand().Read(rnd[:])
-		a.challenge(imsi, rnd, c.postAuth)
+		a.challenge(imsi, rnd, c.acceptPending)
 	case cause.MMMACFailure:
-		a.send(imsi, &nas.AuthenticationReject{})
+		a.send(imsi, &a.out.authRej)
 		a.DropUEContext(imsi)
 	}
 }
 
 func (a *AMF) handleSMCComplete(imsi string) {
-	c, okC := a.ctxs[imsi]
-	if !okC || c.postAuth == nil {
+	c, okC := a.Context(imsi)
+	if !okC || !c.acceptPending {
 		return
 	}
-	then := c.postAuth
-	c.postAuth = nil
-	then()
+	c.acceptPending = false
+	a.acceptRegistration(imsi)
 }
 
 func (a *AMF) acceptRegistration(imsi string) {
@@ -405,22 +468,25 @@ func (a *AMF) acceptRegistration(imsi string) {
 	c.GUTI = fmt.Sprintf("guti-%06d", a.gutiSeq)
 	c.Registered = true
 	a.gutiIndex[c.GUTI] = imsi
-	a.send(imsi, &nas.RegistrationAccept{
+	a.out.tai[0] = nas.TAI{PLMN: 310170, TAC: 1}
+	a.out.regAcc = nas.RegistrationAccept{
 		GUTI:         nas.MobileIdentity{Type: nas.IdentityGUTI, Value: c.GUTI},
-		TAIList:      []nas.TAI{{PLMN: 310170, TAC: 1}},
+		TAIList:      a.out.tai[:],
 		T3512Seconds: 3600,
-	})
+	}
+	a.send(imsi, &a.out.regAcc)
 }
 
 func (a *AMF) handleServiceRequest(imsi string, _ *nas.ServiceRequest) {
-	c, okC := a.ctxs[imsi]
+	c, okC := a.Context(imsi)
 	if !okC || !c.Registered {
 		a.stats.Rejects++
 		if a.OnReject != nil {
 			a.OnReject(imsi, cause.MMUEIdentityCannotBeDerived)
 		}
-		a.send(imsi, &nas.ServiceReject{Cause: cause.MMUEIdentityCannotBeDerived})
+		a.out.svcRej = nas.ServiceReject{Cause: cause.MMUEIdentityCannotBeDerived}
+		a.send(imsi, &a.out.svcRej)
 		return
 	}
-	a.send(imsi, &nas.ServiceAccept{})
+	a.send(imsi, &a.out.svcAcc)
 }

@@ -46,7 +46,7 @@ func NewCells(k *sched.Kernel, net *Network, n int) *Cells {
 		ueTx:   make(map[string]func(any) bool),
 	}
 	for i := 1; i < n; i++ {
-		g := NewGNB(k, 3*time.Millisecond, net.Frames)
+		g := NewGNB(k, 3*time.Millisecond, net.Frames, net.NASFrames)
 		g.SetCore(net.AMF, net.UPF)
 		c.gnbs[i] = g
 	}

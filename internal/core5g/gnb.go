@@ -49,8 +49,9 @@ type GNB struct {
 	frames *radio.FramePool
 	toUPF  func(any) // arg: *radio.Packet
 	// A signalling frame rides the backhaul the same way, as the argument
-	// of toAMF; the AMF releases it.
-	toAMF func(any) // arg: *radio.NAS
+	// of toAMF; the AMF releases it into nasFrames, the network's pool.
+	nasFrames *radio.NASPool
+	toAMF     func(any) // arg: *radio.NAS
 }
 
 type ueRadio struct {
@@ -72,10 +73,10 @@ func (b bearerSet) count() int {
 }
 
 // NewGNB creates a gNB with the given one-way backhaul latency to the
-// core, on its network's frame pool. Wire the AMF and UPF with SetCore
+// core, on its network's frame pools. Wire the AMF and UPF with SetCore
 // before delivering traffic.
-func NewGNB(k *sched.Kernel, backhaul time.Duration, frames *radio.FramePool) *GNB {
-	g := &GNB{k: k, backhaul: backhaul, ues: make(map[string]*ueRadio), frames: frames}
+func NewGNB(k *sched.Kernel, backhaul time.Duration, frames *radio.FramePool, nasFrames *radio.NASPool) *GNB {
+	g := &GNB{k: k, backhaul: backhaul, ues: make(map[string]*ueRadio), frames: frames, nasFrames: nasFrames}
 	g.toUPF = func(v any) {
 		f := v.(*radio.Packet)
 		g.upf.HandleUplink(*f)
@@ -131,7 +132,9 @@ func (g *GNB) HandleUplink(frame any) {
 		g.uplinkNAS(f)
 	case radio.UplinkNAS:
 		// The sender keeps its bytes; the frame gets a copy.
-		g.uplinkNAS(&radio.NAS{UE: f.UE, Bytes: append([]byte(nil), f.Bytes...)})
+		nf := g.nasFrames.Get(f.UE)
+		nf.Bytes = append(nf.Bytes, f.Bytes...)
+		g.uplinkNAS(nf)
 	case *radio.Packet:
 		g.uplinkData(f)
 	case radio.Packet:
@@ -140,10 +143,11 @@ func (g *GNB) HandleUplink(frame any) {
 }
 
 // uplinkNAS relays a signalling frame this gNB now owns to the AMF over the
-// backhaul. A frame from an unknown UE is dropped (left to the collector).
+// backhaul, or drops it when the UE is unknown.
 func (g *GNB) uplinkNAS(f *radio.NAS) {
 	ue, okU := g.ue(f.UE)
 	if !okU {
+		g.nasFrames.Put(f)
 		return
 	}
 	ue.connected = true // NAS implies signalling connection

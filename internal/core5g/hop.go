@@ -31,6 +31,13 @@ func (p *hopPool) take(imsi string, msg nas.Message) *nasHop {
 	return h
 }
 
+// warm grows the pool to at least n free records.
+func (p *hopPool) warm(n int) {
+	for len(p.free) < n {
+		p.free = append(p.free, new(nasHop))
+	}
+}
+
 // release returns h to the pool and hands back what it carried.
 func (p *hopPool) release(h *nasHop) (string, nas.Message) {
 	imsi, msg := h.imsi, h.msg

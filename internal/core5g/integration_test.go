@@ -72,7 +72,7 @@ func newUE(t *testing.T, k *sched.Kernel, n *Network, imsi string) *ue {
 	}
 	u := &ue{card: card}
 	u.radio = netemu.NewDuplex(k, "radio-"+imsi, 8*time.Millisecond, nil, nil)
-	u.modem = modem.New(k, modem.DefaultConfig(), card, u.radio.A2B.Send, n.Frames)
+	u.modem = modem.New(k, modem.DefaultConfig(), card, u.radio.A2B.Send, n.Frames, n.NASFrames, n.Messages)
 	u.radio.SetHandlers(n.GNB.HandleUplink, u.modem.HandleDownlink)
 	n.GNB.AttachUE(imsi, u.radio.B2A.Send)
 	u.modem.SetHooks(modem.Hooks{

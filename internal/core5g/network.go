@@ -3,6 +3,7 @@ package core5g
 import (
 	"time"
 
+	"github.com/seed5g/seed/internal/nas"
 	"github.com/seed5g/seed/internal/radio"
 	"github.com/seed5g/seed/internal/sched"
 )
@@ -43,21 +44,51 @@ type Network struct {
 	// radio.FramePool): the gNBs and the UPF are built on it, and so is
 	// whatever attaches to the network — modems, the emulated internet.
 	Frames *radio.FramePool
+	// NASFrames and Messages are the testbed's one signalling frame pool
+	// and its one free list of decoded messages (see radio.NASPool and
+	// nas.Pool, which also keeps the last expanded integrity key), shared
+	// the same way.
+	NASFrames *radio.NASPool
+	Messages  *nas.Pool
 }
 
 // NewNetwork assembles and wires a core network on the kernel.
 func NewNetwork(k *sched.Kernel, cfg NetworkConfig) *Network {
 	udm := NewUDM()
 	inj := NewInjector(k.Now)
-	frames := new(radio.FramePool)
-	gnb := NewGNB(k, cfg.Backhaul, frames)
-	upf := NewUPF(k, gnb, cfg.DNSLatency, frames)
-	amf := NewAMF(k, gnb, udm, inj, cfg.AMFProc)
-	smf := NewSMF(k, gnb, udm, upf, inj, cfg.SMFProc)
-	amf.SetSMF(smf)
-	smf.SetSender(amf.SendRaw)
-	gnb.SetCore(amf, upf)
-	return &Network{K: k, GNB: gnb, AMF: amf, SMF: smf, UPF: upf, UDM: udm, Inj: inj, Frames: frames}
+	n := &Network{K: k, UDM: udm, Inj: inj,
+		Frames: new(radio.FramePool), NASFrames: new(radio.NASPool), Messages: new(nas.Pool)}
+	n.GNB = NewGNB(k, cfg.Backhaul, n.Frames, n.NASFrames)
+	n.UPF = NewUPF(k, n.GNB, cfg.DNSLatency, n.Frames)
+	n.AMF = NewAMF(k, n.GNB, udm, inj, cfg.AMFProc, n.NASFrames, n.Messages)
+	n.SMF = NewSMF(k, n.GNB, udm, n.UPF, inj, cfg.SMFProc, n.Messages)
+	n.AMF.SetSMF(n.SMF)
+	n.SMF.SetSender(n.AMF.SendRaw)
+	n.GNB.SetCore(n.AMF, n.UPF)
+	return n
+}
+
+// Free-list sizes Warm fills to: what one device's signalling has in flight
+// at its busiest (a registration's uplinks and downlinks overlapping a
+// diagnosis delivery). With the messages about 1.5 KB per testbed.
+const (
+	warmNASFrames = 4
+	warmHops      = 2
+)
+
+// Warm fills the signalling free lists — frames, decoded messages, hop
+// records, the AMF's spare UE context — so that a testbed snapshotted
+// afterwards (a prototype) hands every restored cell full pools: a restore
+// rewinds the lists to what the snapshot saw, and a list snapshotted empty
+// is allocated again, object by object, in every cell.
+func (n *Network) Warm() {
+	n.NASFrames.Warm(warmNASFrames)
+	n.Messages.Warm()
+	n.AMF.hops.warm(warmHops)
+	n.SMF.hops.warm(warmHops)
+	if n.AMF.spare == nil {
+		n.AMF.spare = new(UEContext)
+	}
 }
 
 // SetRadioAccess re-wires the core functions' downlink path (used when a

@@ -7,7 +7,6 @@ import (
 
 	"github.com/seed5g/seed/internal/cause"
 	"github.com/seed5g/seed/internal/nas"
-	"github.com/seed5g/seed/internal/radio"
 	"github.com/seed5g/seed/internal/sched"
 )
 
@@ -50,13 +49,21 @@ type SMF struct {
 
 	sessions map[string]map[uint8]*SessionCtx
 	nextIP   uint16
+	// lastIMSI and lastOf remember the latest hit in sessions (see
+	// AMF.lastCtx); a UE's inner map, once made, is never removed.
+	lastIMSI string
+	lastOf   map[uint8]*SessionCtx
 
 	// sender transmits downlink NAS (wired to the AMF so 5GSM messages
-	// ride the same security context as 5GMM ones).
+	// ride the same security context as 5GMM ones). It encodes before it
+	// returns, which is what lets every message be composed in out.
 	sender func(imsi string, msg nas.Message)
+	out    smfOutbox
 
-	// A forwarded message waits out the processing latency in a pooled hop
-	// record armed with dispatchFn.
+	// A forwarded message, which the SMF owns from then on, waits out the
+	// processing latency in a pooled hop record armed with dispatchFn;
+	// dispatch releases it into msgs, the network's pool.
+	msgs       *nas.Pool
 	hops       hopPool
 	dispatchFn func(any) // arg: *nasHop
 
@@ -74,11 +81,24 @@ type SMF struct {
 	stats SMFStats
 }
 
-// NewSMF creates the SMF.
-func NewSMF(k *sched.Kernel, gnb RadioAccess, udm *UDM, upf *UPF, inj *Injector, proc time.Duration) *SMF {
+// smfOutbox holds one of each message the SMF composes (see amfOutbox).
+type smfOutbox struct {
+	estAcc nas.PDUSessionEstablishmentAccept
+	estRej nas.PDUSessionEstablishmentReject
+	modCmd nas.PDUSessionModificationCommand
+	tft    nas.TFT
+	qos    nas.QoS
+	modRej nas.PDUSessionModificationReject
+	relCmd nas.PDUSessionReleaseCommand
+}
+
+// NewSMF creates the SMF; msgs is its network's message pool. Wire the
+// downlink path with SetSender before use.
+func NewSMF(k *sched.Kernel, gnb RadioAccess, udm *UDM, upf *UPF, inj *Injector, proc time.Duration, msgs *nas.Pool) *SMF {
 	s := &SMF{
 		k: k, gnb: gnb, udm: udm, upf: upf, inj: inj, proc: proc,
 		sessions: make(map[string]map[uint8]*SessionCtx),
+		msgs:     msgs,
 	}
 	s.dispatchFn = func(v any) {
 		imsi, msg := s.hops.release(v.(*nasHop))
@@ -90,27 +110,31 @@ func NewSMF(k *sched.Kernel, gnb RadioAccess, udm *UDM, upf *UPF, inj *Injector,
 // Stats returns a copy of the counters.
 func (s *SMF) Stats() SMFStats { return s.stats }
 
-// Sessions returns the session map for a UE.
-func (s *SMF) Sessions(imsi string) map[uint8]*SessionCtx { return s.sessions[imsi] }
+// Sessions returns the session map for a UE (nil when it never had one).
+func (s *SMF) Sessions(imsi string) map[uint8]*SessionCtx {
+	if s.lastOf != nil && s.lastIMSI == imsi {
+		return s.lastOf
+	}
+	of := s.sessions[imsi]
+	if of != nil {
+		s.lastIMSI, s.lastOf = imsi, of
+	}
+	return of
+}
 
 // Session returns one session context.
 func (s *SMF) Session(imsi string, id uint8) (*SessionCtx, bool) {
-	ctx, okC := s.sessions[imsi][id]
+	ctx, okC := s.Sessions(imsi)[id]
 	return ctx, okC
 }
 
 // SetSender wires the downlink NAS transmit path (normally AMF.SendRaw).
 func (s *SMF) SetSender(fn func(imsi string, msg nas.Message)) { s.sender = fn }
 
-func (s *SMF) send(imsi string, msg nas.Message) {
-	if s.sender != nil {
-		s.sender(imsi, msg)
-		return
-	}
-	s.gnb.SendNAS(&radio.NAS{UE: imsi, Bytes: nas.Marshal(msg)})
-}
+func (s *SMF) send(imsi string, msg nas.Message) { s.sender(imsi, msg) }
 
-// HandleUplink processes a 5GSM message forwarded by the AMF.
+// HandleUplink processes a 5GSM message forwarded by the AMF, and owns it
+// from here on.
 func (s *SMF) HandleUplink(imsi string, msg nas.Message) {
 	s.stats.MessagesIn++
 	s.k.AfterArg(s.proc, s.dispatchFn, s.hops.take(imsi, msg))
@@ -127,6 +151,7 @@ func (s *SMF) dispatch(imsi string, msg nas.Message) {
 	case *nas.PDUSessionModificationComplete, *nas.PDUSessionReleaseComplete:
 		// procedure confirmations
 	}
+	s.msgs.Put(msg)
 }
 
 func (s *SMF) reject(imsi string, hdr nas.SMHeader, code cause.Code, suggested string) {
@@ -134,11 +159,12 @@ func (s *SMF) reject(imsi string, hdr nas.SMHeader, code cause.Code, suggested s
 	if s.OnReject != nil {
 		s.OnReject(imsi, code)
 	}
-	s.send(imsi, &nas.PDUSessionEstablishmentReject{
+	s.out.estRej = nas.PDUSessionEstablishmentReject{
 		SMHeader:     hdr,
 		Cause:        code,
 		SuggestedDNN: suggested,
-	})
+	}
+	s.send(imsi, &s.out.estRej)
 }
 
 func (s *SMF) handleEstablishment(imsi string, req *nas.PDUSessionEstablishmentRequest) {
@@ -152,10 +178,11 @@ func (s *SMF) handleEstablishment(imsi string, req *nas.PDUSessionEstablishmentR
 			if s.OnDiagReport != nil {
 				s.OnDiagReport(imsi, []byte(req.DNN[len(DiagDNNPrefix):]))
 			}
-			s.send(imsi, &nas.PDUSessionEstablishmentReject{
+			s.out.estRej = nas.PDUSessionEstablishmentReject{
 				SMHeader: hdr,
 				Cause:    cause.SMRequestRejectedUnspec,
-			})
+			}
+			s.send(imsi, &s.out.estRej)
 			return
 		}
 		if s.AllowDiagSessions {
@@ -218,13 +245,15 @@ func (s *SMF) establish(imsi string, req *nas.PDUSessionEstablishmentRequest, cf
 		Config:  cfg,
 		Diag:    diag,
 	}
-	if s.sessions[imsi] == nil {
-		s.sessions[imsi] = make(map[uint8]*SessionCtx)
+	of := s.Sessions(imsi)
+	if of == nil {
+		of = make(map[uint8]*SessionCtx)
+		s.sessions[imsi] = of
 	}
-	s.sessions[imsi][ctx.ID] = ctx
+	of[ctx.ID] = ctx
 	s.upf.InstallSession(ctx)
 	s.gnb.AddBearer(imsi, ctx.ID)
-	s.send(imsi, &nas.PDUSessionEstablishmentAccept{
+	s.out.estAcc = nas.PDUSessionEstablishmentAccept{
 		SMHeader:    nas.SMHeader{PDUSessionID: req.PDUSessionID, PTI: req.PTI},
 		SessionType: req.SessionType,
 		Address:     addr,
@@ -232,28 +261,31 @@ func (s *SMF) establish(imsi string, req *nas.PDUSessionEstablishmentRequest, cf
 		QoS:         cfg.QoS,
 		TFT:         cfg.TFT,
 		DNN:         req.DNN,
-	})
+	}
+	s.send(imsi, &s.out.estAcc)
 }
 
 func (s *SMF) handleRelease(imsi string, req *nas.PDUSessionReleaseRequest) {
 	s.removeSession(imsi, req.PDUSessionID)
-	s.send(imsi, &nas.PDUSessionReleaseCommand{
+	s.out.relCmd = nas.PDUSessionReleaseCommand{
 		SMHeader: nas.SMHeader{PDUSessionID: req.PDUSessionID, PTI: req.PTI},
 		Cause:    cause.SMRegularDeactivation,
-	})
+	}
+	s.send(imsi, &s.out.relCmd)
 }
 
 func (s *SMF) handleModification(imsi string, req *nas.PDUSessionModificationRequest) {
-	ctx, okC := s.sessions[imsi][req.PDUSessionID]
+	ctx, okC := s.Session(imsi, req.PDUSessionID)
 	if !okC {
 		s.stats.Rejects++
 		if s.OnReject != nil {
 			s.OnReject(imsi, cause.SMPDUSessionDoesNotExist)
 		}
-		s.send(imsi, &nas.PDUSessionModificationReject{
+		s.out.modRej = nas.PDUSessionModificationReject{
 			SMHeader: nas.SMHeader{PDUSessionID: req.PDUSessionID, PTI: req.PTI},
 			Cause:    cause.SMPDUSessionDoesNotExist,
-		})
+		}
+		s.send(imsi, &s.out.modRej)
 		return
 	}
 	// The network answers with its *authoritative* parameters from the
@@ -272,40 +304,41 @@ func (s *SMF) handleModification(imsi string, req *nas.PDUSessionModificationReq
 // Command carrying cfg and updates the UPF state (SEED B3 "data-plane
 // modification").
 func (s *SMF) PushModification(imsi string, id uint8, cfg SessionConfig) bool {
-	ctx, okC := s.sessions[imsi][id]
+	ctx, okC := s.Session(imsi, id)
 	if !okC {
 		return false
 	}
 	s.stats.Modification++
 	ctx.Config = cfg
 	s.upf.InstallSession(ctx)
-	tft := cfg.TFT
-	qos := cfg.QoS
-	s.send(imsi, &nas.PDUSessionModificationCommand{
+	s.out.tft, s.out.qos = cfg.TFT, cfg.QoS
+	s.out.modCmd = nas.PDUSessionModificationCommand{
 		SMHeader:   nas.SMHeader{PDUSessionID: id, PTI: 0},
-		TFT:        &tft,
-		QoS:        &qos,
+		TFT:        &s.out.tft,
+		QoS:        &s.out.qos,
 		DNSServers: cfg.DNS,
-	})
+	}
+	s.send(imsi, &s.out.modCmd)
 	return true
 }
 
 // ReleaseSessionCmd tears down a session from the network side.
 func (s *SMF) ReleaseSessionCmd(imsi string, id uint8) {
-	if _, okC := s.sessions[imsi][id]; !okC {
+	if _, okC := s.Session(imsi, id); !okC {
 		return
 	}
 	s.removeSession(imsi, id)
-	s.send(imsi, &nas.PDUSessionReleaseCommand{
+	s.out.relCmd = nas.PDUSessionReleaseCommand{
 		SMHeader: nas.SMHeader{PDUSessionID: id, PTI: 0},
 		Cause:    cause.SMRegularDeactivation,
-	})
+	}
+	s.send(imsi, &s.out.relCmd)
 }
 
 // SessionIDs returns a UE's session IDs in ascending order.
 func (s *SMF) SessionIDs(imsi string) []uint8 {
-	ids := make([]uint8, 0, len(s.sessions[imsi]))
-	for id := range s.sessions[imsi] {
+	ids := make([]uint8, 0, len(s.Sessions(imsi)))
+	for id := range s.Sessions(imsi) {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -325,12 +358,12 @@ func (s *SMF) ReleaseAll(imsi string, notify bool) {
 }
 
 func (s *SMF) removeSession(imsi string, id uint8) {
-	ctx, okC := s.sessions[imsi][id]
+	ctx, okC := s.Session(imsi, id)
 	if !okC {
 		return
 	}
 	s.stats.Releases++
 	s.upf.RemoveSession(ctx.Address)
-	delete(s.sessions[imsi], id)
+	delete(s.Sessions(imsi), id)
 	s.gnb.RemoveBearer(imsi, id)
 }

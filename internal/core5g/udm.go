@@ -56,6 +56,10 @@ type Subscriber struct {
 // UDM is the subscriber database and authentication-vector source.
 type UDM struct {
 	subs map[string]*Subscriber
+	// lastSub is the latest hit in subs: every registration, session
+	// request and diagnosis asks for the subscriber it is about, and
+	// subscriptions are never removed.
+	lastSub *Subscriber
 }
 
 // NewUDM creates an empty subscriber database.
@@ -84,7 +88,13 @@ func (u *UDM) AddSubscriber(s *Subscriber) error {
 
 // Subscriber looks up a subscription by IMSI.
 func (u *UDM) Subscriber(imsi string) (*Subscriber, bool) {
+	if u.lastSub != nil && u.lastSub.IMSI == imsi {
+		return u.lastSub, true
+	}
 	s, okS := u.subs[imsi]
+	if okS {
+		u.lastSub = s
+	}
 	return s, okS
 }
 
@@ -104,7 +114,7 @@ type AuthVector struct {
 // GenerateAuthVector produces the next authentication vector for a
 // subscriber, advancing the network-side SQN.
 func (u *UDM) GenerateAuthVector(imsi string, rnd [16]byte) (AuthVector, error) {
-	s, okS := u.subs[imsi]
+	s, okS := u.Subscriber(imsi)
 	if !okS {
 		return AuthVector{}, fmt.Errorf("core5g: unknown subscriber %s", imsi)
 	}

@@ -110,6 +110,12 @@ func (u *UPF) Stats() UPFStats { return u.stats }
 
 // InstallSession (re)binds a session's forwarding state.
 func (u *UPF) InstallSession(ctx *SessionCtx) {
+	// Fresh state either way; an address that already has an entry (a
+	// modification re-installs its session) gets it in the entry it has.
+	if s, okS := u.byAddr[ctx.Address]; okS {
+		*s = upfSession{ctx: ctx}
+		return
+	}
 	u.byAddr[ctx.Address] = &upfSession{ctx: ctx}
 }
 

@@ -19,7 +19,8 @@ const (
 
 // EEA2Key is a reusable 128-EEA2 state holding the expanded AES block.
 // XORKeyStream runs AES-CTR with the TS 33.401 B.1.3 counter layout
-// without allocating. Not safe for concurrent use.
+// without allocating. A value type like CMACKey: a copy shares the
+// expanded block and has its own scratch. Not safe for concurrent use.
 type EEA2Key struct {
 	block cipher.Block
 	// ctr and ks are XORKeyStream's counter and keystream blocks. Struct
@@ -30,11 +31,21 @@ type EEA2Key struct {
 
 // NewEEA2Key expands the 16-byte confidentiality key.
 func NewEEA2Key(key []byte) (*EEA2Key, error) {
+	k := new(EEA2Key)
+	if err := k.SetKey(key); err != nil {
+		return nil, err
+	}
+	return k, nil
+}
+
+// SetKey keys k in place: the form for an EEA2Key held by value.
+func (k *EEA2Key) SetKey(key []byte) error {
 	block, err := aes.NewCipher(key)
 	if err != nil {
-		return nil, fmt.Errorf("crypto5g: eea2 key: %w", err)
+		return fmt.Errorf("crypto5g: eea2 key: %w", err)
 	}
-	return &EEA2Key{block: block}, nil
+	k.block = block
+	return nil
 }
 
 // XORKeyStream applies the 128-EEA2 keystream for (count, bearer, dir) to
@@ -83,40 +94,35 @@ func EEA2(key []byte, count uint32, bearer uint8, dir Direction, data []byte) ([
 	return out, nil
 }
 
-// EIA2Key is a reusable 128-EIA2 state: a CMACKey plus a scratch buffer
-// for the COUNT||BEARER||DIRECTION header prefix. MAC is allocation-free
-// after the scratch buffer warms up. Not safe for concurrent use.
+// EIA2Key is a reusable 128-EIA2 state: a CMACKey. MAC is allocation-free
+// and copies nothing: the COUNT||BEARER||DIRECTION prefix and the message
+// go to the CMAC as two segments. A value type like CMACKey. Not safe for
+// concurrent use.
 type EIA2Key struct {
-	cmac *CMACKey
-	buf  []byte
+	cmac CMACKey
 }
 
 // NewEIA2Key expands the 16-byte integrity key.
 func NewEIA2Key(key []byte) (*EIA2Key, error) {
-	c, err := NewCMACKey(key)
-	if err != nil {
+	k := new(EIA2Key)
+	if err := k.SetKey(key); err != nil {
 		return nil, err
 	}
-	return &EIA2Key{cmac: c}, nil
+	return k, nil
 }
+
+// SetKey keys k in place: the form for an EIA2Key held by value.
+func (k *EIA2Key) SetKey(key []byte) error { return k.cmac.SetKey(key) }
 
 // MAC computes the 128-EIA2 integrity tag (TS 33.401 B.2.3): AES-CMAC over
 // COUNT || BEARER||DIRECTION || 0-pad || message, truncated to 4 bytes as
 // the standard MAC-I.
 func (k *EIA2Key) MAC(count uint32, bearer uint8, dir Direction, msg []byte) [4]byte {
-	need := 8 + len(msg)
-	if cap(k.buf) < need {
-		k.buf = make([]byte, need, need+64)
-	}
-	m := k.buf[:need]
-	binary.BigEndian.PutUint32(m[0:4], count)
-	m[4] = bearer<<3 | byte(dir)<<2
-	m[5], m[6], m[7] = 0, 0, 0
-	copy(m[8:], msg)
-	tag := k.cmac.Sum(m)
-	var mac [4]byte
-	copy(mac[:], tag[:4])
-	return mac
+	var head [8]byte
+	binary.BigEndian.PutUint32(head[0:4], count)
+	head[4] = bearer<<3 | byte(dir)<<2
+	tag := k.cmac.Sum2(head[:], msg)
+	return [4]byte(tag[:4])
 }
 
 // EIA2 computes the 128-EIA2 tag under key. One-shot convenience; batch

@@ -21,8 +21,8 @@ import (
 // make exactly one allocation (the returned message), encrypting directly
 // into it.
 type Envelope struct {
-	enc    *EEA2Key
-	integ  *EIA2Key
+	enc    EEA2Key
+	integ  EIA2Key
 	bearer uint8
 	// Per-direction counters, indexed by Direction (Uplink=0, Downlink=1).
 	sendCtr [2]uint32
@@ -45,15 +45,14 @@ func NewEnvelope(encKey, intKey []byte, bearer uint8) (*Envelope, error) {
 	if len(encKey) != 16 || len(intKey) != 16 {
 		return nil, fmt.Errorf("crypto5g: envelope keys must be 16 bytes, got %d and %d", len(encKey), len(intKey))
 	}
-	enc, err := NewEEA2Key(encKey)
-	if err != nil {
+	e := &Envelope{bearer: bearer}
+	if err := e.enc.SetKey(encKey); err != nil {
 		return nil, err
 	}
-	integ, err := NewEIA2Key(intKey)
-	if err != nil {
+	if err := e.integ.SetKey(intKey); err != nil {
 		return nil, err
 	}
-	return &Envelope{enc: enc, integ: integ, bearer: bearer}, nil
+	return e, nil
 }
 
 // Seal encrypts and authenticates plaintext for the given direction,

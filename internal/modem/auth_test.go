@@ -150,7 +150,7 @@ func newAuthHarness(t *testing.T) (*sched.Kernel, *Modem, *authNet, *sim.Card) {
 		t.Fatal(err)
 	}
 	f := &authNet{t: t, k: k, mil: mil}
-	m := New(k, DefaultConfig(), card, f.tx, new(radio.FramePool))
+	m := New(k, DefaultConfig(), card, f.tx, new(radio.FramePool), new(radio.NASPool), new(nas.Pool))
 	f.m = m
 	return k, m, f, card
 }
@@ -368,7 +368,7 @@ func TestIdleModeDisabled(t *testing.T) {
 	f := &authNet{t: t, k: k, mil: mil}
 	cfg := DefaultConfig()
 	cfg.InactivityTimeout = 0
-	m := New(k, cfg, card, f.tx, new(radio.FramePool))
+	m := New(k, cfg, card, f.tx, new(radio.FramePool), new(radio.NASPool), new(nas.Pool))
 	f.m = m
 	m.PowerOn()
 	k.RunFor(2 * time.Minute)

@@ -160,9 +160,17 @@ type Modem struct {
 	// rejects be tried against a fresh one (the Security Mode boundary).
 	// Once adopted, a second fresh context from the same key would start
 	// over at COUNT 0 and verify a replay of that AKA's own downlinks.
+	// rekey is that fresh context, built on first need and then kept while
+	// the re-key is pending: a failed verification leaves a context
+	// untouched, so one candidate serves every attempt, and a peer feeding
+	// the modem garbage in that window buys no key expansion per frame.
+	// Both live in secSlots: the candidate takes the slot the active
+	// context is not in.
 	sec          *nas.SecurityContext
 	lastIK       [16]byte
 	rekeyPending bool
+	rekey        *nas.SecurityContext
+	secSlots     [2]nas.SecurityContext
 
 	// RRC connection state: idle mode suspends the user plane after
 	// inactivity; a Service Request resumes it on the next packet.
@@ -172,18 +180,25 @@ type Modem struct {
 	pendingPkts  []radio.Packet
 	// frames is the testbed's user-plane frame pool: SendPacket takes one
 	// per uplink packet, HandleDownlink returns the one each downlink
-	// packet came in. nasFrames is this modem's own pool for signalling,
-	// and codec is the encoder and decoder state every NAS message of
-	// this modem goes through.
+	// packet came in. nasFrames is the same for signalling, msgs the
+	// testbed's pool of decoded messages (deliverNAS releases what codec
+	// decoded), and codec the encoder and decoder state every NAS message
+	// of this modem goes through. Every message the modem sends is built
+	// in out.
 	frames    *radio.FramePool
-	nasFrames radio.NASPool
+	nasFrames *radio.NASPool
+	msgs      *nas.Pool
 	codec     nas.Codec
+	out       outbox
 
 	// Reusable callback slots for the hottest timer arm/stop cycles
 	// (registration retries, inactivity, session guards): built once in
 	// New so re-arming a timer allocates no closure. The *Arg slots pair
 	// with sched.AfterArg, which carries the argument in the pooled event.
 	goIdleFn  func()
+	bootFn    func() // BootTime over: read the profile
+	profileFn func() // profile read over: search
+	foundFn   func() // search over: attach
 	t3510Fn   func()
 	attachFn  func()
 	t3502Fn   func()
@@ -220,19 +235,45 @@ type Stats struct {
 	IdleTransitions int
 }
 
+// outbox holds one of each message the modem sends. sendNAS encodes before
+// it returns and the OnNAS observers marshal or name the message during the
+// call, so each is dead by the time the next of its kind is built: an
+// uplink costs no message object.
+type outbox struct {
+	regReq   nas.RegistrationRequest
+	nssai    [1]nas.SNSSAI
+	regDone  nas.RegistrationComplete
+	deregReq nas.DeregistrationRequest
+	deregAcc nas.DeregistrationAccept
+	svcReq   nas.ServiceRequest
+	authResp nas.AuthenticationResponse
+	authFail nas.AuthenticationFailure
+	smcDone  nas.SecurityModeComplete
+	sessReq  nas.PDUSessionEstablishmentRequest
+	snssai   nas.SNSSAI
+	modReq   nas.PDUSessionModificationRequest
+	modDone  nas.PDUSessionModificationComplete
+	relReq   nas.PDUSessionReleaseRequest
+	relDone  nas.PDUSessionReleaseComplete
+}
+
 // New creates a modem bound to the kernel, SIM card, and radio transmit
 // function. The transmit function reports whether the frame was accepted
-// (false models a partitioned radio link). frames is the user-plane frame
-// pool of the network the modem attaches to.
-func New(k *sched.Kernel, cfg Config, card *sim.Card, tx func(any) bool, frames *radio.FramePool) *Modem {
+// (false models a partitioned radio link). frames, nasFrames and msgs are
+// the pools of the network the modem attaches to.
+func New(k *sched.Kernel, cfg Config, card *sim.Card, tx func(any) bool, frames *radio.FramePool, nasFrames *radio.NASPool, msgs *nas.Pool) *Modem {
 	m := &Modem{
-		k: k, cfg: cfg, card: card, tx: tx, frames: frames,
+		k: k, cfg: cfg, card: card, tx: tx,
+		frames: frames, nasFrames: nasFrames, msgs: msgs, codec: nas.Codec{Pool: msgs},
 		state:       StateOff,
 		nextSession: 1,
 		nextPTI:     1,
 		autoSession: true,
 	}
 	m.goIdleFn = m.goIdle
+	m.bootFn = m.loadProfileAndSearch
+	m.profileFn = m.readProfileAndSearch
+	m.foundFn = m.onNetworkFound
 	m.t3510Fn = m.onT3510Expiry
 	m.attachFn = func() { m.Attach() }
 	m.t3502Fn = func() {
@@ -367,18 +408,16 @@ func (m *Modem) PowerOn() {
 		return
 	}
 	m.setState(StateBooting)
-	m.k.After(m.cfg.BootTime, m.loadProfileAndSearch)
+	m.k.After(m.cfg.BootTime, m.bootFn)
 }
 
 // PowerOff drops all state and turns the modem off.
 func (m *Modem) PowerOff() {
 	m.cancelRegTimer()
-	for _, s := range m.Sessions() {
-		m.dropSession(s.ID)
-	}
+	m.dropAllSessions()
 	m.guti = "" // volatile context cleared by power cycle
 	m.sec = nil
-	m.rekeyPending = false
+	m.rekeyPending, m.rekey = false, nil
 	m.rrcConnected = false
 	m.resuming = false
 	m.pendingPkts = nil
@@ -397,18 +436,20 @@ func (m *Modem) Reboot() {
 
 func (m *Modem) loadProfileAndSearch() {
 	// Profile read costs a handful of APDU exchanges.
-	m.k.After(4*m.cfg.SIMIOLatency, func() {
-		p, err := m.card.ReadProfile()
-		if err == nil {
-			m.profile = p
-			m.imsi = p.IMSI
-			m.plmnListFresh = containsPLMN(p.PLMNs, ServingPLMN)
-		}
-		if m.hook.OnProfileReload != nil {
-			m.hook.OnProfileReload()
-		}
-		m.search()
-	})
+	m.k.After(4*m.cfg.SIMIOLatency, m.profileFn)
+}
+
+func (m *Modem) readProfileAndSearch() {
+	p, err := m.card.ReadProfile()
+	if err == nil {
+		m.profile = p
+		m.imsi = p.IMSI
+		m.plmnListFresh = containsPLMN(p.PLMNs, ServingPLMN)
+	}
+	if m.hook.OnProfileReload != nil {
+		m.hook.OnProfileReload()
+	}
+	m.search()
 }
 
 // ServingPLMN is the PLMN of the emulated serving network.
@@ -429,13 +470,15 @@ func (m *Modem) search() {
 	if m.plmnListFresh {
 		d = m.cfg.ListSearchTime
 	}
-	m.k.After(d, func() {
-		if m.state != StateSearching {
-			return
-		}
-		m.setState(StateDeregistered)
-		m.Attach()
-	})
+	m.k.After(d, m.foundFn)
+}
+
+func (m *Modem) onNetworkFound() {
+	if m.state != StateSearching {
+		return
+	}
+	m.setState(StateDeregistered)
+	m.Attach()
 }
 
 // Attach starts the registration procedure.
@@ -485,7 +528,8 @@ func (m *Modem) resume() {
 	m.resuming = true
 	m.stats.ServiceRequests++
 	m.tx(radio.RRCConnect{UE: m.imsi})
-	m.sendNAS(&nas.ServiceRequest{Identity: m.identity()})
+	m.out.svcReq = nas.ServiceRequest{Identity: m.identity()}
+	m.sendNAS(&m.out.svcReq)
 }
 
 func (m *Modem) identity() nas.MobileIdentity {
@@ -496,12 +540,14 @@ func (m *Modem) identity() nas.MobileIdentity {
 }
 
 func (m *Modem) sendRegistrationRequest() {
-	req := &nas.RegistrationRequest{
+	req := &m.out.regReq
+	*req = nas.RegistrationRequest{
 		RegistrationType: nas.RegInitial,
 		Identity:         m.identity(),
 	}
 	if m.profile.SST != 0 {
-		req.RequestedNSSAI = []nas.SNSSAI{{SST: m.profile.SST, SD: m.profile.SD}}
+		m.out.nssai[0] = nas.SNSSAI{SST: m.profile.SST, SD: m.profile.SD}
+		req.RequestedNSSAI = m.out.nssai[:]
 	}
 	m.sendNAS(req)
 	m.cancelRegTimer()
@@ -512,6 +558,8 @@ func (m *Modem) cancelRegTimer() {
 	m.regTimer.Stop()
 }
 
+// sendNAS encodes msg into a pooled frame and transmits it. msg is not
+// kept: callers build it in m.out.
 func (m *Modem) sendNAS(msg nas.Message) {
 	m.stats.NASSent++
 	if m.hook.OnNAS != nil {
@@ -531,7 +579,7 @@ func (m *Modem) sendNAS(msg nas.Message) {
 
 // unwrapNAS strips/verifies a downlink security envelope: the active
 // context first, then — only while the latest AKA's key has not been
-// adopted yet — a fresh context keyed by it (the Security Mode re-keying
+// adopted yet — the candidate keyed by it (the Security Mode re-keying
 // boundary), else the initial-message allowance.
 func (m *Modem) unwrapNAS(data []byte) ([]byte, bool) {
 	if !nas.IsProtected(data) {
@@ -543,10 +591,16 @@ func (m *Modem) unwrapNAS(data []byte) ([]byte, bool) {
 		}
 	}
 	if m.rekeyPending {
-		fresh := nas.NewSecurityContext(m.lastIK)
-		if plain, err := fresh.Unprotect(crypto5g.Downlink, data); err == nil {
-			m.sec = fresh
-			m.rekeyPending = false
+		if m.rekey == nil {
+			m.rekey = &m.secSlots[0]
+			if m.rekey == m.sec {
+				m.rekey = &m.secSlots[1]
+			}
+			m.msgs.KeySecurityContext(m.rekey, m.lastIK)
+		}
+		if plain, err := m.rekey.Unprotect(crypto5g.Downlink, data); err == nil {
+			m.sec = m.rekey
+			m.rekeyPending, m.rekey = false, nil
 			return plain, true
 		}
 	}
@@ -557,6 +611,14 @@ func (m *Modem) unwrapNAS(data []byte) ([]byte, bool) {
 // HandleDownlink processes a frame delivered by the radio link.
 func (m *Modem) HandleDownlink(frame any) {
 	if m.state == StateOff || m.state == StateBooting {
+		// A modem that is off hears nothing, but the frame is still its to
+		// release.
+		switch f := frame.(type) {
+		case *radio.NAS:
+			m.nasFrames.Put(f)
+		case *radio.Packet:
+			m.frames.Put(f)
+		}
 		return
 	}
 	switch f := frame.(type) {
@@ -595,6 +657,10 @@ func (m *Modem) decodeDownlink(data []byte) nas.Message {
 	return msg
 }
 
+// deliverNAS hands a decoded downlink, which the modem owns, to the
+// observer and the state machines, and releases it when they return —
+// except an Authentication Request, which waits out the SIM I/O latency
+// and is released by runAuth.
 func (m *Modem) deliverNAS(msg nas.Message) {
 	if msg == nil {
 		return
@@ -603,6 +669,9 @@ func (m *Modem) deliverNAS(msg nas.Message) {
 		m.hook.OnNAS(false, msg)
 	}
 	m.handleNAS(msg)
+	if _, held := msg.(*nas.AuthenticationRequest); !held {
+		m.msgs.Put(msg)
+	}
 }
 
 func (m *Modem) downlinkData(pkt radio.Packet) {
@@ -618,7 +687,7 @@ func (m *Modem) handleNAS(msg nas.Message) {
 	case *nas.AuthenticationRequest:
 		m.handleAuthRequest(t)
 	case *nas.SecurityModeCommand:
-		m.sendNAS(&nas.SecurityModeComplete{})
+		m.sendNAS(&m.out.smcDone)
 	case *nas.RegistrationAccept:
 		m.handleRegistrationAccept(t)
 	case *nas.RegistrationReject:
@@ -644,7 +713,7 @@ func (m *Modem) handleNAS(msg nas.Message) {
 			m.guti = t.GUTI.Value
 		}
 	case *nas.DeregistrationRequest:
-		m.sendNAS(&nas.DeregistrationAccept{})
+		m.sendNAS(&m.out.deregAcc)
 		m.localDeregister()
 	case *nas.PDUSessionEstablishmentAccept:
 		m.handleSessionAccept(t)
@@ -672,18 +741,21 @@ func (m *Modem) handleAuthRequest(req *nas.AuthenticationRequest) {
 
 func (m *Modem) runAuth(req *nas.AuthenticationRequest) {
 	res := m.card.Authenticate(req.RAND, req.AUTN)
+	m.msgs.Put(req) // held since handleAuthRequest
 	switch res.Kind {
 	case sim.AuthOK:
 		m.lastIK = res.IK
-		m.rekeyPending = true
-		m.sendNAS(&nas.AuthenticationResponse{RES: res.RES[:]})
+		m.rekeyPending, m.rekey = true, nil
+		m.out.authResp.RES = append(m.out.authResp.RES[:0], res.RES[:]...)
+		m.sendNAS(&m.out.authResp)
 	case sim.AuthSyncFailure:
-		m.sendNAS(&nas.AuthenticationFailure{
-			Cause: 21, // Synch failure
-			AUTS:  append([]byte(nil), res.AUTS[:]...),
-		})
+		m.out.authFail.Cause = 21 // Synch failure
+		m.out.authFail.AUTS = append(m.out.authFail.AUTS[:0], res.AUTS[:]...)
+		m.sendNAS(&m.out.authFail)
 	case sim.AuthMACFailure:
-		m.sendNAS(&nas.AuthenticationFailure{Cause: 20}) // MAC failure
+		m.out.authFail.Cause = 20 // MAC failure
+		m.out.authFail.AUTS = m.out.authFail.AUTS[:0]
+		m.sendNAS(&m.out.authFail)
 	}
 }
 
@@ -691,7 +763,7 @@ func (m *Modem) handleRegistrationAccept(acc *nas.RegistrationAccept) {
 	m.cancelRegTimer()
 	m.regAttempts = 0
 	m.guti = acc.GUTI.Value
-	m.sendNAS(&nas.RegistrationComplete{})
+	m.sendNAS(&m.out.regDone)
 	m.setState(StateRegistered)
 	m.markActivity() // arm the inactivity clock from registration
 	if m.autoSession && len(m.sessions) == 0 {
@@ -716,14 +788,15 @@ func (m *Modem) EstablishSession(dnn string, typ nas.PDUSessionType) uint8 {
 }
 
 func (m *Modem) sendSessionRequest(s *Session) {
-	req := &nas.PDUSessionEstablishmentRequest{
+	req := &m.out.sessReq
+	*req = nas.PDUSessionEstablishmentRequest{
 		SMHeader:    nas.SMHeader{PDUSessionID: s.ID, PTI: s.pti},
 		SessionType: s.Type,
 		DNN:         s.DNN,
 	}
 	if m.profile.SST != 0 {
-		sn := nas.SNSSAI{SST: m.profile.SST, SD: m.profile.SD}
-		req.SNSSAI = &sn
+		m.out.snssai = nas.SNSSAI{SST: m.profile.SST, SD: m.profile.SD}
+		req.SNSSAI = &m.out.snssai
 	}
 	m.sendNAS(req)
 	s.timer.Stop()
@@ -739,8 +812,9 @@ func (m *Modem) handleSessionAccept(acc *nas.PDUSessionEstablishmentAccept) {
 	s.attempts = 0
 	s.Active = true
 	s.Address = acc.Address
-	s.DNS = acc.DNSServers
-	s.TFT = acc.TFT
+	// The session outlives the message: copy what it keeps of it.
+	s.DNS = append(s.DNS[:0], acc.DNSServers...)
+	s.TFT.Filters = append(s.TFT.Filters[:0], acc.TFT.Filters...)
 	s.QoS = acc.QoS
 	if acc.DNN != "" {
 		s.DNN = acc.DNN
@@ -756,23 +830,21 @@ func (m *Modem) handleSessionModification(cmd *nas.PDUSessionModificationCommand
 		return
 	}
 	if cmd.TFT != nil {
-		s.TFT = *cmd.TFT
+		s.TFT.Filters = append(s.TFT.Filters[:0], cmd.TFT.Filters...)
 	}
 	if cmd.QoS != nil {
 		s.QoS = *cmd.QoS
 	}
 	if len(cmd.DNSServers) > 0 {
-		s.DNS = cmd.DNSServers
+		s.DNS = append(s.DNS[:0], cmd.DNSServers...)
 	}
-	m.sendNAS(&nas.PDUSessionModificationComplete{
-		SMHeader: nas.SMHeader{PDUSessionID: cmd.PDUSessionID, PTI: cmd.PTI},
-	})
+	m.out.modDone.SMHeader = nas.SMHeader{PDUSessionID: cmd.PDUSessionID, PTI: cmd.PTI}
+	m.sendNAS(&m.out.modDone)
 }
 
 func (m *Modem) handleSessionReleaseCommand(cmd *nas.PDUSessionReleaseCommand) {
-	m.sendNAS(&nas.PDUSessionReleaseComplete{
-		SMHeader: nas.SMHeader{PDUSessionID: cmd.PDUSessionID, PTI: cmd.PTI},
-	})
+	m.out.relDone.SMHeader = nas.SMHeader{PDUSessionID: cmd.PDUSessionID, PTI: cmd.PTI}
+	m.sendNAS(&m.out.relDone)
 	_, hadSession := m.Session(cmd.PDUSessionID)
 	m.dropSession(cmd.PDUSessionID)
 	// A network-initiated release of the default data session makes the
@@ -804,10 +876,11 @@ func (m *Modem) ReleaseSession(id uint8) {
 	if !okS {
 		return
 	}
-	m.sendNAS(&nas.PDUSessionReleaseRequest{
+	m.out.relReq = nas.PDUSessionReleaseRequest{
 		SMHeader: nas.SMHeader{PDUSessionID: id, PTI: s.pti},
 		Cause:    36, // regular deactivation
-	})
+	}
+	m.sendNAS(&m.out.relReq)
 	m.dropSession(id)
 }
 
@@ -824,10 +897,15 @@ func (m *Modem) dropSession(id uint8) {
 	}
 }
 
-func (m *Modem) localDeregister() {
-	for _, s := range m.Sessions() {
-		m.dropSession(s.ID)
+// dropAllSessions drops every session, lowest ID first.
+func (m *Modem) dropAllSessions() {
+	for len(m.sessions) > 0 {
+		m.dropSession(m.sessions[0].ID)
 	}
+}
+
+func (m *Modem) localDeregister() {
+	m.dropAllSessions()
 	m.cancelRegTimer()
 	// Deregistration aborts a pending service-request resume along with
 	// the sessions its queued packets belong to.
@@ -843,7 +921,8 @@ func (m *Modem) Deregister() {
 	if m.state != StateRegistered && m.state != StateRegistering {
 		return
 	}
-	m.sendNAS(&nas.DeregistrationRequest{Identity: m.identity()})
+	m.out.deregReq = nas.DeregistrationRequest{Identity: m.identity()}
+	m.sendNAS(&m.out.deregReq)
 	m.localDeregister()
 }
 
@@ -864,9 +943,7 @@ func (m *Modem) SimulateMobility() {
 	if m.state != StateRegistered && m.state != StateRegistering {
 		return
 	}
-	for _, s := range m.Sessions() {
-		m.dropSession(s.ID)
-	}
+	m.dropAllSessions()
 	m.cancelRegTimer()
 	m.setState(StateDeregistered)
 	m.regAttempts = 0
@@ -913,9 +990,10 @@ func (m *Modem) RequestModification(id uint8) bool {
 		return false
 	}
 	m.nextPTI++
-	m.sendNAS(&nas.PDUSessionModificationRequest{
+	m.out.modReq = nas.PDUSessionModificationRequest{
 		SMHeader: nas.SMHeader{PDUSessionID: id, PTI: m.nextPTI},
-	})
+	}
+	m.sendNAS(&m.out.modReq)
 	return true
 }
 
@@ -928,11 +1006,12 @@ func (m *Modem) SendRawSessionRequest(dnn string) bool {
 		return false
 	}
 	m.nextPTI++
-	m.sendNAS(&nas.PDUSessionEstablishmentRequest{
+	m.out.sessReq = nas.PDUSessionEstablishmentRequest{
 		SMHeader:    nas.SMHeader{PDUSessionID: 200 + m.nextPTI%50, PTI: m.nextPTI},
 		SessionType: nas.SessionIPv4,
 		DNN:         dnn,
-	})
+	}
+	m.sendNAS(&m.out.sessReq)
 	return true
 }
 

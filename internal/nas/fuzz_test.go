@@ -20,6 +20,13 @@ import (
 // to; and a reused Codec decodes and encodes exactly as the package-level
 // functions do.
 //
+// And it pins the rule pooled messages rest on (see Pool): a message that
+// was decoded through a pooled Codec and not released is never touched by
+// later decodes, whatever they are; once it is released, the next decodes
+// may reuse it, and what they return carries nothing over from it — every
+// seed message decodes, through the same pool, to what an unpooled decode
+// of it gives.
+//
 // Additional seed inputs recorded from live testbed NAS flows live in
 // testdata/fuzz/FuzzUnmarshal, emitted by `seedfuzz -emit-corpus`.
 func FuzzUnmarshal(f *testing.F) {
@@ -72,7 +79,9 @@ func FuzzUnmarshal(f *testing.F) {
 			DNSServers: []Addr{{1, 1, 1, 1}},
 		},
 	}
+	var seedWires [][]byte
 	for _, m := range seeds {
+		seedWires = append(seedWires, Marshal(m))
 		f.Add(Marshal(m))
 	}
 	// Malformed shapes near the interesting edges.
@@ -81,6 +90,24 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte{EPD5GMM})
 
 	var codec Codec
+	pool := new(Pool)
+	pooled := Codec{Pool: pool}
+	// decodeSeeds decodes every seed through the pool and checks each
+	// against its own wire form (the seeds are canonical).
+	decodeSeeds := func(t *testing.T, when string) []Message {
+		held := make([]Message, len(seedWires))
+		for i, w := range seedWires {
+			m, err := pooled.Unmarshal(w)
+			if err != nil {
+				t.Fatalf("seed %d through the pool %s: %v", i, when, err)
+			}
+			if got := Marshal(m); !bytes.Equal(got, w) {
+				t.Fatalf("seed %d decoded through the pool %s:\n got  % x\n want % x", i, when, got, w)
+			}
+			held[i] = m
+		}
+		return held
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := append([]byte(nil), data...) // the fuzzer's bytes are read-only
 		msg, err := Unmarshal(in)
@@ -100,6 +127,28 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		if cc := codec.AppendMarshal(nil, cmsg); !bytes.Equal(cc, c1) {
 			t.Fatalf("Codec round trip differs:\n input % x\n codec % x\n plain % x", data, cc, c1)
+		}
+
+		for i := range in {
+			in[i] ^= 0xFF // back to the input
+		}
+		pmsg, perr := pooled.Unmarshal(in)
+		if perr != nil {
+			t.Fatalf("pooled Codec rejects what Unmarshal accepts: %v\n input % x", perr, data)
+		}
+		if pc := Marshal(pmsg); !bytes.Equal(pc, c1) {
+			t.Fatalf("pooled decode differs:\n input % x\n pool  % x\n plain % x", data, pc, c1)
+		}
+		held := decodeSeeds(t, "beside a live message")
+		if pc := Marshal(pmsg); !bytes.Equal(pc, c1) {
+			t.Fatalf("a message that was not released changed under later decodes:\n input % x\n before % x\n after  % x", data, c1, pc)
+		}
+		pool.Put(pmsg)
+		for _, m := range held {
+			pool.Put(m)
+		}
+		for _, m := range decodeSeeds(t, "after the release") {
+			pool.Put(m)
 		}
 		msg2, err := Unmarshal(c1)
 		if err != nil {

@@ -48,7 +48,7 @@ func (m MobileIdentity) encode(w *writer) {
 func decodeMobileIdentity(r *reader) MobileIdentity {
 	t := IdentityType(r.byte())
 	v := r.lv()
-	return MobileIdentity{Type: t, Value: string(v)}
+	return MobileIdentity{Type: t, Value: r.str(v)}
 }
 
 func (m MobileIdentity) String() string {
@@ -233,13 +233,14 @@ func (t TFT) encode(w *writer) {
 	}
 }
 
-func decodeTFT(r *reader) TFT {
+// decode reads the template into t, reusing the capacity of its filter
+// list.
+func (t *TFT) decode(r *reader) {
 	n := int(r.byte())
-	t := TFT{}
+	t.Filters = t.Filters[:0]
 	for i := 0; i < n && r.err == nil; i++ {
 		t.Filters = append(t.Filters, decodePacketFilter(r))
 	}
-	return t
 }
 
 func (t TFT) wireLen() int { return 1 + len(t.Filters)*packetFilterWireLen }

@@ -78,6 +78,11 @@ type RegistrationRequest struct {
 func (m *RegistrationRequest) EPD() byte            { return EPD5GMM }
 func (m *RegistrationRequest) MessageType() MsgType { return MTRegistrationRequest }
 
+// reset keeps the capacity of what the decoder appends to.
+func (m *RegistrationRequest) reset() {
+	*m = RegistrationRequest{RequestedNSSAI: m.RequestedNSSAI[:0], Capability: m.Capability[:0]}
+}
+
 func (m *RegistrationRequest) encodeBody(w *writer) {
 	w.byte(m.RegistrationType)
 	m.Identity.encode(w)
@@ -113,7 +118,7 @@ func (m *RegistrationRequest) decodeBody(r *reader) {
 				m.LastTAI = &t
 			})
 		case tagMMCapability:
-			m.Capability = append([]byte(nil), val...)
+			m.Capability = append(m.Capability[:0], val...)
 		}
 	})
 }
@@ -129,6 +134,10 @@ type RegistrationAccept struct {
 
 func (m *RegistrationAccept) EPD() byte            { return EPD5GMM }
 func (m *RegistrationAccept) MessageType() MsgType { return MTRegistrationAccept }
+
+func (m *RegistrationAccept) reset() {
+	*m = RegistrationAccept{TAIList: m.TAIList[:0], AllowedNSSAI: m.AllowedNSSAI[:0]}
+}
 
 func (m *RegistrationAccept) encodeBody(w *writer) {
 	m.GUTI.encode(w)
@@ -176,6 +185,7 @@ type RegistrationComplete struct{}
 
 func (m *RegistrationComplete) EPD() byte            { return EPD5GMM }
 func (m *RegistrationComplete) MessageType() MsgType { return MTRegistrationComplete }
+func (m *RegistrationComplete) reset()               {}
 func (m *RegistrationComplete) encodeBody(*writer)   {}
 func (m *RegistrationComplete) decodeBody(*reader)   {}
 
@@ -188,6 +198,7 @@ type RegistrationReject struct {
 
 func (m *RegistrationReject) EPD() byte            { return EPD5GMM }
 func (m *RegistrationReject) MessageType() MsgType { return MTRegistrationReject }
+func (m *RegistrationReject) reset()               { *m = RegistrationReject{} }
 
 func (m *RegistrationReject) encodeBody(w *writer) {
 	w.byte(byte(m.Cause))
@@ -214,6 +225,7 @@ type DeregistrationRequest struct {
 
 func (m *DeregistrationRequest) EPD() byte            { return EPD5GMM }
 func (m *DeregistrationRequest) MessageType() MsgType { return MTDeregistrationRequest }
+func (m *DeregistrationRequest) reset()               { *m = DeregistrationRequest{} }
 func (m *DeregistrationRequest) encodeBody(w *writer) { m.Identity.encode(w) }
 func (m *DeregistrationRequest) decodeBody(r *reader) { m.Identity = decodeMobileIdentity(r) }
 
@@ -222,6 +234,7 @@ type DeregistrationAccept struct{}
 
 func (m *DeregistrationAccept) EPD() byte            { return EPD5GMM }
 func (m *DeregistrationAccept) MessageType() MsgType { return MTDeregistrationAccept }
+func (m *DeregistrationAccept) reset()               {}
 func (m *DeregistrationAccept) encodeBody(*writer)   {}
 func (m *DeregistrationAccept) decodeBody(*reader)   {}
 
@@ -232,6 +245,7 @@ type ServiceRequest struct {
 
 func (m *ServiceRequest) EPD() byte            { return EPD5GMM }
 func (m *ServiceRequest) MessageType() MsgType { return MTServiceRequest }
+func (m *ServiceRequest) reset()               { *m = ServiceRequest{} }
 func (m *ServiceRequest) encodeBody(w *writer) { m.Identity.encode(w) }
 func (m *ServiceRequest) decodeBody(r *reader) { m.Identity = decodeMobileIdentity(r) }
 
@@ -240,6 +254,7 @@ type ServiceAccept struct{}
 
 func (m *ServiceAccept) EPD() byte            { return EPD5GMM }
 func (m *ServiceAccept) MessageType() MsgType { return MTServiceAccept }
+func (m *ServiceAccept) reset()               {}
 func (m *ServiceAccept) encodeBody(*writer)   {}
 func (m *ServiceAccept) decodeBody(*reader)   {}
 
@@ -251,6 +266,7 @@ type ServiceReject struct {
 
 func (m *ServiceReject) EPD() byte            { return EPD5GMM }
 func (m *ServiceReject) MessageType() MsgType { return MTServiceReject }
+func (m *ServiceReject) reset()               { *m = ServiceReject{} }
 
 func (m *ServiceReject) encodeBody(w *writer) {
 	w.byte(byte(m.Cause))
@@ -280,6 +296,10 @@ type ConfigurationUpdateCommand struct {
 
 func (m *ConfigurationUpdateCommand) EPD() byte            { return EPD5GMM }
 func (m *ConfigurationUpdateCommand) MessageType() MsgType { return MTConfigurationUpdateCmd }
+
+func (m *ConfigurationUpdateCommand) reset() {
+	*m = ConfigurationUpdateCommand{TAIList: m.TAIList[:0], AllowedNSSAI: m.AllowedNSSAI[:0]}
+}
 
 func (m *ConfigurationUpdateCommand) encodeBody(w *writer) {
 	if len(m.TAIList) > 0 {
@@ -348,6 +368,7 @@ func (m *AuthenticationRequest) IsDiagnosis() bool { return m.RAND == DFlagRAND 
 
 func (m *AuthenticationRequest) EPD() byte            { return EPD5GMM }
 func (m *AuthenticationRequest) MessageType() MsgType { return MTAuthenticationRequest }
+func (m *AuthenticationRequest) reset()               { *m = AuthenticationRequest{} }
 
 func (m *AuthenticationRequest) encodeBody(w *writer) {
 	w.byte(m.NgKSI)
@@ -368,9 +389,10 @@ type AuthenticationResponse struct {
 
 func (m *AuthenticationResponse) EPD() byte            { return EPD5GMM }
 func (m *AuthenticationResponse) MessageType() MsgType { return MTAuthenticationResponse }
+func (m *AuthenticationResponse) reset()               { *m = AuthenticationResponse{RES: m.RES[:0]} }
 func (m *AuthenticationResponse) encodeBody(w *writer) { w.lv(m.RES) }
 func (m *AuthenticationResponse) decodeBody(r *reader) {
-	m.RES = append([]byte(nil), r.lv()...)
+	m.RES = append(m.RES[:0], r.lv()...)
 }
 
 // AuthenticationFailure reports MAC or synch failure; with cause "Synch
@@ -383,6 +405,7 @@ type AuthenticationFailure struct {
 
 func (m *AuthenticationFailure) EPD() byte            { return EPD5GMM }
 func (m *AuthenticationFailure) MessageType() MsgType { return MTAuthenticationFailure }
+func (m *AuthenticationFailure) reset()               { *m = AuthenticationFailure{AUTS: m.AUTS[:0]} }
 
 func (m *AuthenticationFailure) encodeBody(w *writer) {
 	w.byte(byte(m.Cause))
@@ -395,7 +418,7 @@ func (m *AuthenticationFailure) decodeBody(r *reader) {
 	m.Cause = cause.Code(r.byte())
 	r.optionals(func(tag byte, val []byte) {
 		if tag == tagAUTS {
-			m.AUTS = append([]byte(nil), val...)
+			m.AUTS = append(m.AUTS[:0], val...)
 		}
 	})
 }
@@ -406,6 +429,7 @@ type AuthenticationReject struct{}
 
 func (m *AuthenticationReject) EPD() byte            { return EPD5GMM }
 func (m *AuthenticationReject) MessageType() MsgType { return MTAuthenticationReject }
+func (m *AuthenticationReject) reset()               {}
 func (m *AuthenticationReject) encodeBody(*writer)   {}
 func (m *AuthenticationReject) decodeBody(*reader)   {}
 
@@ -416,6 +440,7 @@ type SecurityModeCommand struct {
 
 func (m *SecurityModeCommand) EPD() byte            { return EPD5GMM }
 func (m *SecurityModeCommand) MessageType() MsgType { return MTSecurityModeCommand }
+func (m *SecurityModeCommand) reset()               { *m = SecurityModeCommand{} }
 func (m *SecurityModeCommand) encodeBody(w *writer) { w.byte(m.Algorithms) }
 func (m *SecurityModeCommand) decodeBody(r *reader) { m.Algorithms = r.byte() }
 
@@ -424,6 +449,7 @@ type SecurityModeComplete struct{}
 
 func (m *SecurityModeComplete) EPD() byte            { return EPD5GMM }
 func (m *SecurityModeComplete) MessageType() MsgType { return MTSecurityModeComplete }
+func (m *SecurityModeComplete) reset()               {}
 func (m *SecurityModeComplete) encodeBody(*writer)   {}
 func (m *SecurityModeComplete) decodeBody(*reader)   {}
 
@@ -435,5 +461,6 @@ type MMStatus struct {
 
 func (m *MMStatus) EPD() byte            { return EPD5GMM }
 func (m *MMStatus) MessageType() MsgType { return MT5GMMStatus }
+func (m *MMStatus) reset()               { *m = MMStatus{} }
 func (m *MMStatus) encodeBody(w *writer) { w.byte(byte(m.Cause)) }
 func (m *MMStatus) decodeBody(r *reader) { m.Cause = cause.Code(r.byte()) }

@@ -116,6 +116,9 @@ type Message interface {
 	MessageType() MsgType
 	encodeBody(w *writer)
 	decodeBody(r *reader)
+	// reset returns the message to its zero value for the next decode,
+	// keeping the capacity of its slices (see Pool).
+	reset()
 }
 
 // SessionMessage is implemented by 5GSM messages, which additionally carry
@@ -181,8 +184,31 @@ func Unmarshal(data []byte) (Message, error) {
 // (modem, AMF) keeps a Codec and pays for them once. The zero value is
 // ready; a Codec is not safe for concurrent use.
 type Codec struct {
+	// Pool, when set, is where Unmarshal takes its message structs from;
+	// whoever receives the message releases it there (see Pool). Without
+	// one every message is allocated, as by the package-level Unmarshal.
+	Pool *Pool
+
 	w      writer
 	r, sub reader
+	// names holds the strings this codec decoded last (identities, DNNs),
+	// so that decoding a value it already holds allocates no second copy:
+	// an endpoint sees the same few over and over.
+	names    [4]string
+	nextName uint8
+}
+
+// intern returns b as a string, reusing a held copy when there is one.
+func (c *Codec) intern(b []byte) string {
+	for _, s := range c.names {
+		if s == string(b) { // compares in place
+			return s
+		}
+	}
+	s := string(b)
+	c.names[c.nextName%uint8(len(c.names))] = s
+	c.nextName++
+	return s
 }
 
 // AppendMarshal is the package-level AppendMarshal on c's writer.
@@ -195,7 +221,7 @@ func (c *Codec) AppendMarshal(dst []byte, msg Message) []byte {
 
 // Unmarshal is the package-level Unmarshal on c's readers.
 func (c *Codec) Unmarshal(data []byte) (Message, error) {
-	c.r.sub = &c.sub
+	c.r.codec = c
 	msg, err := unmarshal(&c.r, data)
 	c.r.buf, c.sub.buf = nil, nil
 	return msg, err
@@ -206,13 +232,17 @@ func unmarshal(r *reader, data []byte) (Message, error) {
 		return nil, fmt.Errorf("%w: %d bytes", ErrTruncated, len(data))
 	}
 	epd := data[0]
+	var pool *Pool
+	if r.codec != nil {
+		pool = r.codec.Pool
+	}
 	var msg Message
 	var mt MsgType
 	var body []byte
 	switch epd {
 	case EPD5GMM:
 		mt, body = MsgType(data[2]), data[3:]
-		if msg = newMMMessage(mt); msg == nil {
+		if msg = pool.get(epd, mt); msg == nil {
 			return nil, fmt.Errorf("%w: 5GMM %#x", ErrUnknownMessage, byte(mt))
 		}
 	case EPD5GSM:
@@ -220,21 +250,20 @@ func unmarshal(r *reader, data []byte) (Message, error) {
 			return nil, fmt.Errorf("%w: 5GSM header needs 4 bytes, got %d", ErrTruncated, len(data))
 		}
 		mt, body = MsgType(data[3]), data[4:]
-		sm := newSMMessage(mt)
-		if sm == nil {
+		if msg = pool.get(epd, mt); msg == nil {
 			return nil, fmt.Errorf("%w: 5GSM %#x", ErrUnknownMessage, byte(mt))
 		}
-		sm.setSessionHeader(data[1], data[2])
-		msg = sm
+		msg.(SessionMessage).setSessionHeader(data[1], data[2])
 	default:
 		return nil, fmt.Errorf("%w: EPD %#x", ErrUnknownMessage, epd)
 	}
-	*r = reader{buf: body, sub: r.sub}
+	*r = reader{buf: body, codec: r.codec}
 	msg.decodeBody(r)
 	if r.err == nil && r.remaining() != 0 {
 		r.err = fmt.Errorf("%w: %d trailing bytes after body", ErrMalformedIE, r.remaining())
 	}
 	if r.err != nil {
+		pool.Put(msg) // half decoded: nobody else has seen it
 		return nil, fmt.Errorf("nas: decoding %s: %w", Name(epd, mt), r.err)
 	}
 	return msg, nil

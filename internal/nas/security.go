@@ -1,9 +1,19 @@
 package nas
 
 import (
-	"fmt"
+	"errors"
 
 	"github.com/seed5g/seed/internal/crypto5g"
+)
+
+// ErrNotProtected is returned for a message without a security envelope,
+// and ErrIntegrity for one whose MAC-I does not verify. They are values,
+// not formatted per failure: a receiver that tries a downlink against two
+// contexts in a row, or is fed forgeries, fails verification on its
+// steady-state path and should not allocate for it.
+var (
+	ErrNotProtected = errors.New("nas: message is not security protected")
+	ErrIntegrity    = errors.New("nas: integrity check failed")
 )
 
 // Security header types (TS 24.501 §9.3).
@@ -24,7 +34,7 @@ const secEnvelopeLen = 7
 // uplink/downlink NAS COUNTs with the standard SEQ-byte estimation.
 type SecurityContext struct {
 	ik      [16]byte
-	eia2    *crypto5g.EIA2Key // expanded once; reused for every message
+	eia2    crypto5g.EIA2Key // expanded once; reused for every message
 	ulCount uint32
 	dlCount uint32
 
@@ -36,11 +46,15 @@ type SecurityContext struct {
 // the AKA run (the testbed uses IK directly where a real deployment would
 // run the key-derivation chain down to K_NASint).
 func NewSecurityContext(ik [16]byte) *SecurityContext {
-	eia2, err := crypto5g.NewEIA2Key(ik[:])
-	if err != nil {
+	c := new(SecurityContext)
+	(*Pool)(nil).KeySecurityContext(c, ik)
+	return c
+}
+
+func (c *SecurityContext) setKey() {
+	if err := c.eia2.SetKey(c.ik[:]); err != nil {
 		panic(err) // fixed-size key cannot fail
 	}
-	return &SecurityContext{ik: ik, eia2: eia2}
 }
 
 // Stats returns (messages protected, messages verified).
@@ -82,7 +96,7 @@ func IsProtected(data []byte) bool {
 // number regresses).
 func (c *SecurityContext) Unprotect(dir crypto5g.Direction, data []byte) ([]byte, error) {
 	if !IsProtected(data) {
-		return nil, fmt.Errorf("nas: message is not security protected")
+		return nil, ErrNotProtected
 	}
 	mac := data[2:6]
 	body := data[6:]
@@ -98,7 +112,7 @@ func (c *SecurityContext) Unprotect(dir crypto5g.Direction, data []byte) ([]byte
 	}
 	want := c.eia2.MAC(est, 1, dir, body)
 	if !crypto5g.ConstantTimeEqual(want[:], mac) {
-		return nil, fmt.Errorf("nas: integrity check failed (count %d)", est)
+		return nil, ErrIntegrity
 	}
 	*count = est
 	c.verifiedIn++
@@ -112,7 +126,7 @@ func (c *SecurityContext) Unprotect(dir crypto5g.Direction, data []byte) ([]byte
 // authentication re-establishes trust.
 func StripUnverified(data []byte) ([]byte, error) {
 	if !IsProtected(data) {
-		return nil, fmt.Errorf("nas: message is not security protected")
+		return nil, ErrNotProtected
 	}
 	return data[secEnvelopeLen:], nil
 }

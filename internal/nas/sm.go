@@ -65,11 +65,20 @@ type PDUSessionEstablishmentRequest struct {
 	SessionType PDUSessionType
 	DNN         string
 	SNSSAI      *SNSSAI
+
+	// spare is where a released message keeps the S-NSSAI of its last use
+	// for the next decode to fill; nil in a message never released.
+	spare *SNSSAI
 }
 
 func (m *PDUSessionEstablishmentRequest) EPD() byte { return EPD5GSM }
 func (m *PDUSessionEstablishmentRequest) MessageType() MsgType {
 	return MTPDUSessionEstablishmentRequest
+}
+
+// reset keeps the S-NSSAI's storage, in use or spare, for the next decode.
+func (m *PDUSessionEstablishmentRequest) reset() {
+	*m = PDUSessionEstablishmentRequest{spare: either(m.SNSSAI, m.spare)}
 }
 
 func (m *PDUSessionEstablishmentRequest) encodeBody(w *writer) {
@@ -84,12 +93,11 @@ func (m *PDUSessionEstablishmentRequest) encodeBody(w *writer) {
 
 func (m *PDUSessionEstablishmentRequest) decodeBody(r *reader) {
 	m.SessionType = PDUSessionType(r.byte())
-	m.DNN = string(r.lv())
+	m.DNN = r.str(r.lv())
 	r.optionals(func(tag byte, val []byte) {
 		if tag == tagSNSSAI {
 			r.ie(tag, val, func(rr *reader) {
-				s := decodeSNSSAI(rr)
-				m.SNSSAI = &s
+				*part(&m.SNSSAI, &m.spare) = decodeSNSSAI(rr)
 			})
 		}
 	})
@@ -109,6 +117,10 @@ type PDUSessionEstablishmentAccept struct {
 
 func (m *PDUSessionEstablishmentAccept) EPD() byte            { return EPD5GSM }
 func (m *PDUSessionEstablishmentAccept) MessageType() MsgType { return MTPDUSessionEstablishmentAccept }
+
+func (m *PDUSessionEstablishmentAccept) reset() {
+	*m = PDUSessionEstablishmentAccept{DNSServers: m.DNSServers[:0], TFT: TFT{Filters: m.TFT.Filters[:0]}}
+}
 
 func (m *PDUSessionEstablishmentAccept) encodeBody(w *writer) {
 	w.byte(byte(m.SessionType))
@@ -147,9 +159,9 @@ func (m *PDUSessionEstablishmentAccept) decodeBody(r *reader) {
 		case tagQoS:
 			r.ie(tag, val, func(rr *reader) { m.QoS = decodeQoS(rr) })
 		case tagTFT:
-			r.ie(tag, val, func(rr *reader) { m.TFT = decodeTFT(rr) })
+			r.ie(tag, val, func(rr *reader) { m.TFT.decode(rr) })
 		case tagSessionDNN:
-			m.DNN = string(val)
+			m.DNN = r.str(val)
 		}
 	})
 }
@@ -167,6 +179,7 @@ type PDUSessionEstablishmentReject struct {
 
 func (m *PDUSessionEstablishmentReject) EPD() byte            { return EPD5GSM }
 func (m *PDUSessionEstablishmentReject) MessageType() MsgType { return MTPDUSessionEstablishmentReject }
+func (m *PDUSessionEstablishmentReject) reset()               { *m = PDUSessionEstablishmentReject{} }
 
 func (m *PDUSessionEstablishmentReject) encodeBody(w *writer) {
 	w.byte(byte(m.Cause))
@@ -187,7 +200,7 @@ func (m *PDUSessionEstablishmentReject) decodeBody(r *reader) {
 		case tagBackoff:
 			r.ie(tag, val, func(rr *reader) { m.BackoffSeconds = rr.uint32() })
 		case tagSuggestedDNN:
-			m.SuggestedDNN = string(val)
+			m.SuggestedDNN = r.str(val)
 		}
 	})
 }
@@ -202,6 +215,7 @@ type PDUSessionModificationRequest struct {
 
 func (m *PDUSessionModificationRequest) EPD() byte            { return EPD5GSM }
 func (m *PDUSessionModificationRequest) MessageType() MsgType { return MTPDUSessionModificationRequest }
+func (m *PDUSessionModificationRequest) reset()               { *m = PDUSessionModificationRequest{} }
 
 func (m *PDUSessionModificationRequest) encodeBody(w *writer) {
 	if m.TFT != nil {
@@ -221,8 +235,8 @@ func (m *PDUSessionModificationRequest) decodeBody(r *reader) {
 		switch tag {
 		case tagTFT:
 			r.ie(tag, val, func(rr *reader) {
-				t := decodeTFT(rr)
-				m.TFT = &t
+				m.TFT = new(TFT)
+				m.TFT.decode(rr)
 			})
 		case tagQoS:
 			r.ie(tag, val, func(rr *reader) {
@@ -241,10 +255,23 @@ type PDUSessionModificationCommand struct {
 	TFT        *TFT
 	QoS        *QoS
 	DNSServers []Addr
+
+	// spareTFT and spareQoS are where a released message keeps those parts
+	// of its last use for the next decode to fill; nil in a message never
+	// released.
+	spareTFT *TFT
+	spareQoS *QoS
 }
 
 func (m *PDUSessionModificationCommand) EPD() byte            { return EPD5GSM }
 func (m *PDUSessionModificationCommand) MessageType() MsgType { return MTPDUSessionModificationCommand }
+
+func (m *PDUSessionModificationCommand) reset() {
+	*m = PDUSessionModificationCommand{
+		DNSServers: m.DNSServers[:0],
+		spareTFT:   either(m.TFT, m.spareTFT), spareQoS: either(m.QoS, m.spareQoS),
+	}
+}
 
 func (m *PDUSessionModificationCommand) encodeBody(w *writer) {
 	if m.TFT != nil {
@@ -271,13 +298,11 @@ func (m *PDUSessionModificationCommand) decodeBody(r *reader) {
 		switch tag {
 		case tagTFT:
 			r.ie(tag, val, func(rr *reader) {
-				t := decodeTFT(rr)
-				m.TFT = &t
+				part(&m.TFT, &m.spareTFT).decode(rr)
 			})
 		case tagQoS:
 			r.ie(tag, val, func(rr *reader) {
-				q := decodeQoS(rr)
-				m.QoS = &q
+				*part(&m.QoS, &m.spareQoS) = decodeQoS(rr)
 			})
 		case tagDNSServers:
 			r.ieList(tag, val, func(rr *reader) {
@@ -296,6 +321,7 @@ func (m *PDUSessionModificationComplete) EPD() byte { return EPD5GSM }
 func (m *PDUSessionModificationComplete) MessageType() MsgType {
 	return MTPDUSessionModificationComplete
 }
+func (m *PDUSessionModificationComplete) reset()             { *m = PDUSessionModificationComplete{} }
 func (m *PDUSessionModificationComplete) encodeBody(*writer) {}
 func (m *PDUSessionModificationComplete) decodeBody(*reader) {}
 
@@ -307,6 +333,7 @@ type PDUSessionModificationReject struct {
 
 func (m *PDUSessionModificationReject) EPD() byte            { return EPD5GSM }
 func (m *PDUSessionModificationReject) MessageType() MsgType { return MTPDUSessionModificationReject }
+func (m *PDUSessionModificationReject) reset()               { *m = PDUSessionModificationReject{} }
 func (m *PDUSessionModificationReject) encodeBody(w *writer) { w.byte(byte(m.Cause)) }
 func (m *PDUSessionModificationReject) decodeBody(r *reader) { m.Cause = cause.Code(r.byte()) }
 
@@ -318,6 +345,7 @@ type PDUSessionReleaseRequest struct {
 
 func (m *PDUSessionReleaseRequest) EPD() byte            { return EPD5GSM }
 func (m *PDUSessionReleaseRequest) MessageType() MsgType { return MTPDUSessionReleaseRequest }
+func (m *PDUSessionReleaseRequest) reset()               { *m = PDUSessionReleaseRequest{} }
 func (m *PDUSessionReleaseRequest) encodeBody(w *writer) { w.byte(byte(m.Cause)) }
 func (m *PDUSessionReleaseRequest) decodeBody(r *reader) { m.Cause = cause.Code(r.byte()) }
 
@@ -329,6 +357,7 @@ type PDUSessionReleaseReject struct {
 
 func (m *PDUSessionReleaseReject) EPD() byte            { return EPD5GSM }
 func (m *PDUSessionReleaseReject) MessageType() MsgType { return MTPDUSessionReleaseReject }
+func (m *PDUSessionReleaseReject) reset()               { *m = PDUSessionReleaseReject{} }
 func (m *PDUSessionReleaseReject) encodeBody(w *writer) { w.byte(byte(m.Cause)) }
 func (m *PDUSessionReleaseReject) decodeBody(r *reader) { m.Cause = cause.Code(r.byte()) }
 
@@ -340,6 +369,7 @@ type PDUSessionReleaseCommand struct {
 
 func (m *PDUSessionReleaseCommand) EPD() byte            { return EPD5GSM }
 func (m *PDUSessionReleaseCommand) MessageType() MsgType { return MTPDUSessionReleaseCommand }
+func (m *PDUSessionReleaseCommand) reset()               { *m = PDUSessionReleaseCommand{} }
 func (m *PDUSessionReleaseCommand) encodeBody(w *writer) { w.byte(byte(m.Cause)) }
 func (m *PDUSessionReleaseCommand) decodeBody(r *reader) { m.Cause = cause.Code(r.byte()) }
 
@@ -348,5 +378,6 @@ type PDUSessionReleaseComplete struct{ SMHeader }
 
 func (m *PDUSessionReleaseComplete) EPD() byte            { return EPD5GSM }
 func (m *PDUSessionReleaseComplete) MessageType() MsgType { return MTPDUSessionReleaseComplete }
+func (m *PDUSessionReleaseComplete) reset()               { *m = PDUSessionReleaseComplete{} }
 func (m *PDUSessionReleaseComplete) encodeBody(*writer)   {}
 func (m *PDUSessionReleaseComplete) decodeBody(*reader)   {}

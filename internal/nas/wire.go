@@ -71,10 +71,19 @@ type reader struct {
 	buf []byte
 	off int
 	err error
-	// sub, when set (a Codec's reader), is the reader ie runs its callback
-	// on, so decoding an optional IE allocates none. One is enough: IE
-	// callbacks read values and never open an IE of their own.
-	sub *reader
+	// codec, when set (a Codec's readers), lends ie the reader it runs its
+	// callback on, so decoding an optional IE allocates none (one is
+	// enough: IE callbacks read values and never open an IE of their own),
+	// and the strings it holds.
+	codec *Codec
+}
+
+// str returns b as a string the message may keep.
+func (r *reader) str(b []byte) string {
+	if r.codec != nil {
+		return r.codec.intern(b)
+	}
+	return string(b)
 }
 
 func (r *reader) fail(format string, args ...any) {
@@ -156,11 +165,13 @@ func (r *reader) ie(tag byte, val []byte, fn func(rr *reader)) {
 	if r.err != nil {
 		return
 	}
-	rr := r.sub
-	if rr == nil {
+	var rr *reader
+	if r.codec != nil {
+		rr = &r.codec.sub
+	} else {
 		rr = new(reader)
 	}
-	*rr = reader{buf: val}
+	*rr = reader{buf: val, codec: r.codec}
 	fn(rr)
 	switch {
 	case rr.err != nil:

@@ -133,14 +133,12 @@ func (p *Packet) CloneMsg() any {
 }
 
 // NAS is a signalling frame in its pooled form, under the ownership rule
-// above: the sender takes it from its NASPool and encodes into Bytes, the
-// receiver decodes and releases it into its own pool. One type serves both
-// directions (the link a frame is on tells them apart) so that frames
-// circulate with the dialogue: the modem's uplink frame ends in the AMF's
-// pool and comes back carrying the answer. Bytes is the frame's own buffer
-// and is reused with it, which is safe because the NAS decoders copy
-// everything they keep: a decoded message never aliases the frame it
-// arrived in.
+// above: the sender takes it from the testbed's NASPool and encodes into
+// Bytes, the receiver decodes and releases it. One type serves both
+// directions (the link a frame is on tells them apart). Bytes is the
+// frame's own buffer and is reused with it, which is safe because the NAS
+// decoders copy everything they keep: a decoded message never aliases the
+// frame it arrived in.
 type NAS struct {
 	UE    string
 	Bytes []byte
@@ -151,9 +149,13 @@ type NAS struct {
 // does not grow.
 const nasFrameCap = 128
 
-// NASPool is the free list of signalling frames. Unlike the FramePool it
-// belongs to one actor, lives in its fields and rewinds with it: frames
-// change pools with the dialogue, which always comes back.
+// NASPool is the free list of signalling frames. Like the FramePool a
+// testbed has one (core5g.Network owns it) that the modems, the gNBs and
+// the AMF share. A pool per actor drains: signalling is not symmetric (a
+// registration is three uplinks for two downlinks, a rejected session
+// request one for one but a reboot strands what was in flight), so the
+// modem's frames ended in the AMF's pool and the modem allocated new ones,
+// 4.1 per corpus cell.
 type NASPool struct {
 	free []*NAS
 }
@@ -171,6 +173,13 @@ func (p *NASPool) Get(ue string) *NAS {
 	}
 	f.UE = ue
 	return f
+}
+
+// Warm grows the pool to at least n free frames (see sched.Kernel.Warm).
+func (p *NASPool) Warm(n int) {
+	for len(p.free) < n {
+		p.free = append(p.free, &NAS{Bytes: make([]byte, 0, nasFrameCap)})
+	}
 }
 
 // Put releases a frame the caller owns, keeping its buffer.

@@ -117,6 +117,18 @@ func (k *Kernel) alloc() *event {
 	return ev
 }
 
+// Warm grows the event pool to at least n free events. A kernel that is
+// snapshotted afterwards starts every restored run with them, where a
+// pool snapshotted empty is filled again, event by event, in each run.
+func (k *Kernel) Warm(n int) {
+	for ev := k.free; ev != nil; ev = ev.next {
+		n--
+	}
+	for ; n > 0; n-- {
+		k.free = &event{k: k, idx: -1, next: k.free}
+	}
+}
+
 // recycle returns a fired or cancelled event, already out of the heap, to
 // the free list, bumping its generation so outstanding Timer handles
 // become inert.

@@ -97,6 +97,11 @@ type Card struct {
 	selected Applet
 	diag     DiagnosisHandler
 
+	// lastIMSI and lastDNN are the strings ReadProfile returned last: a
+	// modem re-reads the profile at every boot and refresh, nearly always
+	// to find what it already holds.
+	lastIMSI, lastDNN string
+
 	selectedFile FileID
 	proactive    []ProactiveCommand
 	onProactive  func()
@@ -167,28 +172,38 @@ func (c *Card) StoreProfile(p Profile) error {
 	return c.fs.Write(EFRATMode, []byte{p.RATMode})
 }
 
+// held returns b as a string: s itself when that is what b spells.
+func held(s string, b []byte) string {
+	if s == string(b) {
+		return s
+	}
+	return string(b)
+}
+
 // ReadProfile reconstructs the profile from the EFs (keys are not readable
 // off a real card; the returned profile has zero K/OP).
 func (c *Card) ReadProfile() (Profile, error) {
 	var p Profile
-	imsi, err := c.fs.Read(EFIMSI)
+	imsi, err := c.fs.view(EFIMSI)
 	if err != nil {
 		return p, err
 	}
-	p.IMSI = string(imsi)
-	plmn, err := c.fs.Read(EFPLMNSel)
+	p.IMSI = held(c.lastIMSI, imsi)
+	c.lastIMSI = p.IMSI
+	plmn, err := c.fs.view(EFPLMNSel)
 	if err != nil {
 		return p, err
 	}
 	for i := 0; i+4 <= len(plmn); i += 4 {
 		p.PLMNs = append(p.PLMNs, binary.BigEndian.Uint32(plmn[i:]))
 	}
-	dnn, err := c.fs.Read(EFDNN)
+	dnn, err := c.fs.view(EFDNN)
 	if err != nil {
 		return p, err
 	}
-	p.DNN = string(dnn)
-	dns, err := c.fs.Read(EFDNS)
+	p.DNN = held(c.lastDNN, dnn)
+	c.lastDNN = p.DNN
+	dns, err := c.fs.view(EFDNS)
 	if err != nil {
 		return p, err
 	}
@@ -197,7 +212,7 @@ func (c *Card) ReadProfile() (Profile, error) {
 		copy(a[:], dns[i:])
 		p.DNS = append(p.DNS, a)
 	}
-	sn, err := c.fs.Read(EFSNSSAI)
+	sn, err := c.fs.view(EFSNSSAI)
 	if err != nil {
 		return p, err
 	}
@@ -205,7 +220,7 @@ func (c *Card) ReadProfile() (Profile, error) {
 		p.SST = sn[0]
 		copy(p.SD[:], sn[1:4])
 	}
-	rat, err := c.fs.Read(EFRATMode)
+	rat, err := c.fs.view(EFRATMode)
 	if err != nil {
 		return p, err
 	}

@@ -53,11 +53,22 @@ func (fs *FileSystem) Exists(id FileID) bool {
 
 // Read returns a copy of the file contents.
 func (fs *FileSystem) Read(id FileID) ([]byte, error) {
+	data, err := fs.view(id)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), data...), nil
+}
+
+// view returns the file contents themselves, for readers inside the
+// package that only parse them. A Write replaces a file's slice, so a view
+// never changes under its reader.
+func (fs *FileSystem) view(id FileID) ([]byte, error) {
 	data, okf := fs.files[id]
 	if !okf {
 		return nil, fmt.Errorf("sim: file %04X not found", uint16(id))
 	}
-	return append([]byte(nil), data...), nil
+	return data, nil
 }
 
 // Write replaces the file contents, charging the size delta against the

@@ -24,7 +24,8 @@
 //   - Slice regions: the backing array content [0, len). Keyed by array
 //     pointer, so aliasing slices restore coherently.
 //   - Map regions: keys and values (shallow-copied into a master map);
-//     Restore clears the live map and re-inserts, reusing its buckets.
+//     Restore clears the live map and re-inserts, reusing its buckets, and
+//     leaves alone a map it can tell is unchanged (mapRecord.unchanged).
 //   - Snapshotter regions: types with internal invariants the generic
 //     walker cannot see (intrusive heaps, pooled free lists) implement
 //     Snapshotter and handle themselves; RootsProvider lets them expose
@@ -113,6 +114,37 @@ type sliceRecord struct {
 type mapRecord struct {
 	orig   reflect.Value // the live map
 	master reflect.Value // snapshot-owned shallow copy
+	// iter walks master and k, v receive each entry on its way back into
+	// orig: built once at Take, so a Restore allocates nothing per map
+	// (MapRange, Key and Value would each cost an object per call).
+	iter *reflect.MapIter
+	k, v reflect.Value
+}
+
+// unchanged reports whether the live map provably holds the memento's
+// entries: both empty, or — for maps whose values are pointers or maps,
+// which a lookup hands back without allocating — the same size with the
+// same value under every key. Anything else is restored.
+func (r *mapRecord) unchanged() bool {
+	n := r.master.Len()
+	if r.orig.Len() != n {
+		return false
+	}
+	if n == 0 {
+		return true
+	}
+	if k := r.v.Kind(); k != reflect.Pointer && k != reflect.Map {
+		return false
+	}
+	r.iter.Reset(r.master)
+	for r.iter.Next() {
+		r.k.SetIterKey(r.iter)
+		r.v.SetIterValue(r.iter)
+		if live := r.orig.MapIndex(r.k); !live.IsValid() || live.UnsafePointer() != r.v.UnsafePointer() {
+			return false
+		}
+	}
+	return true
 }
 
 type snapRecord struct {
@@ -156,10 +188,15 @@ func (s *Snapshot) Restore() {
 	}
 	for i := range s.maps {
 		r := &s.maps[i]
+		if r.unchanged() {
+			continue
+		}
 		r.orig.Clear()
-		it := r.master.MapRange()
-		for it.Next() {
-			r.orig.SetMapIndex(it.Key(), it.Value())
+		r.iter.Reset(r.master)
+		for r.iter.Next() {
+			r.k.SetIterKey(r.iter)
+			r.v.SetIterValue(r.iter)
+			r.orig.SetMapIndex(r.k, r.v)
 		}
 	}
 	for i := range s.snaps {
@@ -340,7 +377,10 @@ func (s *Snapshot) walkMap(v reflect.Value) {
 			s.walk(val)
 		}
 	}
-	s.maps = append(s.maps, mapRecord{orig: live, master: master})
+	s.maps = append(s.maps, mapRecord{
+		orig: live, master: master, iter: master.MapRange(),
+		k: reflect.New(t.Key()).Elem(), v: reflect.New(t.Elem()).Elem(),
+	})
 }
 
 // indirCache memoizes hasIndirections per type (shared across concurrent

@@ -36,6 +36,19 @@ func (tb *Testbed) Snapshot(extraRoots ...any) *snap.Snapshot {
 	return snap.Take(roots...)
 }
 
+// warmEvents is how many free events a prototype's kernel is snapshotted
+// with: a one-device cell has about twenty pending at its busiest (2.5 KB).
+const warmEvents = 32
+
+// warm fills the testbed's free lists (kernel events, signalling frames,
+// decoded messages, hop records) ahead of a prototype snapshot. Pool
+// contents are no part of a cell's behaviour: a restored cell finds them
+// full where a fresh build would allocate as it goes.
+func (tb *Testbed) warm() {
+	tb.kern.Warm(warmEvents)
+	tb.net.Warm()
+}
+
 // Reseed re-seeds the testbed's random stream in place. Cloned cells call
 // it right after restore; fresh cells at the same post-boot point.
 func (tb *Testbed) Reseed(seedVal int64) { tb.kern.Reseed(seedVal) }
@@ -98,6 +111,7 @@ func (p *Proto[T]) acquire() *protoInst[T] {
 
 	inst := &protoInst[T]{tb: New(protoBootSeed)}
 	inst.h = p.boot(inst.tb)
+	inst.tb.warm()
 	inst.snap = inst.tb.Snapshot(&inst.h)
 	return inst
 }

@@ -393,6 +393,7 @@ func (tb *Testbed) NewDevice(mode Mode, opts ...DeviceOption) *Device {
 	if err := tb.net.UDM.AddSubscriber(sub); err != nil {
 		panic(fmt.Sprintf("seed: provisioning %s: %v", imsi, err))
 	}
+	tb.plugin.Provision(imsi)
 
 	cfg := core.DefaultDeviceConfig(imsi, sim.Profile{
 		IMSI: imsi, K: k, OP: op,
