@@ -7,7 +7,14 @@
 //	seedsim [-mode legacy|seed-u|seed-r] [-failure desync|stale-dnn|
 //	         tcp-block|udp-block|dns-outage|gateway-stall|expired-plan|
 //	         congestion] [-app web|video|live|nav|ar] [-seed S]
-//	        [-trials N] [-parallel P]
+//	        [-trials N] [-parallel P] [-trace] [-timeline]
+//
+// With -timeline the narration is interleaved with every state transition
+// the layers announce (Android's stall detector, the apps' failure reports,
+// the UPF's blocks and forwarding state, the modem's state and sessions, the
+// carrier app's resolver), each with its virtual timestamp and layer, and the
+// instants the scenario's own stop conditions fired are marked: "why did this
+// run end at 3.1 s" is answered by the output. Watching changes no outcome.
 //
 // With -trials N > 1 the narration is replaced by a batch run: N
 // independent replays of the scenario fan across -parallel workers
@@ -57,6 +64,7 @@ func main() {
 	trials := flag.Int("trials", 1, "replay the scenario this many times and print summary statistics")
 	parallel := flag.Int("parallel", 0, "worker goroutines for -trials (0 = GOMAXPROCS)")
 	traceNAS := flag.Bool("trace", false, "print every NAS message the device sends/receives (single-trial mode)")
+	timeline := flag.Bool("timeline", false, "print every announced state transition with its virtual timestamp and layer, and mark where the scenario's stop conditions fired (single-trial mode)")
 	flag.Parse()
 
 	mode, ok := seed.ParseMode(*modeFlag)
@@ -81,7 +89,7 @@ func main() {
 		runTrials(mode, appKind, *failure, *seedVal, *trials, *parallel)
 		return
 	}
-	narrate(mode, appKind, *failure, *seedVal, *traceNAS)
+	narrate(mode, appKind, *failure, *seedVal, *traceNAS, *timeline)
 }
 
 // runTrials fans trials independent scenario cells across the worker pool
@@ -123,7 +131,7 @@ func runTrials(mode seed.Mode, appKind seed.AppKind, failure string, seedVal int
 
 // narrate runs the single-trial narrated scenario (the original seedsim
 // behaviour), sharing runScenario with the batch mode.
-func narrate(mode seed.Mode, appKind seed.AppKind, failure string, seedVal int64, traceNAS bool) {
+func narrate(mode seed.Mode, appKind seed.AppKind, failure string, seedVal int64, traceNAS, timeline bool) {
 	var tbRef *seed.Testbed
 	log := func(format string, args ...any) {
 		now := time.Duration(0)
@@ -132,7 +140,7 @@ func narrate(mode seed.Mode, appKind seed.AppKind, failure string, seedVal int64
 		}
 		fmt.Printf("[%10s] %s\n", now.Round(time.Millisecond), fmt.Sprintf(format, args...))
 	}
-	hooks := &narrationHooks{log: log, traceNAS: traceNAS, bindTestbed: func(tb *seed.Testbed) { tbRef = tb }}
+	hooks := &narrationHooks{log: log, traceNAS: traceNAS, timeline: timeline, bindTestbed: func(tb *seed.Testbed) { tbRef = tb }}
 	o := runScenario(mode, appKind, failure, seedVal, hooks)
 	switch o.Status {
 	case statusAttachFailed:
@@ -144,7 +152,13 @@ func narrate(mode seed.Mode, appKind seed.AppKind, failure string, seedVal int64
 type narrationHooks struct {
 	log         func(format string, args ...any)
 	traceNAS    bool
+	timeline    bool
 	bindTestbed func(tb *seed.Testbed)
+}
+
+// timelineLine prints one line of the -timeline view.
+func timelineLine(at time.Duration, layer, text string) {
+	fmt.Printf("%11.3fs  %-11s  %s\n", at.Seconds(), layer, text)
 }
 
 func validFailure(failure string) bool {
@@ -194,9 +208,16 @@ func runScenario(mode seed.Mode, appKind seed.AppKind, failure string, seedVal i
 	app := d.AddApp(appKind)
 
 	log := func(format string, args ...any) {}
+	// fired marks, in the timeline, the instant one of the scenario's own
+	// stop conditions was met.
+	fired := func(what string) {}
 	if hooks != nil {
 		hooks.bindTestbed(tb)
 		log = hooks.log
+		if hooks.timeline {
+			tb.OnTransition(func(ev seed.TimelineEvent) { timelineLine(ev.At, ev.Layer, ev.Text) })
+			fired = func(what string) { timelineLine(tb.Now(), "scenario", "stop condition met: "+what) }
+		}
 		d.OnConnectivity(func(up bool) { log("data connectivity: %v", up) })
 		d.OnReject(func(cp bool, code uint8) {
 			plane := "5GSM"
@@ -223,6 +244,7 @@ func runScenario(mode seed.Mode, appKind seed.AppKind, failure string, seedVal i
 		log("device failed to attach")
 		return scenarioOutcome{Status: statusAttachFailed}
 	}
+	fired("device connected")
 	log("attached and connected, state=%s", d.State())
 	app.Start()
 	tb.Advance(30 * time.Second)
@@ -247,12 +269,16 @@ func runScenario(mode seed.Mode, appKind seed.AppKind, failure string, seedVal i
 		return scenarioOutcome{Status: statusNoImpact, Diagnoses: d.DiagnosesReceived()}
 	}
 	impactAt := tb.Now()
+	fired("connectivity lost, or no response for three request intervals")
 	log("impact visible (%.1fs after injection)", (impactAt - onset).Seconds())
 
 	// Watch for up to 20 virtual minutes of recovery.
 	recovered := tb.RunUntil(func() bool {
 		return d.Connected() && app.LastSuccess() > impactAt
 	}, 20*time.Minute)
+	if recovered {
+		fired("connected and a response since the impact")
+	}
 
 	sent2, ok2, failed2, reported := app.Requests()
 	log("after failure: +%d requests, +%d ok, +%d failed, %d SEED reports",

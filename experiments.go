@@ -313,7 +313,7 @@ var figure3Proto = NewProto(func(tb *Testbed) *Device {
 	video := d.AddApp(AppVideo)
 	web := d.AddApp(AppWeb)
 	d.Start()
-	if !tb.RunUntil(d.Connected, connectDeadline) {
+	if !tb.await(d.Connected, connectDeadline) {
 		return d
 	}
 	video.Start()
@@ -345,7 +345,7 @@ func figure3Trial(kind DeliveryFailureKind, blockDNSToo bool, i int, cellSeed in
 	case DeliveryDNSOutage:
 		tb.SetDNSOutage(true)
 	}
-	if !tb.RunUntil(d.inner.Mon.Stalled, 25*time.Minute) {
+	if !tb.await(d.inner.Mon.Stalled, 25*time.Minute) {
 		return -1
 	}
 	return tb.Now() - onset
@@ -448,7 +448,7 @@ var table5Protos = NewProtoMap(func(k struct {
 		d := tb.NewDevice(k.Mode, WithAndroidRecommendedTimers())
 		a := d.AddApp(k.App)
 		d.Start()
-		if !tb.RunUntil(d.Connected, connectDeadline) {
+		if !tb.await(d.Connected, connectDeadline) {
 			return d
 		}
 		a.Start()
@@ -496,11 +496,11 @@ func runAppDisruptionTrial(app AppKind, class string, mode Mode, seedVal int64) 
 	}
 	// Wait for the failure to actually manifest (the injections above are
 	// asynchronous), then measure the outage until recovery.
-	if !tb.RunUntil(func() bool { return !fixedCond() }, time.Minute) {
+	if !tb.await(func() bool { return !fixedCond() }, time.Minute) {
 		return -1
 	}
 	onset := tb.Now()
-	if !tb.RunUntil(func() bool { return tb.Now() > onset && fixedCond() }, 45*time.Minute) {
+	if !tb.awaitAfter(onset, fixedCond, 45*time.Minute) {
 		return -1
 	}
 	return tb.Now() - onset
@@ -643,7 +643,7 @@ func ExperimentFigure11b(seedVal int64) Figure11bResult {
 	tb := New(seedVal)
 	d := tb.NewDevice(ModeSEEDU)
 	d.Start()
-	tb.RunUntil(d.Connected, connectDeadline)
+	tb.await(d.Connected, connectDeadline)
 	opsBase := d.SIMOperations()
 	stop := time.Duration(30) * time.Minute
 	start := tb.Now()
@@ -715,7 +715,7 @@ func ExperimentFigure12(n int, seedVal int64) Figure12Result {
 	tb := New(seedVal)
 	d := tb.NewDevice(ModeSEEDR)
 	d.Start()
-	tb.RunUntil(d.Connected, connectDeadline)
+	tb.await(d.Connected, connectDeadline)
 
 	prepDL := metrics.NewSeries("dl-prep")
 	transDL := metrics.NewSeries("dl-trans")
@@ -847,7 +847,7 @@ func legacyLadderTime(seedVal int64, rung int) time.Duration {
 	video := d.AddApp(AppVideo)
 	d.Start()
 	if rung != 3 {
-		if !tb.RunUntil(d.Connected, connectDeadline) {
+		if !tb.await(d.Connected, connectDeadline) {
 			return -1
 		}
 	} else {
@@ -862,14 +862,14 @@ func legacyLadderTime(seedVal int64, rung int) time.Duration {
 		// cannot help, matching §3.3).
 		tb.StallGateway(d)
 	}
-	if !tb.RunUntil(d.inner.Mon.Stalled, 30*time.Minute) {
+	if !tb.await(d.inner.Mon.Stalled, 30*time.Minute) {
 		return -1
 	}
 	stallAt := tb.Now()
 	fixed := func() bool {
 		return d.Connected() && !tb.net.UPF.Stalled(d.IMSI())
 	}
-	if !tb.RunUntil(func() bool { return tb.Now() > stallAt && fixed() }, 30*time.Minute) {
+	if !tb.awaitAfter(stallAt, fixed, 30*time.Minute) {
 		return -1
 	}
 	return tb.Now() - stallAt
@@ -908,7 +908,7 @@ func seedResetTime(seedVal int64, mode Mode, action string) time.Duration {
 		}
 		return r.Disruption
 	}
-	if !tb.RunUntil(func() bool { return tb.Now() > start && d.Connected() }, 30*time.Minute) {
+	if !tb.awaitAfter(start, d.Connected, 30*time.Minute) {
 		return -1
 	}
 	return tb.Now() - start
@@ -1025,9 +1025,9 @@ func ExperimentLearning(devices, causesPerPlane, trialsPerCause int, seedVal int
 				stop = clearOnModuleReset(tb, d, false)
 				tb.ReleaseInternetSessions(d)
 				// wait for the failure to manifest before watching recovery
-				tb.RunUntil(func() bool { return !d.Connected() }, 30*time.Second)
+				tb.await(func() bool { return !d.Connected() }, 30*time.Second)
 			}
-			tb.RunUntil(d.Connected, 10*time.Minute)
+			tb.await(d.Connected, 10*time.Minute)
 			stop()
 			tb.ClearInjections(d)
 			tb.Advance(15 * time.Second)

@@ -120,6 +120,28 @@ type Hooks struct {
 	OnValidated func()
 }
 
+// The detection rules, as sched.StallDeclared carries them.
+const (
+	reasonProbe = iota + 1
+	reasonTCP
+	reasonDNS
+)
+
+// StallReason names the rule a sched.StallDeclared operand stands for:
+// "probe", "tcp" or "dns", the reasons OnDataStall reports.
+func StallReason(code int) string {
+	switch code {
+	case reasonProbe:
+		return "probe"
+	case reasonTCP:
+		return "tcp"
+	case reasonDNS:
+		return "dns"
+	default:
+		return "unknown"
+	}
+}
+
 type tcpSample struct {
 	at time.Duration
 	ok bool
@@ -298,7 +320,7 @@ func (m *Monitor) evaluate() {
 	}
 	if len(m.tcp) >= m.cfg.TCPMinSamples &&
 		float64(fails)/float64(len(m.tcp)) >= m.cfg.TCPFailRate {
-		m.declareStall("tcp")
+		m.declareStall(reasonTCP)
 		return
 	}
 
@@ -310,28 +332,30 @@ func (m *Monitor) evaluate() {
 		}
 	}
 	if recentOut >= m.cfg.TCPNoInboundOutbound {
-		m.declareStall("tcp")
+		m.declareStall(reasonTCP)
 		return
 	}
 
 	// Consecutive DNS timeouts.
 	if m.dnsFails >= m.cfg.DNSTimeoutsToStall {
-		m.declareStall("dns")
+		m.declareStall(reasonDNS)
 		return
 	}
 
 	// Probe failures.
 	if m.probeFails >= m.cfg.ProbeFailuresToStall {
-		m.declareStall("probe")
+		m.declareStall(reasonProbe)
 		return
 	}
 }
 
-func (m *Monitor) declareStall(reason string) {
+func (m *Monitor) declareStall(rule int) {
+	reason := StallReason(rule)
 	m.stalled = true
 	m.stallReason = reason
 	m.stallsSeen++
 	m.ladderIdx = 0
+	m.k.Announce(sched.StallDeclared, rule, m.stallsSeen)
 	if m.hook.OnDataStall != nil {
 		m.hook.OnDataStall(reason)
 	}
@@ -397,6 +421,7 @@ func (m *Monitor) onValidated() {
 		m.outboundSince = m.outboundSince[:0]
 		m.tcp = m.tcp[:0]
 		m.ladderTimer.Stop()
+		m.k.Announce(sched.StallCleared, 0, 0)
 		if m.hook.OnValidated != nil {
 			m.hook.OnValidated()
 		}

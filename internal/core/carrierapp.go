@@ -229,13 +229,16 @@ func (c *CarrierApp) UpdateDataConfig(kind cause.ConfigKind, value []byte) {
 		// Applied network-side via modification; nothing local to change.
 	case cause.ConfigGeneric:
 		if len(value) == 4 {
-			copy(c.dnsOverride[:], value)
+			c.SetDNSOverride(nas.Addr(value))
 		}
 	}
 }
 
 // SetDNSOverride points the device at a different resolver (A3 DNS fix).
-func (c *CarrierApp) SetDNSOverride(a nas.Addr) { c.dnsOverride = a }
+func (c *CarrierApp) SetDNSOverride(a nas.Addr) {
+	c.dnsOverride = a
+	c.k.Announce(sched.ResolverOverride, a.Word(), 0)
+}
 
 // ResetDataConnection cycles the default data session make-before-break:
 // the replacement session comes up before the old one is released, so the

@@ -189,7 +189,7 @@ func TestFlowTagDispatch(t *testing.T) {
 	if len(d.pendingProbes) != 1 {
 		t.Fatalf("%d probes pending after one was sent", len(d.pendingProbes))
 	}
-	d.Mux.Dispatch(radio.Packet{Flow: "probe-1", Meta: "probe-ok"})
+	d.Mux.Dispatch(&radio.Packet{Flow: "probe-1", Meta: "probe-ok"})
 	if len(results) != 0 {
 		t.Fatal("a packet with a label and no tag completed the probe")
 	}
@@ -203,7 +203,7 @@ func TestFlowTagDispatch(t *testing.T) {
 	if len(results) != 1 || !results[0] || len(d.pendingProbes) != 0 {
 		t.Fatalf("probe results %v with %d still pending, want one success", results, len(d.pendingProbes))
 	}
-	d.Mux.Dispatch(radio.Packet{Tag: tag, Meta: "probe-ok"}) // a duplicate of the reply
+	d.Mux.Dispatch(&radio.Packet{Tag: tag, Meta: "probe-ok"}) // a duplicate of the reply
 	if len(results) != 1 {
 		t.Fatalf("duplicate reply completed the probe again: %v", results)
 	}

@@ -201,8 +201,10 @@ func (d *Device) AddApp(kind dataplane.AppKind) *dataplane.App {
 	return app
 }
 
-// SendPacket transmits an uplink packet on the device's data session.
-func (d *Device) SendPacket(pkt radio.Packet) bool {
+// SendPacket transmits an uplink packet on the device's data session: it
+// writes the session into the caller's packet, and the modem copies that
+// into the frame it sends.
+func (d *Device) SendPacket(pkt *radio.Packet) bool {
 	s, okS := d.dataSession()
 	if !okS {
 		return false
@@ -272,14 +274,14 @@ func (d *Device) probe(done func(bool)) {
 		SrcPort: uint16(40000 + d.probeSeq%1000), DstPort: 80,
 		Tag: tag, Length: 128,
 	}
-	if !d.SendPacket(pkt) {
+	if !d.SendPacket(&pkt) {
 		done(false)
 		return
 	}
 	d.pendingProbes[tag] = done
 }
 
-func (d *Device) onUnclaimedPacket(pkt radio.Packet) {
+func (d *Device) onUnclaimedPacket(pkt *radio.Packet) {
 	if done, okP := d.pendingProbes[pkt.Tag]; okP {
 		delete(d.pendingProbes, pkt.Tag)
 		done(true)

@@ -60,8 +60,8 @@ func (c *Cells) SendNAS(f *radio.NAS) bool {
 }
 
 // SendData implements RadioAccess.
-func (c *Cells) SendData(pkt radio.Packet) bool {
-	return c.ServingGNB(pkt.UE).SendData(pkt)
+func (c *Cells) SendData(f *radio.Packet) bool {
+	return c.ServingGNB(f.UE).SendData(f)
 }
 
 // AddBearer implements RadioAccess.

@@ -15,8 +15,9 @@ type RadioAccess interface {
 	// SendNAS delivers a downlink NAS frame to its UE. The frame is the
 	// link's once accepted; on false it is still the caller's.
 	SendNAS(f *radio.NAS) bool
-	// SendData delivers a downlink user-plane packet.
-	SendData(pkt radio.Packet) bool
+	// SendData delivers a downlink user-plane frame to its UE and consumes
+	// it: on false the frame was released, not handed to a link.
+	SendData(f *radio.Packet) bool
 	// AddBearer installs a radio bearer for a UE session.
 	AddBearer(imsi string, sessionID uint8)
 	// RemoveBearer tears down a bearer.
@@ -44,8 +45,8 @@ type GNB struct {
 
 	// User-plane frames (see radio.FramePool for the ownership rule): an
 	// uplink frame rides the backhaul hop as the argument of the stored
-	// toUPF callback and is released here once the UPF has seen it;
-	// SendData takes a frame per downlink packet.
+	// toUPF callback and is the UPF's from there; the gNB releases into
+	// frames only what it drops itself, in either direction.
 	frames *radio.FramePool
 	toUPF  func(any) // arg: *radio.Packet
 	// A signalling frame rides the backhaul the same way, as the argument
@@ -77,11 +78,7 @@ func (b bearerSet) count() int {
 // before delivering traffic.
 func NewGNB(k *sched.Kernel, backhaul time.Duration, frames *radio.FramePool, nasFrames *radio.NASPool) *GNB {
 	g := &GNB{k: k, backhaul: backhaul, ues: make(map[string]*ueRadio), frames: frames, nasFrames: nasFrames}
-	g.toUPF = func(v any) {
-		f := v.(*radio.Packet)
-		g.upf.HandleUplink(*f)
-		g.frames.Put(f)
-	}
+	g.toUPF = func(v any) { g.upf.HandleUplink(v.(*radio.Packet)) }
 	g.toAMF = func(v any) { g.amf.handleUplinkFrame(v.(*radio.NAS)) }
 	return g
 }
@@ -138,7 +135,10 @@ func (g *GNB) HandleUplink(frame any) {
 	case *radio.Packet:
 		g.uplinkData(f)
 	case radio.Packet:
-		g.uplinkData(g.frames.Get(f))
+		// A hand-built packet (tests, injectors): the frame gets a copy.
+		pf := g.frames.Get()
+		*pf = f
+		g.uplinkData(pf)
 	}
 }
 
@@ -171,16 +171,13 @@ func (g *GNB) SendNAS(f *radio.NAS) bool {
 	return okU && ue.tx(f)
 }
 
-// SendData delivers a downlink user-plane packet to a UE. Packets for
-// sessions without a bearer are dropped.
-func (g *GNB) SendData(pkt radio.Packet) bool {
-	ue, okU := g.ue(pkt.UE)
-	if !okU || !ue.bearers.has(pkt.SessionID) {
-		return false
-	}
-	f := g.frames.Get(pkt)
-	if !ue.tx(f) {
-		g.frames.Put(f) // refused by the link: never in flight
+// SendData delivers a downlink user-plane frame to a UE, or releases it:
+// packets for an unknown UE or a session without a bearer are dropped, and
+// so is what the radio link refuses.
+func (g *GNB) SendData(f *radio.Packet) bool {
+	ue, okU := g.ue(f.UE)
+	if !okU || !ue.bearers.has(f.SessionID) || !ue.tx(f) {
+		g.frames.Put(f)
 		return false
 	}
 	return true

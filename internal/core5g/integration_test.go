@@ -81,7 +81,7 @@ func newUE(t *testing.T, k *sched.Kernel, n *Network, imsi string) *ue {
 			u.lastSession = s
 		},
 		OnSessionDown:  func(uint8) { u.sessionDowns++ },
-		OnDownlinkData: func(p radio.Packet) { u.downPkts = append(u.downPkts, p) },
+		OnDownlinkData: func(p *radio.Packet) { u.downPkts = append(u.downPkts, *p) },
 	})
 	return u
 }
@@ -123,14 +123,15 @@ func TestUserPlaneEchoThroughUPF(t *testing.T) {
 	n := NewNetwork(k, DefaultNetworkConfig())
 	u := newUE(t, k, n, "310170000000002")
 
-	// Emulated internet: echo every packet back.
-	n.UPF.SetRemote(func(p radio.Packet) {
+	// Emulated internet: echo every packet back, in the frame it came in.
+	n.UPF.SetRemote(func(p *radio.Packet) {
 		k.After(10*time.Millisecond, func() {
-			n.UPF.Inject(radio.Packet{
+			*p = radio.Packet{
 				Proto: p.Proto, Src: p.Dst, Dst: p.Src,
 				SrcPort: p.DstPort, DstPort: p.SrcPort,
 				Flow: p.Flow, Length: p.Length,
-			})
+			}
+			n.UPF.Inject(p)
 		})
 	})
 
@@ -140,7 +141,7 @@ func TestUserPlaneEchoThroughUPF(t *testing.T) {
 	if s == nil {
 		t.Fatal("no session")
 	}
-	sent := u.modem.SendPacket(radio.Packet{
+	sent := u.modem.SendPacket(&radio.Packet{
 		SessionID: s.ID, Proto: nas.ProtoTCP,
 		Dst: [4]byte{203, 0, 113, 10}, SrcPort: 40000, DstPort: 443,
 		Flow: "web", Length: 1200,
@@ -167,14 +168,14 @@ func TestLDNSServiceAndOutage(t *testing.T) {
 		Dst: [4]byte(LDNSAddr), SrcPort: 50000, DstPort: 53,
 		Flow: "dns", Length: 64, Meta: "example.com",
 	}
-	u.modem.SendPacket(query)
+	u.modem.SendPacket(&query)
 	k.RunFor(time.Second)
 	if len(u.downPkts) != 1 || u.downPkts[0].Meta != "dns-answer:example.com" {
 		t.Fatalf("DNS answer = %+v", u.downPkts)
 	}
 
 	n.UPF.SetLDNSDown(true)
-	u.modem.SendPacket(query)
+	u.modem.SendPacket(&query)
 	k.RunFor(2 * time.Second)
 	if len(u.downPkts) != 1 {
 		t.Fatal("DNS answered during outage")

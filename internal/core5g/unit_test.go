@@ -104,7 +104,7 @@ func TestGNBBearerLifecycle(t *testing.T) {
 	n.GNB.AttachUE("ue1", func(any) bool { delivered++; return true })
 
 	// Data for a UE without a bearer is dropped.
-	if n.GNB.SendData(radio.Packet{UE: "ue1", SessionID: 1}) {
+	if n.GNB.SendData(&radio.Packet{UE: "ue1", SessionID: 1}) {
 		t.Fatal("data delivered without a bearer")
 	}
 	n.GNB.HandleUplink(radio.RRCConnect{UE: "ue1"})
@@ -116,7 +116,7 @@ func TestGNBBearerLifecycle(t *testing.T) {
 	if n.GNB.BearerCount("ue1") != 2 {
 		t.Fatalf("bearers = %d", n.GNB.BearerCount("ue1"))
 	}
-	if !n.GNB.SendData(radio.Packet{UE: "ue1", SessionID: 1}) {
+	if !n.GNB.SendData(&radio.Packet{UE: "ue1", SessionID: 1}) {
 		t.Fatal("data refused with a bearer")
 	}
 	// Dropping one of two bearers keeps the RRC connection.

@@ -72,12 +72,14 @@ type UPF struct {
 	// dnsLatency is the LDNS response time.
 	dnsLatency time.Duration
 
-	// remote receives uplink packets leaving the carrier network; the
-	// dataplane package installs the emulated internet here.
-	remote func(radio.Packet)
+	// remote receives the frames of uplink packets leaving the carrier
+	// network, and owns them from then on; the dataplane package installs
+	// the emulated internet here.
+	remote func(*radio.Packet)
 
-	// LDNS answers wait out dnsLatency in a pooled frame carried by the
-	// stored answerDNS callback.
+	// An LDNS answer waits out dnsLatency in the query's own frame, turned
+	// around, carried by the stored answerDNS callback. frames is where
+	// HandleUplink and Inject release what they do not forward.
 	frames    *radio.FramePool
 	answerDNS func(any) // arg: *radio.Packet
 
@@ -93,17 +95,16 @@ func NewUPF(k *sched.Kernel, gnb RadioAccess, dnsLatency time.Duration, frames *
 		dnsLatency: dnsLatency,
 	}
 	u.answerDNS = func(v any) {
-		f := v.(*radio.Packet)
 		u.stats.DNSAnswered++
-		u.Inject(*f)
-		u.frames.Put(f)
+		u.Inject(v.(*radio.Packet))
 	}
 	return u
 }
 
 // SetRemote installs the emulated-internet handler for packets that leave
-// the carrier network.
-func (u *UPF) SetRemote(fn func(radio.Packet)) { u.remote = fn }
+// the carrier network. The handler takes over the frame it is given: it
+// forwards it (back through Inject) or releases it.
+func (u *UPF) SetRemote(fn func(*radio.Packet)) { u.remote = fn }
 
 // Stats returns a copy of the counters.
 func (u *UPF) Stats() UPFStats { return u.stats }
@@ -114,13 +115,19 @@ func (u *UPF) InstallSession(ctx *SessionCtx) {
 	// modification re-installs its session) gets it in the entry it has.
 	if s, okS := u.byAddr[ctx.Address]; okS {
 		*s = upfSession{ctx: ctx}
-		return
+	} else {
+		u.byAddr[ctx.Address] = &upfSession{ctx: ctx}
 	}
-	u.byAddr[ctx.Address] = &upfSession{ctx: ctx}
+	u.k.Announce(sched.ForwardingInstalled, int(ctx.ID), 0)
 }
 
 // RemoveSession drops forwarding state for an address.
-func (u *UPF) RemoveSession(addr nas.Addr) { delete(u.byAddr, addr) }
+func (u *UPF) RemoveSession(addr nas.Addr) {
+	if s, okS := u.byAddr[addr]; okS {
+		delete(u.byAddr, addr)
+		u.k.Announce(sched.ForwardingRemoved, int(s.ctx.ID), 0)
+	}
+}
 
 // SessionFor returns the session context owning an address.
 func (u *UPF) SessionFor(addr nas.Addr) (*SessionCtx, bool) {
@@ -135,9 +142,18 @@ func (u *UPF) SessionFor(addr nas.Addr) (*SessionCtx, bool) {
 func (u *UPF) AddBlock(imsi string, b PolicyBlock) {
 	if imsi == "" {
 		u.netBlocks = append(u.netBlocks, b)
-		return
+	} else {
+		u.blocks[imsi] = append(u.blocks[imsi], b)
 	}
-	u.blocks[imsi] = append(u.blocks[imsi], b)
+	u.k.Announce(sched.BlockAdded, int(b.Proto), networkWide(imsi))
+}
+
+// networkWide is the operand a block transition carries for its scope.
+func networkWide(imsi string) int {
+	if imsi == "" {
+		return 1
+	}
+	return 0
 }
 
 // ClearBlocks removes a UE's policy blocks (empty imsi = the network-wide
@@ -145,9 +161,10 @@ func (u *UPF) AddBlock(imsi string, b PolicyBlock) {
 func (u *UPF) ClearBlocks(imsi string) {
 	if imsi == "" {
 		u.netBlocks = nil
-		return
+	} else {
+		delete(u.blocks, imsi)
 	}
-	delete(u.blocks, imsi)
+	u.k.Announce(sched.BlocksCleared, 0, networkWide(imsi))
 }
 
 // Blocks returns the active policy blocks for a UE (including global).
@@ -159,21 +176,25 @@ func (u *UPF) Blocks(imsi string) []PolicyBlock {
 // StallUE corrupts the forwarding state of all of a UE's sessions: the
 // reconnection-fixable data-delivery failure class ("outdated gateway
 // status in mobility", §7.1.1). Re-establishing a session clears it.
-func (u *UPF) StallUE(imsi string) {
-	for _, s := range u.byAddr {
-		if s.ctx.IMSI == imsi {
-			s.stalled = true
-		}
-	}
-}
+func (u *UPF) StallUE(imsi string) { u.stall(imsi, "") }
 
 // StallDNN corrupts only the sessions of one data network (a failure
 // confined to a single slice).
-func (u *UPF) StallDNN(imsi, dnn string) {
+func (u *UPF) StallDNN(imsi, dnn string) { u.stall(imsi, dnn) }
+
+// stall marks the UE's sessions on dnn ("": on any) and announces how many
+// there were — once, not per session: the map's order must not show in a
+// timeline.
+func (u *UPF) stall(imsi, dnn string) {
+	n := 0
 	for _, s := range u.byAddr {
-		if s.ctx.IMSI == imsi && s.ctx.DNN == dnn {
+		if s.ctx.IMSI == imsi && (dnn == "" || s.ctx.DNN == dnn) {
 			s.stalled = true
+			n++
 		}
+	}
+	if n > 0 {
+		u.k.Announce(sched.ForwardingStalled, n, 0)
 	}
 }
 
@@ -188,7 +209,17 @@ func (u *UPF) Stalled(imsi string) bool {
 }
 
 // SetLDNSDown toggles the carrier DNS outage.
-func (u *UPF) SetLDNSDown(v bool) { u.ldnsDown = v }
+func (u *UPF) SetLDNSDown(v bool) {
+	if u.ldnsDown == v {
+		return
+	}
+	u.ldnsDown = v
+	down := 0
+	if v {
+		down = 1
+	}
+	u.k.Announce(sched.LDNSChanged, down, 0)
+}
 
 // LDNSDown reports whether the carrier resolver is down.
 func (u *UPF) LDNSDown() bool { return u.ldnsDown }
@@ -210,8 +241,7 @@ func anyMatches(blocks []PolicyBlock, proto uint8, port uint16) bool {
 }
 
 // HasBlock reports whether any active policy block for a UE (including
-// network-wide ones) is on the given protocol. Unlike Blocks it copies
-// nothing, so a predicate polled per kernel step can afford it.
+// network-wide ones) is on the given protocol, reading the lists in place.
 func (u *UPF) HasBlock(imsi string, proto uint8) bool {
 	return anyOnProto(u.netBlocks, proto) || anyOnProto(u.blocks[imsi], proto)
 }
@@ -225,59 +255,71 @@ func anyOnProto(blocks []PolicyBlock, proto uint8) bool {
 	return false
 }
 
-// HandleUplink processes a user-plane packet arriving from the gNB.
-func (u *UPF) HandleUplink(pkt radio.Packet) {
+// HandleUplink processes a user-plane frame arriving from the gNB and
+// consumes it: the frame goes on to the emulated internet, turns around as
+// the carrier resolver's answer, or — on every path that drops the packet —
+// back to the pool.
+func (u *UPF) HandleUplink(f *radio.Packet) {
 	u.stats.UplinkPackets++
-	sess, okS := u.byAddr[nas.Addr(pkt.Src)]
-	if !okS || sess.ctx.IMSI != pkt.UE || sess.stalled {
+	sess, okS := u.byAddr[nas.Addr(f.Src)]
+	if !okS || sess.ctx.IMSI != f.UE || sess.stalled {
+		u.frames.Put(f)
 		return
 	}
 	// TFT enforcement: the session's template must admit the flow.
-	if !sess.ctx.Config.TFT.Admits(nas.FilterUplink, pkt.Proto, nas.Addr(pkt.Dst), pkt.DstPort) {
+	if !sess.ctx.Config.TFT.Admits(nas.FilterUplink, f.Proto, nas.Addr(f.Dst), f.DstPort) {
 		u.stats.DroppedTFT++
+		u.frames.Put(f)
 		return
 	}
 	// Operator policy blocks (misconfiguration injection point).
-	if u.blocked(pkt.UE, pkt.Proto, pkt.DstPort) {
+	if u.blocked(f.UE, f.Proto, f.DstPort) {
 		u.stats.DroppedPolicy++
+		u.frames.Put(f)
 		return
 	}
 	// Carrier LDNS service.
-	if nas.Addr(pkt.Dst) == LDNSAddr && pkt.Proto == nas.ProtoUDP && pkt.DstPort == 53 {
+	if nas.Addr(f.Dst) == LDNSAddr && f.Proto == nas.ProtoUDP && f.DstPort == 53 {
 		u.stats.DNSQueries++
 		if u.ldnsDown {
-			return // outage: query vanishes
+			u.frames.Put(f) // outage: query vanishes
+			return
 		}
-		u.k.AfterArg(u.dnsLatency, u.answerDNS, u.frames.Get(radio.Packet{
-			UE: pkt.UE, SessionID: pkt.SessionID, Proto: nas.ProtoUDP,
-			Src: pkt.Dst, Dst: pkt.Src,
-			SrcPort: 53, DstPort: pkt.SrcPort,
-			Tag: pkt.Tag, Flow: pkt.Flow, Length: 128, Meta: "dns-answer:" + pkt.Meta,
-		}))
+		// The answer rides the query's frame: same UE, session, tag.
+		f.Src, f.Dst = f.Dst, f.Src
+		f.SrcPort, f.DstPort = 53, f.SrcPort
+		f.Length, f.Meta = 128, "dns-answer:"+f.Meta
+		u.k.AfterArg(u.dnsLatency, u.answerDNS, f)
 		return
 	}
-	if u.remote != nil {
-		u.remote(pkt)
+	if u.remote == nil {
+		u.frames.Put(f)
+		return
 	}
+	u.remote(f)
 }
 
-// Inject delivers a downlink packet toward a UE, applying downlink TFT and
-// policy checks.
-func (u *UPF) Inject(pkt radio.Packet) bool {
-	sess, okS := u.byAddr[nas.Addr(pkt.Dst)]
+// Inject delivers a downlink frame toward a UE, applying downlink TFT and
+// policy checks. It consumes the frame: handed to the radio access network
+// when it reports true, released otherwise.
+func (u *UPF) Inject(f *radio.Packet) bool {
+	sess, okS := u.byAddr[nas.Addr(f.Dst)]
 	if !okS || sess.stalled {
+		u.frames.Put(f)
 		return false
 	}
-	pkt.UE = sess.ctx.IMSI
-	pkt.SessionID = sess.ctx.ID
-	if !sess.ctx.Config.TFT.Admits(nas.FilterDownlink, pkt.Proto, nas.Addr(pkt.Src), pkt.SrcPort) {
+	f.UE = sess.ctx.IMSI
+	f.SessionID = sess.ctx.ID
+	if !sess.ctx.Config.TFT.Admits(nas.FilterDownlink, f.Proto, nas.Addr(f.Src), f.SrcPort) {
 		u.stats.DroppedTFT++
+		u.frames.Put(f)
 		return false
 	}
-	if u.blocked(pkt.UE, pkt.Proto, pkt.SrcPort) {
+	if u.blocked(f.UE, f.Proto, f.SrcPort) {
 		u.stats.DroppedPolicy++
+		u.frames.Put(f)
 		return false
 	}
 	u.stats.DownlinkPackets++
-	return u.gnb.SendData(pkt)
+	return u.gnb.SendData(f)
 }

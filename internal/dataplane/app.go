@@ -107,8 +107,11 @@ type App struct {
 	spec AppSpec
 
 	// send transmits an uplink packet on the current session; bound by
-	// the testbed. Returns false when no session is active.
-	send func(radio.Packet) bool
+	// the testbed. Returns false when no session is active. The packet is
+	// the app's (it is built in scratch): send may write the session's
+	// fields into it and copies what it transmits.
+	send    func(*radio.Packet) bool
+	scratch radio.Packet
 	// dnsServer returns the session's current resolver.
 	dnsServer func() nas.Addr
 
@@ -147,7 +150,7 @@ type request struct {
 }
 
 // NewApp creates an application bound to the device's send path.
-func NewApp(k *sched.Kernel, spec AppSpec, send func(radio.Packet) bool, dnsServer func() nas.Addr) *App {
+func NewApp(k *sched.Kernel, spec AppSpec, send func(*radio.Packet) bool, dnsServer func() nas.Addr) *App {
 	a := &App{
 		k: k, spec: spec, send: send, dnsServer: dnsServer,
 		reportThreshold: 2,
@@ -256,15 +259,21 @@ func (a *App) cycle() {
 	a.sendRequest()
 }
 
+// build writes a packet into the app's scratch, field by field (a struct
+// literal would be built aside and copied over). UE, session and source
+// address are the sender's to fill in; the label stays empty.
+func (a *App) build(proto uint8, dst nas.Addr, srcPort, dstPort uint16, tag radio.FlowTag, length int, meta string) *radio.Packet {
+	p := &a.scratch
+	p.Proto, p.Dst = proto, dst
+	p.SrcPort, p.DstPort = srcPort, dstPort
+	p.Tag, p.Length, p.Meta = tag, length, meta
+	return p
+}
+
 func (a *App) sendRequest() {
 	a.stats.Requests++
 	id := a.tag(radio.FlowRequest)
-	pkt := radio.Packet{
-		Proto: a.spec.Proto, Dst: [4]byte(a.spec.Server),
-		SrcPort: uint16(20000 + a.reqSeq%20000), DstPort: a.spec.Port,
-		Tag: id, Length: 600,
-	}
-	sent := a.send(pkt)
+	sent := a.send(a.build(a.spec.Proto, a.spec.Server, uint16(20000+a.reqSeq%20000), a.spec.Port, id, 600, ""))
 	if a.monitor != nil && sent {
 		a.monitor.NotePacket(true)
 	}
@@ -278,12 +287,7 @@ func (a *App) sendRequest() {
 
 func (a *App) sendDNSQuery() {
 	id := a.tag(radio.FlowDNS)
-	pkt := radio.Packet{
-		Proto: nas.ProtoUDP, Dst: [4]byte(a.dnsServer()),
-		SrcPort: uint16(30000 + a.reqSeq%20000), DstPort: 53,
-		Tag: id, Length: 64, Meta: "app.example.com",
-	}
-	if !a.send(pkt) {
+	if !a.send(a.build(nas.ProtoUDP, a.dnsServer(), uint16(30000+a.reqSeq%20000), 53, id, 64, "app.example.com")) {
 		a.requestFailed(true)
 		return
 	}
@@ -304,9 +308,10 @@ func (a *App) outstanding(tag radio.FlowTag) *request {
 	return nil
 }
 
-// HandleDownlink consumes a downlink packet belonging to this app's flows.
-// It reports whether the packet was recognized.
-func (a *App) HandleDownlink(pkt radio.Packet) bool {
+// HandleDownlink takes a downlink packet belonging to this app's flows. It
+// reports whether the packet was recognized. The packet is borrowed for the
+// call: the app keeps nothing of it.
+func (a *App) HandleDownlink(pkt *radio.Packet) bool {
 	r := a.outstanding(pkt.Tag)
 	if r == nil {
 		return false
@@ -373,6 +378,7 @@ func (a *App) maybeReport(wasDNS bool) {
 	}
 	a.lastReport = now
 	a.stats.Reports++
+	a.k.Announce(sched.AppReported, int(a.spec.Kind), a.stats.Reports)
 	var r report.FailureReport
 	switch {
 	case wasDNS:
@@ -391,15 +397,16 @@ func (a *App) maybeReport(wasDNS bool) {
 type Mux struct {
 	apps []*App
 	// OnUnclaimed receives packets no app recognized (e.g. probe
-	// responses owned by the Android monitor).
-	OnUnclaimed func(radio.Packet)
+	// responses owned by the Android monitor), borrowed like the apps'.
+	OnUnclaimed func(*radio.Packet)
 }
 
 // Register adds an app to the mux.
 func (m *Mux) Register(a *App) { m.apps = append(m.apps, a) }
 
-// Dispatch routes one downlink packet.
-func (m *Mux) Dispatch(pkt radio.Packet) {
+// Dispatch routes one downlink packet, which its caller still owns when
+// Dispatch returns.
+func (m *Mux) Dispatch(pkt *radio.Packet) {
 	for _, a := range m.apps {
 		if a.HandleDownlink(pkt) {
 			return

@@ -23,7 +23,7 @@ type fakePlane struct {
 	sent     int
 }
 
-func (p *fakePlane) send(pkt radio.Packet) bool {
+func (p *fakePlane) send(pkt *radio.Packet) bool {
 	if p.noSess {
 		return false
 	}
@@ -49,7 +49,7 @@ func (p *fakePlane) send(pkt radio.Packet) bool {
 	}
 	p.k.After(20*time.Millisecond, func() {
 		for _, a := range p.apps {
-			if a.HandleDownlink(resp) {
+			if a.HandleDownlink(&resp) {
 				return
 			}
 		}
@@ -264,11 +264,11 @@ func TestMuxDispatch(t *testing.T) {
 	mux.Register(web)
 	mux.Register(nav)
 	unclaimed := 0
-	mux.OnUnclaimed = func(radio.Packet) { unclaimed++ }
+	mux.OnUnclaimed = func(*radio.Packet) { unclaimed++ }
 	p.apps = []*App{} // route through the mux instead
 	webApp := web
 	_ = webApp
-	mux.Dispatch(radio.Packet{Flow: "unknown-flow"})
+	mux.Dispatch(&radio.Packet{Flow: "unknown-flow"})
 	if unclaimed != 1 {
 		t.Fatalf("unclaimed = %d", unclaimed)
 	}

@@ -8,17 +8,18 @@ import (
 	"github.com/seed5g/seed/internal/sched"
 )
 
-// silentPlane accepts every packet and answers none; it keeps what was
-// sent so a test can hand-deliver the replies.
+// silentPlane accepts every packet and answers none; it keeps a copy of what
+// was sent (the packet itself is the app's scratch) so a test can
+// hand-deliver the replies.
 type silentPlane struct{ sent []radio.Packet }
 
-func (p *silentPlane) send(pkt radio.Packet) bool {
-	p.sent = append(p.sent, pkt)
+func (p *silentPlane) send(pkt *radio.Packet) bool {
+	p.sent = append(p.sent, *pkt)
 	return true
 }
 
-func reply(to radio.Packet) radio.Packet {
-	return radio.Packet{
+func reply(to radio.Packet) *radio.Packet {
+	return &radio.Packet{
 		Proto: to.Proto, Src: to.Dst, Dst: to.Src, SrcPort: to.DstPort, DstPort: to.SrcPort,
 		Tag: to.Tag, Length: 1400, Meta: "app-response",
 	}
@@ -32,7 +33,7 @@ func TestFlowTagDispatch(t *testing.T) {
 	first := NewApp(k, Spec(Navigation), p1.send, dns)
 	second := NewApp(k, Spec(Navigation), p2.send, dns)
 	var unclaimed []radio.Packet
-	mux := &Mux{OnUnclaimed: func(pkt radio.Packet) { unclaimed = append(unclaimed, pkt) }}
+	mux := &Mux{OnUnclaimed: func(pkt *radio.Packet) { unclaimed = append(unclaimed, *pkt) }}
 	mux.Register(first)
 	mux.Register(second)
 	first.Start()
@@ -63,9 +64,9 @@ func TestFlowTagDispatch(t *testing.T) {
 	stale.Tag = radio.NewFlowTag(tag.Owner(), radio.FlowRequest, 999)
 	mux.Dispatch(stale)
 	// A hand-built packet carries a label and no tag.
-	mux.Dispatch(radio.Packet{Flow: "navigation-req-1", Meta: "app-response"})
+	mux.Dispatch(&radio.Packet{Flow: "navigation-req-1", Meta: "app-response"})
 	// A probe reply is nobody's among the apps: the device's, once.
-	probe := radio.Packet{Tag: radio.NewFlowTag(radio.FlowOwnerProbe, radio.FlowRequest, 1), Meta: "probe-ok"}
+	probe := &radio.Packet{Tag: radio.NewFlowTag(radio.FlowOwnerProbe, radio.FlowRequest, 1), Meta: "probe-ok"}
 	mux.Dispatch(probe)
 	if len(unclaimed) != 4 || unclaimed[3].Tag != probe.Tag {
 		t.Fatalf("unclaimed = %+v, want the answered tag again, the stale tag, the labelled packet and the probe", unclaimed)

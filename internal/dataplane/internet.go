@@ -42,9 +42,10 @@ type Internet struct {
 
 	served int
 
-	// injectFn and frames implement a closure-free reply path: each
-	// response waits out the server latency in a frame of the network's
-	// pool carried by the kernel's AfterArg, and goes back once injected.
+	// injectFn and frames implement a closure-free reply path: a response
+	// waits out the server latency in the request's own frame, turned
+	// around and carried by the kernel's AfterArg, and the UPF takes it from
+	// there. frames is where a request nobody answers is released.
 	injectFn func(any) // arg: *radio.Packet
 	frames   *radio.FramePool
 }
@@ -54,10 +55,8 @@ type Internet struct {
 func NewInternet(k *sched.Kernel, net *core5g.Network) *Internet {
 	in := &Internet{k: k, upf: net.UPF, frames: net.Frames, ServerLatency: 20 * time.Millisecond}
 	in.injectFn = func(v any) {
-		p := v.(*radio.Packet)
 		in.served++
-		in.upf.Inject(*p)
-		in.frames.Put(p)
+		in.upf.Inject(v.(*radio.Packet))
 	}
 	net.UPF.SetRemote(in.handleUplink)
 	return in
@@ -66,26 +65,33 @@ func NewInternet(k *sched.Kernel, net *core5g.Network) *Internet {
 // Served returns the number of requests answered.
 func (in *Internet) Served() int { return in.served }
 
-// respond schedules the reply to pkt after the server latency.
-func (in *Internet) respond(pkt *radio.Packet, length int, meta string) {
-	in.k.AfterArg(in.ServerLatency, in.injectFn, in.frames.Get(radio.Packet{
-		Proto: pkt.Proto, Src: pkt.Dst, Dst: pkt.Src,
-		SrcPort: pkt.DstPort, DstPort: pkt.SrcPort,
-		Tag: pkt.Tag, Flow: pkt.Flow, Length: length, Meta: meta,
-	}))
+// respond turns the request's frame around — addresses and ports swapped,
+// the tag and the label echoed, UE and session left for the UPF to set — and
+// schedules it as the reply after the server latency.
+func (in *Internet) respond(f *radio.Packet, length int, meta string) {
+	f.Src, f.Dst = f.Dst, f.Src
+	f.SrcPort, f.DstPort = f.DstPort, f.SrcPort
+	f.Length, f.Meta = length, meta
+	in.k.AfterArg(in.ServerLatency, in.injectFn, f)
 }
 
-func (in *Internet) handleUplink(pkt radio.Packet) {
+// handleUplink consumes the frame of a packet that left the carrier network:
+// it comes back as the reply, or is released when the server is down.
+func (in *Internet) handleUplink(f *radio.Packet) {
 	switch {
-	case nas.Addr(pkt.Dst) == core5g.PublicDNSAddr && pkt.Proto == nas.ProtoUDP && pkt.DstPort == 53:
-		if !in.PublicDNSDown {
-			in.respond(&pkt, 128, "dns-answer:"+pkt.Meta)
+	case nas.Addr(f.Dst) == core5g.PublicDNSAddr && f.Proto == nas.ProtoUDP && f.DstPort == 53:
+		if in.PublicDNSDown {
+			in.frames.Put(f)
+			return
 		}
-	case nas.Addr(pkt.Dst) == ProbeServerAddr:
-		if !in.ProbeServerDown {
-			in.respond(&pkt, 204, "probe-ok")
+		in.respond(f, 128, "dns-answer:"+f.Meta)
+	case nas.Addr(f.Dst) == ProbeServerAddr:
+		if in.ProbeServerDown {
+			in.frames.Put(f)
+			return
 		}
+		in.respond(f, 204, "probe-ok")
 	default:
-		in.respond(&pkt, 1400, "app-response")
+		in.respond(f, 1400, "app-response")
 	}
 }

@@ -337,7 +337,7 @@ func TestIdleModeAndServiceRequestResume(t *testing.T) {
 	// The next packet resumes via Service Request and still gets sent.
 	s, _ := m.FirstActiveSession()
 	before := k.Now()
-	if !m.SendPacket(radio.Packet{SessionID: s.ID, Proto: nas.ProtoTCP, Length: 100}) {
+	if !m.SendPacket(&radio.Packet{SessionID: s.ID, Proto: nas.ProtoTCP, Length: 100}) {
 		t.Fatal("packet refused in idle")
 	}
 	k.RunFor(time.Second)

@@ -38,7 +38,7 @@ func (m *Modem) legacyRegistrationFailure(code uint8) {
 	// registration (TS 24.501 §5.6.1.7 aborts the procedure on lower-layer
 	// failure).
 	m.resuming = false
-	m.pendingPkts = nil
+	m.dropPending()
 	m.regAttempts++
 
 	if m.regAttempts > m.cfg.MaxRegAttempts {

@@ -115,10 +115,12 @@ func DefaultConfig() Config {
 // Hooks are the modem's upcall interface to the OS/apps/metrics layers.
 // Any field may be nil.
 type Hooks struct {
-	OnStateChange   func(State)
-	OnSessionUp     func(*Session)
-	OnSessionDown   func(id uint8)
-	OnDownlinkData  func(radio.Packet)
+	OnStateChange func(State)
+	OnSessionUp   func(*Session)
+	OnSessionDown func(id uint8)
+	// OnDownlinkData borrows the delivered packet for the call; the modem
+	// releases its frame when the hook returns.
+	OnDownlinkData  func(*radio.Packet)
 	OnDisplayText   func(string)
 	OnReject        func(epd byte, code uint8) // every reject cause seen (legacy ignores it)
 	OnProfileReload func()
@@ -177,7 +179,9 @@ type Modem struct {
 	rrcConnected bool
 	resuming     bool
 	idleTimer    sched.Timer
-	pendingPkts  []radio.Packet
+	// pendingPkts are the frames queued behind a Service Request, the
+	// modem's until the resume flushes them or dropPending releases them.
+	pendingPkts []*radio.Packet
 	// frames is the testbed's user-plane frame pool: SendPacket takes one
 	// per uplink packet, HandleDownlink returns the one each downlink
 	// packet came in. nasFrames is the same for signalling, msgs the
@@ -339,22 +343,31 @@ func (m *Modem) Session(id uint8) (*Session, bool) {
 	return nil, false
 }
 
-// addSession inserts s at its place in the ID order, replacing a session
-// already holding the ID.
+// addSession inserts s at its place in the ID order. A session already
+// holding the ID is dropped first, the way any session goes (an active one
+// reports OnSessionDown), not swapped out behind the device's back.
 func (m *Modem) addSession(s *Session) {
-	i, found := slices.BinarySearchFunc(m.sessions, s.ID, func(e *Session, id uint8) int {
+	m.dropSession(s.ID)
+	i, _ := slices.BinarySearchFunc(m.sessions, s.ID, func(e *Session, id uint8) int {
 		return cmp.Compare(e.ID, id)
 	})
-	if found {
-		m.sessions[i] = s
-		return
-	}
 	m.sessions = slices.Insert(m.sessions, i, s)
+	m.k.Announce(sched.SessionAdded, int(s.ID), 0)
 }
 
 // removeSession deletes the session with the given ID, if present.
 func (m *Modem) removeSession(id uint8) {
-	m.sessions = slices.DeleteFunc(m.sessions, func(s *Session) bool { return s.ID == id })
+	for i, s := range m.sessions {
+		if s.ID == id {
+			m.sessions = slices.Delete(m.sessions, i, i+1)
+			active := 0
+			if s.Active {
+				active = 1
+			}
+			m.k.Announce(sched.SessionRemoved, int(id), active)
+			return
+		}
+	}
 }
 
 // FirstActiveSession returns the lowest-ID active session, if any.
@@ -368,8 +381,7 @@ func (m *Modem) FirstActiveSession() (*Session, bool) {
 }
 
 // FirstActiveSessionFunc returns the lowest-ID active session for which
-// keep returns true. It sits on the per-packet path (and under every
-// connectivity predicate a RunUntil polls per event): callers store keep
+// keep returns true. It sits on the per-packet path: callers store keep
 // once, and the scan stops at the first match.
 func (m *Modem) FirstActiveSessionFunc(keep func(*Session) bool) (*Session, bool) {
 	for _, s := range m.sessions {
@@ -396,6 +408,7 @@ func (m *Modem) setState(s State) {
 		return
 	}
 	m.state = s
+	m.k.Announce(sched.ModemState, int(s), 0)
 	if m.hook.OnStateChange != nil {
 		m.hook.OnStateChange(s)
 	}
@@ -420,7 +433,7 @@ func (m *Modem) PowerOff() {
 	m.rekeyPending, m.rekey = false, nil
 	m.rrcConnected = false
 	m.resuming = false
-	m.pendingPkts = nil
+	m.dropPending()
 	m.idleTimer.Stop()
 	m.regAttempts = 0
 	m.setState(StateOff)
@@ -631,10 +644,11 @@ func (m *Modem) HandleDownlink(frame any) {
 	case radio.DownlinkNAS:
 		m.deliverNAS(m.decodeDownlink(f.Bytes))
 	case *radio.Packet:
-		m.downlinkData(*f)
+		m.downlinkData(f)
 		m.frames.Put(f)
 	case radio.Packet:
-		m.downlinkData(f)
+		// A hand-built packet (tests, injectors), lent like a frame.
+		m.downlinkData(&f)
 	case radio.RRCRelease:
 		// Network released the radio connection.
 		m.rrcConnected = false
@@ -674,7 +688,7 @@ func (m *Modem) deliverNAS(msg nas.Message) {
 	}
 }
 
-func (m *Modem) downlinkData(pkt radio.Packet) {
+func (m *Modem) downlinkData(pkt *radio.Packet) {
 	m.stats.PacketsDown++
 	m.markActivity()
 	if m.hook.OnDownlinkData != nil {
@@ -696,16 +710,16 @@ func (m *Modem) handleNAS(msg nas.Message) {
 		// idle→connected transition complete: flush the queued uplink.
 		m.rrcConnected = true
 		m.resuming = false
-		pkts := m.pendingPkts
-		m.pendingPkts = nil
-		for _, pkt := range pkts {
+		for i, f := range m.pendingPkts {
+			m.pendingPkts[i] = nil
 			m.stats.PacketsUp++
-			m.txPacket(pkt)
+			m.txPacket(f)
 		}
+		m.pendingPkts = m.pendingPkts[:0]
 		m.markActivity()
 	case *nas.ServiceReject:
 		m.resuming = false
-		m.pendingPkts = nil
+		m.dropPending()
 		m.reportReject(nas.EPD5GMM, uint8(t.Cause))
 		m.legacyRegistrationFailure(uint8(t.Cause))
 	case *nas.ConfigurationUpdateCommand:
@@ -771,15 +785,36 @@ func (m *Modem) handleRegistrationAccept(acc *nas.RegistrationAccept) {
 	}
 }
 
+// maxSessionID is the highest ID EstablishSession hands out: 200–249 carry
+// SendRawSessionRequest's DIAG reports.
+const maxSessionID = 199
+
+// allocSessionID returns the next session ID in 1..maxSessionID, going round
+// from the last one handed out and skipping those of sessions the modem still
+// holds; 0 when every ID is taken.
+func (m *Modem) allocSessionID() uint8 {
+	for tries := 0; tries < maxSessionID; tries++ {
+		id := m.nextSession
+		m.nextSession = id%maxSessionID + 1
+		if _, held := m.Session(id); !held {
+			return id
+		}
+	}
+	return 0
+}
+
 // EstablishSession starts PDU session establishment for the given DNN.
 // It returns the local session ID, or 0 when the modem is not registered
-// (session management requires 5GMM registration, TS 24.501 §6.1.1).
+// (session management requires 5GMM registration, TS 24.501 §6.1.1) or
+// holds a session under every ID.
 func (m *Modem) EstablishSession(dnn string, typ nas.PDUSessionType) uint8 {
 	if m.state != StateRegistered {
 		return 0
 	}
-	id := m.nextSession
-	m.nextSession++
+	id := m.allocSessionID()
+	if id == 0 {
+		return 0
+	}
 	m.nextPTI++
 	s := &Session{ID: id, DNN: dnn, Type: typ, pti: m.nextPTI}
 	m.addSession(s)
@@ -819,6 +854,7 @@ func (m *Modem) handleSessionAccept(acc *nas.PDUSessionEstablishmentAccept) {
 	if acc.DNN != "" {
 		s.DNN = acc.DNN
 	}
+	m.k.Announce(sched.SessionUp, int(s.ID), 0)
 	if m.hook.OnSessionUp != nil {
 		m.hook.OnSessionUp(s)
 	}
@@ -837,6 +873,7 @@ func (m *Modem) handleSessionModification(cmd *nas.PDUSessionModificationCommand
 	}
 	if len(cmd.DNSServers) > 0 {
 		s.DNS = append(s.DNS[:0], cmd.DNSServers...)
+		m.k.Announce(sched.SessionDNS, int(s.ID), s.DNS[0].Word())
 	}
 	m.out.modDone.SMHeader = nas.SMHeader{PDUSessionID: cmd.PDUSessionID, PTI: cmd.PTI}
 	m.sendNAS(&m.out.modDone)
@@ -910,7 +947,7 @@ func (m *Modem) localDeregister() {
 	// Deregistration aborts a pending service-request resume along with
 	// the sessions its queued packets belong to.
 	m.resuming = false
-	m.pendingPkts = nil
+	m.dropPending()
 	if m.state == StateRegistered || m.state == StateRegistering {
 		m.setState(StateDeregistered)
 	}
@@ -951,34 +988,47 @@ func (m *Modem) SimulateMobility() {
 }
 
 // SendPacket transmits an uplink user-plane packet on a session. It
-// reports false when the session is not active. In idle mode the packet
-// is queued behind a Service Request and flushed on resume.
-func (m *Modem) SendPacket(pkt radio.Packet) bool {
+// reports false when the session is not active. The packet stays the
+// caller's: the modem copies it, once, into the pooled frame that then
+// carries it (and, turned around, its reply) across the stack. In idle mode
+// the frame is queued behind a Service Request and flushed on resume.
+func (m *Modem) SendPacket(pkt *radio.Packet) bool {
 	s, okS := m.Session(pkt.SessionID)
 	if !okS || !s.Active {
 		return false
 	}
-	pkt.UE = m.imsi
-	copy(pkt.Src[:], s.Address[:])
+	f := m.frames.Get()
+	*f = *pkt
+	f.UE = m.imsi
+	f.Src = s.Address
 	if !m.rrcConnected && m.cfg.InactivityTimeout > 0 {
-		m.pendingPkts = append(m.pendingPkts, pkt)
+		m.pendingPkts = append(m.pendingPkts, f)
 		m.resume()
 		return true
 	}
 	m.markActivity()
 	m.stats.PacketsUp++
-	return m.txPacket(pkt)
+	return m.txPacket(f)
 }
 
-// txPacket puts pkt on the radio uplink in a pooled frame. A frame the
+// txPacket puts a frame the modem owns on the radio uplink. A frame the
 // link refused was never in flight and goes straight back to the pool.
-func (m *Modem) txPacket(pkt radio.Packet) bool {
-	f := m.frames.Get(pkt)
+func (m *Modem) txPacket(f *radio.Packet) bool {
 	if !m.tx(f) {
 		m.frames.Put(f)
 		return false
 	}
 	return true
+}
+
+// dropPending releases the frames queued behind a Service Request that
+// will not complete.
+func (m *Modem) dropPending() {
+	for i, f := range m.pendingPkts {
+		m.pendingPkts[i] = nil
+		m.frames.Put(f)
+	}
+	m.pendingPkts = m.pendingPkts[:0]
 }
 
 // RequestModification sends a PDU Session Modification Request for an

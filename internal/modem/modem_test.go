@@ -475,21 +475,21 @@ func TestRefreshInitReattachesAfterSIMReinit(t *testing.T) {
 func TestPacketPathsRequireActiveSession(t *testing.T) {
 	k, m, _ := newModemHarness(t)
 	pkt := radio.Packet{SessionID: 1, Proto: nas.ProtoTCP, Length: 100}
-	if m.SendPacket(pkt) {
+	if m.SendPacket(&pkt) {
 		t.Fatal("packet sent with no session")
 	}
 	m.PowerOn()
 	k.RunFor(5 * time.Second)
 	s, _ := m.FirstActiveSession()
 	pkt.SessionID = s.ID
-	if !m.SendPacket(pkt) {
+	if !m.SendPacket(&pkt) {
 		t.Fatal("packet refused on active session")
 	}
 	if m.Stats().PacketsUp != 1 {
 		t.Fatalf("PacketsUp = %d", m.Stats().PacketsUp)
 	}
 	var got []radio.Packet
-	m.SetHooks(Hooks{OnDownlinkData: func(p radio.Packet) { got = append(got, p) }})
+	m.SetHooks(Hooks{OnDownlinkData: func(p *radio.Packet) { got = append(got, *p) }})
 	m.HandleDownlink(radio.Packet{SessionID: s.ID, Length: 50})
 	if len(got) != 1 || m.Stats().PacketsDown != 1 {
 		t.Fatalf("downlink delivery: %d pkts, stats %d", len(got), m.Stats().PacketsDown)

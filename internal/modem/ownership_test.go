@@ -49,7 +49,8 @@ func TestFrameReleasedWhenModemOff(t *testing.T) {
 		before := m.Stats()
 		nf := m.nasFrames.Get("001010000000001")
 		nf.Bytes = nas.AppendMarshal(nf.Bytes, &nas.RegistrationReject{Cause: 11})
-		pf := m.frames.Get(radio.Packet{UE: "001010000000001", SessionID: 1, Length: 100})
+		pf := m.frames.Get()
+		*pf = radio.Packet{UE: "001010000000001", SessionID: 1, Length: 100}
 		nasOut, pktOut := len(freeFrames(t, m.nasFrames)), len(freeFrames(t, m.frames))
 		m.HandleDownlink(nf)
 		m.HandleDownlink(pf)
@@ -71,7 +72,8 @@ func TestFrameReleasedWhenModemOff(t *testing.T) {
 	link.Dup = 1
 	nf := m.nasFrames.Get("001010000000001")
 	nf.Bytes = nas.AppendMarshal(nf.Bytes, &nas.RegistrationReject{Cause: 11})
-	pf := m.frames.Get(radio.Packet{SessionID: 1})
+	pf := m.frames.Get()
+	pf.SessionID = 1
 	nasOut, pktOut := len(freeFrames(t, m.nasFrames)), len(freeFrames(t, m.frames))
 	if !link.Send(nf) || !link.Send(pf) {
 		t.Fatal("link refused a frame")

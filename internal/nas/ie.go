@@ -130,6 +130,13 @@ func (a Addr) String() string {
 // IsZero reports whether the address is unset.
 func (a Addr) IsZero() bool { return a == Addr{} }
 
+// Word packs the address into an integer, first byte highest: the form in
+// which a sched.Transition operand carries a resolver. AddrOfWord unpacks it.
+func (a Addr) Word() int { return int(a[0])<<24 | int(a[1])<<16 | int(a[2])<<8 | int(a[3]) }
+
+// AddrOfWord is the inverse of Addr.Word.
+func AddrOfWord(w int) Addr { return Addr{byte(w >> 24), byte(w >> 16), byte(w >> 8), byte(w)} }
+
 // FilterDirection constrains which traffic a packet filter matches.
 type FilterDirection uint8
 

@@ -42,8 +42,10 @@ type Packet struct {
 	// Tag is the flow the traffic emulators match replies by; servers echo
 	// it.
 	Tag FlowTag
-	// Flow is a free-form label for hand-built packets (tests, probes of
-	// the link layer). The emulators carry it and never read it.
+	// Flow is a free-form label for hand-built packets. The emulators carry
+	// it and never read it; it stays only because benchmark/adapter.go
+	// builds labelled packets for its link probe (ROADMAP item 9 unpins the
+	// benchmark's surface, and the field goes with that).
 	Flow string
 	// Payload length in bytes (contents are not modelled).
 	Length int
@@ -75,15 +77,31 @@ func NewFlowTag(owner, class uint8, seq int) FlowTag {
 func (t FlowTag) Owner() uint8 { return uint8(t >> 56) }
 
 // User-plane frames cross the emulated links as *Packet taken from a
-// FramePool, so a packet costs no allocation per hop. A frame has exactly
-// one owner at a time: the sender takes it from the pool and gives it up
-// when the link accepts it; while in flight it belongs to the kernel event
-// carrying it (which makes it a snapshot root, so a restored prototype
-// replays the frame's content, not just its pointer); on delivery the
-// receiving handler owns it and either forwards the same frame on its
-// next hop or, once done with it, puts it back. Dropping a frame instead
-// of releasing it is always safe (the collector takes it); releasing one
-// twice never is.
+// FramePool, so a packet costs no allocation per hop — and one frame per
+// round trip: a request is born in the frame the modem copies it into, and
+// its reply rides that same frame back. A frame has exactly one owner at a
+// time:
+//
+//   - the modem takes it (Get) and fills it from the sender's scratch; the
+//     radio link owns it once it accepted it, and a sender whose link
+//     refused the frame releases it;
+//   - while in flight it belongs to the kernel event carrying it (which
+//     makes it a snapshot root, so a restored prototype replays the frame's
+//     content, not just its pointer);
+//   - the gNB, the UPF (HandleUplink, Inject), the emulated internet and
+//     the radio access network's SendData each consume the frame they are
+//     handed: they pass it on, or — on every path that drops the packet —
+//     release it, exactly once;
+//   - whoever answers a request (the carrier resolver, the public resolver,
+//     the probe server, an app server) turns its frame around in place and
+//     sends that;
+//   - on the device the modem owns the delivered frame: Hooks.OnDownlinkData,
+//     Mux.Dispatch, App.HandleDownlink and Mux.OnUnclaimed borrow the
+//     pointer for the call and keep nothing of it, and the modem releases
+//     the frame after the last of them returned.
+//
+// Dropping a frame instead of releasing it is always safe (the collector
+// takes it); releasing one twice never is.
 
 // framePoolCap bounds a pool: what a burst put in flight beyond it is left
 // to the collector rather than retained.
@@ -98,10 +116,15 @@ const framePoolCap = 16
 // it through any of them and rewinds it once.
 type FramePool struct {
 	free []*Packet
+
+	// audit, when set, sees every frame handed out (released false) and
+	// every frame released, the latter instead of the free list. Tests
+	// count and poison through it.
+	audit func(f *Packet, released bool)
 }
 
-// Get returns a frame holding pkt.
-func (p *FramePool) Get(pkt Packet) *Packet {
+// Get returns an empty frame, which the caller owns.
+func (p *FramePool) Get() *Packet {
 	var f *Packet
 	if n := len(p.free); n > 0 {
 		f = p.free[n-1]
@@ -110,13 +133,19 @@ func (p *FramePool) Get(pkt Packet) *Packet {
 	} else {
 		f = new(Packet)
 	}
-	*f = pkt
+	if p.audit != nil {
+		p.audit(f, false)
+	}
 	return f
 }
 
 // Put releases a frame the caller owns. The content is cleared so a
 // pooled frame pins no flow strings.
 func (p *FramePool) Put(f *Packet) {
+	if p.audit != nil {
+		p.audit(f, true)
+		return
+	}
 	if len(p.free) >= framePoolCap {
 		return
 	}
@@ -126,7 +155,7 @@ func (p *FramePool) Put(f *Packet) {
 
 // CloneMsg implements netemu's duplicate-delivery hook: a link that
 // delivers a frame twice must hand the second receiver a frame of its
-// own, because the first receiver recycles the one it was given.
+// own, because the first receiver consumes the one it was given.
 func (p *Packet) CloneMsg() any {
 	c := *p
 	return &c

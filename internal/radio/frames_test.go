@@ -95,16 +95,41 @@ func TestRRCFramesAreDistinctTypes(t *testing.T) {
 
 func TestFramePoolRecyclesAndClears(t *testing.T) {
 	var p FramePool
-	f := p.Get(Packet{UE: "imsi-1", Flow: "web-req-1", Length: 600})
-	if f.Flow != "web-req-1" || f.Length != 600 {
-		t.Fatalf("Get did not fill the frame: %+v", *f)
+	f := p.Get()
+	if *f != (Packet{}) {
+		t.Fatalf("a new frame holds %+v", *f)
 	}
+	*f = Packet{UE: "imsi-1", Flow: "web-req-1", Length: 600}
 	p.Put(f)
 	if *f != (Packet{}) {
 		t.Fatalf("released frame still holds %+v", *f)
 	}
-	if g := p.Get(Packet{Flow: "web-req-2"}); g != f || g.Flow != "web-req-2" || g.UE != "" {
+	if g := p.Get(); g != f || *g != (Packet{}) {
 		t.Fatalf("pool did not reuse the released frame cleanly: %p vs %p, %+v", g, f, *g)
+	}
+}
+
+// The audit hook sees every frame handed out and every frame released, and
+// keeps released frames off the free list (a poisoning test scribbles over
+// them instead).
+func TestFramePoolAudit(t *testing.T) {
+	var p FramePool
+	p.Put(new(Packet)) // on the free list before the audit starts
+	var got, released []*Packet
+	p.audit = func(f *Packet, rel bool) {
+		if rel {
+			released = append(released, f)
+		} else {
+			got = append(got, f)
+		}
+	}
+	a, b := p.Get(), p.Get()
+	p.Put(a)
+	if len(got) != 2 || got[0] != a || got[1] != b || len(released) != 1 || released[0] != a {
+		t.Fatalf("audit saw gets %v and releases %v, want [%p %p] and [%p]", got, released, a, b, a)
+	}
+	if c := p.Get(); c == a {
+		t.Fatal("an audited pool handed a released frame out again")
 	}
 }
 

@@ -40,6 +40,10 @@ type Kernel struct {
 	queue   eventHeap
 	seq     uint64
 	stopped bool
+	// watch and announced are the transition sink (see transition.go);
+	// neither is snapshot state.
+	watch     Watcher
+	announced uint64
 	// free is the event pool: a singly-linked list of fired/cancelled
 	// events awaiting reuse. Its length is bounded by the peak number of
 	// simultaneously pending events.
@@ -257,6 +261,11 @@ func (k *Kernel) Stop() { k.stopped = true }
 
 // Pending returns the number of queued events in O(1).
 func (k *Kernel) Pending() int { return len(k.queue) }
+
+// Scheduled returns how many events have been scheduled since the kernel
+// started (the sequence counter that breaks ties between equal deadlines):
+// two runs that scheduled the same events read the same value.
+func (k *Kernel) Scheduled() uint64 { return k.seq }
 
 // event is a pooled scheduling record. Exactly one of fn or argFn is set
 // while the event is queued; k and gen persist across recycles.

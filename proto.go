@@ -202,7 +202,7 @@ var bareProtos = NewProtoMap(func(mode Mode) func(*Testbed) *Device {
 		d := tb.NewDevice(mode)
 		(&Instrument{Tracer: bootTracer{d}}).attach(tb, d)
 		d.Start()
-		tb.RunUntil(d.Connected, connectDeadline)
+		tb.await(d.Connected, connectDeadline)
 		(&Instrument{}).attach(tb, d)
 		return d
 	}
@@ -238,23 +238,25 @@ type deliveryHandles struct {
 // deliveryProtos boots the §7.1 delivery-replay steady state: recommended
 // Android timers, the three-app traffic mix warmed for two minutes.
 var deliveryProtos = NewProtoMap(func(mode Mode) func(*Testbed) deliveryHandles {
-	return func(tb *Testbed) deliveryHandles {
-		d := tb.NewDevice(mode, WithAndroidRecommendedTimers())
-		h := deliveryHandles{d: d}
-		h.apps[0] = d.AddApp(AppVideo)
-		h.apps[1] = d.AddApp(AppWeb)
-		h.apps[2] = d.AddApp(AppEdgeAR)
-		d.Start()
-		if !tb.RunUntil(d.Connected, connectDeadline) {
-			return h
-		}
-		for _, a := range h.apps {
-			a.Start()
-		}
-		tb.Advance(2 * time.Minute) // steady state
+	return func(tb *Testbed) deliveryHandles { return bootDelivery(tb, mode) }
+})
+
+func bootDelivery(tb *Testbed, mode Mode) deliveryHandles {
+	d := tb.NewDevice(mode, WithAndroidRecommendedTimers())
+	h := deliveryHandles{d: d}
+	h.apps[0] = d.AddApp(AppVideo)
+	h.apps[1] = d.AddApp(AppWeb)
+	h.apps[2] = d.AddApp(AppEdgeAR)
+	d.Start()
+	if !tb.await(d.Connected, connectDeadline) {
 		return h
 	}
-})
+	for _, a := range h.apps {
+		a.Start()
+	}
+	tb.Advance(2 * time.Minute) // steady state
+	return h
+}
 
 // ProtoFamilyStats is one prototype family's counts as seedbench -json
 // reports them.

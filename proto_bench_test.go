@@ -245,9 +245,11 @@ func BenchmarkEachDevice(b *testing.B) {
 // packetPathAllocBudget is the allocation count of one app request →
 // response round trip (app, modem, radio link, gNB, backhaul, UPF,
 // internet and back) in steady state: nothing. The flow is an integer tag,
-// the request record and the frames are pooled, the timers are pooled
-// events. (The one string the path still builds, the "dns-answer:" prefix
-// on a DNS reply, comes once per hundred seconds of this traffic.)
+// the request is built in the app's scratch and copied once, into the one
+// pooled frame that carries it out and, turned around, its reply back; the
+// request record is pooled, the timers are pooled events. (The one string
+// the path still builds, the "dns-answer:" prefix on a DNS reply, comes
+// once per hundred seconds of this traffic.)
 const packetPathAllocBudget = 0
 
 // TestPacketPathAllocs extends the allocation guards to the user plane:

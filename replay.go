@@ -87,18 +87,21 @@ type cellRun struct {
 // starts, so it starts built but unstarted (coldProtos): the start is inside
 // its measured window, the construction, the same for every cell, is shared.
 func runCell(c cellRun, mode Mode, seedVal int64) ReplayResult {
-	var p *Proto[*Device]
-	switch {
-	case c.graph != nil:
-		p = coldProtos.Proto(coldKey{mode, c.graph.N})
-	case c.fc.Scenario == ScenarioDesync:
-		p = bareProtos.Proto(mode)
-	default:
-		p = coldProtos.Proto(coldKey{mode: mode})
-	}
-	tb, d, put := p.Cell(seedVal)
+	tb, d, put := c.proto(mode).Cell(seedVal)
 	defer put()
 	return c.measure(tb, d)
+}
+
+// proto returns the prototype the cell starts from.
+func (c *cellRun) proto(mode Mode) *Proto[*Device] {
+	switch {
+	case c.graph != nil:
+		return coldProtos.Proto(coldKey{mode, c.graph.N})
+	case c.fc.Scenario == ScenarioDesync:
+		return bareProtos.Proto(mode)
+	default:
+		return coldProtos.Proto(coldKey{mode: mode})
+	}
 }
 
 // measure runs the cell on its restored prototype (or, in the equivalence
@@ -173,7 +176,7 @@ func (tb *Testbed) measureFromBoot(d *Device, prep func()) ReplayResult {
 	})
 	prep()
 	d.Start()
-	connected := tb.RunUntil(d.Connected, replayWindow)
+	connected := tb.await(d.Connected, replayWindow)
 	if onset < 0 {
 		// Silent case (or none manifested): onset is the nominal first
 		// procedure instant — boot + profile read + list search.
@@ -216,9 +219,9 @@ func replayDesyncOn(tb *Testbed, d *Device) ReplayResult {
 	tb.DesyncIdentity(d)
 	tb.SimulateMobility(d)
 	onset := tb.Now()
-	// Run one event so the connectivity drop registers, then wait for
+	// Let the clock move so the connectivity drop registers, then wait for
 	// recovery.
-	recovered := tb.RunUntil(func() bool { return tb.Now() > onset && d.Connected() }, replayWindow)
+	recovered := tb.awaitAfter(onset, d.Connected, replayWindow)
 	res := ReplayResult{Recovered: recovered}
 	res.captureDevice(d)
 	if recovered {
@@ -237,7 +240,7 @@ func replayDesyncOn(tb *Testbed, d *Device) ReplayResult {
 func (tb *Testbed) replayWalk(d *Device, hops []workload.Hop, lossyHop int) ReplayResult {
 	var res ReplayResult
 	d.Start()
-	if !tb.RunUntil(d.Connected, connectDeadline) {
+	if !tb.await(d.Connected, connectDeadline) {
 		res.Handovers, res.ContextLoss = tb.Handovers()
 		return res
 	}
@@ -249,7 +252,7 @@ func (tb *Testbed) replayWalk(d *Device, hops []workload.Hop, lossyHop int) Repl
 			onset = tb.Now()
 		}
 	}
-	res.Recovered = tb.RunUntil(d.Connected, replayWindow)
+	res.Recovered = tb.await(d.Connected, replayWindow)
 	res.Handovers, res.ContextLoss = tb.Handovers()
 	res.UserNotified = d.UserNoticeCount() > 0
 	res.captureDevice(d)
@@ -416,14 +419,14 @@ func replayDeliveryOn(tb *Testbed, h deliveryHandles, dc DeliveryCase) DeliveryR
 		}
 		return false
 	}
-	if tb.RunUntil(detect, 30*time.Minute) {
+	if tb.await(detect, 30*time.Minute) {
 		detected = tb.Now() - onset
 	} else {
 		return DeliveryReplayResult{Detected: false}
 	}
 
 	// Recovery: the data connection works again.
-	recovered := tb.RunUntil(fixed, 30*time.Minute)
+	recovered := tb.await(fixed, 30*time.Minute)
 	res := DeliveryReplayResult{
 		Detected:         true,
 		DetectionLatency: detected,

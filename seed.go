@@ -141,6 +141,13 @@ type Testbed struct {
 	seq        int
 
 	cells *core5g.Cells
+
+	// missed is the tests' detector for a transition nobody announced: when
+	// set, await reads its condition after every event, as RunUntil does,
+	// and reports here when it turned true across an event that announced
+	// nothing (and still returns at that instant, the polled one). It is a
+	// plain field, so the next restore of a prototype clears it.
+	missed func(at time.Duration)
 }
 
 // Instrument bundles the decision-trace subsystem's hooks: a tracer
@@ -238,19 +245,63 @@ func (d *Device) Core() *core.Device { return d.inner }
 func (tb *Testbed) Advance(d time.Duration) { tb.kern.RunFor(d) }
 
 // RunUntil executes events until the predicate holds or the deadline
-// passes, checking after every event. It reports whether the predicate
-// was satisfied.
+// passes, reading the predicate after every event. It reports whether the
+// predicate was satisfied. This is the general form, for scripts: pred may be
+// any function of the testbed. The experiments' own waits are conditions over
+// state whose owners announce when it flips, and run on await, which reads
+// its condition only after an event that announced something.
 func (tb *Testbed) RunUntil(pred func() bool, deadline time.Duration) bool {
-	limit := tb.kern.Now() + deadline
-	for tb.kern.Now() < limit {
-		if pred() {
-			return true
+	return tb.run(pred, -1, deadline, true)
+}
+
+// await is RunUntil for a stop condition that is a pure function of
+// announced state (sched.Transition lists it: stalls, app reports, UPF
+// blocks and forwarding state, the modem's state and sessions, the resolver
+// in use): it returns at the same virtual instant with the same result, and
+// reads cond on entry, after each event that announced a transition, and once
+// more at the deadline, instead of after every event.
+func (tb *Testbed) await(cond func() bool, deadline time.Duration) bool {
+	return tb.run(cond, -1, deadline, false)
+}
+
+// awaitAfter is await for "the clock has moved past after, and cond holds":
+// what a wait that must not be satisfied by the state it starts in asks for.
+// The clock crossing after is not announced; the loop watches for it.
+func (tb *Testbed) awaitAfter(after time.Duration, cond func() bool, deadline time.Duration) bool {
+	return tb.run(cond, after, deadline, false)
+}
+
+// run is the one body of RunUntil and await: step the kernel until
+// Now() > after && cond(), the deadline, or an empty queue. An event past
+// the deadline still runs when the clock was short of it, and the condition
+// is read once more on the way out. cond is read between events — never
+// inside the call that announces a transition, where the state is half
+// changed — and, unless everyEvent, only when it can have changed: on entry,
+// once the clock has passed after, and after a step that announced something.
+func (tb *Testbed) run(cond func() bool, after, deadline time.Duration, everyEvent bool) bool {
+	k := tb.kern
+	limit := k.Now() + deadline
+	audited := !everyEvent && tb.missed != nil
+	due := true // cond has not been read since it last may have changed
+	for k.Now() < limit {
+		if (due || everyEvent || audited) && k.Now() > after {
+			if cond() {
+				if !due && audited {
+					tb.missed(k.Now())
+				}
+				return true
+			}
+			due = false
 		}
-		if !tb.kern.Step() {
+		announced := k.Announced()
+		if !k.Step() {
 			break
 		}
+		if k.Announced() != announced {
+			due = true
+		}
 	}
-	return pred()
+	return k.Now() > after && cond()
 }
 
 // After schedules fn at virtual-time offset d (for scripting scenarios).

@@ -121,7 +121,8 @@ func TestCloneIdempotent(t *testing.T) {
 // ReplayManagement's desync cells (bareProtos) and of ReplayDelivery
 // (deliveryProtos, all four failure kinds) give deeply equal results on a
 // restored prototype (Proto.Cell) and on the fresh-boot oracle
-// (Proto.Fresh), for every mode and several cell seeds.
+// (Proto.Fresh), for every mode and several cell seeds. Every wait runs under
+// the missed-announcement detector (auditStops).
 func TestSharedProtosCloneMatchesFresh(t *testing.T) {
 	seeds := []int64{1, 42, 987654321}
 	for _, mode := range Modes {
@@ -129,9 +130,11 @@ func TestSharedProtosCloneMatchesFresh(t *testing.T) {
 			p := bareProtos.Proto(mode)
 			for _, cellSeed := range seeds {
 				freshTB, freshD := p.Fresh(cellSeed)
+				auditStops(t, freshTB)
 				want := replayDesyncOn(freshTB, freshD)
 
 				tb, d, put := p.Cell(cellSeed)
+				auditStops(t, tb)
 				got := replayDesyncOn(tb, d)
 				put()
 
@@ -146,9 +149,11 @@ func TestSharedProtosCloneMatchesFresh(t *testing.T) {
 				dc := DeliveryCase{Kind: kind}
 				for _, cellSeed := range seeds {
 					freshTB, freshH := p.Fresh(cellSeed)
+					auditStops(t, freshTB)
 					want := replayDeliveryOn(freshTB, freshH, dc)
 
 					tb, h, put := p.Cell(cellSeed)
+					auditStops(t, tb)
 					got := replayDeliveryOn(tb, h, dc)
 					put()
 
@@ -164,7 +169,9 @@ func TestSharedProtosCloneMatchesFresh(t *testing.T) {
 // TestOnePathTwoVocabularies pins that the dataset-row and compiled-cell
 // entry points are adapters onto one implementation: for one case of each
 // scenario class and every mode, ReplayManagement equals RunWorkloadCell
-// on the cell carrying the same failure and seed with no RF profile.
+// on the cell carrying the same failure and seed with no RF profile — and
+// both equal the same cell run under the missed-announcement detector
+// (auditStops), where every wait is polled.
 func TestOnePathTwoVocabularies(t *testing.T) {
 	cases := []struct {
 		fc   FailureCase
@@ -197,6 +204,14 @@ func TestOnePathTwoVocabularies(t *testing.T) {
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("RunWorkloadCell %+v != ReplayManagement %+v", got, want)
+				}
+				run := cellRun{fc: c.fc}
+				tb, d, put := run.proto(mode).Cell(cellSeed)
+				auditStops(t, tb)
+				audited := run.measure(tb, d)
+				put()
+				if !reflect.DeepEqual(audited, r) {
+					t.Errorf("polled %+v != ReplayManagement %+v", audited, r)
 				}
 			})
 		}
@@ -358,8 +373,11 @@ func TestConstructionDrawsNoRandomness(t *testing.T) {
 // internet all hold the one user-plane frame pool, so the snapshot engine
 // reaches it along several paths and has to rewind it once, together with
 // the frames that were in flight. A testbed snapshotted with two frames in
-// flight and three in the pool, run on for a minute and restored, must
-// then live the same next minute as an identically built testbed that
+// flight — one of them a reply, riding its request's frame turned around —
+// and three in the pool, run on for a minute and restored, must find those
+// frames holding what they held (a restore replays a frame's content, not
+// just its pointer: the minute in between sent each of them round many times)
+// and then live the same next minute as an identically built testbed that
 // never was.
 func TestSharedFramePoolSnapshot(t *testing.T) {
 	type state struct {
@@ -369,13 +387,22 @@ func TestSharedFramePoolSnapshot(t *testing.T) {
 		Pending        int
 		InFlight, Free int
 	}
-	inFlight := func(tb *Testbed) (n int) {
+	frames := func(tb *Testbed) (in []radio.Packet) {
 		tb.kern.SnapshotRoots(func(root any) {
-			if _, isFrame := root.(*radio.Packet); isFrame {
-				n++
+			if f, isFrame := root.(*radio.Packet); isFrame {
+				in = append(in, *f)
 			}
 		})
-		return n
+		return in
+	}
+	inFlight := func(tb *Testbed) int { return len(frames(tb)) }
+	replyInFlight := func(tb *Testbed) bool {
+		for _, f := range frames(tb) {
+			if f.Meta == "app-response" {
+				return true
+			}
+		}
+		return false
 	}
 	free := func(tb *Testbed) int {
 		return reflect.ValueOf(tb.net.Frames).Elem().FieldByName("free").Len()
@@ -395,14 +422,14 @@ func TestSharedFramePoolSnapshot(t *testing.T) {
 			a.Start()
 		}
 		tb.Advance(30 * time.Second)
-		if !tb.RunUntil(func() bool { return inFlight(tb) == 2 }, time.Minute) {
-			t.Fatal("never two frames in flight at once")
+		if !tb.RunUntil(func() bool { return inFlight(tb) == 2 && replyInFlight(tb) }, time.Minute) {
+			t.Fatal("never two frames in flight at once, one of them a reply")
 		}
 		for free(tb) < 3 {
 			tb.net.Frames.Put(new(radio.Packet))
 		}
 		for free(tb) > 3 {
-			tb.net.Frames.Get(radio.Packet{})
+			tb.net.Frames.Get()
 		}
 		return tb, h
 	}
@@ -418,10 +445,14 @@ func TestSharedFramePoolSnapshot(t *testing.T) {
 
 	tb, h := build()
 	s := tb.Snapshot(&h)
+	snapped := frames(tb)
 	dirty := minute(tb, h)
 	s.Restore()
 	if got, wantIn, wantFree := tb.Now(), 2, 3; inFlight(tb) != wantIn || free(tb) != wantFree {
 		t.Fatalf("restored at %v with %d frames in flight and %d in the pool, want %d and %d", got, inFlight(tb), free(tb), wantIn, wantFree)
+	}
+	if got := frames(tb); !reflect.DeepEqual(got, snapped) {
+		t.Fatalf("frames in flight after the restore\n  %+v\nat the snapshot\n  %+v", got, snapped)
 	}
 	got := minute(tb, h)
 

@@ -34,6 +34,16 @@ func workloadScenario(s string) FailureScenario {
 // search loop, and the benchmark all enter here, so a corpus, a policy's
 // score and the workload bench measure cells through one code path.
 func RunWorkloadCell(sp *workload.Spec, c workload.Cell, mode Mode, inst *Instrument) workload.Outcome {
+	r := runCell(compiledCellRun(sp, c, inst), mode, c.Seed)
+	return workload.Outcome{
+		Recovered: r.Recovered, Disruption: r.Disruption,
+		UserNotified: r.UserNotified, Handovers: r.Handovers, ContextLoss: r.ContextLoss,
+		Actions: r.Actions, Reboots: r.Reboots, Decisions: r.Decisions,
+	}
+}
+
+// compiledCellRun translates a compiled cell into runCell's description.
+func compiledCellRun(sp *workload.Spec, c workload.Cell, inst *Instrument) cellRun {
 	run := cellRun{
 		fc: FailureCase{
 			ControlPlane: c.Plane == "control",
@@ -47,10 +57,5 @@ func RunWorkloadCell(sp *workload.Spec, c workload.Cell, mode Mode, inst *Instru
 	if workload.MobilityScenario(c.Scenario) {
 		run.graph, run.hops, run.lossyHop = &sp.Cells, c.Hops, c.LossyHop
 	}
-	r := runCell(run, mode, c.Seed)
-	return workload.Outcome{
-		Recovered: r.Recovered, Disruption: r.Disruption,
-		UserNotified: r.UserNotified, Handovers: r.Handovers, ContextLoss: r.ContextLoss,
-		Actions: r.Actions, Reboots: r.Reboots, Decisions: r.Decisions,
-	}
+	return run
 }
