@@ -7,11 +7,12 @@
 //
 // Usage:
 //
-//	seedfleetd [-addr HOST:PORT] [-shards N] [-queue N] [-max-frame BYTES]
-//	           [-read-timeout D] [-write-timeout D] [-retry-after D]
-//	           [-master HEX32]
+//	seedfleetd [-addr HOST:PORT] [-shards N] [-master HEX32]
 //	           [-journal DIR] [-compact-bytes N] [-force-empty]
 //	           [-node-id ID -cluster ID=ADDR,ID=ADDR,... [-epoch N]]
+//
+// Queue depth, frame limit, read/write deadlines and the backpressure
+// hint are fleet.ServerConfig's defaults.
 //
 // Durability: there are two states. Without -journal the model lives in
 // memory and ends with the process. -journal DIR enables the
@@ -39,7 +40,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"github.com/seed5g/seed/internal/fleet"
 	"github.com/seed5g/seed/internal/fleet/cluster"
@@ -49,11 +49,6 @@ func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:7316", "TCP listen address (\":0\" picks a free port)")
 		shards       = flag.Int("shards", 4, "aggregation worker shards")
-		queue        = flag.Int("queue", 256, "per-shard bounded queue depth")
-		maxFrame     = flag.Uint("max-frame", fleet.DefaultMaxFrame, "max accepted frame payload bytes")
-		readTimeout  = flag.Duration("read-timeout", 30*time.Second, "per-frame read deadline")
-		writeTimeout = flag.Duration("write-timeout", 10*time.Second, "per-response write deadline")
-		retryAfter   = flag.Duration("retry-after", 25*time.Millisecond, "backpressure wait hint")
 		master       = flag.String("master", "", "fleet master key, 32 hex digits (default: built-in dev key)")
 		journalDir   = flag.String("journal", "", "durable journal directory (crash-tolerant tier; unset: in-memory only)")
 		compactBytes = flag.Int64("compact-bytes", 4<<20, "per-shard journal size triggering snapshot compaction")
@@ -67,11 +62,6 @@ func main() {
 	cfg := fleet.ServerConfig{
 		Addr:         *addr,
 		Shards:       *shards,
-		QueueDepth:   *queue,
-		MaxFrame:     uint32(*maxFrame),
-		ReadTimeout:  *readTimeout,
-		WriteTimeout: *writeTimeout,
-		RetryAfter:   *retryAfter,
 		JournalDir:   *journalDir,
 		CompactBytes: *compactBytes,
 		ForceEmpty:   *forceEmpty,

@@ -32,12 +32,14 @@ import (
 	"github.com/seed5g/seed/internal/adversary"
 )
 
+// maxMutations bounds the mutation plan of every generated case.
+const maxMutations = 4
+
 func main() {
 	var (
 		rootSeed  = flag.Int64("seed", 1, "campaign root seed")
 		n         = flag.Int("n", 1000, "number of cases")
 		parallel  = flag.Int("parallel", 0, "worker count (<=0: GOMAXPROCS)")
-		maxMut    = flag.Int("maxmut", 4, "maximum mutations per case")
 		jsonOut   = flag.String("json", "", "write summary JSON to file ('-' for stdout)")
 		selfcheck = flag.Bool("selfcheck", false, "re-run sequentially and require byte-identical summaries")
 		corpusDir = flag.String("corpus", "", "write minimized violating cases as JSON into this directory")
@@ -51,7 +53,7 @@ func main() {
 		return
 	}
 
-	cfg := adversary.Config{RootSeed: *rootSeed, Cases: *n, Workers: *parallel, MaxMutations: *maxMut}
+	cfg := adversary.Config{RootSeed: *rootSeed, Cases: *n, Workers: *parallel, MaxMutations: maxMutations}
 	results, summary := adversary.Run(cfg)
 
 	if *selfcheck {

@@ -20,23 +20,24 @@ import (
 	"github.com/seed5g/seed/internal/fleet/cluster"
 )
 
+// The lossy proxies' base one-way delay and added uniform jitter.
+const (
+	proxyDelay  = 2 * time.Millisecond
+	proxyJitter = 3 * time.Millisecond
+)
+
 type chaosOpts struct {
-	fleetd     string
-	nodes      int
-	journals   string
-	devices    int
-	workers    int
-	records    int
-	causes     int
-	seed       int64
-	masterKey  [16]byte
-	killDown   time.Duration
-	lossy      bool
-	proxyDelay time.Duration
-	proxyJit   time.Duration
-	proxyKill  float64
-	jsonOut    string
-	quiet      bool
+	fleetd    string
+	nodes     int
+	devices   int
+	workers   int
+	records   int
+	seed      int64
+	masterKey [16]byte
+	killDown  time.Duration
+	lossy     bool
+	proxyKill float64
+	jsonOut   string
 }
 
 // chaosNode is one spawned seedfleetd plus its optional lossy front.
@@ -94,11 +95,6 @@ func freePort() (string, error) {
 }
 
 func runChaos(o chaosOpts) int {
-	logf := func(format string, args ...any) {
-		if !o.quiet {
-			fmt.Printf(format+"\n", args...)
-		}
-	}
 	fail := func(format string, args ...any) int {
 		fmt.Fprintf(os.Stderr, "seedload chaos: "+format+"\n", args...)
 		return 1
@@ -109,14 +105,11 @@ func runChaos(o chaosOpts) int {
 	if o.nodes < 2 {
 		return fail("-nodes must be >= 2")
 	}
-	if o.journals == "" {
-		dir, err := os.MkdirTemp("", "seedchaos-*")
-		if err != nil {
-			return fail("journal root: %v", err)
-		}
-		defer func() { _ = os.RemoveAll(dir) }()
-		o.journals = dir
+	journals, err := os.MkdirTemp("", "seedchaos-*")
+	if err != nil {
+		return fail("journal root: %v", err)
 	}
+	defer func() { _ = os.RemoveAll(journals) }()
 
 	// --- topology ---------------------------------------------------------
 	nodes := make([]*chaosNode, o.nodes)
@@ -130,10 +123,10 @@ func runChaos(o chaosOpts) int {
 			id:      fmt.Sprintf("n%d", i),
 			backend: backend,
 			addr:    backend,
-			journal: filepath.Join(o.journals, fmt.Sprintf("n%d", i)),
+			journal: filepath.Join(journals, fmt.Sprintf("n%d", i)),
 		}
 		if o.lossy {
-			p, err := startLossyProxy("127.0.0.1:0", backend, o.proxyDelay, o.proxyJit, o.proxyKill, 0, o.seed+int64(i))
+			p, err := startLossyProxy("127.0.0.1:0", backend, proxyDelay, proxyJitter, o.proxyKill, 0, o.seed+int64(i))
 			if err != nil {
 				return fail("proxy: %v", err)
 			}
@@ -157,10 +150,8 @@ func runChaos(o chaosOpts) int {
 			"-journal", n.journal,
 			"-shards", "2",
 		)
-		if !o.quiet {
-			cmd.Stderr = os.Stderr
-			cmd.Stdout = os.Stderr
-		}
+		cmd.Stderr = os.Stderr
+		cmd.Stdout = os.Stderr
 		if err := cmd.Start(); err != nil {
 			return err
 		}
@@ -208,7 +199,7 @@ func runChaos(o chaosOpts) int {
 	logf("seedload chaos: %d-node cluster up (lossy=%v): %s", o.nodes, o.lossy, spec)
 
 	// --- workload ---------------------------------------------------------
-	loads, expected, _ := genFleet(o.seed, o.devices, o.records, 0, o.causes, 0)
+	loads, expected, _ := genFleet(o.seed, o.devices, o.records, 0, 0)
 
 	// --- campaign script --------------------------------------------------
 	// Uploads are acked-then-counted: d.acked only moves when the cluster

@@ -6,11 +6,15 @@
 //
 // Usage:
 //
-//	seedload [-addr HOST:PORT | -cluster ID=ADDR,...] [-devices N]
-//	         [-workers N] [-conns N]
-//	         [-records N] [-reports N] [-causes N] [-seed S]
-//	         [-spec FILE] [-timescale F]
-//	         [-master HEX32] [-json FILE] [-verify=false] [-quiet]
+//	seedload [-addr HOST:PORT | -cluster ID=ADDR,... [-epoch N]]
+//	         [-devices N] [-workers N] [-conns N] [-records N] [-testbed N]
+//	         [-seed S] [-spec FILE] [-master HEX32] [-json FILE]
+//	seedload -chaos -fleetd PATH [-nodes N] [-kill-down D]
+//	         [-lossy [-proxy-killprob P]]
+//	         [-devices N] [-workers N] [-records N] [-seed S] [-json FILE]
+//
+// Every device also files one failure report, its customized causes are
+// drawn from 12 per plane, and the model comparison always runs.
 //
 // Each device's learning records are generated deterministically from
 // (-seed, device index) via the same splitmix derivation the parallel
@@ -32,8 +36,8 @@
 //
 // -spec FILE paces uploads by a workload spec's compiled arrival process
 // (cmd/seedwl's schema): device i's upload starts at the i-th arrival
-// offset, compressed by -timescale real-seconds-per-spec-second, so
-// diurnal curves and signaling-storm bursts shape the cluster load.
+// offset, compressed to a millisecond per spec second, so diurnal curves
+// and signaling-storm bursts shape the cluster load.
 package main
 
 import (
@@ -113,17 +117,25 @@ type deviceLoad struct {
 	query   cause.Cause
 }
 
+// What every device sends besides its record rows, and how fast a -spec
+// arrival process is replayed.
+const (
+	reportsPerDevice = 1     // failure reports per device
+	causesPerPlane   = 12    // distinct customized causes per plane
+	specTimescale    = 0.001 // real seconds per spec second with -spec pacing
+)
+
 // genDevice derives device i's workload from the root seed. Causes are
 // operator-customized codes (the §5.3 unknown-failure space) spread over
 // both planes; actions follow the trial order.
-func genDevice(rootSeed int64, i, records, reports, causes int) deviceLoad {
+func genDevice(rootSeed int64, i, records, reports int) deviceLoad {
 	rng := rand.New(rand.NewSource(sched.DeriveSeed(rootSeed, uint64(i))))
 	d := deviceLoad{
 		imsi:    fmt.Sprintf("310170%09d", i+1),
 		records: make(map[cause.Cause]map[core.ActionID]int),
 	}
 	for r := 0; r < records; r++ {
-		c := cause.Cause{Plane: cause.ControlPlane, Code: cause.Code(150 + rng.Intn(causes))}
+		c := cause.Cause{Plane: cause.ControlPlane, Code: cause.Code(150 + rng.Intn(causesPerPlane))}
 		if rng.Intn(2) == 1 {
 			c.Plane = cause.DataPlane
 		}
@@ -171,9 +183,9 @@ var simProto = seed.NewProto(func(tb *seed.Testbed) *seed.Device {
 // SEED testbed through an operator-customized failure: the rows the SIM
 // applet actually learned and uploaded become the device's fleet payload
 // (the synthetic genDevice rows are replaced; reports stay synthetic).
-// The same rows feed the in-process baseline, so -verify still holds
-// byte-for-byte. Returns false when the run produced no records.
-func testbedDevice(ld *deviceLoad, rootSeed int64, i, causes int) bool {
+// The same rows feed the in-process baseline, so the model comparison
+// still holds byte-for-byte. Returns false when the run produced no records.
+func testbedDevice(ld *deviceLoad, rootSeed int64, i int) bool {
 	tb, d, put := simProto.Cell(sched.DeriveSeedN(rootSeed, uint64(i), 2))
 	defer put()
 	if !d.Connected() {
@@ -184,7 +196,7 @@ func testbedDevice(ld *deviceLoad, rootSeed int64, i, causes int) bool {
 		blob = append(blob[:0], b...)
 	})
 
-	code := uint8(150 + i%causes)
+	code := uint8(150 + i%causesPerPlane)
 	c := cause.MM(cause.Code(code))
 	opts := seed.InjectOpts{Count: -1, HealAfter: 30 * time.Second}
 	if i%2 == 0 {
@@ -218,18 +230,21 @@ func testbedDevice(ld *deviceLoad, rootSeed int64, i, causes int) bool {
 // model of the in-process sequential baseline fold. The first testbed
 // devices earn their records from real cloned-testbed runs (fromTestbed
 // counts those that produced any); the rest are synthetic.
-func genFleet(rootSeed int64, devices, records, reports, causes, testbed int) (loads []deviceLoad, expected []byte, fromTestbed int) {
+func genFleet(rootSeed int64, devices, records, reports, testbed int) (loads []deviceLoad, expected []byte, fromTestbed int) {
 	loads = make([]deviceLoad, devices)
 	baseline := core.NewLearner(0.1, rand.New(rand.NewSource(rootSeed)))
 	for i := range loads {
-		loads[i] = genDevice(rootSeed, i, records, reports, causes)
-		if i < testbed && testbedDevice(&loads[i], rootSeed, i, causes) {
+		loads[i] = genDevice(rootSeed, i, records, reports)
+		if i < testbed && testbedDevice(&loads[i], rootSeed, i) {
 			fromTestbed++
 		}
 		baseline.Crowdsource(loads[i].records)
 	}
 	return loads, fleet.MarshalModel(baseline.Export()), fromTestbed
 }
+
+// logf prints one line of progress output.
+func logf(format string, args ...any) { fmt.Printf(format+"\n", args...) }
 
 func ms(s *metrics.Series, p float64) float64 {
 	if s == nil {
@@ -370,25 +385,17 @@ func main() {
 		workers     = flag.Int("workers", 4, "client shards (worker goroutines)")
 		conns       = flag.Int("conns", 0, "connections per node (default: workers)")
 		records     = flag.Int("records", 4, "learning-record rows per device")
-		reports     = flag.Int("reports", 1, "failure reports per device")
-		causes      = flag.Int("causes", 12, "distinct customized causes per plane")
 		testbed     = flag.Int("testbed", 32, "derive the first N devices' records from real cloned-testbed SEED runs (0: all synthetic)")
 		wlSpec      = flag.String("spec", "", "pace uploads by this workload spec's arrival process (see cmd/seedwl) instead of max rate")
-		timescale   = flag.Float64("timescale", 0.001, "real seconds per spec second with -spec pacing")
 		seedVal     = flag.Int64("seed", 1, "workload seed")
 		master      = flag.String("master", "", "fleet master key, 32 hex digits (default: built-in dev key)")
 		jsonOut     = flag.String("json", "", "write machine-readable results to FILE (\"-\" for stdout)")
-		verify      = flag.Bool("verify", true, "compare the server model against the in-process baseline")
-		quiet       = flag.Bool("quiet", false, "suppress progress output")
 
 		chaosMode  = flag.Bool("chaos", false, "run the kill-and-rebalance chaos campaign (spawns its own cluster; see -fleetd)")
 		fleetdPath = flag.String("fleetd", "", "seedfleetd binary for -chaos (required)")
 		chaosNodes = flag.Int("nodes", 3, "cluster size for -chaos")
-		jrnlRoot   = flag.String("journal-root", "", "journal root directory for -chaos (default: temp dir)")
 		killDown   = flag.Duration("kill-down", 250*time.Millisecond, "how long the SIGKILL'd node stays down before restart")
 		lossy      = flag.Bool("lossy", false, "route cluster traffic through lossy TCP proxies")
-		proxyDelay = flag.Duration("proxy-delay", 2*time.Millisecond, "lossy proxy: base one-way delay")
-		proxyJit   = flag.Duration("proxy-jitter", 3*time.Millisecond, "lossy proxy: added uniform jitter")
 		proxyKill  = flag.Float64("proxy-killprob", 0.02, "lossy proxy: per-connection kill probability per forwarded chunk")
 	)
 	flag.Parse()
@@ -408,37 +415,26 @@ func main() {
 
 	if *chaosMode {
 		os.Exit(runChaos(chaosOpts{
-			fleetd:     *fleetdPath,
-			nodes:      *chaosNodes,
-			journals:   *jrnlRoot,
-			devices:    *devices,
-			workers:    *workers,
-			records:    *records,
-			causes:     *causes,
-			seed:       *seedVal,
-			masterKey:  masterKey,
-			killDown:   *killDown,
-			lossy:      *lossy,
-			proxyDelay: *proxyDelay,
-			proxyJit:   *proxyJit,
-			proxyKill:  *proxyKill,
-			jsonOut:    *jsonOut,
-			quiet:      *quiet,
+			fleetd:    *fleetdPath,
+			nodes:     *chaosNodes,
+			devices:   *devices,
+			workers:   *workers,
+			records:   *records,
+			seed:      *seedVal,
+			masterKey: masterKey,
+			killDown:  *killDown,
+			lossy:     *lossy,
+			proxyKill: *proxyKill,
+			jsonOut:   *jsonOut,
 		}))
 	}
 
-	logf := func(format string, args ...any) {
-		if !*quiet {
-			fmt.Printf(format+"\n", args...)
-		}
-	}
-
-	loads, expected, fromTestbed := genFleet(*seedVal, *devices, *records, *reports, *causes, *testbed)
+	loads, expected, fromTestbed := genFleet(*seedVal, *devices, *records, reportsPerDevice, *testbed)
 	logf("seedload: %d devices (%d testbed-derived), %d workers, %d conns, %d record rows/device (model %d bytes)",
 		*devices, fromTestbed, *workers, *conns, *records, len(expected))
 
 	// With -spec, device i's upload waits until its compiled arrival
-	// offset (compressed by -timescale) — cluster load then carries the
+	// offset (compressed by specTimescale) — cluster load then carries the
 	// spec's diurnal curves and signaling-storm bursts instead of arriving
 	// as one max-rate wall.
 	var offsets []time.Duration
@@ -461,10 +457,10 @@ func main() {
 			os.Exit(2)
 		}
 		for i := range offsets {
-			offsets[i] = time.Duration(float64(offsets[i]) * *timescale)
+			offsets[i] = time.Duration(float64(offsets[i]) * specTimescale)
 		}
 		pacedBy = sp.Name
-		logf("seedload: pacing by spec %q ×%g: uploads span %v", sp.Name, *timescale, offsets[len(offsets)-1])
+		logf("seedload: pacing by spec %q ×%g: uploads span %v", sp.Name, specTimescale, offsets[len(offsets)-1])
 	}
 
 	// A single seedfleetd is a cluster of one: it holds no shard map, so it
@@ -493,7 +489,7 @@ func main() {
 
 	res := result{
 		Devices: *devices, Workers: *workers, Conns: *conns,
-		Records: *records, Reports: *reports, Testbed: fromTestbed,
+		Records: *records, Reports: reportsPerDevice, Testbed: fromTestbed,
 		PacedBySpec: pacedBy, Seed: *seedVal,
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		WallMS:        float64(wall) / float64(time.Millisecond),
@@ -509,7 +505,7 @@ func main() {
 
 		FramesPerWrite: fleet.Ratio(cc.Frames(), cc.Writes()),
 	}
-	totalOps := *devices * (2 + *reports) // upload + reports + query
+	totalOps := *devices * (2 + reportsPerDevice) // upload + reports + query
 	res.OpsPerSec = float64(totalOps) / wall.Seconds()
 
 	if st, _, err := fetchStats(cc); err == nil {
@@ -521,20 +517,18 @@ func main() {
 	}
 
 	exit := 0
-	if *verify {
-		got, err := cc.FetchClusterModel(context.Background())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "seedload: model pull: %v\n", err)
+	got, err := cc.FetchClusterModel(context.Background())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "seedload: model pull: %v\n", err)
+		exit = 1
+	} else {
+		res.ModelBytes = len(got)
+		match := string(got) == string(expected)
+		res.ModelMatch = &match
+		if !match {
+			fmt.Fprintf(os.Stderr, "seedload: MODEL MISMATCH: server %d bytes, baseline %d bytes\n",
+				len(got), len(expected))
 			exit = 1
-		} else {
-			res.ModelBytes = len(got)
-			match := string(got) == string(expected)
-			res.ModelMatch = &match
-			if !match {
-				fmt.Fprintf(os.Stderr, "seedload: MODEL MISMATCH: server %d bytes, baseline %d bytes\n",
-					len(got), len(expected))
-				exit = 1
-			}
 		}
 	}
 	if res.Lost > 0 {

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	seedpolicy [-seed S] [-spec FILE] [-cells N] [-rounds R] [-topk K]
-//	           [-mutants M] [-pins P] [-parallel W] [-trace off|decisions|full]
+//	           [-pins P] [-parallel W] [-trace off|decisions|full]
 //	           [-selfcheck] [-json FILE]
 //
 // The corpus is the calibrated default workload (internal/workload)
@@ -76,13 +76,16 @@ type policyReport struct {
 	WallMS          float64             `json:"wall_ms"`
 }
 
+// searchMutants is how many mutants each survivor spawns per refinement
+// round.
+const searchMutants = 4
+
 func main() {
 	seedVal := flag.Int64("seed", 1, "corpus and search seed")
 	specPath := flag.String("spec", "", "workload spec JSON (default: the calibrated paper-mix spec)")
 	maxCells := flag.Int("cells", 48, "evaluation cells (first N eligible in corpus order; 0 = all)")
 	rounds := flag.Int("rounds", 2, "evolutionary refinement rounds after the grid")
 	topK := flag.Int("topk", 3, "survivors carried between rounds")
-	mutants := flag.Int("mutants", 4, "mutants per survivor per round")
 	pins := flag.Int("pins", 2, "decisions pinned per counterfactual matrix")
 	parallel := flag.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS)")
 	traceLevel := flag.String("trace", "full", "trace retention level for the counting pass (off|decisions|full)")
@@ -173,7 +176,7 @@ func main() {
 
 	// (c) Policy search: grid + refinement, paper policy in the grid.
 	cfg := policy.SearchConfig{
-		Seed: *seedVal, Rounds: *rounds, TopK: *topK, Mutants: *mutants,
+		Seed: *seedVal, Rounds: *rounds, TopK: *topK, Mutants: searchMutants,
 		Progress: func(s string) { fmt.Println("search:", s) },
 	}
 	report.Search = policy.Search(pool, sp, cells, cfg)

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	tracegen [-seed S] [-procedures N] [-failures N] [-delivery N]
+//	tracegen [-seed S]
 package main
 
 import (
@@ -19,12 +19,9 @@ import (
 
 func main() {
 	seedVal := flag.Int64("seed", 1, "generator seed")
-	procedures := flag.Int("procedures", 24000, "total management procedures")
-	failures := flag.Int("failures", 2832, "management failure cases")
-	delivery := flag.Int("delivery", 300, "data-delivery failure cases")
 	flag.Parse()
 
-	ds := seed.GenerateDatasetSized(*seedVal, *procedures, *failures, *delivery)
+	ds := seed.GenerateDataset(*seedVal)
 	fmt.Fprint(os.Stderr, ds.RenderTable1())
 
 	enc := json.NewEncoder(os.Stdout)

@@ -10,26 +10,24 @@ import (
 
 // FailureScenario classifies what is actually wrong in a failure case —
 // and therefore what can fix it.
-type FailureScenario int
+type FailureScenario = trace.Scenario
 
 const (
 	// ScenarioTransient failures self-heal network-side after Heal.
-	ScenarioTransient FailureScenario = iota + 1
+	ScenarioTransient = trace.ScenTransient
 	// ScenarioDesync failures are infrastructure/device state mismatches.
-	ScenarioDesync
+	ScenarioDesync = trace.ScenDesync
 	// ScenarioStaleConfigDevice failures are outdated configuration in
 	// the modem cache while the SIM copy is already correct.
-	ScenarioStaleConfigDevice
+	ScenarioStaleConfigDevice = trace.ScenStaleConfigDevice
 	// ScenarioStaleConfigEverywhere failures have the outdated value on
 	// modem and SIM alike.
-	ScenarioStaleConfigEverywhere
+	ScenarioStaleConfigEverywhere = trace.ScenStaleConfigEverywhere
 	// ScenarioUserAction failures need the user (expired plan etc.).
-	ScenarioUserAction
+	ScenarioUserAction = trace.ScenUserAction
 	// ScenarioSilent failures are network timeouts (no reject at all).
-	ScenarioSilent
+	ScenarioSilent = trace.ScenSilent
 )
-
-func (s FailureScenario) String() string { return trace.Scenario(s).String() }
 
 // FailureCase is one management-failure case from the dataset.
 type FailureCase struct {
@@ -44,26 +42,22 @@ type FailureCase struct {
 }
 
 // DeliveryFailureKind classifies data-delivery failures.
-type DeliveryFailureKind int
+type DeliveryFailureKind = trace.DeliveryKind
 
 const (
-	DeliveryTCPBlock DeliveryFailureKind = iota + 1
-	DeliveryUDPBlock
-	DeliveryDNSOutage
-	DeliveryStalledGateway
+	DeliveryTCPBlock       = trace.DeliveryTCPBlock
+	DeliveryUDPBlock       = trace.DeliveryUDPBlock
+	DeliveryDNSOutage      = trace.DeliveryDNSOutage
+	DeliveryStalledGateway = trace.DeliveryStalledGateway
 )
 
-func (k DeliveryFailureKind) String() string { return trace.DeliveryKind(k).String() }
-
 // DeliveryCase is one data-delivery failure case.
-type DeliveryCase struct {
-	ID   int                 `json:"id"`
-	Kind DeliveryFailureKind `json:"kind"`
-}
+type DeliveryCase = trace.DeliveryRecord
 
 // Dataset is a synthesized failure corpus mirroring the §3.1 statistics.
 type Dataset struct {
-	inner *trace.Dataset
+	inner    *trace.Dataset
+	failures []FailureCase
 }
 
 // GenerateDataset synthesizes the default corpus (24 k procedures, 2832
@@ -71,36 +65,24 @@ type Dataset struct {
 func GenerateDataset(seedVal int64) *Dataset {
 	cfg := trace.DefaultGenConfig()
 	cfg.Seed = seedVal
-	return &Dataset{inner: trace.Generate(cfg)}
-}
-
-// GenerateDatasetSized synthesizes a corpus with custom counts.
-func GenerateDatasetSized(seedVal int64, procedures, failures, delivery int) *Dataset {
-	return &Dataset{inner: trace.Generate(trace.GenConfig{
-		Seed: seedVal, Procedures: procedures, Failures: failures, Delivery: delivery,
-	})}
+	inner := trace.Generate(cfg)
+	ds := &Dataset{inner: inner, failures: make([]FailureCase, len(inner.Failures))}
+	for i, r := range inner.Failures {
+		ds.failures[i] = failureCaseFrom(r)
+	}
+	return ds
 }
 
 // Procedures returns the total management procedures in the corpus.
 func (d *Dataset) Procedures() int { return d.inner.Procedures }
 
-// Failures returns the management failure cases.
-func (d *Dataset) Failures() []FailureCase {
-	out := make([]FailureCase, len(d.inner.Failures))
-	for i, r := range d.inner.Failures {
-		out[i] = failureCaseFrom(r)
-	}
-	return out
-}
+// Failures returns the management failure cases: the dataset's own slice,
+// for reading.
+func (d *Dataset) Failures() []FailureCase { return d.failures }
 
-// Delivery returns the data-delivery failure cases.
-func (d *Dataset) Delivery() []DeliveryCase {
-	out := make([]DeliveryCase, len(d.inner.Delivery))
-	for i, r := range d.inner.Delivery {
-		out[i] = DeliveryCase{ID: r.ID, Kind: DeliveryFailureKind(r.Kind)}
-	}
-	return out
-}
+// Delivery returns the data-delivery failure cases: the dataset's own
+// slice, for reading.
+func (d *Dataset) Delivery() []DeliveryCase { return d.inner.Delivery }
 
 // FailureRatio returns failures per procedure (the >10 % headline).
 func (d *Dataset) FailureRatio() float64 { return d.inner.FailureRatio() }
@@ -131,7 +113,7 @@ func failureCaseFrom(r trace.Record) FailureCase {
 		ControlPlane: r.Cause.Plane == cause.ControlPlane,
 		CauseCode:    uint8(r.Cause.Code),
 		CauseName:    name,
-		Scenario:     FailureScenario(r.Scenario),
+		Scenario:     r.Scenario,
 		Heal:         r.Heal,
 	}
 }

@@ -640,10 +640,8 @@ type Figure11bResult struct {
 // A single shared kernel carries the whole stress run, so this experiment
 // is one cell and takes no pool.
 func ExperimentFigure11b(seedVal int64) Figure11bResult {
-	tb := New(seedVal)
-	d := tb.NewDevice(ModeSEEDU)
-	d.Start()
-	tb.await(d.Connected, connectDeadline)
+	tb, d, put := bareProtos.Proto(ModeSEEDU).Cell(seedVal)
+	defer put()
 	opsBase := d.SIMOperations()
 	stop := time.Duration(30) * time.Minute
 	start := tb.Now()
@@ -712,10 +710,8 @@ type Figure12Result struct {
 // The exchanges share one device and kernel (uplink state feeds the next
 // exchange), so this experiment is one sequential cell and takes no pool.
 func ExperimentFigure12(n int, seedVal int64) Figure12Result {
-	tb := New(seedVal)
-	d := tb.NewDevice(ModeSEEDR)
-	d.Start()
-	tb.await(d.Connected, connectDeadline)
+	tb, d, put := bareProtos.Proto(ModeSEEDR).Cell(seedVal)
+	defer put()
 
 	prepDL := metrics.NewSeries("dl-prep")
 	transDL := metrics.NewSeries("dl-trans")

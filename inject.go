@@ -44,7 +44,7 @@ func (tb *Testbed) addRule(d *Device, plane cause.Plane, code uint8, o InjectOpt
 			tb.kern.After(o.HealAfter, func() { tb.net.Inj.Remove(rule) })
 		} else {
 			fired := false
-			d.rejectFns = append(d.rejectFns, func(byte, uint8) {
+			d.OnReject(func(bool, uint8) {
 				if fired {
 					return
 				}

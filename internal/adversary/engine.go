@@ -106,14 +106,7 @@ var caseProtos = seed.NewProtoMap(func(k caseKey) func(*seed.Testbed) caseHandle
 		if k.Opts&OptRecommendedTimers != 0 {
 			opts = append(opts, seed.WithAndroidRecommendedTimers())
 		}
-		mode := seed.ModeLegacy
-		switch k.Mode {
-		case 2:
-			mode = seed.ModeSEEDU
-		case 3:
-			mode = seed.ModeSEEDR
-		}
-		dev := tb.NewDevice(mode, opts...)
+		dev := tb.NewDevice(seed.Mode(k.Mode), opts...)
 		cd := dev.Core()
 
 		// Tap the three live boundaries. NAS frames are re-marshaled from
@@ -312,7 +305,7 @@ func checkInvariants(tb *seed.Testbed, dev *seed.Device, rec *recorder, c Case, 
 	// SEED must never execute a recovery tier above its privilege: a
 	// SEED-U device without the proactive-AT extension has no path to the
 	// root-only B tier, no matter what was injected.
-	if c.Mode == 2 && c.Opts&OptProactiveAT == 0 && cd.Applet != nil {
+	if seed.Mode(c.Mode) == seed.ModeSEEDU && c.Opts&OptProactiveAT == 0 && cd.Applet != nil {
 		st := cd.Applet.Stats()
 		ids := make([]core.ActionID, 0, len(st.Actions))
 		for id := range st.Actions {

@@ -80,9 +80,6 @@ func NewCarrierApp(k *sched.Kernel, mdm *modem.Modem) *CarrierApp {
 // Stats returns a copy of the counters.
 func (c *CarrierApp) Stats() CarrierAppStats { return c.stats }
 
-// Rooted reports whether root privilege was detected.
-func (c *CarrierApp) Rooted() bool { return c.rooted }
-
 // DNSOverride returns the app-configured DNS server (zero when unset).
 func (c *CarrierApp) DNSOverride() nas.Addr { return c.dnsOverride }
 

@@ -30,13 +30,28 @@ const (
 func (m DeviceMode) String() string {
 	switch m {
 	case Legacy:
-		return "legacy"
+		return "Legacy"
 	case SEEDU:
 		return "SEED-U"
 	case SEEDR:
 		return "SEED-R"
 	default:
 		return fmt.Sprintf("DeviceMode(%d)", uint8(m))
+	}
+}
+
+// ParseDeviceMode maps the spec/CLI spelling of a mode ("legacy", "seed-u",
+// "seed-r") to the DeviceMode; ok is false for anything else.
+func ParseDeviceMode(s string) (mode DeviceMode, ok bool) {
+	switch s {
+	case "legacy":
+		return Legacy, true
+	case "seed-u":
+		return SEEDU, true
+	case "seed-r":
+		return SEEDR, true
+	default:
+		return 0, false
 	}
 }
 

@@ -129,15 +129,6 @@ func (u *UPF) RemoveSession(addr nas.Addr) {
 	}
 }
 
-// SessionFor returns the session context owning an address.
-func (u *UPF) SessionFor(addr nas.Addr) (*SessionCtx, bool) {
-	s, okS := u.byAddr[addr]
-	if !okS {
-		return nil, false
-	}
-	return s.ctx, true
-}
-
 // AddBlock installs a policy block for a UE (empty imsi = network-wide).
 func (u *UPF) AddBlock(imsi string, b PolicyBlock) {
 	if imsi == "" {
@@ -220,9 +211,6 @@ func (u *UPF) SetLDNSDown(v bool) {
 	}
 	u.k.Announce(sched.LDNSChanged, down, 0)
 }
-
-// LDNSDown reports whether the carrier resolver is down.
-func (u *UPF) LDNSDown() bool { return u.ldnsDown }
 
 // blocked reports whether a network-wide or per-UE policy block matches
 // the flow. It runs twice per request round trip, so it reads the block

@@ -39,6 +39,9 @@ func (k AppKind) String() string {
 	}
 }
 
+// Buffer returns the app's playback buffer (masks short outages).
+func (k AppKind) Buffer() time.Duration { return Spec(k).Buffer }
+
 // AppSpec describes an application's traffic pattern.
 type AppSpec struct {
 	Kind     AppKind

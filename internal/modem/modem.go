@@ -318,10 +318,6 @@ func (m *Modem) IMSI() string { return m.imsi }
 // Profile returns the modem's cached copy of the SIM profile.
 func (m *Modem) Profile() sim.Profile { return m.profile }
 
-// SetAutoSession controls whether the modem establishes the default data
-// session automatically after registration (on by default).
-func (m *Modem) SetAutoSession(v bool) { m.autoSession = v }
-
 // SetSpecIdentityFallback toggles spec-compliant GUTI invalidation after
 // identity failures (off by default to reproduce the measured behaviour).
 func (m *Modem) SetSpecIdentityFallback(v bool) { m.specIdentityFallback = v }

@@ -194,8 +194,6 @@ func decodePacketFilter(r *reader) PacketFilter {
 	return f
 }
 
-const packetFilterWireLen = 10
-
 // Matches reports whether the filter matches a flow with the given
 // protocol, remote address and remote port in direction dir.
 func (f PacketFilter) Matches(dir FilterDirection, proto uint8, remote Addr, port uint16) bool {
@@ -249,8 +247,6 @@ func (t *TFT) decode(r *reader) {
 		t.Filters = append(t.Filters, decodePacketFilter(r))
 	}
 }
-
-func (t TFT) wireLen() int { return 1 + len(t.Filters)*packetFilterWireLen }
 
 // Admits reports whether the TFT allows a flow. An empty filter set admits
 // everything (match-all default per TS 24.008 when no TFT is present).

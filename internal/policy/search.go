@@ -48,12 +48,6 @@ type SearchConfig struct {
 	Progress func(string) `json:"-"`
 }
 
-// DefaultSearchConfig returns the bench configuration: a 27-point grid
-// plus two refinement rounds of 3×4 mutants.
-func DefaultSearchConfig(seedVal int64) SearchConfig {
-	return SearchConfig{Seed: seedVal, Rounds: 2, TopK: 3, Mutants: 4}
-}
-
 // SearchResult is the search outcome: the paper baseline, the best
 // candidate found, and the full ranked grid for the report.
 type SearchResult struct {

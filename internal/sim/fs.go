@@ -36,9 +36,6 @@ func NewFileSystem(quota int) *FileSystem {
 	return &FileSystem{quota: quota, files: make(map[FileID][]byte)}
 }
 
-// Quota returns the EEPROM capacity in bytes.
-func (fs *FileSystem) Quota() int { return fs.quota }
-
 // Used returns the bytes currently consumed.
 func (fs *FileSystem) Used() int { return fs.used }
 

@@ -101,11 +101,8 @@ func (k DeliveryKind) String() string {
 
 // DeliveryRecord is one data-delivery failure case.
 type DeliveryRecord struct {
-	ID   int
-	Kind DeliveryKind
-	// Heal is when the network-side condition clears on its own (zero:
-	// never — only explicit fixing recovers it).
-	Heal time.Duration
+	ID   int          `json:"id"`
+	Kind DeliveryKind `json:"kind"`
 }
 
 // Dataset is the synthesized corpus.

@@ -145,11 +145,20 @@ func pickMix(rng *rand.Rand, mix []CauseMix, weights []float64, total float64) C
 }
 
 // Outcome is the measured result of executing one cell end-to-end on the
-// testbed (the workload analogue of ReplayResult, plus handover counts).
+// testbed (the root package exports it as ReplayResult).
 type Outcome struct {
-	Recovered    bool          `json:"recovered"`
-	Disruption   time.Duration `json:"disruption_ns"`
-	UserNotified bool          `json:"user_notified,omitempty"`
+	// Recovered reports whether data connectivity came back within the
+	// replay window.
+	Recovered bool `json:"recovered"`
+	// Disruption is the outage duration (onset → recovery); meaningless
+	// when Recovered is false.
+	Disruption time.Duration `json:"disruption_ns"`
+	// UserNotified reports whether SEED raised a user-action notification
+	// (the correct handling for unrecoverable cases).
+	UserNotified bool `json:"user_notified,omitempty"`
+	// UserActionRequired marks cases no automatic reset can fix. It is
+	// the cell's class restated, not a measurement, so a corpus omits it.
+	UserActionRequired bool `json:"-"`
 	// Handovers/ContextLoss are the cell testbed's merged mobility
 	// counters (mobility scenarios only).
 	Handovers   int `json:"handovers,omitempty"`

@@ -119,7 +119,7 @@ func (panicTracer) Decision(core.DecisionEvent) { panic("tracer blew up mid-cell
 // the panicking tracer attached and timers queued); the next Cell must
 // restore it cleanly rather than build another.
 func TestPanickedCellLeavesARestorableInstance(t *testing.T) {
-	c := cellRun{fc: FailureCase{ControlPlane: true, CauseCode: 22, Scenario: ScenarioTransient, Heal: 4 * time.Second}}
+	c := cellRun{controlPlane: true, code: 22, scenario: ScenarioTransient, heal: 4 * time.Second}
 	p := coldProtos.Proto(coldKey{mode: ModeSEEDR})
 	want := runCell(c, ModeSEEDR, 5)
 	before := p.Stats()

@@ -9,36 +9,10 @@ import (
 
 // ReplayResult is the outcome of reproducing one failure case on the
 // testbed.
-type ReplayResult struct {
-	// Recovered reports whether data connectivity came back within the
-	// replay window.
-	Recovered bool
-	// Disruption is the outage duration (onset → recovery); meaningless
-	// when Recovered is false.
-	Disruption time.Duration
-	// UserNotified reports whether SEED raised a user-action notification
-	// (the correct handling for unrecoverable cases).
-	UserNotified bool
-	// UserActionRequired marks cases no automatic reset can fix.
-	UserActionRequired bool
-	// Actions counts the multi-tier reset actions executed, keyed by
-	// action name (empty for legacy devices) — the per-cause breakdown
-	// and policy recovery-cost input.
-	Actions map[string]int
-	// Reboots is the modem reboot count (legacy ladder escalations and
-	// B1 resets) — the user-visible-impact input.
-	Reboots int
-	// Decisions is the applet's execution-decision count: the
-	// counterfactual pin space for this cell.
-	Decisions int
-	// Handovers and ContextLoss are the cell testbed's handover counters
-	// (cells with a mobility walk only).
-	Handovers   int
-	ContextLoss int
-}
+type ReplayResult = workload.Outcome
 
 // captureDevice fills the result's device-side counters.
-func (r *ReplayResult) captureDevice(d *Device) {
+func captureDevice(r *ReplayResult, d *Device) {
 	r.Actions = d.ActionCounts()
 	r.Reboots = d.Reboots()
 	r.Decisions = d.Decisions()
@@ -56,14 +30,22 @@ const connectDeadline = time.Minute
 // service disruption the way §7.1.1 does: the dataset-row vocabulary of
 // runCell, with no RF profile, walk or instrument.
 func ReplayManagement(fc FailureCase, mode Mode, seedVal int64) ReplayResult {
-	return runCell(cellRun{fc: fc}, mode, seedVal)
+	return runCell(caseCellRun(fc), mode, seedVal)
+}
+
+// caseCellRun translates a dataset row into runCell's description.
+func caseCellRun(fc FailureCase) cellRun {
+	return cellRun{controlPlane: fc.ControlPlane, code: fc.CauseCode, scenario: fc.Scenario, heal: fc.Heal}
 }
 
 // cellRun is the whole description of one management or mobility cell.
 type cellRun struct {
-	// fc is the failure (ignored when graph is set: a walk's failure is its
-	// forced-loss handover).
-	fc FailureCase
+	// controlPlane, code, scenario and heal are the failure (ignored when
+	// graph is set: a walk's failure is its forced-loss handover).
+	controlPlane bool
+	code         uint8
+	scenario     FailureScenario
+	heal         time.Duration
 	// jitter, loss and partitions are the RF profile: uniform per-frame
 	// jitter for the whole cell plus scheduled impairment windows.
 	jitter     time.Duration
@@ -97,7 +79,7 @@ func (c *cellRun) proto(mode Mode) *Proto[*Device] {
 	switch {
 	case c.graph != nil:
 		return coldProtos.Proto(coldKey{mode, c.graph.N})
-	case c.fc.Scenario == ScenarioDesync:
+	case c.scenario == ScenarioDesync:
 		return bareProtos.Proto(mode)
 	default:
 		return coldProtos.Proto(coldKey{mode: mode})
@@ -132,23 +114,23 @@ func (c *cellRun) measure(tb *Testbed, d *Device) ReplayResult {
 	if c.graph != nil {
 		return tb.replayWalk(d, c.hops, c.lossyHop)
 	}
-	switch c.fc.Scenario {
+	switch c.scenario {
 	case ScenarioDesync:
 		return replayDesyncOn(tb, d)
 	case ScenarioTransient, ScenarioSilent:
-		return tb.replayInjected(d, c.fc)
+		return tb.replayInjected(d, c)
 	case ScenarioStaleConfigDevice:
-		if c.fc.ControlPlane {
-			return tb.replayStaleCPlaneDevice(d, c.fc)
+		if c.controlPlane {
+			return tb.replayStaleCPlaneDevice(d, c.code)
 		}
 		return tb.replayStaleDNN(d, true, 0)
 	case ScenarioStaleConfigEverywhere:
-		if c.fc.ControlPlane {
-			return tb.replayStaleSlice(d, c.fc)
+		if c.controlPlane {
+			return tb.replayStaleSlice(d, c.heal)
 		}
-		return tb.replayStaleDNN(d, false, c.fc.Heal)
+		return tb.replayStaleDNN(d, false, c.heal)
 	case ScenarioUserAction:
-		return tb.replayUserAction(d, c.fc)
+		return tb.replayUserAction(d, c.controlPlane)
 	default:
 		return ReplayResult{}
 	}
@@ -183,7 +165,7 @@ func (tb *Testbed) measureFromBoot(d *Device, prep func()) ReplayResult {
 		onset = 1140 * time.Millisecond
 	}
 	res := ReplayResult{UserNotified: d.UserNoticeCount() > 0}
-	res.captureDevice(d)
+	captureDevice(&res, d)
 	if !connected {
 		return res
 	}
@@ -198,13 +180,13 @@ func (tb *Testbed) measureFromBoot(d *Device, prep func()) ReplayResult {
 
 // replayInjected handles transient and silent cases via reject rules that
 // heal after the record's heal time.
-func (tb *Testbed) replayInjected(d *Device, fc FailureCase) ReplayResult {
+func (tb *Testbed) replayInjected(d *Device, c *cellRun) ReplayResult {
 	return tb.measureFromBoot(d, func() {
-		o := InjectOpts{Count: -1, HealAfter: fc.Heal, Silent: fc.Scenario == ScenarioSilent}
-		if fc.ControlPlane {
-			tb.InjectControlFailure(d, fc.CauseCode, o)
+		o := InjectOpts{Count: -1, HealAfter: c.heal, Silent: c.scenario == ScenarioSilent}
+		if c.controlPlane {
+			tb.InjectControlFailure(d, c.code, o)
 		} else {
-			tb.InjectDataFailure(d, fc.CauseCode, o)
+			tb.InjectDataFailure(d, c.code, o)
 		}
 	})
 }
@@ -223,7 +205,7 @@ func replayDesyncOn(tb *Testbed, d *Device) ReplayResult {
 	// recovery.
 	recovered := tb.awaitAfter(onset, d.Connected, replayWindow)
 	res := ReplayResult{Recovered: recovered}
-	res.captureDevice(d)
+	captureDevice(&res, d)
 	if recovered {
 		res.Disruption = tb.Now() - onset
 	}
@@ -255,7 +237,7 @@ func (tb *Testbed) replayWalk(d *Device, hops []workload.Hop, lossyHop int) Repl
 	res.Recovered = tb.await(d.Connected, replayWindow)
 	res.Handovers, res.ContextLoss = tb.Handovers()
 	res.UserNotified = d.UserNoticeCount() > 0
-	res.captureDevice(d)
+	captureDevice(&res, d)
 	if res.Recovered && onset >= 0 {
 		res.Disruption = tb.Now() - onset
 		if res.Disruption < 0 {
@@ -292,9 +274,9 @@ func (tb *Testbed) replayStaleDNN(d *Device, simHasNew bool, otaHeal time.Durati
 // replayStaleCPlaneDevice reproduces device-stale control-plane
 // configuration (outdated PLMN/roaming state): the network rejects with
 // the record's cause until the device refreshes its profile.
-func (tb *Testbed) replayStaleCPlaneDevice(d *Device, fc FailureCase) ReplayResult {
+func (tb *Testbed) replayStaleCPlaneDevice(d *Device, code uint8) ReplayResult {
 	return tb.measureFromBoot(d, func() {
-		tb.InjectControlFailure(d, fc.CauseCode, InjectOpts{Count: -1})
+		tb.InjectControlFailure(d, code, InjectOpts{Count: -1})
 		// The first profile load happens at boot (before the failure); a
 		// *re*load afterwards models the refreshed configuration.
 		loads := 0
@@ -311,11 +293,11 @@ func (tb *Testbed) replayStaleCPlaneDevice(d *Device, fc FailureCase) ReplayResu
 // case mechanistically via network slicing: the subscription only allows
 // SST 2, the device (SIM and modem) still requests SST 1. SEED delivers
 // the suggested S-NSSAI; legacy waits for the operator OTA at heal.
-func (tb *Testbed) replayStaleSlice(d *Device, fc FailureCase) ReplayResult {
+func (tb *Testbed) replayStaleSlice(d *Device, heal time.Duration) ReplayResult {
 	return tb.measureFromBoot(d, func() {
 		tb.RestrictSlice(d, 2)
-		if fc.Heal > 0 {
-			tb.After(fc.Heal, func() { tb.OTAFixSlice(d, 2) })
+		if heal > 0 {
+			tb.After(heal, func() { tb.OTAFixSlice(d, 2) })
 		}
 	})
 }
@@ -323,8 +305,8 @@ func (tb *Testbed) replayStaleSlice(d *Device, fc FailureCase) ReplayResult {
 // replayUserAction reproduces unrecoverable cases: unauthorized subscriber
 // (control plane) or expired plan (data plane). Recovery never happens;
 // the interesting outcome is whether SEED notified the user.
-func (tb *Testbed) replayUserAction(d *Device, fc FailureCase) ReplayResult {
-	if fc.ControlPlane {
+func (tb *Testbed) replayUserAction(d *Device, controlPlane bool) ReplayResult {
+	if controlPlane {
 		if sub, ok := tb.net.UDM.Subscriber(d.IMSI()); ok {
 			sub.Authorized = false
 		}
@@ -338,7 +320,7 @@ func (tb *Testbed) replayUserAction(d *Device, fc FailureCase) ReplayResult {
 		UserActionRequired: true,
 		UserNotified:       d.UserNoticeCount() > 0,
 	}
-	res.captureDevice(d)
+	captureDevice(&res, d)
 	return res
 }
 
@@ -410,7 +392,7 @@ func replayDeliveryOn(tb *Testbed, h deliveryHandles, dc DeliveryCase) DeliveryR
 		if d.inner.Mon.Stalled() {
 			return true
 		}
-		if d.mode != ModeLegacy {
+		if d.Mode() != ModeLegacy {
 			for _, a := range apps {
 				if _, _, _, reported := a.Requests(); reported > 0 {
 					return true

@@ -39,93 +39,36 @@ import (
 )
 
 // Mode selects a device's failure-handling stack.
-type Mode int
+type Mode = core.DeviceMode
 
 const (
 	// ModeLegacy is the baseline: stock modem timers plus the Android
 	// detection/recovery ladder — no SEED.
-	ModeLegacy Mode = iota + 1
+	ModeLegacy = core.Legacy
 	// ModeSEEDU runs SEED without root privilege (proactive-command and
 	// carrier-app reset paths).
-	ModeSEEDU
+	ModeSEEDU = core.SEEDU
 	// ModeSEEDR runs SEED with root privilege (AT-command fast paths).
-	ModeSEEDR
+	ModeSEEDR = core.SEEDR
 )
-
-func (m Mode) String() string {
-	switch m {
-	case ModeLegacy:
-		return "Legacy"
-	case ModeSEEDU:
-		return "SEED-U"
-	case ModeSEEDR:
-		return "SEED-R"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
 
 // ParseMode maps the spec/CLI spelling of a mode ("legacy", "seed-u",
 // "seed-r") to the Mode; ok is false for anything else.
-func ParseMode(s string) (mode Mode, ok bool) {
-	switch s {
-	case "legacy":
-		return ModeLegacy, true
-	case "seed-u":
-		return ModeSEEDU, true
-	case "seed-r":
-		return ModeSEEDR, true
-	default:
-		return 0, false
-	}
-}
-
-func (m Mode) deviceMode() core.DeviceMode {
-	switch m {
-	case ModeSEEDU:
-		return core.SEEDU
-	case ModeSEEDR:
-		return core.SEEDR
-	default:
-		return core.Legacy
-	}
-}
+func ParseMode(s string) (mode Mode, ok bool) { return core.ParseDeviceMode(s) }
 
 // AppKind selects one of the five emulated application profiles (§7.1.2).
-type AppKind int
+type AppKind = dataplane.AppKind
 
 const (
-	AppVideo AppKind = iota + 1
-	AppLiveStream
-	AppWeb
-	AppNavigation
-	AppEdgeAR
+	AppVideo      = dataplane.Video
+	AppLiveStream = dataplane.LiveStream
+	AppWeb        = dataplane.Web
+	AppNavigation = dataplane.Navigation
+	AppEdgeAR     = dataplane.EdgeAR
 )
-
-func (k AppKind) String() string { return k.inner().String() }
-
-func (k AppKind) inner() dataplane.AppKind {
-	switch k {
-	case AppVideo:
-		return dataplane.Video
-	case AppLiveStream:
-		return dataplane.LiveStream
-	case AppWeb:
-		return dataplane.Web
-	case AppNavigation:
-		return dataplane.Navigation
-	case AppEdgeAR:
-		return dataplane.EdgeAR
-	default:
-		panic(fmt.Sprintf("seed: unknown AppKind %d", int(k)))
-	}
-}
 
 // AppKinds lists all five application profiles in Table 5 order.
 var AppKinds = []AppKind{AppVideo, AppLiveStream, AppWeb, AppNavigation, AppEdgeAR}
-
-// Buffer returns the app's playback buffer (masks short outages).
-func (k AppKind) Buffer() time.Duration { return dataplane.Spec(k.inner()).Buffer }
 
 // Testbed is the emulated testbed of Figure 10: one core network (with the
 // SEED infrastructure plugin attached), an emulated internet, and any
@@ -322,9 +265,6 @@ func (tb *Testbed) EachDevice(yield func(*Device) bool) {
 	}
 }
 
-// NumDevices returns the number of devices created so far.
-func (tb *Testbed) NumDevices() int { return len(tb.devices) }
-
 // SetCongestion toggles the infrastructure congestion-warning path: while
 // on, SEED diagnosis deliveries tell SIMs to wait instead of resetting.
 func (tb *Testbed) SetCongestion(on bool, wait time.Duration) {
@@ -452,7 +392,7 @@ func (tb *Testbed) NewDevice(mode Mode, opts ...DeviceOption) *Device {
 		DNN:   "internet",
 		DNS:   [][4]byte{core5g.LDNSAddr},
 		SST:   1,
-	}, tb.carrierKey, mode.deviceMode())
+	}, tb.carrierKey, mode)
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -476,43 +416,15 @@ func (tb *Testbed) NewDevice(mode Mode, opts ...DeviceOption) *Device {
 			tb.cells.ServingGNB(imsi).HandleUplink(frame)
 		}, inner.Mdm.HandleDownlink)
 	}
-	d := &Device{tb: tb, inner: inner, mode: mode}
-	// Hooks dispatch through slices so injections and user code can both
-	// observe events without clobbering each other.
-	inner.OnReject = func(epd byte, code uint8) {
-		for _, fn := range d.rejectFns {
-			fn(epd, code)
-		}
-	}
-	inner.OnConnectivity = func(up bool) {
-		for _, fn := range d.connFns {
-			fn(up)
-		}
-	}
-	inner.OnUserNotice = func(text string) {
-		for _, fn := range d.noticeFns {
-			fn(text)
-		}
-	}
-	inner.OnProfileReload = func() {
-		for _, fn := range d.reloadFns {
-			fn()
-		}
-	}
+	d := &Device{tb: tb, inner: inner}
 	tb.devices = append(tb.devices, d)
 	return d
 }
 
 // Device is one emulated handset on the testbed.
 type Device struct {
-	tb    *Testbed
-	inner *core.Device
-	mode  Mode
-
-	rejectFns []func(epd byte, code uint8)
-	connFns   []func(bool)
-	noticeFns []func(string)
-	reloadFns []func()
+	tb        *Testbed
+	inner     *core.Device
 	bootTrace []core.DecisionEvent
 }
 
@@ -520,7 +432,7 @@ type Device struct {
 func (d *Device) IMSI() string { return d.inner.Cfg.IMSI }
 
 // Mode returns the device's failure-handling mode.
-func (d *Device) Mode() Mode { return d.mode }
+func (d *Device) Mode() Mode { return d.inner.Cfg.Mode }
 
 // Start powers the device on; it registers and establishes its data
 // session autonomously.
@@ -537,29 +449,55 @@ func (d *Device) Registered() bool {
 // State returns the modem's 5GMM state name.
 func (d *Device) State() string { return d.inner.Mdm.State().String() }
 
+// The On* hooks accumulate: each registration chains onto the device's
+// hook of that kind, and every registered hook fires, in registration
+// order, on every event. A prototype restore rewinds the chain with the
+// rest of the device.
+
 // OnConnectivity registers a hook fired on data-connectivity transitions.
-// Hooks accumulate; each registered hook fires on every transition.
 func (d *Device) OnConnectivity(fn func(up bool)) {
-	d.connFns = append(d.connFns, fn)
+	prev := d.inner.OnConnectivity
+	d.inner.OnConnectivity = func(up bool) {
+		if prev != nil {
+			prev(up)
+		}
+		fn(up)
+	}
 }
 
 // OnUserNotice registers a hook for SEED's user notifications.
 func (d *Device) OnUserNotice(fn func(text string)) {
-	d.noticeFns = append(d.noticeFns, fn)
+	prev := d.inner.OnUserNotice
+	d.inner.OnUserNotice = func(text string) {
+		if prev != nil {
+			prev(text)
+		}
+		fn(text)
+	}
 }
 
 // OnReject registers a hook fired with every standardized reject cause
 // the device receives; controlPlane distinguishes 5GMM from 5GSM causes.
 func (d *Device) OnReject(fn func(controlPlane bool, code uint8)) {
-	d.rejectFns = append(d.rejectFns, func(epd byte, code uint8) {
+	prev := d.inner.OnReject
+	d.inner.OnReject = func(epd byte, code uint8) {
+		if prev != nil {
+			prev(epd, code)
+		}
 		fn(epd == nas.EPD5GMM, code)
-	})
+	}
 }
 
 // OnProfileReload registers a hook fired whenever the modem (re)reads the
 // SIM profile.
 func (d *Device) OnProfileReload(fn func()) {
-	d.reloadFns = append(d.reloadFns, fn)
+	prev := d.inner.OnProfileReload
+	d.inner.OnProfileReload = func() {
+		if prev != nil {
+			prev()
+		}
+		fn()
+	}
 }
 
 // OnSignaling registers a trace hook fired for every NAS message the
@@ -576,7 +514,7 @@ func (d *Device) OnSignaling(fn func(sent bool, name string)) {
 
 // AddApp installs an application traffic emulator.
 func (d *Device) AddApp(kind AppKind) *App {
-	return &App{inner: d.inner.AddApp(kind.inner()), kind: kind}
+	return &App{inner: d.inner.AddApp(kind)}
 }
 
 // Reboot power-cycles the modem.
@@ -643,11 +581,10 @@ func (d *Device) Reboots() int { return d.inner.Mdm.Stats().Reboots }
 // App is an application traffic emulator bound to a device.
 type App struct {
 	inner *dataplane.App
-	kind  AppKind
 }
 
 // Kind returns the application profile.
-func (a *App) Kind() AppKind { return a.kind }
+func (a *App) Kind() AppKind { return a.inner.Spec().Kind }
 
 // Start begins traffic generation.
 func (a *App) Start() { a.inner.Start() }

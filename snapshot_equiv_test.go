@@ -198,14 +198,10 @@ func TestOnePathTwoVocabularies(t *testing.T) {
 					Plane: plane, Code: c.fc.CauseCode, Scenario: c.scen, Heal: c.fc.Heal,
 					LossyHop: -1, Seed: cellSeed,
 				}, mode, nil)
-				want := workload.Outcome{
-					Recovered: r.Recovered, Disruption: r.Disruption, UserNotified: r.UserNotified,
-					Actions: r.Actions, Reboots: r.Reboots, Decisions: r.Decisions,
+				if !reflect.DeepEqual(got, r) {
+					t.Errorf("RunWorkloadCell %+v != ReplayManagement %+v", got, r)
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("RunWorkloadCell %+v != ReplayManagement %+v", got, want)
-				}
-				run := cellRun{fc: c.fc}
+				run := caseCellRun(c.fc)
 				tb, d, put := run.proto(mode).Cell(cellSeed)
 				auditStops(t, tb)
 				audited := run.measure(tb, d)
@@ -254,7 +250,7 @@ func oracleCell(c cellRun, mode Mode, seedVal int64) ReplayResult {
 		}
 		return d
 	}
-	if c.graph == nil && c.fc.Scenario == ScenarioDesync {
+	if c.graph == nil && c.scenario == ScenarioDesync {
 		tb, d := NewProto(func(tb *Testbed) *Device {
 			d := build(tb)
 			d.Start()
@@ -277,13 +273,13 @@ func equivCells() map[string]cellRun {
 	graph := &workload.CellGraph{N: 3, DefaultContextLoss: 0.2,
 		Edges: []workload.Edge{{From: 1, To: 2, ContextLoss: 0.9}}}
 	return map[string]cellRun{
-		"desync":           {fc: FailureCase{ControlPlane: true, CauseCode: 9, Scenario: ScenarioDesync}},
-		"transient":        {fc: FailureCase{ControlPlane: true, CauseCode: 22, Scenario: ScenarioTransient, Heal: 4 * time.Second}},
-		"silent":           {fc: FailureCase{CauseCode: 26, Scenario: ScenarioSilent, Heal: 6 * time.Second}},
-		"stale-device":     {fc: FailureCase{CauseCode: 27, Scenario: ScenarioStaleConfigDevice}},
-		"stale-device-cp":  {fc: FailureCase{ControlPlane: true, CauseCode: 11, Scenario: ScenarioStaleConfigDevice}},
-		"stale-everywhere": {fc: FailureCase{ControlPlane: true, CauseCode: 62, Scenario: ScenarioStaleConfigEverywhere, Heal: 3 * time.Minute}},
-		"user-action":      {fc: FailureCase{CauseCode: 29, Scenario: ScenarioUserAction}},
+		"desync":           {controlPlane: true, code: 9, scenario: ScenarioDesync},
+		"transient":        {controlPlane: true, code: 22, scenario: ScenarioTransient, heal: 4 * time.Second},
+		"silent":           {code: 26, scenario: ScenarioSilent, heal: 6 * time.Second},
+		"stale-device":     {code: 27, scenario: ScenarioStaleConfigDevice},
+		"stale-device-cp":  {controlPlane: true, code: 11, scenario: ScenarioStaleConfigDevice},
+		"stale-everywhere": {controlPlane: true, code: 62, scenario: ScenarioStaleConfigEverywhere, heal: 3 * time.Minute},
+		"user-action":      {code: 29, scenario: ScenarioUserAction},
 		"handover-desync": {graph: graph, lossyHop: 1, hops: []workload.Hop{
 			{To: 1, Dwell: 4 * time.Second}, {To: 2, Dwell: 5 * time.Second}, {To: 0, Dwell: 300 * time.Millisecond}}},
 		"tau-race": {graph: graph, lossyHop: 0, hops: []workload.Hop{

@@ -34,23 +34,13 @@ func workloadScenario(s string) FailureScenario {
 // search loop, and the benchmark all enter here, so a corpus, a policy's
 // score and the workload bench measure cells through one code path.
 func RunWorkloadCell(sp *workload.Spec, c workload.Cell, mode Mode, inst *Instrument) workload.Outcome {
-	r := runCell(compiledCellRun(sp, c, inst), mode, c.Seed)
-	return workload.Outcome{
-		Recovered: r.Recovered, Disruption: r.Disruption,
-		UserNotified: r.UserNotified, Handovers: r.Handovers, ContextLoss: r.ContextLoss,
-		Actions: r.Actions, Reboots: r.Reboots, Decisions: r.Decisions,
-	}
+	return runCell(compiledCellRun(sp, c, inst), mode, c.Seed)
 }
 
 // compiledCellRun translates a compiled cell into runCell's description.
 func compiledCellRun(sp *workload.Spec, c workload.Cell, inst *Instrument) cellRun {
 	run := cellRun{
-		fc: FailureCase{
-			ControlPlane: c.Plane == "control",
-			CauseCode:    c.Code,
-			Scenario:     workloadScenario(c.Scenario),
-			Heal:         c.Heal,
-		},
+		controlPlane: c.Plane == "control", code: c.Code, scenario: workloadScenario(c.Scenario), heal: c.Heal,
 		jitter: c.RFJitter, loss: c.LossWindows, partitions: c.PartitionWindows,
 		inst: inst,
 	}
