@@ -7,14 +7,18 @@
 //	seedsim [-mode legacy|seed-u|seed-r] [-failure desync|stale-dnn|
 //	         tcp-block|udp-block|dns-outage|gateway-stall|expired-plan|
 //	         congestion] [-app web|video|live|nav|ar] [-seed S]
-//	        [-trials N] [-parallel P] [-trace] [-timeline]
+//	        [-trials N] [-parallel P] [-timeline]
 //
-// With -timeline the narration is interleaved with every state transition
-// the layers announce (Android's stall detector, the apps' failure reports,
-// the UPF's blocks and forwarding state, the modem's state and sessions, the
-// carrier app's resolver), each with its virtual timestamp and layer, and the
-// instants the scenario's own stop conditions fired are marked: "why did this
-// run end at 3.1 s" is answered by the output. Watching changes no outcome.
+// With -timeline the narration is interleaved with everything the run emits
+// to its observer, each with its virtual timestamp and layer: every state
+// transition the layers announce (Android's stall detector, the apps' failure
+// reports, the UPF's blocks and forwarding state, the modem's state and
+// sessions, the carrier app's resolver), every NAS message the modem sends or
+// receives, every APDU it relays to the SIM, and every decision of the SIM
+// applet and the infrastructure plugin; the instants the scenario's own stop
+// conditions fired are marked. "Why did this run end at 3.1 s" and "why did
+// the device reset its modem" are answered by the output. Watching changes
+// no outcome. -timeline narrates one run, so it is refused with -trials N > 1.
 //
 // With -trials N > 1 the narration is replaced by a batch run: N
 // independent replays of the scenario fan across -parallel workers
@@ -63,8 +67,7 @@ func main() {
 	seedVal := flag.Int64("seed", 1, "simulation seed")
 	trials := flag.Int("trials", 1, "replay the scenario this many times and print summary statistics")
 	parallel := flag.Int("parallel", 0, "worker goroutines for -trials (0 = GOMAXPROCS)")
-	traceNAS := flag.Bool("trace", false, "print every NAS message the device sends/receives (single-trial mode)")
-	timeline := flag.Bool("timeline", false, "print every announced state transition with its virtual timestamp and layer, and mark where the scenario's stop conditions fired (single-trial mode)")
+	timeline := flag.Bool("timeline", false, "print every state transition, NAS message, APDU and SEED decision with its virtual timestamp and layer, and mark where the scenario's stop conditions fired (single-trial mode)")
 	flag.Parse()
 
 	mode, ok := seed.ParseMode(*modeFlag)
@@ -86,10 +89,15 @@ func main() {
 	}
 
 	if *trials > 1 {
+		if *timeline {
+			fmt.Fprintln(os.Stderr, "-timeline narrates one run: it cannot be combined with -trials > 1")
+			flag.Usage()
+			os.Exit(2)
+		}
 		runTrials(mode, appKind, *failure, *seedVal, *trials, *parallel)
 		return
 	}
-	narrate(mode, appKind, *failure, *seedVal, *traceNAS, *timeline)
+	narrate(mode, appKind, *failure, *seedVal, *timeline)
 }
 
 // runTrials fans trials independent scenario cells across the worker pool
@@ -131,7 +139,7 @@ func runTrials(mode seed.Mode, appKind seed.AppKind, failure string, seedVal int
 
 // narrate runs the single-trial narrated scenario (the original seedsim
 // behaviour), sharing runScenario with the batch mode.
-func narrate(mode seed.Mode, appKind seed.AppKind, failure string, seedVal int64, traceNAS, timeline bool) {
+func narrate(mode seed.Mode, appKind seed.AppKind, failure string, seedVal int64, timeline bool) {
 	var tbRef *seed.Testbed
 	log := func(format string, args ...any) {
 		now := time.Duration(0)
@@ -140,7 +148,7 @@ func narrate(mode seed.Mode, appKind seed.AppKind, failure string, seedVal int64
 		}
 		fmt.Printf("[%10s] %s\n", now.Round(time.Millisecond), fmt.Sprintf(format, args...))
 	}
-	hooks := &narrationHooks{log: log, traceNAS: traceNAS, timeline: timeline, bindTestbed: func(tb *seed.Testbed) { tbRef = tb }}
+	hooks := &narrationHooks{log: log, timeline: timeline, bindTestbed: func(tb *seed.Testbed) { tbRef = tb }}
 	o := runScenario(mode, appKind, failure, seedVal, hooks)
 	switch o.Status {
 	case statusAttachFailed:
@@ -151,7 +159,6 @@ func narrate(mode seed.Mode, appKind seed.AppKind, failure string, seedVal int64
 // narrationHooks carries the logging callbacks the narrated mode installs.
 type narrationHooks struct {
 	log         func(format string, args ...any)
-	traceNAS    bool
 	timeline    bool
 	bindTestbed func(tb *seed.Testbed)
 }
@@ -215,7 +222,7 @@ func runScenario(mode seed.Mode, appKind seed.AppKind, failure string, seedVal i
 		hooks.bindTestbed(tb)
 		log = hooks.log
 		if hooks.timeline {
-			tb.OnTransition(func(ev seed.TimelineEvent) { timelineLine(ev.At, ev.Layer, ev.Text) })
+			tb.Observe(seed.Timeline{Now: tb.Now, Emit: func(ev seed.TimelineEvent) { timelineLine(ev.At, ev.Layer, ev.Text) }})
 			fired = func(what string) { timelineLine(tb.Now(), "scenario", "stop condition met: "+what) }
 		}
 		d.OnConnectivity(func(up bool) { log("data connectivity: %v", up) })
@@ -227,15 +234,6 @@ func runScenario(mode seed.Mode, appKind seed.AppKind, failure string, seedVal i
 			log("reject received: %s cause #%d", plane, code)
 		})
 		d.OnUserNotice(func(text string) { log("USER NOTICE: %s", text) })
-		if hooks.traceNAS {
-			d.OnSignaling(func(sent bool, name string) {
-				dir := "<-"
-				if sent {
-					dir = "->"
-				}
-				log("NAS %s %s", dir, name)
-			})
-		}
 	}
 
 	log("powering on %s device (%s traffic)", mode, appKind)

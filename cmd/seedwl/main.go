@@ -219,18 +219,25 @@ func runGenerate(p *runner.Pool, sp *workload.Spec, seedVal int64, runN int, sel
 	st := corpus.Stats
 	fmt.Printf("spec %q seed %d: %d cells, control share %.3f, %d scenarios",
 		sp.Name, seedVal, st.Cells, st.ControlShare, len(st.Scenarios))
+	built := -1
 	if st.Measured > 0 {
 		fmt.Printf("; measured %d (recovered %d, handovers %d, context loss %d)",
 			st.Measured, st.Recovered, st.Handovers, st.ContextLoss)
-		// Builds above the worker count mean cells constructed testbeds
-		// instead of restoring one (a -selfcheck pass counts here too).
+		// Restores are one per measured non-desync cell (a -selfcheck pass
+		// counts here too). Builds depend on how the workers' first cells
+		// overlapped, so they go to stderr: above the worker count they mean
+		// cells constructed testbeds instead of restoring one.
 		for _, f := range seed.PrototypeStats() {
 			if f.Family == "cold" {
-				fmt.Printf("; cold prototypes built %d, restored %d", f.Boots, f.Restores)
+				fmt.Printf("; cold prototypes restored %d", f.Restores)
+				built = f.Boots
 			}
 		}
 	}
 	fmt.Println()
+	if built >= 0 {
+		fmt.Fprintf(os.Stderr, "seedwl: cold prototypes built %d\n", built)
+	}
 	if !ok {
 		return 1
 	}

@@ -816,21 +816,42 @@ func ExperimentFigure13(p *runner.Pool, seedVal int64) Figure13Result {
 	return res
 }
 
+// ladderProtos are the two states Figure 13's legacy arm starts from, keyed
+// by whether the device carries a stale DNN. Without: the steady state of a
+// legacy device on recommended timers after 90 s of web and video traffic,
+// whose gateway rungs 1 and 2 stall. With: rung 3's device, its modem cache
+// stale from boot (the SIM copy correct, so only the modem-restart rung,
+// which re-reads the SIM, fixes it) — built and not started, because the
+// failure manifests from the device's own boot.
+var ladderProtos = NewProtoMap(func(staleDNN bool) func(*Testbed) *Device {
+	return func(tb *Testbed) *Device {
+		opts := []DeviceOption{WithAndroidRecommendedTimers()}
+		if staleDNN {
+			opts = append(opts, WithStaleDNN("internet2"))
+		}
+		d := tb.NewDevice(ModeLegacy, opts...)
+		web, video := d.AddApp(AppWeb), d.AddApp(AppVideo)
+		if staleDNN {
+			tb.MigrateSubscription(d, "internet2", false)
+			return d
+		}
+		d.Start()
+		if tb.await(d.Connected, connectDeadline) {
+			web.Start()
+			video.Start()
+			tb.Advance(90 * time.Second)
+		}
+		return d
+	}
+})
+
 // legacyLadderTime measures how long the Android ladder takes from stall
 // declaration until the rung-th action completes its recovery, using a
 // failure only that rung can fix.
 func legacyLadderTime(seedVal int64, rung int) time.Duration {
-	tb := New(seedVal)
-	var opts []DeviceOption
-	opts = append(opts, WithAndroidRecommendedTimers())
+	tb, d, put := ladderProtos.Proto(rung == 3).Cell(seedVal)
+	defer put()
 	if rung == 3 {
-		// Stale modem cache from boot (SIM copy correct): only the
-		// modem-restart rung re-reads the SIM and fixes it.
-		opts = append(opts, WithStaleDNN("internet2"))
-	}
-	d := tb.NewDevice(ModeLegacy, opts...)
-	if rung == 3 {
-		tb.MigrateSubscription(d, "internet2", false)
 		first := true
 		d.OnProfileReload(func() {
 			if first {
@@ -838,21 +859,14 @@ func legacyLadderTime(seedVal int64, rung int) time.Duration {
 				d.inner.Mdm.OverrideSessionDNN("internet")
 			}
 		})
-	}
-	web := d.AddApp(AppWeb)
-	video := d.AddApp(AppVideo)
-	d.Start()
-	if rung != 3 {
-		if !tb.await(d.Connected, connectDeadline) {
+		d.Start()
+		tb.Advance(5 * time.Second) // registration completes; session fails
+		d.inner.Apps[AppWeb].Start()
+		d.inner.Apps[AppVideo].Start()
+	} else {
+		if !d.Connected() {
 			return -1
 		}
-	} else {
-		tb.Advance(5 * time.Second) // registration completes; session fails
-	}
-	web.Start()
-	video.Start()
-	if rung != 3 {
-		tb.Advance(90 * time.Second)
 		// A stalled gateway: any session re-establishment fixes it; the
 		// ladder reaches "re-register" on rung 2 (rung 1's TCP cleanup
 		// cannot help, matching §3.3).

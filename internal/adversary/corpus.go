@@ -11,8 +11,6 @@ import (
 	"time"
 
 	"github.com/seed5g/seed"
-	"github.com/seed5g/seed/internal/nas"
-	"github.com/seed5g/seed/internal/sim"
 )
 
 // SaveCase writes a case as indented JSON — the checked-in regression
@@ -74,22 +72,14 @@ func LoadCorpus(dir string) ([]Case, []string, error) {
 func RecordTraces(seedVal int64) (nasFrames, apdus [][]byte) {
 	tb := seed.New(seedVal)
 	dev := tb.NewDevice(seed.ModeSEEDR)
-	cd := dev.Core()
-	var rawNAS, rawAPDU [][]byte
-	cd.OnNAS = func(_ bool, msg nas.Message) {
-		rawNAS = append(rawNAS, nas.Marshal(msg))
-	}
-	cd.Card.SetAPDUObserver(func(cmd sim.Command, _ sim.Response) {
-		if b, err := cmd.AppendBytes(nil); err == nil {
-			rawAPDU = append(rawAPDU, b)
-		}
-	})
+	rec := &recorder{}
+	tb.Observe(rec)
 	dev.Start()
 	tb.Advance(30 * time.Second)
 	tb.DesyncIdentity(dev)
 	tb.SimulateMobility(dev)
 	tb.Advance(2 * time.Minute)
-	return dedup(rawNAS), dedup(rawAPDU)
+	return dedup(append(rec.nasDown, rec.nasUp...)), dedup(rec.apdu)
 }
 
 // dedup removes byte-identical frames, preserving first-seen order.

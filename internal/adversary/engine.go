@@ -58,12 +58,31 @@ func (r *Result) violate(invariant, format string, args ...any) {
 	r.Violations = append(r.Violations, Violation{invariant, fmt.Sprintf(format, args...)})
 }
 
-// recorder accumulates the tapped legitimate traffic pools.
+// recorder accumulates the tapped legitimate traffic pools. It is the
+// testbed's observer for the NAS and APDU boundaries: NAS frames are
+// re-marshaled from the decoded message (canonical wire bytes), APDUs are
+// captured in wire form.
 type recorder struct {
 	nasDown [][]byte
 	nasUp   [][]byte
 	apdu    [][]byte
 	fleet   [][]byte
+}
+
+// NAS implements modem.NASObserver.
+func (rec *recorder) NAS(_ string, sent bool, msg nas.Message) {
+	if sent {
+		rec.nasUp = append(rec.nasUp, nas.Marshal(msg))
+	} else {
+		rec.nasDown = append(rec.nasDown, nas.Marshal(msg))
+	}
+}
+
+// APDU implements modem.APDUObserver.
+func (rec *recorder) APDU(_ string, cmd sim.Command, _ sim.Response) {
+	if b, err := cmd.AppendBytes(nil); err == nil {
+		rec.apdu = append(rec.apdu, b)
+	}
 }
 
 func (rec *recorder) pool(ch Channel) [][]byte {
@@ -94,9 +113,10 @@ type caseKey struct {
 }
 
 // caseProtos boots one warmed, fully tapped testbed per (mode, opts)
-// combination. The recorder is part of the snapshot (its boot-time pools
-// restore with everything else), so cloned cases start from identical
-// tapped traffic.
+// combination. The recorder's pools are part of the snapshot (the boot-time
+// traffic restores with everything else), so cloned cases start from
+// identical tapped traffic; its place as the observer is not, and Execute
+// installs it again on every cell.
 var caseProtos = seed.NewProtoMap(func(k caseKey) func(*seed.Testbed) caseHandles {
 	return func(tb *seed.Testbed) caseHandles {
 		var opts []seed.DeviceOption
@@ -109,24 +129,10 @@ var caseProtos = seed.NewProtoMap(func(k caseKey) func(*seed.Testbed) caseHandle
 		dev := tb.NewDevice(seed.Mode(k.Mode), opts...)
 		cd := dev.Core()
 
-		// Tap the three live boundaries. NAS frames are re-marshaled from
-		// the decoded message (canonical wire bytes); APDUs are captured in
-		// wire form; record-sink blobs keep flowing to the infrastructure
-		// plugin.
+		// Tap the three live boundaries: NAS and APDUs through the observer,
+		// record-sink blobs on their way to the infrastructure plugin.
 		rec := &recorder{}
-		cd.OnNAS = func(sent bool, msg nas.Message) {
-			b := nas.Marshal(msg)
-			if sent {
-				rec.nasUp = append(rec.nasUp, b)
-			} else {
-				rec.nasDown = append(rec.nasDown, b)
-			}
-		}
-		cd.Card.SetAPDUObserver(func(cmd sim.Command, _ sim.Response) {
-			if b, err := cmd.AppendBytes(nil); err == nil {
-				rec.apdu = append(rec.apdu, b)
-			}
-		})
+		tb.Observe(rec)
 		cd.CApp.SetRecordSink(func(blob []byte) {
 			rec.fleet = append(rec.fleet, append([]byte(nil), blob...))
 			_ = tb.Plugin().ReceiveRecordUpload(blob)
@@ -153,6 +159,7 @@ func Execute(c Case) (res Result) {
 	tb, h, put := caseProtos.Proto(caseKey{Mode: c.Mode, Opts: c.Opts}).Cell(c.Seed)
 	defer put()
 	dev, rec := h.dev, h.rec
+	tb.Observe(rec)
 	cd := dev.Core()
 	imsi := dev.IMSI()
 
@@ -231,8 +238,10 @@ func inject(tb *seed.Testbed, cd *core.Device, imsi string, rec *recorder, m Mut
 		case ChanNASUp:
 			tb.Network().AMF.HandleUplinkNAS(imsi, b)
 		case ChanAPDU:
+			// Straight into the card, past the modem's relay and so past
+			// the observer: the pool grows by what is re-injected too.
 			if cmd, err := sim.ParseCommand(b); err == nil {
-				cd.Card.Process(cmd)
+				rec.APDU(imsi, cmd, cd.Card.Process(cmd))
 			}
 		}
 	}

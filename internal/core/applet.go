@@ -145,22 +145,13 @@ type SEEDApplet struct {
 	records map[recKey]uint16
 	trial   *trialState
 
-	// tracer/override are the decision-trace and counterfactual hooks
-	// (trace.go). Both nil by default: every use is a nil check, so an
-	// uninstrumented run pays nothing and behaves identically.
-	tracer      DecisionTracer
-	traceIMSI   string
+	// imsi tags the decision events the applet emits (trace.go); override
+	// is the counterfactual hook, nil by default.
+	imsi        string
 	override    ActionOverride
 	decisionSeq int32
 
 	stats AppletStats
-}
-
-// SetDecisionTracer attaches (or with nil detaches) a decision tracer.
-// id tags emitted events (the device IMSI).
-func (a *SEEDApplet) SetDecisionTracer(t DecisionTracer, id string) {
-	a.tracer = t
-	a.traceIMSI = id
 }
 
 // SetActionOverride installs the counterfactual override hook.
@@ -176,19 +167,22 @@ func (a *SEEDApplet) UpdateConfig(mutate func(*AppletConfig)) { mutate(&a.cfg) }
 // limited or not) the applet has made — the counterfactual pin space.
 func (a *SEEDApplet) Decisions() int { return int(a.decisionSeq) }
 
-// trace emits ev through the attached tracer, stamping time and identity.
-// Callers must guard with a.tracer != nil so the common case stays free.
+// trace emits ev, stamped with time and identity, to the kernel's observer
+// if it traces decisions.
 func (a *SEEDApplet) trace(ev DecisionEvent) {
-	ev.At = a.k.Now()
-	ev.IMSI = a.traceIMSI
-	a.tracer.Decision(ev)
+	if t, traced := a.k.Observer().(DecisionTracer); traced {
+		ev.At = a.k.Now()
+		ev.IMSI = a.imsi
+		t.Decision(ev)
+	}
 }
 
-// NewApplet creates the SEED applet for a card provisioned with in-SIM
-// key k. Call card.InstallApplet with the carrier MAC to deploy it.
-func NewApplet(kern *sched.Kernel, card *sim.Card, k [16]byte, cfg AppletConfig, device DeviceActions) *SEEDApplet {
+// NewApplet creates the SEED applet of subscriber imsi for a card
+// provisioned with in-SIM key k. Call card.InstallApplet with the carrier
+// MAC to deploy it.
+func NewApplet(kern *sched.Kernel, card *sim.Card, imsi string, k [16]byte, cfg AppletConfig, device DeviceActions) *SEEDApplet {
 	return &SEEDApplet{
-		k: kern, card: card, cfg: cfg,
+		k: kern, card: card, cfg: cfg, imsi: imsi,
 		env:        NewChannelEnvelope(k),
 		device:     device,
 		mode:       ModeU,
@@ -261,15 +255,11 @@ func (a *SEEDApplet) HandleAuthDiagnosis(autn [16]byte) []byte {
 // assistance (Table 3 + §5.2's four assistance types).
 func (a *SEEDApplet) handleDiag(m DiagMessage) {
 	now := a.k.Now()
-	if a.tracer != nil {
-		a.trace(DecisionEvent{Stage: StageDiagReceived, Plane: m.Plane, Code: m.Code, Kind: m.Kind, Seq: -1})
-	}
+	a.trace(DecisionEvent{Stage: StageDiagReceived, Plane: m.Plane, Code: m.Code, Kind: m.Kind, Seq: -1})
 	if a.trial != nil && m.Kind != DiagCongestion {
 		// An online-learning trial owns the current failure; concurrent
 		// assistance would double-handle (the §4.4.2 conflict rule).
-		if a.tracer != nil {
-			a.trace(DecisionEvent{Stage: StageTrialConflict, Plane: m.Plane, Code: m.Code, Kind: m.Kind, Seq: -1})
-		}
+		a.trace(DecisionEvent{Stage: StageTrialConflict, Plane: m.Plane, Code: m.Code, Kind: m.Kind, Seq: -1})
 		return
 	}
 	switch m.Kind {
@@ -277,28 +267,20 @@ func (a *SEEDApplet) handleDiag(m DiagMessage) {
 		// Do not reset into a congested cell; wait the embedded timer.
 		a.stats.CongestionWaits++
 		a.congestionUntil = now + time.Duration(m.WaitSeconds)*time.Second
-		if a.tracer != nil {
-			a.trace(DecisionEvent{Stage: StageCongestionWait, Plane: m.Plane, Code: m.Code, Kind: m.Kind, Seq: -1, Wait: a.congestionUntil - now})
-		}
+		a.trace(DecisionEvent{Stage: StageCongestionWait, Plane: m.Plane, Code: m.Code, Kind: m.Kind, Seq: -1, Wait: a.congestionUntil - now})
 		return
 
 	case DiagSuggestAction:
 		a.markPlaneCause(m.Plane)
 		act := m.Action.ForMode(a.effectiveMode())
-		if a.tracer != nil {
-			a.trace(DecisionEvent{Stage: StageSuggested, Plane: m.Plane, Code: m.Code, Kind: m.Kind, Proposed: m.Action, Action: act, Seq: -1})
-		}
+		a.trace(DecisionEvent{Stage: StageSuggested, Plane: m.Plane, Code: m.Code, Kind: m.Kind, Proposed: m.Action, Action: act, Seq: -1})
 		if act == ActionA1 || act == ActionB1 || act == ActionA2 || act == ActionB2 {
 			// Hardware/control-plane resets get the 2 s transient window.
 			a.pendingCP.Stop()
-			if a.tracer != nil {
-				a.trace(DecisionEvent{Stage: StageCPlaneArmed, Plane: m.Plane, Code: m.Code, Kind: m.Kind, Action: act, Seq: -1, Wait: a.cfg.CPlaneWait})
-			}
+			a.trace(DecisionEvent{Stage: StageCPlaneArmed, Plane: m.Plane, Code: m.Code, Kind: m.Kind, Action: act, Seq: -1, Wait: a.cfg.CPlaneWait})
 			a.pendingCP = a.k.After(a.cfg.CPlaneWait, func() {
 				if a.k.Now() < a.congestionUntil {
-					if a.tracer != nil {
-						a.trace(DecisionEvent{Stage: StageCongestionSkip, Action: act, Seq: -1})
-					}
+					a.trace(DecisionEvent{Stage: StageCongestionSkip, Action: act, Seq: -1})
 					return
 				}
 				a.execute(act)
@@ -320,9 +302,7 @@ func (a *SEEDApplet) handleDiag(m DiagMessage) {
 		// Unrecoverable without the user (expired plan, unauthorized
 		// subscriber): notify instead of resetting.
 		a.stats.UserNotices++
-		if a.tracer != nil {
-			a.trace(DecisionEvent{Stage: StageUserNotice, Plane: m.Plane, Code: m.Code, Kind: m.Kind, Seq: -1})
-		}
+		a.trace(DecisionEvent{Stage: StageUserNotice, Plane: m.Plane, Code: m.Code, Kind: m.Kind, Seq: -1})
 		a.card.QueueProactive(sim.ProactiveCommand{
 			Type: sim.ProactiveDisplayText,
 			Text: fmt.Sprintf("Service issue: %s. Please contact your operator.", info.Name),
@@ -347,14 +327,10 @@ func (a *SEEDApplet) markPlaneCause(p cause.Plane) {
 // a recovery signal in the window cancels it.
 func (a *SEEDApplet) scheduleCPlane(m DiagMessage) {
 	a.pendingCP.Stop()
-	if a.tracer != nil {
-		a.trace(DecisionEvent{Stage: StageCPlaneArmed, Plane: m.Plane, Code: m.Code, Kind: m.Kind, Seq: -1, Wait: a.cfg.CPlaneWait})
-	}
+	a.trace(DecisionEvent{Stage: StageCPlaneArmed, Plane: m.Plane, Code: m.Code, Kind: m.Kind, Seq: -1, Wait: a.cfg.CPlaneWait})
 	a.pendingCP = a.k.After(a.cfg.CPlaneWait, func() {
 		if a.k.Now() < a.congestionUntil {
-			if a.tracer != nil {
-				a.trace(DecisionEvent{Stage: StageCongestionSkip, Plane: m.Plane, Code: m.Code, Kind: m.Kind, Seq: -1})
-			}
+			a.trace(DecisionEvent{Stage: StageCongestionSkip, Plane: m.Plane, Code: m.Code, Kind: m.Kind, Seq: -1})
 			return
 		}
 		if m.Kind == DiagCauseConfig {
@@ -398,9 +374,7 @@ func (a *SEEDApplet) applyCPlaneConfig(kind cause.ConfigKind, cfg []byte) {
 
 func (a *SEEDApplet) handleDPlaneCause(m DiagMessage) {
 	if a.k.Now() < a.congestionUntil {
-		if a.tracer != nil {
-			a.trace(DecisionEvent{Stage: StageCongestionSkip, Plane: m.Plane, Code: m.Code, Kind: m.Kind, Seq: -1})
-		}
+		a.trace(DecisionEvent{Stage: StageCongestionSkip, Plane: m.Plane, Code: m.Code, Kind: m.Kind, Seq: -1})
 		return
 	}
 	if m.Kind == DiagCauseConfig {
@@ -467,20 +441,14 @@ func (a *SEEDApplet) handleDeliveryReport(r report.FailureReport) {
 	// the last 5 s explains the delivery failure; do not double-handle.
 	if a.hasPlaneCause && now-a.lastPlaneCause < a.cfg.ConflictWindow {
 		a.stats.SuppressedByConflict++
-		if a.tracer != nil {
-			a.trace(DecisionEvent{Stage: StageConflictSuppressed, Seq: -1, Wait: a.cfg.ConflictWindow - (now - a.lastPlaneCause)})
-		}
+		a.trace(DecisionEvent{Stage: StageConflictSuppressed, Seq: -1, Wait: a.cfg.ConflictWindow - (now - a.lastPlaneCause)})
 		return
 	}
 	if now < a.congestionUntil {
-		if a.tracer != nil {
-			a.trace(DecisionEvent{Stage: StageCongestionSkip, Seq: -1})
-		}
+		a.trace(DecisionEvent{Stage: StageCongestionSkip, Seq: -1})
 		return
 	}
-	if a.tracer != nil {
-		a.trace(DecisionEvent{Stage: StageDeliveryReport, Seq: -1})
-	}
+	a.trace(DecisionEvent{Stage: StageDeliveryReport, Seq: -1})
 	// Forward the report to the infrastructure for policy checking
 	// (sealed, fragmented into DIAG DNNs).
 	sealed, err := a.env.Seal(crypto5g.Uplink, r.Marshal())
@@ -517,22 +485,18 @@ func (a *SEEDApplet) execute(action ActionID) {
 	if a.override != nil {
 		if alt := a.override(seq, action); alt != 0 {
 			action = alt.ForMode(a.effectiveMode())
-			if action != proposed && a.tracer != nil {
+			if action != proposed {
 				a.trace(DecisionEvent{Stage: StageOverridden, Proposed: proposed, Action: action, Seq: seq})
 			}
 		}
 	}
 	now := a.k.Now()
 	if last, seen := a.lastAction[action]; seen && now-last < a.cfg.RateLimitGap {
-		if a.tracer != nil {
-			a.trace(DecisionEvent{Stage: StageRateLimited, Proposed: proposed, Action: action, Seq: seq, Wait: a.cfg.RateLimitGap - (now - last)})
-		}
+		a.trace(DecisionEvent{Stage: StageRateLimited, Proposed: proposed, Action: action, Seq: seq, Wait: a.cfg.RateLimitGap - (now - last)})
 		return
 	}
 	a.lastAction[action] = now
-	if a.tracer != nil {
-		a.trace(DecisionEvent{Stage: StageExecute, Proposed: proposed, Action: action, Seq: seq})
-	}
+	a.trace(DecisionEvent{Stage: StageExecute, Proposed: proposed, Action: action, Seq: seq})
 	if a.stats.Actions == nil {
 		a.stats.Actions = make(map[ActionID]int)
 	}
@@ -582,12 +546,10 @@ func (a *SEEDApplet) runAT(cmd string) {
 // carrier-app "connectivity validated" notification. It cancels a pending
 // control-plane reset (the 2 s transient window) and resolves trials.
 func (a *SEEDApplet) notifyRecovered() {
-	if a.pendingCP.Stop() && a.tracer != nil {
+	if a.pendingCP.Stop() {
 		a.trace(DecisionEvent{Stage: StageCPlaneCancelled, Seq: -1})
 	}
-	if a.tracer != nil {
-		a.trace(DecisionEvent{Stage: StageRecovered, Seq: -1})
-	}
+	a.trace(DecisionEvent{Stage: StageRecovered, Seq: -1})
 	if a.trial != nil {
 		t := a.trial
 		a.trial = nil
@@ -596,19 +558,14 @@ func (a *SEEDApplet) notifyRecovered() {
 		key := recKey{plane: t.c.Plane, code: t.c.Code, action: t.last}
 		a.records[key]++
 		a.stats.TrialsResolved++
-		if a.tracer != nil {
-			a.trace(DecisionEvent{Stage: StageTrialResolved, Plane: t.c.Plane, Code: t.c.Code, Action: t.last, Seq: -1})
-		}
+		a.trace(DecisionEvent{Stage: StageTrialResolved, Plane: t.c.Plane, Code: t.c.Code, Action: t.last, Seq: -1})
 		a.persistRecords()
 	}
 }
 
-// ObserveAuth adapts the card's auth observer to the recovery signal.
-func (a *SEEDApplet) ObserveAuth(kind sim.AuthKind) {
-	if kind == sim.AuthOK {
-		a.notifyRecovered()
-	}
-}
+// AuthSucceeded implements sim.DiagnosisHandler: a successful real AKA run
+// is the recovery signal.
+func (a *SEEDApplet) AuthSucceeded() { a.notifyRecovered() }
 
 // startTrial begins Algorithm 1's SIM side for an unknown cause: try the
 // supported resets sequentially from data plane to hardware.
@@ -617,9 +574,7 @@ func (a *SEEDApplet) startTrial(c cause.Cause) {
 		return // one trial at a time
 	}
 	a.stats.TrialsStarted++
-	if a.tracer != nil {
-		a.trace(DecisionEvent{Stage: StageTrialStart, Plane: c.Plane, Code: c.Code, Seq: -1})
-	}
+	a.trace(DecisionEvent{Stage: StageTrialStart, Plane: c.Plane, Code: c.Code, Seq: -1})
 	a.trial = &trialState{c: c, idx: -1}
 	a.advanceTrial()
 }
@@ -638,9 +593,7 @@ func (a *SEEDApplet) advanceTrial() {
 		t.idx++
 		if t.idx >= len(order) {
 			a.trial = nil // exhausted: give up (would notify the user)
-			if a.tracer != nil {
-				a.trace(DecisionEvent{Stage: StageTrialExhausted, Plane: t.c.Plane, Code: t.c.Code, Seq: -1})
-			}
+			a.trace(DecisionEvent{Stage: StageTrialExhausted, Plane: t.c.Plane, Code: t.c.Code, Seq: -1})
 			return
 		}
 		next := order[t.idx].ForMode(a.effectiveMode())
@@ -650,9 +603,7 @@ func (a *SEEDApplet) advanceTrial() {
 		t.last = next
 		break
 	}
-	if a.tracer != nil {
-		a.trace(DecisionEvent{Stage: StageTrialStep, Plane: t.c.Plane, Code: t.c.Code, Action: t.last, Seq: -1, Wait: a.cfg.TrialWindow})
-	}
+	a.trace(DecisionEvent{Stage: StageTrialStep, Plane: t.c.Plane, Code: t.c.Code, Action: t.last, Seq: -1, Wait: a.cfg.TrialWindow})
 	a.execute(t.last)
 	t.timer = a.k.After(a.cfg.TrialWindow, a.advanceTrial)
 }

@@ -62,7 +62,7 @@ func newAppletHarness(t *testing.T, cfg AppletConfig) *appletHarness {
 	}
 	k := sched.New(1)
 	rec := &recorder{}
-	applet := NewApplet(k, card, key, cfg, rec)
+	applet := NewApplet(k, card, "1", key, cfg, rec)
 	if err := card.InstallApplet(applet, sim.InstallMAC(carrier, AppletAID)); err != nil {
 		t.Fatal(err)
 	}

@@ -108,8 +108,6 @@ type Device struct {
 	OnProfileReload func()
 	// OnSessionDown fires with the ID of every session that goes down.
 	OnSessionDown func(id uint8)
-	// OnNAS observes the device's NAS signaling (for tracing).
-	OnNAS func(sent bool, msg nas.Message)
 
 	probeSeq      int
 	pendingProbes map[radio.FlowTag]func(bool)
@@ -136,11 +134,10 @@ func NewDevice(k *sched.Kernel, cfg DeviceConfig, net *core5g.Network) (*Device,
 	d.CApp = NewCarrierApp(k, d.Mdm)
 
 	if cfg.Mode != Legacy {
-		d.Applet = NewApplet(k, card, cfg.Profile.K, cfg.Applet, d.CApp)
+		d.Applet = NewApplet(k, card, cfg.IMSI, cfg.Profile.K, cfg.Applet, d.CApp)
 		if err := card.InstallApplet(d.Applet, sim.InstallMAC(cfg.CarrierKey, AppletAID)); err != nil {
 			return nil, err
 		}
-		card.SetAuthObserver(d.Applet.ObserveAuth)
 	}
 
 	d.Mon = android.NewMonitor(k, cfg.Android, android.Hooks{
@@ -182,11 +179,6 @@ func NewDevice(k *sched.Kernel, cfg DeviceConfig, net *core5g.Network) (*Device,
 		OnProfileReload: func() {
 			if d.OnProfileReload != nil {
 				d.OnProfileReload()
-			}
-		},
-		OnNAS: func(sent bool, msg nas.Message) {
-			if d.OnNAS != nil {
-				d.OnNAS(sent, msg)
 			}
 		},
 	})

@@ -73,21 +73,16 @@ type InfraPlugin struct {
 	diagStart map[string]time.Duration // SendDiagnosis call time
 	diagSent  map[string]time.Duration // first fragment send time
 
-	// tracer is the decision-trace hook (trace.go); nil by default, so the
-	// uninstrumented Figure 8 paths pay only a nil check.
-	tracer DecisionTracer
-
 	stats InfraStats
 }
 
-// SetDecisionTracer attaches (or with nil detaches) a decision tracer to
-// the plugin's Figure 8 classification and learning paths.
-func (p *InfraPlugin) SetDecisionTracer(t DecisionTracer) { p.tracer = t }
-
-// trace emits ev, stamping the virtual time. Guard with p.tracer != nil.
+// trace emits ev, stamped with the virtual time, to the kernel's observer if
+// it traces decisions.
 func (p *InfraPlugin) trace(ev DecisionEvent) {
-	ev.At = p.k.Now()
-	p.tracer.Decision(ev)
+	if t, traced := p.k.Observer().(DecisionTracer); traced {
+		ev.At = p.k.Now()
+		t.Decision(ev)
+	}
 }
 
 // NewInfraPlugin creates and attaches the plugin to a core network.
@@ -156,9 +151,7 @@ func (p *InfraPlugin) envelope(imsi string) *crypto5g.Envelope {
 // what assistance to send.
 func (p *InfraPlugin) onReject(imsi string, c cause.Cause) {
 	if p.congested {
-		if p.tracer != nil {
-			p.trace(DecisionEvent{Stage: StageInfraCongestion, IMSI: imsi, Plane: c.Plane, Code: c.Code, Seq: -1, Wait: time.Duration(p.congestWait) * time.Second})
-		}
+		p.trace(DecisionEvent{Stage: StageInfraCongestion, IMSI: imsi, Plane: c.Plane, Code: c.Code, Seq: -1, Wait: time.Duration(p.congestWait) * time.Second})
 		p.SendDiagnosis(imsi, DiagMessage{
 			Kind: DiagCongestion, Plane: c.Plane, Code: c.Code,
 			WaitSeconds: p.congestWait,
@@ -169,25 +162,19 @@ func (p *InfraPlugin) onReject(imsi string, c cause.Cause) {
 	switch {
 	case std && info.ConfigRelated():
 		kind, cfg := p.lookupConfig(imsi, c, info.Config)
-		if p.tracer != nil {
-			p.trace(DecisionEvent{Stage: StageInfraConfig, IMSI: imsi, Plane: c.Plane, Code: c.Code, Seq: -1})
-		}
+		p.trace(DecisionEvent{Stage: StageInfraConfig, IMSI: imsi, Plane: c.Plane, Code: c.Code, Seq: -1})
 		p.SendDiagnosis(imsi, DiagMessage{
 			Kind: DiagCauseConfig, Plane: c.Plane, Code: c.Code,
 			ConfigKind: kind, Config: cfg,
 		})
 	case std:
-		if p.tracer != nil {
-			p.trace(DecisionEvent{Stage: StageInfraCause, IMSI: imsi, Plane: c.Plane, Code: c.Code, Seq: -1})
-		}
+		p.trace(DecisionEvent{Stage: StageInfraCause, IMSI: imsi, Plane: c.Plane, Code: c.Code, Seq: -1})
 		p.SendDiagnosis(imsi, DiagMessage{Kind: DiagCause, Plane: c.Plane, Code: c.Code})
 	default:
 		// Unstandardized (customized) cause.
 		if a, okA := p.customActions[c]; okA {
 			p.stats.Suggestions++
-			if p.tracer != nil {
-				p.trace(DecisionEvent{Stage: StageInfraCustomSuggest, IMSI: imsi, Plane: c.Plane, Code: c.Code, Action: a, Seq: -1})
-			}
+			p.trace(DecisionEvent{Stage: StageInfraCustomSuggest, IMSI: imsi, Plane: c.Plane, Code: c.Code, Action: a, Seq: -1})
 			p.SendDiagnosis(imsi, DiagMessage{
 				Kind: DiagSuggestAction, Plane: c.Plane, Code: c.Code, Action: a,
 			})
@@ -195,18 +182,14 @@ func (p *InfraPlugin) onReject(imsi string, c cause.Cause) {
 		}
 		if a, okA := p.Learner.Suggest(c); okA {
 			p.stats.Suggestions++
-			if p.tracer != nil {
-				p.trace(DecisionEvent{Stage: StageInfraLearnerSuggest, IMSI: imsi, Plane: c.Plane, Code: c.Code, Action: a, Seq: -1, Evidence: clampEvidence(p.Learner.Evidence(c))})
-			}
+			p.trace(DecisionEvent{Stage: StageInfraLearnerSuggest, IMSI: imsi, Plane: c.Plane, Code: c.Code, Action: a, Seq: -1, Evidence: clampEvidence(p.Learner.Evidence(c))})
 			p.SendDiagnosis(imsi, DiagMessage{
 				Kind: DiagSuggestAction, Plane: c.Plane, Code: c.Code, Action: a,
 			})
 			return
 		}
 		p.stats.LearningNulls++
-		if p.tracer != nil {
-			p.trace(DecisionEvent{Stage: StageInfraLearnerNull, IMSI: imsi, Plane: c.Plane, Code: c.Code, Seq: -1, Evidence: clampEvidence(p.Learner.Evidence(c))})
-		}
+		p.trace(DecisionEvent{Stage: StageInfraLearnerNull, IMSI: imsi, Plane: c.Plane, Code: c.Code, Seq: -1, Evidence: clampEvidence(p.Learner.Evidence(c))})
 		p.SendDiagnosis(imsi, DiagMessage{Kind: DiagUnknown, Plane: c.Plane, Code: c.Code})
 	}
 }
@@ -223,9 +206,7 @@ func clampEvidence(n int) int32 {
 // infrastructure suggests a hardware reset.
 func (p *InfraPlugin) onTimeout(imsi string) {
 	p.stats.TimeoutAssists++
-	if p.tracer != nil {
-		p.trace(DecisionEvent{Stage: StageInfraTimeoutAssist, IMSI: imsi, Plane: cause.ControlPlane, Action: ActionB1, Seq: -1})
-	}
+	p.trace(DecisionEvent{Stage: StageInfraTimeoutAssist, IMSI: imsi, Plane: cause.ControlPlane, Action: ActionB1, Seq: -1})
 	p.SendDiagnosis(imsi, DiagMessage{
 		Kind: DiagSuggestAction, Plane: cause.ControlPlane, Action: ActionB1,
 	})
@@ -415,7 +396,7 @@ func (p *InfraPlugin) ReceiveRecordUpload(blob []byte) error {
 		return err
 	}
 	p.stats.RecordUploads++
-	if p.tracer != nil {
+	if _, traced := p.k.Observer().(DecisionTracer); traced {
 		merged := 0
 		for _, acts := range recs {
 			for _, n := range acts {

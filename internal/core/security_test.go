@@ -121,7 +121,7 @@ func TestAppletInstallRequiresCarrierKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	applet := NewApplet(nil, card, carrier, DefaultAppletConfig(), nil)
+	applet := NewApplet(nil, card, "", carrier, DefaultAppletConfig(), nil)
 	if err := card.InstallApplet(applet, sim.InstallMAC(attacker, AppletAID)); err == nil {
 		t.Fatal("applet installed with an attacker MAC")
 	}

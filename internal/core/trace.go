@@ -9,14 +9,15 @@ import (
 
 // Decision tracing is the observability layer over Algorithm 1: every
 // decision point in the applet's decision module and the plugin's Figure 8
-// tree can emit a structured DecisionEvent to an attached DecisionTracer.
+// tree emits a structured DecisionEvent to the kernel's observer
+// (sched.Kernel.Observe) when that is a DecisionTracer.
 //
-// Contract (DESIGN.md "Decision tracing"): trace hooks are pure
-// observation. They must never draw from the kernel RNG, schedule events,
-// or mutate any simulated state — otherwise a traced run would diverge
-// from an untraced one and counterfactual A/B cells would stop being
-// bit-comparable. With no tracer attached (TraceOff) every hook is a nil
-// check on a hot field: zero allocation, zero behavioral difference.
+// Contract (DESIGN.md "Observing a run"): an observer is pure observation.
+// It must never draw from the kernel RNG, schedule events, or mutate any
+// simulated state — otherwise a traced run would diverge from an untraced
+// one and counterfactual A/B cells would stop being bit-comparable. With
+// nothing observing (TraceOff) every emit is a nil check: zero allocation,
+// zero behavioral difference.
 
 // TraceLevel selects how much of the decision stream a recorder keeps.
 // The core emits every event whenever a tracer is attached; levels are a
@@ -228,9 +229,10 @@ type DecisionEvent struct {
 	Evidence int32
 }
 
-// DecisionTracer receives decision events. Implementations must be pure
-// observers (no RNG draws, no scheduling, no simulated-state mutation);
-// they run synchronously on the cell's single-threaded kernel.
+// DecisionTracer is what the applet and the plugin look for on their
+// kernel's observer. Implementations must be pure observers (no RNG draws,
+// no scheduling, no simulated-state mutation); they run synchronously on the
+// cell's single-threaded kernel.
 type DecisionTracer interface {
 	Decision(ev DecisionEvent)
 }

@@ -124,9 +124,21 @@ type Hooks struct {
 	OnDisplayText   func(string)
 	OnReject        func(epd byte, code uint8) // every reject cause seen (legacy ignores it)
 	OnProfileReload func()
-	// OnNAS observes every NAS message the modem sends or receives
-	// (after decryption), for tracing tools.
-	OnNAS func(sent bool, msg nas.Message)
+}
+
+// NASObserver is what the modem looks for on its kernel's observer
+// (sched.Kernel.Observe): NAS is handed every message the modem sends or
+// receives (after decryption). msg is lent for the call — a send is built in
+// the modem's outbox, a downlink goes back to the pool — so an observer
+// marshals or names it before returning.
+type NASObserver interface {
+	NAS(imsi string, sent bool, msg nas.Message)
+}
+
+// APDUObserver is the same for the modem↔SIM boundary: every APDU the modem
+// relays to the card (TransmitAPDU) and the card's response to it.
+type APDUObserver interface {
+	APDU(imsi string, cmd sim.Command, resp sim.Response)
 }
 
 // Modem is the emulated baseband processor.
@@ -240,9 +252,9 @@ type Stats struct {
 }
 
 // outbox holds one of each message the modem sends. sendNAS encodes before
-// it returns and the OnNAS observers marshal or name the message during the
-// call, so each is dead by the time the next of its kind is built: an
-// uplink costs no message object.
+// it returns and a NASObserver is lent the message for the call only, so
+// each is dead by the time the next of its kind is built: an uplink costs
+// no message object.
 type outbox struct {
 	regReq   nas.RegistrationRequest
 	nssai    [1]nas.SNSSAI
@@ -571,8 +583,8 @@ func (m *Modem) cancelRegTimer() {
 // kept: callers build it in m.out.
 func (m *Modem) sendNAS(msg nas.Message) {
 	m.stats.NASSent++
-	if m.hook.OnNAS != nil {
-		m.hook.OnNAS(true, msg)
+	if o, observed := m.k.Observer().(NASObserver); observed {
+		o.NAS(m.imsi, true, msg)
 	}
 	f := m.nasFrames.Get(m.imsi)
 	if m.sec != nil {
@@ -675,8 +687,8 @@ func (m *Modem) deliverNAS(msg nas.Message) {
 	if msg == nil {
 		return
 	}
-	if m.hook.OnNAS != nil {
-		m.hook.OnNAS(false, msg)
+	if o, observed := m.k.Observer().(NASObserver); observed {
+		o.NAS(m.imsi, false, msg)
 	}
 	m.handleNAS(msg)
 	if _, held := msg.(*nas.AuthenticationRequest); !held {
@@ -1067,6 +1079,9 @@ func (m *Modem) SendRawSessionRequest(dnn string) bool {
 func (m *Modem) TransmitAPDU(cmd sim.Command, done func(sim.Response)) {
 	m.k.After(2*m.cfg.SIMIOLatency, func() {
 		resp := m.card.Process(cmd)
+		if o, observed := m.k.Observer().(APDUObserver); observed {
+			o.APDU(m.imsi, cmd, resp)
+		}
 		if done != nil {
 			done(resp)
 		}

@@ -15,6 +15,27 @@ import (
 	"github.com/seed5g/seed/internal/sim"
 )
 
+// delivered is a challenge as it was handed to the observer, copied during
+// the call.
+type delivered struct{ rnd, autn [16]byte }
+
+// challengeLog is the kernel's observer (a modem.NASObserver): it copies
+// every downlink challenge at the moment of delivery and — what an observer
+// must not do — keeps the message it was lent.
+type challengeLog struct {
+	seen    []delivered
+	kept    []*nas.AuthenticationRequest
+	onEvery func()
+}
+
+func (l *challengeLog) NAS(_ string, sent bool, msg nas.Message) {
+	if req, isReq := msg.(*nas.AuthenticationRequest); isReq && !sent {
+		l.seen = append(l.seen, delivered{req.RAND, req.AUTN})
+		l.kept = append(l.kept, req)
+		l.onEvery()
+	}
+}
+
 // TestDecodedMessageOwnership exercises the one place a decoded message
 // outlives the handler it was delivered to: the modem holds an
 // Authentication Request for the SIM I/O latency before it runs the
@@ -26,7 +47,8 @@ import (
 //
 // The pool poisons what is released into it, so a message read after its
 // release — the request by runAuth, or any other downlink by a handler —
-// answers with garbage and the comparison fails.
+// answers with garbage and the comparison fails; and a message the observer
+// kept past the call it was lent for reads poison once its run is over.
 func TestDecodedMessageOwnership(t *testing.T) {
 	var key, op [16]byte
 	copy(key[:], "ownership-key-00")
@@ -84,15 +106,10 @@ func TestDecodedMessageOwnership(t *testing.T) {
 		m := modem.New(k, modem.DefaultConfig(), newCard(), tx, new(radio.FramePool), frames, pool)
 
 		// What was delivered, in order, copied at the moment of delivery.
-		type delivered struct{ rnd, autn [16]byte }
-		var seen []delivered
+		log := &challengeLog{}
 		maxInFlight := 0
-		m.SetHooks(modem.Hooks{OnNAS: func(sent bool, msg nas.Message) {
-			if req, isReq := msg.(*nas.AuthenticationRequest); isReq && !sent {
-				seen = append(seen, delivered{req.RAND, req.AUTN})
-				maxInFlight = max(maxInFlight, len(seen)-len(answers))
-			}
-		}})
+		log.onEvery = func() { maxInFlight = max(maxInFlight, len(log.seen)-len(answers)) }
+		k.Observe(log)
 
 		m.PowerOn()
 		k.RunFor(12 * time.Second) // booted, searching done, registering
@@ -114,6 +131,7 @@ func TestDecodedMessageOwnership(t *testing.T) {
 
 		oracle := newCard()
 		var want []string
+		seen := log.seen
 		for _, d := range seen {
 			switch res := oracle.Authenticate(d.rnd, d.autn); res.Kind {
 			case sim.AuthOK:
@@ -136,6 +154,11 @@ func TestDecodedMessageOwnership(t *testing.T) {
 		// Every request was released exactly when its run was over.
 		if got := pool.Released(first); got != 0 {
 			t.Fatalf("seed %d: a poisoning pool kept %d messages", seed, got)
+		}
+		for i, req := range log.kept {
+			if req.RAND == seen[i].rnd || req.RAND[0] != 0xDB {
+				t.Fatalf("seed %d: challenge %d, kept by the observer past its call, still reads RAND %x", seed, i, req.RAND)
+			}
 		}
 	}
 	if overlapped == 0 || reordered == 0 {

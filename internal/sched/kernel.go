@@ -40,10 +40,12 @@ type Kernel struct {
 	queue   eventHeap
 	seq     uint64
 	stopped bool
-	// watch and announced are the transition sink (see transition.go);
-	// neither is snapshot state.
-	watch     Watcher
-	announced uint64
+	// observer is the run's one observer, transitions what Observe found on
+	// it for Announce, announced the transition count (see transition.go);
+	// none of them is snapshot state.
+	observer    any
+	transitions TransitionObserver
+	announced   uint64
 	// free is the event pool: a singly-linked list of fired/cancelled
 	// events awaiting reuse. Its length is bounded by the peak number of
 	// simultaneously pending events.

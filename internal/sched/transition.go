@@ -11,7 +11,7 @@ package sched
 // it did.
 //
 // A transition carries its kind and two integer operands whose meaning the
-// kind fixes: values only, never a pooled pointer or a slice, so a watcher
+// kind fixes: values only, never a pooled pointer or a slice, so an observer
 // has nothing it could retain past the call.
 type Transition uint8
 
@@ -58,28 +58,38 @@ const (
 	ResolverOverride
 )
 
-// Watcher receives the transitions announced on a kernel. It runs inside the
-// announcing call, mid-event: it may record what it is given and must not
-// touch the simulation.
-type Watcher func(t Transition, a, b int)
+// TransitionObserver is what Announce looks for on the kernel's observer.
+// Transition runs inside the announcing call, mid-event.
+type TransitionObserver interface {
+	Transition(t Transition, a, b int)
+}
 
-// Watch installs w as the kernel's one watcher; nil removes it. The watcher
-// is not snapshot state: Restore leaves it alone, so whoever installs one on
-// a prototype's kernel after a restore removes it before handing the
-// prototype back.
-func (k *Kernel) Watch(w Watcher) { k.watch = w }
+// Observe installs o as the kernel's one observer of the run; nil removes it.
+// The kernel holds the value and every layer looks on it for the interface it
+// emits through (TransitionObserver here, modem.NASObserver,
+// modem.APDUObserver, core.DecisionTracer): o implements the ones it wants.
+// An observer records what it is handed, during the call, and touches nothing
+// of the simulation. It is not snapshot state — Restore leaves it alone — and
+// belongs to the cell that installed it (seed.Proto removes it on release).
+func (k *Kernel) Observe(o any) {
+	k.observer = o
+	k.transitions, _ = o.(TransitionObserver)
+}
+
+// Observer returns what Observe installed, nil when nothing observes.
+func (k *Kernel) Observer() any { return k.observer }
 
 // Announce reports a transition: it is counted (see Announced) and handed to
-// the watcher, if there is one. It allocates nothing.
+// the observer, if it takes transitions. It allocates nothing.
 func (k *Kernel) Announce(t Transition, a, b int) {
 	k.announced++
-	if k.watch != nil {
-		k.watch(t, a, b)
+	if k.transitions != nil {
+		k.transitions.Transition(t, a, b)
 	}
 }
 
 // Announced returns how many transitions have been announced on the kernel.
 // A run loop compares it across a Step to learn whether the step announced
-// anything. Like the watcher it is not snapshot state: only differences
+// anything. Like the observer it is not snapshot state: only differences
 // between two readings on one run mean something.
 func (k *Kernel) Announced() uint64 { return k.announced }

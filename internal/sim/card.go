@@ -35,6 +35,11 @@ type Applet interface {
 // protocol-compliant ACK (Fig 7a).
 type DiagnosisHandler interface {
 	HandleAuthDiagnosis(autn [16]byte) (auts []byte)
+	// AuthSucceeded is called after every real AKA run that succeeded
+	// (diagnosis deliveries excluded): registration is progressing again,
+	// the recovery signal behind the 2 s transient-failure timer and the
+	// online-learning verdicts.
+	AuthSucceeded()
 }
 
 // AuthKind classifies an AUTHENTICATE outcome.
@@ -105,8 +110,6 @@ type Card struct {
 	selectedFile FileID
 	proactive    []ProactiveCommand
 	onProactive  func()
-	onAuth       func(AuthKind)
-	onAPDU       func(Command, Response)
 
 	stats Stats
 }
@@ -302,12 +305,6 @@ func (c *Card) Applet(aid string) (Applet, bool) {
 	return nil, false
 }
 
-// SetAuthObserver registers a hook invoked with the outcome of every real
-// AKA run (diagnosis deliveries excluded). The SEED applet uses it to
-// observe that registration is progressing again — the recovery signal
-// behind the 2 s transient-failure timer and online-learning verdicts.
-func (c *Card) SetAuthObserver(fn func(AuthKind)) { c.onAuth = fn }
-
 // Authenticate runs 5G-AKA for a (RAND, AUTN) challenge — or, when RAND is
 // the reserved DFlag, routes the AUTN payload to the diagnosis applet and
 // returns its ACK as a synthetic synch failure. From the (unmodified)
@@ -346,8 +343,8 @@ func (c *Card) Authenticate(rnd, autn [16]byte) AuthResult {
 	}
 	c.sqn = sqn
 	res, ck, ik, _ := c.mil.F2345(rnd)
-	if c.onAuth != nil {
-		c.onAuth(AuthOK)
+	if c.diag != nil {
+		c.diag.AuthSucceeded()
 	}
 	return AuthResult{Kind: AuthOK, RES: res, CK: ck, IK: ik}
 }
@@ -400,23 +397,9 @@ func (c *Card) Envelope(aid string, data []byte) ([]byte, error) {
 	return a.HandleEnvelope(data)
 }
 
-// SetAPDUObserver registers a hook invoked with every APDU that goes
-// through Process and the card's response to it. The adversary engine taps
-// the modem↔SIM boundary here to record the command stream it later
-// mutates and re-injects. A nil fn disables observation.
-func (c *Card) SetAPDUObserver(fn func(Command, Response)) { c.onAPDU = fn }
-
 // Process executes a raw APDU. The typed methods above are what the modem
 // uses in-process; Process exists for APDU-level conformance and tests.
 func (c *Card) Process(cmd Command) Response {
-	resp := c.process(cmd)
-	if c.onAPDU != nil {
-		c.onAPDU(cmd, resp)
-	}
-	return resp
-}
-
-func (c *Card) process(cmd Command) Response {
 	c.stats.APDUs++
 	switch cmd.INS {
 	case INSSelect:

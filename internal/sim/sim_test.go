@@ -42,6 +42,7 @@ type fakeApplet struct {
 	code     int
 	envelope func(data []byte) ([]byte, error)
 	diag     func(autn [16]byte) []byte
+	authOKs  int
 }
 
 func (f *fakeApplet) AID() string    { return f.aid }
@@ -59,6 +60,7 @@ func (f *fakeApplet) HandleAuthDiagnosis(autn [16]byte) []byte {
 	}
 	return nil
 }
+func (f *fakeApplet) AuthSucceeded() { f.authOKs++ }
 
 func TestFileSystemQuota(t *testing.T) {
 	fs := NewFileSystem(100)
@@ -230,6 +232,15 @@ func TestDFlagRoutesToDiagnosisApplet(t *testing.T) {
 	}
 	if c.Stats().DiagMsgs != 1 {
 		t.Fatalf("DiagMsgs = %d", c.Stats().DiagMsgs)
+	}
+	// The handler is told of every real AKA run that succeeds, and of
+	// nothing else: not the diagnosis delivery, not a replayed challenge.
+	rnd, real := networkChallenge(t, testProfile(), 100, 7)
+	if app.authOKs != 0 || c.Authenticate(rnd, real).Kind != AuthOK || app.authOKs != 1 {
+		t.Fatalf("AuthSucceeded called %d times after a diagnosis and one successful AKA", app.authOKs)
+	}
+	if c.Authenticate(rnd, real).Kind != AuthSyncFailure || app.authOKs != 1 {
+		t.Fatalf("AuthSucceeded called %d times after a replayed challenge", app.authOKs)
 	}
 }
 

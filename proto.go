@@ -116,7 +116,10 @@ func (p *Proto[T]) acquire() *protoInst[T] {
 	return inst
 }
 
+// release hands the instance back without the observer its cell installed:
+// an observer belongs to one cell, and the next one starts unobserved.
 func (p *Proto[T]) release(inst *protoInst[T]) {
+	inst.tb.Observe(nil)
 	p.mu.Lock()
 	p.free = append(p.free, inst)
 	p.mu.Unlock()
@@ -200,10 +203,10 @@ func (pm *ProtoMap[K, T]) Stats() ProtoStats {
 var bareProtos = NewProtoMap(func(mode Mode) func(*Testbed) *Device {
 	return func(tb *Testbed) *Device {
 		d := tb.NewDevice(mode)
-		(&Instrument{Tracer: bootTracer{d}}).attach(tb, d)
+		tb.Observe(bootTracer{d})
 		d.Start()
 		tb.await(d.Connected, connectDeadline)
-		(&Instrument{}).attach(tb, d)
+		tb.Observe(nil)
 		return d
 	}
 })
@@ -274,6 +277,7 @@ func PrototypeStats() []ProtoFamilyStats {
 		{"cold", coldProtos.Stats()},
 		{"delivery", deliveryProtos.Stats()},
 		{"figure3", figure3Proto.Stats()},
+		{"ladder", ladderProtos.Stats()},
 		{"table5", table5Protos.Stats()},
 	}
 }

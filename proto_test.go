@@ -115,8 +115,8 @@ type panicTracer struct{}
 
 func (panicTracer) Decision(core.DecisionEvent) { panic("tracer blew up mid-cell") }
 
-// A cell that panics half-way still hands its instance back (dirty, with
-// the panicking tracer attached and timers queued); the next Cell must
+// A cell that panics half-way still hands its instance back (dirty, timers
+// queued, the panicking tracer removed by the release); the next Cell must
 // restore it cleanly rather than build another.
 func TestPanickedCellLeavesARestorableInstance(t *testing.T) {
 	c := cellRun{controlPlane: true, code: 22, scenario: ScenarioTransient, heal: 4 * time.Second}
@@ -139,5 +139,39 @@ func TestPanickedCellLeavesARestorableInstance(t *testing.T) {
 	after := p.Stats()
 	if after.Boots != before.Boots || after.Restores != before.Restores+2 {
 		t.Errorf("boots %d -> %d, restores %d -> %d: want the panicked cell's instance reused", before.Boots, after.Boots, before.Restores, after.Restores)
+	}
+}
+
+// TestObserverRemovedOnRelease: an observer belongs to the cell that installed
+// it. The prototype's next cell — the same instance, restored — starts
+// unobserved, and a bareProtos boot, which observes itself to record its boot
+// trace, leaves no observer behind on a fresh boot or a restored one.
+func TestObserverRemovedOnRelease(t *testing.T) {
+	p := NewProto(func(tb *Testbed) *Device { return tb.NewDevice(ModeSEEDR) })
+	tb, _, put := p.Cell(1)
+	tb.Observe(new(traceLog))
+	put()
+	again, _, put := p.Cell(2)
+	if again != tb {
+		t.Fatal("the second cell did not reuse the first one's instance")
+	}
+	if got := again.kern.Observer(); got != nil {
+		t.Errorf("the next cell starts observed by the last one's %T", got)
+	}
+	put()
+
+	for _, mode := range Modes {
+		fresh, d := bareProtos.Proto(mode).Fresh(1)
+		if got := fresh.kern.Observer(); got != nil {
+			t.Errorf("%v: a fresh bare boot leaves %T observing", mode, got)
+		}
+		if mode != ModeLegacy && len(d.bootTrace) == 0 {
+			t.Errorf("%v: the boot recorded no decision", mode)
+		}
+		restored, _, put := bareProtos.Proto(mode).Cell(1)
+		if got := restored.kern.Observer(); got != nil {
+			t.Errorf("%v: a restored bare cell starts observed by %T", mode, got)
+		}
+		put()
 	}
 }

@@ -113,18 +113,19 @@ type Instrument struct {
 	LearnerLR float64
 }
 
-// attach wires inst (nil: nothing) onto a restored cell. Everything it sets
-// is a field the plugin or applet reads only when it decides, so the cell
-// behaves as one built instrumented; the next restore detaches it again.
+// attach wires inst (nil: nothing) onto a restored cell. The tracer becomes
+// the cell's observer, which the prototype removes on release; everything
+// else is a field the plugin or applet reads only when it decides, so the
+// cell behaves as one built instrumented, and the next restore clears it.
 func (inst *Instrument) attach(tb *Testbed, d *Device) {
 	if inst == nil {
 		return
 	}
-	tb.plugin.SetDecisionTracer(inst.Tracer)
 	if inst.LearnerLR > 0 {
 		tb.plugin.Learner.LR = inst.LearnerLR
 	}
 	if inst.Tracer != nil {
+		tb.Observe(inst.Tracer)
 		for _, ev := range d.bootTrace {
 			inst.Tracer.Decision(ev)
 		}
@@ -136,11 +137,10 @@ func (inst *Instrument) attach(tb *Testbed, d *Device) {
 	if inst.Applet != nil {
 		applet.UpdateConfig(inst.Applet)
 	}
-	applet.SetDecisionTracer(inst.Tracer, d.IMSI())
 	applet.SetActionOverride(inst.Override)
 }
 
-// bootTracer records a connected prototype's own boot into bootTrace, which
+// bootTracer observes a connected prototype's own boot into bootTrace, which
 // attach replays: a tracer attached after the restore reads the cell's
 // history from power-on, as one attached before the boot did.
 type bootTracer struct{ d *Device }
@@ -497,18 +497,6 @@ func (d *Device) OnProfileReload(fn func()) {
 			prev()
 		}
 		fn()
-	}
-}
-
-// OnSignaling registers a trace hook fired for every NAS message the
-// device sends (sent=true) or receives, with its human-readable name.
-func (d *Device) OnSignaling(fn func(sent bool, name string)) {
-	prev := d.inner.OnNAS
-	d.inner.OnNAS = func(sent bool, msg nas.Message) {
-		if prev != nil {
-			prev(sent, msg)
-		}
-		fn(sent, nas.Name(msg.EPD(), msg.MessageType()))
 	}
 }
 

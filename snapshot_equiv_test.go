@@ -225,8 +225,8 @@ func (l *traceLog) Decision(ev core.DecisionEvent) { *l = append(*l, ev) }
 // oracleCell runs a cell the way every cell ran before it started from a
 // prototype: a desync on a full boot under the prototype seed protocol,
 // anything else on a testbed constructed on the cell's own seed, and an
-// instrumented device BUILT instrumented (plugin tracer before the device
-// exists, applet config through the device option, applet hooks before
+// instrumented device BUILT instrumented (the tracer observing before the
+// device exists, applet config through the device option, the override before
 // anything runs) instead of instrumented after a restore.
 func oracleCell(c cellRun, mode Mode, seedVal int64) ReplayResult {
 	inst := c.inst
@@ -235,7 +235,7 @@ func oracleCell(c cellRun, mode Mode, seedVal int64) ReplayResult {
 		if inst == nil {
 			return tb.NewDevice(mode)
 		}
-		tb.plugin.SetDecisionTracer(inst.Tracer)
+		tb.Observe(inst.Tracer)
 		if inst.LearnerLR > 0 {
 			tb.plugin.Learner.LR = inst.LearnerLR
 		}
@@ -245,7 +245,6 @@ func oracleCell(c cellRun, mode Mode, seedVal int64) ReplayResult {
 			}
 		})
 		if a := d.inner.Applet; a != nil {
-			a.SetDecisionTracer(inst.Tracer, d.IMSI())
 			a.SetActionOverride(inst.Override)
 		}
 		return d

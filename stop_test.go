@@ -225,35 +225,139 @@ func TestMissedAnnouncementIsDetected(t *testing.T) {
 	}
 }
 
-// TestTimelineIsPureObserver: watching a cell's transitions changes nothing
-// about it — outcome, final virtual time and the kernel's sequence counter
-// are those of the unwatched run, for every delivery kind and mode.
-func TestTimelineIsPureObserver(t *testing.T) {
+// observedRun is what an observed and an unobserved run of a cell must agree
+// on: what the two loops agree on, how many transitions the kernel announced
+// over the run, and the next value of its random stream.
+type observedRun struct {
+	stopRun
+	Announced uint64
+	NextDraw  int64
+}
+
+// observedRuns runs a cell three times from its prototype — unobserved, under
+// a decision recorder, and under a Timeline that takes all four kinds of
+// event — and fails unless the three agree. It returns the timeline and the
+// recorded decisions.
+func observedRuns[T any](t *testing.T, name string, p *Proto[T], cellSeed int64, body func(*Testbed, T) any) ([]TimelineEvent, traceLog) {
+	t.Helper()
+	var events []TimelineEvent
+	var decisions traceLog
+	var runs [3]observedRun
+	for i := range runs {
+		tb, h, put := p.Cell(cellSeed)
+		if got := tb.kern.Observer(); got != nil {
+			t.Fatalf("%s: a restored cell starts observed by %T", name, got)
+		}
+		switch i {
+		case 1:
+			tb.Observe(&decisions)
+		case 2:
+			tb.Observe(Timeline{Now: tb.Now, Emit: func(ev TimelineEvent) { events = append(events, ev) }})
+		}
+		before := tb.kern.Announced()
+		res := body(tb, h)
+		runs[i] = observedRun{stopRun{res, tb.Now(), tb.kern.Scheduled()}, tb.kern.Announced() - before, tb.kern.Rand().Int63()}
+		put()
+	}
+	for i, who := range []string{"a decision recorder", "a timeline"} {
+		if !reflect.DeepEqual(runs[0], runs[i+1]) {
+			t.Errorf("%s: unobserved %+v != observed by %s %+v", name, runs[0], who, runs[i+1])
+		}
+	}
+	for i, ev := range events {
+		if ev.Layer == "?" || ev.Text == "" || (i > 0 && ev.At < events[i-1].At) {
+			t.Errorf("%s: timeline event %d is %+v", name, i, ev)
+		}
+	}
+	return events, decisions
+}
+
+// TestObservedOutcomeMatchesUnobserved: observing a cell changes nothing about
+// it, whoever observes and whatever they take. Cells are a stride sample of
+// the compiled paper-mix corpus and every delivery kind, in every mode.
+func TestObservedOutcomeMatchesUnobserved(t *testing.T) {
+	layers := map[string]int{}
+	decisions := 0
+	tally := func(events []TimelineEvent, log traceLog) {
+		for _, ev := range events {
+			layers[ev.Layer]++
+		}
+		decisions += len(log)
+		if got := layerCount(events, "applet") + layerCount(events, "plugin"); got != len(log) {
+			t.Errorf("the timeline shows %d decisions, the recorder took %d", got, len(log))
+		}
+	}
 	for _, mode := range Modes {
 		for _, kind := range []DeliveryFailureKind{DeliveryTCPBlock, DeliveryUDPBlock, DeliveryDNSOutage, DeliveryStalledGateway} {
-			var runs [2]stopRun
-			var seen []TimelineEvent
-			for i := range runs {
-				tb, h, put := deliveryProtos.Proto(mode).Cell(7)
-				if i == 1 {
-					tb.OnTransition(func(ev TimelineEvent) { seen = append(seen, ev) })
-				}
-				res := replayDeliveryOn(tb, h, DeliveryCase{Kind: kind})
-				runs[i] = stopRun{res, tb.Now(), tb.kern.Scheduled()}
-				tb.OnTransition(nil)
-				put()
+			name := fmt.Sprintf("%v/%v", kind, mode)
+			events, log := observedRuns(t, name, deliveryProtos.Proto(mode), 7, func(tb *Testbed, h deliveryHandles) any {
+				return replayDeliveryOn(tb, h, DeliveryCase{Kind: kind})
+			})
+			if len(events) == 0 {
+				t.Errorf("%s: the timeline saw nothing", name)
 			}
-			if !reflect.DeepEqual(runs[0], runs[1]) {
-				t.Errorf("%v/%v: unwatched %+v != watched %+v", kind, mode, runs[0], runs[1])
-			}
-			if len(seen) == 0 {
-				t.Errorf("%v/%v: the watcher saw no transition", kind, mode)
-			}
-			for i, ev := range seen {
-				if ev.Layer == "?" || ev.Text == "" || (i > 0 && ev.At < seen[i-1].At) {
-					t.Errorf("%v/%v: event %d is %+v", kind, mode, i, ev)
-				}
-			}
+			tally(events, log)
 		}
+	}
+	sp := workload.DefaultSpec()
+	cells, err := workload.Compile(sp, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sample = 90
+	stride := len(cells) / sample
+	for i := 0; i < sample; i++ {
+		c := cells[i*stride]
+		mode, ok := ParseMode(c.Mode)
+		if !ok {
+			t.Fatalf("cell %d: mode %q", c.Index, c.Mode)
+		}
+		run := compiledCellRun(sp, c, nil)
+		name := fmt.Sprintf("cell %d (%s, %s)", c.Index, c.Scenario, c.Mode)
+		tally(observedRuns(t, name, run.proto(mode), c.Seed, func(tb *Testbed, d *Device) any { return run.measure(tb, d) }))
+	}
+	for _, layer := range []string{"modem", "nas", "sim", "applet", "plugin"} {
+		if layers[layer] == 0 {
+			t.Errorf("no timeline event from layer %q in any cell: %v", layer, layers)
+		}
+	}
+	if decisions == 0 {
+		t.Error("no decision recorded in any cell")
+	}
+}
+
+func layerCount(events []TimelineEvent, layer string) (n int) {
+	for _, ev := range events {
+		if ev.Layer == layer {
+			n++
+		}
+	}
+	return n
+}
+
+// TestTestbedObserveRejectsNonObserver: a value that implements none of the
+// observer interfaces would be held and never called; Observe refuses it and
+// leaves the observer it had.
+func TestTestbedObserveRejectsNonObserver(t *testing.T) {
+	tb := New(1)
+	log := new(traceLog)
+	tb.Observe(log)
+	for _, o := range []any{struct{}{}, "timeline", func(TimelineEvent) {}, traceLog{}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Observe(%T) did not panic", o)
+				}
+			}()
+			tb.Observe(o)
+		}()
+		if tb.kern.Observer() != any(log) {
+			t.Fatalf("a rejected Observe(%T) replaced the observer", o)
+		}
+	}
+	tb.Observe(Timeline{Now: tb.Now, Emit: func(TimelineEvent) {}})
+	tb.Observe(nil)
+	if tb.kern.Observer() != nil {
+		t.Error("Observe(nil) left an observer")
 	}
 }
