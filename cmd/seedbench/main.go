@@ -11,22 +11,36 @@
 // Everything runs on the virtual clock: regenerating the full evaluation
 // takes seconds of wall time. Independent scenario cells fan across
 // -parallel worker goroutines (default GOMAXPROCS); results are
-// bit-for-bit identical at any parallelism. With -parallel > 1 each
-// experiment also runs once sequentially so the per-experiment speedup
-// against the recorded sequential baseline can be reported — and the two
-// outputs are compared byte-for-byte as a live determinism check: a
-// mismatch is reported on stderr and, once the run and its report are
-// complete, the exit status is 1.
+// bit-for-bit identical at any parallelism.
+//
+// Each piece of work is done once. Table 4's management rows, Figure 2, the
+// per-cause breakdown and the coverage all read the same replayed cases, so
+// -exp all replays them in one "grid" stage ahead of Figure 2 (every sampled
+// case under all three schemes, timed like an experiment, printed as a
+// timing line only) and those four experiments fold it; named alone
+// (-exp figure2) an experiment replays just the cells it reads. And an
+// experiment runs as often as its result can differ: with -parallel > 1 the
+// experiments that fan cells over the pool also run once sequentially, so
+// the speedup against the recorded sequential baseline can be reported —
+// and the two outputs are compared byte-for-byte as a live determinism
+// check: a mismatch is reported on stderr and, once the run and its report
+// are complete, the exit status is 1. The experiments that use no pool
+// (the static tables, the one-kernel experiments figure11b, figure12 and
+// learning, the folds of the grid) have no second lane to differ from: they
+// run once at any -parallel and report a time, not a speedup.
 //
 // -json FILE writes machine-readable per-experiment results and
 // wall-clock timings ("-" for stdout), the format the BENCH_*.json perf
 // trajectory consumes, plus the boot/restore counts of each prototype
 // family (proto_boots/proto_restores). Each experiment's record, and its
 // "[… regenerated in …]" line, also says what the collector did during one
-// run of it, per lane: gc_cycles and alloc_mb. -reps N times each experiment N
-// times; with -parallel > 1 the recorded wall times are per-lane medians
-// and the speedup is the median of per-rep paired baseline/parallel
-// ratios, which removes scheduler and GC noise from the recorded speedups.
+// run of it, per lane: gc_cycles and alloc_mb; "runs" counts how often the
+// experiment executed in this invocation and the grid stage's "cells" how
+// many cases it replayed. -reps N times each experiment N
+// times; for a pooled experiment with -parallel > 1 the recorded wall times
+// are per-lane medians and the speedup is the median of per-rep paired
+// baseline/parallel ratios, which removes scheduler and GC noise from the
+// recorded speedups.
 // -cpuprofile/-memprofile write pprof profiles of the whole run
 // for `go tool pprof` (the profiling workflow in EXPERIMENTS.md).
 package main
@@ -49,18 +63,50 @@ import (
 	"github.com/seed5g/seed/internal/runner"
 )
 
+// A row of the suite is one of three kinds, told apart by the type of its
+// run function.
+type (
+	// pooled fans scenario cells over the pool it is handed and returns the
+	// text it regenerated. With -parallel > 1 it is timed on both lanes and
+	// the two texts must be equal.
+	pooled func(p *runner.Pool) string
+	// stage is a pooled run whose product is a value later rows fold, not
+	// text: it returns a digest of that value, compared across the lanes as
+	// a pooled row's text is and never printed, and the value's cell count.
+	stage func(p *runner.Pool) (digest string, cells int)
+	// poolless touches no pool — a formatter, an experiment on one kernel, a
+	// fold of a stage's value — so no -parallel can change what it returns:
+	// it runs on one lane.
+	poolless func() string
+)
+
+// experiment is one row: its -exp name and its pooled, stage or poolless
+// run function.
+type experiment struct {
+	name string
+	run  any
+}
+
 // expTiming is one experiment's machine-readable record.
 type expTiming struct {
 	Name   string  `json:"name"`
 	WallMS float64 `json:"wall_ms"`
-	// SequentialWallMS and Speedup are present when -parallel > 1: the
-	// same experiment re-run with one worker as the baseline.
+	// Runs is how many times the experiment executed in this invocation:
+	// -reps on one lane; on two, a calibration run and then -reps on each
+	// (times the repeat count that stretches a sub-5 ms experiment into a
+	// measurable sample).
+	Runs int `json:"runs"`
+	// Cells is how many scenario cells a stage replayed.
+	Cells int `json:"cells,omitempty"`
+	// SequentialWallMS and Speedup are present for a pooled experiment when
+	// -parallel > 1: the same experiment re-run with one worker as the
+	// baseline.
 	SequentialWallMS float64 `json:"sequential_wall_ms,omitempty"`
 	Speedup          float64 `json:"speedup,omitempty"`
 	// WinFraction is the fraction of paired reps in which the parallel
 	// lane was at least as fast as its sequential baseline — a sign test:
 	// ~0.5 means statistical parity, well below 0.5 means genuinely
-	// slower. Present when -parallel > 1 and -reps > 1.
+	// slower. Present with Speedup when -reps > 1.
 	WinFraction float64 `json:"win_fraction,omitempty"`
 	// Deterministic reports that the parallel output matched the
 	// sequential baseline byte-for-byte (always true when no baseline
@@ -70,12 +116,21 @@ type expTiming struct {
 	// of the experiment (means over the timed runs, runtime/metrics deltas
 	// around them): the two lanes allocate the same, so a speedup short of
 	// the worker count beside a high cycle count is the collector, not the
-	// runner. The Sequential pair is the baseline lane's, present when
-	// -parallel > 1.
+	// runner. The Sequential pair is the baseline lane's, present with
+	// Speedup.
 	GCCycles           float64 `json:"gc_cycles"`
 	AllocMB            float64 `json:"alloc_mb"`
 	SequentialGCCycles float64 `json:"sequential_gc_cycles,omitempty"`
 	SequentialAllocMB  float64 `json:"sequential_alloc_mb,omitempty"`
+}
+
+// line is the "[… regenerated in …]" line printed under the experiment.
+func (t expTiming) line(workers int) string {
+	if t.Speedup == 0 {
+		return fmt.Sprintf("  [%s regenerated in %.0fms; gc %.1f cycles %.1f MB]\n", t.Name, t.WallMS, t.GCCycles, t.AllocMB)
+	}
+	return fmt.Sprintf("  [%s regenerated in %.0fms; sequential %.0fms; speedup %.2fx @%d workers; gc %.1f cycles %.1f MB; sequential gc %.1f cycles %.1f MB]\n",
+		t.Name, t.WallMS, t.SequentialWallMS, t.Speedup, workers, t.GCCycles, t.AllocMB, t.SequentialGCCycles, t.SequentialAllocMB)
 }
 
 // gcCounters reads the collector's two running totals: completed cycles
@@ -177,51 +232,78 @@ func run() int {
 		}()
 	}
 
-	// The two lanes' pools: every experiment takes the pool it fans its
-	// cells across, so timing a lane is calling e.run with that lane's pool.
+	// The two lanes' pools: a pooled experiment takes the pool it fans its
+	// cells across, so timing a lane is calling it with that lane's pool.
 	seq, par := runner.New(1), runner.New(*parallel)
 	workers := par.Workers()
 	if workers > runtime.NumCPU() {
 		fmt.Fprintf(os.Stderr, "WARNING: -parallel %d exceeds the %d available CPUs; "+
-			"speedups will measure goroutine scheduling, not cores\n", workers, runtime.NumCPU())
+			"the pooled experiments' speedups will measure goroutine scheduling, not cores\n", workers, runtime.NumCPU())
 	}
 
 	ds := seed.GenerateDataset(*seedVal)
 
+	// Table 4, Figure 2, causes and coverage read the same replayed cases.
+	// Under -exp all the grid stage replays them once and the four fold it;
+	// named alone, each replays the cells it reads itself.
+	all := *exp == "all"
+	var grid seed.ManagementGrid
 	var fig2 seed.Figure2Result
 	var causes seed.CausesResult
-	experiments := []struct {
-		name string
-		run  func(p *runner.Pool) string
-	}{
-		{"table1", func(*runner.Pool) string { return ds.RenderTable1() }},
-		{"table2", func(*runner.Pool) string { return table2() }},
-		{"table3", func(*runner.Pool) string { return table3() }},
-		{"figure2", func(p *runner.Pool) string {
+	folds := func(alone pooled, fold any) any {
+		if all {
+			return fold
+		}
+		return alone
+	}
+	experiments := []experiment{
+		{"table1", poolless(ds.RenderTable1)},
+		{"table2", poolless(table2)},
+		{"table3", poolless(table3)},
+	}
+	if all {
+		experiments = append(experiments, experiment{"grid", stage(func(p *runner.Pool) (string, int) {
+			grid = seed.ReplayManagementGrid(p, ds, *samples, *seedVal)
+			return grid.Digest(), grid.Cells()
+		})})
+	}
+	experiments = append(experiments, []experiment{
+		{"figure2", folds(func(p *runner.Pool) string {
 			fig2 = seed.ExperimentFigure2(p, ds, *samples, *seedVal)
 			return fig2.Render()
-		}},
-		{"figure3", func(p *runner.Pool) string {
+		}, poolless(func() string {
+			fig2 = grid.Figure2()
+			return fig2.Render()
+		}))},
+		{"figure3", pooled(func(p *runner.Pool) string {
 			return seed.ExperimentFigure3(p, max(8, *samples/10), *seedVal).Render()
-		}},
-		{"table4", func(p *runner.Pool) string { return seed.ExperimentTable4(p, ds, *samples, *seedVal).Render() }},
-		{"table5", func(p *runner.Pool) string { return seed.ExperimentTable5(p, 3, *seedVal).Render() }},
-		{"figure11a", func(p *runner.Pool) string { return seed.ExperimentFigure11a(p, *seedVal).Render() }},
-		{"figure11b", func(*runner.Pool) string { return seed.ExperimentFigure11b(*seedVal).Render() }},
-		{"figure12", func(*runner.Pool) string { return seed.ExperimentFigure12(50, *seedVal).Render() }},
-		{"figure13", func(p *runner.Pool) string { return seed.ExperimentFigure13(p, *seedVal).Render() }},
-		{"causes", func(p *runner.Pool) string {
+		})},
+		// Table 4's delivery rows are cells of its own, so its fold stays pooled.
+		{"table4", folds(func(p *runner.Pool) string {
+			return seed.ExperimentTable4(p, ds, *samples, *seedVal).Render()
+		}, pooled(func(p *runner.Pool) string { return grid.Table4(p).Render() }))},
+		{"table5", pooled(func(p *runner.Pool) string { return seed.ExperimentTable5(p, 3, *seedVal).Render() })},
+		{"figure11a", pooled(func(p *runner.Pool) string { return seed.ExperimentFigure11a(p, *seedVal).Render() })},
+		{"figure11b", poolless(func() string { return seed.ExperimentFigure11b(*seedVal).Render() })},
+		{"figure12", poolless(func() string { return seed.ExperimentFigure12(50, *seedVal).Render() })},
+		{"figure13", pooled(func(p *runner.Pool) string { return seed.ExperimentFigure13(p, *seedVal).Render() })},
+		{"causes", folds(func(p *runner.Pool) string {
 			causes = seed.ExperimentCauses(p, ds, *samples, *seedVal)
 			return causes.Render()
-		}},
-		{"coverage", func(p *runner.Pool) string { return seed.ExperimentCoverage(p, ds, *samples, *seedVal).Render() }},
-		{"learning", func(*runner.Pool) string { return seed.ExperimentLearning(6, 4, 50, *seedVal).Render() }},
-		{"mobility", func(p *runner.Pool) string {
+		}, poolless(func() string {
+			causes = grid.Causes()
+			return causes.Render()
+		}))},
+		{"coverage", folds(func(p *runner.Pool) string {
+			return seed.ExperimentCoverage(p, ds, *samples, *seedVal).Render()
+		}, poolless(func() string { return grid.Coverage().Render() }))},
+		{"learning", poolless(func() string { return seed.ExperimentLearning(6, 4, 50, *seedVal).Render() })},
+		{"mobility", pooled(func(p *runner.Pool) string {
 			return seed.ExperimentMobility(p, max(8, *samples/10), *seedVal).Render()
-		}},
-	}
+		})},
+	}...)
 
-	if *exp != "all" {
+	if !all {
 		known := false
 		for _, e := range experiments {
 			if e.name == *exp {
@@ -243,125 +325,75 @@ func run() int {
 		Parallel: workers, GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU: runtime.NumCPU(),
 	}
+	// timePooled times a run that takes a pool: on the one lane there is at
+	// -parallel 1, on both otherwise, comparing what they returned.
+	timePooled := func(t *expTiming, run pooled) string {
+		if workers == 1 {
+			return timeOnce(t, *reps, func() string { return run(par) })
+		}
+		out, baseline := timeLanes(t, *reps, seq, par, run)
+		if t.Deterministic = out == baseline; !t.Deterministic {
+			fmt.Fprintf(os.Stderr, "WARNING: %s parallel output differs from the sequential baseline\n", t.Name)
+		}
+		return out
+	}
 	deterministic := true
+	// A timing line is followed by a blank line, owed until the next block of
+	// text or the end of the run: a stage prints no text, so its timing line
+	// joins the previous row's, and stdout without the timing lines is what
+	// it would be without the stage.
+	blank := ""
 	for _, e := range experiments {
-		if *exp != "all" && *exp != e.name {
+		if !all && *exp != e.name {
 			continue
 		}
 		t := expTiming{Name: e.name, Deterministic: true}
-
-		var baseline, out string
-		if workers > 1 {
-			// Recorded sequential baseline: same experiment, one worker.
-			// Each rep times a baseline/parallel pair back-to-back, so slow
-			// drift in the machine's performance (CPU contention, thermal
-			// state, cgroup throttling) hits both lanes equally, and the
-			// order within the pair alternates per rep, so any penalty that
-			// falls on whichever lane runs second cancels as well. The
-			// recorded speedup is the geometric mean of the two
-			// order-specific medians of the paired ratios: pairing cancels
-			// drift, the medians reject reps a GC cycle or preemption lands
-			// in, and the geometric mean cancels the order bias.
-			// Sub-millisecond experiments are unmeasurable one run at a
-			// time (clock granularity and scheduler jitter dominate), so
-			// each timed sample loops the experiment often enough to last
-			// ~5 ms, the way testing.B calibrates b.N.
-			inner := 1
-			{
-				start := time.Now()
-				baseline = e.run(seq)
-				if est := msSince(start); est < 5 {
-					inner = int(5/est) + 1
-					if inner > 10000 {
-						inner = 10000
-					}
-				}
-			}
-			seqMS := make([]float64, *reps)
-			parMS := make([]float64, *reps)
-			var seqGC, parGC gcCounters
-			for r := 0; r < *reps; r++ {
-				for lane := 0; lane < 2; lane++ {
-					// Each timed lane starts from a freshly collected heap,
-					// so GC cycles triggered by the previous lane's garbage
-					// can't land in (and bill to) this lane's measurement.
-					p, dst, ms, gc := par, &out, parMS, &parGC
-					if (lane == 0) == (r%2 == 0) {
-						p, dst, ms, gc = seq, &baseline, seqMS, &seqGC
-					}
-					runtime.GC()
-					gc0, start := readGC(), time.Now()
-					for n := 0; n < inner; n++ {
-						*dst = e.run(p)
-					}
-					ms[r] = msSince(start) / float64(inner)
-					gc.add(gc0)
-				}
-			}
-			t.GCCycles, t.AllocMB = parGC.perRun(*reps * inner)
-			t.SequentialGCCycles, t.SequentialAllocMB = seqGC.perRun(*reps * inner)
-			var seqFirst, parFirst []float64
-			wins := 0
-			for r := 0; r < *reps; r++ {
-				ratio := seqMS[r] / parMS[r]
-				if ratio >= 1 {
-					wins++
-				}
-				if r%2 == 0 {
-					seqFirst = append(seqFirst, ratio)
-				} else {
-					parFirst = append(parFirst, ratio)
-				}
-			}
-			if *reps > 1 {
-				t.WinFraction = float64(wins) / float64(*reps)
-			}
-			t.SequentialWallMS = median(seqMS)
-			t.WallMS = median(parMS)
-			t.Speedup = median(seqFirst)
-			if len(parFirst) > 0 {
-				t.Speedup = math.Sqrt(median(seqFirst) * median(parFirst))
-			}
-		} else {
-			var gc gcCounters
-			gc0 := readGC()
-			out, t.WallMS = bestOf(*reps, func() string { return e.run(par) })
-			gc.add(gc0)
-			t.GCCycles, t.AllocMB = gc.perRun(*reps)
+		var out string
+		switch run := e.run.(type) {
+		case poolless:
+			out = timeOnce(&t, *reps, run)
+		case pooled:
+			out = timePooled(&t, run)
+		case stage:
+			timePooled(&t, func(p *runner.Pool) (digest string) {
+				digest, t.Cells = run(p)
+				return digest
+			})
+		default:
+			panic(fmt.Sprintf("seedbench: experiment %s has a %T for a run function", e.name, run))
 		}
-
-		fmt.Print(out)
-		if workers > 1 {
-			t.Deterministic = out == baseline
-			fmt.Printf("  [%s regenerated in %.0fms; sequential %.0fms; speedup %.2fx @%d workers; gc %.1f cycles %.1f MB; sequential gc %.1f cycles %.1f MB]\n",
-				e.name, t.WallMS, t.SequentialWallMS, t.Speedup, workers, t.GCCycles, t.AllocMB, t.SequentialGCCycles, t.SequentialAllocMB)
-			if !t.Deterministic {
-				deterministic = false
-				fmt.Fprintf(os.Stderr, "WARNING: %s parallel output differs from the sequential baseline\n", e.name)
-			}
-		} else {
-			fmt.Printf("  [%s regenerated in %.0fms; gc %.1f cycles %.1f MB]\n", e.name, t.WallMS, t.GCCycles, t.AllocMB)
+		if out != "" {
+			fmt.Print(blank, out)
 		}
-		fmt.Println()
+		fmt.Print(t.line(workers))
+		blank = "\n"
+		deterministic = deterministic && t.Deterministic
 
 		report.Experiments = append(report.Experiments, t)
-		report.TotalWallMS += t.WallMS
-		report.TotalSequentialWallMS += t.SequentialWallMS
 	}
-	if report.TotalWallMS > 0 && report.TotalSequentialWallMS > 0 {
-		// The total speedup combines the per-experiment robust estimators,
-		// weighted by each experiment's share of the sequential wall time:
-		// the implied parallel total is what the robust per-experiment
-		// ratios predict, which keeps the total consistent with them.
-		implied := 0.0
-		for _, t := range report.Experiments {
-			if t.Speedup > 0 {
-				implied += t.SequentialWallMS / t.Speedup
-			} else {
-				implied += t.WallMS
-			}
+	fmt.Print(blank)
+	// The total speedup combines the per-experiment robust estimators,
+	// weighted by each experiment's share of the sequential wall time: the
+	// implied parallel total is what the robust per-experiment ratios
+	// predict, which keeps the total consistent with them. A one-lane row
+	// costs a sequential suite what it costs this one, so it enters both
+	// totals at its one wall time; without a two-lane row there is no
+	// sequential total to report.
+	sequential, implied, twoLanes := 0.0, 0.0, false
+	for _, t := range report.Experiments {
+		report.TotalWallMS += t.WallMS
+		if t.Speedup > 0 {
+			twoLanes = true
+			sequential += t.SequentialWallMS
+			implied += t.SequentialWallMS / t.Speedup
+		} else {
+			sequential += t.WallMS
+			implied += t.WallMS
 		}
-		report.TotalSpeedup = report.TotalSequentialWallMS / implied
+	}
+	if twoLanes {
+		report.TotalSequentialWallMS = sequential
+		report.TotalSpeedup = sequential / implied
 		fmt.Printf("total wall-clock %.0fms vs sequential %.0fms: %.2fx speedup @%d workers\n",
 			report.TotalWallMS, report.TotalSequentialWallMS, report.TotalSpeedup, workers)
 	}
@@ -402,21 +434,98 @@ func median(xs []float64) float64 {
 	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
-// bestOf runs fn reps times and returns its output with the fastest
-// wall-clock time. Experiments are deterministic, so every rep produces
+// timeOnce runs fn reps times on one lane and records its fastest
+// wall-clock time in t: experiments are deterministic, so every rep produces
 // the same output and the minimum is the least-noisy timing estimate.
-func bestOf(reps int, fn func() string) (string, float64) {
+func timeOnce(t *expTiming, reps int, fn func() string) string {
 	var out string
-	var best float64
+	var gc gcCounters
+	gc0 := readGC()
 	for r := 0; r < reps; r++ {
 		start := time.Now()
 		o := fn()
-		ms := msSince(start)
-		if r == 0 || ms < best {
-			out, best = o, ms
+		if ms := msSince(start); r == 0 || ms < t.WallMS {
+			out, t.WallMS = o, ms
 		}
 	}
-	return out, best
+	gc.add(gc0)
+	t.GCCycles, t.AllocMB = gc.perRun(reps)
+	t.Runs = reps
+	return out
+}
+
+// timeLanes times run against its recorded sequential baseline: the same
+// experiment on one worker. Each rep times a baseline/parallel pair
+// back-to-back, so slow drift in the machine's performance (CPU contention,
+// thermal state, cgroup throttling) hits both lanes equally, and the order
+// within the pair alternates per rep, so any penalty that falls on whichever
+// lane runs second cancels as well. The recorded speedup is the geometric
+// mean of the two order-specific medians of the paired ratios: pairing
+// cancels drift, the medians reject reps a GC cycle or preemption lands in,
+// and the geometric mean cancels the order bias. Sub-millisecond experiments
+// are unmeasurable one run at a time (clock granularity and scheduler jitter
+// dominate), so each timed sample loops the experiment often enough to last
+// ~5 ms, the way testing.B calibrates b.N. It returns the last output of
+// each lane.
+func timeLanes(t *expTiming, reps int, seq, par *runner.Pool, run pooled) (out, baseline string) {
+	inner := 1
+	{
+		start := time.Now()
+		baseline = run(seq)
+		if est := msSince(start); est < 5 {
+			inner = int(5/est) + 1
+			if inner > 10000 {
+				inner = 10000
+			}
+		}
+	}
+	seqMS := make([]float64, reps)
+	parMS := make([]float64, reps)
+	var seqGC, parGC gcCounters
+	for r := 0; r < reps; r++ {
+		for lane := 0; lane < 2; lane++ {
+			// Each timed lane starts from a freshly collected heap,
+			// so GC cycles triggered by the previous lane's garbage
+			// can't land in (and bill to) this lane's measurement.
+			p, dst, ms, gc := par, &out, parMS, &parGC
+			if (lane == 0) == (r%2 == 0) {
+				p, dst, ms, gc = seq, &baseline, seqMS, &seqGC
+			}
+			runtime.GC()
+			gc0, start := readGC(), time.Now()
+			for n := 0; n < inner; n++ {
+				*dst = run(p)
+			}
+			ms[r] = msSince(start) / float64(inner)
+			gc.add(gc0)
+		}
+	}
+	t.Runs = 1 + 2*reps*inner
+	t.GCCycles, t.AllocMB = parGC.perRun(reps * inner)
+	t.SequentialGCCycles, t.SequentialAllocMB = seqGC.perRun(reps * inner)
+	var seqFirst, parFirst []float64
+	wins := 0
+	for r := 0; r < reps; r++ {
+		ratio := seqMS[r] / parMS[r]
+		if ratio >= 1 {
+			wins++
+		}
+		if r%2 == 0 {
+			seqFirst = append(seqFirst, ratio)
+		} else {
+			parFirst = append(parFirst, ratio)
+		}
+	}
+	if reps > 1 {
+		t.WinFraction = float64(wins) / float64(reps)
+	}
+	t.SequentialWallMS = median(seqMS)
+	t.WallMS = median(parMS)
+	t.Speedup = median(seqFirst)
+	if len(parFirst) > 0 {
+		t.Speedup = math.Sqrt(median(seqFirst) * median(parFirst))
+	}
+	return out, baseline
 }
 
 // writeJSON dumps the report ("-" selects stdout).

@@ -62,15 +62,36 @@ func (c mgmtCell) plane() string {
 	return "data"
 }
 
+// ManagementGrid is one replay of a dataset's management failures: the
+// first n cases of each plane under a set of modes, every (case, mode) pair
+// replayed once. Table 4's management half, Figure 2, the per-cause
+// breakdown and the §7.1.1 coverage are folds of it — each reads the modes
+// and cases it reports on and runs nothing — so a caller that wants several
+// of them replays the grid once (ReplayManagementGrid) and folds it as often
+// as it likes. The ExperimentTable4/Figure2/Causes/Coverage functions are
+// those folds over a grid of only the cells each one reads.
+type ManagementGrid struct {
+	ds      *Dataset
+	n       int
+	seedVal int64
+	cells   []mgmtCell // (plane, case, mode) order, control plane first
+}
+
+// ReplayManagementGrid replays the first n management cases of each plane
+// under all three schemes, user-action cases included, each (case, mode)
+// pair one scenario cell on p: the grid every management fold can read.
+func ReplayManagementGrid(p *runner.Pool, ds *Dataset, n int, seedVal int64) ManagementGrid {
+	return managementGrid(p, ds, n, seedVal, false, Modes...)
+}
+
 // managementGrid replays up to n management cases of each plane (the first in
 // corpus order, which is already randomized, so the sample keeps the
 // dataset's scenario mix) under every listed mode, each (case, mode) pair
-// one scenario cell on p. It returns the cells in (plane, case, mode)
-// order, control plane first. The modes replay case i of a plane on the
-// same derived seed (a paired comparison), and i counts skipped cases too,
-// so Table 4 and Figure 2 replay a case on the seed coverage and causes
-// replay it on.
-func managementGrid(p *runner.Pool, ds *Dataset, n int, seedVal int64, skipUserAction bool, modes ...Mode) []mgmtCell {
+// one scenario cell on p. The modes replay case i of a plane on the same
+// derived seed (a paired comparison), and i counts skipped cases too, so a
+// case replays on one seed whichever grid it is part of: a fold reads the
+// same outcomes from the shared grid as from a grid of its own cells only.
+func managementGrid(p *runner.Pool, ds *Dataset, n int, seedVal int64, skipUserAction bool, modes ...Mode) ManagementGrid {
 	var planes [2][]FailureCase
 	for _, fc := range ds.Failures() {
 		family := 1
@@ -85,18 +106,32 @@ func managementGrid(p *runner.Pool, ds *Dataset, n int, seedVal int64, skipUserA
 	for family, cases := range planes {
 		for i, fc := range cases {
 			if skipUserAction && fc.Scenario == ScenarioUserAction {
-				continue // excluded: no scheme can recover them
+				continue
 			}
 			for _, mode := range modes {
 				cells = append(cells, mgmtCell{fc: fc, mode: mode, key: cellKey(uint64(family), i)})
 			}
 		}
 	}
-	return runner.Map(p, len(cells), func(i int) mgmtCell {
+	return ManagementGrid{ds: ds, n: n, seedVal: seedVal, cells: runner.Map(p, len(cells), func(i int) mgmtCell {
 		c := cells[i]
 		c.res = ReplayManagement(c.fc, c.mode, sched.DeriveSeed(seedVal, c.key))
 		return c
-	})
+	})}
+}
+
+// Cells returns how many (case, mode) cells the grid replayed.
+func (g ManagementGrid) Cells() int { return len(g.cells) }
+
+// Digest renders every cell's case, mode and outcome, one line each: two
+// grids replayed the same cells to the same outcomes exactly when their
+// digests are equal, which is how seedbench compares its two lanes.
+func (g ManagementGrid) Digest() string {
+	var b strings.Builder
+	for _, c := range g.cells {
+		fmt.Fprintf(&b, "%s %d %s %+v\n", c.plane(), c.fc.ID, c.mode, c.res)
+	}
+	return b.String()
 }
 
 func disruptionRow(class string, mode Mode, series *metrics.Series, unrecov int) DisruptionRow {
@@ -115,14 +150,24 @@ func disruptionRow(class string, mode Mode, series *metrics.Series, unrecov int)
 // three schemes replay a given case on the same derived seed (a paired
 // comparison).
 func ExperimentTable4(p *runner.Pool, ds *Dataset, samplesPerClass int, seedVal int64) Table4Result {
+	return managementGrid(p, ds, samplesPerClass, seedVal, true, Modes...).Table4(p)
+}
+
+// Table4 folds the grid's recoverable cases into Table 4's control- and
+// data-plane rows and replays the table's third class, the delivery
+// failures, on p: the same dataset, sample bound and root seed as the grid.
+func (g ManagementGrid) Table4(p *runner.Pool) Table4Result {
 	acc := newTally()
-	for _, c := range managementGrid(p, ds, samplesPerClass, seedVal, true, Modes...) {
+	for _, c := range g.cells {
+		if c.fc.Scenario == ScenarioUserAction {
+			continue // excluded: no scheme can recover them
+		}
 		acc.outcome(c.plane()+"/"+c.mode.String(), c.res.Recovered, c.res.Disruption)
 	}
 	// Data delivery: the reconnection-fixable class for the legacy
 	// baseline (the only one it can recover), all kinds for SEED.
-	delivery := ds.Delivery()
-	delivery = delivery[:min(samplesPerClass, len(delivery))]
+	delivery := g.ds.Delivery()
+	delivery = delivery[:min(g.n, len(delivery))]
 	type cell struct {
 		dc   DeliveryCase
 		mode Mode
@@ -139,7 +184,7 @@ func ExperimentTable4(p *runner.Pool, ds *Dataset, samplesPerClass int, seedVal 
 	}
 	replays := runner.Map(p, len(cells), func(i int) DeliveryReplayResult {
 		c := cells[i]
-		return ReplayDelivery(c.dc, c.mode, sched.DeriveSeed(seedVal, c.key))
+		return ReplayDelivery(c.dc, c.mode, sched.DeriveSeed(g.seedVal, c.key))
 	})
 	for i, r := range replays {
 		acc.outcome("delivery/"+cells[i].mode.String(), r.Recovered, r.HandlingTime)
@@ -191,8 +236,17 @@ type Figure2Result struct {
 // ExperimentFigure2 replays sampled management failures with legacy
 // handling only and returns the disruption CDFs of Figure 2.
 func ExperimentFigure2(p *runner.Pool, ds *Dataset, samplesPerPlane int, seedVal int64) Figure2Result {
+	return managementGrid(p, ds, samplesPerPlane, seedVal, true, ModeLegacy).Figure2()
+}
+
+// Figure2 folds the grid's recoverable cases under legacy handling into the
+// disruption CDFs of Figure 2.
+func (g ManagementGrid) Figure2() Figure2Result {
 	acc := newTally()
-	for _, c := range managementGrid(p, ds, samplesPerPlane, seedVal, true, ModeLegacy) {
+	for _, c := range g.cells {
+		if c.mode != ModeLegacy || c.fc.Scenario == ScenarioUserAction {
+			continue
+		}
 		acc.counts[c.plane()+"/total"]++
 		acc.outcome(c.plane(), c.res.Recovered, c.res.Disruption)
 	}
@@ -953,8 +1007,17 @@ type CoverageResult struct {
 // handled fractions. A case counts as handled when SEED recovered it (or,
 // for user-action cases, never — matching the paper's accounting).
 func ExperimentCoverage(p *runner.Pool, ds *Dataset, samplesPerPlane int, seedVal int64) CoverageResult {
+	return managementGrid(p, ds, samplesPerPlane, seedVal, false, ModeSEEDU).Coverage()
+}
+
+// Coverage folds every case of the grid under SEED-U, user-action cases
+// included, into the handled fractions.
+func (g ManagementGrid) Coverage() CoverageResult {
 	acc := newTally()
-	for _, c := range managementGrid(p, ds, samplesPerPlane, seedVal, false, ModeSEEDU) {
+	for _, c := range g.cells {
+		if c.mode != ModeSEEDU {
+			continue
+		}
 		acc.counts[c.plane()+"/total"]++
 		if c.res.Recovered && !c.res.UserActionRequired {
 			acc.counts[c.plane()+"/handled"]++
@@ -1023,22 +1086,31 @@ func ExperimentLearning(devices, causesPerPlane, trialsPerCause int, seedVal int
 			// Failures are tied to a (customized) network function: only a
 			// reset of the corresponding module clears them — a plain
 			// timer retry does not, exactly the unknown-handling premise
-			// of §5.3. The condition is cleared when the device performs
-			// the module's reset.
-			var stop func()
+			// of §5.3: a modem reboot for control-plane functions, a
+			// carrier-app data reset for data-plane functions.
+			injected := tb.Now()
+			var moduleReset func() bool
 			if c.control {
 				tb.InjectControlFailure(d, c.code, InjectOpts{Count: -1})
-				stop = clearOnModuleReset(tb, d, true)
+				reboots := d.Reboots()
+				moduleReset = func() bool { return d.Reboots() > reboots }
 				tb.SimulateMobility(d)
 			} else {
 				tb.InjectDataFailure(d, c.code, InjectOpts{Count: -1})
-				stop = clearOnModuleReset(tb, d, false)
+				resets := dataResets(d)
+				moduleReset = func() bool { return dataResets(d) > resets }
 				tb.ReleaseInternetSessions(d)
 				// wait for the failure to manifest before watching recovery
 				tb.await(func() bool { return !d.Connected() }, 30*time.Second)
 			}
-			tb.await(d.Connected, 10*time.Minute)
-			stop()
+			// The function looks at its module every 20 ms from the moment it
+			// failed, and comes back at the first look after the reset.
+			recoverBy := tb.Now() + 10*time.Minute
+			if tb.await(func() bool { return moduleReset() || d.Connected() }, 10*time.Minute) && !d.Connected() {
+				const look = 20 * time.Millisecond
+				tb.After(look-(tb.Now()-injected)%look, func() { tb.ClearInjections(d) })
+				tb.await(d.Connected, recoverBy-tb.Now())
+			}
 			tb.ClearInjections(d)
 			tb.Advance(15 * time.Second)
 			// Upload the SIM records after each recovery (OTA leg). The
@@ -1066,30 +1138,11 @@ func ExperimentLearning(devices, causesPerPlane, trialsPerCause int, seedVal int
 	return res
 }
 
-// clearOnModuleReset removes the device's injected failure once the right
-// module is reset: a modem reboot for control-plane functions, a
-// carrier-app/AT data reset for data-plane functions. It returns a stop
-// function for the watcher.
-func clearOnModuleReset(tb *Testbed, d *Device, control bool) func() {
-	var ticker interface{ Stop() }
-	if control {
-		reboots := d.Reboots()
-		ticker = tb.kern.Every(20*time.Millisecond, func() {
-			if d.Reboots() > reboots {
-				tb.ClearInjections(d)
-			}
-		})
-	} else {
-		st := d.inner.CApp.Stats()
-		base := st.FastResets + st.DataResets
-		ticker = tb.kern.Every(20*time.Millisecond, func() {
-			now := d.inner.CApp.Stats()
-			if now.FastResets+now.DataResets > base {
-				tb.ClearInjections(d)
-			}
-		})
-	}
-	return ticker.Stop
+// dataResets counts the data-session resets the device's carrier app has
+// performed, fast and make-before-break alike.
+func dataResets(d *Device) int {
+	st := d.inner.CApp.Stats()
+	return st.FastResets + st.DataResets
 }
 
 func learnedBest(tb *Testbed, control bool, code uint8) (string, bool) {
@@ -1226,8 +1279,13 @@ type CausesResult struct {
 // row's key is "plane/code mode", so the key-sorted export groups the
 // three schemes under each cause.
 func ExperimentCauses(p *runner.Pool, ds *Dataset, samplesPerPlane int, seedVal int64) CausesResult {
+	return ReplayManagementGrid(p, ds, samplesPerPlane, seedVal).Causes()
+}
+
+// Causes folds every cell of the grid into the per-(cause, mode) breakdown.
+func (g ManagementGrid) Causes() CausesResult {
 	b := metrics.NewBreakdown()
-	for _, c := range managementGrid(p, ds, samplesPerPlane, seedVal, false, Modes...) {
+	for _, c := range g.cells {
 		r := c.res
 		b.Add(fmt.Sprintf("%s/%d %s", c.plane(), c.fc.CauseCode, c.mode), metrics.CostInput{
 			Recovered: r.Recovered, Disruption: r.Disruption,

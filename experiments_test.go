@@ -5,6 +5,7 @@ package seed_test
 // crossovers fall), using reduced sample counts so the suite stays fast.
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -256,5 +257,112 @@ func TestReplayDeterminism(t *testing.T) {
 	b := seed.ReplayManagement(fc, seed.ModeSEEDU, 5)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("replay not deterministic: %+v vs %+v", a, b)
+	}
+}
+
+// bareColdRestores sums the restores of the two prototype families the
+// management replays start from.
+func bareColdRestores() int {
+	n := 0
+	for _, f := range seed.PrototypeStats() {
+		if f.Family == "bare" || f.Family == "cold" {
+			n += f.Restores
+		}
+	}
+	return n
+}
+
+// prefixHasUserAction reports whether the first n cases of either plane
+// include one no scheme can recover.
+func prefixHasUserAction(ds *seed.Dataset, n int) bool {
+	var taken [2]int
+	for _, fc := range ds.Failures() {
+		plane := 1
+		if fc.ControlPlane {
+			plane = 0
+		}
+		if taken[plane] < n {
+			taken[plane]++
+			if fc.Scenario == seed.ScenarioUserAction {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// sameResult holds a result folded from the shared grid to the standalone
+// experiment's: equal as a value and as rendered text. (A plane whose whole
+// prefix is user-action cases has a NaN unrecovered fraction in Figure 2,
+// which no value equals: there the spelled-out values are compared.)
+func sameResult[T interface{ Render() string }](t *testing.T, what string, fold, alone T) {
+	t.Helper()
+	if !reflect.DeepEqual(fold, alone) && fmt.Sprintf("%#v", fold) != fmt.Sprintf("%#v", alone) {
+		t.Errorf("%s: folded from the shared grid %+v, standalone %+v", what, fold, alone)
+	}
+	if fold.Render() != alone.Render() {
+		t.Errorf("%s renders differently:\n%s\nstandalone:\n%s", what, fold.Render(), alone.Render())
+	}
+}
+
+// Table 4, Figure 2, causes and coverage folded from one shared grid are the
+// results the standalone experiments compute from grids of their own cells,
+// at any worker count — including over dataset prefixes with user-action
+// cases in them, which Table 4 and Figure 2 skip and causes and coverage
+// count.
+func TestSharedGridMatchesStandalone(t *testing.T) {
+	pools := []*runner.Pool{runner.New(1), runner.New(4)}
+	withUserAction := 0
+	for _, root := range []int64{1, 2, 3, 7, 12345} {
+		ds := seed.GenerateDataset(root)
+		for _, n := range []int{1, 7, 30} {
+			if prefixHasUserAction(ds, n) {
+				withUserAction++
+			}
+			for _, p := range pools {
+				g := seed.ReplayManagementGrid(p, ds, n, root)
+				what := fmt.Sprintf("seed %d, %d samples, %d workers: ", root, n, p.Workers())
+				sameResult(t, what+"table4", g.Table4(p), seed.ExperimentTable4(p, ds, n, root))
+				sameResult(t, what+"figure2", g.Figure2(), seed.ExperimentFigure2(p, ds, n, root))
+				sameResult(t, what+"causes", g.Causes(), seed.ExperimentCauses(p, ds, n, root))
+				sameResult(t, what+"coverage", g.Coverage(), seed.ExperimentCoverage(p, ds, n, root))
+			}
+		}
+	}
+	if withUserAction == 0 {
+		t.Fatal("no dataset prefix held a user-action case: the skip was never exercised")
+	}
+}
+
+// A run shaped like seedbench -exp all — the grid, then all four folds —
+// restores a bare or cold prototype exactly once per (plane, case, mode):
+// the folds replay nothing.
+func TestEachManagementCellOnce(t *testing.T) {
+	ds := seed.GenerateDataset(1)
+	before := bareColdRestores()
+	g := seed.ReplayManagementGrid(testPool, ds, 30, 1)
+	g.Figure2()
+	g.Table4(testPool)
+	g.Causes()
+	g.Coverage()
+	if got, want := bareColdRestores()-before, 2*30*len(seed.Modes); got != want || g.Cells() != want {
+		t.Fatalf("grid and four folds restored %d bare/cold prototypes for %d cells, want %d of each", got, g.Cells(), want)
+	}
+}
+
+// The experiments that take no pool run once in seedbench at any -parallel,
+// so nothing there compares two runs of them any more: a second run in the
+// same process, on prototypes the first one dirtied, gives the same result.
+func TestPoollessExperimentsRepeat(t *testing.T) {
+	for _, root := range []int64{1, 2, 3} {
+		if a, b := seed.ExperimentLearning(6, 4, 10, root), seed.ExperimentLearning(6, 4, 10, root); a != b {
+			t.Errorf("seed %d: learning %+v, then %+v", root, a, b)
+		}
+		if a, b := seed.ExperimentFigure11b(root), seed.ExperimentFigure11b(root); !reflect.DeepEqual(a, b) {
+			t.Errorf("seed %d: figure11b %+v, then %+v", root, a, b)
+		}
+		if a, b := seed.ExperimentFigure12(20, root), seed.ExperimentFigure12(20, root); a != b {
+			t.Errorf("seed %d: figure12 %+v, then %+v", root, a, b)
+		}
 	}
 }

@@ -242,6 +242,7 @@ func (c *CarrierApp) SetDNSOverride(a nas.Addr) {
 // gNB never sees a last-bearer release (A3).
 func (c *CarrierApp) ResetDataConnection() {
 	c.stats.DataResets++
+	c.k.Announce(sched.DataReset, 0, c.stats.DataResets)
 	c.k.After(c.ProcLatency+c.ConfigApplyLatency, func() {
 		old := currentSessions(c.mdm)
 		newID := c.mdm.EstablishSession(c.mdm.Profile().DNN, nas.SessionIPv4)
@@ -258,6 +259,7 @@ func (c *CarrierApp) ResetDataConnection() {
 // control-plane reattach.
 func (c *CarrierApp) FastDataReset() {
 	c.stats.FastResets++
+	c.k.Announce(sched.DataReset, 1, c.stats.FastResets)
 	c.k.After(c.ProcLatency, func() {
 		old := currentSessions(c.mdm)
 		diagID := c.mdm.EstablishSession("DIAG", nas.SessionIPv4)

@@ -56,6 +56,10 @@ const (
 	// ResolverOverride: the carrier app pointed the device at a resolver of
 	// its own. a: the resolver (nas.Addr.Word).
 	ResolverOverride
+	// DataReset: the carrier app began cycling the default data session.
+	// a: 1 for the fast reset that holds the bearer with a DIAG session, 0 for
+	// the make-before-break one, b: resets of that kind so far.
+	DataReset
 )
 
 // TransitionObserver is what Announce looks for on the kernel's observer.

@@ -128,6 +128,11 @@ func describeTransition(t sched.Transition, a, b int) (layer, text string) {
 		return "modem", fmt.Sprintf("session %d resolver %s", a, nas.AddrOfWord(b))
 	case sched.ResolverOverride:
 		return "carrier-app", "resolver " + nas.AddrOfWord(a).String()
+	case sched.DataReset:
+		if a == 1 {
+			return "carrier-app", fmt.Sprintf("fast data reset %d", b)
+		}
+		return "carrier-app", fmt.Sprintf("data reset %d", b)
 	default:
 		return "?", fmt.Sprintf("transition %d (%d, %d)", t, a, b)
 	}
