@@ -20,27 +20,31 @@
 // timing line only) and those four experiments fold it; named alone
 // (-exp figure2) an experiment replays just the cells it reads. And an
 // experiment runs as often as its result can differ: with -parallel > 1 the
-// experiments that fan cells over the pool also run once sequentially, so
-// the speedup against the recorded sequential baseline can be reported —
-// and the two outputs are compared byte-for-byte as a live determinism
-// check: a mismatch is reported on stderr and, once the run and its report
-// are complete, the exit status is 1. The experiments that use no pool
-// (the static tables, the one-kernel experiments figure11b, figure12 and
-// learning, the folds of the grid) have no second lane to differ from: they
-// run once at any -parallel and report a time, not a speedup.
+// experiments that fan cells over the pool also run sequentially, as often
+// as they run on the pool, so the speedup against the recorded sequential
+// baseline can be reported — and the two outputs are compared byte-for-byte
+// as a live determinism check: a mismatch is reported on stderr and, once
+// the run and its report are complete, the exit status is 1. The
+// experiments that use no pool (the static tables, the one-kernel
+// experiments figure11b, figure12 and learning, the folds of the grid) have
+// no second lane to differ from: they run once at any -parallel and report
+// a time, not a speedup.
 //
 // -json FILE writes machine-readable per-experiment results and
 // wall-clock timings ("-" for stdout), the format the BENCH_*.json perf
 // trajectory consumes, plus the boot/restore counts of each prototype
 // family (proto_boots/proto_restores). Each experiment's record, and its
 // "[… regenerated in …]" line, also says what the collector did during one
-// run of it, per lane: gc_cycles and alloc_mb; "runs" counts how often the
-// experiment executed in this invocation and the grid stage's "cells" how
-// many cases it replayed. -reps N times each experiment N
-// times; for a pooled experiment with -parallel > 1 the recorded wall times
-// are per-lane medians and the speedup is the median of per-rep paired
-// baseline/parallel ratios, which removes scheduler and GC noise from the
-// recorded speedups.
+// run of it, per lane (gc_cycles and alloc_mb), and how large the live heap
+// was after it (live_mb); "runs" counts how often the experiment executed
+// in this invocation and the grid stage's "cells" how many cases it
+// replayed. -reps N runs each experiment N times per lane and nothing more:
+// a pooled experiment with -parallel > 1 runs in N sequential/parallel
+// pairs ("runs" 2N), its recorded wall times are per-lane medians and its
+// speedup is the median of the paired baseline/parallel ratios, which
+// removes scheduler and GC noise from the recorded speedups once N is 5 or
+// more. At the default -reps 1 the one pair is the measurement, cold
+// prototype boots included.
 // -cpuprofile/-memprofile write pprof profiles of the whole run
 // for `go tool pprof` (the profiling workflow in EXPERIMENTS.md).
 package main
@@ -92,9 +96,7 @@ type expTiming struct {
 	Name   string  `json:"name"`
 	WallMS float64 `json:"wall_ms"`
 	// Runs is how many times the experiment executed in this invocation:
-	// -reps on one lane; on two, a calibration run and then -reps on each
-	// (times the repeat count that stretches a sub-5 ms experiment into a
-	// measurable sample).
+	// -reps on one lane, -reps on each of two.
 	Runs int `json:"runs"`
 	// Cells is how many scenario cells a stage replayed.
 	Cells int `json:"cells,omitempty"`
@@ -122,15 +124,18 @@ type expTiming struct {
 	AllocMB            float64 `json:"alloc_mb"`
 	SequentialGCCycles float64 `json:"sequential_gc_cycles,omitempty"`
 	SequentialAllocMB  float64 `json:"sequential_alloc_mb,omitempty"`
+	// LiveMB is the heap the latest collection found live, read after the
+	// experiment's last run: what each cycle's mark phase walks.
+	LiveMB float64 `json:"live_mb"`
 }
 
 // line is the "[… regenerated in …]" line printed under the experiment.
 func (t expTiming) line(workers int) string {
 	if t.Speedup == 0 {
-		return fmt.Sprintf("  [%s regenerated in %.0fms; gc %.1f cycles %.1f MB]\n", t.Name, t.WallMS, t.GCCycles, t.AllocMB)
+		return fmt.Sprintf("  [%s regenerated in %.0fms; gc %.1f cycles %.1f MB; live %.1f MB]\n", t.Name, t.WallMS, t.GCCycles, t.AllocMB, t.LiveMB)
 	}
-	return fmt.Sprintf("  [%s regenerated in %.0fms; sequential %.0fms; speedup %.2fx @%d workers; gc %.1f cycles %.1f MB; sequential gc %.1f cycles %.1f MB]\n",
-		t.Name, t.WallMS, t.SequentialWallMS, t.Speedup, workers, t.GCCycles, t.AllocMB, t.SequentialGCCycles, t.SequentialAllocMB)
+	return fmt.Sprintf("  [%s regenerated in %.0fms; sequential %.0fms; speedup %.2fx @%d workers; gc %.1f cycles %.1f MB; sequential gc %.1f cycles %.1f MB; live %.1f MB]\n",
+		t.Name, t.WallMS, t.SequentialWallMS, t.Speedup, workers, t.GCCycles, t.AllocMB, t.SequentialGCCycles, t.SequentialAllocMB, t.LiveMB)
 }
 
 // gcCounters reads the collector's two running totals: completed cycles
@@ -153,6 +158,13 @@ func (g *gcCounters) add(start gcCounters) {
 // perRun returns g's totals as (cycles, MB) per run.
 func (g gcCounters) perRun(runs int) (float64, float64) {
 	return g.cycles / float64(runs), g.bytes / float64(runs) / 1e6
+}
+
+// liveMB reads the heap the latest collection marked live, in MB.
+func liveMB() float64 {
+	s := [1]rtmetrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	rtmetrics.Read(s[:])
+	return float64(s[0].Value.Uint64()) / 1e6
 }
 
 // benchReport is the top-level -json document.
@@ -362,6 +374,7 @@ func run() int {
 		default:
 			panic(fmt.Sprintf("seedbench: experiment %s has a %T for a run function", e.name, run))
 		}
+		t.LiveMB = liveMB()
 		if out != "" {
 			fmt.Print(blank, out)
 		}
@@ -455,30 +468,19 @@ func timeOnce(t *expTiming, reps int, fn func() string) string {
 }
 
 // timeLanes times run against its recorded sequential baseline: the same
-// experiment on one worker. Each rep times a baseline/parallel pair
+// experiment on one worker. Each rep is one baseline/parallel pair, run
 // back-to-back, so slow drift in the machine's performance (CPU contention,
 // thermal state, cgroup throttling) hits both lanes equally, and the order
-// within the pair alternates per rep, so any penalty that falls on whichever
-// lane runs second cancels as well. The recorded speedup is the geometric
-// mean of the two order-specific medians of the paired ratios: pairing
-// cancels drift, the medians reject reps a GC cycle or preemption lands in,
-// and the geometric mean cancels the order bias. Sub-millisecond experiments
-// are unmeasurable one run at a time (clock granularity and scheduler jitter
-// dominate), so each timed sample loops the experiment often enough to last
-// ~5 ms, the way testing.B calibrates b.N. It returns the last output of
-// each lane.
+// within the pair alternates per rep (sequential first on even reps), so any
+// penalty that falls on whichever lane runs second cancels as well. The
+// recorded speedup is the geometric mean of the two order-specific medians
+// of the paired ratios: pairing cancels drift, the medians reject reps a GC
+// cycle or preemption lands in, and the geometric mean cancels the order
+// bias. Every run is a timed sample, so run executes exactly reps times per
+// lane: at -reps 1 the one pair is the measurement, prototype boots
+// included, and a speedup worth quoting wants -reps 5 or more. It returns
+// the last output of each lane.
 func timeLanes(t *expTiming, reps int, seq, par *runner.Pool, run pooled) (out, baseline string) {
-	inner := 1
-	{
-		start := time.Now()
-		baseline = run(seq)
-		if est := msSince(start); est < 5 {
-			inner = int(5/est) + 1
-			if inner > 10000 {
-				inner = 10000
-			}
-		}
-	}
 	seqMS := make([]float64, reps)
 	parMS := make([]float64, reps)
 	var seqGC, parGC gcCounters
@@ -493,16 +495,14 @@ func timeLanes(t *expTiming, reps int, seq, par *runner.Pool, run pooled) (out, 
 			}
 			runtime.GC()
 			gc0, start := readGC(), time.Now()
-			for n := 0; n < inner; n++ {
-				*dst = run(p)
-			}
-			ms[r] = msSince(start) / float64(inner)
+			*dst = run(p)
+			ms[r] = msSince(start)
 			gc.add(gc0)
 		}
 	}
-	t.Runs = 1 + 2*reps*inner
-	t.GCCycles, t.AllocMB = parGC.perRun(reps * inner)
-	t.SequentialGCCycles, t.SequentialAllocMB = seqGC.perRun(reps * inner)
+	t.Runs = 2 * reps
+	t.GCCycles, t.AllocMB = parGC.perRun(reps)
+	t.SequentialGCCycles, t.SequentialAllocMB = seqGC.perRun(reps)
 	var seqFirst, parFirst []float64
 	wins := 0
 	for r := 0; r < reps; r++ {

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	seed "github.com/seed5g/seed"
+	"github.com/seed5g/seed/internal/runner"
 )
 
 // seedbench calls run as the command line would: run registers its flags on
@@ -54,12 +56,51 @@ var oneLane = map[string]bool{
 	"figure2": true, "causes": true, "coverage": true,
 }
 
+// timeLanes runs a pooled row exactly reps times per lane, in pairs whose
+// order alternates (sequential first on even reps), and returns each lane's
+// last output.
+func TestTimeLanesRunsRepsPerLane(t *testing.T) {
+	seq, par := runner.New(1), runner.New(2)
+	for _, reps := range []int{1, 2, 5} {
+		var order []*runner.Pool
+		calls := map[*runner.Pool]int{}
+		row := func(p *runner.Pool) string {
+			order = append(order, p)
+			calls[p]++
+			return fmt.Sprintf("%d workers, call %d", p.Workers(), calls[p])
+		}
+		var tm expTiming
+		out, baseline := timeLanes(&tm, reps, seq, par, row)
+		if calls[seq] != reps || calls[par] != reps || len(order) != 2*reps {
+			t.Fatalf("-reps %d: %d sequential and %d parallel calls, want %d each", reps, calls[seq], calls[par], reps)
+		}
+		for r := 0; r < reps; r++ {
+			first, second := seq, par
+			if r%2 == 1 {
+				first, second = par, seq
+			}
+			if order[2*r] != first || order[2*r+1] != second {
+				t.Errorf("-reps %d, pair %d: ran the %d-worker lane first", reps, r, order[2*r].Workers())
+			}
+		}
+		if tm.Runs != 2*reps {
+			t.Errorf("-reps %d: runs %d, want %d", reps, tm.Runs, 2*reps)
+		}
+		if want := fmt.Sprintf("2 workers, call %d", reps); out != want {
+			t.Errorf("-reps %d: parallel output %q, want the last one, %q", reps, out, want)
+		}
+		if want := fmt.Sprintf("1 workers, call %d", reps); baseline != want {
+			t.Errorf("-reps %d: baseline %q, want the last one, %q", reps, baseline, want)
+		}
+	}
+}
+
 // -exp all does each piece of work once. At -parallel 1 every management
 // cell is replayed once (238 bare/cold restores at seed 1, 30 samples: the
 // grid's 180, mobility's 48, ten for Figures 11a, 11b, 12 and 13; four
 // experiments each replaying their own cells made it 514). At -parallel 2 a
-// pool-less row runs once and reports no speedup, a pooled row has both
-// lanes, the totals count a one-lane row on both sides, and stdout without
+// pool-less row runs once and reports no speedup, a pooled row runs once per
+// lane, the totals count a one-lane row on both sides, and stdout without
 // its timing lines is the -parallel 1 run's.
 func TestAllRunsEachPieceOnce(t *testing.T) {
 	restores := func() int {
@@ -81,16 +122,29 @@ func TestAllRunsEachPieceOnce(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "report.json")
+	before = restores()
 	status, two := seedbench(t, "-exp", "all", "-samples", "30", "-seed", "1", "-parallel", "2", "-json", path)
 	if status != 0 {
 		t.Fatalf("-parallel 2 exited %d", status)
+	}
+	// The second lane replays each pooled row's cells once more: the grid's
+	// 180, mobility's 48, Figure 11a's 2 and Figure 13's 6.
+	if got, want := restores()-before, 238+180+48+2+6; got != want {
+		t.Errorf("-exp all -samples 30 -seed 1 -parallel 2 restored %d bare/cold prototypes, want %d", got, want)
 	}
 	if a, b := timingLines.ReplaceAllString(one, ""), timingLines.ReplaceAllString(two, ""); a != b {
 		t.Errorf("stdout without timing lines differs between -parallel 1 and 2:\n%s\n-parallel 2:\n%s", a, b)
 	}
 	for _, line := range strings.Split(two, "\n") {
-		if m := timingLineName.FindStringSubmatch(line); m != nil && oneLane[m[1]] == strings.Contains(line, "speedup") {
+		m := timingLineName.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		if oneLane[m[1]] == strings.Contains(line, "speedup") {
 			t.Errorf("pool-less %v, timing line %q", oneLane[m[1]], line)
+		}
+		if !strings.Contains(line, "; live ") {
+			t.Errorf("timing line without the live heap: %q", line)
 		}
 	}
 
@@ -124,8 +178,11 @@ func TestAllRunsEachPieceOnce(t *testing.T) {
 		switch {
 		case oneLane[name] && (paired || runs != 1):
 			t.Errorf("pool-less %s: runs %v, speedup present %v; want one run and no second lane", name, runs, paired)
-		case !oneLane[name] && (!paired || runs < 3):
-			t.Errorf("pooled %s: runs %v, speedup present %v; want a calibration run and both lanes", name, runs, paired)
+		case !oneLane[name] && (!paired || runs != 2):
+			t.Errorf("pooled %s: runs %v, speedup present %v; want one run on each lane", name, runs, paired)
+		}
+		if _, has := e["live_mb"]; !has {
+			t.Errorf("%s: no live_mb", name)
 		}
 		if cells, has := e["cells"]; has != (name == "grid") || has && cells.(float64) != 180 {
 			t.Errorf("%s: cells %v", name, cells)
