@@ -11,8 +11,9 @@
 //	           [-journal DIR] [-compact-bytes N] [-force-empty]
 //	           [-node-id ID -cluster ID=ADDR,ID=ADDR,... [-epoch N]]
 //
-// Queue depth, frame limit, read/write deadlines and the backpressure
-// hint are fleet.ServerConfig's defaults.
+// Queue depth, frame limit and the backpressure hint are
+// fleet.ServerConfig's defaults; the connection read/write deadlines are
+// fixed in package fleet.
 //
 // Durability: there are two states. Without -journal the model lives in
 // memory and ends with the process. -journal DIR enables the

@@ -48,19 +48,18 @@ func (l *Learner) Evidence(c cause.Cause) int {
 }
 
 // Best returns the argmax action for a cause and whether any evidence
-// exists. Ties break toward the cheaper action (later in LearningOrder
-// index means more disruptive, so prefer earlier).
-func (l *Learner) Best(c cause.Cause) (ActionID, bool) {
-	acts := l.net[c]
-	if len(acts) == 0 {
-		return 0, false
-	}
+// exists (BestAction over the cause's counts).
+func (l *Learner) Best(c cause.Cause) (ActionID, bool) { return BestAction(l.net[c]) }
+
+// BestAction returns the action with the most successes and whether any
+// action has a positive count. Ties break toward the cheaper action (later
+// in LearningOrder means more disruptive, so prefer earlier).
+func BestAction(acts map[ActionID]int) (ActionID, bool) {
 	var best ActionID
-	bestN := -1
+	bestN := 0
 	for _, a := range LearningOrder {
 		if n := acts[a]; n > bestN {
-			best = a
-			bestN = n
+			best, bestN = a, n
 		}
 	}
 	return best, bestN > 0
@@ -83,24 +82,10 @@ func (l *Learner) Suggest(c cause.Cause) (ActionID, bool) {
 // Causes returns the number of distinct causes with evidence.
 func (l *Learner) Causes() int { return len(l.net) }
 
-// Actions returns a copy of the per-action success counts for one cause
-// (nil when the cause has no evidence).
-func (l *Learner) Actions(c cause.Cause) map[ActionID]int {
-	acts := l.net[c]
-	if len(acts) == 0 {
-		return nil
-	}
-	out := make(map[ActionID]int, len(acts))
-	for a, n := range acts {
-		out[a] = n
-	}
-	return out
-}
-
 // Export returns a deep copy of the crowd-sourced model: every cause's
-// per-action success counts. Feeding the copy back through Crowdsource
-// reproduces the state exactly, which is what the fleet server's
-// snapshot/restore and model-pull paths rely on.
+// per-action success counts, the form the fleet tier folds and serializes
+// (fleet.MarshalModel), so a sequential in-process fold is the oracle for
+// the networked aggregate.
 func (l *Learner) Export() map[cause.Cause]map[ActionID]int {
 	out := make(map[cause.Cause]map[ActionID]int, len(l.net))
 	for c, acts := range l.net {

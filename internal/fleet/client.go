@@ -24,9 +24,9 @@ type ClientConfig struct {
 	// Conns is the number of connections. They are dialed lazily and each
 	// is shared by any number of concurrent callers.
 	Conns int
-	// DialTimeout bounds connection establishment; RequestTimeout bounds
-	// one attempt's wait for its response, and each write.
-	DialTimeout, RequestTimeout time.Duration
+	// RequestTimeout bounds one attempt's wait for its response, and each
+	// write.
+	RequestTimeout time.Duration
 	// MaxRetries is the number of attempts per request beyond the first,
 	// covering both transport errors and TRetryAfter backpressure.
 	MaxRetries int
@@ -43,9 +43,6 @@ type ClientConfig struct {
 func (c *ClientConfig) withDefaults() {
 	if c.Conns <= 0 {
 		c.Conns = 4
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
@@ -66,6 +63,9 @@ func (c *ClientConfig) withDefaults() {
 		c.Seed = 1
 	}
 }
+
+// dialTimeout bounds connection establishment.
+const dialTimeout = 5 * time.Second
 
 // Client is a multiplexed fleet-protocol client with retry, backpressure
 // handling, and a latency recorder. Any number of callers share its Conns
@@ -200,7 +200,7 @@ func (cl *Client) conn(ctx context.Context) (*muxConn, error) {
 		sl.dialing = done
 		sl.mu.Unlock()
 
-		d := net.Dialer{Timeout: cl.cfg.DialTimeout}
+		d := net.Dialer{Timeout: dialTimeout}
 		c, err := d.DialContext(ctx, "tcp", cl.cfg.Addr)
 		sl.mu.Lock()
 		sl.dialing = nil

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"github.com/seed5g/seed/internal/cause"
 	"github.com/seed5g/seed/internal/core"
 	"github.com/seed5g/seed/internal/crypto5g"
 )
@@ -48,14 +47,4 @@ func (d *SimDevice) OpenSuggest(sealed []byte) (core.DiagMessage, bool, error) {
 		return core.DiagMessage{}, false, err
 	}
 	return m, true, nil
-}
-
-// QuerySuggestion performs the full model-push round trip: query the
-// aggregate model for a cause and open the sealed answer.
-func (d *SimDevice) QuerySuggestion(cl *Client, c cause.Cause) (core.DiagMessage, bool, error) {
-	payload, err := cl.Query(d.IMSI, c)
-	if err != nil {
-		return core.DiagMessage{}, false, err
-	}
-	return d.OpenSuggest(payload)
 }

@@ -11,6 +11,15 @@
 // the envelope's per-direction counters double as a dedup mechanism, so
 // every record is folded exactly once and the aggregated model is
 // byte-identical to an in-process sequential baseline.
+//
+// A server shard holds its fold as plain per-cause action counts and
+// answers a query with their argmax (core.BestAction): the logistic gate,
+// rate and random source of core.Learner belong to the in-process plugin
+// and were never read here. Uploads, reports and counter installs change a
+// shard through one function, (*shard).apply, both when they arrive and
+// when a journaled server replays them after a crash, so recovery rebuilds
+// the acknowledged state byte for byte (DESIGN.md, "Crash-tolerant sharded
+// fleet tier").
 package fleet
 
 import (

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"math/rand"
@@ -88,7 +89,14 @@ func TestFleetEndToEnd(t *testing.T) {
 	// Model-push leg: the hottest cause must come back as a sealed
 	// suggestion the device can open.
 	dev := NewSimDevice(DefaultMasterKey, "001010000000000")
-	m, ok, err := dev.QuerySuggestion(cl, cause.MM(150))
+	suggestion := func(c cause.Cause) (core.DiagMessage, bool, error) {
+		payload, err := cl.Query(dev.IMSI, c)
+		if err != nil {
+			return core.DiagMessage{}, false, err
+		}
+		return dev.OpenSuggest(payload)
+	}
+	m, ok, err := suggestion(cause.MM(150))
 	if err != nil || !ok {
 		t.Fatalf("query: ok=%v err=%v", ok, err)
 	}
@@ -96,7 +104,7 @@ func TestFleetEndToEnd(t *testing.T) {
 		t.Fatalf("suggestion %+v", m)
 	}
 	// A cause nobody reported → abstain, not an error.
-	if _, ok, err := dev.QuerySuggestion(cl, cause.SM(250)); err != nil || ok {
+	if _, ok, err := suggestion(cause.SM(250)); err != nil || ok {
 		t.Fatalf("expected abstain, got ok=%v err=%v", ok, err)
 	}
 
@@ -210,5 +218,33 @@ func TestFleetRejectsUnknownFrame(t *testing.T) {
 	}
 	if _, err := cl.FetchStats(); err != nil {
 		t.Fatalf("server unusable after protocol error: %v", err)
+	}
+}
+
+// TestCounterInstallCountBombRejected sends the unauthenticated 12-byte
+// counter install whose table claims 2³²−1 entries in no bytes. The server
+// must refuse it before allocating for them: one TErr, one error counted,
+// and the connection and the server keep serving.
+func TestCounterInstallCountBombRejected(t *testing.T) {
+	srv, cl := startServer(t, ServerConfig{Shards: 1})
+	conn := dialRaw(t, srv)
+	if _, err := conn.Write([]byte{0x5E, 0xED, 0x01, 0x08, 0x00, 0x00, 0x00, 0x04, 0xFF, 0xFF, 0xFF, 0xFF}); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	if f, err := ReadFrame(br, DefaultMaxFrame); err != nil || f.Type != TErr {
+		t.Fatalf("count bomb answered %v, %v; want TErr", f.Type, err)
+	}
+	if _, err := conn.Write(encodeFrames(Frame{Type: TStatsPull})); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := ReadFrame(br, DefaultMaxFrame); err != nil || f.Type != TStats {
+		t.Fatalf("connection unusable after the refusal: %v, %v", f.Type, err)
+	}
+	if _, err := cl.Do("upload", uploadFrame(t, "001010000000077", 0)); err != nil {
+		t.Fatalf("server unusable after the refusal: %v", err)
+	}
+	if st := srv.Stats(); st.Errors != 1 || st.Uploads != 1 {
+		t.Fatalf("errors=%d uploads=%d, want 1 and 1", st.Errors, st.Uploads)
 	}
 }

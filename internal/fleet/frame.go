@@ -160,20 +160,6 @@ func AppendFrame(dst []byte, f Frame) []byte {
 	return append(dst, f.Payload...)
 }
 
-// WriteFrame encodes and writes one frame.
-func WriteFrame(w *bufio.Writer, f Frame) error {
-	var hdr [headerLen]byte
-	hdr[0], hdr[1], hdr[2], hdr[3] = frameMagic0, frameMagic1, frameVer, byte(f.Type)
-	binary.BigEndian.PutUint32(hdr[4:], uint32(len(f.Payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(f.Payload); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
 // ReadFrame reads and validates one frame, rejecting bad magic, unknown
 // versions, and payloads larger than maxFrame. It returns io.EOF only on
 // a clean boundary (no bytes read); a frame truncated mid-way is
@@ -287,7 +273,8 @@ func ParseRetryAfter(p []byte) (uint32, error) {
 // CounterEntry is one subscriber's envelope counter state: the entire
 // mutable half of the sealed channel (the key is re-derived from the
 // master key). Counter tables ride in TPrepared/TCounterInstall frames
-// during rebalance handoff and in jInstall journal records.
+// during rebalance handoff, in jInstall journal records and in shard
+// snapshots.
 type CounterEntry struct {
 	IMSI string
 	// Send and Recv are indexed by crypto5g.Direction (Uplink=0, Downlink=1).
@@ -296,9 +283,9 @@ type CounterEntry struct {
 
 // AppendCounterTable encodes entries as n(4, BE) then, per entry,
 // imsiLen(1) | imsi | sendUp(4) sendDn(4) recvUp(4) recvDn(4). Entries
-// are sorted by IMSI so equal tables produce equal bytes.
+// are sorted (stably) by IMSI so equal tables produce equal bytes.
 func AppendCounterTable(dst []byte, entries []CounterEntry) []byte {
-	sort.Slice(entries, func(i, j int) bool { return entries[i].IMSI < entries[j].IMSI })
+	sort.SliceStable(entries, func(i, j int) bool { return entries[i].IMSI < entries[j].IMSI })
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(entries)))
 	for _, e := range entries {
 		dst = append(dst, byte(len(e.IMSI)))
@@ -310,26 +297,50 @@ func AppendCounterTable(dst []byte, entries []CounterEntry) []byte {
 	return dst
 }
 
-// ParseCounterTable decodes an encoded counter table.
+// minCounterEntry is the smallest encoded counter-table entry: a one-byte
+// IMSI and its four counters.
+const minCounterEntry = 1 + 1 + 16
+
+// ParseCounterTable decodes a counter table that fills p exactly: a
+// TPrepared or TCounterInstall payload, or a jInstall journal body.
 func ParseCounterTable(p []byte) ([]CounterEntry, error) {
-	if len(p) < 4 {
-		return nil, errors.New("fleet: counter table too short")
+	entries, rest, err := cutCounterTable(p)
+	if err == nil && len(rest) != 0 {
+		return nil, fmt.Errorf("fleet: %d trailing bytes after counter table", len(rest))
 	}
-	n := int(binary.BigEndian.Uint32(p))
+	return entries, err
+}
+
+// cutCounterTable decodes the counter table at the front of p and returns
+// the bytes after it. The entry count is untrusted: one larger than the
+// remaining bytes can hold is refused before anything is allocated. The
+// IMSIs must be in AppendCounterTable's order, so an accepted table
+// re-encodes to the bytes it was read from.
+func cutCounterTable(p []byte) ([]CounterEntry, []byte, error) {
+	if len(p) < 4 {
+		return nil, nil, errors.New("fleet: counter table too short")
+	}
+	n := binary.BigEndian.Uint32(p)
 	p = p[4:]
+	if uint64(n) > uint64(len(p)/minCounterEntry) {
+		return nil, nil, fmt.Errorf("fleet: counter table claims %d entries in %d bytes", n, len(p))
+	}
 	entries := make([]CounterEntry, 0, n)
-	for i := 0; i < n; i++ {
-		if len(p) < 1 {
-			return nil, fmt.Errorf("fleet: counter table truncated at entry %d", i)
+	for i := range int(n) {
+		if len(p) < minCounterEntry {
+			return nil, nil, fmt.Errorf("fleet: counter table truncated at entry %d", i)
 		}
 		l := int(p[0])
 		if l == 0 || l > MaxIMSILen {
-			return nil, fmt.Errorf("fleet: counter table entry %d: bad IMSI length %d", i, l)
+			return nil, nil, fmt.Errorf("fleet: counter table entry %d: bad IMSI length %d", i, l)
 		}
 		if len(p) < 1+l+16 {
-			return nil, fmt.Errorf("fleet: counter table truncated at entry %d", i)
+			return nil, nil, fmt.Errorf("fleet: counter table truncated at entry %d", i)
 		}
 		e := CounterEntry{IMSI: string(p[1 : 1+l])}
+		if i > 0 && e.IMSI < entries[i-1].IMSI {
+			return nil, nil, fmt.Errorf("fleet: counter table entry %d out of IMSI order", i)
+		}
 		c := p[1+l:]
 		e.Send[0] = binary.BigEndian.Uint32(c[0:4])
 		e.Send[1] = binary.BigEndian.Uint32(c[4:8])
@@ -338,10 +349,7 @@ func ParseCounterTable(p []byte) ([]CounterEntry, error) {
 		entries = append(entries, e)
 		p = p[1+l+16:]
 	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("fleet: %d trailing bytes after counter table", len(p))
-	}
-	return entries, nil
+	return entries, p, nil
 }
 
 // EpochPayload encodes a TMapCommit epoch.

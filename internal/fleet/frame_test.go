@@ -19,14 +19,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Type: TRetryAfter, Payload: RetryAfterPayload(25)},
 		{Type: TModel, Payload: bytes.Repeat([]byte{0xAB}, 700)},
 	}
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	for _, f := range frames {
-		if err := WriteFrame(bw, f); err != nil {
-			t.Fatalf("write %v: %v", f.Type, err)
-		}
-	}
-	br := bufio.NewReader(&buf)
+	br := bufio.NewReader(bytes.NewReader(encodeFrames(frames...)))
 	for _, want := range frames {
 		got, err := ReadFrame(br, DefaultMaxFrame)
 		if err != nil {

@@ -9,8 +9,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"github.com/seed5g/seed/internal/cause"
-	"github.com/seed5g/seed/internal/core"
 	"github.com/seed5g/seed/internal/crypto5g"
 )
 
@@ -27,17 +25,20 @@ import (
 // acks — so an acknowledged upload is durable by definition, and the
 // fsync cost amortizes across the batch under load.
 //
-// Replay re-opens the sealed bytes through freshly derived subscriber
-// envelopes, which restores both the model and the envelope receive
-// counters. The counters are the dedup state, so a client retrying an
-// upload that was acked just before the crash gets ErrReplay → duplicate
-// ack, never a second fold: at-least-once delivery stays an exactly-once
-// fold across SIGKILL.
+// Replay hands every record past the snapshot to the shard's apply, the
+// one function the live handlers also change a shard through: the sealed
+// bytes re-open through freshly derived subscriber envelopes, which
+// restores both the model and the envelope receive counters. The counters
+// are the dedup state, so a client retrying an upload that was acked just
+// before the crash gets ErrReplay → duplicate ack, never a second fold:
+// at-least-once delivery stays an exactly-once fold across SIGKILL.
 //
-//	snapshot file:   magic "SEEDSHD1" | seq(8) | nEnv(4) |
-//	                 nEnv × (imsiLen(1) imsi sendUp(4) sendDn(4)
-//	                         recvUp(4) recvDn(4)) |
+//	snapshot file:   magic "SEEDSHD1" | seq(8) | counter table |
 //	                 modelLen(4) | model | crc32(4, over all prior bytes)
+//
+// The counter table is AppendCounterTable's encoding: nEnv(4) | nEnv ×
+// (imsiLen(1) imsi sendUp(4) sendDn(4) recvUp(4) recvDn(4)), sorted by
+// IMSI.
 //
 // Compaction writes the snapshot to a tmp file, fsyncs it, renames it
 // over the old snapshot, fsyncs the directory, and only then truncates
@@ -112,7 +113,6 @@ type journalRec struct {
 // journal is an open, append-position journal file.
 type journal struct {
 	f    *os.File
-	path string
 	size int64
 	// nextSeq is the sequence the next appended record receives. It is
 	// monotonic for the life of the shard directory — compaction truncates
@@ -216,7 +216,7 @@ func openJournalAppend(path string, goodLen int64, nextSeq uint64) (*journal, er
 		_ = f.Close()
 		return nil, err
 	}
-	return &journal{f: f, path: path, size: goodLen, nextSeq: nextSeq}, nil
+	return &journal{f: f, size: goodLen, nextSeq: nextSeq}, nil
 }
 
 // append encodes and writes records in one Write. Durability requires a
@@ -258,11 +258,7 @@ func (j *journal) close() error { return j.f.Close() }
 func writeShardSnapshot(dir string, shard int, seq uint64, entries []CounterEntry, model []byte) error {
 	body := []byte(shardSnapMagic)
 	body = binary.BigEndian.AppendUint64(body, seq)
-	body = binary.BigEndian.AppendUint32(body, uint32(len(entries)))
-	// AppendCounterTable would re-add its own count prefix; entries are
-	// already sorted by the caller's map walk order, so sort here.
-	table := AppendCounterTable(nil, entries)
-	body = append(body, table[4:]...) // drop the table's own count
+	body = AppendCounterTable(body, entries)
 	body = binary.BigEndian.AppendUint32(body, uint32(len(model)))
 	body = append(body, model...)
 	body = binary.BigEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
@@ -290,19 +286,20 @@ func writeShardSnapshot(dir string, shard int, seq uint64, entries []CounterEntr
 	return syncDir(dir)
 }
 
-// readShardSnapshot loads a shard snapshot. A missing file returns ok ==
-// false with no error; any damage is errJournalCorrupt.
-func readShardSnapshot(dir string, shard int) (seq uint64, entries []CounterEntry, model []byte, ok bool, err error) {
-	path := snapshotPath(dir, shard)
+// loadSnapshot installs the snapshot at path into the shard and returns
+// the journal sequence it covers; a missing file installs nothing and
+// covers nothing. Damage is errJournalCorrupt and leaves the shard as it
+// was.
+func (sh *shard) loadSnapshot(path string) (seq uint64, err error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil, nil, false, nil
+		return 0, nil
 	}
 	if err != nil {
-		return 0, nil, nil, false, err
+		return 0, err
 	}
-	fail := func(msg string) (uint64, []CounterEntry, []byte, bool, error) {
-		return 0, nil, nil, false, fmt.Errorf("%w: snapshot %s: %s", errJournalCorrupt, path, msg)
+	fail := func(msg string) (uint64, error) {
+		return 0, fmt.Errorf("%w: snapshot %s: %s", errJournalCorrupt, path, msg)
 	}
 	if len(data) < len(shardSnapMagic)+8+4+4+4 {
 		return fail("truncated")
@@ -315,53 +312,34 @@ func readShardSnapshot(dir string, shard int) (seq uint64, entries []CounterEntr
 		return fail("CRC mismatch")
 	}
 	p := data[len(shardSnapMagic):crcAt]
-	seq = binary.BigEndian.Uint64(p[:8])
-	nEnv := binary.BigEndian.Uint32(p[8:12])
-	rest := p[12:]
-	// The counter table is variable length: walk the entries to find
-	// where the model begins, then hand the table to the shared parser
-	// (re-prefixing the count it expects).
-	off := 0
-	for i := uint32(0); i < nEnv; i++ {
-		if off >= len(rest) {
-			return fail("counter table truncated")
-		}
-		il := int(rest[off])
-		if il == 0 || il > MaxIMSILen || off+1+il+16 > len(rest) {
-			return fail("counter table entry damaged")
-		}
-		off += 1 + il + 16
+	entries, rest, err := cutCounterTable(p[8:])
+	if err != nil {
+		return fail(err.Error())
 	}
-	if off+4 > len(rest) {
-		return fail("model length missing")
-	}
-	entries, perr := ParseCounterTable(append(binary.BigEndian.AppendUint32(nil, nEnv), rest[:off]...))
-	if perr != nil {
-		return fail(perr.Error())
-	}
-	mLen := binary.BigEndian.Uint32(rest[off : off+4])
-	if int(mLen) != len(rest)-off-4 {
+	if len(rest) < 4 || int(binary.BigEndian.Uint32(rest)) != len(rest)-4 {
 		return fail("model length mismatch")
 	}
-	model = rest[off+4:]
-	if len(model)%modelRowLen != 0 {
-		return fail("model not row-aligned")
+	model, err := UnmarshalModel(rest[4:])
+	if err != nil {
+		return fail(err.Error())
 	}
-	return seq, entries, model, true, nil
+	for _, e := range entries {
+		sh.env(e.IMSI).SetCounters(e.Send, e.Recv)
+	}
+	sh.model = model
+	return binary.BigEndian.Uint64(p), nil
 }
 
 // --- recovery ------------------------------------------------------------
 
-// shardRecovery is the reconstructed durable state of one shard.
+// shardRecovery counts what recovering one shard found.
 type shardRecovery struct {
-	Model    map[cause.Cause]map[core.ActionID]int
-	Envs     map[string]*crypto5g.Envelope
+	SnapSeq  uint64
 	NextSeq  uint64
 	GoodLen  int64 // intact journal prefix length (append resumes here)
 	Replayed int   // journal records applied past the snapshot
 	Skipped  int   // journal records deduped (seq or counter already covered)
 	TornTail bool  // a torn final record was truncated
-	SnapSeq  uint64
 }
 
 // quarantine moves a damaged durable file aside (ForceEmpty path) so the
@@ -378,124 +356,69 @@ func quarantine(path string, logf func(string, ...any)) {
 	logf("seedfleetd: quarantined damaged file as %s", dst)
 }
 
-// recoverShard rebuilds a shard's model and envelope state from its
-// snapshot and journal. Damage refuses recovery unless forceEmpty, which
-// quarantines the damaged files and returns the state recovered so far
-// (empty in the worst case) — never a silently wrong model.
-func recoverShard(dir string, shard int, master [16]byte, maxRec uint32, forceEmpty bool, logf func(string, ...any)) (*shardRecovery, error) {
-	rec := &shardRecovery{
-		Model: make(map[cause.Cause]map[core.ActionID]int),
-		Envs:  make(map[string]*crypto5g.Envelope),
+// restore rebuilds the shard from its files: it loads the snapshot, then
+// replays every later journal record through apply, the code the live
+// handlers ran before the record's ack left. Damage refuses recovery
+// unless ForceEmpty, which quarantines the damaged file and keeps the
+// state recovered so far (empty in the worst case) — never a silently
+// wrong model. Without ForceEmpty it only reads the files.
+func (sh *shard) restore() (shardRecovery, error) {
+	cfg := &sh.srv.cfg
+	refuse := func(err error) (shardRecovery, error) {
+		return shardRecovery{}, fmt.Errorf("shard %d: %w (use -force-empty to quarantine and start empty)", sh.idx, err)
 	}
-	env := func(imsi string) *crypto5g.Envelope {
-		e, ok := rec.Envs[imsi]
-		if !ok {
-			e = NewSubscriberEnvelope(master, imsi)
-			rec.Envs[imsi] = e
-		}
-		return e
-	}
-
-	snapSeq, entries, model, haveSnap, err := readShardSnapshot(dir, shard)
+	var rec shardRecovery
+	snapPath := snapshotPath(cfg.JournalDir, sh.idx)
+	snapSeq, err := sh.loadSnapshot(snapPath)
 	if err != nil {
-		if !forceEmpty {
-			return nil, fmt.Errorf("shard %d: %w (use -force-empty to quarantine and start empty)", shard, err)
+		if !cfg.ForceEmpty {
+			return refuse(err)
 		}
-		logf("seedfleetd: shard %d: %v — starting empty by -force-empty", shard, err)
-		quarantine(snapshotPath(dir, shard), logf)
-		haveSnap = false
+		cfg.Logf("seedfleetd: shard %d: %v — starting empty by -force-empty", sh.idx, err)
+		quarantine(snapPath, cfg.Logf)
 	}
-	if haveSnap {
-		m, err := UnmarshalModel(model)
-		if err != nil {
-			if !forceEmpty {
-				return nil, fmt.Errorf("shard %d snapshot model: %w", shard, err)
-			}
-			quarantine(snapshotPath(dir, shard), logf)
-		} else {
-			rec.Model = MergeModels(rec.Model, m)
-			for _, e := range entries {
-				env(e.IMSI).SetCounters(e.Send, e.Recv)
-			}
-			rec.SnapSeq = snapSeq
-		}
-	}
+	rec.SnapSeq = snapSeq
 
-	jPath := journalPath(dir, shard)
-	recs, goodLen, torn, err := scanJournal(jPath, maxRec)
+	jPath := journalPath(cfg.JournalDir, sh.idx)
+	recs, goodLen, torn, err := scanJournal(jPath, cfg.MaxFrame)
 	if err != nil {
-		if !forceEmpty {
-			return nil, fmt.Errorf("shard %d: %w (use -force-empty to quarantine and start empty)", shard, err)
+		if !cfg.ForceEmpty {
+			return refuse(err)
 		}
-		logf("seedfleetd: shard %d: %v — starting empty by -force-empty", shard, err)
-		quarantine(jPath, logf)
-		recs, goodLen, torn = nil, 0, false
+		cfg.Logf("seedfleetd: shard %d: %v — starting empty by -force-empty", sh.idx, err)
+		quarantine(jPath, cfg.Logf)
 		// The snapshot may predate the damage; keep what it restored.
+		recs, goodLen, torn = nil, 0, false
 	}
-	rec.TornTail = torn
+	rec.GoodLen, rec.TornTail = goodLen, torn
 
 	maxSeq := rec.SnapSeq
 	for _, r := range recs {
-		if r.seq > maxSeq {
-			maxSeq = r.seq
-		}
+		maxSeq = max(maxSeq, r.seq)
 		if r.seq <= rec.SnapSeq {
 			rec.Skipped++
 			continue
 		}
-		switch r.kind {
-		case jUpload, jReport:
-			blob, err := env(r.imsi).Open(crypto5g.Uplink, r.body)
-			if err != nil {
-				if errors.Is(err, crypto5g.ErrReplay) {
-					rec.Skipped++ // already covered by snapshot counters
-					continue
-				}
-				// The CRC passed but the envelope does not open: key
-				// mismatch or deeper damage. Never guess.
-				if !forceEmpty {
-					return nil, fmt.Errorf("shard %d: %w: journal seq %d (%s from %s) does not open: %v (use -force-empty to quarantine and start empty)",
-						shard, errJournalCorrupt, r.seq, kindName(r.kind), r.imsi, err)
-				}
-				logf("seedfleetd: shard %d: journal seq %d unopenable (%v) — dropped by -force-empty", shard, r.seq, err)
-				continue
-			}
-			if r.kind == jUpload {
-				rows, err := core.UnmarshalRecords(blob)
-				if err != nil {
-					if !forceEmpty {
-						return nil, fmt.Errorf("shard %d: %w: journal seq %d: bad record blob: %v", shard, errJournalCorrupt, r.seq, err)
-					}
-					continue
-				}
-				rec.Model = MergeModels(rec.Model, rows)
-			}
+		_, err := sh.apply(r.kind, r.imsi, r.body)
+		switch {
+		case err == nil:
 			rec.Replayed++
-		case jInstall:
-			entries, err := ParseCounterTable(r.body)
-			if err != nil {
-				if !forceEmpty {
-					return nil, fmt.Errorf("shard %d: %w: journal seq %d: bad counter table: %v", shard, errJournalCorrupt, r.seq, err)
-				}
-				continue
-			}
-			for _, e := range entries {
-				installCounters(env(e.IMSI), e)
-			}
-			rec.Replayed++
+		case errors.Is(err, crypto5g.ErrReplay):
+			rec.Skipped++ // already covered by snapshot counters
+		case !cfg.ForceEmpty:
+			// The CRC passed but the record does not apply: key mismatch
+			// or deeper damage. Never guess.
+			return refuse(fmt.Errorf("%w: journal seq %d does not apply: %v", errJournalCorrupt, r.seq, err))
 		default:
-			if !forceEmpty {
-				return nil, fmt.Errorf("shard %d: %w: journal seq %d has unknown kind %d", shard, errJournalCorrupt, r.seq, r.kind)
-			}
+			cfg.Logf("seedfleetd: shard %d: journal seq %d does not apply (%v) — dropped by -force-empty", sh.idx, r.seq, err)
 		}
 	}
 	rec.NextSeq = maxSeq + 1
-	rec.GoodLen = goodLen
 
 	// Unclean restart: suggestion seals since the snapshot were not
 	// journaled, so jump every recovered downlink send counter past them.
 	if rec.Replayed > 0 || rec.TornTail {
-		for _, e := range rec.Envs {
+		for _, e := range sh.envs {
 			send, recv := e.Counters()
 			send[crypto5g.Downlink] += downlinkRecoverySkip
 			e.SetCounters(send, recv)
@@ -504,31 +427,13 @@ func recoverShard(dir string, shard int, master [16]byte, maxRec uint32, forceEm
 	return rec, nil
 }
 
-func kindName(k byte) string {
-	switch k {
-	case jUpload:
-		return "upload"
-	case jReport:
-		return "report"
-	case jInstall:
-		return "counter-install"
-	default:
-		return fmt.Sprintf("kind(%d)", k)
-	}
-}
-
 // installCounters raises an envelope's counters to at least the handed-off
 // values. Max semantics make journal replay of an install idempotent and
 // never reopen a replay window.
 func installCounters(e *crypto5g.Envelope, ent CounterEntry) {
 	send, recv := e.Counters()
-	for d := 0; d < 2; d++ {
-		if ent.Send[d] > send[d] {
-			send[d] = ent.Send[d]
-		}
-		if ent.Recv[d] > recv[d] {
-			recv[d] = ent.Recv[d]
-		}
+	for d := range 2 {
+		send[d], recv[d] = max(send[d], ent.Send[d]), max(recv[d], ent.Recv[d])
 	}
 	e.SetCounters(send, recv)
 }

@@ -3,9 +3,11 @@ package fleet
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -27,6 +29,49 @@ func startJournalServer(t *testing.T, cfg ServerConfig) (*Server, *Client) {
 		t.Fatal(err)
 	}
 	return srv, NewClient(ClientConfig{Addr: srv.Addr().String(), Conns: 2})
+}
+
+// restoreServer builds an unstarted server and restores each of its shards
+// from cfg.JournalDir, as Start does before it opens the journals; the
+// files are left as they were.
+func restoreServer(cfg ServerConfig) (*Server, []shardRecovery, error) {
+	if cfg.Logf == nil {
+		cfg.Logf = func(string, ...any) {}
+	}
+	srv := NewServer(cfg)
+	recs := make([]shardRecovery, len(srv.shards))
+	for i, sh := range srv.shards {
+		rec, err := sh.restore()
+		if err != nil {
+			return nil, nil, err
+		}
+		recs[i] = rec
+	}
+	return srv, recs, nil
+}
+
+// counterState maps each subscriber to its envelope counters (sendUp,
+// sendDn, recvUp, recvDn). Read it only while the shard workers are idle.
+func counterState(srv *Server) map[string][4]uint32 {
+	out := make(map[string][4]uint32)
+	for _, sh := range srv.shards {
+		for imsi, e := range sh.envs {
+			send, recv := e.Counters()
+			out[imsi] = [4]uint32{send[crypto5g.Uplink], send[crypto5g.Downlink], recv[crypto5g.Uplink], recv[crypto5g.Downlink]}
+		}
+	}
+	return out
+}
+
+// envCounters lists counterState, one "imsi sendUp sendDn recvUp recvDn"
+// line per subscriber in IMSI order.
+func envCounters(srv *Server) string {
+	var lines []string
+	for imsi, c := range counterState(srv) {
+		lines = append(lines, fmt.Sprintf("%s %d %d %d %d\n", imsi, c[0], c[1], c[2], c[3]))
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "")
 }
 
 // TestJournalKillRecoversExactModelAndDedup is the core durability claim:
@@ -110,24 +155,11 @@ func TestJournalReplayIdempotent(t *testing.T) {
 	srv.Kill()
 
 	snapshotState := func() (string, string) {
-		var model, counters strings.Builder
-		for shard := 0; shard < cfg.Shards; shard++ {
-			rec, err := recoverShard(dir, shard, DefaultMasterKey, DefaultMaxFrame, false, func(string, ...any) {})
-			if err != nil {
-				t.Fatal(err)
-			}
-			model.Write(MarshalModel(rec.Model))
-			var imsis []string
-			for imsi := range rec.Envs {
-				imsis = append(imsis, imsi)
-			}
-			sort.Strings(imsis)
-			for _, imsi := range imsis {
-				send, recv := rec.Envs[imsi].Counters()
-				fmt.Fprintf(&counters, "%s:%v:%v;", imsi, send, recv)
-			}
+		srv, _, err := restoreServer(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return model.String(), counters.String()
+		return string(srv.Model()), envCounters(srv)
 	}
 	m1, c1 := snapshotState()
 	m2, c2 := snapshotState()
@@ -161,25 +193,19 @@ func TestJournalCrashMidCompaction(t *testing.T) {
 	// Write the compaction snapshot by hand — covering every journaled
 	// record — but "crash" before the truncate: the journal keeps them all.
 	sh := srv.shards[0]
-	var entries []CounterEntry
-	for imsi, e := range sh.envs {
-		send, recv := e.Counters()
-		entries = append(entries, CounterEntry{IMSI: imsi, Send: send, Recv: recv})
-	}
-	model := MarshalModel(sh.learner.Export())
-	if err := writeShardSnapshot(dir, 0, sh.jr.nextSeq-1, entries, model); err != nil {
+	if err := writeShardSnapshot(dir, 0, sh.jr.nextSeq-1, sh.counters(nil), MarshalModel(sh.model)); err != nil {
 		t.Fatal(err)
 	}
 	srv.Kill()
 
-	rec, err := recoverShard(dir, 0, DefaultMasterKey, DefaultMaxFrame, false, func(string, ...any) {})
+	restored, recs, err := restoreServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Replayed != 0 || rec.Skipped == 0 {
+	if rec := recs[0]; rec.Replayed != 0 || rec.Skipped == 0 {
 		t.Fatalf("snapshot-covered records were not skipped: replayed=%d skipped=%d", rec.Replayed, rec.Skipped)
 	}
-	if !bytes.Equal(MarshalModel(rec.Model), MarshalModel(baseline.Export())) {
+	if !bytes.Equal(restored.Model(), MarshalModel(baseline.Export())) {
 		t.Fatal("crash mid-compaction double-folded or lost records")
 	}
 
@@ -427,11 +453,45 @@ func TestJournalGroupCommitBatches(t *testing.T) {
 // TestRecoverShardFreshDirectory: recovering a directory with no snapshot
 // and no journal yields an empty shard whose first record gets sequence 1.
 func TestRecoverShardFreshDirectory(t *testing.T) {
-	rec, err := recoverShard(t.TempDir(), 0, DefaultMasterKey, DefaultMaxFrame, false, func(string, ...any) {})
+	srv, recs, err := restoreServer(ServerConfig{Shards: 1, JournalDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Envs) != 0 || rec.Replayed != 0 || rec.NextSeq != 1 {
+	if rec := recs[0]; len(srv.shards[0].envs) != 0 || srv.shards[0].model != nil || rec.Replayed != 0 || rec.NextSeq != 1 {
 		t.Fatalf("fresh dir recovery: %+v", rec)
+	}
+}
+
+// TestDurableV1FixtureRecovers starts a server on a copy of a journal
+// directory an older seedfleetd wrote (testdata/durable-v1/README.md says
+// how): a compacted snapshot per shard plus a journal tail of uploads,
+// reports and a counter install. The recovered model and envelope counters
+// must equal the ones that binary recovered, byte for byte.
+func TestDurableV1FixtureRecovers(t *testing.T) {
+	const (
+		wantModel    = "a5abf2c5d05f9ca64545cd691074fbcccc9f06cbd649828ed0a7d156138aa384"
+		wantCounters = "8b7323fcbde9018329d98ccdda4f735b4fab0e4fc6392829a5779f568df3c59a"
+	)
+	dir := t.TempDir()
+	for _, name := range []string{"shard-0.snap", "shard-0.journal", "shard-1.snap", "shard-1.journal"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "durable-v1", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, cl := startJournalServer(t, ServerConfig{Shards: 2, JournalDir: dir})
+	cl.Close()
+	defer srv.Kill()
+	if st := srv.Stats(); st.ReplayedRecords != 20 {
+		t.Fatalf("replayed %d journal records, want 20", st.ReplayedRecords)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(srv.Model())); got != wantModel {
+		t.Errorf("model digest %s, want %s", got, wantModel)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(envCounters(srv)))); got != wantCounters {
+		t.Errorf("counter digest %s, want %s; counters:\n%s", got, wantCounters, envCounters(srv))
 	}
 }

@@ -21,7 +21,7 @@ import (
 
 // The pipelining contract's tests. None of them sleeps for an outcome:
 // where a test needs the server in a known state it parks a shard worker
-// (on the shard's learner lock, or in the journal's fsync hook) and waits
+// (on the shard's model lock, or in the journal's fsync hook) and waits
 // for the state itself with waitFor.
 
 // waitFor polls cond until it holds.
@@ -120,7 +120,7 @@ func TestPipelineAnswersInRequestOrder(t *testing.T) {
 	sh0.mu.Lock()
 	up := uploadFrame(t, on0[0], 0)
 	_, sealed, _ := ParseSealedPayload(up.Payload)
-	parked := srv.submit(job{typ: TUpload, imsi: on0[0], sealed: sealed})
+	parked := srv.submit(job{typ: TUpload, imsi: on0[0], body: sealed})
 	waitFor(t, "shard 0's worker to take the parking job", func() bool { return len(sh0.queue) == 0 })
 
 	devC := NewSimDevice(DefaultMasterKey, on1[0])
@@ -134,7 +134,7 @@ func TestPipelineAnswersInRequestOrder(t *testing.T) {
 		uploadFrame(t, on0[1], 1), // fills shard 0's one-deep queue
 		uploadFrame(t, on0[2], 2), // finds it full
 		Frame{Type: TUpload, Payload: AppendSealedPayload(nil, on1[0], sealedC)},
-		Frame{Type: TQuery, Payload: AppendQueryPayload(nil, on1[0], queryCause)}, // reads every shard's learner
+		Frame{Type: TQuery, Payload: AppendQueryPayload(nil, on1[0], queryCause)}, // reads every shard's model
 		Frame{Type: TStatsPull},
 		Frame{Type: TUpload, Payload: []byte{0}}, // malformed
 		Frame{Type: TAck},                        // not a request
@@ -319,13 +319,13 @@ func stubServer(t *testing.T, serve func(n int, c net.Conn)) string {
 // serialEcho is a strictly one-frame-at-a-time server: it reads a request,
 // answers it with the request's payload, and only then reads the next.
 func serialEcho(c net.Conn) {
-	br, bw := bufio.NewReader(c), bufio.NewWriter(c)
+	br := bufio.NewReader(c)
 	for {
 		f, err := ReadFrame(br, DefaultMaxFrame)
 		if err != nil {
 			return
 		}
-		if WriteFrame(bw, Frame{Type: TModel, Payload: f.Payload}) != nil {
+		if _, err := c.Write(encodeFrames(Frame{Type: TModel, Payload: f.Payload})); err != nil {
 			return
 		}
 	}
@@ -411,7 +411,7 @@ func TestMuxClientAgainstSerialServer(t *testing.T) {
 	}
 }
 
-// (e) A strictly serial WriteFrame/ReadFrame caller against the
+// (e) A strictly serial write-one-frame/ReadFrame caller against the
 // pipelining server is the depth-one case of the same protocol.
 func TestSerialCallerAgainstPipelinedServer(t *testing.T) {
 	srv := quietServer(t, ServerConfig{Shards: 2})
@@ -420,18 +420,18 @@ func TestSerialCallerAgainstPipelinedServer(t *testing.T) {
 	}
 	defer func() { _ = srv.Shutdown() }()
 	conn := dialRaw(t, srv)
-	br, bw := bufio.NewReader(conn), bufio.NewWriter(conn)
+	br := bufio.NewReader(conn)
 	baseline := core.NewLearner(0.1, rand.New(rand.NewSource(1)))
 	for i := 0; i < 20; i++ {
 		baseline.Crowdsource(deviceRecords(i))
-		if err := WriteFrame(bw, uploadFrame(t, fmt.Sprintf("00123%010d", i), i)); err != nil {
+		if _, err := conn.Write(encodeFrames(uploadFrame(t, fmt.Sprintf("00123%010d", i), i))); err != nil {
 			t.Fatal(err)
 		}
 		if f, err := ReadFrame(br, DefaultMaxFrame); err != nil || f.Type != TAck {
 			t.Fatalf("upload %d: %v %v", i, f.Type, err)
 		}
 	}
-	if err := WriteFrame(bw, Frame{Type: TModelPull}); err != nil {
+	if _, err := conn.Write(encodeFrames(Frame{Type: TModelPull})); err != nil {
 		t.Fatal(err)
 	}
 	f, err := ReadFrame(br, DefaultMaxFrame)

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math/rand"
 	"net"
 	"os"
 	"sync"
@@ -35,10 +34,6 @@ type ServerConfig struct {
 	QueueDepth int
 	// MaxFrame bounds accepted frame payloads.
 	MaxFrame uint32
-	// ReadTimeout is the read deadline of a connection waiting for its
-	// next frame; an idle connection is closed when it expires.
-	// WriteTimeout bounds each write of finished responses.
-	ReadTimeout, WriteTimeout time.Duration
 	// RetryAfter is the wait hint returned on backpressure.
 	RetryAfter time.Duration
 	// JournalDir, when set, enables the durable tier: each shard keeps an
@@ -64,8 +59,6 @@ type ServerConfig struct {
 	Map *cluster.Map
 	// MasterKey derives per-subscriber envelope keys (SubscriberKey).
 	MasterKey [16]byte
-	// LearningRate is the per-shard Learner's logistic-gate rate.
-	LearningRate float64
 	// Logf receives operational log lines (default log.Printf).
 	Logf func(format string, args ...any)
 }
@@ -83,12 +76,6 @@ func (c *ServerConfig) withDefaults() {
 	if c.MaxFrame == 0 {
 		c.MaxFrame = DefaultMaxFrame
 	}
-	if c.ReadTimeout <= 0 {
-		c.ReadTimeout = 30 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = 25 * time.Millisecond
 	}
@@ -98,13 +85,18 @@ func (c *ServerConfig) withDefaults() {
 	if c.MasterKey == ([16]byte{}) {
 		c.MasterKey = DefaultMasterKey
 	}
-	if c.LearningRate == 0 {
-		c.LearningRate = 0.1
-	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
 	}
 }
+
+// readTimeout is the read deadline of a connection waiting for its next
+// frame: an idle connection is closed when it expires. writeTimeout bounds
+// each write of finished responses.
+const (
+	readTimeout  = 30 * time.Second
+	writeTimeout = 10 * time.Second
+)
 
 // ServerStats is a snapshot of the server's counters.
 type ServerStats struct {
@@ -194,29 +186,32 @@ type Server struct {
 }
 
 type job struct {
-	typ    FrameType
-	imsi   string
-	sealed []byte
-	cause  cause.Cause
-	// newMap rides a TMapPrepare control job (collect moved-out counters);
-	// table rides a TCounterInstall control job.
+	typ  FrameType
+	imsi string
+	// body is the sealed bytes of an upload or report, or the encoded
+	// table of a counter install: the body of the journal record.
+	body  []byte
+	cause cause.Cause
+	// newMap rides a TMapPrepare control job (collect moved-out counters).
 	newMap *cluster.Map
-	table  []CounterEntry
 	reply  chan Frame
 }
 
-// shard owns the envelope and learning state for its slice of the device
-// population. Only the shard's worker goroutine touches envs (the crypto
-// states are single-threaded); mu guards the learner, which the query
-// path reads across shards.
+// shard owns the envelope and model state for its slice of the device
+// population; apply is how a journal record changes either. Only the
+// shard's worker goroutine touches envs (the crypto states are
+// single-threaded); mu guards model, which queries and model pulls read
+// across shards.
 type shard struct {
-	idx     int
-	srv     *Server
-	queue   chan job
-	mu      sync.Mutex
-	learner *core.Learner
-	envs    map[string]*crypto5g.Envelope
-	jr      *journal // nil when JournalDir is unset
+	idx   int
+	srv   *Server
+	queue chan job
+	mu    sync.Mutex
+	// model is the fold of every upload the shard applied: per cause, the
+	// success count of each action (Algorithm 1's crowd-sourced table).
+	model map[cause.Cause]map[core.ActionID]int
+	envs  map[string]*crypto5g.Envelope
+	jr    *journal // nil when JournalDir is unset
 	// degraded is set when an fsync failed: the shard stops acknowledging
 	// durable work rather than acking state it cannot promise to keep.
 	degraded bool
@@ -234,11 +229,10 @@ func NewServer(cfg ServerConfig) *Server {
 	s := &Server{cfg: cfg, conns: make(map[net.Conn]struct{}), curMap: cfg.Map}
 	for i := 0; i < cfg.Shards; i++ {
 		s.shards = append(s.shards, &shard{
-			idx:     i,
-			srv:     s,
-			queue:   make(chan job, cfg.QueueDepth),
-			learner: core.NewLearner(cfg.LearningRate, rand.New(rand.NewSource(int64(i)+1))),
-			envs:    make(map[string]*crypto5g.Envelope),
+			idx:   i,
+			srv:   s,
+			queue: make(chan job, cfg.QueueDepth),
+			envs:  make(map[string]*crypto5g.Envelope),
 		})
 	}
 	return s
@@ -275,8 +269,9 @@ func (s *Server) Start() error {
 	return nil
 }
 
-// recoverDurable replays every shard's snapshot + journal. Refuses to
-// start on damage unless ForceEmpty.
+// recoverDurable recovers every shard from its snapshot + journal and
+// opens the journal for appending. Refuses to start on damage unless
+// ForceEmpty.
 func (s *Server) recoverDurable() error {
 	if err := os.MkdirAll(s.cfg.JournalDir, 0o755); err != nil {
 		return err
@@ -284,14 +279,10 @@ func (s *Server) recoverDurable() error {
 	start := time.Now()
 	totalReplayed := 0
 	for _, sh := range s.shards {
-		rec, err := recoverShard(s.cfg.JournalDir, sh.idx, s.cfg.MasterKey, s.cfg.MaxFrame, s.cfg.ForceEmpty, s.cfg.Logf)
+		rec, err := sh.restore()
 		if err != nil {
 			return fmt.Errorf("fleet: journal recovery: %w", err)
 		}
-		sh.mu.Lock()
-		sh.learner.Crowdsource(rec.Model)
-		sh.mu.Unlock()
-		sh.envs = rec.Envs
 		jr, err := openJournalAppend(journalPath(s.cfg.JournalDir, sh.idx), rec.GoodLen, rec.NextSeq)
 		if err != nil {
 			return fmt.Errorf("fleet: journal open shard %d: %w", sh.idx, err)
@@ -301,7 +292,7 @@ func (s *Server) recoverDurable() error {
 		s.replayed.Add(uint64(rec.Replayed))
 		if rec.Replayed > 0 || rec.TornTail || rec.Skipped > 0 {
 			s.cfg.Logf("seedfleetd: shard %d recovered: snapSeq=%d replayed=%d deduped=%d tornTail=%v envs=%d",
-				sh.idx, rec.SnapSeq, rec.Replayed, rec.Skipped, rec.TornTail, len(rec.Envs))
+				sh.idx, rec.SnapSeq, rec.Replayed, rec.Skipped, rec.TornTail, len(sh.envs))
 		}
 	}
 	// The journals opened above may be new files: nothing may be acked
@@ -367,7 +358,7 @@ func (s *Server) Model() []byte {
 	var merged map[cause.Cause]map[core.ActionID]int
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		merged = MergeModels(merged, sh.learner.Export())
+		merged = MergeModels(merged, sh.model)
 		sh.mu.Unlock()
 	}
 	return MarshalModel(merged)
@@ -471,7 +462,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			// The next read reaches the socket. Shutdown stores draining
 			// before it expires the deadline, so looking after arming
 			// cannot miss it; frames already read are still served.
-			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+			_ = conn.SetReadDeadline(time.Now().Add(readTimeout))
 			if s.draining.Load() {
 				break
 			}
@@ -503,7 +494,7 @@ func (s *Server) writeReplies(conn net.Conn, pending <-chan chan Frame) {
 		if len(out) == 0 {
 			return
 		}
-		_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if _, err := conn.Write(out); err != nil {
 			_ = conn.Close()
 		}
@@ -576,7 +567,7 @@ func (s *Server) dispatch(f Frame) chan Frame {
 		if deny := s.checkOwner(imsi); deny != nil {
 			return filled(*deny)
 		}
-		return s.submit(job{typ: f.Type, imsi: imsi, sealed: sealed})
+		return s.submit(job{typ: f.Type, imsi: imsi, body: sealed})
 	case TQuery:
 		imsi, c, err := ParseQueryPayload(f.Payload)
 		if err != nil {
@@ -659,9 +650,9 @@ func (s *Server) handlePrepare(payload []byte) Frame {
 }
 
 // handleInstall is rebalance phase 2 on the receiving side: raise the
-// handed-off subscribers' envelope counters on their home shards. The
-// install is journaled, so a crash after the TAck still dedups pre-move
-// uploads after replay.
+// handed-off subscribers' envelope counters on their home shards, each
+// getting its part of the table. The install is journaled, so a crash
+// after the TAck still dedups pre-move uploads after replay.
 func (s *Server) handleInstall(payload []byte) Frame {
 	entries, err := ParseCounterTable(payload)
 	if err != nil {
@@ -673,7 +664,7 @@ func (s *Server) handleInstall(payload []byte) Frame {
 		byShard[sh] = append(byShard[sh], e)
 	}
 	for sh, part := range byShard {
-		if resp := s.submitShard(sh, job{typ: TCounterInstall, table: part}); resp.Type != TAck {
+		if resp := s.submitShard(sh, job{typ: TCounterInstall, body: AppendCounterTable(nil, part)}); resp.Type != TAck {
 			return resp
 		}
 	}
@@ -832,15 +823,10 @@ func (sh *shard) process(batch []job) {
 // snapshot's rename is on disk BEFORE the truncate, and replay skips
 // seq <= snapshot seq, so dying between the two double-folds nothing.
 func (sh *shard) compact() error {
-	entries := make([]CounterEntry, 0, len(sh.envs))
-	for imsi, e := range sh.envs {
-		send, recv := e.Counters()
-		entries = append(entries, CounterEntry{IMSI: imsi, Send: send, Recv: recv})
-	}
 	sh.mu.Lock()
-	model := MarshalModel(sh.learner.Export())
+	model := MarshalModel(sh.model)
 	sh.mu.Unlock()
-	if err := writeShardSnapshot(sh.srv.cfg.JournalDir, sh.idx, sh.jr.nextSeq-1, entries, model); err != nil {
+	if err := writeShardSnapshot(sh.srv.cfg.JournalDir, sh.idx, sh.jr.nextSeq-1, sh.counters(nil), model); err != nil {
 		return err
 	}
 	if err := sh.jr.reset(); err != nil {
@@ -848,6 +834,20 @@ func (sh *shard) compact() error {
 	}
 	sh.srv.compactions.Add(1)
 	return nil
+}
+
+// counters exports the envelope counters of the shard's subscribers, or of
+// those keep accepts when it is not nil.
+func (sh *shard) counters(keep func(imsi string) bool) []CounterEntry {
+	var entries []CounterEntry
+	for imsi, e := range sh.envs {
+		if keep != nil && !keep(imsi) {
+			continue
+		}
+		send, recv := e.Counters()
+		entries = append(entries, CounterEntry{IMSI: imsi, Send: send, Recv: recv})
+	}
+	return entries
 }
 
 // env returns (creating on first use) the subscriber's envelope. Only the
@@ -861,79 +861,110 @@ func (sh *shard) env(imsi string) *crypto5g.Envelope {
 	return e
 }
 
-// handle folds one job and returns its reply plus the journal record that
+// handle serves one job and returns its reply plus the journal record that
 // must be durable before the reply may be released (kind 0 when the job
 // changed no durable state — duplicates, queries, errors).
 func (sh *shard) handle(j job) (Frame, journalRec) {
-	if sh.degraded && (j.typ == TUpload || j.typ == TReport || j.typ == TCounterInstall) {
-		return sh.srv.errFrame(errors.New("fleet: shard degraded after journal failure")), journalRec{}
-	}
 	switch j.typ {
 	case TUpload:
-		return sh.handleUpload(j)
+		return sh.handleRecord(jUpload, j)
 	case TReport:
-		return sh.handleReport(j)
+		return sh.handleRecord(jReport, j)
+	case TCounterInstall:
+		return sh.handleRecord(jInstall, j)
 	case TQuery:
 		return sh.handleQuery(j), journalRec{}
 	case TMapPrepare:
 		return sh.handleCollect(j), journalRec{}
-	case TCounterInstall:
-		return sh.handleInstall(j)
 	default:
 		return sh.srv.errFrame(fmt.Errorf("fleet: shard got frame %v", j.typ)), journalRec{}
 	}
 }
 
-// handleUpload opens a sealed record blob and folds it into the learner.
-// Delivery is at-least-once (the client retries lost responses), and the
-// envelope counter makes the fold exactly-once: a replayed counter means
-// this blob was already folded, so the duplicate is acknowledged without
-// folding again.
-func (sh *shard) handleUpload(j job) (Frame, journalRec) {
-	blob, err := sh.env(j.imsi).Open(crypto5g.Uplink, j.sealed)
-	if err != nil {
-		if errors.Is(err, crypto5g.ErrReplay) {
-			sh.srv.duplicates.Add(1)
-			return Frame{Type: TAck}, journalRec{}
-		}
-		return sh.srv.errFrame(fmt.Errorf("fleet: upload from %s: %w", j.imsi, err)), journalRec{}
+// handleRecord applies an upload, a report or a counter install and
+// journals it. Delivery is at-least-once (the client retries lost
+// responses), and the envelope counter makes the fold exactly-once: a
+// replayed counter means this blob was already applied, so the duplicate
+// is acknowledged without applying or journaling it again.
+func (sh *shard) handleRecord(kind byte, j job) (Frame, journalRec) {
+	if sh.degraded {
+		return sh.srv.errFrame(errors.New("fleet: shard degraded after journal failure")), journalRec{}
 	}
-	recs, err := core.UnmarshalRecords(blob)
-	if err != nil {
-		return sh.srv.errFrame(fmt.Errorf("fleet: upload from %s: %w", j.imsi, err)), journalRec{}
+	rows, err := sh.apply(kind, j.imsi, j.body)
+	switch {
+	case errors.Is(err, crypto5g.ErrReplay):
+		sh.srv.duplicates.Add(1)
+		return Frame{Type: TAck}, journalRec{}
+	case err != nil:
+		return sh.srv.errFrame(err), journalRec{}
+	case kind == jUpload:
+		sh.srv.uploads.Add(1)
+		sh.srv.recordRows.Add(uint64(rows))
+	case kind == jReport:
+		sh.srv.reports.Add(1)
 	}
-	rows := 0
-	for _, acts := range recs {
-		rows += len(acts)
-	}
-	sh.mu.Lock()
-	sh.learner.Crowdsource(recs)
-	sh.mu.Unlock()
-	sh.srv.uploads.Add(1)
-	sh.srv.recordRows.Add(uint64(rows))
-	return Frame{Type: TAck}, journalRec{kind: jUpload, imsi: j.imsi, body: j.sealed}
+	return Frame{Type: TAck}, journalRec{kind: kind, imsi: j.imsi, body: j.body}
 }
 
-// handleReport opens and validates a sealed failure report. The in-process
-// infrastructure plugin owns policy repair; the fleet service validates
-// the wire leg and counts what arrived (replays are acknowledged idempotently
-// like uploads). Reports are journaled too: they advance the envelope
-// receive counter, and replay must restore that counter exactly for the
-// dedup of later uploads to hold.
-func (sh *shard) handleReport(j job) (Frame, journalRec) {
-	raw, err := sh.env(j.imsi).Open(crypto5g.Uplink, j.sealed)
-	if err != nil {
-		if errors.Is(err, crypto5g.ErrReplay) {
-			sh.srv.duplicates.Add(1)
-			return Frame{Type: TAck}, journalRec{}
+// apply changes the shard by one journal record. It is the one rule for
+// what a record does: the live handlers call it before journaling the
+// record, and recovery calls it for every record past the snapshot, so
+// replay rebuilds the state the acks promised. An upload or report opens
+// with the subscriber's envelope, which advances its receive counter
+// (ErrReplay when the counter is already past it); an upload's records
+// then fold into the model, and a report is only validated — the
+// in-process infrastructure plugin owns policy repair. A counter install
+// raises the counters it carries. rows is the number of record rows an
+// upload folded. (Outside apply the shard changes only by a snapshot load,
+// by a query's seal, which advances the unjournaled downlink send counter,
+// and by recovery's skip of that counter.)
+func (sh *shard) apply(kind byte, imsi string, body []byte) (rows int, err error) {
+	switch kind {
+	case jUpload, jReport:
+		plain, err := sh.env(imsi).Open(crypto5g.Uplink, body)
+		if err != nil {
+			return 0, recordErr(kind, imsi, err)
 		}
-		return sh.srv.errFrame(fmt.Errorf("fleet: report from %s: %w", j.imsi, err)), journalRec{}
+		if kind == jReport {
+			if _, err := report.Unmarshal(plain); err != nil {
+				return 0, recordErr(kind, imsi, err)
+			}
+			return 0, nil
+		}
+		recs, err := core.UnmarshalRecords(plain)
+		if err != nil {
+			return 0, recordErr(kind, imsi, err)
+		}
+		for _, acts := range recs {
+			rows += len(acts)
+		}
+		sh.mu.Lock()
+		sh.model = MergeModels(sh.model, recs)
+		sh.mu.Unlock()
+		return rows, nil
+	case jInstall:
+		// Max semantics keep an install idempotent under controller retries
+		// and journal replay.
+		entries, err := ParseCounterTable(body)
+		if err != nil {
+			return 0, err
+		}
+		for _, e := range entries {
+			installCounters(sh.env(e.IMSI), e)
+		}
+		return 0, nil
+	default:
+		return 0, fmt.Errorf("fleet: unknown record kind %d", kind)
 	}
-	if _, err := report.Unmarshal(raw); err != nil {
-		return sh.srv.errFrame(fmt.Errorf("fleet: report from %s: %w", j.imsi, err)), journalRec{}
+}
+
+// recordErr names the upload or report a failed open or decode belongs to.
+func recordErr(kind byte, imsi string, err error) error {
+	what := "upload"
+	if kind == jReport {
+		what = "report"
 	}
-	sh.srv.reports.Add(1)
-	return Frame{Type: TAck}, journalRec{kind: jReport, imsi: j.imsi, body: j.sealed}
+	return fmt.Errorf("fleet: %s from %s: %w", what, imsi, err)
 }
 
 // handleCollect gathers the counter state of every subscriber this node
@@ -941,52 +972,27 @@ func (sh *shard) handleReport(j job) (Frame, journalRec) {
 // slice).
 func (sh *shard) handleCollect(j job) Frame {
 	nodeID := sh.srv.cfg.NodeID
-	var entries []CounterEntry
-	for imsi, e := range sh.envs {
-		if j.newMap.OwnerID(imsi) == nodeID {
-			continue // staying here
-		}
-		send, recv := e.Counters()
-		entries = append(entries, CounterEntry{IMSI: imsi, Send: send, Recv: recv})
-	}
-	return Frame{Type: TPrepared, Payload: AppendCounterTable(nil, entries)}
-}
-
-// handleInstall raises moved-in subscribers' counters (rebalance phase 2,
-// shard slice). Max semantics keep it idempotent under controller retries
-// and journal replay.
-func (sh *shard) handleInstall(j job) (Frame, journalRec) {
-	for _, e := range j.table {
-		installCounters(sh.env(e.IMSI), e)
-	}
-	if sh.jr == nil {
-		return Frame{Type: TAck}, journalRec{}
-	}
-	return Frame{Type: TAck}, journalRec{kind: jInstall, body: AppendCounterTable(nil, j.table)}
+	moving := sh.counters(func(imsi string) bool { return j.newMap.OwnerID(imsi) != nodeID })
+	return Frame{Type: TPrepared, Payload: AppendCounterTable(nil, moving)}
 }
 
 // handleQuery answers the model-push leg: merge the cause's evidence
-// across all shards, pick the argmax action (ties break toward the
-// cheaper reset, as in Learner.Best), and seal the suggestion downlink
-// with the asking device's envelope. No evidence → empty TSuggest (the
-// device keeps trialing, Algorithm 1's abstain arm).
+// across all shards, pick the argmax action (core.BestAction, which
+// Learner.Best uses too), and seal the suggestion downlink with the asking
+// device's envelope. No evidence → empty TSuggest (the device keeps
+// trialing, Algorithm 1's abstain arm).
 func (sh *shard) handleQuery(j job) Frame {
 	sh.srv.queries.Add(1)
 	merged := make(map[core.ActionID]int)
 	for _, other := range sh.srv.shards {
 		other.mu.Lock()
-		for a, n := range other.learner.Actions(j.cause) {
+		for a, n := range other.model[j.cause] {
 			merged[a] += n
 		}
 		other.mu.Unlock()
 	}
-	best, bestN := core.ActionID(0), 0
-	for _, a := range core.LearningOrder {
-		if n := merged[a]; n > bestN {
-			best, bestN = a, n
-		}
-	}
-	if bestN == 0 {
+	best, ok := core.BestAction(merged)
+	if !ok {
 		return Frame{Type: TSuggest}
 	}
 	sealed, err := sh.env(j.imsi).Seal(crypto5g.Downlink, SuggestPayload(j.cause, best))
