@@ -112,7 +112,7 @@ func uploadLatencyOf(s *metrics.Series) uploadLatency {
 // deviceLoad is one device's deterministic workload.
 type deviceLoad struct {
 	imsi    string
-	records map[cause.Cause]map[core.ActionID]int
+	records core.Records
 	reports []report.FailureReport
 	query   cause.Cause
 }
@@ -132,7 +132,7 @@ func genDevice(rootSeed int64, i, records, reports int) deviceLoad {
 	rng := rand.New(rand.NewSource(sched.DeriveSeed(rootSeed, uint64(i))))
 	d := deviceLoad{
 		imsi:    fmt.Sprintf("310170%09d", i+1),
-		records: make(map[cause.Cause]map[core.ActionID]int),
+		records: core.Records{},
 	}
 	for r := 0; r < records; r++ {
 		c := cause.Cause{Plane: cause.ControlPlane, Code: cause.Code(150 + rng.Intn(causesPerPlane))}
@@ -140,10 +140,7 @@ func genDevice(rootSeed int64, i, records, reports int) deviceLoad {
 			c.Plane = cause.DataPlane
 		}
 		a := core.LearningOrder[rng.Intn(len(core.LearningOrder))]
-		if d.records[c] == nil {
-			d.records[c] = make(map[core.ActionID]int)
-		}
-		d.records[c][a] += 1 + rng.Intn(3)
+		d.records.Add(c, a, 1+rng.Intn(3))
 		d.query = c
 	}
 	for r := 0; r < reports; r++ {
@@ -232,15 +229,15 @@ func testbedDevice(ld *deviceLoad, rootSeed int64, i int) bool {
 // counts those that produced any); the rest are synthetic.
 func genFleet(rootSeed int64, devices, records, reports, testbed int) (loads []deviceLoad, expected []byte, fromTestbed int) {
 	loads = make([]deviceLoad, devices)
-	baseline := core.NewLearner(0.1, rand.New(rand.NewSource(rootSeed)))
+	baseline := core.Records{}
 	for i := range loads {
 		loads[i] = genDevice(rootSeed, i, records, reports)
 		if i < testbed && testbedDevice(&loads[i], rootSeed, i) {
 			fromTestbed++
 		}
-		baseline.Crowdsource(loads[i].records)
+		baseline.Merge(loads[i].records)
 	}
-	return loads, fleet.MarshalModel(baseline.Export()), fromTestbed
+	return loads, fleet.MarshalModel(baseline), fromTestbed
 }
 
 // logf prints one line of progress output.

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/seed5g/seed/internal/cause"
@@ -109,12 +107,6 @@ type AppletStats struct {
 	TrialsResolved       int
 }
 
-type recKey struct {
-	plane  cause.Plane
-	code   cause.Code
-	action ActionID
-}
-
 type trialState struct {
 	c     cause.Cause
 	idx   int
@@ -142,7 +134,7 @@ type SEEDApplet struct {
 	pendingCP       sched.Timer
 	congestionUntil time.Duration
 
-	records map[recKey]uint16
+	records Records
 	trial   *trialState
 
 	// imsi tags the decision events the applet emits (trace.go); override
@@ -187,7 +179,7 @@ func NewApplet(kern *sched.Kernel, card *sim.Card, imsi string, k [16]byte, cfg 
 		device:     device,
 		mode:       ModeU,
 		lastAction: make(map[ActionID]time.Duration),
-		records:    make(map[recKey]uint16),
+		records:    Records{},
 	}
 }
 
@@ -223,13 +215,7 @@ func (a *SEEDApplet) Stats() AppletStats {
 }
 
 // Records returns a copy of the SIM-side learning records.
-func (a *SEEDApplet) Records() map[recKey]uint16 {
-	out := make(map[recKey]uint16, len(a.records))
-	for k2, v := range a.records {
-		out[k2] = v
-	}
-	return out
-}
+func (a *SEEDApplet) Records() Records { return a.records.Clone() }
 
 // --- downlink diagnosis channel -----------------------------------------
 
@@ -425,8 +411,8 @@ func (a *SEEDApplet) HandleEnvelope(data []byte) ([]byte, error) {
 		a.k.After(a.cfg.ProcLatency, func() { a.handleDeliveryReport(r) })
 		return []byte{0x00}, nil
 	case envUploadRecs:
-		out := a.marshalRecords()
-		a.records = make(map[recKey]uint16)
+		out := MarshalRecords(a.records)
+		a.records = Records{}
 		return out, nil
 	default:
 		return nil, fmt.Errorf("core: unknown envelope opcode %#x", data[0])
@@ -555,8 +541,7 @@ func (a *SEEDApplet) notifyRecovered() {
 		a.trial = nil
 		t.timer.Stop()
 		// Algorithm 1 line 4: record the action that resolved the cause.
-		key := recKey{plane: t.c.Plane, code: t.c.Code, action: t.last}
-		a.records[key]++
+		a.records.Add(t.c, t.last, 1)
 		a.stats.TrialsResolved++
 		a.trace(DecisionEvent{Stage: StageTrialResolved, Plane: t.c.Plane, Code: t.c.Code, Action: t.last, Seq: -1})
 		a.persistRecords()
@@ -621,78 +606,8 @@ func (a *SEEDApplet) TryKnownAction(c cause.Cause, suggested ActionID) {
 	})
 }
 
-// marshalRecords serializes SIMRecord for the OTA upload.
-func (a *SEEDApplet) marshalRecords() []byte {
-	out := make([]byte, 0, len(a.records)*5)
-	for k2, v := range a.records {
-		out = append(out, byte(k2.plane), byte(k2.code), byte(k2.action))
-		out = binary.BigEndian.AppendUint16(out, v)
-	}
-	return out
-}
-
-// MarshalRecords encodes a record map in the OTA upload wire format (the
-// inverse of UnmarshalRecords). Entries are emitted in (plane, code,
-// action) order so the encoding is canonical: equal maps produce equal
-// bytes, which lets the fleet load generator compare a networked
-// aggregate against an in-process baseline byte-for-byte. Counts are
-// clamped to the uint16 wire field.
-func MarshalRecords(recs map[cause.Cause]map[ActionID]int) []byte {
-	type row struct {
-		c cause.Cause
-		a ActionID
-		n int
-	}
-	rows := make([]row, 0, len(recs)*2)
-	for c, acts := range recs {
-		for a, n := range acts {
-			if n <= 0 {
-				continue
-			}
-			rows = append(rows, row{c, a, n})
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].c.Plane != rows[j].c.Plane {
-			return rows[i].c.Plane < rows[j].c.Plane
-		}
-		if rows[i].c.Code != rows[j].c.Code {
-			return rows[i].c.Code < rows[j].c.Code
-		}
-		return rows[i].a < rows[j].a
-	})
-	out := make([]byte, 0, len(rows)*5)
-	for _, r := range rows {
-		n := r.n
-		if n > 0xFFFF {
-			n = 0xFFFF
-		}
-		out = append(out, byte(r.c.Plane), byte(r.c.Code), byte(r.a))
-		out = binary.BigEndian.AppendUint16(out, uint16(n))
-	}
-	return out
-}
-
-// UnmarshalRecords decodes an uploaded SIMRecord blob.
-func UnmarshalRecords(data []byte) (map[cause.Cause]map[ActionID]int, error) {
-	if len(data)%5 != 0 {
-		return nil, fmt.Errorf("core: record blob length %d not a multiple of 5", len(data))
-	}
-	out := make(map[cause.Cause]map[ActionID]int)
-	for i := 0; i < len(data); i += 5 {
-		c := cause.Cause{Plane: cause.Plane(data[i]), Code: cause.Code(data[i+1])}
-		act := ActionID(data[i+2])
-		n := int(binary.BigEndian.Uint16(data[i+3 : i+5]))
-		if out[c] == nil {
-			out[c] = make(map[ActionID]int)
-		}
-		out[c][act] += n
-	}
-	return out, nil
-}
-
 // persistRecords writes the learning records into EFSEEDLog, exercising
 // the EEPROM quota (the data volume argument of §5.3).
 func (a *SEEDApplet) persistRecords() {
-	_ = a.card.FS().Write(sim.EFSEEDLog, a.marshalRecords())
+	_ = a.card.FS().Write(sim.EFSEEDLog, MarshalRecords(a.records))
 }

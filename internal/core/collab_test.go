@@ -296,7 +296,7 @@ func TestLearner(t *testing.T) {
 		t.Fatal("suggestion with no evidence")
 	}
 
-	l.Crowdsource(map[cause.Cause]map[ActionID]int{
+	l.Crowdsource(Records{
 		c: {ActionB3: 3, ActionB1: 1},
 	})
 	best, has := l.Best(c)
@@ -312,7 +312,7 @@ func TestLearner(t *testing.T) {
 
 	// The logistic gate: with heavy evidence, suggestions flow almost
 	// always; verify the empirical rate is high but occasionally null.
-	l.Crowdsource(map[cause.Cause]map[ActionID]int{c: {ActionB3: 20}})
+	l.Crowdsource(Records{c: {ActionB3: 20}})
 	sent := 0
 	for i := 0; i < 1000; i++ {
 		if _, okS := l.Suggest(c); okS {
@@ -325,7 +325,7 @@ func TestLearner(t *testing.T) {
 
 	// Tie-breaking prefers the cheaper action.
 	c2 := cause.Cause{Plane: cause.ControlPlane, Code: 181}
-	l.Crowdsource(map[cause.Cause]map[ActionID]int{
+	l.Crowdsource(Records{
 		c2: {ActionA1: 2, ActionB3: 2},
 	})
 	if best, _ := l.Best(c2); best != ActionB3 {

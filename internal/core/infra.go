@@ -398,10 +398,8 @@ func (p *InfraPlugin) ReceiveRecordUpload(blob []byte) error {
 	p.stats.RecordUploads++
 	if _, traced := p.k.Observer().(DecisionTracer); traced {
 		merged := 0
-		for _, acts := range recs {
-			for _, n := range acts {
-				merged += n
-			}
+		for c := range recs {
+			merged += recs.Evidence(c)
 		}
 		p.trace(DecisionEvent{Stage: StageInfraCrowdsource, Seq: -1, Evidence: clampEvidence(merged)})
 	}

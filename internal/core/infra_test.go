@@ -153,7 +153,7 @@ func TestFig8UnknownCauseGoesToLearning(t *testing.T) {
 	// After crowdsourced evidence, the same cause yields a suggestion
 	// (with an aggressive learning rate the gate is ≈ always open).
 	h.plugin.Learner.LR = 10
-	h.plugin.Learner.Crowdsource(map[cause.Cause]map[ActionID]int{
+	h.plugin.Learner.Crowdsource(Records{
 		{Plane: cause.DataPlane, Code: 199}: {ActionB3: 5},
 	})
 	h.net.SMF.OnReject("ue", 199)

@@ -18,52 +18,23 @@ type Learner struct {
 	LR float64
 
 	rng *rand.Rand
-	net map[cause.Cause]map[ActionID]int
+	net Records
 }
 
 // NewLearner creates a learner with the given rate and random source.
 func NewLearner(lr float64, rng *rand.Rand) *Learner {
-	return &Learner{LR: lr, rng: rng, net: make(map[cause.Cause]map[ActionID]int)}
+	return &Learner{LR: lr, rng: rng, net: Records{}}
 }
 
 // Crowdsource merges one SIM's uploaded records (Algorithm 1 lines 8–10).
-func (l *Learner) Crowdsource(records map[cause.Cause]map[ActionID]int) {
-	for c, acts := range records {
-		if l.net[c] == nil {
-			l.net[c] = make(map[ActionID]int)
-		}
-		for a, n := range acts {
-			l.net[c][a] += n
-		}
-	}
-}
+func (l *Learner) Crowdsource(records Records) { l.net.Merge(records) }
 
 // Evidence returns the total observations for a cause.
-func (l *Learner) Evidence(c cause.Cause) int {
-	total := 0
-	for _, n := range l.net[c] {
-		total += n
-	}
-	return total
-}
+func (l *Learner) Evidence(c cause.Cause) int { return l.net.Evidence(c) }
 
 // Best returns the argmax action for a cause and whether any evidence
-// exists (BestAction over the cause's counts).
-func (l *Learner) Best(c cause.Cause) (ActionID, bool) { return BestAction(l.net[c]) }
-
-// BestAction returns the action with the most successes and whether any
-// action has a positive count. Ties break toward the cheaper action (later
-// in LearningOrder means more disruptive, so prefer earlier).
-func BestAction(acts map[ActionID]int) (ActionID, bool) {
-	var best ActionID
-	bestN := 0
-	for _, a := range LearningOrder {
-		if n := acts[a]; n > bestN {
-			best, bestN = a, n
-		}
-	}
-	return best, bestN > 0
-}
+// exists.
+func (l *Learner) Best(c cause.Cause) (ActionID, bool) { return l.net.Best(c) }
 
 // Suggest decides what to send for an unknown cause (lines 11–17): the
 // argmax action with probability 1/(1+e^(−LR·evidence)), else nothing.
@@ -82,18 +53,7 @@ func (l *Learner) Suggest(c cause.Cause) (ActionID, bool) {
 // Causes returns the number of distinct causes with evidence.
 func (l *Learner) Causes() int { return len(l.net) }
 
-// Export returns a deep copy of the crowd-sourced model: every cause's
-// per-action success counts, the form the fleet tier folds and serializes
-// (fleet.MarshalModel), so a sequential in-process fold is the oracle for
-// the networked aggregate.
-func (l *Learner) Export() map[cause.Cause]map[ActionID]int {
-	out := make(map[cause.Cause]map[ActionID]int, len(l.net))
-	for c, acts := range l.net {
-		m := make(map[ActionID]int, len(acts))
-		for a, n := range acts {
-			m[a] = n
-		}
-		out[c] = m
-	}
-	return out
-}
+// Export returns a deep copy of the crowd-sourced table, the form the
+// fleet tier folds and serializes (fleet.MarshalModel), so a sequential
+// in-process fold is the oracle for the networked aggregate.
+func (l *Learner) Export() Records { return l.net.Clone() }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math/rand"
 	"path/filepath"
 	"testing"
 	"time"
@@ -123,10 +122,10 @@ func TestClusterRoutingAndMergedModel(t *testing.T) {
 	ctx := context.Background()
 
 	const devices = 60
-	baseline := core.NewLearner(0.1, rand.New(rand.NewSource(1)))
+	baseline := core.Records{}
 	for i := 0; i < devices; i++ {
 		recs := deviceRecords(i)
-		baseline.Crowdsource(recs)
+		baseline.Merge(recs)
 		dev := NewSimDevice(DefaultMasterKey, fmt.Sprintf("00111%010d", i))
 		sealed, err := dev.SealRecords(core.MarshalRecords(recs))
 		if err == nil {
@@ -140,7 +139,7 @@ func TestClusterRoutingAndMergedModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, MarshalModel(baseline.Export())) {
+	if !bytes.Equal(got, MarshalModel(baseline)) {
 		t.Fatal("cluster merged model differs from sequential baseline")
 	}
 	// Every node should have seen SOME uploads (ownership spread), and the
@@ -295,11 +294,11 @@ func TestClusterKillRestartExactlyOnce(t *testing.T) {
 		sealed []byte
 	}
 	const devices = 45
-	baseline := core.NewLearner(0.1, rand.New(rand.NewSource(1)))
+	baseline := core.Records{}
 	var all []sent
 	for i := 0; i < devices; i++ {
 		recs := deviceRecords(i)
-		baseline.Crowdsource(recs)
+		baseline.Merge(recs)
 		dev := NewSimDevice(DefaultMasterKey, fmt.Sprintf("00113%010d", i))
 		sealed, err := dev.SealRecords(core.MarshalRecords(recs))
 		if err == nil {
@@ -325,7 +324,7 @@ func TestClusterKillRestartExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, MarshalModel(baseline.Export())) {
+	if !bytes.Equal(got, MarshalModel(baseline)) {
 		t.Fatal("model diverged across kill+restart+retry")
 	}
 	if st := tc.servers["n1"].Stats(); st.ReplayedRecords == 0 {
@@ -346,11 +345,11 @@ func TestClusterRebalanceExactlyOnce(t *testing.T) {
 		imsi   string
 		sealed []byte
 	}
-	baseline := core.NewLearner(0.1, rand.New(rand.NewSource(1)))
+	baseline := core.Records{}
 	var all []sent
 	upload := func(i int) {
 		recs := deviceRecords(i)
-		baseline.Crowdsource(recs)
+		baseline.Merge(recs)
 		dev := NewSimDevice(DefaultMasterKey, fmt.Sprintf("00114%010d", i))
 		sealed, err := dev.SealRecords(core.MarshalRecords(recs))
 		if err == nil {
@@ -401,7 +400,7 @@ func TestClusterRebalanceExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, MarshalModel(baseline.Export())) {
+	if !bytes.Equal(got, MarshalModel(baseline)) {
 		t.Fatal("model diverged across rebalances — counter handoff leaked a double fold")
 	}
 	for _, srv := range tc.servers {

@@ -204,17 +204,17 @@ func (cc *ClusterClient) Query(ctx context.Context, imsi string, c cause.Cause) 
 // definition this cross-node merge; the canonical sorted serialization
 // makes the result independent of poll order.
 func (cc *ClusterClient) FetchClusterModel(ctx context.Context) ([]byte, error) {
-	var merged map[cause.Cause]map[core.ActionID]int
+	merged := core.Records{}
 	for _, n := range cc.Map().Nodes() {
 		resp, err := cc.client(n).DoCtx(ctx, "model", Frame{Type: TModelPull})
 		if err != nil {
 			return nil, fmt.Errorf("fleet: model pull from %s: %w", n.ID, err)
 		}
-		m, err := UnmarshalModel(resp.Payload)
+		m, err := core.ParseRecords(resp.Payload, 4)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: model from %s: %w", n.ID, err)
 		}
-		merged = MergeModels(merged, m)
+		merged.Merge(m)
 	}
 	return MarshalModel(merged), nil
 }

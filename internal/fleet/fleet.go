@@ -12,10 +12,10 @@
 // every record is folded exactly once and the aggregated model is
 // byte-identical to an in-process sequential baseline.
 //
-// A server shard holds its fold as plain per-cause action counts and
-// answers a query with their argmax (core.BestAction): the logistic gate,
-// rate and random source of core.Learner belong to the in-process plugin
-// and were never read here. Uploads, reports and counter installs change a
+// A server shard holds its fold as a core.Records table and answers a
+// query with its argmax (Records.Best): the logistic gate, rate and random
+// source of core.Learner belong to the in-process plugin and were never
+// read here. Uploads, reports and counter installs change a
 // shard through one function, (*shard).apply, both when they arrive and
 // when a journaled server replays them after a crash, so recovery rebuilds
 // the acknowledged state byte for byte (DESIGN.md, "Crash-tolerant sharded
@@ -80,3 +80,8 @@ func Ratio(num, den uint64) float64 {
 	}
 	return float64(num) / float64(den)
 }
+
+// MarshalModel canonically encodes an aggregate model: 7-byte rows with
+// uint32 counts (core.AppendRecords). The same bytes answer a TModelPull
+// and form a shard snapshot's model section.
+func MarshalModel(m core.Records) []byte { return core.AppendRecords(nil, m, 4) }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -35,10 +34,10 @@ func startServer(t *testing.T, cfg ServerConfig) (*Server, *Client) {
 	return srv, cl
 }
 
-func deviceRecords(i int) map[cause.Cause]map[core.ActionID]int {
+func deviceRecords(i int) core.Records {
 	c := cause.MM(cause.Code(150 + i%3))
 	a := core.LearningOrder[i%len(core.LearningOrder)]
-	return map[cause.Cause]map[core.ActionID]int{c: {a: 1 + i%2}}
+	return core.Records{c: {a: 1 + i%2}}
 }
 
 // TestFleetEndToEnd drives devices through upload → report → query and
@@ -48,13 +47,13 @@ func TestFleetEndToEnd(t *testing.T) {
 	srv, cl := startServer(t, ServerConfig{Shards: 3, QueueDepth: 8})
 
 	const devices = 40
-	baseline := core.NewLearner(0.1, rand.New(rand.NewSource(1)))
+	baseline := core.Records{}
 	var wg sync.WaitGroup
 	for i := 0; i < devices; i++ {
 		recs := deviceRecords(i)
-		baseline.Crowdsource(recs)
+		baseline.Merge(recs)
 		wg.Add(1)
-		go func(i int, recs map[cause.Cause]map[core.ActionID]int) {
+		go func(i int, recs core.Records) {
 			defer wg.Done()
 			dev := NewSimDevice(DefaultMasterKey, fmt.Sprintf("00101%010d", i))
 			sealed, err := dev.SealRecords(core.MarshalRecords(recs))
@@ -81,7 +80,7 @@ func TestFleetEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := MarshalModel(baseline.Export())
+	want := MarshalModel(baseline)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("aggregate model differs: server %d bytes, baseline %d bytes", len(got), len(want))
 	}
@@ -176,13 +175,13 @@ func TestFleetBackpressureNoLoss(t *testing.T) {
 	srv, cl := startServer(t, ServerConfig{Shards: 1, QueueDepth: 1, RetryAfter: time.Millisecond})
 
 	const devices = 32
-	baseline := core.NewLearner(0.1, rand.New(rand.NewSource(1)))
+	baseline := core.Records{}
 	var wg sync.WaitGroup
 	for i := 0; i < devices; i++ {
 		recs := deviceRecords(i)
-		baseline.Crowdsource(recs)
+		baseline.Merge(recs)
 		wg.Add(1)
-		go func(i int, recs map[cause.Cause]map[core.ActionID]int) {
+		go func(i int, recs core.Records) {
 			defer wg.Done()
 			dev := NewSimDevice(DefaultMasterKey, fmt.Sprintf("00102%010d", i))
 			sealed, err := dev.SealRecords(core.MarshalRecords(recs))
@@ -200,7 +199,7 @@ func TestFleetBackpressureNoLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, MarshalModel(baseline.Export())) {
+	if !bytes.Equal(got, MarshalModel(baseline)) {
 		t.Fatal("model diverged under backpressure")
 	}
 	if st := srv.Stats(); st.Uploads != devices || st.Dropped != 0 {

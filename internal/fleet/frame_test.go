@@ -110,30 +110,31 @@ func TestSuggestPayloadDecodes(t *testing.T) {
 }
 
 func TestModelCodecCanonical(t *testing.T) {
-	m := map[cause.Cause]map[core.ActionID]int{
+	m := core.Records{
 		cause.SM(160): {core.ActionB3: 7, core.ActionA1: 2},
 		cause.MM(150): {core.ActionB1: 3},
 	}
 	enc := MarshalModel(m)
 	// Same content built in a different insertion order encodes identically.
-	m2 := MergeModels(nil, map[cause.Cause]map[core.ActionID]int{cause.MM(150): {core.ActionB1: 1}})
-	m2 = MergeModels(m2, map[cause.Cause]map[core.ActionID]int{cause.SM(160): {core.ActionA1: 2, core.ActionB3: 7}})
-	m2 = MergeModels(m2, map[cause.Cause]map[core.ActionID]int{cause.MM(150): {core.ActionB1: 2}})
+	m2 := core.Records{}
+	m2.Add(cause.MM(150), core.ActionB1, 1)
+	m2.Merge(core.Records{cause.SM(160): {core.ActionA1: 2, core.ActionB3: 7}})
+	m2.Add(cause.MM(150), core.ActionB1, 2)
 	if !bytes.Equal(enc, MarshalModel(m2)) {
 		t.Fatal("canonical encoding differs for equal models")
 	}
-	dec, err := UnmarshalModel(enc)
+	dec, err := core.ParseRecords(enc, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(MarshalModel(dec), enc) {
 		t.Fatal("decode/re-encode not idempotent")
 	}
-	if _, err := UnmarshalModel(enc[:len(enc)-1]); err == nil {
+	if _, err := core.ParseRecords(enc[:len(enc)-1], 4); err == nil {
 		t.Fatal("truncated model decoded without error")
 	}
 	// Zero and negative counts are dropped, not encoded.
-	if len(MarshalModel(map[cause.Cause]map[core.ActionID]int{cause.MM(1): {core.ActionA1: 0}})) != 0 {
+	if len(MarshalModel(core.Records{cause.MM(1): {core.ActionA1: 0, core.ActionA2: -3}})) != 0 {
 		t.Fatal("zero count encoded")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"github.com/seed5g/seed/internal/cause"
-	"github.com/seed5g/seed/internal/core"
 )
 
 // FuzzReadFrame feeds arbitrary byte streams to the frame decoder. The
@@ -80,33 +79,6 @@ func FuzzParseQueryPayload(f *testing.F) {
 		}
 		if !bytes.Equal(AppendQueryPayload(nil, imsi, c), data) {
 			t.Fatalf("round trip diverged for %x", data)
-		}
-	})
-}
-
-// FuzzUnmarshalModel checks the snapshot/model codec: no panics, and
-// decoded models re-encode canonically to the same bytes.
-func FuzzUnmarshalModel(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(MarshalModel(map[cause.Cause]map[core.ActionID]int{
-		cause.MM(150): {core.ActionA1: 3},
-		cause.SM(161): {core.ActionB3: 9},
-	}))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := UnmarshalModel(data)
-		if err != nil {
-			return
-		}
-		// Canonical: sorted input re-encodes identically; unsorted or
-		// duplicate-row input may legitimately differ, so only check the
-		// decode→encode→decode fixed point.
-		enc := MarshalModel(m)
-		m2, err := UnmarshalModel(enc)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if !bytes.Equal(MarshalModel(m2), enc) {
-			t.Fatalf("encode not a fixed point for %x", data)
 		}
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"github.com/seed5g/seed/internal/core"
 	"github.com/seed5g/seed/internal/crypto5g"
 )
 
@@ -319,7 +320,7 @@ func (sh *shard) loadSnapshot(path string) (seq uint64, err error) {
 	if len(rest) < 4 || int(binary.BigEndian.Uint32(rest)) != len(rest)-4 {
 		return fail("model length mismatch")
 	}
-	model, err := UnmarshalModel(rest[4:])
+	model, err := core.ParseRecords(rest[4:], 4)
 	if err != nil {
 		return fail(err.Error())
 	}

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -84,7 +83,7 @@ func TestJournalKillRecoversExactModelAndDedup(t *testing.T) {
 	srv1, cl1 := startJournalServer(t, cfg)
 
 	const devices = 30
-	baseline := core.NewLearner(0.1, rand.New(rand.NewSource(1)))
+	baseline := core.Records{}
 	type sent struct {
 		imsi   string
 		sealed []byte
@@ -92,7 +91,7 @@ func TestJournalKillRecoversExactModelAndDedup(t *testing.T) {
 	var sentAll []sent
 	for i := 0; i < devices; i++ {
 		recs := deviceRecords(i)
-		baseline.Crowdsource(recs)
+		baseline.Merge(recs)
 		dev := NewSimDevice(DefaultMasterKey, fmt.Sprintf("00103%010d", i))
 		sealed, err := dev.SealRecords(core.MarshalRecords(recs))
 		if err == nil {
@@ -115,7 +114,7 @@ func TestJournalKillRecoversExactModelAndDedup(t *testing.T) {
 	if !bytes.Equal(srv2.Model(), model1) {
 		t.Fatal("post-crash model differs from pre-crash model")
 	}
-	if !bytes.Equal(srv2.Model(), MarshalModel(baseline.Export())) {
+	if !bytes.Equal(srv2.Model(), MarshalModel(baseline)) {
 		t.Fatal("post-crash model differs from sequential baseline")
 	}
 
@@ -178,10 +177,10 @@ func TestJournalCrashMidCompaction(t *testing.T) {
 	dir := t.TempDir()
 	cfg := ServerConfig{Shards: 1, JournalDir: dir}
 	srv, cl := startJournalServer(t, cfg)
-	baseline := core.NewLearner(0.1, rand.New(rand.NewSource(1)))
+	baseline := core.Records{}
 	for i := 0; i < 12; i++ {
 		recs := deviceRecords(i)
-		baseline.Crowdsource(recs)
+		baseline.Merge(recs)
 		dev := NewSimDevice(DefaultMasterKey, fmt.Sprintf("00105%010d", i))
 		sealed, _ := dev.SealRecords(core.MarshalRecords(recs))
 		if err := cl.UploadRecords(dev.IMSI, sealed); err != nil {
@@ -205,14 +204,14 @@ func TestJournalCrashMidCompaction(t *testing.T) {
 	if rec := recs[0]; rec.Replayed != 0 || rec.Skipped == 0 {
 		t.Fatalf("snapshot-covered records were not skipped: replayed=%d skipped=%d", rec.Replayed, rec.Skipped)
 	}
-	if !bytes.Equal(restored.Model(), MarshalModel(baseline.Export())) {
+	if !bytes.Equal(restored.Model(), MarshalModel(baseline)) {
 		t.Fatal("crash mid-compaction double-folded or lost records")
 	}
 
 	// A full server restart over the same state must also come up clean.
 	srv2, cl2 := startJournalServer(t, cfg)
 	defer func() { cl2.Close(); _ = srv2.Shutdown() }()
-	if !bytes.Equal(srv2.Model(), MarshalModel(baseline.Export())) {
+	if !bytes.Equal(srv2.Model(), MarshalModel(baseline)) {
 		t.Fatal("restarted server model differs after crash mid-compaction")
 	}
 }
@@ -457,7 +456,7 @@ func TestRecoverShardFreshDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := recs[0]; len(srv.shards[0].envs) != 0 || srv.shards[0].model != nil || rec.Replayed != 0 || rec.NextSeq != 1 {
+	if rec := recs[0]; len(srv.shards[0].envs) != 0 || len(srv.shards[0].model) != 0 || rec.Replayed != 0 || rec.NextSeq != 1 {
 		t.Fatalf("fresh dir recovery: %+v", rec)
 	}
 }

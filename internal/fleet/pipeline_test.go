@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"math/rand"
 	"net"
 	"sync"
 	"testing"
@@ -184,10 +183,10 @@ func TestShutdownAnswersAcceptedRequests(t *testing.T) {
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
-	baseline := core.NewLearner(0.1, rand.New(rand.NewSource(1)))
+	baseline := core.Records{}
 	var frames []Frame
 	for i := 0; i < n; i++ {
-		baseline.Crowdsource(deviceRecords(i))
+		baseline.Merge(deviceRecords(i))
 		frames = append(frames, uploadFrame(t, fmt.Sprintf("00121%010d", i), i))
 	}
 	conn := dialRaw(t, srv)
@@ -219,7 +218,7 @@ func TestShutdownAnswersAcceptedRequests(t *testing.T) {
 	if st := srv.Stats(); st.Uploads != n || st.Dropped != 0 {
 		t.Fatalf("stats %+v", st)
 	}
-	if !bytes.Equal(srv.Model(), MarshalModel(baseline.Export())) {
+	if !bytes.Equal(srv.Model(), MarshalModel(baseline)) {
 		t.Fatal("drained model is not the fold of the acknowledged uploads")
 	}
 }
@@ -239,10 +238,10 @@ func TestBrokenConnectionRetriesAllInFlight(t *testing.T) {
 	cl := NewClient(ClientConfig{Addr: srv.Addr().String(), Conns: 1, BackoffBase: time.Millisecond})
 	defer cl.Close()
 
-	baseline := core.NewLearner(0.1, rand.New(rand.NewSource(1)))
+	baseline := core.Records{}
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
-		baseline.Crowdsource(deviceRecords(i))
+		baseline.Merge(deviceRecords(i))
 		up := uploadFrame(t, fmt.Sprintf("00122%010d", i), i)
 		go func() {
 			_, err := cl.Do("upload", up)
@@ -271,7 +270,7 @@ func TestBrokenConnectionRetriesAllInFlight(t *testing.T) {
 	if st := srv.Stats(); st.Uploads != n || st.Duplicates != n {
 		t.Errorf("uploads=%d duplicates=%d, want %d and %d", st.Uploads, st.Duplicates, n, n)
 	}
-	if !bytes.Equal(srv.Model(), MarshalModel(baseline.Export())) {
+	if !bytes.Equal(srv.Model(), MarshalModel(baseline)) {
 		t.Fatal("model differs from the sequential fold")
 	}
 }
@@ -421,9 +420,9 @@ func TestSerialCallerAgainstPipelinedServer(t *testing.T) {
 	defer func() { _ = srv.Shutdown() }()
 	conn := dialRaw(t, srv)
 	br := bufio.NewReader(conn)
-	baseline := core.NewLearner(0.1, rand.New(rand.NewSource(1)))
+	baseline := core.Records{}
 	for i := 0; i < 20; i++ {
-		baseline.Crowdsource(deviceRecords(i))
+		baseline.Merge(deviceRecords(i))
 		if _, err := conn.Write(encodeFrames(uploadFrame(t, fmt.Sprintf("00123%010d", i), i))); err != nil {
 			t.Fatal(err)
 		}
@@ -435,7 +434,7 @@ func TestSerialCallerAgainstPipelinedServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	f, err := ReadFrame(br, DefaultMaxFrame)
-	if err != nil || f.Type != TModel || !bytes.Equal(f.Payload, MarshalModel(baseline.Export())) {
+	if err != nil || f.Type != TModel || !bytes.Equal(f.Payload, MarshalModel(baseline)) {
 		t.Fatalf("model pull: %v %v", f.Type, err)
 	}
 }

@@ -209,7 +209,7 @@ type shard struct {
 	mu    sync.Mutex
 	// model is the fold of every upload the shard applied: per cause, the
 	// success count of each action (Algorithm 1's crowd-sourced table).
-	model map[cause.Cause]map[core.ActionID]int
+	model core.Records
 	envs  map[string]*crypto5g.Envelope
 	jr    *journal // nil when JournalDir is unset
 	// degraded is set when an fsync failed: the shard stops acknowledging
@@ -232,6 +232,7 @@ func NewServer(cfg ServerConfig) *Server {
 			idx:   i,
 			srv:   s,
 			queue: make(chan job, cfg.QueueDepth),
+			model: core.Records{},
 			envs:  make(map[string]*crypto5g.Envelope),
 		})
 	}
@@ -355,10 +356,10 @@ func (s *Server) Stats() ServerStats {
 
 // Model returns the canonical serialization of the merged aggregate model.
 func (s *Server) Model() []byte {
-	var merged map[cause.Cause]map[core.ActionID]int
+	merged := core.Records{}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		merged = MergeModels(merged, sh.model)
+		merged.Merge(sh.model)
 		sh.mu.Unlock()
 	}
 	return MarshalModel(merged)
@@ -935,13 +936,10 @@ func (sh *shard) apply(kind byte, imsi string, body []byte) (rows int, err error
 		if err != nil {
 			return 0, recordErr(kind, imsi, err)
 		}
-		for _, acts := range recs {
-			rows += len(acts)
-		}
 		sh.mu.Lock()
-		sh.model = MergeModels(sh.model, recs)
+		sh.model.Merge(recs)
 		sh.mu.Unlock()
-		return rows, nil
+		return recs.Rows(), nil
 	case jInstall:
 		// Max semantics keep an install idempotent under controller retries
 		// and journal replay.
@@ -977,21 +975,21 @@ func (sh *shard) handleCollect(j job) Frame {
 }
 
 // handleQuery answers the model-push leg: merge the cause's evidence
-// across all shards, pick the argmax action (core.BestAction, which
+// across all shards, pick the argmax action (core.Records.Best, which
 // Learner.Best uses too), and seal the suggestion downlink with the asking
 // device's envelope. No evidence → empty TSuggest (the device keeps
 // trialing, Algorithm 1's abstain arm).
 func (sh *shard) handleQuery(j job) Frame {
 	sh.srv.queries.Add(1)
-	merged := make(map[core.ActionID]int)
+	merged := core.Records{}
 	for _, other := range sh.srv.shards {
 		other.mu.Lock()
 		for a, n := range other.model[j.cause] {
-			merged[a] += n
+			merged.Add(j.cause, a, n)
 		}
 		other.mu.Unlock()
 	}
-	best, ok := core.BestAction(merged)
+	best, ok := merged.Best(j.cause)
 	if !ok {
 		return Frame{Type: TSuggest}
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/seed5g/seed/internal/cause"
+	"github.com/seed5g/seed/internal/workload"
 )
 
 // Scenario classifies how a failure case behaves when replayed: what is
@@ -58,6 +59,27 @@ func (s Scenario) String() string {
 		return "silent-timeout"
 	default:
 		return fmt.Sprintf("Scenario(%d)", uint8(s))
+	}
+}
+
+// ScenarioOf maps a workload spec's scenario string (workload.Scen*) to its
+// class. The mobility scenarios are cause-9 races that a replay walks as
+// such, not a dataset class; they and any other string map to
+// ScenTransient.
+func ScenarioOf(s string) Scenario {
+	switch s {
+	case workload.ScenDesync:
+		return ScenDesync
+	case workload.ScenStaleDevice:
+		return ScenStaleConfigDevice
+	case workload.ScenStaleEverywhere:
+		return ScenStaleConfigEverywhere
+	case workload.ScenUserAction:
+		return ScenUserAction
+	case workload.ScenSilent:
+		return ScenSilent
+	default:
+		return ScenTransient
 	}
 }
 

@@ -102,10 +102,15 @@ func sampleGamma(rng *rand.Rand, shape float64) float64 {
 	}
 }
 
-// lognormal samples a lognormal duration with the given median and sigma
-// (the dataset generator's heal-time model).
-func lognormal(rng *rand.Rand, median time.Duration, sigma float64) time.Duration {
-	v := float64(median) * math.Exp(rng.NormFloat64()*sigma)
+// SampleHeal draws the entry's self-heal time: lognormal with median
+// HealMedianMS and sigma HealSigma (one rng.NormFloat64), at least 1 ms.
+// An entry without a median never self-heals (0, no draw).
+func (m CauseMix) SampleHeal(rng *rand.Rand) time.Duration {
+	if m.HealMedianMS <= 0 {
+		return 0
+	}
+	median := time.Duration(m.HealMedianMS * float64(time.Millisecond))
+	v := float64(median) * math.Exp(rng.NormFloat64()*m.HealSigma)
 	if v < float64(time.Millisecond) {
 		v = float64(time.Millisecond)
 	}

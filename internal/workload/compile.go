@@ -65,7 +65,7 @@ func Compile(sp *Spec, rootSeed int64) ([]Cell, error) {
 	var cells []Cell
 	for pi := range sp.Populations {
 		p := &sp.Populations[pi]
-		weights, total := normalizedMix(p.Mix)
+		total := MixTotal(p.Mix)
 		for d := 0; d < p.Count; d++ {
 			arr := newArrivalSampler(&p.Arrival, streamRNG(rootSeed, streamArrival, pi, d))
 			mix := streamRNG(rootSeed, streamMix, pi, d)
@@ -78,7 +78,7 @@ func Compile(sp *Spec, rootSeed int64) ([]Cell, error) {
 				if len(cells) > MaxCells {
 					return nil, fmt.Errorf("workload: compiled corpus exceeds the %d-cell bound", MaxCells)
 				}
-				m := pickMix(mix, p.Mix, weights, total)
+				m := PickMix(mix, p.Mix, total)
 				c := Cell{
 					Population: p.Name,
 					DeviceIdx:  d,
@@ -102,10 +102,7 @@ func Compile(sp *Spec, rootSeed int64) ([]Cell, error) {
 				} else {
 					c.Plane = m.Plane
 					c.Code = m.Code
-					if m.HealMedianMS > 0 {
-						med := time.Duration(m.HealMedianMS * float64(time.Millisecond))
-						c.Heal = lognormal(mix, med, m.HealSigma)
-					}
+					c.Heal = m.SampleHeal(mix)
 				}
 				cells = append(cells, c)
 			}
@@ -124,22 +121,23 @@ func streamRNG(root int64, stream uint64, pi, d int) *rand.Rand {
 	return sched.NewRand(sched.DeriveSeedN(root, stream, uint64(pi), uint64(d)))
 }
 
-func normalizedMix(mix []CauseMix) (weights []float64, total float64) {
-	weights = make([]float64, len(mix))
-	for i, m := range mix {
-		weights[i] = m.Weight
+// MixTotal is the sum of a mix's weights, PickMix's normalizer.
+func MixTotal(mix []CauseMix) (total float64) {
+	for _, m := range mix {
 		total += m.Weight
 	}
-	return weights, total
+	return total
 }
 
-func pickMix(rng *rand.Rand, mix []CauseMix, weights []float64, total float64) CauseMix {
+// PickMix draws one entry of mix with probability proportional to its
+// weight (one rng.Float64).
+func PickMix(rng *rand.Rand, mix []CauseMix, total float64) CauseMix {
 	pick := rng.Float64() * total
-	for i, w := range weights {
-		if pick < w {
-			return mix[i]
+	for _, m := range mix {
+		if pick < m.Weight {
+			return m
 		}
-		pick -= w
+		pick -= m.Weight
 	}
 	return mix[len(mix)-1]
 }

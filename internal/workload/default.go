@@ -43,7 +43,7 @@ func DefaultSpec() *Spec {
 					Process: "weibull", RatePerMin: 0.12, Shape: 1.4,
 					Storms: []Storm{{AtMin: 60, DurMin: 10, Mult: 6}},
 				},
-				Mix: fixedMix(),
+				Mix: StationaryMix(),
 				RF:  &RFSpec{JitterMS: 2},
 			},
 		},
@@ -93,9 +93,11 @@ func mobileMix() []CauseMix {
 	}
 }
 
-// fixedMix is the same Table 1 mix for a stationary population: the full
-// cause-9 mass stays on the plain transient/desync classes.
-func fixedMix() []CauseMix {
+// StationaryMix is the same Table 1 mix for a stationary population: the
+// full cause-9 mass stays on the plain transient/desync classes. It is also
+// the synthesized dataset's cause mix (trace.Generate), so Table 1 is
+// declared once.
+func StationaryMix() []CauseMix {
 	mix := mobileMix()
 	out := mix[:0:0]
 	for _, m := range mix {

@@ -414,7 +414,7 @@ func validateMix(sp *Spec, p *Population) error {
 			if m.Code != 0 {
 				return fmt.Errorf("workload: population %q failure_mix[%d] silent entries carry no cause code", p.Name, i)
 			}
-		} else if _, ok := cause.Lookup(mixCause(m)); !ok {
+		} else if _, ok := cause.Lookup(m.Cause()); !ok {
 			return fmt.Errorf("workload: population %q failure_mix[%d] cause %s/%d not a standardized cause", p.Name, i, m.Plane, m.Code)
 		}
 		needHeal := m.Scenario == ScenTransient || m.Scenario == ScenSilent || (m.Scenario == ScenStaleEverywhere)
@@ -433,7 +433,8 @@ func validateMix(sp *Spec, p *Population) error {
 	return nil
 }
 
-func mixCause(m CauseMix) cause.Cause {
+// Cause is the entry's standardized cause (control → 5GMM, data → 5GSM).
+func (m CauseMix) Cause() cause.Cause {
 	if m.Plane == "data" {
 		return cause.SM(cause.Code(m.Code))
 	}

@@ -483,6 +483,26 @@ func TestDefaultSpecMixWithinGate(t *testing.T) {
 	}
 }
 
+// TestStationaryMixPlaneSplit keeps the Table 1 mix — the dataset's and
+// the stationary population's — on the published class split: control
+// plane 56.2 %, data plane 43.8 %, every weight positive.
+func TestStationaryMixPlaneSplit(t *testing.T) {
+	var control, data float64
+	for _, m := range StationaryMix() {
+		if m.Weight <= 0 {
+			t.Fatalf("non-positive weight for %+v", m)
+		}
+		if mixIsControl(m) {
+			control += m.Weight
+		} else {
+			data += m.Weight
+		}
+	}
+	if math.Abs(control-ControlShareTarget) > 0.005 || math.Abs(data-(1-ControlShareTarget)) > 0.005 {
+		t.Fatalf("plane split drifted: control=%.3f data=%.3f", control, data)
+	}
+}
+
 // TestCalibrateSearch runs the full two-phase search with a stub replay
 // (drawing plausible disruptions from the cell's own seed) to verify the
 // plumbing: finalists marked, composite populated, winner is argmin.

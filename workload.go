@@ -1,6 +1,9 @@
 package seed
 
-import "github.com/seed5g/seed/internal/workload"
+import (
+	"github.com/seed5g/seed/internal/trace"
+	"github.com/seed5g/seed/internal/workload"
+)
 
 // This file executes compiled workload cells (internal/workload) on real
 // testbeds. The split keeps internal/workload pure — spec parsing,
@@ -8,25 +11,6 @@ import "github.com/seed5g/seed/internal/workload"
 // the root package supplies the one thing it cannot: end-to-end replay.
 // Every cell runs on its own testbed from its own compiled seed, so a
 // corpus's outcomes are bit-identical however its cells fan across workers.
-
-// workloadScenario maps spec scenario strings to the dataset's scenario
-// classes (mobility scenarios are handled separately).
-func workloadScenario(s string) FailureScenario {
-	switch s {
-	case workload.ScenDesync:
-		return ScenarioDesync
-	case workload.ScenStaleDevice:
-		return ScenarioStaleConfigDevice
-	case workload.ScenStaleEverywhere:
-		return ScenarioStaleConfigEverywhere
-	case workload.ScenUserAction:
-		return ScenarioUserAction
-	case workload.ScenSilent:
-		return ScenarioSilent
-	default:
-		return ScenarioTransient
-	}
-}
 
 // RunWorkloadCell executes one compiled cell under mode with an optional
 // instrument (nil is the plain TraceOff path): the compiled-cell vocabulary
@@ -40,7 +24,7 @@ func RunWorkloadCell(sp *workload.Spec, c workload.Cell, mode Mode, inst *Instru
 // compiledCellRun translates a compiled cell into runCell's description.
 func compiledCellRun(sp *workload.Spec, c workload.Cell, inst *Instrument) cellRun {
 	run := cellRun{
-		controlPlane: c.Plane == "control", code: c.Code, scenario: workloadScenario(c.Scenario), heal: c.Heal,
+		controlPlane: c.Plane == "control", code: c.Code, scenario: trace.ScenarioOf(c.Scenario), heal: c.Heal,
 		jitter: c.RFJitter, loss: c.LossWindows, partitions: c.PartitionWindows,
 		inst: inst,
 	}
