@@ -7,8 +7,7 @@
 // Usage:
 //
 //	seedpolicy [-seed S] [-spec FILE] [-cells N] [-rounds R] [-topk K]
-//	           [-pins P] [-parallel W] [-trace off|decisions|full]
-//	           [-selfcheck] [-json FILE]
+//	           [-pins P] [-parallel W] [-selfcheck] [-json FILE]
 //
 // The corpus is the calibrated default workload (internal/workload)
 // unless -spec points at a spec JSON. Only SEED-mode, non-user-action
@@ -19,10 +18,11 @@
 //
 // -selfcheck replays the trace-determinism and counterfactual
 // pin-identity contracts and exits non-zero if either fails: per-cell
-// trace digests must be byte-identical at -parallel 1 and -parallel W,
-// the paper policy's corpus score must be identical at both widths, and
-// pinning a decision to its own baseline proposal must reproduce the
-// baseline trace byte-for-byte.
+// decision traces must be event-for-event identical at -parallel 1 and
+// -parallel W, the paper policy's corpus score must be identical at both
+// widths, and pinning a decision to its own baseline proposal must
+// reproduce the baseline trace. The report prints each probe cell's trace
+// digest.
 //
 // -json writes the BENCH_policy.json document: per-stage decision
 // counts, the counterfactual matrices, and the search result (best
@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	"github.com/seed5g/seed/internal/core"
@@ -45,8 +46,8 @@ import (
 
 // selfCheck is the machine-readable determinism verdict.
 type selfCheck struct {
-	// TraceDeterministic: per-cell trace digests identical at width 1 and
-	// width W.
+	// TraceDeterministic: per-cell traces identical at width 1 and width
+	// W; Digests fingerprints the width-W traces.
 	TraceDeterministic bool `json:"trace_deterministic"`
 	// ScoreDeterministic: the paper policy's corpus score identical at
 	// width 1 and width W.
@@ -64,7 +65,6 @@ type policyReport struct {
 	CorpusCells int    `json:"corpus_cells"`
 	EvalCells   int    `json:"eval_cells"`
 	Parallel    int    `json:"parallel"`
-	TraceLevel  string `json:"trace_level"`
 	// TraceCounts are the per-stage decision counts from the paper-policy
 	// traced pass over the evaluation cells.
 	TraceCounts []policy.StageCount `json:"trace_counts"`
@@ -88,16 +88,10 @@ func main() {
 	topK := flag.Int("topk", 3, "survivors carried between rounds")
 	pins := flag.Int("pins", 2, "decisions pinned per counterfactual matrix")
 	parallel := flag.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS)")
-	traceLevel := flag.String("trace", "full", "trace retention level for the counting pass (off|decisions|full)")
 	check := flag.Bool("selfcheck", false, "verify trace determinism and pin identity; exit non-zero on failure")
 	jsonOut := flag.String("json", "", "write the BENCH_policy.json document to this file (- for stdout)")
 	flag.Parse()
 
-	level, err := core.ParseTraceLevel(*traceLevel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	sp := workload.DefaultSpec()
 	if *specPath != "" {
 		blob, err := os.ReadFile(*specPath)
@@ -130,18 +124,14 @@ func main() {
 	}
 	report := policyReport{
 		Seed: *seedVal, Spec: sp.Name, CorpusCells: len(all), EvalCells: len(cells),
-		Parallel: workers, TraceLevel: level.String(),
+		Parallel: workers,
 	}
 	fmt.Printf("corpus %q: %d cells compiled, %d eligible for evaluation\n", sp.Name, len(all), len(cells))
 
 	// (a) Per-decision trace counts: the paper policy traced over the
 	// evaluation cells.
 	paper := policy.Paper()
-	countLevel := level
-	if countLevel == core.TraceOff {
-		countLevel = core.TraceDecisions // counts need a tracer attached
-	}
-	paperScore, counts := policy.Evaluate(pool, sp, cells, paper, countLevel)
+	paperScore, counts := policy.Evaluate(pool, sp, cells, paper, core.TraceFull)
 	report.TraceCounts = policy.SortedCounts(counts)
 	fmt.Printf("paper policy: composite %.2fs over %d cells (%d decisions traced)\n",
 		paperScore.Composite, paperScore.Cells, paperScore.TotalDecisions)
@@ -204,21 +194,22 @@ func runSelfCheck(sp *workload.Spec, cells []workload.Cell, paper policy.Policy,
 	if len(probe) > 6 {
 		probe = probe[:6]
 	}
-	digests := func(p *runner.Pool) []string {
-		return runner.Map(p, len(probe), func(i int) string {
+	traces := func(p *runner.Pool) [][]core.DecisionEvent {
+		return runner.Map(p, len(probe), func(i int) []core.DecisionEvent {
 			_, evs := policy.TraceCell(sp, probe[i], paper, nil)
-			return policy.Digest(evs)
+			return evs
 		})
 	}
-	d1 := digests(runner.New(1))
-	dW := digests(runner.New(workers))
-	sc := &selfCheck{TraceDeterministic: true, PinIdentity: pinsOK, Digests: dW}
-	for i := range d1 {
-		if d1[i] != dW[i] {
+	t1 := traces(runner.New(1))
+	tW := traces(runner.New(workers))
+	sc := &selfCheck{TraceDeterministic: true, PinIdentity: pinsOK}
+	for i := range t1 {
+		if !slices.Equal(t1[i], tW[i]) {
 			sc.TraceDeterministic = false
 		}
+		sc.Digests = append(sc.Digests, policy.Digest(tW[i]))
 	}
-	seqScore, _ := policy.Evaluate(runner.New(1), sp, cells, paper, core.TraceDecisions)
+	seqScore, _ := policy.Evaluate(runner.New(1), sp, cells, paper, core.TraceFull)
 	sc.ScoreDeterministic = seqScore == paperScore
 	return sc
 }

@@ -110,8 +110,8 @@ func runTrials(mode seed.Mode, appKind seed.AppKind, failure string, seedVal int
 	})
 
 	var counts [statusRecovered + 1]int
-	disruption := metrics.NewSeries("disruption")
-	impact := metrics.NewSeries("impact")
+	disruption := metrics.NewSeries()
+	impact := metrics.NewSeries()
 	for _, o := range outcomes {
 		counts[o.Status]++
 		if o.Status == statusRecovered {

@@ -767,8 +767,8 @@ func ExperimentFigure12(n int, seedVal int64) Figure12Result {
 	tb, d, put := bareProtos.Proto(ModeSEEDR).Cell(seedVal)
 	defer put()
 
-	prepDL := metrics.NewSeries("dl-prep")
-	transDL := metrics.NewSeries("dl-trans")
+	prepDL := metrics.NewSeries()
+	transDL := metrics.NewSeries()
 	tb.plugin.OnDiagTiming = func(prep, trans time.Duration) {
 		prepDL.Add(prep)
 		transDL.Add(trans)
@@ -778,8 +778,8 @@ func ExperimentFigure12(n int, seedVal int64) Figure12Result {
 		tb.Advance(2 * time.Second)
 	}
 
-	prepUL := metrics.NewSeries("ul-prep")
-	transUL := metrics.NewSeries("ul-trans")
+	prepUL := metrics.NewSeries()
+	transUL := metrics.NewSeries()
 	var t0, tSent time.Duration
 	d.inner.CApp.OnUplinkSent = func() { tSent = tb.Now() }
 	received := false

@@ -19,49 +19,17 @@ import (
 // nothing observing (TraceOff) every emit is a nil check: zero allocation,
 // zero behavioral difference.
 
-// TraceLevel selects how much of the decision stream a recorder keeps.
-// The core emits every event whenever a tracer is attached; levels are a
-// recorder-side filter so one instrumented run can serve both cheap
-// decision counting and full replay diffing.
+// TraceLevel says whether a run has a decision recorder attached. The core
+// emits every event whenever a tracer is attached, and a recorder keeps
+// every event it is handed.
 type TraceLevel uint8
 
 const (
 	// TraceOff attaches no tracer: the zero-overhead default.
 	TraceOff TraceLevel = iota
-	// TraceDecisions keeps only committed decisions: action executions,
-	// trial transitions, suggestions, and recovery.
-	TraceDecisions
-	// TraceFull keeps every decision point, including infrastructure-side
-	// classification and bookkeeping events.
+	// TraceFull attaches a recorder that keeps every decision event.
 	TraceFull
 )
-
-// ParseTraceLevel parses the CLI spelling of a trace level.
-func ParseTraceLevel(s string) (TraceLevel, error) {
-	switch s {
-	case "off":
-		return TraceOff, nil
-	case "decisions":
-		return TraceDecisions, nil
-	case "full":
-		return TraceFull, nil
-	default:
-		return TraceOff, fmt.Errorf("core: trace level %q not one of off|decisions|full", s)
-	}
-}
-
-func (l TraceLevel) String() string {
-	switch l {
-	case TraceOff:
-		return "off"
-	case TraceDecisions:
-		return "decisions"
-	case TraceFull:
-		return "full"
-	default:
-		return fmt.Sprintf("TraceLevel(%d)", uint8(l))
-	}
-}
 
 // DecisionStage identifies one decision point of Algorithm 1.
 type DecisionStage uint8
@@ -184,25 +152,11 @@ func (s DecisionStage) String() string {
 	return fmt.Sprintf("DecisionStage(%d)", uint8(s))
 }
 
-// DecisionKept reports whether a stage survives TraceDecisions filtering:
-// the committed decisions and their outcomes, without classification and
-// bookkeeping noise.
-func (s DecisionStage) DecisionKept() bool {
-	switch s {
-	case StageSuggested, StageTrialStart, StageTrialStep, StageTrialResolved,
-		StageTrialExhausted, StageExecute, StageRateLimited, StageOverridden,
-		StageUserNotice, StageRecovered,
-		StageInfraCustomSuggest, StageInfraLearnerSuggest:
-		return true
-	default:
-		return false
-	}
-}
-
 // DecisionEvent is one structured record of a decision point. Fields not
 // meaningful for a stage are zero; Seq is -1 except on execution-path
 // stages (Execute/RateLimited/Overridden), where it is the stable
-// decision index counterfactual overrides pin.
+// decision index counterfactual overrides pin. Every field is comparable,
+// so two traces are equal exactly when slices.Equal says so.
 type DecisionEvent struct {
 	// At is the kernel virtual time of the decision.
 	At time.Duration

@@ -470,7 +470,7 @@ func (l *opLatencies) record(op string, d time.Duration) {
 		if l.m == nil {
 			l.m = make(map[string]*metrics.Series)
 		}
-		s = metrics.NewSeries(op)
+		s = metrics.NewSeries()
 		l.m[op] = s
 	}
 	s.Add(d)

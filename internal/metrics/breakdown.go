@@ -30,7 +30,7 @@ func NewBreakdown() *Breakdown {
 func (b *Breakdown) row(key string) *breakdownAcc {
 	r := b.rows[key]
 	if r == nil {
-		r = &breakdownAcc{disruption: NewSeries(key), actions: make(map[string]int)}
+		r = &breakdownAcc{disruption: NewSeries(), actions: make(map[string]int)}
 		b.rows[key] = r
 	}
 	return r

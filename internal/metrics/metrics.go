@@ -5,23 +5,18 @@
 package metrics
 
 import (
-	"fmt"
 	"sort"
 	"time"
 )
 
 // Series is a collection of duration samples.
 type Series struct {
-	name    string
 	samples []time.Duration
 	sorted  bool
 }
 
-// NewSeries creates a named sample series.
-func NewSeries(name string) *Series { return &Series{name: name} }
-
-// Name returns the series name.
-func (s *Series) Name() string { return s.name }
+// NewSeries creates an empty sample series.
+func NewSeries() *Series { return &Series{} }
 
 // Add appends a sample.
 func (s *Series) Add(d time.Duration) {
@@ -80,16 +75,6 @@ func (s *Series) Max() time.Duration {
 	return s.samples[len(s.samples)-1]
 }
 
-// FractionBelow returns the fraction of samples strictly below d.
-func (s *Series) FractionBelow(d time.Duration) float64 {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	s.sort()
-	i := sort.Search(len(s.samples), func(i int) bool { return s.samples[i] >= d })
-	return float64(i) / float64(len(s.samples))
-}
-
 // CDF returns (x, F(x)) pairs at each distinct sample, suitable for
 // plotting Figure 2/3-style curves.
 func (s *Series) CDF() []CDFPoint {
@@ -112,10 +97,4 @@ func (s *Series) CDF() []CDFPoint {
 type CDFPoint struct {
 	X time.Duration
 	F float64
-}
-
-// Summary formats median/90th/mean in seconds.
-func (s *Series) Summary() string {
-	return fmt.Sprintf("%s: n=%d median=%.1fs p90=%.1fs mean=%.1fs",
-		s.name, s.Len(), s.Median().Seconds(), s.Percentile(90).Seconds(), s.Mean().Seconds())
 }

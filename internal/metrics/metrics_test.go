@@ -9,7 +9,7 @@ import (
 )
 
 func secs(vs ...float64) *Series {
-	s := NewSeries("t")
+	s := NewSeries()
 	for _, v := range vs {
 		s.Add(time.Duration(v * float64(time.Second)))
 	}
@@ -39,25 +39,12 @@ func TestPercentiles(t *testing.T) {
 }
 
 func TestEmptySeries(t *testing.T) {
-	s := NewSeries("empty")
-	if s.Median() != 0 || s.Mean() != 0 || s.Max() != 0 || s.FractionBelow(time.Hour) != 0 {
+	s := NewSeries()
+	if s.Median() != 0 || s.Mean() != 0 || s.Max() != 0 {
 		t.Fatal("empty series should return zeros")
 	}
 	if s.CDF() != nil {
 		t.Fatal("empty CDF should be nil")
-	}
-}
-
-func TestFractionBelow(t *testing.T) {
-	s := secs(1, 2, 3, 4)
-	if got := s.FractionBelow(3 * time.Second); got != 0.5 {
-		t.Fatalf("FractionBelow(3s) = %v", got)
-	}
-	if got := s.FractionBelow(100 * time.Second); got != 1 {
-		t.Fatalf("FractionBelow(100s) = %v", got)
-	}
-	if got := s.FractionBelow(time.Second); got != 0 {
-		t.Fatalf("FractionBelow(1s) = %v", got)
 	}
 }
 
@@ -127,7 +114,7 @@ func TestPropertyPercentileMonotone(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		s := NewSeries("p")
+		s := NewSeries()
 		for _, v := range raw {
 			s.Add(time.Duration(v))
 		}

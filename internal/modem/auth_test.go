@@ -282,28 +282,6 @@ func TestReplayedSecurityModeCommandKeepsContext(t *testing.T) {
 	}
 }
 
-func TestSpecIdentityFallback(t *testing.T) {
-	// With the spec-compliant fallback, repeated identity failures clear
-	// the GUTI after MaxRegAttempts instead of waiting out T3502+: the
-	// "what if modems followed the spec" counterfactual.
-	k, m, f, _ := newAuthHarness(t)
-	m.SetSpecIdentityFallback(true)
-	m.PowerOn()
-	k.RunFor(10 * time.Second)
-	f.rejectAll = true
-	m.SimulateMobility()
-	// 1 attempt + 5 retries × 10 s ≈ 51 s, then the GUTI clears.
-	k.RunFor(55 * time.Second)
-	f.rejectAll = false
-	// Even before T3502, the next externally triggered attach (e.g. the
-	// OS) succeeds because the identity is fresh.
-	m.Attach()
-	k.RunFor(5 * time.Second)
-	if m.State() != StateRegistered {
-		t.Fatalf("state = %v; spec fallback did not unstick", m.State())
-	}
-}
-
 func TestTransmitAPDURoundTrip(t *testing.T) {
 	k, m, _, card := newAuthHarness(t)
 	m.PowerOn()

@@ -42,13 +42,11 @@ func (m *Modem) legacyRegistrationFailure(code uint8) {
 	m.regAttempts++
 
 	if m.regAttempts > m.cfg.MaxRegAttempts {
-		// Attempt counter exhausted: wait T3502, then start over. The
-		// spec-compliant path also invalidates the GUTI here, which is
-		// what finally unsticks identity-desync failures.
+		// Attempt counter exhausted: wait T3502, then start over. The spec
+		// also invalidates the GUTI here; the modems the paper measured keep
+		// it until T3502 expires (t3502Fn drops it then), which is what
+		// stretches identity-desync failures.
 		m.regAttempts = 0
-		if m.specIdentityFallback {
-			m.guti = ""
-		}
 		m.regTimer = m.k.After(m.cfg.T3502, m.t3502Fn)
 		return
 	}

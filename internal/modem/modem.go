@@ -228,11 +228,6 @@ type Modem struct {
 	// safe to reuse on the next send.
 	encScratch []byte
 
-	// specIdentityFallback, when true, clears the GUTI after repeated
-	// identity-related failures as the spec mandates; false reproduces
-	// the observed buggy behaviour the paper measured.
-	specIdentityFallback bool
-
 	autoSession bool // establish the default session right after attach
 
 	stats Stats
@@ -329,10 +324,6 @@ func (m *Modem) IMSI() string { return m.imsi }
 
 // Profile returns the modem's cached copy of the SIM profile.
 func (m *Modem) Profile() sim.Profile { return m.profile }
-
-// SetSpecIdentityFallback toggles spec-compliant GUTI invalidation after
-// identity failures (off by default to reproduce the measured behaviour).
-func (m *Modem) SetSpecIdentityFallback(v bool) { m.specIdentityFallback = v }
 
 // Sessions returns a copy of the session list in ascending ID order
 // (stable ordering keeps the whole simulation deterministic across

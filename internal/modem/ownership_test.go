@@ -79,7 +79,7 @@ func TestFrameReleasedWhenModemOff(t *testing.T) {
 		t.Fatal("link refused a frame")
 	}
 	k.RunFor(time.Second)
-	if _, _, dup := link.AdvStats(); dup != 2 {
+	if _, dup := link.AdvStats(); dup != 2 {
 		t.Fatalf("link duplicated %d frames, want 2", dup)
 	}
 	if got := len(freeFrames(t, m.nasFrames)); got != nasOut+2 {

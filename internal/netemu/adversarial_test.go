@@ -26,47 +26,9 @@ func TestLinkReorderLetsLaterSendsOvertake(t *testing.T) {
 	if sort.IntsAreSorted(got) {
 		t.Fatal("20 sends at reorder=1.0 were still delivered strictly FIFO")
 	}
-	re, co, du := l.AdvStats()
-	if re != 20 || co != 0 || du != 0 {
-		t.Fatalf("AdvStats = (%d,%d,%d), want (20,0,0)", re, co, du)
-	}
-}
-
-func TestLinkCorrupterTransformsSelectedMessages(t *testing.T) {
-	k := sched.New(1)
-	var got []int
-	l := NewLink(k, "t", time.Millisecond, func(m any) { got = append(got, m.(int)) })
-	l.Corrupt = 1.0
-	l.Corrupter = func(m any) any { return m.(int) + 100 }
-	for i := 0; i < 10; i++ {
-		l.Send(i)
-	}
-	k.Run()
-	if len(got) != 10 {
-		t.Fatalf("delivered %d of 10", len(got))
-	}
-	for i, v := range got {
-		if v < 100 {
-			t.Fatalf("message %d delivered uncorrupted as %d", i, v)
-		}
-	}
-	if _, co, _ := l.AdvStats(); co != 10 {
-		t.Fatalf("corrupted = %d, want 10", co)
-	}
-}
-
-func TestLinkCorruptIgnoredWithoutCorrupter(t *testing.T) {
-	k := sched.New(1)
-	var got []int
-	l := NewLink(k, "t", time.Millisecond, func(m any) { got = append(got, m.(int)) })
-	l.Corrupt = 1.0 // no Corrupter installed
-	l.Send(42)
-	k.Run()
-	if len(got) != 1 || got[0] != 42 {
-		t.Fatalf("got %v, want [42]", got)
-	}
-	if _, co, _ := l.AdvStats(); co != 0 {
-		t.Fatalf("corrupted = %d, want 0", co)
+	re, du := l.AdvStats()
+	if re != 20 || du != 0 {
+		t.Fatalf("AdvStats = (%d,%d), want (20,0)", re, du)
 	}
 }
 
@@ -84,16 +46,16 @@ func TestLinkDupDeliversEachMessageTwice(t *testing.T) {
 			t.Fatalf("message %d delivered %d times, want 2", i, counts[i])
 		}
 	}
-	if _, _, du := l.AdvStats(); du != 5 {
+	if _, du := l.AdvStats(); du != 5 {
 		t.Fatalf("duplicated = %d, want 5", du)
 	}
 }
 
 // TestLinkAdversarialDeterminism: with a fixed kernel seed, the combined
-// reorder+corrupt+duplicate pattern (and hence the delivery sequence and
-// counters) is bit-identical across runs.
+// reorder+duplicate pattern (and hence the delivery sequence and counters)
+// is bit-identical across runs.
 func TestLinkAdversarialDeterminism(t *testing.T) {
-	run := func() ([]int, [3]int) {
+	run := func() ([]int, [2]int) {
 		k := sched.New(42)
 		var got []int
 		l := NewLink(k, "t", 5*time.Millisecond, func(m any) { got = append(got, m.(int)) })
@@ -102,14 +64,12 @@ func TestLinkAdversarialDeterminism(t *testing.T) {
 		l.Reorder = 0.3
 		l.ReorderSpan = 40 * time.Millisecond
 		l.Dup = 0.2
-		l.Corrupt = 0.1
-		l.Corrupter = func(m any) any { return -m.(int) }
 		for i := 1; i <= 200; i++ {
 			l.Send(i)
 		}
 		k.Run()
-		re, co, du := l.AdvStats()
-		return got, [3]int{re, co, du}
+		re, du := l.AdvStats()
+		return got, [2]int{re, du}
 	}
 	seq1, stats1 := run()
 	seq2, stats2 := run()
@@ -119,7 +79,7 @@ func TestLinkAdversarialDeterminism(t *testing.T) {
 	if stats1 != stats2 {
 		t.Fatalf("same seed produced different AdvStats: %v vs %v", stats1, stats2)
 	}
-	if stats1[0] == 0 || stats1[1] == 0 || stats1[2] == 0 {
+	if stats1[0] == 0 || stats1[1] == 0 {
 		t.Fatalf("expected all adversarial events to occur over 200 sends, got %v", stats1)
 	}
 }
@@ -127,19 +87,14 @@ func TestLinkAdversarialDeterminism(t *testing.T) {
 func TestDuplexAdversarialSettersApplyBothDirections(t *testing.T) {
 	k := sched.New(1)
 	d := NewDuplex(k, "t", time.Millisecond, func(any) {}, func(any) {})
-	fn := func(m any) any { return m }
 	d.SetReorder(0.25, 7*time.Millisecond)
 	d.SetDup(0.5)
-	d.SetCorrupt(0.75, fn)
 	for _, l := range []*Link{d.A2B, d.B2A} {
 		if l.Reorder != 0.25 || l.ReorderSpan != 7*time.Millisecond {
 			t.Fatalf("%s: reorder knobs not applied", l.Name())
 		}
 		if l.Dup != 0.5 {
 			t.Fatalf("%s: dup knob not applied", l.Name())
-		}
-		if l.Corrupt != 0.75 || l.Corrupter == nil {
-			t.Fatalf("%s: corrupt knobs not applied", l.Name())
 		}
 	}
 }
@@ -171,12 +126,11 @@ func TestLinkDupClonesOwnedMessages(t *testing.T) {
 }
 
 // TestLinkCarriesPooledNASFrames sends pooled signalling frames through a
-// link that duplicates, reorders and corrupts, with one pool circulating
-// between sender and receiver the way frames circulate between a modem and
-// the AMF. No frame may reach a receiver while it sits in the pool (that
-// would be a frame released twice, or a duplicate sharing its original),
-// every delivery must still carry the content it was sent with, and the
-// corrupter must be handed the pooled pointer type.
+// link that duplicates and reorders, with one pool circulating between
+// sender and receiver the way frames circulate between a modem and the
+// AMF. No frame may reach a receiver while it sits in the pool (that would
+// be a frame released twice, or a duplicate sharing its original), and
+// every delivery must still carry the content it was sent with.
 func TestLinkCarriesPooledNASFrames(t *testing.T) {
 	k := sched.New(11)
 	var pool radio.NASPool
@@ -209,29 +163,16 @@ func TestLinkCarriesPooledNASFrames(t *testing.T) {
 			t.Fatalf("frame carries %d bytes, want 8", len(f.Bytes))
 		}
 		seq := f.Bytes[0]
-		for _, b := range f.Bytes[1:7] {
+		for _, b := range f.Bytes[1:] {
 			if b != seq {
 				t.Fatalf("frame content overwritten in flight: % x", f.Bytes)
 			}
-		}
-		if last := f.Bytes[7]; last != seq && last != ^seq {
-			t.Fatalf("frame tail % x is neither sent nor corrupted form", f.Bytes)
 		}
 		deliveries[seq]++
 		put(f)
 	})
 	l.Reorder, l.ReorderSpan = 0.3, 40*time.Millisecond
 	l.Dup = 0.3
-	l.Corrupt = 0.2
-	l.Corrupter = func(m any) any {
-		f, ok := m.(*radio.NAS)
-		if !ok {
-			t.Fatalf("corrupter got %T, want *radio.NAS", m)
-		}
-		c := f.CloneMsg().(*radio.NAS) // never the sender's frame in place
-		c.Bytes[7] = ^c.Bytes[7]
-		return c
-	}
 	for i := 0; i < sends; i++ {
 		f := get()
 		for j := 0; j < 8; j++ {
@@ -244,9 +185,9 @@ func TestLinkCarriesPooledNASFrames(t *testing.T) {
 	}
 	k.Run()
 
-	re, co, du := l.AdvStats()
-	if re == 0 || co == 0 || du == 0 {
-		t.Fatalf("adversarial knobs never fired: reordered=%d corrupted=%d duplicated=%d", re, co, du)
+	re, du := l.AdvStats()
+	if re == 0 || du == 0 {
+		t.Fatalf("adversarial knobs never fired: reordered=%d duplicated=%d", re, du)
 	}
 	total := 0
 	for seq, n := range deliveries {

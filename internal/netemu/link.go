@@ -6,9 +6,13 @@
 //
 // A Link delivers arbitrary message values to a handler after a configured
 // latency (+ seeded jitter), optionally dropping messages probabilistically
-// or while the link is down. Delivery order between two messages sent on
-// the same link is preserved whenever their delivery times do not invert
-// (FIFO is additionally enforced when Jitter would reorder them).
+// or while the link is down, and, under its adversarial knobs, reordering
+// or duplicating them. It delivers the value it was handed, never an
+// altered one (a pooled frame belongs to its receiver, so a copy would
+// leak it); the adversary engine is the one place that mutates traffic.
+// Delivery order between two messages sent on the same link is preserved
+// whenever their delivery times do not invert (FIFO is additionally
+// enforced when Jitter would reorder them).
 package netemu
 
 import (
@@ -28,7 +32,8 @@ type Cloner interface {
 	CloneMsg() any
 }
 
-// Link is a unidirectional message channel with latency, jitter and loss.
+// Link is a unidirectional message channel with latency, jitter and loss,
+// plus seeded reordering and duplication.
 type Link struct {
 	k       *sched.Kernel
 	name    string
@@ -38,9 +43,9 @@ type Link struct {
 	Jitter  time.Duration // uniform extra delay in [0, Jitter)
 	Loss    float64       // probability a message is silently dropped
 
-	// Adversarial knobs, all off by default. Each draws from the kernel
+	// Adversarial knobs, both off by default. Each draws from the kernel
 	// RNG at Send time, so a fixed kernel seed reproduces the exact same
-	// reorder/corrupt/duplicate pattern.
+	// reorder/duplicate pattern.
 
 	// Reorder is the probability a message skips the FIFO clamp and takes
 	// an extra uniform delay in [0, ReorderSpan), letting later sends
@@ -50,12 +55,6 @@ type Link struct {
 	// Dup is the probability a message is delivered a second time, the
 	// duplicate trailing the original by a uniform delay in [0, Latency].
 	Dup float64
-	// Corrupt is the probability a message is passed through Corrupter
-	// before delivery. The Corrupter must not mutate the original message
-	// in place (the sender may retain it); it returns the tampered copy.
-	// With no Corrupter installed, Corrupt is ignored.
-	Corrupt   float64
-	Corrupter func(msg any) any
 
 	down        bool
 	lastArrival time.Duration
@@ -70,7 +69,6 @@ type Link struct {
 	delivered  int
 	dropped    int
 	reordered  int
-	corrupted  int
 	duplicated int
 }
 
@@ -106,10 +104,6 @@ func (l *Link) Send(msg any) bool {
 	if l.Loss > 0 && l.k.Rand().Float64() < l.Loss {
 		l.dropped++
 		return false
-	}
-	if l.Corrupt > 0 && l.Corrupter != nil && l.k.Rand().Float64() < l.Corrupt {
-		msg = l.Corrupter(msg)
-		l.corrupted++
 	}
 	d := l.Latency
 	if l.Jitter > 0 {
@@ -153,10 +147,10 @@ func (l *Link) Stats() (sent, delivered, dropped int) {
 	return l.sent, l.delivered, l.dropped
 }
 
-// AdvStats returns the adversarial-event counters: messages reordered,
-// corrupted, and duplicated so far.
-func (l *Link) AdvStats() (reordered, corrupted, duplicated int) {
-	return l.reordered, l.corrupted, l.duplicated
+// AdvStats returns the adversarial-event counters: messages reordered and
+// duplicated so far.
+func (l *Link) AdvStats() (reordered, duplicated int) {
+	return l.reordered, l.duplicated
 }
 
 // Duplex is a bidirectional channel built from two Links sharing latency
@@ -212,10 +206,4 @@ func (d *Duplex) SetReorder(p float64, span time.Duration) {
 func (d *Duplex) SetDup(p float64) {
 	d.A2B.Dup = p
 	d.B2A.Dup = p
-}
-
-// SetCorrupt installs a corrupter with probability p in both directions.
-func (d *Duplex) SetCorrupt(p float64, fn func(msg any) any) {
-	d.A2B.Corrupt, d.A2B.Corrupter = p, fn
-	d.B2A.Corrupt, d.B2A.Corrupter = p, fn
 }

@@ -5,21 +5,17 @@ import (
 	"fmt"
 	"hash/fnv"
 	"strconv"
-	"strings"
-	"time"
 
-	"github.com/seed5g/seed/internal/cause"
 	"github.com/seed5g/seed/internal/core"
 )
 
-// Trace codec: a line-oriented, fully deterministic encoding of a
-// decision-event stream. One event per line, fields space-separated,
-// all numeric except the quoted IMSI. The encoding is canonical —
-// identical event streams produce identical bytes — so trace equality
-// checks (parallelism determinism, counterfactual pin identity) reduce
-// to byte or digest comparison.
+// Trace fingerprint: a line-oriented, fully deterministic rendering of a
+// decision-event stream, one event per line, fields space-separated, all
+// numeric except the quoted IMSI. Reports print its digest so two runs can
+// be told apart at a glance; trace equality itself compares the events
+// (slices.Equal), never this text. TestTraceDigestsPinned pins the bytes.
 
-// codecHeader versions the format; Decode rejects anything else.
+// codecHeader versions the format.
 const codecHeader = "seedtrace/1"
 
 // Encode renders events canonically. Encode(nil) is just the header.
@@ -36,109 +32,8 @@ func Encode(events []core.DecisionEvent) []byte {
 	return b.Bytes()
 }
 
-// Decode parses an Encode output back into the event stream. It is the
-// exact inverse: Decode(Encode(evs)) == evs for any event values.
-func Decode(data []byte) ([]core.DecisionEvent, error) {
-	lines := strings.Split(string(data), "\n")
-	if len(lines) == 0 || lines[0] != codecHeader {
-		return nil, fmt.Errorf("policy: trace header missing (want %q)", codecHeader)
-	}
-	var out []core.DecisionEvent
-	for ln, line := range lines[1:] {
-		if line == "" {
-			continue
-		}
-		f, err := splitEventLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("policy: trace line %d: %v", ln+2, err)
-		}
-		var ev core.DecisionEvent
-		at, err := strconv.ParseInt(f[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("policy: trace line %d at: %v", ln+2, err)
-		}
-		ev.At = time.Duration(at)
-		stage, err := parseU8(f[1])
-		if err != nil {
-			return nil, fmt.Errorf("policy: trace line %d stage: %v", ln+2, err)
-		}
-		ev.Stage = core.DecisionStage(stage)
-		imsi, err := strconv.Unquote(f[2])
-		if err != nil {
-			return nil, fmt.Errorf("policy: trace line %d imsi: %v", ln+2, err)
-		}
-		ev.IMSI = imsi
-		plane, err := parseU8(f[3])
-		if err != nil {
-			return nil, fmt.Errorf("policy: trace line %d plane: %v", ln+2, err)
-		}
-		ev.Plane = cause.Plane(plane)
-		code, err := parseU8(f[4])
-		if err != nil {
-			return nil, fmt.Errorf("policy: trace line %d code: %v", ln+2, err)
-		}
-		ev.Code = cause.Code(code)
-		kind, err := parseU8(f[5])
-		if err != nil {
-			return nil, fmt.Errorf("policy: trace line %d kind: %v", ln+2, err)
-		}
-		ev.Kind = core.DiagKind(kind)
-		prop, err := parseU8(f[6])
-		if err != nil {
-			return nil, fmt.Errorf("policy: trace line %d proposed: %v", ln+2, err)
-		}
-		ev.Proposed = core.ActionID(prop)
-		act, err := parseU8(f[7])
-		if err != nil {
-			return nil, fmt.Errorf("policy: trace line %d action: %v", ln+2, err)
-		}
-		ev.Action = core.ActionID(act)
-		seq, err := strconv.ParseInt(f[8], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("policy: trace line %d seq: %v", ln+2, err)
-		}
-		ev.Seq = int32(seq)
-		wait, err := strconv.ParseInt(f[9], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("policy: trace line %d wait: %v", ln+2, err)
-		}
-		ev.Wait = time.Duration(wait)
-		evid, err := strconv.ParseInt(f[10], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("policy: trace line %d evidence: %v", ln+2, err)
-		}
-		ev.Evidence = int32(evid)
-		out = append(out, ev)
-	}
-	return out, nil
-}
-
-// splitEventLine tokenizes one event line into its 11 fields. The IMSI
-// (field 2) is a quoted Go string and may contain spaces, so it is cut
-// out with QuotedPrefix rather than whitespace splitting.
-func splitEventLine(line string) ([]string, error) {
-	head := strings.SplitN(line, " ", 3)
-	if len(head) != 3 {
-		return nil, fmt.Errorf("%d fields, want 11", len(head))
-	}
-	imsi, err := strconv.QuotedPrefix(head[2])
-	if err != nil {
-		return nil, fmt.Errorf("imsi not a quoted string: %v", err)
-	}
-	tail := strings.Fields(strings.TrimPrefix(head[2], imsi))
-	if len(tail) != 8 {
-		return nil, fmt.Errorf("%d fields, want 11", 3+len(tail))
-	}
-	return append([]string{head[0], head[1], imsi}, tail...), nil
-}
-
-func parseU8(s string) (uint8, error) {
-	n, err := strconv.ParseUint(s, 10, 8)
-	return uint8(n), err
-}
-
-// Digest returns a short hex fingerprint of the canonical encoding —
-// what the determinism and pin-identity checks compare.
+// Digest returns a short hex fingerprint of the canonical encoding — what
+// the reports print for a trace.
 func Digest(events []core.DecisionEvent) string {
 	h := fnv.New64a()
 	h.Write(Encode(events))

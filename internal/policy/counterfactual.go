@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/seed5g/seed/internal/core"
 	"github.com/seed5g/seed/internal/runner"
@@ -17,7 +18,7 @@ import (
 //     in the baseline and in every alternative;
 //   - cell seeds derive via splitmix from the cell's compiled seed, and
 //     trace hooks never perturb the RNG streams, so an override pinned to
-//     the baseline's own proposal replays the baseline byte-for-byte
+//     the baseline's own proposal replays the baseline event for event
 //     (PinIdentity below asserts exactly that).
 //
 // Each alternative pins exactly one decision to one tier and lets the
@@ -63,9 +64,9 @@ type Matrix struct {
 	Recovered bool    `json:"baseline_recovered"`
 	// BaselineDigest fingerprints the baseline trace; PinIdentity reports
 	// whether re-running with decision 0 pinned to its own baseline
-	// proposal reproduced that digest exactly (the A/B bit-comparability
-	// guarantee — if this is ever false, every delta in the matrix is
-	// noise).
+	// proposal reproduced the baseline's events exactly (the A/B
+	// bit-comparability guarantee — if this is ever false, every delta in
+	// the matrix is noise).
 	BaselineDigest string   `json:"baseline_digest"`
 	PinIdentity    bool     `json:"pin_identity"`
 	Rows           []PinRow `json:"rows"`
@@ -92,9 +93,9 @@ func Counterfactual(p *runner.Pool, sp *workload.Spec, c workload.Cell, pol Poli
 		return m
 	}
 	// Pin identity: decision 0 pinned to its own proposal must replay the
-	// baseline byte-for-byte.
+	// baseline event for event.
 	_, idEvents := TraceCell(sp, c, pol, Pin(0, proposals[0]))
-	m.PinIdentity = Digest(idEvents) == m.BaselineDigest
+	m.PinIdentity = slices.Equal(idEvents, events)
 
 	actions := AllActions()
 	type arm struct{ seq, tier int }

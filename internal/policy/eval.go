@@ -78,9 +78,9 @@ type cellEval struct {
 }
 
 // Evaluate scores pol over the given (already filtered) cells, fanning
-// across p. With level above TraceOff it also merges per-stage trace
-// counts from a per-cell Recorder; at TraceOff no tracer is attached and
-// the run is byte-identical to an untraced one. Results are bit-identical
+// across p. At TraceFull it also merges per-stage trace counts from a
+// per-cell Recorder; at TraceOff no tracer is attached and the run is
+// byte-identical to an untraced one. Results are bit-identical
 // at any worker count: each cell builds its own Instrument and recorder,
 // and the per-cell results are folded in cell order — the cost sums are
 // floating-point, so folding per-worker shards in completion order would
@@ -91,7 +91,7 @@ func Evaluate(p *runner.Pool, sp *workload.Spec, cells []workload.Cell, pol Poli
 		var rec *Recorder
 		inst := &seed.Instrument{Applet: pol.Apply, LearnerLR: pol.LR}
 		if level != core.TraceOff {
-			rec = NewRecorder(level)
+			rec = NewRecorder()
 			inst.Tracer = rec
 		}
 		mode, _ := seed.ParseMode(c.Mode)
@@ -134,11 +134,11 @@ func Evaluate(p *runner.Pool, sp *workload.Spec, cells []workload.Cell, pol Poli
 	return s, counts
 }
 
-// TraceCell runs one cell under pol with a full-trace recorder attached
-// and returns the outcome plus the retained events. The override, when
-// non-nil, is the counterfactual hook.
+// TraceCell runs one cell under pol with a recorder attached and returns
+// the outcome plus the recorded events. The override, when non-nil, is
+// the counterfactual hook.
 func TraceCell(sp *workload.Spec, c workload.Cell, pol Policy, override core.ActionOverride) (workload.Outcome, []core.DecisionEvent) {
-	rec := NewRecorder(core.TraceFull)
+	rec := NewRecorder()
 	inst := &seed.Instrument{Tracer: rec, Override: override, Applet: pol.Apply, LearnerLR: pol.LR}
 	mode, _ := seed.ParseMode(c.Mode)
 	o := seed.RunWorkloadCell(sp, c, mode, inst)

@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"github.com/seed5g/seed/internal/core"
-	"github.com/seed5g/seed/internal/metrics"
 )
 
 // Policy is one candidate configuration of Algorithm 1's decision knobs.
@@ -115,13 +114,6 @@ func OrderNames(order []core.ActionID) string {
 		s += name
 	}
 	return s
-}
-
-// ActionCost returns the seconds-equivalent cost of executing one reset
-// action — the shared cost model of internal/metrics, which is also what
-// the experiment breakdowns price cells with (one source of truth).
-func ActionCost(a core.ActionID) float64 {
-	return metrics.ActionCostS(a.String())
 }
 
 // AllActions lists the six reset tiers in ascending ID order — the

@@ -7,55 +7,33 @@ import (
 )
 
 // Recorder is the reference DecisionTracer: it counts every event by
-// stage and retains the ones its TraceLevel keeps, in emission order.
-// Emission order is kernel execution order, which the determinism
-// contract makes bit-identical for a given cell seed at any parallelism —
-// so two Recorders attached to the same (spec, cell, policy) produce
-// byte-identical encoded traces.
+// stage and keeps every event, in emission order. Emission order is kernel
+// execution order, which the determinism contract makes bit-identical for
+// a given cell seed at any parallelism — so two Recorders attached to the
+// same (spec, cell, policy) hold equal event slices.
 //
 // A Recorder is single-cell state: it runs synchronously on one cell's
 // kernel and must not be shared across concurrently executing cells.
 type Recorder struct {
-	level  core.TraceLevel
 	events []core.DecisionEvent
 	counts map[core.DecisionStage]int
 }
 
-// NewRecorder returns a recorder keeping events per level. TraceOff
-// records counts only (useful for cheap decision accounting); callers
-// that want true zero overhead should attach no tracer at all.
-func NewRecorder(level core.TraceLevel) *Recorder {
-	return &Recorder{level: level, counts: make(map[core.DecisionStage]int)}
+// NewRecorder returns an empty recorder. Callers that want zero overhead
+// attach no tracer at all.
+func NewRecorder() *Recorder {
+	return &Recorder{counts: make(map[core.DecisionStage]int)}
 }
 
 // Decision implements core.DecisionTracer.
 func (r *Recorder) Decision(ev core.DecisionEvent) {
 	r.counts[ev.Stage]++
-	switch r.level {
-	case core.TraceFull:
-		r.events = append(r.events, ev)
-	case core.TraceDecisions:
-		if ev.Stage.DecisionKept() {
-			r.events = append(r.events, ev)
-		}
-	}
+	r.events = append(r.events, ev)
 }
 
-// Events returns the retained events in emission order. The slice is the
+// Events returns the recorded events in emission order. The slice is the
 // recorder's own; callers must not mutate it mid-run.
 func (r *Recorder) Events() []core.DecisionEvent { return r.events }
-
-// Len returns the retained event count.
-func (r *Recorder) Len() int { return len(r.events) }
-
-// Total returns the total emitted event count (independent of level).
-func (r *Recorder) Total() int {
-	n := 0
-	for _, c := range r.counts {
-		n += c
-	}
-	return n
-}
 
 // Counts returns the per-stage event counts keyed by stage name.
 func (r *Recorder) Counts() map[string]int {
@@ -64,14 +42,6 @@ func (r *Recorder) Counts() map[string]int {
 		out[s.String()] = n
 	}
 	return out
-}
-
-// Reset clears the recorder for reuse on another cell.
-func (r *Recorder) Reset() {
-	r.events = r.events[:0]
-	for k := range r.counts {
-		delete(r.counts, k)
-	}
 }
 
 // MergeCounts folds src stage counts into dst (both keyed by stage

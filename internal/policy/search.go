@@ -202,13 +202,3 @@ func mutate(p Policy, rng *rand.Rand) Policy {
 	}
 	return q
 }
-
-// Corpus compiles the spec and returns its eligible evaluation cells
-// (first maxCells in corpus order; 0 = all).
-func Corpus(sp *workload.Spec, corpusSeed int64, maxCells int) ([]workload.Cell, error) {
-	cells, err := workload.Compile(sp, corpusSeed)
-	if err != nil {
-		return nil, err
-	}
-	return EligibleCells(cells, maxCells), nil
-}

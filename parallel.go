@@ -37,7 +37,7 @@ func newTally() *tally {
 func (a *tally) add(group string, d time.Duration) {
 	s := a.series[group]
 	if s == nil {
-		s = metrics.NewSeries(group)
+		s = metrics.NewSeries()
 		a.series[group] = s
 	}
 	s.Add(d)
@@ -58,5 +58,5 @@ func (a *tally) get(group string) *metrics.Series {
 	if s := a.series[group]; s != nil {
 		return s
 	}
-	return metrics.NewSeries(group)
+	return metrics.NewSeries()
 }

@@ -99,8 +99,8 @@ type Testbed struct {
 // learner rate) RunWorkloadCell applies to the cell's testbed and device. A
 // nil *Instrument is the zero-overhead TraceOff configuration.
 type Instrument struct {
-	// Tracer receives every decision event (core.TraceLevel filtering is
-	// the tracer's concern). Must be a pure observer: no RNG, no state.
+	// Tracer receives every decision event. Must be a pure observer: no
+	// RNG, no state.
 	Tracer core.DecisionTracer
 	// Override is the counterfactual hook applied at each execution
 	// decision (see core.ActionOverride).

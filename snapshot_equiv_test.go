@@ -215,9 +215,8 @@ func TestOnePathTwoVocabularies(t *testing.T) {
 }
 
 // traceLog is a recording tracer: the decision events in emission order.
-// (The seedtrace/1 codec lives in internal/policy, which imports this
-// package; it is a pure function of the events, so equal events are equal
-// trace bytes.)
+// Traces are equal when their events are, the comparison internal/policy
+// makes too.
 type traceLog []core.DecisionEvent
 
 func (l *traceLog) Decision(ev core.DecisionEvent) { *l = append(*l, ev) }
