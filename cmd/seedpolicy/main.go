@@ -1,5 +1,6 @@
 // Command seedpolicy runs the decision-trace subsystem end to end: it
-// traces Algorithm 1's decisions over the calibrated workload corpus,
+// traces Algorithm 1's decisions over the corpus of the built-in
+// paper-mix spec (workload.DefaultSpec),
 // builds counterfactual reset-tier matrices for the mobility scenario
 // classes, and searches the policy space (grid + evolutionary
 // refinement) for a configuration that beats the paper's.
@@ -9,8 +10,8 @@
 //	seedpolicy [-seed S] [-spec FILE] [-cells N] [-rounds R] [-topk K]
 //	           [-pins P] [-parallel W] [-selfcheck] [-json FILE]
 //
-// The corpus is the calibrated default workload (internal/workload)
-// unless -spec points at a spec JSON. Only SEED-mode, non-user-action
+// The corpus is compiled from the built-in paper-mix spec
+// (workload.DefaultSpec) unless -spec points at a spec JSON. Only SEED-mode, non-user-action
 // cells are scored: a policy cannot change legacy handling, and
 // user-action cells cost every policy the same notice. -cells truncates
 // the evaluation set (corpus order) to bound wall time; the
@@ -82,7 +83,7 @@ const searchMutants = 4
 
 func main() {
 	seedVal := flag.Int64("seed", 1, "corpus and search seed")
-	specPath := flag.String("spec", "", "workload spec JSON (default: the calibrated paper-mix spec)")
+	specPath := flag.String("spec", "", "workload spec JSON (default: the built-in paper-mix spec, workload.DefaultSpec)")
 	maxCells := flag.Int("cells", 48, "evaluation cells (first N eligible in corpus order; 0 = all)")
 	rounds := flag.Int("rounds", 2, "evolutionary refinement rounds after the grid")
 	topK := flag.Int("topk", 3, "survivors carried between rounds")

@@ -1,83 +1,35 @@
 // Command seedwl compiles declarative workload specs into deterministic
-// failure-scenario corpora and calibrates them against the SEED paper's
-// published marginals.
+// failure-scenario corpora.
 //
 // Usage:
 //
 //	seedwl [-spec FILE] [-seed S] [-parallel P] [-run N] [-out FILE]
 //	       [-selfcheck] [-dumpspec]
-//	seedwl -calibrate [-spec FILE] [-seed S] [-parallel P]
-//	       [-calsamples N] [-topk K] [-run N] [-selfcheck]
-//	       [-maxmape F] [-maxerr F] [-bench FILE]
 //
-// Generate mode (default) compiles the spec (built-in paper-mix when
-// -spec is absent) into its flat cell list, optionally replays a stride
-// sample of -run cells end-to-end on the emulated testbed (-run -1 for
-// every cell), and writes the canonical corpus JSON to -out ("-" for
-// stdout). -dumpspec prints the effective spec and exits. -selfcheck
-// re-runs the whole pipeline with one worker and byte-compares the two
-// corpora — the determinism gate CI enforces.
+// seedwl compiles the spec (built-in paper-mix when -spec is absent) into
+// its flat cell list, optionally replays a stride sample of -run cells
+// end-to-end on the emulated testbed (-run -1 for every cell), and writes
+// the canonical corpus JSON to -out ("-" for stdout). -dumpspec prints the
+// effective spec and exits. -selfcheck re-runs the whole pipeline with one
+// worker and byte-compares the two corpora — the determinism gate CI
+// enforces.
 //
-// Calibrate mode runs the bounded two-phase grid search of
-// internal/workload: every grid point's compiled corpus is scored against
-// the Table 1 cause mix (MAPE), then the -topk finalists replay
-// -calsamples legacy cells each to score the Figure 2 disruption CDFs
-// (KS distance + Pearson correlation). The winner's corpus is then
-// replayed under its populations' native modes — including the
-// mobility-induced scenarios — and the winning spec, scores, corpus
-// stats, and per-scenario mobility outcomes land in -bench
-// (BENCH_workload.json). Exit status is non-zero when the winner's mix
-// MAPE exceeds -maxmape, its composite error exceeds -maxerr, or the
-// determinism self-check fails.
+// How closely the built-in spec matches the paper's Table 1 cause mix and
+// Figure 2 disruption CDF is checked by tests, not by this command:
+// TestDefaultSpecMixWithinGate (internal/workload) and
+// TestDefaultSpecFigure2Shape (root package).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
-	"time"
 
 	seed "github.com/seed5g/seed"
 	"github.com/seed5g/seed/internal/runner"
 	"github.com/seed5g/seed/internal/workload"
 )
-
-// mobilityOutcome is the measured end-to-end result of one mobility
-// scenario class under one failure-handling mode.
-type mobilityOutcome struct {
-	Scenario    string  `json:"scenario"`
-	Mode        string  `json:"mode"`
-	Measured    int     `json:"measured"`
-	Recovered   int     `json:"recovered"`
-	MedianMS    float64 `json:"median_disruption_ms"`
-	Handovers   int     `json:"handovers"`
-	ContextLoss int     `json:"context_loss"`
-}
-
-// workloadBench is the BENCH_workload.json document.
-type workloadBench struct {
-	Seed       int64  `json:"seed"`
-	SpecName   string `json:"spec_name"`
-	Parallel   int    `json:"parallel"`
-	GridPoints int    `json:"grid_points"`
-	Finalists  int    `json:"finalists"`
-	// Replayed counts the legacy replays the CDF phase spent.
-	Replayed int `json:"replayed"`
-	// Winner carries the winning knobs and scores; Scores duplicates the
-	// winner's scores at the top level for easy extraction.
-	Winner     workload.Candidate `json:"winner"`
-	Scores     workload.Scores    `json:"scores"`
-	WinnerSpec *workload.Spec     `json:"winner_spec"`
-	// Stats are the winner corpus marginals plus native-mode execution
-	// aggregates of the measured sample.
-	Stats    *workload.Stats   `json:"stats"`
-	Mobility []mobilityOutcome `json:"mobility"`
-	// Deterministic reports the one-worker re-run matched byte-for-byte.
-	Deterministic bool    `json:"deterministic"`
-	WallMS        float64 `json:"wall_ms"`
-}
 
 func main() {
 	specPath := flag.String("spec", "", "workload spec JSON (default: built-in paper-mix spec)")
@@ -87,12 +39,6 @@ func main() {
 	out := flag.String("out", "", "write the corpus JSON to this file (- for stdout)")
 	selfCheck := flag.Bool("selfcheck", false, "re-run with one worker and byte-compare the corpora (determinism gate)")
 	dumpSpec := flag.Bool("dumpspec", false, "print the effective spec JSON and exit")
-	calibrate := flag.Bool("calibrate", false, "run the calibration grid search instead of plain generation")
-	calSamples := flag.Int("calsamples", 120, "legacy replays per finalist for CDF scoring")
-	topK := flag.Int("topk", 3, "grid finalists that reach the replay phase")
-	maxMAPE := flag.Float64("maxmape", 0.10, "fail when the winner's Table 1 mix MAPE exceeds this")
-	maxErr := flag.Float64("maxerr", 0.50, "fail when the winner's composite error exceeds this")
-	benchOut := flag.String("bench", "BENCH_workload.json", "calibration report file (- for stdout)")
 	flag.Parse()
 
 	sp, err := loadSpec(*specPath)
@@ -105,11 +51,7 @@ func main() {
 		return
 	}
 
-	p := runner.New(*parallel)
-	if *calibrate {
-		os.Exit(runCalibrate(p, sp, *seedVal, *calSamples, *topK, *runN, *selfCheck, *maxMAPE, *maxErr, *benchOut))
-	}
-	os.Exit(runGenerate(p, sp, *seedVal, *runN, *selfCheck, *out))
+	os.Exit(runGenerate(runner.New(*parallel), sp, *seedVal, *runN, *selfCheck, *out))
 }
 
 // loadSpec reads and validates a spec file, or returns the built-in
@@ -191,7 +133,7 @@ func measureSample(p *runner.Pool, sp *workload.Spec, cells []workload.Cell, idx
 	})
 }
 
-// runGenerate is the default mode: compile, optionally replay, emit.
+// runGenerate compiles the corpus, optionally replays it, and emits it.
 func runGenerate(p *runner.Pool, sp *workload.Spec, seedVal int64, runN int, selfCheck bool, out string) int {
 	corpus, err := buildCorpus(p, sp, seedVal, runN)
 	if err != nil {
@@ -251,143 +193,6 @@ func recheckCorpus(sp *workload.Spec, seedVal int64, runN int, want []byte) bool
 		return false
 	}
 	return string(workload.MarshalCorpus(corpus)) == string(want)
-}
-
-// runCalibrate runs the grid search, measures the winner (native modes,
-// mobility included), self-checks determinism, and writes the report.
-func runCalibrate(p *runner.Pool, sp *workload.Spec, seedVal int64, calSamples, topK, runN int, selfCheck bool, maxMAPE, maxErr float64, benchOut string) int {
-	start := time.Now()
-	if runN == 0 {
-		runN = 240 // default native-mode sample of the winner corpus
-	}
-	res, err := workload.Calibrate(workload.CalibrateConfig{
-		Base: sp, Seed: seedVal, TopK: topK, Samples: calSamples,
-	}, func(sp *workload.Spec, cells []workload.Cell) []workload.Outcome {
-		// Legacy handling regardless of population mode: the Figure 2 CDF
-		// the calibration targets describe is the legacy baseline.
-		return runner.Map(p, len(cells), func(i int) workload.Outcome {
-			return seed.RunWorkloadCell(sp, cells[i], seed.ModeLegacy, nil)
-		})
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "seedwl: calibrate: %v\n", err)
-		return 2
-	}
-
-	runs := measureSample(p, res.BestSpec, res.BestCells, sampleIndexes(res.BestCells, runN))
-	winnerBlob := workload.MarshalCorpus(&workload.Corpus{
-		Spec: res.BestSpec, Seed: seedVal, Cells: res.BestCells,
-		Runs: runs, Stats: workload.StatsOf(res.BestCells, runs),
-	})
-
-	deterministic := true
-	if selfCheck {
-		deterministic = recheckCorpus(res.BestSpec, seedVal, runN, winnerBlob)
-		if deterministic {
-			fmt.Printf("selfcheck: winner corpus bit-identical at 1 and %d workers\n", p.Workers())
-		} else {
-			fmt.Fprintf(os.Stderr, "seedwl: DETERMINISM FAILURE: one-worker winner corpus differs\n")
-		}
-	}
-
-	bench := workloadBench{
-		Seed: seedVal, SpecName: sp.Name, Parallel: p.Workers(),
-		GridPoints: len(res.Evaluated), Finalists: topKCount(res.Evaluated),
-		Replayed: res.Replayed,
-		Winner:   res.Best, Scores: res.Best.Scores, WinnerSpec: res.BestSpec,
-		Stats:         workload.StatsOf(res.BestCells, runs),
-		Mobility:      mobilitySummary(res.BestCells, runs),
-		Deterministic: deterministic,
-		WallMS:        float64(time.Since(start)) / float64(time.Millisecond),
-	}
-	blob, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "seedwl: %v\n", err)
-		return 2
-	}
-	blob = append(blob, '\n')
-	if benchOut != "" {
-		if err := writeBlob(benchOut, blob); err != nil {
-			fmt.Fprintf(os.Stderr, "seedwl: %v\n", err)
-			return 2
-		}
-	}
-
-	sc := res.Best.Scores
-	fmt.Printf("calibration winner %+v: mix MAPE %.4f, KS control %.3f, KS data %.3f, Pearson r %.3f, composite %.4f (%d grid points, %d legacy replays)\n",
-		res.Best.Knobs, sc.MixMAPE, sc.KSControl, sc.KSData, sc.PearsonR, sc.Composite, len(res.Evaluated), res.Replayed)
-	for _, m := range bench.Mobility {
-		fmt.Printf("  mobility %-16s %-7s measured %2d recovered %2d median %8.0fms handovers %3d context-loss %2d\n",
-			m.Scenario, m.Mode, m.Measured, m.Recovered, m.MedianMS, m.Handovers, m.ContextLoss)
-	}
-
-	fail := false
-	if sc.MixMAPE > maxMAPE {
-		fmt.Fprintf(os.Stderr, "seedwl: FAIL: mix MAPE %.4f exceeds -maxmape %.4f\n", sc.MixMAPE, maxMAPE)
-		fail = true
-	}
-	if sc.Composite > maxErr {
-		fmt.Fprintf(os.Stderr, "seedwl: FAIL: composite %.4f exceeds -maxerr %.4f\n", sc.Composite, maxErr)
-		fail = true
-	}
-	if !deterministic {
-		fail = true
-	}
-	if fail {
-		return 1
-	}
-	return 0
-}
-
-func topKCount(cands []workload.Candidate) int {
-	n := 0
-	for _, c := range cands {
-		if c.Finalist {
-			n++
-		}
-	}
-	return n
-}
-
-// mobilitySummary aggregates measured mobility runs per (scenario, mode).
-func mobilitySummary(cells []workload.Cell, runs []workload.Run) []mobilityOutcome {
-	type key struct{ scenario, mode string }
-	agg := map[key]*mobilityOutcome{}
-	durs := map[key][]float64{}
-	for _, r := range runs {
-		c := cells[r.Index]
-		if !workload.MobilityScenario(c.Scenario) {
-			continue
-		}
-		k := key{c.Scenario, c.Mode}
-		m := agg[k]
-		if m == nil {
-			m = &mobilityOutcome{Scenario: c.Scenario, Mode: c.Mode}
-			agg[k] = m
-		}
-		m.Measured++
-		m.Handovers += r.Handovers
-		m.ContextLoss += r.ContextLoss
-		if r.Recovered {
-			m.Recovered++
-			durs[k] = append(durs[k], float64(r.Disruption)/float64(time.Millisecond))
-		}
-	}
-	out := make([]mobilityOutcome, 0, len(agg))
-	for k, m := range agg {
-		if ds := durs[k]; len(ds) > 0 {
-			sort.Float64s(ds)
-			m.MedianMS = ds[len(ds)/2]
-		}
-		out = append(out, *m)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Scenario != out[j].Scenario {
-			return out[i].Scenario < out[j].Scenario
-		}
-		return out[i].Mode < out[j].Mode
-	})
-	return out
 }
 
 // writeBlob writes bytes to a file or stdout ("-").

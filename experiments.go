@@ -700,13 +700,11 @@ func ExperimentFigure11b(seedVal int64) Figure11bResult {
 	stop := time.Duration(30) * time.Minute
 	start := tb.Now()
 	// Stress: one diagnosis delivery per second.
-	tick := 0
 	var pump func()
 	pump = func() {
 		if tb.Now()-start >= stop {
 			return
 		}
-		tick++
 		tb.plugin.SendDiagnosis(d.IMSI(), benignDiag())
 		tb.After(time.Second, pump)
 	}

@@ -9,12 +9,15 @@ import (
 	"github.com/seed5g/seed/internal/cause"
 )
 
-// The published targets the calibration harness scores against. Table 1
-// lists the top cause shares over all failures; Figure 2 gives the
-// legacy-handling disruption CDF. The CDF targets anchor at the
-// milestones the paper quotes explicitly (F(2 s), F(10 s), the medians)
-// plus interpolated knee/tail points consistent with the figure's shape —
-// they are probe points for KS/Pearson scoring, not a curve fit.
+// The published targets a corpus is scored against. Table 1 lists the top
+// cause shares over all failures; Figure 2 gives the legacy-handling
+// disruption CDF. The CDF targets anchor at the milestones the paper
+// quotes explicitly (F(2 s), F(10 s), the medians) plus interpolated
+// knee/tail points consistent with the figure's shape — they are probe
+// points for KS/Pearson scoring, not a curve fit. The tests hold
+// DefaultSpec, the spec every program runs, within a fixed bound on each
+// score (TestDefaultSpecMixWithinGate here, TestDefaultSpecFigure2Shape in
+// the root package).
 
 // TargetShare is one Table 1 row: cause label (plane/code) and its share
 // of all failures.
@@ -54,32 +57,9 @@ var Figure2DataTargets = []CDFTarget{
 	{10, 0.09}, {60, 0.18}, {300, 0.41}, {476, 0.50}, {1200, 0.65}, {2659, 0.90},
 }
 
-// Scores are the calibration error metrics of one candidate spec.
-type Scores struct {
-	// MixMAPE is the mean absolute percentage error of the compiled
-	// corpus's cause shares against Table1Targets.
-	MixMAPE float64 `json:"mix_mape"`
-	// PlaneErr is |control share − 0.562|.
-	PlaneErr float64 `json:"plane_abs_err"`
-	// KSControl/KSData are Kolmogorov–Smirnov distances (sup over probe
-	// points) of the replayed legacy disruption CDFs vs Figure 2.
-	KSControl float64 `json:"ks_control"`
-	KSData    float64 `json:"ks_data"`
-	// PearsonR is the correlation of replayed vs target CDF values over
-	// all probe points of both planes.
-	PearsonR float64 `json:"pearson_r"`
-	// Composite is the scalar the grid search minimizes.
-	Composite float64 `json:"composite"`
-}
-
-// composite folds the metrics into the search objective: the cause mix
-// dominates (it is the acceptance gate), CDF shape and correlation weigh
-// the rest.
-func (s *Scores) composite() float64 {
-	return 0.5*s.MixMAPE + 0.15*s.KSControl + 0.15*s.KSData + 0.2*(1-s.PearsonR)
-}
-
-// MixScores computes the Table 1 marginal errors of a compiled corpus.
+// MixScores computes the Table 1 marginal errors of a compiled corpus: the
+// mean absolute percentage error of its cause shares against
+// Table1Targets, and |control share − ControlShareTarget|.
 func MixScores(cells []Cell) (mape, planeErr float64) {
 	st := StatsOf(cells, nil)
 	shares := make(map[string]float64, len(st.Causes))
@@ -93,8 +73,10 @@ func MixScores(cells []Cell) (mape, planeErr float64) {
 	return sum / float64(len(Table1Targets)), math.Abs(st.ControlShare - ControlShareTarget)
 }
 
-// CDFScores computes KS distances and the Pearson correlation of measured
-// legacy disruption durations against the Figure 2 probe targets.
+// CDFScores scores measured legacy disruption durations against the
+// Figure 2 probe targets: the Kolmogorov–Smirnov distance (sup over probe
+// points) per plane, and the Pearson correlation of measured against
+// target CDF values over the probe points of both planes.
 // Durations hold only recovered cases; totals count all replayed cases of
 // the plane, so the empirical CDF — like Figure 2's — never reaches 1
 // when some cases stay down.
@@ -147,206 +129,4 @@ func pearsonR(xs, ys []float64) float64 {
 		return 0
 	}
 	return sxy / math.Sqrt(sxx*syy)
-}
-
-// Knobs are the spec transforms the grid search explores.
-type Knobs struct {
-	// ControlShare rescales every population's mix to this control/data
-	// split (mobility scenarios count as control).
-	ControlShare float64 `json:"control_share"`
-	// Concentration raises mix weights to this power before
-	// renormalization: < 1 flattens the mix, > 1 sharpens it.
-	Concentration float64 `json:"concentration"`
-	// HealScale multiplies every heal-time median.
-	HealScale float64 `json:"heal_scale"`
-}
-
-// DefaultGrid is the bounded knob grid (27 points) the calibration
-// searches.
-func DefaultGrid() []Knobs {
-	var grid []Knobs
-	for _, cs := range []float64{0.50, 0.562, 0.62} {
-		for _, g := range []float64{0.7, 1.0, 1.3} {
-			for _, h := range []float64{0.5, 1.0, 2.0} {
-				grid = append(grid, Knobs{ControlShare: cs, Concentration: g, HealScale: h})
-			}
-		}
-	}
-	return grid
-}
-
-// ApplyKnobs returns a transformed deep copy of the spec.
-func ApplyKnobs(sp *Spec, k Knobs) *Spec {
-	cp, err := ParseSpec(MarshalSpec(sp))
-	if err != nil {
-		panic(fmt.Sprintf("workload: clone spec: %v", err))
-	}
-	for pi := range cp.Populations {
-		p := &cp.Populations[pi]
-		var cw, dw float64
-		for i := range p.Mix {
-			m := &p.Mix[i]
-			m.Weight = math.Pow(m.Weight, k.Concentration)
-			if m.HealMedianMS > 0 {
-				m.HealMedianMS *= k.HealScale
-			}
-			if mixIsControl(*m) {
-				cw += m.Weight
-			} else {
-				dw += m.Weight
-			}
-		}
-		if cw > 0 && dw > 0 {
-			for i := range p.Mix {
-				m := &p.Mix[i]
-				if mixIsControl(*m) {
-					m.Weight *= k.ControlShare / cw
-				} else {
-					m.Weight *= (1 - k.ControlShare) / dw
-				}
-			}
-		}
-	}
-	return cp
-}
-
-func mixIsControl(m CauseMix) bool {
-	return MobilityScenario(m.Scenario) || m.Plane == "control"
-}
-
-// Candidate is one evaluated grid point.
-type Candidate struct {
-	Knobs  Knobs  `json:"knobs"`
-	Cells  int    `json:"cells"`
-	Scores Scores `json:"scores"`
-	// Finalist marks candidates that reached the replay phase (CDF scores
-	// are zero otherwise).
-	Finalist bool `json:"finalist,omitempty"`
-}
-
-// CalibrateConfig bounds the search.
-type CalibrateConfig struct {
-	Base *Spec
-	Seed int64
-	// Grid defaults to DefaultGrid().
-	Grid []Knobs
-	// TopK phase-1 candidates (by mix MAPE) reach the replay phase.
-	TopK int
-	// Samples bounds the cells replayed per finalist for CDF scoring.
-	Samples int
-}
-
-// ReplayFn executes cells end-to-end with *legacy* handling (Figure 2's
-// baseline) and returns outcomes aligned by cell index.
-type ReplayFn func(sp *Spec, cells []Cell) []Outcome
-
-// CalibrationResult is the outcome of a grid search.
-type CalibrationResult struct {
-	Best      Candidate
-	BestSpec  *Spec
-	BestCells []Cell
-	// Evaluated holds every grid point's phase-1 (and, for finalists,
-	// phase-2) scores, in grid order.
-	Evaluated []Candidate
-	Replayed  int
-}
-
-// Calibrate runs the bounded two-phase grid search: phase 1 compiles
-// every grid point and scores the cheap Table 1 marginals; phase 2
-// replays a stride sample of the TopK finalists with legacy handling and
-// scores the Figure 2 CDF. The winner minimizes the composite error.
-func Calibrate(cfg CalibrateConfig, replay ReplayFn) (*CalibrationResult, error) {
-	grid := cfg.Grid
-	if len(grid) == 0 {
-		grid = DefaultGrid()
-	}
-	topK := cfg.TopK
-	if topK <= 0 {
-		topK = 3
-	}
-	samples := cfg.Samples
-	if samples <= 0 {
-		samples = 120
-	}
-
-	res := &CalibrationResult{Evaluated: make([]Candidate, len(grid))}
-	specs := make([]*Spec, len(grid))
-	cellLists := make([][]Cell, len(grid))
-	for i, k := range grid {
-		sp := ApplyKnobs(cfg.Base, k)
-		cells, err := Compile(sp, cfg.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("workload: calibrate grid point %+v: %w", k, err)
-		}
-		var sc Scores
-		sc.MixMAPE, sc.PlaneErr = MixScores(cells)
-		specs[i], cellLists[i] = sp, cells
-		res.Evaluated[i] = Candidate{Knobs: k, Cells: len(cells), Scores: sc}
-	}
-
-	order := make([]int, len(grid))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return res.Evaluated[order[a]].Scores.MixMAPE < res.Evaluated[order[b]].Scores.MixMAPE
-	})
-	if topK > len(order) {
-		topK = len(order)
-	}
-
-	bestIdx := -1
-	for _, idx := range order[:topK] {
-		cand := &res.Evaluated[idx]
-		cand.Finalist = true
-		sample := strideSample(cellLists[idx], samples)
-		outcomes := replay(specs[idx], sample)
-		res.Replayed += len(sample)
-		var control, data []time.Duration
-		controlTotal, dataTotal := 0, 0
-		for i, c := range sample {
-			if c.Scenario == ScenUserAction {
-				continue // Figure 2 excludes cases no scheme can recover
-			}
-			if c.Plane == "control" {
-				controlTotal++
-			} else {
-				dataTotal++
-			}
-			if i < len(outcomes) && outcomes[i].Recovered {
-				if c.Plane == "control" {
-					control = append(control, outcomes[i].Disruption)
-				} else {
-					data = append(data, outcomes[i].Disruption)
-				}
-			}
-		}
-		sc := &cand.Scores
-		sc.KSControl, sc.KSData, sc.PearsonR = CDFScores(control, data, controlTotal, dataTotal)
-		sc.Composite = sc.composite()
-		if bestIdx < 0 || sc.Composite < res.Evaluated[bestIdx].Scores.Composite {
-			bestIdx = idx
-		}
-	}
-	if bestIdx < 0 {
-		return nil, fmt.Errorf("workload: calibrate: empty grid")
-	}
-	res.Best = res.Evaluated[bestIdx]
-	res.BestSpec = specs[bestIdx]
-	res.BestCells = cellLists[bestIdx]
-	return res, nil
-}
-
-// strideSample picks up to n cells evenly across the corpus (index order
-// is arrival order, so a stride covers the whole window).
-func strideSample(cells []Cell, n int) []Cell {
-	if len(cells) <= n {
-		return cells
-	}
-	out := make([]Cell, 0, n)
-	step := float64(len(cells)) / float64(n)
-	for i := 0; i < n; i++ {
-		out = append(out, cells[int(float64(i)*step)])
-	}
-	return out
 }

@@ -9,11 +9,11 @@
 // per-(population, device, concern) RNG streams derived with
 // sched.DeriveSeedN, so a given (spec, seed) pair produces a bit-identical
 // cell list no matter how the cells are later executed or at what
-// parallelism. The calibration half of the package (calibrate.go) scores a
+// parallelism. The scoring half of the package (calibrate.go) measures a
 // compiled corpus against the paper's published marginals — Table 1 cause
 // mix, Figure 2 disruption CDF — with explicit error metrics (MAPE,
-// Kolmogorov–Smirnov distance, Pearson correlation) and searches a bounded
-// grid of spec knobs for the lowest composite error.
+// Kolmogorov–Smirnov distance, Pearson correlation), each of which the
+// tests bound for the built-in DefaultSpec.
 package workload
 
 import (

@@ -369,35 +369,6 @@ func TestPearsonAndCDFScores(t *testing.T) {
 	}
 }
 
-func TestApplyKnobs(t *testing.T) {
-	base := DefaultSpec()
-	before := string(MarshalSpec(base))
-	k := Knobs{ControlShare: 0.7, Concentration: 1.0, HealScale: 2.0}
-	tuned := ApplyKnobs(base, k)
-	if string(MarshalSpec(base)) != before {
-		t.Fatal("ApplyKnobs mutated the base spec")
-	}
-	for pi := range tuned.Populations {
-		var cw, total float64
-		for i, m := range tuned.Populations[pi].Mix {
-			total += m.Weight
-			if mixIsControl(m) {
-				cw += m.Weight
-			}
-			orig := base.Populations[pi].Mix[i]
-			if orig.HealMedianMS > 0 && math.Abs(m.HealMedianMS-2*orig.HealMedianMS) > 1e-9 {
-				t.Fatalf("heal not scaled: %v vs %v", m.HealMedianMS, orig.HealMedianMS)
-			}
-		}
-		if share := cw / total; math.Abs(share-0.7) > 1e-9 {
-			t.Fatalf("population %d control share %v, want 0.7", pi, share)
-		}
-	}
-	if err := tuned.Validate(); err != nil {
-		t.Fatalf("tuned spec invalid: %v", err)
-	}
-}
-
 func TestStatsOfAndCauseLabels(t *testing.T) {
 	cells := []Cell{
 		{Plane: "control", Code: 9, Scenario: ScenTransient},
@@ -452,34 +423,23 @@ func TestUploadSchedule(t *testing.T) {
 	}
 }
 
-func TestStrideSample(t *testing.T) {
-	cells := make([]Cell, 100)
-	for i := range cells {
-		cells[i].Index = i
-	}
-	s := strideSample(cells, 10)
-	if len(s) != 10 || s[0].Index != 0 || s[9].Index != 90 {
-		t.Fatalf("stride sample %v", s)
-	}
-	if got := strideSample(cells, 500); len(got) != 100 {
-		t.Fatalf("oversized sample %d", len(got))
-	}
-}
-
-// TestDefaultSpecMixWithinGate pins the compile-time calibration floor:
-// the built-in spec's Table 1 MAPE must stay within the acceptance gate
-// before any grid search (the search only improves on it).
+// TestDefaultSpecMixWithinGate holds the built-in paper-mix spec — the one
+// seedwl, seedpolicy and the benchmark's corpus compile — to Table 1 at
+// seeds 1–10: cause-mix MAPE ≤ 0.10 and control-share error ≤ 0.03.
 func TestDefaultSpecMixWithinGate(t *testing.T) {
-	cells, err := Compile(DefaultSpec(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mape, planeErr := MixScores(cells)
-	if mape > 0.15 {
-		t.Fatalf("default spec mix MAPE %.4f, want ≤ 0.15 pre-search", mape)
-	}
-	if planeErr > 0.05 {
-		t.Fatalf("default spec plane error %.4f, want ≤ 0.05", planeErr)
+	for s := int64(1); s <= 10; s++ {
+		cells, err := Compile(DefaultSpec(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mape, planeErr := MixScores(cells)
+		t.Logf("seed %d: mix MAPE %.4f, plane error %.4f", s, mape, planeErr)
+		if mape > 0.10 {
+			t.Errorf("seed %d: default spec mix MAPE %.4f, want ≤ 0.10", s, mape)
+		}
+		if planeErr > 0.03 {
+			t.Errorf("seed %d: default spec plane error %.4f, want ≤ 0.03", s, planeErr)
+		}
 	}
 }
 
@@ -492,7 +452,7 @@ func TestStationaryMixPlaneSplit(t *testing.T) {
 		if m.Weight <= 0 {
 			t.Fatalf("non-positive weight for %+v", m)
 		}
-		if mixIsControl(m) {
+		if m.Plane == "control" || MobilityScenario(m.Scenario) {
 			control += m.Weight
 		} else {
 			data += m.Weight
@@ -500,48 +460,5 @@ func TestStationaryMixPlaneSplit(t *testing.T) {
 	}
 	if math.Abs(control-ControlShareTarget) > 0.005 || math.Abs(data-(1-ControlShareTarget)) > 0.005 {
 		t.Fatalf("plane split drifted: control=%.3f data=%.3f", control, data)
-	}
-}
-
-// TestCalibrateSearch runs the full two-phase search with a stub replay
-// (drawing plausible disruptions from the cell's own seed) to verify the
-// plumbing: finalists marked, composite populated, winner is argmin.
-func TestCalibrateSearch(t *testing.T) {
-	stub := func(sp *Spec, cells []Cell) []Outcome {
-		out := make([]Outcome, len(cells))
-		for i, c := range cells {
-			rng := rand.New(rand.NewSource(c.Seed))
-			out[i] = Outcome{Recovered: true, Disruption: time.Duration(rng.ExpFloat64() * float64(20*time.Second))}
-		}
-		return out
-	}
-	grid := []Knobs{
-		{ControlShare: 0.562, Concentration: 1, HealScale: 1},
-		{ControlShare: 0.45, Concentration: 0.5, HealScale: 1},
-	}
-	res, err := Calibrate(CalibrateConfig{Base: DefaultSpec(), Seed: 9, Grid: grid, TopK: 2, Samples: 40}, stub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Evaluated) != 2 || res.Replayed != 80 {
-		t.Fatalf("evaluated %d, replayed %d", len(res.Evaluated), res.Replayed)
-	}
-	for _, c := range res.Evaluated {
-		if !c.Finalist {
-			t.Fatalf("candidate %+v not a finalist with TopK=2", c.Knobs)
-		}
-		if c.Scores.Composite <= 0 {
-			t.Fatalf("finalist %+v has no composite", c.Knobs)
-		}
-		if c.Scores.Composite < res.Best.Scores.Composite {
-			t.Fatalf("winner %+v is not the argmin", res.Best.Knobs)
-		}
-	}
-	if res.BestSpec == nil || len(res.BestCells) == 0 {
-		t.Fatal("winner spec/cells missing")
-	}
-	// The paper-anchored knob point must beat the deliberately detuned one.
-	if res.Best.Knobs != grid[0] {
-		t.Fatalf("winner %+v, want the paper-anchored grid point", res.Best.Knobs)
 	}
 }

@@ -186,8 +186,7 @@ func BenchmarkClonedDeliveryCell(b *testing.B) {
 	}
 }
 
-// BenchmarkDevicesCopy measures the copying accessor; BenchmarkEachDevice
-// the no-copy iteration path that replaced it in per-event hot loops.
+// BenchmarkDevicesCopy measures the copying accessor.
 func BenchmarkDevicesCopy(b *testing.B) {
 	tb := New(1)
 	for i := 0; i < 16; i++ {
@@ -202,25 +201,6 @@ func BenchmarkDevicesCopy(b *testing.B) {
 				n++
 			}
 		}
-	}
-	_ = n
-}
-
-func BenchmarkEachDevice(b *testing.B) {
-	tb := New(1)
-	for i := 0; i < 16; i++ {
-		tb.NewDevice(ModeLegacy)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	n := 0
-	for i := 0; i < b.N; i++ {
-		tb.EachDevice(func(d *Device) bool {
-			if d != nil {
-				n++
-			}
-			return true
-		})
 	}
 	_ = n
 }

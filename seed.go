@@ -250,20 +250,8 @@ func (tb *Testbed) run(cond func() bool, after, deadline time.Duration, everyEve
 // After schedules fn at virtual-time offset d (for scripting scenarios).
 func (tb *Testbed) After(d time.Duration, fn func()) { tb.kern.After(d, fn) }
 
-// Devices returns a copy of the devices created so far. Hot loops should
-// prefer EachDevice, which iterates without copying.
+// Devices returns a copy of the devices created so far.
 func (tb *Testbed) Devices() []*Device { return append([]*Device(nil), tb.devices...) }
-
-// EachDevice calls yield for every device in creation order, stopping
-// early if yield returns false. Unlike Devices it performs no allocation.
-// Devices added during iteration are not visited.
-func (tb *Testbed) EachDevice(yield func(*Device) bool) {
-	for _, d := range tb.devices {
-		if !yield(d) {
-			return
-		}
-	}
-}
 
 // SetCongestion toggles the infrastructure congestion-warning path: while
 // on, SEED diagnosis deliveries tell SIMs to wait instead of resetting.

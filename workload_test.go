@@ -192,3 +192,60 @@ func TestExperimentMobilityDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestDefaultSpecFigure2Shape holds the built-in paper-mix spec — the one
+// seedwl, seedpolicy and the benchmark's corpus run — to Figure 2: at
+// seeds 1–10, a 120-cell even stride of its corpus replayed under legacy
+// handling keeps each plane's disruption CDF within a KS bound of the
+// figure's probe points and correlates with them. Each score is bounded
+// on its own.
+func TestDefaultSpecFigure2Shape(t *testing.T) {
+	const sample = 120
+	sp := workload.DefaultSpec()
+	for s := int64(1); s <= 10; s++ {
+		cells, err := workload.Compile(sp, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cells) < sample {
+			t.Fatalf("seed %d: %d cells, want ≥ %d", s, len(cells), sample)
+		}
+		picked := make([]workload.Cell, sample)
+		step := float64(len(cells)) / sample
+		for i := range picked {
+			picked[i] = cells[int(float64(i)*step)]
+		}
+		outcomes := runner.Map(testPool, sample, func(i int) workload.Outcome {
+			return seed.RunWorkloadCell(sp, picked[i], seed.ModeLegacy, nil)
+		})
+		var control, data []time.Duration
+		var controlTotal, dataTotal int
+		for i, c := range picked {
+			if c.Scenario == workload.ScenUserAction {
+				continue // Figure 2 excludes cases no scheme can recover
+			}
+			if c.Plane == "control" {
+				controlTotal++
+				if outcomes[i].Recovered {
+					control = append(control, outcomes[i].Disruption)
+				}
+			} else {
+				dataTotal++
+				if outcomes[i].Recovered {
+					data = append(data, outcomes[i].Disruption)
+				}
+			}
+		}
+		ksC, ksD, r := workload.CDFScores(control, data, controlTotal, dataTotal)
+		t.Logf("seed %d: KS control %.3f, KS data %.3f, Pearson r %.3f", s, ksC, ksD, r)
+		if ksC > 0.30 {
+			t.Errorf("seed %d: KS control %.3f, want ≤ 0.30", s, ksC)
+		}
+		if ksD > 0.45 {
+			t.Errorf("seed %d: KS data %.3f, want ≤ 0.45", s, ksD)
+		}
+		if r < 0.85 {
+			t.Errorf("seed %d: Pearson r %.3f, want ≥ 0.85", s, r)
+		}
+	}
+}
