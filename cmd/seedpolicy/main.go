@@ -25,9 +25,9 @@
 // reproduce the baseline trace. The report prints each probe cell's trace
 // digest.
 //
-// -json writes the BENCH_policy.json document: per-stage decision
-// counts, the counterfactual matrices, and the search result (best
-// found vs paper policy).
+// -json writes the policy report as JSON: per-stage decision counts, the
+// counterfactual matrices, and the search result (best found vs paper
+// policy).
 package main
 
 import (
@@ -59,7 +59,7 @@ type selfCheck struct {
 	Digests     []string `json:"digests"`
 }
 
-// policyReport is the BENCH_policy.json document.
+// policyReport is the document -json writes.
 type policyReport struct {
 	Seed        int64  `json:"seed"`
 	Spec        string `json:"spec"`
@@ -90,7 +90,7 @@ func main() {
 	pins := flag.Int("pins", 2, "decisions pinned per counterfactual matrix")
 	parallel := flag.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS)")
 	check := flag.Bool("selfcheck", false, "verify trace determinism and pin identity; exit non-zero on failure")
-	jsonOut := flag.String("json", "", "write the BENCH_policy.json document to this file (- for stdout)")
+	jsonOut := flag.String("json", "", "write the policy report JSON to this file (- for stdout)")
 	flag.Parse()
 
 	sp := workload.DefaultSpec()

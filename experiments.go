@@ -330,24 +330,16 @@ type Figure3Result struct {
 // blocking here covers all UDP including DNS — the only way Android ever
 // notices it.
 func ExperimentFigure3(p *runner.Pool, samples int, seedVal int64) Figure3Result {
-	kinds := []struct {
-		kind        DeliveryFailureKind
-		blockDNSToo bool
-	}{
-		{DeliveryTCPBlock, false},
-		{DeliveryUDPBlock, true},
-		{DeliveryDNSOutage, false},
-	}
+	kinds := []DeliveryFailureKind{DeliveryTCPBlock, DeliveryUDPBlock, DeliveryDNSOutage}
 	// 3*samples independent cells; trial i shares its derived seed across
 	// the three blocking kinds (paired comparison).
 	lats := runner.Map(p, len(kinds)*samples, func(ci int) time.Duration {
-		k := kinds[ci/samples]
 		i := ci % samples
-		return figure3Trial(k.kind, k.blockDNSToo, i, sched.DeriveSeed(seedVal, cellKey(0, i)))
+		return figure3Trial(kinds[ci/samples], i).run(sched.DeriveSeed(seedVal, cellKey(0, i)))
 	})
 	acc := newTally()
 	for ci, lat := range lats {
-		acc.outcome(kinds[ci/samples].kind.String(), lat >= 0, lat)
+		acc.outcome(kinds[ci/samples].String(), lat >= 0, lat)
 	}
 	stats := func(kind DeliveryFailureKind) LatencyStats {
 		return statsFromSeries(kind.String(), acc.get(kind.String()),
@@ -360,49 +352,34 @@ func ExperimentFigure3(p *runner.Pool, samples int, seedVal int64) Figure3Result
 	}
 }
 
-// figure3Proto boots the Figure 3 steady state: a legacy device with the
-// video+web mix connected and generating traffic.
-var figure3Proto = NewProto(func(tb *Testbed) *Device {
-	d := tb.NewDevice(ModeLegacy)
-	video := d.AddApp(AppVideo)
-	web := d.AddApp(AppWeb)
-	d.Start()
-	if !tb.await(d.Connected, connectDeadline) {
-		return d
-	}
-	video.Start()
-	web.Start()
-	return d
-})
-
-// figure3Trial runs one detection-latency cell from a cloned boot:
-// steady state, block, and wait for the Android monitor to notice. It
-// returns the detection latency (-1 when the monitor never noticed).
-func figure3Trial(kind DeliveryFailureKind, blockDNSToo bool, i int, cellSeed int64) time.Duration {
-	tb, d, put := figure3Proto.Cell(cellSeed)
-	defer put()
-	if !d.Connected() {
-		return -1
-	}
-	// Stagger onset within the monitor's polling period so the
-	// latency distribution reflects the phase uniformly.
-	tb.Advance(2*time.Minute + (time.Duration(i)*7919*time.Millisecond)%time.Minute)
-	onset := tb.Now()
-	switch kind {
-	case DeliveryTCPBlock:
-		tb.BlockTCP(d)
-	case DeliveryUDPBlock:
-		tb.BlockUDP(d)
-		if blockDNSToo {
+// figure3Trial is trial i of one blocking kind's detection-latency cells:
+// from a legacy device with the video+web mix connected and generating
+// traffic, block, and wait for the Android monitor to notice. It measures
+// the detection latency (-1 when the monitor never noticed).
+func figure3Trial(kind DeliveryFailureKind, i int) trial[time.Duration] {
+	from := steady{family: familyFigure3, mode: ModeLegacy, apps: [3]AppKind{AppVideo, AppWeb}, start: true}
+	return trial[time.Duration]{from, func(tb *Testbed, d *Device) time.Duration {
+		if !d.Connected() {
+			return -1
+		}
+		// Stagger onset within the monitor's polling period so the
+		// latency distribution reflects the phase uniformly.
+		tb.Advance(2*time.Minute + (time.Duration(i)*7919*time.Millisecond)%time.Minute)
+		onset := tb.Now()
+		switch kind {
+		case DeliveryTCPBlock:
+			tb.BlockTCP(d)
+		case DeliveryUDPBlock:
+			tb.BlockUDP(d)
+			tb.SetDNSOutage(true)
+		case DeliveryDNSOutage:
 			tb.SetDNSOutage(true)
 		}
-	case DeliveryDNSOutage:
-		tb.SetDNSOutage(true)
-	}
-	if !tb.await(d.inner.Mon.Stalled, 25*time.Minute) {
-		return -1
-	}
-	return tb.Now() - onset
+		if !tb.await(d.inner.Mon.Stalled, 25*time.Minute) {
+			return -1
+		}
+		return tb.Now() - onset
+	}}
 }
 
 // Render formats the detection latency summary.
@@ -463,7 +440,7 @@ func ExperimentTable5(p *runner.Pool, trials int, seedVal int64) Table5Result {
 	}
 	outages := runner.Map(p, len(cells), func(i int) time.Duration {
 		c := cells[i]
-		return runAppDisruptionTrial(c.app, c.class, c.mode, sched.DeriveSeed(seedVal, cellKey(0, c.trial)))
+		return appDisruptionTrial(c.app, c.class, c.mode).run(sched.DeriveSeed(seedVal, cellKey(0, c.trial)))
 	})
 	acc := newTally()
 	for i, o := range outages {
@@ -491,73 +468,52 @@ func ExperimentTable5(p *runner.Pool, trials int, seedVal int64) Table5Result {
 	return res
 }
 
-// table5Protos boots one (app, mode) steady state per Table 5 cell
-// group: the device with recommended timers and the single app warmed for
-// 90 seconds.
-var table5Protos = NewProtoMap(func(k struct {
-	App  AppKind
-	Mode Mode
-}) func(*Testbed) *Device {
-	return func(tb *Testbed) *Device {
-		d := tb.NewDevice(k.Mode, WithAndroidRecommendedTimers())
-		a := d.AddApp(k.App)
-		d.Start()
-		if !tb.await(d.Connected, connectDeadline) {
-			return d
+// appDisruptionTrial is one (app, failure class, mode) trial of Table 5:
+// from the (app, mode) steady state — the device with recommended timers and
+// the single app warmed for 90 seconds — it measures the raw network outage
+// (-1 when it never recovered).
+func appDisruptionTrial(app AppKind, class string, mode Mode) trial[time.Duration] {
+	from := steady{family: familyTable5, mode: mode, tuned: true, apps: [3]AppKind{app}, warm: 90 * time.Second, start: true}
+	return trial[time.Duration]{from, func(tb *Testbed, d *Device) time.Duration {
+		if !d.Connected() {
+			return -1
 		}
-		a.Start()
-		tb.Advance(90 * time.Second)
-		return d
-	}
-})
 
-// runAppDisruptionTrial runs one (app, failure class, mode) trial from a
-// cloned boot and returns the raw network outage (-1 when it never
-// recovered).
-func runAppDisruptionTrial(app AppKind, class string, mode Mode, seedVal int64) time.Duration {
-	tb, d, put := table5Protos.Proto(struct {
-		App  AppKind
-		Mode Mode
-	}{app, mode}).Cell(seedVal)
-	defer put()
-	if !d.Connected() {
-		return -1
-	}
-
-	var fixedCond func() bool
-	switch class {
-	case "C-plane":
-		// The Table 1 headline: identity desync after mobility. Legacy
-		// loops on cause 9 until the long backoff; SEED reloads/reset.
-		tb.DesyncIdentity(d)
-		tb.SimulateMobility(d)
-		fixedCond = d.Connected
-	case "D-plane":
-		// Outdated APN with a correct SIM copy (stale modem cache). The
-		// IMS PDN keeps the registration alive through the failure, as on
-		// real handsets.
-		tb.EstablishIMS(d)
-		tb.Advance(2 * time.Second)
-		tb.MigrateSubscription(d, "internet2", true)
-		d.inner.Mdm.OverrideSessionDNN("internet")
-		tb.ReleaseInternetSessions(d)
-		fixedCond = d.Connected
-	case "D-Delivery":
-		tb.StallGateway(d)
-		fixedCond = func() bool {
-			return !tb.net.UPF.Stalled(d.IMSI()) && d.Connected()
+		var fixedCond func() bool
+		switch class {
+		case "C-plane":
+			// The Table 1 headline: identity desync after mobility. Legacy
+			// loops on cause 9 until the long backoff; SEED reloads/reset.
+			tb.DesyncIdentity(d)
+			tb.SimulateMobility(d)
+			fixedCond = d.Connected
+		case "D-plane":
+			// Outdated APN with a correct SIM copy (stale modem cache). The
+			// IMS PDN keeps the registration alive through the failure, as on
+			// real handsets.
+			tb.EstablishIMS(d)
+			tb.Advance(2 * time.Second)
+			tb.MigrateSubscription(d, "internet2", true)
+			d.inner.Mdm.OverrideSessionDNN("internet")
+			tb.ReleaseInternetSessions(d)
+			fixedCond = d.Connected
+		case "D-Delivery":
+			tb.StallGateway(d)
+			fixedCond = func() bool {
+				return !tb.net.UPF.Stalled(d.IMSI()) && d.Connected()
+			}
 		}
-	}
-	// Wait for the failure to actually manifest (the injections above are
-	// asynchronous), then measure the outage until recovery.
-	if !tb.await(func() bool { return !fixedCond() }, time.Minute) {
-		return -1
-	}
-	onset := tb.Now()
-	if !tb.awaitAfter(onset, fixedCond, 45*time.Minute) {
-		return -1
-	}
-	return tb.Now() - onset
+		// Wait for the failure to actually manifest (the injections above are
+		// asynchronous), then measure the outage until recovery.
+		if !tb.await(func() bool { return !fixedCond() }, time.Minute) {
+			return -1
+		}
+		onset := tb.Now()
+		if !tb.awaitAfter(onset, fixedCond, 45*time.Minute) {
+			return -1
+		}
+		return tb.Now() - onset
+	}}
 }
 
 // Render formats Table 5.
@@ -614,7 +570,13 @@ type Figure11aResult struct {
 func ExperimentFigure11a(p *runner.Pool, seedVal int64) Figure11aResult {
 	model := metrics.DefaultCPUModel()
 	const ues = 200
-	extra := measureSignalingOverhead(p, seedVal)
+	// SEED's extra core messages per failure: the same failure burst against
+	// a SEED-U and a legacy device, two cells on the pool sharing one derived
+	// seed (a paired comparison).
+	arms := runner.Map(p, 2, func(i int) int {
+		return signalingTrial([]Mode{ModeSEEDU, ModeLegacy}[i]).run(sched.DeriveSeed(seedVal, cellKey(0, 0)))
+	})
+	extra := float64(arms[0] - arms[1])
 	res := Figure11aResult{UEs: ues}
 	for _, rate := range []float64{0, 20, 40, 60, 80, 100} {
 		res.Points = append(res.Points, CPUPoint{
@@ -627,14 +589,11 @@ func ExperimentFigure11a(p *runner.Pool, seedVal int64) Figure11aResult {
 	return res
 }
 
-// measureSignalingOverhead runs the same failure burst against a SEED and
-// a legacy device and returns the extra core messages per failure. The
-// two arms are independent cells on the worker pool sharing one derived
-// seed (a paired comparison).
-func measureSignalingOverhead(p *runner.Pool, seedVal int64) float64 {
-	run := func(mode Mode, cellSeed int64) int {
-		tb, d, put := bareProtos.Proto(mode).Cell(cellSeed)
-		defer put()
+// signalingTrial is one arm of the signalling-overhead measurement: from the
+// connected steady state, a burst of failures, each manifesting on mobility;
+// it measures the core messages per failure.
+func signalingTrial(mode Mode) trial[int] {
+	return trial[int]{bareSteady(mode), func(tb *Testbed, d *Device) int {
 		base := tb.CoreSignalingLoad()
 		const failures = 20
 		for i := 0; i < failures; i++ {
@@ -643,15 +602,7 @@ func measureSignalingOverhead(p *runner.Pool, seedVal int64) float64 {
 			tb.Advance(30 * time.Second)
 		}
 		return (tb.CoreSignalingLoad() - base) / failures
-	}
-	arms := runner.Map(p, 2, func(i int) int {
-		mode := ModeSEEDU
-		if i == 1 {
-			mode = ModeLegacy
-		}
-		return run(mode, sched.DeriveSeed(seedVal, cellKey(0, 0)))
-	})
-	return float64(arms[0] - arms[1])
+	}}
 }
 
 // Render formats the curve.
@@ -694,24 +645,7 @@ type Figure11bResult struct {
 // A single shared kernel carries the whole stress run, so this experiment
 // is one cell and takes no pool.
 func ExperimentFigure11b(seedVal int64) Figure11bResult {
-	tb, d, put := bareProtos.Proto(ModeSEEDU).Cell(seedVal)
-	defer put()
-	opsBase := d.SIMOperations()
-	stop := time.Duration(30) * time.Minute
-	start := tb.Now()
-	// Stress: one diagnosis delivery per second.
-	var pump func()
-	pump = func() {
-		if tb.Now()-start >= stop {
-			return
-		}
-		tb.plugin.SendDiagnosis(d.IMSI(), benignDiag())
-		tb.After(time.Second, pump)
-	}
-	pump()
-	tb.Advance(stop + time.Second)
-	ops := d.SIMOperations() - opsBase
-
+	ops := stressTrial().run(seedVal)
 	model := metrics.DefaultBatteryModel()
 	var res Figure11bResult
 	res.SIMOps = ops
@@ -726,6 +660,29 @@ func ExperimentFigure11b(seedVal int64) Figure11bResult {
 		})
 	}
 	return res
+}
+
+// stressTrial is the Figure 11b stress run on a connected SEED-U device: one
+// diagnosis delivery per second for 30 minutes. It measures the SIM
+// operations the run cost.
+func stressTrial() trial[int] {
+	return trial[int]{bareSteady(ModeSEEDU), func(tb *Testbed, d *Device) int {
+		opsBase := d.SIMOperations()
+		stop := time.Duration(30) * time.Minute
+		start := tb.Now()
+		// Stress: one diagnosis delivery per second.
+		var pump func()
+		pump = func() {
+			if tb.Now()-start >= stop {
+				return
+			}
+			tb.plugin.SendDiagnosis(d.IMSI(), benignDiag())
+			tb.After(time.Second, pump)
+		}
+		pump()
+		tb.Advance(stop + time.Second)
+		return d.SIMOperations() - opsBase
+	}}
 }
 
 // Render formats the battery curves.
@@ -762,42 +719,48 @@ type Figure12Result struct {
 // The exchanges share one device and kernel (uplink state feeds the next
 // exchange), so this experiment is one sequential cell and takes no pool.
 func ExperimentFigure12(n int, seedVal int64) Figure12Result {
-	tb, d, put := bareProtos.Proto(ModeSEEDR).Cell(seedVal)
-	defer put()
+	return collabTrial(n).run(seedVal)
+}
 
-	prepDL := metrics.NewSeries()
-	transDL := metrics.NewSeries()
-	tb.plugin.OnDiagTiming = func(prep, trans time.Duration) {
-		prepDL.Add(prep)
-		transDL.Add(trans)
-	}
-	for i := 0; i < n; i++ {
-		tb.plugin.SendDiagnosis(d.IMSI(), benignDiag())
-		tb.Advance(2 * time.Second)
-	}
-
-	prepUL := metrics.NewSeries()
-	transUL := metrics.NewSeries()
-	var t0, tSent time.Duration
-	d.inner.CApp.OnUplinkSent = func() { tSent = tb.Now() }
-	received := false
-	tb.plugin.OnReportReceived = func(string) {
-		if !received {
-			received = true
-			prepUL.Add(tSent - t0)
-			transUL.Add(tb.Now() - tSent)
+// collabTrial is Figure 12's cell on a connected SEED-R device: n downlink
+// diagnoses, then n OS-originated uplink reports, each timed from
+// preparation to receipt.
+func collabTrial(n int) trial[Figure12Result] {
+	return trial[Figure12Result]{bareSteady(ModeSEEDR), func(tb *Testbed, d *Device) Figure12Result {
+		prepDL := metrics.NewSeries()
+		transDL := metrics.NewSeries()
+		tb.plugin.OnDiagTiming = func(prep, trans time.Duration) {
+			prepDL.Add(prep)
+			transDL.Add(trans)
 		}
-	}
-	for i := 0; i < n; i++ {
-		received = false
-		t0 = tb.Now()
-		d.inner.CApp.OnDataStall("tcp") // OS-originated report
-		tb.Advance(2 * time.Second)
-	}
-	return Figure12Result{
-		Downlink: CollabLatency{Direction: "downlink", PrepMean: prepDL.Mean(), TransMean: transDL.Mean(), N: prepDL.Len()},
-		Uplink:   CollabLatency{Direction: "uplink", PrepMean: prepUL.Mean(), TransMean: transUL.Mean(), N: prepUL.Len()},
-	}
+		for i := 0; i < n; i++ {
+			tb.plugin.SendDiagnosis(d.IMSI(), benignDiag())
+			tb.Advance(2 * time.Second)
+		}
+
+		prepUL := metrics.NewSeries()
+		transUL := metrics.NewSeries()
+		var t0, tSent time.Duration
+		d.inner.CApp.OnUplinkSent = func() { tSent = tb.Now() }
+		received := false
+		tb.plugin.OnReportReceived = func(string) {
+			if !received {
+				received = true
+				prepUL.Add(tSent - t0)
+				transUL.Add(tb.Now() - tSent)
+			}
+		}
+		for i := 0; i < n; i++ {
+			received = false
+			t0 = tb.Now()
+			d.inner.CApp.OnDataStall("tcp") // OS-originated report
+			tb.Advance(2 * time.Second)
+		}
+		return Figure12Result{
+			Downlink: CollabLatency{Direction: "downlink", PrepMean: prepDL.Mean(), TransMean: transDL.Mean(), N: prepDL.Len()},
+			Uplink:   CollabLatency{Direction: "uplink", PrepMean: prepUL.Mean(), TransMean: transUL.Mean(), N: prepUL.Len()},
+		}
+	}}
 }
 
 // Render formats the latency bars.
@@ -835,31 +798,19 @@ type Figure13Result struct {
 // The nine (tier, scheme) measurements are independent cells; the three
 // arms of one tier share a derived seed (paired comparison).
 func ExperimentFigure13(p *runner.Pool, seedVal int64) Figure13Result {
-	tiers := []struct {
-		level      string
-		rung       int
-		actU, actR string
-	}{
-		{"Hardware", 3, "A1", "B1"},
-		{"C-Plane", 2, "A2", "B2"},
-		{"D-Plane", 1, "A3", "B3"},
-	}
-	durs := runner.Map(p, len(tiers)*3, func(i int) time.Duration {
-		tier := tiers[i/3]
+	levels := []string{"Hardware", "C-Plane", "D-Plane"} // rungs 3, 2, 1
+	durs := runner.Map(p, len(levels)*3, func(i int) time.Duration {
+		rung, mode := 3-i/3, Modes[i%3]
 		cellSeed := sched.DeriveSeed(seedVal, cellKey(0, i/3))
-		switch i % 3 {
-		case 0:
-			return legacyLadderTime(cellSeed, tier.rung)
-		case 1:
-			return seedResetTime(cellSeed, ModeSEEDU, tier.actU)
-		default:
-			return seedResetTime(cellSeed, ModeSEEDR, tier.actR)
+		if mode == ModeLegacy {
+			return ladderTrial(rung).run(cellSeed)
 		}
+		return seedResetTrial(mode, rung).run(cellSeed)
 	})
 	var res Figure13Result
-	for ti, tier := range tiers {
+	for ti, level := range levels {
 		res.Rows = append(res.Rows, ResetTimeRow{
-			Level:  tier.level,
+			Level:  level,
 			Legacy: durs[ti*3],
 			SEEDU:  durs[ti*3+1],
 			SEEDR:  durs[ti*3+2],
@@ -868,112 +819,90 @@ func ExperimentFigure13(p *runner.Pool, seedVal int64) Figure13Result {
 	return res
 }
 
-// ladderProtos are the two states Figure 13's legacy arm starts from, keyed
-// by whether the device carries a stale DNN. Without: the steady state of a
-// legacy device on recommended timers after 90 s of web and video traffic,
-// whose gateway rungs 1 and 2 stall. With: rung 3's device, its modem cache
-// stale from boot (the SIM copy correct, so only the modem-restart rung,
-// which re-reads the SIM, fixes it) — built and not started, because the
-// failure manifests from the device's own boot.
-var ladderProtos = NewProtoMap(func(staleDNN bool) func(*Testbed) *Device {
-	return func(tb *Testbed) *Device {
-		opts := []DeviceOption{WithAndroidRecommendedTimers()}
-		if staleDNN {
-			opts = append(opts, WithStaleDNN("internet2"))
-		}
-		d := tb.NewDevice(ModeLegacy, opts...)
-		web, video := d.AddApp(AppWeb), d.AddApp(AppVideo)
-		if staleDNN {
-			tb.MigrateSubscription(d, "internet2", false)
-			return d
-		}
-		d.Start()
-		if tb.await(d.Connected, connectDeadline) {
-			web.Start()
-			video.Start()
-			tb.Advance(90 * time.Second)
-		}
-		return d
-	}
-})
-
-// legacyLadderTime measures how long the Android ladder takes from stall
+// ladderTrial measures how long the Android ladder takes from stall
 // declaration until the rung-th action completes its recovery, using a
-// failure only that rung can fix.
-func legacyLadderTime(seedVal int64, rung int) time.Duration {
-	tb, d, put := ladderProtos.Proto(rung == 3).Cell(seedVal)
-	defer put()
-	if rung == 3 {
-		first := true
-		d.OnProfileReload(func() {
-			if first {
-				first = false
-				d.inner.Mdm.OverrideSessionDNN("internet")
+// failure only that rung can fix. Rungs 1 and 2 start from the steady state
+// of a legacy device on recommended timers after 90 s of web and video
+// traffic, whose gateway they stall. Rung 3 starts from that device with its
+// modem cache stale from boot (the SIM copy correct, so only the
+// modem-restart rung, which re-reads the SIM, fixes it) — built and not
+// started, because the failure manifests from the device's own boot.
+func ladderTrial(rung int) trial[time.Duration] {
+	from := steady{family: familyLadder, mode: ModeLegacy, tuned: true, apps: [3]AppKind{AppWeb, AppVideo},
+		warm: 90 * time.Second, start: rung != 3, staleDNN: rung == 3}
+	return trial[time.Duration]{from, func(tb *Testbed, d *Device) time.Duration {
+		if rung == 3 {
+			first := true
+			d.OnProfileReload(func() {
+				if first {
+					first = false
+					d.inner.Mdm.OverrideSessionDNN("internet")
+				}
+			})
+			d.Start()
+			tb.Advance(5 * time.Second) // registration completes; session fails
+			d.inner.Apps[AppWeb].Start()
+			d.inner.Apps[AppVideo].Start()
+		} else {
+			if !d.Connected() {
+				return -1
 			}
-		})
-		d.Start()
-		tb.Advance(5 * time.Second) // registration completes; session fails
-		d.inner.Apps[AppWeb].Start()
-		d.inner.Apps[AppVideo].Start()
-	} else {
+			// A stalled gateway: any session re-establishment fixes it; the
+			// ladder reaches "re-register" on rung 2 (rung 1's TCP cleanup
+			// cannot help, matching §3.3).
+			tb.StallGateway(d)
+		}
+		if !tb.await(d.inner.Mon.Stalled, 30*time.Minute) {
+			return -1
+		}
+		stallAt := tb.Now()
+		fixed := func() bool {
+			return d.Connected() && !tb.net.UPF.Stalled(d.IMSI())
+		}
+		if !tb.awaitAfter(stallAt, fixed, 30*time.Minute) {
+			return -1
+		}
+		return tb.Now() - stallAt
+	}}
+}
+
+// seedResetTrial measures the SEED reset action of the ladder's rung-th tier
+// end to end: from the diagnosis that triggers it until connectivity is
+// back. The connected device comes from the bare steady state; the
+// data-plane tier adds a second device on the same cloned testbed (its
+// stale-DNN failure must manifest from that device's own boot).
+func seedResetTrial(mode Mode, rung int) trial[time.Duration] {
+	return trial[time.Duration]{bareSteady(mode), func(tb *Testbed, d *Device) time.Duration {
 		if !d.Connected() {
 			return -1
 		}
-		// A stalled gateway: any session re-establishment fixes it; the
-		// ladder reaches "re-register" on rung 2 (rung 1's TCP cleanup
-		// cannot help, matching §3.3).
-		tb.StallGateway(d)
-	}
-	if !tb.await(d.inner.Mon.Stalled, 30*time.Minute) {
-		return -1
-	}
-	stallAt := tb.Now()
-	fixed := func() bool {
-		return d.Connected() && !tb.net.UPF.Stalled(d.IMSI())
-	}
-	if !tb.awaitAfter(stallAt, fixed, 30*time.Minute) {
-		return -1
-	}
-	return tb.Now() - stallAt
-}
-
-// seedResetTime measures a SEED reset action end to end: from the
-// diagnosis that triggers it until connectivity is back. The connected
-// device comes from a cloned boot; the A3/B3 arm adds a second device on
-// the same cloned testbed (its stale-DNN failure must manifest from that
-// device's own boot).
-func seedResetTime(seedVal int64, mode Mode, action string) time.Duration {
-	tb, d, put := bareProtos.Proto(mode).Cell(seedVal)
-	defer put()
-	if !d.Connected() {
-		return -1
-	}
-	tb.Advance(30 * time.Second)
-	start := tb.Now()
-	switch action {
-	case "A1", "B1":
-		// Hardware tier: a desynced identity fixed by reload/reset.
-		tb.DesyncIdentity(d)
-		tb.SimulateMobility(d)
-	case "A2", "B2":
-		// Control-plane tier with config refresh: stale slice.
-		tb.RestrictSlice(d, 2)
-		tb.SimulateMobility(d)
-	case "A3", "B3":
-		// Data-plane tier: the boot-time stale-DNN manifestation keeps
-		// the registration intact, so the measurement isolates the pure
-		// data-plane reset (otherwise the last-bearer release forces a
-		// reattach and measures the hardware tier instead).
-		r := tb.replayStaleDNN(tb.NewDevice(mode), true, 0)
-		if !r.Recovered {
+		tb.Advance(30 * time.Second)
+		start := tb.Now()
+		switch rung {
+		case 3:
+			// Hardware tier: a desynced identity fixed by reload/reset.
+			tb.DesyncIdentity(d)
+			tb.SimulateMobility(d)
+		case 2:
+			// Control-plane tier with config refresh: stale slice.
+			tb.RestrictSlice(d, 2)
+			tb.SimulateMobility(d)
+		case 1:
+			// Data-plane tier: the boot-time stale-DNN manifestation keeps
+			// the registration intact, so the measurement isolates the pure
+			// data-plane reset (otherwise the last-bearer release forces a
+			// reattach and measures the hardware tier instead).
+			r := tb.replayStaleDNN(tb.NewDevice(mode), true, 0)
+			if !r.Recovered {
+				return -1
+			}
+			return r.Disruption
+		}
+		if !tb.awaitAfter(start, d.Connected, 30*time.Minute) {
 			return -1
 		}
-		return r.Disruption
-	}
-	if !tb.awaitAfter(start, d.Connected, 30*time.Minute) {
-		return -1
-	}
-	return tb.Now() - start
+		return tb.Now() - start
+	}}
 }
 
 // Render formats the bar groups.
@@ -1123,13 +1052,9 @@ func ExperimentLearning(devices, causesPerPlane, trialsPerCause int, seedVal int
 	// Verify plane classification of the learned best actions.
 	for _, c := range causes {
 		best, has := learnedBest(tb, c.control, c.code)
-		if !has {
-			continue
-		}
-		controlAction := best == "B1/modem-reset" || best == "A1/profile-reload" ||
-			best == "B2/cplane-reattach" || best == "A2/cplane-config-update"
-		dataAction := best == "B3/dplane-reset" || best == "A3/dplane-config-update"
-		if (c.control && controlAction) || (!c.control && dataAction) {
+		controlAction := best == core.ActionA1 || best == core.ActionB1 || best == core.ActionA2 || best == core.ActionB2
+		dataAction := best == core.ActionA3 || best == core.ActionB3
+		if has && (c.control && controlAction || !c.control && dataAction) {
 			res.CorrectPlane++
 		}
 	}
@@ -1143,13 +1068,13 @@ func dataResets(d *Device) int {
 	return st.FastResets + st.DataResets
 }
 
-func learnedBest(tb *Testbed, control bool, code uint8) (string, bool) {
+// learnedBest returns the learner's best action for the customized cause.
+func learnedBest(tb *Testbed, control bool, code uint8) (core.ActionID, bool) {
 	c := cause.SM(cause.Code(code))
 	if control {
 		c = cause.MM(cause.Code(code))
 	}
-	best, has := tb.plugin.Learner.Best(c)
-	return best.String(), has
+	return tb.plugin.Learner.Best(c)
 }
 
 // Render formats the learning summary.

@@ -158,9 +158,10 @@ func (st *ServerStats) Add(o ServerStats) {
 
 // Server is the carrier fleet aggregation service.
 type Server struct {
-	cfg    ServerConfig
-	ln     net.Listener
-	shards []*shard
+	cfg        ServerConfig
+	ln         net.Listener
+	acceptDone chan struct{} // closed when acceptLoop has returned
+	shards     []*shard
 
 	connMu   sync.Mutex
 	conns    map[net.Conn]struct{}
@@ -259,15 +260,21 @@ func (s *Server) Start() error {
 	if err != nil {
 		return err
 	}
+	s.serve(ln)
+	s.cfg.Logf("seedfleetd: listening on %s (%d shards, queue %d)",
+		ln.Addr(), s.cfg.Shards, s.cfg.QueueDepth)
+	return nil
+}
+
+// serve launches the shard workers and the accept loop on ln.
+func (s *Server) serve(ln net.Listener) {
 	s.ln = ln
 	for _, sh := range s.shards {
 		s.shardWG.Add(1)
 		go sh.run()
 	}
+	s.acceptDone = make(chan struct{})
 	go s.acceptLoop()
-	s.cfg.Logf("seedfleetd: listening on %s (%d shards, queue %d)",
-		ln.Addr(), s.cfg.Shards, s.cfg.QueueDepth)
-	return nil
 }
 
 // recoverDurable recovers every shard from its snapshot + journal and
@@ -376,6 +383,7 @@ func (s *Server) stop(stopConn func(net.Conn)) {
 	s.connMu.Unlock()
 	if s.ln != nil {
 		_ = s.ln.Close()
+		<-s.acceptDone
 	}
 	s.connWG.Wait()
 	for _, sh := range s.shards {
@@ -419,12 +427,24 @@ func (s *Server) Kill() {
 	}
 }
 
+// acceptLoop serves the listener until it is closed. Any other Accept
+// failure (EMFILE, ECONNABORTED) is transient: the loop waits 5 ms, doubling
+// up to 1 s while failures repeat, and accepts again, as net/http does.
 func (s *Server) acceptLoop() {
+	defer close(s.acceptDone)
+	var backoff time.Duration
 	for {
 		conn, err := s.ln.Accept()
-		if err != nil {
+		if errors.Is(err, net.ErrClosed) {
 			return // listener closed on Shutdown
 		}
+		if err != nil {
+			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
+			s.cfg.Logf("seedfleetd: accept: %v; retrying in %v", err, backoff)
+			time.Sleep(backoff)
+			continue
+		}
+		backoff = 0
 		s.connMu.Lock()
 		if s.draining.Load() {
 			s.connMu.Unlock()

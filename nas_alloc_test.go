@@ -28,7 +28,7 @@ func TestLegacyRetryLoopAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the binding run is the uninstrumented bench-smoke job")
 	}
-	tb, d, put := coldProtos.Proto(coldKey{mode: ModeLegacy}).Cell(1)
+	tb, d, put := protos.Proto(coldSteady(ModeLegacy, 0)).Cell(1)
 	defer put()
 	tb.MigrateSubscription(d, "internet2", false)
 	rejects := 0
@@ -86,7 +86,7 @@ func TestReregistrationAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the binding run is the uninstrumented bench-smoke job")
 	}
-	tb, d, put := bareProtos.Proto(ModeLegacy).Cell(1)
+	tb, d, put := protos.Proto(bareSteady(ModeLegacy)).Cell(1)
 	defer put()
 	d.inner.Mon.Stop()
 	mdm := d.inner.Mdm
@@ -241,7 +241,7 @@ func pooledObjects(tb *Testbed) (events, frames, hops int) {
 // cell. The outcome is the fresh build's, which warms nothing: pool
 // contents are no part of a cell's behaviour.
 func TestWarmPrototypePools(t *testing.T) {
-	key := coldKey{mode: ModeSEEDR}
+	key := coldSteady(ModeSEEDR, 0)
 	run := func(tb *Testbed, d *Device) (time.Duration, modem.Stats, int) {
 		d.Start()
 		if !tb.RunUntil(d.Connected, connectDeadline) {
@@ -250,7 +250,7 @@ func TestWarmPrototypePools(t *testing.T) {
 		tb.Advance(5 * time.Second)
 		return tb.Now(), d.inner.Mdm.Stats(), tb.net.AMF.Stats().MessagesIn
 	}
-	tb, d, put := coldProtos.Proto(key).Cell(3)
+	tb, d, put := protos.Proto(key).Cell(3)
 	defer put()
 
 	events, frames, hops := pooledObjects(tb)
@@ -263,7 +263,7 @@ func TestWarmPrototypePools(t *testing.T) {
 			events, frames, hops, e, f, h)
 	}
 
-	freshTB, freshD := coldProtos.Proto(key).Fresh(3)
+	freshTB, freshD := protos.Proto(key).Fresh(3)
 	if e, f, h := pooledObjects(freshTB); e != 0 || f != 0 || h != 0 {
 		t.Errorf("a fresh build starts with %d events, %d frames and %d hop records pooled, want none", e, f, h)
 	}

@@ -30,10 +30,7 @@ const protoBootSeed int64 = 0x5EEDB007
 // recorder wired into device taps). Restore on the returned snapshot
 // rewinds everything in place.
 func (tb *Testbed) Snapshot(extraRoots ...any) *snap.Snapshot {
-	roots := make([]any, 0, 1+len(extraRoots))
-	roots = append(roots, tb)
-	roots = append(roots, extraRoots...)
-	return snap.Take(roots...)
+	return snap.Take(append([]any{tb}, extraRoots...)...)
 }
 
 // warmEvents is how many free events a prototype's kernel is snapshotted
@@ -55,14 +52,15 @@ func (tb *Testbed) Reseed(seedVal int64) { tb.kern.Reseed(seedVal) }
 
 // Proto is a booted-testbed prototype: boot describes how to take a brand
 // new testbed to the steady state cells start from, and returns whatever
-// handles (device, apps, taps) cells need. Booted instances wait on a
-// mutex-guarded free list; each worker of a parallel sweep reuses one via
-// restore-on-acquire, so a dirty or even panicked cell self-cleans on the
-// next Cell. The garbage collector never drains the list (the runtime's
-// own pool type is emptied every second GC cycle, which re-booted
-// prototypes all through a sweep): a prototype boots once per concurrent
-// cell per process, and the list holds at most the peak number of cells
-// that ran on this prototype at the same time.
+// handles (device, apps, taps) cells need. The root package's own cells all
+// start from the prototype of a steady value (see trial.run). Booted
+// instances wait on a mutex-guarded free list; each worker of a parallel
+// sweep reuses one via restore-on-acquire, so a dirty or even panicked cell
+// self-cleans on the next Cell. The garbage collector never drains the list
+// (the runtime's own pool type is emptied every second GC cycle, which
+// re-booted prototypes all through a sweep): a prototype boots once per
+// concurrent cell per process, and the list holds at most the peak number
+// of cells that ran on this prototype at the same time.
 type Proto[T any] struct {
 	boot func(tb *Testbed) T
 
@@ -180,12 +178,16 @@ func (pm *ProtoMap[K, T]) Proto(k K) *Proto[T] {
 	return p
 }
 
-// Stats sums the boot and restore counts of every prototype in the family.
-func (pm *ProtoMap[K, T]) Stats() ProtoStats {
+// statsWhere sums the boot and restore counts of the prototypes whose key
+// satisfies keep.
+func (pm *ProtoMap[K, T]) statsWhere(keep func(K) bool) ProtoStats {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
 	var sum ProtoStats
-	for _, p := range pm.m {
+	for k, p := range pm.m {
+		if !keep(k) {
+			continue
+		}
 		st := p.Stats()
 		sum.Boots += st.Boots
 		sum.Restores += st.Restores
@@ -194,71 +196,116 @@ func (pm *ProtoMap[K, T]) Stats() ProtoStats {
 }
 
 // ---------------------------------------------------------------------------
-// Shared prototype families used by the experiment runners
+// Steady states and trials: the one way the experiments run a cell
 // ---------------------------------------------------------------------------
 
-// bareProtos boots one device of the given mode to connected steady
-// state — the common prefix of the desync replays, the signaling-overhead
-// measurement, and the reset-time cells.
-var bareProtos = NewProtoMap(func(mode Mode) func(*Testbed) *Device {
-	return func(tb *Testbed) *Device {
-		d := tb.NewDevice(mode)
-		tb.Observe(bootTracer{d})
-		d.Start()
-		tb.await(d.Connected, connectDeadline)
-		tb.Observe(nil)
+// steady is one steady state a cell starts from, as a comparable value:
+// every prototype the experiments and replays restore is protos' prototype
+// for one such value, booted by steady.boot.
+type steady struct {
+	family   protoFamily   // the PrototypeStats row the prototype counts under
+	mode     Mode          // the device's failure-handling stack
+	tuned    bool          // Android's recommended recovery-action timers
+	apps     [3]AppKind    // installed in order (zero entries unused), started once connected
+	warm     time.Duration // app traffic run after the apps start
+	cells    int           // cell-graph size (0 is the single-gNB testbed)
+	start    bool          // power on and wait for the data session
+	staleDNN bool          // SIM and subscription on "internet2" before the start
+}
+
+// protoFamily groups steady states in PrototypeStats. A number, not a name:
+// a pointer-free key keeps a trial's measure body off the heap.
+type protoFamily uint8
+
+const (
+	familyBare protoFamily = iota
+	familyCold
+	familyDelivery
+	familyFigure3
+	familyLadder
+	familyTable5
+)
+
+// bareSteady is one device of the given mode at connected steady state: the
+// common prefix of the desync replays, the signalling-overhead arms, the
+// stress runs and SEED's reset-time cells.
+func bareSteady(mode Mode) steady { return steady{family: familyBare, mode: mode, start: true} }
+
+// coldSteady is a built, never started device (on a cell graph of the given
+// size, 0 for none): the state every cell whose measured window includes the
+// boot begins from. Construction draws nothing from the kernel's random
+// stream, so the snapshot reseeded with the cell's seed is New(seed) +
+// NewDevice(mode).
+func coldSteady(mode Mode, cells int) steady {
+	return steady{family: familyCold, mode: mode, cells: cells}
+}
+
+// deliverySteady is the §7.1 delivery-replay steady state: recommended
+// Android timers, the three-app traffic mix warmed for two minutes.
+func deliverySteady(mode Mode) steady {
+	return steady{family: familyDelivery, mode: mode, tuned: true,
+		apps: [3]AppKind{AppVideo, AppWeb, AppEdgeAR}, warm: 2 * time.Minute, start: true}
+}
+
+// boot takes a brand new testbed to the steady state. A started boot runs
+// under bootTracer, a pure observer, so the device carries its boot's
+// decisions for a tracer attached after the restore.
+func (st steady) boot(tb *Testbed) *Device {
+	if st.cells > 0 {
+		tb.EnableCells(st.cells, 0)
+	}
+	var opts []DeviceOption
+	if st.tuned {
+		opts = append(opts, WithAndroidRecommendedTimers())
+	}
+	if st.staleDNN {
+		opts = append(opts, WithStaleDNN("internet2"))
+	}
+	d := tb.NewDevice(st.mode, opts...)
+	for _, kind := range st.apps {
+		if kind != 0 {
+			d.AddApp(kind)
+		}
+	}
+	if st.staleDNN {
+		tb.MigrateSubscription(d, "internet2", false)
+	}
+	if !st.start {
 		return d
 	}
-})
-
-// coldKey selects a cold prototype: the device mode and, for mobility
-// walks, the cell-graph size (0 is the single-gNB testbed), because the
-// cell manager must exist before the device is built.
-type coldKey struct {
-	mode  Mode
-	cells int
-}
-
-// coldProtos builds a testbed and its device and does NOT start it: the
-// state every cell whose measured window includes the boot begins from.
-// Construction draws nothing from the kernel's random stream, so the
-// snapshot reseeded with the cell's seed is New(seed) + NewDevice(mode).
-var coldProtos = NewProtoMap(func(k coldKey) func(*Testbed) *Device {
-	return func(tb *Testbed) *Device {
-		if k.cells > 0 {
-			tb.EnableCells(k.cells, 0)
-		}
-		return tb.NewDevice(k.mode)
-	}
-})
-
-// deliveryHandles are the boot products of a delivery-replay cell.
-type deliveryHandles struct {
-	d    *Device
-	apps [3]*App // video, web, edge-AR
-}
-
-// deliveryProtos boots the §7.1 delivery-replay steady state: recommended
-// Android timers, the three-app traffic mix warmed for two minutes.
-var deliveryProtos = NewProtoMap(func(mode Mode) func(*Testbed) deliveryHandles {
-	return func(tb *Testbed) deliveryHandles { return bootDelivery(tb, mode) }
-})
-
-func bootDelivery(tb *Testbed, mode Mode) deliveryHandles {
-	d := tb.NewDevice(mode, WithAndroidRecommendedTimers())
-	h := deliveryHandles{d: d}
-	h.apps[0] = d.AddApp(AppVideo)
-	h.apps[1] = d.AddApp(AppWeb)
-	h.apps[2] = d.AddApp(AppEdgeAR)
+	tb.Observe(bootTracer{d})
 	d.Start()
-	if !tb.await(d.Connected, connectDeadline) {
-		return h
+	connected := tb.await(d.Connected, connectDeadline)
+	tb.Observe(nil)
+	if !connected {
+		return d
 	}
-	for _, a := range h.apps {
+	for _, a := range d.apps {
 		a.Start()
 	}
-	tb.Advance(2 * time.Minute) // steady state
-	return h
+	if st.warm > 0 {
+		tb.Advance(st.warm)
+	}
+	return d
+}
+
+// protos holds the prototype of every steady state a cell has started from.
+var protos = NewProtoMap(func(st steady) func(*Testbed) *Device { return st.boot })
+
+// trial is one cell of an experiment or replay: the steady state it starts
+// from and the measure body that runs on it.
+type trial[R any] struct {
+	from    steady
+	measure func(tb *Testbed, d *Device) R
+}
+
+// run is the one way to run a cell: restore a booted instance of the trial's
+// steady state, reseed it with the cell's seed, measure on it, and hand the
+// instance back (also when the measure panics).
+func (t trial[R]) run(cellSeed int64) R {
+	tb, d, put := protos.Proto(t.from).Cell(cellSeed)
+	defer put()
+	return t.measure(tb, d)
 }
 
 // ProtoFamilyStats is one prototype family's counts as seedbench -json
@@ -268,16 +315,13 @@ type ProtoFamilyStats struct {
 	ProtoStats
 }
 
-// PrototypeStats returns the boot and restore counts of the prototype
-// families the experiment runners and replays share, summed per family.
-// Boots above the worker count mean a sweep re-booted prototypes.
+// PrototypeStats returns the boot and restore counts of the prototypes the
+// experiment runners and replays share, summed per family. Boots above the
+// worker count mean a sweep re-booted prototypes.
 func PrototypeStats() []ProtoFamilyStats {
-	return []ProtoFamilyStats{
-		{"bare", bareProtos.Stats()},
-		{"cold", coldProtos.Stats()},
-		{"delivery", deliveryProtos.Stats()},
-		{"figure3", figure3Proto.Stats()},
-		{"ladder", ladderProtos.Stats()},
-		{"table5", table5Protos.Stats()},
+	var out []ProtoFamilyStats
+	for f, name := range []string{"bare", "cold", "delivery", "figure3", "ladder", "table5"} {
+		out = append(out, ProtoFamilyStats{name, protos.statsWhere(func(st steady) bool { return st.family == protoFamily(f) })})
 	}
+	return out
 }

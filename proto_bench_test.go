@@ -30,7 +30,7 @@ const coldCellAllocBudget = 30
 // connected steady state under the prototype seed protocol, the per-cell
 // cost every sweep paid before snapshots.
 func BenchmarkFreshBootCell(b *testing.B) {
-	p := bareProtos.Proto(ModeSEEDR)
+	p := protos.Proto(bareSteady(ModeSEEDR))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -44,7 +44,7 @@ func BenchmarkFreshBootCell(b *testing.B) {
 // BenchmarkClonedCell is the snapshot arm: acquire the pooled booted
 // prototype, restore it to the boot snapshot, and reseed for the cell.
 func BenchmarkClonedCell(b *testing.B) {
-	p := bareProtos.Proto(ModeSEEDR)
+	p := protos.Proto(bareSteady(ModeSEEDR))
 	// Boot the pooled prototype outside the timed region.
 	_, _, put := p.Cell(1)
 	put()
@@ -67,12 +67,12 @@ func TestClonedCellAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the binding run is the uninstrumented bench-smoke job")
 	}
-	protos := []struct {
+	cells := []struct {
 		name   string
 		allocs func() float64
 	}{
 		{"bare", func() float64 {
-			p := bareProtos.Proto(ModeSEEDR)
+			p := protos.Proto(bareSteady(ModeSEEDR))
 			_, _, put := p.Cell(1)
 			put()
 			return testing.AllocsPerRun(50, func() {
@@ -84,27 +84,27 @@ func TestClonedCellAllocs(t *testing.T) {
 			})
 		}},
 		{"delivery", func() float64 {
-			p := deliveryProtos.Proto(ModeSEEDR)
+			p := protos.Proto(deliverySteady(ModeSEEDR))
 			_, _, put := p.Cell(1)
 			put()
 			return testing.AllocsPerRun(20, func() {
-				_, h, put := p.Cell(7)
-				if !h.d.Connected() {
+				_, d, put := p.Cell(7)
+				if !d.Connected() {
 					t.Fatal("cloned cell not connected")
 				}
 				put()
 			})
 		}},
 	}
-	for _, pc := range protos {
+	for _, pc := range cells {
 		if avg := pc.allocs(); avg > clonedCellAllocBudget {
 			t.Errorf("%s cloned cell allocates %.0f objects, budget %d", pc.name, avg, clonedCellAllocBudget)
 		} else {
 			t.Logf("%s cloned cell: %.0f allocs (budget %d)", pc.name, avg, clonedCellAllocBudget)
 		}
 	}
-	for _, key := range []coldKey{{mode: ModeSEEDR}, {ModeSEEDR, 3}} {
-		p := coldProtos.Proto(key)
+	for _, key := range []steady{coldSteady(ModeSEEDR, 0), coldSteady(ModeSEEDR, 3)} {
+		p := protos.Proto(key)
 		_, _, put := p.Cell(1)
 		put()
 		avg := testing.AllocsPerRun(50, func() {
@@ -132,20 +132,20 @@ func TestClonedCellAllocsWithinTenPercentOfFreshBoot(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the binding run is the uninstrumented bench-smoke job")
 	}
-	p := deliveryProtos.Proto(ModeSEEDR)
+	p := protos.Proto(deliverySteady(ModeSEEDR))
 	_, _, put := p.Cell(1)
 	put()
 
 	cloneAllocs := testing.AllocsPerRun(20, func() {
-		_, h, put := p.Cell(7)
-		if !h.d.Connected() {
+		_, d, put := p.Cell(7)
+		if !d.Connected() {
 			t.Fatal("cloned cell not connected")
 		}
 		put()
 	})
 	freshAllocs := testing.AllocsPerRun(3, func() {
-		_, h := p.Fresh(7)
-		if !h.d.Connected() {
+		_, d := p.Fresh(7)
+		if !d.Connected() {
 			t.Fatal("fresh boot did not connect")
 		}
 	})
@@ -160,26 +160,26 @@ func TestClonedCellAllocsWithinTenPercentOfFreshBoot(t *testing.T) {
 // arms of the cell-cost comparison on the heavier delivery prototype (the
 // benchmark's proto.fresh_us and proto.restore_us measure the same pair).
 func BenchmarkFreshDeliveryBoot(b *testing.B) {
-	p := deliveryProtos.Proto(ModeSEEDR)
+	p := protos.Proto(deliverySteady(ModeSEEDR))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, h := p.Fresh(int64(i + 1))
-		if !h.d.Connected() {
+		_, d := p.Fresh(int64(i + 1))
+		if !d.Connected() {
 			b.Fatal("fresh boot did not connect")
 		}
 	}
 }
 
 func BenchmarkClonedDeliveryCell(b *testing.B) {
-	p := deliveryProtos.Proto(ModeSEEDR)
+	p := protos.Proto(deliverySteady(ModeSEEDR))
 	_, _, put := p.Cell(1)
 	put()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, h, put := p.Cell(int64(i + 1))
-		if !h.d.Connected() {
+		_, d, put := p.Cell(int64(i + 1))
+		if !d.Connected() {
 			b.Fatal("cloned cell not connected")
 		}
 		put()
@@ -223,13 +223,13 @@ func TestPacketPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the binding run is the uninstrumented bench-smoke job")
 	}
-	tb, h, put := deliveryProtos.Proto(ModeSEEDR).Cell(1)
+	tb, d, put := protos.Proto(deliverySteady(ModeSEEDR)).Cell(1)
 	defer put()
-	if !h.d.Connected() {
+	if !d.Connected() {
 		t.Fatal("cloned cell not connected")
 	}
 	requests := func() (n int) {
-		for _, a := range h.apps {
+		for _, a := range d.apps {
 			sent, _, _, _ := a.Requests()
 			n += sent
 		}
@@ -261,19 +261,19 @@ func TestBlockedPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the binding run is the uninstrumented bench-smoke job")
 	}
-	tb, h, put := deliveryProtos.Proto(ModeSEEDR).Cell(1)
+	tb, d, put := protos.Proto(deliverySteady(ModeSEEDR)).Cell(1)
 	defer put()
-	if !h.d.Connected() {
+	if !d.Connected() {
 		t.Fatal("cloned cell not connected")
 	}
-	h.d.inner.Mon.Stop()
-	for _, a := range h.apps {
+	d.inner.Mon.Stop()
+	for _, a := range d.apps {
 		a.inner.AttachMonitor(nil)
 		a.inner.AttachReporter(nil)
 	}
-	tb.BlockTCP(h.d)
+	tb.BlockTCP(d)
 	stats := func() (requests, dropped int) {
-		for _, a := range h.apps {
+		for _, a := range d.apps {
 			sent, _, _, _ := a.Requests()
 			requests += sent
 		}
@@ -313,7 +313,7 @@ func TestNASPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the binding run is the uninstrumented bench-smoke job")
 	}
-	tb, d, put := bareProtos.Proto(ModeSEEDR).Cell(1)
+	tb, d, put := protos.Proto(bareSteady(ModeSEEDR)).Cell(1)
 	defer put()
 	mdm := d.inner.Mdm
 	s, okS := mdm.FirstActiveSession()

@@ -17,16 +17,16 @@ import (
 // these tests hold Proto to "boot once per concurrent cell per process".
 
 func TestProtoSurvivesGC(t *testing.T) {
-	p := deliveryProtos.Proto(ModeSEEDU)
+	p := protos.Proto(deliverySteady(ModeSEEDU))
 	_, _, put := p.Cell(1)
 	put()
 	before := p.Stats()
 	for i := 0; i < 3; i++ {
 		runtime.GC() // a sync.Pool is empty after two cycles
 	}
-	_, h, put := p.Cell(2)
+	_, d, put := p.Cell(2)
 	defer put()
-	if !h.d.Connected() {
+	if !d.Connected() {
 		t.Fatal("restored cell not connected")
 	}
 	after := p.Stats()
@@ -44,13 +44,13 @@ func TestSweepBootsAtMostOnePrototypePerWorker(t *testing.T) {
 	cases := GenerateDataset(1).Delivery()
 	before := make([]ProtoStats, len(modes))
 	for i, m := range modes {
-		before[i] = deliveryProtos.Proto(m).Stats()
+		before[i] = protos.Proto(deliverySteady(m)).Stats()
 	}
 	runner.Map(runner.New(workers), cells, func(i int) DeliveryReplayResult {
 		return ReplayDelivery(cases[i%len(cases)], modes[i%len(modes)], sched.DeriveSeed(1, uint64(i)))
 	})
 	for i, m := range modes {
-		after := deliveryProtos.Proto(m).Stats()
+		after := protos.Proto(deliverySteady(m)).Stats()
 		if boots := after.Boots - before[i].Boots; boots > workers {
 			t.Errorf("%v: %d prototype boots over the sweep, want at most %d (one per worker)", m, boots, workers)
 		}
@@ -75,19 +75,19 @@ func TestCorpusSweepBuildsAtMostOneColdPrototypePerWorker(t *testing.T) {
 		t.Fatalf("corpus has %d cells, want at least %d", len(corpus), cells)
 	}
 	stride := len(corpus) / cells
-	keys := map[coldKey]ProtoStats{}
+	keys := map[steady]ProtoStats{}
 	wantRestores := 0
 	for i := 0; i < cells; i++ {
 		c := corpus[i*stride]
 		mode, _ := ParseMode(c.Mode)
-		key := coldKey{mode: mode}
+		key := coldSteady(mode, 0)
 		switch {
 		case workload.MobilityScenario(c.Scenario):
-			key.cells = sp.Cells.N
+			key = coldSteady(mode, sp.Cells.N)
 		case c.Scenario == workload.ScenDesync:
 			continue
 		}
-		keys[key] = coldProtos.Proto(key).Stats()
+		keys[key] = protos.Proto(key).Stats()
 		wantRestores++
 	}
 	if len(keys) < 4 {
@@ -100,7 +100,7 @@ func TestCorpusSweepBuildsAtMostOneColdPrototypePerWorker(t *testing.T) {
 	})
 	restores := 0
 	for key, before := range keys {
-		after := coldProtos.Proto(key).Stats()
+		after := protos.Proto(key).Stats()
 		if boots := after.Boots - before.Boots; boots > workers {
 			t.Errorf("%+v: %d prototypes built over the sweep, want at most %d (one per worker)", key, boots, workers)
 		}
@@ -120,7 +120,7 @@ func (panicTracer) Decision(core.DecisionEvent) { panic("tracer blew up mid-cell
 // restore it cleanly rather than build another.
 func TestPanickedCellLeavesARestorableInstance(t *testing.T) {
 	c := cellRun{controlPlane: true, code: 22, scenario: ScenarioTransient, heal: 4 * time.Second}
-	p := coldProtos.Proto(coldKey{mode: ModeSEEDR})
+	p := protos.Proto(coldSteady(ModeSEEDR, 0))
 	want := runCell(c, ModeSEEDR, 5)
 	before := p.Stats()
 	func() {
@@ -144,8 +144,8 @@ func TestPanickedCellLeavesARestorableInstance(t *testing.T) {
 
 // TestObserverRemovedOnRelease: an observer belongs to the cell that installed
 // it. The prototype's next cell — the same instance, restored — starts
-// unobserved, and a bareProtos boot, which observes itself to record its boot
-// trace, leaves no observer behind on a fresh boot or a restored one.
+// unobserved, and a started steady.boot, which observes itself to record its
+// boot trace, leaves no observer behind on a fresh boot or a restored one.
 func TestObserverRemovedOnRelease(t *testing.T) {
 	p := NewProto(func(tb *Testbed) *Device { return tb.NewDevice(ModeSEEDR) })
 	tb, _, put := p.Cell(1)
@@ -161,14 +161,14 @@ func TestObserverRemovedOnRelease(t *testing.T) {
 	put()
 
 	for _, mode := range Modes {
-		fresh, d := bareProtos.Proto(mode).Fresh(1)
+		fresh, d := protos.Proto(bareSteady(mode)).Fresh(1)
 		if got := fresh.kern.Observer(); got != nil {
 			t.Errorf("%v: a fresh bare boot leaves %T observing", mode, got)
 		}
 		if mode != ModeLegacy && len(d.bootTrace) == 0 {
 			t.Errorf("%v: the boot recorded no decision", mode)
 		}
-		restored, _, put := bareProtos.Proto(mode).Cell(1)
+		restored, _, put := protos.Proto(bareSteady(mode)).Cell(1)
 		if got := restored.kern.Observer(); got != nil {
 			t.Errorf("%v: a restored bare cell starts observed by %T", mode, got)
 		}

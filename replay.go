@@ -62,27 +62,25 @@ type cellRun struct {
 	inst *Instrument
 }
 
-// runCell is the one implementation of "run a cell": restore the cell's
-// prototype, measure on it. No cell constructs a testbed. A desync's failure
-// manifests after a clean boot, so its cell starts from the shared connected
-// steady state (bareProtos). Every other cell injects before the device ever
-// starts, so it starts built but unstarted (coldProtos): the start is inside
-// its measured window, the construction, the same for every cell, is shared.
+// runCell runs a management or mobility cell: the trial of the cell's steady
+// state and its measure. A desync's failure manifests after a clean boot, so
+// its cell starts from the shared connected steady state (bareSteady). Every
+// other cell injects before the device ever starts, so it starts built but
+// unstarted (coldSteady): the start is inside its measured window, the
+// construction, the same for every cell, is shared.
 func runCell(c cellRun, mode Mode, seedVal int64) ReplayResult {
-	tb, d, put := c.proto(mode).Cell(seedVal)
-	defer put()
-	return c.measure(tb, d)
+	return trial[ReplayResult]{c.from(mode), c.measure}.run(seedVal)
 }
 
-// proto returns the prototype the cell starts from.
-func (c *cellRun) proto(mode Mode) *Proto[*Device] {
+// from returns the steady state the cell starts from.
+func (c *cellRun) from(mode Mode) steady {
 	switch {
 	case c.graph != nil:
-		return coldProtos.Proto(coldKey{mode, c.graph.N})
+		return coldSteady(mode, c.graph.N)
 	case c.scenario == ScenarioDesync:
-		return bareProtos.Proto(mode)
+		return bareSteady(mode)
 	default:
-		return coldProtos.Proto(coldKey{mode: mode})
+		return coldSteady(mode, 0)
 	}
 }
 
@@ -345,15 +343,20 @@ type DeliveryReplayResult struct {
 // edge-AR reporter app) and the recommended Android action timers. The
 // booted, warmed steady state comes from a cloned prototype.
 func ReplayDelivery(dc DeliveryCase, mode Mode, seedVal int64) DeliveryReplayResult {
-	tb, h, put := deliveryProtos.Proto(mode).Cell(seedVal)
-	defer put()
-	return replayDeliveryOn(tb, h, dc)
+	return deliveryTrial(dc, mode).run(seedVal)
+}
+
+// deliveryTrial is one delivery replay: deliverySteady measured by
+// replayDeliveryOn.
+func deliveryTrial(dc DeliveryCase, mode Mode) trial[DeliveryReplayResult] {
+	return trial[DeliveryReplayResult]{deliverySteady(mode), func(tb *Testbed, d *Device) DeliveryReplayResult {
+		return replayDeliveryOn(tb, d, dc)
+	}}
 }
 
 // replayDeliveryOn injects the delivery failure into a warmed steady state
 // (from a cloned or fresh boot) and measures detection and recovery.
-func replayDeliveryOn(tb *Testbed, h deliveryHandles, dc DeliveryCase) DeliveryReplayResult {
-	d := h.d
+func replayDeliveryOn(tb *Testbed, d *Device, dc DeliveryCase) DeliveryReplayResult {
 	if !d.Connected() {
 		return DeliveryReplayResult{}
 	}
@@ -387,13 +390,12 @@ func replayDeliveryOn(tb *Testbed, h deliveryHandles, dc DeliveryCase) DeliveryR
 	// from any app (the fast reporter is often the AR app, not the most
 	// affected one).
 	detected := time.Duration(-1)
-	apps := h.apps[:]
 	detect := func() bool {
 		if d.inner.Mon.Stalled() {
 			return true
 		}
 		if d.Mode() != ModeLegacy {
-			for _, a := range apps {
+			for _, a := range d.apps {
 				if _, _, _, reported := a.Requests(); reported > 0 {
 					return true
 				}

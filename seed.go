@@ -413,6 +413,7 @@ func (tb *Testbed) NewDevice(mode Mode, opts ...DeviceOption) *Device {
 type Device struct {
 	tb        *Testbed
 	inner     *core.Device
+	apps      []*App // in AddApp order
 	bootTrace []core.DecisionEvent
 }
 
@@ -490,7 +491,9 @@ func (d *Device) OnProfileReload(fn func()) {
 
 // AddApp installs an application traffic emulator.
 func (d *Device) AddApp(kind AppKind) *App {
-	return &App{inner: d.inner.AddApp(kind)}
+	a := &App{inner: d.inner.AddApp(kind)}
+	d.apps = append(d.apps, a)
+	return a
 }
 
 // Reboot power-cycles the modem.

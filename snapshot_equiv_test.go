@@ -116,53 +116,74 @@ func TestCloneIdempotent(t *testing.T) {
 	}
 }
 
-// TestSharedProtosCloneMatchesFresh holds the prototype families the
-// experiments actually run on to clone-equals-fresh: the replay bodies of
-// ReplayManagement's desync cells (bareProtos) and of ReplayDelivery
-// (deliveryProtos, all four failure kinds) give deeply equal results on a
-// restored prototype (Proto.Cell) and on the fresh-boot oracle
-// (Proto.Fresh), for every mode and several cell seeds. Every wait runs under
-// the missed-announcement detector (auditStops).
+// boxed is t with its result as an any, so that trials of every result type
+// sit in one list.
+func boxed[R any](t trial[R]) trial[any] {
+	return trial[any]{t.from, func(tb *Testbed, d *Device) any { return t.measure(tb, d) }}
+}
+
+// namedTrial is one (steady state, measure body) pair an experiment runs.
+type namedTrial struct {
+	name string
+	tr   trial[any]
+}
+
+// experimentTrials lists the (steady state, measure body) pairs the
+// experiments and replays run outside the management grid: the desync
+// replay and every delivery kind per mode, Figure 3's three blocking kinds,
+// Table 5's three classes for one app per mode, Figure 13's ladder at rungs
+// 1–3 and SEED's reset per tier and SEED mode, both arms of the signalling
+// overhead, and the Figure 11b and Figure 12 runs.
+func experimentTrials() []namedTrial {
+	var out []namedTrial
+	add := func(name string, t trial[any]) { out = append(out, namedTrial{name, t}) }
+	for i, mode := range Modes {
+		add("desync/"+mode.String(), trial[any]{bareSteady(mode), func(tb *Testbed, d *Device) any { return replayDesyncOn(tb, d) }})
+		for _, kind := range []DeliveryFailureKind{DeliveryTCPBlock, DeliveryUDPBlock, DeliveryDNSOutage, DeliveryStalledGateway} {
+			add(kind.String()+"/"+mode.String(), boxed(deliveryTrial(DeliveryCase{Kind: kind}, mode)))
+		}
+		app := AppKinds[i]
+		for _, class := range []string{"C-plane", "D-plane", "D-Delivery"} {
+			add(fmt.Sprintf("table5/%v/%s/%v", app, class, mode), boxed(appDisruptionTrial(app, class, mode)))
+		}
+		if mode != ModeLegacy {
+			for rung := 1; rung <= 3; rung++ {
+				add(fmt.Sprintf("reset/rung%d/%v", rung, mode), boxed(seedResetTrial(mode, rung)))
+			}
+		}
+	}
+	for _, kind := range []DeliveryFailureKind{DeliveryTCPBlock, DeliveryUDPBlock, DeliveryDNSOutage} {
+		add("figure3/"+kind.String(), boxed(figure3Trial(kind, 3)))
+	}
+	for rung := 1; rung <= 3; rung++ {
+		add(fmt.Sprintf("ladder/rung%d", rung), boxed(ladderTrial(rung)))
+	}
+	add("signaling/SEED-U", boxed(signalingTrial(ModeSEEDU)))
+	add("signaling/Legacy", boxed(signalingTrial(ModeLegacy)))
+	add("figure11b", boxed(stressTrial()))
+	add("figure12", boxed(collabTrial(10)))
+	return out
+}
+
+// TestSharedProtosCloneMatchesFresh holds every steady state the experiments
+// run on to clone-equals-fresh: each pair of experimentTrials gives a deeply
+// equal result through trial.run — a restored, reseeded prototype — and on
+// the fresh-boot oracle (Proto.Fresh), at several cell seeds. Every wait runs
+// under the missed-announcement detector (auditStops).
 func TestSharedProtosCloneMatchesFresh(t *testing.T) {
-	seeds := []int64{1, 42, 987654321}
-	for _, mode := range Modes {
-		t.Run("desync/"+mode.String(), func(t *testing.T) {
-			p := bareProtos.Proto(mode)
-			for _, cellSeed := range seeds {
-				freshTB, freshD := p.Fresh(cellSeed)
-				auditStops(t, freshTB)
-				want := replayDesyncOn(freshTB, freshD)
-
-				tb, d, put := p.Cell(cellSeed)
+	for _, nt := range experimentTrials() {
+		t.Run(nt.name, func(t *testing.T) {
+			audited := trial[any]{nt.tr.from, func(tb *Testbed, d *Device) any {
 				auditStops(t, tb)
-				got := replayDesyncOn(tb, d)
-				put()
-
-				if !reflect.DeepEqual(got, want) {
+				return nt.tr.measure(tb, d)
+			}}
+			for _, cellSeed := range []int64{1, 42, 987654321} {
+				want := audited.measure(protos.Proto(audited.from).Fresh(cellSeed))
+				if got := audited.run(cellSeed); !reflect.DeepEqual(got, want) {
 					t.Errorf("seed %d: cloned %+v != fresh %+v", cellSeed, got, want)
 				}
 			}
 		})
-		for _, kind := range []DeliveryFailureKind{DeliveryTCPBlock, DeliveryUDPBlock, DeliveryDNSOutage, DeliveryStalledGateway} {
-			t.Run(kind.String()+"/"+mode.String(), func(t *testing.T) {
-				p := deliveryProtos.Proto(mode)
-				dc := DeliveryCase{Kind: kind}
-				for _, cellSeed := range seeds {
-					freshTB, freshH := p.Fresh(cellSeed)
-					auditStops(t, freshTB)
-					want := replayDeliveryOn(freshTB, freshH, dc)
-
-					tb, h, put := p.Cell(cellSeed)
-					auditStops(t, tb)
-					got := replayDeliveryOn(tb, h, dc)
-					put()
-
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("seed %d: cloned %+v != fresh %+v", cellSeed, got, want)
-					}
-				}
-			})
-		}
 	}
 }
 
@@ -202,7 +223,7 @@ func TestOnePathTwoVocabularies(t *testing.T) {
 					t.Errorf("RunWorkloadCell %+v != ReplayManagement %+v", got, r)
 				}
 				run := caseCellRun(c.fc)
-				tb, d, put := run.proto(mode).Cell(cellSeed)
+				tb, d, put := protos.Proto(run.from(mode)).Cell(cellSeed)
 				auditStops(t, tb)
 				audited := run.measure(tb, d)
 				put()
@@ -354,7 +375,7 @@ func TestConstructionDrawsNoRandomness(t *testing.T) {
 			if got := tb.kern.Rand().Int63(); got != want {
 				t.Errorf("%v, %d cells: first draw after construction %d, want %d", mode, cells, got, want)
 			}
-			ptb, _, put := coldProtos.Proto(coldKey{mode, cells}).Cell(seedVal)
+			ptb, _, put := protos.Proto(coldSteady(mode, cells)).Cell(seedVal)
 			if got := ptb.kern.Rand().Int63(); got != want {
 				t.Errorf("%v, %d cells: first draw on a reseeded prototype %d, want %d", mode, cells, got, want)
 			}
@@ -401,18 +422,17 @@ func TestSharedFramePoolSnapshot(t *testing.T) {
 	free := func(tb *Testbed) int {
 		return reflect.ValueOf(tb.net.Frames).Elem().FieldByName("free").Len()
 	}
-	build := func() (*Testbed, deliveryHandles) {
+	build := func() (*Testbed, *Device) {
 		tb := New(7)
 		d := tb.NewDevice(ModeSEEDR, WithAndroidRecommendedTimers())
-		h := deliveryHandles{d: d}
-		for i, kind := range []AppKind{AppVideo, AppWeb, AppEdgeAR} {
-			h.apps[i] = d.AddApp(kind)
+		for _, kind := range []AppKind{AppVideo, AppWeb, AppEdgeAR} {
+			d.AddApp(kind)
 		}
 		d.Start()
 		if !tb.RunUntil(d.Connected, connectDeadline) {
 			t.Fatal("device did not connect")
 		}
-		for _, a := range h.apps {
+		for _, a := range d.apps {
 			a.Start()
 		}
 		tb.Advance(30 * time.Second)
@@ -425,22 +445,22 @@ func TestSharedFramePoolSnapshot(t *testing.T) {
 		for free(tb) > 3 {
 			tb.net.Frames.Get()
 		}
-		return tb, h
+		return tb, d
 	}
-	minute := func(tb *Testbed, h deliveryHandles) state {
+	minute := func(tb *Testbed, d *Device) state {
 		tb.Advance(time.Minute)
 		st := state{UPF: tb.net.UPF.Stats(), Now: tb.Now(), Pending: tb.kern.Pending(), InFlight: inFlight(tb), Free: free(tb)}
-		for i, a := range h.apps {
+		for i, a := range d.apps {
 			sent, ok, failed, reported := a.Requests()
 			st.Apps[i] = [4]int{sent, ok, failed, reported}
 		}
 		return st
 	}
 
-	tb, h := build()
-	s := tb.Snapshot(&h)
+	tb, d := build()
+	s := tb.Snapshot(&d)
 	snapped := frames(tb)
-	dirty := minute(tb, h)
+	dirty := minute(tb, d)
 	s.Restore()
 	if got, wantIn, wantFree := tb.Now(), 2, 3; inFlight(tb) != wantIn || free(tb) != wantFree {
 		t.Fatalf("restored at %v with %d frames in flight and %d in the pool, want %d and %d", got, inFlight(tb), free(tb), wantIn, wantFree)
@@ -448,10 +468,10 @@ func TestSharedFramePoolSnapshot(t *testing.T) {
 	if got := frames(tb); !reflect.DeepEqual(got, snapped) {
 		t.Fatalf("frames in flight after the restore\n  %+v\nat the snapshot\n  %+v", got, snapped)
 	}
-	got := minute(tb, h)
+	got := minute(tb, d)
 
-	freshTB, freshH := build()
-	want := minute(freshTB, freshH)
+	freshTB, freshD := build()
+	want := minute(freshTB, freshD)
 	if got != want {
 		t.Errorf("restored testbed's next minute\n  %+v\nfresh build's\n  %+v", got, want)
 	}

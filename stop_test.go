@@ -32,22 +32,23 @@ type stopRun struct {
 	Scheduled uint64
 }
 
-// bothLoops runs a cell twice from its prototype — its waits subscribed, as
-// shipped, and then polled after every event with the detector counting what
-// the subscription would have missed — and fails unless the two agree.
-func bothLoops[T any](t *testing.T, name string, p *Proto[T], cellSeed int64, body func(*Testbed, T) any) stopRun {
+// bothLoops runs a cell twice from its steady state's prototype — its waits
+// subscribed, as shipped, and then polled after every event with the detector
+// counting what the subscription would have missed — and fails unless the two
+// agree.
+func bothLoops(t *testing.T, name string, from steady, cellSeed int64, body func(*Testbed, *Device) any) stopRun {
 	t.Helper()
 	var runs [2]stopRun
 	missed := 0
 	for i := range runs {
-		tb, h, put := p.Cell(cellSeed)
+		tb, d, put := protos.Proto(from).Cell(cellSeed)
 		if tb.missed != nil {
 			t.Fatal("a restored prototype still has the detector armed: its subscribed run would be polled")
 		}
 		if i == 1 {
 			tb.missed = func(time.Duration) { missed++ }
 		}
-		res := body(tb, h)
+		res := body(tb, d)
 		runs[i] = stopRun{res, tb.Now(), tb.kern.Scheduled()}
 		put()
 	}
@@ -60,14 +61,13 @@ func bothLoops[T any](t *testing.T, name string, p *Proto[T], cellSeed int64, bo
 	return runs[0]
 }
 
-// cellsDeliveryProtos is the delivery steady state on a three-cell testbed,
+// cellsDeliverySteady is the delivery steady state on a three-cell testbed,
 // so that a scripted handover has somewhere to go.
-var cellsDeliveryProtos = NewProtoMap(func(mode Mode) func(*Testbed) deliveryHandles {
-	return func(tb *Testbed) deliveryHandles {
-		tb.EnableCells(3, 0)
-		return bootDelivery(tb, mode)
-	}
-})
+func cellsDeliverySteady(mode Mode) steady {
+	st := deliverySteady(mode)
+	st.cells = 3
+	return st
+}
 
 // The scripted mid-run mutations of TestSubscribedStopMatchesPolled.
 const (
@@ -104,13 +104,12 @@ func TestSubscribedStopMatchesPolled(t *testing.T) {
 				for _, mut := range []int{mutNone, 1 + rng.Intn(mutKinds-1)} {
 					at := time.Duration(rng.Int63n(int64(window)))
 					drawn[mut]++
-					p := deliveryProtos.Proto(mode)
+					from := deliverySteady(mode)
 					if mut == mutHandover {
-						p = cellsDeliveryProtos.Proto(mode)
+						from = cellsDeliverySteady(mode)
 					}
 					name := fmt.Sprintf("%v/%v/mutation %d at %v", kind, mode, mut, at)
-					run := bothLoops(t, name, p, cellSeed, func(tb *Testbed, h deliveryHandles) any {
-						d := h.d
+					run := bothLoops(t, name, from, cellSeed, func(tb *Testbed, d *Device) any {
 						switch mut {
 						case mutUnblock:
 							tb.After(at, func() { tb.UnblockAll(d) })
@@ -124,7 +123,7 @@ func TestSubscribedStopMatchesPolled(t *testing.T) {
 							radio := d.inner.Radio
 							tb.armRFWindow(at.Seconds(), 20, func() { radio.SetDown(true) }, func() { radio.SetDown(false) })
 						}
-						return replayDeliveryOn(tb, h, DeliveryCase{Kind: kind})
+						return replayDeliveryOn(tb, d, DeliveryCase{Kind: kind})
 					})
 					if res := run.Result.(DeliveryReplayResult); res.Detected && !res.Recovered {
 						deadlineEnds++ // the recovery wait ran into its deadline
@@ -160,7 +159,7 @@ func TestSubscribedStopMatchesPolled(t *testing.T) {
 			scenarios[c.Scenario]++
 			run := compiledCellRun(sp, c, nil)
 			name := fmt.Sprintf("cell %d (%s, %s)", c.Index, c.Scenario, c.Mode)
-			bothLoops(t, name, run.proto(mode), c.Seed, func(tb *Testbed, d *Device) any {
+			bothLoops(t, name, run.from(mode), c.Seed, func(tb *Testbed, d *Device) any {
 				switch i % 4 {
 				case 1:
 					d.inner.Radio.SetDup(0.2)
@@ -234,17 +233,17 @@ type observedRun struct {
 	NextDraw  int64
 }
 
-// observedRuns runs a cell three times from its prototype — unobserved, under
-// a decision recorder, and under a Timeline that takes all four kinds of
-// event — and fails unless the three agree. It returns the timeline and the
-// recorded decisions.
-func observedRuns[T any](t *testing.T, name string, p *Proto[T], cellSeed int64, body func(*Testbed, T) any) ([]TimelineEvent, traceLog) {
+// observedRuns runs a trial three times — unobserved, under a decision
+// recorder, and under a Timeline that takes all four kinds of event — and
+// fails unless the three agree. It returns the timeline and the recorded
+// decisions.
+func observedRuns[R any](t *testing.T, name string, tr trial[R], cellSeed int64) ([]TimelineEvent, traceLog) {
 	t.Helper()
 	var events []TimelineEvent
 	var decisions traceLog
 	var runs [3]observedRun
 	for i := range runs {
-		tb, h, put := p.Cell(cellSeed)
+		tb, d, put := protos.Proto(tr.from).Cell(cellSeed)
 		if got := tb.kern.Observer(); got != nil {
 			t.Fatalf("%s: a restored cell starts observed by %T", name, got)
 		}
@@ -255,7 +254,7 @@ func observedRuns[T any](t *testing.T, name string, p *Proto[T], cellSeed int64,
 			tb.Observe(Timeline{Now: tb.Now, Emit: func(ev TimelineEvent) { events = append(events, ev) }})
 		}
 		before := tb.kern.Announced()
-		res := body(tb, h)
+		res := tr.measure(tb, d)
 		runs[i] = observedRun{stopRun{res, tb.Now(), tb.kern.Scheduled()}, tb.kern.Announced() - before, tb.kern.Rand().Int63()}
 		put()
 	}
@@ -290,9 +289,7 @@ func TestObservedOutcomeMatchesUnobserved(t *testing.T) {
 	for _, mode := range Modes {
 		for _, kind := range []DeliveryFailureKind{DeliveryTCPBlock, DeliveryUDPBlock, DeliveryDNSOutage, DeliveryStalledGateway} {
 			name := fmt.Sprintf("%v/%v", kind, mode)
-			events, log := observedRuns(t, name, deliveryProtos.Proto(mode), 7, func(tb *Testbed, h deliveryHandles) any {
-				return replayDeliveryOn(tb, h, DeliveryCase{Kind: kind})
-			})
+			events, log := observedRuns(t, name, deliveryTrial(DeliveryCase{Kind: kind}, mode), 7)
 			if len(events) == 0 {
 				t.Errorf("%s: the timeline saw nothing", name)
 			}
@@ -314,7 +311,7 @@ func TestObservedOutcomeMatchesUnobserved(t *testing.T) {
 		}
 		run := compiledCellRun(sp, c, nil)
 		name := fmt.Sprintf("cell %d (%s, %s)", c.Index, c.Scenario, c.Mode)
-		tally(observedRuns(t, name, run.proto(mode), c.Seed, func(tb *Testbed, d *Device) any { return run.measure(tb, d) }))
+		tally(observedRuns(t, name, trial[ReplayResult]{run.from(mode), run.measure}, c.Seed))
 	}
 	for _, layer := range []string{"modem", "nas", "sim", "applet", "plugin"} {
 		if layers[layer] == 0 {
