@@ -5,23 +5,71 @@ import (
 	"time"
 
 	seed "github.com/seed5g/seed"
+	"github.com/seed5g/seed/internal/runner"
 )
 
-// The canonical flow: build a testbed, attach a SEED device, inject the
-// paper's headline failure, and watch it recover in seconds.
+// The canonical flow: bring up an emulated 5G testbed, attach a device,
+// inject the paper's headline failure (identity desync after mobility), and
+// watch SEED diagnose and recover it in seconds — then do the same with a
+// legacy device and compare.
 func Example() {
-	tb := seed.New(42)
-	dev := tb.NewDevice(seed.ModeSEEDR)
-	dev.Start()
-	tb.RunUntil(dev.Connected, time.Minute)
+	fmt.Println("== SEED quickstart: identity-desync failure, SEED-R vs legacy ==")
+	fmt.Println()
 
-	tb.DesyncIdentity(dev)   // the network loses the UE context
-	tb.SimulateMobility(dev) // the device re-registers with a stale GUTI
-	onset := tb.Now()
-	tb.RunUntil(func() bool { return tb.Now() > onset && dev.Connected() }, time.Minute)
+	for _, mode := range []seed.Mode{seed.ModeSEEDR, seed.ModeLegacy} {
+		tb := seed.New(42)
+		dev := tb.NewDevice(mode)
 
-	fmt.Printf("recovered in %.1fs\n", (tb.Now() - onset).Seconds())
-	// Output: recovered in 3.3s
+		dev.OnReject(func(controlPlane bool, code uint8) {
+			fmt.Printf("  [%8s] %s: reject cause #%d\n", tb.Now().Round(time.Millisecond), mode, code)
+		})
+
+		dev.Start()
+		if !tb.RunUntil(dev.Connected, time.Minute) {
+			panic("device failed to attach")
+		}
+		fmt.Printf("  [%8s] %s: attached, data session up\n", tb.Now().Round(time.Millisecond), mode)
+
+		// The network loses the UE context (tracking-area migration); the
+		// device re-registers with its now-stale temporary identity.
+		tb.DesyncIdentity(dev)
+		tb.SimulateMobility(dev)
+		onset := tb.Now()
+
+		recovered := tb.RunUntil(func() bool {
+			return tb.Now() > onset && dev.Connected()
+		}, 30*time.Minute)
+
+		if recovered {
+			fmt.Printf("  [%8s] %s: RECOVERED after %.1f s",
+				tb.Now().Round(time.Millisecond), mode, (tb.Now() - onset).Seconds())
+			if n := dev.DiagnosesReceived(); n > 0 {
+				fmt.Printf("  (SEED diagnoses: %d, actions: %v)", n, dev.ActionCounts())
+			}
+			fmt.Println()
+		} else {
+			fmt.Printf("  %s: not recovered within 30 minutes\n", mode)
+		}
+		fmt.Println()
+	}
+	fmt.Println("SEED turns a many-minute legacy outage into a few seconds.")
+	// Output:
+	// == SEED quickstart: identity-desync failure, SEED-R vs legacy ==
+	//
+	//   [  1.256s] SEED-R: attached, data session up
+	//   [  1.279s] SEED-R: reject cause #9
+	//   [  4.588s] SEED-R: RECOVERED after 3.3 s  (SEED diagnoses: 1, actions: map[B1/modem-reset:1])
+	//
+	//   [  1.256s] Legacy: attached, data session up
+	//   [  1.279s] Legacy: reject cause #9
+	//   [ 11.302s] Legacy: reject cause #9
+	//   [ 21.325s] Legacy: reject cause #9
+	//   [ 31.348s] Legacy: reject cause #9
+	//   [ 41.371s] Legacy: reject cause #9
+	//   [ 51.394s] Legacy: reject cause #9
+	//   [12m51.51s] Legacy: RECOVERED after 770.3 s
+	//
+	// SEED turns a many-minute legacy outage into a few seconds.
 }
 
 // Generating the §3.1 corpus and reading its headline statistic.
@@ -44,9 +92,9 @@ func ExampleReplayManagement() {
 	}
 	legacy := seed.ReplayManagement(fc, seed.ModeLegacy, 7)
 	seedR := seed.ReplayManagement(fc, seed.ModeSEEDR, 7)
-	fmt.Printf("legacy recovers: %v (minutes); SEED-R: %v in %.1fs\n",
-		legacy.Recovered, seedR.Recovered, seedR.Disruption.Seconds())
-	// Output: legacy recovers: true (minutes); SEED-R: true in 3.3s
+	fmt.Printf("legacy recovers: %v in %v; SEED-R: %v in %.1fs\n",
+		legacy.Recovered, legacy.Disruption, seedR.Recovered, seedR.Disruption.Seconds())
+	// Output: legacy recovers: true in 12m50.254s; SEED-R: true in 3.3s
 }
 
 // The modes compared on a delivery failure (UDP blocking — invisible to
@@ -57,4 +105,272 @@ func ExampleReplayDelivery() {
 	seedR := seed.ReplayDelivery(dc, seed.ModeSEEDR, 7)
 	fmt.Printf("legacy detected: %v; SEED-R recovered: %v\n", legacy.Detected, seedR.Recovered)
 	// Output: legacy detected: false; SEED-R recovered: true
+}
+
+// App disruption, the §7.1.2 experiment in miniature: five latency-sensitive
+// applications (video with a 30 s buffer, live streaming, web, navigation,
+// edge AR) run over devices using legacy handling, SEED-U and SEED-R; a
+// stalled gateway hits each, and the user-perceived disruption — outage
+// minus playback buffer — is compared across schemes, Table 5 style.
+func ExampleTestbed_StallGateway() {
+	fmt.Println("== Per-app disruption under a data-delivery failure ==")
+	fmt.Printf("%-14s %10s %10s %10s\n", "app", "Legacy", "SEED-U", "SEED-R")
+
+	perceived := func(appKind seed.AppKind, mode seed.Mode) time.Duration {
+		tb := seed.New(7)
+		dev := tb.NewDevice(mode, seed.WithAndroidRecommendedTimers())
+		app := dev.AddApp(appKind)
+		dev.Start()
+		if !tb.RunUntil(dev.Connected, time.Minute) {
+			return -1
+		}
+		app.Start()
+		tb.Advance(90 * time.Second)
+
+		onset := tb.Now()
+		tb.StallGateway(dev)
+		if !tb.RunUntil(func() bool { return app.LastSuccess() > onset }, 30*time.Minute) {
+			return -1
+		}
+		return max(app.LastSuccess()-onset-appKind.Buffer(), 0)
+	}
+	for _, app := range seed.AppKinds {
+		fmt.Printf("%-14s", app)
+		for _, mode := range seed.Modes {
+			if d := perceived(app, mode); d < 0 {
+				fmt.Printf(" %10s", "stuck")
+			} else {
+				fmt.Printf(" %9.1fs", d.Seconds())
+			}
+		}
+		fmt.Println()
+	}
+	fmt.Println("\n(0.0 s means the app's buffer fully masked the outage.)")
+	// Output:
+	// == Per-app disruption under a data-delivery failure ==
+	// app                Legacy     SEED-U     SEED-R
+	// video               91.1s       0.0s       0.0s
+	// live-stream         67.5s       0.0s       0.0s
+	// web                215.0s      10.0s      10.0s
+	// navigation         122.1s       6.0s       6.0s
+	// edge-AR             61.0s       1.3s       0.8s
+	//
+	// (0.0 s means the app's buffer fully masked the outage.)
+}
+
+// Drive test, the §2 small-cell story: a device drives across a four-cell
+// deployment, handing over every half minute; one in five handovers loses
+// the core-side context transfer — the mechanistic origin of Table 1's top
+// failure ("UE identity cannot be derived by the network"). The same drive
+// runs with the legacy stack and with SEED-R, comparing total outage time.
+func ExampleTestbed_Handover() {
+	fmt.Println("== Drive test: 25 handovers across 4 cells, 20% context-loss rate ==")
+	fmt.Println()
+
+	for _, mode := range []seed.Mode{seed.ModeLegacy, seed.ModeSEEDR} {
+		tb := seed.New(99)
+		tb.EnableCells(4, 0.2)
+		dev := tb.NewDevice(mode)
+
+		var outage, downAt time.Duration
+		down := false
+		dev.OnConnectivity(func(up bool) {
+			if up && down {
+				outage += tb.Now() - downAt
+				down = false
+			} else if !up && !down {
+				down = true
+				downAt = tb.Now()
+			}
+		})
+
+		dev.Start()
+		if !tb.RunUntil(dev.Connected, time.Minute) {
+			panic("attach failed")
+		}
+		for i := 0; i < 25; i++ {
+			tb.Handover(dev, (tb.ServingCell(dev)+1)%4, false)
+			tb.Advance(30 * time.Second)
+		}
+		// Let any last recovery finish.
+		tb.RunUntil(dev.Connected, 30*time.Minute)
+		if down {
+			outage += tb.Now() - downAt
+		}
+
+		handovers, lost := tb.Handovers()
+		fmt.Printf("%-8s %d handovers, %d context losses, total outage %7.1f s\n",
+			mode, handovers, lost, outage.Seconds())
+	}
+
+	fmt.Println()
+	fmt.Println("Every lost context costs the legacy stack a stale-GUTI retry loop;")
+	fmt.Println("SEED's cause-9 diagnosis resets the identity in a few seconds.")
+	// Output:
+	// == Drive test: 25 handovers across 4 cells, 20% context-loss rate ==
+	//
+	// Legacy   25 handovers, 6 context losses, total outage   770.5 s
+	// SEED-R   25 handovers, 5 context losses, total outage    19.0 s
+	//
+	// Every lost context costs the legacy stack a stale-GUTI retry loop;
+	// SEED's cause-9 diagnosis resets the identity in a few seconds.
+}
+
+// Online learning, the §5.3 collaborative algorithm end to end: an
+// operator-customized failure (a cause code outside the 3GPP standardized
+// set) hits a first device, whose SIM tries the multi-tier resets
+// sequentially and records what worked; the record is crowd-sourced to the
+// infrastructure over OTA; a second device hitting the same failure then
+// receives the learned suggestion and recovers directly.
+func ExampleExperimentLearning() {
+	fmt.Println("== Collaborative online learning for an unknown failure cause ==")
+
+	res := seed.ExperimentLearning(6, 4, 25, 99)
+	fmt.Print(res.Render())
+	fmt.Println()
+
+	fmt.Println("Interpretation:")
+	fmt.Printf("  - %d operator-customized causes (half control-plane functions,\n", res.Causes)
+	fmt.Println("    half data-plane functions) were injected repeatedly across 6 devices.")
+	fmt.Println("  - Early devices received no suggestion and ran Algorithm 1's trial")
+	fmt.Println("    sequence (B3 -> A3 -> B2 -> A2 -> B1 -> A1), recording the reset")
+	fmt.Println("    that actually fixed each cause.")
+	fmt.Printf("  - After crowdsourcing, %d suggestions were delivered to later devices.\n", res.SuggestionsSent)
+	fmt.Printf("  - The learned model classified %d/%d causes to the correct plane's\n", res.CorrectPlane, res.Causes)
+	fmt.Println("    reset action, matching the paper's §7.2.4 result.")
+	// Output:
+	// == Collaborative online learning for an unknown failure cause ==
+	// Online learning (§7.2.4): 8 customized causes, 200 trials, 207 suggestions; 8/8 causes classified to the correct plane
+	//
+	// Interpretation:
+	//   - 8 operator-customized causes (half control-plane functions,
+	//     half data-plane functions) were injected repeatedly across 6 devices.
+	//   - Early devices received no suggestion and ran Algorithm 1's trial
+	//     sequence (B3 -> A3 -> B2 -> A2 -> B1 -> A1), recording the reset
+	//     that actually fixed each cause.
+	//   - After crowdsourcing, 207 suggestions were delivered to later devices.
+	//   - The learned model classified 8/8 causes to the correct plane's
+	//     reset action, matching the paper's §7.2.4 result.
+}
+
+// The §7.3 security analysis, live: SEED's collaboration channel rejects
+// payloads forged without the in-SIM key, replayed diagnosis deliveries are
+// discarded by the message counter, and a legitimate diagnosis still flows
+// and recovers a real failure.
+func ExampleTestbed_ForgeDiagnosis() {
+	fmt.Println("== SEED security properties (§7.3) ==")
+	fmt.Println()
+
+	tb := seed.New(2026)
+	dev := tb.NewDevice(seed.ModeSEEDU)
+	dev.Start()
+	if !tb.RunUntil(dev.Connected, time.Minute) {
+		panic("attach failed")
+	}
+	fmt.Println("1. Device attached; SEED applet installed (OTA, carrier-key MAC).")
+
+	// Adversarial deliveries: sealed under the wrong key, they reach the
+	// SIM as protocol-valid Authentication Requests but never decrypt.
+	forged := tb.ForgeDiagnosis(dev, "attacker-key-0000")
+	tb.Advance(10 * time.Second)
+	fmt.Printf("2. Forged diagnosis fragments sent: %d; accepted by the SIM: %d\n",
+		forged, dev.DiagnosesReceived())
+
+	// A legitimate failure: the applet receives the real diagnosis and
+	// recovers within seconds.
+	tb.DesyncIdentity(dev)
+	tb.SimulateMobility(dev)
+	onset := tb.Now()
+	if !tb.RunUntil(func() bool { return tb.Now() > onset && dev.Connected() }, time.Minute) {
+		panic("SEED did not recover")
+	}
+	fmt.Printf("3. Real failure diagnosed and recovered in %.1f s (diagnoses: %d, actions: %v)\n",
+		(tb.Now() - onset).Seconds(), dev.DiagnosesReceived(), dev.ActionCounts())
+
+	// Replay: resending the captured legitimate delivery does nothing — the
+	// envelope counter has moved on.
+	before := dev.DiagnosesReceived()
+	replayed := tb.ReplayLastDiagnosis(dev)
+	tb.Advance(10 * time.Second)
+	fmt.Printf("4. Replayed %d captured fragments; additional diagnoses accepted: %d\n",
+		replayed, dev.DiagnosesReceived()-before)
+
+	fmt.Println()
+	fmt.Println("The channel is sealed with 128-EEA2/EIA2 under keys derived from the")
+	fmt.Println("pre-shared in-SIM key, with a monotonic counter — the same security")
+	fmt.Println("story as 5G signaling itself, and no new certificates anywhere.")
+	// Output:
+	// == SEED security properties (§7.3) ==
+	//
+	// 1. Device attached; SEED applet installed (OTA, carrier-key MAC).
+	// 2. Forged diagnosis fragments sent: 1; accepted by the SIM: 0
+	// 3. Real failure diagnosed and recovered in 5.7 s (diagnoses: 1, actions: map[A1/profile-reload:1])
+	// 4. Replayed 1 captured fragments; additional diagnoses accepted: 0
+	//
+	// The channel is sealed with 128-EEA2/EIA2 under keys derived from the
+	// pre-shared in-SIM key, with a monotonic counter — the same security
+	// story as 5G signaling itself, and no new certificates anywhere.
+}
+
+// Trace analysis, the §3 study in miniature: synthesize the failure corpus
+// with the published Table 1 statistics, print the breakdown, then replay a
+// sample of the control- and data-plane failure cases with legacy (modem +
+// Android) handling only, reproducing the Figure 2 disruption CDFs that
+// motivate SEED.
+func ExampleExperimentFigure2() {
+	ds := seed.GenerateDataset(1)
+	fmt.Print(ds.RenderTable1())
+	fmt.Println()
+
+	fmt.Println("Replaying failure cases with legacy handling (Figure 2)...")
+	fig2 := seed.ExperimentFigure2(runner.New(0), ds, 80, 1)
+	fmt.Print(fig2.Render())
+	fmt.Println()
+
+	// fractionAt reads the CDF at x seconds.
+	fractionAt := func(pts []seed.CDFPoint, x float64) float64 {
+		f := 0.0
+		for _, p := range pts {
+			if p.Seconds <= x {
+				f = p.Fraction
+			}
+		}
+		return f
+	}
+	fmt.Println("Reading the CDF the way §3.2 does:")
+	fmt.Printf("  - only ~%.0f%% of control-plane failures recover within 2 s;\n",
+		100*fractionAt(fig2.Control, 2))
+	fmt.Printf("  - ~%.0f%% within 10 s — the rest wait out T3511/T3502 timers;\n",
+		100*fractionAt(fig2.Control, 10))
+	fmt.Printf("  - only ~%.0f%% of data-plane failures recover within 10 s, and\n",
+		100*fractionAt(fig2.Data, 10))
+	fmt.Println("    half need minutes: blind retries resend the outdated config until")
+	fmt.Println("    Android's ladder finally restarts the modem.")
+	// Output:
+	// Table 1: top 5 failure causes in control/data plane
+	//   (2832 failures / 24000 procedures = 11.8% failure ratio)
+	// Control Plane (57.4%):
+	//   UE identity cannot be derived by the network                14.4%
+	//   No suitable cells in tracking area                          13.5%
+	//   PLMN not allowed                                            10.6%
+	//   No EPS bearer context activated                              7.9%
+	//   5GS services not allowed                                     3.2%
+	// Data Plane (42.6%):
+	//   Missing or unknown DNN                                      10.1%
+	//   Requested service option not subscribed                      7.8%
+	//   Invalid mandatory information                                6.2%
+	//   User authentication or authorization failed                  4.0%
+	//   Semantic error in the TFT operation                          2.9%
+	//
+	// Replaying failure cases with legacy handling (Figure 2)...
+	// Figure 2: disruption CDF with legacy modem handling
+	//   control-plane F(2s)=0.17 F(10s)=0.21 F(60s)=0.60 F(600s)=0.60 unrecovered=0.00
+	//   data-plane    F(2s)=0.03 F(10s)=0.12 F(60s)=0.27 F(600s)=0.92 unrecovered=0.00
+	//
+	// Reading the CDF the way §3.2 does:
+	//   - only ~17% of control-plane failures recover within 2 s;
+	//   - ~21% within 10 s — the rest wait out T3511/T3502 timers;
+	//   - only ~12% of data-plane failures recover within 10 s, and
+	//     half need minutes: blind retries resend the outdated config until
+	//     Android's ladder finally restarts the modem.
 }

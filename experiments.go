@@ -50,16 +50,30 @@ type Table4Result struct {
 type mgmtCell struct {
 	fc   FailureCase
 	mode Mode
-	key  uint64
+	seed int64
 	res  ReplayResult
 }
 
 // plane names the cell's management plane.
-func (c mgmtCell) plane() string {
-	if c.fc.ControlPlane {
+func (c mgmtCell) plane() string { return planeOf(c.fc) }
+
+// planeOf names a management case's plane as the tables group it.
+func planeOf(fc FailureCase) string {
+	if fc.ControlPlane {
 		return "control"
 	}
 	return "data"
+}
+
+// causeKey is the causes table's key for a management case: "control/9".
+func causeKey(fc FailureCase) string { return fmt.Sprintf("%s/%d", planeOf(fc), fc.CauseCode) }
+
+// caseSeed derives the seed every table runs a dataset case's cells on:
+// family is 0 for the control plane's management cases, 1 for the data
+// plane's and 2 for the delivery cases, pos the case's position among its
+// family's cases in corpus order. The modes share it (a paired comparison).
+func caseSeed(root int64, family uint64, pos int) int64 {
+	return sched.DeriveSeed(root, cellKey(family, pos))
 }
 
 // ManagementGrid is one replay of a dataset's management failures: the
@@ -109,13 +123,13 @@ func managementGrid(p *runner.Pool, ds *Dataset, n int, seedVal int64, skipUserA
 				continue
 			}
 			for _, mode := range modes {
-				cells = append(cells, mgmtCell{fc: fc, mode: mode, key: cellKey(uint64(family), i)})
+				cells = append(cells, mgmtCell{fc: fc, mode: mode, seed: caseSeed(seedVal, uint64(family), i)})
 			}
 		}
 	}
 	return ManagementGrid{ds: ds, n: n, seedVal: seedVal, cells: runner.Map(p, len(cells), func(i int) mgmtCell {
 		c := cells[i]
-		c.res = ReplayManagement(c.fc, c.mode, sched.DeriveSeed(seedVal, c.key))
+		c.res = ReplayManagement(c.fc, c.mode, c.seed)
 		return c
 	})}
 }
@@ -164,41 +178,47 @@ func (g ManagementGrid) Table4(p *runner.Pool) Table4Result {
 		}
 		acc.outcome(c.plane()+"/"+c.mode.String(), c.res.Recovered, c.res.Disruption)
 	}
-	// Data delivery: the reconnection-fixable class for the legacy
-	// baseline (the only one it can recover), all kinds for SEED.
+	// Data delivery: the cases deliveryCounted admits.
 	delivery := g.ds.Delivery()
 	delivery = delivery[:min(g.n, len(delivery))]
 	type cell struct {
 		dc   DeliveryCase
 		mode Mode
-		key  uint64
+		seed int64
 	}
 	var cells []cell
 	for _, mode := range Modes {
 		for i, dc := range delivery {
-			if mode == ModeLegacy && dc.Kind != DeliveryStalledGateway {
-				continue // legacy cannot fix network-side blocks/DNS
+			if deliveryCounted(dc, mode) {
+				cells = append(cells, cell{dc: dc, mode: mode, seed: caseSeed(g.seedVal, 2, i)})
 			}
-			cells = append(cells, cell{dc: dc, mode: mode, key: cellKey(2, i)})
 		}
 	}
 	replays := runner.Map(p, len(cells), func(i int) DeliveryReplayResult {
 		c := cells[i]
-		return ReplayDelivery(c.dc, c.mode, sched.DeriveSeed(g.seedVal, c.key))
+		return ReplayDelivery(c.dc, c.mode, c.seed)
 	})
 	for i, r := range replays {
 		acc.outcome("delivery/"+cells[i].mode.String(), r.Recovered, r.HandlingTime)
 	}
 	var res Table4Result
-	for _, class := range []struct{ group, name string }{
-		{"control", "Control Plane"}, {"data", "Data Plane"}, {"delivery", "Data Delivery"},
-	} {
+	for _, group := range []string{"control", "data", "delivery"} {
 		for _, mode := range Modes {
-			group := class.group + "/" + mode.String()
-			res.Rows = append(res.Rows, disruptionRow(class.name, mode, acc.get(group), acc.counts[group+"/unrecov"]))
+			key := group + "/" + mode.String()
+			res.Rows = append(res.Rows, disruptionRow(table4Class[group], mode, acc.get(key), acc.counts[key+"/unrecov"]))
 		}
 	}
 	return res
+}
+
+// table4Class names Table 4's row classes by the plane a cell groups under.
+var table4Class = map[string]string{"control": "Control Plane", "data": "Data Plane", "delivery": "Data Delivery"}
+
+// deliveryCounted reports whether Table 4 replays a delivery case under the
+// mode: the reconnection-fixable class for the legacy baseline (the only
+// one it can recover), all kinds for SEED.
+func deliveryCounted(dc DeliveryCase, mode Mode) bool {
+	return mode != ModeLegacy || dc.Kind == DeliveryStalledGateway
 }
 
 // Render formats the table.
@@ -1210,7 +1230,7 @@ func (g ManagementGrid) Causes() CausesResult {
 	b := metrics.NewBreakdown()
 	for _, c := range g.cells {
 		r := c.res
-		b.Add(fmt.Sprintf("%s/%d %s", c.plane(), c.fc.CauseCode, c.mode), metrics.CostInput{
+		b.Add(causeKey(c.fc)+" "+c.mode.String(), metrics.CostInput{
 			Recovered: r.Recovered, Disruption: r.Disruption,
 			Actions: r.Actions, Reboots: r.Reboots, UserNotified: r.UserNotified,
 		})

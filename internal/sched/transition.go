@@ -7,7 +7,7 @@ package sched
 // resolver does the device use): the layer that owns such a piece of state
 // calls Announce at the point where it flips, so a wait re-reads its
 // condition only after an event that announced something instead of after
-// every event, and an observer (seedsim -timeline) sees why a run ended when
+// every event, and an observer (seedsim's timeline) sees why a run ended when
 // it did.
 //
 // A transition carries its kind and two integer operands whose meaning the

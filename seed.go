@@ -125,10 +125,7 @@ func (inst *Instrument) attach(tb *Testbed, d *Device) {
 		tb.plugin.Learner.LR = inst.LearnerLR
 	}
 	if inst.Tracer != nil {
-		tb.Observe(inst.Tracer)
-		for _, ev := range d.bootTrace {
-			inst.Tracer.Decision(ev)
-		}
+		observeCell(tb, d, inst.Tracer)
 	}
 	applet := d.inner.Applet
 	if applet == nil {
@@ -140,9 +137,21 @@ func (inst *Instrument) attach(tb *Testbed, d *Device) {
 	applet.SetActionOverride(inst.Override)
 }
 
+// observeCell installs o as the observer of a restored cell, the one way a
+// cell is observed. An observer that takes decisions is first handed the
+// decisions of the device's boot (bootTrace): it reads the cell's history
+// from power-on, as one installed before the boot did.
+func observeCell(tb *Testbed, d *Device, o any) {
+	tb.Observe(o)
+	if tr, ok := o.(core.DecisionTracer); ok {
+		for _, ev := range d.bootTrace {
+			tr.Decision(ev)
+		}
+	}
+}
+
 // bootTracer observes a connected prototype's own boot into bootTrace, which
-// attach replays: a tracer attached after the restore reads the cell's
-// history from power-on, as one attached before the boot did.
+// observeCell replays.
 type bootTracer struct{ d *Device }
 
 func (b bootTracer) Decision(ev core.DecisionEvent) { b.d.bootTrace = append(b.d.bootTrace, ev) }
@@ -252,12 +261,6 @@ func (tb *Testbed) After(d time.Duration, fn func()) { tb.kern.After(d, fn) }
 
 // Devices returns a copy of the devices created so far.
 func (tb *Testbed) Devices() []*Device { return append([]*Device(nil), tb.devices...) }
-
-// SetCongestion toggles the infrastructure congestion-warning path: while
-// on, SEED diagnosis deliveries tell SIMs to wait instead of resetting.
-func (tb *Testbed) SetCongestion(on bool, wait time.Duration) {
-	tb.plugin.SetCongestion(on, uint16(wait/time.Second))
-}
 
 // CoreSignalingLoad returns the total NAS messages the core processed.
 func (tb *Testbed) CoreSignalingLoad() int { return tb.net.SignalingLoad() }

@@ -263,12 +263,19 @@ func observedRuns[R any](t *testing.T, name string, tr trial[R], cellSeed int64)
 			t.Errorf("%s: unobserved %+v != observed by %s %+v", name, runs[0], who, runs[i+1])
 		}
 	}
+	checkTimeline(t, name, events)
+	return events, decisions
+}
+
+// checkTimeline fails on a timeline event of no known layer or text, or out
+// of time order.
+func checkTimeline(t *testing.T, name string, events []TimelineEvent) {
+	t.Helper()
 	for i, ev := range events {
 		if ev.Layer == "?" || ev.Text == "" || (i > 0 && ev.At < events[i-1].At) {
 			t.Errorf("%s: timeline event %d is %+v", name, i, ev)
 		}
 	}
-	return events, decisions
 }
 
 // TestObservedOutcomeMatchesUnobserved: observing a cell changes nothing about
@@ -312,6 +319,35 @@ func TestObservedOutcomeMatchesUnobserved(t *testing.T) {
 		run := compiledCellRun(sp, c, nil)
 		name := fmt.Sprintf("cell %d (%s, %s)", c.Index, c.Scenario, c.Mode)
 		tally(observedRuns(t, name, trial[ReplayResult]{run.from(mode), run.measure}, c.Seed))
+	}
+	// The watch path: a watched dataset cell reads what the unwatched one
+	// does, and its timeline shows every decision an instrument's tracer
+	// records on the same cell, boot decisions included.
+	ds := GenerateDataset(1)
+	for _, name := range watchNames() {
+		for _, mode := range Modes {
+			where := fmt.Sprintf("watched %s/%v", name, mode)
+			quiet, err := ds.WatchCell(name, 0, mode, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var events []TimelineEvent
+			watched, _ := ds.WatchCell(name, 0, mode, 1, func(ev TimelineEvent) { events = append(events, ev) })
+			if !reflect.DeepEqual(quiet, watched) {
+				t.Errorf("%s: unwatched %+v != watched %+v", where, quiet, watched)
+			}
+			if len(events) == 0 {
+				t.Errorf("%s: the timeline saw nothing", where)
+			}
+			checkTimeline(t, where, events)
+			var log traceLog
+			if quiet.Plane != "delivery" {
+				c := caseCellRun(quiet.Failure)
+				c.inst = &Instrument{Tracer: &log}
+				runCell(c, mode, quiet.Seed)
+				tally(events, log)
+			}
+		}
 	}
 	for _, layer := range []string{"modem", "nas", "sim", "applet", "plugin"} {
 		if layers[layer] == 0 {

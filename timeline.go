@@ -13,7 +13,7 @@ import (
 	"github.com/seed5g/seed/internal/sim"
 )
 
-// TimelineEvent is one thing a run emitted, as seedsim -timeline prints it:
+// TimelineEvent is one thing a run emitted, as seedsim prints it:
 // when, which layer, what happened.
 type TimelineEvent struct {
 	At    time.Duration

@@ -26,8 +26,8 @@ var (
 
 // TestVocabularySpellings pins, for every value of the four enums, the
 // number and the String() spelling the rendered tables in EXPERIMENTS.md,
-// seedsim's narration and the benchmark's span labels print, and the
-// spec/CLI spelling of a mode (the corpus JSON's "mode" field) through
+// seedsim's -failure names and case line and the benchmark's span labels
+// print, and the spec/CLI spelling of a mode (the corpus JSON's "mode" field) through
 // ParseMode: an alias must not move any of them.
 func TestVocabularySpellings(t *testing.T) {
 	type row struct {
