@@ -251,6 +251,10 @@ type Figure2Result struct {
 	// that never recovered inside the replay window (the CDF's gap to 1).
 	ControlUnrecovered float64
 	DataUnrecovered    float64
+	// ControlN / DataN count the recoverable cases each curve is over. A
+	// plane without one has no points and an unrecovered fraction of 0.
+	ControlN int
+	DataN    int
 }
 
 // ExperimentFigure2 replays sampled management failures with legacy
@@ -275,15 +279,18 @@ func (g ManagementGrid) Figure2() Figure2Result {
 		series := acc.get(plane)
 		total := acc.counts[plane+"/total"]
 		var pts []CDFPoint
-		scale := float64(series.Len()) / float64(total)
-		for _, p := range series.CDF() {
-			pts = append(pts, CDFPoint{Seconds: p.X.Seconds(), Fraction: p.F * scale})
+		var unrec float64
+		if total > 0 {
+			scale := float64(series.Len()) / float64(total)
+			for _, p := range series.CDF() {
+				pts = append(pts, CDFPoint{Seconds: p.X.Seconds(), Fraction: p.F * scale})
+			}
+			unrec = float64(acc.counts[plane+"/unrecov"]) / float64(total)
 		}
-		unrec := float64(acc.counts[plane+"/unrecov"]) / float64(total)
 		if plane == "control" {
-			res.Control, res.ControlUnrecovered = pts, unrec
+			res.Control, res.ControlUnrecovered, res.ControlN = pts, unrec, total
 		} else {
-			res.Data, res.DataUnrecovered = pts, unrec
+			res.Data, res.DataUnrecovered, res.DataN = pts, unrec, total
 		}
 	}
 	return res
@@ -304,13 +311,17 @@ func fractionAt(pts []CDFPoint, x float64) float64 {
 func (f Figure2Result) Render() string {
 	var b strings.Builder
 	b.WriteString("Figure 2: disruption CDF with legacy modem handling\n")
-	line := func(name string, pts []CDFPoint, unrec float64) {
+	line := func(name string, pts []CDFPoint, unrec float64, n int) {
+		if n == 0 {
+			fmt.Fprintf(&b, "  %-13s n=0\n", name)
+			return
+		}
 		fmt.Fprintf(&b, "  %-13s F(2s)=%.2f F(10s)=%.2f F(60s)=%.2f F(600s)=%.2f unrecovered=%.2f\n",
 			name, fractionAt(pts, 2), fractionAt(pts, 10), fractionAt(pts, 60),
 			fractionAt(pts, 600), unrec)
 	}
-	line("control-plane", f.Control, f.ControlUnrecovered)
-	line("data-plane", f.Data, f.DataUnrecovered)
+	line("control-plane", f.Control, f.ControlUnrecovered, f.ControlN)
+	line("data-plane", f.Data, f.DataUnrecovered, f.DataN)
 	return b.String()
 }
 

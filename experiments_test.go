@@ -39,6 +39,18 @@ func TestExperimentFigure2Shape(t *testing.T) {
 	if got := fractionAt(f.Data, 240); got > 0.5 {
 		t.Fatalf("data F(4min) = %.2f; the median must sit near 8 min", got)
 	}
+
+	// At seed 3 the one sampled case of each plane is a user-action case:
+	// no plane has a recoverable case, so neither has points or a fraction.
+	empty := seed.ExperimentFigure2(testPool, seed.GenerateDataset(3), 1, 3)
+	if empty.ControlN != 0 || empty.DataN != 0 || empty.Control != nil || empty.Data != nil ||
+		empty.ControlUnrecovered != 0 || empty.DataUnrecovered != 0 {
+		t.Fatalf("no recoverable case, yet %+v", empty)
+	}
+	want := "Figure 2: disruption CDF with legacy modem handling\n  control-plane n=0\n  data-plane    n=0\n"
+	if got := empty.Render(); got != want {
+		t.Fatalf("render:\n%s\nwant:\n%s", got, want)
+	}
 }
 
 func TestExperimentTable4Shape(t *testing.T) {

@@ -1,0 +1,23 @@
+// Package core5g is the one-observer fixture: a second place an observer is
+// stored, and the retired OnNAS hook field, shaped like the NAS observer
+// method without its IMSI.
+package core5g
+
+import (
+	"github.com/seed5g/seed/internal/modem"
+	"github.com/seed5g/seed/internal/nas"
+)
+
+type tap struct {
+	nas   modem.NASObserver                // want
+	OnNAS func(sent bool, msg nas.Message) // want
+}
+
+func (t *tap) relay(imsi string, msg nas.Message) {
+	if t.nas != nil {
+		t.nas.NAS(imsi, false, msg)
+	}
+	if t.OnNAS != nil {
+		t.OnNAS(false, msg)
+	}
+}

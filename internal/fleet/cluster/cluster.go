@@ -138,6 +138,11 @@ func (m *Map) ownerIdx(imsi string) int {
 
 const maxNameLen = 255
 
+// maxRingPoints bounds the ring a decoded map may build (nodes × replicas):
+// a peer's map costs at most this many points, whatever its header says.
+// It allows 1024 nodes at DefaultReplicas.
+const maxRingPoints = 1 << 16
+
 // Marshal encodes the map canonically.
 func (m *Map) Marshal() []byte {
 	out := binary.BigEndian.AppendUint64(nil, m.Epoch)
@@ -165,6 +170,12 @@ func Unmarshal(p []byte) (*Map, error) {
 	if n == 0 {
 		return nil, errors.New("cluster: map has no nodes")
 	}
+	if m.Replicas <= 0 {
+		m.Replicas = DefaultReplicas
+	}
+	if n*m.Replicas > maxRingPoints {
+		return nil, fmt.Errorf("cluster: %d nodes × %d replicas exceeds %d ring points", n, m.Replicas, maxRingPoints)
+	}
 	p = p[12:]
 	for i := 0; i < n; i++ {
 		id, rest, err := takeString(p)
@@ -181,11 +192,10 @@ func Unmarshal(p []byte) (*Map, error) {
 	if len(p) != 0 {
 		return nil, fmt.Errorf("cluster: %d trailing bytes after map", len(p))
 	}
-	if !sort.SliceIsSorted(m.nodes, func(i, j int) bool { return m.nodes[i].ID < m.nodes[j].ID }) {
-		return nil, errors.New("cluster: map nodes not sorted by ID")
-	}
-	if m.Replicas <= 0 {
-		m.Replicas = DefaultReplicas
+	for i := 1; i < len(m.nodes); i++ {
+		if m.nodes[i-1].ID >= m.nodes[i].ID {
+			return nil, errors.New("cluster: map node IDs not strictly increasing")
+		}
 	}
 	m.buildRing()
 	return m, nil

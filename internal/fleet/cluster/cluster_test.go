@@ -57,12 +57,36 @@ func TestMapUnmarshalRejectsGarbage(t *testing.T) {
 		append(New(1, threeNodes(), 0).Marshal(), 0xFF),           // trailing byte
 		{0, 0, 0, 0, 0, 0, 0, 1, 0, 64, 0, 0},                     // zero nodes
 		append([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 64, 0, 1}, 0, 0), // empty id
+		ringBomb(),         // 200 nodes × 65 535 replicas in 1 412 bytes
+		duplicateNodeIDs(), // sorted, but not strictly
 	}
 	for i, c := range cases {
 		if _, err := Unmarshal(c); err == nil {
 			t.Errorf("case %d: garbage map accepted", i)
 		}
 	}
+}
+
+// ringBomb is a 1 412-byte map whose header asks for 200 nodes of 65 535
+// virtual points each: 13 million ring points, one Sprintf apiece, were it
+// built.
+func ringBomb() []byte {
+	p := []byte{0, 0, 0, 0, 0, 0, 0, 1, 0xFF, 0xFF, 0, 200}
+	for i := 0; i < 200; i++ {
+		p = append(p, 3)
+		p = append(p, fmt.Sprintf("%03d", i)...)
+		p = append(p, 2, 'a', 'a')
+	}
+	return p
+}
+
+// duplicateNodeIDs is a two-node map that names one node twice.
+func duplicateNodeIDs() []byte {
+	p := []byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 64, 0, 2}
+	for i := 0; i < 2; i++ {
+		p = append(p, 2, 'n', '0', 2, 'a', 'a')
+	}
+	return p
 }
 
 // TestConsistentHashingMovesFewKeys: removing one of three nodes must move
