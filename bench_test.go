@@ -34,13 +34,13 @@ func BenchmarkTable1_FailureCauses(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure2_LegacyDisruptionCDF replays failures with legacy
-// handling and reports the CDF milestones of Figure 2.
+// BenchmarkFigure2_LegacyDisruptionCDF replays the dataset grid and
+// reports the CDF milestones of Figure 2, its legacy-handling fold.
 func BenchmarkFigure2_LegacyDisruptionCDF(b *testing.B) {
 	ds := benchDataset(b)
 	var last seed.Figure2Result
 	for i := 0; i < b.N; i++ {
-		last = seed.ExperimentFigure2(testPool, ds, 40, int64(i+1))
+		last = seed.ReplayDatasetGrid(testPool, ds, 40, int64(i+1)).Figure2()
 	}
 	b.ReportMetric(fractionAt(last.Control, 2)*100, "ctl-F(2s)-%")
 	b.ReportMetric(fractionAt(last.Control, 10)*100, "ctl-F(10s)-%")
@@ -69,13 +69,13 @@ func BenchmarkFigure3_AndroidDetection(b *testing.B) {
 	b.ReportMetric(last.UDP.Median.Seconds(), "udp-median-s")
 }
 
-// BenchmarkTable4_Disruption replays failures under all three schemes and
-// reports the headline medians.
+// BenchmarkTable4_Disruption replays the dataset grid and reports Table 4's
+// headline medians.
 func BenchmarkTable4_Disruption(b *testing.B) {
 	ds := benchDataset(b)
 	var last seed.Table4Result
 	for i := 0; i < b.N; i++ {
-		last = seed.ExperimentTable4(testPool, ds, 25, int64(i+1))
+		last = seed.ReplayDatasetGrid(testPool, ds, 25, int64(i+1)).Table4()
 	}
 	for _, r := range last.Rows {
 		key := strings.ReplaceAll(r.Class, " ", "") + "-" + r.Mode.String() + "-median-s"
@@ -152,7 +152,7 @@ func BenchmarkCoverage(b *testing.B) {
 	ds := benchDataset(b)
 	var last seed.CoverageResult
 	for i := 0; i < b.N; i++ {
-		last = seed.ExperimentCoverage(testPool, ds, 60, int64(i+1))
+		last = seed.ReplayDatasetGrid(testPool, ds, 60, int64(i+1)).Coverage()
 	}
 	b.ReportMetric(last.ControlHandled*100, "ctl-handled-%")
 	b.ReportMetric(last.DataHandled*100, "data-handled-%")

@@ -13,12 +13,12 @@
 // -parallel worker goroutines (default GOMAXPROCS); results are
 // bit-for-bit identical at any parallelism.
 //
-// Each piece of work is done once. Table 4's management rows, Figure 2, the
-// per-cause breakdown and the coverage all read the same replayed cases, so
-// -exp all replays them in one "grid" stage ahead of Figure 2 (every sampled
-// case under all three schemes, timed like an experiment, printed as a
-// timing line only) and those four experiments fold it; named alone
-// (-exp figure2) an experiment replays just the cells it reads. And an
+// Each piece of work is done once. Table 4, Figure 2, the per-cause
+// breakdown and the coverage all read the same replayed cases, so a "grid"
+// stage ahead of Figure 2 replays every dataset cell they count once (timed
+// like an experiment, printed as a timing line only) and those four
+// experiments fold it. Under -exp all the stage runs once for the four;
+// naming one of them alone (-exp figure2) runs the stage and then it. And an
 // experiment runs as often as its result can differ: with -parallel > 1 the
 // experiments that fan cells over the pool also run sequentially, as often
 // as they run on the pool, so the speedup against the recorded sequential
@@ -31,14 +31,13 @@
 // a time, not a speedup.
 //
 // -json FILE writes machine-readable per-experiment results and
-// wall-clock timings ("-" for stdout), the format the BENCH_*.json perf
-// trajectory consumes, plus the boot/restore counts of each prototype
-// family (proto_boots/proto_restores). Each experiment's record, and its
-// "[… regenerated in …]" line, also says what the collector did during one
-// run of it, per lane (gc_cycles and alloc_mb), and how large the live heap
-// was after it (live_mb); "runs" counts how often the experiment executed
-// in this invocation and the grid stage's "cells" how many cases it
-// replayed. -reps N runs each experiment N times per lane and nothing more:
+// wall-clock timings ("-" for stdout), plus the boot/restore counts of each
+// prototype family (proto_boots/proto_restores). Each experiment's record,
+// and its "[… regenerated in …]" line, also says what the collector did
+// during one run of it, per lane (gc_cycles and alloc_mb), and how large the
+// live heap was after it (live_mb); "runs" counts how often the experiment
+// executed in this invocation and the grid stage's "cells" how many cells
+// it replayed. -reps N runs each experiment N times per lane and nothing more:
 // a pooled experiment with -parallel > 1 runs in N sequential/parallel
 // pairs ("runs" 2N), its recorded wall times are per-lane medians and its
 // speedup is the median of the paired baseline/parallel ratios, which
@@ -255,78 +254,56 @@ func run() int {
 
 	ds := seed.GenerateDataset(*seedVal)
 
-	// Table 4, Figure 2, causes and coverage read the same replayed cases.
-	// Under -exp all the grid stage replays them once and the four fold it;
-	// named alone, each replays the cells it reads itself.
+	// Table 4, Figure 2, causes and coverage fold the grid stage's replay of
+	// the dataset cells they count: the stage runs under -exp all and when
+	// one of the four is named alone.
 	all := *exp == "all"
-	var grid seed.ManagementGrid
+	foldsGrid := map[string]bool{"figure2": true, "table4": true, "causes": true, "coverage": true}
+	var grid seed.DatasetGrid
 	var fig2 seed.Figure2Result
 	var causes seed.CausesResult
-	folds := func(alone pooled, fold any) any {
-		if all {
-			return fold
-		}
-		return alone
-	}
 	experiments := []experiment{
 		{"table1", poolless(ds.RenderTable1)},
 		{"table2", poolless(table2)},
 		{"table3", poolless(table3)},
-	}
-	if all {
-		experiments = append(experiments, experiment{"grid", stage(func(p *runner.Pool) (string, int) {
-			grid = seed.ReplayManagementGrid(p, ds, *samples, *seedVal)
+		{"grid", stage(func(p *runner.Pool) (string, int) {
+			grid = seed.ReplayDatasetGrid(p, ds, *samples, *seedVal)
 			return grid.Digest(), grid.Cells()
-		})})
-	}
-	experiments = append(experiments, []experiment{
-		{"figure2", folds(func(p *runner.Pool) string {
-			fig2 = seed.ExperimentFigure2(p, ds, *samples, *seedVal)
-			return fig2.Render()
-		}, poolless(func() string {
+		})},
+		{"figure2", poolless(func() string {
 			fig2 = grid.Figure2()
 			return fig2.Render()
-		}))},
+		})},
 		{"figure3", pooled(func(p *runner.Pool) string {
 			return seed.ExperimentFigure3(p, max(8, *samples/10), *seedVal).Render()
 		})},
-		// Table 4's delivery rows are cells of its own, so its fold stays pooled.
-		{"table4", folds(func(p *runner.Pool) string {
-			return seed.ExperimentTable4(p, ds, *samples, *seedVal).Render()
-		}, pooled(func(p *runner.Pool) string { return grid.Table4(p).Render() }))},
+		{"table4", poolless(func() string { return grid.Table4().Render() })},
 		{"table5", pooled(func(p *runner.Pool) string { return seed.ExperimentTable5(p, 3, *seedVal).Render() })},
 		{"figure11a", pooled(func(p *runner.Pool) string { return seed.ExperimentFigure11a(p, *seedVal).Render() })},
 		{"figure11b", poolless(func() string { return seed.ExperimentFigure11b(*seedVal).Render() })},
 		{"figure12", poolless(func() string { return seed.ExperimentFigure12(50, *seedVal).Render() })},
 		{"figure13", pooled(func(p *runner.Pool) string { return seed.ExperimentFigure13(p, *seedVal).Render() })},
-		{"causes", folds(func(p *runner.Pool) string {
-			causes = seed.ExperimentCauses(p, ds, *samples, *seedVal)
-			return causes.Render()
-		}, poolless(func() string {
+		{"causes", poolless(func() string {
 			causes = grid.Causes()
 			return causes.Render()
-		}))},
-		{"coverage", folds(func(p *runner.Pool) string {
-			return seed.ExperimentCoverage(p, ds, *samples, *seedVal).Render()
-		}, poolless(func() string { return grid.Coverage().Render() }))},
+		})},
+		{"coverage", poolless(func() string { return grid.Coverage().Render() })},
 		{"learning", poolless(func() string { return seed.ExperimentLearning(6, 4, 50, *seedVal).Render() })},
 		{"mobility", pooled(func(p *runner.Pool) string {
 			return seed.ExperimentMobility(p, max(8, *samples/10), *seedVal).Render()
 		})},
-	}...)
+	}
 
 	if !all {
 		known := false
+		var names []string
 		for _, e := range experiments {
-			if e.name == *exp {
-				known = true
+			if _, isStage := e.run.(stage); !isStage {
+				known = known || e.name == *exp
+				names = append(names, e.name)
 			}
 		}
 		if !known {
-			var names []string
-			for _, e := range experiments {
-				names = append(names, e.name)
-			}
 			fmt.Fprintf(os.Stderr, "unknown experiment %q (known: all %s)\n", *exp, strings.Join(names, " "))
 			return 2
 		}
@@ -352,11 +329,11 @@ func run() int {
 	deterministic := true
 	// A timing line is followed by a blank line, owed until the next block of
 	// text or the end of the run: a stage prints no text, so its timing line
-	// joins the previous row's, and stdout without the timing lines is what
-	// it would be without the stage.
+	// joins the previous row's (or opens the run), and stdout without the
+	// timing lines is what it would be without the stage.
 	blank := ""
 	for _, e := range experiments {
-		if !all && *exp != e.name {
+		if !all && *exp != e.name && !(e.name == "grid" && foldsGrid[*exp]) {
 			continue
 		}
 		t := expTiming{Name: e.name, Deterministic: true}
@@ -377,9 +354,9 @@ func run() int {
 		t.LiveMB = liveMB()
 		if out != "" {
 			fmt.Print(blank, out)
+			blank = "\n"
 		}
 		fmt.Print(t.line(workers))
-		blank = "\n"
 		deterministic = deterministic && t.Deterministic
 
 		report.Experiments = append(report.Experiments, t)
@@ -411,9 +388,11 @@ func run() int {
 			report.TotalWallMS, report.TotalSequentialWallMS, report.TotalSpeedup, workers)
 	}
 
+	status := 0
 	if *cdfOut != "" && (*exp == "all" || *exp == "figure2") {
 		if err := writeCDFCSV(*cdfOut, fig2); err != nil {
 			fmt.Fprintf(os.Stderr, "cdf: %v\n", err)
+			status = 1
 		} else {
 			fmt.Printf("[CDF points written to %s]\n", *cdfOut)
 		}
@@ -429,7 +408,7 @@ func run() int {
 	if !deterministic {
 		return 1
 	}
-	return 0
+	return status
 }
 
 func msSince(start time.Time) float64 {
@@ -542,21 +521,18 @@ func writeJSON(path string, report benchReport) error {
 	return os.WriteFile(path, blob, 0o644)
 }
 
-// writeCDFCSV dumps the Figure 2 curves as plane,seconds,fraction rows.
+// writeCDFCSV dumps the Figure 2 curves as plane,seconds,fraction rows and
+// returns the first error writing or closing the file.
 func writeCDFCSV(path string, res seed.Figure2Result) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintln(f, "plane,seconds,fraction")
+	var b strings.Builder
+	b.WriteString("plane,seconds,fraction\n")
 	for _, p := range res.Control {
-		fmt.Fprintf(f, "control,%.3f,%.4f\n", p.Seconds, p.Fraction)
+		fmt.Fprintf(&b, "control,%.3f,%.4f\n", p.Seconds, p.Fraction)
 	}
 	for _, p := range res.Data {
-		fmt.Fprintf(f, "data,%.3f,%.4f\n", p.Seconds, p.Fraction)
+		fmt.Fprintf(&b, "data,%.3f,%.4f\n", p.Seconds, p.Fraction)
 	}
-	return nil
+	return os.WriteFile(path, []byte(b.String()), 0o644)
 }
 
 // table2 reproduces the qualitative solution comparison (static).

@@ -50,10 +50,48 @@ var timingLines = regexp.MustCompile(`(?m)^(\s*\[\S+ regenerated in .*\]|total w
 var timingLineName = regexp.MustCompile(`^\s*\[(\S+) regenerated`)
 
 // oneLane lists the -exp all rows that use no pool: the static tables, the
-// one-kernel experiments and the three pure folds of the grid.
+// one-kernel experiments and the four folds of the grid.
 var oneLane = map[string]bool{
 	"table1": true, "table2": true, "table3": true, "figure11b": true, "figure12": true, "learning": true,
-	"figure2": true, "causes": true, "coverage": true,
+	"figure2": true, "table4": true, "causes": true, "coverage": true,
+}
+
+// A -cdf file that cannot be written fails the run, as a -json one does.
+func TestCDFWriteErrorFails(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	if got, _ := seedbench(t, "-exp", "figure2", "-samples", "5", "-cdf", "/dev/full"); got == 0 {
+		t.Fatal("seedbench -cdf /dev/full exited 0")
+	}
+}
+
+// Naming one fold alone runs the grid stage and then the fold, and prints,
+// timing lines aside, the block -exp all prints for it.
+func TestFoldAloneRunsGrid(t *testing.T) {
+	_, all := seedbench(t, "-exp", "all", "-samples", "5", "-parallel", "1")
+	all = timingLines.ReplaceAllString(all, "")
+	for _, name := range []string{"figure2", "table4", "causes", "coverage"} {
+		status, out := seedbench(t, "-exp", name, "-samples", "5", "-parallel", "1")
+		if status != 0 {
+			t.Fatalf("-exp %s exited %d", name, status)
+		}
+		var ran []string
+		for _, line := range strings.Split(out, "\n") {
+			if m := timingLineName.FindStringSubmatch(line); m != nil {
+				ran = append(ran, m[1])
+			}
+		}
+		if strings.Join(ran, " ") != "grid "+name {
+			t.Errorf("-exp %s ran %v, want the grid and then %s", name, ran, name)
+		}
+		if block := timingLines.ReplaceAllString(out, ""); !strings.Contains(all, block) {
+			t.Errorf("-exp %s printed a block -exp all does not:\n%s", name, block)
+		}
+	}
+	if got, _ := seedbench(t, "-exp", "grid"); got != 2 {
+		t.Errorf("-exp grid exited %d, want 2: the stage is not an experiment", got)
+	}
 }
 
 // timeLanes runs a pooled row exactly reps times per lane, in pairs whose
@@ -101,7 +139,10 @@ func TestTimeLanesRunsRepsPerLane(t *testing.T) {
 // experiments each replaying their own cells made it 514). At -parallel 2 a
 // pool-less row runs once and reports no speedup, a pooled row runs once per
 // lane, the totals count a one-lane row on both sides, and stdout without
-// its timing lines is the -parallel 1 run's.
+// its timing lines is the -parallel 1 run's. The grid's cells are its 180
+// management cells and the delivery cells Table 4 counts: the first 30
+// delivery cases under each SEED mode and the stalled gateways among them
+// under legacy.
 func TestAllRunsEachPieceOnce(t *testing.T) {
 	restores := func() int {
 		n := 0
@@ -152,6 +193,12 @@ func TestAllRunsEachPieceOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	gridCells := 180 + 2*30
+	for _, dc := range seed.GenerateDataset(1).Delivery()[:30] {
+		if dc.Kind == seed.DeliveryStalledGateway {
+			gridCells++
+		}
+	}
 	var report struct {
 		Experiments           []map[string]any `json:"experiments"`
 		TotalWallMS           float64          `json:"total_wall_ms"`
@@ -184,7 +231,7 @@ func TestAllRunsEachPieceOnce(t *testing.T) {
 		if _, has := e["live_mb"]; !has {
 			t.Errorf("%s: no live_mb", name)
 		}
-		if cells, has := e["cells"]; has != (name == "grid") || has && cells.(float64) != 180 {
+		if cells, has := e["cells"]; has != (name == "grid") || has && cells.(float64) != float64(gridCells) {
 			t.Errorf("%s: cells %v", name, cells)
 		}
 		wall += ms

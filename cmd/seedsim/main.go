@@ -72,7 +72,7 @@ func main() {
 	if err != nil {
 		refuse(err)
 	}
-	fmt.Println(caseLine(*failure, *caseIdx, mode, w))
+	fmt.Println(caseLine(*failure, *caseIdx, w))
 }
 
 // refuse reports a bad invocation and exits 2.
@@ -82,7 +82,7 @@ func refuse(err error) {
 }
 
 // caseLine names the watched case, its result and the rows that count it.
-func caseLine(failure string, i int, mode seed.Mode, w seed.Watched) string {
+func caseLine(failure string, i int, w seed.CountedCell) string {
 	what, value := fmt.Sprintf("delivery case %d, %s", w.Delivery.ID, w.Delivery.Kind), "handling"
 	if w.Plane != "delivery" {
 		fc := w.Failure
@@ -104,13 +104,13 @@ func caseLine(failure string, i int, mode seed.Mode, w seed.Watched) string {
 	if len(rows) > 0 {
 		counted = fmt.Sprintf("counted by %s at -samples > %d", strings.Join(rows, " and "), w.Position)
 	}
-	return fmt.Sprintf("%s case %d under %s: %s, cell seed %d: %s; %s", failure, i, mode, what, w.Seed, result, counted)
+	return fmt.Sprintf("%s case %d under %s: %s, cell seed %d: %s; %s", failure, i, w.Mode, what, w.Seed, result, counted)
 }
 
 // summarize runs matching cases 0 … n-1 on the worker pool and prints the
 // statistics Table 4's rows carry for them.
 func summarize(ds *seed.Dataset, failure string, mode seed.Mode, rootSeed int64, n, parallel int) {
-	cells := runner.Map(runner.New(parallel), n, func(i int) seed.Watched {
+	cells := runner.Map(runner.New(parallel), n, func(i int) seed.CountedCell {
 		w, _ := ds.WatchCell(failure, i, mode, rootSeed, nil)
 		return w
 	})

@@ -314,16 +314,16 @@ func ExampleTestbed_ForgeDiagnosis() {
 
 // Trace analysis, the §3 study in miniature: synthesize the failure corpus
 // with the published Table 1 statistics, print the breakdown, then replay a
-// sample of the control- and data-plane failure cases with legacy (modem +
-// Android) handling only, reproducing the Figure 2 disruption CDFs that
-// motivate SEED.
-func ExampleExperimentFigure2() {
+// sample of the failure cases — the dataset grid every table folds — and
+// fold the cases legacy (modem + Android) handling met into the Figure 2
+// disruption CDFs that motivate SEED.
+func ExampleDatasetGrid_Figure2() {
 	ds := seed.GenerateDataset(1)
 	fmt.Print(ds.RenderTable1())
 	fmt.Println()
 
 	fmt.Println("Replaying failure cases with legacy handling (Figure 2)...")
-	fig2 := seed.ExperimentFigure2(runner.New(0), ds, 80, 1)
+	fig2 := seed.ReplayDatasetGrid(runner.New(0), ds, 80, 1).Figure2()
 	fmt.Print(fig2.Render())
 	fmt.Println()
 

@@ -46,17 +46,6 @@ type Table4Result struct {
 	Rows []DisruptionRow
 }
 
-// mgmtCell is one replayed cell of the management grid.
-type mgmtCell struct {
-	fc   FailureCase
-	mode Mode
-	seed int64
-	res  ReplayResult
-}
-
-// plane names the cell's management plane.
-func (c mgmtCell) plane() string { return planeOf(c.fc) }
-
 // planeOf names a management case's plane as the tables group it.
 func planeOf(fc FailureCase) string {
 	if fc.ControlPlane {
@@ -76,36 +65,77 @@ func caseSeed(root int64, family uint64, pos int) int64 {
 	return sched.DeriveSeed(root, cellKey(family, pos))
 }
 
-// ManagementGrid is one replay of a dataset's management failures: the
-// first n cases of each plane under a set of modes, every (case, mode) pair
-// replayed once. Table 4's management half, Figure 2, the per-cause
-// breakdown and the §7.1.1 coverage are folds of it — each reads the modes
-// and cases it reports on and runs nothing — so a caller that wants several
-// of them replays the grid once (ReplayManagementGrid) and folds it as often
-// as it likes. The ExperimentTable4/Figure2/Causes/Coverage functions are
-// those folds over a grid of only the cells each one reads.
-type ManagementGrid struct {
-	ds      *Dataset
-	n       int
-	seedVal int64
-	cells   []mgmtCell // (plane, case, mode) order, control plane first
+// CountedCell is one dataset cell as the tables count it: which case it is,
+// the mode and seed they run it on, its full result, and the rows that
+// count it.
+type CountedCell struct {
+	// Plane is "control" or "data" for a management case, "delivery" for a
+	// delivery case. Position is the case's position among its plane's cases
+	// in corpus order: a table run at -samples n counts the cell when
+	// Position < n.
+	Plane    string
+	Position int
+	Mode     Mode
+	Seed     int64
+	// Failure and Management are a management cell's case and result,
+	// Delivery and Handling a delivery cell's.
+	Failure    FailureCase
+	Management ReplayResult
+	Delivery   DeliveryCase
+	Handling   DeliveryReplayResult
+	// Recovered and Value are what Table 4 folds: the Disruption of a
+	// management cell, the HandlingTime of a delivery cell.
+	Recovered bool
+	Value     time.Duration
+	// Table4Row and CausesRow name the rows that count the cell, "" where
+	// none does: Table 4 leaves out user-action cases and the delivery kinds
+	// legacy cannot fix, and the causes table has no delivery rows.
+	Table4Row string
+	CausesRow string
 }
 
-// ReplayManagementGrid replays the first n management cases of each plane
-// under all three schemes, user-action cases included, each (case, mode)
-// pair one scenario cell on p: the grid every management fold can read.
-func ReplayManagementGrid(p *runner.Pool, ds *Dataset, n int, seedVal int64) ManagementGrid {
-	return managementGrid(p, ds, n, seedVal, false, Modes...)
+// run runs the cell — its case under its mode on its seed, as the trial
+// every table runs — with a Timeline handing emit the cell's events
+// installed when emit is not nil, and fills in its result and the rows that
+// count it. The grid and Dataset.WatchCell both run cells through it.
+func (c CountedCell) run(emit func(TimelineEvent)) CountedCell {
+	row := table4Class[c.Plane] + " " + c.Mode.String()
+	if c.Plane == "delivery" {
+		c.Handling = watchedTrial(deliveryTrial(c.Delivery, c.Mode), emit).run(c.Seed)
+		c.Recovered, c.Value = c.Handling.Recovered, c.Handling.HandlingTime
+		if deliveryCounted(c.Delivery, c.Mode) {
+			c.Table4Row = row
+		}
+		return c
+	}
+	cr := caseCellRun(c.Failure)
+	c.Management = watchedTrial(trial[ReplayResult]{cr.from(c.Mode), cr.measure}, emit).run(c.Seed)
+	c.Recovered, c.Value = c.Management.Recovered, c.Management.Disruption
+	if c.Failure.Scenario != ScenarioUserAction {
+		c.Table4Row = row
+	}
+	c.CausesRow = causeKey(c.Failure) + " " + c.Mode.String()
+	return c
 }
 
-// managementGrid replays up to n management cases of each plane (the first in
-// corpus order, which is already randomized, so the sample keeps the
-// dataset's scenario mix) under every listed mode, each (case, mode) pair
-// one scenario cell on p. The modes replay case i of a plane on the same
-// derived seed (a paired comparison), and i counts skipped cases too, so a
-// case replays on one seed whichever grid it is part of: a fold reads the
-// same outcomes from the shared grid as from a grid of its own cells only.
-func managementGrid(p *runner.Pool, ds *Dataset, n int, seedVal int64, skipUserAction bool, modes ...Mode) ManagementGrid {
+// DatasetGrid is one replay of every dataset cell a table counts. Table 4,
+// Figure 2, the per-cause breakdown and the §7.1.1 coverage are statistics
+// of the same replayed cases — the paper reads them from one dataset — so
+// they are folds of the grid: each reads the cells it reports on and runs
+// nothing. Nothing caches a grid: whoever wants to share one holds it.
+type DatasetGrid struct {
+	// cells holds the management cells in (plane, case, mode) order, control
+	// plane first, then the delivery cells in (mode, case) order.
+	cells []CountedCell
+}
+
+// ReplayDatasetGrid replays, on p, the first n management cases of each
+// plane (the first in corpus order, which is already randomized, so the
+// sample keeps the dataset's scenario mix) under all three modes,
+// user-action cases included, and the first n delivery cases under every
+// mode Table 4 counts them in. The modes replay a case on the same derived
+// seed (a paired comparison).
+func ReplayDatasetGrid(p *runner.Pool, ds *Dataset, n int, seedVal int64) DatasetGrid {
 	var planes [2][]FailureCase
 	for _, fc := range ds.Failures() {
 		family := 1
@@ -116,34 +146,42 @@ func managementGrid(p *runner.Pool, ds *Dataset, n int, seedVal int64, skipUserA
 			planes[family] = append(planes[family], fc)
 		}
 	}
-	var cells []mgmtCell
+	var cells []CountedCell
 	for family, cases := range planes {
-		for i, fc := range cases {
-			if skipUserAction && fc.Scenario == ScenarioUserAction {
-				continue
-			}
-			for _, mode := range modes {
-				cells = append(cells, mgmtCell{fc: fc, mode: mode, seed: caseSeed(seedVal, uint64(family), i)})
+		for pos, fc := range cases {
+			for _, mode := range Modes {
+				cells = append(cells, CountedCell{Plane: planeOf(fc), Position: pos, Mode: mode,
+					Seed: caseSeed(seedVal, uint64(family), pos), Failure: fc})
 			}
 		}
 	}
-	return ManagementGrid{ds: ds, n: n, seedVal: seedVal, cells: runner.Map(p, len(cells), func(i int) mgmtCell {
-		c := cells[i]
-		c.res = ReplayManagement(c.fc, c.mode, c.seed)
-		return c
-	})}
+	delivery := ds.Delivery()
+	delivery = delivery[:min(n, len(delivery))]
+	for _, mode := range Modes {
+		for pos, dc := range delivery {
+			if deliveryCounted(dc, mode) {
+				cells = append(cells, CountedCell{Plane: "delivery", Position: pos, Mode: mode,
+					Seed: caseSeed(seedVal, 2, pos), Delivery: dc})
+			}
+		}
+	}
+	return DatasetGrid{cells: runner.Map(p, len(cells), func(i int) CountedCell { return cells[i].run(nil) })}
 }
 
-// Cells returns how many (case, mode) cells the grid replayed.
-func (g ManagementGrid) Cells() int { return len(g.cells) }
+// Cells returns how many cells the grid replayed.
+func (g DatasetGrid) Cells() int { return len(g.cells) }
 
-// Digest renders every cell's case, mode and outcome, one line each: two
+// Digest renders every cell's case, mode and result, one line each: two
 // grids replayed the same cells to the same outcomes exactly when their
 // digests are equal, which is how seedbench compares its two lanes.
-func (g ManagementGrid) Digest() string {
+func (g DatasetGrid) Digest() string {
 	var b strings.Builder
 	for _, c := range g.cells {
-		fmt.Fprintf(&b, "%s %d %s %+v\n", c.plane(), c.fc.ID, c.mode, c.res)
+		res := any(c.Management)
+		if c.Plane == "delivery" {
+			res = c.Handling
+		}
+		fmt.Fprintf(&b, "%s %d %s %+v\n", c.Plane, c.Position, c.Mode, res)
 	}
 	return b.String()
 }
@@ -158,54 +196,20 @@ func disruptionRow(class string, mode Mode, series *metrics.Series, unrecov int)
 	}
 }
 
-// ExperimentTable4 replays sampled management failures and delivery
-// failures under all three schemes and reports the disruption percentiles
-// of Table 4. samplesPerClass bounds replay count per (class, mode). The
-// three schemes replay a given case on the same derived seed (a paired
-// comparison).
-func ExperimentTable4(p *runner.Pool, ds *Dataset, samplesPerClass int, seedVal int64) Table4Result {
-	return managementGrid(p, ds, samplesPerClass, seedVal, true, Modes...).Table4(p)
-}
-
-// Table4 folds the grid's recoverable cases into Table 4's control- and
-// data-plane rows and replays the table's third class, the delivery
-// failures, on p: the same dataset, sample bound and root seed as the grid.
-func (g ManagementGrid) Table4(p *runner.Pool) Table4Result {
+// Table4 folds every cell a Table 4 row counts into the disruption
+// percentiles of Table 4.
+func (g DatasetGrid) Table4() Table4Result {
 	acc := newTally()
 	for _, c := range g.cells {
-		if c.fc.Scenario == ScenarioUserAction {
-			continue // excluded: no scheme can recover them
+		if c.Table4Row != "" {
+			acc.outcome(c.Table4Row, c.Recovered, c.Value)
 		}
-		acc.outcome(c.plane()+"/"+c.mode.String(), c.res.Recovered, c.res.Disruption)
-	}
-	// Data delivery: the cases deliveryCounted admits.
-	delivery := g.ds.Delivery()
-	delivery = delivery[:min(g.n, len(delivery))]
-	type cell struct {
-		dc   DeliveryCase
-		mode Mode
-		seed int64
-	}
-	var cells []cell
-	for _, mode := range Modes {
-		for i, dc := range delivery {
-			if deliveryCounted(dc, mode) {
-				cells = append(cells, cell{dc: dc, mode: mode, seed: caseSeed(g.seedVal, 2, i)})
-			}
-		}
-	}
-	replays := runner.Map(p, len(cells), func(i int) DeliveryReplayResult {
-		c := cells[i]
-		return ReplayDelivery(c.dc, c.mode, c.seed)
-	})
-	for i, r := range replays {
-		acc.outcome("delivery/"+cells[i].mode.String(), r.Recovered, r.HandlingTime)
 	}
 	var res Table4Result
-	for _, group := range []string{"control", "data", "delivery"} {
+	for _, plane := range []string{"control", "data", "delivery"} {
 		for _, mode := range Modes {
-			key := group + "/" + mode.String()
-			res.Rows = append(res.Rows, disruptionRow(table4Class[group], mode, acc.get(key), acc.counts[key+"/unrecov"]))
+			row := table4Class[plane] + " " + mode.String()
+			res.Rows = append(res.Rows, disruptionRow(table4Class[plane], mode, acc.get(row), acc.counts[row+"/unrecov"]))
 		}
 	}
 	return res
@@ -214,7 +218,7 @@ func (g ManagementGrid) Table4(p *runner.Pool) Table4Result {
 // table4Class names Table 4's row classes by the plane a cell groups under.
 var table4Class = map[string]string{"control": "Control Plane", "data": "Data Plane", "delivery": "Data Delivery"}
 
-// deliveryCounted reports whether Table 4 replays a delivery case under the
+// deliveryCounted reports whether Table 4 counts a delivery case under the
 // mode: the reconnection-fixable class for the legacy baseline (the only
 // one it can recover), all kinds for SEED.
 func deliveryCounted(dc DeliveryCase, mode Mode) bool {
@@ -257,22 +261,16 @@ type Figure2Result struct {
 	DataN    int
 }
 
-// ExperimentFigure2 replays sampled management failures with legacy
-// handling only and returns the disruption CDFs of Figure 2.
-func ExperimentFigure2(p *runner.Pool, ds *Dataset, samplesPerPlane int, seedVal int64) Figure2Result {
-	return managementGrid(p, ds, samplesPerPlane, seedVal, true, ModeLegacy).Figure2()
-}
-
-// Figure2 folds the grid's recoverable cases under legacy handling into the
-// disruption CDFs of Figure 2.
-func (g ManagementGrid) Figure2() Figure2Result {
+// Figure2 folds the grid's recoverable management cases under legacy
+// handling into the disruption CDFs of Figure 2.
+func (g DatasetGrid) Figure2() Figure2Result {
 	acc := newTally()
 	for _, c := range g.cells {
-		if c.mode != ModeLegacy || c.fc.Scenario == ScenarioUserAction {
+		if c.Plane == "delivery" || c.Mode != ModeLegacy || c.Failure.Scenario == ScenarioUserAction {
 			continue
 		}
-		acc.counts[c.plane()+"/total"]++
-		acc.outcome(c.plane(), c.res.Recovered, c.res.Disruption)
+		acc.counts[c.Plane+"/total"]++
+		acc.outcome(c.Plane, c.Recovered, c.Value)
 	}
 	var res Figure2Result
 	for _, plane := range []string{"control", "data"} {
@@ -344,7 +342,7 @@ type LatencyStats struct {
 func statsFromSeries(label string, s *metrics.Series, undetected int) LatencyStats {
 	return LatencyStats{
 		Label: label, N: s.Len(), Undetected: undetected,
-		Min: s.Percentile(1), Median: s.Median(), Mean: s.Mean(),
+		Min: s.Min(), Median: s.Median(), Mean: s.Mean(),
 		P90: s.Percentile(90), Max: s.Max(),
 	}
 }
@@ -961,24 +959,19 @@ type CoverageResult struct {
 	DataN          int
 }
 
-// ExperimentCoverage replays sampled failures under SEED-U and reports the
-// handled fractions. A case counts as handled when SEED recovered it (or,
-// for user-action cases, never — matching the paper's accounting).
-func ExperimentCoverage(p *runner.Pool, ds *Dataset, samplesPerPlane int, seedVal int64) CoverageResult {
-	return managementGrid(p, ds, samplesPerPlane, seedVal, false, ModeSEEDU).Coverage()
-}
-
-// Coverage folds every case of the grid under SEED-U, user-action cases
-// included, into the handled fractions.
-func (g ManagementGrid) Coverage() CoverageResult {
+// Coverage folds every management case of the grid under SEED-U,
+// user-action cases included, into the handled fractions. A case counts as
+// handled when SEED recovered it (or, for user-action cases, never —
+// matching the paper's accounting).
+func (g DatasetGrid) Coverage() CoverageResult {
 	acc := newTally()
 	for _, c := range g.cells {
-		if c.mode != ModeSEEDU {
+		if c.Plane == "delivery" || c.Mode != ModeSEEDU {
 			continue
 		}
-		acc.counts[c.plane()+"/total"]++
-		if c.res.Recovered && !c.res.UserActionRequired {
-			acc.counts[c.plane()+"/handled"]++
+		acc.counts[c.Plane+"/total"]++
+		if c.Recovered && !c.Management.UserActionRequired {
+			acc.counts[c.Plane+"/handled"]++
 		}
 	}
 	var res CoverageResult
@@ -1227,21 +1220,19 @@ type CausesResult struct {
 	Rows []metrics.BreakdownRow
 }
 
-// ExperimentCauses replays sampled management failures under all three
-// schemes and breaks the results down per cause code — the drill-down
-// behind Table 4's per-plane aggregates, over the same paired cells. A
-// row's key is "plane/code mode", so the key-sorted export groups the
-// three schemes under each cause.
-func ExperimentCauses(p *runner.Pool, ds *Dataset, samplesPerPlane int, seedVal int64) CausesResult {
-	return ReplayManagementGrid(p, ds, samplesPerPlane, seedVal).Causes()
-}
-
-// Causes folds every cell of the grid into the per-(cause, mode) breakdown.
-func (g ManagementGrid) Causes() CausesResult {
+// Causes folds every cell a causes row counts — each management cell of
+// the grid — into the per-cause breakdown: the drill-down behind Table 4's
+// per-plane aggregates, over the same paired cells. A row's key is
+// "plane/code mode", so the key-sorted export groups the three schemes
+// under each cause.
+func (g DatasetGrid) Causes() CausesResult {
 	b := metrics.NewBreakdown()
 	for _, c := range g.cells {
-		r := c.res
-		b.Add(causeKey(c.fc)+" "+c.mode.String(), metrics.CostInput{
+		if c.CausesRow == "" {
+			continue
+		}
+		r := c.Management
+		b.Add(c.CausesRow, metrics.CostInput{
 			Recovered: r.Recovered, Disruption: r.Disruption,
 			Actions: r.Actions, Reboots: r.Reboots, UserNotified: r.UserNotified,
 		})

@@ -5,7 +5,6 @@ package seed_test
 // crossovers fall), using reduced sample counts so the suite stays fast.
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -21,7 +20,7 @@ var testPool = runner.New(0)
 
 func TestExperimentFigure2Shape(t *testing.T) {
 	ds := seed.GenerateDataset(1)
-	f := seed.ExperimentFigure2(testPool, ds, 60, 100)
+	f := seed.ReplayDatasetGrid(testPool, ds, 60, 100).Figure2()
 
 	// §3.2: ~19 % of control-plane failures recover within 2 s.
 	if got := fractionAt(f.Control, 2); got < 0.10 || got > 0.30 {
@@ -42,7 +41,7 @@ func TestExperimentFigure2Shape(t *testing.T) {
 
 	// At seed 3 the one sampled case of each plane is a user-action case:
 	// no plane has a recoverable case, so neither has points or a fraction.
-	empty := seed.ExperimentFigure2(testPool, seed.GenerateDataset(3), 1, 3)
+	empty := seed.ReplayDatasetGrid(testPool, seed.GenerateDataset(3), 1, 3).Figure2()
 	if empty.ControlN != 0 || empty.DataN != 0 || empty.Control != nil || empty.Data != nil ||
 		empty.ControlUnrecovered != 0 || empty.DataUnrecovered != 0 {
 		t.Fatalf("no recoverable case, yet %+v", empty)
@@ -55,7 +54,7 @@ func TestExperimentFigure2Shape(t *testing.T) {
 
 func TestExperimentTable4Shape(t *testing.T) {
 	ds := seed.GenerateDataset(1)
-	res := seed.ExperimentTable4(testPool, ds, 30, 200)
+	res := seed.ReplayDatasetGrid(testPool, ds, 30, 200).Table4()
 
 	get := func(class string, mode seed.Mode) seed.DisruptionRow {
 		for _, r := range res.Rows {
@@ -218,7 +217,7 @@ func TestExperimentFigure13Shape(t *testing.T) {
 
 func TestExperimentCoverageShape(t *testing.T) {
 	ds := seed.GenerateDataset(1)
-	c := seed.ExperimentCoverage(testPool, ds, 90, 500)
+	c := seed.ReplayDatasetGrid(testPool, ds, 90, 500).Coverage()
 	if c.ControlHandled < 0.84 || c.ControlHandled > 0.94 {
 		t.Fatalf("control handled = %.3f, want ≈0.894", c.ControlHandled)
 	}
@@ -246,12 +245,12 @@ func TestRendersContainHeadlines(t *testing.T) {
 		out  string
 		want []string
 	}{
-		{seed.ExperimentFigure2(testPool, ds, 20, 1).Render(), []string{"Figure 2", "control-plane", "data-plane"}},
-		{seed.ExperimentTable4(testPool, ds, 10, 1).Render(), []string{"Table 4", "Control Plane", "SEED-R"}},
+		{seed.ReplayDatasetGrid(testPool, ds, 20, 1).Figure2().Render(), []string{"Figure 2", "control-plane", "data-plane"}},
+		{seed.ReplayDatasetGrid(testPool, ds, 10, 1).Table4().Render(), []string{"Table 4", "Control Plane", "SEED-R"}},
 		{seed.ExperimentFigure11a(testPool, 1).Render(), []string{"Figure 11a", "100 failures/s"}},
 		{seed.ExperimentFigure12(3, 1).Render(), []string{"Figure 12", "downlink", "uplink"}},
 		{seed.ExperimentFigure13(testPool, 1).Render(), []string{"Figure 13", "Hardware", "D-Plane"}},
-		{seed.ExperimentCoverage(testPool, ds, 20, 1).Render(), []string{"Coverage", "control-plane"}},
+		{seed.ReplayDatasetGrid(testPool, ds, 20, 1).Coverage().Render(), []string{"Coverage", "control-plane"}},
 	}
 	for i, c := range checks {
 		for _, w := range c.want {
@@ -272,93 +271,39 @@ func TestReplayDeterminism(t *testing.T) {
 	}
 }
 
-// bareColdRestores sums the restores of the two prototype families the
+// restores sums the restores of every prototype family, and of the two the
 // management replays start from.
-func bareColdRestores() int {
-	n := 0
+func restores() (all, bareCold int) {
 	for _, f := range seed.PrototypeStats() {
+		all += f.Restores
 		if f.Family == "bare" || f.Family == "cold" {
-			n += f.Restores
+			bareCold += f.Restores
 		}
 	}
-	return n
-}
-
-// prefixHasUserAction reports whether the first n cases of either plane
-// include one no scheme can recover.
-func prefixHasUserAction(ds *seed.Dataset, n int) bool {
-	var taken [2]int
-	for _, fc := range ds.Failures() {
-		plane := 1
-		if fc.ControlPlane {
-			plane = 0
-		}
-		if taken[plane] < n {
-			taken[plane]++
-			if fc.Scenario == seed.ScenarioUserAction {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// sameResult holds a result folded from the shared grid to the standalone
-// experiment's: equal as a value and as rendered text. (A plane whose whole
-// prefix is user-action cases has a NaN unrecovered fraction in Figure 2,
-// which no value equals: there the spelled-out values are compared.)
-func sameResult[T interface{ Render() string }](t *testing.T, what string, fold, alone T) {
-	t.Helper()
-	if !reflect.DeepEqual(fold, alone) && fmt.Sprintf("%#v", fold) != fmt.Sprintf("%#v", alone) {
-		t.Errorf("%s: folded from the shared grid %+v, standalone %+v", what, fold, alone)
-	}
-	if fold.Render() != alone.Render() {
-		t.Errorf("%s renders differently:\n%s\nstandalone:\n%s", what, fold.Render(), alone.Render())
-	}
-}
-
-// Table 4, Figure 2, causes and coverage folded from one shared grid are the
-// results the standalone experiments compute from grids of their own cells,
-// at any worker count — including over dataset prefixes with user-action
-// cases in them, which Table 4 and Figure 2 skip and causes and coverage
-// count.
-func TestSharedGridMatchesStandalone(t *testing.T) {
-	pools := []*runner.Pool{runner.New(1), runner.New(4)}
-	withUserAction := 0
-	for _, root := range []int64{1, 2, 3, 7, 12345} {
-		ds := seed.GenerateDataset(root)
-		for _, n := range []int{1, 7, 30} {
-			if prefixHasUserAction(ds, n) {
-				withUserAction++
-			}
-			for _, p := range pools {
-				g := seed.ReplayManagementGrid(p, ds, n, root)
-				what := fmt.Sprintf("seed %d, %d samples, %d workers: ", root, n, p.Workers())
-				sameResult(t, what+"table4", g.Table4(p), seed.ExperimentTable4(p, ds, n, root))
-				sameResult(t, what+"figure2", g.Figure2(), seed.ExperimentFigure2(p, ds, n, root))
-				sameResult(t, what+"causes", g.Causes(), seed.ExperimentCauses(p, ds, n, root))
-				sameResult(t, what+"coverage", g.Coverage(), seed.ExperimentCoverage(p, ds, n, root))
-			}
-		}
-	}
-	if withUserAction == 0 {
-		t.Fatal("no dataset prefix held a user-action case: the skip was never exercised")
-	}
+	return all, bareCold
 }
 
 // A run shaped like seedbench -exp all — the grid, then all four folds —
-// restores a bare or cold prototype exactly once per (plane, case, mode):
-// the folds replay nothing.
+// replays each dataset cell once: the grid restores one prototype per cell,
+// bare or cold for each (plane, case, mode), and the folds restore none, of
+// any family.
 func TestEachManagementCellOnce(t *testing.T) {
 	ds := seed.GenerateDataset(1)
-	before := bareColdRestores()
-	g := seed.ReplayManagementGrid(testPool, ds, 30, 1)
+	all0, bareCold0 := restores()
+	g := seed.ReplayDatasetGrid(testPool, ds, 30, 1)
+	all1, bareCold1 := restores()
+	if got, want := bareCold1-bareCold0, 2*30*len(seed.Modes); got != want {
+		t.Errorf("grid restored %d bare/cold prototypes, want one per management cell, %d", got, want)
+	}
+	if got := all1 - all0; got != g.Cells() {
+		t.Errorf("grid restored %d prototypes for %d cells", got, g.Cells())
+	}
 	g.Figure2()
-	g.Table4(testPool)
+	g.Table4()
 	g.Causes()
 	g.Coverage()
-	if got, want := bareColdRestores()-before, 2*30*len(seed.Modes); got != want || g.Cells() != want {
-		t.Fatalf("grid and four folds restored %d bare/cold prototypes for %d cells, want %d of each", got, g.Cells(), want)
+	if all2, _ := restores(); all2 != all1 {
+		t.Errorf("the four folds restored %d prototypes, want none", all2-all1)
 	}
 }
 

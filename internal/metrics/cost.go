@@ -3,7 +3,7 @@ package metrics
 import "time"
 
 // Recovery cost model — the single source of truth shared by the
-// experiment breakdowns (ExperimentCauses, seedbench -json) and the
+// experiment breakdowns (DatasetGrid.Causes, seedbench -json) and the
 // policy optimizer (internal/policy): a cell's quality is a
 // seconds-equivalent composite of disruption time, the cost of the reset
 // actions themselves, and user-visible impact.

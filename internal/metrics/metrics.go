@@ -66,6 +66,15 @@ func (s *Series) Mean() time.Duration {
 	return sum / time.Duration(len(s.samples))
 }
 
+// Min returns the smallest sample.
+func (s *Series) Min() time.Duration {
+	if len(s.samples) == 0 {
+		return 0
+	}
+	s.sort()
+	return s.samples[0]
+}
+
 // Max returns the largest sample.
 func (s *Series) Max() time.Duration {
 	if len(s.samples) == 0 {

@@ -38,9 +38,24 @@ func TestPercentiles(t *testing.T) {
 	}
 }
 
+// Min is the smallest sample at any length. The 1st percentile is not: by
+// nearest rank it is the second-smallest once a series holds 101 samples.
+func TestMinIsSmallestSample(t *testing.T) {
+	s := NewSeries()
+	for i := 101; i >= 1; i-- {
+		s.Add(time.Duration(i) * time.Second)
+	}
+	if got := s.Min(); got != time.Second {
+		t.Fatalf("min of 1..101 s = %v, want 1s", got)
+	}
+	if got := s.Percentile(1); got != 2*time.Second {
+		t.Fatalf("p1 of 1..101 s = %v, want the second-smallest, 2s", got)
+	}
+}
+
 func TestEmptySeries(t *testing.T) {
 	s := NewSeries()
-	if s.Median() != 0 || s.Mean() != 0 || s.Max() != 0 {
+	if s.Median() != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 {
 		t.Fatal("empty series should return zeros")
 	}
 	if s.CDF() != nil {

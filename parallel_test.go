@@ -22,14 +22,14 @@ func TestExperimentsParallelDeterminism(t *testing.T) {
 		name string
 		run  func(p *runner.Pool) any
 	}{
-		{"table4", func(p *runner.Pool) any { return seed.ExperimentTable4(p, ds, 8, 7) }},
-		{"figure2", func(p *runner.Pool) any { return seed.ExperimentFigure2(p, ds, 10, 7) }},
+		{"table4", func(p *runner.Pool) any { return seed.ReplayDatasetGrid(p, ds, 8, 7).Table4() }},
+		{"figure2", func(p *runner.Pool) any { return seed.ReplayDatasetGrid(p, ds, 10, 7).Figure2() }},
 		{"figure3", func(p *runner.Pool) any { return seed.ExperimentFigure3(p, 3, 7) }},
 		{"table5", func(p *runner.Pool) any { return seed.ExperimentTable5(p, 1, 7) }},
 		{"figure11a", func(p *runner.Pool) any { return seed.ExperimentFigure11a(p, 7) }},
 		{"figure13", func(p *runner.Pool) any { return seed.ExperimentFigure13(p, 7) }},
-		{"coverage", func(p *runner.Pool) any { return seed.ExperimentCoverage(p, ds, 15, 7) }},
-		{"causes", func(p *runner.Pool) any { return seed.ExperimentCauses(p, ds, 30, 7) }},
+		{"coverage", func(p *runner.Pool) any { return seed.ReplayDatasetGrid(p, ds, 15, 7).Coverage() }},
+		{"causes", func(p *runner.Pool) any { return seed.ReplayDatasetGrid(p, ds, 30, 7).Causes() }},
 		{"mobility", func(p *runner.Pool) any { return seed.ExperimentMobility(p, 8, 7) }},
 	}
 	levels := []int{1, 4, runtime.GOMAXPROCS(0)}
