@@ -11,39 +11,28 @@
 // Everything runs on the virtual clock: regenerating the full evaluation
 // takes seconds of wall time. Independent scenario cells fan across
 // -parallel worker goroutines (default GOMAXPROCS); results are
-// bit-for-bit identical at any parallelism.
+// bit-for-bit identical at any parallelism, which the root package's
+// TestExperimentsParallelDeterminism and the CI workflow check.
 //
-// Each piece of work is done once. Table 4, Figure 2, the per-cause
-// breakdown and the coverage all read the same replayed cases, so a "grid"
-// stage ahead of Figure 2 replays every dataset cell they count once (timed
-// like an experiment, printed as a timing line only) and those four
-// experiments fold it. Under -exp all the stage runs once for the four;
-// naming one of them alone (-exp figure2) runs the stage and then it. And an
-// experiment runs as often as its result can differ: with -parallel > 1 the
-// experiments that fan cells over the pool also run sequentially, as often
-// as they run on the pool, so the speedup against the recorded sequential
-// baseline can be reported — and the two outputs are compared byte-for-byte
-// as a live determinism check: a mismatch is reported on stderr and, once
-// the run and its report are complete, the exit status is 1. The
-// experiments that use no pool (the static tables, the one-kernel
-// experiments figure11b, figure12 and learning, the folds of the grid) have
-// no second lane to differ from: they run once at any -parallel and report
-// a time, not a speedup.
+// Each piece of work is done once, on the pool it is given. Table 4,
+// Figure 2, the per-cause breakdown and the coverage all read the same
+// replayed cases, so a "grid" row ahead of Figure 2 replays every dataset
+// cell they count once (timed like an experiment, printed as a timing line
+// only) and those four experiments fold it. Under -exp all the grid runs
+// once for the four; naming one of them alone (-exp figure2) runs the grid
+// and then it.
 //
 // -json FILE writes machine-readable per-experiment results and
 // wall-clock timings ("-" for stdout), plus the boot/restore counts of each
 // prototype family (proto_boots/proto_restores). Each experiment's record,
 // and its "[… regenerated in …]" line, also says what the collector did
-// during one run of it, per lane (gc_cycles and alloc_mb), and how large the
-// live heap was after it (live_mb); "runs" counts how often the experiment
-// executed in this invocation and the grid stage's "cells" how many cells
-// it replayed. -reps N runs each experiment N times per lane and nothing more:
-// a pooled experiment with -parallel > 1 runs in N sequential/parallel
-// pairs ("runs" 2N), its recorded wall times are per-lane medians and its
-// speedup is the median of the paired baseline/parallel ratios, which
-// removes scheduler and GC noise from the recorded speedups once N is 5 or
-// more. At the default -reps 1 the one pair is the measurement, cold
-// prototype boots included.
+// during one run of it (gc_cycles and alloc_mb), and how large the live
+// heap was after it (live_mb); "runs" counts how often the experiment
+// executed in this invocation and the grid's "cells" how many cells it
+// replayed. -reps N runs each experiment N times and records the fastest
+// run: experiments are deterministic, so every run prints the same text
+// and the minimum is the least noisy time. At the default -reps 1 the one
+// run is the measurement, cold prototype boots included.
 // -cpuprofile/-memprofile write pprof profiles of the whole run
 // for `go tool pprof` (the profiling workflow in EXPERIMENTS.md).
 package main
@@ -52,12 +41,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	rtmetrics "runtime/metrics"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"time"
 
@@ -66,28 +53,14 @@ import (
 	"github.com/seed5g/seed/internal/runner"
 )
 
-// A row of the suite is one of three kinds, told apart by the type of its
-// run function.
-type (
-	// pooled fans scenario cells over the pool it is handed and returns the
-	// text it regenerated. With -parallel > 1 it is timed on both lanes and
-	// the two texts must be equal.
-	pooled func(p *runner.Pool) string
-	// stage is a pooled run whose product is a value later rows fold, not
-	// text: it returns a digest of that value, compared across the lanes as
-	// a pooled row's text is and never printed, and the value's cell count.
-	stage func(p *runner.Pool) (digest string, cells int)
-	// poolless touches no pool — a formatter, an experiment on one kernel, a
-	// fold of a stage's value — so no -parallel can change what it returns:
-	// it runs on one lane.
-	poolless func() string
-)
-
-// experiment is one row: its -exp name and its pooled, stage or poolless
-// run function.
+// experiment is one row of the suite: its -exp name and what it runs, a
+// function of the pool that returns the text it regenerated. A row that
+// fans no cells (a formatter, an experiment on one kernel, a fold of the
+// grid) ignores the pool; the grid returns no text, only the value its
+// folds read.
 type experiment struct {
 	name string
-	run  any
+	run  func(p *runner.Pool) string
 }
 
 // expTiming is one experiment's machine-readable record.
@@ -95,46 +68,24 @@ type expTiming struct {
 	Name   string  `json:"name"`
 	WallMS float64 `json:"wall_ms"`
 	// Runs is how many times the experiment executed in this invocation:
-	// -reps on one lane, -reps on each of two.
+	// -reps.
 	Runs int `json:"runs"`
-	// Cells is how many scenario cells a stage replayed.
+	// Cells is how many scenario cells the grid replayed.
 	Cells int `json:"cells,omitempty"`
-	// SequentialWallMS and Speedup are present for a pooled experiment when
-	// -parallel > 1: the same experiment re-run with one worker as the
-	// baseline.
-	SequentialWallMS float64 `json:"sequential_wall_ms,omitempty"`
-	Speedup          float64 `json:"speedup,omitempty"`
-	// WinFraction is the fraction of paired reps in which the parallel
-	// lane was at least as fast as its sequential baseline — a sign test:
-	// ~0.5 means statistical parity, well below 0.5 means genuinely
-	// slower. Present with Speedup when -reps > 1.
-	WinFraction float64 `json:"win_fraction,omitempty"`
-	// Deterministic reports that the parallel output matched the
-	// sequential baseline byte-for-byte (always true when no baseline
-	// was run).
-	Deterministic bool `json:"deterministic"`
-	// GCCycles and AllocMB say what the collector did during one timed run
-	// of the experiment (means over the timed runs, runtime/metrics deltas
-	// around them): the two lanes allocate the same, so a speedup short of
-	// the worker count beside a high cycle count is the collector, not the
-	// runner. The Sequential pair is the baseline lane's, present with
-	// Speedup.
-	GCCycles           float64 `json:"gc_cycles"`
-	AllocMB            float64 `json:"alloc_mb"`
-	SequentialGCCycles float64 `json:"sequential_gc_cycles,omitempty"`
-	SequentialAllocMB  float64 `json:"sequential_alloc_mb,omitempty"`
+	// GCCycles and AllocMB say what the collector did during one run of
+	// the experiment (means over the runs, runtime/metrics deltas around
+	// them): a time short of what the worker count promises beside a high
+	// cycle count is the collector, not the runner.
+	GCCycles float64 `json:"gc_cycles"`
+	AllocMB  float64 `json:"alloc_mb"`
 	// LiveMB is the heap the latest collection found live, read after the
 	// experiment's last run: what each cycle's mark phase walks.
 	LiveMB float64 `json:"live_mb"`
 }
 
 // line is the "[… regenerated in …]" line printed under the experiment.
-func (t expTiming) line(workers int) string {
-	if t.Speedup == 0 {
-		return fmt.Sprintf("  [%s regenerated in %.0fms; gc %.1f cycles %.1f MB; live %.1f MB]\n", t.Name, t.WallMS, t.GCCycles, t.AllocMB, t.LiveMB)
-	}
-	return fmt.Sprintf("  [%s regenerated in %.0fms; sequential %.0fms; speedup %.2fx @%d workers; gc %.1f cycles %.1f MB; sequential gc %.1f cycles %.1f MB; live %.1f MB]\n",
-		t.Name, t.WallMS, t.SequentialWallMS, t.Speedup, workers, t.GCCycles, t.AllocMB, t.SequentialGCCycles, t.SequentialAllocMB, t.LiveMB)
+func (t expTiming) line() string {
+	return fmt.Sprintf("  [%s regenerated in %.0fms; gc %.1f cycles %.1f MB; live %.1f MB]\n", t.Name, t.WallMS, t.GCCycles, t.AllocMB, t.LiveMB)
 }
 
 // gcCounters reads the collector's two running totals: completed cycles
@@ -145,18 +96,6 @@ func readGC() gcCounters {
 	s := [2]rtmetrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}, {Name: "/gc/heap/allocs:bytes"}}
 	rtmetrics.Read(s[:])
 	return gcCounters{float64(s[0].Value.Uint64()), float64(s[1].Value.Uint64())}
-}
-
-// add accumulates the counters' movement since start into g.
-func (g *gcCounters) add(start gcCounters) {
-	now := readGC()
-	g.cycles += now.cycles - start.cycles
-	g.bytes += now.bytes - start.bytes
-}
-
-// perRun returns g's totals as (cycles, MB) per run.
-func (g gcCounters) perRun(runs int) (float64, float64) {
-	return g.cycles / float64(runs), g.bytes / float64(runs) / 1e6
 }
 
 // liveMB reads the heap the latest collection marked live, in MB.
@@ -171,15 +110,12 @@ type benchReport struct {
 	Seed     int64 `json:"seed"`
 	Samples  int   `json:"samples"`
 	Parallel int   `json:"parallel"`
-	// GOMAXPROCS and NumCPU qualify every recorded speedup: a scaling
-	// number means nothing without knowing how many cores backed it, and
-	// -parallel beyond NumCPU measures goroutine scheduling, not cores.
-	GOMAXPROCS            int         `json:"gomaxprocs"`
-	NumCPU                int         `json:"num_cpu"`
-	Experiments           []expTiming `json:"experiments"`
-	TotalWallMS           float64     `json:"total_wall_ms"`
-	TotalSequentialWallMS float64     `json:"total_sequential_wall_ms,omitempty"`
-	TotalSpeedup          float64     `json:"total_speedup,omitempty"`
+	// GOMAXPROCS and NumCPU qualify every recorded time: a pool's time
+	// means nothing without knowing how many cores backed its workers.
+	GOMAXPROCS  int         `json:"gomaxprocs"`
+	NumCPU      int         `json:"num_cpu"`
+	Experiments []expTiming `json:"experiments"`
+	TotalWallMS float64     `json:"total_wall_ms"`
 	// Causes is the structured per-cause breakdown (present when the
 	// causes experiment ran): disruption percentiles and executed reset
 	// actions per (cause, scheme), priced by the shared cost model the
@@ -201,7 +137,7 @@ func run() int {
 	samples := flag.Int("samples", 100, "replayed failure cases per class for the dataset-driven experiments")
 	seedVal := flag.Int64("seed", 1, "simulation seed")
 	parallel := flag.Int("parallel", 0, "scenario worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
-	reps := flag.Int("reps", 1, "time each experiment this many times (paired medians with -parallel > 1, best run otherwise)")
+	reps := flag.Int("reps", 1, "run each experiment this many times and record the fastest run")
 	jsonOut := flag.String("json", "", "write machine-readable results and timings to this file (- for stdout)")
 	cdfOut := flag.String("cdf", "", "also write the Figure 2 CDFs as CSV to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
@@ -212,7 +148,8 @@ func run() int {
 		return 2
 	}
 	if *reps < 1 {
-		*reps = 1
+		fmt.Fprintf(os.Stderr, "-reps %d: need at least 1 run per experiment\n", *reps)
+		return 2
 	}
 
 	if *cpuProfile != "" {
@@ -243,62 +180,54 @@ func run() int {
 		}()
 	}
 
-	// The two lanes' pools: a pooled experiment takes the pool it fans its
-	// cells across, so timing a lane is calling it with that lane's pool.
-	seq, par := runner.New(1), runner.New(*parallel)
-	workers := par.Workers()
-	if workers > runtime.NumCPU() {
-		fmt.Fprintf(os.Stderr, "WARNING: -parallel %d exceeds the %d available CPUs; "+
-			"the pooled experiments' speedups will measure goroutine scheduling, not cores\n", workers, runtime.NumCPU())
-	}
-
+	pool := runner.New(*parallel)
 	ds := seed.GenerateDataset(*seedVal)
 
-	// Table 4, Figure 2, causes and coverage fold the grid stage's replay of
-	// the dataset cells they count: the stage runs under -exp all and when
-	// one of the four is named alone.
+	// Table 4, Figure 2, causes and coverage fold the grid's replay of the
+	// dataset cells they count: the grid runs under -exp all and when one of
+	// the four is named alone.
 	all := *exp == "all"
 	foldsGrid := map[string]bool{"figure2": true, "table4": true, "causes": true, "coverage": true}
 	var grid seed.DatasetGrid
 	var fig2 seed.Figure2Result
 	var causes seed.CausesResult
 	experiments := []experiment{
-		{"table1", poolless(ds.RenderTable1)},
-		{"table2", poolless(table2)},
-		{"table3", poolless(table3)},
-		{"grid", stage(func(p *runner.Pool) (string, int) {
+		{"table1", func(*runner.Pool) string { return ds.RenderTable1() }},
+		{"table2", func(*runner.Pool) string { return table2() }},
+		{"table3", func(*runner.Pool) string { return table3() }},
+		{"grid", func(p *runner.Pool) string {
 			grid = seed.ReplayDatasetGrid(p, ds, *samples, *seedVal)
-			return grid.Digest(), grid.Cells()
-		})},
-		{"figure2", poolless(func() string {
+			return ""
+		}},
+		{"figure2", func(*runner.Pool) string {
 			fig2 = grid.Figure2()
 			return fig2.Render()
-		})},
-		{"figure3", pooled(func(p *runner.Pool) string {
+		}},
+		{"figure3", func(p *runner.Pool) string {
 			return seed.ExperimentFigure3(p, max(8, *samples/10), *seedVal).Render()
-		})},
-		{"table4", poolless(func() string { return grid.Table4().Render() })},
-		{"table5", pooled(func(p *runner.Pool) string { return seed.ExperimentTable5(p, 3, *seedVal).Render() })},
-		{"figure11a", pooled(func(p *runner.Pool) string { return seed.ExperimentFigure11a(p, *seedVal).Render() })},
-		{"figure11b", poolless(func() string { return seed.ExperimentFigure11b(*seedVal).Render() })},
-		{"figure12", poolless(func() string { return seed.ExperimentFigure12(50, *seedVal).Render() })},
-		{"figure13", pooled(func(p *runner.Pool) string { return seed.ExperimentFigure13(p, *seedVal).Render() })},
-		{"causes", poolless(func() string {
+		}},
+		{"table4", func(*runner.Pool) string { return grid.Table4().Render() }},
+		{"table5", func(p *runner.Pool) string { return seed.ExperimentTable5(p, 3, *seedVal).Render() }},
+		{"figure11a", func(p *runner.Pool) string { return seed.ExperimentFigure11a(p, *seedVal).Render() }},
+		{"figure11b", func(*runner.Pool) string { return seed.ExperimentFigure11b(*seedVal).Render() }},
+		{"figure12", func(*runner.Pool) string { return seed.ExperimentFigure12(50, *seedVal).Render() }},
+		{"figure13", func(p *runner.Pool) string { return seed.ExperimentFigure13(p, *seedVal).Render() }},
+		{"causes", func(*runner.Pool) string {
 			causes = grid.Causes()
 			return causes.Render()
-		})},
-		{"coverage", poolless(func() string { return grid.Coverage().Render() })},
-		{"learning", poolless(func() string { return seed.ExperimentLearning(6, 4, 50, *seedVal).Render() })},
-		{"mobility", pooled(func(p *runner.Pool) string {
+		}},
+		{"coverage", func(*runner.Pool) string { return grid.Coverage().Render() }},
+		{"learning", func(*runner.Pool) string { return seed.ExperimentLearning(6, 4, 50, *seedVal).Render() }},
+		{"mobility", func(p *runner.Pool) string {
 			return seed.ExperimentMobility(p, max(8, *samples/10), *seedVal).Render()
-		})},
+		}},
 	}
 
 	if !all {
 		known := false
 		var names []string
 		for _, e := range experiments {
-			if _, isStage := e.run.(stage); !isStage {
+			if e.name != "grid" {
 				known = known || e.name == *exp
 				names = append(names, e.name)
 			}
@@ -311,82 +240,33 @@ func run() int {
 
 	report := benchReport{
 		Seed: *seedVal, Samples: *samples,
-		Parallel: workers, GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Parallel: pool.Workers(), GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU: runtime.NumCPU(),
 	}
-	// timePooled times a run that takes a pool: on the one lane there is at
-	// -parallel 1, on both otherwise, comparing what they returned.
-	timePooled := func(t *expTiming, run pooled) string {
-		if workers == 1 {
-			return timeOnce(t, *reps, func() string { return run(par) })
-		}
-		out, baseline := timeLanes(t, *reps, seq, par, run)
-		if t.Deterministic = out == baseline; !t.Deterministic {
-			fmt.Fprintf(os.Stderr, "WARNING: %s parallel output differs from the sequential baseline\n", t.Name)
-		}
-		return out
-	}
-	deterministic := true
 	// A timing line is followed by a blank line, owed until the next block of
-	// text or the end of the run: a stage prints no text, so its timing line
+	// text or the end of the run: the grid prints no text, so its timing line
 	// joins the previous row's (or opens the run), and stdout without the
-	// timing lines is what it would be without the stage.
+	// timing lines is what it would be without the grid.
 	blank := ""
 	for _, e := range experiments {
 		if !all && *exp != e.name && !(e.name == "grid" && foldsGrid[*exp]) {
 			continue
 		}
-		t := expTiming{Name: e.name, Deterministic: true}
-		var out string
-		switch run := e.run.(type) {
-		case poolless:
-			out = timeOnce(&t, *reps, run)
-		case pooled:
-			out = timePooled(&t, run)
-		case stage:
-			timePooled(&t, func(p *runner.Pool) (digest string) {
-				digest, t.Cells = run(p)
-				return digest
-			})
-		default:
-			panic(fmt.Sprintf("seedbench: experiment %s has a %T for a run function", e.name, run))
+		t := expTiming{Name: e.name}
+		out := timeRuns(&t, *reps, func() string { return e.run(pool) })
+		if e.name == "grid" {
+			t.Cells = grid.Cells()
 		}
 		t.LiveMB = liveMB()
 		if out != "" {
 			fmt.Print(blank, out)
 			blank = "\n"
 		}
-		fmt.Print(t.line(workers))
-		deterministic = deterministic && t.Deterministic
-
+		fmt.Print(t.line())
+		report.TotalWallMS += t.WallMS
 		report.Experiments = append(report.Experiments, t)
 	}
 	fmt.Print(blank)
-	// The total speedup combines the per-experiment robust estimators,
-	// weighted by each experiment's share of the sequential wall time: the
-	// implied parallel total is what the robust per-experiment ratios
-	// predict, which keeps the total consistent with them. A one-lane row
-	// costs a sequential suite what it costs this one, so it enters both
-	// totals at its one wall time; without a two-lane row there is no
-	// sequential total to report.
-	sequential, implied, twoLanes := 0.0, 0.0, false
-	for _, t := range report.Experiments {
-		report.TotalWallMS += t.WallMS
-		if t.Speedup > 0 {
-			twoLanes = true
-			sequential += t.SequentialWallMS
-			implied += t.SequentialWallMS / t.Speedup
-		} else {
-			sequential += t.WallMS
-			implied += t.WallMS
-		}
-	}
-	if twoLanes {
-		report.TotalSequentialWallMS = sequential
-		report.TotalSpeedup = sequential / implied
-		fmt.Printf("total wall-clock %.0fms vs sequential %.0fms: %.2fx speedup @%d workers\n",
-			report.TotalWallMS, report.TotalSequentialWallMS, report.TotalSpeedup, workers)
-	}
 
 	status := 0
 	if *cdfOut != "" && (*exp == "all" || *exp == "figure2") {
@@ -405,9 +285,6 @@ func run() int {
 			return 1
 		}
 	}
-	if !deterministic {
-		return 1
-	}
 	return status
 }
 
@@ -415,23 +292,11 @@ func msSince(start time.Time) float64 {
 	return float64(time.Since(start)) / float64(time.Millisecond)
 }
 
-// median returns the middle value of xs (mean of the middle two for even
-// lengths). xs is sorted in place.
-func median(xs []float64) float64 {
-	sort.Float64s(xs)
-	n := len(xs)
-	if n%2 == 1 {
-		return xs[n/2]
-	}
-	return (xs[n/2-1] + xs[n/2]) / 2
-}
-
-// timeOnce runs fn reps times on one lane and records its fastest
-// wall-clock time in t: experiments are deterministic, so every rep produces
-// the same output and the minimum is the least-noisy timing estimate.
-func timeOnce(t *expTiming, reps int, fn func() string) string {
+// timeRuns runs fn reps times and records its fastest wall-clock time in
+// t: experiments are deterministic, so every run produces the same output
+// and the minimum is the least-noisy timing estimate.
+func timeRuns(t *expTiming, reps int, fn func() string) string {
 	var out string
-	var gc gcCounters
 	gc0 := readGC()
 	for r := 0; r < reps; r++ {
 		start := time.Now()
@@ -440,71 +305,11 @@ func timeOnce(t *expTiming, reps int, fn func() string) string {
 			out, t.WallMS = o, ms
 		}
 	}
-	gc.add(gc0)
-	t.GCCycles, t.AllocMB = gc.perRun(reps)
+	gc := readGC()
+	t.GCCycles = (gc.cycles - gc0.cycles) / float64(reps)
+	t.AllocMB = (gc.bytes - gc0.bytes) / float64(reps) / 1e6
 	t.Runs = reps
 	return out
-}
-
-// timeLanes times run against its recorded sequential baseline: the same
-// experiment on one worker. Each rep is one baseline/parallel pair, run
-// back-to-back, so slow drift in the machine's performance (CPU contention,
-// thermal state, cgroup throttling) hits both lanes equally, and the order
-// within the pair alternates per rep (sequential first on even reps), so any
-// penalty that falls on whichever lane runs second cancels as well. The
-// recorded speedup is the geometric mean of the two order-specific medians
-// of the paired ratios: pairing cancels drift, the medians reject reps a GC
-// cycle or preemption lands in, and the geometric mean cancels the order
-// bias. Every run is a timed sample, so run executes exactly reps times per
-// lane: at -reps 1 the one pair is the measurement, prototype boots
-// included, and a speedup worth quoting wants -reps 5 or more. It returns
-// the last output of each lane.
-func timeLanes(t *expTiming, reps int, seq, par *runner.Pool, run pooled) (out, baseline string) {
-	seqMS := make([]float64, reps)
-	parMS := make([]float64, reps)
-	var seqGC, parGC gcCounters
-	for r := 0; r < reps; r++ {
-		for lane := 0; lane < 2; lane++ {
-			// Each timed lane starts from a freshly collected heap,
-			// so GC cycles triggered by the previous lane's garbage
-			// can't land in (and bill to) this lane's measurement.
-			p, dst, ms, gc := par, &out, parMS, &parGC
-			if (lane == 0) == (r%2 == 0) {
-				p, dst, ms, gc = seq, &baseline, seqMS, &seqGC
-			}
-			runtime.GC()
-			gc0, start := readGC(), time.Now()
-			*dst = run(p)
-			ms[r] = msSince(start)
-			gc.add(gc0)
-		}
-	}
-	t.Runs = 2 * reps
-	t.GCCycles, t.AllocMB = parGC.perRun(reps)
-	t.SequentialGCCycles, t.SequentialAllocMB = seqGC.perRun(reps)
-	var seqFirst, parFirst []float64
-	wins := 0
-	for r := 0; r < reps; r++ {
-		ratio := seqMS[r] / parMS[r]
-		if ratio >= 1 {
-			wins++
-		}
-		if r%2 == 0 {
-			seqFirst = append(seqFirst, ratio)
-		} else {
-			parFirst = append(parFirst, ratio)
-		}
-	}
-	if reps > 1 {
-		t.WinFraction = float64(wins) / float64(reps)
-	}
-	t.SequentialWallMS = median(seqMS)
-	t.WallMS = median(parMS)
-	t.Speedup = median(seqFirst)
-	if len(parFirst) > 0 {
-		t.Speedup = math.Sqrt(median(seqFirst) * median(parFirst))
-	}
-	return out, baseline
 }
 
 // writeJSON dumps the report ("-" selects stdout).

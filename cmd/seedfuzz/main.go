@@ -6,7 +6,8 @@
 // tier above the device's privilege, tampered envelopes rejected.
 //
 // Campaigns are deterministic: the same -seed yields bit-identical
-// summaries at any -parallel (pass -selfcheck to prove it in-run).
+// summaries at any -parallel (TestCampaignParallelDeterminism in
+// internal/adversary and the CI workflow check it).
 // Violating cases are minimized by greedy mutation-stripping and, with
 // -corpus, written as JSON regression cases replayed by
 // `go test ./internal/adversary/`.
@@ -14,16 +15,14 @@
 // Usage:
 //
 //	seedfuzz -seed 1 -n 10000 -parallel 8 -json summary.json
-//	seedfuzz -seed 1 -n 200 -selfcheck
 //	seedfuzz -emit-nas internal/nas/testdata/fuzz/FuzzUnmarshal \
 //	         -emit-apdu internal/sim/testdata/fuzz/FuzzParseCommand
 //
 // Exit status: 0 clean campaign, 1 invariant violations found, 2 internal
-// error (including a failed determinism self-check).
+// error.
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -41,7 +40,6 @@ func main() {
 		n         = flag.Int("n", 1000, "number of cases")
 		parallel  = flag.Int("parallel", 0, "worker count (<=0: GOMAXPROCS)")
 		jsonOut   = flag.String("json", "", "write summary JSON to file ('-' for stdout)")
-		selfcheck = flag.Bool("selfcheck", false, "re-run sequentially and require byte-identical summaries")
 		corpusDir = flag.String("corpus", "", "write minimized violating cases as JSON into this directory")
 		emitNAS   = flag.String("emit-nas", "", "record clean traces and write a NAS go-fuzz seed corpus here")
 		emitAPDU  = flag.String("emit-apdu", "", "record clean traces and write an APDU go-fuzz seed corpus here")
@@ -55,17 +53,6 @@ func main() {
 
 	cfg := adversary.Config{RootSeed: *rootSeed, Cases: *n, Workers: *parallel, MaxMutations: maxMutations}
 	results, summary := adversary.Run(cfg)
-
-	if *selfcheck {
-		seqCfg := cfg
-		seqCfg.Workers = 1
-		_, seqSummary := adversary.Run(seqCfg)
-		if !bytes.Equal(summary.JSON(), seqSummary.JSON()) {
-			fmt.Fprintf(os.Stderr, "seedfuzz: DETERMINISM FAILURE: parallel summary differs from sequential\n")
-			os.Exit(2)
-		}
-		fmt.Printf("selfcheck: parallel (%d workers) and sequential summaries byte-identical\n", cfg.Workers)
-	}
 
 	if *jsonOut == "-" {
 		os.Stdout.Write(summary.JSON())

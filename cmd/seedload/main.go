@@ -373,7 +373,11 @@ func writeJSON(path string, v any) bool {
 	return err == nil
 }
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main behind an exit status, so deferred closes run before the
+// process exits.
+func run() int {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:7316", "seedfleetd address (a single node is driven as a cluster of one)")
 		clusterSpec = flag.String("cluster", "", "drive a cluster instead: members as id=host:port,...")
@@ -396,13 +400,21 @@ func main() {
 		proxyKill  = flag.Float64("proxy-killprob", 0.02, "lossy proxy: per-connection kill probability per forwarded chunk")
 	)
 	flag.Parse()
+	if *devices < 1 {
+		fmt.Fprintf(os.Stderr, "seedload: -devices %d: need at least 1 device\n", *devices)
+		return 2
+	}
+	if *workers < 1 {
+		fmt.Fprintf(os.Stderr, "seedload: -workers %d: need at least 1 worker\n", *workers)
+		return 2
+	}
 
 	masterKey := fleet.DefaultMasterKey
 	if *master != "" {
 		k, err := fleet.ParseMasterKey(*master)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return 2
 		}
 		masterKey = k
 	}
@@ -411,7 +423,7 @@ func main() {
 	}
 
 	if *chaosMode {
-		os.Exit(runChaos(chaosOpts{
+		return runChaos(chaosOpts{
 			fleetd:    *fleetdPath,
 			nodes:     *chaosNodes,
 			devices:   *devices,
@@ -423,7 +435,7 @@ func main() {
 			lossy:     *lossy,
 			proxyKill: *proxyKill,
 			jsonOut:   *jsonOut,
-		}))
+		})
 	}
 
 	loads, expected, fromTestbed := genFleet(*seedVal, *devices, *records, reportsPerDevice, *testbed)
@@ -440,7 +452,7 @@ func main() {
 		blob, err := os.ReadFile(*wlSpec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "seedload:", err)
-			os.Exit(2)
+			return 2
 		}
 		sp, err := workload.ParseSpec(blob)
 		if err == nil {
@@ -451,7 +463,7 @@ func main() {
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "seedload: %s: %v\n", *wlSpec, err)
-			os.Exit(2)
+			return 2
 		}
 		for i := range offsets {
 			offsets[i] = time.Duration(float64(offsets[i]) * specTimescale)
@@ -467,7 +479,7 @@ func main() {
 		var err error
 		if nodes, err = cluster.ParseNodeList(*clusterSpec); err != nil {
 			fmt.Fprintln(os.Stderr, "seedload:", err)
-			os.Exit(2)
+			return 2
 		}
 	}
 	cc, err := fleet.NewClusterClient(fleet.ClusterClientConfig{
@@ -477,7 +489,7 @@ func main() {
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "seedload:", err)
-		os.Exit(2)
+		return 2
 	}
 	defer cc.Close()
 
@@ -546,5 +558,5 @@ func main() {
 	if !writeJSON(*jsonOut, res) {
 		exit = 1
 	}
-	os.Exit(exit)
+	return exit
 }

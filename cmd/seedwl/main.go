@@ -4,15 +4,15 @@
 // Usage:
 //
 //	seedwl [-spec FILE] [-seed S] [-parallel P] [-run N] [-out FILE]
-//	       [-selfcheck] [-dumpspec]
+//	       [-dumpspec]
 //
 // seedwl compiles the spec (built-in paper-mix when -spec is absent) into
 // its flat cell list, optionally replays a stride sample of -run cells
 // end-to-end on the emulated testbed (-run -1 for every cell), and writes
 // the canonical corpus JSON to -out ("-" for stdout). -dumpspec prints the
-// effective spec and exits. -selfcheck re-runs the whole pipeline with one
-// worker and byte-compares the two corpora — the determinism gate CI
-// enforces.
+// effective spec and exits. The corpus and the summary line are
+// byte-identical at any -parallel: TestWorkloadCorpusParallelDeterminism
+// and the CI workflow check it.
 //
 // How closely the built-in spec matches the paper's Table 1 cause mix and
 // Figure 2 disruption CDF is checked by tests, not by this command:
@@ -37,7 +37,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "cell worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
 	runN := flag.Int("run", 0, "replay this many stride-sampled cells end-to-end (-1 = all, 0 = compile only)")
 	out := flag.String("out", "", "write the corpus JSON to this file (- for stdout)")
-	selfCheck := flag.Bool("selfcheck", false, "re-run with one worker and byte-compare the corpora (determinism gate)")
 	dumpSpec := flag.Bool("dumpspec", false, "print the effective spec JSON and exit")
 	flag.Parse()
 
@@ -51,7 +50,7 @@ func main() {
 		return
 	}
 
-	os.Exit(runGenerate(runner.New(*parallel), sp, *seedVal, *runN, *selfCheck, *out))
+	os.Exit(runGenerate(runner.New(*parallel), sp, *seedVal, *runN, *out))
 }
 
 // loadSpec reads and validates a spec file, or returns the built-in
@@ -134,26 +133,14 @@ func measureSample(p *runner.Pool, sp *workload.Spec, cells []workload.Cell, idx
 }
 
 // runGenerate compiles the corpus, optionally replays it, and emits it.
-func runGenerate(p *runner.Pool, sp *workload.Spec, seedVal int64, runN int, selfCheck bool, out string) int {
+func runGenerate(p *runner.Pool, sp *workload.Spec, seedVal int64, runN int, out string) int {
 	corpus, err := buildCorpus(p, sp, seedVal, runN)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "seedwl: %v\n", err)
 		return 2
 	}
-	blob := workload.MarshalCorpus(corpus)
-
-	ok := true
-	if selfCheck {
-		if !recheckCorpus(sp, seedVal, runN, blob) {
-			fmt.Fprintf(os.Stderr, "seedwl: DETERMINISM FAILURE: one-worker corpus differs from %d-worker corpus\n", p.Workers())
-			ok = false
-		} else {
-			fmt.Printf("selfcheck: corpus bit-identical at 1 and %d workers\n", p.Workers())
-		}
-	}
-
 	if out != "" {
-		if err := writeBlob(out, blob); err != nil {
+		if err := writeBlob(out, workload.MarshalCorpus(corpus)); err != nil {
 			fmt.Fprintf(os.Stderr, "seedwl: %v\n", err)
 			return 2
 		}
@@ -165,8 +152,7 @@ func runGenerate(p *runner.Pool, sp *workload.Spec, seedVal int64, runN int, sel
 	if st.Measured > 0 {
 		fmt.Printf("; measured %d (recovered %d, handovers %d, context loss %d)",
 			st.Measured, st.Recovered, st.Handovers, st.ContextLoss)
-		// Restores are one per measured non-desync cell (a -selfcheck pass
-		// counts here too). Builds depend on how the workers' first cells
+		// Restores are one per measured non-desync cell. Builds depend on how the workers' first cells
 		// overlapped, so they go to stderr: above the worker count they mean
 		// cells constructed testbeds instead of restoring one.
 		for _, f := range seed.PrototypeStats() {
@@ -180,19 +166,7 @@ func runGenerate(p *runner.Pool, sp *workload.Spec, seedVal int64, runN int, sel
 	if built >= 0 {
 		fmt.Fprintf(os.Stderr, "seedwl: cold prototypes built %d\n", built)
 	}
-	if !ok {
-		return 1
-	}
 	return 0
-}
-
-// recheckCorpus rebuilds the corpus with one worker and compares bytes.
-func recheckCorpus(sp *workload.Spec, seedVal int64, runN int, want []byte) bool {
-	corpus, err := buildCorpus(runner.New(1), sp, seedVal, runN)
-	if err != nil {
-		return false
-	}
-	return string(workload.MarshalCorpus(corpus)) == string(want)
 }
 
 // writeBlob writes bytes to a file or stdout ("-").

@@ -171,21 +171,6 @@ func ReplayDatasetGrid(p *runner.Pool, ds *Dataset, n int, seedVal int64) Datase
 // Cells returns how many cells the grid replayed.
 func (g DatasetGrid) Cells() int { return len(g.cells) }
 
-// Digest renders every cell's case, mode and result, one line each: two
-// grids replayed the same cells to the same outcomes exactly when their
-// digests are equal, which is how seedbench compares its two lanes.
-func (g DatasetGrid) Digest() string {
-	var b strings.Builder
-	for _, c := range g.cells {
-		res := any(c.Management)
-		if c.Plane == "delivery" {
-			res = c.Handling
-		}
-		fmt.Fprintf(&b, "%s %d %s %+v\n", c.Plane, c.Position, c.Mode, res)
-	}
-	return b.String()
-}
-
 func disruptionRow(class string, mode Mode, series *metrics.Series, unrecov int) DisruptionRow {
 	return DisruptionRow{
 		Class: class, Mode: mode,
@@ -231,8 +216,13 @@ func (t Table4Result) Render() string {
 	b.WriteString("Table 4: disruption (s) percentiles with legacy handling and SEED\n")
 	fmt.Fprintf(&b, "%-14s %-8s %10s %10s %6s %6s\n", "Failures", "Handling", "Median", "90th", "n", "unrec")
 	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "%-14s %-8s %10.1f %10.1f %6d %6d\n",
-			r.Class, r.Mode, r.Median.Seconds(), r.P90.Seconds(), r.Samples, r.Unrecov)
+		// A row no cell recovered in has no percentiles to print: a dash,
+		// not a zero that reads as measured.
+		median, p90 := "-", "-"
+		if r.Samples > 0 {
+			median, p90 = fmt.Sprintf("%.1f", r.Median.Seconds()), fmt.Sprintf("%.1f", r.P90.Seconds())
+		}
+		fmt.Fprintf(&b, "%-14s %-8s %10s %10s %6d %6d\n", r.Class, r.Mode, median, p90, r.Samples, r.Unrecov)
 	}
 	return b.String()
 }

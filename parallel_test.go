@@ -22,6 +22,9 @@ func TestExperimentsParallelDeterminism(t *testing.T) {
 		name string
 		run  func(p *runner.Pool) any
 	}{
+		// The whole grid, cell by cell: every case, mode, seed and result,
+		// the actions, reboots and delivery handling no fold prints included.
+		{"grid", func(p *runner.Pool) any { return seed.ReplayDatasetGrid(p, ds, 10, 7) }},
 		{"table4", func(p *runner.Pool) any { return seed.ReplayDatasetGrid(p, ds, 8, 7).Table4() }},
 		{"figure2", func(p *runner.Pool) any { return seed.ReplayDatasetGrid(p, ds, 10, 7).Figure2() }},
 		{"figure3", func(p *runner.Pool) any { return seed.ExperimentFigure3(p, 3, 7) }},
