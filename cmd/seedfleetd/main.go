@@ -14,6 +14,8 @@
 // Queue depth, frame limit and the backpressure hint are
 // fleet.ServerConfig's defaults; the connection read/write deadlines are
 // fixed in package fleet.
+// -shards and -compact-bytes below 1 are usage errors (exit 2); the
+// library would silently replace them with its defaults.
 //
 // Durability: there are two states. Without -journal the model lives in
 // memory and ends with the process. -journal DIR enables the
@@ -46,7 +48,11 @@ import (
 	"github.com/seed5g/seed/internal/fleet/cluster"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the command; it returns the exit status: 2 for a usage error, 1
+// when the server cannot start or shut down cleanly.
+func run() int {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:7316", "TCP listen address (\":0\" picks a free port)")
 		shards       = flag.Int("shards", 4, "aggregation worker shards")
@@ -59,6 +65,14 @@ func main() {
 		epoch        = flag.Uint64("epoch", 1, "bootstrap shard-map epoch (with -cluster)")
 	)
 	flag.Parse()
+	if *shards < 1 {
+		fmt.Fprintf(os.Stderr, "seedfleetd: -shards %d: need at least 1 shard\n", *shards)
+		return 2
+	}
+	if *compactBytes < 1 {
+		fmt.Fprintf(os.Stderr, "seedfleetd: -compact-bytes %d: need at least 1 byte\n", *compactBytes)
+		return 2
+	}
 
 	cfg := fleet.ServerConfig{
 		Addr:         *addr,
@@ -72,7 +86,7 @@ func main() {
 		k, err := fleet.ParseMasterKey(*master)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return 2
 		}
 		cfg.MasterKey = k
 	}
@@ -80,7 +94,7 @@ func main() {
 		nodes, err := cluster.ParseNodeList(*clusterSpec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "seedfleetd:", err)
-			os.Exit(2)
+			return 2
 		}
 		cfg.Map = cluster.New(*epoch, nodes, 0)
 	}
@@ -88,7 +102,7 @@ func main() {
 	srv := fleet.NewServer(cfg)
 	if err := srv.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "seedfleetd:", err)
-		os.Exit(1)
+		return 1
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -96,6 +110,7 @@ func main() {
 	<-sig
 	if err := srv.Shutdown(); err != nil {
 		fmt.Fprintln(os.Stderr, "seedfleetd: shutdown:", err)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

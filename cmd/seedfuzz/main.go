@@ -18,8 +18,9 @@
 //	seedfuzz -emit-nas internal/nas/testdata/fuzz/FuzzUnmarshal \
 //	         -emit-apdu internal/sim/testdata/fuzz/FuzzParseCommand
 //
-// Exit status: 0 clean campaign, 1 invariant violations found, 2 internal
-// error.
+// Exit status: 0 clean campaign, 1 invariant violations found, 2 usage
+// or internal error (-n below 1 is a usage error: a campaign of no cases
+// proves nothing).
 package main
 
 import (
@@ -34,7 +35,10 @@ import (
 // maxMutations bounds the mutation plan of every generated case.
 const maxMutations = 4
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the command; it returns the exit status.
+func run() int {
 	var (
 		rootSeed  = flag.Int64("seed", 1, "campaign root seed")
 		n         = flag.Int("n", 1000, "number of cases")
@@ -47,8 +51,10 @@ func main() {
 	flag.Parse()
 
 	if *emitNAS != "" || *emitAPDU != "" {
-		emitCorpora(*rootSeed, *emitNAS, *emitAPDU)
-		return
+		return emitCorpora(*rootSeed, *emitNAS, *emitAPDU)
+	}
+	if *n < 1 {
+		return fail("-n %d: need at least 1 case", *n)
 	}
 
 	cfg := adversary.Config{RootSeed: *rootSeed, Cases: *n, Workers: *parallel, MaxMutations: maxMutations}
@@ -58,7 +64,7 @@ func main() {
 		os.Stdout.Write(summary.JSON())
 	} else if *jsonOut != "" {
 		if err := os.WriteFile(*jsonOut, summary.JSON(), 0o644); err != nil {
-			fatal("writing %s: %v", *jsonOut, err)
+			return fail("writing %s: %v", *jsonOut, err)
 		}
 	}
 
@@ -68,7 +74,7 @@ func main() {
 
 	if summary.Violations == 0 {
 		fmt.Println("invariants: all held")
-		return
+		return 0
 	}
 
 	fmt.Printf("invariants: %d violations in %d cases\n", summary.Violations, len(summary.ViolatingCases))
@@ -89,24 +95,24 @@ func main() {
 		}
 		if *corpusDir != "" {
 			if err := os.MkdirAll(*corpusDir, 0o755); err != nil {
-				fatal("creating %s: %v", *corpusDir, err)
+				return fail("creating %s: %v", *corpusDir, err)
 			}
 			path := filepath.Join(*corpusDir, fmt.Sprintf("case-%d-%d.json", summary.RootSeed, idx))
 			if err := adversary.SaveCase(path, min); err != nil {
-				fatal("writing %s: %v", path, err)
+				return fail("writing %s: %v", path, err)
 			}
 			fmt.Printf("  saved %s\n", path)
 		}
 	}
-	os.Exit(1)
+	return 1
 }
 
 // emitCorpora records clean testbed traces and writes them as native
 // `go test fuzz v1` seed files for the codec fuzz targets. Several
 // scenario seeds are recorded so the corpora cover identity variation
 // (GUTIs, counters) on top of the shared message shapes; files are named
-// by content hash, so re-emission is idempotent.
-func emitCorpora(rootSeed int64, nasDir, apduDir string) {
+// by content hash, so re-emission is idempotent. It returns the exit status.
+func emitCorpora(rootSeed int64, nasDir, apduDir string) int {
 	var nasFrames, apdus [][]byte
 	for off := int64(0); off < 4; off++ {
 		nf, af := adversary.RecordTraces(rootSeed + off)
@@ -116,20 +122,22 @@ func emitCorpora(rootSeed int64, nasDir, apduDir string) {
 	if nasDir != "" {
 		n, err := adversary.WriteGoFuzzCorpus(nasDir, nasFrames)
 		if err != nil {
-			fatal("emitting NAS corpus: %v", err)
+			return fail("emitting NAS corpus: %v", err)
 		}
 		fmt.Printf("wrote %d NAS seed inputs to %s\n", n, nasDir)
 	}
 	if apduDir != "" {
 		n, err := adversary.WriteGoFuzzCorpus(apduDir, apdus)
 		if err != nil {
-			fatal("emitting APDU corpus: %v", err)
+			return fail("emitting APDU corpus: %v", err)
 		}
 		fmt.Printf("wrote %d APDU seed inputs to %s\n", n, apduDir)
 	}
+	return 0
 }
 
-func fatal(format string, args ...any) {
+// fail reports an error and returns exit status 2.
+func fail(format string, args ...any) int {
 	fmt.Fprintf(os.Stderr, "seedfuzz: "+format+"\n", args...)
-	os.Exit(2)
+	return 2
 }

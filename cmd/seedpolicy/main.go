@@ -8,7 +8,7 @@
 // Usage:
 //
 //	seedpolicy [-seed S] [-spec FILE] [-cells N] [-rounds R] [-topk K]
-//	           [-pins P] [-parallel W] [-selfcheck] [-json FILE]
+//	           [-pins P] [-parallel W] [-json FILE]
 //
 // The corpus is compiled from the built-in paper-mix spec
 // (workload.DefaultSpec) unless -spec points at a spec JSON. Only SEED-mode, non-user-action
@@ -16,14 +16,6 @@
 // user-action cells cost every policy the same notice. -cells truncates
 // the evaluation set (corpus order) to bound wall time; the
 // counterfactual anchor cells are found in the full corpus regardless.
-//
-// -selfcheck replays the trace-determinism and counterfactual
-// pin-identity contracts and exits non-zero if either fails: per-cell
-// decision traces must be event-for-event identical at -parallel 1 and
-// -parallel W, the paper policy's corpus score must be identical at both
-// widths, and pinning a decision to its own baseline proposal must
-// reproduce the baseline trace. The report prints each probe cell's trace
-// digest.
 //
 // -json writes the policy report as JSON: per-stage decision counts, the
 // counterfactual matrices, and the search result (best found vs paper
@@ -36,7 +28,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"slices"
 	"time"
 
 	"github.com/seed5g/seed/internal/core"
@@ -44,20 +35,6 @@ import (
 	"github.com/seed5g/seed/internal/runner"
 	"github.com/seed5g/seed/internal/workload"
 )
-
-// selfCheck is the machine-readable determinism verdict.
-type selfCheck struct {
-	// TraceDeterministic: per-cell traces identical at width 1 and width
-	// W; Digests fingerprints the width-W traces.
-	TraceDeterministic bool `json:"trace_deterministic"`
-	// ScoreDeterministic: the paper policy's corpus score identical at
-	// width 1 and width W.
-	ScoreDeterministic bool `json:"score_deterministic"`
-	// PinIdentity: every counterfactual matrix reproduced its baseline
-	// when pinned to the baseline's own proposal.
-	PinIdentity bool     `json:"pin_identity"`
-	Digests     []string `json:"digests"`
-}
 
 // policyReport is the document -json writes.
 type policyReport struct {
@@ -73,7 +50,6 @@ type policyReport struct {
 	// class (handover-desync, tau-race).
 	Counterfactuals []policy.Matrix     `json:"counterfactuals"`
 	Search          policy.SearchResult `json:"search"`
-	SelfCheck       *selfCheck          `json:"self_check,omitempty"`
 	WallMS          float64             `json:"wall_ms"`
 }
 
@@ -89,7 +65,6 @@ func main() {
 	topK := flag.Int("topk", 3, "survivors carried between rounds")
 	pins := flag.Int("pins", 2, "decisions pinned per counterfactual matrix")
 	parallel := flag.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS)")
-	check := flag.Bool("selfcheck", false, "verify trace determinism and pin identity; exit non-zero on failure")
 	jsonOut := flag.String("json", "", "write the policy report JSON to this file (- for stdout)")
 	flag.Parse()
 
@@ -141,7 +116,6 @@ func main() {
 	}
 
 	// (b) Counterfactual reset-tier matrices for the mobility classes.
-	pinsOK := true
 	for _, scenario := range []string{workload.ScenHandoverDesync, workload.ScenTAURace} {
 		c, err := policy.FirstCellByScenario(all, scenario)
 		if err != nil {
@@ -150,7 +124,6 @@ func main() {
 		}
 		m := policy.Counterfactual(pool, sp, c, paper, *pins)
 		report.Counterfactuals = append(report.Counterfactuals, m)
-		pinsOK = pinsOK && m.PinIdentity
 		fmt.Printf("counterfactual %s (cell %d, %d decisions, pin-identity %v): baseline %.2fs\n",
 			scenario, m.CellIndex, m.Decisions, m.PinIdentity, m.Baseline)
 		for _, row := range m.Rows {
@@ -175,44 +148,7 @@ func main() {
 		report.Search.Best.Score.Composite, report.Search.Paper.Score.Composite,
 		report.Search.ImprovementS, report.Search.Evaluated)
 	fmt.Printf("  best: %s\n", report.Search.Best.Policy)
-
-	if *check {
-		report.SelfCheck = runSelfCheck(sp, cells, paper, paperScore, workers, pinsOK)
-		ok := report.SelfCheck.TraceDeterministic && report.SelfCheck.ScoreDeterministic && report.SelfCheck.PinIdentity
-		fmt.Printf("selfcheck: trace-deterministic %v, score-deterministic %v, pin-identity %v\n",
-			report.SelfCheck.TraceDeterministic, report.SelfCheck.ScoreDeterministic, report.SelfCheck.PinIdentity)
-		if !ok {
-			writeReport(*jsonOut, &report, start)
-			os.Exit(1)
-		}
-	}
 	writeReport(*jsonOut, &report, start)
-}
-
-// runSelfCheck replays the determinism contracts at width 1 vs width W.
-func runSelfCheck(sp *workload.Spec, cells []workload.Cell, paper policy.Policy, paperScore policy.Score, workers int, pinsOK bool) *selfCheck {
-	probe := cells
-	if len(probe) > 6 {
-		probe = probe[:6]
-	}
-	traces := func(p *runner.Pool) [][]core.DecisionEvent {
-		return runner.Map(p, len(probe), func(i int) []core.DecisionEvent {
-			_, evs := policy.TraceCell(sp, probe[i], paper, nil)
-			return evs
-		})
-	}
-	t1 := traces(runner.New(1))
-	tW := traces(runner.New(workers))
-	sc := &selfCheck{TraceDeterministic: true, PinIdentity: pinsOK}
-	for i := range t1 {
-		if !slices.Equal(t1[i], tW[i]) {
-			sc.TraceDeterministic = false
-		}
-		sc.Digests = append(sc.Digests, policy.Digest(tW[i]))
-	}
-	seqScore, _ := policy.Evaluate(runner.New(1), sp, cells, paper, core.TraceFull)
-	sc.ScoreDeterministic = seqScore == paperScore
-	return sc
 }
 
 func writeReport(path string, report *policyReport, start time.Time) {

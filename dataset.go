@@ -63,9 +63,7 @@ type Dataset struct {
 // GenerateDataset synthesizes the default corpus (24 k procedures, 2832
 // management failures, 300 delivery failures) from the given seed.
 func GenerateDataset(seedVal int64) *Dataset {
-	cfg := trace.DefaultGenConfig()
-	cfg.Seed = seedVal
-	inner := trace.Generate(cfg)
+	inner := trace.Generate(seedVal)
 	ds := &Dataset{inner: inner, failures: make([]FailureCase, len(inner.Failures))}
 	for i, r := range inner.Failures {
 		ds.failures[i] = failureCaseFrom(r)

@@ -587,7 +587,6 @@ type Figure11aResult struct {
 // real simulation, and reports CPU utilization from the calibrated load
 // model (the physical-CPU substitution documented in DESIGN.md).
 func ExperimentFigure11a(p *runner.Pool, seedVal int64) Figure11aResult {
-	model := metrics.DefaultCPUModel()
 	const ues = 200
 	// SEED's extra core messages per failure: the same failure burst against
 	// a SEED-U and a legacy device, two cells on the pool sharing one derived
@@ -600,8 +599,8 @@ func ExperimentFigure11a(p *runner.Pool, seedVal int64) Figure11aResult {
 	for _, rate := range []float64{0, 20, 40, 60, 80, 100} {
 		res.Points = append(res.Points, CPUPoint{
 			FailuresPerSec: rate,
-			BaselinePct:    model.Utilization(ues, rate, false),
-			WithSEEDPct:    model.Utilization(ues, rate, true),
+			BaselinePct:    metrics.Utilization(ues, rate, false),
+			WithSEEDPct:    metrics.Utilization(ues, rate, true),
 			ExtraSignaling: extra,
 		})
 	}
@@ -665,7 +664,6 @@ type Figure11bResult struct {
 // is one cell and takes no pool.
 func ExperimentFigure11b(seedVal int64) Figure11bResult {
 	ops := stressTrial().run(seedVal)
-	model := metrics.DefaultBatteryModel()
 	var res Figure11bResult
 	res.SIMOps = ops
 	for m := 0.0; m <= 30; m += 5 {
@@ -673,9 +671,9 @@ func ExperimentFigure11b(seedVal int64) Figure11bResult {
 		frac := m / 30
 		res.Points = append(res.Points, BatteryPoint{
 			Minutes:       m,
-			DefaultPct:    model.Drain(elapsed, 0, 0),
-			SEEDPct:       model.Drain(elapsed, int(float64(ops)*frac), 0),
-			MobileInsight: model.Drain(elapsed, 0, int(100*elapsed.Seconds())),
+			DefaultPct:    metrics.Drain(elapsed, 0, 0),
+			SEEDPct:       metrics.Drain(elapsed, int(float64(ops)*frac), 0),
+			MobileInsight: metrics.Drain(elapsed, 0, int(100*elapsed.Seconds())),
 		})
 	}
 	return res

@@ -13,33 +13,38 @@ import (
 	"github.com/seed5g/seed/internal/sched"
 )
 
-// Config carries Android's detection thresholds and recovery timers.
+// Android's fixed detection thresholds (AOSP defaults).
+const (
+	// probeInterval is the captive-portal probe period while validated.
+	probeInterval = 40 * time.Second
+	// probeTimeout is how long a probe waits before counting as failed.
+	probeTimeout = 10 * time.Second
+	// probeFailuresToStall is how many consecutive probe failures imply
+	// a connection issue to the preset URL.
+	probeFailuresToStall = 2
+
+	// tcpWindow is the sliding window of the TCP failure-rate rule.
+	tcpWindow = time.Minute
+	// tcpFailRate is the failure-rate threshold (0.8 per AOSP).
+	tcpFailRate = 0.8
+
+	// dnsTimeoutsToStall is the consecutive-DNS-timeout threshold.
+	dnsTimeoutsToStall = 5
+	// dnsWindow bounds how far apart those timeouts may be.
+	dnsWindow = 30 * time.Minute
+)
+
+// Config carries the Android settings that vary: the stall-rule cadence
+// and sample thresholds, and the recovery timers.
 type Config struct {
 	// EvalInterval is how often the stall rules are evaluated.
 	EvalInterval time.Duration
-	// ProbeInterval is the captive-portal probe period while validated.
-	ProbeInterval time.Duration
-	// ProbeTimeout is how long a probe waits before counting as failed.
-	ProbeTimeout time.Duration
-	// ProbeFailuresToStall is how many consecutive probe failures imply
-	// a connection issue to the preset URL.
-	ProbeFailuresToStall int
-
-	// TCPWindow is the sliding window of the TCP failure-rate rule.
-	TCPWindow time.Duration
-	// TCPFailRate is the failure-rate threshold (0.8 per AOSP).
-	TCPFailRate float64
 	// TCPMinSamples is the minimum TCP attempts in the window before the
 	// rate rule applies.
 	TCPMinSamples int
 	// TCPNoInboundOutbound is the "over N outbound packets but no inbound
 	// during the last minute" threshold.
 	TCPNoInboundOutbound int
-
-	// DNSTimeoutsToStall is the consecutive-DNS-timeout threshold (5).
-	DNSTimeoutsToStall int
-	// DNSWindow bounds how far apart those timeouts may be (30 min).
-	DNSWindow time.Duration
 
 	// ActionIntervals are the waits after each recovery rung before
 	// declaring it failed and escalating. AOSP defaults to ~3 minutes;
@@ -53,15 +58,8 @@ func DefaultConfig() Config {
 		// Stock Android polls its data-stall signals about once a minute,
 		// which dominates Figure 3's detection latencies.
 		EvalInterval:         time.Minute,
-		ProbeInterval:        40 * time.Second,
-		ProbeTimeout:         10 * time.Second,
-		ProbeFailuresToStall: 2,
-		TCPWindow:            time.Minute,
-		TCPFailRate:          0.8,
 		TCPMinSamples:        40,
 		TCPNoInboundOutbound: 40,
-		DNSTimeoutsToStall:   5,
-		DNSWindow:            30 * time.Minute,
 		ActionIntervals: []time.Duration{
 			3 * time.Minute, 3 * time.Minute, 3 * time.Minute,
 		},
@@ -202,7 +200,7 @@ func (m *Monitor) Start() {
 	}
 	m.running = true
 	m.evalTicker = m.k.Every(m.cfg.EvalInterval, m.evaluate)
-	m.probeTicker = m.k.Every(m.cfg.ProbeInterval, m.probe)
+	m.probeTicker = m.k.Every(probeInterval, m.probe)
 }
 
 // Stop halts the monitor.
@@ -237,7 +235,7 @@ func (m *Monitor) NoteDNSOutcome(ok bool) {
 		return
 	}
 	now := m.k.Now()
-	if m.dnsFails > 0 && now-m.lastDNSFail > m.cfg.DNSWindow {
+	if m.dnsFails > 0 && now-m.lastDNSFail > dnsWindow {
 		m.dnsFails = 0
 	}
 	m.dnsFails++
@@ -255,9 +253,9 @@ func (m *Monitor) NotePacket(outbound bool) {
 		// dropped, in place: at most two windows are held, and a packet
 		// moves, amortised, one entry.
 		out := m.outboundSince
-		if n := len(out); n > 0 && now-out[n/2] > m.cfg.TCPWindow {
+		if n := len(out); n > 0 && now-out[n/2] > tcpWindow {
 			cut := n/2 + 1
-			for cut < n && now-out[cut] > m.cfg.TCPWindow {
+			for cut < n && now-out[cut] > tcpWindow {
 				cut++
 			}
 			out = append(out[:0], out[cut:]...)
@@ -288,7 +286,7 @@ func (m *Monitor) probe() {
 			m.probeFails++
 		}
 	})
-	m.k.After(m.cfg.ProbeTimeout, func() {
+	m.k.After(probeTimeout, func() {
 		if gen == m.probeGen && m.probeBusy {
 			m.probeBusy = false
 			m.probeFails++
@@ -304,7 +302,7 @@ func (m *Monitor) evaluate() {
 
 	// TCP failure-rate rule over the sliding window.
 	cut := 0
-	for cut < len(m.tcp) && now-m.tcp[cut].at > m.cfg.TCPWindow {
+	for cut < len(m.tcp) && now-m.tcp[cut].at > tcpWindow {
 		cut++
 	}
 	if cut > 0 {
@@ -319,7 +317,7 @@ func (m *Monitor) evaluate() {
 		}
 	}
 	if len(m.tcp) >= m.cfg.TCPMinSamples &&
-		float64(fails)/float64(len(m.tcp)) >= m.cfg.TCPFailRate {
+		float64(fails)/float64(len(m.tcp)) >= tcpFailRate {
 		m.declareStall(reasonTCP)
 		return
 	}
@@ -327,7 +325,7 @@ func (m *Monitor) evaluate() {
 	// Outbound-but-no-inbound rule.
 	recentOut := 0
 	for _, at := range m.outboundSince {
-		if now-at <= m.cfg.TCPWindow {
+		if now-at <= tcpWindow {
 			recentOut++
 		}
 	}
@@ -337,13 +335,13 @@ func (m *Monitor) evaluate() {
 	}
 
 	// Consecutive DNS timeouts.
-	if m.dnsFails >= m.cfg.DNSTimeoutsToStall {
+	if m.dnsFails >= dnsTimeoutsToStall {
 		m.declareStall(reasonDNS)
 		return
 	}
 
 	// Probe failures.
-	if m.probeFails >= m.cfg.ProbeFailuresToStall {
+	if m.probeFails >= probeFailuresToStall {
 		m.declareStall(reasonProbe)
 		return
 	}
@@ -400,7 +398,7 @@ func (m *Monitor) runLadder() {
 	m.ladderTimer = m.k.After(wait, func() {
 		// Re-probe before escalating.
 		m.probe()
-		m.k.After(m.cfg.ProbeTimeout+time.Second, func() {
+		m.k.After(probeTimeout+time.Second, func() {
 			if m.stalled {
 				m.runLadder()
 			}

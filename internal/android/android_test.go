@@ -300,7 +300,7 @@ func TestMonitorWindowDoesNotGrow(t *testing.T) {
 		}
 	}
 	minutes(60)
-	perWindow := int(cfg.TCPWindow / time.Second)
+	perWindow := int(tcpWindow / time.Second)
 	if len(m.tcp) > perWindow+1 {
 		t.Fatalf("window holds %d samples after an evaluation, want at most %d", len(m.tcp), perWindow+1)
 	}
@@ -328,7 +328,7 @@ func TestMonitorWindowDoesNotGrow(t *testing.T) {
 func TestOutboundWindowBounded(t *testing.T) {
 	const cadence = time.Second // dataplane's video profile: one request a second
 	cfg := DefaultConfig()
-	perWindow := int(cfg.TCPWindow/cadence) + 1 // both ends of the window count
+	perWindow := int(tcpWindow/cadence) + 1 // both ends of the window count
 
 	h := newHarness(cfg)
 	h.healthy = false // blocked: the probes fail too, so the stall stands
@@ -348,7 +348,7 @@ func TestOutboundWindowBounded(t *testing.T) {
 	// The count the unbounded list gave: nothing inside the window is missing.
 	now, inWindow := h.k.Now(), 0
 	for _, at := range h.m.outboundSince {
-		if now-at <= cfg.TCPWindow {
+		if now-at <= tcpWindow {
 			inWindow++
 		}
 	}

@@ -45,10 +45,11 @@ type DeviceActions interface {
 	SendUplinkReport(frags []string)
 }
 
+// appletProcLatency models in-SIM processing per decision.
+const appletProcLatency = 10 * time.Millisecond
+
 // AppletConfig carries the applet's timing policy.
 type AppletConfig struct {
-	// ProcLatency models in-SIM processing per decision.
-	ProcLatency time.Duration
 	// CPlaneWait is the 2 s timer before hardware/control-plane resets
 	// (§4.4.2): transient failures that clear in time cancel the reset.
 	CPlaneWait time.Duration
@@ -85,7 +86,6 @@ func (c *AppletConfig) trialOrder() []ActionID {
 // DefaultAppletConfig returns the paper's timing policy.
 func DefaultAppletConfig() AppletConfig {
 	return AppletConfig{
-		ProcLatency:    10 * time.Millisecond,
 		CPlaneWait:     2 * time.Second,
 		ConflictWindow: 5 * time.Second,
 		RateLimitGap:   5 * time.Second,
@@ -230,7 +230,7 @@ func (a *SEEDApplet) HandleAuthDiagnosis(autn [16]byte) []byte {
 		if err == nil {
 			if msg, err2 := UnmarshalDiag(payload); err2 == nil {
 				a.stats.DiagsReceived++
-				a.k.After(a.cfg.ProcLatency, func() { a.handleDiag(msg) })
+				a.k.After(appletProcLatency, func() { a.handleDiag(msg) })
 			}
 		}
 	}
@@ -408,7 +408,7 @@ func (a *SEEDApplet) HandleEnvelope(data []byte) ([]byte, error) {
 			return nil, err
 		}
 		a.stats.ReportsReceived++
-		a.k.After(a.cfg.ProcLatency, func() { a.handleDeliveryReport(r) })
+		a.k.After(appletProcLatency, func() { a.handleDeliveryReport(r) })
 		return []byte{0x00}, nil
 	case envUploadRecs:
 		out := MarshalRecords(a.records)

@@ -24,6 +24,16 @@ type CarrierAppStats struct {
 	UplinkReports   int
 }
 
+// The carrier app's processing model.
+const (
+	// appProcLatency models carrier-app processing per operation.
+	appProcLatency = 10 * time.Millisecond
+	// configApplyLatency models the carrier-config propagation delay on
+	// the A3 make-before-break reset (telephony re-evaluates the APN
+	// settings before re-dialing).
+	configApplyLatency = 550 * time.Millisecond
+)
+
 // CarrierApp is the operator's on-device application (§6): it runs the
 // failure-report service (app reports via a bound service, OS reports via
 // the Connectivity Diagnostics API), the recovery action module (UICC
@@ -34,13 +44,6 @@ type CarrierAppStats struct {
 type CarrierApp struct {
 	k   *sched.Kernel
 	mdm *modem.Modem
-
-	// ProcLatency models carrier-app processing per operation.
-	ProcLatency time.Duration
-	// ConfigApplyLatency models the carrier-config propagation delay on
-	// the A3 make-before-break reset (telephony re-evaluates the APN
-	// settings before re-dialing).
-	ConfigApplyLatency time.Duration
 
 	rooted bool
 
@@ -71,9 +74,7 @@ type CarrierApp struct {
 func NewCarrierApp(k *sched.Kernel, mdm *modem.Modem) *CarrierApp {
 	return &CarrierApp{
 		k: k, mdm: mdm,
-		ProcLatency:        10 * time.Millisecond,
-		ConfigApplyLatency: 550 * time.Millisecond,
-		pendingSwap:        make(map[uint8]func(*modem.Session)),
+		pendingSwap: make(map[uint8]func(*modem.Session)),
 	}
 }
 
@@ -135,7 +136,7 @@ func (c *CarrierApp) ReportAppFailure(r report.FailureReport) {
 		return
 	}
 	c.stats.AppReports++
-	c.k.After(c.ProcLatency, func() {
+	c.k.After(appProcLatency, func() {
 		c.toSIM(append([]byte{envAppReport}, r.Marshal()...), nil)
 	})
 }
@@ -151,7 +152,7 @@ func (c *CarrierApp) OnDataStall(reason string) {
 		r = report.FailureReport{Type: report.FailTCP, Direction: report.DirBoth, Port: 443}
 	}
 	c.stats.OSReports++
-	c.k.After(c.ProcLatency, func() {
+	c.k.After(appProcLatency, func() {
 		c.toSIM(append([]byte{envAppReport}, r.Marshal()...), nil)
 	})
 }
@@ -211,7 +212,7 @@ func (c *CarrierApp) RunAT(cmd string) error {
 		return fmt.Errorf("core: AT commands require root (SEED-R)")
 	}
 	c.stats.ATCommands++
-	c.k.After(c.ProcLatency, func() { _, _ = c.mdm.Execute(cmd) })
+	c.k.After(appProcLatency, func() { _, _ = c.mdm.Execute(cmd) })
 	return nil
 }
 
@@ -243,7 +244,7 @@ func (c *CarrierApp) SetDNSOverride(a nas.Addr) {
 func (c *CarrierApp) ResetDataConnection() {
 	c.stats.DataResets++
 	c.k.Announce(sched.DataReset, 0, c.stats.DataResets)
-	c.k.After(c.ProcLatency+c.ConfigApplyLatency, func() {
+	c.k.After(appProcLatency+configApplyLatency, func() {
 		old := currentSessions(c.mdm)
 		newID := c.mdm.EstablishSession(c.mdm.Profile().DNN, nas.SessionIPv4)
 		c.pendingSwap[newID] = func(*modem.Session) {
@@ -260,7 +261,7 @@ func (c *CarrierApp) ResetDataConnection() {
 func (c *CarrierApp) FastDataReset() {
 	c.stats.FastResets++
 	c.k.Announce(sched.DataReset, 1, c.stats.FastResets)
-	c.k.After(c.ProcLatency, func() {
+	c.k.After(appProcLatency, func() {
 		old := currentSessions(c.mdm)
 		diagID := c.mdm.EstablishSession("DIAG", nas.SessionIPv4)
 		c.pendingSwap[diagID] = func(*modem.Session) {
@@ -281,7 +282,7 @@ func (c *CarrierApp) FastDataReset() {
 // RequestDataModification asks the network to re-push the authoritative
 // session configuration (B3 modification).
 func (c *CarrierApp) RequestDataModification() {
-	c.k.After(c.ProcLatency, func() {
+	c.k.After(appProcLatency, func() {
 		if s, okS := c.mdm.FirstActiveSession(); okS {
 			c.mdm.RequestModification(s.ID)
 		}
@@ -295,7 +296,7 @@ func (c *CarrierApp) SendUplinkReport(frags []string) {
 	for i, f := range frags {
 		frag := f
 		first := i == 0
-		c.k.After(c.ProcLatency+time.Duration(i)*60*time.Millisecond, func() {
+		c.k.After(appProcLatency+time.Duration(i)*60*time.Millisecond, func() {
 			if first && c.OnUplinkSent != nil {
 				c.OnUplinkSent()
 			}

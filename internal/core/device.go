@@ -55,29 +55,28 @@ func ParseDeviceMode(s string) (mode DeviceMode, ok bool) {
 	}
 }
 
+// radioLatency is the one-way latency of a device's radio link to its gNB.
+const radioLatency = 8 * time.Millisecond
+
 // DeviceConfig assembles a device.
 type DeviceConfig struct {
-	IMSI         string
-	Profile      sim.Profile
-	CarrierKey   [16]byte
-	Mode         DeviceMode
-	Modem        modem.Config
-	Android      android.Config
-	Applet       AppletConfig
-	RadioLatency time.Duration
+	IMSI       string
+	Profile    sim.Profile
+	CarrierKey [16]byte
+	Mode       DeviceMode
+	Android    android.Config
+	Applet     AppletConfig
 }
 
 // DefaultDeviceConfig returns a device with standard timers.
 func DefaultDeviceConfig(imsi string, profile sim.Profile, carrierKey [16]byte, mode DeviceMode) DeviceConfig {
 	return DeviceConfig{
-		IMSI:         imsi,
-		Profile:      profile,
-		CarrierKey:   carrierKey,
-		Mode:         mode,
-		Modem:        modem.DefaultConfig(),
-		Android:      android.DefaultConfig(),
-		Applet:       DefaultAppletConfig(),
-		RadioLatency: 8 * time.Millisecond,
+		IMSI:       imsi,
+		Profile:    profile,
+		CarrierKey: carrierKey,
+		Mode:       mode,
+		Android:    android.DefaultConfig(),
+		Applet:     DefaultAppletConfig(),
 	}
 }
 
@@ -126,8 +125,8 @@ func NewDevice(k *sched.Kernel, cfg DeviceConfig, net *core5g.Network) (*Device,
 		Mux:           &dataplane.Mux{},
 		pendingProbes: make(map[radio.FlowTag]func(bool)),
 	}
-	d.Radio = netemu.NewDuplex(k, "radio-"+cfg.IMSI, cfg.RadioLatency, nil, nil)
-	d.Mdm = modem.New(k, cfg.Modem, card, d.Radio.A2B.Send, net.Frames, net.NASFrames, net.Messages)
+	d.Radio = netemu.NewDuplex(k, "radio-"+cfg.IMSI, radioLatency, nil, nil)
+	d.Mdm = modem.New(k, card, d.Radio.A2B.Send, net.Frames, net.NASFrames, net.Messages)
 	d.Radio.SetHandlers(net.GNB.HandleUplink, d.Mdm.HandleDownlink)
 	net.GNB.AttachUE(cfg.IMSI, d.Radio.B2A.Send)
 

@@ -30,7 +30,7 @@ type infraHarness struct {
 func newInfraHarness(t *testing.T) *infraHarness {
 	t.Helper()
 	k := sched.New(1)
-	net := core5g.NewNetwork(k, core5g.DefaultNetworkConfig())
+	net := core5g.NewNetwork(k)
 	h := &infraHarness{k: k, net: net, plugin: NewInfraPlugin(k, net)}
 
 	var key, op [16]byte
@@ -206,7 +206,7 @@ func TestMultiFragmentDeliveryStopsWithoutAck(t *testing.T) {
 	// If the UE never ACKs (e.g. it vanished), the plugin must not spin:
 	// only the first fragment is ever sent.
 	k := sched.New(2)
-	net := core5g.NewNetwork(k, core5g.DefaultNetworkConfig())
+	net := core5g.NewNetwork(k)
 	plugin := NewInfraPlugin(k, net)
 	var key, op [16]byte
 	copy(key[:], "mute-subscriber0")

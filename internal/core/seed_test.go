@@ -24,7 +24,7 @@ type world struct {
 
 func newWorld(seed int64) *world {
 	k := sched.New(seed)
-	net := core5g.NewNetwork(k, core5g.DefaultNetworkConfig())
+	net := core5g.NewNetwork(k)
 	return &world{
 		k: k, net: net,
 		plugin: NewInfraPlugin(k, net),

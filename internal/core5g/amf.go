@@ -2,7 +2,6 @@ package core5g
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/seed5g/seed/internal/cause"
 	"github.com/seed5g/seed/internal/crypto5g"
@@ -49,12 +48,11 @@ type AMFStats struct {
 // service requests, and the reject generation whose cause codes SEED's
 // infrastructure plugin hooks (§6 "hooks the reject generation functions").
 type AMF struct {
-	k    *sched.Kernel
-	gnb  RadioAccess
-	udm  *UDM
-	smf  *SMF
-	inj  *Injector
-	proc time.Duration // per-message processing latency
+	k   *sched.Kernel
+	gnb RadioAccess
+	udm *UDM
+	smf *SMF
+	inj *Injector
 
 	ctxs      map[string]*UEContext
 	gutiIndex map[string]string
@@ -117,9 +115,9 @@ type amfOutbox struct {
 
 // NewAMF creates the AMF on its network's signalling pools. Wire SMF with
 // SetSMF before use.
-func NewAMF(k *sched.Kernel, gnb RadioAccess, udm *UDM, inj *Injector, proc time.Duration, frames *radio.NASPool, msgs *nas.Pool) *AMF {
+func NewAMF(k *sched.Kernel, gnb RadioAccess, udm *UDM, inj *Injector, frames *radio.NASPool, msgs *nas.Pool) *AMF {
 	a := &AMF{
-		k: k, gnb: gnb, udm: udm, inj: inj, proc: proc,
+		k: k, gnb: gnb, udm: udm, inj: inj,
 		ctxs:      make(map[string]*UEContext),
 		gutiIndex: make(map[string]string),
 		frames:    frames, msgs: msgs, codec: nas.Codec{Pool: msgs},
@@ -274,7 +272,7 @@ func (a *AMF) HandleUplinkNAS(imsi string, data []byte) {
 	if err != nil {
 		return
 	}
-	a.k.AfterArg(a.proc, a.dispatchFn, a.hops.take(imsi, msg))
+	a.k.AfterArg(amfProc, a.dispatchFn, a.hops.take(imsi, msg))
 }
 
 // handleUplinkFrame is HandleUplinkNAS for a frame off the backhaul, which

@@ -2,7 +2,6 @@ package core5g
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/seed5g/seed/internal/radio"
 	"github.com/seed5g/seed/internal/sched"
@@ -46,7 +45,7 @@ func NewCells(k *sched.Kernel, net *Network, n int) *Cells {
 		ueTx:   make(map[string]func(any) bool),
 	}
 	for i := 1; i < n; i++ {
-		g := NewGNB(k, 3*time.Millisecond, net.Frames, net.NASFrames)
+		g := NewGNB(k, net.Frames, net.NASFrames)
 		g.SetCore(net.AMF, net.UPF)
 		c.gnbs[i] = g
 	}

@@ -2,7 +2,6 @@ package core5g
 
 import (
 	"math/bits"
-	"time"
 
 	"github.com/seed5g/seed/internal/radio"
 	"github.com/seed5g/seed/internal/sched"
@@ -31,10 +30,9 @@ type RadioAccess interface {
 // goes away, the behaviour that forces a full control-plane reattach and
 // that SEED's Figure 6 "DIAG session" trick sidesteps.
 type GNB struct {
-	k        *sched.Kernel
-	amf      *AMF
-	upf      *UPF
-	backhaul time.Duration
+	k   *sched.Kernel
+	amf *AMF
+	upf *UPF
 
 	ues map[string]*ueRadio
 	// lastIMSI and lastUE remember the latest hit in ues: user-plane
@@ -73,11 +71,10 @@ func (b bearerSet) count() int {
 	return bits.OnesCount64(b[0]) + bits.OnesCount64(b[1]) + bits.OnesCount64(b[2]) + bits.OnesCount64(b[3])
 }
 
-// NewGNB creates a gNB with the given one-way backhaul latency to the
-// core, on its network's frame pools. Wire the AMF and UPF with SetCore
+// NewGNB creates a gNB on its network's frame pools. Wire the AMF and UPF with SetCore
 // before delivering traffic.
-func NewGNB(k *sched.Kernel, backhaul time.Duration, frames *radio.FramePool, nasFrames *radio.NASPool) *GNB {
-	g := &GNB{k: k, backhaul: backhaul, ues: make(map[string]*ueRadio), frames: frames, nasFrames: nasFrames}
+func NewGNB(k *sched.Kernel, frames *radio.FramePool, nasFrames *radio.NASPool) *GNB {
+	g := &GNB{k: k, ues: make(map[string]*ueRadio), frames: frames, nasFrames: nasFrames}
 	g.toUPF = func(v any) { g.upf.HandleUplink(v.(*radio.Packet)) }
 	g.toAMF = func(v any) { g.amf.handleUplinkFrame(v.(*radio.NAS)) }
 	return g
@@ -151,7 +148,7 @@ func (g *GNB) uplinkNAS(f *radio.NAS) {
 		return
 	}
 	ue.connected = true // NAS implies signalling connection
-	g.k.AfterArg(g.backhaul, g.toAMF, f)
+	g.k.AfterArg(backhaul, g.toAMF, f)
 }
 
 // uplinkData forwards a user-plane frame this gNB now owns to the UPF
@@ -162,7 +159,7 @@ func (g *GNB) uplinkData(f *radio.Packet) {
 		g.frames.Put(f)
 		return
 	}
-	g.k.AfterArg(g.backhaul, g.toUPF, f)
+	g.k.AfterArg(backhaul, g.toUPF, f)
 }
 
 // SendNAS delivers a downlink NAS frame to its UE.
@@ -202,7 +199,7 @@ func (g *GNB) RemoveBearer(imsi string, sessionID uint8) {
 	if ue.bearers.count() == 0 && ue.connected {
 		ue.connected = false
 		ue.tx(radio.RRCRelease{UE: imsi})
-		g.k.After(g.backhaul, func() { g.amf.DropUEContext(imsi) })
+		g.k.After(backhaul, func() { g.amf.DropUEContext(imsi) })
 	}
 }
 

@@ -72,7 +72,7 @@ func newUE(t *testing.T, k *sched.Kernel, n *Network, imsi string) *ue {
 	}
 	u := &ue{card: card}
 	u.radio = netemu.NewDuplex(k, "radio-"+imsi, 8*time.Millisecond, nil, nil)
-	u.modem = modem.New(k, modem.DefaultConfig(), card, u.radio.A2B.Send, n.Frames, n.NASFrames, n.Messages)
+	u.modem = modem.New(k, card, u.radio.A2B.Send, n.Frames, n.NASFrames, n.Messages)
 	u.radio.SetHandlers(n.GNB.HandleUplink, u.modem.HandleDownlink)
 	n.GNB.AttachUE(imsi, u.radio.B2A.Send)
 	u.modem.SetHooks(modem.Hooks{
@@ -88,7 +88,7 @@ func newUE(t *testing.T, k *sched.Kernel, n *Network, imsi string) *ue {
 
 func TestFullAttachAndSession(t *testing.T) {
 	k := sched.New(1)
-	n := NewNetwork(k, DefaultNetworkConfig())
+	n := NewNetwork(k)
 	u := newUE(t, k, n, "310170000000001")
 
 	u.modem.PowerOn()
@@ -120,7 +120,7 @@ func TestFullAttachAndSession(t *testing.T) {
 
 func TestUserPlaneEchoThroughUPF(t *testing.T) {
 	k := sched.New(2)
-	n := NewNetwork(k, DefaultNetworkConfig())
+	n := NewNetwork(k)
 	u := newUE(t, k, n, "310170000000002")
 
 	// Emulated internet: echo every packet back, in the frame it came in.
@@ -157,7 +157,7 @@ func TestUserPlaneEchoThroughUPF(t *testing.T) {
 
 func TestLDNSServiceAndOutage(t *testing.T) {
 	k := sched.New(3)
-	n := NewNetwork(k, DefaultNetworkConfig())
+	n := NewNetwork(k)
 	u := newUE(t, k, n, "310170000000003")
 	u.modem.PowerOn()
 	k.RunFor(30 * time.Second)
@@ -187,7 +187,7 @@ func TestLDNSServiceAndOutage(t *testing.T) {
 
 func TestRegistrationRejectInjection(t *testing.T) {
 	k := sched.New(4)
-	n := NewNetwork(k, DefaultNetworkConfig())
+	n := NewNetwork(k)
 	u := newUE(t, k, n, "310170000000004")
 
 	var rejects []uint8
@@ -220,7 +220,7 @@ func TestRegistrationRejectInjection(t *testing.T) {
 
 func TestIdentityDesyncProducesCause9Loop(t *testing.T) {
 	k := sched.New(5)
-	n := NewNetwork(k, DefaultNetworkConfig())
+	n := NewNetwork(k)
 	u := newUE(t, k, n, "310170000000005")
 	var rejects []uint8
 	u.modem.SetHooks(modem.Hooks{
@@ -260,7 +260,7 @@ func TestIdentityDesyncProducesCause9Loop(t *testing.T) {
 
 func TestStaleDNNRejectLoop(t *testing.T) {
 	k := sched.New(6)
-	n := NewNetwork(k, DefaultNetworkConfig())
+	n := NewNetwork(k)
 	u := newUE(t, k, n, "310170000000006")
 	var smRejects []uint8
 	u.modem.SetHooks(modem.Hooks{
@@ -295,7 +295,7 @@ func TestStaleDNNRejectLoop(t *testing.T) {
 
 func TestLastBearerReleaseForcesReattach(t *testing.T) {
 	k := sched.New(7)
-	n := NewNetwork(k, DefaultNetworkConfig())
+	n := NewNetwork(k)
 	u := newUE(t, k, n, "310170000000007")
 	u.modem.PowerOn()
 	k.RunFor(20 * time.Second)
@@ -318,7 +318,7 @@ func TestLastBearerReleaseForcesReattach(t *testing.T) {
 
 func TestSilentRuleCausesTimeoutRetry(t *testing.T) {
 	k := sched.New(8)
-	n := NewNetwork(k, DefaultNetworkConfig())
+	n := NewNetwork(k)
 	u := newUE(t, k, n, "310170000000008")
 	drops := 0
 	n.AMF.OnTimeoutDrop = func(string) { drops++ }
@@ -339,7 +339,7 @@ func TestSilentRuleCausesTimeoutRetry(t *testing.T) {
 
 func TestExpiredPlanIsUserActionFailure(t *testing.T) {
 	k := sched.New(9)
-	n := NewNetwork(k, DefaultNetworkConfig())
+	n := NewNetwork(k)
 	u := newUE(t, k, n, "310170000000009")
 	sub, _ := n.UDM.Subscriber("310170000000009")
 	sub.PlanActive = false
@@ -360,7 +360,7 @@ func TestExpiredPlanIsUserActionFailure(t *testing.T) {
 
 func TestUnauthorizedSubscriberRejected(t *testing.T) {
 	k := sched.New(10)
-	n := NewNetwork(k, DefaultNetworkConfig())
+	n := NewNetwork(k)
 	u := newUE(t, k, n, "310170000000010")
 	sub, _ := n.UDM.Subscriber("310170000000010")
 	sub.Authorized = false
@@ -415,7 +415,7 @@ func TestInjectorRuleLifecycle(t *testing.T) {
 
 func TestATCommandsDriveModem(t *testing.T) {
 	k := sched.New(12)
-	n := NewNetwork(k, DefaultNetworkConfig())
+	n := NewNetwork(k)
 	u := newUE(t, k, n, "310170000000012")
 	u.modem.PowerOn()
 	k.RunFor(20 * time.Second)
@@ -463,7 +463,7 @@ func itoa(v uint8) string {
 
 func TestNASSecurityEstablishedAndUsed(t *testing.T) {
 	k := sched.New(13)
-	n := NewNetwork(k, DefaultNetworkConfig())
+	n := NewNetwork(k)
 	u := newUE(t, k, n, "310170000000013")
 	u.modem.PowerOn()
 	k.RunFor(20 * time.Second)
@@ -490,7 +490,7 @@ func TestNASSecurityEstablishedAndUsed(t *testing.T) {
 
 func TestSecuritySurvivesMobilityRekeying(t *testing.T) {
 	k := sched.New(14)
-	n := NewNetwork(k, DefaultNetworkConfig())
+	n := NewNetwork(k)
 	u := newUE(t, k, n, "310170000000014")
 	u.modem.PowerOn()
 	k.RunFor(20 * time.Second)

@@ -8,27 +8,17 @@ import (
 	"github.com/seed5g/seed/internal/sched"
 )
 
-// NetworkConfig holds the core's latency model.
-type NetworkConfig struct {
-	// Backhaul is the one-way gNB↔core latency.
-	Backhaul time.Duration
-	// AMFProc / SMFProc are per-message processing latencies.
-	AMFProc time.Duration
-	SMFProc time.Duration
-	// DNSLatency is the carrier LDNS response time.
-	DNSLatency time.Duration
-}
-
-// DefaultNetworkConfig mirrors the paper's testbed: a local Magma core
-// with single-digit-millisecond signaling hops.
-func DefaultNetworkConfig() NetworkConfig {
-	return NetworkConfig{
-		Backhaul:   3 * time.Millisecond,
-		AMFProc:    4 * time.Millisecond,
-		SMFProc:    4 * time.Millisecond,
-		DNSLatency: 15 * time.Millisecond,
-	}
-}
+// The core's latency model mirrors the paper's testbed: a local Magma core
+// with single-digit-millisecond signalling hops.
+const (
+	// backhaul is the one-way gNB↔core latency.
+	backhaul = 3 * time.Millisecond
+	// amfProc and smfProc are per-message processing latencies.
+	amfProc = 4 * time.Millisecond
+	smfProc = 4 * time.Millisecond
+	// dnsLatency is the carrier LDNS response time.
+	dnsLatency = 15 * time.Millisecond
+)
 
 // Network bundles the emulated 5G core: gNB, AMF, SMF, UPF, UDM, and the
 // failure injector.
@@ -53,15 +43,15 @@ type Network struct {
 }
 
 // NewNetwork assembles and wires a core network on the kernel.
-func NewNetwork(k *sched.Kernel, cfg NetworkConfig) *Network {
+func NewNetwork(k *sched.Kernel) *Network {
 	udm := NewUDM()
 	inj := NewInjector(k.Now)
 	n := &Network{K: k, UDM: udm, Inj: inj,
 		Frames: new(radio.FramePool), NASFrames: new(radio.NASPool), Messages: new(nas.Pool)}
-	n.GNB = NewGNB(k, cfg.Backhaul, n.Frames, n.NASFrames)
-	n.UPF = NewUPF(k, n.GNB, cfg.DNSLatency, n.Frames)
-	n.AMF = NewAMF(k, n.GNB, udm, inj, cfg.AMFProc, n.NASFrames, n.Messages)
-	n.SMF = NewSMF(k, n.GNB, udm, n.UPF, inj, cfg.SMFProc, n.Messages)
+	n.GNB = NewGNB(k, n.Frames, n.NASFrames)
+	n.UPF = NewUPF(k, n.GNB, n.Frames)
+	n.AMF = NewAMF(k, n.GNB, udm, inj, n.NASFrames, n.Messages)
+	n.SMF = NewSMF(k, n.GNB, udm, n.UPF, inj, n.Messages)
 	n.AMF.SetSMF(n.SMF)
 	n.SMF.SetSender(n.AMF.SendRaw)
 	n.GNB.SetCore(n.AMF, n.UPF)

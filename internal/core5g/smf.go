@@ -3,7 +3,6 @@ package core5g
 import (
 	"sort"
 	"strings"
-	"time"
 
 	"github.com/seed5g/seed/internal/cause"
 	"github.com/seed5g/seed/internal/nas"
@@ -40,12 +39,11 @@ type SMFStats struct {
 // SMF is the session management function: PDU session lifecycle, the
 // data-plane configuration store, and data-plane reject generation.
 type SMF struct {
-	k    *sched.Kernel
-	gnb  RadioAccess
-	udm  *UDM
-	upf  *UPF
-	inj  *Injector
-	proc time.Duration
+	k   *sched.Kernel
+	gnb RadioAccess
+	udm *UDM
+	upf *UPF
+	inj *Injector
 
 	sessions map[string]map[uint8]*SessionCtx
 	nextIP   uint16
@@ -94,9 +92,9 @@ type smfOutbox struct {
 
 // NewSMF creates the SMF; msgs is its network's message pool. Wire the
 // downlink path with SetSender before use.
-func NewSMF(k *sched.Kernel, gnb RadioAccess, udm *UDM, upf *UPF, inj *Injector, proc time.Duration, msgs *nas.Pool) *SMF {
+func NewSMF(k *sched.Kernel, gnb RadioAccess, udm *UDM, upf *UPF, inj *Injector, msgs *nas.Pool) *SMF {
 	s := &SMF{
-		k: k, gnb: gnb, udm: udm, upf: upf, inj: inj, proc: proc,
+		k: k, gnb: gnb, udm: udm, upf: upf, inj: inj,
 		sessions: make(map[string]map[uint8]*SessionCtx),
 		msgs:     msgs,
 	}
@@ -137,7 +135,7 @@ func (s *SMF) send(imsi string, msg nas.Message) { s.sender(imsi, msg) }
 // from here on.
 func (s *SMF) HandleUplink(imsi string, msg nas.Message) {
 	s.stats.MessagesIn++
-	s.k.AfterArg(s.proc, s.dispatchFn, s.hops.take(imsi, msg))
+	s.k.AfterArg(smfProc, s.dispatchFn, s.hops.take(imsi, msg))
 }
 
 func (s *SMF) dispatch(imsi string, msg nas.Message) {

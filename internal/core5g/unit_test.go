@@ -99,7 +99,7 @@ func TestSubscriberPolicyChecks(t *testing.T) {
 
 func TestGNBBearerLifecycle(t *testing.T) {
 	k := sched.New(1)
-	n := NewNetwork(k, DefaultNetworkConfig())
+	n := NewNetwork(k)
 	delivered := 0
 	n.GNB.AttachUE("ue1", func(any) bool { delivered++; return true })
 
@@ -140,7 +140,7 @@ func TestGNBBearerLifecycle(t *testing.T) {
 
 func TestAMFServiceRequestPaths(t *testing.T) {
 	k := sched.New(20)
-	n := NewNetwork(k, DefaultNetworkConfig())
+	n := NewNetwork(k)
 	u := newUE(t, k, n, "310170000000020")
 	u.modem.PowerOn()
 	k.RunFor(20 * time.Second)
@@ -177,7 +177,7 @@ func TestScale200Devices(t *testing.T) {
 		t.Skip("scale test")
 	}
 	k := sched.New(77)
-	n := NewNetwork(k, DefaultNetworkConfig())
+	n := NewNetwork(k)
 	var ues []*ue
 	for i := 0; i < 200; i++ {
 		ues = append(ues, newUE(t, k, n, imsiN(i)))
@@ -214,7 +214,7 @@ func imsiN(i int) string {
 // HasBlock and the per-packet blocked check read the network-wide and the
 // per-UE lists in place; they must agree with the copying Blocks accessor.
 func TestUPFHasBlockCoversGlobalAndPerUE(t *testing.T) {
-	u := NewUPF(sched.New(1), nil, time.Millisecond, new(radio.FramePool))
+	u := NewUPF(sched.New(1), nil, new(radio.FramePool))
 	if u.HasBlock("ue1", nas.ProtoTCP) || u.blocked("ue1", nas.ProtoTCP, 443) {
 		t.Fatal("block reported on an empty policy")
 	}

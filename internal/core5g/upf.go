@@ -1,8 +1,6 @@
 package core5g
 
 import (
-	"time"
-
 	"github.com/seed5g/seed/internal/nas"
 	"github.com/seed5g/seed/internal/radio"
 	"github.com/seed5g/seed/internal/sched"
@@ -69,8 +67,6 @@ type UPF struct {
 	netBlocks []PolicyBlock
 	// ldnsDown models a carrier DNS outage: queries to the LDNS vanish.
 	ldnsDown bool
-	// dnsLatency is the LDNS response time.
-	dnsLatency time.Duration
 
 	// remote receives the frames of uplink packets leaving the carrier
 	// network, and owns them from then on; the dataplane package installs
@@ -87,12 +83,11 @@ type UPF struct {
 }
 
 // NewUPF creates the user-plane function on its network's frame pool.
-func NewUPF(k *sched.Kernel, gnb RadioAccess, dnsLatency time.Duration, frames *radio.FramePool) *UPF {
+func NewUPF(k *sched.Kernel, gnb RadioAccess, frames *radio.FramePool) *UPF {
 	u := &UPF{
 		k: k, gnb: gnb, frames: frames,
-		byAddr:     make(map[nas.Addr]*upfSession),
-		blocks:     make(map[string][]PolicyBlock),
-		dnsLatency: dnsLatency,
+		byAddr: make(map[nas.Addr]*upfSession),
+		blocks: make(map[string][]PolicyBlock),
 	}
 	u.answerDNS = func(v any) {
 		u.stats.DNSAnswered++
@@ -277,7 +272,7 @@ func (u *UPF) HandleUplink(f *radio.Packet) {
 		f.Src, f.Dst = f.Dst, f.Src
 		f.SrcPort, f.DstPort = 53, f.SrcPort
 		f.Length, f.Meta = 128, "dns-answer:"+f.Meta
-		u.k.AfterArg(u.dnsLatency, u.answerDNS, f)
+		u.k.AfterArg(dnsLatency, u.answerDNS, f)
 		return
 	}
 	if u.remote == nil {

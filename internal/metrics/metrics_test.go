@@ -82,43 +82,41 @@ func TestCDF(t *testing.T) {
 }
 
 func TestBatteryModelReproducesPaperNumbers(t *testing.T) {
-	m := DefaultBatteryModel()
 	elapsed := 30 * time.Minute
 
-	baseline := m.Drain(elapsed, 0, 0)
+	baseline := Drain(elapsed, 0, 0)
 	if math.Abs(baseline-5.4) > 0.01 {
 		t.Fatalf("baseline 30-min drain = %.2f%%, want 5.4%%", baseline)
 	}
 	// SEED stress test: 1 diagnosis/s for 30 min.
-	seed := m.Drain(elapsed, 1800, 0)
+	seed := Drain(elapsed, 1800, 0)
 	if over := seed - baseline; math.Abs(over-1.2) > 0.15 {
 		t.Fatalf("SEED overhead = %.2f%%, want ≈1.2%%", over)
 	}
 	// MobileInsight: continuous diag-port decoding (~100 msg/s).
-	mi := m.Drain(elapsed, 0, 100*1800)
+	mi := Drain(elapsed, 0, 100*1800)
 	if over := mi - baseline; math.Abs(over-8.5) > 0.5 {
 		t.Fatalf("MobileInsight overhead = %.2f%%, want ≈8.5%%", over)
 	}
 }
 
 func TestCPUModelShape(t *testing.T) {
-	m := DefaultCPUModel()
 	attachRate := 200.0 // 200 emulated UEs cycling
-	base := m.Utilization(attachRate, 0, false)
+	base := Utilization(attachRate, 0, false)
 	if base < 25 || base > 40 {
 		t.Fatalf("baseline floor = %.1f%%, want ≈30%%", base)
 	}
-	at100 := m.Utilization(attachRate, 100, false)
-	seedAt100 := m.Utilization(attachRate, 100, true)
+	at100 := Utilization(attachRate, 100, false)
+	seedAt100 := Utilization(attachRate, 100, true)
 	over := seedAt100 - at100
 	if math.Abs(over-4.7) > 0.3 {
 		t.Fatalf("SEED CPU overhead at 100 failures/s = %.2f%%, want ≈4.7%%", over)
 	}
 	// Monotone in failure rate, capped at 100.
-	if m.Utilization(attachRate, 50, true) >= seedAt100 {
+	if Utilization(attachRate, 50, true) >= seedAt100 {
 		t.Fatal("utilization not increasing in failure rate")
 	}
-	if m.Utilization(1e6, 1e6, true) != 100 {
+	if Utilization(1e6, 1e6, true) != 100 {
 		t.Fatal("utilization not capped at 100")
 	}
 }

@@ -2,75 +2,58 @@ package metrics
 
 import "time"
 
-// BatteryModel is the analytic substitute for the §7.2.1 device power
+// The battery model is the analytic substitute for the §7.2.1 device power
 // measurement. Per-operation energy costs are expressed as percentage of
 // total battery per operation; the baseline drain is calibrated so the
 // no-SEED arm reproduces the paper's 5.4 %/30 min floor, making *relative*
 // overheads the meaningful output (the paper reports +1.2 % for SEED and
 // +8.5 % for MobileInsight over 30 minutes).
-type BatteryModel struct {
-	// BaselinePerMin is the default drain (screen, radio idle, app
-	// traffic) in percent per minute.
-	BaselinePerMin float64
-	// SIMOpCost is the percent cost of one SIM diagnosis operation
-	// (APDU + in-SIM processing on the card's low-power core).
-	SIMOpCost float64
-	// DiagPortMsgCost is the percent cost of decoding one diag-port
-	// message on the application CPU (the MobileInsight approach).
-	DiagPortMsgCost float64
-}
-
-// DefaultBatteryModel returns the calibrated model.
-func DefaultBatteryModel() BatteryModel {
-	return BatteryModel{
-		BaselinePerMin:  5.4 / 30,  // 5.4 % per 30 min baseline
-		SIMOpCost:       0.00067,   // ≈1.2 % per 1800 stress ops
-		DiagPortMsgCost: 0.0000472, // ≈8.5 % per 30 min at ~100 msg/s
-	}
-}
+const (
+	// baselinePerMin is the default drain (screen, radio idle, app
+	// traffic) in percent per minute: 5.4 % per 30 min.
+	baselinePerMin = 5.4 / 30
+	// simOpCost is the percent cost of one SIM diagnosis operation
+	// (APDU + in-SIM processing on the card's low-power core): ≈1.2 % per
+	// 1800 stress ops.
+	simOpCost = 0.00067
+	// diagPortMsgCost is the percent cost of decoding one diag-port
+	// message on the application CPU (the MobileInsight approach): ≈8.5 %
+	// per 30 min at ~100 msg/s.
+	diagPortMsgCost = 0.0000472
+)
 
 // Drain returns the battery percentage consumed over elapsed time with
 // the given operation counts.
-func (m BatteryModel) Drain(elapsed time.Duration, simOps, diagPortMsgs int) float64 {
-	return m.BaselinePerMin*elapsed.Minutes() +
-		m.SIMOpCost*float64(simOps) +
-		m.DiagPortMsgCost*float64(diagPortMsgs)
+func Drain(elapsed time.Duration, simOps, diagPortMsgs int) float64 {
+	return baselinePerMin*elapsed.Minutes() +
+		simOpCost*float64(simOps) +
+		diagPortMsgCost*float64(diagPortMsgs)
 }
 
-// CPUModel is the analytic substitute for the §7.2.1 core-side CPU
+// The CPU model is the analytic substitute for the §7.2.1 core-side CPU
 // measurement (Figure 11a): utilization grows with signaling load, and
 // SEED adds a small per-failure diagnosis cost (decision-tree lookup plus
-// the extra Auth-Request/PDU-reject signaling).
-type CPUModel struct {
-	// IdlePct is the core's utilization with no load.
-	IdlePct float64
-	// PerAttachPct is the cost of one attach/detach procedure per second.
-	PerAttachPct float64
-	// PerFailurePct is the stock core's cost of processing one failure
+// the extra Auth-Request/PDU-reject signaling). It is calibrated so that
+// with 200 emulated UEs the baseline floor sits near 30 % as in Figure 11a,
+// and SEED adds ≈4.7 % at 100 failures/s.
+const (
+	// idlePct is the core's utilization with no load.
+	idlePct = 8
+	// perAttachPct is the cost of one attach/detach procedure per second.
+	perAttachPct = 0.11
+	// perFailurePct is the stock core's cost of processing one failure
 	// event per second (reject composition, context cleanup).
-	PerFailurePct float64
-	// SEEDPerFailurePct is SEED's additional per-failure cost (decision
+	perFailurePct = 0.065
+	// seedPerFailurePct is SEED's additional per-failure cost (decision
 	// tree + collaboration messages).
-	SEEDPerFailurePct float64
-}
-
-// DefaultCPUModel returns the calibrated model: with 200 emulated UEs the
-// baseline floor sits near 30 % as in Figure 11a, and SEED adds ≈4.7 % at
-// 100 failures/s.
-func DefaultCPUModel() CPUModel {
-	return CPUModel{
-		IdlePct:           8,
-		PerAttachPct:      0.11,
-		PerFailurePct:     0.065,
-		SEEDPerFailurePct: 0.047,
-	}
-}
+	seedPerFailurePct = 0.047
+)
 
 // Utilization returns average CPU percent for the given steady rates.
-func (m CPUModel) Utilization(attachesPerSec, failuresPerSec float64, seedEnabled bool) float64 {
-	u := m.IdlePct + m.PerAttachPct*attachesPerSec + m.PerFailurePct*failuresPerSec
+func Utilization(attachesPerSec, failuresPerSec float64, seedEnabled bool) float64 {
+	u := idlePct + perAttachPct*attachesPerSec + perFailurePct*failuresPerSec
 	if seedEnabled {
-		u += m.SEEDPerFailurePct * failuresPerSec
+		u += seedPerFailurePct * failuresPerSec
 	}
 	if u > 100 {
 		u = 100

@@ -150,7 +150,7 @@ func newAuthHarness(t *testing.T) (*sched.Kernel, *Modem, *authNet, *sim.Card) {
 		t.Fatal(err)
 	}
 	f := &authNet{t: t, k: k, mil: mil}
-	m := New(k, DefaultConfig(), card, f.tx, new(radio.FramePool), new(radio.NASPool), new(nas.Pool))
+	m := New(k, card, f.tx, new(radio.FramePool), new(radio.NASPool), new(nas.Pool))
 	f.m = m
 	return k, m, f, card
 }
@@ -332,25 +332,4 @@ func TestIdleModeAndServiceRequestResume(t *testing.T) {
 		t.Fatalf("resume latency = %v", resumeTook)
 	}
 	_ = f
-}
-
-func TestIdleModeDisabled(t *testing.T) {
-	k := sched.New(3)
-	var key, op [16]byte
-	copy(key[:], "auth-test-key-00")
-	copy(op[:], "auth-test-op-000")
-	card, _ := sim.NewCard(sim.DefaultEEPROM, sim.DefaultRAM, [16]byte{1}, sim.Profile{
-		IMSI: "1", K: key, OP: op, PLMNs: []uint32{ServingPLMN}, DNN: "internet",
-	})
-	mil, _ := crypto5g.NewMilenage(key[:], op[:])
-	f := &authNet{t: t, k: k, mil: mil}
-	cfg := DefaultConfig()
-	cfg.InactivityTimeout = 0
-	m := New(k, cfg, card, f.tx, new(radio.FramePool), new(radio.NASPool), new(nas.Pool))
-	f.m = m
-	m.PowerOn()
-	k.RunFor(2 * time.Minute)
-	if !m.RRCConnected() || m.Stats().IdleTransitions != 0 {
-		t.Fatalf("idle mode ran while disabled: %d transitions", m.Stats().IdleTransitions)
-	}
 }

@@ -27,7 +27,7 @@ func (m *Modem) handleRegistrationReject(rej *nas.RegistrationReject) {
 // legacyRegistrationFailure schedules the blind retry. The only cause
 // sensitivity real modems exhibit is the abnormal-case immediate retry for
 // transient conditions; everything else waits T3511, and after
-// MaxRegAttempts the long T3502 backoff kicks in (TS 24.501 §5.5.1.2.7).
+// maxRegAttempts the long T3502 backoff kicks in (TS 24.501 §5.5.1.2.7).
 func (m *Modem) legacyRegistrationFailure(code uint8) {
 	if m.state == StateOff || m.state == StateBooting {
 		return
@@ -41,19 +41,19 @@ func (m *Modem) legacyRegistrationFailure(code uint8) {
 	m.dropPending()
 	m.regAttempts++
 
-	if m.regAttempts > m.cfg.MaxRegAttempts {
+	if m.regAttempts > maxRegAttempts {
 		// Attempt counter exhausted: wait T3502, then start over. The spec
 		// also invalidates the GUTI here; the modems the paper measured keep
 		// it until T3502 expires (t3502Fn drops it then), which is what
 		// stretches identity-desync failures.
 		m.regAttempts = 0
-		m.regTimer = m.k.After(m.cfg.T3502, m.t3502Fn)
+		m.regTimer = m.k.After(t3502, m.t3502Fn)
 		return
 	}
 
-	wait := m.cfg.T3511
+	wait := t3511
 	if info, okc := cause.Lookup(cause.MM(cause.Code(code))); okc && info.Transient {
-		wait = m.cfg.TransientRetryWait
+		wait = transientRetryWait
 	}
 	m.regTimer = m.k.After(wait, m.attachFn)
 }
@@ -79,11 +79,11 @@ func (m *Modem) handleSessionReject(rej *nas.PDUSessionEstablishmentReject) {
 
 // legacySessionFailure retries session establishment with the *same*
 // cached DNN (the outdated-APN loop of §3.2), escalating to a full
-// reattach after MaxSessAttempts — which still reuses the stale DNN, so
+// reattach after maxSessAttempts — which still reuses the stale DNN, so
 // config-related failures repeat until something reloads the modem.
 func (m *Modem) legacySessionFailure(s *Session, code uint8) {
 	s.attempts++
-	if s.attempts > m.cfg.MaxSessAttempts {
+	if s.attempts > maxSessAttempts {
 		s.attempts = 0
 		m.removeSession(s.ID)
 		// Escalate: reattach, which re-runs registration and then
@@ -91,9 +91,9 @@ func (m *Modem) legacySessionFailure(s *Session, code uint8) {
 		m.Reattach()
 		return
 	}
-	wait := m.cfg.T3580
+	wait := T3580
 	if info, okc := cause.Lookup(cause.SM(cause.Code(code))); okc && info.Transient {
-		wait = m.cfg.TransientRetryWait
+		wait = transientRetryWait
 	}
 	s.timer = m.k.AfterArg(wait, m.sessRetry, s)
 }

@@ -70,47 +70,29 @@ type Session struct {
 	timer    sched.Timer
 }
 
-// Config holds the modem's timer and behaviour knobs. Defaults follow the
-// 3GPP standard values the paper cites.
-type Config struct {
-	T3510 time.Duration // registration procedure guard (15 s)
-	T3511 time.Duration // retry backoff after failure (10 s)
-	T3502 time.Duration // long backoff after 5 attempts (12 min)
-	T3580 time.Duration // PDU session procedure guard/backoff (16 s)
+// The modem's timers and retry limits. The TS 24.501 timers are the 3GPP
+// standard values the paper cites.
+const (
+	t3510 = 15 * time.Second // registration procedure guard
+	t3511 = 10 * time.Second // retry backoff after failure
+	t3502 = 12 * time.Minute // long backoff after maxRegAttempts
+	// T3580 is the PDU session procedure guard and retry backoff.
+	T3580 = 16 * time.Second
 
-	MaxRegAttempts  int // attempts before falling back to T3502
-	MaxSessAttempts int // attempts before escalating to reattach
+	maxRegAttempts  = 5 // attempts before falling back to T3502
+	maxSessAttempts = 5 // attempts before escalating to reattach
 
-	BootTime           time.Duration // power-cycle duration
-	FullSearchTime     time.Duration // PLMN scan without a fresh list
-	ListSearchTime     time.Duration // PLMN scan with a fresh preferred list
-	RefreshInitTime    time.Duration // SIM re-initialization on REFRESH(init)
-	SIMIOLatency       time.Duration // one APDU exchange
-	TransientRetryWait time.Duration // immediate-retry backoff for abnormal cases
-	// InactivityTimeout moves the RRC connection to idle after this long
+	bootTime           = 800 * time.Millisecond  // power-cycle duration
+	fullSearchTime     = 9 * time.Second         // PLMN scan without a fresh list
+	listSearchTime     = 300 * time.Millisecond  // PLMN scan with a fresh preferred list
+	refreshInitTime    = 3500 * time.Millisecond // SIM re-initialization on REFRESH(init)
+	simIOLatency       = 10 * time.Millisecond   // one APDU exchange
+	transientRetryWait = 500 * time.Millisecond  // immediate-retry backoff for abnormal cases
+	// inactivityTimeout moves the RRC connection to idle after this long
 	// without user-plane traffic; the next packet pays a Service Request
-	// round trip to resume (0 disables idle mode).
-	InactivityTimeout time.Duration
-}
-
-// DefaultConfig returns the standard-timer configuration.
-func DefaultConfig() Config {
-	return Config{
-		T3510:              15 * time.Second,
-		T3511:              10 * time.Second,
-		T3502:              12 * time.Minute,
-		T3580:              16 * time.Second,
-		MaxRegAttempts:     5,
-		MaxSessAttempts:    5,
-		BootTime:           800 * time.Millisecond,
-		FullSearchTime:     9 * time.Second,
-		ListSearchTime:     300 * time.Millisecond,
-		RefreshInitTime:    3500 * time.Millisecond,
-		SIMIOLatency:       10 * time.Millisecond,
-		TransientRetryWait: 500 * time.Millisecond,
-		InactivityTimeout:  30 * time.Second,
-	}
-}
+	// round trip to resume.
+	inactivityTimeout = 30 * time.Second
+)
 
 // Hooks are the modem's upcall interface to the OS/apps/metrics layers.
 // Any field may be nil.
@@ -144,7 +126,6 @@ type APDUObserver interface {
 // Modem is the emulated baseband processor.
 type Modem struct {
 	k    *sched.Kernel
-	cfg  Config
 	card *sim.Card
 	tx   func(any) bool // radio uplink
 	hook Hooks
@@ -212,7 +193,7 @@ type Modem struct {
 	// New so re-arming a timer allocates no closure. The *Arg slots pair
 	// with sched.AfterArg, which carries the argument in the pooled event.
 	goIdleFn  func()
-	bootFn    func() // BootTime over: read the profile
+	bootFn    func() // bootTime over: read the profile
 	profileFn func() // profile read over: search
 	foundFn   func() // search over: attach
 	t3510Fn   func()
@@ -272,9 +253,9 @@ type outbox struct {
 // function. The transmit function reports whether the frame was accepted
 // (false models a partitioned radio link). frames, nasFrames and msgs are
 // the pools of the network the modem attaches to.
-func New(k *sched.Kernel, cfg Config, card *sim.Card, tx func(any) bool, frames *radio.FramePool, nasFrames *radio.NASPool, msgs *nas.Pool) *Modem {
+func New(k *sched.Kernel, card *sim.Card, tx func(any) bool, frames *radio.FramePool, nasFrames *radio.NASPool, msgs *nas.Pool) *Modem {
 	m := &Modem{
-		k: k, cfg: cfg, card: card, tx: tx,
+		k: k, card: card, tx: tx,
 		frames: frames, nasFrames: nasFrames, msgs: msgs, codec: nas.Codec{Pool: msgs},
 		state:       StateOff,
 		nextSession: 1,
@@ -305,7 +286,7 @@ func New(k *sched.Kernel, cfg Config, card *sim.Card, tx func(any) bool, frames 
 	m.authArg = func(v any) { m.runAuth(v.(*nas.AuthenticationRequest)) }
 	card.OnProactive(func() {
 		// Fetch after one SIM I/O round trip.
-		k.After(cfg.SIMIOLatency, m.fetchFn)
+		k.After(simIOLatency, m.fetchFn)
 	})
 	return m
 }
@@ -420,7 +401,7 @@ func (m *Modem) PowerOn() {
 		return
 	}
 	m.setState(StateBooting)
-	m.k.After(m.cfg.BootTime, m.bootFn)
+	m.k.After(bootTime, m.bootFn)
 }
 
 // PowerOff drops all state and turns the modem off.
@@ -448,7 +429,7 @@ func (m *Modem) Reboot() {
 
 func (m *Modem) loadProfileAndSearch() {
 	// Profile read costs a handful of APDU exchanges.
-	m.k.After(4*m.cfg.SIMIOLatency, m.profileFn)
+	m.k.After(4*simIOLatency, m.profileFn)
 }
 
 func (m *Modem) readProfileAndSearch() {
@@ -478,9 +459,9 @@ func containsPLMN(list []uint32, p uint32) bool {
 
 func (m *Modem) search() {
 	m.setState(StateSearching)
-	d := m.cfg.FullSearchTime
+	d := fullSearchTime
 	if m.plmnListFresh {
-		d = m.cfg.ListSearchTime
+		d = listSearchTime
 	}
 	m.k.After(d, m.foundFn)
 }
@@ -513,11 +494,7 @@ func (m *Modem) RRCConnected() bool { return m.rrcConnected }
 // markActivity resets the inactivity clock (user-plane traffic only). It
 // runs on every packet, so the pending timer is moved, not replaced.
 func (m *Modem) markActivity() {
-	if m.cfg.InactivityTimeout <= 0 {
-		m.idleTimer.Stop()
-		return
-	}
-	m.idleTimer = m.k.Rearm(m.idleTimer, m.cfg.InactivityTimeout, m.goIdleFn)
+	m.idleTimer = m.k.Rearm(m.idleTimer, inactivityTimeout, m.goIdleFn)
 }
 
 // goIdle releases the RRC connection after inactivity (TS 38.331 RRC
@@ -563,7 +540,7 @@ func (m *Modem) sendRegistrationRequest() {
 	}
 	m.sendNAS(req)
 	m.cancelRegTimer()
-	m.regTimer = m.k.After(m.cfg.T3510, m.t3510Fn)
+	m.regTimer = m.k.After(t3510, m.t3510Fn)
 }
 
 func (m *Modem) cancelRegTimer() {
@@ -749,7 +726,7 @@ func (m *Modem) handleAuthRequest(req *nas.AuthenticationRequest) {
 	// The modem forwards RAND/AUTN to the SIM unconditionally — it cannot
 	// tell a SEED diagnosis delivery from a real challenge, which is what
 	// keeps SEED firmware-compatible.
-	m.k.AfterArg(2*m.cfg.SIMIOLatency, m.authArg, req)
+	m.k.AfterArg(2*simIOLatency, m.authArg, req)
 }
 
 func (m *Modem) runAuth(req *nas.AuthenticationRequest) {
@@ -834,7 +811,7 @@ func (m *Modem) sendSessionRequest(s *Session) {
 	}
 	m.sendNAS(req)
 	s.timer.Stop()
-	s.timer = m.k.AfterArg(m.cfg.T3580, m.t3580Arg, s)
+	s.timer = m.k.AfterArg(T3580, m.t3580Arg, s)
 }
 
 func (m *Modem) handleSessionAccept(acc *nas.PDUSessionEstablishmentAccept) {
@@ -1000,7 +977,7 @@ func (m *Modem) SendPacket(pkt *radio.Packet) bool {
 	*f = *pkt
 	f.UE = m.imsi
 	f.Src = s.Address
-	if !m.rrcConnected && m.cfg.InactivityTimeout > 0 {
+	if !m.rrcConnected {
 		m.pendingPkts = append(m.pendingPkts, f)
 		m.resume()
 		return true
@@ -1068,7 +1045,7 @@ func (m *Modem) SendRawSessionRequest(dnn string) bool {
 // openLogicalChannel path) to the SIM, delivering the response to done
 // after the SIM I/O latency.
 func (m *Modem) TransmitAPDU(cmd sim.Command, done func(sim.Response)) {
-	m.k.After(2*m.cfg.SIMIOLatency, func() {
+	m.k.After(2*simIOLatency, func() {
 		resp := m.card.Process(cmd)
 		if o, observed := m.k.Observer().(APDUObserver); observed {
 			o.APDU(m.imsi, cmd, resp)

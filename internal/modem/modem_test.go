@@ -113,7 +113,7 @@ func newModemHarness(t *testing.T) (*sched.Kernel, *Modem, *fakeNet) {
 		t.Fatal(err)
 	}
 	f := &fakeNet{t: t, k: k}
-	m := New(k, DefaultConfig(), card, f.tx, new(radio.FramePool), new(radio.NASPool), new(nas.Pool))
+	m := New(k, card, f.tx, new(radio.FramePool), new(radio.NASPool), new(nas.Pool))
 	f.m = m
 	return k, m, f
 }

@@ -31,7 +31,7 @@ func (m *Modem) executeProactive(cmd sim.ProactiveCommand) {
 				m.Deregister()
 			}
 			m.cancelRegTimer()
-			m.k.After(m.cfg.RefreshInitTime, func() {
+			m.k.After(refreshInitTime, func() {
 				m.refreshProfile(cmd.Files)
 				if m.state == StateDeregistered {
 					m.regAttempts = 0

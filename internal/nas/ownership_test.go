@@ -103,7 +103,7 @@ func TestDecodedMessageOwnership(t *testing.T) {
 			}
 			return true
 		}
-		m := modem.New(k, modem.DefaultConfig(), newCard(), tx, new(radio.FramePool), frames, pool)
+		m := modem.New(k, newCard(), tx, new(radio.FramePool), frames, pool)
 
 		// What was delivered, in order, copied at the moment of delivery.
 		log := &challengeLog{}

@@ -90,9 +90,6 @@ func (l *Link) Name() string { return l.name }
 // the link is down are dropped; messages already in flight still arrive.
 func (l *Link) SetDown(down bool) { l.down = down }
 
-// Down reports whether the link is partitioned.
-func (l *Link) Down() bool { return l.down }
-
 // Send queues msg for delivery. It returns false if the message was
 // dropped (partition or random loss).
 func (l *Link) Send(msg any) bool {

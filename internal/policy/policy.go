@@ -67,8 +67,8 @@ func Paper() Policy {
 }
 
 // Apply writes the policy's applet-side knobs into cfg. It deliberately
-// leaves ProcLatency and the mode/ablation switches alone — those model
-// hardware and deployment, not decision policy.
+// leaves the mode/ablation switches alone — those model deployment, not
+// decision policy.
 func (p Policy) Apply(cfg *core.AppletConfig) {
 	cfg.CPlaneWait = p.CPlaneWait
 	cfg.ConflictWindow = p.ConflictWindow

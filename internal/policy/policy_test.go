@@ -239,10 +239,9 @@ func TestEligible(t *testing.T) {
 }
 
 // TestTraceDigestsPinned pins the seedtrace/1 fingerprint the reports print
-// (Matrix.BaselineDigest, seedpolicy's self_check.digests): the digest of
-// every golden-trace cell and of the empty trace. Trace equality compares
-// events, so nothing else ties Encode down; a digest that moves here moves
-// a report byte.
+// (Matrix.BaselineDigest): the digest of every golden-trace cell and of the
+// empty trace. Trace equality compares events, so nothing else ties Encode
+// down; a digest that moves here moves a report byte.
 func TestTraceDigestsPinned(t *testing.T) {
 	sp := traceSpec()
 	want := map[int64][]string{ // desync, handover-desync, tau-race

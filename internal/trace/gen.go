@@ -5,19 +5,12 @@ import (
 	"github.com/seed5g/seed/internal/workload"
 )
 
-// GenConfig parameterizes dataset synthesis. The defaults reproduce the
-// paper's §3.1 corpus statistics.
-type GenConfig struct {
-	Seed       int64
-	Procedures int
-	Failures   int
-	Delivery   int
-}
-
-// DefaultGenConfig returns the §3.1 corpus shape.
-func DefaultGenConfig() GenConfig {
-	return GenConfig{Seed: 1, Procedures: 24000, Failures: 2832, Delivery: 300}
-}
+// The paper's §3.1 corpus shape, which every synthesized dataset has.
+const (
+	corpusProcedures = 24000 // management procedures
+	corpusFailures   = 2832  // management failure cases among them
+	corpusDelivery   = 300   // data-delivery failure cases
+)
 
 var carriers = []string{
 	"US-A", "US-B", "US-C", "US-D", "CN-A", "CN-B", "CN-C", "CN-D",
@@ -28,16 +21,16 @@ var devices = []string{
 	"oneplus8", "redmi-k30",
 }
 
-// Generate synthesizes a dataset. Failure cases draw their cause, class
-// and self-heal time from Table 1's calibrated mix, declared once as
-// workload.StationaryMix (control plane 56.2 %, data plane 43.8 %).
-func Generate(cfg GenConfig) *Dataset {
-	rng := sched.NewRand(cfg.Seed)
-	ds := &Dataset{Procedures: cfg.Procedures}
+// Generate synthesizes the corpus from seed. Failure cases draw their
+// cause, class and self-heal time from Table 1's calibrated mix, declared
+// once as workload.StationaryMix (control plane 56.2 %, data plane 43.8 %).
+func Generate(seed int64) *Dataset {
+	rng := sched.NewRand(seed)
+	ds := &Dataset{Procedures: corpusProcedures}
 
 	mix := workload.StationaryMix()
 	total := workload.MixTotal(mix)
-	for i := 0; i < cfg.Failures; i++ {
+	for i := 0; i < corpusFailures; i++ {
 		m := workload.PickMix(rng, mix, total)
 		rec := Record{
 			ID:       i,
@@ -50,7 +43,7 @@ func Generate(cfg GenConfig) *Dataset {
 		ds.Failures = append(ds.Failures, rec)
 	}
 
-	for i := 0; i < cfg.Delivery; i++ {
+	for i := 0; i < corpusDelivery; i++ {
 		var kind DeliveryKind
 		switch p := rng.Float64(); {
 		case p < 0.30:

@@ -9,7 +9,7 @@ import (
 )
 
 func TestGenerateCorpusShape(t *testing.T) {
-	ds := Generate(DefaultGenConfig())
+	ds := Generate(1)
 	if ds.Procedures != 24000 {
 		t.Fatalf("procedures = %d", ds.Procedures)
 	}
@@ -25,14 +25,14 @@ func TestGenerateCorpusShape(t *testing.T) {
 }
 
 func TestGenerateIsDeterministic(t *testing.T) {
-	a := Generate(DefaultGenConfig())
-	b := Generate(DefaultGenConfig())
+	a := Generate(1)
+	b := Generate(1)
 	for i := range a.Failures {
 		if a.Failures[i] != b.Failures[i] {
 			t.Fatalf("record %d differs across identical seeds", i)
 		}
 	}
-	c := Generate(GenConfig{Seed: 2, Procedures: 24000, Failures: 2832, Delivery: 300})
+	c := Generate(2)
 	same := true
 	for i := range a.Failures {
 		if a.Failures[i] != c.Failures[i] {
@@ -46,7 +46,7 @@ func TestGenerateIsDeterministic(t *testing.T) {
 }
 
 func TestAnalysisMatchesTable1(t *testing.T) {
-	ds := Generate(DefaultGenConfig())
+	ds := Generate(1)
 	a := Analyze(ds, 5)
 
 	if math.Abs(a.ControlShare-0.562) > 0.02 {
@@ -96,7 +96,7 @@ func TestAnalysisMatchesTable1(t *testing.T) {
 }
 
 func TestScenarioAssignments(t *testing.T) {
-	ds := Generate(DefaultGenConfig())
+	ds := Generate(1)
 	a := Analyze(ds, 5)
 	for _, s := range []Scenario{ScenTransient, ScenDesync, ScenStaleConfigDevice,
 		ScenStaleConfigEverywhere, ScenUserAction, ScenSilent} {
@@ -113,7 +113,7 @@ func TestScenarioAssignments(t *testing.T) {
 }
 
 func TestHealTimesOnlyWhereMeaningful(t *testing.T) {
-	ds := Generate(DefaultGenConfig())
+	ds := Generate(1)
 	for _, r := range ds.Failures {
 		switch r.Scenario {
 		case ScenTransient, ScenSilent, ScenStaleConfigEverywhere:
@@ -129,7 +129,7 @@ func TestHealTimesOnlyWhereMeaningful(t *testing.T) {
 }
 
 func TestTransientHealDistribution(t *testing.T) {
-	ds := Generate(DefaultGenConfig())
+	ds := Generate(1)
 	var heals []time.Duration
 	for _, r := range ds.Failures {
 		if r.Scenario == ScenTransient && r.Cause == cause.MM(cause.MMNoSuitableCellsInTA) {
@@ -160,7 +160,7 @@ func TestTransientHealDistribution(t *testing.T) {
 }
 
 func TestDeliveryKindsMix(t *testing.T) {
-	ds := Generate(DefaultGenConfig())
+	ds := Generate(1)
 	counts := map[DeliveryKind]int{}
 	for _, r := range ds.Delivery {
 		counts[r.Kind]++
@@ -173,7 +173,7 @@ func TestDeliveryKindsMix(t *testing.T) {
 }
 
 func TestRenderTable1(t *testing.T) {
-	ds := Generate(DefaultGenConfig())
+	ds := Generate(1)
 	out := Analyze(ds, 5).RenderTable1()
 	for _, want := range []string{
 		"Table 1", "Control Plane", "Data Plane",

@@ -42,13 +42,12 @@ func TestLegacyRetryLoopAllocs(t *testing.T) {
 	if !tb.RunUntil(func() bool { return rejects == 1 }, time.Minute) {
 		t.Fatal("the stale DNN was never rejected")
 	}
-	t3580 := d.inner.Cfg.Modem.T3580
-	tb.Advance(t3580 / 2) // measure from between two rounds
+	tb.Advance(modem.T3580 / 2) // measure from between two rounds
 	// Attempts two to five of the modem's five (the sixth failure
 	// reattaches, which is TestReregistrationAllocs' subject).
 	const runs = 3
 	before := tb.net.SMF.Stats().Rejects
-	perRound := testing.AllocsPerRun(runs, func() { tb.Advance(t3580) })
+	perRound := testing.AllocsPerRun(runs, func() { tb.Advance(modem.T3580) })
 	if got := tb.net.SMF.Stats().Rejects - before; got != runs+1 || rejects != runs+2 {
 		t.Fatalf("%d rejects sent and %d received over %d rounds, want one each per round", got, rejects-1, runs+1)
 	}

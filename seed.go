@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/seed5g/seed/internal/android"
 	"github.com/seed5g/seed/internal/core"
 	"github.com/seed5g/seed/internal/core5g"
 	"github.com/seed5g/seed/internal/dataplane"
@@ -159,7 +160,7 @@ func (b bootTracer) Decision(ev core.DecisionEvent) { b.d.bootTrace = append(b.d
 // New creates a testbed whose randomness derives from seed.
 func New(seedVal int64) *Testbed {
 	k := sched.New(seedVal)
-	net := core5g.NewNetwork(k, core5g.DefaultNetworkConfig())
+	net := core5g.NewNetwork(k)
 	tb := &Testbed{
 		kern:     k,
 		net:      net,
@@ -325,9 +326,7 @@ type DeviceOption func(*core.DeviceConfig)
 // intervals the paper uses as its tuned baseline.
 func WithAndroidRecommendedTimers() DeviceOption {
 	return func(c *core.DeviceConfig) {
-		c.Android.ActionIntervals = []time.Duration{
-			21 * time.Second, 6 * time.Second, 16 * time.Second,
-		}
+		c.Android.ActionIntervals = android.RecommendedConfig().ActionIntervals
 	}
 }
 
