@@ -24,7 +24,8 @@
 //
 // -json FILE writes machine-readable per-experiment results and
 // wall-clock timings ("-" for stdout), plus the boot/restore counts of each
-// prototype family (proto_boots/proto_restores). Each experiment's record,
+// prototype family (proto_boots/proto_restores) and the wall time its boots
+// and their snapshots took (boot_ms/snapshot_ms). Each experiment's record,
 // and its "[… regenerated in …]" line, also says what the collector did
 // during one run of it (gc_cycles and alloc_mb), and how large the live
 // heap was after it (live_mb); "runs" counts how often the experiment
@@ -124,7 +125,8 @@ type benchReport struct {
 	// Prototypes answers "did this run re-boot prototypes?": per shared
 	// prototype family, how many full boots and how many restores served
 	// the run's cells. Boots stay at or below the worker count per
-	// prototype when instances are retained as designed.
+	// prototype when instances are retained as designed. boot_ms and
+	// snapshot_ms, summed over the workers, say what creating them cost.
 	Prototypes []seed.ProtoFamilyStats `json:"prototypes"`
 }
 

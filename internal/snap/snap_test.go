@@ -213,6 +213,8 @@ func TestUnexportedDeepFields(t *testing.T) {
 	}
 }
 
+// TestHasIndirections holds the plan's indir predicate: the walker
+// descends into a value only when it can reach memory outside itself.
 func TestHasIndirections(t *testing.T) {
 	cases := []struct {
 		t    reflect.Type
@@ -230,8 +232,8 @@ func TestHasIndirections(t *testing.T) {
 		{reflect.TypeOf(func() {}), false},
 	}
 	for _, c := range cases {
-		if got := hasIndirections(c.t); got != c.want {
-			t.Errorf("hasIndirections(%v) = %v, want %v", c.t, got, c.want)
+		if got := planOf(c.t).indir; got != c.want {
+			t.Errorf("planOf(%v).indir = %v, want %v", c.t, got, c.want)
 		}
 	}
 }

@@ -72,10 +72,14 @@ type Proto[T any] struct {
 // ProtoStats counts how often a prototype paid the full boot and how
 // often it served a cell by restoring a booted instance. Boots staying at
 // the worker count over a whole sweep is the property the clone path
-// depends on.
+// depends on. BootMS and SnapshotMS are the wall time those boots took
+// (their warm-up included) and the time taking their snapshots took:
+// where creating a prototype goes. They are timings, and vary run to run.
 type ProtoStats struct {
-	Boots    int `json:"proto_boots"`
-	Restores int `json:"proto_restores"`
+	Boots      int     `json:"proto_boots"`
+	Restores   int     `json:"proto_restores"`
+	BootMS     float64 `json:"boot_ms"`
+	SnapshotMS float64 `json:"snapshot_ms"`
 }
 
 type protoInst[T any] struct {
@@ -107,10 +111,17 @@ func (p *Proto[T]) acquire() *protoInst[T] {
 	p.stats.Boots++
 	p.mu.Unlock()
 
+	start := time.Now()
 	inst := &protoInst[T]{tb: New(protoBootSeed)}
 	inst.h = p.boot(inst.tb)
 	inst.tb.warm()
+	booted := time.Now()
 	inst.snap = inst.tb.Snapshot(&inst.h)
+	took := time.Since(booted)
+	p.mu.Lock()
+	p.stats.BootMS += ms(booted.Sub(start))
+	p.stats.SnapshotMS += ms(took)
+	p.mu.Unlock()
 	return inst
 }
 
@@ -123,7 +134,7 @@ func (p *Proto[T]) release(inst *protoInst[T]) {
 	p.mu.Unlock()
 }
 
-// Stats returns the prototype's boot and restore counts so far.
+// Stats returns the prototype's boot and restore counts and times so far.
 func (p *Proto[T]) Stats() ProtoStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -178,8 +189,7 @@ func (pm *ProtoMap[K, T]) Proto(k K) *Proto[T] {
 	return p
 }
 
-// statsWhere sums the boot and restore counts of the prototypes whose key
-// satisfies keep.
+// statsWhere sums the stats of the prototypes whose key satisfies keep.
 func (pm *ProtoMap[K, T]) statsWhere(keep func(K) bool) ProtoStats {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
@@ -191,6 +201,8 @@ func (pm *ProtoMap[K, T]) statsWhere(keep func(K) bool) ProtoStats {
 		st := p.Stats()
 		sum.Boots += st.Boots
 		sum.Restores += st.Restores
+		sum.BootMS += st.BootMS
+		sum.SnapshotMS += st.SnapshotMS
 	}
 	return sum
 }
@@ -315,9 +327,9 @@ type ProtoFamilyStats struct {
 	ProtoStats
 }
 
-// PrototypeStats returns the boot and restore counts of the prototypes the
-// experiment runners and replays share, summed per family. Boots above the
-// worker count mean a sweep re-booted prototypes.
+// PrototypeStats returns the boot and restore counts and times of the
+// prototypes the experiment runners and replays share, summed per family.
+// Boots above the worker count mean a sweep re-booted prototypes.
 func PrototypeStats() []ProtoFamilyStats {
 	var out []ProtoFamilyStats
 	for f, name := range []string{"bare", "cold", "delivery", "figure3", "ladder", "table5"} {

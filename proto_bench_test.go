@@ -1,6 +1,7 @@
 package seed
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -183,6 +184,92 @@ func BenchmarkClonedDeliveryCell(b *testing.B) {
 			b.Fatal("cloned cell not connected")
 		}
 		put()
+	}
+}
+
+// takeSteadies are the steady states BenchmarkPrototypeTake records: the
+// bare and cold families most management cells restore, the delivery
+// replays' warmed three-app state, and a Table 5 single-app state.
+var takeSteadies = []struct {
+	name string
+	st   steady
+}{
+	{"bare", bareSteady(ModeSEEDU)},
+	{"cold", coldSteady(ModeLegacy, 0)},
+	{"delivery", deliverySteady(ModeSEEDR)},
+	{"table5", steady{family: familyTable5, mode: ModeSEEDU, tuned: true, apps: [3]AppKind{AppVideo}, warm: 90 * time.Second, start: true}},
+}
+
+// bootForTake takes a new testbed to st as Proto.acquire does before it
+// records the snapshot: boot, then warm the free lists.
+func bootForTake(st steady) (*Testbed, *Device) {
+	tb := New(protoBootSeed)
+	d := st.boot(tb)
+	tb.warm()
+	return tb, d
+}
+
+// BenchmarkPrototypeTake is the cost of recording one booted prototype,
+// which every prototype boot pays once.
+func BenchmarkPrototypeTake(b *testing.B) {
+	for _, c := range takeSteadies {
+		b.Run(c.name, func(b *testing.B) {
+			tb, d := bootForTake(c.st)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tb.Snapshot(&d)
+			}
+		})
+	}
+}
+
+// TestPrototypeSnapshotRegions pins the regions a prototype's snapshot
+// records (objects, slice backings, maps, self-snapshotting types): how
+// Take walks the graph may change, what it finds may not.
+func TestPrototypeSnapshotRegions(t *testing.T) {
+	want := map[string][4]int{
+		"bare":     {74, 41, 22, 1},
+		"cold":     {54, 28, 19, 1},
+		"delivery": {91, 50, 22, 1},
+		"table5":   {79, 46, 22, 1},
+	}
+	for _, c := range takeSteadies {
+		tb, d := bootForTake(c.st)
+		var got [4]int
+		got[0], got[1], got[2], got[3] = tb.Snapshot(&d).Regions()
+		if got != want[c.name] {
+			t.Errorf("%s: snapshot records %v regions (objects, slices, maps, snapshotters), want %v", c.name, got, want[c.name])
+		}
+	}
+}
+
+// takeAllocBudget and takeBytesBudget bound one Take of the bare steady
+// state at half of what the reflective walker it replaced allocated (378
+// objects, 91 203 bytes). Measured: 133 objects, 39 190 bytes, most of
+// them the masters themselves and the walk's 256-slot dedupe set.
+const (
+	takeAllocBudget = 189
+	takeBytesBudget = 45_601
+)
+
+// TestPrototypeTakeAllocs holds one Take of the bare steady state to
+// takeAllocBudget objects and takeBytesBudget bytes.
+func TestPrototypeTakeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the binding run is the uninstrumented bench-smoke job")
+	}
+	tb, d := bootForTake(bareSteady(ModeSEEDU))
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() { tb.Snapshot(&d) })
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun adds a warm-up run
+	if allocs > takeAllocBudget || bytes > takeBytesBudget {
+		t.Errorf("one Take allocates %.0f objects and %.0f bytes, budget %d and %d", allocs, bytes, takeAllocBudget, takeBytesBudget)
+	} else {
+		t.Logf("one Take: %.0f objects, %.0f bytes (budget %d, %d)", allocs, bytes, takeAllocBudget, takeBytesBudget)
 	}
 }
 
