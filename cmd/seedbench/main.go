@@ -1,41 +1,24 @@
 // Command seedbench regenerates the tables and figures of the SEED paper's
-// evaluation section (§7) on the emulated testbed and prints them as text.
+// evaluation section (§7) on the emulated testbed, prints them as text and
+// times them.
 //
 // Usage:
 //
-//	seedbench [-exp all|table1|table2|table3|table4|table5|figure2|figure3|
-//	           figure11a|figure11b|figure12|figure13|causes|coverage|learning|mobility]
-//	          [-samples N] [-seed S] [-parallel P] [-reps N] [-json FILE]
+//	seedbench [-exp all|table1|…|mobility] [-samples N] [-seed S]
+//	          [-parallel P] [-reps N] [-json FILE] [-cdf FILE]
 //	          [-cpuprofile FILE] [-memprofile FILE]
 //
-// Everything runs on the virtual clock: regenerating the full evaluation
-// takes seconds of wall time. Independent scenario cells fan across
-// -parallel worker goroutines (default GOMAXPROCS); results are
-// bit-for-bit identical at any parallelism, which the root package's
-// TestExperimentsParallelDeterminism and the CI workflow check.
-//
-// Each piece of work is done once, on the pool it is given. Table 4,
-// Figure 2, the per-cause breakdown and the coverage all read the same
-// replayed cases, so a "grid" row ahead of Figure 2 replays every dataset
-// cell they count once (timed like an experiment, printed as a timing line
-// only) and those four experiments fold it. Under -exp all the grid runs
-// once for the four; naming one of them alone (-exp figure2) runs the grid
-// and then it.
-//
-// -json FILE writes machine-readable per-experiment results and
-// wall-clock timings ("-" for stdout), plus the boot/restore counts of each
-// prototype family (proto_boots/proto_restores) and the wall time its boots
-// and their snapshots took (boot_ms/snapshot_ms). Each experiment's record,
-// and its "[… regenerated in …]" line, also says what the collector did
-// during one run of it (gc_cycles and alloc_mb), and how large the live
-// heap was after it (live_mb); "runs" counts how often the experiment
-// executed in this invocation and the grid's "cells" how many cells it
-// replayed. -reps N runs each experiment N times and records the fastest
-// run: experiments are deterministic, so every run prints the same text
-// and the minimum is the least noisy time. At the default -reps 1 the one
-// run is the measurement, cold prototype boots included.
-// -cpuprofile/-memprofile write pprof profiles of the whole run
-// for `go tool pprof` (the profiling workflow in EXPERIMENTS.md).
+// The evaluation is seed.Evaluation: its steps, their order and their run
+// parameters are defined there, and -exp names one (-h lists them; naming
+// a fold of the dataset grid runs the grid first). Scenario cells fan
+// across -parallel workers (default GOMAXPROCS) with identical results at
+// any count. Each step runs -reps times; its "[… regenerated in …]" line
+// and its -json record ("-" for stdout) carry its fastest run's wall time
+// and what the collector did (expTiming). -json adds the per-cause
+// breakdown and each prototype family's boots and restores (benchReport).
+// -cdf writes Figure 2's curves as CSV, so it needs figure2 among the
+// steps. -cpuprofile and -memprofile write pprof profiles of the whole run
+// (the profiling workflow in EXPERIMENTS.md).
 package main
 
 import (
@@ -46,6 +29,7 @@ import (
 	"runtime"
 	rtmetrics "runtime/metrics"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -53,16 +37,6 @@ import (
 	"github.com/seed5g/seed/internal/metrics"
 	"github.com/seed5g/seed/internal/runner"
 )
-
-// experiment is one row of the suite: its -exp name and what it runs, a
-// function of the pool that returns the text it regenerated. A row that
-// fans no cells (a formatter, an experiment on one kernel, a fold of the
-// grid) ignores the pool; the grid returns no text, only the value its
-// folds read.
-type experiment struct {
-	name string
-	run  func(p *runner.Pool) string
-}
 
 // expTiming is one experiment's machine-readable record.
 type expTiming struct {
@@ -135,7 +109,8 @@ func main() { os.Exit(run()) }
 // run is main behind an exit status, so the deferred profile writers run
 // before the process exits.
 func run() int {
-	exp := flag.String("exp", "all", "experiment to run (all, table1..5, figure2/3/11a/11b/12/13, causes, coverage, learning, mobility)")
+	var ev seed.Evaluation
+	exp := flag.String("exp", "all", "experiment to run ("+strings.Join(ev.Names(), ", ")+")")
 	samples := flag.Int("samples", 100, "replayed failure cases per class for the dataset-driven experiments")
 	seedVal := flag.Int64("seed", 1, "simulation seed")
 	parallel := flag.Int("parallel", 0, "scenario worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
@@ -151,6 +126,16 @@ func run() int {
 	}
 	if *reps < 1 {
 		fmt.Fprintf(os.Stderr, "-reps %d: need at least 1 run per experiment\n", *reps)
+		return 2
+	}
+	ev.Seed, ev.Samples = *seedVal, *samples
+	steps, err := ev.Select(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	if *cdfOut != "" && !slices.Contains(steps, "figure2") {
+		fmt.Fprintf(os.Stderr, "-cdf writes Figure 2's CDFs, and -exp %s does not run figure2\n", *exp)
 		return 2
 	}
 
@@ -183,65 +168,8 @@ func run() int {
 	}
 
 	pool := runner.New(*parallel)
-	ds := seed.GenerateDataset(*seedVal)
-
-	// Table 4, Figure 2, causes and coverage fold the grid's replay of the
-	// dataset cells they count: the grid runs under -exp all and when one of
-	// the four is named alone.
-	all := *exp == "all"
-	foldsGrid := map[string]bool{"figure2": true, "table4": true, "causes": true, "coverage": true}
-	var grid seed.DatasetGrid
-	var fig2 seed.Figure2Result
-	var causes seed.CausesResult
-	experiments := []experiment{
-		{"table1", func(*runner.Pool) string { return ds.RenderTable1() }},
-		{"table2", func(*runner.Pool) string { return table2() }},
-		{"table3", func(*runner.Pool) string { return table3() }},
-		{"grid", func(p *runner.Pool) string {
-			grid = seed.ReplayDatasetGrid(p, ds, *samples, *seedVal)
-			return ""
-		}},
-		{"figure2", func(*runner.Pool) string {
-			fig2 = grid.Figure2()
-			return fig2.Render()
-		}},
-		{"figure3", func(p *runner.Pool) string {
-			return seed.ExperimentFigure3(p, max(8, *samples/10), *seedVal).Render()
-		}},
-		{"table4", func(*runner.Pool) string { return grid.Table4().Render() }},
-		{"table5", func(p *runner.Pool) string { return seed.ExperimentTable5(p, 3, *seedVal).Render() }},
-		{"figure11a", func(p *runner.Pool) string { return seed.ExperimentFigure11a(p, *seedVal).Render() }},
-		{"figure11b", func(*runner.Pool) string { return seed.ExperimentFigure11b(*seedVal).Render() }},
-		{"figure12", func(*runner.Pool) string { return seed.ExperimentFigure12(50, *seedVal).Render() }},
-		{"figure13", func(p *runner.Pool) string { return seed.ExperimentFigure13(p, *seedVal).Render() }},
-		{"causes", func(*runner.Pool) string {
-			causes = grid.Causes()
-			return causes.Render()
-		}},
-		{"coverage", func(*runner.Pool) string { return grid.Coverage().Render() }},
-		{"learning", func(*runner.Pool) string { return seed.ExperimentLearning(6, 4, 50, *seedVal).Render() }},
-		{"mobility", func(p *runner.Pool) string {
-			return seed.ExperimentMobility(p, max(8, *samples/10), *seedVal).Render()
-		}},
-	}
-
-	if !all {
-		known := false
-		var names []string
-		for _, e := range experiments {
-			if e.name != "grid" {
-				known = known || e.name == *exp
-				names = append(names, e.name)
-			}
-		}
-		if !known {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (known: all %s)\n", *exp, strings.Join(names, " "))
-			return 2
-		}
-	}
-
 	report := benchReport{
-		Seed: *seedVal, Samples: *samples,
+		Seed: ev.Seed, Samples: ev.Samples,
 		Parallel: pool.Workers(), GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU: runtime.NumCPU(),
 	}
@@ -250,15 +178,12 @@ func run() int {
 	// joins the previous row's (or opens the run), and stdout without the
 	// timing lines is what it would be without the grid.
 	blank := ""
-	for _, e := range experiments {
-		if !all && *exp != e.name && !(e.name == "grid" && foldsGrid[*exp]) {
-			continue
-		}
-		t := expTiming{Name: e.name}
-		out := timeRuns(&t, *reps, func() string { return e.run(pool) })
-		if e.name == "grid" {
-			t.Cells = grid.Cells()
-		}
+	for _, name := range steps {
+		t := expTiming{Name: name}
+		cells := ev.Grid.Cells()
+		out := timeRuns(&t, *reps, func() string { return ev.Run(pool, name) })
+		// Only the grid step replays the grid, so only its record counts cells.
+		t.Cells = ev.Grid.Cells() - cells
 		t.LiveMB = liveMB()
 		if out != "" {
 			fmt.Print(blank, out)
@@ -271,15 +196,15 @@ func run() int {
 	fmt.Print(blank)
 
 	status := 0
-	if *cdfOut != "" && (*exp == "all" || *exp == "figure2") {
-		if err := writeCDFCSV(*cdfOut, fig2); err != nil {
+	if *cdfOut != "" {
+		if err := writeCDFCSV(*cdfOut, ev.Figure2); err != nil {
 			fmt.Fprintf(os.Stderr, "cdf: %v\n", err)
 			status = 1
 		} else {
 			fmt.Printf("[CDF points written to %s]\n", *cdfOut)
 		}
 	}
-	report.Causes = causes.Rows
+	report.Causes = ev.Causes.Rows
 	report.Prototypes = seed.PrototypeStats()
 	if *jsonOut != "" {
 		if err := writeJSON(*jsonOut, report); err != nil {
@@ -340,40 +265,4 @@ func writeCDFCSV(path string, res seed.Figure2Result) error {
 		fmt.Fprintf(&b, "data,%.3f,%.4f\n", p.Seconds, p.Fraction)
 	}
 	return os.WriteFile(path, []byte(b.String()), 0o644)
-}
-
-// table2 reproduces the qualitative solution comparison (static).
-func table2() string {
-	rows := [][]string{
-		{"Solutions", "Detection&Diag", "Config recovery", "Non-config recovery", "User-action"},
-		{"Modem-based", "device-side only", "not supported", "timer-based retry", "not supported"},
-		{"OS-based", "device-side only", "not supported", "layer-by-layer retry", "not supported"},
-		{"App-based", "device-side only", "not supported", "transport reconnect", "not supported"},
-		{"Infra-based", "infra-side only", "infra-side updates", "wait for device retry", "notification"},
-		{"SEED", "both sides", "both-side updates", "multi-tier reset", "notification"},
-	}
-	var b strings.Builder
-	b.WriteString("Table 2: comparison of 5G failure diagnosis/handling solutions\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-12s %-18s %-20s %-22s %-14s\n", r[0], r[1], r[2], r[3], r[4])
-	}
-	return b.String()
-}
-
-// table3 prints the live decision table (the SEED applet's handling map).
-func table3() string {
-	rows := [][]string{
-		{"Diagnosis Class", "SEED-U (no root)", "SEED-R (root)"},
-		{"Control-plane causes", "A1 SIM profile reload", "B1 modem reset"},
-		{"Control-plane causes w/ config", "A2+A1 config update & reload", "B2 reattach with update"},
-		{"Data-plane causes", "A1 SIM profile reload", "B3 data-plane reset"},
-		{"Data-plane causes w/ config", "A3 config update", "B3 data-plane modification"},
-		{"Data delivery (app/OS report)", "A3 config update", "B3 reset / modification"},
-	}
-	var b strings.Builder
-	b.WriteString("Table 3: failure handling decisions with diagnosis results\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-32s %-30s %-28s\n", r[0], r[1], r[2])
-	}
-	return b.String()
 }

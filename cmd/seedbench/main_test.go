@@ -62,6 +62,30 @@ func TestCDFWriteErrorFails(t *testing.T) {
 	}
 }
 
+// -cdf writes Figure 2's curves, so a run that does not regenerate Figure 2
+// is refused, with a message that says so, before it runs anything.
+func TestCDFNeedsFigure2(t *testing.T) {
+	stderr, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stderr.Close()
+	saved := os.Stderr
+	os.Stderr = stderr
+	cdf := filepath.Join(t.TempDir(), "cdf.csv")
+	status, out := seedbench(t, "-exp", "table4", "-samples", "5", "-cdf", cdf)
+	os.Stderr = saved
+	if status != 2 || out != "" {
+		t.Errorf("-exp table4 -cdf exited %d and printed %q, want 2 and nothing", status, out)
+	}
+	if msg, _ := os.ReadFile(stderr.Name()); !strings.Contains(string(msg), "figure2") {
+		t.Errorf("-exp table4 -cdf said %q, want a message naming figure2", msg)
+	}
+	if _, err := os.Stat(cdf); !os.IsNotExist(err) {
+		t.Errorf("-exp table4 -cdf left a file: %v", err)
+	}
+}
+
 // Naming one fold alone runs the grid and then the fold, and prints,
 // timing lines aside, the block -exp all prints for it.
 func TestFoldAloneRunsGrid(t *testing.T) {

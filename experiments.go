@@ -21,7 +21,7 @@ func benignDiag() core.DiagMessage {
 
 // This file hosts the experiment runners that regenerate every table and
 // figure of the paper's evaluation (§7). Each returns plain result structs
-// plus a Render method producing the text form cmd/seedbench prints.
+// plus a Render method producing the text form Evaluation prints.
 // EXPERIMENTS.md records paper-vs-measured for each.
 
 // Modes lists the three evaluated schemes in table order.

@@ -309,6 +309,32 @@ func (a *SEEDApplet) markPlaneCause(p cause.Plane) {
 	a.hasPlaneCause = true
 }
 
+// DiagClass is what the applet knows about a failure when it picks a
+// reset: a row of Table 3.
+type DiagClass uint8
+
+// The diagnosis classes, in Table 3's row order.
+const (
+	ClassControl       DiagClass = iota // a control-plane cause
+	ClassControlConfig                  // a control-plane cause with an updated config
+	ClassData                           // a data-plane cause
+	ClassDataConfig                     // a data-plane cause with an updated config
+	ClassDelivery                       // an app/OS data-delivery report
+)
+
+// Decide is Table 3: the reset the applet executes for a failure of class
+// c, without root (ModeU) or with it (ModeR). The applet decides through
+// it and nothing else, so the printed table is the one the applet runs.
+func Decide(c DiagClass, m Mode) ActionID {
+	return [...][2]ActionID{ // {SEED-U, SEED-R}
+		ClassControl:       {ActionA1, ActionB1},
+		ClassControlConfig: {ActionA2, ActionB2},
+		ClassData:          {ActionA1, ActionB3},
+		ClassDataConfig:    {ActionA3, ActionB3},
+		ClassDelivery:      {ActionA3, ActionB3},
+	}[c][m-ModeU]
+}
+
 // scheduleCPlane arms the 2 s wait before a control-plane/hardware reset;
 // a recovery signal in the window cancels it.
 func (a *SEEDApplet) scheduleCPlane(m DiagMessage) {
@@ -319,26 +345,21 @@ func (a *SEEDApplet) scheduleCPlane(m DiagMessage) {
 			a.trace(DecisionEvent{Stage: StageCongestionSkip, Plane: m.Plane, Code: m.Code, Kind: m.Kind, Seq: -1})
 			return
 		}
+		class := ClassControl
 		if m.Kind == DiagCauseConfig {
 			a.applyCPlaneConfig(m.ConfigKind, m.Config)
-			if a.effectiveMode() == ModeR {
-				// B2 "reattachment with update": refresh the modem's
-				// cached config from the just-written EFs, then reattach.
-				a.card.QueueProactive(sim.ProactiveCommand{
-					Type: sim.ProactiveRefresh, Mode: sim.RefreshFileChange,
-					Files: []sim.FileID{sim.EFPLMNSel, sim.EFRATMode, sim.EFSNSSAI, sim.EFDNN},
-				})
-				a.execute(ActionB2)
-			} else {
-				a.execute(ActionA2)
-			}
-			return
+			class = ClassControlConfig
 		}
-		if a.effectiveMode() == ModeR {
-			a.execute(ActionB1)
-		} else {
-			a.execute(ActionA1)
+		act := Decide(class, a.effectiveMode())
+		if act == ActionB2 {
+			// B2 "reattachment with update": refresh the modem's cached
+			// config from the just-written EFs, then reattach.
+			a.card.QueueProactive(sim.ProactiveCommand{
+				Type: sim.ProactiveRefresh, Mode: sim.RefreshFileChange,
+				Files: []sim.FileID{sim.EFPLMNSel, sim.EFRATMode, sim.EFSNSSAI, sim.EFDNN},
+			})
 		}
+		a.execute(act)
 	})
 }
 
@@ -363,6 +384,7 @@ func (a *SEEDApplet) handleDPlaneCause(m DiagMessage) {
 		a.trace(DecisionEvent{Stage: StageCongestionSkip, Plane: m.Plane, Code: m.Code, Kind: m.Kind, Seq: -1})
 		return
 	}
+	class := ClassData
 	if m.Kind == DiagCauseConfig {
 		// Store the refreshed config (DNN into its EF) and apply it via
 		// the carrier app, then re-establish / modify.
@@ -370,19 +392,9 @@ func (a *SEEDApplet) handleDPlaneCause(m DiagMessage) {
 			_ = a.card.FS().Write(sim.EFDNN, m.Config)
 		}
 		a.device.UpdateDataConfig(m.ConfigKind, m.Config)
-		if a.effectiveMode() == ModeR {
-			a.execute(ActionB3)
-		} else {
-			a.execute(ActionA3)
-		}
-		return
+		class = ClassDataConfig
 	}
-	// Non-config data-plane cause: reload (U) or fast reset (R).
-	if a.effectiveMode() == ModeR {
-		a.execute(ActionB3)
-	} else {
-		a.execute(ActionA1)
-	}
+	a.execute(Decide(class, a.effectiveMode()))
 }
 
 // --- carrier-app envelope channel ---------------------------------------
@@ -442,12 +454,8 @@ func (a *SEEDApplet) handleDeliveryReport(r report.FailureReport) {
 		a.stats.ReportsSent++
 		a.device.SendUplinkReport(FragmentDNN(sealed))
 	}
-	// Local reset in parallel: A3 cycle without root, B3 with.
-	if a.effectiveMode() == ModeR {
-		a.execute(ActionB3)
-	} else {
-		a.execute(ActionA3)
-	}
+	// Local reset in parallel.
+	a.execute(Decide(ClassDelivery, a.effectiveMode()))
 }
 
 // --- action execution ----------------------------------------------------
@@ -459,11 +467,7 @@ func (a *SEEDApplet) handleDeliveryReport(r report.FailureReport) {
 func (a *SEEDApplet) execute(action ActionID) {
 	if a.cfg.NaiveFullReset && a.trial == nil {
 		// Ablation: collapse every decision to the hardware tier.
-		if a.effectiveMode() == ModeR {
-			action = ActionB1
-		} else {
-			action = ActionA1
-		}
+		action = ActionB1.ForMode(a.effectiveMode())
 	}
 	seq := a.decisionSeq
 	a.decisionSeq++

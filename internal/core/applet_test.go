@@ -316,3 +316,65 @@ func TestAppletResourceFootprint(t *testing.T) {
 		t.Fatal("card RAM accounting mismatch")
 	}
 }
+
+// Every diagnosis class, driven through the applet without root, with
+// root and on the rootless proactive-AT path, executes exactly the reset
+// Decide names for it, and Decide names the reset the paper's Table 3
+// gives.
+func TestDecideIsTable3(t *testing.T) {
+	classes := []struct {
+		name    string
+		class   DiagClass
+		u, r    ActionID // the paper's Table 3
+		failure func(t *testing.T, h *appletHarness)
+	}{
+		{"control", ClassControl, ActionA1, ActionB1, func(t *testing.T, h *appletHarness) {
+			h.deliver(t, DiagMessage{Kind: DiagCause, Plane: cause.ControlPlane, Code: cause.MMPLMNNotAllowed})
+		}},
+		{"control with config", ClassControlConfig, ActionA2, ActionB2, func(t *testing.T, h *appletHarness) {
+			h.deliver(t, DiagMessage{Kind: DiagCauseConfig, Plane: cause.ControlPlane,
+				Code: cause.MMNoNetworkSlicesAvailable, ConfigKind: cause.ConfigSNSSAI, Config: []byte{2, 0, 0, 0}})
+		}},
+		{"data", ClassData, ActionA1, ActionB3, func(t *testing.T, h *appletHarness) {
+			h.deliver(t, DiagMessage{Kind: DiagCause, Plane: cause.DataPlane, Code: cause.SMNetworkFailure})
+		}},
+		{"data with config", ClassDataConfig, ActionA3, ActionB3, func(t *testing.T, h *appletHarness) {
+			h.deliver(t, DiagMessage{Kind: DiagCauseConfig, Plane: cause.DataPlane,
+				Code: cause.SMMissingOrUnknownDNN, ConfigKind: cause.ConfigDNN, Config: []byte("internet2")})
+		}},
+		{"delivery report", ClassDelivery, ActionA3, ActionB3, func(t *testing.T, h *appletHarness) {
+			rep := report.FailureReport{Type: report.FailTCP, Direction: report.DirBoth, Port: 443}
+			if _, err := h.applet.HandleEnvelope(append([]byte{envAppReport}, rep.Marshal()...)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	modes := []struct {
+		name              string
+		root, proactiveAT bool
+	}{{"SEED-U", false, false}, {"SEED-R", true, false}, {"SEED-U proactive AT", false, true}}
+	for _, c := range classes {
+		for _, m := range modes {
+			t.Run(c.name+"/"+m.name, func(t *testing.T) {
+				mode, want := ModeU, c.u
+				if m.root || m.proactiveAT {
+					mode, want = ModeR, c.r
+				}
+				if got := Decide(c.class, mode); got != want {
+					t.Fatalf("Decide(%s, %s) = %s, Table 3 says %s", c.name, mode, got, want)
+				}
+				cfg := DefaultAppletConfig()
+				cfg.UseProactiveAT = m.proactiveAT
+				h := newAppletHarness(t, cfg)
+				if m.root {
+					h.applet.HandleEnvelope([]byte{envEnableRoot})
+				}
+				c.failure(t, h)
+				h.k.RunFor(3 * time.Second) // past the 2 s control-plane wait
+				if got := h.applet.Stats().Actions; len(got) != 1 || got[want] != 1 {
+					t.Errorf("applet executed %v, want %s once", got, want)
+				}
+			})
+		}
+	}
+}

@@ -1,53 +1,59 @@
-package seed_test
+package seed
 
-// Determinism tests for the parallel scenario runner: every experiment
-// that takes a pool must produce byte-identical results at -parallel=1,
-// -parallel=4 and -parallel=GOMAXPROCS for the same root seed (figure11b,
-// figure12 and learning are one sequential cell each and take none).
-// Sample counts are kept small; identity — not statistical shape — is
-// what's under test.
+// Determinism of the parallel scenario runner: the whole evaluation, what
+// seedbench -exp all runs, gives the same value at 1, 4 and GOMAXPROCS
+// workers for the same root seed. Every result field is compared, the
+// grid cell by cell (every case, mode, seed and result, the actions,
+// reboots and delivery handling no fold prints included), so a step added
+// to the evaluation is under this test without editing it.
 
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
-	seed "github.com/seed5g/seed"
 	"github.com/seed5g/seed/internal/runner"
 )
 
 func TestExperimentsParallelDeterminism(t *testing.T) {
-	ds := seed.GenerateDataset(1)
-	experiments := []struct {
-		name string
-		run  func(p *runner.Pool) any
-	}{
-		// The whole grid, cell by cell: every case, mode, seed and result,
-		// the actions, reboots and delivery handling no fold prints included.
-		{"grid", func(p *runner.Pool) any { return seed.ReplayDatasetGrid(p, ds, 10, 7) }},
-		{"table4", func(p *runner.Pool) any { return seed.ReplayDatasetGrid(p, ds, 8, 7).Table4() }},
-		{"figure2", func(p *runner.Pool) any { return seed.ReplayDatasetGrid(p, ds, 10, 7).Figure2() }},
-		{"figure3", func(p *runner.Pool) any { return seed.ExperimentFigure3(p, 3, 7) }},
-		{"table5", func(p *runner.Pool) any { return seed.ExperimentTable5(p, 1, 7) }},
-		{"figure11a", func(p *runner.Pool) any { return seed.ExperimentFigure11a(p, 7) }},
-		{"figure13", func(p *runner.Pool) any { return seed.ExperimentFigure13(p, 7) }},
-		{"coverage", func(p *runner.Pool) any { return seed.ReplayDatasetGrid(p, ds, 15, 7).Coverage() }},
-		{"causes", func(p *runner.Pool) any { return seed.ReplayDatasetGrid(p, ds, 30, 7).Causes() }},
-		{"mobility", func(p *runner.Pool) any { return seed.ExperimentMobility(p, 8, 7) }},
+	samples := 100
+	if raceEnabled {
+		samples = 30
 	}
 	levels := []int{1, 4, runtime.GOMAXPROCS(0)}
-	for _, e := range experiments {
-		t.Run(e.name, func(t *testing.T) {
-			var ref any
-			for li, lvl := range levels {
-				got := e.run(runner.New(lvl))
-				if li == 0 {
-					ref = got
-					continue
-				}
-				if !reflect.DeepEqual(ref, got) {
-					t.Errorf("parallel=%d result differs from parallel=%d:\n%+v\nvs\n%+v",
-						lvl, levels[0], got, ref)
+	roots := []int64{1, 2, 3}
+	steps, err := (&Evaluation{}).Select("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	evals := make([][]Evaluation, len(roots)) // [root][level]
+	for ri, root := range roots {
+		for _, lvl := range levels {
+			ev := Evaluation{Seed: root, Samples: samples}
+			pool := runner.New(lvl)
+			for _, s := range steps {
+				ev.Run(pool, s)
+			}
+			evals[ri] = append(evals[ri], ev)
+			if !reflect.DeepEqual(ev, evals[ri][0]) {
+				t.Errorf("seed %d: the evaluation at parallel=%d differs from parallel=%d", root, lvl, levels[0])
+			}
+		}
+	}
+	// Name what differs: one subtest per step that fills a result field.
+	for _, step := range steps {
+		field, ok := reflect.TypeOf(Evaluation{}).FieldByNameFunc(func(name string) bool { return strings.EqualFold(name, step) })
+		if !ok {
+			continue // a table that only formats
+		}
+		t.Run(step, func(t *testing.T) {
+			for ri, root := range roots {
+				ref := reflect.ValueOf(evals[ri][0]).FieldByIndex(field.Index).Interface()
+				for li, lvl := range levels[1:] {
+					if got := reflect.ValueOf(evals[ri][li+1]).FieldByIndex(field.Index).Interface(); !reflect.DeepEqual(got, ref) {
+						t.Errorf("seed %d: parallel=%d result differs from parallel=%d:\n%+v\nvs\n%+v", root, lvl, levels[0], got, ref)
+					}
 				}
 			}
 		})

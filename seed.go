@@ -21,8 +21,9 @@
 //	tb.SimulateMobility(dev)           // ...that manifests on mobility
 //	tb.Advance(time.Minute)            // SEED diagnoses and recovers
 //
-// The Experiment functions regenerate every table and figure of the
-// paper's evaluation section; see EXPERIMENTS.md for the index.
+// Evaluation regenerates every table and figure of the paper's evaluation
+// section through the Experiment functions; see EXPERIMENTS.md for the
+// index.
 package seed
 
 import (
