@@ -10,12 +10,16 @@
 //
 // The evaluation is seed.Evaluation: its steps, their order and their run
 // parameters are defined there, and -exp names one (-h lists them; naming
-// a fold of the dataset grid runs the grid first). Scenario cells fan
-// across -parallel workers (default GOMAXPROCS) with identical results at
-// any count. Each step runs -reps times; its "[… regenerated in …]" line
-// and its -json record ("-" for stdout) carry its fastest run's wall time
-// and what the collector did (expTiming). -json adds the per-cause
-// breakdown and each prototype family's boots and restores (benchReport).
+// a fold of the dataset grid runs the grid first). The selected steps run
+// side by side, and their scenario cells fan out, on one budget of
+// -parallel workers in total (default GOMAXPROCS), with identical results
+// at any count (seed.Evaluation.RunAll). Each step's text and its
+// "[… regenerated in …]" line print in the steps' order once it and every
+// step before it are done. The selection runs -reps times; a step's line
+// and its -json record ("-" for stdout) carry its fastest span's wall time
+// and what the collector did (expTiming). -json adds the elapsed wall of
+// the fastest repetition, the per-cause breakdown and each prototype
+// family's boots and restores (benchReport).
 // -cdf writes Figure 2's curves as CSV, so it needs figure2 among the
 // steps. -cpuprofile and -memprofile write pprof profiles of the whole run
 // (the profiling workflow in EXPERIMENTS.md).
@@ -40,37 +44,32 @@ import (
 
 // expTiming is one experiment's machine-readable record.
 type expTiming struct {
-	Name   string  `json:"name"`
+	Name string `json:"name"`
+	// WallMS is the experiment's fastest span, start to end of its own
+	// run. At -parallel > 1 the experiments run side by side, so spans
+	// overlap and their sum exceeds the run's elapsed wall.
 	WallMS float64 `json:"wall_ms"`
 	// Runs is how many times the experiment executed in this invocation:
 	// -reps.
 	Runs int `json:"runs"`
 	// Cells is how many scenario cells the grid replayed.
 	Cells int `json:"cells,omitempty"`
-	// GCCycles and AllocMB say what the collector did during one run of
-	// the experiment (means over the runs, runtime/metrics deltas around
-	// them): a time short of what the worker count promises beside a high
-	// cycle count is the collector, not the runner.
+	// GCCycles and AllocMB say what the collector did during the
+	// experiment's span (means over the runs, runtime/metrics deltas
+	// around it, process-wide, so overlapping spans share them): a time
+	// short of what the worker count promises beside a high cycle count is
+	// the collector, not the runner.
 	GCCycles float64 `json:"gc_cycles"`
 	AllocMB  float64 `json:"alloc_mb"`
-	// LiveMB is the heap the latest collection found live, read after the
-	// experiment's last run: what each cycle's mark phase walks.
+	// LiveMB is the heap the latest collection found live, read when the
+	// experiment's last run is reported: what each cycle's mark phase
+	// walks.
 	LiveMB float64 `json:"live_mb"`
 }
 
 // line is the "[… regenerated in …]" line printed under the experiment.
 func (t expTiming) line() string {
 	return fmt.Sprintf("  [%s regenerated in %.0fms; gc %.1f cycles %.1f MB; live %.1f MB]\n", t.Name, t.WallMS, t.GCCycles, t.AllocMB, t.LiveMB)
-}
-
-// gcCounters reads the collector's two running totals: completed cycles
-// and bytes allocated.
-type gcCounters struct{ cycles, bytes float64 }
-
-func readGC() gcCounters {
-	s := [2]rtmetrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}, {Name: "/gc/heap/allocs:bytes"}}
-	rtmetrics.Read(s[:])
-	return gcCounters{float64(s[0].Value.Uint64()), float64(s[1].Value.Uint64())}
 }
 
 // liveMB reads the heap the latest collection marked live, in MB.
@@ -90,7 +89,9 @@ type benchReport struct {
 	GOMAXPROCS  int         `json:"gomaxprocs"`
 	NumCPU      int         `json:"num_cpu"`
 	Experiments []expTiming `json:"experiments"`
-	TotalWallMS float64     `json:"total_wall_ms"`
+	// TotalWallMS is the elapsed wall of the selection, its fastest
+	// repetition, printing included.
+	TotalWallMS float64 `json:"total_wall_ms"`
 	// Causes is the structured per-cause breakdown (present when the
 	// causes experiment ran): disruption percentiles and executed reset
 	// actions per (cause, scheme), priced by the shared cost model the
@@ -114,7 +115,7 @@ func run() int {
 	samples := flag.Int("samples", 100, "replayed failure cases per class for the dataset-driven experiments")
 	seedVal := flag.Int64("seed", 1, "simulation seed")
 	parallel := flag.Int("parallel", 0, "scenario worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
-	reps := flag.Int("reps", 1, "run each experiment this many times and record the fastest run")
+	reps := flag.Int("reps", 1, "run the selection this many times and record each experiment's fastest run")
 	jsonOut := flag.String("json", "", "write machine-readable results and timings to this file (- for stdout)")
 	cdfOut := flag.String("cdf", "", "also write the Figure 2 CDFs as CSV to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
@@ -178,20 +179,34 @@ func run() int {
 	// joins the previous row's (or opens the run), and stdout without the
 	// timing lines is what it would be without the grid.
 	blank := ""
-	for _, name := range steps {
-		t := expTiming{Name: name}
-		cells := ev.Grid.Cells()
-		out := timeRuns(&t, *reps, func() string { return ev.Run(pool, name) })
-		// Only the grid step replays the grid, so only its record counts cells.
-		t.Cells = ev.Grid.Cells() - cells
-		t.LiveMB = liveMB()
-		if out != "" {
-			fmt.Print(blank, out)
-			blank = "\n"
+	report.Experiments = make([]expTiming, len(steps))
+	for r := 0; r < *reps; r++ {
+		i := 0
+		start := time.Now()
+		ev.RunAll(pool, steps, func(run seed.StepRun) {
+			t := &report.Experiments[i]
+			i++
+			if ms := millis(run.End.Sub(run.Start)); r == 0 || ms < t.WallMS {
+				t.WallMS = ms
+			}
+			t.GCCycles += float64(run.GCCycles) / float64(*reps)
+			t.AllocMB += float64(run.AllocBytes) / float64(*reps) / 1e6
+			if r < *reps-1 {
+				return
+			}
+			t.Name, t.Runs, t.LiveMB = run.Name, *reps, liveMB()
+			if run.Name == "grid" {
+				t.Cells = ev.Grid.Cells() // done, and no later step writes it
+			}
+			if run.Text != "" {
+				fmt.Print(blank, run.Text)
+				blank = "\n"
+			}
+			fmt.Print(t.line())
+		})
+		if ms := millis(time.Since(start)); r == 0 || ms < report.TotalWallMS {
+			report.TotalWallMS = ms
 		}
-		fmt.Print(t.line())
-		report.TotalWallMS += t.WallMS
-		report.Experiments = append(report.Experiments, t)
 	}
 	fmt.Print(blank)
 
@@ -215,28 +230,8 @@ func run() int {
 	return status
 }
 
-func msSince(start time.Time) float64 {
-	return float64(time.Since(start)) / float64(time.Millisecond)
-}
-
-// timeRuns runs fn reps times and records its fastest wall-clock time in
-// t: experiments are deterministic, so every run produces the same output
-// and the minimum is the least-noisy timing estimate.
-func timeRuns(t *expTiming, reps int, fn func() string) string {
-	var out string
-	gc0 := readGC()
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		o := fn()
-		if ms := msSince(start); r == 0 || ms < t.WallMS {
-			out, t.WallMS = o, ms
-		}
-	}
-	gc := readGC()
-	t.GCCycles = (gc.cycles - gc0.cycles) / float64(reps)
-	t.AllocMB = (gc.bytes - gc0.bytes) / float64(reps) / 1e6
-	t.Runs = reps
-	return out
+func millis(d time.Duration) float64 {
+	return float64(d) / float64(time.Millisecond)
 }
 
 // writeJSON dumps the report ("-" selects stdout).

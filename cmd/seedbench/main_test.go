@@ -114,6 +114,11 @@ func TestFoldAloneRunsGrid(t *testing.T) {
 	}
 }
 
+// printSlackMS bounds what an -exp all run's elapsed wall spends outside
+// every row's span: generating the dataset before the first step, and
+// printing.
+const printSlackMS = 100
+
 // -exp all does each piece of work once, at any -parallel: every
 // management cell is replayed once (238 bare/cold restores at seed 1, 30
 // samples: the grid's 180, mobility's 48, ten for Figures 11a, 11b, 12 and
@@ -194,7 +199,7 @@ func TestAllRunsEachPieceOnce(t *testing.T) {
 		if len(report.Experiments) != 16 {
 			t.Fatalf("%d experiment records, want the 15 experiments and the grid", len(report.Experiments))
 		}
-		wall := 0.0
+		sum, largest := 0.0, 0.0
 		for _, e := range report.Experiments {
 			name := e["name"].(string)
 			for key := range e {
@@ -211,10 +216,14 @@ func TestAllRunsEachPieceOnce(t *testing.T) {
 			if cells, has := e["cells"]; has != (name == "grid") || has && cells.(float64) != float64(gridCells) {
 				t.Errorf("%s: cells %v", name, cells)
 			}
-			wall += e["wall_ms"].(float64)
+			wall := e["wall_ms"].(float64)
+			sum, largest = sum+wall, max(largest, wall)
 		}
-		if d := report.TotalWallMS/wall - 1; d < -1e-9 || d > 1e-9 {
-			t.Errorf("total_wall_ms = %v, want the rows' sum %v", report.TotalWallMS, wall)
+		// The rows are spans, and at -parallel 2 they overlap: the elapsed
+		// wall covers the longest one and, the dataset's generation and the
+		// printing aside, no more than all of them end to end.
+		if report.TotalWallMS < largest || report.TotalWallMS > sum+printSlackMS {
+			t.Errorf("-parallel %s: total_wall_ms = %v, want at least the largest row %v and at most the rows' sum %v + %v", parallel, report.TotalWallMS, largest, sum, printSlackMS)
 		}
 	}
 }

@@ -2,8 +2,10 @@ package seed
 
 import (
 	"fmt"
+	rtmetrics "runtime/metrics"
 	"slices"
 	"strings"
+	"time"
 
 	"github.com/seed5g/seed/internal/core"
 	"github.com/seed5g/seed/internal/runner"
@@ -12,8 +14,8 @@ import (
 // Evaluation is the paper's §7 evaluation as a value: the root seed, the
 // cases per failure class, and a field per result its steps fill. The
 // steps and their run parameters are defined here and nowhere else.
-// seedbench times the steps one by one; running every step Select("all")
-// returns fills the whole value.
+// RunAll runs a selection of steps as a graph on one worker budget;
+// running every step Select("all") returns fills the whole value.
 type Evaluation struct {
 	Seed    int64
 	Samples int
@@ -106,17 +108,55 @@ func (e *Evaluation) Select(name string) ([]string, error) {
 	return steps, nil
 }
 
-// Run runs a step Select returned on p, filling its result field; the step
-// it needs must have run. It returns the step's text ("" for the grid).
-func (e *Evaluation) Run(p *runner.Pool, name string) string {
-	s := evalSteps[slices.IndexFunc(evalSteps, func(s evalStep) bool { return s.name == name })]
-	if s.run != nil {
-		s.run(e, p)
+// StepRun is what RunAll reports of one step.
+type StepRun struct {
+	Name string
+	Text string // what the step prints; "" for the grid
+	// Start and End bound the step's run and render. Steps run side by
+	// side at more than one worker, so their spans overlap.
+	Start, End time.Time
+	// GCCycles and AllocBytes are what the collector counted over the
+	// span, process-wide: steps whose spans overlap share the counts.
+	GCCycles, AllocBytes uint64
+}
+
+// RunAll runs the steps Select returned on p's workers, filling their
+// result fields: each step is a task started once the step it needs is
+// done (runner.Run), so steps run side by side on the one budget p's
+// worker count sets, and in the order given at one worker. emit is called
+// for every step, in the order given, once it and every step before it
+// are done. The dataset the grid and Table 1 read is generated first.
+func (e *Evaluation) RunAll(p *runner.Pool, steps []string, emit func(StepRun)) {
+	e.data()
+	runs := make([]StepRun, len(steps))
+	tasks := make([]runner.Task, len(steps))
+	for i, name := range steps {
+		s := evalSteps[slices.IndexFunc(evalSteps, func(s evalStep) bool { return s.name == name })]
+		tasks[i] = runner.Task{Needs: slices.Index(steps, s.needs), Do: func(p *runner.Pool) {
+			r := &runs[i]
+			r.Name = name
+			cycles0, bytes0 := readGC()
+			r.Start = time.Now()
+			if s.run != nil {
+				s.run(e, p)
+			}
+			if s.render != nil {
+				r.Text = s.render(e)
+			}
+			r.End = time.Now()
+			cycles, bytes := readGC()
+			r.GCCycles, r.AllocBytes = cycles-cycles0, bytes-bytes0
+		}}
 	}
-	if s.render == nil {
-		return ""
-	}
-	return s.render(e)
+	runner.Run(p, tasks, func(i int) { emit(runs[i]) })
+}
+
+// readGC reads the collector's running totals: completed cycles and bytes
+// allocated.
+func readGC() (cycles, bytes uint64) {
+	s := [2]rtmetrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}, {Name: "/gc/heap/allocs:bytes"}}
+	rtmetrics.Read(s[:])
+	return s[0].Value.Uint64(), s[1].Value.Uint64()
 }
 
 // renderTable prints a titled text table, each column padded to its width.

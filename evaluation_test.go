@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	seed "github.com/seed5g/seed"
+	"github.com/seed5g/seed/internal/runner"
 )
 
 // table3 is the paper's Table 3 as seedbench printed it when it was a
@@ -19,7 +20,9 @@ const table3 = "Table 3: failure handling decisions with diagnosis results\n" +
 
 func TestTable3RendersDecide(t *testing.T) {
 	var ev seed.Evaluation
-	if got := ev.Run(nil, "table3"); got != table3 {
+	var got string
+	ev.RunAll(runner.New(1), []string{"table3"}, func(r seed.StepRun) { got = r.Text })
+	if got != table3 {
 		t.Errorf("Table 3 renders\n%s\nwant\n%s", got, table3)
 	}
 }

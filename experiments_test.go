@@ -332,21 +332,3 @@ func TestEachManagementCellOnce(t *testing.T) {
 		t.Errorf("the four folds restored %d prototypes, want none", all2-all1)
 	}
 }
-
-// seedbench runs every experiment once, so nothing there compares two runs
-// of one: a second run of an experiment that takes no pool, in the same
-// process, on prototypes the first one dirtied, gives the same result
-// (TestExperimentsParallelDeterminism does the same for those that take one).
-func TestPoollessExperimentsRepeat(t *testing.T) {
-	for _, root := range []int64{1, 2, 3} {
-		if a, b := seed.ExperimentLearning(6, 4, 10, root), seed.ExperimentLearning(6, 4, 10, root); a != b {
-			t.Errorf("seed %d: learning %+v, then %+v", root, a, b)
-		}
-		if a, b := seed.ExperimentFigure11b(root), seed.ExperimentFigure11b(root); !reflect.DeepEqual(a, b) {
-			t.Errorf("seed %d: figure11b %+v, then %+v", root, a, b)
-		}
-		if a, b := seed.ExperimentFigure12(20, root), seed.ExperimentFigure12(20, root); a != b {
-			t.Errorf("seed %d: figure12 %+v, then %+v", root, a, b)
-		}
-	}
-}

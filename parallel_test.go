@@ -1,8 +1,9 @@
 package seed
 
 // Determinism of the parallel scenario runner: the whole evaluation, what
-// seedbench -exp all runs, gives the same value at 1, 4 and GOMAXPROCS
-// workers for the same root seed. Every result field is compared, the
+// seedbench -exp all runs and through the call it makes (RunAll, its steps
+// side by side on one worker budget), gives the same value at 1, 4 and
+// GOMAXPROCS workers for the same root seed. Every result field is compared, the
 // grid cell by cell (every case, mode, seed and result, the actions,
 // reboots and delivery handling no fold prints included), so a step added
 // to the evaluation is under this test without editing it.
@@ -31,10 +32,7 @@ func TestExperimentsParallelDeterminism(t *testing.T) {
 	for ri, root := range roots {
 		for _, lvl := range levels {
 			ev := Evaluation{Seed: root, Samples: samples}
-			pool := runner.New(lvl)
-			for _, s := range steps {
-				ev.Run(pool, s)
-			}
+			ev.RunAll(runner.New(lvl), steps, func(StepRun) {})
 			evals[ri] = append(evals[ri], ev)
 			if !reflect.DeepEqual(ev, evals[ri][0]) {
 				t.Errorf("seed %d: the evaluation at parallel=%d differs from parallel=%d", root, lvl, levels[0])
