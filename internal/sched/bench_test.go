@@ -66,9 +66,39 @@ func BenchmarkDeepHeapChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkStepChain has the simulator's shape: a dozen far-future timers
+// stay pending (a delivery cell's queue holds 8–15 events) while each
+// fired callback schedules the next hop, and every fourth one also arms a
+// request timeout and stops the previous one. Most Steps fire an event
+// whose callback's first scheduling takes its slot.
+func BenchmarkStepChain(b *testing.B) {
+	k := New(1)
+	fn := func() {}
+	for i := 0; i < 12; i++ {
+		k.After(time.Duration(i+1)*time.Hour, fn)
+	}
+	var timeout Timer
+	n := 0
+	var hop func()
+	hop = func() {
+		k.After(time.Microsecond, hop)
+		if n++; n%4 == 0 {
+			timeout.Stop()
+			timeout = k.After(time.Second, fn)
+		}
+	}
+	k.After(time.Microsecond, hop)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Step()
+	}
+}
+
 // TestKernelHotPathAllocs is the allocation regression guard for the
-// event kernel: the steady-state schedule→fire and arm→stop cycles must
-// stay allocation-free, or the pooling has regressed.
+// event kernel: the steady-state schedule→fire and arm→stop cycles, and a
+// callback scheduling its successor into its own fired slot, must stay
+// allocation-free, or the pooling has regressed.
 func TestKernelHotPathAllocs(t *testing.T) {
 	k := New(1)
 	fn := func() {}
@@ -97,6 +127,23 @@ func TestKernelHotPathAllocs(t *testing.T) {
 		k.Step()
 	}); avg != 0 {
 		t.Errorf("AtArg schedule+fire cycle allocates %v objects/op, want 0", avg)
+	}
+
+	// Chains: each Step fires a callback that schedules the next link.
+	var next func()
+	next = func() { k.After(time.Millisecond, next) }
+	k.After(time.Millisecond, next)
+	k.Step()
+	if avg := testing.AllocsPerRun(1000, func() { k.Step() }); avg != 0 {
+		t.Errorf("callback scheduling its successor allocates %v objects/op, want 0", avg)
+	}
+	ka := New(1)
+	var nextArg func(any)
+	nextArg = func(a any) { ka.AfterArg(time.Millisecond, nextArg, a) }
+	ka.AfterArg(time.Millisecond, nextArg, arg)
+	ka.Step()
+	if avg := testing.AllocsPerRun(1000, func() { ka.Step() }); avg != 0 {
+		t.Errorf("AfterArg callback scheduling its successor allocates %v objects/op, want 0", avg)
 	}
 }
 

@@ -1,12 +1,12 @@
 package sched
 
-// eventHeap is the kernel's future-event set: a 4-ary min-heap over
+// eventHeap is the kernel's future-event set: a binary min-heap over
 // pooled events ordered by (at, seq). seq is unique per scheduling, so the
 // order is total and the pop sequence — hence every trace — is the same
-// for any heap shape. Four children per node halve the tree depth against
-// a binary heap: a push (the common operation; most timers are re-armed
-// far more often than they fire) compares against half as many parents,
-// and the four children a pop inspects share a cache line of pointers.
+// for any heap shape. Most schedules do not push: Kernel.Step leaves the
+// fired event's slot at the root, and the callback's first scheduling
+// takes it (replace, one sift down), so the mix is sift-down-heavy, and
+// two children per node cost two compares per level where four cost four.
 // The sift loops are written out against the concrete type, so ordering
 // costs two field compares rather than calls through heap.Interface.
 //
@@ -32,6 +32,14 @@ func (h *eventHeap) push(ev *event) {
 	h.up(len(*h) - 1)
 }
 
+// replace puts ev in slot 0 in place of the event there, which leaves the
+// heap: one sift down where a remove(0) and a push would sift twice.
+func (h eventHeap) replace(ev *event) {
+	h[0].idx = -1
+	h[0] = ev
+	h.down(0)
+}
+
 // remove takes the event in slot i out of the heap and returns it; slot 0
 // holds the earliest event.
 func (h *eventHeap) remove(i int) *event {
@@ -51,7 +59,7 @@ func (h *eventHeap) remove(i int) *event {
 
 // fix restores the invariant after the key of the event in slot i changed.
 func (h eventHeap) fix(i int) {
-	if i > 0 && before(h[i], h[(i-1)/4]) {
+	if i > 0 && before(h[i], h[(i-1)/2]) {
 		h.up(i)
 	} else {
 		h.down(i)
@@ -63,7 +71,7 @@ func (h eventHeap) init() {
 	for i, ev := range h {
 		ev.idx = int32(i)
 	}
-	for i := (len(h) - 2) / 4; i >= 0 && len(h) > 1; i-- {
+	for i := len(h)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}
 }
@@ -73,7 +81,7 @@ func (h eventHeap) init() {
 func (h eventHeap) up(i int) {
 	ev := h[i]
 	for i > 0 {
-		parent := (i - 1) / 4
+		parent := (i - 1) / 2
 		p := h[parent]
 		if !before(ev, p) {
 			break
@@ -91,19 +99,13 @@ func (h eventHeap) down(i int) {
 	n := len(h)
 	ev := h[i]
 	for {
-		first := 4*i + 1
-		if first >= n {
+		least := 2*i + 1
+		if least >= n {
 			break
 		}
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		least, m := first, h[first]
-		for c := first + 1; c < end; c++ {
-			if before(h[c], m) {
-				least, m = c, h[c]
-			}
+		m := h[least]
+		if r := least + 1; r < n && before(h[r], m) {
+			least, m = r, h[r]
 		}
 		if !before(m, ev) {
 			break

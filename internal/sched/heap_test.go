@@ -2,22 +2,34 @@ package sched
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"time"
 )
 
 // The kernel's promise is that events fire in (deadline, insertion) order
-// whatever else happens to the queue in between. heapProgram interprets a
-// byte string as a sequence of At / AfterArg / Timer.Stop / RunUntil /
-// Step / Rearm / Snapshot / Restore operations against a kernel and, in
-// lockstep, against a model that is nothing but a list of pending events:
-// every drain must fire exactly the model's pending events up to the
-// horizon, in the order sort.SliceStable by deadline gives the
-// insertion-ordered list. Deadlines come from a 16-value range, so equal
-// deadlines — where only the sequence number orders — are the common case.
-// After every operation the heap's index must be exact: queue[i].idx == i,
-// and the queue holds the model's pending events and nothing else.
+// whatever else happens to the queue in between, callbacks included.
+// heapProgram interprets a byte string as a sequence of At / AfterArg /
+// Timer.Stop / RunUntil / Step / Rearm / Snapshot / Restore / Pending
+// operations against a kernel and, in lockstep, against a model that is
+// nothing but a list of events and their states: every event that fires
+// must be the model's earliest pending one, by deadline and then by
+// insertion, at the clock the model expects. Deadlines come from a
+// 16-value range, so equal deadlines — where only the sequence number
+// orders — are the common case.
+//
+// An event scheduled by the top-level program may carry a body: the up to
+// three operations that follow its own in the program, which its callback
+// runs when it fires (nested bodies run to a bounded depth). So callbacks
+// schedule, stop (the root a first scheduling filled, inner and last
+// slots), re-arm their own timer and others, drain, snapshot and restore,
+// exactly as the top level does. The model drops the fired event before
+// its callback runs.
+//
+// After every operation the heap's index must be exact: queue[i].idx == i
+// over the queue's live events, which are the model's pending events and
+// nothing else. Inside a callback that has scheduled nothing yet, slot 0
+// is the fired event's; outside callbacks it never is, and a callback's
+// first scheduling must take it.
 type heapProgram struct {
 	t *testing.T
 	k *Kernel
@@ -25,19 +37,34 @@ type heapProgram struct {
 	// for (TestRearmEqualsStopAfter runs a program both ways).
 	stopAfter bool
 
+	prog []byte // the top-level program; bodies are slices of it
+	pc   int    // the top-level operation being run
+
 	// One entry per scheduling, in insertion order (index = event id).
 	at      []time.Duration
 	state   []evState
 	handles []Timer
-	fired   []int
-	log     []int // every id fired so far, in order
+	body    [][]byte
+	lo      int           // every id below lo is fired or cancelled
+	now     time.Duration // the clock the kernel must show
+	log     []int         // every id fired so far, in order
 
-	// Heap slots Stop and Rearm found their event in: root, inner, last.
-	slotHits [3]int
+	firing  int // the id whose body is running, -1 at the top level
+	depth   int // bodies running, nested
+	firesAt [maxBodyDepth + 1]int
+
+	// Heap slots Stop and Rearm found their event in: root, inner, last;
+	// at the top level and inside callbacks.
+	slotHits, cbSlotHits [3]int
+	// Schedules that took a fired event's slot.
+	intoRoot int
 
 	logArgFn func(any) // arg: *int, the event id
 	saved    *heapSaved
 }
+
+// maxBodyDepth bounds callbacks running bodies inside callbacks.
+const maxBodyDepth = 3
 
 type evState uint8
 
@@ -49,41 +76,104 @@ const (
 
 type heapSaved struct {
 	ks    *KernelSnapshot
-	n     int
+	n, lo int
+	now   time.Duration
 	state []evState
 }
 
 func newHeapProgram(t *testing.T) *heapProgram {
-	p := &heapProgram{t: t, k: New(1)}
-	p.logArgFn = func(v any) { p.fired = append(p.fired, *v.(*int)) }
+	p := &heapProgram{t: t, k: New(1), firing: -1}
+	p.logArgFn = func(v any) { p.fire(*v.(*int)) }
 	return p
 }
 
-func (p *heapProgram) schedule(d time.Duration, withArg bool) {
-	id := len(p.at)
-	at := p.k.Now() + d
+// fire is every event's callback: the event must be the model's next, at
+// the model's clock, and then runs its body.
+func (p *heapProgram) fire(id int) {
+	p.t.Helper()
+	if want := p.next(); id != want {
+		p.t.Fatalf("event %d (at %v) fired, model expects %d", id, p.at[id], want)
+	}
+	if p.k.Now() != p.at[id] {
+		p.t.Fatalf("event %d fired at %v, its deadline is %v", id, p.k.Now(), p.at[id])
+	}
+	p.state[id] = evFired
+	p.now = p.at[id]
+	p.log = append(p.log, id)
+	p.firesAt[p.depth]++
+	// A body runs once: a Restore does not bring it back, or a body that
+	// restores a snapshot taken before its event fired, then snapshots
+	// again, would fire forever.
+	body := p.body[id]
+	if body == nil || p.depth == maxBodyDepth {
+		return
+	}
+	p.body[id] = nil
+	outer := p.firing
+	p.firing = id
+	p.depth++
+	for pc := 0; pc+1 < len(body); pc += 2 {
+		p.op(body[pc], int(body[pc+1]))
+	}
+	p.depth--
+	p.firing = outer
+}
+
+// next returns the model's earliest pending event, -1 if there is none.
+func (p *heapProgram) next() int {
+	for p.lo < len(p.state) && p.state[p.lo] != evPending {
+		p.lo++
+	}
+	best := -1
+	for id := p.lo; id < len(p.state); id++ {
+		if p.state[id] == evPending && (best < 0 || p.at[id] < p.at[best]) {
+			best = id
+		}
+	}
+	return best
+}
+
+func (p *heapProgram) add(at time.Duration, body []byte) int {
 	p.at = append(p.at, at)
 	p.state = append(p.state, evPending)
+	p.body = append(p.body, body)
+	return len(p.at) - 1
+}
+
+func (p *heapProgram) schedule(d time.Duration, withArg bool, body []byte) {
+	p.t.Helper()
+	id := p.add(p.k.Now()+d, body)
+	took := p.k.fired
 	var tm Timer
 	if withArg {
 		arg := new(int)
 		*arg = id
 		tm = p.k.AfterArg(d, p.logArgFn, arg)
 	} else {
-		tm = p.k.At(at, func() { p.fired = append(p.fired, id) })
+		tm = p.k.At(p.at[id], func() { p.fire(id) })
+	}
+	if took {
+		if p.k.fired {
+			p.t.Fatalf("event %d, a callback's first scheduling, left the fired event's slot in place", id)
+		}
+		p.intoRoot++
 	}
 	p.handles = append(p.handles, tm)
 }
 
 // noteSlot records where in the heap a pending handle's event sits.
 func (p *heapProgram) noteSlot(tm Timer) {
+	hits := &p.slotHits
+	if p.depth > 0 {
+		hits = &p.cbSlotHits
+	}
 	switch i := int(tm.ev.idx); {
 	case i == 0:
-		p.slotHits[0]++
+		hits[0]++
 	case i == len(p.k.queue)-1:
-		p.slotHits[2]++
+		hits[2]++
 	default:
-		p.slotHits[1]++
+		hits[1]++
 	}
 }
 
@@ -114,10 +204,8 @@ func (p *heapProgram) rearm(id int, d time.Duration) {
 			p.state[id] = evCancelled
 		}
 	}
-	next := len(p.at)
-	p.at = append(p.at, p.k.Now()+d)
-	p.state = append(p.state, evPending)
-	fn := func() { p.fired = append(p.fired, next) }
+	next := p.add(p.k.Now()+d, nil)
+	fn := func() { p.fire(next) }
 	var tm Timer
 	if p.stopAfter {
 		old.Stop()
@@ -134,140 +222,164 @@ func (p *heapProgram) rearm(id int, d time.Duration) {
 	p.handles = append(p.handles, tm)
 }
 
-// pendingUpTo returns the ids the model expects a drain to horizon to
-// fire, in firing order.
-func (p *heapProgram) pendingUpTo(horizon time.Duration) []int {
-	var want []int
-	for id, st := range p.state {
-		if st == evPending && p.at[id] <= horizon {
-			want = append(want, id)
-		}
-	}
-	sort.SliceStable(want, func(i, j int) bool { return p.at[want[i]] < p.at[want[j]] })
-	return want
-}
-
-func (p *heapProgram) expectFired(want []int, what string) {
-	p.t.Helper()
-	if len(p.fired) != len(want) {
-		p.t.Fatalf("%s fired %d events %v, model expects %d %v", what, len(p.fired), p.fired, len(want), want)
-	}
-	for i, id := range want {
-		if p.fired[i] != id {
-			p.t.Fatalf("%s: position %d fired event %d (at %v), model expects %d (at %v)",
-				what, i, p.fired[i], p.at[p.fired[i]], id, p.at[id])
-		}
-		p.state[id] = evFired
-	}
-	p.log = append(p.log, p.fired...)
-	p.fired = p.fired[:0]
-}
-
-func (p *heapProgram) checkPending() {
-	p.t.Helper()
+// pending counts the model's pending events.
+func (p *heapProgram) pending() int {
 	n := 0
-	for _, st := range p.state {
+	for _, st := range p.state[p.lo:] {
 		if st == evPending {
 			n++
 		}
 	}
-	if got := p.k.Pending(); got != n || len(p.k.queue) != n {
-		p.t.Fatalf("Pending() = %d over %d queued, model has %d", got, len(p.k.queue), n)
-	}
-	for i, ev := range p.k.queue {
-		if int(ev.idx) != i {
-			p.t.Fatalf("queue[%d].idx = %d", i, ev.idx)
+	return n
+}
+
+// checkQueue holds the index exact over the queue's live events, which
+// must be the model's pending ones, without settling anything first.
+func (p *heapProgram) checkQueue() {
+	p.t.Helper()
+	live := 0
+	if p.k.fired {
+		if p.depth == 0 {
+			p.t.Fatalf("the fired event's slot outlived its callback")
 		}
+		live = 1
+	}
+	if n := p.pending(); len(p.k.queue)-live != n {
+		p.t.Fatalf("%d queued (fired slot held: %v), model has %d pending", len(p.k.queue), p.k.fired, n)
+	}
+	for i, ev := range p.k.queue[live:] {
+		if int(ev.idx) != i+live {
+			p.t.Fatalf("queue[%d].idx = %d", i+live, ev.idx)
+		}
+	}
+	if p.k.Now() != p.now {
+		p.t.Fatalf("clock at %v, model at %v", p.k.Now(), p.now)
 	}
 }
 
 func (p *heapProgram) run(prog []byte) {
-	const maxHorizon = time.Duration(1<<62 - 1)
-	for pc := 0; pc+1 < len(prog); pc += 2 {
-		op, x := prog[pc], int(prog[pc+1])
-		switch op % 10 {
-		case 0, 1, 2:
-			p.schedule(time.Duration(x%16)*time.Millisecond, false)
-		case 3, 4:
-			p.schedule(time.Duration(x%16)*time.Millisecond, true)
-		case 5:
-			if len(p.handles) == 0 {
-				continue
-			}
-			// Recent handles are the pending ones, pushed last and so in
-			// the heap's last slots unless their deadline lifted them.
-			p.stop(len(p.handles) - 1 - x%min(len(p.handles), 64))
-		case 6:
-			if len(p.handles) == 0 {
-				continue
-			}
-			// Anywhere in the history: what is still pending from long
-			// ago has sifted to the root or an inner slot; the rest are
-			// fired, stopped or re-armed handles that must stay inert.
-			p.stop(x * len(p.handles) / 256)
-		case 7:
-			horizon := p.k.Now() + time.Duration(x%8)*time.Millisecond
-			want := p.pendingUpTo(horizon)
-			p.k.RunUntil(horizon)
-			p.expectFired(want, "RunUntil")
-			if p.k.Now() != horizon {
-				p.t.Fatalf("RunUntil left the clock at %v, want %v", p.k.Now(), horizon)
-			}
-		case 8:
-			if x%2 == 0 {
-				// Offset into the recent handles from bits 1-3, new
-				// delay from bits 4-7: earlier and later both happen.
-				id := len(p.handles) - 1 - (x>>1)&7
-				p.rearm(max(id, -1), time.Duration(x>>4)*time.Millisecond)
-				break
-			}
-			want := p.pendingUpTo(maxHorizon)
-			if len(want) > 1 {
-				want = want[:1]
-			}
-			if stepped := p.k.Step(); stepped != (len(want) == 1) {
-				p.t.Fatalf("Step() = %v with %d events pending in the model", stepped, len(want))
-			}
-			p.expectFired(want, "Step")
-		case 9:
-			if p.saved == nil {
-				p.saved = &heapSaved{ks: p.k.Snapshot(), n: len(p.at), state: append([]evState(nil), p.state...)}
-				break
-			}
-			// Everything scheduled since the snapshot drops out; handles
-			// of events pending at the snapshot come back to life.
-			p.k.Restore(p.saved.ks)
-			p.at, p.handles = p.at[:p.saved.n], p.handles[:p.saved.n]
-			p.state = append(p.state[:0], p.saved.state...)
-			p.saved = nil
-		}
-		p.checkPending()
+	p.prog = prog
+	for p.pc = 0; p.pc+1 < len(prog); p.pc += 2 {
+		p.op(prog[p.pc], int(prog[p.pc+1]))
 	}
-	want := p.pendingUpTo(maxHorizon)
 	p.k.Run()
-	p.expectFired(want, "final Run")
-	p.checkPending()
+	if id := p.next(); id >= 0 {
+		p.t.Fatalf("final Run left event %d (at %v) pending", id, p.at[id])
+	}
+	p.checkQueue()
+}
+
+// op runs one operation, at the top level or in a callback.
+func (p *heapProgram) op(op byte, x int) {
+	p.t.Helper()
+	switch op % 10 {
+	case 0, 1, 2, 3, 4:
+		// At the top level bits 4-5 of x give the event a body of that
+		// many of the operations that follow.
+		var body []byte
+		if n := x >> 4 & 3; p.depth == 0 && n > 0 {
+			body = p.prog[p.pc+2 : min(p.pc+2+2*n, len(p.prog))]
+		}
+		p.schedule(time.Duration(x%16)*time.Millisecond, op%10 >= 3, body)
+	case 5:
+		if len(p.handles) == 0 {
+			break
+		}
+		// Recent handles are the pending ones, pushed last and so in
+		// the heap's last slots unless their deadline lifted them.
+		p.stop(len(p.handles) - 1 - x%min(len(p.handles), 64))
+	case 6:
+		if len(p.handles) == 0 {
+			break
+		}
+		// Anywhere in the history: what is still pending from long
+		// ago has sifted to the root or an inner slot; the rest are
+		// fired, stopped or re-armed handles that must stay inert.
+		p.stop(x * len(p.handles) / 256)
+	case 7:
+		horizon := p.k.Now() + time.Duration(x%8)*time.Millisecond
+		p.k.RunUntil(horizon)
+		for id := p.lo; id < len(p.state); id++ {
+			if p.state[id] == evPending && p.at[id] <= horizon {
+				p.t.Fatalf("RunUntil(%v) left event %d (at %v) pending", horizon, id, p.at[id])
+			}
+		}
+		p.now = max(p.now, horizon)
+	case 8:
+		if x%2 == 0 {
+			// Offset into the recent handles from bits 1-3 (7 in a
+			// callback: its own, fired timer), new delay from bits 4-7:
+			// earlier and later both happen.
+			id := len(p.handles) - 1 - (x>>1)&7
+			if (x>>1)&7 == 7 && p.firing >= 0 && p.firing < len(p.handles) {
+				id = p.firing
+			}
+			p.rearm(max(id, -1), time.Duration(x>>4)*time.Millisecond)
+			break
+		}
+		want, n := p.next(), p.firesAt[p.depth]
+		if stepped := p.k.Step(); stepped != (want >= 0) || p.firesAt[p.depth]-n != b2i(stepped) {
+			p.t.Fatalf("Step() = %v, firing %d events, with %d pending in the model", stepped, p.firesAt[p.depth]-n, p.pending())
+		}
+	case 9:
+		if x%4 == 3 {
+			if got, n := p.k.Pending(), p.pending(); got != n {
+				p.t.Fatalf("Pending() = %d, model has %d", got, n)
+			}
+			break
+		}
+		if p.saved == nil {
+			p.saved = &heapSaved{ks: p.k.Snapshot(), n: len(p.at), lo: p.lo, now: p.now, state: append([]evState(nil), p.state...)}
+			break
+		}
+		// Everything scheduled since the snapshot drops out; handles
+		// of events pending at the snapshot come back to life.
+		p.k.Restore(p.saved.ks)
+		n := p.saved.n
+		p.at, p.handles, p.body = p.at[:n], p.handles[:n], p.body[:n]
+		p.state = append(p.state[:0], p.saved.state...)
+		p.lo, p.now = p.saved.lo, p.saved.now
+		p.saved = nil
+	}
+	p.checkQueue()
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestHeapOrderProperty runs seeded random programs of 12 000 operations,
 // which must between them take events out of the root, an inner slot and
-// the last slot of the heap.
+// the last slot of the heap, both at the top level and from callbacks,
+// and schedule into a fired event's slot.
 func TestHeapOrderProperty(t *testing.T) {
-	var hits [3]int
+	var hits, cbHits [3]int
+	intoRoot := 0
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		prog := make([]byte, 2*12000)
 		rng.Read(prog)
 		p := newHeapProgram(t)
 		p.run(prog)
-		for i, n := range p.slotHits {
-			hits[i] += n
+		for i := range hits {
+			hits[i] += p.slotHits[i]
+			cbHits[i] += p.cbSlotHits[i]
 		}
+		intoRoot += p.intoRoot
 	}
 	for i, where := range []string{"root", "an inner slot", "the last slot"} {
 		if hits[i] == 0 {
 			t.Errorf("no Stop or Rearm found its event in %s", where)
 		}
+		if cbHits[i] == 0 {
+			t.Errorf("no Stop or Rearm in a callback found its event in %s", where)
+		}
+	}
+	if intoRoot == 0 {
+		t.Error("no callback scheduled into its fired event's slot")
 	}
 }
 
@@ -335,7 +447,11 @@ func TestRearmHandles(t *testing.T) {
 // the heap disagree with the model; testdata/fuzz/FuzzHeapOrder holds
 // programs for the cases that matter most (all-equal deadlines, a mass
 // cancel, restore over post-snapshot growth, removal of the root and of
-// the last slot, a re-arm to an earlier and to a later deadline).
+// the last slot, a re-arm to an earlier and to a later deadline) and for
+// callbacks: one that schedules nothing, one that schedules an event
+// earlier and one later than every pending one, one that stops the last
+// slot and then schedules, and Pending, Snapshot and Restore called from
+// a callback that holds its fired event's slot.
 func FuzzHeapOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 1<<14 {

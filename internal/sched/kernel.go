@@ -12,12 +12,17 @@
 // The event kernel is the hottest allocation site of the whole simulator
 // (half of all allocations in the experiment suite before pooling), so it
 // recycles event objects through a free list: firing or cancelling an
-// event takes it out of the indexed heap (see heap.go) and returns it to
-// the pool at once, and a later At/After reuses it. Single-threadedness
-// means the pool needs no locks, and a generation counter on each event
-// keeps stale Timer handles from ever touching a recycled slot. For callers whose callbacks would otherwise capture a variable,
-// AtArg/AfterArg carry one argument in the pooled event itself so the
-// callback func can be built once and reused across arms.
+// event returns it to the pool at once, and a later At/After reuses it.
+// Single-threadedness means the pool needs no locks, and a generation
+// counter on each event keeps stale Timer handles from ever touching a
+// recycled slot. A cancelled event leaves the indexed heap (see heap.go)
+// at once; a fired one leaves its slot at the root while its callback
+// runs, and the callback's first scheduling takes that slot (fire in
+// place), so the common step — fire, then schedule the next — costs one
+// sift instead of a pop and a push. For callers whose callbacks would
+// otherwise capture a variable, AtArg/AfterArg carry one argument in the
+// pooled event itself so the callback func can be built once and reused
+// across arms.
 //
 // The package is also the one place seeded random streams come from: a
 // kernel's Rand(), and NewRand for derived streams (seeds from DeriveSeed/
@@ -40,6 +45,10 @@ type Kernel struct {
 	queue   eventHeap
 	seq     uint64
 	stopped bool
+	// fired marks queue[0] as the slot of the event Step is running, already
+	// recycled: the callback's first schedule takes the slot, and settle
+	// removes it if none does.
+	fired bool
 	// observer is the run's one observer, transitions what Observe found on
 	// it for Announce, announced the transition count (see transition.go);
 	// none of them is snapshot state.
@@ -158,7 +167,12 @@ func (k *Kernel) schedule(at time.Duration, fn func(), argFn func(any), arg any)
 	ev.fn = fn
 	ev.argFn = argFn
 	ev.arg = arg
-	k.queue.push(ev)
+	if k.fired {
+		k.fired = false
+		k.queue.replace(ev)
+	} else {
+		k.queue.push(ev)
+	}
 	return Timer{ev: ev, gen: ev.gen}
 }
 
@@ -220,19 +234,33 @@ func (k *Kernel) Rearm(t Timer, d time.Duration, fn func()) Timer {
 // Step executes the next pending event, advancing the clock to its
 // deadline. It reports whether an event was executed.
 func (k *Kernel) Step() bool {
+	k.settle()
 	if len(k.queue) == 0 {
 		return false
 	}
-	ev := k.queue.remove(0)
+	ev := k.queue[0]
 	k.now = ev.at
 	fn, argFn, arg := ev.fn, ev.argFn, ev.arg
 	k.recycle(ev) // safe: handles are inert once the generation bumps
+	// The slot stays at the root, still keyed as the earliest event, so
+	// nothing the callback does sifts past it.
+	k.fired = true
 	if fn != nil {
 		fn()
 	} else {
 		argFn(arg)
 	}
+	k.settle()
 	return true
+}
+
+// settle removes the root slot of a fired event that no scheduling took.
+// Every entry point that reads the queue calls it first.
+func (k *Kernel) settle() {
+	if k.fired {
+		k.fired = false
+		k.queue.remove(0)
+	}
 }
 
 // Run executes events until the queue is empty or Stop is called.
@@ -246,6 +274,7 @@ func (k *Kernel) Run() {
 // exactly t. Events scheduled beyond t remain queued.
 func (k *Kernel) RunUntil(t time.Duration) {
 	k.stopped = false
+	k.settle()
 	for !k.stopped && len(k.queue) > 0 && k.queue[0].at <= t {
 		k.Step()
 	}
@@ -261,8 +290,12 @@ func (k *Kernel) RunFor(d time.Duration) { k.RunUntil(k.now + d) }
 // stay queued and a subsequent Run resumes them.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// Pending returns the number of queued events in O(1).
-func (k *Kernel) Pending() int { return len(k.queue) }
+// Pending returns the number of queued events: in O(1), or one sift when
+// called from a callback that has scheduled nothing yet.
+func (k *Kernel) Pending() int {
+	k.settle()
+	return len(k.queue)
+}
 
 // Scheduled returns how many events have been scheduled since the kernel
 // started (the sequence counter that breaks ties between equal deadlines):

@@ -46,6 +46,7 @@ type freeSnap struct {
 // Snapshot records the kernel's current schedule and the position of its
 // random stream, so draws after a Restore repeat the draws after Snapshot.
 func (k *Kernel) Snapshot() *KernelSnapshot {
+	k.settle()
 	s := &KernelSnapshot{now: k.now, seq: k.seq, src: k.src, rng: *k.rng}
 	s.events = make([]eventSnap, 0, len(k.queue))
 	for _, ev := range k.queue {
@@ -71,6 +72,7 @@ func (k *Kernel) Restore(s *KernelSnapshot) {
 	k.src = s.src
 	*k.rng = s.rng
 	k.stopped = false
+	k.fired = false
 
 	for i, ev := range k.queue {
 		ev.idx = -1 // unless the snapshot queues it again below
@@ -124,6 +126,7 @@ func (k *Kernel) RestoreState(state any) { k.Restore(state.(*KernelSnapshot)) }
 // packets whose CONTENT must be restored even though the kernel itself
 // only replays the pointer.
 func (k *Kernel) SnapshotRoots(visit func(root any)) {
+	k.settle()
 	for _, ev := range k.queue {
 		if ev.arg != nil {
 			visit(ev.arg)
