@@ -25,8 +25,8 @@
 // unrecovered cells, median and 90th percentile. The summary is identical at
 // any parallelism.
 //
-// An unknown name or mode, a -case out of range, and -trials beyond the
-// number of matching cases exit 2.
+// An unknown name or mode, a -case out of range, -trials below 1 or beyond
+// the number of matching cases, and -case with -trials > 1 exit 2.
 package main
 
 import (
@@ -41,44 +41,54 @@ import (
 	"github.com/seed5g/seed/internal/runner"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is main behind an exit status: 0, or 2 for a bad invocation. It
+// registers its flags on the process-wide flag set.
+func run(args []string) int {
 	modeFlag := flag.String("mode", "seed-r", "device stack: legacy, seed-u, seed-r")
 	failure := flag.String("failure", "state-desync", "scenario class, delivery kind or causes key (control/9) naming the cases to watch")
 	caseIdx := flag.Int("case", 0, "watch the case-th matching case, in corpus order (single-cell mode)")
 	seedVal := flag.Int64("seed", 1, "root seed, as in seedbench -seed: the dataset and every cell seed derive from it")
 	trials := flag.Int("trials", 1, "run matching cases 0 … trials-1 and print their Table 4 statistics")
 	parallel := flag.Int("parallel", 0, "worker goroutines for -trials (0 = GOMAXPROCS)")
-	flag.Parse()
+	if flag.CommandLine.Parse(args) != nil {
+		return 2
+	}
 
 	mode, ok := seed.ParseMode(*modeFlag)
 	if !ok {
-		refuse(fmt.Errorf("unknown mode %q", *modeFlag))
+		return refuse(fmt.Errorf("unknown mode %q", *modeFlag))
+	}
+	if *trials < 1 {
+		return refuse(fmt.Errorf("-trials %d: need at least 1 case", *trials))
 	}
 	ds := seed.GenerateDataset(*seedVal)
 	if *trials > 1 {
 		if *caseIdx != 0 {
-			refuse(fmt.Errorf("-case picks one cell: it cannot be combined with -trials > 1"))
+			return refuse(fmt.Errorf("-case picks one cell: it cannot be combined with -trials > 1"))
 		}
 		// The last case exists, so every case before it does.
 		if _, err := ds.WatchCell(*failure, *trials-1, mode, *seedVal, nil); err != nil {
-			refuse(fmt.Errorf("-trials %d: %w", *trials, err))
+			return refuse(fmt.Errorf("-trials %d: %w", *trials, err))
 		}
 		summarize(ds, *failure, mode, *seedVal, *trials, *parallel)
-		return
+		return 0
 	}
 	w, err := ds.WatchCell(*failure, *caseIdx, mode, *seedVal, func(ev seed.TimelineEvent) {
 		fmt.Printf("%11.3fs  %-11s  %s\n", ev.At.Seconds(), ev.Layer, ev.Text)
 	})
 	if err != nil {
-		refuse(err)
+		return refuse(err)
 	}
 	fmt.Println(caseLine(*failure, *caseIdx, w))
+	return 0
 }
 
-// refuse reports a bad invocation and exits 2.
-func refuse(err error) {
+// refuse reports a bad invocation and returns exit status 2.
+func refuse(err error) int {
 	fmt.Fprintln(os.Stderr, "seedsim:", err)
-	os.Exit(2)
+	return 2
 }
 
 // caseLine names the watched case, its result and the rows that count it.

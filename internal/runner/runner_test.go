@@ -177,3 +177,48 @@ func TestRunOneWorkerIsSequential(t *testing.T) {
 func TestRunNoTasks(t *testing.T) {
 	Run(New(4), nil, func(i int) { t.Errorf("reported task %d of none", i) })
 }
+
+// A Map outside any Run holds its cells to Workers() at once, and so does
+// a Map nested in the cells of one; both give the same results at any
+// worker count and leave no goroutine behind. A cell yields while it
+// counts, so that cells overlap even on fewer cores than workers.
+func TestMapBudget(t *testing.T) {
+	for _, in := range []struct {
+		name string
+		run  func(p *Pool, cell func(int) int) []int
+	}{
+		{"flat", func(p *Pool, cell func(int) int) []int { return Map(p, 300, cell) }},
+		{"nested", func(p *Pool, cell func(int) int) []int {
+			return Map(p, 30, func(c int) int {
+				v := cell(c)
+				for _, x := range Map(p, 20, func(d int) int { return cell(c*100 + d) }) {
+					v += x
+				}
+				return v
+			})
+		}},
+	} {
+		var want []int
+		for _, n := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
+			base := runtime.NumGoroutine()
+			var g gauge
+			got := in.run(New(n), func(x int) int {
+				g.enter()
+				defer g.leave()
+				runtime.Gosched()
+				return spin(x)
+			})
+			if h := g.high.Load(); h > int64(n) {
+				t.Errorf("%s, workers=%d: %d cells ran at once", in.name, n, h)
+			} else {
+				t.Logf("%s, workers=%d: at most %d cells at once", in.name, n, h)
+			}
+			if want == nil {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, workers=%d: results differ from workers=1", in.name, n)
+			}
+			settle(t, base)
+		}
+	}
+}
