@@ -2,8 +2,8 @@
 // carrier-side plugin (§5.3/§6) as a networked service. Devices upload
 // sealed learning-record blobs and failure reports over the fleet wire
 // protocol; seedfleetd folds them into the collaborative online-learning
-// model across sharded aggregation workers and answers model queries
-// with sealed suggestions.
+// model, each device's traffic on its home shard, and answers model
+// queries with sealed suggestions.
 //
 // Usage:
 //
@@ -32,9 +32,9 @@
 // -chaos).
 //
 // SIGINT/SIGTERM drains gracefully: in-flight round trips complete, every
-// queued upload is folded and acknowledged, a journal is compacted (the
-// next start replays nothing), and the process exits 0 after logging
-// "drain complete".
+// request already read off a connection is folded and answered, a journal
+// is compacted (the next start replays nothing), and the process exits 0
+// after logging "drain complete".
 package main
 
 import (
@@ -55,7 +55,7 @@ func main() { os.Exit(run()) }
 func run() int {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:7316", "TCP listen address (\":0\" picks a free port)")
-		shards       = flag.Int("shards", 4, "aggregation worker shards")
+		shards       = flag.Int("shards", 4, "shards the devices are split over, each served under its own lock and with its own journal")
 		master       = flag.String("master", "", "fleet master key, 32 hex digits (default: built-in dev key)")
 		journalDir   = flag.String("journal", "", "durable journal directory (crash-tolerant tier; unset: in-memory only)")
 		compactBytes = flag.Int64("compact-bytes", 4<<20, "per-shard journal size triggering snapshot compaction")

@@ -29,10 +29,11 @@
 // -conns shared connections per node, which carry any number of requests
 // at once:
 // workers beyond -conns have their frames coalesced into shared writes
-// (frames_per_write in -json; responses_per_flush and jobs_per_batch are
-// the server's side of the same effect). p50/p95/p99 latencies cover the
-// whole exchange including backoff waits — what a device experiences
-// under backpressure.
+// (frames_per_write in -json; responses_per_flush is the server's side of
+// the same effect, and records_per_fsync, against a node with -journal,
+// how many journal records one group commit made durable). p50/p95/p99
+// latencies cover the whole exchange including backoff waits — what a
+// device experiences under backpressure.
 //
 // -spec FILE paces uploads by a workload spec's compiled arrival process
 // (cmd/seedwl's schema): device i's upload starts at the i-th arrival
@@ -90,10 +91,10 @@ type result struct {
 	QueryP99MS float64 `json:"query_p99_ms"`
 
 	// Coalescing on the pipelined wire: request frames per client write,
-	// responses per server write, shard jobs per worker batch.
+	// responses per server write, journal records per fsync (0 in memory).
 	FramesPerWrite    float64 `json:"frames_per_write"`
 	ResponsesPerFlush float64 `json:"responses_per_flush"`
-	JobsPerBatch      float64 `json:"jobs_per_batch"`
+	RecordsPerFsync   float64 `json:"records_per_fsync"`
 
 	Server fleet.ServerStats `json:"server"`
 }
@@ -520,7 +521,7 @@ func run() int {
 	if st, _, err := fetchStats(cc); err == nil {
 		res.Server = st
 		res.ResponsesPerFlush = fleet.Ratio(st.Responses, st.Flushes)
-		res.JobsPerBatch = fleet.Ratio(st.Jobs, st.Batches)
+		res.RecordsPerFsync = fleet.Ratio(st.JournalRecords, st.JournalSyncs)
 	} else {
 		fmt.Fprintf(os.Stderr, "seedload: stats pull: %v\n", err)
 	}
@@ -547,8 +548,8 @@ func run() int {
 
 	logf("seedload: %d uploads in %.1fms — %.0f uploads/s, %.0f ops/s (lost=%d retries=%d redials=%d)",
 		*devices, res.WallMS, res.UploadsPerSec, res.OpsPerSec, res.Lost, res.Retries, res.Redials)
-	logf("seedload: %.2f frames/write, %.2f responses/flush, %.2f jobs/batch",
-		res.FramesPerWrite, res.ResponsesPerFlush, res.JobsPerBatch)
+	logf("seedload: %.2f frames/write, %.2f responses/flush, %.2f records/fsync",
+		res.FramesPerWrite, res.ResponsesPerFlush, res.RecordsPerFsync)
 	logf("seedload: %s", latSummary(cc.Latency("upload"), "upload"))
 	logf("seedload: %s", latSummary(cc.Latency("query"), "query"))
 	if res.ModelMatch != nil {

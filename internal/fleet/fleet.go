@@ -72,8 +72,8 @@ func NewSubscriberEnvelope(master [16]byte, imsi string) *crypto5g.Envelope {
 }
 
 // Ratio returns num/den, or 0 when den is 0: how the coalescing counters
-// (Client.Frames/Writes, ServerStats Jobs/Batches and Responses/Flushes)
-// are reported.
+// (Client.Frames/Writes, ServerStats Responses/Flushes and
+// JournalRecords/JournalSyncs) are reported.
 func Ratio(num, den uint64) float64 {
 	if den == 0 {
 		return 0

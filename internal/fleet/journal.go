@@ -20,11 +20,13 @@ import (
 //	payload:         seq(8, BE) | kind(1) | imsiLen(1) | imsi | body
 //
 // Kinds: jUpload/jReport carry the exact sealed wire bytes; jInstall
-// carries a rebalance counter table (empty IMSI field). The shard worker
-// group-commits: it drains a batch from its queue, folds each job,
-// appends every new record, fsyncs ONCE, and only then releases the
-// acks — so an acknowledged upload is durable by definition, and the
-// fsync cost amortizes across the batch under load.
+// carries a rebalance counter table (empty IMSI field). A record folded
+// under the shard's lock joins the journal's pending group; a connection
+// commits through its newest record before it writes the replies, and the
+// first to find that record unsynced writes the whole pending group and
+// fsyncs ONCE for everyone in it (leader/follower group commit) — so an
+// acknowledged upload is durable by definition, and the fsync cost
+// amortizes across the connections under load.
 //
 // Replay hands every record past the snapshot to the shard's apply, the
 // one function the live handlers also change a shard through: the sealed
@@ -65,9 +67,6 @@ const (
 	jInstall byte = 3
 
 	journalHeaderLen = 8
-	// maxJournalBatch bounds one group commit (and therefore ack latency
-	// under sustained load).
-	maxJournalBatch = 64
 
 	// downlinkRecoverySkip is added to every recovered envelope's downlink
 	// send counter after an unclean restart. Suggestion seals between the
@@ -119,7 +118,9 @@ type journal struct {
 	// monotonic for the life of the shard directory — compaction truncates
 	// the file but never resets the sequence.
 	nextSeq uint64
-	buf     []byte // encode scratch, reused across batches
+	// pending holds the n encoded records added since the last take.
+	pending []byte
+	n       int
 }
 
 func appendJournalRecord(dst []byte, r journalRec) []byte {
@@ -220,14 +221,26 @@ func openJournalAppend(path string, goodLen int64, nextSeq uint64) (*journal, er
 	return &journal{f: f, size: goodLen, nextSeq: nextSeq}, nil
 }
 
-// append encodes and writes records in one Write. Durability requires a
-// following sync() before anything is acknowledged.
-func (j *journal) append(recs []journalRec) error {
-	j.buf = j.buf[:0]
-	for _, r := range recs {
-		j.buf = appendJournalRecord(j.buf, r)
-	}
-	n, err := j.f.Write(j.buf)
+// add encodes r into the pending group under the next sequence number.
+func (j *journal) add(r journalRec) {
+	r.seq = j.nextSeq
+	j.nextSeq++
+	j.pending = appendJournalRecord(j.pending, r)
+	j.n++
+}
+
+// take hands over the pending group and its record count, and starts the
+// next group.
+func (j *journal) take() (buf []byte, n int) {
+	buf, n = j.pending, j.n
+	j.pending, j.n = nil, 0
+	return buf, n
+}
+
+// write appends a group taken from the journal in one Write. Durability
+// requires a following sync() before anything is acknowledged.
+func (j *journal) write(buf []byte) error {
+	n, err := j.f.Write(buf)
 	j.size += int64(n)
 	return err
 }

@@ -50,7 +50,7 @@ func restoreServer(cfg ServerConfig) (*Server, []shardRecovery, error) {
 }
 
 // counterState maps each subscriber to its envelope counters (sendUp,
-// sendDn, recvUp, recvDn). Read it only while the shard workers are idle.
+// sendDn, recvUp, recvDn). Read it only while no connection is served.
 func counterState(srv *Server) map[string][4]uint32 {
 	out := make(map[string][4]uint32)
 	for _, sh := range srv.shards {
@@ -411,13 +411,15 @@ func TestJournalCleanShutdownReplaysNothing(t *testing.T) {
 	}
 }
 
-// TestJournalGroupCommitBatches pins the group commit on a controlled
-// fsync: the first upload's fsync is held in the server's sync hook while
-// the other 63 arrive pipelined in one Write, so the second batch provably
-// carries all of them — 64 records, 2 fsyncs, whatever the scheduler does.
+// TestJournalGroupCommitBatches pins leader/follower group commit on a
+// controlled fsync: one connection's upload is the first group, its fsync
+// held in the server's sync hook, while the other 63 arrive on a second
+// connection in one Write, fit the connection's read buffer, and fold
+// into the next group meanwhile — 64 records, 2 fsyncs, whatever the
+// scheduler does.
 func TestJournalGroupCommitBatches(t *testing.T) {
 	const n = 64
-	srv := quietServer(t, ServerConfig{Shards: 1, QueueDepth: 256, JournalDir: t.TempDir()})
+	srv := quietServer(t, ServerConfig{Shards: 1, JournalDir: t.TempDir()})
 	hook, entered, release := parkFirstSync()
 	srv.syncHook = hook
 	if err := srv.Start(); err != nil {
@@ -428,24 +430,16 @@ func TestJournalGroupCommitBatches(t *testing.T) {
 	for i := range frames {
 		frames[i] = uploadFrame(t, fmt.Sprintf("00110%010d", i), i)
 	}
-	conn := dialRaw(t, srv)
-	if _, err := conn.Write(encodeFrames(frames[0])); err != nil {
-		t.Fatal(err)
-	}
-	<-entered // batch one is that single record, its fsync held
-	if _, err := conn.Write(encodeFrames(frames[1:]...)); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "the other 63 uploads to queue", func() bool { return len(srv.shards[0].queue) == n-1 })
+	first, second := dialRaw(t, srv), dialRaw(t, srv)
+	writeFrames(t, first, frames[0])
+	<-entered // group one is that single record, its fsync held
+	writeFrames(t, second, frames[1:]...)
+	waitFor(t, "the other 63 uploads to fold", func() bool { return srv.uploads.Load() == n })
 	close(release)
-	br := bufio.NewReader(conn)
-	for i := 0; i < n; i++ {
-		if f, err := ReadFrame(br, DefaultMaxFrame); err != nil || f.Type != TAck {
-			t.Fatalf("ack %d: %v %v", i, f.Type, err)
-		}
-	}
-	if st := srv.Stats(); st.JournalRecords != n || st.JournalSyncs != 2 || st.Batches != 2 || st.Jobs != n {
-		t.Fatalf("records=%d syncs=%d batches=%d jobs=%d, want %d records in 2 syncs", st.JournalRecords, st.JournalSyncs, st.Batches, st.Jobs, n)
+	checkTypes(t, "first connection", readFrames(t, bufio.NewReader(first), 1), TAck)
+	checkTypes(t, "second connection", readFrames(t, bufio.NewReader(second), n-1), acks(n-1)...)
+	if st := srv.Stats(); st.JournalRecords != n || st.JournalSyncs != 2 {
+		t.Fatalf("records=%d syncs=%d, want %d records in 2 syncs", st.JournalRecords, st.JournalSyncs, n)
 	}
 }
 

@@ -1,0 +1,146 @@
+package fleet
+
+import (
+	"bufio"
+	"fmt"
+	"io"
+	"net"
+	"testing"
+
+	"github.com/seed5g/seed/internal/cause"
+	"github.com/seed5g/seed/internal/core"
+)
+
+// serveLoop drives an in-process server over loopback with pre-sealed
+// rounds for devices it has already seen, so that a round costs the
+// client one Write and one read into a fixed buffer: what is measured is
+// the serving path.
+type serveLoop struct {
+	srv    *Server
+	conn   net.Conn
+	rounds [][]byte // wire bytes of each round's requests
+	next   int
+	reply  []byte // one round's replies, read whole
+}
+
+// serveDevices is how many devices the rounds cycle through.
+const serveDevices = 16
+
+// newServeLoop starts a two-shard in-memory server, has every device
+// upload once, and seals n rounds: with upload and query both set, one
+// upload plus one query per round; otherwise one of them.
+func newServeLoop(tb testing.TB, n int, upload, query bool) *serveLoop {
+	tb.Helper()
+	srv := quietServer(tb, ServerConfig{Shards: 2})
+	if err := srv.Start(); err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = srv.Shutdown() })
+	devs := make([]*SimDevice, serveDevices)
+	seal := func(d, i int) Frame {
+		sealed, err := devs[d].SealRecords(core.MarshalRecords(deviceRecords(i)))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return Frame{Type: TUpload, Payload: AppendSealedPayload(nil, devs[d].IMSI, sealed)}
+	}
+	var seen []Frame
+	for d := range devs {
+		devs[d] = NewSimDevice(DefaultMasterKey, fmt.Sprintf("00125%010d", d))
+		seen = append(seen, seal(d, d))
+	}
+	l := &serveLoop{srv: srv, conn: dialRaw(tb, srv)}
+	if _, err := l.conn.Write(encodeFrames(seen...)); err != nil {
+		tb.Fatal(err)
+	}
+	br := bufio.NewReader(l.conn)
+	for range seen {
+		if f, err := ReadFrame(br, DefaultMaxFrame); err != nil || f.Type != TAck {
+			tb.Fatalf("first upload: %v %v", f.Type, err)
+		}
+	}
+	for i := range n {
+		d := i % serveDevices
+		var frames []Frame
+		if upload {
+			frames = append(frames, seal(d, i))
+		}
+		if query {
+			c := cause.MM(cause.Code(150 + i%3))
+			frames = append(frames, Frame{Type: TQuery, Payload: AppendQueryPayload(nil, devs[d].IMSI, c)})
+		}
+		l.rounds = append(l.rounds, encodeFrames(frames...))
+	}
+	// Every reply of a kind has one length: an ack is a bare header, and
+	// every suggestion seals the same plaintext length.
+	if upload {
+		l.reply = append(l.reply, make([]byte, headerLen)...)
+	}
+	if query {
+		sealed, err := devs[0].SealRecords(SuggestPayload(cause.MM(150), core.LearningOrder[0]))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		l.reply = append(l.reply, make([]byte, headerLen+len(sealed))...)
+	}
+	return l
+}
+
+// round sends the next round and reads its replies.
+func (l *serveLoop) round() error {
+	if _, err := l.conn.Write(l.rounds[l.next]); err != nil {
+		return err
+	}
+	l.next++
+	_, err := io.ReadFull(l.conn, l.reply)
+	return err
+}
+
+// BenchmarkServeRoundTrip is one upload plus one query per iteration, on
+// devices the server has already seen, over loopback to an in-process
+// server.
+func BenchmarkServeRoundTrip(b *testing.B) {
+	l := newServeLoop(b, b.N, true, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if err := l.round(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestServeHotPathAllocs pins the objects the process allocates per
+// served request, server and loopback round trip together: the frame
+// payload read off the wire, the envelope open and the record decode of
+// an upload, and a query's evidence table and sealed suggestion. A
+// goroutine hand-off or a channel per request would show up here.
+func TestServeHotPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const runs = 200
+	for _, tc := range []struct {
+		name          string
+		upload, query bool
+		want          float64
+	}{
+		{"upload", true, false, 8},
+		{"query", false, true, 7},
+	} {
+		l := newServeLoop(t, runs+1, tc.upload, tc.query)
+		var err error
+		allocs := testing.AllocsPerRun(runs, func() {
+			if e := l.round(); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs > tc.want {
+			t.Errorf("a served %s allocates %v objects, want at most %v", tc.name, allocs, tc.want)
+		}
+		t.Logf("%s: %v objects per served request", tc.name, allocs)
+	}
+}

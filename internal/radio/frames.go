@@ -44,7 +44,7 @@ type Packet struct {
 	Tag FlowTag
 	// Flow is a free-form label for hand-built packets. The emulators carry
 	// it and never read it; it stays only because benchmark/adapter.go
-	// builds labelled packets for its link probe (ROADMAP item 9 unpins the
+	// builds labelled packets for its link probe (ROADMAP item 15 unpins the
 	// benchmark's surface, and the field goes with that).
 	Flow string
 	// Payload length in bytes (contents are not modelled).
