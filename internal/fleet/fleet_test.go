@@ -168,9 +168,11 @@ func TestFleetTamperedUploadRejected(t *testing.T) {
 	}
 }
 
-// TestFleetBackpressureNoLoss wedges a 1-deep queue on a single shard with
-// concurrent uploads. Some must be backpressured; the client's RETRY-AFTER
-// handling must still land every upload exactly once.
+// TestFleetBackpressureNoLoss sends concurrent uploads to a single shard
+// whose lock admits a 1-deep wait. Over two connections at most one
+// request waits, so none need be backpressured (TestBackpressureManyConns
+// forces refusals); whatever is, the client's RETRY-AFTER handling must
+// still land every upload exactly once.
 func TestFleetBackpressureNoLoss(t *testing.T) {
 	srv, cl := startServer(t, ServerConfig{Shards: 1, QueueDepth: 1, RetryAfter: time.Millisecond})
 
@@ -206,6 +208,59 @@ func TestFleetBackpressureNoLoss(t *testing.T) {
 		t.Fatalf("stats %+v", st)
 	}
 	t.Logf("backpressured=%d retries=%d", srv.Stats().Backpressured, cl.Retries())
+}
+
+// TestBackpressureManyConns has more connections contend for one shard
+// than its lock admits waiting: with the lock held, QueueDepth of them
+// wait and the rest are refused TRetryAfter. Once it is released the
+// client's retries land every upload exactly once, and the model is the
+// sequential fold, in memory and journaled.
+func TestBackpressureManyConns(t *testing.T) {
+	for _, journaled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("journaled=%v", journaled), func(t *testing.T) {
+			const conns, devices, depth = 8, 48, 2
+			cfg := ServerConfig{Shards: 1, QueueDepth: depth, RetryAfter: time.Millisecond}
+			if journaled {
+				cfg.JournalDir = t.TempDir()
+			}
+			srv := quietServer(t, cfg)
+			if err := srv.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = srv.Shutdown() }()
+			cl := NewClient(ClientConfig{Addr: srv.Addr().String(), Conns: conns, MaxRetries: 1 << 12})
+			defer cl.Close()
+
+			sh := srv.shards[0]
+			sh.lock.Lock()
+			baseline := core.Records{}
+			var wg sync.WaitGroup
+			for i := 0; i < devices; i++ {
+				up := uploadFrame(t, fmt.Sprintf("00128%010d", i), i)
+				baseline.Merge(deviceRecords(i))
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if _, err := cl.Do("upload", up); err != nil {
+						t.Error(err)
+					}
+				}()
+			}
+			waitFor(t, "a full wait and a refusal", func() bool {
+				return sh.waiting.Load() == depth && srv.backpressured.Load() > 0
+			})
+			sh.lock.Unlock()
+			wg.Wait()
+
+			if st := srv.Stats(); st.Uploads != devices || st.Duplicates != 0 || st.Dropped != 0 || st.Backpressured == 0 {
+				t.Fatalf("uploads=%d duplicates=%d dropped=%d backpressured=%d, want %d, 0, 0 and some",
+					st.Uploads, st.Duplicates, st.Dropped, st.Backpressured, devices)
+			}
+			if !bytes.Equal(srv.Model(), MarshalModel(baseline)) {
+				t.Fatal("model differs from the sequential fold")
+			}
+		})
+	}
 }
 
 // TestFleetRejectsUnknownFrame checks an unexpected frame type gets a TErr
