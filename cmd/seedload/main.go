@@ -27,11 +27,13 @@
 // -workers is the client-shard count: devices are partitioned across
 // worker goroutines, each performing synchronous round trips over the
 // -conns shared connections per node, which carry any number of requests
-// at once:
-// workers beyond -conns have their frames coalesced into shared writes
-// (frames_per_write in -json; responses_per_flush is the server's side of
-// the same effect, and records_per_fsync, against a node with -journal,
-// how many journal records one group commit made durable). p50/p95/p99
+// at once. A worker joins a connection whose next write is still forming,
+// so workers that arrive together (one burst of responses woke them) share
+// one write; only when no write is forming does a worker take the next
+// connection round-robin (frames_per_write in -json; responses_per_flush
+// is the server's side of the same effect, and records_per_fsync, against
+// a node with -journal, how many journal records one group commit made
+// durable). p50/p95/p99
 // latencies cover the whole exchange including backoff waits — what a
 // device experiences under backpressure.
 //

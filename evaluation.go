@@ -49,15 +49,18 @@ type evalStep struct {
 	render      func(e *Evaluation) string
 }
 
-// evalSteps is the evaluation in the order it prints. Figure 3 and the
-// mobility study replay a tenth of Samples per class, at least 8.
+// scaledTrials is the trials per class that Figure 3 and the mobility
+// study run: a tenth of Samples, at least 8.
+func (e *Evaluation) scaledTrials() int { return max(8, e.Samples/10) }
+
+// evalSteps is the evaluation in the order it prints.
 var evalSteps = []evalStep{
 	{"table1", "", nil, func(e *Evaluation) string { return e.data().RenderTable1() }},
 	{"table2", "", nil, func(*Evaluation) string { return renderTable2() }},
 	{"table3", "", nil, func(*Evaluation) string { return renderTable3() }},
 	{"grid", "", func(e *Evaluation, p *runner.Pool) { e.Grid = ReplayDatasetGrid(p, e.data(), e.Samples, e.Seed) }, nil},
 	{"figure2", "grid", func(e *Evaluation, _ *runner.Pool) { e.Figure2 = e.Grid.Figure2() }, func(e *Evaluation) string { return e.Figure2.Render() }},
-	{"figure3", "", func(e *Evaluation, p *runner.Pool) { e.Figure3 = ExperimentFigure3(p, max(8, e.Samples/10), e.Seed) }, func(e *Evaluation) string { return e.Figure3.Render() }},
+	{"figure3", "", func(e *Evaluation, p *runner.Pool) { e.Figure3 = ExperimentFigure3(p, e.scaledTrials(), e.Seed) }, func(e *Evaluation) string { return e.Figure3.Render() }},
 	{"table4", "grid", func(e *Evaluation, _ *runner.Pool) { e.Table4 = e.Grid.Table4() }, func(e *Evaluation) string { return e.Table4.Render() }},
 	{"table5", "", func(e *Evaluation, p *runner.Pool) { e.Table5 = ExperimentTable5(p, 3, e.Seed) }, func(e *Evaluation) string { return e.Table5.Render() }},
 	{"figure11a", "", func(e *Evaluation, p *runner.Pool) { e.Figure11a = ExperimentFigure11a(p, e.Seed) }, func(e *Evaluation) string { return e.Figure11a.Render() }},
@@ -67,7 +70,7 @@ var evalSteps = []evalStep{
 	{"causes", "grid", func(e *Evaluation, _ *runner.Pool) { e.Causes = e.Grid.Causes() }, func(e *Evaluation) string { return e.Causes.Render() }},
 	{"coverage", "grid", func(e *Evaluation, _ *runner.Pool) { e.Coverage = e.Grid.Coverage() }, func(e *Evaluation) string { return e.Coverage.Render() }},
 	{"learning", "", func(e *Evaluation, _ *runner.Pool) { e.Learning = ExperimentLearning(6, 4, 50, e.Seed) }, func(e *Evaluation) string { return e.Learning.Render() }},
-	{"mobility", "", func(e *Evaluation, p *runner.Pool) { e.Mobility = ExperimentMobility(p, max(8, e.Samples/10), e.Seed) }, func(e *Evaluation) string { return e.Mobility.Render() }},
+	{"mobility", "", func(e *Evaluation, p *runner.Pool) { e.Mobility = ExperimentMobility(p, e.scaledTrials(), e.Seed) }, func(e *Evaluation) string { return e.Mobility.Render() }},
 }
 
 // data is the dataset the evaluation replays.

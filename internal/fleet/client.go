@@ -22,7 +22,9 @@ type ClientConfig struct {
 	// Addr is the server address.
 	Addr string
 	// Conns is the number of connections. They are dialed lazily and each
-	// is shared by any number of concurrent callers.
+	// is shared by any number of concurrent callers: a caller joins a
+	// connection whose next write is still forming, and only when none is
+	// takes the next connection round-robin.
 	Conns int
 	// RequestTimeout bounds one attempt's wait for its response, and each
 	// write.
@@ -69,13 +71,19 @@ const dialTimeout = 5 * time.Second
 
 // Client is a multiplexed fleet-protocol client with retry, backpressure
 // handling, and a latency recorder. Any number of callers share its Conns
-// connections; see muxConn for how their requests travel together.
+// connections. Callers that arrive together leave together: a caller
+// queues its request on a connection whose writer is still gathering, so
+// the callers one burst of responses wakes share one write; see muxConn.
 type Client struct {
 	cfg     ClientConfig
 	slots   []connSlot
-	next    atomic.Uint32 // round-robin cursor over slots
+	next    atomic.Uint32 // round-robin cursor over slots, when no write is forming
 	closed  atomic.Bool
 	readers sync.WaitGroup // one reader goroutine per live connection
+
+	// gatherHook, when a test sets it before the first request, runs in
+	// every writer's gathering window, while its connection is forming.
+	gatherHook func()
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -102,16 +110,20 @@ func (sl *connSlot) live() *muxConn {
 }
 
 // muxConn is one multiplexed connection. A caller appends its frame to pend
-// and queues a waiter under mu; whoever finds no write in progress writes
-// everything queued so far, and callers arriving during that write ride
-// the next one — a lone caller still gets one immediate write, and there
-// is no timer and nothing to tune. The reader goroutine hands each response
-// to the oldest waiter: requests and responses are matched by order alone,
-// so an error on the stream fails every request in flight on it.
+// and queues a waiter under mu; whoever finds no write in progress becomes
+// the writer: it marks the connection forming, yields once, and writes
+// everything queued so far. While it is forming, Client.conn sends every
+// new caller here rather than round-robin, so they share that write;
+// callers arriving during the write itself ride the next one. A lone
+// caller still gets one immediate write, and there is no timer and nothing
+// to tune. The reader goroutine hands each response to the oldest waiter:
+// requests and responses are matched by order alone, so an error on the
+// stream fails every request in flight on it.
 type muxConn struct {
-	cl   *Client
-	c    net.Conn
-	dead atomic.Bool // err != nil, readable without mu
+	cl      *Client
+	c       net.Conn
+	dead    atomic.Bool // err != nil, readable without mu
+	forming atomic.Bool // a writer has yielded and not yet taken pend
 
 	mu          sync.Mutex
 	err         error  // set once, when the connection breaks
@@ -169,10 +181,17 @@ func (cl *Client) Close() {
 	cl.readers.Wait()
 }
 
-// conn returns the next slot's live connection, dialing when the slot is
-// empty or its connection broke. One caller dials; the others wait for it
-// or for their own ctx.
+// conn returns a live connection whose next write is still forming, so
+// that the caller shares it. Failing that, it returns the next slot's
+// connection round-robin, dialing when the slot is empty or its
+// connection broke. One caller dials; the others wait for it or for their
+// own ctx.
 func (cl *Client) conn(ctx context.Context) (*muxConn, error) {
+	for i := range cl.slots {
+		if mc := cl.slots[i].live(); mc != nil && mc.forming.Load() {
+			return mc, nil
+		}
+	}
 	sl := &cl.slots[cl.next.Add(1)%uint32(len(cl.slots))]
 	for {
 		if mc := sl.live(); mc != nil {
@@ -255,11 +274,17 @@ func (mc *muxConn) roundTrip(ctx context.Context, req Frame) (Frame, error) {
 		mc.writing = true
 		for len(mc.pend) > 0 && mc.err == nil {
 			// Yield once before taking the buffer: callers that are runnable
-			// right now (a burst of responses just woke them) queue their
-			// frames first and share this write. Alone, it returns at once.
+			// right now (a burst of responses just woke them) find the
+			// connection forming, queue their frames first and share this
+			// write. Alone, it returns at once.
+			mc.forming.Store(true)
 			mc.mu.Unlock()
+			if cl.gatherHook != nil {
+				cl.gatherHook()
+			}
 			runtime.Gosched()
 			mc.mu.Lock()
+			mc.forming.Store(false)
 			buf := mc.pend
 			mc.pend = mc.spare[:0]
 			mc.mu.Unlock()

@@ -658,6 +658,70 @@ func TestMuxClientAgainstSerialServer(t *testing.T) {
 	}
 }
 
+// (e) Callers that arrive while a connection's write is forming share that
+// write. A lone caller on each of two idle connections writes at once,
+// round-robin. Then one caller's writer is parked in its gathering window:
+// the k-1 callers after it all queue on its connection, not on the idle
+// one, and when it is released one write carries all k frames, each
+// caller handed its own echo.
+func TestCallersShareFormingWrite(t *testing.T) {
+	const k = 6
+	var dialed atomic.Int32
+	addr := stubServer(t, func(_ int, c net.Conn) {
+		dialed.Add(1)
+		serialEcho(c)
+	})
+	cl := NewClient(ClientConfig{Addr: addr, Conns: 2, RequestTimeout: time.Minute})
+	defer cl.Close()
+	var park atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	cl.gatherHook = func() {
+		if park.CompareAndSwap(true, false) {
+			close(entered)
+			<-release
+		}
+	}
+	for i := 0; i < 2; i++ {
+		want := []byte{byte(i)}
+		if resp, err := cl.Do("echo", Frame{Type: TModelPull, Payload: want}); err != nil || !bytes.Equal(resp.Payload, want) {
+			t.Fatalf("lone request %d: %q %v", i, resp.Payload, err)
+		}
+	}
+	if n, w, f := dialed.Load(), cl.Writes(), cl.Frames(); n != 2 || w != 2 || f != 2 {
+		t.Fatalf("two lone requests: %d connections, %d writes, %d frames; want 2 of each", n, w, f)
+	}
+
+	frames0, writes0 := cl.Frames(), cl.Writes()
+	park.Store(true)
+	errs := make(chan error, k)
+	call := func(w int) {
+		want := []byte(fmt.Sprintf("caller %d", w))
+		resp, err := cl.Do("echo", Frame{Type: TModelPull, Payload: want})
+		if err == nil && !bytes.Equal(resp.Payload, want) {
+			err = fmt.Errorf("caller %d was handed %q", w, resp.Payload)
+		}
+		errs <- err
+	}
+	go call(0)
+	<-entered
+	for w := 1; w < k; w++ {
+		go call(w)
+	}
+	waitFor(t, "every frame to be pending", func() bool { return cl.Frames()-frames0 == k })
+	close(release)
+	for w := 0; w < k; w++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if writes := cl.Writes() - writes0; writes != 1 {
+		t.Errorf("%d frames queued while a write was forming left in %d writes, want 1", k, writes)
+	}
+	if cl.Redials() != 0 || cl.Retries() != 0 || dialed.Load() != 2 {
+		t.Errorf("redials=%d retries=%d connections=%d", cl.Redials(), cl.Retries(), dialed.Load())
+	}
+}
+
 // (e) A strictly serial write-one-frame/ReadFrame caller against the
 // pipelining server is the depth-one case of the same protocol.
 func TestSerialCallerAgainstPipelinedServer(t *testing.T) {

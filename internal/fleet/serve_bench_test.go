@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"testing"
 
 	"github.com/seed5g/seed/internal/cause"
@@ -108,6 +109,67 @@ func BenchmarkServeRoundTrip(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkClientRoundTrip is one upload plus one query per iteration
+// through the program's own client: 8 callers share 2 connections to an
+// in-process two-shard server over loopback, each caller on devices of
+// its own that the server has already seen, with every upload sealed and
+// every frame encoded before the timer starts. It reports the frames each
+// client write carried.
+func BenchmarkClientRoundTrip(b *testing.B) {
+	const callers, conns, devsPerCaller = 8, 2, 2
+	srv := quietServer(b, ServerConfig{Shards: 2})
+	if err := srv.Start(); err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = srv.Shutdown() })
+	cl := NewClient(ClientConfig{Addr: srv.Addr().String(), Conns: conns})
+	b.Cleanup(cl.Close)
+
+	upload := func(dev *SimDevice, i int) Frame {
+		sealed, err := dev.SealRecords(core.MarshalRecords(deviceRecords(i)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return Frame{Type: TUpload, Payload: AppendSealedPayload(nil, dev.IMSI, sealed)}
+	}
+	devs := make([]*SimDevice, callers*devsPerCaller)
+	for d := range devs {
+		devs[d] = NewSimDevice(DefaultMasterKey, fmt.Sprintf("00126%010d", d))
+		if _, err := cl.Do("upload", upload(devs[d], d)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Caller w sends rounds[w] in order, so each device's uploads reach
+	// the server in the order they were sealed.
+	rounds := make([][]Frame, callers)
+	for i := range b.N {
+		w := i % callers
+		dev := devs[w*devsPerCaller+(i/callers)%devsPerCaller]
+		c := cause.MM(cause.Code(150 + i%3))
+		rounds[w] = append(rounds[w], upload(dev, i), Frame{Type: TQuery, Payload: AppendQueryPayload(nil, dev.IMSI, c)})
+	}
+
+	frames0, writes0 := cl.Frames(), cl.Writes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for w := range rounds {
+		wg.Add(1)
+		go func(frames []Frame) {
+			defer wg.Done()
+			for _, f := range frames {
+				if _, err := cl.Do("round", f); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(rounds[w])
+	}
+	wg.Wait()
+	b.StopTimer()
+	b.ReportMetric(float64(cl.Frames()-frames0)/float64(cl.Writes()-writes0), "frames/write")
 }
 
 // TestServeHotPathAllocs pins the objects the process allocates per
