@@ -120,13 +120,14 @@ func (u *UDM) GenerateAuthVector(imsi string, rnd [16]byte) (AuthVector, error) 
 	}
 	s.sqn++
 	amf := [2]byte{0x80, 0x00}
-	macA, _ := s.mil.F1(rnd, s.sqn, amf)
-	xres, _, ik, ak := s.mil.F2345(rnd)
+	ch := s.mil.Challenge(rnd)
+	macA, _ := ch.F1(s.sqn, amf)
+	xres, ak := ch.F25()
 	return AuthVector{
 		RAND: rnd,
 		AUTN: crypto5g.AUTN(s.sqn, ak, amf, macA),
 		XRES: xres,
-		IK:   ik,
+		IK:   ch.F4(),
 	}, nil
 }
 

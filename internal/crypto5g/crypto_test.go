@@ -3,6 +3,7 @@ package crypto5g
 import (
 	"bytes"
 	"encoding/hex"
+	mrand "math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -92,6 +93,51 @@ func TestMilenageTestSet1(t *testing.T) {
 	akStar := m.F5Star(rnd)
 	if hex.EncodeToString(akStar[:]) != "451e8beca43b" {
 		t.Errorf("AK* = %x", akStar)
+	}
+}
+
+// TestMilenageChallengeMatches: the one-TEMP form the SIM and the UDM
+// authenticate with yields F1's, F2345's and F5Star's outputs byte for
+// byte, on test set 1 and on 1 000 generated (K, OP, RAND, SQN, AMF).
+func TestMilenageChallengeMatches(t *testing.T) {
+	check := func(k, op []byte, rnd [16]byte, sqn uint64, amf [2]byte) {
+		t.Helper()
+		m, err := NewMilenage(k, op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		macA, macS := m.F1(rnd, sqn, amf)
+		res, ck, ik, ak := m.F2345(rnd)
+		akStar := m.F5Star(rnd)
+		// Read the challenge's outputs in the card's order, and F1 twice
+		// as a resynchronisation does, with the functions' calls between.
+		ch := m.Challenge(rnd)
+		gotRES, gotAK := ch.F25()
+		m.F2345(rnd)
+		gotA, gotS := ch.F1(sqn, amf)
+		gotCK, gotIK, gotAKStar := ch.F3(), ch.F4(), ch.F5Star()
+		_, gotS2 := ch.F1(sqn^1, amf)
+		if _, wantS2 := m.F1(rnd, sqn^1, amf); gotS2 != wantS2 {
+			t.Fatalf("K %x RAND %x: second F1's MAC-S %x, want %x", k, rnd, gotS2, wantS2)
+		}
+		if gotA != macA || gotS != macS || gotRES != res || gotCK != ck || gotIK != ik || gotAK != ak || gotAKStar != akStar {
+			t.Fatalf("K %x OP %x RAND %x SQN %x AMF %x: challenge gives %x %x %x %x %x %x %x, functions %x %x %x %x %x %x %x",
+				k, op, rnd, sqn, amf, gotA, gotS, gotRES, gotCK, gotIK, gotAK, gotAKStar, macA, macS, res, ck, ik, ak, akStar)
+		}
+	}
+	var rnd [16]byte
+	copy(rnd[:], mustHex(t, "23553cbe9637a89d218ae64dae47bf35"))
+	check(mustHex(t, "465b5ce8b199b49faa5f0a2ee238a6bc"), mustHex(t, "cdc202d5123e20f62b6d676ac72cb318"), rnd, 0xff9bb4d0b607, [2]byte{0xb9, 0xb9})
+
+	rng := mrand.New(mrand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		k, op := make([]byte, 16), make([]byte, 16)
+		rng.Read(k)
+		rng.Read(op)
+		rng.Read(rnd[:])
+		var amf [2]byte
+		rng.Read(amf[:])
+		check(k, op, rnd, uint64(rng.Int63())&(1<<48-1), amf)
 	}
 }
 

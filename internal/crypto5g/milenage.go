@@ -73,14 +73,18 @@ func (m *Milenage) rotXorEncrypt(temp [16]byte, rBytes int, cLast byte) [16]byte
 // F1 computes the network authentication code MAC-A and the
 // resynchronisation code MAC-S for the given RAND, SQN (48-bit) and AMF.
 func (m *Milenage) F1(rand [16]byte, sqn uint64, amf [2]byte) (macA, macS [8]byte) {
-	temp := m.temp(rand)
+	return m.out1(m.temp(rand), sqn, amf)
+}
+
+// out1 computes OUT1 = E_K(TEMP XOR rot(IN1 XOR OPc, r1) XOR c1) XOR OPc,
+// r1 = 64 bits, and splits it into MAC-A and MAC-S.
+func (m *Milenage) out1(temp [16]byte, sqn uint64, amf [2]byte) (macA, macS [8]byte) {
 	var in1 [16]byte
 	putSQN(in1[0:6], sqn)
 	copy(in1[6:8], amf[:])
 	putSQN(in1[8:14], sqn)
 	copy(in1[14:16], amf[:])
 
-	// OUT1 = E_K(TEMP XOR rot(IN1 XOR OPc, r1) XOR c1) XOR OPc, r1 = 64 bits.
 	const r1 = 8
 	x, out1 := &m.s1, &m.s2
 	for i := range x {
@@ -114,6 +118,48 @@ func (m *Milenage) F5Star(rand [16]byte) (ak [6]byte) {
 	out5 := m.rotXorEncrypt(temp, 12, 8) // r5 = 96 bits, c5 = ...08
 	copy(ak[:], out5[0:6])
 	return
+}
+
+// Challenge is Milenage bound to one RAND. TEMP = E_K(RAND XOR OPc), which
+// every f-function starts from, is computed once when the challenge is
+// made, so each output costs one more AES block: an authentication that
+// takes each output block once — the card's successful one reads OUT2 for
+// AK and RES, OUT1, OUT3 and OUT4 — costs five blocks, where calling F1,
+// F2345 and F5Star recomputes TEMP for each. Its outputs are theirs.
+type Challenge struct {
+	m    *Milenage
+	temp [16]byte
+}
+
+// Challenge derives TEMP for rand.
+func (m *Milenage) Challenge(rand [16]byte) Challenge {
+	return Challenge{m: m, temp: m.temp(rand)}
+}
+
+// F1 computes MAC-A and MAC-S for sqn and amf, as Milenage.F1.
+func (c Challenge) F1(sqn uint64, amf [2]byte) (macA, macS [8]byte) {
+	return c.m.out1(c.temp, sqn, amf)
+}
+
+// F25 computes RES (f2) and AK (f5), the two halves of OUT2.
+func (c Challenge) F25() (res [8]byte, ak [6]byte) {
+	out2 := c.m.rotXorEncrypt(c.temp, 0, 1)
+	copy(res[:], out2[8:16])
+	copy(ak[:], out2[0:6])
+	return res, ak
+}
+
+// F3 computes CK.
+func (c Challenge) F3() (ck [16]byte) { return c.m.rotXorEncrypt(c.temp, 4, 2) }
+
+// F4 computes IK.
+func (c Challenge) F4() (ik [16]byte) { return c.m.rotXorEncrypt(c.temp, 8, 4) }
+
+// F5Star computes AK*, as Milenage.F5Star.
+func (c Challenge) F5Star() (ak [6]byte) {
+	out5 := c.m.rotXorEncrypt(c.temp, 12, 8)
+	copy(ak[:], out5[0:6])
+	return ak
 }
 
 func putSQN(dst []byte, sqn uint64) {

@@ -191,7 +191,7 @@ type Modem struct {
 	// Reusable callback slots for the hottest timer arm/stop cycles
 	// (registration retries, inactivity, session guards): built once in
 	// New so re-arming a timer allocates no closure. The *Arg slots pair
-	// with sched.AfterArg, which carries the argument in the pooled event.
+	// with sched.AfterArg, which carries the argument in the event's slot.
 	goIdleFn  func()
 	bootFn    func() // bootTime over: read the profile
 	profileFn func() // profile read over: search

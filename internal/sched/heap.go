@@ -1,22 +1,27 @@
 package sched
 
-// eventHeap is the kernel's future-event set: a binary min-heap over
-// pooled events ordered by (at, seq). seq is unique per scheduling, so the
-// order is total and the pop sequence — hence every trace — is the same
-// for any heap shape. Most schedules do not push: Kernel.Step leaves the
-// fired event's slot at the root, and the callback's first scheduling
-// takes it (replace, one sift down), so the mix is sift-down-heavy, and
-// two children per node cost two compares per level where four cost four.
-// The sift loops are written out against the concrete type, so ordering
-// costs two field compares rather than calls through heap.Interface.
+// eventHeap is the kernel's future-event set: a binary min-heap of slab
+// indices ordered by their events' (at, seq). seq is unique per
+// scheduling, so the order is total and the pop sequence — hence every
+// trace — is the same for any heap shape. Most schedules do not push:
+// Kernel.Step leaves the fired event's slot at the root, and the
+// callback's first scheduling takes it (replace, one sift down), so the mix
+// is sift-down-heavy, and two children per node cost two compares per
+// level where four cost four. The sift loops are written out against the
+// concrete type, so ordering costs two field compares rather than calls
+// through heap.Interface.
 //
-// The heap is indexed: every queued event knows its slot (event.idx, -1
-// while not queued), which each move of a sift writes, so a timer is
+// The heap holds int32 slab indices and every event's keys live in the
+// kernel's pointer-free slab, which each method is handed as ev, so a
+// sift writes no pointer and the collector's write barrier never fires in
+// it. The heap is indexed: every queued event knows its slot (event.idx,
+// -1 while not queued), which each move of a sift writes, so a timer is
 // cancelled by removing its event and re-armed by re-keying it in place,
-// one sift either way. The keys stay in the events: slots holding
-// (at, seq, *event) were measured 10 % slower on the delivery workload —
-// 24-byte moves, and every move still has to write idx through the pointer.
-type eventHeap []*event
+// one sift either way. The keys stay in the slab, not in the heap slots:
+// slots holding (at, seq, event) were measured 10 % slower on the
+// delivery workload — wider moves, and every move still writes idx in
+// the slab.
+type eventHeap []int32
 
 // before reports whether a fires before b.
 func before(a, b *event) bool {
@@ -26,94 +31,87 @@ func before(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// push adds ev to the heap.
-func (h *eventHeap) push(ev *event) {
-	*h = append(*h, ev)
-	h.up(len(*h) - 1)
+// push adds event i to the heap.
+func (h *eventHeap) push(ev []event, i int32) {
+	*h = append(*h, i)
+	h.up(ev, len(*h)-1)
 }
 
-// replace puts ev in slot 0 in place of the event there, which leaves the
-// heap: one sift down where a remove(0) and a push would sift twice.
-func (h eventHeap) replace(ev *event) {
-	h[0].idx = -1
-	h[0] = ev
-	h.down(0)
+// replace puts event i in slot 0 in place of the event there, which leaves
+// the heap: one sift down where a remove(0) and a push would sift twice.
+func (h eventHeap) replace(ev []event, i int32) {
+	ev[h[0]].idx = -1
+	h[0] = i
+	h.down(ev, 0)
 }
 
-// remove takes the event in slot i out of the heap and returns it; slot 0
-// holds the earliest event.
-func (h *eventHeap) remove(i int) *event {
+// remove takes the event in slot s out of the heap; slot 0 holds the
+// earliest event.
+func (h *eventHeap) remove(ev []event, s int) {
 	q := *h
-	ev := q[i]
+	i := q[s]
 	n := len(q) - 1
 	last := q[n]
-	q[n] = nil
 	*h = q[:n]
-	if i < n {
-		q[i] = last
-		h.fix(i)
+	if s < n {
+		q[s] = last
+		h.fix(ev, s)
 	}
-	ev.idx = -1
-	return ev
+	ev[i].idx = -1
 }
 
-// fix restores the invariant after the key of the event in slot i changed.
-func (h eventHeap) fix(i int) {
-	if i > 0 && before(h[i], h[(i-1)/2]) {
-		h.up(i)
+// fix restores the invariant after the key of the event in slot s changed.
+func (h eventHeap) fix(ev []event, s int) {
+	if s > 0 && before(&ev[h[s]], &ev[h[(s-1)/2]]) {
+		h.up(ev, s)
 	} else {
-		h.down(i)
+		h.down(ev, s)
 	}
 }
 
-// init establishes the heap invariant over arbitrary contents.
-func (h eventHeap) init() {
-	for i, ev := range h {
-		ev.idx = int32(i)
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
-// up sifts the event at i towards the root, moving parents down into the
-// hole rather than swapping.
-func (h eventHeap) up(i int) {
-	ev := h[i]
-	for i > 0 {
-		parent := (i - 1) / 2
+// up sifts the event in slot s towards the root, moving parents down into
+// the hole rather than swapping.
+func (h eventHeap) up(ev []event, s int) {
+	i := h[s]
+	at, seq := ev[i].at, ev[i].seq
+	for s > 0 {
+		parent := (s - 1) / 2
 		p := h[parent]
-		if !before(ev, p) {
+		if pat := ev[p].at; pat < at || pat == at && ev[p].seq < seq {
 			break
 		}
-		h[i] = p
-		p.idx = int32(i)
-		i = parent
+		h[s] = p
+		ev[p].idx = int32(s)
+		s = parent
 	}
-	h[i] = ev
-	ev.idx = int32(i)
+	h[s] = i
+	ev[i].idx = int32(s)
 }
 
-// down sifts the event at i towards the leaves.
-func (h eventHeap) down(i int) {
+// down sifts the event in slot s towards the leaves.
+func (h eventHeap) down(ev []event, s int) {
 	n := len(h)
-	ev := h[i]
+	i := h[s]
+	at, seq := ev[i].at, ev[i].seq
 	for {
-		least := 2*i + 1
-		if least >= n {
+		c := 2*s + 1
+		if c >= n {
 			break
 		}
-		m := h[least]
-		if r := least + 1; r < n && before(h[r], m) {
-			least, m = r, h[r]
+		m := h[c]
+		mat, mseq := ev[m].at, ev[m].seq
+		if r := c + 1; r < n {
+			if j := h[r]; ev[j].at < mat || ev[j].at == mat && ev[j].seq < mseq {
+				c, m, mat, mseq = r, j, ev[j].at, ev[j].seq
+			}
 		}
-		if !before(m, ev) {
+		if mat > at || mat == at && mseq > seq {
 			break
 		}
-		h[i] = m
-		m.idx = int32(i)
-		i = least
+		h[s] = m
+		ev[m].idx = int32(s)
+		s = c
 	}
-	h[i] = ev
-	ev.idx = int32(i)
+	h[s] = i
+	ev[i].idx = int32(s)
 }

@@ -25,9 +25,9 @@ import (
 // exactly as the top level does. The model drops the fired event before
 // its callback runs.
 //
-// After every operation the heap's index must be exact: queue[i].idx == i
-// over the queue's live events, which are the model's pending events and
-// nothing else. Inside a callback that has scheduled nothing yet, slot 0
+// After every operation the heap's index must be exact:
+// events[queue[i]].idx == i over the queue's live events, which are the
+// model's pending events and nothing else. Inside a callback that has scheduled nothing yet, slot 0
 // is the fired event's; outside callbacks it never is, and a callback's
 // first scheduling must take it.
 type heapProgram struct {
@@ -167,7 +167,7 @@ func (p *heapProgram) noteSlot(tm Timer) {
 	if p.depth > 0 {
 		hits = &p.cbSlotHits
 	}
-	switch i := int(tm.ev.idx); {
+	switch i := int(p.k.events[tm.i].idx); {
 	case i == 0:
 		hits[0]++
 	case i == len(p.k.queue)-1:
@@ -248,8 +248,8 @@ func (p *heapProgram) checkQueue() {
 		p.t.Fatalf("%d queued (fired slot held: %v), model has %d pending", len(p.k.queue), p.k.fired, n)
 	}
 	for i, ev := range p.k.queue[live:] {
-		if int(ev.idx) != i+live {
-			p.t.Fatalf("queue[%d].idx = %d", i+live, ev.idx)
+		if idx := p.k.events[ev].idx; int(idx) != i+live {
+			p.t.Fatalf("queue[%d].idx = %d", i+live, idx)
 		}
 	}
 	if p.k.Now() != p.now {

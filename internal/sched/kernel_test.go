@@ -276,23 +276,6 @@ func TestRunUntilSkipsCancelledWithoutOverrunning(t *testing.T) {
 	}
 }
 
-// TestFiredEventReleasesClosure checks the fn reference is dropped once
-// an event fires or is stopped, so captured state becomes collectable
-// even while the event struct lingers in a Timer handle.
-func TestFiredEventReleasesClosure(t *testing.T) {
-	k := New(1)
-	fired := k.After(time.Second, func() {})
-	stopped := k.After(2*time.Second, func() {})
-	k.RunFor(time.Second)
-	if fired.ev.fn != nil {
-		t.Fatal("fired event still references its closure")
-	}
-	stopped.Stop()
-	if stopped.ev.fn != nil {
-		t.Fatal("cancelled event still references its closure")
-	}
-}
-
 // TestPendingConstantTime pins the queue length as the pending count:
 // it must stay correct through stops, double stops and event execution.
 func TestPendingConstantTime(t *testing.T) {

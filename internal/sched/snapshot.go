@@ -7,65 +7,55 @@ import (
 
 // This file implements the kernel's side of the snapshot/clone protocol
 // (see internal/snap): the kernel owns intrusive structures a generic
-// graph walker must not touch — the event heap, the pooled free list, and
-// the generation counters that keep stale Timer handles inert — so it
+// graph walker must not touch — the event slab, its heap and free list,
+// and the generation counters that keep stale Timer handles inert — so it
 // snapshots and restores them by hand. The generic engine discovers the
-// kernel through the snap.Snapshotter interface and leaves its pooled
-// events alone via the snap.Skipper marker on *event.
+// kernel through the snap.Snapshotter interface.
 
 // KernelSnapshot captures a kernel's schedule: the clock, the sequence
-// counter, every queued event (with its generation, so Timer handles held
-// by actors remain valid after Restore), and the free list in order (so
-// post-restore allocations replay identically). It also captures the
-// random stream: the source by value, and the *rand.Rand over it by value
-// too, because Rand.Read keeps the unread bytes of its last draw there.
+// counter, the event slab as plain data (every event's keys and
+// generation, so Timer handles held by actors remain valid after Restore,
+// and the free list in order, so post-restore allocations replay
+// identically), the heap, and the queued events' callbacks. It also
+// captures the random stream: the source by value, and the *rand.Rand over
+// it by value too, because Rand.Read keeps the unread bytes of its last
+// draw there.
 type KernelSnapshot struct {
-	now       time.Duration
-	seq       uint64
-	events    []eventSnap
-	freeOrder []freeSnap
-	rng       rand.Rand
-	src       source
-}
-
-type eventSnap struct {
-	ev    *event
-	at    time.Duration
-	seq   uint64
-	gen   uint32
-	fn    func()
-	argFn func(any)
-	arg   any
-}
-
-type freeSnap struct {
-	ev  *event
-	gen uint32
+	now    time.Duration
+	seq    uint64
+	free   int32
+	events []event
+	queue  eventHeap
+	calls  []call // calls[j] is queue[j]'s
+	rng    rand.Rand
+	src    source
 }
 
 // Snapshot records the kernel's current schedule and the position of its
 // random stream, so draws after a Restore repeat the draws after Snapshot.
 func (k *Kernel) Snapshot() *KernelSnapshot {
 	k.settle()
-	s := &KernelSnapshot{now: k.now, seq: k.seq, src: k.src, rng: *k.rng}
-	s.events = make([]eventSnap, 0, len(k.queue))
-	for _, ev := range k.queue {
-		s.events = append(s.events, eventSnap{
-			ev: ev, at: ev.at, seq: ev.seq, gen: ev.gen,
-			fn: ev.fn, argFn: ev.argFn, arg: ev.arg,
-		})
+	s := &KernelSnapshot{
+		now: k.now, seq: k.seq, free: k.free, src: k.src, rng: *k.rng,
+		events: append([]event(nil), k.events...),
+		queue:  append(eventHeap(nil), k.queue...),
+		calls:  make([]call, len(k.queue)),
 	}
-	for ev := k.free; ev != nil; ev = ev.next {
-		s.freeOrder = append(s.freeOrder, freeSnap{ev: ev, gen: ev.gen})
+	for j, i := range k.queue {
+		s.calls[j] = k.calls[i]
 	}
 	return s
 }
 
 // Restore rewinds the kernel to the snapshot: clock, sequence counter,
-// queued events (generations rolled back so actor-held Timer handles for
-// in-flight timers work again), the free list in its original order, and
-// the random stream. Events created only after the snapshot drop out of
-// the kernel and are left for the garbage collector.
+// event slab (generations rolled back so actor-held Timer handles for
+// in-flight timers work again), heap, the free list in its original
+// order, and the random stream. Slots created after the snapshot are cut
+// from the slab, so restoring again and again never grows it; every slot
+// the snapshot does not queue, cut ones included, drops its callback, so
+// no finished run's closures outlive the restore. A handle taken after the
+// snapshot belongs to the timeline Restore undoes: like the actor state
+// holding it, which the snapshot engine rewinds, it is not to be used.
 func (k *Kernel) Restore(s *KernelSnapshot) {
 	k.now = s.now
 	k.seq = s.seq
@@ -74,37 +64,22 @@ func (k *Kernel) Restore(s *KernelSnapshot) {
 	k.stopped = false
 	k.fired = false
 
-	for i, ev := range k.queue {
-		ev.idx = -1 // unless the snapshot queues it again below
-		k.queue[i] = nil
+	k.free = s.free
+	k.events = append(k.events[:0], s.events...)
+	k.queue = append(k.queue[:0], s.queue...)
+	n := len(s.events)
+	if n > len(k.calls) {
+		k.calls = append(k.calls, make([]call, n-len(k.calls))...)
 	}
-	k.queue = k.queue[:0]
-	for i := range s.events {
-		es := &s.events[i]
-		ev := es.ev
-		ev.at = es.at
-		ev.seq = es.seq
-		ev.gen = es.gen
-		ev.fn = es.fn
-		ev.argFn = es.argFn
-		ev.arg = es.arg
-		ev.next = nil
-		k.queue = append(k.queue, ev)
+	clear(k.calls[n:])
+	k.calls = k.calls[:n]
+	for i := range k.calls {
+		if c := &k.calls[i]; k.events[i].idx < 0 && (c.fn != nil || c.argFn != nil || c.arg != nil) {
+			*c = call{}
+		}
 	}
-	k.queue.init()
-
-	// Rebuild the free list front-to-back (push in reverse) so alloc hands
-	// out the same events in the same order as the original timeline.
-	k.free = nil
-	for i := len(s.freeOrder) - 1; i >= 0; i-- {
-		fs := &s.freeOrder[i]
-		ev := fs.ev
-		ev.gen = fs.gen
-		ev.fn = nil
-		ev.argFn = nil
-		ev.arg = nil
-		ev.next = k.free
-		k.free = ev
+	for j, i := range k.queue {
+		k.calls[i] = s.calls[j]
 	}
 }
 
@@ -127,14 +102,9 @@ func (k *Kernel) RestoreState(state any) { k.Restore(state.(*KernelSnapshot)) }
 // only replays the pointer.
 func (k *Kernel) SnapshotRoots(visit func(root any)) {
 	k.settle()
-	for _, ev := range k.queue {
-		if ev.arg != nil {
-			visit(ev.arg)
+	for _, i := range k.queue {
+		if arg := k.calls[i].arg; arg != nil {
+			visit(arg)
 		}
 	}
 }
-
-// SnapSkip implements snap.Skipper: pooled events are owned by the
-// kernel's hand-written snapshot; the generic walker must neither record
-// nor traverse them (Timer fields inside actors still reach them).
-func (*event) SnapSkip() {}

@@ -118,20 +118,21 @@ func TestSnapshotRestoresFreeListOrder(t *testing.T) {
 
 	s := k.Snapshot()
 
-	// Record which pooled events alloc hands out, in order (only as many
-	// as the pool holds — once the free list is empty alloc heap-allocates
-	// a brand-new event, which legitimately differs per timeline).
+	// Record which pooled slots alloc hands out, in order (only as many as
+	// the pool holds — once the free list is empty alloc grows the slab,
+	// whose next slot is the same in every timeline anyway).
 	pooled := 0
-	for ev := k.free; ev != nil; ev = ev.next {
+	for i := k.free; i >= 0; i = k.events[i].next {
 		pooled++
 	}
 	if pooled == 0 {
 		t.Fatal("free list empty; test needs recycled events")
 	}
-	allocOrder := func() []*event {
-		var got []*event
+	allocOrder := func() []int32 {
+		var got []int32
 		for i := 0; i < pooled; i++ {
-			got = append(got, k.alloc())
+			i, _ := k.alloc()
+			got = append(got, i)
 		}
 		// Restore rebuilds the pool, so no need to hand these back.
 		return got
@@ -175,6 +176,86 @@ func TestSnapshotRestoreAfterPostSnapshotGrowth(t *testing.T) {
 	drain(k, 20*time.Millisecond)
 	if ran != 1 || k.Pending() != 0 {
 		t.Fatalf("post-restore schedule broken: ran=%d Pending()=%d", ran, k.Pending())
+	}
+}
+
+// TestRestoreKeepsSlabBounded: a prototype's kernel is restored once per
+// cell, and every cell schedules past the snapshot's events. Restore cuts
+// the slots made after the snapshot, so 10 000 cycles leave the slab where
+// the first one took it.
+func TestRestoreKeepsSlabBounded(t *testing.T) {
+	k := New(1)
+	noop := func() {}
+	argFn := func(any) {}
+	for i := 0; i < 4; i++ {
+		k.After(time.Duration(i+1)*time.Second, noop)
+	}
+	s := k.Snapshot()
+	var high, highCap, callsCap int
+	for cycle := 0; cycle < 10000; cycle++ {
+		for j := 0; j < 24; j++ {
+			k.AfterArg(time.Duration(j%5)*time.Millisecond, argFn, &j)
+		}
+		k.After(time.Hour, noop).Stop()
+		k.RunFor(3 * time.Millisecond)
+		if cycle == 0 {
+			high, highCap, callsCap = len(k.events), cap(k.events), cap(k.calls)
+		}
+		if len(k.events) != high || cap(k.events) != highCap || cap(k.calls) != callsCap {
+			t.Fatalf("cycle %d: slab %d long (caps %d, %d), first cycle's %d (caps %d, %d)",
+				cycle, len(k.events), cap(k.events), cap(k.calls), high, highCap, callsCap)
+		}
+		k.Restore(s)
+		if len(k.events) != 4 || len(k.calls) != 4 || k.Pending() != 4 {
+			t.Fatalf("cycle %d: restored slab %d long with %d callbacks and %d pending, want 4", cycle, len(k.events), len(k.calls), k.Pending())
+		}
+	}
+}
+
+// TestRestoreDropsFreeCallbacks: a freed slot keeps its callback until it
+// is reused, but after Restore no slot the snapshot does not queue — freed
+// before the snapshot, after it, or cut from the slab — holds a callback
+// or an argument, and the queued ones hold theirs.
+func TestRestoreDropsFreeCallbacks(t *testing.T) {
+	k := New(1)
+	type payload struct{ n int }
+	var got []int
+	argFn := func(a any) { got = append(got, a.(*payload).n) }
+	k.After(time.Second, func() { got = append(got, -1) })
+	k.AfterArg(2*time.Second, argFn, &payload{1})
+	k.AfterArg(time.Millisecond, argFn, &payload{2})
+	k.RunFor(time.Millisecond)
+	s := k.Snapshot()
+
+	for i := 0; i < 16; i++ {
+		k.AfterArg(time.Duration(i)*time.Millisecond, argFn, &payload{3})
+	}
+	k.After(time.Hour, func() {}).Stop()
+	k.RunFor(time.Minute)
+	kept := 0
+	for _, c := range k.calls {
+		if c.fn != nil || c.argFn != nil || c.arg != nil {
+			kept++
+		}
+	}
+	if kept == 0 {
+		t.Fatal("no freed slot kept its callback; the test exercises nothing")
+	}
+
+	k.Restore(s)
+	for i, c := range k.calls[:cap(k.calls)] {
+		queued := i < len(k.events) && k.events[i].idx >= 0
+		switch {
+		case queued && c.fn == nil && c.argFn == nil:
+			t.Errorf("queued slot %d lost its callback", i)
+		case !queued && (c.fn != nil || c.argFn != nil || c.arg != nil):
+			t.Errorf("slot %d is not queued but holds a callback or an argument", i)
+		}
+	}
+	got = nil
+	k.Run()
+	if len(got) != 2 || got[0] != -1 || got[1] != 1 {
+		t.Fatalf("restored queue fired %v, want [-1 1]", got)
 	}
 }
 

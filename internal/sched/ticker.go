@@ -19,7 +19,7 @@ func (k *Kernel) Every(period time.Duration, fn func()) *Ticker {
 	if period <= 0 {
 		panic("sched: Every requires a positive period")
 	}
-	t := &Ticker{k: k, period: period, fn: fn}
+	t := &Ticker{k: k, period: period, fn: fn, timer: Timer{k: k}}
 	t.tick = func() {
 		if t.stopped {
 			return
@@ -33,8 +33,12 @@ func (k *Kernel) Every(period time.Duration, fn func()) *Ticker {
 	return t
 }
 
+// arm schedules the next tick. It stores only the handle's slot and
+// generation: its kernel never changes, and leaving that pointer alone
+// spares the collector's write barrier on every tick.
 func (t *Ticker) arm() {
-	t.timer = t.k.After(t.period, t.tick)
+	tm := t.k.After(t.period, t.tick)
+	t.timer.i, t.timer.gen = tm.i, tm.gen
 }
 
 // Stop cancels future ticks. It is safe to call from within the callback.

@@ -320,8 +320,10 @@ func (c *Card) Authenticate(rnd, autn [16]byte) AuthResult {
 		return res
 	}
 
-	// Recover SQN: AUTN = SQN⊕AK || AMF || MAC-A.
-	_, _, _, ak := c.mil.F2345(rnd)
+	// Recover SQN: AUTN = SQN⊕AK || AMF || MAC-A. The challenge derives
+	// TEMP once for every f-function below.
+	ch := c.mil.Challenge(rnd)
+	res, ak := ch.F25()
 	var sqnBytes [6]byte
 	copy(sqnBytes[:], autn[0:6])
 	for i := 0; i < 6; i++ {
@@ -330,23 +332,22 @@ func (c *Card) Authenticate(rnd, autn [16]byte) AuthResult {
 	sqn := crypto5g.SQNFromBytes(sqnBytes[:])
 	var amf [2]byte
 	copy(amf[:], autn[6:8])
-	macA, _ := c.mil.F1(rnd, sqn, amf)
+	macA, _ := ch.F1(sqn, amf)
 	if !crypto5g.ConstantTimeEqual(macA[:], autn[8:16]) {
 		return AuthResult{Kind: AuthMACFailure}
 	}
 	if sqn <= c.sqn {
 		// Out-of-range SQN: resynchronise with AUTS carrying our SQN.
 		// MAC-S is computed over the card's own SQN per TS 33.102 §6.3.3.
-		akStar := c.mil.F5Star(rnd)
-		_, macS := c.mil.F1(rnd, c.sqn, amf)
+		akStar := ch.F5Star()
+		_, macS := ch.F1(c.sqn, amf)
 		return AuthResult{Kind: AuthSyncFailure, AUTS: crypto5g.AUTS(c.sqn, akStar, macS)}
 	}
 	c.sqn = sqn
-	res, ck, ik, _ := c.mil.F2345(rnd)
 	if c.diag != nil {
 		c.diag.AuthSucceeded()
 	}
-	return AuthResult{Kind: AuthOK, RES: res, CK: ck, IK: ik}
+	return AuthResult{Kind: AuthOK, RES: res, CK: ch.F3(), IK: ch.F4()}
 }
 
 func isDFlag(rnd [16]byte) bool {

@@ -84,9 +84,8 @@ type RootsProvider interface {
 }
 
 // Skipper marks pointee types the walker must not record or traverse:
-// types already owned by a Snapshotter (the kernel's pooled events and its
-// random source) whose generic restoration would fight or repeat the
-// hand-written one.
+// types already owned by a Snapshotter (the kernel's random source) whose
+// generic restoration would fight or repeat the hand-written one.
 type Skipper interface {
 	SnapSkip()
 }

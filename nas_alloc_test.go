@@ -215,10 +215,7 @@ func TestSharedNASPoolSnapshot(t *testing.T) {
 // a testbed owns, free or in use: a run that leaves the counts where they
 // were allocated none.
 func pooledObjects(tb *Testbed) (events, frames, hops int) {
-	events = tb.kern.Pending()
-	for ev := reflect.ValueOf(tb.kern).Elem().FieldByName("free"); !ev.IsNil(); ev = ev.Elem().FieldByName("next") {
-		events++
-	}
+	events = reflect.ValueOf(tb.kern).Elem().FieldByName("events").Len()
 	inFlight, _ := nasInFlight(tb)
 	frames = inFlight + poolLen(tb.net.NASFrames)
 	for _, fn := range []any{tb.net.AMF, tb.net.SMF} {
