@@ -26,10 +26,12 @@
 // quarantines it as *.corrupt and starts empty instead.
 //
 // Clustering: -cluster lists the members (consistent-hash ring over IMSI)
-// and -node-id names this process. Requests for IMSIs owned elsewhere get
-// a redirect carrying the current map; rebalances arrive over the wire as
-// prepare/install/commit frames driven by a controller (see seedload
-// -chaos).
+// and -node-id names this process; -node-id or -epoch without -cluster is
+// a usage error. Requests for IMSIs owned elsewhere get a redirect
+// carrying the current map; rebalances arrive over the wire as
+// prepare/install/commit frames driven by a controller
+// (fleet.ClusterClient.Rebalance; the kill-and-rebalance campaign in
+// internal/fleet, go test -run TestClusterCampaign, drives one under load).
 //
 // SIGINT/SIGTERM drains gracefully: in-flight round trips complete, every
 // request already read off a connection is folded and answered, a journal
@@ -60,7 +62,7 @@ func run() int {
 		journalDir   = flag.String("journal", "", "durable journal directory (crash-tolerant tier; unset: in-memory only)")
 		compactBytes = flag.Int64("compact-bytes", 4<<20, "per-shard journal size triggering snapshot compaction")
 		forceEmpty   = flag.Bool("force-empty", false, "quarantine damaged durable state and start empty instead of refusing")
-		nodeID       = flag.String("node-id", "", "this node's ID in the cluster map")
+		nodeID       = flag.String("node-id", "", "this node's ID in the cluster map (with -cluster)")
 		clusterSpec  = flag.String("cluster", "", "cluster members as id=host:port,... (requires -node-id)")
 		epoch        = flag.Uint64("epoch", 1, "bootstrap shard-map epoch (with -cluster)")
 	)
@@ -90,7 +92,18 @@ func run() int {
 		}
 		cfg.MasterKey = k
 	}
-	if *clusterSpec != "" {
+	if *clusterSpec == "" {
+		clusterOnly := ""
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "node-id" || f.Name == "epoch" {
+				clusterOnly = f.Name
+			}
+		})
+		if clusterOnly != "" {
+			fmt.Fprintf(os.Stderr, "seedfleetd: -%s needs -cluster\n", clusterOnly)
+			return 2
+		}
+	} else {
 		nodes, err := cluster.ParseNodeList(*clusterSpec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "seedfleetd:", err)

@@ -7,14 +7,12 @@
 // Usage:
 //
 //	seedload [-addr HOST:PORT | -cluster ID=ADDR,... [-epoch N]]
-//	         [-devices N] [-workers N] [-conns N] [-records N] [-testbed N]
+//	         [-devices N] [-workers N] [-conns N] [-testbed N]
 //	         [-seed S] [-spec FILE] [-master HEX32] [-json FILE]
-//	seedload -chaos -fleetd PATH [-nodes N] [-kill-down D]
-//	         [-lossy [-proxy-killprob P]]
-//	         [-devices N] [-workers N] [-records N] [-seed S] [-json FILE]
 //
-// Every device also files one failure report, its customized causes are
-// drawn from 12 per plane, and the model comparison always runs.
+// Every device uploads four record rows and files one failure report,
+// its customized causes are drawn from 12 per plane, and the model
+// comparison always runs.
 //
 // Each device's learning records are generated deterministically from
 // (-seed, device index) via the same splitmix derivation the parallel
@@ -41,6 +39,10 @@
 // (cmd/seedwl's schema): device i's upload starts at the i-th arrival
 // offset, compressed to a millisecond per spec second, so diurnal curves
 // and signaling-storm bursts shape the cluster load.
+//
+// Crashes and rebalances under load are not a seedload mode: that
+// campaign runs in-process on the real server, as
+// go test -run TestClusterCampaign ./internal/fleet.
 package main
 
 import (
@@ -87,10 +89,12 @@ type result struct {
 	ModelBytes    int     `json:"model_bytes"`
 	Suggestions   int64   `json:"suggestions_received"`
 
-	uploadLatency
-	QueryP50MS float64 `json:"query_p50_ms"`
-	QueryP95MS float64 `json:"query_p95_ms"`
-	QueryP99MS float64 `json:"query_p99_ms"`
+	UploadP50MS float64 `json:"upload_p50_ms"`
+	UploadP95MS float64 `json:"upload_p95_ms"`
+	UploadP99MS float64 `json:"upload_p99_ms"`
+	QueryP50MS  float64 `json:"query_p50_ms"`
+	QueryP95MS  float64 `json:"query_p95_ms"`
+	QueryP99MS  float64 `json:"query_p99_ms"`
 
 	// Coalescing on the pipelined wire: request frames per client write,
 	// responses per server write, journal records per fsync (0 in memory).
@@ -101,17 +105,6 @@ type result struct {
 	Server fleet.ServerStats `json:"server"`
 }
 
-// uploadLatency is the upload percentile triple every run record carries.
-type uploadLatency struct {
-	UploadP50MS float64 `json:"upload_p50_ms"`
-	UploadP95MS float64 `json:"upload_p95_ms"`
-	UploadP99MS float64 `json:"upload_p99_ms"`
-}
-
-func uploadLatencyOf(s *metrics.Series) uploadLatency {
-	return uploadLatency{ms(s, 50), ms(s, 95), ms(s, 99)}
-}
-
 // deviceLoad is one device's deterministic workload.
 type deviceLoad struct {
 	imsi    string
@@ -120,9 +113,10 @@ type deviceLoad struct {
 	query   cause.Cause
 }
 
-// What every device sends besides its record rows, and how fast a -spec
-// arrival process is replayed.
+// What every device sends, and how fast a -spec arrival process is
+// replayed.
 const (
+	recordsPerDevice = 4     // learning-record rows per synthetic device
 	reportsPerDevice = 1     // failure reports per device
 	causesPerPlane   = 12    // distinct customized causes per plane
 	specTimescale    = 0.001 // real seconds per spec second with -spec pacing
@@ -131,13 +125,13 @@ const (
 // genDevice derives device i's workload from the root seed. Causes are
 // operator-customized codes (the §5.3 unknown-failure space) spread over
 // both planes; actions follow the trial order.
-func genDevice(rootSeed int64, i, records, reports int) deviceLoad {
+func genDevice(rootSeed int64, i int) deviceLoad {
 	rng := rand.New(rand.NewSource(sched.DeriveSeed(rootSeed, uint64(i))))
 	d := deviceLoad{
 		imsi:    fmt.Sprintf("310170%09d", i+1),
 		records: core.Records{},
 	}
-	for r := 0; r < records; r++ {
+	for r := 0; r < recordsPerDevice; r++ {
 		c := cause.Cause{Plane: cause.ControlPlane, Code: cause.Code(150 + rng.Intn(causesPerPlane))}
 		if rng.Intn(2) == 1 {
 			c.Plane = cause.DataPlane
@@ -146,7 +140,7 @@ func genDevice(rootSeed int64, i, records, reports int) deviceLoad {
 		d.records.Add(c, a, 1+rng.Intn(3))
 		d.query = c
 	}
-	for r := 0; r < reports; r++ {
+	for r := 0; r < reportsPerDevice; r++ {
 		switch rng.Intn(3) {
 		case 0:
 			d.reports = append(d.reports, report.FailureReport{
@@ -230,11 +224,11 @@ func testbedDevice(ld *deviceLoad, rootSeed int64, i int) bool {
 // model of the in-process sequential baseline fold. The first testbed
 // devices earn their records from real cloned-testbed runs (fromTestbed
 // counts those that produced any); the rest are synthetic.
-func genFleet(rootSeed int64, devices, records, reports, testbed int) (loads []deviceLoad, expected []byte, fromTestbed int) {
+func genFleet(rootSeed int64, devices, testbed int) (loads []deviceLoad, expected []byte, fromTestbed int) {
 	loads = make([]deviceLoad, devices)
 	baseline := core.Records{}
 	for i := range loads {
-		loads[i] = genDevice(rootSeed, i, records, reports)
+		loads[i] = genDevice(rootSeed, i)
 		if i < testbed && testbedDevice(&loads[i], rootSeed, i) {
 			fromTestbed++
 		}
@@ -261,10 +255,9 @@ func latSummary(s *metrics.Series, op string) string {
 		op, s.Len(), ms(s, 50), ms(s, 95), ms(s, 99))
 }
 
-// driver pushes device rounds — upload, reports, then (with query) the
-// model-push query — through a fleet from workers goroutines, each doing
-// synchronous round trips. The load run and the chaos campaign both drive
-// with it.
+// driver pushes device rounds — upload, reports, then the model-push
+// query — through a fleet from workers goroutines, each doing synchronous
+// round trips.
 type driver struct {
 	cc        *fleet.ClusterClient
 	masterKey [16]byte
@@ -272,12 +265,9 @@ type driver struct {
 	// offsets, when set, holds device i's upload back until that long after
 	// the start (-spec pacing).
 	offsets []time.Duration
-	query   bool
 
-	// acked counts acknowledged uploads while the run is in progress (the
-	// chaos script's clock); lost counts uploads and reports that failed
-	// for good.
-	acked, lost, suggestions atomic.Int64
+	// lost counts uploads and reports that failed for good.
+	lost, suggestions atomic.Int64
 }
 
 // run drives every load once and returns the wall time it took.
@@ -316,7 +306,6 @@ func (d *driver) run(loads []deviceLoad) time.Duration {
 					fmt.Fprintf(os.Stderr, "seedload: %s: %v\n", ld.imsi, err)
 					continue
 				}
-				d.acked.Add(1)
 				for _, rep := range ld.reports {
 					sr, err := dev.SealReport(rep.Marshal())
 					if err == nil {
@@ -326,9 +315,6 @@ func (d *driver) run(loads []deviceLoad) time.Duration {
 						d.lost.Add(1)
 						fmt.Fprintf(os.Stderr, "seedload: %s report: %v\n", ld.imsi, err)
 					}
-				}
-				if !d.query {
-					continue
 				}
 				if payload, err := d.cc.Query(ctx, ld.imsi, ld.query); err == nil {
 					if _, ok, _ := dev.OpenSuggest(payload); ok {
@@ -342,17 +328,16 @@ func (d *driver) run(loads []deviceLoad) time.Duration {
 	return time.Since(start)
 }
 
-// fetchStats pulls every member's counters and returns them by node ID
-// together with their sum.
-func fetchStats(cc *fleet.ClusterClient) (sum fleet.ServerStats, perNode map[string]fleet.ServerStats, err error) {
+// fetchStats pulls every member's counters and returns their sum.
+func fetchStats(cc *fleet.ClusterClient) (sum fleet.ServerStats, err error) {
 	perNode, errs := cc.FetchStatsAll(context.Background())
 	for id, err := range errs {
-		return sum, nil, fmt.Errorf("node %s: %w", id, err)
+		return sum, fmt.Errorf("node %s: %w", id, err)
 	}
 	for _, st := range perNode {
 		sum.Add(st)
 	}
-	return sum, perNode, nil
+	return sum, nil
 }
 
 // writeJSON writes the run record v to path ("-" for stdout, "" for
@@ -388,19 +373,11 @@ func run() int {
 		devices     = flag.Int("devices", 1000, "simulated device count")
 		workers     = flag.Int("workers", 4, "client shards (worker goroutines)")
 		conns       = flag.Int("conns", 0, "connections per node (default: workers)")
-		records     = flag.Int("records", 4, "learning-record rows per device")
 		testbed     = flag.Int("testbed", 32, "derive the first N devices' records from real cloned-testbed SEED runs (0: all synthetic)")
 		wlSpec      = flag.String("spec", "", "pace uploads by this workload spec's arrival process (see cmd/seedwl) instead of max rate")
 		seedVal     = flag.Int64("seed", 1, "workload seed")
 		master      = flag.String("master", "", "fleet master key, 32 hex digits (default: built-in dev key)")
 		jsonOut     = flag.String("json", "", "write machine-readable results to FILE (\"-\" for stdout)")
-
-		chaosMode  = flag.Bool("chaos", false, "run the kill-and-rebalance chaos campaign (spawns its own cluster; see -fleetd)")
-		fleetdPath = flag.String("fleetd", "", "seedfleetd binary for -chaos (required)")
-		chaosNodes = flag.Int("nodes", 3, "cluster size for -chaos")
-		killDown   = flag.Duration("kill-down", 250*time.Millisecond, "how long the SIGKILL'd node stays down before restart")
-		lossy      = flag.Bool("lossy", false, "route cluster traffic through lossy TCP proxies")
-		proxyKill  = flag.Float64("proxy-killprob", 0.02, "lossy proxy: per-connection kill probability per forwarded chunk")
 	)
 	flag.Parse()
 	if *devices < 1 {
@@ -425,25 +402,9 @@ func run() int {
 		*conns = *workers
 	}
 
-	if *chaosMode {
-		return runChaos(chaosOpts{
-			fleetd:    *fleetdPath,
-			nodes:     *chaosNodes,
-			devices:   *devices,
-			workers:   *workers,
-			records:   *records,
-			seed:      *seedVal,
-			masterKey: masterKey,
-			killDown:  *killDown,
-			lossy:     *lossy,
-			proxyKill: *proxyKill,
-			jsonOut:   *jsonOut,
-		})
-	}
-
-	loads, expected, fromTestbed := genFleet(*seedVal, *devices, *records, reportsPerDevice, *testbed)
+	loads, expected, fromTestbed := genFleet(*seedVal, *devices, *testbed)
 	logf("seedload: %d devices (%d testbed-derived), %d workers, %d conns, %d record rows/device (model %d bytes)",
-		*devices, fromTestbed, *workers, *conns, *records, len(expected))
+		*devices, fromTestbed, *workers, *conns, recordsPerDevice, len(expected))
 
 	// With -spec, device i's upload waits until its compiled arrival
 	// offset (compressed by specTimescale) — cluster load then carries the
@@ -496,12 +457,12 @@ func run() int {
 	}
 	defer cc.Close()
 
-	d := driver{cc: cc, masterKey: masterKey, workers: *workers, offsets: offsets, query: true}
+	d := driver{cc: cc, masterKey: masterKey, workers: *workers, offsets: offsets}
 	wall := d.run(loads)
 
 	res := result{
 		Devices: *devices, Workers: *workers, Conns: *conns,
-		Records: *records, Reports: reportsPerDevice, Testbed: fromTestbed,
+		Records: recordsPerDevice, Reports: reportsPerDevice, Testbed: fromTestbed,
 		PacedBySpec: pacedBy, Seed: *seedVal,
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		WallMS:        float64(wall) / float64(time.Millisecond),
@@ -510,7 +471,9 @@ func run() int {
 		Retries:       cc.Retries(),
 		Redials:       cc.Redials(),
 		Suggestions:   d.suggestions.Load(),
-		uploadLatency: uploadLatencyOf(cc.Latency("upload")),
+		UploadP50MS:   ms(cc.Latency("upload"), 50),
+		UploadP95MS:   ms(cc.Latency("upload"), 95),
+		UploadP99MS:   ms(cc.Latency("upload"), 99),
 		QueryP50MS:    ms(cc.Latency("query"), 50),
 		QueryP95MS:    ms(cc.Latency("query"), 95),
 		QueryP99MS:    ms(cc.Latency("query"), 99),
@@ -520,7 +483,7 @@ func run() int {
 	totalOps := *devices * (2 + reportsPerDevice) // upload + reports + query
 	res.OpsPerSec = float64(totalOps) / wall.Seconds()
 
-	if st, _, err := fetchStats(cc); err == nil {
+	if st, err := fetchStats(cc); err == nil {
 		res.Server = st
 		res.ResponsesPerFlush = fleet.Ratio(st.Responses, st.Flushes)
 		res.RecordsPerFsync = fleet.Ratio(st.JournalRecords, st.JournalSyncs)

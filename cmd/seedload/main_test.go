@@ -29,7 +29,6 @@ func TestRejectsEmptyFleet(t *testing.T) {
 	for _, args := range [][]string{
 		{"-addr", "127.0.0.1:1", "-devices", "10", "-testbed", "0", "-workers", "0"},
 		{"-addr", "127.0.0.1:1", "-devices", "10", "-testbed", "0", "-workers", "-2"},
-		{"-chaos", "-devices", "10", "-workers", "0"},
 		{"-addr", "127.0.0.1:1", "-devices", "0", "-spec", spec},
 		{"-addr", "127.0.0.1:1", "-devices", "0", "-testbed", "0"},
 	} {

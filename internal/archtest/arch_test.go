@@ -787,15 +787,15 @@ func ruleMirrorVocabulary(r *report) {
 	}
 }
 
-// Rule seeded-streams: math/rand.NewSource is referenced only by the kernel's
-// source (internal/sched), the fleet client's backoff jitter and the load
-// generator; every other stream is a kernel's Rand() or sched.NewRand.
+// Rule seeded-streams: in non-test code math/rand.NewSource is referenced
+// only by the kernel's source (internal/sched), the fleet client's backoff
+// jitter and the load generator's device workloads; every other stream is
+// a kernel's Rand() or sched.NewRand.
 func ruleSeededStreams(r *report) {
 	allowed := map[string]bool{
 		modPath("internal/sched") + " rng.go":    true,
 		modPath("internal/fleet") + " client.go": true,
 		modPath("cmd/seedload") + " main.go":     true,
-		modPath("cmd/seedload") + " proxy.go":    true,
 	}
 	for _, u := range r.w.prod() {
 		for id, obj := range u.info.Uses {

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"github.com/seed5g/seed/internal/cause"
-	"github.com/seed5g/seed/internal/metrics"
 )
 
 // ClientConfig parameterizes the fleet client.
@@ -69,8 +68,8 @@ func (c *ClientConfig) withDefaults() {
 // dialTimeout bounds connection establishment.
 const dialTimeout = 5 * time.Second
 
-// Client is a multiplexed fleet-protocol client with retry, backpressure
-// handling, and a latency recorder. Any number of callers share its Conns
+// Client is a multiplexed fleet-protocol client with retry and
+// backpressure handling. Any number of callers share its Conns
 // connections. Callers that arrive together leave together: a caller
 // queues its request on a connection whose writer is still gathering, so
 // the callers one burst of responses wakes share one write; see muxConn.
@@ -87,8 +86,6 @@ type Client struct {
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
-
-	lat opLatencies
 
 	retries, redials, writes, frames atomic.Uint64
 }
@@ -387,9 +384,8 @@ func (mc *muxConn) failLocked(err error) {
 
 // Do performs a request with retries: transport errors back off
 // exponentially with jitter, TRetryAfter honors the server's hint, and
-// TErr fails immediately (the request itself is bad). The latency of the
-// whole exchange — including backoff waits, what a device experiences —
-// is recorded under op.
+// TErr fails immediately (the request itself is bad). op names the
+// request in errors.
 func (cl *Client) Do(op string, req Frame) (Frame, error) {
 	return cl.DoCtx(context.Background(), op, req)
 }
@@ -401,7 +397,6 @@ func (cl *Client) Do(op string, req Frame) (Frame, error) {
 // abandoned, the connection stays good). Only a caller that is in the
 // middle of writing the queued frames finishes that write first.
 func (cl *Client) DoCtx(ctx context.Context, op string, req Frame) (Frame, error) {
-	start := time.Now()
 	var lastErr error
 	for attempt := 0; attempt <= cl.cfg.MaxRetries; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -440,7 +435,6 @@ func (cl *Client) DoCtx(ctx context.Context, op string, req Frame) (Frame, error
 		case TErr:
 			return Frame{}, fmt.Errorf("%w: %s", ErrServer, resp.Payload)
 		default:
-			cl.lat.record(op, time.Since(start))
 			return resp, nil
 		}
 	}
@@ -480,32 +474,6 @@ func (cl *Client) sleep(ctx context.Context, d time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// opLatencies holds one latency series per op name.
-type opLatencies struct {
-	mu sync.Mutex
-	m  map[string]*metrics.Series
-}
-
-func (l *opLatencies) record(op string, d time.Duration) {
-	l.mu.Lock()
-	s := l.m[op]
-	if s == nil {
-		if l.m == nil {
-			l.m = make(map[string]*metrics.Series)
-		}
-		s = metrics.NewSeries()
-		l.m[op] = s
-	}
-	s.Add(d)
-	l.mu.Unlock()
-}
-
-func (l *opLatencies) series(op string) *metrics.Series {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.m[op]
 }
 
 // --- request surface -----------------------------------------------------
@@ -570,8 +538,3 @@ func (cl *Client) Redials() uint64 { return cl.redials.Load() }
 // the callers' concurrency bought.
 func (cl *Client) Frames() uint64 { return cl.frames.Load() }
 func (cl *Client) Writes() uint64 { return cl.writes.Load() }
-
-// Latency returns the recorded series for an op ("upload", "query", …),
-// or nil when the op never completed. The series is shared — callers
-// must not mutate it concurrently with in-flight requests.
-func (cl *Client) Latency(op string) *metrics.Series { return cl.lat.series(op) }

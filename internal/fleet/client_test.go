@@ -129,7 +129,7 @@ func TestClientContextCancelMidRead(t *testing.T) {
 }
 
 // TestClientDoCtxHappyPath: a live server answers normally through the
-// context-aware path and the latency recorder still fires.
+// context-aware path.
 func TestClientDoCtxHappyPath(t *testing.T) {
 	_, cl := startServer(t, ServerConfig{Shards: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -140,9 +140,6 @@ func TestClientDoCtxHappyPath(t *testing.T) {
 	}
 	if resp.Type != TStats {
 		t.Fatalf("got %v", resp.Type)
-	}
-	if cl.Latency("stats") == nil {
-		t.Fatal("latency not recorded through DoCtx")
 	}
 }
 

@@ -21,7 +21,8 @@ type testCluster struct {
 	t       *testing.T
 	root    string
 	servers map[string]*Server
-	addrs   map[string]string
+	addrs   map[string]string // where each node listens
+	front   map[string]string // where clients dial a node behind a forwarder
 	epoch   uint64
 }
 
@@ -75,6 +76,9 @@ func (tc *testCluster) boot(id, addr string, m *cluster.Map) *Server {
 func (tc *testCluster) nodes() []cluster.Node {
 	var nodes []cluster.Node
 	for id, addr := range tc.addrs {
+		if f, ok := tc.front[id]; ok {
+			addr = f
+		}
 		nodes = append(nodes, cluster.Node{ID: id, Addr: addr})
 	}
 	return nodes
@@ -229,9 +233,6 @@ func TestClusterOfOneAgainstMaplessServer(t *testing.T) {
 	// The client-side series and sums cover the one node.
 	if n := cc.Latency("upload").Len(); n != devices {
 		t.Fatalf("routed upload series has %d samples, want %d", n, devices)
-	}
-	if n := cc.LatencyOn(addr, "upload").Len(); n != devices {
-		t.Fatalf("node upload series has %d samples, want %d", n, devices)
 	}
 	if cc.Frames() < 3*devices || cc.Writes() == 0 || cc.Retries() != 0 || cc.Redials() != 0 {
 		t.Fatalf("frames=%d writes=%d retries=%d redials=%d", cc.Frames(), cc.Writes(), cc.Retries(), cc.Redials())

@@ -26,11 +26,12 @@ type ClusterClientConfig struct {
 	Replicas int
 	// Client is the per-node connection template; Addr is filled per node.
 	Client ClientConfig
-	// MaxAttempts caps routing attempts per request — each attempt is a
-	// full per-node Do cycle (which has its own transport retries), and a
-	// new attempt happens only after a redirect or node failure.
-	MaxAttempts int
 }
+
+// maxAttempts caps routing attempts per request: each attempt is a full
+// per-node Do cycle (which has its own transport retries), and a new
+// attempt happens only after a redirect or node failure.
+const maxAttempts = 6
 
 // ClusterClient routes per-IMSI requests to their owning node under an
 // epoch-versioned shard map, follows TWrongShard redirects (adopting the
@@ -57,9 +58,6 @@ type clientSlot struct {
 func NewClusterClient(cfg ClusterClientConfig) (*ClusterClient, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, errors.New("fleet: cluster client needs bootstrap nodes")
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 6
 	}
 	return &ClusterClient{
 		cfg:     cfg,
@@ -127,7 +125,7 @@ func (cc *ClusterClient) Close() {
 func (cc *ClusterClient) DoIMSI(ctx context.Context, op, imsi string, req Frame) (Frame, error) {
 	start := time.Now()
 	var lastErr error
-	for attempt := 0; attempt < cc.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return Frame{}, err
 		}
@@ -154,7 +152,7 @@ func (cc *ClusterClient) DoIMSI(ctx context.Context, op, imsi string, req Frame)
 		cc.lat.record(op, time.Since(start))
 		return resp, nil
 	}
-	return Frame{}, fmt.Errorf("fleet: %s for %s failed after %d cluster attempts: %w", op, imsi, cc.cfg.MaxAttempts, lastErr)
+	return Frame{}, fmt.Errorf("fleet: %s for %s failed after %d cluster attempts: %w", op, imsi, maxAttempts, lastErr)
 }
 
 // refreshMap polls every known node except skipID for its current map and
@@ -221,7 +219,7 @@ func (cc *ClusterClient) FetchClusterModel(ctx context.Context) ([]byte, error) 
 
 // FetchStatsAll pulls every member's counters, keyed by node ID. Nodes
 // that cannot be reached are reported in errs rather than failing the
-// whole sweep (a chaos campaign polls stats while a node is down).
+// whole sweep.
 func (cc *ClusterClient) FetchStatsAll(ctx context.Context) (map[string]ServerStats, map[string]error) {
 	out := make(map[string]ServerStats)
 	errs := make(map[string]error)
@@ -237,20 +235,36 @@ func (cc *ClusterClient) FetchStatsAll(ctx context.Context) (map[string]ServerSt
 }
 
 // Latency returns the series of whole routed exchanges for an op ("upload",
-// "report", "query") — what a device experiences across redirects and
-// failovers — or nil when the op never completed. The series is shared,
-// like Client.Latency's.
+// "report", "query") — what a device experiences across redirects,
+// failovers and backoff waits — or nil when the op never completed. The
+// series is shared: callers must not mutate it concurrently with
+// in-flight requests.
 func (cc *ClusterClient) Latency(op string) *metrics.Series { return cc.lat.series(op) }
 
-// LatencyOn returns the series one node's client recorded for an op:
-// single exchanges with that node. Nil if the node was never contacted.
-func (cc *ClusterClient) LatencyOn(nodeID, op string) *metrics.Series {
-	cc.mu.RLock()
-	defer cc.mu.RUnlock()
-	if slot := cc.clients[nodeID]; slot != nil {
-		return slot.cl.Latency(op)
+// opLatencies holds one latency series per op name.
+type opLatencies struct {
+	mu sync.Mutex
+	m  map[string]*metrics.Series
+}
+
+func (l *opLatencies) record(op string, d time.Duration) {
+	l.mu.Lock()
+	s := l.m[op]
+	if s == nil {
+		if l.m == nil {
+			l.m = make(map[string]*metrics.Series)
+		}
+		s = metrics.NewSeries()
+		l.m[op] = s
 	}
-	return nil
+	s.Add(d)
+	l.mu.Unlock()
+}
+
+func (l *opLatencies) series(op string) *metrics.Series {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.m[op]
 }
 
 // sum adds up one counter over the per-node clients.
@@ -280,7 +294,7 @@ func (cc *ClusterClient) Writes() uint64  { return cc.sum((*Client).Writes) }
 //     journaled before the ack, so dedup survives even a crash right after;
 //  3. commit: every node activates newMap (idempotent per epoch).
 //
-// The controller (a seedload chaos campaign, an operator tool) drives it;
+// The controller (an operator tool, the campaign tests) drives it;
 // nodes never talk to each other. If the controller dies mid-flight, the
 // frozen epoch never commits and a rerun with the same newMap is safe:
 // prepare re-collects, install is max-semantics, commit acks repeats.
@@ -344,26 +358,4 @@ func (cc *ClusterClient) Rebalance(ctx context.Context, newMap *cluster.Map) err
 	}
 	cc.adopt(newMap)
 	return nil
-}
-
-// WaitHealthy polls every member's stats endpoint until all answer or the
-// deadline passes — the chaos driver's "node is back" probe.
-func (cc *ClusterClient) WaitHealthy(ctx context.Context, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		_, errs := cc.FetchStatsAll(ctx)
-		if len(errs) == 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			for id, err := range errs {
-				return fmt.Errorf("fleet: node %s still unhealthy: %w", id, err)
-			}
-		}
-		select {
-		case <-time.After(50 * time.Millisecond):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
 }

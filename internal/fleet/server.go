@@ -532,18 +532,21 @@ func (sc *serverConn) flush() {
 
 // checkOwner enforces the cluster shard map on a subscriber request. A
 // non-nil return is the redirect (or freeze) response. Frozen means the
-// IMSI is moving out under a prepared-but-uncommitted map: the old owner
-// must not fold past the counters it already handed off, so the client
-// waits out the commit.
+// IMSI moves under a prepared-but-uncommitted map, and the client waits
+// out the commit: moving out, the old owner must not fold past the
+// counters it already handed off; moving in, the new owner is asked by a
+// client that took the new map from a node that committed first, and a
+// redirect with this node's older map would send it straight back.
 func (s *Server) checkOwner(imsi string) *Frame {
 	s.mapMu.RLock()
 	cur, pend := s.curMap, s.pendingMap
 	s.mapMu.RUnlock()
-	if cur != nil && cur.OwnerID(imsi) != s.cfg.NodeID {
+	me := s.cfg.NodeID
+	if cur != nil && cur.OwnerID(imsi) != me && (pend == nil || pend.OwnerID(imsi) != me) {
 		s.wrongShard.Add(1)
 		return &Frame{Type: TWrongShard, Payload: cur.Marshal()}
 	}
-	if pend != nil && pend.OwnerID(imsi) != s.cfg.NodeID {
+	if pend != nil && (pend.OwnerID(imsi) != me || cur != nil && cur.OwnerID(imsi) != me) {
 		s.backpressured.Add(1)
 		f := s.retryAfter()
 		return &f
