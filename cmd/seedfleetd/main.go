@@ -8,22 +8,24 @@
 // Usage:
 //
 //	seedfleetd [-addr HOST:PORT] [-shards N] [-master HEX32]
-//	           [-journal DIR] [-compact-bytes N] [-force-empty]
+//	           [-journal DIR] [-force-empty]
 //	           [-node-id ID -cluster ID=ADDR,ID=ADDR,... [-epoch N]]
 //
-// Queue depth, frame limit and the backpressure hint are
-// fleet.ServerConfig's defaults; the connection read/write deadlines are
-// fixed in package fleet.
-// -shards and -compact-bytes below 1 are usage errors (exit 2); the
-// library would silently replace them with its defaults.
+// The queue depth (256 waiting requests per shard), frame limit,
+// backpressure hint, compaction threshold (4 MiB of journal per shard) and
+// connection read/write deadlines are constants of package fleet.
+// -shards below 1 is a usage error (exit 2); the library would silently
+// replace it with its default.
 //
 // Durability: there are two states. Without -journal the model lives in
 // memory and ends with the process. -journal DIR enables the
 // crash-tolerant tier — every acked upload is group-commit fsync'd to a
 // per-shard journal before the ack leaves, so even SIGKILL replays to the
 // exact pre-crash model (and the exact envelope counters, so client
-// retries dedup). Damaged durable state refuses startup; -force-empty
-// quarantines it as *.corrupt and starts empty instead.
+// retries dedup). A journaled node also keeps the last shard map it
+// committed, and restarts at it when it is newer than -epoch's. Damaged
+// durable state refuses startup; -force-empty quarantines it as *.corrupt
+// and starts empty instead.
 //
 // Clustering: -cluster lists the members (consistent-hash ring over IMSI)
 // and -node-id names this process; -node-id or -epoch without -cluster is
@@ -56,33 +58,27 @@ func main() { os.Exit(run()) }
 // when the server cannot start or shut down cleanly.
 func run() int {
 	var (
-		addr         = flag.String("addr", "127.0.0.1:7316", "TCP listen address (\":0\" picks a free port)")
-		shards       = flag.Int("shards", 4, "shards the devices are split over, each served under its own lock and with its own journal")
-		master       = flag.String("master", "", "fleet master key, 32 hex digits (default: built-in dev key)")
-		journalDir   = flag.String("journal", "", "durable journal directory (crash-tolerant tier; unset: in-memory only)")
-		compactBytes = flag.Int64("compact-bytes", 4<<20, "per-shard journal size triggering snapshot compaction")
-		forceEmpty   = flag.Bool("force-empty", false, "quarantine damaged durable state and start empty instead of refusing")
-		nodeID       = flag.String("node-id", "", "this node's ID in the cluster map (with -cluster)")
-		clusterSpec  = flag.String("cluster", "", "cluster members as id=host:port,... (requires -node-id)")
-		epoch        = flag.Uint64("epoch", 1, "bootstrap shard-map epoch (with -cluster)")
+		addr        = flag.String("addr", "127.0.0.1:7316", "TCP listen address (\":0\" picks a free port)")
+		shards      = flag.Int("shards", 4, "shards the devices are split over, each served under its own lock and with its own journal")
+		master      = flag.String("master", "", "fleet master key, 32 hex digits (default: built-in dev key)")
+		journalDir  = flag.String("journal", "", "durable journal directory (crash-tolerant tier; unset: in-memory only)")
+		forceEmpty  = flag.Bool("force-empty", false, "quarantine damaged durable state and start empty instead of refusing")
+		nodeID      = flag.String("node-id", "", "this node's ID in the cluster map (with -cluster)")
+		clusterSpec = flag.String("cluster", "", "cluster members as id=host:port,... (requires -node-id)")
+		epoch       = flag.Uint64("epoch", 1, "bootstrap shard-map epoch (with -cluster)")
 	)
 	flag.Parse()
 	if *shards < 1 {
 		fmt.Fprintf(os.Stderr, "seedfleetd: -shards %d: need at least 1 shard\n", *shards)
 		return 2
 	}
-	if *compactBytes < 1 {
-		fmt.Fprintf(os.Stderr, "seedfleetd: -compact-bytes %d: need at least 1 byte\n", *compactBytes)
-		return 2
-	}
 
 	cfg := fleet.ServerConfig{
-		Addr:         *addr,
-		Shards:       *shards,
-		JournalDir:   *journalDir,
-		CompactBytes: *compactBytes,
-		ForceEmpty:   *forceEmpty,
-		NodeID:       *nodeID,
+		Addr:       *addr,
+		Shards:     *shards,
+		JournalDir: *journalDir,
+		ForceEmpty: *forceEmpty,
+		NodeID:     *nodeID,
 	}
 	if *master != "" {
 		k, err := fleet.ParseMasterKey(*master)
@@ -109,7 +105,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "seedfleetd:", err)
 			return 2
 		}
-		cfg.Map = cluster.New(*epoch, nodes, 0)
+		cfg.Map = cluster.New(*epoch, nodes)
 	}
 
 	srv := fleet.NewServer(cfg)

@@ -17,25 +17,21 @@ func seedfleetd(args ...string) int {
 	return run()
 }
 
-// A server with no shard or a non-positive compaction threshold is a usage
-// error, refused before it listens. The address cannot be listened on, so
-// a value that got through would end the run with a start failure (exit 1)
-// instead of serving.
-func TestRejectsEmptyShardsAndCompaction(t *testing.T) {
+// A server with no shard is a usage error, refused before it listens. The
+// address cannot be listened on, so a value that got through would end the
+// run with a start failure (exit 1) instead of serving.
+func TestRejectsEmptyShards(t *testing.T) {
 	const unlistenable = "127.0.0.1:-1"
 	for _, args := range [][]string{
 		{"-shards", "0"},
 		{"-shards", "-3"},
-		{"-compact-bytes", "0"},
-		{"-compact-bytes", "-5"},
-		{"-shards", "0", "-compact-bytes", "-5"},
 	} {
 		if got := seedfleetd(append([]string{"-addr", unlistenable}, args...)...); got != 2 {
 			t.Errorf("seedfleetd %v exited %d, want 2", args, got)
 		}
 	}
-	if got := seedfleetd("-addr", unlistenable, "-shards", "1", "-compact-bytes", "1"); got != 1 {
-		t.Errorf("seedfleetd -shards 1 -compact-bytes 1 on %s exited %d, want 1 (start failure)", unlistenable, got)
+	if got := seedfleetd("-addr", unlistenable, "-shards", "1"); got != 1 {
+		t.Errorf("seedfleetd -shards 1 on %s exited %d, want 1 (start failure)", unlistenable, got)
 	}
 }
 

@@ -6,13 +6,15 @@
 //
 // Usage:
 //
-//	seedload [-addr HOST:PORT | -cluster ID=ADDR,... [-epoch N]]
+//	seedload [-addr HOST:PORT | -cluster ID=ADDR,...]
 //	         [-devices N] [-workers N] [-conns N] [-testbed N]
 //	         [-seed S] [-spec FILE] [-master HEX32] [-json FILE]
 //
 // Every device uploads four record rows and files one failure report,
 // its customized causes are drawn from 12 per plane, and the model
-// comparison always runs.
+// comparison always runs. With -cluster the client's bootstrap map is
+// epoch 0, older than any a node holds, so the first redirect hands it the
+// cluster's current map.
 //
 // Each device's learning records are generated deterministically from
 // (-seed, device index) via the same splitmix derivation the parallel
@@ -369,7 +371,6 @@ func run() int {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:7316", "seedfleetd address (a single node is driven as a cluster of one)")
 		clusterSpec = flag.String("cluster", "", "drive a cluster instead: members as id=host:port,...")
-		epoch       = flag.Uint64("epoch", 1, "bootstrap shard-map epoch (with -cluster)")
 		devices     = flag.Int("devices", 1000, "simulated device count")
 		workers     = flag.Int("workers", 4, "client shards (worker goroutines)")
 		conns       = flag.Int("conns", 0, "connections per node (default: workers)")
@@ -448,7 +449,6 @@ func run() int {
 	}
 	cc, err := fleet.NewClusterClient(fleet.ClusterClientConfig{
 		Nodes:  nodes,
-		Epoch:  *epoch,
 		Client: fleet.ClientConfig{Conns: *conns, Seed: *seedVal},
 	})
 	if err != nil {

@@ -28,24 +28,25 @@ const (
 	// tcpFailRate is the failure-rate threshold (0.8 per AOSP).
 	tcpFailRate = 0.8
 
+	// evalInterval is how often the stall rules are evaluated. Stock
+	// Android polls its data-stall signals about once a minute, which
+	// dominates Figure 3's detection latencies.
+	evalInterval = time.Minute
+	// tcpMinSamples is the minimum TCP attempts in the window before the
+	// rate rule applies.
+	tcpMinSamples = 40
+	// tcpNoInboundOutbound is the "over N outbound packets but no inbound
+	// during the last minute" threshold.
+	tcpNoInboundOutbound = 40
+
 	// dnsTimeoutsToStall is the consecutive-DNS-timeout threshold.
 	dnsTimeoutsToStall = 5
 	// dnsWindow bounds how far apart those timeouts may be.
 	dnsWindow = 30 * time.Minute
 )
 
-// Config carries the Android settings that vary: the stall-rule cadence
-// and sample thresholds, and the recovery timers.
+// Config carries the Android setting that varies: the recovery timers.
 type Config struct {
-	// EvalInterval is how often the stall rules are evaluated.
-	EvalInterval time.Duration
-	// TCPMinSamples is the minimum TCP attempts in the window before the
-	// rate rule applies.
-	TCPMinSamples int
-	// TCPNoInboundOutbound is the "over N outbound packets but no inbound
-	// during the last minute" threshold.
-	TCPNoInboundOutbound int
-
 	// ActionIntervals are the waits after each recovery rung before
 	// declaring it failed and escalating. AOSP defaults to ~3 minutes;
 	// the paper's tuned baseline uses 21 s / 6 s / 16 s.
@@ -55,11 +56,6 @@ type Config struct {
 // DefaultConfig returns stock Android 12 behaviour.
 func DefaultConfig() Config {
 	return Config{
-		// Stock Android polls its data-stall signals about once a minute,
-		// which dominates Figure 3's detection latencies.
-		EvalInterval:         time.Minute,
-		TCPMinSamples:        40,
-		TCPNoInboundOutbound: 40,
 		ActionIntervals: []time.Duration{
 			3 * time.Minute, 3 * time.Minute, 3 * time.Minute,
 		},
@@ -69,9 +65,7 @@ func DefaultConfig() Config {
 // RecommendedConfig applies the shorter recovery timers (21 s/6 s/16 s)
 // the paper takes from the nationwide-reliability study for its baseline.
 func RecommendedConfig() Config {
-	c := DefaultConfig()
-	c.ActionIntervals = []time.Duration{21 * time.Second, 6 * time.Second, 16 * time.Second}
-	return c
+	return Config{ActionIntervals: []time.Duration{21 * time.Second, 6 * time.Second, 16 * time.Second}}
 }
 
 // Action is a rung of the sequential recovery ladder.
@@ -199,7 +193,7 @@ func (m *Monitor) Start() {
 		return
 	}
 	m.running = true
-	m.evalTicker = m.k.Every(m.cfg.EvalInterval, m.evaluate)
+	m.evalTicker = m.k.Every(evalInterval, m.evaluate)
 	m.probeTicker = m.k.Every(probeInterval, m.probe)
 }
 
@@ -316,7 +310,7 @@ func (m *Monitor) evaluate() {
 			fails++
 		}
 	}
-	if len(m.tcp) >= m.cfg.TCPMinSamples &&
+	if len(m.tcp) >= tcpMinSamples &&
 		float64(fails)/float64(len(m.tcp)) >= tcpFailRate {
 		m.declareStall(reasonTCP)
 		return
@@ -329,7 +323,7 @@ func (m *Monitor) evaluate() {
 			recentOut++
 		}
 	}
-	if recentOut >= m.cfg.TCPNoInboundOutbound {
+	if recentOut >= tcpNoInboundOutbound {
 		m.declareStall(reasonTCP)
 		return
 	}

@@ -19,16 +19,6 @@ type harness struct {
 	validated int
 }
 
-// fastConfig shrinks the evaluation interval so unit tests exercise the
-// rules without minute-scale waits (stock Android polls every ~60 s).
-func fastConfig() Config {
-	c := DefaultConfig()
-	c.EvalInterval = 5 * time.Second
-	c.TCPMinSamples = 5
-	c.TCPNoInboundOutbound = 10
-	return c
-}
-
 func newHarness(cfg Config) *harness {
 	h := &harness{k: sched.New(1), healthy: true}
 	h.m = NewMonitor(h.k, cfg, Hooks{
@@ -47,98 +37,109 @@ func newHarness(cfg Config) *harness {
 	return h
 }
 
-func TestTCPFailureRateRule(t *testing.T) {
-	h := newHarness(fastConfig())
-	h.k.RunFor(time.Second)
-	for i := 0; i < 10; i++ {
+// The tests run the stock rules in virtual time: evaluation once a minute,
+// 40 samples for the TCP rules.
+
+// noteTCPFailures records n failed TCP attempts at the current instant.
+func (h *harness) noteTCPFailures(n int) {
+	for i := 0; i < n; i++ {
 		h.m.NoteTCPOutcome(false)
 	}
-	h.k.RunFor(10 * time.Second)
-	if len(h.stalls) != 1 || h.stalls[0] != "tcp" {
-		t.Fatalf("stalls = %v", h.stalls)
+}
+
+func TestTCPFailureRateRule(t *testing.T) {
+	h := newHarness(DefaultConfig())
+	h.k.RunFor(time.Second)
+	h.noteTCPFailures(tcpMinSamples)
+	h.k.RunFor(time.Minute)
+	if len(h.stalls) != 1 || h.stalls[0] != "tcp" || h.stallAt[0] != evalInterval {
+		t.Fatalf("stalls %v at %v, want one tcp stall at %v", h.stalls, h.stallAt, evalInterval)
 	}
 }
 
 func TestTCPRateNeedsMinSamples(t *testing.T) {
-	h := newHarness(fastConfig())
-	h.m.NoteTCPOutcome(false)
-	h.m.NoteTCPOutcome(false)
-	h.k.RunFor(20 * time.Second)
+	h := newHarness(DefaultConfig())
+	h.healthy = false // not even the probe rule may fire before the evaluation
+	h.k.RunFor(time.Second)
+	h.noteTCPFailures(tcpMinSamples - 1)
+	h.k.RunFor(time.Minute)
 	if len(h.stalls) != 0 {
-		t.Fatalf("stall declared on %d samples", 2)
+		t.Fatalf("stall declared on %d samples", tcpMinSamples-1)
 	}
 }
 
+// TestTCPWindowExpiresOldSamples: failures that have left the one-minute
+// window do not count. Two batches just under the threshold, a minute
+// apart, would stall the rule if the first were still held at the second
+// evaluation.
 func TestTCPWindowExpiresOldSamples(t *testing.T) {
-	h := newHarness(fastConfig())
-	for i := 0; i < 10; i++ {
-		h.m.NoteTCPOutcome(false)
-	}
-	// Let the window slide past the failures *between* evaluations by
-	// keeping the monitor otherwise healthy... the rule fires at the next
-	// 5 s evaluation, so this verifies it fires before expiry.
-	h.k.RunFor(6 * time.Second)
-	if len(h.stalls) != 1 {
-		t.Fatal("rule did not fire within the window")
+	h := newHarness(DefaultConfig())
+	h.k.RunFor(time.Second)
+	h.noteTCPFailures(tcpMinSamples - 1)
+	h.k.RunFor(time.Minute)
+	h.noteTCPFailures(tcpMinSamples - 1)
+	h.k.RunFor(time.Minute)
+	if len(h.stalls) != 0 {
+		t.Fatalf("stalls = %v: expired samples were counted", h.stalls)
 	}
 }
 
 func TestNoInboundRule(t *testing.T) {
-	h := newHarness(fastConfig())
+	h := newHarness(DefaultConfig())
 	h.k.RunFor(time.Second)
-	for i := 0; i < 12; i++ {
+	for i := 0; i < tcpNoInboundOutbound; i++ {
 		h.m.NotePacket(true)
 	}
-	h.k.RunFor(10 * time.Second)
+	h.k.RunFor(time.Minute)
 	if len(h.stalls) != 1 || h.stalls[0] != "tcp" {
 		t.Fatalf("stalls = %v", h.stalls)
 	}
 }
 
 func TestInboundResetsOutboundCount(t *testing.T) {
-	h := newHarness(fastConfig())
-	for i := 0; i < 12; i++ {
+	h := newHarness(DefaultConfig())
+	for i := 0; i < tcpNoInboundOutbound; i++ {
 		h.m.NotePacket(true)
 	}
 	h.m.NotePacket(false) // inbound clears the rule
-	h.k.RunFor(10 * time.Second)
+	h.k.RunFor(time.Minute)
 	if len(h.stalls) != 0 {
 		t.Fatalf("stalls = %v", h.stalls)
 	}
 }
 
 func TestDNSConsecutiveTimeouts(t *testing.T) {
-	h := newHarness(fastConfig())
+	h := newHarness(DefaultConfig())
 	h.k.RunFor(time.Second)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < dnsTimeoutsToStall-1; i++ {
 		h.m.NoteDNSOutcome(false)
 	}
-	h.k.RunFor(10 * time.Second)
+	h.k.RunFor(time.Minute)
 	if len(h.stalls) != 0 {
-		t.Fatal("stalled at 4 timeouts")
+		t.Fatalf("stalled at %d timeouts", dnsTimeoutsToStall-1)
 	}
 	h.m.NoteDNSOutcome(false)
-	h.k.RunFor(10 * time.Second)
+	h.k.RunFor(time.Minute)
 	if len(h.stalls) != 1 || h.stalls[0] != "dns" {
 		t.Fatalf("stalls = %v", h.stalls)
 	}
 }
 
 func TestDNSSuccessResetsCounter(t *testing.T) {
-	h := newHarness(fastConfig())
-	for i := 0; i < 4; i++ {
+	h := newHarness(DefaultConfig())
+	for i := 0; i < dnsTimeoutsToStall-1; i++ {
 		h.m.NoteDNSOutcome(false)
 	}
 	h.m.NoteDNSOutcome(true)
 	h.m.NoteDNSOutcome(false)
-	h.k.RunFor(10 * time.Second)
+	h.k.RunFor(time.Minute)
 	if len(h.stalls) != 0 {
 		t.Fatal("counter not reset by success")
 	}
 }
 
 func TestProbeFailureDetection(t *testing.T) {
-	h := newHarness(fastConfig())
+	h := newHarness(DefaultConfig())
 	h.healthy = false
 	h.k.RunFor(3 * time.Minute)
 	if len(h.stalls) == 0 || h.stalls[0] != "probe" {
@@ -152,15 +153,9 @@ func TestProbeFailureDetection(t *testing.T) {
 }
 
 func TestLadderSequenceAndEscalation(t *testing.T) {
-	cfg := RecommendedConfig() // 21s/6s/16s
-	cfg.EvalInterval = 5 * time.Second
-	cfg.TCPMinSamples = 5
-	cfg.TCPNoInboundOutbound = 10
-	h := newHarness(cfg)
+	h := newHarness(RecommendedConfig()) // 21s/6s/16s
 	h.healthy = false
-	for i := 0; i < 10; i++ {
-		h.m.NoteTCPOutcome(false)
-	}
+	h.noteTCPFailures(tcpMinSamples)
 	h.k.RunFor(5 * time.Minute)
 	if len(h.actions) < 3 {
 		t.Fatalf("actions = %v", h.actions)
@@ -178,16 +173,10 @@ func TestLadderSequenceAndEscalation(t *testing.T) {
 }
 
 func TestRecoveryStopsLadder(t *testing.T) {
-	cfg := RecommendedConfig()
-	cfg.EvalInterval = 5 * time.Second
-	cfg.TCPMinSamples = 5
-	cfg.TCPNoInboundOutbound = 10
-	h := newHarness(cfg)
+	h := newHarness(RecommendedConfig())
 	h.healthy = false
-	for i := 0; i < 10; i++ {
-		h.m.NoteTCPOutcome(false)
-	}
-	h.k.RunFor(30 * time.Second)
+	h.noteTCPFailures(tcpMinSamples)
+	h.k.RunFor(evalInterval + 10*time.Second)
 	if !h.m.Stalled() {
 		t.Fatal("not stalled")
 	}
@@ -208,12 +197,10 @@ func TestRecoveryStopsLadder(t *testing.T) {
 }
 
 func TestReportValidatedShortCircuit(t *testing.T) {
-	h := newHarness(fastConfig())
+	h := newHarness(DefaultConfig())
 	h.healthy = false
-	for i := 0; i < 10; i++ {
-		h.m.NoteTCPOutcome(false)
-	}
-	h.k.RunFor(10 * time.Second)
+	h.noteTCPFailures(tcpMinSamples)
+	h.k.RunFor(time.Minute)
 	if !h.m.Stalled() {
 		t.Fatal("not stalled")
 	}
@@ -224,23 +211,23 @@ func TestReportValidatedShortCircuit(t *testing.T) {
 }
 
 func TestStartStopIdempotent(t *testing.T) {
-	h := newHarness(fastConfig())
+	h := newHarness(DefaultConfig())
 	h.m.Start() // second start is a no-op
 	h.m.Stop()
 	h.m.Stop()
-	for i := 0; i < 10; i++ {
-		h.m.NoteTCPOutcome(false)
-	}
-	h.k.RunFor(time.Minute)
+	h.noteTCPFailures(tcpMinSamples)
+	h.k.RunFor(2 * time.Minute)
 	if len(h.stalls) != 0 {
 		t.Fatal("stopped monitor declared a stall")
 	}
 }
 
 func TestDetectionLatencyShape(t *testing.T) {
-	// TCP blocking with background traffic every 5 s must be detected in
-	// tens of seconds; DNS needs 5 consecutive timeouts (longer).
-	h := newHarness(fastConfig())
+	// TCP blocking with background traffic every 5 s is too sparse for the
+	// TCP rate rule (12 attempts a minute, under its 40 samples), so the
+	// probe rule detects it: two failed probes and the next evaluation,
+	// about two minutes, the shape of Figure 3's sparse-traffic latencies.
+	h := newHarness(DefaultConfig())
 	// Traffic pattern: a TCP attempt every 5 s, all failing after onset.
 	onset := 10 * time.Second
 	h.healthy = false
@@ -256,6 +243,9 @@ func TestDetectionLatencyShape(t *testing.T) {
 	if len(h.stalls) == 0 {
 		t.Fatal("never detected")
 	}
+	if h.stalls[0] != "probe" {
+		t.Fatalf("stalls = %v, want the probe rule first", h.stalls)
+	}
 	latency := h.stallAt[0] - onset
 	if latency < 20*time.Second || latency > 5*time.Minute {
 		t.Fatalf("TCP detection latency = %v, outside the plausible Android band", latency)
@@ -269,12 +259,10 @@ func TestActionStringAndStats(t *testing.T) {
 		Action(9).String() != "unknown" {
 		t.Fatal("Action.String drifted")
 	}
-	h := newHarness(fastConfig())
-	for i := 0; i < 10; i++ {
-		h.m.NoteTCPOutcome(false)
-	}
+	h := newHarness(DefaultConfig())
+	h.noteTCPFailures(tcpMinSamples)
 	h.healthy = false
-	h.k.RunFor(time.Minute)
+	h.k.RunFor(2 * time.Minute)
 	stalls, actions := h.m.Stats()
 	if stalls != 1 || actions == 0 {
 		t.Fatalf("stats = %d stalls %d actions", stalls, actions)
@@ -339,8 +327,8 @@ func TestOutboundWindowBounded(t *testing.T) {
 		h.k.Every(cadence, func() { h.m.NotePacket(true) })
 	})
 	h.k.RunFor(10 * time.Minute)
-	if len(h.stalls) != 1 || h.stalls[0] != "tcp" || h.stallAt[0] != 2*cfg.EvalInterval {
-		t.Fatalf("stalls %v at %v, want one tcp stall at %v", h.stalls, h.stallAt, 2*cfg.EvalInterval)
+	if len(h.stalls) != 1 || h.stalls[0] != "tcp" || h.stallAt[0] != 2*evalInterval {
+		t.Fatalf("stalls %v at %v, want one tcp stall at %v", h.stalls, h.stallAt, 2*evalInterval)
 	}
 	if n := len(h.m.outboundSince); n > 2*perWindow {
 		t.Fatalf("%d outbound instants held after ten blocked minutes, want at most two windows' %d", n, 2*perWindow)

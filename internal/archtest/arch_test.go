@@ -633,6 +633,7 @@ var rules = []rule{
 	{"one-observer", "internal/core5g", false, ruleOneObserver},
 	{"boot-captures", ".", true, ruleBootCaptures},
 	{"observer-keeps", "internal/adversary", false, ruleObserverKeeps},
+	{"settable-fields", "internal/fleet", false, ruleSettableFields},
 }
 
 // Rule package-state: a package-level var declared in the module's non-test
@@ -1314,6 +1315,174 @@ func lentRoot(info *types.Info, e ast.Expr) *types.Var {
 			return nil
 		}
 	}
+}
+
+// Rule settable-fields: a setting no program sets is a constant. Every
+// exported field of a struct type named …Config in the module's non-test
+// code has a writer in non-test code other than a constant store in its
+// own package's defaults: a function or method named withDefaults or
+// Default… whose stored value reads no variable of its own. A write is the
+// field's key in a composite literal of its type (every field, for an
+// unkeyed literal), an assignment, op-assignment or ++/-- to the field or
+// through it, or its address taken (a flag bound to it). Tests do not
+// count: a field only tests set is a constant the tests shrink, or an
+// unexported seam of its package. settableAllowed lists the exceptions,
+// each with its reason, and an entry whose field gained a writer is
+// reported too.
+func ruleSettableFields(r *report) {
+	type field struct {
+		key string // import path.Type.Field
+		pos token.Pos
+	}
+	fields := map[*types.Var]field{}
+	written := map[*types.Var]bool{}
+	for _, u := range r.w.prod() {
+		for _, f := range u.files {
+			if r.w.site(u, f.Pos()).test {
+				continue
+			}
+			for _, decl := range f.Decls {
+				gd, ok := decl.(*ast.GenDecl)
+				if !ok || gd.Tok != token.TYPE {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					ts := spec.(*ast.TypeSpec)
+					obj := u.info.Defs[ts.Name]
+					st, ok := obj.Type().Underlying().(*types.Struct)
+					if !ok || !strings.HasSuffix(ts.Name.Name, "Config") || ts.Assign.IsValid() {
+						continue
+					}
+					for i := 0; i < st.NumFields(); i++ {
+						if v := st.Field(i); v.Exported() {
+							fields[v] = field{fmt.Sprintf("%s.%s.%s", obj.Pkg().Path(), obj.Name(), v.Name()), v.Pos()}
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, u := range r.w.prod() {
+		info := u.info
+		for _, f := range u.files {
+			if r.w.site(u, f.Pos()).test {
+				continue
+			}
+			for _, decl := range f.Decls {
+				name := ""
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					name = fd.Name.Name
+				}
+				defaults := name == "withDefaults" || strings.HasPrefix(name, "Default")
+				// write marks v written unless it is a constant store in its
+				// own package's defaults; value is nil when there is no one
+				// stored value to read.
+				write := func(v *types.Var, value ast.Expr) {
+					if defaults && value != nil && v.Pkg() == u.pkg && !readsLocal(info, value) {
+						return
+					}
+					written[v] = true
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+						if !ok {
+							break
+						}
+						for i, e := range n.Elts {
+							if kv, ok := e.(*ast.KeyValueExpr); ok {
+								if v, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+									write(v, kv.Value)
+								}
+							} else {
+								write(st.Field(i), e)
+							}
+						}
+					case *ast.AssignStmt:
+						if n.Tok == token.DEFINE {
+							break
+						}
+						for i, lhs := range n.Lhs {
+							var value ast.Expr
+							if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
+								value = n.Rhs[i]
+							}
+							for _, v := range fieldsWritten(info, lhs) {
+								write(v, value)
+							}
+						}
+					case *ast.IncDecStmt:
+						for _, v := range fieldsWritten(info, n.X) {
+							write(v, nil)
+						}
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							for _, v := range fieldsWritten(info, n.X) {
+								write(v, nil)
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	for v, fd := range fields {
+		reason, allowed := settableAllowed[fd.key]
+		switch {
+		case !written[v] && !allowed:
+			r.add(fd.pos, "%s is set by no program, only by tests or as a constant in its defaults: make it a constant",
+				fd.key[strings.LastIndex(fd.key, "/")+1:])
+		case written[v] && allowed:
+			r.add(fd.pos, "%s is allow-listed (%s) but a program sets it: drop the entry", fd.key, reason)
+		}
+	}
+}
+
+// settableAllowed holds the …Config fields that no program sets and that
+// stay settings, keyed import path.Type.Field, each with its reason.
+var settableAllowed = map[string]string{
+	module + "/internal/fleet.ServerConfig.Logf": "tests substitute a silent logger for log.Printf",
+}
+
+// fieldsWritten returns the fields an assignment to e writes: each field
+// selected on the way from e to the variable it is part of, through
+// indexes and dereferences.
+func fieldsWritten(info *types.Info, e ast.Expr) []*types.Var {
+	var out []*types.Var
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			if s := info.Selections[x]; s != nil && s.Kind() == types.FieldVal {
+				out = append(out, s.Obj().(*types.Var))
+			}
+			e = x.X
+		default:
+			return out
+		}
+	}
+}
+
+// readsLocal reports whether e reads a variable declared inside a
+// function: a parameter, a result or a local.
+func readsLocal(info *types.Info, e ast.Expr) bool {
+	local := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if v, ok := info.Uses[id].(*types.Var); ok && !v.IsField() && v.Parent() != v.Pkg().Scope() {
+				local = true
+			}
+		}
+		return !local
+	})
+	return local
 }
 
 // ---------------------------------------------------------------------------

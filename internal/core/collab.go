@@ -148,7 +148,22 @@ func NewChannelEnvelope(k [16]byte) *crypto5g.Envelope {
 	return env
 }
 
-// --- AUTN fragmentation (downlink, Fig 7a) -----------------------------
+// --- fragmentation (downlink AUTN, Fig 7a; uplink DNN, Fig 7b) ----------
+
+// chunk splits sealed into the data of its fragments, at most size bytes
+// each and at least one fragment; a fragment header numbers them in one
+// byte.
+func chunk(sealed []byte, size int) [][]byte {
+	total := max(1, (len(sealed)+size-1)/size)
+	if total > 255 {
+		panic(fmt.Sprintf("core: payload too large to fragment: %d bytes", len(sealed)))
+	}
+	out := make([][]byte, total)
+	for i := range out {
+		out[i] = sealed[i*size : min((i+1)*size, len(sealed))]
+	}
+	return out
+}
 
 // autnFragData is the payload bytes per AUTN fragment: 16 minus the
 // 3-byte fragment header (seq, total, length).
@@ -157,44 +172,44 @@ const autnFragData = 13
 // FragmentAUTN splits sealed bytes into AUTN-sized fragments. Each
 // fragment is seq(1) | total(1) | len(1) | data(≤13), zero-padded.
 func FragmentAUTN(sealed []byte) [][16]byte {
-	total := (len(sealed) + autnFragData - 1) / autnFragData
-	if total == 0 {
-		total = 1
-	}
-	if total > 255 {
-		panic(fmt.Sprintf("core: diagnosis payload too large: %d bytes", len(sealed)))
-	}
-	out := make([][16]byte, 0, total)
-	for i := 0; i < total; i++ {
-		var f [16]byte
-		chunk := sealed[i*autnFragData:]
-		if len(chunk) > autnFragData {
-			chunk = chunk[:autnFragData]
-		}
-		f[0] = byte(i)
-		f[1] = byte(total)
-		f[2] = byte(len(chunk))
-		copy(f[3:], chunk)
-		out = append(out, f)
+	chunks := chunk(sealed, autnFragData)
+	out := make([][16]byte, len(chunks))
+	for i, c := range chunks {
+		out[i][0], out[i][1], out[i][2] = byte(i), byte(len(chunks)), byte(len(c))
+		copy(out[i][3:], c)
 	}
 	return out
 }
 
-// Reassembler collects fragments back into the sealed payload.
+// Reassembler collects fragments back into the sealed payload. Both
+// channels reassemble with it: Accept takes an AUTN fragment, and
+// DNNReassembler hands it decoded DIAG DNN fragments.
 type Reassembler struct {
 	parts [][]byte
 	total int
 	got   int
 }
 
-// Accept consumes one fragment. It returns the complete payload once all
-// fragments arrived, or nil while incomplete. Out-of-order and duplicate
-// fragments are tolerated; a fragment with a different total resets the
-// assembly (new message preempts a stale partial one).
+// Accept consumes one AUTN fragment. It returns the complete payload once
+// all fragments arrived, or nil while incomplete or for a malformed
+// fragment.
 func (r *Reassembler) Accept(frag [16]byte) []byte {
-	seq, total, n := int(frag[0]), int(frag[1]), int(frag[2])
-	if total == 0 || seq >= total || n > autnFragData {
+	n := int(frag[2])
+	if n > autnFragData {
 		return nil
+	}
+	full, _ := r.add(int(frag[0]), int(frag[1]), frag[3:3+n])
+	return full
+}
+
+// add files fragment seq of total. It returns the complete payload once
+// all fragments arrived, nil while incomplete, and ok false for a header
+// that numbers no fragment. Out-of-order and duplicate fragments are
+// tolerated; a fragment with a different total resets the assembly (new
+// message preempts a stale partial one).
+func (r *Reassembler) add(seq, total int, data []byte) (full []byte, ok bool) {
+	if total == 0 || seq >= total {
+		return nil, false
 	}
 	if total != r.total {
 		r.parts = make([][]byte, total)
@@ -202,60 +217,46 @@ func (r *Reassembler) Accept(frag [16]byte) []byte {
 		r.got = 0
 	}
 	if r.parts[seq] == nil {
-		r.parts[seq] = append([]byte(nil), frag[3:3+n]...)
+		r.parts[seq] = append([]byte(nil), data...)
 		r.got++
 	}
 	if r.got < r.total {
-		return nil
+		return nil, true
 	}
-	var full []byte
 	for _, p := range r.parts {
 		full = append(full, p...)
 	}
 	r.parts = nil
 	r.total = 0
 	r.got = 0
-	return full
+	return full, true
 }
-
-// --- DNN fragmentation (uplink, Fig 7b) ---------------------------------
 
 // dnnFragData is the sealed-payload bytes per DNN fragment: the DNN
 // budget (100) minus the "DIAG" prefix, hex-encoded, with a 2-byte header.
 const dnnFragData = (nas.MaxDNNLen-len("DIAG"))/2 - 2 // 46 bytes
 
-// FragmentDNN splits sealed report bytes into DIAG DNN strings.
+// FragmentDNN splits sealed report bytes into DIAG DNN strings, each
+// "DIAG" | hex(seq(1) | total(1) | data(≤46)).
 func FragmentDNN(sealed []byte) []string {
-	total := (len(sealed) + dnnFragData - 1) / dnnFragData
-	if total == 0 {
-		total = 1
-	}
-	if total > 255 {
-		panic(fmt.Sprintf("core: report too large: %d bytes", len(sealed)))
-	}
-	out := make([]string, 0, total)
-	for i := 0; i < total; i++ {
-		chunk := sealed[i*dnnFragData:]
-		if len(chunk) > dnnFragData {
-			chunk = chunk[:dnnFragData]
-		}
-		frag := append([]byte{byte(i), byte(total)}, chunk...)
-		out = append(out, "DIAG"+hex.EncodeToString(frag))
+	chunks := chunk(sealed, dnnFragData)
+	out := make([]string, len(chunks))
+	for i, c := range chunks {
+		out[i] = "DIAG" + hex.EncodeToString(append([]byte{byte(i), byte(len(chunks))}, c...))
 	}
 	return out
 }
 
-// DNNReassembler collects uplink DNN fragments per UE.
+// DNNReassembler collects one UE's uplink DNN fragments: it decodes each
+// and hands it to its Reassembler.
 type DNNReassembler struct {
-	parts [][]byte
-	total int
-	got   int
+	r Reassembler
 }
 
 // Accept consumes the payload portion of one DIAG DNN (everything after
 // the prefix, still hex). It returns the complete sealed report once all
 // fragments arrived.
-func (r *DNNReassembler) Accept(hexPayload string) ([]byte, error) {
+func (d *DNNReassembler) Accept(hexPayload string) ([]byte, error) {
 	raw, err := hex.DecodeString(hexPayload)
 	if err != nil {
 		return nil, fmt.Errorf("core: bad DIAG DNN encoding: %w", err)
@@ -263,29 +264,10 @@ func (r *DNNReassembler) Accept(hexPayload string) ([]byte, error) {
 	if len(raw) < 2 {
 		return nil, fmt.Errorf("core: DIAG DNN fragment too short")
 	}
-	seq, total := int(raw[0]), int(raw[1])
-	if total == 0 || seq >= total {
-		return nil, fmt.Errorf("core: bad DIAG DNN fragment header %d/%d", seq, total)
+	full, ok := d.r.add(int(raw[0]), int(raw[1]), raw[2:])
+	if !ok {
+		return nil, fmt.Errorf("core: bad DIAG DNN fragment header %d/%d", raw[0], raw[1])
 	}
-	if total != r.total {
-		r.parts = make([][]byte, total)
-		r.total = total
-		r.got = 0
-	}
-	if r.parts[seq] == nil {
-		r.parts[seq] = append([]byte(nil), raw[2:]...)
-		r.got++
-	}
-	if r.got < r.total {
-		return nil, nil
-	}
-	var full []byte
-	for _, p := range r.parts {
-		full = append(full, p...)
-	}
-	r.parts = nil
-	r.total = 0
-	r.got = 0
 	return full, nil
 }
 

@@ -120,10 +120,10 @@ func runCampaign(t *testing.T, tc *testCluster, seed int64, devices int) ServerS
 			without = append(without, n)
 		}
 	}
-	if err := cc.Rebalance(ctx, cluster.New(2, without, 0)); err != nil {
+	if err := cc.Rebalance(ctx, cluster.New(2, without)); err != nil {
 		t.Fatalf("rebalance to epoch 2: %v", err)
 	}
-	if err := cc.Rebalance(ctx, cluster.New(3, tc.nodes(), 0)); err != nil {
+	if err := cc.Rebalance(ctx, cluster.New(3, tc.nodes())); err != nil {
 		t.Fatalf("rebalance to epoch 3: %v", err)
 	}
 	ackedAtEpoch3 := acked.Load()
@@ -181,7 +181,7 @@ func TestClusterCampaignLossyLinks(t *testing.T) {
 		fws = append(fws, fw)
 		tc.front[id] = fw.addr()
 	}
-	m := cluster.New(tc.epoch, tc.nodes(), 0)
+	m := cluster.New(tc.epoch, tc.nodes())
 	for _, srv := range tc.servers {
 		srv.SetMap(m)
 	}

@@ -25,18 +25,6 @@ type ClientConfig struct {
 	// connection whose next write is still forming, and only when none is
 	// takes the next connection round-robin.
 	Conns int
-	// RequestTimeout bounds one attempt's wait for its response, and each
-	// write.
-	RequestTimeout time.Duration
-	// MaxRetries is the number of attempts per request beyond the first,
-	// covering both transport errors and TRetryAfter backpressure.
-	MaxRetries int
-	// BackoffBase/BackoffMax shape the jittered exponential backoff used
-	// after transport errors; TRetryAfter responses honor the server's
-	// wait hint (plus jitter) instead.
-	BackoffBase, BackoffMax time.Duration
-	// MaxFrame bounds accepted response payloads.
-	MaxFrame uint32
 	// Seed seeds the backoff jitter (deterministic load patterns).
 	Seed int64
 }
@@ -45,28 +33,26 @@ func (c *ClientConfig) withDefaults() {
 	if c.Conns <= 0 {
 		c.Conns = 4
 	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 10 * time.Second
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 8
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 5 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 500 * time.Millisecond
-	}
-	if c.MaxFrame == 0 {
-		c.MaxFrame = DefaultMaxFrame
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 }
 
-// dialTimeout bounds connection establishment.
-const dialTimeout = 5 * time.Second
+const (
+	// dialTimeout bounds connection establishment.
+	dialTimeout = 5 * time.Second
+	// requestTimeout bounds one attempt's wait for its response, and each
+	// write.
+	requestTimeout = 10 * time.Second
+	// maxRetries is the number of attempts per request beyond the first,
+	// covering both transport errors and TRetryAfter backpressure.
+	maxRetries = 8
+	// backoffBase and backoffMax shape the jittered exponential backoff
+	// after transport errors; TRetryAfter responses honor the server's
+	// wait hint (plus jitter) instead.
+	backoffBase = 5 * time.Millisecond
+	backoffMax  = 500 * time.Millisecond
+)
 
 // Client is a multiplexed fleet-protocol client with retry and
 // backpressure handling. Any number of callers share its Conns
@@ -249,7 +235,7 @@ func (cl *Client) newMuxConn(c net.Conn) *muxConn {
 func (mc *muxConn) roundTrip(ctx context.Context, req Frame) (Frame, error) {
 	cl := mc.cl
 	w := waiterPool.Get().(*waiter)
-	w.expiry = time.Now().Add(cl.cfg.RequestTimeout)
+	w.expiry = time.Now().Add(requestTimeout)
 	mc.mu.Lock()
 	if mc.err != nil {
 		err := mc.err
@@ -285,7 +271,7 @@ func (mc *muxConn) roundTrip(ctx context.Context, req Frame) (Frame, error) {
 			buf := mc.pend
 			mc.pend = mc.spare[:0]
 			mc.mu.Unlock()
-			_ = mc.c.SetWriteDeadline(time.Now().Add(cl.cfg.RequestTimeout))
+			_ = mc.c.SetWriteDeadline(time.Now().Add(requestTimeout))
 			_, err := mc.c.Write(buf)
 			cl.writes.Add(1)
 			mc.mu.Lock()
@@ -315,7 +301,7 @@ func (mc *muxConn) roundTrip(ctx context.Context, req Frame) (Frame, error) {
 }
 
 // readLoop hands every response to the oldest request in flight. Its read
-// deadline is that request's expiry, so RequestTimeout needs no timer per
+// deadline is that request's expiry, so requestTimeout needs no timer per
 // request; an expiry breaks the connection, because the responses behind
 // the missing one could no longer be matched.
 func (mc *muxConn) readLoop() {
@@ -331,7 +317,7 @@ func (mc *muxConn) readLoop() {
 			_ = mc.c.SetReadDeadline(deadline)
 		}
 		mc.mu.Unlock()
-		f, err := ReadFrame(br, mc.cl.cfg.MaxFrame)
+		f, err := ReadFrame(br, DefaultMaxFrame)
 		mc.mu.Lock()
 		w := mc.head
 		switch {
@@ -391,14 +377,14 @@ func (cl *Client) Do(op string, req Frame) (Frame, error) {
 }
 
 // DoCtx is Do with cancellation: the retry loop is hard-capped at
-// MaxRetries extra attempts, and a cancelled/expired ctx returns promptly
+// maxRetries extra attempts, and a cancelled/expired ctx returns promptly
 // — it aborts backoff sleeps, dials, waits for another caller's dial, and
 // the wait for a response (the request's slot in the response order is
 // abandoned, the connection stays good). Only a caller that is in the
 // middle of writing the queued frames finishes that write first.
 func (cl *Client) DoCtx(ctx context.Context, op string, req Frame) (Frame, error) {
 	var lastErr error
-	for attempt := 0; attempt <= cl.cfg.MaxRetries; attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			if lastErr != nil {
 				return Frame{}, fmt.Errorf("fleet: %s cancelled after %d attempts: %w (last error: %v)", op, attempt, err, lastErr)
@@ -430,7 +416,7 @@ func (cl *Client) DoCtx(ctx context.Context, op string, req Frame) (Frame, error
 				return Frame{}, err
 			}
 			lastErr = fmt.Errorf("fleet: backpressured (retry after %dms)", millis)
-			_ = cl.sleep(ctx, time.Duration(millis)*time.Millisecond+cl.jitter(cl.cfg.BackoffBase))
+			_ = cl.sleep(ctx, time.Duration(millis)*time.Millisecond+cl.jitter(backoffBase))
 			continue
 		case TErr:
 			return Frame{}, fmt.Errorf("%w: %s", ErrServer, resp.Payload)
@@ -438,14 +424,14 @@ func (cl *Client) DoCtx(ctx context.Context, op string, req Frame) (Frame, error
 			return resp, nil
 		}
 	}
-	return Frame{}, fmt.Errorf("fleet: %s failed after %d attempts: %w", op, cl.cfg.MaxRetries+1, lastErr)
+	return Frame{}, fmt.Errorf("fleet: %s failed after %d attempts: %w", op, maxRetries+1, lastErr)
 }
 
 // backoff returns the jittered exponential wait for an attempt.
 func (cl *Client) backoff(attempt int) time.Duration {
-	d := cl.cfg.BackoffBase << uint(attempt)
-	if d > cl.cfg.BackoffMax || d <= 0 {
-		d = cl.cfg.BackoffMax
+	d := backoffBase << uint(attempt)
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
 	}
 	return d/2 + cl.jitter(d)
 }

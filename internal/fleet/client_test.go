@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -10,8 +11,9 @@ import (
 )
 
 // TestClientRetryCapBounded points a client at a port nobody answers and
-// checks the retry loop gives up after exactly MaxRetries+1 attempts with
-// an error that says so — not an unbounded spin.
+// checks the retry loop gives up after exactly maxRetries+1 attempts with
+// an error that says so — not an unbounded spin. Its backoffs sum to
+// between 0.8 and 1.7 s.
 func TestClientRetryCapBounded(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -20,20 +22,14 @@ func TestClientRetryCapBounded(t *testing.T) {
 	addr := ln.Addr().String()
 	_ = ln.Close() // nothing listens here any more
 
-	cl := NewClient(ClientConfig{
-		Addr:        addr,
-		Conns:       1,
-		MaxRetries:  2,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  2 * time.Millisecond,
-	})
+	cl := NewClient(ClientConfig{Addr: addr, Conns: 1})
 	defer cl.Close()
 	start := time.Now()
 	_, err = cl.Do("upload", Frame{Type: TStatsPull})
 	if err == nil {
 		t.Fatal("request to dead address succeeded")
 	}
-	if !strings.Contains(err.Error(), "after 3 attempts") {
+	if !strings.Contains(err.Error(), fmt.Sprintf("after %d attempts", maxRetries+1)) {
 		t.Fatalf("error does not report the attempt cap: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -43,7 +39,8 @@ func TestClientRetryCapBounded(t *testing.T) {
 
 // TestClientContextCancelDuringBackoff cancels mid-retry-loop: DoCtx must
 // return promptly with the context error even though the server address
-// is unreachable and backoff would otherwise keep sleeping.
+// is unreachable and backoff would otherwise keep sleeping (0.8 s at
+// least before the attempts run out).
 func TestClientContextCancelDuringBackoff(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -52,13 +49,7 @@ func TestClientContextCancelDuringBackoff(t *testing.T) {
 	addr := ln.Addr().String()
 	_ = ln.Close()
 
-	cl := NewClient(ClientConfig{
-		Addr:        addr,
-		Conns:       1,
-		MaxRetries:  1000,
-		BackoffBase: 50 * time.Millisecond,
-		BackoffMax:  time.Second,
-	})
+	cl := NewClient(ClientConfig{Addr: addr, Conns: 1})
 	defer cl.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -73,14 +64,15 @@ func TestClientContextCancelDuringBackoff(t *testing.T) {
 	if !errors.Is(err, context.Canceled) && !strings.Contains(err.Error(), "cancel") {
 		t.Fatalf("want a cancellation error, got %v", err)
 	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
+	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
 		t.Fatalf("cancellation took %v to take effect", elapsed)
 	}
 }
 
 // TestClientContextCancelMidRead cancels while the exchange is blocked
 // waiting for a response that will never come (the "server" accepts and
-// goes silent). The AfterFunc deadline poke must unblock the read.
+// goes silent). The AfterFunc deadline poke must unblock the read: the
+// cancellation, not the 10 s request timeout, ends this.
 func TestClientContextCancelMidRead(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -106,12 +98,7 @@ func TestClientContextCancelMidRead(t *testing.T) {
 		}
 	}()
 
-	cl := NewClient(ClientConfig{
-		Addr:           ln.Addr().String(),
-		Conns:          1,
-		MaxRetries:     0,
-		RequestTimeout: time.Minute, // cancellation, not the timeout, must end this
-	})
+	cl := NewClient(ClientConfig{Addr: ln.Addr().String(), Conns: 1})
 	defer cl.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()

@@ -1,14 +1,14 @@
 // Package cluster is the shard-map layer of the fleet aggregation tier:
 // an epoch-versioned, consistently-hashed assignment of subscriber IMSIs
 // to aggregator nodes. The map itself is pure data — every node and every
-// client that builds a Map from the same (epoch, node list, replicas)
-// computes the identical ring and therefore the identical owner for every
-// IMSI, so bootstrap needs no coordination service: processes agree by
-// construction, and later epochs propagate over the wire (TMap /
-// TWrongShard frames carry Marshal bytes).
+// client that builds a Map from the same node list computes the identical
+// ring and therefore the identical owner for every IMSI, so bootstrap
+// needs no coordination service: processes agree by construction, and
+// later epochs propagate over the wire (TMap / TWrongShard frames carry
+// Marshal bytes).
 //
 // Consistent hashing keeps rebalancing incremental: each node projects
-// Replicas virtual points onto a 64-bit ring, and an IMSI belongs to the
+// replicas virtual points onto a 64-bit ring, and an IMSI belongs to the
 // first point clockwise of its hash. Adding or removing one node moves
 // only ~1/N of the keyspace, which is what makes the two-phase
 // kill-and-rebalance protocol (prepare/freeze → counter handoff → commit)
@@ -24,10 +24,10 @@ import (
 	"strings"
 )
 
-// DefaultReplicas is the virtual-node count per node. 64 points per node
-// keeps the ownership imbalance across a small cluster within a few
-// percent while the ring stays tiny (N*64 points, binary-searched).
-const DefaultReplicas = 64
+// replicas is the virtual-node count per node. 64 points per node keeps
+// the ownership imbalance across a small cluster within a few percent
+// while the ring stays tiny (N*64 points, binary-searched).
+const replicas = 64
 
 // Node is one aggregator process: a stable identity plus the address
 // clients dial. Ownership is decided by ID only, so a node can restart on
@@ -41,10 +41,9 @@ type Node struct {
 // after construction; a rebalance builds a successor Map with a higher
 // epoch.
 type Map struct {
-	Epoch    uint64
-	Replicas int
-	nodes    []Node  // sorted by ID
-	ring     []point // sorted by hash
+	Epoch uint64
+	nodes []Node  // sorted by ID
+	ring  []point // sorted by hash
 }
 
 type point struct {
@@ -54,21 +53,17 @@ type point struct {
 
 // New builds a Map. The node list is sorted by ID so that every process
 // handed the same set builds the same ring regardless of input order.
-// replicas <= 0 selects DefaultReplicas.
-func New(epoch uint64, nodes []Node, replicas int) *Map {
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
-	m := &Map{Epoch: epoch, Replicas: replicas, nodes: append([]Node(nil), nodes...)}
+func New(epoch uint64, nodes []Node) *Map {
+	m := &Map{Epoch: epoch, nodes: append([]Node(nil), nodes...)}
 	sort.Slice(m.nodes, func(i, j int) bool { return m.nodes[i].ID < m.nodes[j].ID })
 	m.buildRing()
 	return m
 }
 
 func (m *Map) buildRing() {
-	m.ring = make([]point, 0, len(m.nodes)*m.Replicas)
+	m.ring = make([]point, 0, len(m.nodes)*replicas)
 	for i, n := range m.nodes {
-		for r := 0; r < m.Replicas; r++ {
+		for r := 0; r < replicas; r++ {
 			m.ring = append(m.ring, point{hash: hash64(fmt.Sprintf("%s#%d", n.ID, r)), node: i})
 		}
 	}
@@ -132,21 +127,19 @@ func (m *Map) ownerIdx(imsi string) int {
 
 // Maps serialize as:
 //
-//	epoch(8, BE) | replicas(2, BE) | n(2, BE) | n × (idLen(1) id addrLen(1) addr)
+//	epoch(8, BE) | n(2, BE) | n × (idLen(1) id addrLen(1) addr)
 //
 // with nodes in sorted-by-ID order, so equal maps produce equal bytes.
 
 const maxNameLen = 255
 
-// maxRingPoints bounds the ring a decoded map may build (nodes × replicas):
-// a peer's map costs at most this many points, whatever its header says.
-// It allows 1024 nodes at DefaultReplicas.
-const maxRingPoints = 1 << 16
+// maxNodes bounds the members of a decoded map, and with them the ring it
+// builds: a peer's map costs at most 1 << 16 points, whatever it carries.
+const maxNodes = 1024
 
 // Marshal encodes the map canonically.
 func (m *Map) Marshal() []byte {
 	out := binary.BigEndian.AppendUint64(nil, m.Epoch)
-	out = binary.BigEndian.AppendUint16(out, uint16(m.Replicas))
 	out = binary.BigEndian.AppendUint16(out, uint16(len(m.nodes)))
 	for _, n := range m.nodes {
 		out = append(out, byte(len(n.ID)))
@@ -159,24 +152,18 @@ func (m *Map) Marshal() []byte {
 
 // Unmarshal decodes a marshaled map and rebuilds its ring.
 func Unmarshal(p []byte) (*Map, error) {
-	if len(p) < 12 {
+	if len(p) < 10 {
 		return nil, errors.New("cluster: map payload too short")
 	}
-	m := &Map{
-		Epoch:    binary.BigEndian.Uint64(p[0:8]),
-		Replicas: int(binary.BigEndian.Uint16(p[8:10])),
-	}
-	n := int(binary.BigEndian.Uint16(p[10:12]))
+	m := &Map{Epoch: binary.BigEndian.Uint64(p[0:8])}
+	n := int(binary.BigEndian.Uint16(p[8:10]))
 	if n == 0 {
 		return nil, errors.New("cluster: map has no nodes")
 	}
-	if m.Replicas <= 0 {
-		m.Replicas = DefaultReplicas
+	if n > maxNodes {
+		return nil, fmt.Errorf("cluster: %d nodes exceeds %d", n, maxNodes)
 	}
-	if n*m.Replicas > maxRingPoints {
-		return nil, fmt.Errorf("cluster: %d nodes × %d replicas exceeds %d ring points", n, m.Replicas, maxRingPoints)
-	}
-	p = p[12:]
+	p = p[10:]
 	for i := 0; i < n; i++ {
 		id, rest, err := takeString(p)
 		if err != nil {

@@ -18,9 +18,9 @@ func threeNodes() []Node {
 // every process computing the same ring from the same node set, whatever
 // order the flag listed them in.
 func TestMapDeterministicAcrossInputOrder(t *testing.T) {
-	a := New(1, threeNodes(), 0)
+	a := New(1, threeNodes())
 	shuffled := []Node{threeNodes()[2], threeNodes()[0], threeNodes()[1]}
-	b := New(1, shuffled, 0)
+	b := New(1, shuffled)
 	if !bytes.Equal(a.Marshal(), b.Marshal()) {
 		t.Fatal("marshal differs across input order")
 	}
@@ -33,12 +33,12 @@ func TestMapDeterministicAcrossInputOrder(t *testing.T) {
 }
 
 func TestMapMarshalRoundTrip(t *testing.T) {
-	a := New(7, threeNodes(), 32)
+	a := New(7, threeNodes())
 	b, err := Unmarshal(a.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Epoch != 7 || b.Replicas != 32 || len(b.Nodes()) != 3 {
+	if b.Epoch != 7 || len(b.Nodes()) != 3 {
 		t.Fatalf("round trip lost fields: %+v", b)
 	}
 	for i := 0; i < 1000; i++ {
@@ -53,11 +53,11 @@ func TestMapUnmarshalRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		{1, 2, 3},
-		New(1, threeNodes(), 0).Marshal()[:15], // truncated node entry
-		append(New(1, threeNodes(), 0).Marshal(), 0xFF),           // trailing byte
-		{0, 0, 0, 0, 0, 0, 0, 1, 0, 64, 0, 0},                     // zero nodes
-		append([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 64, 0, 1}, 0, 0), // empty id
-		ringBomb(),         // 200 nodes × 65 535 replicas in 1 412 bytes
+		New(1, threeNodes()).Marshal()[:13], // truncated node entry
+		append(New(1, threeNodes()).Marshal(), 0xFF),       // trailing byte
+		{0, 0, 0, 0, 0, 0, 0, 1, 0, 0},                     // zero nodes
+		append([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 1}, 0, 0), // empty id
+		ringBomb(),         // 1 025 nodes, 65 600 ring points
 		duplicateNodeIDs(), // sorted, but not strictly
 	}
 	for i, c := range cases {
@@ -67,14 +67,14 @@ func TestMapUnmarshalRejectsGarbage(t *testing.T) {
 	}
 }
 
-// ringBomb is a 1 412-byte map whose header asks for 200 nodes of 65 535
-// virtual points each: 13 million ring points, one Sprintf apiece, were it
-// built.
+// ringBomb is a well-formed map of one node more than a decoded map may
+// carry: its ring would pass 1 << 16 points, one Sprintf apiece.
 func ringBomb() []byte {
-	p := []byte{0, 0, 0, 0, 0, 0, 0, 1, 0xFF, 0xFF, 0, 200}
-	for i := 0; i < 200; i++ {
-		p = append(p, 3)
-		p = append(p, fmt.Sprintf("%03d", i)...)
+	const n = maxNodes + 1
+	p := []byte{0, 0, 0, 0, 0, 0, 0, 1, n >> 8, n & 0xFF}
+	for i := 0; i < n; i++ {
+		p = append(p, 4)
+		p = append(p, fmt.Sprintf("%04d", i)...)
 		p = append(p, 2, 'a', 'a')
 	}
 	return p
@@ -82,7 +82,7 @@ func ringBomb() []byte {
 
 // duplicateNodeIDs is a two-node map that names one node twice.
 func duplicateNodeIDs() []byte {
-	p := []byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 64, 0, 2}
+	p := []byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 2}
 	for i := 0; i < 2; i++ {
 		p = append(p, 2, 'n', '0', 2, 'a', 'a')
 	}
@@ -93,8 +93,8 @@ func duplicateNodeIDs() []byte {
 // only the removed node's share — every key owned by a surviving node
 // stays put. That bounded movement is what the handoff protocol pays for.
 func TestConsistentHashingMovesFewKeys(t *testing.T) {
-	full := New(1, threeNodes(), 0)
-	reduced := New(2, threeNodes()[:2], 0)
+	full := New(1, threeNodes())
+	reduced := New(2, threeNodes()[:2])
 	moved, total := 0, 5000
 	for i := 0; i < total; i++ {
 		imsi := fmt.Sprintf("310170%09d", i)
@@ -117,7 +117,7 @@ func TestConsistentHashingMovesFewKeys(t *testing.T) {
 // TestOwnershipRoughlyBalanced guards the vnode count: no node should own
 // a wildly disproportionate share.
 func TestOwnershipRoughlyBalanced(t *testing.T) {
-	m := New(1, threeNodes(), 0)
+	m := New(1, threeNodes())
 	counts := map[string]int{}
 	const total = 9000
 	for i := 0; i < total; i++ {

@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-	"time"
 
 	"github.com/seed5g/seed/internal/cause"
 	"github.com/seed5g/seed/internal/core"
@@ -45,7 +46,7 @@ func startCluster(t *testing.T, n int) *testCluster {
 		tc.addrs[id] = srv.Addr().String()
 		nodes = append(nodes, cluster.Node{ID: id, Addr: tc.addrs[id]})
 	}
-	m := cluster.New(tc.epoch, nodes, 0)
+	m := cluster.New(tc.epoch, nodes)
 	for _, srv := range tc.servers {
 		srv.SetMap(m)
 	}
@@ -86,16 +87,7 @@ func (tc *testCluster) nodes() []cluster.Node {
 
 func (tc *testCluster) client() *ClusterClient {
 	tc.t.Helper()
-	cc, err := NewClusterClient(ClusterClientConfig{
-		Nodes: tc.nodes(),
-		Epoch: tc.epoch,
-		Client: ClientConfig{
-			Conns:       2,
-			MaxRetries:  12,
-			BackoffBase: time.Millisecond,
-			BackoffMax:  20 * time.Millisecond,
-		},
-	})
+	cc, err := NewClusterClient(ClusterClientConfig{Nodes: tc.nodes(), Client: ClientConfig{Conns: 2}})
 	if err != nil {
 		tc.t.Fatal(err)
 	}
@@ -174,7 +166,6 @@ func TestClusterOfOneAgainstMaplessServer(t *testing.T) {
 	addr := srv.Addr().String()
 	cc, err := NewClusterClient(ClusterClientConfig{
 		Nodes:  []cluster.Node{{ID: addr, Addr: addr}},
-		Epoch:  1,
 		Client: ClientConfig{Conns: 2},
 	})
 	if err != nil {
@@ -246,15 +237,11 @@ func TestClusterWrongShardRedirect(t *testing.T) {
 	ctx := context.Background()
 
 	// Deliberately wrong bootstrap: the client believes n0 owns everything
-	// (epoch 0 < cluster's epoch 1, so servers' redirects win).
+	// (a bootstrap map is epoch 0 < cluster's epoch 1, so servers'
+	// redirects win).
 	cc, err := NewClusterClient(ClusterClientConfig{
-		Nodes: []cluster.Node{{ID: "n0", Addr: tc.addrs["n0"]}},
-		Epoch: 0,
-		Client: ClientConfig{
-			Conns:       2,
-			MaxRetries:  4,
-			BackoffBase: time.Millisecond,
-		},
+		Nodes:  []cluster.Node{{ID: "n0", Addr: tc.addrs["n0"]}},
+		Client: ClientConfig{Conns: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +357,7 @@ func TestClusterRebalanceExactlyOnce(t *testing.T) {
 		{ID: "n0", Addr: tc.addrs["n0"]},
 		{ID: "n1", Addr: tc.addrs["n1"]},
 	}
-	if err := cc.Rebalance(ctx, cluster.New(2, survivors, 0)); err != nil {
+	if err := cc.Rebalance(ctx, cluster.New(2, survivors)); err != nil {
 		t.Fatalf("rebalance out: %v", err)
 	}
 	for i := 30; i < 60; i++ {
@@ -385,7 +372,7 @@ func TestClusterRebalanceExactlyOnce(t *testing.T) {
 	}
 
 	// Epoch 3: n2 rejoins and takes its keyspace back.
-	if err := cc.Rebalance(ctx, cluster.New(3, tc.nodes(), 0)); err != nil {
+	if err := cc.Rebalance(ctx, cluster.New(3, tc.nodes())); err != nil {
 		t.Fatalf("rebalance back: %v", err)
 	}
 	for i := 60; i < 75; i++ {
@@ -408,6 +395,100 @@ func TestClusterRebalanceExactlyOnce(t *testing.T) {
 		if srv.Epoch() != 3 {
 			t.Fatalf("node stuck at epoch %d", srv.Epoch())
 		}
+	}
+}
+
+// TestClusterRestartKeepsCommittedMap: a journaled node persists the shard
+// map it commits and restarts at it, although its flags still build the
+// bootstrap map. Three nodes rebalance to epoch 2 (n2 drained), and n0 is
+// killed and restarted with its epoch-1 flags. Every upload the client
+// routes under epoch 2 must land: an n0 back at epoch 1 would redirect
+// the subscribers it took over from n2 with a map older than the client's,
+// which the client does not adopt, until its routing attempts ran out.
+func TestClusterRestartKeepsCommittedMap(t *testing.T) {
+	tc := startCluster(t, 3)
+	cc := tc.client()
+	ctx := context.Background()
+	bootstrap := cluster.New(tc.epoch, tc.nodes())
+	survivors := []cluster.Node{
+		{ID: "n0", Addr: tc.addrs["n0"]},
+		{ID: "n1", Addr: tc.addrs["n1"]},
+	}
+	if err := cc.Rebalance(ctx, cluster.New(2, survivors)); err != nil {
+		t.Fatalf("rebalance out: %v", err)
+	}
+	tc.kill("n0")
+	n0 := tc.boot("n0", tc.addrs["n0"], bootstrap)
+	tc.servers["n0"] = n0
+
+	const devices = 60
+	baseline := core.Records{}
+	var failed []error
+	for i := 0; i < devices; i++ {
+		recs := deviceRecords(i)
+		dev := NewSimDevice(DefaultMasterKey, fmt.Sprintf("00118%010d", i))
+		sealed, err := dev.SealRecords(core.MarshalRecords(recs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cc.UploadRecords(ctx, dev.IMSI, sealed); err != nil {
+			failed = append(failed, err)
+			continue
+		}
+		baseline.Merge(recs)
+	}
+	if len(failed) > 0 {
+		t.Errorf("%d of %d uploads failed after the restart; the first: %v", len(failed), devices, failed[0])
+	}
+	if e := n0.Epoch(); e != 2 {
+		t.Errorf("restarted n0 is at epoch %d, want the committed 2", e)
+	}
+	got, err := cc.FetchClusterModel(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, MarshalModel(baseline)) {
+		t.Fatal("merged model differs from the fold of the acknowledged uploads")
+	}
+}
+
+// TestCorruptClusterMapRefusesStart: a damaged persisted shard map refuses
+// startup, as a damaged journal does, and ForceEmpty quarantines it and
+// starts at the configured map.
+func TestCorruptClusterMapRefusesStart(t *testing.T) {
+	dir := t.TempDir()
+	self := cluster.Node{ID: "n0", Addr: "127.0.0.1:1"}
+	if err := writeClusterMap(dir, cluster.New(2, []cluster.Node{self})); err != nil {
+		t.Fatal(err)
+	}
+	mp := mapPath(dir)
+	data, err := os.ReadFile(mp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[3] ^= 0xFF
+	if err := os.WriteFile(mp, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := ServerConfig{Shards: 1, JournalDir: dir, NodeID: "n0", Map: cluster.New(1, []cluster.Node{self})}
+	srv := quietServer(t, cfg)
+	if err := srv.Start(); err == nil {
+		_ = srv.Shutdown()
+		t.Fatal("corrupt shard map accepted")
+	} else if !strings.Contains(err.Error(), "cluster map") {
+		t.Fatalf("error %q does not name the cluster map", err)
+	}
+	cfg.ForceEmpty = true
+	srv = quietServer(t, cfg)
+	if err := srv.Start(); err != nil {
+		t.Fatalf("force-empty start: %v", err)
+	}
+	defer func() { _ = srv.Shutdown() }()
+	if e := srv.Epoch(); e != 1 {
+		t.Fatalf("force-empty start at epoch %d, want the configured 1", e)
+	}
+	if _, err := os.Stat(mp + ".corrupt"); err != nil {
+		t.Fatalf("damaged shard map not quarantined: %v", err)
 	}
 }
 

@@ -15,15 +15,11 @@ import (
 
 // ClusterClientConfig parameterizes the shard-map-aware client.
 type ClusterClientConfig struct {
-	// Nodes is the bootstrap membership. Together with Epoch and Replicas
-	// it builds the same initial map every server computed, so the client
-	// routes correctly before ever talking to anyone.
+	// Nodes is the bootstrap membership. It builds the ring every server
+	// computed from the same members, so the client routes correctly
+	// before ever talking to anyone. The bootstrap map is epoch 0, older
+	// than any a server holds, so the first redirect's map is adopted.
 	Nodes []cluster.Node
-	// Epoch is the bootstrap map epoch.
-	Epoch uint64
-	// Replicas is the vnode count (0 = cluster.DefaultReplicas). Must match
-	// the servers'.
-	Replicas int
 	// Client is the per-node connection template; Addr is filled per node.
 	Client ClientConfig
 }
@@ -61,7 +57,7 @@ func NewClusterClient(cfg ClusterClientConfig) (*ClusterClient, error) {
 	}
 	return &ClusterClient{
 		cfg:     cfg,
-		map_:    cluster.New(cfg.Epoch, cfg.Nodes, cfg.Replicas),
+		map_:    cluster.New(0, cfg.Nodes),
 		clients: make(map[string]*clientSlot),
 	}, nil
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/seed5g/seed/internal/cause"
 	"github.com/seed5g/seed/internal/core"
@@ -44,7 +43,7 @@ func deviceRecords(i int) core.Records {
 // checks the aggregate model is byte-identical to a sequential in-process
 // fold, the suggestion round trip opens, and nothing was dropped.
 func TestFleetEndToEnd(t *testing.T) {
-	srv, cl := startServer(t, ServerConfig{Shards: 3, QueueDepth: 8})
+	srv, cl := startServer(t, ServerConfig{Shards: 3})
 
 	const devices = 40
 	baseline := core.Records{}
@@ -168,58 +167,19 @@ func TestFleetTamperedUploadRejected(t *testing.T) {
 	}
 }
 
-// TestFleetBackpressureNoLoss sends concurrent uploads to a single shard
-// whose lock admits a 1-deep wait. Over two connections at most one
-// request waits, so none need be backpressured (TestBackpressureManyConns
-// forces refusals); whatever is, the client's RETRY-AFTER handling must
-// still land every upload exactly once.
-func TestFleetBackpressureNoLoss(t *testing.T) {
-	srv, cl := startServer(t, ServerConfig{Shards: 1, QueueDepth: 1, RetryAfter: time.Millisecond})
-
-	const devices = 32
-	baseline := core.Records{}
-	var wg sync.WaitGroup
-	for i := 0; i < devices; i++ {
-		recs := deviceRecords(i)
-		baseline.Merge(recs)
-		wg.Add(1)
-		go func(i int, recs core.Records) {
-			defer wg.Done()
-			dev := NewSimDevice(DefaultMasterKey, fmt.Sprintf("00102%010d", i))
-			sealed, err := dev.SealRecords(core.MarshalRecords(recs))
-			if err == nil {
-				err = cl.UploadRecords(dev.IMSI, sealed)
-			}
-			if err != nil {
-				t.Errorf("device %d: %v", i, err)
-			}
-		}(i, recs)
-	}
-	wg.Wait()
-
-	got, err := cl.FetchModel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, MarshalModel(baseline)) {
-		t.Fatal("model diverged under backpressure")
-	}
-	if st := srv.Stats(); st.Uploads != devices || st.Dropped != 0 {
-		t.Fatalf("stats %+v", st)
-	}
-	t.Logf("backpressured=%d retries=%d", srv.Stats().Backpressured, cl.Retries())
-}
-
 // TestBackpressureManyConns has more connections contend for one shard
-// than its lock admits waiting: with the lock held, QueueDepth of them
-// wait and the rest are refused TRetryAfter. Once it is released the
-// client's retries land every upload exactly once, and the model is the
+// than its lock admits waiting: with the lock held, queueDepth of them
+// wait and the rest are refused TRetryAfter. A connection holds at most one
+// waiting request, so it takes queueDepth+2 connections, one client of one
+// connection each, two devices apiece. Once the lock is released the
+// clients' retries land every upload exactly once, and the model is the
 // sequential fold, in memory and journaled.
 func TestBackpressureManyConns(t *testing.T) {
 	for _, journaled := range []bool{false, true} {
 		t.Run(fmt.Sprintf("journaled=%v", journaled), func(t *testing.T) {
-			const conns, devices, depth = 8, 48, 2
-			cfg := ServerConfig{Shards: 1, QueueDepth: depth, RetryAfter: time.Millisecond}
+			const conns = queueDepth + 2
+			const devices = 2 * conns
+			cfg := ServerConfig{Shards: 1}
 			if journaled {
 				cfg.JournalDir = t.TempDir()
 			}
@@ -228,8 +188,11 @@ func TestBackpressureManyConns(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer func() { _ = srv.Shutdown() }()
-			cl := NewClient(ClientConfig{Addr: srv.Addr().String(), Conns: conns, MaxRetries: 1 << 12})
-			defer cl.Close()
+			clients := make([]*Client, conns)
+			for i := range clients {
+				clients[i] = NewClient(ClientConfig{Addr: srv.Addr().String(), Conns: 1})
+				defer clients[i].Close()
+			}
 
 			sh := srv.shards[0]
 			sh.lock.Lock()
@@ -239,15 +202,15 @@ func TestBackpressureManyConns(t *testing.T) {
 				up := uploadFrame(t, fmt.Sprintf("00128%010d", i), i)
 				baseline.Merge(deviceRecords(i))
 				wg.Add(1)
-				go func() {
+				go func(cl *Client) {
 					defer wg.Done()
 					if _, err := cl.Do("upload", up); err != nil {
 						t.Error(err)
 					}
-				}()
+				}(clients[i%conns])
 			}
 			waitFor(t, "a full wait and a refusal", func() bool {
-				return sh.waiting.Load() == depth && srv.backpressured.Load() > 0
+				return sh.waiting.Load() == queueDepth && srv.backpressured.Load() > 0
 			})
 			sh.lock.Unlock()
 			wg.Wait()

@@ -13,7 +13,8 @@ import (
 
 // FuzzReadFrame feeds arbitrary byte streams to the frame decoder. The
 // decoder faces raw TCP input from untrusted devices, so it must never
-// panic and never allocate past maxFrame; valid frames must round-trip.
+// panic and never allocate past DefaultMaxFrame; valid frames must
+// round-trip.
 // The same bytes then arrive as the response stream of a multiplexed
 // client connection with requests in flight (checkMuxReader): never a
 // panic, never a response delivered to the wrong waiter.
@@ -29,15 +30,14 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(bytes.Repeat(AppendFrame(nil, Frame{Type: TAck}), 6))
 	f.Add(append(AppendFrame(nil, Frame{Type: TSuggest, Payload: []byte{7}}), 0x5E, 0xED, 9, 0, 0, 0, 0, 0))
 
-	const maxFrame = 1 << 16
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkMuxReader(t, data, maxFrame)
-		fr, err := ReadFrame(bytes.NewReader(data), maxFrame)
+		checkMuxReader(t, data)
+		fr, err := ReadFrame(bytes.NewReader(data), DefaultMaxFrame)
 		if err != nil {
 			return
 		}
-		if len(fr.Payload) > maxFrame {
-			t.Fatalf("decoder returned %d bytes past the %d limit", len(fr.Payload), maxFrame)
+		if len(fr.Payload) > DefaultMaxFrame {
+			t.Fatalf("decoder returned %d bytes past the %d limit", len(fr.Payload), DefaultMaxFrame)
 		}
 		// A decoded frame re-encodes to a prefix of the input stream.
 		enc := AppendFrame(nil, fr)

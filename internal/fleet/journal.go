@@ -11,6 +11,7 @@ import (
 
 	"github.com/seed5g/seed/internal/core"
 	"github.com/seed5g/seed/internal/crypto5g"
+	"github.com/seed5g/seed/internal/fleet/cluster"
 )
 
 // The durable tier. Each aggregation shard owns an append-only journal of
@@ -53,6 +54,14 @@ import (
 // snapshot present, journal still full — replays to the identical model
 // instead of double-folding.
 //
+//	cluster map file: cluster.Map.Marshal bytes | crc32(4, over them)
+//
+// A cluster node writes the shard map it commits to "cluster.map", the
+// snapshot's way (tmp file, fsync, rename, directory fsync), before it
+// acknowledges the commit; Start adopts it when it is newer than the
+// configured map, so a node restarted with its bootstrap flags rejoins at
+// the epoch it last committed.
+//
 // Recovery failure policy: a record torn at the very tail of the journal
 // is the signature of dying mid-append before the fsync returned — it was
 // never acked, so it is truncated away and recovery proceeds. Anything
@@ -87,6 +96,8 @@ func journalPath(dir string, shard int) string {
 func snapshotPath(dir string, shard int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%d.snap", shard))
 }
+
+func mapPath(dir string) string { return filepath.Join(dir, "cluster.map") }
 
 // syncDir fsyncs a directory, which is what makes a file created in it or
 // renamed within it survive a crash.
@@ -159,7 +170,7 @@ var errJournalCorrupt = errors.New("fleet: durable state corrupt")
 // at the tail (header or body running past EOF) is reported via torn and
 // goodLen marks where the intact prefix ends; a CRC mismatch on a
 // complete record is an errJournalCorrupt.
-func scanJournal(path string, maxRec uint32) (recs []journalRec, goodLen int64, torn bool, err error) {
+func scanJournal(path string) (recs []journalRec, goodLen int64, torn bool, err error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, 0, false, nil
@@ -174,7 +185,7 @@ func scanJournal(path string, maxRec uint32) (recs []journalRec, goodLen int64, 
 			return recs, off, true, nil // torn header at tail
 		}
 		n := binary.BigEndian.Uint32(rest[0:4])
-		if n > maxRec {
+		if n > DefaultMaxFrame {
 			// A length beyond any legal record is garbage; if nothing
 			// readable follows it is indistinguishable from a torn append,
 			// otherwise the file is damaged mid-way.
@@ -182,7 +193,7 @@ func scanJournal(path string, maxRec uint32) (recs []journalRec, goodLen int64, 
 				return recs, off, true, nil
 			}
 			return nil, 0, false, fmt.Errorf("%w: %s: record at offset %d claims %d bytes (max %d)",
-				errJournalCorrupt, path, off, n, maxRec)
+				errJournalCorrupt, path, off, n, DefaultMaxFrame)
 		}
 		if int64(len(rest)) < int64(journalHeaderLen)+int64(n) {
 			return recs, off, true, nil // torn body at tail
@@ -276,8 +287,13 @@ func writeShardSnapshot(dir string, shard int, seq uint64, entries []CounterEntr
 	body = binary.BigEndian.AppendUint32(body, uint32(len(model)))
 	body = append(body, model...)
 	body = binary.BigEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+	return replaceFile(dir, snapshotPath(dir, shard), body)
+}
 
-	path := snapshotPath(dir, shard)
+// replaceFile puts body at path in dir durably: a tmp file written and
+// fsynced, renamed over path, and the directory fsynced, so a crash leaves
+// either the old file or the new one, whole.
+func replaceFile(dir, path string, body []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -298,6 +314,34 @@ func writeShardSnapshot(dir string, shard int, seq uint64, entries []CounterEntr
 		return err
 	}
 	return syncDir(dir)
+}
+
+// writeClusterMap persists the shard map m, which the node is committing.
+func writeClusterMap(dir string, m *cluster.Map) error {
+	body := m.Marshal()
+	body = binary.BigEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+	return replaceFile(dir, mapPath(dir), body)
+}
+
+// loadClusterMap returns the shard map the node last committed, nil when
+// it committed none. Damage is errJournalCorrupt.
+func loadClusterMap(path string) (*cluster.Map, error) {
+	data, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	n := len(data) - 4
+	if n < 0 || crc32.ChecksumIEEE(data[:n]) != binary.BigEndian.Uint32(data[n:]) {
+		return nil, fmt.Errorf("%w: cluster map %s: checksum mismatch", errJournalCorrupt, path)
+	}
+	m, err := cluster.Unmarshal(data[:n])
+	if err != nil {
+		return nil, fmt.Errorf("%w: cluster map %s: %v", errJournalCorrupt, path, err)
+	}
+	return m, nil
 }
 
 // loadSnapshot installs the snapshot at path into the shard and returns
@@ -394,7 +438,7 @@ func (sh *shard) restore() (shardRecovery, error) {
 	rec.SnapSeq = snapSeq
 
 	jPath := journalPath(cfg.JournalDir, sh.idx)
-	recs, goodLen, torn, err := scanJournal(jPath, cfg.MaxFrame)
+	recs, goodLen, torn, err := scanJournal(jPath)
 	if err != nil {
 		if !cfg.ForceEmpty {
 			return refuse(err)

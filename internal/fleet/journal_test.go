@@ -320,22 +320,23 @@ func TestJournalCorruptRecordRefusesStart(t *testing.T) {
 // way.
 func TestSnapshotCorruptRefusesStart(t *testing.T) {
 	dir := t.TempDir()
-	cfg := ServerConfig{Shards: 1, JournalDir: dir, CompactBytes: 1, Logf: func(string, ...any) {}}
+	cfg := ServerConfig{Shards: 1, JournalDir: dir, Logf: func(string, ...any) {}}
 	srv, cl := startJournalServer(t, cfg)
-	// CompactBytes=1 forces a compaction after the first batch, producing a
-	// snapshot file.
 	dev := NewSimDevice(DefaultMasterKey, "001080000000001")
 	sealed, _ := dev.SealRecords(core.MarshalRecords(deviceRecords(1)))
 	if err := cl.UploadRecords(dev.IMSI, sealed); err != nil {
 		t.Fatal(err)
 	}
 	cl.Close()
-	srv.Kill()
+	// A graceful drain compacts, producing a snapshot file.
+	if err := srv.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
 
 	sp := snapshotPath(dir, 0)
 	data, err := os.ReadFile(sp)
 	if err != nil {
-		t.Fatalf("no snapshot despite CompactBytes=1: %v", err)
+		t.Fatalf("no snapshot after a drain: %v", err)
 	}
 	data[len(data)-5] ^= 0xFF
 	if err := os.WriteFile(sp, data, 0o644); err != nil {

@@ -150,19 +150,20 @@ func TestFNV32aMatchesHashFNV(t *testing.T) {
 }
 
 // (a) Each connection's replies leave in its request order, whatever each
-// request waits for. The first connection's upload waits for shard 0's
-// lock, held here, with an admin request pipelined behind it. On a second
-// connection an upload for shard 0 finds that wait QueueDepth deep and is
-// refused at once, and the requests behind it — the other shard's work,
-// a query that reads every shard's model, inline answers and errors — are
-// answered in order while the first connection still waits.
+// request waits for. Shard 0's lock is held here, and queueDepth
+// connections each park an upload on it; the first has an admin request
+// pipelined behind it. On one more connection an upload for shard 0 finds
+// that wait full and is refused at once, and the requests behind it — the
+// other shard's work, a query that reads every shard's model, inline
+// answers and errors — are answered in order while the first connection
+// still waits.
 func TestPipelineAnswersInRequestOrder(t *testing.T) {
-	srv := quietServer(t, ServerConfig{Shards: 2, QueueDepth: 1})
+	srv := quietServer(t, ServerConfig{Shards: 2})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = srv.Shutdown() }()
-	on0, on1 := imsisOnShard(srv, 0, 2), imsisOnShard(srv, 1, 1)
+	on0, on1 := imsisOnShard(srv, 0, queueDepth+1), imsisOnShard(srv, 1, 1)
 	sh0 := srv.shards[0]
 
 	sh0.lock.Lock()
@@ -172,9 +173,16 @@ func TestPipelineAnswersInRequestOrder(t *testing.T) {
 			sh0.lock.Unlock()
 		}
 	}()
-	first := dialRaw(t, srv)
-	writeFrames(t, first, uploadFrame(t, on0[0], 0), Frame{Type: TStatsPull})
-	waitFor(t, "the first connection's upload to wait for shard 0", func() bool { return sh0.waiting.Load() == 1 })
+	waiting := make([]net.Conn, queueDepth)
+	for i := range waiting {
+		waiting[i] = dialRaw(t, srv)
+		if i == 0 {
+			writeFrames(t, waiting[i], uploadFrame(t, on0[i], i), Frame{Type: TStatsPull})
+		} else {
+			writeFrames(t, waiting[i], uploadFrame(t, on0[i], i))
+		}
+	}
+	waitFor(t, "the uploads to fill shard 0's wait", func() bool { return sh0.waiting.Load() == queueDepth })
 
 	devC := NewSimDevice(DefaultMasterKey, on1[0])
 	sealedC, err := devC.SealRecords(core.MarshalRecords(deviceRecords(1)))
@@ -184,7 +192,7 @@ func TestPipelineAnswersInRequestOrder(t *testing.T) {
 	queryCause := cause.MM(cause.Code(150 + 1%3))
 	second := dialRaw(t, srv)
 	writeFrames(t, second,
-		uploadFrame(t, on0[1], 1), // finds shard 0's one-deep wait full
+		uploadFrame(t, on0[queueDepth], queueDepth), // finds shard 0's wait full
 		Frame{Type: TUpload, Payload: AppendSealedPayload(nil, on1[0], sealedC)},
 		Frame{Type: TQuery, Payload: AppendQueryPayload(nil, on1[0], queryCause)},
 		Frame{Type: TStatsPull},
@@ -206,7 +214,10 @@ func TestPipelineAnswersInRequestOrder(t *testing.T) {
 
 	sh0.lock.Unlock()
 	locked = false
-	checkTypes(t, "first connection", readFrames(t, bufio.NewReader(first), 2), TAck, TStats)
+	checkTypes(t, "first connection", readFrames(t, bufio.NewReader(waiting[0]), 2), TAck, TStats)
+	for i, c := range waiting[1:] {
+		checkTypes(t, fmt.Sprintf("waiting connection %d", i+1), readFrames(t, bufio.NewReader(c), 1), TAck)
+	}
 }
 
 // (b) Shutdown with requests read but unanswered answers every one of
@@ -268,7 +279,7 @@ func TestBrokenConnectionRetriesAllInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = srv.Shutdown() }()
-	cl := NewClient(ClientConfig{Addr: srv.Addr().String(), Conns: 1, BackoffBase: time.Millisecond})
+	cl := NewClient(ClientConfig{Addr: srv.Addr().String(), Conns: 1})
 	defer cl.Close()
 
 	baseline := core.Records{}
@@ -481,7 +492,7 @@ func TestFailedFsyncFailsDuplicateAck(t *testing.T) {
 func TestPrepareWaitsForCommit(t *testing.T) {
 	self := cluster.Node{ID: "n0", Addr: "127.0.0.1:1"}
 	srv := quietServer(t, ServerConfig{Shards: 2, JournalDir: t.TempDir(), NodeID: self.ID,
-		Map: cluster.New(1, []cluster.Node{self}, 0)})
+		Map: cluster.New(1, []cluster.Node{self})})
 	hook, entered, release := parkFirstSync()
 	srv.syncHook = hook
 	if err := srv.Start(); err != nil {
@@ -490,7 +501,7 @@ func TestPrepareWaitsForCommit(t *testing.T) {
 	defer srv.Kill()
 	releaseOnce := sync.OnceFunc(func() { close(release) })
 	defer releaseOnce() // before the Kill, which waits for the parked commit
-	next := cluster.New(2, []cluster.Node{self, {ID: "n1", Addr: "127.0.0.1:2"}}, 0)
+	next := cluster.New(2, []cluster.Node{self, {ID: "n1", Addr: "127.0.0.1:2"}})
 	var imsi string
 	for i := 0; imsi == ""; i++ {
 		if s := fmt.Sprintf("00127%010d", i); next.OwnerID(s) == "n1" {
@@ -595,7 +606,7 @@ func TestCancelledCallerAbandonsItsSlot(t *testing.T) {
 		_, _ = c.Write(encodeFrames(
 			Frame{Type: TModel, Payload: []byte("first")}, Frame{Type: TModel, Payload: []byte("second")}))
 	})
-	cl := NewClient(ClientConfig{Addr: addr, Conns: 1, RequestTimeout: time.Minute})
+	cl := NewClient(ClientConfig{Addr: addr, Conns: 1})
 	defer cl.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -671,7 +682,7 @@ func TestCallersShareFormingWrite(t *testing.T) {
 		dialed.Add(1)
 		serialEcho(c)
 	})
-	cl := NewClient(ClientConfig{Addr: addr, Conns: 2, RequestTimeout: time.Minute})
+	cl := NewClient(ClientConfig{Addr: addr, Conns: 2})
 	defer cl.Close()
 	var park atomic.Bool
 	entered, release := make(chan struct{}), make(chan struct{})
@@ -784,7 +795,7 @@ func TestCorruptedResponseStreamBreaksConnection(t *testing.T) {
 				_, _ = c.Write(wire)
 				_, _ = io.Copy(io.Discard, c)
 			})
-			cl := NewClient(ClientConfig{Addr: addr, Conns: 1, BackoffBase: time.Millisecond})
+			cl := NewClient(ClientConfig{Addr: addr, Conns: 1})
 			defer cl.Close()
 			var wg sync.WaitGroup
 			for w := 0; w < callers; w++ {
@@ -844,11 +855,11 @@ func TestSurplusResponseBreaksConnection(t *testing.T) {
 // ReadFrame decodes from them, and every request past the first error (or
 // the end of the stream) fails: no panic, no response handed to the wrong
 // waiter.
-func checkMuxReader(t *testing.T, data []byte, maxFrame uint32) {
+func checkMuxReader(t *testing.T, data []byte) {
 	const k = 4
 	var want []Frame
 	for rd := bytes.NewReader(data); len(want) < k; {
-		f, err := ReadFrame(rd, maxFrame)
+		f, err := ReadFrame(rd, DefaultMaxFrame)
 		if err != nil {
 			break
 		}
@@ -856,7 +867,7 @@ func checkMuxReader(t *testing.T, data []byte, maxFrame uint32) {
 	}
 
 	near, far := net.Pipe()
-	cl := NewClient(ClientConfig{Addr: "unused", Conns: 1, MaxFrame: maxFrame})
+	cl := NewClient(ClientConfig{Addr: "unused", Conns: 1})
 	mc := cl.newMuxConn(near)
 	type result struct {
 		f   Frame
@@ -871,7 +882,7 @@ func checkMuxReader(t *testing.T, data []byte, maxFrame uint32) {
 		}(i)
 		// The pipe is synchronous: once request i has been read here it is
 		// queued, so request i+1 queues behind it.
-		if f, err := ReadFrame(far, maxFrame); err != nil || !bytes.Equal(f.Payload, []byte{byte(i)}) {
+		if f, err := ReadFrame(far, DefaultMaxFrame); err != nil || !bytes.Equal(f.Payload, []byte{byte(i)}) {
 			t.Fatalf("request %d did not arrive: %x %v", i, f.Payload, err)
 		}
 	}

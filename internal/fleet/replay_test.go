@@ -17,8 +17,8 @@ const replayScripts = 20
 // TestReplayEqualsLiveFold checks that replay rebuilds the pre-crash state
 // byte for byte, on the real TCP stack. Each seeded script drives a
 // journaled server with uploads and their verbatim retries, reports,
-// tampered blobs, counter installs and queries, under a CompactBytes small
-// enough that compaction happens mid-script; it then kills the server at a
+// tampered blobs, counter installs and queries, under a compaction
+// threshold small enough (compactBytes) that compaction happens mid-script; it then kills the server at a
 // seeded point and starts a fresh one on the same directory. The fresh
 // server must hold the same model bytes and the same envelope counters.
 // The one exception is each envelope's downlink send counter: suggestions
@@ -42,7 +42,7 @@ func TestReplayEqualsLiveFold(t *testing.T) {
 // made and how many shards it killed with and without a journal tail.
 func checkReplayScript(t *testing.T, seed int64) (compactions, unclean, clean int) {
 	rng := rand.New(rand.NewSource(seed))
-	cfg := ServerConfig{Shards: 1 + rng.Intn(3), JournalDir: t.TempDir(), CompactBytes: int64(400 + rng.Intn(1600))}
+	cfg := ServerConfig{Shards: 1 + rng.Intn(3), JournalDir: t.TempDir(), compactBytes: int64(400 + rng.Intn(1600))}
 	srv, cl := startJournalServer(t, cfg)
 	devs := make([]*SimDevice, 3+rng.Intn(6))
 	for i := range devs {

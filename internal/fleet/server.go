@@ -29,17 +29,6 @@ type ServerConfig struct {
 	// not concurrency-safe), so the connections fold distinct shards in
 	// parallel, and each shard group-commits its own journal.
 	Shards int
-	// QueueDepth bounds the requests waiting for one shard's lock. A
-	// request that finds QueueDepth already waiting is answered
-	// TRetryAfter instead of joining them — explicit backpressure,
-	// mirroring the paper's congestion diagnosis. A connection has at most
-	// one request waiting, so a shard sheds load only when more than
-	// QueueDepth+1 connections contend for it.
-	QueueDepth int
-	// MaxFrame bounds accepted frame payloads.
-	MaxFrame uint32
-	// RetryAfter is the wait hint returned on backpressure.
-	RetryAfter time.Duration
 	// JournalDir, when set, enables the durable tier: each shard keeps an
 	// append-only journal of acked sealed envelopes (group-commit fsync)
 	// plus a compaction snapshot in this directory. A SIGKILL'd server
@@ -47,9 +36,6 @@ type ServerConfig struct {
 	// counters that dedup client retries — on the next Start. Unset, the
 	// server keeps its state in memory only.
 	JournalDir string
-	// CompactBytes is the per-shard journal size that triggers snapshot
-	// compaction (default 4 MiB).
-	CompactBytes int64
 	// ForceEmpty quarantines corrupt durable state and starts empty
 	// instead of refusing startup. Never the default: a silent empty
 	// model is indistinguishable from data loss.
@@ -60,11 +46,17 @@ type ServerConfig struct {
 	// Map is the initial cluster shard map. When set, the server answers
 	// TWrongShard (carrying the current map) for IMSIs it does not own,
 	// and participates in the prepare/install/commit rebalance protocol.
+	// A journaled node starts at the map it last committed instead, when
+	// that one is newer.
 	Map *cluster.Map
 	// MasterKey derives per-subscriber envelope keys (SubscriberKey).
 	MasterKey [16]byte
 	// Logf receives operational log lines (default log.Printf).
 	Logf func(format string, args ...any)
+
+	// compactBytes, when a test sets it, replaces compactAt: a script of a
+	// few hundred uploads then compacts several times.
+	compactBytes int64
 }
 
 func (c *ServerConfig) withDefaults() {
@@ -74,17 +66,8 @@ func (c *ServerConfig) withDefaults() {
 	if c.Shards <= 0 {
 		c.Shards = 4
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
-	}
-	if c.MaxFrame == 0 {
-		c.MaxFrame = DefaultMaxFrame
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 25 * time.Millisecond
-	}
-	if c.CompactBytes <= 0 {
-		c.CompactBytes = 4 << 20
+	if c.compactBytes <= 0 {
+		c.compactBytes = compactAt
 	}
 	if c.MasterKey == ([16]byte{}) {
 		c.MasterKey = DefaultMasterKey
@@ -100,6 +83,21 @@ func (c *ServerConfig) withDefaults() {
 const (
 	readTimeout  = 30 * time.Second
 	writeTimeout = 10 * time.Second
+)
+
+const (
+	// queueDepth bounds the requests waiting for one shard's lock. A
+	// request that finds queueDepth already waiting is answered
+	// TRetryAfter instead of joining them — explicit backpressure,
+	// mirroring the paper's congestion diagnosis. A connection has at most
+	// one request waiting, so a shard sheds load only when more than
+	// queueDepth+1 connections contend for it.
+	queueDepth = 256
+	// retryAfterHint is the wait hint returned on backpressure.
+	retryAfterHint = 25 * time.Millisecond
+	// compactAt is the per-shard journal size that triggers snapshot
+	// compaction.
+	compactAt = 4 << 20
 )
 
 // ServerStats is a snapshot of the server's counters.
@@ -194,7 +192,7 @@ type shard struct {
 	idx  int
 	srv  *Server
 	lock sync.Mutex
-	// waiting counts the requests waiting for lock (QueueDepth bounds it).
+	// waiting counts the requests waiting for lock (queueDepth bounds it).
 	waiting atomic.Int64
 	mu      sync.Mutex
 	// model is the fold of every upload the shard applied: per cause, the
@@ -245,7 +243,7 @@ func (s *Server) Start() error {
 	}
 	s.serve(ln)
 	s.cfg.Logf("seedfleetd: listening on %s (%d shards, queue %d)",
-		ln.Addr(), s.cfg.Shards, s.cfg.QueueDepth)
+		ln.Addr(), s.cfg.Shards, queueDepth)
 	return nil
 }
 
@@ -257,10 +255,13 @@ func (s *Server) serve(ln net.Listener) {
 }
 
 // recoverDurable recovers every shard from its snapshot + journal and
-// opens the journal for appending. Refuses to start on damage unless
-// ForceEmpty.
+// opens the journal for appending, and restores the shard map the node
+// last committed. Refuses to start on damage unless ForceEmpty.
 func (s *Server) recoverDurable() error {
 	if err := os.MkdirAll(s.cfg.JournalDir, 0o755); err != nil {
+		return err
+	}
+	if err := s.restoreMap(); err != nil {
 		return err
 	}
 	start := time.Now()
@@ -288,6 +289,25 @@ func (s *Server) recoverDurable() error {
 	}
 	if n := s.replayed.Load(); n > 0 {
 		s.cfg.Logf("seedfleetd: crash recovery replayed %d journal records in %s", n, time.Since(start).Round(time.Millisecond))
+	}
+	return nil
+}
+
+// restoreMap adopts the shard map the node last committed when it is newer
+// than the configured one (a node outside a cluster has no NodeID and
+// adopts none).
+func (s *Server) restoreMap() error {
+	path := mapPath(s.cfg.JournalDir)
+	m, err := loadClusterMap(path)
+	switch {
+	case err != nil && !s.cfg.ForceEmpty:
+		return fmt.Errorf("fleet: %w (use -force-empty to quarantine it)", err)
+	case err != nil:
+		s.cfg.Logf("seedfleetd: %v — starting at the configured map by -force-empty", err)
+		quarantine(path, s.cfg.Logf)
+	case m != nil && s.cfg.NodeID != "" && (s.curMap == nil || m.Epoch > s.curMap.Epoch):
+		s.curMap = m
+		s.cfg.Logf("seedfleetd: shard map epoch %d restored (%d nodes)", m.Epoch, len(m.Nodes()))
 	}
 	return nil
 }
@@ -477,7 +497,7 @@ func (s *Server) handleConn(conn net.Conn) {
 				break
 			}
 		}
-		f, err := ReadFrame(br, s.cfg.MaxFrame)
+		f, err := ReadFrame(br, DefaultMaxFrame)
 		if err != nil {
 			break // clean close, idle timeout, drain, or protocol error
 		}
@@ -556,7 +576,7 @@ func (s *Server) checkOwner(imsi string) *Frame {
 
 // request serves one request frame: admin frames and errors inline, and
 // sealed-envelope work and queries under the device's home shard's lock,
-// or TRetryAfter at once when QueueDepth requests already wait for it.
+// or TRetryAfter at once when queueDepth requests already wait for it.
 func (sc *serverConn) request(f Frame) Frame {
 	s := sc.srv
 	var (
@@ -577,7 +597,7 @@ func (sc *serverConn) request(f Frame) Frame {
 		return s.errFrame(err)
 	}
 	sh := s.homeShard(imsi)
-	if sh.waiting.Add(1) > int64(s.cfg.QueueDepth) {
+	if sh.waiting.Add(1) > queueDepth {
 		sh.waiting.Add(-1)
 		s.backpressured.Add(1)
 		return s.retryAfter()
@@ -593,7 +613,7 @@ func (sc *serverConn) request(f Frame) Frame {
 }
 
 func (s *Server) retryAfter() Frame {
-	return Frame{Type: TRetryAfter, Payload: RetryAfterPayload(uint32(s.cfg.RetryAfter / time.Millisecond))}
+	return Frame{Type: TRetryAfter, Payload: RetryAfterPayload(uint32(retryAfterHint / time.Millisecond))}
 }
 
 // admin answers a non-subscriber frame inline.
@@ -695,9 +715,9 @@ func (s *Server) handleInstall(payload []byte) Frame {
 	return Frame{Type: TAck}
 }
 
-// handleCommit is rebalance phase 3: activate the prepared map. Commits
-// of an epoch at or below the active one are idempotent acks so the
-// controller can retry.
+// handleCommit is rebalance phase 3: activate the prepared map, after a
+// journaled node has persisted it. Commits of an epoch at or below the
+// active one are idempotent acks so the controller can retry.
 func (s *Server) handleCommit(payload []byte) Frame {
 	epoch, err := ParseEpoch(payload)
 	if err != nil {
@@ -710,6 +730,13 @@ func (s *Server) handleCommit(payload []byte) Frame {
 	}
 	if s.pendingMap == nil || s.pendingMap.Epoch != epoch {
 		return s.errFrame(fmt.Errorf("fleet: no prepared map for epoch %d", epoch))
+	}
+	// Written under mapMu, so the file's epoch only rises; requests wait
+	// for one fsync, once per rebalance.
+	if s.cfg.JournalDir != "" {
+		if err := writeClusterMap(s.cfg.JournalDir, s.pendingMap); err != nil {
+			return s.errFrame(fmt.Errorf("fleet: persisting shard map epoch %d: %w", epoch, err))
+		}
 	}
 	s.curMap = s.pendingMap
 	s.pendingMap = nil
@@ -800,7 +827,7 @@ func (s *Server) commitTails(seqs []uint64) error {
 // The goroutines that find a commit running wait on the channel it closes,
 // then find seq covered or lead the next. A failed write or fsync degrades
 // the shard and fails every later commit of an unsynced seq. Past
-// CompactBytes the leader also commits what folded meanwhile and compacts.
+// compactAt the leader also commits what folded meanwhile and compacts.
 func (sh *shard) commit(seq uint64) error {
 	for sh.synced.Load() < seq {
 		sh.lock.Lock()
@@ -815,7 +842,7 @@ func (sh *shard) commit(seq uint64) error {
 		done := make(chan struct{})
 		sh.committing = done
 		err := sh.writePending(true)
-		if err == nil && sh.jr.size > sh.srv.cfg.CompactBytes && sh.writePending(false) == nil {
+		if err == nil && sh.jr.size > sh.srv.cfg.compactBytes && sh.writePending(false) == nil {
 			if err := sh.compact(); err != nil {
 				sh.srv.cfg.Logf("seedfleetd: shard %d compaction: %v", sh.idx, err)
 			}
