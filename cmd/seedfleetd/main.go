@@ -32,7 +32,7 @@
 // a usage error. Requests for IMSIs owned elsewhere get a redirect
 // carrying the current map; rebalances arrive over the wire as
 // prepare/install/commit frames driven by a controller
-// (fleet.ClusterClient.Rebalance; the kill-and-rebalance campaign in
+// (fleet.Client.Rebalance; the kill-and-rebalance campaign in
 // internal/fleet, go test -run TestClusterCampaign, drives one under load).
 //
 // SIGINT/SIGTERM drains gracefully: in-flight round trips complete, every

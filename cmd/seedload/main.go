@@ -12,9 +12,11 @@
 //
 // Every device uploads four record rows and files one failure report,
 // its customized causes are drawn from 12 per plane, and the model
-// comparison always runs. With -cluster the client's bootstrap map is
-// epoch 0, older than any a node holds, so the first redirect hands it the
-// cluster's current map.
+// comparison always runs. -addr drives one seedfleetd through a
+// fleet.Client built from ClientConfig{Addr}, the client the benchmark
+// measures; -cluster builds the same client from ClientConfig{Nodes}. Its
+// bootstrap map is epoch 0, older than any a node holds, so the first
+// redirect hands it the cluster's current map.
 //
 // Each device's learning records are generated deterministically from
 // (-seed, device index) via the same splitmix derivation the parallel
@@ -34,8 +36,9 @@
 // is the server's side of the same effect, and records_per_fsync, against
 // a node with -journal, how many journal records one group commit made
 // durable). p50/p95/p99
-// latencies cover the whole exchange including backoff waits — what a
-// device experiences under backpressure.
+// latencies cover the whole exchange including retries and backoff waits
+// — what a device experiences under backpressure. Each worker times its
+// own requests, and the series are merged after the drive.
 //
 // -spec FILE paces uploads by a workload spec's compiled arrival process
 // (cmd/seedwl's schema): device i's upload starts at the i-th arrival
@@ -48,7 +51,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -243,14 +245,11 @@ func genFleet(rootSeed int64, devices, testbed int) (loads []deviceLoad, expecte
 func logf(format string, args ...any) { fmt.Printf(format+"\n", args...) }
 
 func ms(s *metrics.Series, p float64) float64 {
-	if s == nil {
-		return 0
-	}
 	return float64(s.Percentile(p)) / float64(time.Millisecond)
 }
 
 func latSummary(s *metrics.Series, op string) string {
-	if s == nil || s.Len() == 0 {
+	if s.Len() == 0 {
 		return op + ": no samples"
 	}
 	return fmt.Sprintf("%s: n=%d p50=%.2fms p95=%.2fms p99=%.2fms",
@@ -261,7 +260,7 @@ func latSummary(s *metrics.Series, op string) string {
 // query — through a fleet from workers goroutines, each doing synchronous
 // round trips.
 type driver struct {
-	cc        *fleet.ClusterClient
+	cl        *fleet.Client
 	masterKey [16]byte
 	workers   int
 	// offsets, when set, holds device i's upload back until that long after
@@ -270,9 +269,14 @@ type driver struct {
 
 	// lost counts uploads and reports that failed for good.
 	lost, suggestions atomic.Int64
+	// upload and query time each completed request whole, retries and
+	// backoff waits included: what a device experiences.
+	upload, query *metrics.Series
 }
 
-// run drives every load once and returns the wall time it took.
+// run drives every load once and returns the wall time it took. Each
+// worker times its own requests; their series are merged after the drive,
+// so no lock is shared per request.
 func (d *driver) run(loads []deviceLoad) time.Duration {
 	// Contiguous chunks normally; with pacing a stride instead, so
 	// simultaneous arrivals (offsets are sorted) spread across workers.
@@ -284,12 +288,13 @@ func (d *driver) run(loads []deviceLoad) time.Duration {
 		}
 		shards[w] = append(shards[w], i)
 	}
-	ctx := context.Background()
+	type timings struct{ upload, query []time.Duration }
+	lats := make([]timings, d.workers)
 	var wg sync.WaitGroup
 	start := time.Now()
-	for _, idx := range shards {
+	for w, idx := range shards {
 		wg.Add(1)
-		go func(idx []int) {
+		go func(lat *timings, idx []int) {
 			defer wg.Done()
 			for _, i := range idx {
 				ld := loads[i]
@@ -301,7 +306,10 @@ func (d *driver) run(loads []deviceLoad) time.Duration {
 				dev := fleet.NewSimDevice(d.masterKey, ld.imsi)
 				sealed, err := dev.SealRecords(core.MarshalRecords(ld.records))
 				if err == nil {
-					err = d.cc.UploadRecords(ctx, ld.imsi, sealed)
+					sent := time.Now()
+					if err = d.cl.UploadRecords(ld.imsi, sealed); err == nil {
+						lat.upload = append(lat.upload, time.Since(sent))
+					}
 				}
 				if err != nil {
 					d.lost.Add(1)
@@ -311,35 +319,35 @@ func (d *driver) run(loads []deviceLoad) time.Duration {
 				for _, rep := range ld.reports {
 					sr, err := dev.SealReport(rep.Marshal())
 					if err == nil {
-						err = d.cc.Report(ctx, ld.imsi, sr)
+						err = d.cl.Report(ld.imsi, sr)
 					}
 					if err != nil {
 						d.lost.Add(1)
 						fmt.Fprintf(os.Stderr, "seedload: %s report: %v\n", ld.imsi, err)
 					}
 				}
-				if payload, err := d.cc.Query(ctx, ld.imsi, ld.query); err == nil {
+				sent := time.Now()
+				if payload, err := d.cl.Query(ld.imsi, ld.query); err == nil {
+					lat.query = append(lat.query, time.Since(sent))
 					if _, ok, _ := dev.OpenSuggest(payload); ok {
 						d.suggestions.Add(1)
 					}
 				}
 			}
-		}(idx)
+		}(&lats[w], idx)
 	}
 	wg.Wait()
-	return time.Since(start)
-}
-
-// fetchStats pulls every member's counters and returns their sum.
-func fetchStats(cc *fleet.ClusterClient) (sum fleet.ServerStats, err error) {
-	perNode, errs := cc.FetchStatsAll(context.Background())
-	for id, err := range errs {
-		return sum, fmt.Errorf("node %s: %w", id, err)
+	wall := time.Since(start)
+	d.upload, d.query = metrics.NewSeries(), metrics.NewSeries()
+	for _, lat := range lats {
+		for _, v := range lat.upload {
+			d.upload.Add(v)
+		}
+		for _, v := range lat.query {
+			d.query.Add(v)
+		}
 	}
-	for _, st := range perNode {
-		sum.Add(st)
-	}
-	return sum, nil
+	return wall
 }
 
 // writeJSON writes the run record v to path ("-" for stdout, "" for
@@ -369,7 +377,7 @@ func main() { os.Exit(run()) }
 // process exits.
 func run() int {
 	var (
-		addr        = flag.String("addr", "127.0.0.1:7316", "seedfleetd address (a single node is driven as a cluster of one)")
+		addr        = flag.String("addr", "127.0.0.1:7316", "seedfleetd address")
 		clusterSpec = flag.String("cluster", "", "drive a cluster instead: members as id=host:port,...")
 		devices     = flag.Int("devices", 1000, "simulated device count")
 		workers     = flag.Int("workers", 4, "client shards (worker goroutines)")
@@ -437,27 +445,18 @@ func run() int {
 		logf("seedload: pacing by spec %q ×%g: uploads span %v", sp.Name, specTimescale, offsets[len(offsets)-1])
 	}
 
-	// A single seedfleetd is a cluster of one: it holds no shard map, so it
-	// never redirects, and the client has no peer to ask for a newer one.
-	nodes := []cluster.Node{{ID: *addr, Addr: *addr}}
+	cfg := fleet.ClientConfig{Addr: *addr, Conns: *conns, Seed: *seedVal}
 	if *clusterSpec != "" {
 		var err error
-		if nodes, err = cluster.ParseNodeList(*clusterSpec); err != nil {
+		if cfg.Nodes, err = cluster.ParseNodeList(*clusterSpec); err != nil {
 			fmt.Fprintln(os.Stderr, "seedload:", err)
 			return 2
 		}
 	}
-	cc, err := fleet.NewClusterClient(fleet.ClusterClientConfig{
-		Nodes:  nodes,
-		Client: fleet.ClientConfig{Conns: *conns, Seed: *seedVal},
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "seedload:", err)
-		return 2
-	}
-	defer cc.Close()
+	cl := fleet.NewClient(cfg)
+	defer cl.Close()
 
-	d := driver{cc: cc, masterKey: masterKey, workers: *workers, offsets: offsets}
+	d := driver{cl: cl, masterKey: masterKey, workers: *workers, offsets: offsets}
 	wall := d.run(loads)
 
 	res := result{
@@ -468,22 +467,22 @@ func run() int {
 		WallMS:        float64(wall) / float64(time.Millisecond),
 		UploadsPerSec: float64(*devices) / wall.Seconds(),
 		Lost:          d.lost.Load(),
-		Retries:       cc.Retries(),
-		Redials:       cc.Redials(),
+		Retries:       cl.Retries(),
+		Redials:       cl.Redials(),
 		Suggestions:   d.suggestions.Load(),
-		UploadP50MS:   ms(cc.Latency("upload"), 50),
-		UploadP95MS:   ms(cc.Latency("upload"), 95),
-		UploadP99MS:   ms(cc.Latency("upload"), 99),
-		QueryP50MS:    ms(cc.Latency("query"), 50),
-		QueryP95MS:    ms(cc.Latency("query"), 95),
-		QueryP99MS:    ms(cc.Latency("query"), 99),
+		UploadP50MS:   ms(d.upload, 50),
+		UploadP95MS:   ms(d.upload, 95),
+		UploadP99MS:   ms(d.upload, 99),
+		QueryP50MS:    ms(d.query, 50),
+		QueryP95MS:    ms(d.query, 95),
+		QueryP99MS:    ms(d.query, 99),
 
-		FramesPerWrite: fleet.Ratio(cc.Frames(), cc.Writes()),
+		FramesPerWrite: fleet.Ratio(cl.Frames(), cl.Writes()),
 	}
 	totalOps := *devices * (2 + reportsPerDevice) // upload + reports + query
 	res.OpsPerSec = float64(totalOps) / wall.Seconds()
 
-	if st, err := fetchStats(cc); err == nil {
+	if st, err := cl.FetchStats(); err == nil {
 		res.Server = st
 		res.ResponsesPerFlush = fleet.Ratio(st.Responses, st.Flushes)
 		res.RecordsPerFsync = fleet.Ratio(st.JournalRecords, st.JournalSyncs)
@@ -492,7 +491,7 @@ func run() int {
 	}
 
 	exit := 0
-	got, err := cc.FetchClusterModel(context.Background())
+	got, err := cl.FetchModel()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "seedload: model pull: %v\n", err)
 		exit = 1
@@ -515,8 +514,8 @@ func run() int {
 		*devices, res.WallMS, res.UploadsPerSec, res.OpsPerSec, res.Lost, res.Retries, res.Redials)
 	logf("seedload: %.2f frames/write, %.2f responses/flush, %.2f records/fsync",
 		res.FramesPerWrite, res.ResponsesPerFlush, res.RecordsPerFsync)
-	logf("seedload: %s", latSummary(cc.Latency("upload"), "upload"))
-	logf("seedload: %s", latSummary(cc.Latency("query"), "query"))
+	logf("seedload: %s", latSummary(d.upload, "upload"))
+	logf("seedload: %s", latSummary(d.query, "query"))
 	if res.ModelMatch != nil {
 		logf("seedload: model match: %v (%d bytes, %d suggestions received)", *res.ModelMatch, res.ModelBytes, res.Suggestions)
 	}

@@ -626,6 +626,7 @@ var rules = []rule{
 	{"mirror-vocabulary", ".", false, ruleMirrorVocabulary},
 	{"seeded-streams", "internal/fleet", false, ruleSeededStreams},
 	{"one-apply-path", "internal/fleet", false, ruleOneApplyPath},
+	{"one-request-loop", "internal/fleet", false, ruleOneRequestLoop},
 	{"one-record-table", "internal/fleet", false, ruleOneRecordTable},
 	{"scratch-sends", "internal/modem", false, ruleScratchSends},
 	{"packets-by-pointer", "internal/core5g", false, rulePacketsByPointer},
@@ -855,6 +856,47 @@ func ruleOneApplyPath(r *report) {
 	}
 	if inApply != 1 && len(files) > 0 {
 		r.add(files[0].file.Package, "(*shard).apply opens %d uplink envelopes, want 1", inApply)
+	}
+}
+
+// Rule one-request-loop: in internal/fleet (*muxConn).roundTrip, one
+// exchange on a client connection, is called once, in (*Client).do, the
+// client's one request loop, and referenced nowhere else, so no second
+// retry layer wraps it.
+func ruleOneRequestLoop(r *report) {
+	files := r.w.prodFiles("internal/fleet")
+	calls := map[*ast.Ident]bool{}
+	inDo := 0
+	for _, f := range files {
+		info := f.u.info
+		for _, decl := range f.file.Decls {
+			ast.Inspect(decl, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || !isObj(callee(info, call), "internal/fleet", "muxConn", "roundTrip") {
+					return true
+				}
+				calls[ast.Unparen(call.Fun).(*ast.SelectorExpr).Sel] = true
+				if declName(decl) == "Client.do" {
+					inDo++
+				} else {
+					r.add(call.Pos(), "(*muxConn).roundTrip called outside (*Client).do, the client's one request loop")
+				}
+				return true
+			})
+		}
+	}
+	for _, u := range r.w.prod() {
+		if u.pkg.Path() != modPath("internal/fleet") {
+			continue
+		}
+		for id, obj := range u.info.Uses {
+			if !calls[id] && isObj(obj, "internal/fleet", "muxConn", "roundTrip") && !r.w.site(u, id.Pos()).test {
+				r.add(id.Pos(), "(*muxConn).roundTrip referenced without a call")
+			}
+		}
+	}
+	if inDo != 1 && len(files) > 0 {
+		r.add(files[0].file.Package, "(*Client).do calls (*muxConn).roundTrip %d times, want 1", inDo)
 	}
 }
 

@@ -262,15 +262,8 @@ func (a *SEEDApplet) handleDiag(m DiagMessage) {
 		a.trace(DecisionEvent{Stage: StageSuggested, Plane: m.Plane, Code: m.Code, Kind: m.Kind, Proposed: m.Action, Action: act, Seq: -1})
 		if act == ActionA1 || act == ActionB1 || act == ActionA2 || act == ActionB2 {
 			// Hardware/control-plane resets get the 2 s transient window.
-			a.pendingCP.Stop()
-			a.trace(DecisionEvent{Stage: StageCPlaneArmed, Plane: m.Plane, Code: m.Code, Kind: m.Kind, Action: act, Seq: -1, Wait: a.cfg.CPlaneWait})
-			a.pendingCP = a.k.After(a.cfg.CPlaneWait, func() {
-				if a.k.Now() < a.congestionUntil {
-					a.trace(DecisionEvent{Stage: StageCongestionSkip, Action: act, Seq: -1})
-					return
-				}
-				a.execute(act)
-			})
+			a.armCPlane(DecisionEvent{Plane: m.Plane, Code: m.Code, Kind: m.Kind, Action: act},
+				DecisionEvent{Action: act}, func() { a.execute(act) })
 			return
 		}
 		a.execute(act)
@@ -335,16 +328,29 @@ func Decide(c DiagClass, m Mode) ActionID {
 	}[c][m-ModeU]
 }
 
-// scheduleCPlane arms the 2 s wait before a control-plane/hardware reset;
-// a recovery signal in the window cancels it.
-func (a *SEEDApplet) scheduleCPlane(m DiagMessage) {
+// armCPlane arms the 2 s wait before a control-plane/hardware reset,
+// replacing any wait already armed, and traces armed as StageCPlaneArmed.
+// When the wait ends, fire runs, unless the network's congestion window is
+// still open, which skips the reset and traces skip as StageCongestionSkip.
+// A recovery signal in the window cancels it.
+func (a *SEEDApplet) armCPlane(armed, skip DecisionEvent, fire func()) {
 	a.pendingCP.Stop()
-	a.trace(DecisionEvent{Stage: StageCPlaneArmed, Plane: m.Plane, Code: m.Code, Kind: m.Kind, Seq: -1, Wait: a.cfg.CPlaneWait})
+	armed.Stage, armed.Seq, armed.Wait = StageCPlaneArmed, -1, a.cfg.CPlaneWait
+	skip.Stage, skip.Seq = StageCongestionSkip, -1
+	a.trace(armed)
 	a.pendingCP = a.k.After(a.cfg.CPlaneWait, func() {
 		if a.k.Now() < a.congestionUntil {
-			a.trace(DecisionEvent{Stage: StageCongestionSkip, Plane: m.Plane, Code: m.Code, Kind: m.Kind, Seq: -1})
+			a.trace(skip)
 			return
 		}
+		fire()
+	})
+}
+
+// scheduleCPlane arms the control-plane reset Table 3 picks for a cause.
+func (a *SEEDApplet) scheduleCPlane(m DiagMessage) {
+	ev := DecisionEvent{Plane: m.Plane, Code: m.Code, Kind: m.Kind}
+	a.armCPlane(ev, ev, func() {
 		class := ClassControl
 		if m.Kind == DiagCauseConfig {
 			a.applyCPlaneConfig(m.ConfigKind, m.Config)

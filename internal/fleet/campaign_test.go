@@ -15,10 +15,11 @@ import (
 	"github.com/seed5g/seed/internal/cause"
 	"github.com/seed5g/seed/internal/core"
 	"github.com/seed5g/seed/internal/fleet/cluster"
+	"github.com/seed5g/seed/internal/metrics"
 )
 
 // The kill-and-rebalance campaign: a three-node journaled cluster takes a
-// concurrent upload load through one ClusterClient while the test
+// concurrent upload load through one clustered Client while the test
 // goroutine, waiting on the acked-upload count, scripts the failures the
 // durable tier exists for. At 1/3 of the uploads acked it kills n1 and
 // restarts it over its journal; at 2/3 it drains n2 out (epoch 2) and
@@ -77,22 +78,25 @@ func runCampaign(t *testing.T, tc *testCluster, seed int64, devices int) ServerS
 	var acked, lost atomic.Int64
 	var wg sync.WaitGroup
 	loadDone := make(chan struct{})
+	lat := make([][]time.Duration, campaignWorkers) // each uploader's acked uploads, timed whole
 	start := time.Now()
 	for w := 0; w < campaignWorkers; w++ {
 		wg.Add(1)
-		go func(part []campaignUpload) {
+		go func(w int, part []campaignUpload) {
 			defer wg.Done()
 			for _, u := range part {
-				if err := cc.UploadRecords(ctx, u.imsi, u.sealed); err != nil {
+				sent := time.Now()
+				if err := cc.UploadRecords(u.imsi, u.sealed); err != nil {
 					lost.Add(1)
 					t.Logf("%s: %v", u.imsi, err)
 					continue
 				}
+				lat[w] = append(lat[w], time.Since(sent))
 				if mark, ok := marks[acked.Add(1)]; ok {
 					close(mark)
 				}
 			}
-		}(loads[w*devices/campaignWorkers : (w+1)*devices/campaignWorkers])
+		}(w, loads[w*devices/campaignWorkers:(w+1)*devices/campaignWorkers])
 	}
 	go func() { wg.Wait(); close(loadDone) }()
 	// A failed script step still waits for the load, whose goroutines log.
@@ -133,7 +137,7 @@ func runCampaign(t *testing.T, tc *testCluster, seed int64, devices int) ServerS
 	if n := lost.Load(); n > 0 {
 		t.Errorf("%d of %d uploads lost", n, devices)
 	}
-	got, err := cc.FetchClusterModel(ctx)
+	got, err := cc.FetchModel()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +155,12 @@ func runCampaign(t *testing.T, tc *testCluster, seed int64, devices int) ServerS
 	if replayed == 0 {
 		t.Error("the restarted n1 replayed no journal record")
 	}
-	up := cc.Latency("upload")
+	up := metrics.NewSeries()
+	for _, part := range lat {
+		for _, d := range part {
+			up.Add(d)
+		}
+	}
 	ms := func(p float64) float64 { return float64(up.Percentile(p)) / float64(time.Millisecond) }
 	t.Logf("seed %d: %d uploads in %.0f ms, lost=%d, model %d bytes match=%v; n1 restarted at %d acked in %.1f ms (%d records replayed); epoch 3 at %d acked; duplicates=%d retries=%d redials=%d; upload p50/p95/p99 %.2f/%.2f/%.2f ms",
 		seed, devices, float64(wall)/float64(time.Millisecond), lost.Load(), len(got), bytes.Equal(got, want),
@@ -205,7 +214,8 @@ func TestClusterCampaignLossyLinks(t *testing.T) {
 // a seeded stream, dropped and its connection closed both ways. Only
 // responses are dropped, because a lost response is the loss exactly-once
 // delivery exists for: the node folded the upload, and the client, which
-// cannot know, retries it.
+// cannot know, retries it. It keeps every byte the clients sent, in the
+// order it read them.
 type forwarder struct {
 	ln       net.Listener
 	target   string
@@ -215,6 +225,7 @@ type forwarder struct {
 	mu    sync.Mutex
 	rng   *rand.Rand
 	kills int
+	sent  []byte
 }
 
 // startForwarder listens on a free loopback port until the test's cleanup
@@ -245,6 +256,20 @@ func (fw *forwarder) killed() int {
 	return fw.kills
 }
 
+func (fw *forwarder) sentBytes() []byte {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	return fw.sent
+}
+
+// Write keeps what a client sent before the relay passes it on.
+func (fw *forwarder) Write(p []byte) (int, error) {
+	fw.mu.Lock()
+	fw.sent = append(fw.sent, p...)
+	fw.mu.Unlock()
+	return len(p), nil
+}
+
 func (fw *forwarder) close() {
 	_ = fw.ln.Close()
 	fw.wg.Wait()
@@ -273,7 +298,7 @@ func (fw *forwarder) relay(client net.Conn) {
 		return
 	}
 	done := make(chan struct{}, 2)
-	go func() { _, _ = io.Copy(node, client); done <- struct{}{} }()
+	go func() { _, _ = io.Copy(io.MultiWriter(fw, node), client); done <- struct{}{} }()
 	go func() { fw.pumpResponses(client, node); done <- struct{}{} }()
 	<-done
 	_ = client.Close()

@@ -14,16 +14,24 @@ import (
 	"time"
 
 	"github.com/seed5g/seed/internal/cause"
+	"github.com/seed5g/seed/internal/core"
+	"github.com/seed5g/seed/internal/fleet/cluster"
 )
 
 // ClientConfig parameterizes the fleet client.
 type ClientConfig struct {
-	// Addr is the server address.
+	// Addr is the server address of a client that is not clustered.
 	Addr string
-	// Conns is the number of connections. They are dialed lazily and each
-	// is shared by any number of concurrent callers: a caller joins a
-	// connection whose next write is still forming, and only when none is
-	// takes the next connection round-robin.
+	// Nodes, when set, clusters the client, and Addr is not used: it is the
+	// bootstrap membership. The client builds the ring every server
+	// computed from the same members, so it routes correctly before ever
+	// talking to anyone. The bootstrap map is epoch 0, older than any a
+	// server holds, so the first redirect's map is adopted.
+	Nodes []cluster.Node
+	// Conns is the number of connections per node. They are dialed lazily
+	// and each is shared by any number of concurrent callers: a caller
+	// joins a connection whose next write is still forming, and only when
+	// none is takes the next connection round-robin.
 	Conns int
 	// Seed seeds the backoff jitter (deterministic load patterns).
 	Seed int64
@@ -45,26 +53,33 @@ const (
 	// write.
 	requestTimeout = 10 * time.Second
 	// maxRetries is the number of attempts per request beyond the first,
-	// covering both transport errors and TRetryAfter backpressure.
+	// covering transport errors, TRetryAfter backpressure and redirects.
 	maxRetries = 8
 	// backoffBase and backoffMax shape the jittered exponential backoff
-	// after transport errors; TRetryAfter responses honor the server's
-	// wait hint (plus jitter) instead.
+	// after transport errors and redirects that teach nothing; TRetryAfter
+	// responses honor the server's wait hint (plus jitter) instead.
 	backoffBase = 5 * time.Millisecond
 	backoffMax  = 500 * time.Millisecond
 )
 
-// Client is a multiplexed fleet-protocol client with retry and
-// backpressure handling. Any number of callers share its Conns
-// connections. Callers that arrive together leave together: a caller
-// queues its request on a connection whose writer is still gathering, so
-// the callers one burst of responses wakes share one write; see muxConn.
+// Client is the fleet-protocol client. Every request it makes runs through
+// one loop, do, with retry and backpressure handling. A clustered client
+// routes each subscriber's requests to their owner under an
+// epoch-versioned shard map, adopts the newer map a TWrongShard redirect
+// carries, fails over across map epochs and merges the members' models;
+// a client of one server sends everything to Addr. Any number of callers
+// share each node's Conns connections. Callers that arrive together leave
+// together: a caller queues its request on a connection whose writer is
+// still gathering, so the callers one burst of responses wakes share one
+// write; see muxConn.
 type Client struct {
 	cfg     ClientConfig
-	slots   []connSlot
-	next    atomic.Uint32 // round-robin cursor over slots, when no write is forming
+	shards  atomic.Pointer[cluster.Map] // the adopted map; nil while no map is known
 	closed  atomic.Bool
 	readers sync.WaitGroup // one reader goroutine per live connection
+
+	mu    sync.RWMutex
+	nodes map[string]*nodeConns // node address → its connections
 
 	// gatherHook, when a test sets it before the first request, runs in
 	// every writer's gathering window, while its connection is forming.
@@ -76,7 +91,14 @@ type Client struct {
 	retries, redials, writes, frames atomic.Uint64
 }
 
-// connSlot is one of the client's Conns positions: the live connection,
+// nodeConns is the client's Conns connections to one node address.
+type nodeConns struct {
+	addr  string
+	slots []connSlot
+	next  atomic.Uint32 // round-robin cursor over slots, when no write is forming
+}
+
+// connSlot is one of a node's Conns positions: the live connection,
 // replaced by a fresh dial after it breaks.
 type connSlot struct {
 	cur     atomic.Pointer[muxConn]
@@ -140,10 +162,28 @@ var ErrClientClosed = errors.New("fleet: client closed")
 // NewClient creates a client; connections are dialed on first use.
 func NewClient(cfg ClientConfig) *Client {
 	cfg.withDefaults()
-	return &Client{
+	cl := &Client{
 		cfg:   cfg,
-		slots: make([]connSlot, cfg.Conns),
+		nodes: make(map[string]*nodeConns),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
+	}
+	if len(cfg.Nodes) > 0 {
+		cl.shards.Store(cluster.New(0, cfg.Nodes))
+	}
+	return cl
+}
+
+// Map returns the adopted shard map: nil for a client that is not
+// clustered and that no server has redirected.
+func (cl *Client) Map() *cluster.Map { return cl.shards.Load() }
+
+// adopt installs m if it is newer than the adopted map.
+func (cl *Client) adopt(m *cluster.Map) {
+	for {
+		cur := cl.shards.Load()
+		if cur != nil && m.Epoch <= cur.Epoch || cl.shards.CompareAndSwap(cur, m) {
+			return
+		}
 	}
 }
 
@@ -151,31 +191,53 @@ func NewClient(cfg ClientConfig) *Client {
 // them, and returns once the reader goroutines have exited.
 func (cl *Client) Close() {
 	cl.closed.Store(true)
-	for i := range cl.slots {
-		sl := &cl.slots[i]
-		sl.mu.Lock()
-		if mc := sl.cur.Load(); mc != nil {
-			mc.mu.Lock()
-			mc.failLocked(ErrClientClosed)
-			mc.mu.Unlock()
+	cl.mu.RLock()
+	for _, nc := range cl.nodes {
+		for i := range nc.slots {
+			sl := &nc.slots[i]
+			sl.mu.Lock()
+			if mc := sl.cur.Load(); mc != nil {
+				mc.mu.Lock()
+				mc.failLocked(ErrClientClosed)
+				mc.mu.Unlock()
+			}
+			sl.mu.Unlock()
 		}
-		sl.mu.Unlock()
 	}
+	cl.mu.RUnlock()
 	cl.readers.Wait()
 }
 
-// conn returns a live connection whose next write is still forming, so
-// that the caller shares it. Failing that, it returns the next slot's
-// connection round-robin, dialing when the slot is empty or its
+// conns returns addr's connections, made on first use. A member that
+// moves to a new address gets new connections there.
+func (cl *Client) conns(addr string) *nodeConns {
+	cl.mu.RLock()
+	nc := cl.nodes[addr]
+	cl.mu.RUnlock()
+	if nc != nil {
+		return nc
+	}
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	if nc = cl.nodes[addr]; nc == nil {
+		nc = &nodeConns{addr: addr, slots: make([]connSlot, cl.cfg.Conns)}
+		cl.nodes[addr] = nc
+	}
+	return nc
+}
+
+// conn returns a live connection to nc's node whose next write is still
+// forming, so that the caller shares it. Failing that, it returns the next
+// slot's connection round-robin, dialing when the slot is empty or its
 // connection broke. One caller dials; the others wait for it or for their
 // own ctx.
-func (cl *Client) conn(ctx context.Context) (*muxConn, error) {
-	for i := range cl.slots {
-		if mc := cl.slots[i].live(); mc != nil && mc.forming.Load() {
+func (cl *Client) conn(ctx context.Context, nc *nodeConns) (*muxConn, error) {
+	for i := range nc.slots {
+		if mc := nc.slots[i].live(); mc != nil && mc.forming.Load() {
 			return mc, nil
 		}
 	}
-	sl := &cl.slots[cl.next.Add(1)%uint32(len(cl.slots))]
+	sl := &nc.slots[nc.next.Add(1)%uint32(len(nc.slots))]
 	for {
 		if mc := sl.live(); mc != nil {
 			return mc, nil
@@ -203,7 +265,7 @@ func (cl *Client) conn(ctx context.Context) (*muxConn, error) {
 		sl.mu.Unlock()
 
 		d := net.Dialer{Timeout: dialTimeout}
-		c, err := d.DialContext(ctx, "tcp", cl.cfg.Addr)
+		c, err := d.DialContext(ctx, "tcp", nc.addr)
 		sl.mu.Lock()
 		sl.dialing = nil
 		var mc *muxConn
@@ -368,23 +430,37 @@ func (mc *muxConn) failLocked(err error) {
 	mc.head, mc.tail = nil, nil
 }
 
-// Do performs a request with retries: transport errors back off
-// exponentially with jitter, TRetryAfter honors the server's hint, and
-// TErr fails immediately (the request itself is bad). op names the
-// request in errors.
-func (cl *Client) Do(op string, req Frame) (Frame, error) {
-	return cl.DoCtx(context.Background(), op, req)
+// target is where a request goes: to member when it names one (a
+// rebalance phase, a model, stats or map pull), else to the owner of imsi
+// under the adopted map, else, with no map, to Addr. once makes one
+// attempt and no more: a map pull while the loop refreshes its map.
+type target struct {
+	imsi   string
+	member *cluster.Node
+	once   bool
 }
 
-// DoCtx is Do with cancellation: the retry loop is hard-capped at
-// maxRetries extra attempts, and a cancelled/expired ctx returns promptly
-// — it aborts backoff sleeps, dials, waits for another caller's dial, and
-// the wait for a response (the request's slot in the response order is
-// abandoned, the connection stays good). Only a caller that is in the
-// middle of writing the queued frames finishes that write first.
-func (cl *Client) DoCtx(ctx context.Context, op string, req Frame) (Frame, error) {
+// do is the client's one request loop: up to maxRetries+1 attempts, each
+// one round trip to the node the attempt's map picks. A transport error
+// refreshes the map from the other members (one attempt each) when the
+// request is routed by subscriber, then backs off exponentially with
+// jitter; TRetryAfter waits the server's hint plus jitter; a TWrongShard
+// redirect adopts the map it carries and retries at once when that map is
+// newer than the one the attempt routed by, and backs off when it is not
+// (the node is behind, and will catch up); TErr fails at once (the request
+// itself is bad). op names the request in errors. A cancelled or expired
+// ctx returns promptly: it aborts backoff sleeps, dials, waits for another
+// caller's dial, and the wait for a response (the request's slot in the
+// response order is abandoned, the connection stays good). Only a caller
+// that is in the middle of writing the queued frames finishes that write
+// first.
+func (cl *Client) do(ctx context.Context, op string, to target, req Frame) (Frame, error) {
+	tries := maxRetries + 1
+	if to.once {
+		tries = 1
+	}
 	var lastErr error
-	for attempt := 0; attempt <= maxRetries; attempt++ {
+	for attempt := 0; attempt < tries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			if lastErr != nil {
 				return Frame{}, fmt.Errorf("fleet: %s cancelled after %d attempts: %w (last error: %v)", op, attempt, err, lastErr)
@@ -394,8 +470,16 @@ func (cl *Client) DoCtx(ctx context.Context, op string, req Frame) (Frame, error
 		if attempt > 0 {
 			cl.retries.Add(1)
 		}
+		m := cl.shards.Load()
+		n := cluster.Node{Addr: cl.cfg.Addr}
+		switch {
+		case to.member != nil:
+			n = *to.member
+		case m != nil:
+			n = m.Owner(to.imsi)
+		}
 		var resp Frame
-		mc, err := cl.conn(ctx)
+		mc, err := cl.conn(ctx, cl.conns(n.Addr))
 		if err == nil {
 			resp, err = mc.roundTrip(ctx, req)
 		}
@@ -404,7 +488,13 @@ func (cl *Client) DoCtx(ctx context.Context, op string, req Frame) (Frame, error
 				return Frame{}, err
 			}
 			lastErr = err
-			if ctx.Err() == nil {
+			if n.ID != "" {
+				lastErr = fmt.Errorf("node %s (%s): %w", n.ID, n.Addr, err)
+			}
+			if ctx.Err() == nil && !to.once {
+				if to.member == nil {
+					cl.refreshMap(ctx, m, n.ID)
+				}
 				_ = cl.sleep(ctx, cl.backoff(attempt)) // cut short by ctx: the loop exits at the top
 			}
 			continue
@@ -417,14 +507,49 @@ func (cl *Client) DoCtx(ctx context.Context, op string, req Frame) (Frame, error
 			}
 			lastErr = fmt.Errorf("fleet: backpressured (retry after %dms)", millis)
 			_ = cl.sleep(ctx, time.Duration(millis)*time.Millisecond+cl.jitter(backoffBase))
-			continue
+		case TWrongShard:
+			theirs, err := cluster.Unmarshal(resp.Payload)
+			if err != nil {
+				return Frame{}, fmt.Errorf("fleet: bad map in redirect from %s: %w", n.Addr, err)
+			}
+			cl.adopt(theirs)
+			var ours uint64
+			if m != nil {
+				ours = m.Epoch
+			}
+			lastErr = fmt.Errorf("node %s redirected (its epoch %d, ours was %d)", n.ID, theirs.Epoch, ours)
+			if m != nil && theirs.Epoch <= m.Epoch {
+				_ = cl.sleep(ctx, cl.backoff(attempt))
+			}
 		case TErr:
 			return Frame{}, fmt.Errorf("%w: %s", ErrServer, resp.Payload)
 		default:
 			return resp, nil
 		}
 	}
-	return Frame{}, fmt.Errorf("fleet: %s failed after %d attempts: %w", op, maxRetries+1, lastErr)
+	return Frame{}, fmt.Errorf("fleet: %s failed after %d attempts: %w", op, tries, lastErr)
+}
+
+// refreshMap asks every member of m except skipID for its current map,
+// one attempt each, and adopts the newest. Used after a node failure: if a
+// rebalance routed around the dead node, the survivors know the new epoch.
+// A client with no map, or with one member, has nobody to ask.
+func (cl *Client) refreshMap(ctx context.Context, m *cluster.Map, skipID string) {
+	if m == nil {
+		return
+	}
+	for _, n := range m.Nodes() {
+		if n.ID == skipID {
+			continue
+		}
+		resp, err := cl.do(ctx, "map", target{member: &n, once: true}, Frame{Type: TMapPull})
+		if err != nil || resp.Type != TMap {
+			continue
+		}
+		if theirs, err := cluster.Unmarshal(resp.Payload); err == nil {
+			cl.adopt(theirs)
+		}
+	}
 }
 
 // backoff returns the jittered exponential wait for an attempt.
@@ -464,52 +589,97 @@ func (cl *Client) sleep(ctx context.Context, d time.Duration) error {
 
 // --- request surface -----------------------------------------------------
 
-// UploadRecords ships a sealed learning-record blob for a device. It
-// returns only after the server acknowledged the fold (or the duplicate).
+// UploadRecords ships a sealed learning-record blob for a device to its
+// node. It returns only after the server acknowledged the fold (or the
+// duplicate).
 func (cl *Client) UploadRecords(imsi string, sealed []byte) error {
-	_, err := cl.Do("upload", Frame{Type: TUpload, Payload: AppendSealedPayload(nil, imsi, sealed)})
+	_, err := cl.do(context.Background(), "upload", target{imsi: imsi},
+		Frame{Type: TUpload, Payload: AppendSealedPayload(nil, imsi, sealed)})
 	return err
 }
 
-// Report ships a sealed failure report for a device.
+// Report ships a sealed failure report for a device to its node.
 func (cl *Client) Report(imsi string, sealed []byte) error {
-	_, err := cl.Do("report", Frame{Type: TReport, Payload: AppendSealedPayload(nil, imsi, sealed)})
+	_, err := cl.do(context.Background(), "report", target{imsi: imsi},
+		Frame{Type: TReport, Payload: AppendSealedPayload(nil, imsi, sealed)})
 	return err
 }
 
-// Query asks the aggregate model for a suggestion (the model-push leg).
-// It returns the raw sealed TSuggest payload (empty when the model
-// abstains); the caller opens it with the device's envelope.
+// Query asks the device's node for a suggestion from the aggregate model
+// (the model-push leg). It returns the raw sealed TSuggest payload (empty
+// when the model abstains); the caller opens it with the device's
+// envelope.
 func (cl *Client) Query(imsi string, c cause.Cause) ([]byte, error) {
-	resp, err := cl.Do("query", Frame{Type: TQuery, Payload: AppendQueryPayload(nil, imsi, c)})
+	resp, err := cl.do(context.Background(), "query", target{imsi: imsi},
+		Frame{Type: TQuery, Payload: AppendQueryPayload(nil, imsi, c)})
 	if err != nil {
 		return nil, err
 	}
 	return resp.Payload, nil
 }
 
-// FetchModel pulls the canonical serialized aggregate model.
+// FetchModel pulls the canonical serialized aggregate model. A client that
+// is not clustered returns its server's model as sent. A clustered client
+// pulls each member's model and merges them: folds stay on the node where
+// they happened (only envelope counters move on rebalance), so the cluster
+// model is by definition this cross-node merge, and the canonical sorted
+// serialization makes it independent of poll order.
 func (cl *Client) FetchModel() ([]byte, error) {
-	resp, err := cl.Do("model", Frame{Type: TModelPull})
-	if err != nil {
-		return nil, err
+	ctx := context.Background()
+	m := cl.shards.Load()
+	if m == nil {
+		resp, err := cl.do(ctx, "model", target{}, Frame{Type: TModelPull})
+		if err != nil {
+			return nil, err
+		}
+		return resp.Payload, nil
 	}
-	return resp.Payload, nil
+	merged := core.Records{}
+	for _, n := range m.Nodes() {
+		resp, err := cl.do(ctx, "model", target{member: &n}, Frame{Type: TModelPull})
+		if err != nil {
+			return nil, fmt.Errorf("fleet: model pull from %s: %w", n.ID, err)
+		}
+		part, err := core.ParseRecords(resp.Payload, 4)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: model from %s: %w", n.ID, err)
+		}
+		merged.Merge(part)
+	}
+	return MarshalModel(merged), nil
 }
 
-// FetchStats pulls the server counters.
-func (cl *Client) FetchStats() (ServerStats, error) { return cl.fetchStats(context.Background()) }
+// FetchStats pulls the server counters, summed over the members of a
+// clustered client. The sum covers the members that answered; the error
+// names each one that did not, in node-ID order.
+func (cl *Client) FetchStats() (ServerStats, error) {
+	ctx := context.Background()
+	var sum ServerStats
+	m := cl.shards.Load()
+	if m == nil {
+		return sum, cl.pullStats(ctx, target{}, &sum)
+	}
+	var errs []error
+	for _, n := range m.Nodes() {
+		if err := cl.pullStats(ctx, target{member: &n}, &sum); err != nil {
+			errs = append(errs, fmt.Errorf("node %s: %w", n.ID, err))
+		}
+	}
+	return sum, errors.Join(errs...)
+}
 
-func (cl *Client) fetchStats(ctx context.Context) (ServerStats, error) {
-	var st ServerStats
-	resp, err := cl.DoCtx(ctx, "stats", Frame{Type: TStatsPull})
+// pullStats adds one node's counters to sum.
+func (cl *Client) pullStats(ctx context.Context, to target, sum *ServerStats) error {
+	resp, err := cl.do(ctx, "stats", to, Frame{Type: TStatsPull})
 	if err != nil {
-		return st, err
+		return err
 	}
+	var st ServerStats
 	if err := json.Unmarshal(resp.Payload, &st); err != nil {
-		return st, fmt.Errorf("fleet: stats payload from %s: %w", cl.cfg.Addr, err)
+		return fmt.Errorf("fleet: stats payload: %w", err)
 	}
-	return st, nil
+	sum.Add(st)
+	return nil
 }
 
 // Retries returns how many request attempts were retries.
@@ -524,3 +694,80 @@ func (cl *Client) Redials() uint64 { return cl.redials.Load() }
 // the callers' concurrency bought.
 func (cl *Client) Frames() uint64 { return cl.frames.Load() }
 func (cl *Client) Writes() uint64 { return cl.writes.Load() }
+
+// --- rebalance controller ------------------------------------------------
+
+// Rebalance drives the two-phase shard-map change to newMap:
+//
+//  1. prepare: every node of old ∪ new stages newMap — moved-out IMSIs
+//     freeze (TRetryAfter to clients) and their envelope counters come back;
+//  2. install: each moved subscriber's counters land on its new owner,
+//     journaled before the ack, so dedup survives even a crash right after;
+//  3. commit: every node activates newMap (idempotent per epoch).
+//
+// The controller (an operator tool, the campaign tests) drives it;
+// nodes never talk to each other. If the controller dies mid-flight, the
+// frozen epoch never commits and a rerun with the same newMap is safe:
+// prepare re-collects, install is max-semantics, commit acks repeats.
+func (cl *Client) Rebalance(ctx context.Context, newMap *cluster.Map) error {
+	union := make(map[string]cluster.Node)
+	if old := cl.shards.Load(); old != nil {
+		for _, n := range old.Nodes() {
+			union[n.ID] = n
+		}
+	}
+	for _, n := range newMap.Nodes() {
+		union[n.ID] = n
+	}
+	prepPayload := newMap.Marshal()
+
+	// Phase 1: prepare everywhere, collecting moved-out counter tables.
+	var moved []CounterEntry
+	for _, n := range union {
+		resp, err := cl.do(ctx, "prepare", target{member: &n}, Frame{Type: TMapPrepare, Payload: prepPayload})
+		if err != nil {
+			return fmt.Errorf("fleet: prepare on %s: %w", n.ID, err)
+		}
+		if resp.Type != TPrepared {
+			return fmt.Errorf("fleet: prepare on %s answered %v", n.ID, resp.Type)
+		}
+		part, err := ParseCounterTable(resp.Payload)
+		if err != nil {
+			return fmt.Errorf("fleet: prepare table from %s: %w", n.ID, err)
+		}
+		moved = append(moved, part...)
+	}
+
+	// Phase 2: install each moved subscriber's counters on its new owner.
+	byOwner := make(map[string][]CounterEntry)
+	for _, e := range moved {
+		byOwner[newMap.OwnerID(e.IMSI)] = append(byOwner[newMap.OwnerID(e.IMSI)], e)
+	}
+	for id, entries := range byOwner {
+		n, ok := newMap.Node(id)
+		if !ok {
+			return fmt.Errorf("fleet: install target %s not in new map", id)
+		}
+		resp, err := cl.do(ctx, "install", target{member: &n}, Frame{Type: TCounterInstall, Payload: AppendCounterTable(nil, entries)})
+		if err != nil {
+			return fmt.Errorf("fleet: install on %s: %w", id, err)
+		}
+		if resp.Type != TAck {
+			return fmt.Errorf("fleet: install on %s answered %v", id, resp.Type)
+		}
+	}
+
+	// Phase 3: commit everywhere, then adopt locally.
+	commitPayload := EpochPayload(newMap.Epoch)
+	for _, n := range union {
+		resp, err := cl.do(ctx, "commit", target{member: &n}, Frame{Type: TMapCommit, Payload: commitPayload})
+		if err != nil {
+			return fmt.Errorf("fleet: commit on %s: %w", n.ID, err)
+		}
+		if resp.Type != TAck {
+			return fmt.Errorf("fleet: commit on %s answered %v", n.ID, resp.Type)
+		}
+	}
+	cl.adopt(newMap)
+	return nil
+}

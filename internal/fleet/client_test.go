@@ -6,38 +6,61 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/seed5g/seed/internal/fleet/cluster"
 )
 
-// TestClientRetryCapBounded points a client at a port nobody answers and
-// checks the retry loop gives up after exactly maxRetries+1 attempts with
-// an error that says so — not an unbounded spin. Its backoffs sum to
-// between 0.8 and 1.7 s.
+// TestClientRetryCapBounded points a client at a node that accepts every
+// connection and closes it at once, and checks the request loop gives up
+// after exactly maxRetries+1 attempts, one dial each, with an error that
+// says so — not an unbounded spin. Its backoffs sum to between 0.8 and
+// 1.7 s. The clustered case has the same bound: the dead node owns the
+// upload's subscriber, and after each transport error the loop asks the two
+// live members for their map (one attempt each), which routes it back to
+// the dead owner.
 func TestClientRetryCapBounded(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	var dials atomic.Int64
+	dead := stubServer(t, func(_ int, c net.Conn) {
+		dials.Add(1)
+		_ = c.Close()
+	})
+	tc := startCluster(t, 2)
+	members := append(tc.nodes(), cluster.Node{ID: "n2", Addr: dead})
+	m := cluster.New(tc.epoch, members)
+	for _, srv := range tc.servers {
+		srv.SetMap(m)
 	}
-	addr := ln.Addr().String()
-	_ = ln.Close() // nothing listens here any more
+	imsi := ""
+	for i := 0; m.OwnerID(imsi) != "n2"; i++ {
+		imsi = fmt.Sprintf("00119%010d", i)
+	}
 
-	cl := NewClient(ClientConfig{Addr: addr, Conns: 1})
-	defer cl.Close()
-	start := time.Now()
-	_, err = cl.Do("upload", Frame{Type: TStatsPull})
-	if err == nil {
-		t.Fatal("request to dead address succeeded")
-	}
-	if !strings.Contains(err.Error(), fmt.Sprintf("after %d attempts", maxRetries+1)) {
-		t.Fatalf("error does not report the attempt cap: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("bounded retry took %v", elapsed)
+	for _, cfg := range []ClientConfig{{Addr: dead, Conns: 1}, {Nodes: members, Conns: 1}} {
+		before := dials.Load()
+		cl := NewClient(cfg)
+		start := time.Now()
+		err := cl.UploadRecords(imsi, []byte("sealed"))
+		elapsed := time.Since(start)
+		cl.Close()
+		if err == nil {
+			t.Fatalf("%d members: upload to a dead node succeeded", len(cfg.Nodes))
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("after %d attempts", maxRetries+1)) {
+			t.Fatalf("%d members: error does not report the attempt cap: %v", len(cfg.Nodes), err)
+		}
+		if n := dials.Load() - before; n != maxRetries+1 {
+			t.Errorf("%d members: the dead node took %d connections, want %d", len(cfg.Nodes), n, maxRetries+1)
+		}
+		if elapsed < 800*time.Millisecond || elapsed > 1700*time.Millisecond {
+			t.Errorf("%d members: gave up after %v, want 0.8-1.7 s", len(cfg.Nodes), elapsed)
+		}
 	}
 }
 
-// TestClientContextCancelDuringBackoff cancels mid-retry-loop: DoCtx must
+// TestClientContextCancelDuringBackoff cancels mid-retry-loop: do must
 // return promptly with the context error even though the server address
 // is unreachable and backoff would otherwise keep sleeping (0.8 s at
 // least before the attempts run out).
@@ -57,7 +80,7 @@ func TestClientContextCancelDuringBackoff(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err = cl.DoCtx(ctx, "upload", Frame{Type: TStatsPull})
+	_, err = cl.do(ctx, "upload", target{}, Frame{Type: TStatsPull})
 	if err == nil {
 		t.Fatal("cancelled request succeeded")
 	}
@@ -103,7 +126,7 @@ func TestClientContextCancelMidRead(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = cl.DoCtx(ctx, "upload", Frame{Type: TStatsPull})
+	_, err = cl.do(ctx, "upload", target{}, Frame{Type: TStatsPull})
 	if err == nil {
 		t.Fatal("request with silent server succeeded")
 	}
@@ -121,7 +144,7 @@ func TestClientDoCtxHappyPath(t *testing.T) {
 	_, cl := startServer(t, ServerConfig{Shards: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	resp, err := cl.DoCtx(ctx, "stats", Frame{Type: TStatsPull})
+	resp, err := cl.do(ctx, "stats", target{}, Frame{Type: TStatsPull})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +159,7 @@ func TestClientPreCancelledContext(t *testing.T) {
 	defer cl.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := cl.DoCtx(ctx, "upload", Frame{Type: TStatsPull}); !errors.Is(err, context.Canceled) {
+	if _, err := cl.do(ctx, "upload", target{}, Frame{Type: TStatsPull}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }

@@ -1,13 +1,16 @@
 package fleet
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/seed5g/seed/internal/cause"
 	"github.com/seed5g/seed/internal/core"
@@ -85,14 +88,10 @@ func (tc *testCluster) nodes() []cluster.Node {
 	return nodes
 }
 
-func (tc *testCluster) client() *ClusterClient {
-	tc.t.Helper()
-	cc, err := NewClusterClient(ClusterClientConfig{Nodes: tc.nodes(), Client: ClientConfig{Conns: 2}})
-	if err != nil {
-		tc.t.Fatal(err)
-	}
-	tc.t.Cleanup(cc.Close)
-	return cc
+func (tc *testCluster) client() *Client {
+	cl := NewClient(ClientConfig{Nodes: tc.nodes(), Conns: 2})
+	tc.t.Cleanup(cl.Close)
+	return cl
 }
 
 // kill hard-stops a node, keeping its journal directory and address.
@@ -115,7 +114,6 @@ func (tc *testCluster) restart(id string, m *cluster.Map) {
 func TestClusterRoutingAndMergedModel(t *testing.T) {
 	tc := startCluster(t, 3)
 	cc := tc.client()
-	ctx := context.Background()
 
 	const devices = 60
 	baseline := core.Records{}
@@ -125,13 +123,13 @@ func TestClusterRoutingAndMergedModel(t *testing.T) {
 		dev := NewSimDevice(DefaultMasterKey, fmt.Sprintf("00111%010d", i))
 		sealed, err := dev.SealRecords(core.MarshalRecords(recs))
 		if err == nil {
-			err = cc.UploadRecords(ctx, dev.IMSI, sealed)
+			err = cc.UploadRecords(dev.IMSI, sealed)
 		}
 		if err != nil {
 			t.Fatalf("device %d: %v", i, err)
 		}
 	}
-	got, err := cc.FetchClusterModel(ctx)
+	got, err := cc.FetchModel()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,93 +138,94 @@ func TestClusterRoutingAndMergedModel(t *testing.T) {
 	}
 	// Every node should have seen SOME uploads (ownership spread), and the
 	// totals must account for every device exactly once.
-	stats, errs := cc.FetchStatsAll(ctx)
-	if len(errs) != 0 {
-		t.Fatalf("stats errors: %v", errs)
-	}
-	var total uint64
-	for id, st := range stats {
-		if st.Uploads == 0 {
+	for id, srv := range tc.servers {
+		if srv.Stats().Uploads == 0 {
 			t.Errorf("node %s folded nothing — ownership is degenerate", id)
 		}
-		total += st.Uploads
 	}
-	if total != devices {
-		t.Fatalf("cluster folded %d uploads for %d devices", total, devices)
+	sum, err := cc.FetchStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Uploads != devices {
+		t.Fatalf("cluster folded %d uploads for %d devices", sum.Uploads, devices)
 	}
 }
 
 // TestClusterOfOneAgainstMaplessServer drives a plain server — no Map, no
-// NodeID — through a one-node ClusterClient, which is how seedload -addr
-// talks to a single seedfleetd. The server never redirects and the client
-// has no peer to ask for a map, so Errors == 0 also shows that no TMapPull
-// reached the map-less server.
+// NodeID — through ClientConfig{Addr}, which is how seedload -addr and the
+// benchmark talk to a single seedfleetd, and through a one-member
+// ClientConfig{Nodes}, each against a fresh server behind a forwarder that
+// keeps what the client sent. Both put the same frames on the wire: the
+// server never redirects and a lone member has no peer to ask for a map,
+// so no TMapPull reaches the map-less server (Errors == 0), and a
+// one-member model pull is the server's model as sent.
 func TestClusterOfOneAgainstMaplessServer(t *testing.T) {
-	srv, cl := startServer(t, ServerConfig{Shards: 2})
-	addr := srv.Addr().String()
-	cc, err := NewClusterClient(ClusterClientConfig{
-		Nodes:  []cluster.Node{{ID: addr, Addr: addr}},
-		Client: ClientConfig{Conns: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cc.Close()
-	ctx := context.Background()
-
 	const devices = 20
-	for i := 0; i < devices; i++ {
-		dev := NewSimDevice(DefaultMasterKey, fmt.Sprintf("00116%010d", i))
-		sealed, err := dev.SealRecords(core.MarshalRecords(deviceRecords(i)))
-		if err == nil {
-			err = cc.UploadRecords(ctx, dev.IMSI, sealed)
+	drive := func(clustered bool) (sent, model []byte) {
+		srv, direct := startServer(t, ServerConfig{Shards: 2})
+		fw := startForwarder(t, srv.Addr().String(), 0, 1)
+		cfg := ClientConfig{Addr: fw.addr(), Conns: 1}
+		if clustered {
+			cfg = ClientConfig{Nodes: []cluster.Node{{ID: "n0", Addr: fw.addr()}}, Conns: 1}
 		}
+		cl := NewClient(cfg)
+		defer cl.Close()
+		for i := 0; i < devices; i++ {
+			dev := NewSimDevice(DefaultMasterKey, fmt.Sprintf("00116%010d", i))
+			sealed, err := dev.SealRecords(core.MarshalRecords(deviceRecords(i)))
+			if err == nil {
+				err = cl.UploadRecords(dev.IMSI, sealed)
+			}
+			if err != nil {
+				t.Fatalf("device %d upload: %v", i, err)
+			}
+			rep := report.FailureReport{Type: report.FailDNS, Direction: report.DirBoth, Domain: "x.test"}
+			sr, err := dev.SealReport(rep.Marshal())
+			if err == nil {
+				err = cl.Report(dev.IMSI, sr)
+			}
+			if err != nil {
+				t.Fatalf("device %d report: %v", i, err)
+			}
+			payload, err := cl.Query(dev.IMSI, cause.MM(cause.Code(150+i%3)))
+			if err != nil {
+				t.Fatalf("device %d query: %v", i, err)
+			}
+			if _, ok, err := dev.OpenSuggest(payload); err != nil || !ok {
+				t.Fatalf("device %d suggestion: ok=%v err=%v", i, ok, err)
+			}
+		}
+		model, err := cl.FetchModel()
 		if err != nil {
-			t.Fatalf("device %d upload: %v", i, err)
+			t.Fatal(err)
 		}
-		rep := report.FailureReport{Type: report.FailDNS, Direction: report.DirBoth, Domain: "x.test"}
-		sr, err := dev.SealReport(rep.Marshal())
-		if err == nil {
-			err = cc.Report(ctx, dev.IMSI, sr)
-		}
+		want, err := direct.FetchModel()
 		if err != nil {
-			t.Fatalf("device %d report: %v", i, err)
+			t.Fatal(err)
 		}
-		payload, err := cc.Query(ctx, dev.IMSI, cause.MM(cause.Code(150+i%3)))
+		if !bytes.Equal(model, want) {
+			t.Fatalf("model pull (%d bytes) differs from the server's model (%d bytes)", len(model), len(want))
+		}
+		st, err := cl.FetchStats()
 		if err != nil {
-			t.Fatalf("device %d query: %v", i, err)
+			t.Fatal(err)
 		}
-		if _, ok, err := dev.OpenSuggest(payload); err != nil || !ok {
-			t.Fatalf("device %d suggestion: ok=%v err=%v", i, ok, err)
+		if st.Uploads != devices || st.Reports != devices || st.Queries != devices || st.Errors != 0 || st.WrongShard != 0 {
+			t.Fatalf("stats %+v", st)
 		}
+		if cl.Frames() != 3*devices+2 || cl.Writes() == 0 || cl.Retries() != 0 || cl.Redials() != 0 {
+			t.Fatalf("frames=%d writes=%d retries=%d redials=%d", cl.Frames(), cl.Writes(), cl.Retries(), cl.Redials())
+		}
+		return fw.sentBytes(), model
 	}
-
-	got, err := cc.FetchClusterModel(ctx)
-	if err != nil {
-		t.Fatal(err)
+	plainSent, plainModel := drive(false)
+	oneSent, oneModel := drive(true)
+	if len(plainSent) == 0 || !bytes.Equal(plainSent, oneSent) {
+		t.Fatalf("a one-member cluster sent %d bytes, the plain client %d, not the same frames", len(oneSent), len(plainSent))
 	}
-	want, err := cl.FetchModel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("one-node cluster model (%d bytes) differs from the plain client's (%d bytes)", len(got), len(want))
-	}
-
-	stats, errs := cc.FetchStatsAll(ctx)
-	st, ok := stats[addr]
-	if len(errs) != 0 || !ok {
-		t.Fatalf("stats: %v, errors %v", stats, errs)
-	}
-	if st.Uploads != devices || st.Reports != devices || st.Queries != devices || st.Errors != 0 || st.WrongShard != 0 {
-		t.Fatalf("stats %+v", st)
-	}
-	// The client-side series and sums cover the one node.
-	if n := cc.Latency("upload").Len(); n != devices {
-		t.Fatalf("routed upload series has %d samples, want %d", n, devices)
-	}
-	if cc.Frames() < 3*devices || cc.Writes() == 0 || cc.Retries() != 0 || cc.Redials() != 0 {
-		t.Fatalf("frames=%d writes=%d retries=%d redials=%d", cc.Frames(), cc.Writes(), cc.Retries(), cc.Redials())
+	if !bytes.Equal(plainModel, oneModel) {
+		t.Fatal("a one-member cluster's model differs from the plain client's")
 	}
 }
 
@@ -234,24 +233,17 @@ func TestClusterOfOneAgainstMaplessServer(t *testing.T) {
 // (single node) and checks redirects teach it the real topology.
 func TestClusterWrongShardRedirect(t *testing.T) {
 	tc := startCluster(t, 3)
-	ctx := context.Background()
 
 	// Deliberately wrong bootstrap: the client believes n0 owns everything
 	// (a bootstrap map is epoch 0 < cluster's epoch 1, so servers'
 	// redirects win).
-	cc, err := NewClusterClient(ClusterClientConfig{
-		Nodes:  []cluster.Node{{ID: "n0", Addr: tc.addrs["n0"]}},
-		Client: ClientConfig{Conns: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cc := NewClient(ClientConfig{Nodes: []cluster.Node{{ID: "n0", Addr: tc.addrs["n0"]}}, Conns: 2})
 	defer cc.Close()
 
 	for i := 0; i < 30; i++ {
 		dev := NewSimDevice(DefaultMasterKey, fmt.Sprintf("00112%010d", i))
 		sealed, _ := dev.SealRecords(core.MarshalRecords(deviceRecords(i)))
-		if err := cc.UploadRecords(ctx, dev.IMSI, sealed); err != nil {
+		if err := cc.UploadRecords(dev.IMSI, sealed); err != nil {
 			t.Fatalf("device %d through stale map: %v", i, err)
 		}
 	}
@@ -268,6 +260,98 @@ func TestClusterWrongShardRedirect(t *testing.T) {
 	}
 }
 
+// TestClusterLaggingNodeBacksOff: a node whose map lags the client's
+// redirects with a map that is not newer, and the client backs off and
+// asks again rather than spending its attempts at once. Three nodes at
+// epoch 1; the client, n1 and n2 move to epoch 2 (n2 drained), and n0
+// keeps epoch 1 for 200 ms more, redirecting the subscribers it gains
+// from n2 back to n2. Every upload must land.
+func TestClusterLaggingNodeBacksOff(t *testing.T) {
+	tc := startCluster(t, 3)
+	cl := tc.client()
+	old := cluster.New(tc.epoch, tc.nodes())
+	newer := cluster.New(2, []cluster.Node{{ID: "n0", Addr: tc.addrs["n0"]}, {ID: "n1", Addr: tc.addrs["n1"]}})
+	n0 := tc.servers["n0"]
+	tc.servers["n1"].SetMap(newer)
+	tc.servers["n2"].SetMap(newer)
+	cl.adopt(newer)
+	lag := time.AfterFunc(200*time.Millisecond, func() { n0.SetMap(newer) })
+	defer lag.Stop()
+
+	const devices = 8
+	baseline := core.Records{}
+	errs := make(chan error, devices)
+	for i, n := 0, 0; n < devices; i++ {
+		dev := NewSimDevice(DefaultMasterKey, fmt.Sprintf("00119%010d", i))
+		if old.OwnerID(dev.IMSI) != "n2" || newer.OwnerID(dev.IMSI) != "n0" {
+			continue
+		}
+		recs := deviceRecords(i)
+		baseline.Merge(recs)
+		sealed, err := dev.SealRecords(core.MarshalRecords(recs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n++
+		go func() { errs <- cl.UploadRecords(dev.IMSI, sealed) }()
+	}
+	for range devices {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if n0.Stats().WrongShard == 0 {
+		t.Fatal("n0 redirected nothing: the test proved nothing")
+	}
+	got, err := cl.FetchModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, MarshalModel(baseline)) {
+		t.Fatal("merged model differs from the fold of the uploads")
+	}
+}
+
+// TestFetchStatsNamesFailedMembers: a clustered stats pull sums the members
+// that answer and names every one that did not, in node-ID order.
+func TestFetchStatsNamesFailedMembers(t *testing.T) {
+	tc := startCluster(t, 2)
+	refuse := func(_ int, c net.Conn) {
+		br := bufio.NewReader(c)
+		for {
+			if _, err := ReadFrame(br, DefaultMaxFrame); err != nil {
+				return
+			}
+			if _, err := c.Write(encodeFrames(Frame{Type: TErr, Payload: []byte("down")})); err != nil {
+				return
+			}
+		}
+	}
+	members := append(tc.nodes(),
+		cluster.Node{ID: "n4", Addr: stubServer(t, refuse)},
+		cluster.Node{ID: "n2", Addr: stubServer(t, refuse)},
+		cluster.Node{ID: "n3", Addr: stubServer(t, refuse)})
+	cl := NewClient(ClientConfig{Nodes: members, Conns: 1})
+	defer cl.Close()
+	dev := NewSimDevice(DefaultMasterKey, "001200000000001")
+	sealed, err := dev.SealRecords(core.MarshalRecords(deviceRecords(1)))
+	if err == nil {
+		err = tc.client().UploadRecords(dev.IMSI, sealed)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sum, err := cl.FetchStats()
+	if sum.Uploads != 1 {
+		t.Errorf("the answering members' sum counts %d uploads, want 1", sum.Uploads)
+	}
+	want := "node n2: fleet: server error: down\nnode n3: fleet: server error: down\nnode n4: fleet: server error: down"
+	if err == nil || err.Error() != want {
+		t.Fatalf("stats error %q, want %q", err, want)
+	}
+}
+
 // TestClusterKillRestartExactlyOnce kills one node mid-campaign, restarts
 // it over its journals, retries every pre-kill upload verbatim, and
 // requires the final merged model to equal the baseline — acked work
@@ -275,7 +359,6 @@ func TestClusterWrongShardRedirect(t *testing.T) {
 func TestClusterKillRestartExactlyOnce(t *testing.T) {
 	tc := startCluster(t, 3)
 	cc := tc.client()
-	ctx := context.Background()
 
 	type sent struct {
 		imsi   string
@@ -290,7 +373,7 @@ func TestClusterKillRestartExactlyOnce(t *testing.T) {
 		dev := NewSimDevice(DefaultMasterKey, fmt.Sprintf("00113%010d", i))
 		sealed, err := dev.SealRecords(core.MarshalRecords(recs))
 		if err == nil {
-			err = cc.UploadRecords(ctx, dev.IMSI, sealed)
+			err = cc.UploadRecords(dev.IMSI, sealed)
 		}
 		if err != nil {
 			t.Fatalf("device %d: %v", i, err)
@@ -304,11 +387,11 @@ func TestClusterKillRestartExactlyOnce(t *testing.T) {
 	// Retry EVERY upload as a paranoid client would after losing its
 	// connection: duplicates everywhere, double-folds nowhere.
 	for i, s := range all {
-		if err := cc.UploadRecords(ctx, s.imsi, s.sealed); err != nil {
+		if err := cc.UploadRecords(s.imsi, s.sealed); err != nil {
 			t.Fatalf("post-restart retry %d: %v", i, err)
 		}
 	}
-	got, err := cc.FetchClusterModel(ctx)
+	got, err := cc.FetchModel()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +424,7 @@ func TestClusterRebalanceExactlyOnce(t *testing.T) {
 		dev := NewSimDevice(DefaultMasterKey, fmt.Sprintf("00114%010d", i))
 		sealed, err := dev.SealRecords(core.MarshalRecords(recs))
 		if err == nil {
-			err = cc.UploadRecords(ctx, dev.IMSI, sealed)
+			err = cc.UploadRecords(dev.IMSI, sealed)
 		}
 		if err != nil {
 			t.Fatalf("device %d: %v", i, err)
@@ -366,7 +449,7 @@ func TestClusterRebalanceExactlyOnce(t *testing.T) {
 	// Retrying pre-rebalance uploads now lands on NEW owners, which must
 	// recognize them as duplicates via the handed-off counters.
 	for i, s := range all[:30] {
-		if err := cc.UploadRecords(ctx, s.imsi, s.sealed); err != nil {
+		if err := cc.UploadRecords(s.imsi, s.sealed); err != nil {
 			t.Fatalf("post-move retry %d: %v", i, err)
 		}
 	}
@@ -379,12 +462,12 @@ func TestClusterRebalanceExactlyOnce(t *testing.T) {
 		upload(i)
 	}
 	for i, s := range all {
-		if err := cc.UploadRecords(ctx, s.imsi, s.sealed); err != nil {
+		if err := cc.UploadRecords(s.imsi, s.sealed); err != nil {
 			t.Fatalf("final retry %d: %v", i, err)
 		}
 	}
 
-	got, err := cc.FetchClusterModel(ctx)
+	got, err := cc.FetchModel()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +514,7 @@ func TestClusterRestartKeepsCommittedMap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cc.UploadRecords(ctx, dev.IMSI, sealed); err != nil {
+		if err := cc.UploadRecords(dev.IMSI, sealed); err != nil {
 			failed = append(failed, err)
 			continue
 		}
@@ -443,7 +526,7 @@ func TestClusterRestartKeepsCommittedMap(t *testing.T) {
 	if e := n0.Epoch(); e != 2 {
 		t.Errorf("restarted n0 is at epoch %d, want the committed 2", e)
 	}
-	got, err := cc.FetchClusterModel(ctx)
+	got, err := cc.FetchModel()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,10 +582,10 @@ func TestClusterCommitWithoutPrepareRejected(t *testing.T) {
 	cl := NewClient(ClientConfig{Addr: tc.addrs["n0"], Conns: 1})
 	defer cl.Close()
 
-	if _, err := cl.Do("commit", Frame{Type: TMapCommit, Payload: EpochPayload(99)}); err == nil {
+	if _, err := cl.do(context.Background(), "commit", target{}, Frame{Type: TMapCommit, Payload: EpochPayload(99)}); err == nil {
 		t.Fatal("commit of unprepared epoch accepted")
 	}
-	resp, err := cl.Do("commit", Frame{Type: TMapCommit, Payload: EpochPayload(tc.epoch)})
+	resp, err := cl.do(context.Background(), "commit", target{}, Frame{Type: TMapCommit, Payload: EpochPayload(tc.epoch)})
 	if err != nil || resp.Type != TAck {
 		t.Fatalf("idempotent commit of active epoch: resp=%v err=%v", resp.Type, err)
 	}

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -204,7 +205,7 @@ func TestBackpressureManyConns(t *testing.T) {
 				wg.Add(1)
 				go func(cl *Client) {
 					defer wg.Done()
-					if _, err := cl.Do("upload", up); err != nil {
+					if _, err := cl.do(context.Background(), "upload", target{}, up); err != nil {
 						t.Error(err)
 					}
 				}(clients[i%conns])
@@ -230,7 +231,7 @@ func TestBackpressureManyConns(t *testing.T) {
 // without killing the server.
 func TestFleetRejectsUnknownFrame(t *testing.T) {
 	_, cl := startServer(t, ServerConfig{Shards: 1})
-	if _, err := cl.Do("bogus", Frame{Type: TAck}); err == nil {
+	if _, err := cl.do(context.Background(), "bogus", target{}, Frame{Type: TAck}); err == nil {
 		t.Fatal("server answered a response-type frame")
 	}
 	if _, err := cl.FetchStats(); err != nil {
@@ -258,7 +259,7 @@ func TestCounterInstallCountBombRejected(t *testing.T) {
 	if f, err := ReadFrame(br, DefaultMaxFrame); err != nil || f.Type != TStats {
 		t.Fatalf("connection unusable after the refusal: %v, %v", f.Type, err)
 	}
-	if _, err := cl.Do("upload", uploadFrame(t, "001010000000077", 0)); err != nil {
+	if _, err := cl.do(context.Background(), "upload", target{}, uploadFrame(t, "001010000000077", 0)); err != nil {
 		t.Fatalf("server unusable after the refusal: %v", err)
 	}
 	if st := srv.Stats(); st.Errors != 1 || st.Uploads != 1 {

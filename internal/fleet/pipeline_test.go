@@ -288,7 +288,7 @@ func TestBrokenConnectionRetriesAllInFlight(t *testing.T) {
 		baseline.Merge(deviceRecords(i))
 		up := uploadFrame(t, fmt.Sprintf("00122%010d", i), i)
 		go func() {
-			_, err := cl.Do("upload", up)
+			_, err := cl.do(context.Background(), "upload", target{}, up)
 			errs <- err
 		}()
 	}
@@ -612,7 +612,7 @@ func TestCancelledCallerAbandonsItsSlot(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := cl.DoCtx(ctx, "model", Frame{Type: TModelPull, Payload: []byte{1}})
+		_, err := cl.do(ctx, "model", target{}, Frame{Type: TModelPull, Payload: []byte{1}})
 		errc <- err
 	}()
 	<-got // the first request is on the wire and will stay unanswered
@@ -623,7 +623,7 @@ func TestCancelledCallerAbandonsItsSlot(t *testing.T) {
 
 	respc := make(chan Frame, 1)
 	go func() {
-		resp, err := cl.Do("model", Frame{Type: TModelPull, Payload: []byte{2}})
+		resp, err := cl.do(context.Background(), "model", target{}, Frame{Type: TModelPull, Payload: []byte{2}})
 		if err != nil {
 			t.Error(err)
 		}
@@ -655,7 +655,7 @@ func TestMuxClientAgainstSerialServer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				want := []byte(fmt.Sprintf("%d/%d", w, i))
-				resp, err := cl.Do("echo", Frame{Type: TModelPull, Payload: want})
+				resp, err := cl.do(context.Background(), "echo", target{}, Frame{Type: TModelPull, Payload: want})
 				if err != nil || !bytes.Equal(resp.Payload, want) {
 					t.Errorf("caller %d request %d: got %q, %v", w, i, resp.Payload, err)
 					return
@@ -694,7 +694,7 @@ func TestCallersShareFormingWrite(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		want := []byte{byte(i)}
-		if resp, err := cl.Do("echo", Frame{Type: TModelPull, Payload: want}); err != nil || !bytes.Equal(resp.Payload, want) {
+		if resp, err := cl.do(context.Background(), "echo", target{}, Frame{Type: TModelPull, Payload: want}); err != nil || !bytes.Equal(resp.Payload, want) {
 			t.Fatalf("lone request %d: %q %v", i, resp.Payload, err)
 		}
 	}
@@ -707,7 +707,7 @@ func TestCallersShareFormingWrite(t *testing.T) {
 	errs := make(chan error, k)
 	call := func(w int) {
 		want := []byte(fmt.Sprintf("caller %d", w))
-		resp, err := cl.Do("echo", Frame{Type: TModelPull, Payload: want})
+		resp, err := cl.do(context.Background(), "echo", target{}, Frame{Type: TModelPull, Payload: want})
 		if err == nil && !bytes.Equal(resp.Payload, want) {
 			err = fmt.Errorf("caller %d was handed %q", w, resp.Payload)
 		}
@@ -803,7 +803,7 @@ func TestCorruptedResponseStreamBreaksConnection(t *testing.T) {
 				go func(w int) {
 					defer wg.Done()
 					sent := []byte(fmt.Sprintf("%d-request", w))
-					resp, err := cl.Do("echo", Frame{Type: TModelPull, Payload: sent})
+					resp, err := cl.do(context.Background(), "echo", target{}, Frame{Type: TModelPull, Payload: sent})
 					// A flipped length may shorten the caller's own echo;
 					// it can never turn it into someone else's.
 					if err != nil || len(resp.Payload) == 0 || !bytes.HasPrefix(sent, resp.Payload) {
@@ -839,7 +839,7 @@ func TestSurplusResponseBreaksConnection(t *testing.T) {
 	defer cl.Close()
 	for i, wantRedials := range []uint64{1, 1} {
 		want := []byte{byte(i)}
-		if resp, err := cl.Do("echo", Frame{Type: TModelPull, Payload: want}); err != nil || !bytes.Equal(resp.Payload, want) {
+		if resp, err := cl.do(context.Background(), "echo", target{}, Frame{Type: TModelPull, Payload: want}); err != nil || !bytes.Equal(resp.Payload, want) {
 			t.Fatalf("request %d: %q %v", i, resp.Payload, err)
 		}
 		waitFor(t, "the surplus frame to break the connection", func() bool { return cl.Redials() == wantRedials })

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -51,7 +52,7 @@ func checkReplayScript(t *testing.T, seed int64) (compactions, unclean, clean in
 	var uploads []Frame // every upload sent, for verbatim retries
 	do := func(what string, f Frame, wantErr bool) {
 		t.Helper()
-		if _, err := cl.Do(what, f); (err != nil) != wantErr {
+		if _, err := cl.do(context.Background(), what, target{}, f); (err != nil) != wantErr {
 			t.Fatalf("seed %d: %s: err=%v, want error %v", seed, what, err, wantErr)
 		}
 	}

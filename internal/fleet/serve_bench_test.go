@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -137,7 +138,7 @@ func BenchmarkClientRoundTrip(b *testing.B) {
 	devs := make([]*SimDevice, callers*devsPerCaller)
 	for d := range devs {
 		devs[d] = NewSimDevice(DefaultMasterKey, fmt.Sprintf("00126%010d", d))
-		if _, err := cl.Do("upload", upload(devs[d], d)); err != nil {
+		if _, err := cl.do(context.Background(), "upload", target{}, upload(devs[d], d)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -160,7 +161,7 @@ func BenchmarkClientRoundTrip(b *testing.B) {
 		go func(frames []Frame) {
 			defer wg.Done()
 			for _, f := range frames {
-				if _, err := cl.Do("round", f); err != nil {
+				if _, err := cl.do(context.Background(), "round", target{}, f); err != nil {
 					b.Error(err)
 					return
 				}
