@@ -172,17 +172,21 @@ func ExampleTestbed_Handover() {
 		tb.EnableCells(4, 0.2)
 		dev := tb.NewDevice(mode)
 
+		// Everything the run emits re-reads the device's connectivity: a
+		// drop starts an outage and the next reconnection ends it.
 		var outage, downAt time.Duration
-		down := false
-		dev.OnConnectivity(func(up bool) {
-			if up && down {
-				outage += tb.Now() - downAt
-				down = false
-			} else if !up && !down {
-				down = true
-				downAt = tb.Now()
+		connected, down := false, false
+		tb.Observe(seed.Timeline{Now: tb.Now, Emit: func(seed.TimelineEvent) {
+			if up := dev.Connected(); up != connected {
+				connected = up
+				if !up {
+					down, downAt = true, tb.Now()
+				} else if down {
+					outage += tb.Now() - downAt
+					down = false
+				}
 			}
-		})
+		}})
 
 		dev.Start()
 		if !tb.RunUntil(dev.Connected, time.Minute) {

@@ -135,12 +135,6 @@ func (tb *Testbed) MigrateSubscription(d *Device, newDNN string, simUpdated bool
 	}
 }
 
-// OverrideModemDNN sets the modem's cached session DNN without touching
-// the SIM — the stale-modem-cache injection.
-func (tb *Testbed) OverrideModemDNN(d *Device, dnn string) {
-	d.inner.Mdm.OverrideSessionDNN(dnn)
-}
-
 // OTAWriteDNN updates the SIM's EF_DNN over the air without a refresh
 // (the modem keeps whatever it has cached until something reloads it).
 func (tb *Testbed) OTAWriteDNN(d *Device, dnn string) {

@@ -95,8 +95,6 @@ type Hooks struct {
 	// Probe issues a connectivity check to the preset URL; done is called
 	// with the outcome (or not at all — the monitor enforces the timeout).
 	Probe func(done func(ok bool))
-	// CleanupConnections restarts all transport connections.
-	CleanupConnections func()
 	// Reregister re-registers to the network.
 	Reregister func()
 	// RestartModem power-cycles the modem.
@@ -105,11 +103,6 @@ type Hooks struct {
 	// Diagnostics signal SEED's carrier app subscribes to). reason is
 	// "probe", "tcp" or "dns".
 	OnDataStall func(reason string)
-	// OnAction fires as each recovery rung executes.
-	OnAction func(a Action)
-	// OnValidated fires when connectivity is validated again after a
-	// stall.
-	OnValidated func()
 }
 
 // The detection rules, as sched.StallDeclared carries them.
@@ -367,14 +360,9 @@ func (m *Monitor) runLadder() {
 	}
 	a := actions[idx]
 	m.actionsTaken++
-	if m.hook.OnAction != nil {
-		m.hook.OnAction(a)
-	}
+	// Rung 1, cleaning up connections, has no modelled effect: apps
+	// reconnect on their own cadence. It is counted and waits its interval.
 	switch a {
-	case ActionCleanupConnections:
-		if m.hook.CleanupConnections != nil {
-			m.hook.CleanupConnections()
-		}
 	case ActionReregister:
 		if m.hook.Reregister != nil {
 			m.hook.Reregister()
@@ -414,9 +402,6 @@ func (m *Monitor) onValidated() {
 		m.tcp = m.tcp[:0]
 		m.ladderTimer.Stop()
 		m.k.Announce(sched.StallCleared, 0, 0)
-		if m.hook.OnValidated != nil {
-			m.hook.OnValidated()
-		}
 	}
 }
 

@@ -13,10 +13,34 @@ type harness struct {
 	m       *Monitor
 	healthy bool // probe outcome
 
-	stalls    []string
-	stallAt   []time.Duration
+	stalls  []string
+	stallAt []time.Duration
+	// actions are the rungs with an effect, re-register and restart modem,
+	// as they ran, and taken the monitor's action count (Stats) at each:
+	// rung 1 has no effect to record, only its count.
 	actions   []Action
-	validated int
+	taken     []int
+	validated int // StallCleared transitions announced
+}
+
+// Transition makes the harness its kernel's observer.
+func (h *harness) Transition(t sched.Transition, _, _ int) {
+	if t == sched.StallCleared {
+		h.validated++
+	}
+}
+
+// took records a rung with an effect.
+func (h *harness) took(a Action) {
+	_, n := h.m.Stats()
+	h.actions = append(h.actions, a)
+	h.taken = append(h.taken, n)
+}
+
+// actionsTaken is the monitor's count of rungs run, rung 1 included.
+func (h *harness) actionsTaken() int {
+	_, n := h.m.Stats()
+	return n
 }
 
 func newHarness(cfg Config) *harness {
@@ -30,9 +54,10 @@ func newHarness(cfg Config) *harness {
 			h.stalls = append(h.stalls, reason)
 			h.stallAt = append(h.stallAt, h.k.Now())
 		},
-		OnAction:    func(a Action) { h.actions = append(h.actions, a) },
-		OnValidated: func() { h.validated++ },
+		Reregister:   func() { h.took(ActionReregister) },
+		RestartModem: func() { h.took(ActionRestartModem) },
 	})
+	h.k.Observe(h)
 	h.m.Start()
 	return h
 }
@@ -147,7 +172,7 @@ func TestProbeFailureDetection(t *testing.T) {
 	}
 	// False positive characterization: a healthy network with a broken
 	// probe server still triggers recovery actions (§3.3).
-	if len(h.actions) == 0 {
+	if h.actionsTaken() == 0 {
 		t.Fatal("no recovery actions after probe stall")
 	}
 }
@@ -157,13 +182,18 @@ func TestLadderSequenceAndEscalation(t *testing.T) {
 	h.healthy = false
 	h.noteTCPFailures(tcpMinSamples)
 	h.k.RunFor(5 * time.Minute)
-	if len(h.actions) < 3 {
-		t.Fatalf("actions = %v", h.actions)
+	if h.actionsTaken() < 3 {
+		t.Fatalf("%d actions taken, recorded %v", h.actionsTaken(), h.actions)
 	}
-	want := []Action{ActionCleanupConnections, ActionReregister, ActionRestartModem}
+	if h.actionsTaken() != len(h.actions)+1 {
+		t.Fatalf("%d actions taken, %d recorded: want rung 1 alone unrecorded", h.actionsTaken(), len(h.actions))
+	}
+	// Rung 1 runs first and is counted; re-register is the second action
+	// taken and restart-modem the third.
+	want := []Action{ActionReregister, ActionRestartModem}
 	for i, a := range want {
-		if h.actions[i] != a {
-			t.Fatalf("action[%d] = %v, want %v", i, h.actions[i], a)
+		if h.actions[i] != a || h.taken[i] != i+2 {
+			t.Fatalf("recorded action[%d] = %v as action %d taken, want %v as %d", i, h.actions[i], h.taken[i], a, i+2)
 		}
 	}
 	// Ladder keeps restarting the modem once exhausted.
@@ -187,11 +217,11 @@ func TestRecoveryStopsLadder(t *testing.T) {
 		t.Fatal("still stalled after heal")
 	}
 	if h.validated == 0 {
-		t.Fatal("validation hook not fired")
+		t.Fatal("validation not announced")
 	}
-	n := len(h.actions)
+	n := h.actionsTaken()
 	h.k.RunFor(10 * time.Minute)
-	if len(h.actions) != n {
+	if h.actionsTaken() != n {
 		t.Fatal("ladder continued after validation")
 	}
 }

@@ -1359,25 +1359,33 @@ func lentRoot(info *types.Info, e ast.Expr) *types.Var {
 	}
 }
 
-// Rule settable-fields: a setting no program sets is a constant. Every
-// exported field of a struct type named …Config in the module's non-test
-// code has a writer in non-test code other than a constant store in its
-// own package's defaults: a function or method named withDefaults or
-// Default… whose stored value reads no variable of its own. A write is the
+// Rule settable-fields: a setting or a hook no program sets is not one.
+// Every exported field of a struct type named …Config, and every exported
+// field of function type (a named one included) of any struct type, in the
+// module's non-test code has a writer in non-test code. A write is the
 // field's key in a composite literal of its type (every field, for an
 // unkeyed literal), an assignment, op-assignment or ++/-- to the field or
-// through it, or its address taken (a flag bound to it). Tests do not
-// count: a field only tests set is a constant the tests shrink, or an
+// through it, or its address taken (a flag bound to it). These do not
+// count: a constant store in the field's own package's defaults (a function
+// or method named withDefaults or Default… whose stored value reads no
+// variable of its own), a func literal with an empty body stored in a hook,
+// and a write inside an exported With…/On… function or method that no
+// non-test code uses, directly or through another such installer. Tests do
+// not count: a field only tests set is a constant the tests shrink, a hook
+// the tests could read from a counter or an announced transition, or an
 // unexported seam of its package. settableAllowed lists the exceptions,
 // each with its reason, and an entry whose field gained a writer is
 // reported too.
 func ruleSettableFields(r *report) {
 	type field struct {
-		key string // import path.Type.Field
-		pos token.Pos
+		key  string // import path.Type.Field
+		hook bool
 	}
-	fields := map[*types.Var]field{}
-	written := map[*types.Var]bool{}
+	// Fields and functions are keyed by the position of their declaration:
+	// a fixture checked alongside its package's files declares that
+	// package's objects again, and the other units refer to the first ones.
+	fields := map[token.Pos]field{}
+	written := map[token.Pos]bool{}
 	for _, u := range r.w.prod() {
 		for _, f := range u.files {
 			if r.w.site(u, f.Pos()).test {
@@ -1392,18 +1400,25 @@ func ruleSettableFields(r *report) {
 					ts := spec.(*ast.TypeSpec)
 					obj := u.info.Defs[ts.Name]
 					st, ok := obj.Type().Underlying().(*types.Struct)
-					if !ok || !strings.HasSuffix(ts.Name.Name, "Config") || ts.Assign.IsValid() {
+					if !ok || ts.Assign.IsValid() {
 						continue
 					}
 					for i := 0; i < st.NumFields(); i++ {
-						if v := st.Field(i); v.Exported() {
-							fields[v] = field{fmt.Sprintf("%s.%s.%s", obj.Pkg().Path(), obj.Name(), v.Name()), v.Pos()}
+						v := st.Field(i)
+						_, hook := v.Type().Underlying().(*types.Signature)
+						if v.Exported() && (hook || strings.HasSuffix(ts.Name.Name, "Config")) {
+							fields[v.Pos()] = field{fmt.Sprintf("%s.%s.%s", obj.Pkg().Path(), obj.Name(), v.Name()), hook}
 						}
 					}
 				}
 			}
 		}
 	}
+	// installed holds the fields each installer writes; uses holds the
+	// functions each installer uses, and under NoPos those non-test code
+	// outside any installer uses.
+	installed := map[token.Pos][]token.Pos{}
+	uses := map[token.Pos][]token.Pos{}
 	for _, u := range r.w.prod() {
 		info := u.info
 		for _, f := range u.files {
@@ -1412,21 +1427,37 @@ func ruleSettableFields(r *report) {
 			}
 			for _, decl := range f.Decls {
 				name := ""
+				installer := token.NoPos
 				if fd, ok := decl.(*ast.FuncDecl); ok {
 					name = fd.Name.Name
+					if isInstaller(name) {
+						installer = fd.Name.Pos()
+					}
 				}
 				defaults := name == "withDefaults" || strings.HasPrefix(name, "Default")
 				// write marks v written unless it is a constant store in its
-				// own package's defaults; value is nil when there is no one
-				// stored value to read.
+				// own package's defaults or an empty func literal, or holds
+				// it until its installer is known to be used; value is nil
+				// when there is no one stored value to read.
 				write := func(v *types.Var, value ast.Expr) {
 					if defaults && value != nil && v.Pkg() == u.pkg && !readsLocal(info, value) {
 						return
 					}
-					written[v] = true
+					if lit, ok := value.(*ast.FuncLit); ok && len(lit.Body.List) == 0 {
+						return
+					}
+					if installer.IsValid() {
+						installed[installer] = append(installed[installer], v.Pos())
+					} else {
+						written[v.Pos()] = true
+					}
 				}
 				ast.Inspect(decl, func(n ast.Node) bool {
 					switch n := n.(type) {
+					case *ast.Ident:
+						if fn, ok := info.Uses[n].(*types.Func); ok {
+							uses[installer] = append(uses[installer], fn.Origin().Pos())
+						}
 					case *ast.CompositeLit:
 						st, ok := info.Types[n].Type.Underlying().(*types.Struct)
 						if !ok {
@@ -1470,20 +1501,48 @@ func ruleSettableFields(r *report) {
 			}
 		}
 	}
-	for v, fd := range fields {
+	// An installer's writes count once a program reaches it.
+	live := map[token.Pos]bool{}
+	reach := uses[token.NoPos]
+	for len(reach) > 0 {
+		fn := reach[len(reach)-1]
+		reach = reach[:len(reach)-1]
+		if live[fn] {
+			continue
+		}
+		live[fn] = true
+		for _, v := range installed[fn] {
+			written[v] = true
+		}
+		reach = append(reach, uses[fn]...)
+	}
+	for pos, fd := range fields {
 		reason, allowed := settableAllowed[fd.key]
+		short := fd.key[strings.LastIndex(fd.key, "/")+1:]
 		switch {
-		case !written[v] && !allowed:
-			r.add(fd.pos, "%s is set by no program, only by tests or as a constant in its defaults: make it a constant",
-				fd.key[strings.LastIndex(fd.key, "/")+1:])
-		case written[v] && allowed:
-			r.add(fd.pos, "%s is allow-listed (%s) but a program sets it: drop the entry", fd.key, reason)
+		case !written[pos] && !allowed && fd.hook:
+			r.add(pos, "hook %s is set by no program, only by tests, an unused installer or an empty func: delete it", short)
+		case !written[pos] && !allowed:
+			r.add(pos, "%s is set by no program, only by tests, an unused installer or as a constant in its defaults: make it a constant", short)
+		case written[pos] && allowed:
+			r.add(pos, "%s is allow-listed (%s) but a program sets it: drop the entry", fd.key, reason)
 		}
 	}
 }
 
-// settableAllowed holds the …Config fields that no program sets and that
-// stay settings, keyed import path.Type.Field, each with its reason.
+// isInstaller reports whether name is an exported With… or On… function or
+// method name: With or On followed by an upper-case letter.
+func isInstaller(name string) bool {
+	for _, prefix := range []string{"With", "On"} {
+		if rest, ok := strings.CutPrefix(name, prefix); ok && rest != "" && 'A' <= rest[0] && rest[0] <= 'Z' {
+			return true
+		}
+	}
+	return false
+}
+
+// settableAllowed holds the …Config fields and hooks that no program sets
+// and that stay, keyed import path.Type.Field, each with its reason.
 var settableAllowed = map[string]string{
 	module + "/internal/fleet.ServerConfig.Logf": "tests substitute a silent logger for log.Printf",
 }

@@ -13,6 +13,11 @@ type tap struct {
 	OnNAS func(sent bool, msg nas.Message) // want
 }
 
+// newTap sets the hook, so only its shape is at fault here.
+func newTap(log func(string)) *tap {
+	return &tap{OnNAS: func(_ bool, msg nas.Message) { log(nas.Name(msg.EPD(), msg.MessageType())) }}
+}
+
 func (t *tap) relay(imsi string, msg nas.Message) {
 	if t.nas != nil {
 		t.nas.NAS(imsi, false, msg)

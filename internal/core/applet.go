@@ -65,9 +65,6 @@ type AppletConfig struct {
 	// that support the TS 102 223 RUN AT COMMAND proactive command, the
 	// applet drives the B-tier resets itself, without root on the phone.
 	UseProactiveAT bool
-	// NaiveFullReset is an ablation arm: ignore the diagnosis and always
-	// reset the whole modem (what a cause-blind design would do).
-	NaiveFullReset bool
 	// TrialOrder overrides the Algorithm 1 trial sequence for unknown
 	// causes (nil means LearningOrder). The policy optimizer searches over
 	// permutations of this order.
@@ -471,10 +468,6 @@ func (a *SEEDApplet) handleDeliveryReport(r report.FailureReport) {
 // rate limiter suppresses — so a counterfactual override's pin (seq) is
 // stable across the alternatives it explores.
 func (a *SEEDApplet) execute(action ActionID) {
-	if a.cfg.NaiveFullReset && a.trial == nil {
-		// Ablation: collapse every decision to the hardware tier.
-		action = ActionB1.ForMode(a.effectiveMode())
-	}
 	seq := a.decisionSeq
 	a.decisionSeq++
 	proposed := action

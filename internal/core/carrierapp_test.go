@@ -21,11 +21,11 @@ func TestCarrierResetDataConnectionMakeBeforeBreak(t *testing.T) {
 	// Record session transitions: connectivity must never drop during the
 	// make-before-break cycle.
 	drops := 0
-	d.OnConnectivity = func(up bool) {
+	onConnectivity(w, d, func(up bool) {
 		if !up {
 			drops++
 		}
-	}
+	})
 	old, _ := d.dataSession()
 	d.CApp.ResetDataConnection()
 	w.k.RunFor(5 * time.Second)

@@ -96,21 +96,13 @@ type Device struct {
 	Mux    *dataplane.Mux
 	Apps   map[dataplane.AppKind]*dataplane.App
 
-	// OnConnectivity fires on data-connectivity transitions (any active
-	// session ↔ none) — the signal the disruption trackers hook.
-	OnConnectivity func(up bool)
-	// OnUserNotice receives DISPLAY TEXT notifications.
-	OnUserNotice func(string)
 	// OnReject observes every reject cause the modem sees.
 	OnReject func(epd byte, code uint8)
 	// OnProfileReload fires whenever the modem (re)reads the SIM profile.
 	OnProfileReload func()
-	// OnSessionDown fires with the ID of every session that goes down.
-	OnSessionDown func(id uint8)
 
 	probeSeq      int
 	pendingProbes map[radio.FlowTag]func(bool)
-	connected     bool
 }
 
 // NewDevice builds a device attached to the given network.
@@ -140,11 +132,7 @@ func NewDevice(k *sched.Kernel, cfg DeviceConfig, net *core5g.Network) (*Device,
 	}
 
 	d.Mon = android.NewMonitor(k, cfg.Android, android.Hooks{
-		Probe: d.probe,
-		CleanupConnections: func() {
-			// Rung 1: restart transport connections. Apps reconnect on
-			// their own cadence; outstanding requests are abandoned.
-		},
+		Probe:        d.probe,
 		Reregister:   d.Mdm.Reattach,
 		RestartModem: d.Mdm.Reboot,
 		OnDataStall: func(reason string) {
@@ -156,20 +144,8 @@ func NewDevice(k *sched.Kernel, cfg DeviceConfig, net *core5g.Network) (*Device,
 
 	d.Mux.OnUnclaimed = d.onUnclaimedPacket
 	d.Mdm.SetHooks(modem.Hooks{
-		OnSessionUp: d.onSessionUp,
-		OnSessionDown: func(id uint8) {
-			if d.OnSessionDown != nil {
-				d.OnSessionDown(id)
-			}
-			d.recomputeConnectivity()
-		},
-		OnStateChange:  func(modem.State) { d.recomputeConnectivity() },
+		OnSessionUp:    d.onSessionUp,
 		OnDownlinkData: d.Mux.Dispatch,
-		OnDisplayText: func(text string) {
-			if d.OnUserNotice != nil {
-				d.OnUserNotice(text)
-			}
-		},
 		OnReject: func(epd byte, code uint8) {
 			if d.OnReject != nil {
 				d.OnReject(epd, code)
@@ -256,17 +232,6 @@ func (d *Device) onSessionUp(s *modem.Session) {
 	}
 	if s.DNN != "DIAG" {
 		d.Mon.ReportValidated()
-	}
-	d.recomputeConnectivity()
-}
-
-func (d *Device) recomputeConnectivity() {
-	now := d.Connected()
-	if now != d.connected {
-		d.connected = now
-		if d.OnConnectivity != nil {
-			d.OnConnectivity(now)
-		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/seed5g/seed/internal/nas"
+	"github.com/seed5g/seed/internal/sched"
 )
 
 // TestSessionIDsSurviveWrap: a modem hands out session IDs for as long as it
@@ -13,7 +14,7 @@ import (
 // EstablishSession documents as "not registered"), an ID from the 200–249
 // range DIAG reports travel under, or the ID of the session still held —
 // whose replacement by a fresh inactive one used to take connectivity away
-// without an OnSessionDown, a transition nobody announced.
+// without an active SessionRemoved, a transition nobody announced.
 func TestSessionIDsSurviveWrap(t *testing.T) {
 	w := newWorld(61)
 	d := w.addDevice(t, "310170000061001", Legacy)
@@ -22,13 +23,16 @@ func TestSessionIDsSurviveWrap(t *testing.T) {
 	if !okS {
 		t.Fatal("no data session after attach")
 	}
-	flips := 0
-	d.OnConnectivity = func(bool) { flips++ }
-	d.OnSessionDown = func(id uint8) {
-		if id == held.ID {
+	flips, up := 0, d.Connected()
+	w.k.Observe(watch(func(tr sched.Transition, id, active int) {
+		if now := d.Connected(); now != up {
+			up = now
+			flips++
+		}
+		if tr == sched.SessionRemoved && id == int(held.ID) && active == 1 {
 			t.Errorf("the held session %d went down", id)
 		}
-	}
+	}))
 	for round := 1; round <= 300; round++ {
 		id := d.Mdm.EstablishSession("ims", nas.SessionIPv4)
 		if id == 0 || id >= 200 || id == held.ID {

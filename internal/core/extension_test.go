@@ -8,6 +8,7 @@ import (
 
 	"github.com/seed5g/seed/internal/dataplane"
 	"github.com/seed5g/seed/internal/nas"
+	"github.com/seed5g/seed/internal/sched"
 )
 
 // TestSliceScopedReset: with network slicing, a failure confined to one
@@ -34,11 +35,11 @@ func TestSliceScopedReset(t *testing.T) {
 
 	// Track every session drop: the IMS slice must never flap.
 	var droppedIMS bool
-	d.OnSessionDown = func(id uint8) {
-		if id == imsID {
+	w.k.Observe(watch(func(tr sched.Transition, id, active int) {
+		if tr == sched.SessionRemoved && id == int(imsID) && active == 1 {
 			droppedIMS = true
 		}
-	}
+	}))
 
 	web.Start()
 	w.k.RunFor(10 * time.Second)

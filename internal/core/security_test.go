@@ -180,12 +180,12 @@ func TestRootlessProactiveAT(t *testing.T) {
 		d.Mdm.SimulateMobility()
 		onset := w.k.Now()
 		recovered := time.Duration(-1)
-		d.OnConnectivity = func(up bool) {
+		onConnectivity(w, d, func(up bool) {
 			if up && recovered < 0 {
 				recovered = w.k.Now() - onset
 				w.k.Stop()
 			}
-		}
+		})
 		w.k.RunFor(5 * time.Minute)
 		return recovered
 	}

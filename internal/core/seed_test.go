@@ -75,6 +75,36 @@ func attach(t *testing.T, w *world, d *Device) {
 	}
 }
 
+// watch hands fn every transition a kernel announces, as its observer.
+type watch func(t sched.Transition, a, b int)
+
+// Transition implements sched.TransitionObserver.
+func (fn watch) Transition(t sched.Transition, a, b int) { fn(t, a, b) }
+
+// onConnectivity observes w's kernel and hands fn each change of
+// d.Connected() that an announced transition brings.
+func onConnectivity(w *world, d *Device, fn func(up bool)) {
+	up := d.Connected()
+	w.k.Observe(watch(func(sched.Transition, int, int) {
+		if now := d.Connected(); now != up {
+			up = now
+			fn(up)
+		}
+	}))
+}
+
+// awaitSuccess runs w's kernel event by event for up to d and returns the
+// instant of app's first successful response later than after, -1 if none.
+func awaitSuccess(w *world, app *dataplane.App, after, d time.Duration) time.Duration {
+	end := w.k.Now() + d
+	for w.k.Step() && w.k.Now() <= end {
+		if at := app.LastSuccess(); at > after {
+			return at
+		}
+	}
+	return -1
+}
+
 func TestSEEDDeviceBootsInAllModes(t *testing.T) {
 	for _, mode := range []DeviceMode{Legacy, SEEDU, SEEDR} {
 		w := newWorld(1)
@@ -113,12 +143,12 @@ func staleDNNScenario(t *testing.T, mode DeviceMode) (recovery time.Duration, d 
 			onset = w.k.Now()
 		}
 	}
-	d.OnConnectivity = func(up bool) {
+	onConnectivity(w, d, func(up bool) {
 		if up && recovered < 0 && onset >= 0 {
 			recovered = w.k.Now() - onset
 			w.k.Stop()
 		}
-	}
+	})
 	d.Start()
 	w.k.RunFor(20 * time.Minute)
 	if onset < 0 {
@@ -171,12 +201,12 @@ func identityDesyncScenario(t *testing.T, mode DeviceMode) time.Duration {
 	d.Mdm.Attach()
 
 	recovered := time.Duration(-1)
-	d.OnConnectivity = func(up bool) {
+	onConnectivity(w, d, func(up bool) {
 		if up && recovered < 0 {
 			recovered = w.k.Now() - start
 			w.k.Stop()
 		}
-	}
+	})
 	w.k.RunFor(30 * time.Minute)
 	return recovered
 }
@@ -214,15 +244,10 @@ func TestTCPBlockOnlySEEDRecovers(t *testing.T) {
 
 		start := w.k.Now()
 		w.net.UPF.AddBlock(d.Cfg.IMSI, core5g.PolicyBlock{Proto: nas.ProtoTCP})
-		recovered = -1
-		app.OnSuccess = func() {
-			if recovered < 0 && w.k.Now() > start+time.Second {
-				recovered = w.k.Now() - start
-				w.k.Stop()
-			}
+		if at := awaitSuccess(w, app, start+time.Second, 15*time.Minute); at >= 0 {
+			return at - start
 		}
-		w.k.RunFor(15 * time.Minute)
-		return recovered
+		return -1
 	}
 	if legacyT := run(Legacy); legacyT >= 0 && legacyT < 10*time.Minute {
 		t.Fatalf("legacy recovered a network-side TCP block in %v", legacyT)
@@ -251,13 +276,9 @@ func TestUDPBlockDetectedViaAppReport(t *testing.T) {
 	start := w.k.Now()
 	w.net.UPF.AddBlock(d.Cfg.IMSI, core5g.PolicyBlock{Proto: nas.ProtoUDP})
 	recovered := time.Duration(-1)
-	ar.OnSuccess = func() {
-		if recovered < 0 && w.k.Now() > start+200*time.Millisecond {
-			recovered = w.k.Now() - start
-			w.k.Stop()
-		}
+	if at := awaitSuccess(w, ar, start+200*time.Millisecond, 5*time.Minute); at >= 0 {
+		recovered = at - start
 	}
-	w.k.RunFor(5 * time.Minute)
 	if recovered < 0 || recovered > 5*time.Second {
 		t.Fatalf("AR UDP-block recovery = %v, want sub-second-ish", recovered)
 	}
@@ -368,9 +389,8 @@ func TestCongestionWarningSuppressesReset(t *testing.T) {
 func TestUserActionNotification(t *testing.T) {
 	w := newWorld(9)
 	d := w.addDevice(t, "310170000009001", SEEDU)
-	var notices []string
-	d.OnUserNotice = func(s string) { notices = append(notices, s) }
 	attach(t, w, d)
+	proactives := d.Card.Stats().Proactives
 
 	sub, _ := w.net.UDM.Subscriber(d.Cfg.IMSI)
 	sub.PlanActive = false
@@ -380,11 +400,14 @@ func TestUserActionNotification(t *testing.T) {
 	})
 	w.k.RunFor(time.Minute)
 
-	if len(notices) == 0 {
-		t.Fatal("no user notification for expired plan")
-	}
+	// The applet raised the notice and the modem fetched its DISPLAY TEXT
+	// from the card.
 	if d.Applet.Stats().UserNotices == 0 {
 		t.Fatal("applet did not count the notice")
+	}
+	if d.Card.Stats().Proactives == proactives || d.Card.PendingProactive() != 0 {
+		t.Fatalf("no user notification for expired plan: %d proactive commands fetched, %d pending",
+			d.Card.Stats().Proactives-proactives, d.Card.PendingProactive())
 	}
 }
 
@@ -565,13 +588,9 @@ func TestStalledSessionRecoveredViaOSReport(t *testing.T) {
 	start := w.k.Now()
 	w.net.UPF.StallUE(d.Cfg.IMSI)
 	recovered := time.Duration(-1)
-	web.OnSuccess = func() {
-		if recovered < 0 && w.k.Now() > start+time.Second {
-			recovered = w.k.Now() - start
-			w.k.Stop()
-		}
+	if at := awaitSuccess(w, web, start+time.Second, 10*time.Minute); at >= 0 {
+		recovered = at - start
 	}
-	w.k.RunFor(10 * time.Minute)
 	if recovered < 0 || recovered > 15*time.Second {
 		t.Fatalf("stalled-session recovery = %v", recovered)
 	}

@@ -20,10 +20,9 @@ type ue struct {
 	modem *modem.Modem
 	radio *netemu.Duplex
 
-	sessionUps   int
-	sessionDowns int
-	lastSession  *modem.Session
-	downPkts     []radio.Packet
+	sessionUps  int
+	lastSession *modem.Session
+	downPkts    []radio.Packet
 }
 
 var carrierKey = [16]byte{9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9}
@@ -80,7 +79,6 @@ func newUE(t *testing.T, k *sched.Kernel, n *Network, imsi string) *ue {
 			u.sessionUps++
 			u.lastSession = s
 		},
-		OnSessionDown:  func(uint8) { u.sessionDowns++ },
 		OnDownlinkData: func(p *radio.Packet) { u.downPkts = append(u.downPkts, *p) },
 	})
 	return u

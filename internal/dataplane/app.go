@@ -120,9 +120,6 @@ type App struct {
 
 	monitor  *android.Monitor
 	reporter func(report.FailureReport)
-	// OnSuccess fires on every successful response (harness hook for
-	// disruption measurement).
-	OnSuccess func()
 
 	reportThreshold int
 	lastReport      time.Duration
@@ -342,9 +339,6 @@ func (a *App) HandleDownlink(pkt *radio.Packet) bool {
 		// Only application payload counts as app-level success; a DNS
 		// answer alone does not un-stall the app.
 		a.lastSuccessAt = a.k.Now()
-		if a.OnSuccess != nil {
-			a.OnSuccess()
-		}
 	}
 	return true
 }

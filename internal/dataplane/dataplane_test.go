@@ -201,20 +201,24 @@ func TestAppStopCancelsPending(t *testing.T) {
 	}
 }
 
-func TestOnSuccessHookOnlyForAppPayload(t *testing.T) {
+func TestLastSuccessOnlyForAppPayload(t *testing.T) {
 	k, a, _ := newAppHarness(t, Web)
-	n := 0
-	a.OnSuccess = func() { n++ }
 	a.Start()
-	k.RunFor(30 * time.Second)
+	// n counts the events that moved LastSuccess.
+	n, last := 0, a.LastSuccess()
+	for k.Now() < 30*time.Second && k.Step() {
+		if at := a.LastSuccess(); at != last {
+			n, last = n+1, at
+		}
+	}
 	st := a.Stats()
-	// Successes include DNS answers; the hook must fire only for app
+	// Successes include DNS answers; LastSuccess must move only for app
 	// payloads (requests), so n < total successes whenever DNS ran.
 	if n == 0 {
-		t.Fatal("hook never fired")
+		t.Fatal("LastSuccess never moved")
 	}
 	if n > st.Successes {
-		t.Fatalf("hook fired %d > successes %d", n, st.Successes)
+		t.Fatalf("LastSuccess moved %d times > successes %d", n, st.Successes)
 	}
 }
 

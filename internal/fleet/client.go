@@ -448,12 +448,13 @@ type target struct {
 // redirect adopts the map it carries and retries at once when that map is
 // newer than the one the attempt routed by, and backs off when it is not
 // (the node is behind, and will catch up); TErr fails at once (the request
-// itself is bad). op names the request in errors. A cancelled or expired
-// ctx returns promptly: it aborts backoff sleeps, dials, waits for another
-// caller's dial, and the wait for a response (the request's slot in the
-// response order is abandoned, the connection stays good). Only a caller
-// that is in the middle of writing the queued frames finishes that write
-// first.
+// itself is bad). After the last attempt the loop returns without its
+// wait: nothing follows it. op names the request in errors. A cancelled or
+// expired ctx returns promptly: it aborts backoff sleeps, dials, waits for
+// another caller's dial, and the wait for a response (the request's slot in
+// the response order is abandoned, the connection stays good). Only a
+// caller that is in the middle of writing the queued frames finishes that
+// write first.
 func (cl *Client) do(ctx context.Context, op string, to target, req Frame) (Frame, error) {
 	tries := maxRetries + 1
 	if to.once {
@@ -483,6 +484,7 @@ func (cl *Client) do(ctx context.Context, op string, to target, req Frame) (Fram
 		if err == nil {
 			resp, err = mc.roundTrip(ctx, req)
 		}
+		var wait time.Duration
 		if err != nil {
 			if errors.Is(err, ErrClientClosed) {
 				return Frame{}, err
@@ -495,36 +497,39 @@ func (cl *Client) do(ctx context.Context, op string, to target, req Frame) (Fram
 				if to.member == nil {
 					cl.refreshMap(ctx, m, n.ID)
 				}
-				_ = cl.sleep(ctx, cl.backoff(attempt)) // cut short by ctx: the loop exits at the top
+				wait = cl.backoff(attempt)
 			}
-			continue
+		} else {
+			switch resp.Type {
+			case TRetryAfter:
+				millis, err := ParseRetryAfter(resp.Payload)
+				if err != nil {
+					return Frame{}, err
+				}
+				lastErr = fmt.Errorf("fleet: backpressured (retry after %dms)", millis)
+				wait = time.Duration(millis)*time.Millisecond + cl.jitter(backoffBase)
+			case TWrongShard:
+				theirs, err := cluster.Unmarshal(resp.Payload)
+				if err != nil {
+					return Frame{}, fmt.Errorf("fleet: bad map in redirect from %s: %w", n.Addr, err)
+				}
+				cl.adopt(theirs)
+				var ours uint64
+				if m != nil {
+					ours = m.Epoch
+				}
+				lastErr = fmt.Errorf("node %s redirected (its epoch %d, ours was %d)", n.ID, theirs.Epoch, ours)
+				if m != nil && theirs.Epoch <= m.Epoch {
+					wait = cl.backoff(attempt)
+				}
+			case TErr:
+				return Frame{}, fmt.Errorf("%w: %s", ErrServer, resp.Payload)
+			default:
+				return resp, nil
+			}
 		}
-		switch resp.Type {
-		case TRetryAfter:
-			millis, err := ParseRetryAfter(resp.Payload)
-			if err != nil {
-				return Frame{}, err
-			}
-			lastErr = fmt.Errorf("fleet: backpressured (retry after %dms)", millis)
-			_ = cl.sleep(ctx, time.Duration(millis)*time.Millisecond+cl.jitter(backoffBase))
-		case TWrongShard:
-			theirs, err := cluster.Unmarshal(resp.Payload)
-			if err != nil {
-				return Frame{}, fmt.Errorf("fleet: bad map in redirect from %s: %w", n.Addr, err)
-			}
-			cl.adopt(theirs)
-			var ours uint64
-			if m != nil {
-				ours = m.Epoch
-			}
-			lastErr = fmt.Errorf("node %s redirected (its epoch %d, ours was %d)", n.ID, theirs.Epoch, ours)
-			if m != nil && theirs.Epoch <= m.Epoch {
-				_ = cl.sleep(ctx, cl.backoff(attempt))
-			}
-		case TErr:
-			return Frame{}, fmt.Errorf("%w: %s", ErrServer, resp.Payload)
-		default:
-			return resp, nil
+		if attempt < tries-1 {
+			_ = cl.sleep(ctx, wait) // cut short by ctx: the loop exits at the top
 		}
 	}
 	return Frame{}, fmt.Errorf("fleet: %s failed after %d attempts: %w", op, tries, lastErr)

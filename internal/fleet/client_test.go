@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,8 +17,10 @@ import (
 // TestClientRetryCapBounded points a client at a node that accepts every
 // connection and closes it at once, and checks the request loop gives up
 // after exactly maxRetries+1 attempts, one dial each, with an error that
-// says so — not an unbounded spin. Its backoffs sum to between 0.8 and
-// 1.7 s. The clustered case has the same bound: the dead node owns the
+// says so — not an unbounded spin. Its eight backoffs (none follows the
+// ninth attempt) sum to between 567.5 ms and 1 135 ms: half to all of
+// 5+10+…+320+500 ms; the window allows 65 ms above that for the dials and
+// map pulls. The clustered case has the same bound: the dead node owns the
 // upload's subscriber, and after each transport error the loop asks the two
 // live members for their map (one attempt each), which routes it back to
 // the dead owner.
@@ -54,15 +57,68 @@ func TestClientRetryCapBounded(t *testing.T) {
 		if n := dials.Load() - before; n != maxRetries+1 {
 			t.Errorf("%d members: the dead node took %d connections, want %d", len(cfg.Nodes), n, maxRetries+1)
 		}
-		if elapsed < 800*time.Millisecond || elapsed > 1700*time.Millisecond {
-			t.Errorf("%d members: gave up after %v, want 0.8-1.7 s", len(cfg.Nodes), elapsed)
+		if elapsed < 567500*time.Microsecond || elapsed > 1200*time.Millisecond {
+			t.Errorf("%d members: gave up after %v, want 567.5 ms to 1.2 s", len(cfg.Nodes), elapsed)
+		}
+	}
+}
+
+// TestClientNoBackoffAfterLastAttempt checks that the request loop returns
+// as soon as its last attempt fails: the dead node records when it accepts
+// each connection, and the upload's error comes back less than 100 ms
+// after the ninth. A backoff after the last attempt would add 250-500 ms.
+// The clustered case still refreshes its map from the two live members
+// after that attempt, for the callers that come next.
+func TestClientNoBackoffAfterLastAttempt(t *testing.T) {
+	var mu sync.Mutex
+	var accepted []time.Time
+	dead := stubServer(t, func(_ int, c net.Conn) {
+		mu.Lock()
+		accepted = append(accepted, time.Now())
+		mu.Unlock()
+		_ = c.Close()
+	})
+	tc := startCluster(t, 2)
+	members := append(tc.nodes(), cluster.Node{ID: "n2", Addr: dead})
+	m := cluster.New(tc.epoch, members)
+	for _, srv := range tc.servers {
+		srv.SetMap(m)
+	}
+	imsi := ""
+	for i := 0; m.OwnerID(imsi) != "n2"; i++ {
+		imsi = fmt.Sprintf("00119%010d", i)
+	}
+
+	for _, cfg := range []ClientConfig{{Addr: dead, Conns: 1}, {Nodes: members, Conns: 1}} {
+		mu.Lock()
+		accepted = accepted[:0]
+		mu.Unlock()
+		cl := NewClient(cfg)
+		err := cl.UploadRecords(imsi, []byte("sealed"))
+		done := time.Now()
+		cl.Close()
+		if err == nil {
+			t.Fatalf("%d members: upload to a dead node succeeded", len(cfg.Nodes))
+		}
+		mu.Lock()
+		n := len(accepted)
+		var last time.Time
+		if n > 0 {
+			last = accepted[n-1]
+		}
+		mu.Unlock()
+		if n != maxRetries+1 {
+			t.Fatalf("%d members: the dead node took %d connections, want %d", len(cfg.Nodes), n, maxRetries+1)
+		}
+		if gap := done.Sub(last); gap >= 100*time.Millisecond {
+			t.Errorf("%d members: the upload returned %v after the last connection, want under 100 ms", len(cfg.Nodes), gap)
 		}
 	}
 }
 
 // TestClientContextCancelDuringBackoff cancels mid-retry-loop: do must
 // return promptly with the context error even though the server address
-// is unreachable and backoff would otherwise keep sleeping (0.8 s at
+// is unreachable and backoff would otherwise keep sleeping (567.5 ms at
 // least before the attempts run out).
 func TestClientContextCancelDuringBackoff(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -97,13 +97,10 @@ const (
 // Hooks are the modem's upcall interface to the OS/apps/metrics layers.
 // Any field may be nil.
 type Hooks struct {
-	OnStateChange func(State)
-	OnSessionUp   func(*Session)
-	OnSessionDown func(id uint8)
+	OnSessionUp func(*Session)
 	// OnDownlinkData borrows the delivered packet for the call; the modem
 	// releases its frame when the hook returns.
 	OnDownlinkData  func(*radio.Packet)
-	OnDisplayText   func(string)
 	OnReject        func(epd byte, code uint8) // every reject cause seen (legacy ignores it)
 	OnProfileReload func()
 }
@@ -324,8 +321,9 @@ func (m *Modem) Session(id uint8) (*Session, bool) {
 }
 
 // addSession inserts s at its place in the ID order. A session already
-// holding the ID is dropped first, the way any session goes (an active one
-// reports OnSessionDown), not swapped out behind the device's back.
+// holding the ID is dropped first, the way any session goes (announced as
+// SessionRemoved, b = 1 for an active one), not swapped out behind the
+// device's back.
 func (m *Modem) addSession(s *Session) {
 	m.dropSession(s.ID)
 	i, _ := slices.BinarySearchFunc(m.sessions, s.ID, func(e *Session, id uint8) int {
@@ -389,9 +387,6 @@ func (m *Modem) setState(s State) {
 	}
 	m.state = s
 	m.k.Announce(sched.ModemState, int(s), 0)
-	if m.hook.OnStateChange != nil {
-		m.hook.OnStateChange(s)
-	}
 }
 
 // PowerOn boots the modem: read the SIM profile, search for a network,
@@ -903,11 +898,7 @@ func (m *Modem) dropSession(id uint8) {
 		return
 	}
 	s.timer.Stop()
-	wasActive := s.Active
 	m.removeSession(id)
-	if wasActive && m.hook.OnSessionDown != nil {
-		m.hook.OnSessionDown(id)
-	}
 }
 
 // dropAllSessions drops every session, lowest ID first.

@@ -49,12 +49,7 @@ func (m *Modem) executeProactive(cmd sim.ProactiveCommand) {
 		// modem, this is what makes SEED-R rootless (§9).
 		_, _ = m.Execute(cmd.Text)
 
-	case sim.ProactiveDisplayText:
-		if m.hook.OnDisplayText != nil {
-			m.hook.OnDisplayText(cmd.Text)
-		}
-
-	case sim.ProactiveProvideLocalInfo, sim.ProactiveSetUpMenu:
+	case sim.ProactiveDisplayText, sim.ProactiveProvideLocalInfo, sim.ProactiveSetUpMenu:
 		// Informational; no modem state change.
 	}
 }

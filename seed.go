@@ -344,13 +344,6 @@ func WithProactiveAT() DeviceOption {
 	return func(c *core.DeviceConfig) { c.Applet.UseProactiveAT = true }
 }
 
-// WithNaiveFullReset replaces SEED's targeted multi-tier decision with an
-// always-reset-everything policy (an ablation arm: every diagnosis
-// triggers the hardware tier).
-func WithNaiveFullReset() DeviceOption {
-	return func(c *core.DeviceConfig) { c.Applet.NaiveFullReset = true }
-}
-
 // NewDevice provisions a subscriber and builds a device of the given mode
 // attached to the testbed network. The subscription's default DNN is
 // "internet" with the carrier LDNS.
@@ -445,28 +438,6 @@ func (d *Device) State() string { return d.inner.Mdm.State().String() }
 // hook of that kind, and every registered hook fires, in registration
 // order, on every event. A prototype restore rewinds the chain with the
 // rest of the device.
-
-// OnConnectivity registers a hook fired on data-connectivity transitions.
-func (d *Device) OnConnectivity(fn func(up bool)) {
-	prev := d.inner.OnConnectivity
-	d.inner.OnConnectivity = func(up bool) {
-		if prev != nil {
-			prev(up)
-		}
-		fn(up)
-	}
-}
-
-// OnUserNotice registers a hook for SEED's user notifications.
-func (d *Device) OnUserNotice(fn func(text string)) {
-	prev := d.inner.OnUserNotice
-	d.inner.OnUserNotice = func(text string) {
-		if prev != nil {
-			prev(text)
-		}
-		fn(text)
-	}
-}
 
 // OnReject registers a hook fired with every standardized reject cause
 // the device receives; controlPlane distinguishes 5GMM from 5GSM causes.
@@ -573,9 +544,6 @@ func (a *App) Start() { a.inner.Start() }
 
 // Stop halts traffic generation.
 func (a *App) Stop() { a.inner.Stop() }
-
-// OnSuccess registers a hook fired on each successful app response.
-func (a *App) OnSuccess(fn func()) { a.inner.OnSuccess = fn }
 
 // LastSuccess returns the virtual time of the last successful response
 // (negative before any).

@@ -224,8 +224,6 @@ func TestReplayDeliveryTCPBlockAndDNS(t *testing.T) {
 func TestInjectionAndNoticeAPIs(t *testing.T) {
 	tb := seed.New(3)
 	d := tb.NewDevice(seed.ModeSEEDU)
-	notices := 0
-	d.OnUserNotice(func(string) { notices++ })
 	d.Start()
 	if !tb.RunUntil(d.Connected, time.Minute) {
 		t.Fatal("no attach")
@@ -233,7 +231,7 @@ func TestInjectionAndNoticeAPIs(t *testing.T) {
 	tb.ExpirePlan(d)
 	tb.ReleaseSessions(d)
 	tb.Advance(2 * time.Minute)
-	if notices == 0 {
+	if d.UserNoticeCount() == 0 {
 		t.Fatal("no user notice for expired plan")
 	}
 	tb.ReactivatePlan(d)
@@ -249,12 +247,11 @@ func TestAppFacade(t *testing.T) {
 	d.Start()
 	tb.RunUntil(d.Connected, time.Minute)
 	web.Start()
-	success := 0
-	web.OnSuccess(func() { success++ })
+	started := tb.Now()
 	tb.Advance(time.Minute)
 	sent, ok, _, _ := web.Requests()
-	if sent == 0 || ok == 0 || success == 0 {
-		t.Fatalf("web app idle: sent=%d ok=%d hook=%d", sent, ok, success)
+	if sent == 0 || ok == 0 || web.LastSuccess() < started {
+		t.Fatalf("web app idle: sent=%d ok=%d last success %v (started %v)", sent, ok, web.LastSuccess(), started)
 	}
 	web.Stop()
 	if seed.AppVideo.Buffer() != 30*time.Second {
