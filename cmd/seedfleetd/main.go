@@ -9,7 +9,6 @@
 //
 //	seedfleetd [-addr HOST:PORT] [-shards N] [-master HEX32]
 //	           [-journal DIR] [-force-empty]
-//	           [-node-id ID -cluster ID=ADDR,ID=ADDR,... [-epoch N]]
 //
 // The queue depth (256 waiting requests per shard), frame limit,
 // backpressure hint, compaction threshold (4 MiB of journal per shard) and
@@ -22,18 +21,13 @@
 // crash-tolerant tier — every acked upload is group-commit fsync'd to a
 // per-shard journal before the ack leaves, so even SIGKILL replays to the
 // exact pre-crash model (and the exact envelope counters, so client
-// retries dedup). A journaled node also keeps the last shard map it
-// committed, and restarts at it when it is newer than -epoch's. Damaged
-// durable state refuses startup; -force-empty quarantines it as *.corrupt
-// and starts empty instead.
+// retries dedup). Damaged durable state refuses startup; -force-empty
+// quarantines it as *.corrupt and starts empty instead.
 //
-// Clustering: -cluster lists the members (consistent-hash ring over IMSI)
-// and -node-id names this process; -node-id or -epoch without -cluster is
-// a usage error. Requests for IMSIs owned elsewhere get a redirect
-// carrying the current map; rebalances arrive over the wire as
-// prepare/install/commit frames driven by a controller
-// (fleet.Client.Rebalance; the kill-and-rebalance campaign in
-// internal/fleet, go test -run TestClusterCampaign, drives one under load).
+// One seedfleetd is the whole tier: there is no cluster. The
+// kill-and-restart campaign in internal/fleet (go test -run TestCampaign)
+// kills a journaled server under concurrent load and restarts it over its
+// journal.
 //
 // SIGINT/SIGTERM drains gracefully: in-flight round trips complete, every
 // request already read off a connection is folded and answered, a journal
@@ -49,7 +43,6 @@ import (
 	"syscall"
 
 	"github.com/seed5g/seed/internal/fleet"
-	"github.com/seed5g/seed/internal/fleet/cluster"
 )
 
 func main() { os.Exit(run()) }
@@ -58,14 +51,11 @@ func main() { os.Exit(run()) }
 // when the server cannot start or shut down cleanly.
 func run() int {
 	var (
-		addr        = flag.String("addr", "127.0.0.1:7316", "TCP listen address (\":0\" picks a free port)")
-		shards      = flag.Int("shards", 4, "shards the devices are split over, each served under its own lock and with its own journal")
-		master      = flag.String("master", "", "fleet master key, 32 hex digits (default: built-in dev key)")
-		journalDir  = flag.String("journal", "", "durable journal directory (crash-tolerant tier; unset: in-memory only)")
-		forceEmpty  = flag.Bool("force-empty", false, "quarantine damaged durable state and start empty instead of refusing")
-		nodeID      = flag.String("node-id", "", "this node's ID in the cluster map (with -cluster)")
-		clusterSpec = flag.String("cluster", "", "cluster members as id=host:port,... (requires -node-id)")
-		epoch       = flag.Uint64("epoch", 1, "bootstrap shard-map epoch (with -cluster)")
+		addr       = flag.String("addr", "127.0.0.1:7316", "TCP listen address (\":0\" picks a free port)")
+		shards     = flag.Int("shards", 4, "shards the devices are split over, each served under its own lock and with its own journal")
+		master     = flag.String("master", "", "fleet master key, 32 hex digits (default: built-in dev key)")
+		journalDir = flag.String("journal", "", "durable journal directory (crash-tolerant tier; unset: in-memory only)")
+		forceEmpty = flag.Bool("force-empty", false, "quarantine damaged durable state and start empty instead of refusing")
 	)
 	flag.Parse()
 	if *shards < 1 {
@@ -78,7 +68,6 @@ func run() int {
 		Shards:     *shards,
 		JournalDir: *journalDir,
 		ForceEmpty: *forceEmpty,
-		NodeID:     *nodeID,
 	}
 	if *master != "" {
 		k, err := fleet.ParseMasterKey(*master)
@@ -88,26 +77,6 @@ func run() int {
 		}
 		cfg.MasterKey = k
 	}
-	if *clusterSpec == "" {
-		clusterOnly := ""
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "node-id" || f.Name == "epoch" {
-				clusterOnly = f.Name
-			}
-		})
-		if clusterOnly != "" {
-			fmt.Fprintf(os.Stderr, "seedfleetd: -%s needs -cluster\n", clusterOnly)
-			return 2
-		}
-	} else {
-		nodes, err := cluster.ParseNodeList(*clusterSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "seedfleetd:", err)
-			return 2
-		}
-		cfg.Map = cluster.New(*epoch, nodes)
-	}
-
 	srv := fleet.NewServer(cfg)
 	if err := srv.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "seedfleetd:", err)

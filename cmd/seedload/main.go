@@ -6,17 +6,14 @@
 //
 // Usage:
 //
-//	seedload [-addr HOST:PORT | -cluster ID=ADDR,...]
-//	         [-devices N] [-workers N] [-conns N] [-testbed N]
+//	seedload [-addr HOST:PORT] [-devices N] [-workers N] [-conns N] [-testbed N]
 //	         [-seed S] [-spec FILE] [-master HEX32] [-json FILE]
 //
 // Every device uploads four record rows and files one failure report,
 // its customized causes are drawn from 12 per plane, and the model
-// comparison always runs. -addr drives one seedfleetd through a
+// comparison always runs. -addr is the one seedfleetd it drives, through a
 // fleet.Client built from ClientConfig{Addr}, the client the benchmark
-// measures; -cluster builds the same client from ClientConfig{Nodes}. Its
-// bootstrap map is epoch 0, older than any a node holds, so the first
-// redirect hands it the cluster's current map.
+// measures.
 //
 // Each device's learning records are generated deterministically from
 // (-seed, device index) via the same splitmix derivation the parallel
@@ -28,13 +25,13 @@
 //
 // -workers is the client-shard count: devices are partitioned across
 // worker goroutines, each performing synchronous round trips over the
-// -conns shared connections per node, which carry any number of requests
+// -conns shared connections, which carry any number of requests
 // at once. A worker joins a connection whose next write is still forming,
 // so workers that arrive together (one burst of responses woke them) share
 // one write; only when no write is forming does a worker take the next
 // connection round-robin (frames_per_write in -json; responses_per_flush
 // is the server's side of the same effect, and records_per_fsync, against
-// a node with -journal, how many journal records one group commit made
+// a server with -journal, how many journal records one group commit made
 // durable). p50/p95/p99
 // latencies cover the whole exchange including retries and backoff waits
 // — what a device experiences under backpressure. Each worker times its
@@ -43,11 +40,11 @@
 // -spec FILE paces uploads by a workload spec's compiled arrival process
 // (cmd/seedwl's schema): device i's upload starts at the i-th arrival
 // offset, compressed to a millisecond per spec second, so diurnal curves
-// and signaling-storm bursts shape the cluster load.
+// and signaling-storm bursts shape the server's load.
 //
-// Crashes and rebalances under load are not a seedload mode: that
-// campaign runs in-process on the real server, as
-// go test -run TestClusterCampaign ./internal/fleet.
+// Crashes under load are not a seedload mode: that campaign runs
+// in-process on the real server, as go test -run TestCampaign
+// ./internal/fleet.
 package main
 
 import (
@@ -65,7 +62,6 @@ import (
 	"github.com/seed5g/seed/internal/cause"
 	"github.com/seed5g/seed/internal/core"
 	"github.com/seed5g/seed/internal/fleet"
-	"github.com/seed5g/seed/internal/fleet/cluster"
 	"github.com/seed5g/seed/internal/metrics"
 	"github.com/seed5g/seed/internal/report"
 	"github.com/seed5g/seed/internal/sched"
@@ -377,16 +373,15 @@ func main() { os.Exit(run()) }
 // process exits.
 func run() int {
 	var (
-		addr        = flag.String("addr", "127.0.0.1:7316", "seedfleetd address")
-		clusterSpec = flag.String("cluster", "", "drive a cluster instead: members as id=host:port,...")
-		devices     = flag.Int("devices", 1000, "simulated device count")
-		workers     = flag.Int("workers", 4, "client shards (worker goroutines)")
-		conns       = flag.Int("conns", 0, "connections per node (default: workers)")
-		testbed     = flag.Int("testbed", 32, "derive the first N devices' records from real cloned-testbed SEED runs (0: all synthetic)")
-		wlSpec      = flag.String("spec", "", "pace uploads by this workload spec's arrival process (see cmd/seedwl) instead of max rate")
-		seedVal     = flag.Int64("seed", 1, "workload seed")
-		master      = flag.String("master", "", "fleet master key, 32 hex digits (default: built-in dev key)")
-		jsonOut     = flag.String("json", "", "write machine-readable results to FILE (\"-\" for stdout)")
+		addr    = flag.String("addr", "127.0.0.1:7316", "seedfleetd address")
+		devices = flag.Int("devices", 1000, "simulated device count")
+		workers = flag.Int("workers", 4, "client shards (worker goroutines)")
+		conns   = flag.Int("conns", 0, "connections to the server (default: workers)")
+		testbed = flag.Int("testbed", 32, "derive the first N devices' records from real cloned-testbed SEED runs (0: all synthetic)")
+		wlSpec  = flag.String("spec", "", "pace uploads by this workload spec's arrival process (see cmd/seedwl) instead of max rate")
+		seedVal = flag.Int64("seed", 1, "workload seed")
+		master  = flag.String("master", "", "fleet master key, 32 hex digits (default: built-in dev key)")
+		jsonOut = flag.String("json", "", "write machine-readable results to FILE (\"-\" for stdout)")
 	)
 	flag.Parse()
 	if *devices < 1 {
@@ -416,9 +411,9 @@ func run() int {
 		*devices, fromTestbed, *workers, *conns, recordsPerDevice, len(expected))
 
 	// With -spec, device i's upload waits until its compiled arrival
-	// offset (compressed by specTimescale) — cluster load then carries the
-	// spec's diurnal curves and signaling-storm bursts instead of arriving
-	// as one max-rate wall.
+	// offset (compressed by specTimescale) — the server's load then
+	// carries the spec's diurnal curves and signaling-storm bursts instead
+	// of arriving as one max-rate wall.
 	var offsets []time.Duration
 	pacedBy := ""
 	if *wlSpec != "" {
@@ -445,15 +440,7 @@ func run() int {
 		logf("seedload: pacing by spec %q ×%g: uploads span %v", sp.Name, specTimescale, offsets[len(offsets)-1])
 	}
 
-	cfg := fleet.ClientConfig{Addr: *addr, Conns: *conns, Seed: *seedVal}
-	if *clusterSpec != "" {
-		var err error
-		if cfg.Nodes, err = cluster.ParseNodeList(*clusterSpec); err != nil {
-			fmt.Fprintln(os.Stderr, "seedload:", err)
-			return 2
-		}
-	}
-	cl := fleet.NewClient(cfg)
+	cl := fleet.NewClient(fleet.ClientConfig{Addr: *addr, Conns: *conns, Seed: *seedVal})
 	defer cl.Close()
 
 	d := driver{cl: cl, masterKey: masterKey, workers: *workers, offsets: offsets}

@@ -20,7 +20,7 @@ func seedload(args ...string) int {
 }
 
 // A fleet with no device or no worker to drive it is a usage error, caught
-// before the fleet is generated or a node is dialled.
+// before the fleet is generated or the server is dialled.
 func TestRejectsEmptyFleet(t *testing.T) {
 	spec := filepath.Join(t.TempDir(), "spec.json")
 	if err := os.WriteFile(spec, workload.MarshalSpec(workload.DefaultSpec()), 0o644); err != nil {

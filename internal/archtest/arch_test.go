@@ -1370,7 +1370,11 @@ func lentRoot(info *types.Info, e ast.Expr) *types.Var {
 // or method named withDefaults or Default… whose stored value reads no
 // variable of its own), a func literal with an empty body stored in a hook,
 // and a write inside an exported With…/On… function or method that no
-// non-test code uses, directly or through another such installer. Tests do
+// non-test code uses, directly or through another such installer. A func
+// literal whose body only forwards — it calls func-typed fields, each
+// call a statement of its own or under a nil check of a field, and its
+// arguments call nothing — counts once one of the fields it calls has a
+// writer (a fixpoint, so a chain of forwarders resolves). Tests do
 // not count: a field only tests set is a constant the tests shrink, a hook
 // the tests could read from a counter or an announced transition, or an
 // unexported seam of its package. settableAllowed lists the exceptions,
@@ -1419,6 +1423,13 @@ func ruleSettableFields(r *report) {
 	// outside any installer uses.
 	installed := map[token.Pos][]token.Pos{}
 	uses := map[token.Pos][]token.Pos{}
+	// forwards holds the forwarding literals stored in fields, each with
+	// the fields it calls and its installer (NoPos outside one).
+	type forward struct {
+		field, installer token.Pos
+		callees          []token.Pos
+	}
+	var forwards []forward
 	for _, u := range r.w.prod() {
 		info := u.info
 		for _, f := range u.files {
@@ -1437,14 +1448,21 @@ func ruleSettableFields(r *report) {
 				defaults := name == "withDefaults" || strings.HasPrefix(name, "Default")
 				// write marks v written unless it is a constant store in its
 				// own package's defaults or an empty func literal, or holds
-				// it until its installer is known to be used; value is nil
-				// when there is no one stored value to read.
+				// it until its installer is known to be used or, for a
+				// forwarding literal, until a field it calls is written;
+				// value is nil when there is no one stored value to read.
 				write := func(v *types.Var, value ast.Expr) {
 					if defaults && value != nil && v.Pkg() == u.pkg && !readsLocal(info, value) {
 						return
 					}
-					if lit, ok := value.(*ast.FuncLit); ok && len(lit.Body.List) == 0 {
-						return
+					if lit, ok := value.(*ast.FuncLit); ok {
+						if len(lit.Body.List) == 0 {
+							return
+						}
+						if callees, ok := forwardedTo(info, lit.Body.List); ok {
+							forwards = append(forwards, forward{v.Pos(), installer, callees})
+							return
+						}
 					}
 					if installer.IsValid() {
 						installed[installer] = append(installed[installer], v.Pos())
@@ -1516,18 +1534,105 @@ func ruleSettableFields(r *report) {
 		}
 		reach = append(reach, uses[fn]...)
 	}
+	// A forwarder counts once it is reached and a field it calls is written.
+	for changed := true; changed; {
+		changed = false
+		for _, fw := range forwards {
+			if written[fw.field] || fw.installer.IsValid() && !live[fw.installer] {
+				continue
+			}
+			for _, c := range fw.callees {
+				if written[c] {
+					written[fw.field], changed = true, true
+					break
+				}
+			}
+		}
+	}
 	for pos, fd := range fields {
 		reason, allowed := settableAllowed[fd.key]
 		short := fd.key[strings.LastIndex(fd.key, "/")+1:]
 		switch {
 		case !written[pos] && !allowed && fd.hook:
-			r.add(pos, "hook %s is set by no program, only by tests, an unused installer or an empty func: delete it", short)
+			r.add(pos, "hook %s is set by no program, only by tests, an unused installer, an empty func or a forwarder to unset hooks: delete it", short)
 		case !written[pos] && !allowed:
 			r.add(pos, "%s is set by no program, only by tests, an unused installer or as a constant in its defaults: make it a constant", short)
 		case written[pos] && allowed:
 			r.add(pos, "%s is allow-listed (%s) but a program sets it: drop the entry", fd.key, reason)
 		}
 	}
+}
+
+// forwardedTo returns the func-typed fields that stmts call, and whether
+// stmts do nothing else: each is a call of a func-typed field whose
+// arguments call nothing, as a statement or returned, or an if without
+// init or else whose condition compares a func-typed field with nil and
+// whose body forwards too.
+func forwardedTo(info *types.Info, stmts []ast.Stmt) ([]token.Pos, bool) {
+	var callees []token.Pos
+	hook := func(e ast.Expr) *types.Var {
+		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+		if !ok {
+			return nil
+		}
+		if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+			if _, ok := s.Obj().Type().Underlying().(*types.Signature); ok {
+				return s.Obj().(*types.Var)
+			}
+		}
+		return nil
+	}
+	call := func(e ast.Expr) bool {
+		c, ok := ast.Unparen(e).(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		v := hook(c.Fun)
+		if v == nil {
+			return false
+		}
+		for _, arg := range c.Args {
+			calls := false
+			ast.Inspect(arg, func(n ast.Node) bool {
+				_, isCall := n.(*ast.CallExpr)
+				calls = calls || isCall
+				return !calls
+			})
+			if calls {
+				return false
+			}
+		}
+		callees = append(callees, v.Pos())
+		return true
+	}
+	for _, st := range stmts {
+		switch st := st.(type) {
+		case *ast.ExprStmt:
+			if !call(st.X) {
+				return nil, false
+			}
+		case *ast.ReturnStmt:
+			for _, e := range st.Results {
+				if !call(e) {
+					return nil, false
+				}
+			}
+		case *ast.IfStmt:
+			cond, ok := st.Cond.(*ast.BinaryExpr)
+			if !ok || st.Init != nil || st.Else != nil || cond.Op != token.NEQ ||
+				hook(cond.X) == nil || !info.Types[cond.Y].IsNil() {
+				return nil, false
+			}
+			inner, ok := forwardedTo(info, st.Body.List)
+			if !ok {
+				return nil, false
+			}
+			callees = append(callees, inner...)
+		default:
+			return nil, false
+		}
+	}
+	return callees, true
 }
 
 // isInstaller reports whether name is an exported With… or On… function or

@@ -2,7 +2,9 @@
 // settings a program sets, by literal, assignment and flag, beside three
 // that only their defaults and the tests write; and a poller whose hooks a
 // program sets, by literal and through an installer it calls, beside three
-// that only a test, an empty func or an installer only a test calls sets.
+// that only a test, an empty func or an installer only a test calls sets;
+// and forwarding hooks, set by closures that only call other hooks, which
+// count when a hook they reach is set.
 package fleet
 
 import (
@@ -47,6 +49,9 @@ type Poller struct {
 	OnError  func(err error)  // want
 	OnIdle   func()           // want
 	OnClose  func(clean bool) // want
+	Relay    func()           // want
+	Forward  func(n int)      // set by a closure that calls a set hook
+	Chain    func(n int)      // set by a closure that calls Forward
 }
 
 // OnResults installs fn as the result hook.
@@ -65,4 +70,15 @@ func run(c *PollConfig) {
 		OnIdle: func() {},
 	}
 	p.OnResults(func(n int) { c.Retries += n })
+	p.Chain = func(n int) { p.Forward(n) }
+	p.Relay = func() {
+		if p.OnIdle != nil {
+			p.OnIdle()
+		}
+	}
+	p.Forward = func(n int) {
+		if p.OnResult != nil {
+			p.OnResult(n)
+		}
+	}
 }

@@ -2,11 +2,11 @@ package fleet
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,18 +14,17 @@ import (
 
 	"github.com/seed5g/seed/internal/cause"
 	"github.com/seed5g/seed/internal/core"
-	"github.com/seed5g/seed/internal/fleet/cluster"
 	"github.com/seed5g/seed/internal/metrics"
 )
 
-// The kill-and-rebalance campaign: a three-node journaled cluster takes a
-// concurrent upload load through one clustered Client while the test
-// goroutine, waiting on the acked-upload count, scripts the failures the
-// durable tier exists for. At 1/3 of the uploads acked it kills n1 and
-// restarts it over its journal; at 2/3 it drains n2 out (epoch 2) and
-// brings it back (epoch 3), the load still running. No acked upload may
-// be lost, the cross-node merged model must equal the sequential fold
-// byte for byte, and every node must end at epoch 3.
+// The kill-and-restart campaign: one journaled server takes a concurrent
+// upload load through one Client while the test goroutine, waiting on the
+// acked-upload count, scripts the failure the durable tier exists for. At
+// 1/3 and again at 2/3 of the uploads acked it kills the server and
+// restarts it over its journal on the same address, the load still
+// running. No acked upload may be lost, the model must equal the
+// sequential fold byte for byte, and each restart must replay journal
+// records.
 
 // The campaign's load: per-device record rows and uploading goroutines.
 const (
@@ -66,15 +65,62 @@ func campaignLoad(t *testing.T, seed int64, devices int) ([]campaignUpload, []by
 	return loads, MarshalModel(baseline)
 }
 
-// runCampaign drives the campaign on tc and checks its invariants. It
-// returns the servers' counters summed at the end.
-func runCampaign(t *testing.T, tc *testCluster, seed int64, devices int) ServerStats {
-	loads, want := campaignLoad(t, seed, devices)
-	cc := tc.client()
-	ctx := context.Background()
+// campaignServer is the campaign's journaled server: each boot listens on
+// the first one's address over the same journal directory, the in-process
+// stand-in for a SIGKILLed seedfleetd started again.
+type campaignServer struct {
+	t    *testing.T
+	cfg  ServerConfig
+	srv  *Server
+	past ServerStats // counters of the incarnations killed so far, summed
+}
 
-	killAt, rebalanceAt := int64(devices/3), int64(2*devices/3)
-	marks := map[int64]chan struct{}{killAt: make(chan struct{}), rebalanceAt: make(chan struct{})}
+func startCampaignServer(t *testing.T) *campaignServer {
+	t.Helper()
+	cs := &campaignServer{t: t, cfg: ServerConfig{
+		Addr: "127.0.0.1:0", Shards: 2, JournalDir: t.TempDir(), Logf: func(string, ...any) {},
+	}}
+	cs.boot()
+	cs.cfg.Addr = cs.srv.Addr().String()
+	t.Cleanup(func() { cs.srv.Kill() })
+	return cs
+}
+
+func (cs *campaignServer) boot() {
+	cs.t.Helper()
+	cs.srv = NewServer(cs.cfg)
+	if err := cs.srv.Start(); err != nil {
+		cs.t.Fatal(err)
+	}
+}
+
+// restart kills the server and boots it again over its journal, and
+// returns how long the boot took and how many records it replayed.
+func (cs *campaignServer) restart() (time.Duration, uint64) {
+	cs.t.Helper()
+	cs.srv.Kill()
+	st := cs.srv.Stats()
+	cs.past.Uploads += st.Uploads
+	cs.past.Duplicates += st.Duplicates
+	start := time.Now()
+	cs.boot()
+	return time.Since(start), cs.srv.Stats().ReplayedRecords
+}
+
+// runCampaign drives the campaign against cs through a client of addr,
+// which reaches cs directly or through a forwarder, and checks its
+// invariants. It returns the uploads and duplicates every incarnation of
+// the server counted, summed.
+func runCampaign(t *testing.T, cs *campaignServer, addr string, seed int64, devices int) ServerStats {
+	loads, want := campaignLoad(t, seed, devices)
+	cl := NewClient(ClientConfig{Addr: addr, Conns: 2})
+	t.Cleanup(cl.Close)
+
+	marks := []int64{int64(devices / 3), int64(2 * devices / 3)}
+	reached := map[int64]chan struct{}{}
+	for _, m := range marks {
+		reached[m] = make(chan struct{})
+	}
 	var acked, lost atomic.Int64
 	var wg sync.WaitGroup
 	loadDone := make(chan struct{})
@@ -86,13 +132,13 @@ func runCampaign(t *testing.T, tc *testCluster, seed int64, devices int) ServerS
 			defer wg.Done()
 			for _, u := range part {
 				sent := time.Now()
-				if err := cc.UploadRecords(u.imsi, u.sealed); err != nil {
+				if err := cl.UploadRecords(u.imsi, u.sealed); err != nil {
 					lost.Add(1)
 					t.Logf("%s: %v", u.imsi, err)
 					continue
 				}
 				lat[w] = append(lat[w], time.Since(sent))
-				if mark, ok := marks[acked.Add(1)]; ok {
+				if mark, ok := reached[acked.Add(1)]; ok {
 					close(mark)
 				}
 			}
@@ -101,60 +147,39 @@ func runCampaign(t *testing.T, tc *testCluster, seed int64, devices int) ServerS
 	go func() { wg.Wait(); close(loadDone) }()
 	// A failed script step still waits for the load, whose goroutines log.
 	defer wg.Wait()
-	reach := func(mark int64) {
-		t.Helper()
+
+	var restarts []string
+	for _, mark := range marks {
 		select {
-		case <-marks[mark]:
+		case <-reached[mark]:
 		case <-loadDone:
 			t.Fatalf("the load ended at %d acked uploads, before the mark at %d", acked.Load(), mark)
 		}
-	}
-
-	reach(killAt)
-	tc.kill("n1")
-	restart := time.Now()
-	tc.restart("n1", cc.Map())
-	recovery := time.Since(restart)
-	ackedAtRestart := acked.Load()
-
-	reach(rebalanceAt)
-	var without []cluster.Node
-	for _, n := range tc.nodes() {
-		if n.ID != "n2" {
-			without = append(without, n)
+		at := acked.Load()
+		took, replayed := cs.restart()
+		if replayed == 0 {
+			t.Errorf("the restart at %d acked uploads replayed no journal record", at)
 		}
+		restarts = append(restarts, fmt.Sprintf("%d acked: %.1f ms, %d records replayed",
+			at, float64(took)/float64(time.Millisecond), replayed))
 	}
-	if err := cc.Rebalance(ctx, cluster.New(2, without)); err != nil {
-		t.Fatalf("rebalance to epoch 2: %v", err)
-	}
-	if err := cc.Rebalance(ctx, cluster.New(3, tc.nodes())); err != nil {
-		t.Fatalf("rebalance to epoch 3: %v", err)
-	}
-	ackedAtEpoch3 := acked.Load()
 	<-loadDone
 	wall := time.Since(start)
 
 	if n := lost.Load(); n > 0 {
 		t.Errorf("%d of %d uploads lost", n, devices)
 	}
-	got, err := cc.FetchModel()
+	got, err := cl.FetchModel()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("model mismatch: the cluster's merged model (%d bytes) differs from the sequential fold (%d bytes)", len(got), len(want))
+		t.Errorf("model mismatch: the server's model (%d bytes) differs from the sequential fold (%d bytes)", len(got), len(want))
 	}
-	var sum ServerStats
-	for id, srv := range tc.servers {
-		if e := srv.Epoch(); e != 3 {
-			t.Errorf("node %s ends at epoch %d, want 3", id, e)
-		}
-		sum.Add(srv.Stats())
-	}
-	replayed := tc.servers["n1"].Stats().ReplayedRecords
-	if replayed == 0 {
-		t.Error("the restarted n1 replayed no journal record")
-	}
+	sum := cs.past
+	st := cs.srv.Stats()
+	sum.Uploads += st.Uploads
+	sum.Duplicates += st.Duplicates
 	up := metrics.NewSeries()
 	for _, part := range lat {
 		for _, d := range part {
@@ -162,51 +187,35 @@ func runCampaign(t *testing.T, tc *testCluster, seed int64, devices int) ServerS
 		}
 	}
 	ms := func(p float64) float64 { return float64(up.Percentile(p)) / float64(time.Millisecond) }
-	t.Logf("seed %d: %d uploads in %.0f ms, lost=%d, model %d bytes match=%v; n1 restarted at %d acked in %.1f ms (%d records replayed); epoch 3 at %d acked; duplicates=%d retries=%d redials=%d; upload p50/p95/p99 %.2f/%.2f/%.2f ms",
+	t.Logf("seed %d: %d uploads in %.0f ms, lost=%d, model %d bytes match=%v; restarts at %s; uploads=%d duplicates=%d retries=%d redials=%d; upload p50/p95/p99 %.2f/%.2f/%.2f ms",
 		seed, devices, float64(wall)/float64(time.Millisecond), lost.Load(), len(got), bytes.Equal(got, want),
-		ackedAtRestart, float64(recovery)/float64(time.Millisecond), replayed, ackedAtEpoch3,
-		sum.Duplicates, cc.Retries(), cc.Redials(), ms(50), ms(95), ms(99))
+		strings.Join(restarts, " and "), sum.Uploads, sum.Duplicates, cl.Retries(), cl.Redials(), ms(50), ms(95), ms(99))
 	return sum
 }
 
-// TestClusterCampaignKillRebalance runs the campaign on direct loopback
-// links.
-func TestClusterCampaignKillRebalance(t *testing.T) {
-	runCampaign(t, startCluster(t, 3), 42, 300)
+// TestCampaignKillRestart runs the campaign on a direct loopback link.
+func TestCampaignKillRestart(t *testing.T) {
+	cs := startCampaignServer(t)
+	runCampaign(t, cs, cs.cfg.Addr, 42, 300)
 }
 
-// TestClusterCampaignLossyLinks runs the campaign with every node behind a
+// TestCampaignLossyLinks runs the campaign with the server behind a
 // forwarder that drops responses and breaks their connections. The uploads
 // whose acks were dropped had been folded, so their retries must come back
 // as duplicates, never as second folds.
-func TestClusterCampaignLossyLinks(t *testing.T) {
+func TestCampaignLossyLinks(t *testing.T) {
 	const seed = 7
-	tc := startCluster(t, 3)
-	tc.front = make(map[string]string)
-	var fws []*forwarder
-	for i := range len(tc.addrs) {
-		id := fmt.Sprintf("n%d", i)
-		fw := startForwarder(t, tc.addrs[id], 0.1, seed+int64(i))
-		fws = append(fws, fw)
-		tc.front[id] = fw.addr()
-	}
-	m := cluster.New(tc.epoch, tc.nodes())
-	for _, srv := range tc.servers {
-		srv.SetMap(m)
-	}
-
-	sum := runCampaign(t, tc, seed, 200)
-	var kills int
-	for _, fw := range fws {
-		kills += fw.killed()
-	}
+	cs := startCampaignServer(t)
+	fw := startForwarder(t, cs.cfg.Addr, 0.1, seed)
+	sum := runCampaign(t, cs, fw.addr(), seed, 200)
+	kills := fw.killed()
 	if kills == 0 {
-		t.Fatal("the forwarders broke no connection: the campaign tested direct links")
+		t.Fatal("the forwarder broke no connection: the campaign tested a direct link")
 	}
 	if sum.Duplicates == 0 {
 		t.Errorf("%d broken connections but no duplicate upload: no retry met an already folded upload", kills)
 	}
-	t.Logf("forwarders broke %d connections", kills)
+	t.Logf("the forwarder broke %d connections", kills)
 }
 
 // forwarder relays TCP connections to one node and breaks them at random:

@@ -14,21 +14,13 @@ import (
 	"time"
 
 	"github.com/seed5g/seed/internal/cause"
-	"github.com/seed5g/seed/internal/core"
-	"github.com/seed5g/seed/internal/fleet/cluster"
 )
 
 // ClientConfig parameterizes the fleet client.
 type ClientConfig struct {
-	// Addr is the server address of a client that is not clustered.
+	// Addr is the server address.
 	Addr string
-	// Nodes, when set, clusters the client, and Addr is not used: it is the
-	// bootstrap membership. The client builds the ring every server
-	// computed from the same members, so it routes correctly before ever
-	// talking to anyone. The bootstrap map is epoch 0, older than any a
-	// server holds, so the first redirect's map is adopted.
-	Nodes []cluster.Node
-	// Conns is the number of connections per node. They are dialed lazily
+	// Conns is the number of connections to Addr. They are dialed lazily
 	// and each is shared by any number of concurrent callers: a caller
 	// joins a connection whose next write is still forming, and only when
 	// none is takes the next connection round-robin.
@@ -53,33 +45,27 @@ const (
 	// write.
 	requestTimeout = 10 * time.Second
 	// maxRetries is the number of attempts per request beyond the first,
-	// covering transport errors, TRetryAfter backpressure and redirects.
+	// covering transport errors and TRetryAfter backpressure.
 	maxRetries = 8
 	// backoffBase and backoffMax shape the jittered exponential backoff
-	// after transport errors and redirects that teach nothing; TRetryAfter
-	// responses honor the server's wait hint (plus jitter) instead.
+	// after transport errors; TRetryAfter responses honor the server's
+	// wait hint (plus jitter) instead.
 	backoffBase = 5 * time.Millisecond
 	backoffMax  = 500 * time.Millisecond
 )
 
-// Client is the fleet-protocol client. Every request it makes runs through
-// one loop, do, with retry and backpressure handling. A clustered client
-// routes each subscriber's requests to their owner under an
-// epoch-versioned shard map, adopts the newer map a TWrongShard redirect
-// carries, fails over across map epochs and merges the members' models;
-// a client of one server sends everything to Addr. Any number of callers
-// share each node's Conns connections. Callers that arrive together leave
-// together: a caller queues its request on a connection whose writer is
-// still gathering, so the callers one burst of responses wakes share one
-// write; see muxConn.
+// Client is the fleet-protocol client of one server. Every request it
+// makes runs through one loop, do, with retry and backpressure handling.
+// Any number of callers share its Conns connections. Callers that arrive
+// together leave together: a caller queues its request on a connection
+// whose writer is still gathering, so the callers one burst of responses
+// wakes share one write; see muxConn.
 type Client struct {
 	cfg     ClientConfig
-	shards  atomic.Pointer[cluster.Map] // the adopted map; nil while no map is known
 	closed  atomic.Bool
 	readers sync.WaitGroup // one reader goroutine per live connection
-
-	mu    sync.RWMutex
-	nodes map[string]*nodeConns // node address → its connections
+	slots   []connSlot
+	next    atomic.Uint32 // round-robin cursor over slots, when no write is forming
 
 	// gatherHook, when a test sets it before the first request, runs in
 	// every writer's gathering window, while its connection is forming.
@@ -91,14 +77,7 @@ type Client struct {
 	retries, redials, writes, frames atomic.Uint64
 }
 
-// nodeConns is the client's Conns connections to one node address.
-type nodeConns struct {
-	addr  string
-	slots []connSlot
-	next  atomic.Uint32 // round-robin cursor over slots, when no write is forming
-}
-
-// connSlot is one of a node's Conns positions: the live connection,
+// connSlot is one of the client's Conns positions: the live connection,
 // replaced by a fresh dial after it breaks.
 type connSlot struct {
 	cur     atomic.Pointer[muxConn]
@@ -162,28 +141,10 @@ var ErrClientClosed = errors.New("fleet: client closed")
 // NewClient creates a client; connections are dialed on first use.
 func NewClient(cfg ClientConfig) *Client {
 	cfg.withDefaults()
-	cl := &Client{
+	return &Client{
 		cfg:   cfg,
-		nodes: make(map[string]*nodeConns),
+		slots: make([]connSlot, cfg.Conns),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
-	}
-	if len(cfg.Nodes) > 0 {
-		cl.shards.Store(cluster.New(0, cfg.Nodes))
-	}
-	return cl
-}
-
-// Map returns the adopted shard map: nil for a client that is not
-// clustered and that no server has redirected.
-func (cl *Client) Map() *cluster.Map { return cl.shards.Load() }
-
-// adopt installs m if it is newer than the adopted map.
-func (cl *Client) adopt(m *cluster.Map) {
-	for {
-		cur := cl.shards.Load()
-		if cur != nil && m.Epoch <= cur.Epoch || cl.shards.CompareAndSwap(cur, m) {
-			return
-		}
 	}
 }
 
@@ -191,53 +152,30 @@ func (cl *Client) adopt(m *cluster.Map) {
 // them, and returns once the reader goroutines have exited.
 func (cl *Client) Close() {
 	cl.closed.Store(true)
-	cl.mu.RLock()
-	for _, nc := range cl.nodes {
-		for i := range nc.slots {
-			sl := &nc.slots[i]
-			sl.mu.Lock()
-			if mc := sl.cur.Load(); mc != nil {
-				mc.mu.Lock()
-				mc.failLocked(ErrClientClosed)
-				mc.mu.Unlock()
-			}
-			sl.mu.Unlock()
+	for i := range cl.slots {
+		sl := &cl.slots[i]
+		sl.mu.Lock()
+		if mc := sl.cur.Load(); mc != nil {
+			mc.mu.Lock()
+			mc.failLocked(ErrClientClosed)
+			mc.mu.Unlock()
 		}
+		sl.mu.Unlock()
 	}
-	cl.mu.RUnlock()
 	cl.readers.Wait()
 }
 
-// conns returns addr's connections, made on first use. A member that
-// moves to a new address gets new connections there.
-func (cl *Client) conns(addr string) *nodeConns {
-	cl.mu.RLock()
-	nc := cl.nodes[addr]
-	cl.mu.RUnlock()
-	if nc != nil {
-		return nc
-	}
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if nc = cl.nodes[addr]; nc == nil {
-		nc = &nodeConns{addr: addr, slots: make([]connSlot, cl.cfg.Conns)}
-		cl.nodes[addr] = nc
-	}
-	return nc
-}
-
-// conn returns a live connection to nc's node whose next write is still
-// forming, so that the caller shares it. Failing that, it returns the next
+// conn returns a live connection whose next write is still forming, so that the caller shares it. Failing that, it returns the next
 // slot's connection round-robin, dialing when the slot is empty or its
 // connection broke. One caller dials; the others wait for it or for their
 // own ctx.
-func (cl *Client) conn(ctx context.Context, nc *nodeConns) (*muxConn, error) {
-	for i := range nc.slots {
-		if mc := nc.slots[i].live(); mc != nil && mc.forming.Load() {
+func (cl *Client) conn(ctx context.Context) (*muxConn, error) {
+	for i := range cl.slots {
+		if mc := cl.slots[i].live(); mc != nil && mc.forming.Load() {
 			return mc, nil
 		}
 	}
-	sl := &nc.slots[nc.next.Add(1)%uint32(len(nc.slots))]
+	sl := &cl.slots[cl.next.Add(1)%uint32(len(cl.slots))]
 	for {
 		if mc := sl.live(); mc != nil {
 			return mc, nil
@@ -265,7 +203,7 @@ func (cl *Client) conn(ctx context.Context, nc *nodeConns) (*muxConn, error) {
 		sl.mu.Unlock()
 
 		d := net.Dialer{Timeout: dialTimeout}
-		c, err := d.DialContext(ctx, "tcp", nc.addr)
+		c, err := d.DialContext(ctx, "tcp", cl.cfg.Addr)
 		sl.mu.Lock()
 		sl.dialing = nil
 		var mc *muxConn
@@ -430,36 +368,18 @@ func (mc *muxConn) failLocked(err error) {
 	mc.head, mc.tail = nil, nil
 }
 
-// target is where a request goes: to member when it names one (a
-// rebalance phase, a model, stats or map pull), else to the owner of imsi
-// under the adopted map, else, with no map, to Addr. once makes one
-// attempt and no more: a map pull while the loop refreshes its map.
-type target struct {
-	imsi   string
-	member *cluster.Node
-	once   bool
-}
-
 // do is the client's one request loop: up to maxRetries+1 attempts, each
-// one round trip to the node the attempt's map picks. A transport error
-// refreshes the map from the other members (one attempt each) when the
-// request is routed by subscriber, then backs off exponentially with
-// jitter; TRetryAfter waits the server's hint plus jitter; a TWrongShard
-// redirect adopts the map it carries and retries at once when that map is
-// newer than the one the attempt routed by, and backs off when it is not
-// (the node is behind, and will catch up); TErr fails at once (the request
-// itself is bad). After the last attempt the loop returns without its
-// wait: nothing follows it. op names the request in errors. A cancelled or
-// expired ctx returns promptly: it aborts backoff sleeps, dials, waits for
-// another caller's dial, and the wait for a response (the request's slot in
-// the response order is abandoned, the connection stays good). Only a
-// caller that is in the middle of writing the queued frames finishes that
-// write first.
-func (cl *Client) do(ctx context.Context, op string, to target, req Frame) (Frame, error) {
-	tries := maxRetries + 1
-	if to.once {
-		tries = 1
-	}
+// one round trip to Addr. A transport error backs off exponentially with
+// jitter; TRetryAfter waits the server's hint plus jitter; TErr fails at
+// once (the request itself is bad). After the last attempt the loop
+// returns without its wait: nothing follows it. op names the request in
+// errors. A cancelled or expired ctx returns promptly: it aborts backoff
+// sleeps, dials, waits for another caller's dial, and the wait for a
+// response (the request's slot in the response order is abandoned, the
+// connection stays good). Only a caller that is in the middle of writing
+// the queued frames finishes that write first.
+func (cl *Client) do(ctx context.Context, op string, req Frame) (Frame, error) {
+	const tries = maxRetries + 1
 	var lastErr error
 	for attempt := 0; attempt < tries; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -471,16 +391,8 @@ func (cl *Client) do(ctx context.Context, op string, to target, req Frame) (Fram
 		if attempt > 0 {
 			cl.retries.Add(1)
 		}
-		m := cl.shards.Load()
-		n := cluster.Node{Addr: cl.cfg.Addr}
-		switch {
-		case to.member != nil:
-			n = *to.member
-		case m != nil:
-			n = m.Owner(to.imsi)
-		}
 		var resp Frame
-		mc, err := cl.conn(ctx, cl.conns(n.Addr))
+		mc, err := cl.conn(ctx)
 		if err == nil {
 			resp, err = mc.roundTrip(ctx, req)
 		}
@@ -490,13 +402,7 @@ func (cl *Client) do(ctx context.Context, op string, to target, req Frame) (Fram
 				return Frame{}, err
 			}
 			lastErr = err
-			if n.ID != "" {
-				lastErr = fmt.Errorf("node %s (%s): %w", n.ID, n.Addr, err)
-			}
-			if ctx.Err() == nil && !to.once {
-				if to.member == nil {
-					cl.refreshMap(ctx, m, n.ID)
-				}
+			if ctx.Err() == nil {
 				wait = cl.backoff(attempt)
 			}
 		} else {
@@ -508,20 +414,6 @@ func (cl *Client) do(ctx context.Context, op string, to target, req Frame) (Fram
 				}
 				lastErr = fmt.Errorf("fleet: backpressured (retry after %dms)", millis)
 				wait = time.Duration(millis)*time.Millisecond + cl.jitter(backoffBase)
-			case TWrongShard:
-				theirs, err := cluster.Unmarshal(resp.Payload)
-				if err != nil {
-					return Frame{}, fmt.Errorf("fleet: bad map in redirect from %s: %w", n.Addr, err)
-				}
-				cl.adopt(theirs)
-				var ours uint64
-				if m != nil {
-					ours = m.Epoch
-				}
-				lastErr = fmt.Errorf("node %s redirected (its epoch %d, ours was %d)", n.ID, theirs.Epoch, ours)
-				if m != nil && theirs.Epoch <= m.Epoch {
-					wait = cl.backoff(attempt)
-				}
 			case TErr:
 				return Frame{}, fmt.Errorf("%w: %s", ErrServer, resp.Payload)
 			default:
@@ -533,28 +425,6 @@ func (cl *Client) do(ctx context.Context, op string, to target, req Frame) (Fram
 		}
 	}
 	return Frame{}, fmt.Errorf("fleet: %s failed after %d attempts: %w", op, tries, lastErr)
-}
-
-// refreshMap asks every member of m except skipID for its current map,
-// one attempt each, and adopts the newest. Used after a node failure: if a
-// rebalance routed around the dead node, the survivors know the new epoch.
-// A client with no map, or with one member, has nobody to ask.
-func (cl *Client) refreshMap(ctx context.Context, m *cluster.Map, skipID string) {
-	if m == nil {
-		return
-	}
-	for _, n := range m.Nodes() {
-		if n.ID == skipID {
-			continue
-		}
-		resp, err := cl.do(ctx, "map", target{member: &n, once: true}, Frame{Type: TMapPull})
-		if err != nil || resp.Type != TMap {
-			continue
-		}
-		if theirs, err := cluster.Unmarshal(resp.Payload); err == nil {
-			cl.adopt(theirs)
-		}
-	}
 }
 
 // backoff returns the jittered exponential wait for an attempt.
@@ -594,28 +464,28 @@ func (cl *Client) sleep(ctx context.Context, d time.Duration) error {
 
 // --- request surface -----------------------------------------------------
 
-// UploadRecords ships a sealed learning-record blob for a device to its
-// node. It returns only after the server acknowledged the fold (or the
+// UploadRecords ships a sealed learning-record blob for a device. It
+// returns only after the server acknowledged the fold (or the
 // duplicate).
 func (cl *Client) UploadRecords(imsi string, sealed []byte) error {
-	_, err := cl.do(context.Background(), "upload", target{imsi: imsi},
+	_, err := cl.do(context.Background(), "upload",
 		Frame{Type: TUpload, Payload: AppendSealedPayload(nil, imsi, sealed)})
 	return err
 }
 
-// Report ships a sealed failure report for a device to its node.
+// Report ships a sealed failure report for a device.
 func (cl *Client) Report(imsi string, sealed []byte) error {
-	_, err := cl.do(context.Background(), "report", target{imsi: imsi},
+	_, err := cl.do(context.Background(), "report",
 		Frame{Type: TReport, Payload: AppendSealedPayload(nil, imsi, sealed)})
 	return err
 }
 
-// Query asks the device's node for a suggestion from the aggregate model
+// Query asks the server for a suggestion from the aggregate model
 // (the model-push leg). It returns the raw sealed TSuggest payload (empty
 // when the model abstains); the caller opens it with the device's
 // envelope.
 func (cl *Client) Query(imsi string, c cause.Cause) ([]byte, error) {
-	resp, err := cl.do(context.Background(), "query", target{imsi: imsi},
+	resp, err := cl.do(context.Background(), "query",
 		Frame{Type: TQuery, Payload: AppendQueryPayload(nil, imsi, c)})
 	if err != nil {
 		return nil, err
@@ -623,68 +493,27 @@ func (cl *Client) Query(imsi string, c cause.Cause) ([]byte, error) {
 	return resp.Payload, nil
 }
 
-// FetchModel pulls the canonical serialized aggregate model. A client that
-// is not clustered returns its server's model as sent. A clustered client
-// pulls each member's model and merges them: folds stay on the node where
-// they happened (only envelope counters move on rebalance), so the cluster
-// model is by definition this cross-node merge, and the canonical sorted
-// serialization makes it independent of poll order.
+// FetchModel pulls the canonical serialized aggregate model, as the
+// server sent it.
 func (cl *Client) FetchModel() ([]byte, error) {
-	ctx := context.Background()
-	m := cl.shards.Load()
-	if m == nil {
-		resp, err := cl.do(ctx, "model", target{}, Frame{Type: TModelPull})
-		if err != nil {
-			return nil, err
-		}
-		return resp.Payload, nil
-	}
-	merged := core.Records{}
-	for _, n := range m.Nodes() {
-		resp, err := cl.do(ctx, "model", target{member: &n}, Frame{Type: TModelPull})
-		if err != nil {
-			return nil, fmt.Errorf("fleet: model pull from %s: %w", n.ID, err)
-		}
-		part, err := core.ParseRecords(resp.Payload, 4)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: model from %s: %w", n.ID, err)
-		}
-		merged.Merge(part)
-	}
-	return MarshalModel(merged), nil
-}
-
-// FetchStats pulls the server counters, summed over the members of a
-// clustered client. The sum covers the members that answered; the error
-// names each one that did not, in node-ID order.
-func (cl *Client) FetchStats() (ServerStats, error) {
-	ctx := context.Background()
-	var sum ServerStats
-	m := cl.shards.Load()
-	if m == nil {
-		return sum, cl.pullStats(ctx, target{}, &sum)
-	}
-	var errs []error
-	for _, n := range m.Nodes() {
-		if err := cl.pullStats(ctx, target{member: &n}, &sum); err != nil {
-			errs = append(errs, fmt.Errorf("node %s: %w", n.ID, err))
-		}
-	}
-	return sum, errors.Join(errs...)
-}
-
-// pullStats adds one node's counters to sum.
-func (cl *Client) pullStats(ctx context.Context, to target, sum *ServerStats) error {
-	resp, err := cl.do(ctx, "stats", to, Frame{Type: TStatsPull})
+	resp, err := cl.do(context.Background(), "model", Frame{Type: TModelPull})
 	if err != nil {
-		return err
+		return nil, err
 	}
+	return resp.Payload, nil
+}
+
+// FetchStats pulls the server counters.
+func (cl *Client) FetchStats() (ServerStats, error) {
 	var st ServerStats
-	if err := json.Unmarshal(resp.Payload, &st); err != nil {
-		return fmt.Errorf("fleet: stats payload: %w", err)
+	resp, err := cl.do(context.Background(), "stats", Frame{Type: TStatsPull})
+	if err != nil {
+		return st, err
 	}
-	sum.Add(st)
-	return nil
+	if err := json.Unmarshal(resp.Payload, &st); err != nil {
+		return st, fmt.Errorf("fleet: stats payload: %w", err)
+	}
+	return st, nil
 }
 
 // Retries returns how many request attempts were retries.
@@ -699,80 +528,3 @@ func (cl *Client) Redials() uint64 { return cl.redials.Load() }
 // the callers' concurrency bought.
 func (cl *Client) Frames() uint64 { return cl.frames.Load() }
 func (cl *Client) Writes() uint64 { return cl.writes.Load() }
-
-// --- rebalance controller ------------------------------------------------
-
-// Rebalance drives the two-phase shard-map change to newMap:
-//
-//  1. prepare: every node of old ∪ new stages newMap — moved-out IMSIs
-//     freeze (TRetryAfter to clients) and their envelope counters come back;
-//  2. install: each moved subscriber's counters land on its new owner,
-//     journaled before the ack, so dedup survives even a crash right after;
-//  3. commit: every node activates newMap (idempotent per epoch).
-//
-// The controller (an operator tool, the campaign tests) drives it;
-// nodes never talk to each other. If the controller dies mid-flight, the
-// frozen epoch never commits and a rerun with the same newMap is safe:
-// prepare re-collects, install is max-semantics, commit acks repeats.
-func (cl *Client) Rebalance(ctx context.Context, newMap *cluster.Map) error {
-	union := make(map[string]cluster.Node)
-	if old := cl.shards.Load(); old != nil {
-		for _, n := range old.Nodes() {
-			union[n.ID] = n
-		}
-	}
-	for _, n := range newMap.Nodes() {
-		union[n.ID] = n
-	}
-	prepPayload := newMap.Marshal()
-
-	// Phase 1: prepare everywhere, collecting moved-out counter tables.
-	var moved []CounterEntry
-	for _, n := range union {
-		resp, err := cl.do(ctx, "prepare", target{member: &n}, Frame{Type: TMapPrepare, Payload: prepPayload})
-		if err != nil {
-			return fmt.Errorf("fleet: prepare on %s: %w", n.ID, err)
-		}
-		if resp.Type != TPrepared {
-			return fmt.Errorf("fleet: prepare on %s answered %v", n.ID, resp.Type)
-		}
-		part, err := ParseCounterTable(resp.Payload)
-		if err != nil {
-			return fmt.Errorf("fleet: prepare table from %s: %w", n.ID, err)
-		}
-		moved = append(moved, part...)
-	}
-
-	// Phase 2: install each moved subscriber's counters on its new owner.
-	byOwner := make(map[string][]CounterEntry)
-	for _, e := range moved {
-		byOwner[newMap.OwnerID(e.IMSI)] = append(byOwner[newMap.OwnerID(e.IMSI)], e)
-	}
-	for id, entries := range byOwner {
-		n, ok := newMap.Node(id)
-		if !ok {
-			return fmt.Errorf("fleet: install target %s not in new map", id)
-		}
-		resp, err := cl.do(ctx, "install", target{member: &n}, Frame{Type: TCounterInstall, Payload: AppendCounterTable(nil, entries)})
-		if err != nil {
-			return fmt.Errorf("fleet: install on %s: %w", id, err)
-		}
-		if resp.Type != TAck {
-			return fmt.Errorf("fleet: install on %s answered %v", id, resp.Type)
-		}
-	}
-
-	// Phase 3: commit everywhere, then adopt locally.
-	commitPayload := EpochPayload(newMap.Epoch)
-	for _, n := range union {
-		resp, err := cl.do(ctx, "commit", target{member: &n}, Frame{Type: TMapCommit, Payload: commitPayload})
-		if err != nil {
-			return fmt.Errorf("fleet: commit on %s: %w", n.ID, err)
-		}
-		if resp.Type != TAck {
-			return fmt.Errorf("fleet: commit on %s answered %v", n.ID, resp.Type)
-		}
-	}
-	cl.adopt(newMap)
-	return nil
-}

@@ -10,65 +10,44 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"github.com/seed5g/seed/internal/fleet/cluster"
 )
 
-// TestClientRetryCapBounded points a client at a node that accepts every
+// TestClientRetryCapBounded points a client at a server that accepts every
 // connection and closes it at once, and checks the request loop gives up
 // after exactly maxRetries+1 attempts, one dial each, with an error that
 // says so — not an unbounded spin. Its eight backoffs (none follows the
 // ninth attempt) sum to between 567.5 ms and 1 135 ms: half to all of
-// 5+10+…+320+500 ms; the window allows 65 ms above that for the dials and
-// map pulls. The clustered case has the same bound: the dead node owns the
-// upload's subscriber, and after each transport error the loop asks the two
-// live members for their map (one attempt each), which routes it back to
-// the dead owner.
+// 5+10+…+320+500 ms; the window allows 65 ms above that for the dials.
 func TestClientRetryCapBounded(t *testing.T) {
 	var dials atomic.Int64
 	dead := stubServer(t, func(_ int, c net.Conn) {
 		dials.Add(1)
 		_ = c.Close()
 	})
-	tc := startCluster(t, 2)
-	members := append(tc.nodes(), cluster.Node{ID: "n2", Addr: dead})
-	m := cluster.New(tc.epoch, members)
-	for _, srv := range tc.servers {
-		srv.SetMap(m)
+	cl := NewClient(ClientConfig{Addr: dead, Conns: 1})
+	start := time.Now()
+	err := cl.UploadRecords("001190000000000", []byte("sealed"))
+	elapsed := time.Since(start)
+	cl.Close()
+	if err == nil {
+		t.Fatal("upload to a dead server succeeded")
 	}
-	imsi := ""
-	for i := 0; m.OwnerID(imsi) != "n2"; i++ {
-		imsi = fmt.Sprintf("00119%010d", i)
+	if !strings.Contains(err.Error(), fmt.Sprintf("after %d attempts", maxRetries+1)) {
+		t.Fatalf("error does not report the attempt cap: %v", err)
 	}
-
-	for _, cfg := range []ClientConfig{{Addr: dead, Conns: 1}, {Nodes: members, Conns: 1}} {
-		before := dials.Load()
-		cl := NewClient(cfg)
-		start := time.Now()
-		err := cl.UploadRecords(imsi, []byte("sealed"))
-		elapsed := time.Since(start)
-		cl.Close()
-		if err == nil {
-			t.Fatalf("%d members: upload to a dead node succeeded", len(cfg.Nodes))
-		}
-		if !strings.Contains(err.Error(), fmt.Sprintf("after %d attempts", maxRetries+1)) {
-			t.Fatalf("%d members: error does not report the attempt cap: %v", len(cfg.Nodes), err)
-		}
-		if n := dials.Load() - before; n != maxRetries+1 {
-			t.Errorf("%d members: the dead node took %d connections, want %d", len(cfg.Nodes), n, maxRetries+1)
-		}
-		if elapsed < 567500*time.Microsecond || elapsed > 1200*time.Millisecond {
-			t.Errorf("%d members: gave up after %v, want 567.5 ms to 1.2 s", len(cfg.Nodes), elapsed)
-		}
+	if n := dials.Load(); n != maxRetries+1 {
+		t.Errorf("the dead server took %d connections, want %d", n, maxRetries+1)
+	}
+	if elapsed < 567500*time.Microsecond || elapsed > 1200*time.Millisecond {
+		t.Errorf("gave up after %v, want 567.5 ms to 1.2 s", elapsed)
 	}
 }
 
 // TestClientNoBackoffAfterLastAttempt checks that the request loop returns
-// as soon as its last attempt fails: the dead node records when it accepts
-// each connection, and the upload's error comes back less than 100 ms
-// after the ninth. A backoff after the last attempt would add 250-500 ms.
-// The clustered case still refreshes its map from the two live members
-// after that attempt, for the callers that come next.
+// as soon as its last attempt fails: the dead server records when it
+// accepts each connection, and the upload's error comes back less than
+// 100 ms after the ninth. A backoff after the last attempt would add
+// 250-500 ms.
 func TestClientNoBackoffAfterLastAttempt(t *testing.T) {
 	var mu sync.Mutex
 	var accepted []time.Time
@@ -78,41 +57,25 @@ func TestClientNoBackoffAfterLastAttempt(t *testing.T) {
 		mu.Unlock()
 		_ = c.Close()
 	})
-	tc := startCluster(t, 2)
-	members := append(tc.nodes(), cluster.Node{ID: "n2", Addr: dead})
-	m := cluster.New(tc.epoch, members)
-	for _, srv := range tc.servers {
-		srv.SetMap(m)
+	cl := NewClient(ClientConfig{Addr: dead, Conns: 1})
+	err := cl.UploadRecords("001190000000000", []byte("sealed"))
+	done := time.Now()
+	cl.Close()
+	if err == nil {
+		t.Fatal("upload to a dead server succeeded")
 	}
-	imsi := ""
-	for i := 0; m.OwnerID(imsi) != "n2"; i++ {
-		imsi = fmt.Sprintf("00119%010d", i)
+	mu.Lock()
+	n := len(accepted)
+	var last time.Time
+	if n > 0 {
+		last = accepted[n-1]
 	}
-
-	for _, cfg := range []ClientConfig{{Addr: dead, Conns: 1}, {Nodes: members, Conns: 1}} {
-		mu.Lock()
-		accepted = accepted[:0]
-		mu.Unlock()
-		cl := NewClient(cfg)
-		err := cl.UploadRecords(imsi, []byte("sealed"))
-		done := time.Now()
-		cl.Close()
-		if err == nil {
-			t.Fatalf("%d members: upload to a dead node succeeded", len(cfg.Nodes))
-		}
-		mu.Lock()
-		n := len(accepted)
-		var last time.Time
-		if n > 0 {
-			last = accepted[n-1]
-		}
-		mu.Unlock()
-		if n != maxRetries+1 {
-			t.Fatalf("%d members: the dead node took %d connections, want %d", len(cfg.Nodes), n, maxRetries+1)
-		}
-		if gap := done.Sub(last); gap >= 100*time.Millisecond {
-			t.Errorf("%d members: the upload returned %v after the last connection, want under 100 ms", len(cfg.Nodes), gap)
-		}
+	mu.Unlock()
+	if n != maxRetries+1 {
+		t.Fatalf("the dead server took %d connections, want %d", n, maxRetries+1)
+	}
+	if gap := done.Sub(last); gap >= 100*time.Millisecond {
+		t.Errorf("the upload returned %v after the last connection, want under 100 ms", gap)
 	}
 }
 
@@ -136,7 +99,7 @@ func TestClientContextCancelDuringBackoff(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err = cl.do(ctx, "upload", target{}, Frame{Type: TStatsPull})
+	_, err = cl.do(ctx, "upload", Frame{Type: TStatsPull})
 	if err == nil {
 		t.Fatal("cancelled request succeeded")
 	}
@@ -182,7 +145,7 @@ func TestClientContextCancelMidRead(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = cl.do(ctx, "upload", target{}, Frame{Type: TStatsPull})
+	_, err = cl.do(ctx, "upload", Frame{Type: TStatsPull})
 	if err == nil {
 		t.Fatal("request with silent server succeeded")
 	}
@@ -200,7 +163,7 @@ func TestClientDoCtxHappyPath(t *testing.T) {
 	_, cl := startServer(t, ServerConfig{Shards: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	resp, err := cl.do(ctx, "stats", target{}, Frame{Type: TStatsPull})
+	resp, err := cl.do(ctx, "stats", Frame{Type: TStatsPull})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +178,7 @@ func TestClientPreCancelledContext(t *testing.T) {
 	defer cl.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := cl.do(ctx, "upload", target{}, Frame{Type: TStatsPull}); !errors.Is(err, context.Canceled) {
+	if _, err := cl.do(ctx, "upload", Frame{Type: TStatsPull}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }

@@ -15,9 +15,9 @@
 // A server shard holds its fold as a core.Records table and answers a
 // query with its argmax (Records.Best): the logistic gate, rate and random
 // source of core.Learner belong to the in-process plugin and were never
-// read here. Uploads, reports and counter installs change a
-// shard through one function, (*shard).apply, both when they arrive and
-// when a journaled server replays them after a crash, so recovery rebuilds
+// read here. Uploads and reports change a shard through one function,
+// (*shard).apply, both when they arrive and when a journaled server
+// replays them after a crash, so recovery rebuilds
 // the acknowledged state byte for byte (DESIGN.md, "Crash-tolerant sharded
 // fleet tier").
 package fleet

@@ -205,7 +205,7 @@ func TestBackpressureManyConns(t *testing.T) {
 				wg.Add(1)
 				go func(cl *Client) {
 					defer wg.Done()
-					if _, err := cl.do(context.Background(), "upload", target{}, up); err != nil {
+					if _, err := cl.do(context.Background(), "upload", up); err != nil {
 						t.Error(err)
 					}
 				}(clients[i%conns])
@@ -227,42 +227,43 @@ func TestBackpressureManyConns(t *testing.T) {
 	}
 }
 
-// TestFleetRejectsUnknownFrame checks an unexpected frame type gets a TErr
-// without killing the server.
+// TestFleetRejectsUnknownFrame sends every frame type a server does not
+// serve on one connection: a response type, and each retired multi-node
+// request and response type (map pull, prepare, counter install with a
+// table claiming 2³²−1 entries in no bytes, commit, and the map, prepared
+// and redirect answers). Each gets one TErr and changes nothing: the
+// connection and the server keep serving, and the model and the upload
+// counters stay as they were.
 func TestFleetRejectsUnknownFrame(t *testing.T) {
-	_, cl := startServer(t, ServerConfig{Shards: 1})
-	if _, err := cl.do(context.Background(), "bogus", target{}, Frame{Type: TAck}); err == nil {
-		t.Fatal("server answered a response-type frame")
+	srv, cl := startServer(t, ServerConfig{Shards: 1})
+	if _, err := cl.do(context.Background(), "upload", uploadFrame(t, "001010000000077", 0)); err != nil {
+		t.Fatal(err)
+	}
+	model, before := srv.Model(), srv.Stats()
+	bomb := []byte{0xFF, 0xFF, 0xFF, 0xFF}
+	var frames []Frame
+	for _, typ := range []FrameType{TAck, 0x06, 0x07, 0x08, 0x09, 0x86, 0x87, 0x88} {
+		frames = append(frames, Frame{Type: typ, Payload: bomb})
+	}
+	conn := dialRaw(t, srv)
+	writeFrames(t, conn, append(frames, Frame{Type: TStatsPull})...)
+	got := readFrames(t, bufio.NewReader(conn), len(frames)+1)
+	want := make([]FrameType, len(frames), len(frames)+1)
+	for i := range want {
+		want[i] = TErr
+	}
+	checkTypes(t, "unknown frames", got, append(want, TStats)...)
+	if !bytes.Equal(srv.Model(), model) {
+		t.Error("an unknown frame changed the model")
+	}
+	if st := srv.Stats(); st.Errors != uint64(len(frames)) || st.Uploads != before.Uploads || st.Duplicates != before.Duplicates {
+		t.Errorf("errors=%d uploads=%d duplicates=%d, want %d, %d and %d",
+			st.Errors, st.Uploads, st.Duplicates, len(frames), before.Uploads, before.Duplicates)
+	}
+	if _, err := cl.do(context.Background(), "bogus", Frame{Type: TAck}); err == nil {
+		t.Fatal("the client's request loop took a TErr for an answer")
 	}
 	if _, err := cl.FetchStats(); err != nil {
-		t.Fatalf("server unusable after protocol error: %v", err)
-	}
-}
-
-// TestCounterInstallCountBombRejected sends the unauthenticated 12-byte
-// counter install whose table claims 2³²−1 entries in no bytes. The server
-// must refuse it before allocating for them: one TErr, one error counted,
-// and the connection and the server keep serving.
-func TestCounterInstallCountBombRejected(t *testing.T) {
-	srv, cl := startServer(t, ServerConfig{Shards: 1})
-	conn := dialRaw(t, srv)
-	if _, err := conn.Write([]byte{0x5E, 0xED, 0x01, 0x08, 0x00, 0x00, 0x00, 0x04, 0xFF, 0xFF, 0xFF, 0xFF}); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(conn)
-	if f, err := ReadFrame(br, DefaultMaxFrame); err != nil || f.Type != TErr {
-		t.Fatalf("count bomb answered %v, %v; want TErr", f.Type, err)
-	}
-	if _, err := conn.Write(encodeFrames(Frame{Type: TStatsPull})); err != nil {
-		t.Fatal(err)
-	}
-	if f, err := ReadFrame(br, DefaultMaxFrame); err != nil || f.Type != TStats {
-		t.Fatalf("connection unusable after the refusal: %v, %v", f.Type, err)
-	}
-	if _, err := cl.do(context.Background(), "upload", target{}, uploadFrame(t, "001010000000077", 0)); err != nil {
-		t.Fatalf("server unusable after the refusal: %v", err)
-	}
-	if st := srv.Stats(); st.Errors != 1 || st.Uploads != 1 {
-		t.Fatalf("errors=%d uploads=%d, want 1 and 1", st.Errors, st.Uploads)
+		t.Fatalf("server unusable after the rejections: %v", err)
 	}
 }

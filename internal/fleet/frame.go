@@ -44,21 +44,9 @@ const (
 	TModelPull FrameType = 0x04
 	// TStatsPull requests server counters as JSON (admin).
 	TStatsPull FrameType = 0x05
-	// TMapPull requests the node's current cluster shard map (admin).
-	TMapPull FrameType = 0x06
-	// TMapPrepare proposes the next-epoch shard map (rebalance phase 1):
-	// the payload is cluster.Map bytes. The node freezes moved-out IMSIs
-	// and answers TPrepared with their envelope counters.
-	TMapPrepare FrameType = 0x07
-	// TCounterInstall hands moved-in envelope counters to a new owner
-	// (rebalance phase 2): the payload is a counter table. The install is
-	// journaled before the TAck, so a crashed new owner still dedups
-	// pre-move uploads after replay.
-	TCounterInstall FrameType = 0x08
-	// TMapCommit activates a prepared map (rebalance phase 3): the payload
-	// is the epoch (8 bytes, BE). Committing an already-active epoch is an
-	// idempotent TAck, so the controller can retry.
-	TMapCommit FrameType = 0x09
+	// 0x06–0x09 and 0x86–0x88 were the multi-node tier's map, rebalance
+	// and redirect frames. They are not reused: a server answers them, like
+	// any other unknown request type, with TErr.
 
 	// TAck acknowledges an upload or report: the payload is folded.
 	TAck FrameType = 0x81
@@ -72,14 +60,6 @@ const (
 	TModel FrameType = 0x84
 	// TStats answers a TStatsPull with JSON counters.
 	TStats FrameType = 0x85
-	// TMap answers a TMapPull with the node's current cluster.Map bytes.
-	TMap FrameType = 0x86
-	// TPrepared answers a TMapPrepare with the moved-out counter table.
-	TPrepared FrameType = 0x87
-	// TWrongShard redirects a request for an IMSI this node does not own;
-	// the payload is the node's current cluster.Map bytes so the client
-	// can refresh its routing and retry the real owner.
-	TWrongShard FrameType = 0x88
 	// TErr reports a request failure; the payload is the message.
 	TErr FrameType = 0xFF
 )
@@ -96,14 +76,6 @@ func (t FrameType) String() string {
 		return "model-pull"
 	case TStatsPull:
 		return "stats-pull"
-	case TMapPull:
-		return "map-pull"
-	case TMapPrepare:
-		return "map-prepare"
-	case TCounterInstall:
-		return "counter-install"
-	case TMapCommit:
-		return "map-commit"
 	case TAck:
 		return "ack"
 	case TRetryAfter:
@@ -114,12 +86,6 @@ func (t FrameType) String() string {
 		return "model"
 	case TStats:
 		return "stats"
-	case TMap:
-		return "map"
-	case TPrepared:
-		return "prepared"
-	case TWrongShard:
-		return "wrong-shard"
 	case TErr:
 		return "err"
 	default:
@@ -272,9 +238,8 @@ func ParseRetryAfter(p []byte) (uint32, error) {
 
 // CounterEntry is one subscriber's envelope counter state: the entire
 // mutable half of the sealed channel (the key is re-derived from the
-// master key). Counter tables ride in TPrepared/TCounterInstall frames
-// during rebalance handoff, in jInstall journal records and in shard
-// snapshots.
+// master key). Counter tables are the envelope half of shard snapshots,
+// and the body of legacy jInstall journal records.
 type CounterEntry struct {
 	IMSI string
 	// Send and Recv are indexed by crypto5g.Direction (Uplink=0, Downlink=1).
@@ -302,7 +267,7 @@ func AppendCounterTable(dst []byte, entries []CounterEntry) []byte {
 const minCounterEntry = 1 + 1 + 16
 
 // ParseCounterTable decodes a counter table that fills p exactly: a
-// TPrepared or TCounterInstall payload, or a jInstall journal body.
+// jInstall journal body.
 func ParseCounterTable(p []byte) ([]CounterEntry, error) {
 	entries, rest, err := cutCounterTable(p)
 	if err == nil && len(rest) != 0 {
@@ -350,19 +315,6 @@ func cutCounterTable(p []byte) ([]CounterEntry, []byte, error) {
 		p = p[1+l+16:]
 	}
 	return entries, p, nil
-}
-
-// EpochPayload encodes a TMapCommit epoch.
-func EpochPayload(epoch uint64) []byte {
-	return binary.BigEndian.AppendUint64(nil, epoch)
-}
-
-// ParseEpoch decodes a TMapCommit payload.
-func ParseEpoch(p []byte) (uint64, error) {
-	if len(p) != 8 {
-		return 0, fmt.Errorf("fleet: epoch payload length %d, want 8", len(p))
-	}
-	return binary.BigEndian.Uint64(p), nil
 }
 
 // SuggestPayload converts a learner decision into the TSuggest plaintext:

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -83,10 +84,11 @@ func FuzzParseQueryPayload(f *testing.F) {
 	})
 }
 
-// FuzzParseCounterTable checks the counter-table codec that TPrepared and
-// TCounterInstall payloads, jInstall journal records and shard snapshots
-// share: no panic, no allocation for entries the bytes cannot hold, and an
-// accepted table followed by the bytes after it re-encodes to the input.
+// FuzzParseCounterTable checks the counter-table codec that shard
+// snapshots and legacy jInstall journal records share: no panic, a count
+// of entries the bytes cannot hold refused before anything is allocated
+// for them, and an accepted table followed by the bytes after it
+// re-encodes to the input.
 func FuzzParseCounterTable(f *testing.F) {
 	entry := func(imsi string, send, recv [2]uint32) []byte {
 		return AppendCounterTable(nil, []CounterEntry{{IMSI: imsi, Send: send, Recv: recv}})[4:]
@@ -95,7 +97,7 @@ func FuzzParseCounterTable(f *testing.F) {
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	one, two := []byte{0, 0, 0, 1}, []byte{0, 0, 0, 2}
 	f.Add([]byte{})
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // the count of the 12-byte install frame
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // 2³²−1 entries claimed in no bytes
 	f.Add(cat(two, a, b))                 // sorted
 	f.Add(cat(two, b, a))                 // out of IMSI order
 	f.Add(cat(one, a, []byte{7}))         // trailing byte
@@ -103,6 +105,12 @@ func FuzzParseCounterTable(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		entries, rest, err := cutCounterTable(data)
 		exact, exactErr := ParseCounterTable(data)
+		// A count the bytes cannot hold is refused. The check runs before
+		// the entries' slice is made: without it, the 2³²−1 seed asks for
+		// a slice of 128 GiB and the run dies.
+		if len(data) >= 4 && uint64(binary.BigEndian.Uint32(data)) > uint64((len(data)-4)/minCounterEntry) && err == nil {
+			t.Fatalf("a table claiming %d entries in %d bytes was accepted", binary.BigEndian.Uint32(data), len(data)-4)
+		}
 		if (exactErr == nil) != (err == nil && len(rest) == 0) {
 			t.Fatalf("ParseCounterTable err=%v, cutCounterTable err=%v with %d bytes left", exactErr, err, len(rest))
 		}

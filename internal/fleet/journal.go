@@ -11,7 +11,6 @@ import (
 
 	"github.com/seed5g/seed/internal/core"
 	"github.com/seed5g/seed/internal/crypto5g"
-	"github.com/seed5g/seed/internal/fleet/cluster"
 )
 
 // The durable tier. Each aggregation shard owns an append-only journal of
@@ -20,8 +19,11 @@ import (
 //	journal record:  len(4, BE) | crc32(4, BE, IEEE over payload) | payload
 //	payload:         seq(8, BE) | kind(1) | imsiLen(1) | imsi | body
 //
-// Kinds: jUpload/jReport carry the exact sealed wire bytes; jInstall
-// carries a rebalance counter table (empty IMSI field). A record folded
+// Kinds: jUpload/jReport carry the exact sealed wire bytes. jInstall
+// carries a counter table (empty IMSI field): the retired multi-node tier
+// wrote one per rebalance handoff, and no live path writes it now, but
+// replay still applies it, so a directory an older server wrote (the
+// durable-v1 fixture holds one per shard) recovers whole. A record folded
 // under the shard's lock joins the journal's pending group; a connection
 // commits through its newest record before it writes the replies, and the
 // first to find that record unsynced writes the whole pending group and
@@ -54,13 +56,8 @@ import (
 // snapshot present, journal still full — replays to the identical model
 // instead of double-folding.
 //
-//	cluster map file: cluster.Map.Marshal bytes | crc32(4, over them)
-//
-// A cluster node writes the shard map it commits to "cluster.map", the
-// snapshot's way (tmp file, fsync, rename, directory fsync), before it
-// acknowledges the commit; Start adopts it when it is newer than the
-// configured map, so a node restarted with its bootstrap flags rejoins at
-// the epoch it last committed.
+// A "cluster.map" file that an older multi-node server left in the
+// directory is neither read nor removed.
 //
 // Recovery failure policy: a record torn at the very tail of the journal
 // is the signature of dying mid-append before the fsync returned — it was
@@ -96,8 +93,6 @@ func journalPath(dir string, shard int) string {
 func snapshotPath(dir string, shard int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%d.snap", shard))
 }
-
-func mapPath(dir string) string { return filepath.Join(dir, "cluster.map") }
 
 // syncDir fsyncs a directory, which is what makes a file created in it or
 // renamed within it survive a crash.
@@ -314,34 +309,6 @@ func replaceFile(dir, path string, body []byte) error {
 		return err
 	}
 	return syncDir(dir)
-}
-
-// writeClusterMap persists the shard map m, which the node is committing.
-func writeClusterMap(dir string, m *cluster.Map) error {
-	body := m.Marshal()
-	body = binary.BigEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
-	return replaceFile(dir, mapPath(dir), body)
-}
-
-// loadClusterMap returns the shard map the node last committed, nil when
-// it committed none. Damage is errJournalCorrupt.
-func loadClusterMap(path string) (*cluster.Map, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	n := len(data) - 4
-	if n < 0 || crc32.ChecksumIEEE(data[:n]) != binary.BigEndian.Uint32(data[n:]) {
-		return nil, fmt.Errorf("%w: cluster map %s: checksum mismatch", errJournalCorrupt, path)
-	}
-	m, err := cluster.Unmarshal(data[:n])
-	if err != nil {
-		return nil, fmt.Errorf("%w: cluster map %s: %v", errJournalCorrupt, path, err)
-	}
-	return m, nil
 }
 
 // loadSnapshot installs the snapshot at path into the shard and returns

@@ -192,7 +192,7 @@ func TestJournalCrashMidCompaction(t *testing.T) {
 	// Write the compaction snapshot by hand — covering every journaled
 	// record — but "crash" before the truncate: the journal keeps them all.
 	sh := srv.shards[0]
-	if err := writeShardSnapshot(dir, 0, sh.jr.nextSeq-1, sh.counters(nil), MarshalModel(sh.model)); err != nil {
+	if err := writeShardSnapshot(dir, 0, sh.jr.nextSeq-1, sh.counters(), MarshalModel(sh.model)); err != nil {
 		t.Fatal(err)
 	}
 	srv.Kill()

@@ -17,16 +17,13 @@ import (
 
 	"github.com/seed5g/seed/internal/cause"
 	"github.com/seed5g/seed/internal/core"
-	"github.com/seed5g/seed/internal/crypto5g"
-	"github.com/seed5g/seed/internal/fleet/cluster"
 	"github.com/seed5g/seed/internal/report"
 )
 
 // The pipelining contract's tests. None of them sleeps for an outcome:
 // where a test needs the server in a known state it parks a connection
 // (on a shard's lock, or in the journal's fsync hook) and waits for the
-// state itself with waitFor. The one bounded wait, in
-// TestPrepareWaitsForCommit, is for a reply that must not come.
+// state itself with waitFor.
 
 // waitFor polls cond until it holds.
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -288,7 +285,7 @@ func TestBrokenConnectionRetriesAllInFlight(t *testing.T) {
 		baseline.Merge(deviceRecords(i))
 		up := uploadFrame(t, fmt.Sprintf("00122%010d", i), i)
 		go func() {
-			_, err := cl.do(context.Background(), "upload", target{}, up)
+			_, err := cl.do(context.Background(), "upload", up)
 			errs <- err
 		}()
 	}
@@ -483,57 +480,6 @@ func TestFailedFsyncFailsDuplicateAck(t *testing.T) {
 	}
 }
 
-// A rebalance prepare hands a moving subscriber's counters to the new
-// owner only once the records those counters cover are on disk: the new
-// owner dedups retries against them, so an upload whose record died in a
-// crash after the hand-off would be acked as a duplicate and lost. With
-// the upload's fsync held, the prepare stays unanswered; on its release
-// the prepare answers with the counter the upload advanced.
-func TestPrepareWaitsForCommit(t *testing.T) {
-	self := cluster.Node{ID: "n0", Addr: "127.0.0.1:1"}
-	srv := quietServer(t, ServerConfig{Shards: 2, JournalDir: t.TempDir(), NodeID: self.ID,
-		Map: cluster.New(1, []cluster.Node{self})})
-	hook, entered, release := parkFirstSync()
-	srv.syncHook = hook
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Kill()
-	releaseOnce := sync.OnceFunc(func() { close(release) })
-	defer releaseOnce() // before the Kill, which waits for the parked commit
-	next := cluster.New(2, []cluster.Node{self, {ID: "n1", Addr: "127.0.0.1:2"}})
-	var imsi string
-	for i := 0; imsi == ""; i++ {
-		if s := fmt.Sprintf("00127%010d", i); next.OwnerID(s) == "n1" {
-			imsi = s
-		}
-	}
-
-	uploader, preparer := dialRaw(t, srv), dialRaw(t, srv)
-	writeFrames(t, uploader, uploadFrame(t, imsi, 0))
-	<-entered
-	writeFrames(t, preparer, Frame{Type: TMapPrepare, Payload: next.Marshal()})
-	waitFor(t, "the prepare to stage its map", func() bool {
-		srv.mapMu.RLock()
-		defer srv.mapMu.RUnlock()
-		return srv.pendingMap != nil
-	})
-	_ = preparer.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-	br := bufio.NewReader(preparer)
-	if f, err := ReadFrame(br, DefaultMaxFrame); err == nil {
-		t.Fatalf("prepare answered %v while the upload's fsync was held", f.Type)
-	}
-	_ = preparer.SetReadDeadline(time.Time{})
-	releaseOnce()
-	checkTypes(t, "uploader", readFrames(t, bufio.NewReader(uploader), 1), TAck)
-	got := readFrames(t, br, 1)
-	checkTypes(t, "preparer", got, TPrepared)
-	entries, err := ParseCounterTable(got[0].Payload)
-	if err != nil || len(entries) != 1 || entries[0].IMSI != imsi || entries[0].Recv[crypto5g.Uplink] == 0 {
-		t.Fatalf("prepared counters %+v, %v: want %s's, past its upload", entries, err, imsi)
-	}
-}
-
 // stubServer accepts connections and runs serve on each, numbered from 0.
 func stubServer(t *testing.T, serve func(n int, c net.Conn)) string {
 	t.Helper()
@@ -612,7 +558,7 @@ func TestCancelledCallerAbandonsItsSlot(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := cl.do(ctx, "model", target{}, Frame{Type: TModelPull, Payload: []byte{1}})
+		_, err := cl.do(ctx, "model", Frame{Type: TModelPull, Payload: []byte{1}})
 		errc <- err
 	}()
 	<-got // the first request is on the wire and will stay unanswered
@@ -623,7 +569,7 @@ func TestCancelledCallerAbandonsItsSlot(t *testing.T) {
 
 	respc := make(chan Frame, 1)
 	go func() {
-		resp, err := cl.do(context.Background(), "model", target{}, Frame{Type: TModelPull, Payload: []byte{2}})
+		resp, err := cl.do(context.Background(), "model", Frame{Type: TModelPull, Payload: []byte{2}})
 		if err != nil {
 			t.Error(err)
 		}
@@ -655,7 +601,7 @@ func TestMuxClientAgainstSerialServer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				want := []byte(fmt.Sprintf("%d/%d", w, i))
-				resp, err := cl.do(context.Background(), "echo", target{}, Frame{Type: TModelPull, Payload: want})
+				resp, err := cl.do(context.Background(), "echo", Frame{Type: TModelPull, Payload: want})
 				if err != nil || !bytes.Equal(resp.Payload, want) {
 					t.Errorf("caller %d request %d: got %q, %v", w, i, resp.Payload, err)
 					return
@@ -694,7 +640,7 @@ func TestCallersShareFormingWrite(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		want := []byte{byte(i)}
-		if resp, err := cl.do(context.Background(), "echo", target{}, Frame{Type: TModelPull, Payload: want}); err != nil || !bytes.Equal(resp.Payload, want) {
+		if resp, err := cl.do(context.Background(), "echo", Frame{Type: TModelPull, Payload: want}); err != nil || !bytes.Equal(resp.Payload, want) {
 			t.Fatalf("lone request %d: %q %v", i, resp.Payload, err)
 		}
 	}
@@ -707,7 +653,7 @@ func TestCallersShareFormingWrite(t *testing.T) {
 	errs := make(chan error, k)
 	call := func(w int) {
 		want := []byte(fmt.Sprintf("caller %d", w))
-		resp, err := cl.do(context.Background(), "echo", target{}, Frame{Type: TModelPull, Payload: want})
+		resp, err := cl.do(context.Background(), "echo", Frame{Type: TModelPull, Payload: want})
 		if err == nil && !bytes.Equal(resp.Payload, want) {
 			err = fmt.Errorf("caller %d was handed %q", w, resp.Payload)
 		}
@@ -803,7 +749,7 @@ func TestCorruptedResponseStreamBreaksConnection(t *testing.T) {
 				go func(w int) {
 					defer wg.Done()
 					sent := []byte(fmt.Sprintf("%d-request", w))
-					resp, err := cl.do(context.Background(), "echo", target{}, Frame{Type: TModelPull, Payload: sent})
+					resp, err := cl.do(context.Background(), "echo", Frame{Type: TModelPull, Payload: sent})
 					// A flipped length may shorten the caller's own echo;
 					// it can never turn it into someone else's.
 					if err != nil || len(resp.Payload) == 0 || !bytes.HasPrefix(sent, resp.Payload) {
@@ -839,7 +785,7 @@ func TestSurplusResponseBreaksConnection(t *testing.T) {
 	defer cl.Close()
 	for i, wantRedials := range []uint64{1, 1} {
 		want := []byte{byte(i)}
-		if resp, err := cl.do(context.Background(), "echo", target{}, Frame{Type: TModelPull, Payload: want}); err != nil || !bytes.Equal(resp.Payload, want) {
+		if resp, err := cl.do(context.Background(), "echo", Frame{Type: TModelPull, Payload: want}); err != nil || !bytes.Equal(resp.Payload, want) {
 			t.Fatalf("request %d: %q %v", i, resp.Payload, err)
 		}
 		waitFor(t, "the surplus frame to break the connection", func() bool { return cl.Redials() == wantRedials })

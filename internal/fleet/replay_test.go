@@ -18,9 +18,9 @@ const replayScripts = 20
 // TestReplayEqualsLiveFold checks that replay rebuilds the pre-crash state
 // byte for byte, on the real TCP stack. Each seeded script drives a
 // journaled server with uploads and their verbatim retries, reports,
-// tampered blobs, counter installs and queries, under a compaction
-// threshold small enough (compactBytes) that compaction happens mid-script; it then kills the server at a
-// seeded point and starts a fresh one on the same directory. The fresh
+// tampered blobs and queries, under a compaction threshold small enough
+// (compactBytes) that compaction happens mid-script; it then kills the
+// server at a seeded point and starts a fresh one on the same directory. The fresh
 // server must hold the same model bytes and the same envelope counters.
 // The one exception is each envelope's downlink send counter: suggestions
 // are not journaled, so recovery cannot restore it, and a shard that
@@ -52,7 +52,7 @@ func checkReplayScript(t *testing.T, seed int64) (compactions, unclean, clean in
 	var uploads []Frame // every upload sent, for verbatim retries
 	do := func(what string, f Frame, wantErr bool) {
 		t.Helper()
-		if _, err := cl.do(context.Background(), what, target{}, f); (err != nil) != wantErr {
+		if _, err := cl.do(context.Background(), what, f); (err != nil) != wantErr {
 			t.Fatalf("seed %d: %s: err=%v, want error %v", seed, what, err, wantErr)
 		}
 	}
@@ -80,17 +80,6 @@ func checkReplayScript(t *testing.T, seed int64) (compactions, unclean, clean in
 			sealed := seal(dev.SealRecords(core.MarshalRecords(deviceRecords(rng.Intn(60)))))
 			sealed[rng.Intn(len(sealed))] ^= 1 << rng.Intn(8)
 			do("tampered", Frame{Type: TUpload, Payload: AppendSealedPayload(nil, dev.IMSI, sealed)}, true)
-		case op < 8:
-			var table []CounterEntry
-			for range 1 + rng.Intn(3) {
-				imsi := devs[rng.Intn(len(devs))].IMSI
-				if rng.Intn(3) == 0 {
-					imsi = fmt.Sprintf("00139%010d", rng.Intn(4))
-				}
-				c := func() uint32 { return uint32(rng.Intn(8)) }
-				table = append(table, CounterEntry{IMSI: imsi, Send: [2]uint32{c(), c()}, Recv: [2]uint32{c(), c()}})
-			}
-			do("install", Frame{Type: TCounterInstall, Payload: AppendCounterTable(nil, table)}, false)
 		default:
 			// deviceRecords reports MM(150..152); MM(153) abstains.
 			do("query", Frame{Type: TQuery, Payload: AppendQueryPayload(nil, dev.IMSI, cause.MM(cause.Code(150+rng.Intn(4))))}, false)

@@ -138,7 +138,7 @@ func BenchmarkClientRoundTrip(b *testing.B) {
 	devs := make([]*SimDevice, callers*devsPerCaller)
 	for d := range devs {
 		devs[d] = NewSimDevice(DefaultMasterKey, fmt.Sprintf("00126%010d", d))
-		if _, err := cl.do(context.Background(), "upload", target{}, upload(devs[d], d)); err != nil {
+		if _, err := cl.do(context.Background(), "upload", upload(devs[d], d)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -161,7 +161,7 @@ func BenchmarkClientRoundTrip(b *testing.B) {
 		go func(frames []Frame) {
 			defer wg.Done()
 			for _, f := range frames {
-				if _, err := cl.do(context.Background(), "round", target{}, f); err != nil {
+				if _, err := cl.do(context.Background(), "round", f); err != nil {
 					b.Error(err)
 					return
 				}

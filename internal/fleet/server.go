@@ -15,7 +15,6 @@ import (
 	"github.com/seed5g/seed/internal/cause"
 	"github.com/seed5g/seed/internal/core"
 	"github.com/seed5g/seed/internal/crypto5g"
-	"github.com/seed5g/seed/internal/fleet/cluster"
 	"github.com/seed5g/seed/internal/report"
 )
 
@@ -40,15 +39,6 @@ type ServerConfig struct {
 	// instead of refusing startup. Never the default: a silent empty
 	// model is indistinguishable from data loss.
 	ForceEmpty bool
-	// NodeID identifies this process in a cluster shard map. Required
-	// when Map is set.
-	NodeID string
-	// Map is the initial cluster shard map. When set, the server answers
-	// TWrongShard (carrying the current map) for IMSIs it does not own,
-	// and participates in the prepare/install/commit rebalance protocol.
-	// A journaled node starts at the map it last committed instead, when
-	// that one is newer.
-	Map *cluster.Map
 	// MasterKey derives per-subscriber envelope keys (SubscriberKey).
 	MasterKey [16]byte
 	// Logf receives operational log lines (default log.Printf).
@@ -116,8 +106,6 @@ type ServerStats struct {
 	// while the server drains, so anything other than 0 is a bug (the CI
 	// smoke job asserts it).
 	Dropped uint64 `json:"dropped"`
-	// WrongShard counts requests redirected to their owning node.
-	WrongShard uint64 `json:"wrong_shard"`
 	// Journal durability counters (zero when JournalDir is unset).
 	JournalRecords  uint64 `json:"journal_records"`
 	JournalSyncs    uint64 `json:"journal_syncs"`
@@ -127,31 +115,6 @@ type ServerStats struct {
 	// connection writes.
 	Responses uint64 `json:"responses"`
 	Flushes   uint64 `json:"flushes"`
-	// Epoch is the active cluster map epoch (zero outside a cluster).
-	Epoch uint64 `json:"epoch"`
-}
-
-// Add folds another node's counters into st: every counter sums, Epoch
-// takes the newer.
-func (st *ServerStats) Add(o ServerStats) {
-	st.Conns += o.Conns
-	st.Uploads += o.Uploads
-	st.Duplicates += o.Duplicates
-	st.RecordRows += o.RecordRows
-	st.Reports += o.Reports
-	st.Queries += o.Queries
-	st.Suggestions += o.Suggestions
-	st.Backpressured += o.Backpressured
-	st.Errors += o.Errors
-	st.Dropped += o.Dropped
-	st.WrongShard += o.WrongShard
-	st.JournalRecords += o.JournalRecords
-	st.JournalSyncs += o.JournalSyncs
-	st.Compactions += o.Compactions
-	st.ReplayedRecords += o.ReplayedRecords
-	st.Responses += o.Responses
-	st.Flushes += o.Flushes
-	st.Epoch = max(st.Epoch, o.Epoch)
 }
 
 // Server is the carrier fleet aggregation service.
@@ -170,16 +133,11 @@ type Server struct {
 	// goroutine right before each journal fsync, with the shard's index.
 	syncHook func(shard int)
 
-	mapMu      sync.RWMutex
-	curMap     *cluster.Map
-	pendingMap *cluster.Map
-
 	nConns, uploads, duplicates, recordRows atomic.Uint64
 	reports, queries, suggestions           atomic.Uint64
 	backpressured, nErrors, dropped         atomic.Uint64
-	wrongShard, jRecords, jSyncs            atomic.Uint64
-	compactions, replayed, responses        atomic.Uint64
-	flushes                                 atomic.Uint64
+	jRecords, jSyncs, compactions           atomic.Uint64
+	replayed, responses, flushes            atomic.Uint64
 }
 
 // shard owns the envelope and model state for its slice of the device
@@ -214,7 +172,7 @@ type shard struct {
 // NewServer creates an unstarted server.
 func NewServer(cfg ServerConfig) *Server {
 	cfg.withDefaults()
-	s := &Server{cfg: cfg, conns: make(map[net.Conn]struct{}), curMap: cfg.Map}
+	s := &Server{cfg: cfg, conns: make(map[net.Conn]struct{})}
 	for i := range cfg.Shards {
 		s.shards = append(s.shards, &shard{idx: i, srv: s, model: core.Records{}, envs: make(map[string]*crypto5g.Envelope)})
 	}
@@ -224,14 +182,6 @@ func NewServer(cfg ServerConfig) *Server {
 // Start replays the journal when there is one, binds the listener, and
 // launches the accept loop.
 func (s *Server) Start() error {
-	if s.curMap != nil && s.cfg.NodeID == "" {
-		return errors.New("fleet: cluster Map requires NodeID")
-	}
-	if s.curMap != nil && s.cfg.NodeID != "" {
-		if _, ok := s.curMap.Node(s.cfg.NodeID); !ok {
-			return fmt.Errorf("fleet: node %q not in cluster map", s.cfg.NodeID)
-		}
-	}
 	if s.cfg.JournalDir != "" {
 		if err := s.recoverDurable(); err != nil {
 			return err
@@ -255,13 +205,10 @@ func (s *Server) serve(ln net.Listener) {
 }
 
 // recoverDurable recovers every shard from its snapshot + journal and
-// opens the journal for appending, and restores the shard map the node
-// last committed. Refuses to start on damage unless ForceEmpty.
+// opens the journal for appending. Refuses to start on damage unless
+// ForceEmpty.
 func (s *Server) recoverDurable() error {
 	if err := os.MkdirAll(s.cfg.JournalDir, 0o755); err != nil {
-		return err
-	}
-	if err := s.restoreMap(); err != nil {
 		return err
 	}
 	start := time.Now()
@@ -293,45 +240,8 @@ func (s *Server) recoverDurable() error {
 	return nil
 }
 
-// restoreMap adopts the shard map the node last committed when it is newer
-// than the configured one (a node outside a cluster has no NodeID and
-// adopts none).
-func (s *Server) restoreMap() error {
-	path := mapPath(s.cfg.JournalDir)
-	m, err := loadClusterMap(path)
-	switch {
-	case err != nil && !s.cfg.ForceEmpty:
-		return fmt.Errorf("fleet: %w (use -force-empty to quarantine it)", err)
-	case err != nil:
-		s.cfg.Logf("seedfleetd: %v — starting at the configured map by -force-empty", err)
-		quarantine(path, s.cfg.Logf)
-	case m != nil && s.cfg.NodeID != "" && (s.curMap == nil || m.Epoch > s.curMap.Epoch):
-		s.curMap = m
-		s.cfg.Logf("seedfleetd: shard map epoch %d restored (%d nodes)", m.Epoch, len(m.Nodes()))
-	}
-	return nil
-}
-
 // Addr returns the bound listen address (valid after Start).
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
-
-// SetMap installs a cluster shard map outside the wire protocol (tests
-// and bootstrap paths where addresses are only known after Start).
-func (s *Server) SetMap(m *cluster.Map) {
-	s.mapMu.Lock()
-	s.curMap = m
-	s.mapMu.Unlock()
-}
-
-// Epoch returns the active cluster map epoch (0 when not clustered).
-func (s *Server) Epoch() uint64 {
-	s.mapMu.RLock()
-	defer s.mapMu.RUnlock()
-	if s.curMap == nil {
-		return 0
-	}
-	return s.curMap.Epoch
-}
 
 // Stats returns a snapshot of the counters.
 func (s *Server) Stats() ServerStats {
@@ -346,14 +256,12 @@ func (s *Server) Stats() ServerStats {
 		Backpressured:   s.backpressured.Load(),
 		Errors:          s.nErrors.Load(),
 		Dropped:         s.dropped.Load(),
-		WrongShard:      s.wrongShard.Load(),
 		JournalRecords:  s.jRecords.Load(),
 		JournalSyncs:    s.jSyncs.Load(),
 		Compactions:     s.compactions.Load(),
 		ReplayedRecords: s.replayed.Load(),
 		Responses:       s.responses.Load(),
 		Flushes:         s.flushes.Load(),
-		Epoch:           s.Epoch(),
 	}
 }
 
@@ -550,30 +458,6 @@ func (sc *serverConn) flush() {
 	}
 }
 
-// checkOwner enforces the cluster shard map on a subscriber request. A
-// non-nil return is the redirect (or freeze) response. Frozen means the
-// IMSI moves under a prepared-but-uncommitted map, and the client waits
-// out the commit: moving out, the old owner must not fold past the
-// counters it already handed off; moving in, the new owner is asked by a
-// client that took the new map from a node that committed first, and a
-// redirect with this node's older map would send it straight back.
-func (s *Server) checkOwner(imsi string) *Frame {
-	s.mapMu.RLock()
-	cur, pend := s.curMap, s.pendingMap
-	s.mapMu.RUnlock()
-	me := s.cfg.NodeID
-	if cur != nil && cur.OwnerID(imsi) != me && (pend == nil || pend.OwnerID(imsi) != me) {
-		s.wrongShard.Add(1)
-		return &Frame{Type: TWrongShard, Payload: cur.Marshal()}
-	}
-	if pend != nil && (pend.OwnerID(imsi) != me || cur != nil && cur.OwnerID(imsi) != me) {
-		s.backpressured.Add(1)
-		f := s.retryAfter()
-		return &f
-	}
-	return nil
-}
-
 // request serves one request frame: admin frames and errors inline, and
 // sealed-envelope work and queries under the device's home shard's lock,
 // or TRetryAfter at once when queueDepth requests already wait for it.
@@ -616,7 +500,8 @@ func (s *Server) retryAfter() Frame {
 	return Frame{Type: TRetryAfter, Payload: RetryAfterPayload(uint32(retryAfterHint / time.Millisecond))}
 }
 
-// admin answers a non-subscriber frame inline.
+// admin answers a model or stats pull inline; any other frame type is a
+// TErr, and the connection serves on.
 func (s *Server) admin(f Frame) Frame {
 	switch f.Type {
 	case TModelPull:
@@ -627,121 +512,9 @@ func (s *Server) admin(f Frame) Frame {
 			return s.errFrame(err)
 		}
 		return Frame{Type: TStats, Payload: buf}
-	case TMapPull:
-		s.mapMu.RLock()
-		cur := s.curMap
-		s.mapMu.RUnlock()
-		if cur == nil {
-			return s.errFrame(errors.New("fleet: node has no cluster map"))
-		}
-		return Frame{Type: TMap, Payload: cur.Marshal()}
-	case TMapPrepare:
-		return s.handlePrepare(f.Payload)
-	case TCounterInstall:
-		return s.handleInstall(f.Payload)
-	case TMapCommit:
-		return s.handleCommit(f.Payload)
 	default:
 		return s.errFrame(fmt.Errorf("fleet: unexpected request frame %v", f.Type))
 	}
-}
-
-// handlePrepare is rebalance phase 1: stage the proposed map (freezing
-// moved-out IMSIs) and collect their envelope counters from every shard.
-func (s *Server) handlePrepare(payload []byte) Frame {
-	m, err := cluster.Unmarshal(payload)
-	if err != nil {
-		return s.errFrame(err)
-	}
-	s.mapMu.Lock()
-	if s.curMap != nil && m.Epoch <= s.curMap.Epoch {
-		cur := s.curMap
-		s.mapMu.Unlock()
-		return s.errFrame(fmt.Errorf("fleet: prepare epoch %d not beyond current %d", m.Epoch, cur.Epoch))
-	}
-	s.pendingMap = m
-	s.mapMu.Unlock()
-
-	// A request checks its owner under its shard's lock, so once each lock
-	// has been taken here every fold under the old map is in the counters;
-	// the folds' records reach the disk before the counters leave, since
-	// the new owner dedups retries against them.
-	moving := func(imsi string) bool { return m.OwnerID(imsi) != s.cfg.NodeID }
-	var entries []CounterEntry
-	tails := make([]uint64, len(s.shards))
-	for i, sh := range s.shards {
-		sh.lock.Lock()
-		entries = append(entries, sh.counters(moving)...)
-		if sh.jr != nil {
-			tails[i] = sh.jr.nextSeq - 1
-		}
-		sh.lock.Unlock()
-	}
-	if err := s.commitTails(tails); err != nil {
-		return s.errFrame(fmt.Errorf("fleet: journal write failed: %w", err))
-	}
-	return Frame{Type: TPrepared, Payload: AppendCounterTable(nil, entries)}
-}
-
-// handleInstall is rebalance phase 2 on the receiving side: each home
-// shard raises the handed-off subscribers' counters from its part of the
-// table, journaled and committed before the TAck, so that a crash after it
-// still dedups pre-move uploads after replay.
-func (s *Server) handleInstall(payload []byte) Frame {
-	entries, err := ParseCounterTable(payload)
-	if err != nil {
-		return s.errFrame(err)
-	}
-	byShard := make(map[*shard][]CounterEntry)
-	for _, e := range entries {
-		sh := s.homeShard(e.IMSI)
-		byShard[sh] = append(byShard[sh], e)
-	}
-	tails := make([]uint64, len(s.shards))
-	for sh, part := range byShard {
-		sh.lock.Lock()
-		f := sh.handleRecord(jInstall, "", AppendCounterTable(nil, part))
-		if sh.jr != nil {
-			tails[sh.idx] = sh.jr.nextSeq - 1
-		}
-		sh.lock.Unlock()
-		if f.Type != TAck {
-			return f
-		}
-	}
-	if err := s.commitTails(tails); err != nil {
-		return s.errFrame(fmt.Errorf("fleet: journal write failed: %w", err))
-	}
-	return Frame{Type: TAck}
-}
-
-// handleCommit is rebalance phase 3: activate the prepared map, after a
-// journaled node has persisted it. Commits of an epoch at or below the
-// active one are idempotent acks so the controller can retry.
-func (s *Server) handleCommit(payload []byte) Frame {
-	epoch, err := ParseEpoch(payload)
-	if err != nil {
-		return s.errFrame(err)
-	}
-	s.mapMu.Lock()
-	defer s.mapMu.Unlock()
-	if s.curMap != nil && s.curMap.Epoch >= epoch {
-		return Frame{Type: TAck}
-	}
-	if s.pendingMap == nil || s.pendingMap.Epoch != epoch {
-		return s.errFrame(fmt.Errorf("fleet: no prepared map for epoch %d", epoch))
-	}
-	// Written under mapMu, so the file's epoch only rises; requests wait
-	// for one fsync, once per rebalance.
-	if s.cfg.JournalDir != "" {
-		if err := writeClusterMap(s.cfg.JournalDir, s.pendingMap); err != nil {
-			return s.errFrame(fmt.Errorf("fleet: persisting shard map epoch %d: %w", epoch, err))
-		}
-	}
-	s.curMap = s.pendingMap
-	s.pendingMap = nil
-	s.cfg.Logf("seedfleetd: shard map epoch %d active (%d nodes)", epoch, len(s.curMap.Nodes()))
-	return Frame{Type: TAck}
 }
 
 func (s *Server) homeShard(imsi string) *shard {
@@ -766,13 +539,8 @@ func (s *Server) errFrame(err error) Frame {
 
 // --- shard -------------------------------------------------------------
 
-// serve answers a subscriber request; the caller holds sh.lock. The owner
-// check runs under the lock too, which is what lets a rebalance's collect
-// see every fold made under the old map.
+// serve answers a subscriber request; the caller holds sh.lock.
 func (sh *shard) serve(typ FrameType, imsi string, body []byte, c cause.Cause) Frame {
-	if deny := sh.srv.checkOwner(imsi); deny != nil {
-		return *deny
-	}
 	switch typ {
 	case TUpload:
 		return sh.handleRecord(jUpload, imsi, body)
@@ -900,7 +668,7 @@ func (sh *shard) compact() error {
 	sh.mu.Lock()
 	model := MarshalModel(sh.model)
 	sh.mu.Unlock()
-	if err := writeShardSnapshot(sh.srv.cfg.JournalDir, sh.idx, sh.jr.nextSeq-1, sh.counters(nil), model); err != nil {
+	if err := writeShardSnapshot(sh.srv.cfg.JournalDir, sh.idx, sh.jr.nextSeq-1, sh.counters(), model); err != nil {
 		return err
 	}
 	if err := sh.jr.reset(); err != nil {
@@ -910,14 +678,10 @@ func (sh *shard) compact() error {
 	return nil
 }
 
-// counters exports the envelope counters of the shard's subscribers, or of
-// those keep accepts when it is not nil.
-func (sh *shard) counters(keep func(imsi string) bool) []CounterEntry {
+// counters exports the envelope counters of the shard's subscribers.
+func (sh *shard) counters() []CounterEntry {
 	var entries []CounterEntry
 	for imsi, e := range sh.envs {
-		if keep != nil && !keep(imsi) {
-			continue
-		}
 		send, recv := e.Counters()
 		entries = append(entries, CounterEntry{IMSI: imsi, Send: send, Recv: recv})
 	}
@@ -935,8 +699,7 @@ func (sh *shard) env(imsi string) *crypto5g.Envelope {
 	return e
 }
 
-// handleRecord applies an upload, a report or a counter install and
-// journals it. Delivery is at-least-once (the client retries lost
+// handleRecord applies an upload or a report and journals it. Delivery is at-least-once (the client retries lost
 // responses), and the envelope counter makes the fold exactly-once: a
 // replayed counter means this blob was already applied, so the duplicate
 // is acknowledged without applying or journaling it again. A journaled
@@ -972,8 +735,8 @@ func (sh *shard) handleRecord(kind byte, imsi string, body []byte) Frame {
 // with the subscriber's envelope, which advances its receive counter
 // (ErrReplay when the counter is already past it); an upload's records
 // then fold into the model, and a report is only validated — the
-// in-process infrastructure plugin owns policy repair. A counter install
-// raises the counters it carries. rows is the number of record rows an
+// in-process infrastructure plugin owns policy repair. A legacy counter
+// install, which only replay meets, raises the counters it carries. rows is the number of record rows an
 // upload folded. (Outside apply the shard changes only by a snapshot load,
 // by a query's seal, which advances the unjournaled downlink send counter,
 // and by recovery's skip of that counter.)
@@ -999,8 +762,8 @@ func (sh *shard) apply(kind byte, imsi string, body []byte) (rows int, err error
 		sh.mu.Unlock()
 		return recs.Rows(), nil
 	case jInstall:
-		// Max semantics keep an install idempotent under controller retries
-		// and journal replay.
+		// Written by the retired multi-node tier's rebalance; a journal from
+		// that time still holds them. Max semantics keep replay idempotent.
 		entries, err := ParseCounterTable(body)
 		if err != nil {
 			return 0, err

@@ -283,7 +283,7 @@ func cellCauseLabel(c Cell) string {
 // paced by the spec's arrival processes: the first n compiled arrival
 // times in corpus order, wrapping around the horizon (with a full-horizon
 // shift per lap) when the corpus is smaller than n. cmd/seedload uses
-// this to shape cluster campaign load.
+// this to pace its uploads.
 func UploadSchedule(sp *Spec, rootSeed int64, n int) ([]time.Duration, error) {
 	cells, err := Compile(sp, rootSeed)
 	if err != nil {
