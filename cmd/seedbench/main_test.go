@@ -227,3 +227,21 @@ func TestAllRunsEachPieceOnce(t *testing.T) {
 		}
 	}
 }
+
+// -cpuprofile and -memprofile each write a gzipped pprof profile of the run.
+func TestProfilesWritten(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if got, _ := seedbench(t, "-exp", "table2", "-cpuprofile", cpu, "-memprofile", mem); got != 0 {
+		t.Fatalf("seedbench -exp table2 with profiles exited %d, want 0", got)
+	}
+	for _, path := range []string{cpu, mem} {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(blob) < 2 || blob[0] != 0x1f || blob[1] != 0x8b {
+			t.Errorf("%s: %d bytes, not a gzipped profile", filepath.Base(path), len(blob))
+		}
+	}
+}

@@ -33,3 +33,18 @@ func TestRejectsEmptyShards(t *testing.T) {
 		t.Errorf("seedfleetd -shards 1 on %s exited %d, want 1 (start failure)", unlistenable, got)
 	}
 }
+
+// -master takes a fleet key of 32 hex digits: a well-formed key gets the
+// run as far as listening (here a start failure, exit 1), anything else is
+// a usage error (exit 2).
+func TestMasterKey(t *testing.T) {
+	const unlistenable = "127.0.0.1:-1"
+	if got := seedfleetd("-addr", unlistenable, "-master", "00112233445566778899aabbccddeeff"); got != 1 {
+		t.Errorf("seedfleetd with a valid -master exited %d, want 1 (start failure)", got)
+	}
+	for _, key := range []string{"5eed", "zz112233445566778899aabbccddeeff"} {
+		if got := seedfleetd("-addr", unlistenable, "-master", key); got != 2 {
+			t.Errorf("seedfleetd -master %s exited %d, want 2", key, got)
+		}
+	}
+}

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	seedload [-addr HOST:PORT] [-devices N] [-workers N] [-conns N] [-testbed N]
-//	         [-seed S] [-spec FILE] [-master HEX32] [-json FILE]
+//	         [-seed S] [-master HEX32] [-json FILE]
 //
 // Every device uploads four record rows and files one failure report,
 // its customized causes are drawn from 12 per plane, and the model
@@ -37,11 +37,6 @@
 // — what a device experiences under backpressure. Each worker times its
 // own requests, and the series are merged after the drive.
 //
-// -spec FILE paces uploads by a workload spec's compiled arrival process
-// (cmd/seedwl's schema): device i's upload starts at the i-th arrival
-// offset, compressed to a millisecond per spec second, so diurnal curves
-// and signaling-storm bursts shape the server's load.
-//
 // Crashes under load are not a seedload mode: that campaign runs
 // in-process on the real server, as go test -run TestCampaign
 // ./internal/fleet.
@@ -65,7 +60,6 @@ import (
 	"github.com/seed5g/seed/internal/metrics"
 	"github.com/seed5g/seed/internal/report"
 	"github.com/seed5g/seed/internal/sched"
-	"github.com/seed5g/seed/internal/workload"
 )
 
 // result is the machine-readable run record (-json).
@@ -76,7 +70,6 @@ type result struct {
 	Records       int     `json:"records_per_device"`
 	Reports       int     `json:"reports_per_device"`
 	Testbed       int     `json:"testbed_devices"`
-	PacedBySpec   string  `json:"paced_by_spec,omitempty"`
 	Seed          int64   `json:"seed"`
 	GOMAXPROCS    int     `json:"gomaxprocs"`
 	WallMS        float64 `json:"wall_ms"`
@@ -113,13 +106,11 @@ type deviceLoad struct {
 	query   cause.Cause
 }
 
-// What every device sends, and how fast a -spec arrival process is
-// replayed.
+// What every device sends.
 const (
-	recordsPerDevice = 4     // learning-record rows per synthetic device
-	reportsPerDevice = 1     // failure reports per device
-	causesPerPlane   = 12    // distinct customized causes per plane
-	specTimescale    = 0.001 // real seconds per spec second with -spec pacing
+	recordsPerDevice = 4  // learning-record rows per synthetic device
+	reportsPerDevice = 1  // failure reports per device
+	causesPerPlane   = 12 // distinct customized causes per plane
 )
 
 // genDevice derives device i's workload from the root seed. Causes are
@@ -259,9 +250,6 @@ type driver struct {
 	cl        *fleet.Client
 	masterKey [16]byte
 	workers   int
-	// offsets, when set, holds device i's upload back until that long after
-	// the start (-spec pacing).
-	offsets []time.Duration
 
 	// lost counts uploads and reports that failed for good.
 	lost, suggestions atomic.Int64
@@ -274,14 +262,10 @@ type driver struct {
 // worker times its own requests; their series are merged after the drive,
 // so no lock is shared per request.
 func (d *driver) run(loads []deviceLoad) time.Duration {
-	// Contiguous chunks normally; with pacing a stride instead, so
-	// simultaneous arrivals (offsets are sorted) spread across workers.
+	// Each worker drives a contiguous chunk of the devices.
 	shards := make([][]int, d.workers)
 	for i := range loads {
 		w := i * d.workers / len(loads)
-		if d.offsets != nil {
-			w = i % d.workers
-		}
 		shards[w] = append(shards[w], i)
 	}
 	type timings struct{ upload, query []time.Duration }
@@ -294,11 +278,6 @@ func (d *driver) run(loads []deviceLoad) time.Duration {
 			defer wg.Done()
 			for _, i := range idx {
 				ld := loads[i]
-				if d.offsets != nil {
-					if wait := time.Until(start.Add(d.offsets[i])); wait > 0 {
-						time.Sleep(wait)
-					}
-				}
 				dev := fleet.NewSimDevice(d.masterKey, ld.imsi)
 				sealed, err := dev.SealRecords(core.MarshalRecords(ld.records))
 				if err == nil {
@@ -378,7 +357,6 @@ func run() int {
 		workers = flag.Int("workers", 4, "client shards (worker goroutines)")
 		conns   = flag.Int("conns", 0, "connections to the server (default: workers)")
 		testbed = flag.Int("testbed", 32, "derive the first N devices' records from real cloned-testbed SEED runs (0: all synthetic)")
-		wlSpec  = flag.String("spec", "", "pace uploads by this workload spec's arrival process (see cmd/seedwl) instead of max rate")
 		seedVal = flag.Int64("seed", 1, "workload seed")
 		master  = flag.String("master", "", "fleet master key, 32 hex digits (default: built-in dev key)")
 		jsonOut = flag.String("json", "", "write machine-readable results to FILE (\"-\" for stdout)")
@@ -410,46 +388,16 @@ func run() int {
 	logf("seedload: %d devices (%d testbed-derived), %d workers, %d conns, %d record rows/device (model %d bytes)",
 		*devices, fromTestbed, *workers, *conns, recordsPerDevice, len(expected))
 
-	// With -spec, device i's upload waits until its compiled arrival
-	// offset (compressed by specTimescale) — the server's load then
-	// carries the spec's diurnal curves and signaling-storm bursts instead
-	// of arriving as one max-rate wall.
-	var offsets []time.Duration
-	pacedBy := ""
-	if *wlSpec != "" {
-		blob, err := os.ReadFile(*wlSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "seedload:", err)
-			return 2
-		}
-		sp, err := workload.ParseSpec(blob)
-		if err == nil {
-			err = sp.Validate()
-		}
-		if err == nil {
-			offsets, err = workload.UploadSchedule(sp, *seedVal, *devices)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "seedload: %s: %v\n", *wlSpec, err)
-			return 2
-		}
-		for i := range offsets {
-			offsets[i] = time.Duration(float64(offsets[i]) * specTimescale)
-		}
-		pacedBy = sp.Name
-		logf("seedload: pacing by spec %q ×%g: uploads span %v", sp.Name, specTimescale, offsets[len(offsets)-1])
-	}
-
 	cl := fleet.NewClient(fleet.ClientConfig{Addr: *addr, Conns: *conns, Seed: *seedVal})
 	defer cl.Close()
 
-	d := driver{cl: cl, masterKey: masterKey, workers: *workers, offsets: offsets}
+	d := driver{cl: cl, masterKey: masterKey, workers: *workers}
 	wall := d.run(loads)
 
 	res := result{
 		Devices: *devices, Workers: *workers, Conns: *conns,
 		Records: recordsPerDevice, Reports: reportsPerDevice, Testbed: fromTestbed,
-		PacedBySpec: pacedBy, Seed: *seedVal,
+		Seed:          *seedVal,
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		WallMS:        float64(wall) / float64(time.Millisecond),
 		UploadsPerSec: float64(*devices) / wall.Seconds(),

@@ -7,15 +7,17 @@
 //
 // Usage:
 //
-//	seedpolicy [-seed S] [-spec FILE] [-cells N] [-rounds R] [-topk K]
-//	           [-pins P] [-parallel W] [-json FILE]
+//	seedpolicy [-seed S] [-spec FILE] [-parallel W] [-json FILE]
 //
 // The corpus is compiled from the built-in paper-mix spec
 // (workload.DefaultSpec) unless -spec points at a spec JSON. Only SEED-mode, non-user-action
 // cells are scored: a policy cannot change legacy handling, and
-// user-action cells cost every policy the same notice. -cells truncates
-// the evaluation set (corpus order) to bound wall time; the
-// counterfactual anchor cells are found in the full corpus regardless.
+// user-action cells cost every policy the same notice. The evaluation set
+// is the first 48 eligible cells in corpus order, which bounds wall time;
+// the counterfactual anchor cells are found in the full corpus regardless.
+// The search runs the grid and then two refinement rounds, carrying three
+// survivors between rounds, and each counterfactual matrix pins two
+// decisions.
 //
 // -json writes the policy report as JSON: per-stage decision counts, the
 // counterfactual matrices, and the search result (best found vs paper
@@ -53,17 +55,21 @@ type policyReport struct {
 	WallMS          float64             `json:"wall_ms"`
 }
 
-// searchMutants is how many mutants each survivor spawns per refinement
-// round.
-const searchMutants = 4
+// The search budget: evaluation cells (the first evalCells eligible in
+// corpus order), refinement rounds after the grid, survivors carried
+// between rounds, mutants each survivor spawns per round, and decisions
+// pinned per counterfactual matrix.
+const (
+	evalCells     = 48
+	searchRounds  = 2
+	searchTopK    = 3
+	searchMutants = 4
+	matrixPins    = 2
+)
 
 func main() {
 	seedVal := flag.Int64("seed", 1, "corpus and search seed")
 	specPath := flag.String("spec", "", "workload spec JSON (default: the built-in paper-mix spec, workload.DefaultSpec)")
-	maxCells := flag.Int("cells", 48, "evaluation cells (first N eligible in corpus order; 0 = all)")
-	rounds := flag.Int("rounds", 2, "evolutionary refinement rounds after the grid")
-	topK := flag.Int("topk", 3, "survivors carried between rounds")
-	pins := flag.Int("pins", 2, "decisions pinned per counterfactual matrix")
 	parallel := flag.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS)")
 	jsonOut := flag.String("json", "", "write the policy report JSON to this file (- for stdout)")
 	flag.Parse()
@@ -93,7 +99,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "compile: %v\n", err)
 		os.Exit(1)
 	}
-	cells := policy.EligibleCells(all, *maxCells)
+	cells := policy.EligibleCells(all, evalCells)
 	if len(cells) == 0 {
 		fmt.Fprintln(os.Stderr, "corpus has no eligible cells (SEED-mode, non-user-action)")
 		os.Exit(1)
@@ -122,7 +128,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "counterfactual: %v\n", err)
 			os.Exit(1)
 		}
-		m := policy.Counterfactual(pool, sp, c, paper, *pins)
+		m := policy.Counterfactual(pool, sp, c, paper, matrixPins)
 		report.Counterfactuals = append(report.Counterfactuals, m)
 		fmt.Printf("counterfactual %s (cell %d, %d decisions, pin-identity %v): baseline %.2fs\n",
 			scenario, m.CellIndex, m.Decisions, m.PinIdentity, m.Baseline)
@@ -140,7 +146,7 @@ func main() {
 
 	// (c) Policy search: grid + refinement, paper policy in the grid.
 	cfg := policy.SearchConfig{
-		Seed: *seedVal, Rounds: *rounds, TopK: *topK, Mutants: searchMutants,
+		Seed: *seedVal, Rounds: searchRounds, TopK: searchTopK, Mutants: searchMutants,
 		Progress: func(s string) { fmt.Println("search:", s) },
 	}
 	report.Search = policy.Search(pool, sp, cells, cfg)

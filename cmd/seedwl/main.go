@@ -31,26 +31,31 @@ import (
 	"github.com/seed5g/seed/internal/workload"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is main behind an exit status: 0, or 2 for a spec, corpus or output
+// that fails. It registers its flags on the process-wide flag set.
+func run(args []string) int {
 	specPath := flag.String("spec", "", "workload spec JSON (default: built-in paper-mix spec)")
 	seedVal := flag.Int64("seed", 1, "root simulation seed")
 	parallel := flag.Int("parallel", 0, "cell worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
 	runN := flag.Int("run", 0, "replay this many stride-sampled cells end-to-end (-1 = all, 0 = compile only)")
 	out := flag.String("out", "", "write the corpus JSON to this file (- for stdout)")
 	dumpSpec := flag.Bool("dumpspec", false, "print the effective spec JSON and exit")
-	flag.Parse()
+	if flag.CommandLine.Parse(args) != nil {
+		return 2
+	}
 
 	sp, err := loadSpec(*specPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "seedwl: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 	if *dumpSpec {
 		os.Stdout.Write(workload.MarshalSpec(sp))
-		return
+		return 0
 	}
-
-	os.Exit(runGenerate(runner.New(*parallel), sp, *seedVal, *runN, *out))
+	return runGenerate(runner.New(*parallel), sp, *seedVal, *runN, *out)
 }
 
 // loadSpec reads and validates a spec file, or returns the built-in
@@ -134,6 +139,7 @@ func measureSample(p *runner.Pool, sp *workload.Spec, cells []workload.Cell, idx
 
 // runGenerate compiles the corpus, optionally replays it, and emits it.
 func runGenerate(p *runner.Pool, sp *workload.Spec, seedVal int64, runN int, out string) int {
+	before := coldPrototypes()
 	corpus, err := buildCorpus(p, sp, seedVal, runN)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "seedwl: %v\n", err)
@@ -155,18 +161,26 @@ func runGenerate(p *runner.Pool, sp *workload.Spec, seedVal int64, runN int, out
 		// Restores are one per measured non-desync cell. Builds depend on how the workers' first cells
 		// overlapped, so they go to stderr: above the worker count they mean
 		// cells constructed testbeds instead of restoring one.
-		for _, f := range seed.PrototypeStats() {
-			if f.Family == "cold" {
-				fmt.Printf("; cold prototypes restored %d", f.Restores)
-				built = f.Boots
-			}
-		}
+		after := coldPrototypes()
+		fmt.Printf("; cold prototypes restored %d", after.Restores-before.Restores)
+		built = after.Boots - before.Boots
 	}
 	fmt.Println()
 	if built >= 0 {
 		fmt.Fprintf(os.Stderr, "seedwl: cold prototypes built %d\n", built)
 	}
 	return 0
+}
+
+// coldPrototypes returns the boots and restores of the cold prototype
+// family so far in this process; a run reports the difference it made.
+func coldPrototypes() seed.ProtoStats {
+	for _, f := range seed.PrototypeStats() {
+		if f.Family == "cold" {
+			return f.ProtoStats
+		}
+	}
+	return seed.ProtoStats{}
 }
 
 // writeBlob writes bytes to a file or stdout ("-").

@@ -89,7 +89,7 @@ func Evaluate(p *runner.Pool, sp *workload.Spec, cells []workload.Cell, pol Poli
 	results := runner.Map(p, len(cells), func(i int) cellEval {
 		c := cells[i]
 		var rec *Recorder
-		inst := &seed.Instrument{Applet: pol.Apply, LearnerLR: pol.LR}
+		inst := &seed.Instrument{Applet: pol.Apply}
 		if level != core.TraceOff {
 			rec = NewRecorder()
 			inst.Tracer = rec
@@ -139,7 +139,7 @@ func Evaluate(p *runner.Pool, sp *workload.Spec, cells []workload.Cell, pol Poli
 // the counterfactual hook.
 func TraceCell(sp *workload.Spec, c workload.Cell, pol Policy, override core.ActionOverride) (workload.Outcome, []core.DecisionEvent) {
 	rec := NewRecorder()
-	inst := &seed.Instrument{Tracer: rec, Override: override, Applet: pol.Apply, LearnerLR: pol.LR}
+	inst := &seed.Instrument{Tracer: rec, Override: override, Applet: pol.Apply}
 	mode, _ := seed.ParseMode(c.Mode)
 	o := seed.RunWorkloadCell(sp, c, mode, inst)
 	return o, rec.Events()

@@ -17,7 +17,7 @@
 //     score is directly comparable to the calibrated corpus outcomes.
 //
 // A Policy is the knob vector Algorithm 1 actually exposes: the decision
-// timers, the unknown-cause trial order, and the learner rate. Search
+// timers and the unknown-cause trial order. Search
 // (grid + evolutionary refinement) optimizes a composite of disruption
 // time, recovery-action cost, and user-visible impact over the calibrated
 // workload corpus.
@@ -45,15 +45,13 @@ type Policy struct {
 	// TrialWindow is the per-action wait of an unknown-cause trial
 	// (paper: 10s).
 	TrialWindow time.Duration `json:"trial_window_ns"`
-	// LR is the infrastructure learner's logistic rate (paper: 0.1).
-	LR float64 `json:"lr"`
 	// TrialOrder is the unknown-cause trial sequence (paper:
 	// core.LearningOrder, cheapest tier first).
 	TrialOrder []core.ActionID `json:"trial_order"`
 }
 
 // Paper returns the policy the paper evaluates: DefaultAppletConfig
-// timers, LearningOrder trials, learner rate 0.1.
+// timers and LearningOrder trials.
 func Paper() Policy {
 	def := core.DefaultAppletConfig()
 	return Policy{
@@ -61,7 +59,6 @@ func Paper() Policy {
 		ConflictWindow: def.ConflictWindow,
 		RateLimitGap:   def.RateLimitGap,
 		TrialWindow:    def.TrialWindow,
-		LR:             0.1,
 		TrialOrder:     append([]core.ActionID(nil), core.LearningOrder...),
 	}
 }
@@ -81,7 +78,7 @@ func (p Policy) Apply(cfg *core.AppletConfig) {
 func (p Policy) Equal(q Policy) bool {
 	if p.CPlaneWait != q.CPlaneWait || p.ConflictWindow != q.ConflictWindow ||
 		p.RateLimitGap != q.RateLimitGap || p.TrialWindow != q.TrialWindow ||
-		p.LR != q.LR || len(p.TrialOrder) != len(q.TrialOrder) {
+		len(p.TrialOrder) != len(q.TrialOrder) {
 		return false
 	}
 	for i := range p.TrialOrder {
@@ -94,8 +91,8 @@ func (p Policy) Equal(q Policy) bool {
 
 // String renders the policy compactly for logs and reports.
 func (p Policy) String() string {
-	return fmt.Sprintf("cpw=%v cw=%v rl=%v tw=%v lr=%.3f order=%s",
-		p.CPlaneWait, p.ConflictWindow, p.RateLimitGap, p.TrialWindow, p.LR,
+	return fmt.Sprintf("cpw=%v cw=%v rl=%v tw=%v order=%s",
+		p.CPlaneWait, p.ConflictWindow, p.RateLimitGap, p.TrialWindow,
 		OrderNames(p.TrialOrder))
 }
 

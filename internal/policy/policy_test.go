@@ -172,6 +172,31 @@ func TestEvaluateParallelDeterminism(t *testing.T) {
 	}
 }
 
+// TestDefaultCorpusNeverReachesLearner traces the paper policy over every
+// eligible cell of the built-in paper-mix corpus and finds no learner
+// suggestion, no learner null and no crowdsourced upload: no cell uploads
+// records, so the carrier's learner has no evidence and its logistic rate
+// is never read. That is why Policy has no learner-rate knob; a corpus
+// whose cells upload records fails here, and would make the rate a knob the
+// search can move again.
+func TestDefaultCorpusNeverReachesLearner(t *testing.T) {
+	sp := workload.DefaultSpec()
+	all, err := workload.Compile(sp, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := EligibleCells(all, 0)
+	score, counts := Evaluate(runner.New(0), sp, cells, Paper(), core.TraceFull)
+	if score.TotalDecisions == 0 {
+		t.Fatalf("no decisions traced over %d cells", len(cells))
+	}
+	for _, st := range []core.DecisionStage{core.StageInfraLearnerSuggest, core.StageInfraLearnerNull, core.StageInfraCrowdsource} {
+		if n := counts[st.String()]; n != 0 {
+			t.Errorf("%d %s events over %d paper-mix cells: the learner is reached, so its rate is a policy knob again", n, st, len(cells))
+		}
+	}
+}
+
 // TestSearchBeatsOrTiesPaperDeterministically: the paper policy is in the
 // candidate set, so best ≤ paper; and the whole search is reproducible.
 func TestSearchBeatsOrTiesPaper(t *testing.T) {
@@ -206,9 +231,6 @@ func TestMutateBounds(t *testing.T) {
 			if d < minTimer || d > maxTimer {
 				t.Fatalf("mutation %d: timer %v out of bounds", i, d)
 			}
-		}
-		if q.LR < 0.01 || q.LR > 1 {
-			t.Fatalf("mutation %d: lr %v out of bounds", i, q.LR)
 		}
 		if len(q.TrialOrder) != 6 {
 			t.Fatalf("mutation %d: order %v", i, q.TrialOrder)

@@ -157,8 +157,7 @@ const (
 )
 
 // mutate perturbs one knob of p. Timer knobs scale by a factor from
-// {0.5, 0.8, 1.25, 2}; LR scales by {0.5, 2} clamped to [0.01, 1];
-// the order knob swaps two adjacent trial positions.
+// {0.5, 0.8, 1.25, 2}; the order knob swaps two adjacent trial positions.
 func mutate(p Policy, rng *rand.Rand) Policy {
 	q := p
 	q.TrialOrder = append([]core.ActionID(nil), p.TrialOrder...)
@@ -173,7 +172,7 @@ func mutate(p Policy, rng *rand.Rand) Policy {
 		}
 		return out
 	}
-	switch rng.Intn(6) {
+	switch rng.Intn(5) {
 	case 0:
 		q.CPlaneWait = scale(q.CPlaneWait)
 	case 1:
@@ -182,18 +181,6 @@ func mutate(p Policy, rng *rand.Rand) Policy {
 		q.RateLimitGap = scale(q.RateLimitGap)
 	case 3:
 		q.TrialWindow = scale(q.TrialWindow)
-	case 4:
-		if rng.Intn(2) == 0 {
-			q.LR *= 0.5
-		} else {
-			q.LR *= 2
-		}
-		if q.LR < 0.01 {
-			q.LR = 0.01
-		}
-		if q.LR > 1 {
-			q.LR = 1
-		}
 	default:
 		if len(q.TrialOrder) > 1 {
 			i := rng.Intn(len(q.TrialOrder) - 1)

@@ -278,25 +278,3 @@ func cellCauseLabel(c Cell) string {
 	}
 	return fmt.Sprintf("%s/%d", c.Plane, c.Code)
 }
-
-// UploadSchedule returns deterministic upload offsets for n fleet devices
-// paced by the spec's arrival processes: the first n compiled arrival
-// times in corpus order, wrapping around the horizon (with a full-horizon
-// shift per lap) when the corpus is smaller than n. cmd/seedload uses
-// this to pace its uploads.
-func UploadSchedule(sp *Spec, rootSeed int64, n int) ([]time.Duration, error) {
-	cells, err := Compile(sp, rootSeed)
-	if err != nil {
-		return nil, err
-	}
-	if len(cells) == 0 {
-		return nil, fmt.Errorf("workload: spec %q compiled to an empty corpus", sp.Name)
-	}
-	horizon := time.Duration(sp.HorizonMin * float64(time.Minute))
-	out := make([]time.Duration, n)
-	for i := range out {
-		lap := i / len(cells)
-		out[i] = cells[i%len(cells)].At + time.Duration(lap)*horizon
-	}
-	return out, nil
-}

@@ -393,36 +393,6 @@ func TestStatsOfAndCauseLabels(t *testing.T) {
 	}
 }
 
-func TestUploadSchedule(t *testing.T) {
-	sp := miniSpec()
-	cells, err := Compile(sp, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := len(cells) + 3 // force a wrap
-	offs, err := UploadSchedule(sp, 5, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(offs) != n {
-		t.Fatalf("got %d offsets, want %d", len(offs), n)
-	}
-	for i := 1; i < len(offs); i++ {
-		if offs[i] < offs[i-1] {
-			t.Fatalf("offsets not ascending at %d", i)
-		}
-	}
-	horizon := time.Duration(sp.HorizonMin * float64(time.Minute))
-	if got, want := offs[len(cells)], cells[0].At+horizon; got != want {
-		t.Fatalf("wrapped offset %v, want %v", got, want)
-	}
-	bad := *sp
-	bad.HorizonMin = 0.001 // compiles to nothing
-	if _, err := UploadSchedule(&bad, 5, 4); err == nil {
-		t.Fatal("empty corpus accepted")
-	}
-}
-
 // TestDefaultSpecMixWithinGate holds the built-in paper-mix spec — the one
 // seedwl, seedpolicy and the benchmark's corpus compile — to Table 1 at
 // seeds 1–10: cause-mix MAPE ≤ 0.10 and control-share error ≤ 0.03.

@@ -97,9 +97,9 @@ type Testbed struct {
 
 // Instrument bundles the decision-trace subsystem's hooks: a tracer
 // receiving structured Algorithm 1 decision events, a counterfactual
-// action override, and the policy knobs (applet timers/trial order,
-// learner rate) RunWorkloadCell applies to the cell's testbed and device. A
-// nil *Instrument is the zero-overhead TraceOff configuration.
+// action override, and the policy knobs (applet timers and trial order)
+// RunWorkloadCell applies to the cell's device. A nil *Instrument is the
+// zero-overhead TraceOff configuration.
 type Instrument struct {
 	// Tracer receives every decision event. Must be a pure observer: no
 	// RNG, no state.
@@ -110,21 +110,15 @@ type Instrument struct {
 	// Applet mutates the cell's SEED applet config before anything runs
 	// (policy timers and trial order).
 	Applet func(*core.AppletConfig)
-	// LearnerLR overrides the infrastructure learner's rate (0 keeps the
-	// paper's default).
-	LearnerLR float64
 }
 
 // attach wires inst (nil: nothing) onto a restored cell. The tracer becomes
 // the cell's observer, which the prototype removes on release; everything
-// else is a field the plugin or applet reads only when it decides, so the
-// cell behaves as one built instrumented, and the next restore clears it.
+// else is a field the applet reads only when it decides, so the cell
+// behaves as one built instrumented, and the next restore clears it.
 func (inst *Instrument) attach(tb *Testbed, d *Device) {
 	if inst == nil {
 		return
-	}
-	if inst.LearnerLR > 0 {
-		tb.plugin.Learner.LR = inst.LearnerLR
 	}
 	if inst.Tracer != nil {
 		observeCell(tb, d, inst.Tracer)

@@ -256,9 +256,6 @@ func oracleCell(c cellRun, mode Mode, seedVal int64) ReplayResult {
 			return tb.NewDevice(mode)
 		}
 		tb.Observe(inst.Tracer)
-		if inst.LearnerLR > 0 {
-			tb.plugin.Learner.LR = inst.LearnerLR
-		}
 		d := tb.NewDevice(mode, func(dc *core.DeviceConfig) {
 			if inst.Applet != nil {
 				inst.Applet(&dc.Applet)
@@ -311,7 +308,7 @@ func equivCells() map[string]cellRun {
 // RF profile (jitter, a loss window and a partition window inside the
 // boot), gives a deeply equal result through runCell — a restored,
 // reseeded prototype — and on the oracle. The instrumented round adds a
-// non-paper policy, a learner rate and a recording tracer, and holds the
+// non-paper policy and a recording tracer, and holds the
 // decision traces equal too.
 func TestColdCellMatchesFreshBuild(t *testing.T) {
 	withRF := func(c cellRun) cellRun {
@@ -339,9 +336,9 @@ func TestColdCellMatchesFreshBuild(t *testing.T) {
 				}
 				var gotTrace, wantTrace traceLog
 				c := withRF(base)
-				c.inst = &Instrument{Tracer: &wantTrace, Applet: nonPaper, LearnerLR: 0.2}
+				c.inst = &Instrument{Tracer: &wantTrace, Applet: nonPaper}
 				want := oracleCell(c, mode, 7)
-				c.inst = &Instrument{Tracer: &gotTrace, Applet: nonPaper, LearnerLR: 0.2}
+				c.inst = &Instrument{Tracer: &gotTrace, Applet: nonPaper}
 				if got := runCell(c, mode, 7); !reflect.DeepEqual(got, want) {
 					t.Errorf("instrumented: restored %+v != fresh %+v", got, want)
 				}
