@@ -92,9 +92,10 @@ func (a Action) String() string {
 
 // Hooks connect the monitor to the rest of the device.
 type Hooks struct {
-	// Probe issues a connectivity check to the preset URL; done is called
-	// with the outcome (or not at all — the monitor enforces the timeout).
-	Probe func(done func(ok bool))
+	// Probe issues connectivity check number attempt to the preset URL;
+	// the device reports its outcome with Monitor.ProbeDone (or not at all
+	// — the monitor enforces the timeout).
+	Probe func(attempt uint32)
 	// Reregister re-registers to the network.
 	Reregister func()
 	// RestartModem power-cycles the modem.
@@ -159,20 +160,29 @@ type Monitor struct {
 	// in fields rather than a captured local also keeps the monitor
 	// snapshot-safe: an in-flight probe restores and completes correctly
 	// (see the actor snapshot contract in DESIGN.md).
-	probeGen     uint32
+	probeGen uint32
+	// probeTimer is the timeout of attempt probeGen (see probeTimedOut).
+	probeTimer   sched.Timer
 	stalled      bool
 	stallReason  string
 	ladderIdx    int
 	ladderTimer  sched.Timer
-	evalTicker   *sched.Ticker
-	probeTicker  *sched.Ticker
+	evalTicker   sched.Ticker
+	probeTicker  sched.Ticker
 	stallsSeen   int
 	actionsTaken int
+
+	// The monitor's timer callbacks, stored once in NewMonitor so that
+	// arming one allocates nothing.
+	evaluateFn, probeFn, probeTimeoutFn, ladderWaitFn, ladderCheckFn func()
 }
 
 // NewMonitor creates an Android monitor.
 func NewMonitor(k *sched.Kernel, cfg Config, hooks Hooks) *Monitor {
-	return &Monitor{k: k, cfg: cfg, hook: hooks, lastInbound: -1}
+	m := &Monitor{k: k, cfg: cfg, hook: hooks, lastInbound: -1}
+	m.evaluateFn, m.probeFn, m.probeTimeoutFn = m.evaluate, m.probe, m.probeTimedOut
+	m.ladderWaitFn, m.ladderCheckFn = m.ladderWaited, m.ladderCheck
+	return m
 }
 
 // SetGate installs the network-availability gate (see Monitor.gate).
@@ -186,8 +196,8 @@ func (m *Monitor) Start() {
 		return
 	}
 	m.running = true
-	m.evalTicker = m.k.Every(evalInterval, m.evaluate)
-	m.probeTicker = m.k.Every(probeInterval, m.probe)
+	m.evalTicker.Start(m.k, evalInterval, m.evaluateFn)
+	m.probeTicker.Start(m.k, probeInterval, m.probeFn)
 }
 
 // Stop halts the monitor.
@@ -260,25 +270,35 @@ func (m *Monitor) probe() {
 	}
 	m.probeBusy = true
 	m.probeGen++
-	gen := m.probeGen
-	m.hook.Probe(func(ok bool) {
-		if gen != m.probeGen || !m.probeBusy {
-			return // superseded attempt, or the timeout got here first
-		}
+	m.hook.Probe(m.probeGen)
+	m.probeTimer = m.k.After(probeTimeout, m.probeTimeoutFn)
+}
+
+// ProbeDone reports the outcome of probe attempt number attempt (the
+// number Hooks.Probe was handed). A superseded attempt's, or one that
+// arrives after its timeout, is ignored.
+func (m *Monitor) ProbeDone(attempt uint32, ok bool) {
+	if attempt != m.probeGen || !m.probeBusy {
+		return
+	}
+	m.probeBusy = false
+	if ok {
+		m.probeFails = 0
+		m.onValidated()
+	} else {
+		m.probeFails++
+	}
+}
+
+// probeTimedOut is a probe's timeout. Attempts start in time order and
+// each times out probeTimeout later, so timeouts fire in attempt order:
+// while the latest attempt's is still pending, the one firing belongs to
+// a superseded attempt and does nothing.
+func (m *Monitor) probeTimedOut() {
+	if !m.probeTimer.Pending() && m.probeBusy {
 		m.probeBusy = false
-		if ok {
-			m.probeFails = 0
-			m.onValidated()
-		} else {
-			m.probeFails++
-		}
-	})
-	m.k.After(probeTimeout, func() {
-		if gen == m.probeGen && m.probeBusy {
-			m.probeBusy = false
-			m.probeFails++
-		}
-	})
+		m.probeFails++
+	}
 }
 
 func (m *Monitor) evaluate() {
@@ -377,15 +397,19 @@ func (m *Monitor) runLadder() {
 		wait = m.cfg.ActionIntervals[idx]
 	}
 	m.ladderIdx++
-	m.ladderTimer = m.k.After(wait, func() {
-		// Re-probe before escalating.
-		m.probe()
-		m.k.After(probeTimeout+time.Second, func() {
-			if m.stalled {
-				m.runLadder()
-			}
-		})
-	})
+	m.ladderTimer = m.k.After(wait, m.ladderWaitFn)
+}
+
+// ladderWaited ends a rung's wait: re-probe before escalating.
+func (m *Monitor) ladderWaited() {
+	m.probe()
+	m.k.After(probeTimeout+time.Second, m.ladderCheckFn)
+}
+
+func (m *Monitor) ladderCheck() {
+	if m.stalled {
+		m.runLadder()
+	}
 }
 
 // onValidated handles a successful connectivity validation. A probe

@@ -46,9 +46,9 @@ func (h *harness) actionsTaken() int {
 func newHarness(cfg Config) *harness {
 	h := &harness{k: sched.New(1), healthy: true}
 	h.m = NewMonitor(h.k, cfg, Hooks{
-		Probe: func(done func(bool)) {
+		Probe: func(attempt uint32) {
 			ok := h.healthy
-			h.k.After(50*time.Millisecond, func() { done(ok) })
+			h.k.After(50*time.Millisecond, func() { h.m.ProbeDone(attempt, ok) })
 		},
 		OnDataStall: func(reason string) {
 			h.stalls = append(h.stalls, reason)

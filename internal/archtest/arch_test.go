@@ -1013,7 +1013,9 @@ func rulePacketsByPointer(r *report) {
 
 // Rule one-way-to-run: every root-package cell is a trial run by trial.run
 // over a steady state booted into proto.go's prototypes. NewProto and
-// NewProtoMap are called in proto.go only; (*Proto).Cell only by trial.run;
+// NewProtoMap are called in proto.go only; (*Proto).cell, which acquires,
+// restores and reseeds an instance, only by trial.run and (*Proto).Cell,
+// and Cell only by trial.run;
 // (*Testbed).RunUntil nowhere (waits are subscribed); New and NewDevice only
 // in proto.go, seedResetTrial (its second device) and ExperimentLearning.
 // seedsim watches a counted cell and builds no testbed of its own.
@@ -1047,9 +1049,9 @@ func ruleOneWayToRun(r *report) {
 				if s.base != "proto.go" {
 					r.add(id.Pos(), "%s outside proto.go: every prototype is protos' for a steady value", obj.Name())
 				}
-			case isObj(obj, ".", "Proto", "Cell"):
-				if where != "trial.run" {
-					r.add(id.Pos(), "(*Proto).Cell called by %s: trial.run is the one way to run a cell", where)
+			case isObj(obj, ".", "Proto", "Cell") || isObj(obj, ".", "Proto", "cell"):
+				if where != "trial.run" && (obj.Name() == "Cell" || where != "Proto.Cell") {
+					r.add(id.Pos(), "(*Proto).%s called by %s: trial.run is the one way to run a cell", obj.Name(), where)
 				}
 			case isObj(obj, ".", "Testbed", "RunUntil"):
 				r.add(id.Pos(), "(*Testbed).RunUntil called by %s: waits are subscribed (Testbed.await)", where)

@@ -124,12 +124,26 @@ type SEEDApplet struct {
 
 	mode  Mode
 	reasm Reassembler
+	// plain is the opened diagnosis payload's buffer, ack the AUTS ACK
+	// HandleAuthDiagnosis returns (the card copies it), and diags the
+	// decoded diagnoses waiting out appletProcLatency, oldest first: every
+	// one waits the same, so they fire in arrival order and handleNextDiag
+	// takes the front.
+	plain []byte
+	ack   [diagAckLen]byte
+	diags []DiagMessage
+	// ok is the envelope channel's success response, which the card and
+	// the carrier app only read.
+	ok [1]byte
 
 	lastPlaneCause  time.Duration // last control/data-plane cause handled
 	hasPlaneCause   bool
 	lastAction      map[ActionID]time.Duration
 	pendingCP       sched.Timer
 	congestionUntil time.Duration
+	// cp is what the armed control-plane wait does when it ends (see
+	// armCPlane): only one is armed at a time.
+	cp cpWait
 
 	records Records
 	trial   *trialState
@@ -141,6 +155,20 @@ type SEEDApplet struct {
 	decisionSeq int32
 
 	stats AppletStats
+
+	// The applet's timer callbacks, stored once in NewApplet so that
+	// arming one allocates nothing.
+	nextDiagFn, cpFireFn func()
+}
+
+// cpWait is an armed control-plane wait: skip is traced when the
+// congestion window is still open at its end; otherwise, with diag set,
+// the reset Table 3 picks for msg runs (scheduleCPlane), else act.
+type cpWait struct {
+	skip DecisionEvent
+	diag bool
+	msg  DiagMessage
+	act  ActionID
 }
 
 // SetActionOverride installs the counterfactual override hook.
@@ -170,13 +198,31 @@ func (a *SEEDApplet) trace(ev DecisionEvent) {
 // provisioned with in-SIM key k. Call card.InstallApplet with the carrier
 // MAC to deploy it.
 func NewApplet(kern *sched.Kernel, card *sim.Card, imsi string, k [16]byte, cfg AppletConfig, device DeviceActions) *SEEDApplet {
-	return &SEEDApplet{
+	a := &SEEDApplet{
 		k: kern, card: card, cfg: cfg, imsi: imsi,
 		env:        NewChannelEnvelope(k),
 		device:     device,
 		mode:       ModeU,
 		lastAction: make(map[ActionID]time.Duration),
 		records:    Records{},
+	}
+	a.nextDiagFn, a.cpFireFn = a.handleNextDiag, a.cpFire
+	return a
+}
+
+// Warm sizes the applet's diagnosis buffers and action counts ahead of a
+// prototype snapshot (see core5g.Network.Warm): a buffer snapshotted empty
+// grows again in every restored run.
+func (a *SEEDApplet) Warm() {
+	a.reasm.warm()
+	if cap(a.plain) == 0 {
+		a.plain = make([]byte, 0, warmPayload)
+	}
+	if cap(a.diags) == 0 {
+		a.diags = make([]DiagMessage, 0, 2)
+	}
+	if a.stats.Actions == nil {
+		a.stats.Actions = make(map[ActionID]int)
 	}
 }
 
@@ -211,6 +257,14 @@ func (a *SEEDApplet) Stats() AppletStats {
 	return s
 }
 
+// RangeActions calls fn with each action the applet executed and how many
+// times, without copying the counts as Stats does.
+func (a *SEEDApplet) RangeActions(fn func(a ActionID, n int)) {
+	for id, n := range a.stats.Actions {
+		fn(id, n)
+	}
+}
+
 // Records returns a copy of the SIM-side learning records.
 func (a *SEEDApplet) Records() Records { return a.records.Clone() }
 
@@ -223,15 +277,26 @@ func (a *SEEDApplet) HandleAuthDiagnosis(autn [16]byte) []byte {
 	seq := autn[0]
 	full := a.reasm.Accept(autn)
 	if full != nil {
-		payload, err := a.env.Open(crypto5g.Downlink, full)
+		var err error
+		a.plain, err = a.env.AppendOpen(a.plain[:0], crypto5g.Downlink, full)
 		if err == nil {
-			if msg, err2 := UnmarshalDiag(payload); err2 == nil {
+			if msg, err2 := UnmarshalDiag(a.plain); err2 == nil {
 				a.stats.DiagsReceived++
-				a.k.After(appletProcLatency, func() { a.handleDiag(msg) })
+				a.diags = append(a.diags, msg)
+				a.k.After(appletProcLatency, a.nextDiagFn)
 			}
 		}
 	}
-	return DiagAck(seq)
+	a.ack = diagAck(seq)
+	return a.ack[:]
+}
+
+// handleNextDiag handles the oldest diagnosis waiting out the processing
+// latency.
+func (a *SEEDApplet) handleNextDiag() {
+	m := a.diags[0]
+	a.diags = append(a.diags[:0], a.diags[1:]...)
+	a.handleDiag(m)
 }
 
 // handleDiag is the decision module's entry point for infrastructure
@@ -260,7 +325,7 @@ func (a *SEEDApplet) handleDiag(m DiagMessage) {
 		if act == ActionA1 || act == ActionB1 || act == ActionA2 || act == ActionB2 {
 			// Hardware/control-plane resets get the 2 s transient window.
 			a.armCPlane(DecisionEvent{Plane: m.Plane, Code: m.Code, Kind: m.Kind, Action: act},
-				DecisionEvent{Action: act}, func() { a.execute(act) })
+				cpWait{skip: DecisionEvent{Action: act}, act: act})
 			return
 		}
 		a.execute(act)
@@ -327,43 +392,51 @@ func Decide(c DiagClass, m Mode) ActionID {
 
 // armCPlane arms the 2 s wait before a control-plane/hardware reset,
 // replacing any wait already armed, and traces armed as StageCPlaneArmed.
-// When the wait ends, fire runs, unless the network's congestion window is
-// still open, which skips the reset and traces skip as StageCongestionSkip.
-// A recovery signal in the window cancels it.
-func (a *SEEDApplet) armCPlane(armed, skip DecisionEvent, fire func()) {
+// When the wait ends, w runs (cpFire), unless the network's congestion
+// window is still open, which skips the reset and traces w.skip as
+// StageCongestionSkip. A recovery signal in the window cancels it.
+func (a *SEEDApplet) armCPlane(armed DecisionEvent, w cpWait) {
 	a.pendingCP.Stop()
 	armed.Stage, armed.Seq, armed.Wait = StageCPlaneArmed, -1, a.cfg.CPlaneWait
-	skip.Stage, skip.Seq = StageCongestionSkip, -1
+	w.skip.Stage, w.skip.Seq = StageCongestionSkip, -1
 	a.trace(armed)
-	a.pendingCP = a.k.After(a.cfg.CPlaneWait, func() {
-		if a.k.Now() < a.congestionUntil {
-			a.trace(skip)
-			return
-		}
-		fire()
-	})
+	a.cp = w
+	a.pendingCP = a.k.After(a.cfg.CPlaneWait, a.cpFireFn)
+}
+
+// cpFire ends the armed control-plane wait.
+func (a *SEEDApplet) cpFire() {
+	w := &a.cp
+	if a.k.Now() < a.congestionUntil {
+		a.trace(w.skip)
+		return
+	}
+	if !w.diag {
+		a.execute(w.act)
+		return
+	}
+	m := w.msg
+	class := ClassControl
+	if m.Kind == DiagCauseConfig {
+		a.applyCPlaneConfig(m.ConfigKind, m.Config)
+		class = ClassControlConfig
+	}
+	act := Decide(class, a.effectiveMode())
+	if act == ActionB2 {
+		// B2 "reattachment with update": refresh the modem's cached
+		// config from the just-written EFs, then reattach.
+		a.card.QueueProactive(sim.ProactiveCommand{
+			Type: sim.ProactiveRefresh, Mode: sim.RefreshFileChange,
+			Files: []sim.FileID{sim.EFPLMNSel, sim.EFRATMode, sim.EFSNSSAI, sim.EFDNN},
+		})
+	}
+	a.execute(act)
 }
 
 // scheduleCPlane arms the control-plane reset Table 3 picks for a cause.
 func (a *SEEDApplet) scheduleCPlane(m DiagMessage) {
 	ev := DecisionEvent{Plane: m.Plane, Code: m.Code, Kind: m.Kind}
-	a.armCPlane(ev, ev, func() {
-		class := ClassControl
-		if m.Kind == DiagCauseConfig {
-			a.applyCPlaneConfig(m.ConfigKind, m.Config)
-			class = ClassControlConfig
-		}
-		act := Decide(class, a.effectiveMode())
-		if act == ActionB2 {
-			// B2 "reattachment with update": refresh the modem's cached
-			// config from the just-written EFs, then reattach.
-			a.card.QueueProactive(sim.ProactiveCommand{
-				Type: sim.ProactiveRefresh, Mode: sim.RefreshFileChange,
-				Files: []sim.FileID{sim.EFPLMNSel, sim.EFRATMode, sim.EFSNSSAI, sim.EFDNN},
-			})
-		}
-		a.execute(act)
-	})
+	a.armCPlane(ev, cpWait{skip: ev, diag: true, msg: m})
 }
 
 // applyCPlaneConfig writes a refreshed control-plane configuration item
@@ -410,13 +483,13 @@ func (a *SEEDApplet) HandleEnvelope(data []byte) ([]byte, error) {
 	switch data[0] {
 	case envEnableRoot:
 		a.mode = ModeR
-		return []byte{0x00}, nil
+		return a.ok[:], nil
 	case envDisableRoot:
 		a.mode = ModeU
-		return []byte{0x00}, nil
+		return a.ok[:], nil
 	case envValidated:
 		a.notifyRecovered()
-		return []byte{0x00}, nil
+		return a.ok[:], nil
 	case envAppReport:
 		r, err := report.Unmarshal(data[1:])
 		if err != nil {
@@ -424,7 +497,7 @@ func (a *SEEDApplet) HandleEnvelope(data []byte) ([]byte, error) {
 		}
 		a.stats.ReportsReceived++
 		a.k.After(appletProcLatency, func() { a.handleDeliveryReport(r) })
-		return []byte{0x00}, nil
+		return a.ok[:], nil
 	case envUploadRecs:
 		out := MarshalRecords(a.records)
 		a.records = Records{}

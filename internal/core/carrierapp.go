@@ -63,6 +63,14 @@ type CarrierApp struct {
 	// appletSelected caches whether the SEED applet's logical channel is
 	// already open (SELECT once, then ENVELOPE directly).
 	appletSelected bool
+	// inflight are the app's APDUs the modem has not answered yet, in the
+	// order sent, which is the order the answers come in; onAPDUFn takes
+	// each answer. aid is the SELECT's data and ops the one-byte
+	// envelopes', both only ever read.
+	inflight []sentAPDU
+	onAPDUFn func(sim.Response)
+	aid      []byte
+	ops      [8]byte
 
 	// swap state for make-before-break resets.
 	pendingSwap map[uint8]func(*modem.Session)
@@ -72,9 +80,24 @@ type CarrierApp struct {
 
 // NewCarrierApp creates the carrier app bound to the device modem.
 func NewCarrierApp(k *sched.Kernel, mdm *modem.Modem) *CarrierApp {
-	return &CarrierApp{
+	c := &CarrierApp{
 		k: k, mdm: mdm,
 		pendingSwap: make(map[uint8]func(*modem.Session)),
+		aid:         []byte(AppletAID),
+		ops:         [8]byte{0, 1, 2, 3, 4, 5, 6, 7},
+	}
+	c.onAPDUFn = c.onAPDU
+	return c
+}
+
+// op returns the one-byte envelope of opcode b.
+func (c *CarrierApp) op(b byte) []byte { return c.ops[b : b+1 : b+1] }
+
+// warm makes room for the APDUs of an applet SELECT and its ENVELOPE ahead
+// of a prototype snapshot.
+func (c *CarrierApp) warm() {
+	if cap(c.inflight) == 0 {
+		c.inflight = make([]sentAPDU, 0, 2)
 	}
 }
 
@@ -92,40 +115,52 @@ func (c *CarrierApp) DetectRoot(rooted bool) {
 	if rooted {
 		op = envEnableRoot
 	}
-	c.toSIM([]byte{op}, nil)
+	c.toSIM(c.op(op), nil)
 }
 
 // toSIM delivers an envelope to the SEED applet through the modem's APDU
 // channel (SELECT AID, then ENVELOPE).
 func (c *CarrierApp) toSIM(data []byte, done func([]byte, error)) {
-	envelope := func() {
-		c.mdm.TransmitAPDU(sim.Command{CLA: 0x80, INS: sim.INSEnvelope, Data: data},
-			func(resp sim.Response) {
-				if done == nil {
-					return
-				}
-				if !resp.OK() {
-					done(nil, fmt.Errorf("core: envelope failed: SW=%04X", resp.SW))
-					return
-				}
-				done(resp.Data, nil)
-			})
+	c.transmit(sentAPDU{data: data, done: done, sel: !c.appletSelected})
+}
+
+// sentAPDU is an APDU of toSIM's in flight: the SELECT that opens the
+// applet's channel (sel) or the ENVELOPE of data.
+type sentAPDU struct {
+	data []byte
+	done func([]byte, error)
+	sel  bool
+}
+
+func (c *CarrierApp) transmit(a sentAPDU) {
+	c.inflight = append(c.inflight, a)
+	if a.sel {
+		c.mdm.TransmitAPDU(sim.Command{CLA: 0x80, INS: sim.INSSelect, P1: 0x04, Data: c.aid}, c.onAPDUFn)
+	} else {
+		c.mdm.TransmitAPDU(sim.Command{CLA: 0x80, INS: sim.INSEnvelope, Data: a.data}, c.onAPDUFn)
 	}
-	if c.appletSelected {
-		envelope()
-		return
+}
+
+// onAPDU takes the answer to the oldest APDU in flight: a SELECT's sends
+// its ENVELOPE, an ENVELOPE's goes to done.
+func (c *CarrierApp) onAPDU(resp sim.Response) {
+	a := c.inflight[0]
+	c.inflight = append(c.inflight[:0], c.inflight[1:]...)
+	switch {
+	case a.sel && !resp.OK():
+		if a.done != nil {
+			a.done(nil, fmt.Errorf("core: applet select failed: SW=%04X", resp.SW))
+		}
+	case a.sel:
+		c.appletSelected = true
+		a.sel = false
+		c.transmit(a)
+	case a.done == nil:
+	case !resp.OK():
+		a.done(nil, fmt.Errorf("core: envelope failed: SW=%04X", resp.SW))
+	default:
+		a.done(resp.Data, nil)
 	}
-	c.mdm.TransmitAPDU(sim.Command{CLA: 0x80, INS: sim.INSSelect, P1: 0x04, Data: []byte(AppletAID)},
-		func(sel sim.Response) {
-			if !sel.OK() {
-				if done != nil {
-					done(nil, fmt.Errorf("core: applet select failed: SW=%04X", sel.SW))
-				}
-				return
-			}
-			c.appletSelected = true
-			envelope()
-		})
 }
 
 // ReportAppFailure is the app-facing failure report API (§4.3.2). Reports
@@ -159,7 +194,7 @@ func (c *CarrierApp) OnDataStall(reason string) {
 
 // NotifyValidated forwards the connectivity-restored signal to the SIM.
 func (c *CarrierApp) NotifyValidated() {
-	c.toSIM([]byte{envValidated}, nil)
+	c.toSIM(c.op(envValidated), nil)
 }
 
 // NotifySessionUp lets the device glue feed session events into pending

@@ -68,8 +68,11 @@ type DiagMessage struct {
 
 // Marshal encodes the message compactly (it must survive sealing and
 // AUTN-field fragmentation with as few rounds as possible).
-func (m DiagMessage) Marshal() []byte {
-	out := []byte{byte(m.Kind), byte(m.Plane), byte(m.Code)}
+func (m DiagMessage) Marshal() []byte { return m.AppendMarshal(nil) }
+
+// AppendMarshal is Marshal appending to out.
+func (m DiagMessage) AppendMarshal(out []byte) []byte {
+	out = append(out, byte(m.Kind), byte(m.Plane), byte(m.Code))
 	switch m.Kind {
 	case DiagCauseConfig:
 		out = append(out, byte(m.ConfigKind), byte(len(m.Config)))
@@ -154,15 +157,21 @@ func NewChannelEnvelope(k [16]byte) *crypto5g.Envelope {
 // each and at least one fragment; a fragment header numbers them in one
 // byte.
 func chunk(sealed []byte, size int) [][]byte {
-	total := max(1, (len(sealed)+size-1)/size)
-	if total > 255 {
-		panic(fmt.Sprintf("core: payload too large to fragment: %d bytes", len(sealed)))
-	}
-	out := make([][]byte, total)
+	out := make([][]byte, fragments(sealed, size))
 	for i := range out {
 		out[i] = sealed[i*size : min((i+1)*size, len(sealed))]
 	}
 	return out
+}
+
+// fragments returns how many fragments of size bytes carry sealed (at
+// least one).
+func fragments(sealed []byte, size int) int {
+	total := max(1, (len(sealed)+size-1)/size)
+	if total > 255 {
+		panic(fmt.Sprintf("core: payload too large to fragment: %d bytes", len(sealed)))
+	}
+	return total
 }
 
 // autnFragData is the payload bytes per AUTN fragment: 16 minus the
@@ -172,22 +181,52 @@ const autnFragData = 13
 // FragmentAUTN splits sealed bytes into AUTN-sized fragments. Each
 // fragment is seq(1) | total(1) | len(1) | data(≤13), zero-padded.
 func FragmentAUTN(sealed []byte) [][16]byte {
-	chunks := chunk(sealed, autnFragData)
-	out := make([][16]byte, len(chunks))
-	for i, c := range chunks {
-		out[i][0], out[i][1], out[i][2] = byte(i), byte(len(chunks)), byte(len(c))
-		copy(out[i][3:], c)
+	return AppendFragmentsAUTN(nil, sealed)
+}
+
+// AppendFragmentsAUTN is FragmentAUTN appending the fragments to out.
+func AppendFragmentsAUTN(out [][16]byte, sealed []byte) [][16]byte {
+	total := fragments(sealed, autnFragData)
+	for i := range total {
+		c := sealed[i*autnFragData : min((i+1)*autnFragData, len(sealed))]
+		var f [16]byte
+		f[0], f[1], f[2] = byte(i), byte(total), byte(len(c))
+		copy(f[3:], c)
+		out = append(out, f)
 	}
 	return out
 }
 
 // Reassembler collects fragments back into the sealed payload. Both
 // channels reassemble with it: Accept takes an AUTN fragment, and
-// DNNReassembler hands it decoded DIAG DNN fragments.
+// DNNReassembler hands it decoded DIAG DNN fragments. Its buffers are
+// reused from one message to the next, so the payload it returns is good
+// until the next fragment.
 type Reassembler struct {
+	// parts[:total] hold the current message's fragments; have marks the
+	// non-empty ones that arrived (an empty fragment counts, every time,
+	// without being marked).
 	parts [][]byte
+	have  [4]uint64
 	total int
 	got   int
+	full  []byte
+}
+
+// Warm sizes for a diagnosis of a few AUTN fragments.
+const (
+	warmFragments = 4
+	warmPayload   = 64
+)
+
+// warm sizes the buffers ahead of a prototype snapshot.
+func (r *Reassembler) warm() {
+	for len(r.parts) < warmFragments {
+		r.parts = append(r.parts, make([]byte, 0, autnFragData))
+	}
+	if cap(r.full) == 0 {
+		r.full = make([]byte, 0, warmPayload)
+	}
 }
 
 // Accept consumes one AUTN fragment. It returns the complete payload once
@@ -212,24 +251,36 @@ func (r *Reassembler) add(seq, total int, data []byte) (full []byte, ok bool) {
 		return nil, false
 	}
 	if total != r.total {
-		r.parts = make([][]byte, total)
+		for len(r.parts) < total {
+			r.parts = append(r.parts, nil)
+		}
+		for i := range r.parts[:total] {
+			r.parts[i] = r.parts[i][:0]
+		}
+		r.have = [4]uint64{}
 		r.total = total
 		r.got = 0
 	}
-	if r.parts[seq] == nil {
-		r.parts[seq] = append([]byte(nil), data...)
+	if bit := uint64(1) << (seq & 63); r.have[seq>>6]&bit == 0 {
+		r.parts[seq] = append(r.parts[seq][:0], data...)
+		if len(data) > 0 {
+			r.have[seq>>6] |= bit
+		}
 		r.got++
 	}
 	if r.got < r.total {
 		return nil, true
 	}
-	for _, p := range r.parts {
-		full = append(full, p...)
+	r.full = r.full[:0]
+	for _, p := range r.parts[:r.total] {
+		r.full = append(r.full, p...)
 	}
-	r.parts = nil
 	r.total = 0
 	r.got = 0
-	return full, true
+	if len(r.full) == 0 {
+		return nil, true
+	}
+	return r.full, true
 }
 
 // dnnFragData is the sealed-payload bytes per DNN fragment: the DNN
@@ -274,7 +325,15 @@ func (d *DNNReassembler) Accept(hexPayload string) ([]byte, error) {
 // DiagAck is the AUTS payload the SIM returns to acknowledge a received
 // diagnosis fragment.
 func DiagAck(seq byte) []byte {
-	return []byte{0x5E, 0xED, seq, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	ack := diagAck(seq)
+	return ack[:]
+}
+
+// diagAckLen is the length of a diagnosis ACK.
+const diagAckLen = 14
+
+func diagAck(seq byte) [diagAckLen]byte {
+	return [diagAckLen]byte{0x5E, 0xED, seq}
 }
 
 // ParseDiagAck extracts the acknowledged fragment sequence from an AUTS.

@@ -336,7 +336,8 @@ func TestFastDataResetKeepsRegistration(t *testing.T) {
 	attach(t, w, d)
 
 	attachesBefore := d.Mdm.Stats().Attaches
-	addrBefore, _ := d.dataSession()
+	before, _ := d.dataSession()
+	idBefore := before.ID // a dropped session is recycled: keep its ID, not the pointer
 	d.CApp.FastDataReset()
 	w.k.RunFor(5 * time.Second)
 
@@ -347,7 +348,7 @@ func TestFastDataResetKeepsRegistration(t *testing.T) {
 	if !okS {
 		t.Fatal("no data session after fast reset")
 	}
-	if s.ID == addrBefore.ID {
+	if s.ID == idBefore {
 		t.Fatal("session was not actually reset")
 	}
 	// The DIAG session must be gone.

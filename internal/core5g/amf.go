@@ -57,6 +57,10 @@ type AMF struct {
 	ctxs      map[string]*UEContext
 	gutiIndex map[string]string
 	gutiSeq   int
+	// gutiNames are the GUTIs of sequence numbers gutiBase on, formatted
+	// by Warm: a restored prototype's registrations find theirs there.
+	gutiBase  int
+	gutiNames [warmGUTIs]string
 	// lastIMSI and lastCtx remember the latest hit in ctxs, which every
 	// message in and out asks (the gNB's ue() has the same cache and the
 	// same reason); whatever deletes from ctxs forgets it.
@@ -463,7 +467,7 @@ func (a *AMF) acceptRegistration(imsi string) {
 		delete(a.gutiIndex, c.GUTI)
 	}
 	a.gutiSeq++
-	c.GUTI = fmt.Sprintf("guti-%06d", a.gutiSeq)
+	c.GUTI = a.gutiName(a.gutiSeq)
 	c.Registered = true
 	a.gutiIndex[c.GUTI] = imsi
 	a.out.tai[0] = nas.TAI{PLMN: 310170, TAC: 1}
@@ -473,6 +477,28 @@ func (a *AMF) acceptRegistration(imsi string) {
 		T3512Seconds: 3600,
 	}
 	a.send(imsi, &a.out.regAcc)
+}
+
+// warmGUTIs is how many GUTIs Warm formats ahead: more registrations than
+// nearly every cell makes in its window, a legacy reboot loop's included.
+const warmGUTIs = 64
+
+// gutiName returns the GUTI of sequence number seq.
+func (a *AMF) gutiName(seq int) string {
+	if i := seq - a.gutiBase; a.gutiBase > 0 && i >= 0 && i < len(a.gutiNames) {
+		return a.gutiNames[i]
+	}
+	return formatGUTI(seq)
+}
+
+func formatGUTI(seq int) string { return fmt.Sprintf("guti-%06d", seq) }
+
+// warmGUTIs formats the GUTIs of the next warmGUTIs registrations.
+func (a *AMF) warmGUTIs() {
+	a.gutiBase = a.gutiSeq + 1
+	for i := range a.gutiNames {
+		a.gutiNames[i] = formatGUTI(a.gutiBase + i)
+	}
 }
 
 func (a *AMF) handleServiceRequest(imsi string, _ *nas.ServiceRequest) {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Envelope seals and opens SEED's collaboration payloads. Per §6 of the
@@ -19,7 +20,7 @@ import (
 //
 // The cipher states are expanded once at construction, and Seal/Open each
 // make exactly one allocation (the returned message), encrypting directly
-// into it.
+// into it; AppendSeal/AppendOpen write into the caller's buffer instead.
 type Envelope struct {
 	enc    EEA2Key
 	integ  EIA2Key
@@ -58,14 +59,22 @@ func NewEnvelope(encKey, intKey []byte, bearer uint8) (*Envelope, error) {
 // Seal encrypts and authenticates plaintext for the given direction,
 // advancing the send counter.
 func (e *Envelope) Seal(dir Direction, plaintext []byte) ([]byte, error) {
+	return e.AppendSeal(make([]byte, 0, len(plaintext)+EnvelopeOverhead), dir, plaintext), nil
+}
+
+// AppendSeal is Seal appending the sealed message to dst, which must not
+// overlap plaintext.
+func (e *Envelope) AppendSeal(dst []byte, dir Direction, plaintext []byte) []byte {
 	e.sendCtr[dir&1]++
 	ctr := e.sendCtr[dir&1]
-	out := make([]byte, 4+len(plaintext)+4)
+	start := len(dst)
+	dst = slices.Grow(dst, len(plaintext)+EnvelopeOverhead)[:start+len(plaintext)+EnvelopeOverhead]
+	out := dst[start:]
 	binary.BigEndian.PutUint32(out[0:4], ctr)
 	e.enc.XORKeyStream(ctr, e.bearer, dir, out[4:4+len(plaintext)], plaintext)
 	mac := e.integ.MAC(ctr, e.bearer, dir, out[:4+len(plaintext)])
 	copy(out[4+len(plaintext):], mac[:])
-	return out, nil
+	return dst
 }
 
 // Counters returns the per-direction send and receive counters, indexed
@@ -87,19 +96,29 @@ func (e *Envelope) SetCounters(send, recv [2]uint32) {
 // enforcing counter monotonicity.
 func (e *Envelope) Open(dir Direction, sealed []byte) ([]byte, error) {
 	if len(sealed) < EnvelopeOverhead {
-		return nil, fmt.Errorf("crypto5g: sealed message too short (%d bytes)", len(sealed))
+		return e.AppendOpen(nil, dir, sealed)
+	}
+	return e.AppendOpen(make([]byte, 0, len(sealed)-EnvelopeOverhead), dir, sealed)
+}
+
+// AppendOpen is Open appending the plaintext to dst, which must not
+// overlap sealed; on an error dst is returned as it was.
+func (e *Envelope) AppendOpen(dst []byte, dir Direction, sealed []byte) ([]byte, error) {
+	if len(sealed) < EnvelopeOverhead {
+		return dst, fmt.Errorf("crypto5g: sealed message too short (%d bytes)", len(sealed))
 	}
 	ctr := binary.BigEndian.Uint32(sealed[0:4])
 	body := sealed[4 : len(sealed)-4]
 	mac := e.integ.MAC(ctr, e.bearer, dir, sealed[:len(sealed)-4])
 	if !ConstantTimeEqual(mac[:], sealed[len(sealed)-4:]) {
-		return nil, ErrIntegrity
+		return dst, ErrIntegrity
 	}
 	if ctr <= e.recvCtr[dir&1] {
-		return nil, ErrReplay
+		return dst, ErrReplay
 	}
-	pt := make([]byte, len(body))
-	e.enc.XORKeyStream(ctr, e.bearer, dir, pt, body)
+	start := len(dst)
+	dst = slices.Grow(dst, len(body))[:start+len(body)]
+	e.enc.XORKeyStream(ctr, e.bearer, dir, dst[start:], body)
 	e.recvCtr[dir&1] = ctr
-	return pt, nil
+	return dst, nil
 }

@@ -84,8 +84,7 @@ func (m *Modem) handleSessionReject(rej *nas.PDUSessionEstablishmentReject) {
 func (m *Modem) legacySessionFailure(s *Session, code uint8) {
 	s.attempts++
 	if s.attempts > maxSessAttempts {
-		s.attempts = 0
-		m.removeSession(s.ID)
+		m.dropSession(s.ID)
 		// Escalate: reattach, which re-runs registration and then
 		// re-establishes the default session from the cached profile.
 		m.Reattach()

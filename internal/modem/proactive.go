@@ -31,13 +31,8 @@ func (m *Modem) executeProactive(cmd sim.ProactiveCommand) {
 				m.Deregister()
 			}
 			m.cancelRegTimer()
-			m.k.After(refreshInitTime, func() {
-				m.refreshProfile(cmd.Files)
-				if m.state == StateDeregistered {
-					m.regAttempts = 0
-					m.Attach()
-				}
-			})
+			m.refreshes = append(m.refreshes, cmd.Files)
+			m.k.After(refreshInitTime, m.refreshFn)
 		case sim.RefreshFileChange:
 			// A2/A3 "config update": re-read just the changed EFs into the
 			// modem cache without dropping the registration.
@@ -51,6 +46,18 @@ func (m *Modem) executeProactive(cmd sim.ProactiveCommand) {
 
 	case sim.ProactiveDisplayText, sim.ProactiveProvideLocalInfo, sim.ProactiveSetUpMenu:
 		// Informational; no modem state change.
+	}
+}
+
+// refreshed ends the oldest SIM re-initialization: every one takes
+// refreshInitTime, so they end in the order they began.
+func (m *Modem) refreshed() {
+	files := m.refreshes[0]
+	m.refreshes = append(m.refreshes[:0], m.refreshes[1:]...)
+	m.refreshProfile(files)
+	if m.state == StateDeregistered {
+		m.regAttempts = 0
+		m.Attach()
 	}
 }
 

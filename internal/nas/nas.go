@@ -185,35 +185,19 @@ func Unmarshal(data []byte) (Message, error) {
 // ready; a Codec is not safe for concurrent use.
 type Codec struct {
 	// Pool, when set, is where Unmarshal takes its message structs from;
-	// whoever receives the message releases it there (see Pool). Without
-	// one every message is allocated, as by the package-level Unmarshal.
+	// whoever receives the message releases it there (see Pool), and the
+	// strings the testbed's endpoints last encoded or decoded (see
+	// Pool.intern). Without one every message and every string is
+	// allocated, as by the package-level Unmarshal.
 	Pool *Pool
 
 	w      writer
 	r, sub reader
-	// names holds the strings this codec decoded last (identities, DNNs),
-	// so that decoding a value it already holds allocates no second copy:
-	// an endpoint sees the same few over and over.
-	names    [4]string
-	nextName uint8
-}
-
-// intern returns b as a string, reusing a held copy when there is one.
-func (c *Codec) intern(b []byte) string {
-	for _, s := range c.names {
-		if s == string(b) { // compares in place
-			return s
-		}
-	}
-	s := string(b)
-	c.names[c.nextName%uint8(len(c.names))] = s
-	c.nextName++
-	return s
 }
 
 // AppendMarshal is the package-level AppendMarshal on c's writer.
 func (c *Codec) AppendMarshal(dst []byte, msg Message) []byte {
-	c.w.buf = dst
+	c.w.buf, c.w.pool = dst, c.Pool
 	marshal(&c.w, msg)
 	dst, c.w.buf = c.w.buf, nil
 	return dst

@@ -31,6 +31,13 @@ type Pool struct {
 	key   crypto5g.EIA2Key
 	keyed bool
 
+	// names holds the strings the testbed's codecs last encoded or decoded
+	// (identities, GUTIs, DNNs). Every string a peer decodes is one the
+	// other end has just encoded, so a decode finds it here and allocates
+	// no copy: the AMF's fresh GUTI is the modem's too.
+	names    [8]string
+	nextName uint8
+
 	// onPut, when set, sees every released message instead of the free
 	// list. Tests poison through it.
 	onPut func(Message)
@@ -114,16 +121,89 @@ var warmTypes = [...]struct {
 	{EPD5GSM, MTPDUSessionEstablishmentReject}, {EPD5GSM, MTPDUSessionReleaseCommand},
 }
 
+// warmListCap is the room Warm gives every free list: more of one type
+// than this released before the next decode is rare on one device.
+const warmListCap = 4
+
 // Warm puts one message of each commonly decoded type on its free list, if
-// the list is empty, so that a testbed snapshotted afterwards starts every
-// restored run with them. A type left out costs an allocation per run, no
-// more.
+// the list is empty, and gives every list room for warmListCap, so that a
+// testbed snapshotted afterwards starts every restored run with them: a
+// type left out costs an allocation per run, and so does a list that has to
+// grow to take a release (the body-less messages' among them).
 func (p *Pool) Warm() {
+	if cap(p.free[0]) == 0 {
+		room := make([]Message, poolSlots*warmListCap)
+		for i := range p.free {
+			p.free[i] = append(room[i*warmListCap:i*warmListCap:(i+1)*warmListCap], p.free[i]...)
+		}
+	}
 	for _, t := range warmTypes {
 		if i := slot(t.epd, t.mt); len(p.free[i]) == 0 {
 			p.free[i] = append(p.free[i], (*Pool)(nil).get(t.epd, t.mt))
 		}
 	}
+	// Decoding a message as large as a run's into each warmed one, and
+	// releasing it, leaves its lists and optional parts with room.
+	c := Codec{Pool: p}
+	var wire []byte
+	for _, m := range primeMessages() {
+		wire = AppendMarshal(wire[:0], m)
+		if msg, err := c.Unmarshal(wire); err == nil {
+			p.Put(msg)
+		}
+	}
+}
+
+// primeMessages are Warm's messages, one of each warmed type with lists
+// and optional parts: two slices, two resolvers, two filters, a 16-byte
+// RES and a 14-byte AUTS.
+func primeMessages() []Message {
+	nssai := []SNSSAI{{SST: 1}, {SST: 2}}
+	return []Message{
+		&RegistrationRequest{RegistrationType: RegInitial, Identity: MobileIdentity{Type: IdentitySUCI, Value: "0"},
+			RequestedNSSAI: nssai, LastTAI: &TAI{}, Capability: make([]byte, 2)},
+		&RegistrationAccept{GUTI: MobileIdentity{Type: IdentityGUTI, Value: "0"}, TAIList: make([]TAI, 2), AllowedNSSAI: nssai},
+		&AuthenticationResponse{RES: make([]byte, 16)},
+		&AuthenticationFailure{Cause: 21, AUTS: make([]byte, 14)},
+		&PDUSessionEstablishmentRequest{SessionType: SessionIPv4, DNN: "0", SNSSAI: &nssai[0]},
+		&PDUSessionEstablishmentAccept{SessionType: SessionIPv4, DNSServers: make([]Addr, 2),
+			TFT: TFT{Filters: make([]PacketFilter, 2)}, DNN: "0"},
+	}
+}
+
+// hold records s among the pool's strings unless it is there already.
+func (p *Pool) hold(s string) {
+	if p == nil || s == "" {
+		return
+	}
+	for _, h := range p.names {
+		if h == s {
+			return
+		}
+	}
+	p.keep(s)
+}
+
+// intern returns b as a string, reusing a held one when there is one; a
+// new string is held in turn.
+func (p *Pool) intern(b []byte) string {
+	if p == nil {
+		return string(b)
+	}
+	for _, s := range p.names {
+		if s == string(b) { // compares in place
+			return s
+		}
+	}
+	s := string(b)
+	p.keep(s)
+	return s
+}
+
+// keep holds s in place of the oldest held string.
+func (p *Pool) keep(s string) {
+	p.names[p.nextName%uint8(len(p.names))] = s
+	p.nextName++
 }
 
 // part returns the optional part *p of a message being decoded, attaching

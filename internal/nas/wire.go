@@ -9,6 +9,9 @@ import (
 // the IE constructors before encoding.
 type writer struct {
 	buf []byte
+	// pool, when set (a pooled Codec's writer), learns every string the
+	// writer encodes, so that the peer decoding it finds it held.
+	pool *Pool
 }
 
 func (w *writer) byte(b byte)     { w.buf = append(w.buf, b) }
@@ -40,6 +43,7 @@ func (w *writer) lvString(s string) {
 	}
 	w.byte(byte(len(s)))
 	w.buf = append(w.buf, s...)
+	w.pool.hold(s)
 }
 
 // tlvString writes a TLV whose value is a string.
@@ -74,14 +78,14 @@ type reader struct {
 	// codec, when set (a Codec's readers), lends ie the reader it runs its
 	// callback on, so decoding an optional IE allocates none (one is
 	// enough: IE callbacks read values and never open an IE of their own),
-	// and the strings it holds.
+	// and its pool's strings.
 	codec *Codec
 }
 
 // str returns b as a string the message may keep.
 func (r *reader) str(b []byte) string {
 	if r.codec != nil {
-		return r.codec.intern(b)
+		return r.codec.Pool.intern(b)
 	}
 	return string(b)
 }

@@ -24,6 +24,7 @@
 package policy
 
 import (
+	"encoding/json"
 	"fmt"
 	"time"
 
@@ -46,8 +47,24 @@ type Policy struct {
 	// (paper: 10s).
 	TrialWindow time.Duration `json:"trial_window_ns"`
 	// TrialOrder is the unknown-cause trial sequence (paper:
-	// core.LearningOrder, cheapest tier first).
+	// core.LearningOrder, cheapest tier first). JSON carries it as tier
+	// names (see MarshalJSON).
 	TrialOrder []core.ActionID `json:"trial_order"`
+}
+
+// MarshalJSON writes the policy with its trial order as tier names
+// (["A1", "A2", ...]): core.ActionID is a byte, so the order would
+// otherwise be written as base64. Nothing reads a policy back.
+func (p Policy) MarshalJSON() ([]byte, error) {
+	type fields Policy // without this method
+	names := make([]string, len(p.TrialOrder))
+	for i, a := range p.TrialOrder {
+		names[i] = tierName(a)
+	}
+	return json.Marshal(struct {
+		fields
+		TrialOrder []string `json:"trial_order"`
+	}{fields(p), names})
 }
 
 // Paper returns the policy the paper evaluates: DefaultAppletConfig
@@ -103,14 +120,18 @@ func OrderNames(order []core.ActionID) string {
 		if i > 0 {
 			s += ">"
 		}
-		// "B3/dplane-reset" → "B3"
-		name := a.String()
-		if len(name) >= 2 {
-			name = name[:2]
-		}
-		s += name
+		s += tierName(a)
 	}
 	return s
+}
+
+// tierName is an action's tier: "B3/dplane-reset" → "B3".
+func tierName(a core.ActionID) string {
+	name := a.String()
+	if len(name) >= 2 {
+		name = name[:2]
+	}
+	return name
 }
 
 // AllActions lists the six reset tiers in ascending ID order — the

@@ -173,10 +173,10 @@ type NAS struct {
 	Bytes []byte
 }
 
-// nasFrameCap is a new frame's buffer: the largest message on the testbed
+// NASFrameCap is a new frame's buffer: the largest message on the testbed
 // (a protected DIAG report, a 100-byte DNN plus headers) fits, so a frame
-// does not grow.
-const nasFrameCap = 128
+// does not grow. An endpoint's encoding scratch is sized the same.
+const NASFrameCap = 128
 
 // NASPool is the free list of signalling frames. Like the FramePool a
 // testbed has one (core5g.Network owns it) that the modems, the gNBs and
@@ -198,7 +198,7 @@ func (p *NASPool) Get(ue string) *NAS {
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
 	} else {
-		f = &NAS{Bytes: make([]byte, 0, nasFrameCap)}
+		f = &NAS{Bytes: make([]byte, 0, NASFrameCap)}
 	}
 	f.UE = ue
 	return f
@@ -207,7 +207,7 @@ func (p *NASPool) Get(ue string) *NAS {
 // Warm grows the pool to at least n free frames (see sched.Kernel.Warm).
 func (p *NASPool) Warm(n int) {
 	for len(p.free) < n {
-		p.free = append(p.free, &NAS{Bytes: make([]byte, 0, nasFrameCap)})
+		p.free = append(p.free, &NAS{Bytes: make([]byte, 0, NASFrameCap)})
 	}
 }
 

@@ -158,7 +158,7 @@ func TestPacketCloneIsDistinct(t *testing.T) {
 func TestNASPoolKeepsBufferAndCloneIsDeep(t *testing.T) {
 	var p NASPool
 	f := p.Get("imsi-1")
-	if len(f.Bytes) != 0 || cap(f.Bytes) < nasFrameCap {
+	if len(f.Bytes) != 0 || cap(f.Bytes) < NASFrameCap {
 		t.Fatalf("new frame: len %d cap %d", len(f.Bytes), cap(f.Bytes))
 	}
 	f.Bytes = append(f.Bytes, 0x7E, 0x00, 0x41)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/seed5g/seed/internal/crypto5g"
 )
@@ -102,10 +103,14 @@ type Card struct {
 	selected Applet
 	diag     DiagnosisHandler
 
-	// lastIMSI and lastDNN are the strings ReadProfile returned last: a
-	// modem re-reads the profile at every boot and refresh, nearly always
-	// to find what it already holds.
+	// lastIMSI, lastDNN, lastPLMNs and lastDNS are what ReadProfile
+	// returned last (StoreProfile's values before the first read): a modem
+	// re-reads the profile at every boot and refresh, nearly always to find
+	// what it already holds. The lists are shared with whoever read them,
+	// which is safe because no holder writes a profile's list in place.
 	lastIMSI, lastDNN string
+	lastPLMNs         []uint32
+	lastDNS           [][4]byte
 
 	selectedFile FileID
 	proactive    []ProactiveCommand
@@ -130,6 +135,8 @@ func NewCard(eeprom, ram int, carrierKey [16]byte, p Profile) (*Card, error) {
 	if err := c.StoreProfile(p); err != nil {
 		return nil, err
 	}
+	c.lastIMSI, c.lastDNN = p.IMSI, p.DNN
+	c.lastPLMNs, c.lastDNS = slices.Clone(p.PLMNs), slices.Clone(p.DNS)
 	return c, nil
 }
 
@@ -183,6 +190,32 @@ func held(s string, b []byte) string {
 	return string(b)
 }
 
+// heldPLMNs reports whether list is what the EF bytes b decode to.
+func heldPLMNs(list []uint32, b []byte) bool {
+	if len(list) == 0 || len(list) != len(b)/4 {
+		return false
+	}
+	for i, v := range list {
+		if v != binary.BigEndian.Uint32(b[4*i:]) {
+			return false
+		}
+	}
+	return true
+}
+
+// heldDNS is heldPLMNs for the resolver list.
+func heldDNS(list [][4]byte, b []byte) bool {
+	if len(list) == 0 || len(list) != len(b)/4 {
+		return false
+	}
+	for i, a := range list {
+		if a != [4]byte(b[4*i:]) {
+			return false
+		}
+	}
+	return true
+}
+
 // ReadProfile reconstructs the profile from the EFs (keys are not readable
 // off a real card; the returned profile has zero K/OP).
 func (c *Card) ReadProfile() (Profile, error) {
@@ -197,9 +230,13 @@ func (c *Card) ReadProfile() (Profile, error) {
 	if err != nil {
 		return p, err
 	}
-	for i := 0; i+4 <= len(plmn); i += 4 {
-		p.PLMNs = append(p.PLMNs, binary.BigEndian.Uint32(plmn[i:]))
+	if !heldPLMNs(c.lastPLMNs, plmn) {
+		c.lastPLMNs = nil
+		for i := 0; i+4 <= len(plmn); i += 4 {
+			c.lastPLMNs = append(c.lastPLMNs, binary.BigEndian.Uint32(plmn[i:]))
+		}
 	}
+	p.PLMNs = c.lastPLMNs
 	dnn, err := c.fs.view(EFDNN)
 	if err != nil {
 		return p, err
@@ -210,11 +247,13 @@ func (c *Card) ReadProfile() (Profile, error) {
 	if err != nil {
 		return p, err
 	}
-	for i := 0; i+4 <= len(dns); i += 4 {
-		var a [4]byte
-		copy(a[:], dns[i:])
-		p.DNS = append(p.DNS, a)
+	if !heldDNS(c.lastDNS, dns) {
+		c.lastDNS = nil
+		for i := 0; i+4 <= len(dns); i += 4 {
+			c.lastDNS = append(c.lastDNS, [4]byte(dns[i:]))
+		}
 	}
+	p.DNS = c.lastDNS
 	sn, err := c.fs.view(EFSNSSAI)
 	if err != nil {
 		return p, err
@@ -369,6 +408,15 @@ func (c *Card) QueueProactive(cmd ProactiveCommand) {
 	}
 }
 
+// Warm makes room for a few queued proactive commands ahead of a
+// prototype snapshot: a queue snapshotted empty grows again in every
+// restored run.
+func (c *Card) Warm() {
+	if cap(c.proactive) == 0 {
+		c.proactive = make([]ProactiveCommand, 0, 2)
+	}
+}
+
 // OnProactive registers the terminal's notification hook, invoked whenever
 // a proactive command becomes available.
 func (c *Card) OnProactive(fn func()) { c.onProactive = fn }
@@ -379,7 +427,9 @@ func (c *Card) FetchProactive() (ProactiveCommand, bool) {
 		return ProactiveCommand{}, false
 	}
 	cmd := c.proactive[0]
-	c.proactive = c.proactive[1:]
+	// Copied down in place: re-slicing would walk the queue through its
+	// backing array, and the next command would allocate a new one.
+	c.proactive = append(c.proactive[:0], c.proactive[1:]...)
 	c.stats.Proactives++
 	return cmd, true
 }
