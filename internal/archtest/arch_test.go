@@ -812,10 +812,21 @@ func ruleSeededStreams(r *report) {
 	}
 }
 
-// Rule one-apply-path: in internal/fleet every Envelope.Open is a call with
-// a constant direction; exactly one passes Uplink, in (*shard).apply, the
-// one place a journal record changes a shard.
+// Rule one-apply-path: in internal/fleet every envelope open — a call of
+// Envelope.Open or Envelope.AppendOpen — passes a constant direction;
+// exactly one passes Uplink, in (*shard).apply, the one place a journal
+// record changes a shard.
 func ruleOneApplyPath(r *report) {
+	// dirArg is the index of the direction argument of each method that
+	// opens.
+	dirArg := map[string]int{"Open": 0, "AppendOpen": 1}
+	opens := func(obj types.Object) bool {
+		if obj == nil {
+			return false
+		}
+		_, ok := dirArg[obj.Name()]
+		return ok && isObj(obj, "internal/crypto5g", "Envelope", obj.Name())
+	}
 	files := r.w.prodFiles("internal/fleet")
 	calls := map[*ast.Ident]bool{}
 	inApply := 0
@@ -824,12 +835,13 @@ func ruleOneApplyPath(r *report) {
 		for _, decl := range f.file.Decls {
 			ast.Inspect(decl, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
-				if !ok || !isObj(callee(info, call), "internal/crypto5g", "Envelope", "Open") {
+				if !ok || !opens(callee(info, call)) {
 					return true
 				}
 				calls[ast.Unparen(call.Fun).(*ast.SelectorExpr).Sel] = true
-				crypto := callee(info, call).Pkg().Scope()
-				dir := info.Types[call.Args[0]].Value
+				fn := callee(info, call)
+				crypto := fn.Pkg().Scope()
+				dir := info.Types[call.Args[dirArg[fn.Name()]]].Value
 				is := func(name string) bool {
 					return dir != nil && constant.Compare(dir, token.EQL, crypto.Lookup(name).(*types.Const).Val())
 				}
@@ -838,7 +850,7 @@ func ruleOneApplyPath(r *report) {
 				case is("Uplink") && declName(decl) == "shard.apply":
 					inApply++
 				default:
-					r.add(call.Pos(), "Envelope.Open outside (*shard).apply opens a non-downlink direction")
+					r.add(call.Pos(), "Envelope.%s outside (*shard).apply opens a non-downlink direction", fn.Name())
 				}
 				return true
 			})
@@ -849,8 +861,8 @@ func ruleOneApplyPath(r *report) {
 			continue
 		}
 		for id, obj := range u.info.Uses {
-			if !calls[id] && isObj(obj, "internal/crypto5g", "Envelope", "Open") && !r.w.site(u, id.Pos()).test {
-				r.add(id.Pos(), "Envelope.Open referenced without a call")
+			if !calls[id] && opens(obj) && !r.w.site(u, id.Pos()).test {
+				r.add(id.Pos(), "Envelope.%s referenced without a call", obj.Name())
 			}
 		}
 	}

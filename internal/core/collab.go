@@ -129,16 +129,19 @@ func UnmarshalDiag(data []byte) (DiagMessage, error) {
 // ("using the pre-shared in-SIM key", §6). Both sides hold K, so both
 // derive identical keys without any certificate exchange.
 func DeriveEnvelopeKeys(k [16]byte) (enc, integ [16]byte) {
-	block, err := aes.NewCipher(k[:])
+	// K and both blocks share one array: what is passed through the
+	// cipher.Block interface escapes, so this is one object, not four.
+	var b [3][16]byte
+	b[0] = k
+	block, err := aes.NewCipher(b[0][:])
 	if err != nil {
 		panic(err) // 16-byte array cannot fail
 	}
-	var encIn, intIn [16]byte
-	copy(encIn[:], "SEED-ENC-KEY-001")
-	copy(intIn[:], "SEED-INT-KEY-001")
-	block.Encrypt(enc[:], encIn[:])
-	block.Encrypt(integ[:], intIn[:])
-	return
+	copy(b[1][:], "SEED-ENC-KEY-001")
+	copy(b[2][:], "SEED-INT-KEY-001")
+	block.Encrypt(b[1][:], b[1][:])
+	block.Encrypt(b[2][:], b[2][:])
+	return b[1], b[2]
 }
 
 // NewChannelEnvelope builds the sealed channel for a subscriber key.

@@ -53,11 +53,35 @@ func (r Records) Evidence(c cause.Cause) int {
 // any action has a positive count. Ties break toward the cheaper action
 // (later in LearningOrder means more disruptive, so prefer earlier).
 func (r Records) Best(c cause.Cause) (ActionID, bool) {
+	var t Tally
+	t.Add(r, c)
+	return t.Best()
+}
+
+// Tally sums one cause's success counts per action over any number of
+// tables without building a merged one: the fleet answers a query from
+// its shards' tables through a Tally. Its zero value is empty.
+type Tally struct {
+	// n is indexed by ActionID; ActionB3 is the largest.
+	n [ActionB3 + 1]int
+}
+
+// Add adds table r's counts for cause c.
+func (t *Tally) Add(r Records, c cause.Cause) {
 	acts := r[c]
+	for _, a := range LearningOrder {
+		t.n[a] += acts[a]
+	}
+}
+
+// Best is Records.Best over the sum of the tables added: the action with
+// the most successes, ties toward the earlier in LearningOrder, and
+// whether any action has a positive count.
+func (t *Tally) Best() (ActionID, bool) {
 	var best ActionID
 	bestN := 0
 	for _, a := range LearningOrder {
-		if n := acts[a]; n > bestN {
+		if n := t.n[a]; n > bestN {
 			best, bestN = a, n
 		}
 	}
@@ -136,12 +160,24 @@ func AppendRecords(dst []byte, r Records, countBytes int) []byte {
 // not be sorted; repeated (cause, action) rows add up. Any length that is
 // not a whole number of rows is an error.
 func ParseRecords(data []byte, countBytes int) (Records, error) {
+	out := make(Records)
+	if _, err := out.AddRows(data, countBytes); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// AddRows folds encoded rows with countBytes-wide counts (2 or 4) into r
+// and returns how many it read: the one decoder of the encoding, which
+// ParseRecords and the fleet's fold share. A length that is not a whole
+// number of rows is an error and adds nothing. For a canonical encoding
+// (AppendRecords) rows equals the Rows() of the table it decodes to.
+func (r Records) AddRows(data []byte, countBytes int) (rows int, err error) {
 	countMax(countBytes) // panics on any other width
 	rowLen := 3 + countBytes
 	if len(data)%rowLen != 0 {
-		return nil, fmt.Errorf("core: record table length %d not a multiple of %d", len(data), rowLen)
+		return 0, fmt.Errorf("core: record table length %d not a multiple of %d", len(data), rowLen)
 	}
-	out := make(Records)
 	for i := 0; i < len(data); i += rowLen {
 		c := cause.Cause{Plane: cause.Plane(data[i]), Code: cause.Code(data[i+1])}
 		var n int
@@ -150,9 +186,9 @@ func ParseRecords(data []byte, countBytes int) (Records, error) {
 		} else {
 			n = int(binary.BigEndian.Uint32(data[i+3:]))
 		}
-		out.Add(c, ActionID(data[i+2]), n)
+		r.Add(c, ActionID(data[i+2]), n)
 	}
-	return out, nil
+	return len(data) / rowLen, nil
 }
 
 // countMax is the largest count a countBytes-wide field holds.

@@ -12,8 +12,9 @@
 // every record is folded exactly once and the aggregated model is
 // byte-identical to an in-process sequential baseline.
 //
-// A server shard holds its fold as a core.Records table and answers a
-// query with its argmax (Records.Best): the logistic gate, rate and random
+// A server shard holds its fold as a core.Records table, and a query is
+// answered with the argmax over every shard's table (core.Tally, which
+// breaks ties as Records.Best does): the logistic gate, rate and random
 // source of core.Learner belong to the in-process plugin and were never
 // read here. Uploads and reports change a shard through one function,
 // (*shard).apply, both when they arrive and when a journaled server

@@ -34,6 +34,9 @@ func startServer(t *testing.T, cfg ServerConfig) (*Server, *Client) {
 	return srv, cl
 }
 
+// homeShard is the shard that serves the device with this IMSI.
+func (s *Server) homeShard(imsi string) *shard { return s.shardOf([]byte(imsi)) }
+
 func deviceRecords(i int) core.Records {
 	c := cause.MM(cause.Code(150 + i%3))
 	a := core.LearningOrder[i%len(core.LearningOrder)]

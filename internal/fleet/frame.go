@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"github.com/seed5g/seed/internal/cause"
@@ -131,37 +132,48 @@ func AppendFrame(dst []byte, f Frame) []byte {
 // a clean boundary (no bytes read); a frame truncated mid-way is
 // io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader, maxFrame uint32) (Frame, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		return Frame{}, err // io.EOF here is a clean close
+	f, _, err := readFrame(r, maxFrame, nil)
+	return f, err
+}
+
+// readFrame is ReadFrame reading the frame, header and payload, into buf,
+// which it grows when the frame does not fit and returns: a reader that
+// passes the returned buffer back for its next frame reads without
+// allocating. The payload aliases the buffer.
+func readFrame(r io.Reader, maxFrame uint32, buf []byte) (Frame, []byte, error) {
+	buf = slices.Grow(buf[:0], headerLen)[:headerLen]
+	if _, err := io.ReadFull(r, buf[:1]); err != nil {
+		return Frame{}, buf, err // io.EOF here is a clean close
 	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
+	if _, err := io.ReadFull(r, buf[1:]); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return Frame{}, err
+		return Frame{}, buf, err
 	}
-	if hdr[0] != frameMagic0 || hdr[1] != frameMagic1 {
-		return Frame{}, fmt.Errorf("fleet: bad frame magic %#02x%02x", hdr[0], hdr[1])
+	if buf[0] != frameMagic0 || buf[1] != frameMagic1 {
+		return Frame{}, buf, fmt.Errorf("fleet: bad frame magic %#02x%02x", buf[0], buf[1])
 	}
-	if hdr[2] != frameVer {
-		return Frame{}, fmt.Errorf("fleet: unsupported frame version %d", hdr[2])
+	if buf[2] != frameVer {
+		return Frame{}, buf, fmt.Errorf("fleet: unsupported frame version %d", buf[2])
 	}
-	n := binary.BigEndian.Uint32(hdr[4:])
+	n := binary.BigEndian.Uint32(buf[4:])
 	if n > maxFrame {
-		return Frame{}, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, maxFrame)
+		return Frame{}, buf, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, maxFrame)
 	}
-	f := Frame{Type: FrameType(hdr[3])}
+	f := Frame{Type: FrameType(buf[3])}
 	if n > 0 {
-		f.Payload = make([]byte, n)
+		end := headerLen + int(n)
+		buf = slices.Grow(buf, int(n))[:end]
+		f.Payload = buf[headerLen:end:end]
 		if _, err := io.ReadFull(r, f.Payload); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
-			return Frame{}, err
+			return Frame{}, buf, err
 		}
 	}
-	return f, nil
+	return f, buf, nil
 }
 
 // frameBuffered reports whether br already holds the next frame whole, so
@@ -188,17 +200,20 @@ func AppendSealedPayload(dst []byte, imsi string, sealed []byte) []byte {
 
 // ParseSealedPayload decodes a TUpload/TReport payload.
 func ParseSealedPayload(p []byte) (imsi string, sealed []byte, err error) {
-	if len(p) < 1 {
-		return "", nil, errors.New("fleet: empty sealed payload")
-	}
-	n := int(p[0])
-	if n == 0 || n > MaxIMSILen {
-		return "", nil, fmt.Errorf("fleet: bad IMSI length %d", n)
+	b, sealed, err := parseSealed(p)
+	return string(b), sealed, err
+}
+
+// parseSealed is ParseSealedPayload leaving the IMSI in p.
+func parseSealed(p []byte) (imsi, sealed []byte, err error) {
+	n, err := imsiLen(p, "sealed")
+	if err != nil {
+		return nil, nil, err
 	}
 	if len(p) < 1+n {
-		return "", nil, fmt.Errorf("fleet: sealed payload truncated: IMSI needs %d bytes, have %d", n, len(p)-1)
+		return nil, nil, fmt.Errorf("fleet: sealed payload truncated: IMSI needs %d bytes, have %d", n, len(p)-1)
 	}
-	return string(p[1 : 1+n]), p[1+n:], nil
+	return p[1 : 1+n], p[1+n:], nil
 }
 
 // AppendQueryPayload encodes imsiLen(1) | imsi | plane(1) | code(1).
@@ -210,17 +225,32 @@ func AppendQueryPayload(dst []byte, imsi string, c cause.Cause) []byte {
 
 // ParseQueryPayload decodes a TQuery payload.
 func ParseQueryPayload(p []byte) (imsi string, c cause.Cause, err error) {
+	b, c, err := parseQuery(p)
+	return string(b), c, err
+}
+
+// parseQuery is ParseQueryPayload leaving the IMSI in p.
+func parseQuery(p []byte) (imsi []byte, c cause.Cause, err error) {
+	n, err := imsiLen(p, "query")
+	if err != nil {
+		return nil, c, err
+	}
+	if len(p) != 1+n+2 {
+		return nil, c, fmt.Errorf("fleet: query payload length %d, want %d", len(p), 1+n+2)
+	}
+	return p[1 : 1+n], cause.Cause{Plane: cause.Plane(p[1+n]), Code: cause.Code(p[2+n])}, nil
+}
+
+// imsiLen checks the IMSI length byte that starts a what payload.
+func imsiLen(p []byte, what string) (int, error) {
 	if len(p) < 1 {
-		return "", c, errors.New("fleet: empty query payload")
+		return 0, fmt.Errorf("fleet: empty %s payload", what)
 	}
 	n := int(p[0])
 	if n == 0 || n > MaxIMSILen {
-		return "", c, fmt.Errorf("fleet: bad IMSI length %d", n)
+		return 0, fmt.Errorf("fleet: bad IMSI length %d", n)
 	}
-	if len(p) != 1+n+2 {
-		return "", c, fmt.Errorf("fleet: query payload length %d, want %d", len(p), 1+n+2)
-	}
-	return string(p[1 : 1+n]), cause.Cause{Plane: cause.Plane(p[1+n]), Code: cause.Code(p[2+n])}, nil
+	return n, nil
 }
 
 // RetryAfterPayload encodes the backpressure wait hint.
@@ -320,8 +350,14 @@ func cutCounterTable(p []byte) ([]CounterEntry, []byte, error) {
 // SuggestPayload converts a learner decision into the TSuggest plaintext:
 // a core.DiagMessage of kind DiagSuggestAction, the same assistance shape
 // the in-process AUTN channel delivers.
-func SuggestPayload(c cause.Cause, a core.ActionID) []byte {
+func SuggestPayload(c cause.Cause, a core.ActionID) []byte { return appendSuggest(nil, c, a) }
+
+// suggestLen is the length of a SuggestPayload.
+const suggestLen = 4
+
+// appendSuggest is SuggestPayload appending to dst.
+func appendSuggest(dst []byte, c cause.Cause, a core.ActionID) []byte {
 	return core.DiagMessage{
 		Kind: core.DiagSuggestAction, Plane: c.Plane, Code: c.Code, Action: a,
-	}.Marshal()
+	}.AppendMarshal(dst)
 }

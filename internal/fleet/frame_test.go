@@ -32,6 +32,25 @@ func TestFrameRoundTrip(t *testing.T) {
 	if _, err := ReadFrame(br, DefaultMaxFrame); err != io.EOF {
 		t.Fatalf("want io.EOF at stream end, got %v", err)
 	}
+	// A server connection reads every frame into one buffer: a frame
+	// shorter than the last reads the same, with the model's bytes still
+	// behind it in the buffer.
+	frames = append(frames, frames[0], frames[1])
+	br = bufio.NewReader(bytes.NewReader(encodeFrames(frames...)))
+	var buf []byte
+	for i, want := range frames {
+		got, b, err := readFrame(br, DefaultMaxFrame, buf)
+		if err != nil {
+			t.Fatalf("frame %d into a reused buffer: %v", i, err)
+		}
+		if got.Type != want.Type || !bytes.Equal(got.Payload, want.Payload) {
+			t.Fatalf("frame %d into a reused buffer: got %v (%d bytes), want %v (%d)", i, got.Type, len(got.Payload), want.Type, len(want.Payload))
+		}
+		buf = b
+	}
+	if _, _, err := readFrame(br, DefaultMaxFrame, buf); err != io.EOF {
+		t.Fatalf("want io.EOF at stream end, got %v", err)
+	}
 }
 
 func TestReadFrameRejectsBadInput(t *testing.T) {
@@ -47,9 +66,14 @@ func TestReadFrameRejectsBadInput(t *testing.T) {
 		{"truncated header", valid[:5], DefaultMaxFrame},
 		{"truncated payload", valid[:len(valid)-1], DefaultMaxFrame},
 	}
+	// The same bytes read into a buffer that holds a valid frame already.
+	reused := bytes.Repeat(valid, 2)
 	for _, tc := range cases {
 		if _, err := ReadFrame(bytes.NewReader(tc.data), tc.max); err == nil {
 			t.Errorf("%s: decoded without error", tc.name)
+		}
+		if _, _, err := readFrame(bytes.NewReader(tc.data), tc.max, reused); err == nil {
+			t.Errorf("%s: decoded into a reused buffer without error", tc.name)
 		}
 	}
 	// Oversized specifically identifies as ErrFrameTooLarge.

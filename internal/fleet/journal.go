@@ -112,7 +112,7 @@ func syncDir(dir string) error {
 type journalRec struct {
 	seq  uint64
 	kind byte
-	imsi string
+	imsi []byte
 	body []byte
 }
 
@@ -152,7 +152,7 @@ func parseJournalPayload(p []byte) (journalRec, error) {
 	if len(p) < 10+il {
 		return journalRec{}, fmt.Errorf("fleet: journal payload truncated: IMSI needs %d bytes", il)
 	}
-	r.imsi = string(p[10 : 10+il])
+	r.imsi = p[10 : 10+il]
 	r.body = p[10+il:]
 	return r, nil
 }
@@ -349,7 +349,7 @@ func (sh *shard) loadSnapshot(path string) (seq uint64, err error) {
 		return fail(err.Error())
 	}
 	for _, e := range entries {
-		sh.env(e.IMSI).SetCounters(e.Send, e.Recv)
+		sh.env([]byte(e.IMSI)).SetCounters(e.Send, e.Recv)
 	}
 	sh.model = model
 	return binary.BigEndian.Uint64(p), nil

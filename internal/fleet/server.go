@@ -157,6 +157,13 @@ type shard struct {
 	// success count of each action (Algorithm 1's crowd-sourced table).
 	model core.Records
 	envs  map[string]*crypto5g.Envelope
+	// master is the fleet master key, expanded once per server: each shard
+	// holds a copy, which shares the expansion, and derives a device's
+	// key with it on first contact.
+	master crypto5g.CMACKey
+	// plain receives the plaintext apply opens, for the next apply to
+	// reuse.
+	plain []byte
 	jr    *journal // nil when JournalDir is unset
 	// degraded is set when a journal write or fsync failed: the shard
 	// stops acknowledging durable work rather than acking state it cannot
@@ -173,8 +180,13 @@ type shard struct {
 func NewServer(cfg ServerConfig) *Server {
 	cfg.withDefaults()
 	s := &Server{cfg: cfg, conns: make(map[net.Conn]struct{})}
+	var master crypto5g.CMACKey
+	if err := master.SetKey(cfg.MasterKey[:]); err != nil {
+		panic(err) // a 16-byte key cannot fail
+	}
 	for i := range cfg.Shards {
-		s.shards = append(s.shards, &shard{idx: i, srv: s, model: core.Records{}, envs: make(map[string]*crypto5g.Envelope)})
+		s.shards = append(s.shards, &shard{idx: i, srv: s, model: core.Records{},
+			envs: make(map[string]*crypto5g.Envelope), master: master})
 	}
 	return s
 }
@@ -385,7 +397,15 @@ type serverConn struct {
 	tails []uint64
 	size  int // encoded bytes of replies
 	out   []byte
+	// in holds the frame being served, and arena the sealed suggestions
+	// of the replies gathered, which flush empties. Like out, each is
+	// reused while its capacity stays within maxKeptBuf.
+	in, arena []byte
 }
+
+// maxKeptBuf is the largest buffer a connection keeps for its next use: a
+// model pull or an outsized frame does not pin its buffer.
+const maxKeptBuf = 4 * flushBytes
 
 // handleConn serves one connection on one goroutine: it serves every
 // buffered frame in request order, each subscriber request under its home
@@ -405,11 +425,12 @@ func (s *Server) handleConn(conn net.Conn) {
 				break
 			}
 		}
-		f, err := ReadFrame(br, DefaultMaxFrame)
+		f, in, err := readFrame(br, DefaultMaxFrame, sc.in)
 		if err != nil {
 			break // clean close, idle timeout, drain, or protocol error
 		}
 		r := sc.request(f)
+		sc.in = keep(in)
 		sc.replies = append(sc.replies, r)
 		sc.size += headerLen + len(r.Payload)
 		if len(sc.replies) >= connPipelineDepth || sc.size >= flushBytes {
@@ -453,34 +474,40 @@ func (sc *serverConn) flush() {
 	}
 	clear(sc.replies) // keep no payload alive
 	sc.replies, sc.size = sc.replies[:0], 0
-	if sc.out = sc.out[:0]; cap(sc.out) > 4*flushBytes {
-		sc.out = nil // a model pull went through: do not keep its buffer
+	sc.out, sc.arena = keep(sc.out), keep(sc.arena)
+}
+
+// keep empties buf for reuse, or drops it when it outgrew maxKeptBuf.
+func keep(buf []byte) []byte {
+	if cap(buf) > maxKeptBuf {
+		return nil
 	}
+	return buf[:0]
 }
 
 // request serves one request frame: admin frames and errors inline, and
 // sealed-envelope work and queries under the device's home shard's lock,
 // or TRetryAfter at once when queueDepth requests already wait for it.
+// The reply keeps nothing of f: the journal and apply copy what they keep.
 func (sc *serverConn) request(f Frame) Frame {
 	s := sc.srv
 	var (
-		imsi string
-		body []byte
-		c    cause.Cause
-		err  error
+		imsi, body []byte
+		c          cause.Cause
+		err        error
 	)
 	switch f.Type {
 	case TUpload, TReport:
-		imsi, body, err = ParseSealedPayload(f.Payload)
+		imsi, body, err = parseSealed(f.Payload)
 	case TQuery:
-		imsi, c, err = ParseQueryPayload(f.Payload)
+		imsi, c, err = parseQuery(f.Payload)
 	default:
 		return s.admin(f)
 	}
 	if err != nil {
 		return s.errFrame(err)
 	}
-	sh := s.homeShard(imsi)
+	sh := s.shardOf(imsi)
 	if sh.waiting.Add(1) > queueDepth {
 		sh.waiting.Add(-1)
 		s.backpressured.Add(1)
@@ -488,7 +515,15 @@ func (sc *serverConn) request(f Frame) Frame {
 	}
 	sh.lock.Lock()
 	sh.waiting.Add(-1)
-	r := sh.serve(f.Type, imsi, body, c)
+	var r Frame
+	switch f.Type {
+	case TUpload:
+		r = sh.handleRecord(jUpload, imsi, body)
+	case TReport:
+		r = sh.handleRecord(jReport, imsi, body)
+	default:
+		r, sc.arena = sh.handleQuery(sc.arena, imsi, c)
+	}
 	if sh.jr != nil {
 		sc.tails[sh.idx] = sh.jr.nextSeq - 1
 	}
@@ -517,14 +552,15 @@ func (s *Server) admin(f Frame) Frame {
 	}
 }
 
-func (s *Server) homeShard(imsi string) *shard {
+// shardOf returns the home shard of the device with this IMSI.
+func (s *Server) shardOf(imsi []byte) *shard {
 	return s.shards[fnv32a(imsi)%uint32(len(s.shards))]
 }
 
 // fnv32a is hash/fnv's 32-bit FNV-1a over the bytes of s, without the
-// hasher and the byte-slice copy: shard placement, and with it every
-// existing journal directory, depends on these exact values.
-func fnv32a(s string) uint32 {
+// hasher: shard placement, and with it every existing journal directory,
+// depends on these exact values.
+func fnv32a[S ~string | ~[]byte](s S) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint32(s[i])) * 16777619
@@ -538,18 +574,6 @@ func (s *Server) errFrame(err error) Frame {
 }
 
 // --- shard -------------------------------------------------------------
-
-// serve answers a subscriber request; the caller holds sh.lock.
-func (sh *shard) serve(typ FrameType, imsi string, body []byte, c cause.Cause) Frame {
-	switch typ {
-	case TUpload:
-		return sh.handleRecord(jUpload, imsi, body)
-	case TReport:
-		return sh.handleRecord(jReport, imsi, body)
-	default:
-		return sh.handleQuery(imsi, c)
-	}
-}
 
 // errDegraded fails the commits a degraded shard can no longer make.
 var errDegraded = errors.New("fleet: shard degraded after journal failure")
@@ -689,12 +713,16 @@ func (sh *shard) counters() []CounterEntry {
 }
 
 // env returns (creating on first use) the subscriber's envelope. Callers
-// hold sh.lock, so envelope crypto stays single-threaded.
-func (sh *shard) env(imsi string) *crypto5g.Envelope {
-	e, ok := sh.envs[imsi]
+// hold sh.lock, so envelope crypto stays single-threaded. Only first
+// contact allocates: it builds the envelope NewSubscriberEnvelope builds,
+// deriving K = SubscriberKey(master, IMSI) with the shard's expanded
+// master key, which leaves three AES key expansions per new device (K's
+// and the envelope's two), and keeps the IMSI as a string.
+func (sh *shard) env(imsi []byte) *crypto5g.Envelope {
+	e, ok := sh.envs[string(imsi)]
 	if !ok {
-		e = NewSubscriberEnvelope(sh.srv.cfg.MasterKey, imsi)
-		sh.envs[imsi] = e
+		e = core.NewChannelEnvelope(sh.master.Sum(imsi))
+		sh.envs[string(imsi)] = e
 	}
 	return e
 }
@@ -705,7 +733,7 @@ func (sh *shard) env(imsi string) *crypto5g.Envelope {
 // is acknowledged without applying or journaling it again. A journaled
 // shard adds the record to the journal's pending group. The caller holds
 // sh.lock.
-func (sh *shard) handleRecord(kind byte, imsi string, body []byte) Frame {
+func (sh *shard) handleRecord(kind byte, imsi, body []byte) Frame {
 	if sh.degraded {
 		return sh.srv.errFrame(errDegraded)
 	}
@@ -733,17 +761,20 @@ func (sh *shard) handleRecord(kind byte, imsi string, body []byte) Frame {
 // record, and recovery calls it for every record past the snapshot, so
 // replay rebuilds the state the acks promised. An upload or report opens
 // with the subscriber's envelope, which advances its receive counter
-// (ErrReplay when the counter is already past it); an upload's records
-// then fold into the model, and a report is only validated — the
-// in-process infrastructure plugin owns policy repair. A legacy counter
-// install, which only replay meets, raises the counters it carries. rows is the number of record rows an
-// upload folded. (Outside apply the shard changes only by a snapshot load,
-// by a query's seal, which advances the unjournaled downlink send counter,
-// and by recovery's skip of that counter.)
-func (sh *shard) apply(kind byte, imsi string, body []byte) (rows int, err error) {
+// (ErrReplay when the counter is already past it) and leaves the
+// plaintext in sh.plain; an upload's rows then fold straight into the
+// model (core.Records.AddRows, all or none of them), and a report is only
+// validated — the in-process infrastructure plugin owns policy repair. A
+// legacy counter install, which only replay meets, raises the counters it
+// carries. rows is the number of record rows an upload folded. (Outside
+// apply the shard changes only by a snapshot load, by a query's seal,
+// which advances the unjournaled downlink send counter, and by recovery's
+// skip of that counter.)
+func (sh *shard) apply(kind byte, imsi, body []byte) (rows int, err error) {
 	switch kind {
 	case jUpload, jReport:
-		plain, err := sh.env(imsi).Open(crypto5g.Uplink, body)
+		plain, err := sh.env(imsi).AppendOpen(sh.plain[:0], crypto5g.Uplink, body)
+		sh.plain = plain[:0]
 		if err != nil {
 			return 0, recordErr(kind, imsi, err)
 		}
@@ -753,14 +784,13 @@ func (sh *shard) apply(kind byte, imsi string, body []byte) (rows int, err error
 			}
 			return 0, nil
 		}
-		recs, err := core.UnmarshalRecords(plain)
+		sh.mu.Lock()
+		rows, err = sh.model.AddRows(plain, 2) // an upload's 2-byte counts, as core.UnmarshalRecords reads them
+		sh.mu.Unlock()
 		if err != nil {
 			return 0, recordErr(kind, imsi, err)
 		}
-		sh.mu.Lock()
-		sh.model.Merge(recs)
-		sh.mu.Unlock()
-		return recs.Rows(), nil
+		return rows, nil
 	case jInstall:
 		// Written by the retired multi-node tier's rebalance; a journal from
 		// that time still holds them. Max semantics keep replay idempotent.
@@ -769,7 +799,7 @@ func (sh *shard) apply(kind byte, imsi string, body []byte) (rows int, err error
 			return 0, err
 		}
 		for _, e := range entries {
-			installCounters(sh.env(e.IMSI), e)
+			installCounters(sh.env([]byte(e.IMSI)), e)
 		}
 		return 0, nil
 	default:
@@ -778,7 +808,7 @@ func (sh *shard) apply(kind byte, imsi string, body []byte) (rows int, err error
 }
 
 // recordErr names the upload or report a failed open or decode belongs to.
-func recordErr(kind byte, imsi string, err error) error {
+func recordErr(kind byte, imsi []byte, err error) error {
 	what := "upload"
 	if kind == jReport {
 		what = "report"
@@ -786,29 +816,27 @@ func recordErr(kind byte, imsi string, err error) error {
 	return fmt.Errorf("fleet: %s from %s: %w", what, imsi, err)
 }
 
-// handleQuery answers the model-push leg: merge the cause's evidence
-// across all shards, pick the argmax action (core.Records.Best, which
-// Learner.Best uses too), and seal the suggestion downlink with the asking
-// device's envelope. No evidence → empty TSuggest (the device keeps
-// trialing, Algorithm 1's abstain arm).
-func (sh *shard) handleQuery(imsi string, c cause.Cause) Frame {
+// handleQuery answers the model-push leg: sum the cause's evidence across
+// all shards, pick its argmax (core.Tally, whose tie-break Records.Best
+// and Learner.Best share), and seal the suggestion downlink with the
+// asking device's envelope, appended to arena: the reply's payload lives
+// there until the connection flushes. No evidence → empty TSuggest (the
+// device keeps trialing, Algorithm 1's abstain arm).
+func (sh *shard) handleQuery(arena, imsi []byte, c cause.Cause) (Frame, []byte) {
 	sh.srv.queries.Add(1)
-	merged := core.Records{}
+	var t core.Tally
 	for _, other := range sh.srv.shards {
 		other.mu.Lock()
-		for a, n := range other.model[c] {
-			merged.Add(c, a, n)
-		}
+		t.Add(other.model, c)
 		other.mu.Unlock()
 	}
-	best, ok := merged.Best(c)
+	best, ok := t.Best()
 	if !ok {
-		return Frame{Type: TSuggest}
+		return Frame{Type: TSuggest}, arena
 	}
-	sealed, err := sh.env(imsi).Seal(crypto5g.Downlink, SuggestPayload(c, best))
-	if err != nil {
-		return sh.srv.errFrame(err)
-	}
+	var msg [suggestLen]byte
+	start := len(arena)
+	arena = sh.env(imsi).AppendSeal(arena, crypto5g.Downlink, appendSuggest(msg[:0], c, best))
 	sh.srv.suggestions.Add(1)
-	return Frame{Type: TSuggest, Payload: sealed}
+	return Frame{Type: TSuggest, Payload: arena[start:len(arena):len(arena)]}, arena
 }

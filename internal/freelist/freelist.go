@@ -14,8 +14,8 @@ type List[T any] struct {
 	free []*T
 }
 
-// Get returns a zero T: the spare put last, or a new one when the list is
-// empty.
+// Get returns a spare as Put left it, the one put last, or a new zero T
+// when the list is empty.
 func (l *List[T]) Get() *T {
 	n := len(l.free)
 	if n == 0 {
@@ -27,11 +27,21 @@ func (l *List[T]) Get() *T {
 	return x
 }
 
-// Put zeroes x, so that a spare pins nothing, and keeps it for a later
-// Get. Nothing may use x afterwards.
+// Recycler is a *T that resets itself when it is put back: to its zero
+// value but for storage its next user refills, such as a list's backing
+// array.
+type Recycler interface{ Recycle() }
+
+// Put resets x and keeps it for a later Get: a Recycler recycles itself,
+// and any other x is zeroed, so that a spare pins nothing. Nothing may use
+// x afterwards.
 func (l *List[T]) Put(x *T) {
-	var zero T
-	*x = zero
+	if r, ok := any(x).(Recycler); ok {
+		r.Recycle()
+	} else {
+		var zero T
+		*x = zero
+	}
 	l.free = append(l.free, x)
 }
 

@@ -33,3 +33,24 @@ func TestListRecyclesZeroed(t *testing.T) {
 		t.Fatalf("Warm(1) on an empty list left %d spares", len(l.free))
 	}
 }
+
+// buf is a Recycler: a spare keeps its list's backing array.
+type buf struct {
+	id    int
+	list  []int
+	spare []int
+}
+
+func (b *buf) Recycle() { *b = buf{spare: b.list[:0]} }
+
+func TestListRecyclesRecycler(t *testing.T) {
+	var l List[buf]
+	b := l.Get()
+	b.id, b.list = 3, append(b.list, 1, 2)
+	backing := &b.list[0]
+	l.Put(b)
+	got := l.Get()
+	if got != b || got.id != 0 || got.list != nil || len(got.spare) != 0 || cap(got.spare) < 2 || &got.spare[:1][0] != backing {
+		t.Fatalf("recycled spare %+v, want id 0, no list, and the list's backing array kept", *got)
+	}
+}

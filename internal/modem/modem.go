@@ -71,6 +71,36 @@ type Session struct {
 	pti      uint8
 	attempts int
 	timer    sched.Timer
+	// dnsSpare and filterSpare are the backing arrays a recycled session
+	// kept of its DNS and TFT lists, for the accept to fill: the lists
+	// themselves stay nil until then.
+	dnsSpare    []nas.Addr
+	filterSpare []nas.PacketFilter
+}
+
+// Recycle resets a dropped session for the next EstablishSession, as the
+// modem's free list does on Put: to its zero value, but keeping its lists'
+// backing arrays.
+func (s *Session) Recycle() {
+	*s = Session{dnsSpare: spare(s.DNS, s.dnsSpare), filterSpare: spare(s.TFT.Filters, s.filterSpare)}
+}
+
+// spare is the backing array to keep of list, emptied: list's own, or
+// old's when list has none.
+func spare[T any](list, old []T) []T {
+	if list == nil {
+		return old[:0]
+	}
+	return list[:0]
+}
+
+// fill is append(list[:0], src...), copying into spare's backing array
+// when list is nil and there is something to copy.
+func fill[T any](list, spare, src []T) []T {
+	if list == nil && len(src) > 0 {
+		list = spare
+	}
+	return append(list[:0], src...)
 }
 
 // The modem's timers and retry limits. The TS 24.501 timers are the 3GPP
@@ -899,8 +929,8 @@ func (m *Modem) handleSessionAccept(acc *nas.PDUSessionEstablishmentAccept) {
 	s.Active = true
 	s.Address = acc.Address
 	// The session outlives the message: copy what it keeps of it.
-	s.DNS = append(s.DNS[:0], acc.DNSServers...)
-	s.TFT.Filters = append(s.TFT.Filters[:0], acc.TFT.Filters...)
+	s.DNS = fill(s.DNS, s.dnsSpare, acc.DNSServers)
+	s.TFT.Filters = fill(s.TFT.Filters, s.filterSpare, acc.TFT.Filters)
 	s.QoS = acc.QoS
 	if acc.DNN != "" {
 		s.DNN = acc.DNN
